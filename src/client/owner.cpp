@@ -1,7 +1,10 @@
 #include "client/owner.hpp"
 
 #include <algorithm>
+#include <cstring>
 
+#include "crypto/aes_gcm.hpp"
+#include "crypto/heac.hpp"
 #include "crypto/rand.hpp"
 
 namespace tc::client {
@@ -68,13 +71,9 @@ Result<uint64_t> OwnerClient::CreateStream(const net::StreamConfig& config) {
   TC_RETURN_IF_ERROR(create_status);
 
   StreamState s{config, ChunkClock(config.t0, config.delta_ms),
-                nullptr, nullptr, nullptr, nullptr,
+                nullptr, nullptr, nullptr,
                 0,       1,       0,       {},      {},      false};
   s.keys = std::make_unique<StreamKeys>(crypto::RandomKey128(), options_.keys);
-  if (config.cipher == net::CipherKind::kHeac) {
-    s.heac = index::MakeHeacCipher(config.schema.num_fields(),
-                                   s.keys->shared_tree());
-  }
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       0, s.clock.RangeOfChunk(0),
       static_cast<chunk::Compression>(config.compression));
@@ -105,7 +104,6 @@ Status OwnerClient::AttachStream(uint64_t uuid,
                 nullptr,
                 nullptr,
                 nullptr,
-                nullptr,
                 info.num_chunks,
                 1,
                 0,
@@ -113,10 +111,6 @@ Status OwnerClient::AttachStream(uint64_t uuid,
                 {},
                 false};
   s.keys = std::make_unique<StreamKeys>(master_seed, options_.keys);
-  if (info.config.cipher == net::CipherKind::kHeac) {
-    s.heac = index::MakeHeacCipher(info.config.schema.num_fields(),
-                                   s.keys->shared_tree());
-  }
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       info.num_chunks, s.clock.RangeOfChunk(info.num_chunks),
       static_cast<chunk::Compression>(info.config.compression));
@@ -188,12 +182,21 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   auto& builder = *s.builder;
   uint64_t chunk_index = builder.index();
 
+  // Leaves i and i+1 key both the HEAC digest (§4.2.2) and the payload
+  // (§4.3). Sequential chunks take them from the key iterator in amortized
+  // O(1) PRG calls; deriving them from the GGM root costs the tree height.
+  const crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
+  const crypto::Key128 leaf_n = s.keys->Leaf(chunk_index + 1);
+
   // Digest: compute plaintext fields, encrypt per stream cipher.
   std::vector<uint64_t> fields = builder.ComputeDigest(s.config.schema);
   Bytes digest_blob;
   switch (s.config.cipher) {
     case net::CipherKind::kHeac: {
-      TC_ASSIGN_OR_RETURN(digest_blob, s.heac->Encrypt(fields, chunk_index));
+      crypto::HeacCiphertext c = crypto::HeacCodec(fields.size()).Encrypt(
+          fields, chunk_index, leaf_i, leaf_n);
+      digest_blob.resize(c.fields.size() * sizeof(uint64_t));
+      std::memcpy(digest_blob.data(), c.fields.data(), digest_blob.size());
       break;
     }
     case net::CipherKind::kPlain: {
@@ -211,8 +214,8 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   // filler) upload digests only.
   Bytes payload;
   if (builder.num_points() > 0) {
-    TC_ASSIGN_OR_RETURN(payload,
-                        builder.SealPayload(s.keys->PayloadKey(chunk_index)));
+    TC_ASSIGN_OR_RETURN(
+        payload, builder.SealPayload(crypto::ChunkPayloadKey(leaf_i, leaf_n)));
   }
 
   if (options_.upload_batch_chunks > 1) {

@@ -153,7 +153,6 @@ class OwnerClient {
     net::StreamConfig config;
     ChunkClock clock{0, 1};
     std::unique_ptr<StreamKeys> keys;
-    std::unique_ptr<index::DigestCipher> heac;  // set iff cipher == kHeac
     std::unique_ptr<chunk::ChunkBuilder> builder;
     std::unique_ptr<integrity::StreamAttestor> attestor;  // iff integrity
     uint64_t next_chunk = 0;

@@ -48,6 +48,24 @@ Status AggTree::StoreNode(uint32_t level, uint64_t node_index,
   return kv_->Put(key, node);
 }
 
+Status AggTree::AppendEntry(uint32_t level, uint64_t node_index, size_t entry,
+                            BytesView blob) {
+  std::string key = NodeKey(level, node_index);
+  const size_t expected = entry * cipher_->blob_size();
+  auto appended = kv_->Append(key, expected, blob);
+  if (!appended.ok()) {
+    // The store wrote nothing; a cached copy may be what went stale.
+    cache_.Erase(key);
+    if (appended.status().code() == StatusCode::kFailedPrecondition) {
+      return Internal("index node has unexpected entry count: " +
+                      appended.status().message());
+    }
+    return appended.status();
+  }
+  cache_.Append(key, expected, blob);
+  return Status::Ok();
+}
+
 Status AggTree::Append(uint64_t index, BytesView digest_blob) {
   if (index != next_index_) {
     return FailedPrecondition(
@@ -58,37 +76,41 @@ Status AggTree::Append(uint64_t index, BytesView digest_blob) {
     return InvalidArgument("digest blob size mismatch");
   }
   const uint32_t k = options_.fanout;
+  const size_t bs = cipher_->blob_size();
 
-  // Append at level 0, then cascade completed nodes upward. `carry` holds
+  // Append at level 0, then cascade completed nodes upward. `carry` is the
+  // entry for the current level: the digest at level 0, above it `agg`,
   // the aggregate of the node completed at the previous level.
-  Bytes carry(digest_blob.begin(), digest_blob.end());
+  BytesView carry = digest_blob;
+  Bytes agg;
   uint64_t child_pos = index;  // entry position at the current level
   uint32_t level = 0;
   while (true) {
     uint64_t node_index = child_pos / k;
     size_t entry = child_pos % k;
 
-    Bytes node;
-    if (entry != 0) {
-      TC_ASSIGN_OR_RETURN(node, LoadNode(level, node_index, nullptr));
-      if (node.size() != entry * cipher_->blob_size()) {
-        return Internal("index node has unexpected entry count");
-      }
+    // A node is written whole once, with its first entry; every later
+    // entry is appended in place, so an append costs one entry's bytes
+    // instead of a rewrite of the node.
+    if (entry == 0) {
+      TC_RETURN_IF_ERROR(StoreNode(level, node_index, carry));
+    } else {
+      TC_RETURN_IF_ERROR(AppendEntry(level, node_index, entry, carry));
     }
-    tc::Append(node, carry);  // append the new entry's bytes to the node
-    TC_RETURN_IF_ERROR(StoreNode(level, node_index, node));
 
     if (entry != k - 1) break;  // node not complete: no cascade
 
     // Node complete: compute its aggregate and insert into the parent.
-    Bytes agg(node.begin(), node.begin() + cipher_->blob_size());
-    for (size_t e = 1; e < k; ++e) {
-      TC_RETURN_IF_ERROR(cipher_->Add(
-          std::span<uint8_t>(agg),
-          BytesView(node).subspan(e * cipher_->blob_size(),
-                                  cipher_->blob_size())));
+    TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_index, nullptr));
+    if (node.size() != k * bs) {
+      return Internal("index node has unexpected entry count");
     }
-    carry = std::move(agg);
+    agg.assign(node.begin(), node.begin() + bs);
+    for (size_t e = 1; e < k; ++e) {
+      TC_RETURN_IF_ERROR(cipher_->Add(std::span<uint8_t>(agg),
+                                      BytesView(node).subspan(e * bs, bs)));
+    }
+    carry = agg;
     child_pos = node_index;
     ++level;
   }

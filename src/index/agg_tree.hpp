@@ -52,7 +52,7 @@ class AggTree {
 
   /// Re-sync with a store that advanced underneath this handle (a replica
   /// store receiving shipped mutations): drop every cached node — appends
-  /// rewrite rightmost-spine nodes in place, so any of them may be stale —
+  /// grow rightmost-spine nodes in place, so any of them may be stale —
   /// and re-run the Recover probe for the new append position.
   Status Refresh();
 
@@ -87,6 +87,10 @@ class AggTree {
   Result<Bytes> LoadNode(uint32_t level, uint64_t node_index,
                          QueryStats* stats) const;
   Status StoreNode(uint32_t level, uint64_t node_index, BytesView node);
+  /// Append `blob` as entry `entry` of a node that holds entries
+  /// [0, entry), in the store and in the cache.
+  Status AppendEntry(uint32_t level, uint64_t node_index, size_t entry,
+                     BytesView blob);
 
   /// Aggregate entries [from, to) of a loaded node into `acc` (or move the
   /// first entry into acc when empty).

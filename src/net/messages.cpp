@@ -841,6 +841,7 @@ Bytes ReplicaOpsRequest::Encode() const {
   for (const auto& op : ops) {
     w.PutU8(op.kind);
     w.PutString(op.key);
+    if (op.kind == kReplicaOpAppend) w.PutU64(op.expected_size);
     w.PutBytes(op.value);
   }
   return std::move(w).Take();
@@ -857,13 +858,20 @@ Result<ReplicaOpsRequest> ReplicaOpsRequest::Decode(BytesView in) {
   for (size_t i = 0; i < count; ++i) {
     Op op;
     TC_ASSIGN_OR_RETURN(op.kind, r.GetU8());
-    if (op.kind != kReplicaOpPut && op.kind != kReplicaOpDelete) {
+    if (op.kind != kReplicaOpPut && op.kind != kReplicaOpDelete &&
+        op.kind != kReplicaOpAppend) {
       return InvalidArgument("unknown replica op kind");
     }
     TC_ASSIGN_OR_RETURN(op.key, r.GetString());
+    if (op.kind == kReplicaOpAppend) {
+      TC_ASSIGN_OR_RETURN(op.expected_size, r.GetU64());
+    }
     TC_ASSIGN_OR_RETURN(op.value, r.GetBytes());
     if (op.kind == kReplicaOpDelete && !op.value.empty()) {
       return InvalidArgument("replica delete carries a value");
+    }
+    if (op.kind == kReplicaOpAppend && op.value.empty()) {
+      return InvalidArgument("replica append carries no bytes");
     }
     req.ops.push_back(std::move(op));
   }

@@ -437,6 +437,9 @@ struct GetChunkWitnessedResponse {
 /// Mutation kinds carried by ReplicaOpsRequest entries.
 inline constexpr uint8_t kReplicaOpPut = 1;
 inline constexpr uint8_t kReplicaOpDelete = 2;
+/// KvStore::Append: the value is the suffix, applied only if the
+/// follower's value is exactly `expected_size` bytes long.
+inline constexpr uint8_t kReplicaOpAppend = 3;
 
 /// A contiguous run of sequence-numbered mutations: entry i carries
 /// sequence number first_seq + i. Followers apply strictly in order, so a
@@ -447,7 +450,8 @@ struct ReplicaOpsRequest {
   struct Op {
     uint8_t kind = kReplicaOpPut;
     std::string key;
-    Bytes value;  // empty for deletes
+    Bytes value;  // empty for deletes; the suffix for appends
+    uint64_t expected_size = 0;  // appends only: value length before
 
     friend bool operator==(const Op&, const Op&) = default;
   };

@@ -56,7 +56,7 @@ Status RemoteFollower::ApplyOps(std::span<const LoggedOp> ops) {
   req.first_seq = ops.front().seq;
   req.ops.reserve(ops.size());
   for (const auto& op : ops) {
-    req.ops.push_back({op.kind, op.key, op.value});
+    req.ops.push_back({op.kind, op.key, op.value, op.expected_size});
   }
   TC_ASSIGN_OR_RETURN(Bytes resp, Call(net::MessageType::kReplicaOps,
                                        req.Encode()));
@@ -150,12 +150,8 @@ Result<Bytes> ReplicaApplier::ApplyOps(const net::ReplicaOpsRequest& req) {
       const auto& op = req.ops[i];
       uint64_t seq = req.first_seq + i;
       if (seq <= applied_seq_) continue;  // re-delivered prefix
-      if (op.kind == net::kReplicaOpPut) {
-        TC_RETURN_IF_ERROR(kv_->Put(op.key, op.value));
-      } else {
-        Status s = kv_->Delete(op.key);
-        if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-      }
+      TC_RETURN_IF_ERROR(
+          ApplyShippedOp(*kv_, op.kind, op.key, op.value, op.expected_size));
       applied_seq_ = seq;
     }
     TC_RETURN_IF_ERROR(PersistAppliedLocked());

@@ -121,16 +121,32 @@ Status SnapshotSession::End(uint64_t seq, uint64_t total_entries) {
   return Status::Ok();
 }
 
-Status LocalFollower::ApplyOps(std::span<const LoggedOp> ops) {
-  for (const auto& op : ops) {
-    if (op.kind == net::kReplicaOpPut) {
-      TC_RETURN_IF_ERROR(kv_->Put(op.key, op.value));
-    } else {
+Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
+                      BytesView value, uint64_t expected_size) {
+  switch (kind) {
+    case net::kReplicaOpPut:
+      return kv.Put(key, value);
+    case net::kReplicaOpAppend: {
+      Status s = kv.Append(key, expected_size, value).status();
+      if (s.code() == StatusCode::kNotFound) {
+        return FailedPrecondition("replica append to absent key " + key);
+      }
+      return s;
+    }
+    default: {
       // Re-delivery after a mid-batch failure (or a delete folded into an
       // earlier snapshot) makes missing keys expected, not errors.
-      Status s = kv_->Delete(op.key);
+      Status s = kv.Delete(key);
       if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+      return Status::Ok();
     }
+  }
+}
+
+Status LocalFollower::ApplyOps(std::span<const LoggedOp> ops) {
+  for (const auto& op : ops) {
+    TC_RETURN_IF_ERROR(
+        ApplyShippedOp(*kv_, op.kind, op.key, op.value, op.expected_size));
   }
   return Status::Ok();
 }
@@ -196,22 +212,38 @@ Status ReplicatedKvStore::Delete(const std::string& key) {
   return Replicate(net::kReplicaOpDelete, key, {});
 }
 
+Result<size_t> ReplicatedKvStore::Append(const std::string& key,
+                                         size_t expected_size,
+                                         BytesView suffix) {
+  TC_RETURN_IF_ERROR(
+      Replicate(net::kReplicaOpAppend, key, suffix, expected_size));
+  return expected_size + suffix.size();
+}
+
 Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
-                                    BytesView value) {
+                                    BytesView value, uint64_t expected_size) {
   uint64_t seq;
   {
     // The primary mutation and its log position must be assigned under one
     // lock: if two writers raced the same key with apply order and log
     // order disagreeing, followers would converge to the wrong value.
     MutexLock lock(mu_);
-    if (kind == net::kReplicaOpPut) {
-      TC_RETURN_IF_ERROR(primary_->Put(key, value));
-    } else {
-      // A failed primary delete (e.g. NotFound) is not replicated.
-      TC_RETURN_IF_ERROR(primary_->Delete(key));
+    // A mutation the primary rejects (a delete of a missing key, an append
+    // that fails its length check) is not replicated.
+    switch (kind) {
+      case net::kReplicaOpPut:
+        TC_RETURN_IF_ERROR(primary_->Put(key, value));
+        break;
+      case net::kReplicaOpAppend:
+        TC_RETURN_IF_ERROR(
+            primary_->Append(key, expected_size, value).status());
+        break;
+      default:
+        TC_RETURN_IF_ERROR(primary_->Delete(key));
     }
     seq = head_seq_.load(std::memory_order_relaxed) + 1;
-    log_.push_back({seq, kind, key, Bytes(value.begin(), value.end())});
+    log_.push_back(
+        {seq, kind, key, Bytes(value.begin(), value.end()), expected_size});
     head_seq_.store(seq, std::memory_order_release);
     // Remember the writing request's trace context: the shipper thread
     // re-stamps it when it ships this tail, so follower-side spans join the

@@ -8,9 +8,11 @@
 // to more untrusted nodes is pure systems work with no security surface.
 //
 // Model: a ReplicatedKvStore wraps one primary KvStore and ships every
-// Put/Delete, stamped with a monotonically increasing sequence number, to N
-// followers. Followers apply strictly in order, so a follower's store is
-// always a consistent prefix of the primary's mutation history. A bounded
+// Put/Append/Delete, stamped with a monotonically increasing sequence
+// number, to N followers (an append ships only its suffix and the length
+// it expects to extend). Followers apply strictly in order, so a
+// follower's store is always a consistent prefix of the primary's mutation
+// history. A bounded
 // in-memory op log retains the recent window for streaming; a follower that
 // is empty, stale, or has fallen behind the window is caught up with a
 // snapshot before streaming resumes. Snapshots stream in bounded chunks
@@ -64,10 +66,19 @@ uint64_t StoreFingerprint(const store::KvStore& kv);
 /// One sequence-numbered mutation in the shipping log.
 struct LoggedOp {
   uint64_t seq = 0;
-  uint8_t kind = 0;  // net::kReplicaOpPut / kReplicaOpDelete
+  uint8_t kind = 0;  // one of the net::kReplicaOp* kinds
   std::string key;
-  Bytes value;  // empty for deletes
+  Bytes value;  // empty for deletes; the suffix for appends
+  uint64_t expected_size = 0;  // appends only: value length before
 };
+
+/// Apply one shipped mutation to a follower's store. Deleting a missing key
+/// succeeds (re-delivery is expected). An append whose key is missing or
+/// whose value length differs from `expected_size` fails with
+/// kFailedPrecondition: the follower diverged and must be re-seeded, never
+/// appended to blindly.
+Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
+                      BytesView value, uint64_t expected_size);
 
 /// One snapshot-stream entry.
 using SnapshotEntry = std::pair<std::string, Bytes>;
@@ -80,10 +91,11 @@ class Follower {
   virtual ~Follower() = default;
 
   /// Apply a contiguous, ordered run of ops. Re-delivery after a failure
-  /// must be tolerated (puts overwrite; deleting a missing key is OK). A
+  /// must be tolerated (puts overwrite; deleting a missing key is OK; a
+  /// re-delivered append fails its length check and re-seeds). A
   /// kFailedPrecondition return means the follower cannot accept this run
-  /// at all (a sequence gap: it restarted or diverged) and needs a fresh
-  /// snapshot, not a retry.
+  /// at all (a sequence gap or an append that does not fit: it restarted
+  /// or diverged) and needs a fresh snapshot, not a retry.
   TC_BLOCKING virtual Status ApplyOps(std::span<const LoggedOp> ops) = 0;
 
   /// Open a snapshot stream as of `seq`. `origin` identifies the shipping
@@ -191,6 +203,9 @@ class ReplicatedKvStore final : public store::KvStore {
   Status Put(const std::string& key, BytesView value) override;
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
+  /// Ships only the suffix and the prior length, not the grown value.
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override;
   bool Contains(const std::string& key) const override;
   size_t Size() const override;
   size_t ValueBytes() const override;
@@ -244,8 +259,8 @@ class ReplicatedKvStore final : public store::KvStore {
     uint64_t consecutive_failures = 0;  // guarded by mu_; drives backoff
   };
 
-  Status Replicate(uint8_t kind, const std::string& key, BytesView value)
-      EXCLUDES(mu_);
+  Status Replicate(uint8_t kind, const std::string& key, BytesView value,
+                   uint64_t expected_size = 0) EXCLUDES(mu_);
   void ShipperLoop(FollowerState* state) EXCLUDES(mu_);
   /// One full snapshot stream attempt to `state` as of `snap_seq`. Runs
   /// with mu_ released; returns the stream's entry total on success.

@@ -17,11 +17,16 @@ Status FaultKvStore::Fault() const {
   return {options_.failure_code, "injected fault"};
 }
 
-Status FaultKvStore::Put(const std::string& key, BytesView value) {
-  if (FailAll() || ShouldFire(put_ops_, options_.fail_every_nth_put)) {
-    ++puts_failed_;
-    return Fault();
+bool FaultKvStore::FailWrite() {
+  if (!FailAll() && !ShouldFire(put_ops_, options_.fail_every_nth_put)) {
+    return false;
   }
+  ++puts_failed_;
+  return true;
+}
+
+Status FaultKvStore::Put(const std::string& key, BytesView value) {
+  if (FailWrite()) return Fault();
   return inner_->Put(key, value);
 }
 
@@ -46,6 +51,12 @@ Status FaultKvStore::Delete(const std::string& key) {
     return Fault();
   }
   return inner_->Delete(key);
+}
+
+Result<size_t> FaultKvStore::Append(const std::string& key,
+                                    size_t expected_size, BytesView suffix) {
+  if (FailWrite()) return Fault();
+  return inner_->Append(key, expected_size, suffix);
 }
 
 bool FaultKvStore::Contains(const std::string& key) const {

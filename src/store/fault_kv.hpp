@@ -37,6 +37,9 @@ class FaultKvStore final : public KvStore {
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
+  /// A write: shares the put schedule and the puts_failed counter.
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
   /// Scans fail only under the hard outage (no per-nth schedule: one scan
@@ -60,6 +63,8 @@ class FaultKvStore final : public KvStore {
 
  private:
   Status Fault() const;
+  /// Put and Append share one write schedule: true when this write fails.
+  bool FailWrite();
   bool FailAll() const { return fail_all_.load(std::memory_order_acquire); }
 
   std::shared_ptr<KvStore> inner_;

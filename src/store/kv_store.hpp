@@ -16,6 +16,16 @@
 
 namespace tc::store {
 
+/// KvStore::Append's precondition: FailedPrecondition unless the value
+/// under `key` currently holds exactly `expected_size` bytes.
+inline Status CheckAppendSize(const std::string& key, size_t actual,
+                              size_t expected_size) {
+  if (actual == expected_size) return Status::Ok();
+  return FailedPrecondition("append to " + key + ": value holds " +
+                            std::to_string(actual) + " bytes, expected " +
+                            std::to_string(expected_size));
+}
+
 /// Minimal KV contract. Implementations must be thread-safe.
 class KvStore {
  public:
@@ -35,6 +45,22 @@ class KvStore {
   virtual Result<Bytes> Get(const std::string& key) const = 0;
   virtual Status Delete(const std::string& key) = 0;
   virtual bool Contains(const std::string& key) const = 0;
+
+  /// Append `suffix` to the value under `key` if that value is exactly
+  /// `expected_size` bytes long; returns the new length. NotFound when the
+  /// key is absent, FailedPrecondition (nothing written) on a length
+  /// mismatch. This is how the index grows its open node one entry at a
+  /// time without rewriting it. The default is Get + check + Put, atomic
+  /// only against writers that serialize per key (the index writes under
+  /// its stream lock); stores that can write just the suffix override it.
+  virtual Result<size_t> Append(const std::string& key, size_t expected_size,
+                                BytesView suffix) {
+    TC_ASSIGN_OR_RETURN(Bytes value, Get(key));
+    TC_RETURN_IF_ERROR(CheckAppendSize(key, value.size(), expected_size));
+    tc::Append(value, suffix);
+    TC_RETURN_IF_ERROR(Put(key, value));
+    return value.size();
+  }
 
   /// Number of stored entries (approximate under concurrency).
   virtual size_t Size() const = 0;

@@ -34,6 +34,11 @@ class LatencyKvStore final : public KvStore {
     Delay();
     return inner_->Contains(key);
   }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    Delay();
+    return inner_->Append(key, expected_size, suffix);
+  }
   size_t Size() const override { return inner_->Size(); }
   size_t ValueBytes() const override { return inner_->ValueBytes(); }
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)

@@ -15,11 +15,13 @@ namespace tc::store {
 namespace {
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
+constexpr uint8_t kRecordAppend = 3;  // value = suffix of the key's value
 
 /// Process-wide log-store op counters (all LogKvStore instances sum into
 /// one family; per-shard splits come from the kClusterInfo gauges).
 struct StoreOps {
   metrics::Counter& puts;
+  metrics::Counter& appends;
   metrics::Counter& gets;
   metrics::Counter& deletes;
   metrics::Counter& syncs;
@@ -28,6 +30,7 @@ struct StoreOps {
 
 StoreOps& Ops() {
   static StoreOps ops{metrics::GetCounter("tc_store_puts_total"),
+                      metrics::GetCounter("tc_store_appends_total"),
                       metrics::GetCounter("tc_store_gets_total"),
                       metrics::GetCounter("tc_store_deletes_total"),
                       metrics::GetCounter("tc_store_syncs_total"),
@@ -96,6 +99,20 @@ Status LogKvStore::Replay() {
         value_bytes_ -= it->second.size();
         map_.erase(it);
       }
+    } else if (*type == kRecordAppend) {
+      auto suffix = r.GetBytes();
+      if (!suffix.ok()) break;
+      // Append() refuses absent keys, so a complete append record without
+      // its base value is corruption, not a torn tail: truncating here
+      // would silently drop every record after it.
+      auto it = map_.find(*key);
+      if (it == map_.end()) {
+        return DataLoss("log " + path_ + ": append record at offset " +
+                        std::to_string(valid_end) + " for absent key " +
+                        *key);
+      }
+      tc::Append(it->second, *suffix);
+      value_bytes_ += suffix->size();
     } else {
       break;  // garbage tail (crash mid-write): recover the valid prefix
     }
@@ -117,8 +134,8 @@ Status LogKvStore::TruncateTo(size_t size) {
   return Status::Ok();
 }
 
-Status LogKvStore::AppendRecord(const std::string& key, BytesView value,
-                                bool tombstone) {
+Status LogKvStore::AppendRecord(uint8_t type, const std::string& key,
+                                BytesView value) {
   // A failed compaction can lose the append handle (reopen failed); refuse
   // writes instead of fwrite-ing into a null stream.
   if (log_ == nullptr) {
@@ -126,9 +143,9 @@ Status LogKvStore::AppendRecord(const std::string& key, BytesView value,
                        path_);
   }
   BinaryWriter w(key.size() + value.size() + 16);
-  w.PutU8(tombstone ? kRecordTombstone : kRecordPut);
+  w.PutU8(type);
   w.PutString(key);
-  if (!tombstone) w.PutBytes(value);
+  if (type != kRecordTombstone) w.PutBytes(value);
   if (std::fwrite(w.data().data(), 1, w.size(), log_) != w.size()) {
     return Unavailable("log append failed");
   }
@@ -163,7 +180,7 @@ void LogKvStore::MaybeAutoCompactLocked() {
 Status LogKvStore::Put(const std::string& key, BytesView value) {
   if constexpr (metrics::kEnabled) Ops().puts.Inc();
   MutexLock lock(mu_);
-  TC_RETURN_IF_ERROR(AppendRecord(key, value, /*tombstone=*/false));
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordPut, key, value));
   auto [it, inserted] = map_.try_emplace(key);
   if (!inserted) {
     dead_bytes_ += it->second.size();
@@ -188,12 +205,25 @@ Status LogKvStore::Delete(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(AppendRecord(key, {}, /*tombstone=*/true));
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}));
   dead_bytes_ += it->second.size();
   value_bytes_ -= it->second.size();
   map_.erase(it);
   MaybeAutoCompactLocked();
   return Status::Ok();
+}
+
+Result<size_t> LogKvStore::Append(const std::string& key,
+                                  size_t expected_size, BytesView suffix) {
+  if constexpr (metrics::kEnabled) Ops().appends.Inc();
+  MutexLock lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(CheckAppendSize(key, it->second.size(), expected_size));
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordAppend, key, suffix));
+  tc::Append(it->second, suffix);
+  value_bytes_ += suffix.size();
+  return it->second.size();
 }
 
 bool LogKvStore::Contains(const std::string& key) const {

@@ -25,11 +25,14 @@ struct LogKvOptions {
   size_t compact_min_dead_bytes = 1 << 20;
 };
 
-/// Log-structured store. Writes append `keylen key vallen value` records to
-/// a single log file; Get serves from an in-memory map populated at open.
-/// Deletes append a tombstone. Compact() rewrites the log dropping dead
-/// records; with LogKvOptions::compact_dead_fraction set it also triggers
-/// automatically once dead bytes dominate.
+/// Log-structured store. Writes append `type keylen key vallen value`
+/// records to a single log file; Get serves from an in-memory map populated
+/// at open. Deletes append a tombstone; Append writes a record holding only
+/// the suffix, which replay concatenates onto the key's value, so growing a
+/// value leaves no dead bytes behind. Compact() rewrites the log dropping
+/// dead records (merged values become plain puts); with
+/// LogKvOptions::compact_dead_fraction set it also triggers automatically
+/// once dead bytes dominate.
 class LogKvStore final : public KvStore {
  public:
   /// Opens (or creates) the log at `path` and replays it.
@@ -42,6 +45,8 @@ class LogKvStore final : public KvStore {
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
@@ -70,8 +75,10 @@ class LogKvStore final : public KvStore {
   Status Replay() REQUIRES(mu_);
   /// Drop a torn tail discovered during replay (crash-recovery path).
   Status TruncateTo(size_t size);
-  Status AppendRecord(const std::string& key, BytesView value,
-                      bool tombstone) REQUIRES(mu_);
+  /// `type` is one of the record types in log_kv.cpp; tombstones carry no
+  /// value.
+  Status AppendRecord(uint8_t type, const std::string& key, BytesView value)
+      REQUIRES(mu_);
   /// Compact() body.
   Result<size_t> CompactLocked() REQUIRES(mu_);
   /// Run CompactLocked() if the dead-byte threshold is crossed.

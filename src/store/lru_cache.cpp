@@ -36,6 +36,23 @@ void LruCache::Put(const std::string& key, BytesView value) {
   EvictIfNeededLocked();
 }
 
+void LruCache::Append(const std::string& key, size_t expected_size,
+                      BytesView suffix) {
+  MutexLock lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  Bytes& value = it->second->value;
+  if (value.size() != expected_size ||
+      value.size() + suffix.size() > capacity_) {
+    EraseLocked(it);
+    return;
+  }
+  tc::Append(value, suffix);
+  bytes_ += suffix.size();
+  lru_.splice(lru_.begin(), lru_, it->second);
+  EvictIfNeededLocked();
+}
+
 std::optional<Bytes> LruCache::Get(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
@@ -53,7 +70,10 @@ std::optional<Bytes> LruCache::Get(const std::string& key) {
 void LruCache::Erase(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
-  if (it == map_.end()) return;
+  if (it != map_.end()) EraseLocked(it);
+}
+
+void LruCache::EraseLocked(Map::iterator it) {
   bytes_ -= it->second->value.size();
   lru_.erase(it->second);
   map_.erase(it);

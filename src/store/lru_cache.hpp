@@ -23,6 +23,13 @@ class LruCache {
   /// Insert or refresh. Values larger than the whole budget are not cached.
   void Put(const std::string& key, BytesView value) EXCLUDES(mu_);
 
+  /// Mirror a KvStore::Append: grow a cached value in place (and mark it
+  /// most recently used) if it holds exactly `expected_size` bytes. A
+  /// cached value of any other length is stale and is dropped; an absent
+  /// key stays absent.
+  void Append(const std::string& key, size_t expected_size, BytesView suffix)
+      EXCLUDES(mu_);
+
   /// Fetch + mark most recently used.
   std::optional<Bytes> Get(const std::string& key) EXCLUDES(mu_);
 
@@ -40,14 +47,16 @@ class LruCache {
     Bytes value;
   };
 
+  using Map = std::unordered_map<std::string, std::list<Entry>::iterator>;
+
   void EvictIfNeededLocked() REQUIRES(mu_);
+  void EraseLocked(Map::iterator it) REQUIRES(mu_);
 
   mutable Mutex mu_;
   const size_t capacity_;
   size_t bytes_ GUARDED_BY(mu_) = 0;
   std::list<Entry> lru_ GUARDED_BY(mu_);  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_
-      GUARDED_BY(mu_);
+  Map map_ GUARDED_BY(mu_);
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
 };

@@ -39,6 +39,18 @@ Status MemKvStore::Delete(const std::string& key) {
   return Status::Ok();
 }
 
+Result<size_t> MemKvStore::Append(const std::string& key,
+                                  size_t expected_size, BytesView suffix) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(CheckAppendSize(key, it->second.size(), expected_size));
+  tc::Append(it->second, suffix);
+  shard.value_bytes += suffix.size();
+  return it->second.size();
+}
+
 bool MemKvStore::Contains(const std::string& key) const {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);

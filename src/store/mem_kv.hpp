@@ -21,6 +21,9 @@ class MemKvStore final : public KvStore {
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
+  /// In place, under the key's shard lock.
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)

@@ -22,6 +22,11 @@ bool PrefixKvStore::Contains(const std::string& key) const {
   return backend_->Contains(Namespaced(key));
 }
 
+Result<size_t> PrefixKvStore::Append(const std::string& key,
+                                     size_t expected_size, BytesView suffix) {
+  return backend_->Append(Namespaced(key), expected_size, suffix);
+}
+
 size_t PrefixKvStore::Size() const { return backend_->Size(); }
 
 size_t PrefixKvStore::ValueBytes() const { return backend_->ValueBytes(); }

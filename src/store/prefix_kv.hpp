@@ -22,6 +22,8 @@ class PrefixKvStore final : public KvStore {
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override;
   /// Size/ValueBytes delegate to the backend: they report the whole shared
   /// store, not this view's slice (per-view accounting would cost a lookup
   /// per Put; shard introspection uses the engine's index stats instead).

@@ -1,10 +1,16 @@
 // Client-layer unit tests: grant serialization/sealing, StreamKeys
-// determinism and envelope round trips, multi-stream decrypt helper.
+// determinism and envelope round trips, multi-stream decrypt helper, and
+// the owner's sealed uploads against reference encryption and compression.
 #include <gtest/gtest.h>
+#include <zlib.h>
+
+#include <map>
 
 #include "client/grants.hpp"
 #include "client/key_manager.hpp"
 #include "client/owner.hpp"
+#include "server/server_engine.hpp"
+#include "store/mem_kv.hpp"
 
 namespace tc::client {
 namespace {
@@ -162,6 +168,111 @@ TEST(DecryptStatBlobTest, RejectsNonHeacAndBadSizes) {
   EXPECT_FALSE(DecryptStatBlob(config, Bytes(8, 0), {}).ok());
   config.cipher = net::CipherKind::kHeac;
   EXPECT_FALSE(DecryptStatBlob(config, Bytes(7, 0), {}).ok());
+}
+
+/// Passes requests to the engine and keeps a copy of every uploaded chunk.
+class UploadRecorder final : public net::RequestHandler {
+ public:
+  explicit UploadRecorder(std::shared_ptr<net::RequestHandler> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    if (type == net::MessageType::kInsertChunk) {
+      auto req = net::InsertChunkRequest::Decode(body);
+      if (req.ok()) {
+        chunks.push_back({req->chunk_index, req->digest_blob, req->payload});
+      }
+    } else if (type == net::MessageType::kInsertChunkBatch) {
+      auto req = net::InsertChunkBatchRequest::Decode(body);
+      if (req.ok()) {
+        chunks.insert(chunks.end(), req->entries.begin(), req->entries.end());
+      }
+    }
+    return inner_->Handle(type, body);
+  }
+
+  std::vector<net::InsertChunkBatchRequest::Entry> chunks;
+
+ private:
+  std::shared_ptr<net::RequestHandler> inner_;
+};
+
+TEST(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
+  auto engine = std::make_shared<server::ServerEngine>(
+      std::make_shared<store::MemKvStore>(), server::ServerOptions{});
+  auto recorder = std::make_shared<UploadRecorder>(engine);
+  auto transport = std::make_shared<net::InProcTransport>(recorder);
+
+  net::StreamConfig config;
+  config.name = "seal/equivalence";
+  config.t0 = 0;
+  config.delta_ms = 1000;
+  config.schema.with_sumsq = true;
+  config.cipher = net::CipherKind::kHeac;
+  config.compression = static_cast<uint8_t>(chunk::Compression::kZlib);
+
+  std::map<uint64_t, std::vector<index::DataPoint>> points;
+  auto ingest = [&](OwnerClient& owner, uint64_t uuid, uint64_t chunk) {
+    for (int64_t i = 0; i < 50; ++i) {
+      index::DataPoint p{static_cast<int64_t>(chunk) * 1000 + i * 20,
+                         static_cast<int64_t>(chunk) * 3 + i % 7};
+      points[chunk].push_back(p);
+      ASSERT_TRUE(owner.InsertRecord(uuid, p).ok());
+    }
+  };
+
+  // Chunks 5-7 and 12-13 are gap fillers (digest only); chunks 10 onward
+  // come from a producer that re-attached with the exported seed.
+  OwnerClient owner(transport);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  for (uint64_t c : {0, 1, 2, 3, 4, 8, 9}) ingest(owner, *uuid, c);
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  crypto::Key128 master = (*owner.KeysFor(*uuid))->master_seed();
+
+  OwnerClient resumed(transport);
+  ASSERT_TRUE(resumed.AttachStream(*uuid, master).ok());
+  for (uint64_t c : {10, 11, 14}) ingest(resumed, *uuid, c);
+  ASSERT_TRUE(resumed.Flush(*uuid).ok());
+
+  StreamKeys reference(master);
+  auto cipher = index::MakeHeacCipher(config.schema.num_fields(),
+                                      reference.shared_tree());
+  ASSERT_EQ(recorder->chunks.size(), 15u);
+  for (uint64_t i = 0; i < recorder->chunks.size(); ++i) {
+    const auto& uploaded = recorder->chunks[i];
+    ASSERT_EQ(uploaded.chunk_index, i);
+    const std::vector<index::DataPoint>& pts = points[i];
+    EXPECT_EQ(uploaded.digest_blob,
+              *cipher->Encrypt(config.schema.Compute(pts), i))
+        << "chunk " << i;
+    if (pts.empty()) {
+      EXPECT_TRUE(uploaded.payload.empty()) << "chunk " << i;
+      continue;
+    }
+    crypto::Key128 key =
+        crypto::ChunkPayloadKey(*reference.tree().DeriveLeaf(i),
+                                *reference.tree().DeriveLeaf(i + 1));
+    auto plain = crypto::GcmOpen(key, uploaded.payload, chunk::ChunkAad(i));
+    ASSERT_TRUE(plain.ok()) << "chunk " << i;
+    EXPECT_EQ(*chunk::DecompressPoints(*plain), pts);
+    // Format byte, codec byte, then exactly the stream compress2 makes of
+    // the same body.
+    ASSERT_GT(plain->size(), 2u);
+    ASSERT_EQ((*plain)[1], static_cast<uint8_t>(chunk::Compression::kZlib));
+    BytesView deflated = BytesView(*plain).subspan(2);
+    auto body = chunk::ZlibInflate(deflated);
+    ASSERT_TRUE(body.ok());
+    uLongf len = compressBound(static_cast<uLong>(body->size()));
+    Bytes expected(len);
+    ASSERT_EQ(compress2(expected.data(), &len, body->data(),
+                        static_cast<uLong>(body->size()),
+                        Z_DEFAULT_COMPRESSION),
+              Z_OK);
+    expected.resize(len);
+    EXPECT_EQ(Bytes(deflated.begin(), deflated.end()), expected)
+        << "chunk " << i;
+  }
 }
 
 }  // namespace

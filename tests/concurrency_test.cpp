@@ -226,6 +226,50 @@ TEST(Concurrency, LruCacheParallelMixedWorkload) {
   EXPECT_LE(cache.size_bytes(), 64u * 1024);
 }
 
+// In-place appends race Gets and Puts of the same keys. Every writer only
+// ever stores runs of one repeated byte, so any value a reader sees must be
+// a whole number of 8-byte entries of that byte: a torn append (bytes
+// counted but not written, or a size read mid-growth) breaks the pattern.
+TEST(Concurrency, LruCacheAppendRacesGetAndPut) {
+  store::LruCache cache(16 * 1024);
+  constexpr int kThreads = 4;
+  constexpr size_t kEntry = 8;
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 4000; ++i) {
+        std::string key = "node" + std::to_string(i % 8);
+        uint8_t fill = static_cast<uint8_t>(i % 8);
+        switch ((t + i) % 3) {
+          case 0:
+            cache.Put(key, Bytes(kEntry, fill));
+            break;
+          case 1:
+            if (auto got = cache.Get(key)) {
+              cache.Append(key, got->size(), Bytes(kEntry, fill));
+            }
+            break;
+          default:
+            if (auto got = cache.Get(key)) {
+              bool whole = !got->empty() && got->size() % kEntry == 0;
+              for (uint8_t byte : *got) whole = whole && byte == fill;
+              if (!whole) ++failures;
+            }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures, 0);
+  EXPECT_LE(cache.size_bytes(), 16u * 1024);
+  size_t held = 0;
+  for (int k = 0; k < 8; ++k) {
+    if (auto got = cache.Get("node" + std::to_string(k))) held += got->size();
+  }
+  EXPECT_EQ(held, cache.size_bytes());
+}
+
 // Drill for the stats race the thread-safety annotation sweep surfaced:
 // hits()/misses() used to read the non-atomic counters without the cache
 // lock while parallel Gets incremented them — a torn/lost-update race. Now

@@ -398,6 +398,96 @@ TEST(ReplicaWire, FollowerRestartGapTriggersReseed) {
   EXPECT_EQ(Contents(*kv2), Contents(*rkv));
 }
 
+/// Forwards to the applier and records the kind of every shipped op.
+class OpKindRecorder final : public net::RequestHandler {
+ public:
+  explicit OpKindRecorder(std::shared_ptr<net::RequestHandler> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    if (type == net::MessageType::kReplicaOps) {
+      auto req = net::ReplicaOpsRequest::Decode(body);
+      if (req.ok()) {
+        std::lock_guard lock(mu_);
+        for (const auto& op : req->ops) kinds_.push_back(op.kind);
+      }
+    }
+    return inner_->Handle(type, body);
+  }
+
+  std::vector<uint8_t> kinds() {
+    std::lock_guard lock(mu_);
+    return kinds_;
+  }
+
+ private:
+  std::shared_ptr<net::RequestHandler> inner_;
+  std::mutex mu_;
+  std::vector<uint8_t> kinds_;
+};
+
+TEST(ReplicaWire, AppendsShipAsSuffixesAndDivergedFollowersReseed) {
+  auto follower_kv = std::make_shared<store::MemKvStore>();
+  auto applier = std::make_shared<replica::ReplicaApplier>(follower_kv);
+  auto recorder = std::make_shared<OpKindRecorder>(applier);
+  auto rkv = std::make_shared<ReplicatedKvStore>(
+      std::make_shared<store::MemKvStore>());
+  rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
+      std::make_shared<net::InProcTransport>(recorder)));
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+
+  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
+  auto grown = rkv->Append("node", 2, ToBytes("cd"));
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(*grown, 4u);
+  // A mismatched append fails at the primary and is never shipped.
+  EXPECT_EQ(rkv->Append("node", 2, ToBytes("xx")).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
+  EXPECT_EQ(recorder->kinds(),
+            (std::vector<uint8_t>{net::kReplicaOpPut, net::kReplicaOpAppend}));
+
+  // The applier checks the prior length like the primary did: an append
+  // that does not fit the follower's value is refused, not grafted on.
+  net::ReplicaOpsRequest misfit;
+  misfit.first_seq = applier->applied_seq() + 1;
+  misfit.ops.push_back({net::kReplicaOpAppend, "node", ToBytes("zz"), 9});
+  EXPECT_EQ(applier->Handle(net::MessageType::kReplicaOps, misfit.Encode())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcd");
+
+  // A follower whose copy diverged fails the next shipped append and is
+  // re-seeded to the primary's state.
+  uint64_t seeded = rkv->snapshots_shipped();
+  ASSERT_TRUE(follower_kv->Put("node", ToBytes("a")).ok());
+  ASSERT_TRUE(rkv->Append("node", 4, ToBytes("ef")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_GT(rkv->snapshots_shipped(), seeded);
+  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdef");
+  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
+}
+
+TEST(ReplicatedKv, LocalFollowerAppliesAndReseedsOnAppendMismatch) {
+  auto rkv = std::make_shared<ReplicatedKvStore>(
+      std::make_shared<store::MemKvStore>());
+  auto follower = std::make_shared<store::MemKvStore>();
+  rkv->AddFollower(std::make_shared<LocalFollower>(follower));
+  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
+  ASSERT_TRUE(rkv->Append("node", 2, ToBytes("cd")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(ToString(*follower->Get("node")), "abcd");
+
+  uint64_t seeded = rkv->snapshots_shipped();
+  ASSERT_TRUE(follower->Delete("node").ok());  // diverge: base value gone
+  ASSERT_TRUE(rkv->Append("node", 4, ToBytes("ef")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_GT(rkv->snapshots_shipped(), seeded);
+  EXPECT_EQ(Contents(*follower), Contents(*rkv));
+}
+
 // --------------------------------------------------------------- ReplicaSet
 
 struct ReplicatedCluster {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
@@ -487,6 +488,57 @@ TEST(Restart, AggTreeRecoverFindsExactAppendPosition) {
     Bytes blob(8, 0xee);
     EXPECT_TRUE(recovered.Append(chunks, blob).ok());
   }
+}
+
+TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
+  // Fanout 64, 100 chunks: one complete level-0 node, a second node grown
+  // to 36 entries by in-place appends, and a level-1 node holding the first
+  // node's aggregate. The reopened tree must see exactly what was appended.
+  std::string path = ::testing::TempDir() + "/restart_agg_tree.log";
+  std::remove(path.c_str());
+  constexpr uint64_t kChunks = 100;
+  auto cipher = std::shared_ptr<const index::DigestCipher>(
+      index::MakePlainCipher(1));
+  index::AggTreeOptions opts{64, 1 << 20};
+  auto blob_of = [&](uint64_t i) {
+    return *cipher->Encrypt(std::vector<uint64_t>{i * 7 + 3}, i);
+  };
+  std::map<std::pair<uint64_t, uint64_t>, Bytes> answers;
+  {
+    auto log = store::LogKvStore::Open(path);
+    ASSERT_TRUE(log.ok());
+    std::shared_ptr<store::LogKvStore> kv = std::move(*log);
+    index::AggTree tree(kv, "t", cipher, opts);
+    for (uint64_t i = 0; i < kChunks; ++i) {
+      ASSERT_TRUE(tree.Append(i, blob_of(i)).ok()) << i;
+    }
+    for (uint64_t a = 0; a < kChunks; ++a) {
+      for (uint64_t b = a + 1; b <= kChunks; ++b) {
+        answers[{a, b}] = *tree.Query(a, b);
+      }
+    }
+    // Entries after a node's first one are appended, never rewritten.
+    EXPECT_EQ(kv->DeadBytes(), 0u);
+    ASSERT_TRUE(kv->Sync().ok());
+  }
+  auto log = store::LogKvStore::Open(path);
+  ASSERT_TRUE(log.ok());
+  std::shared_ptr<store::KvStore> kv = std::move(*log);
+  index::AggTree recovered(kv, "t", cipher, opts);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.num_chunks(), kChunks);
+  for (const auto& [range, blob] : answers) {
+    auto got = recovered.Query(range.first, range.second);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, blob) << "[" << range.first << "," << range.second << ")";
+  }
+  ASSERT_TRUE(recovered.Append(kChunks, blob_of(kChunks)).ok());
+  uint64_t total = 0;
+  for (uint64_t i = 0; i <= kChunks; ++i) total += i * 7 + 3;
+  EXPECT_EQ((*cipher->Decrypt(*recovered.Query(0, kChunks + 1), 0,
+                              kChunks + 1))[0],
+            total);
+  std::remove(path.c_str());
 }
 
 }  // namespace

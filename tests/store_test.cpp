@@ -1,6 +1,7 @@
 // Storage substrate tests: sharded in-memory KV, file-backed log KV with
-// restart/compaction, prefix views, byte-budget LRU cache, latency
-// decorator, and Scan interactions with replication catch-up.
+// restart/compaction, the Append contract across stores, decorators and
+// the cache, prefix views, byte-budget LRU cache, latency decorator, and
+// Scan interactions with replication catch-up.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "replica/replicated_kv.hpp"
+#include "store/fault_kv.hpp"
 #include "store/latency.hpp"
 #include "store/log_kv.hpp"
 #include "store/lru_cache.hpp"
@@ -421,6 +423,252 @@ TEST(LatencyKvTest, DelegatesAndCounts) {
   EXPECT_EQ(ToString(*kv.Get("k")), "v");
   EXPECT_EQ(kv.ops(), 2u);
   EXPECT_EQ(inner->Size(), 1u);
+}
+
+// A store that overrides nothing optional: runs the KvStore::Append default
+// (Get + length check + Put) that decorators without an override inherit.
+class DefaultAppendKv final : public KvStore {
+ public:
+  Status Put(const std::string& key, BytesView value) override {
+    return inner_.Put(key, value);
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    return inner_.Get(key);
+  }
+  Status Delete(const std::string& key) override { return inner_.Delete(key); }
+  bool Contains(const std::string& key) const override {
+    return inner_.Contains(key);
+  }
+  size_t Size() const override { return inner_.Size(); }
+  size_t ValueBytes() const override { return inner_.ValueBytes(); }
+
+ private:
+  MemKvStore inner_{1};
+};
+
+// The KvStore::Append contract, run against every implementation of it.
+class AppendContractTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "log") {
+      path_ = std::filesystem::temp_directory_path() /
+              ("tc_append_contract_" + std::to_string(::getpid()));
+      std::filesystem::remove(path_);
+      auto log = LogKvStore::Open(path_.string());
+      ASSERT_TRUE(log.ok());
+      kv_ = std::move(*log);
+    } else if (GetParam() == "mem") {
+      kv_ = std::make_shared<MemKvStore>(4);
+    } else {
+      kv_ = std::make_shared<DefaultAppendKv>();
+    }
+  }
+  void TearDown() override {
+    kv_.reset();
+    if (!path_.empty()) std::filesystem::remove(path_);
+  }
+
+  std::shared_ptr<KvStore> kv_;
+  std::filesystem::path path_;
+};
+
+TEST_P(AppendContractTest, AppendsAtTheExpectedLength) {
+  ASSERT_TRUE(kv_->Put("k", ToBytes("ab")).ok());
+  auto grown = kv_->Append("k", 2, ToBytes("cd"));
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ(*grown, 4u);
+  grown = kv_->Append("k", 4, ToBytes("e"));
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(*grown, 5u);
+  EXPECT_EQ(ToString(*kv_->Get("k")), "abcde");
+  EXPECT_EQ(kv_->ValueBytes(), 5u);
+  EXPECT_EQ(kv_->Size(), 1u);
+}
+
+TEST_P(AppendContractTest, MissingKeyIsNotFound) {
+  EXPECT_EQ(kv_->Append("absent", 0, ToBytes("x")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(kv_->Contains("absent"));
+}
+
+TEST_P(AppendContractTest, LengthMismatchIsFailedPreconditionAndWritesNothing) {
+  ASSERT_TRUE(kv_->Put("k", ToBytes("ab")).ok());
+  EXPECT_EQ(kv_->Append("k", 1, ToBytes("x")).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(kv_->Append("k", 3, ToBytes("x")).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ToString(*kv_->Get("k")), "ab");
+  EXPECT_EQ(kv_->ValueBytes(), 2u);
+}
+
+TEST_P(AppendContractTest, AppendAfterDeleteIsNotFound) {
+  ASSERT_TRUE(kv_->Put("k", ToBytes("ab")).ok());
+  ASSERT_TRUE(kv_->Delete("k").ok());
+  EXPECT_EQ(kv_->Append("k", 2, ToBytes("x")).status().code(),
+            StatusCode::kNotFound);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, AppendContractTest,
+                         ::testing::Values("mem", "log", "default"));
+
+TEST_F(LogKvTest, AppendedValuesSurviveReopenWithoutDeadBytes) {
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("node", Bytes(8, 0)).ok());
+    for (uint8_t e = 1; e < 16; ++e) {
+      ASSERT_TRUE((*kv)->Append("node", e * 8u, Bytes(8, e)).ok());
+    }
+    // Growing a value by appends leaves nothing for compaction to reclaim.
+    EXPECT_EQ((*kv)->DeadBytes(), 0u);
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  Bytes expected;
+  for (uint8_t e = 0; e < 16; ++e) Append(expected, Bytes(8, e));
+  EXPECT_EQ(*(*kv)->Get("node"), expected);
+  EXPECT_EQ((*kv)->ValueBytes(), 128u);
+  EXPECT_EQ((*kv)->DeadBytes(), 0u);
+}
+
+TEST_F(LogKvTest, TornTailInsideAnAppendRecordIsTruncated) {
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE((*kv)->Put("k", ToBytes("ab")).ok());
+    ASSERT_TRUE((*kv)->Append("k", 2, ToBytes("cdef")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  // Crash mid-append: the append record loses its last two bytes.
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 2);
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    EXPECT_EQ(ToString(*(*kv)->Get("k")), "ab");
+    // The torn record is gone, so the next append lands after the put.
+    ASSERT_TRUE((*kv)->Append("k", 2, ToBytes("xy")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("k")), "abxy");
+}
+
+void WriteFile(const std::filesystem::path& path, BytesView data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  std::fclose(f);
+}
+
+TEST_F(LogKvTest, OrphanAppendRecordIsDataLossNotATornTail) {
+  // put "a" = "xy", then a complete append record (type 3) for "b", which
+  // was never put, then a put that must not be silently dropped.
+  const Bytes log = {0x01, 0x01, 'a', 0x02, 'x', 'y',   //
+                     0x03, 0x01, 'b', 0x01, 'z',        //
+                     0x01, 0x01, 'c', 0x01, 'w'};
+  WriteFile(path_, log);
+  auto kv = LogKvStore::Open(path_.string());
+  EXPECT_EQ(kv.status().code(), StatusCode::kDataLoss);
+  // Nothing was truncated away.
+  EXPECT_EQ(std::filesystem::file_size(path_), log.size());
+}
+
+TEST_F(LogKvTest, SeedFormatLogStillReplays) {
+  // A log with only put (1) and tombstone (2) records, byte for byte as
+  // stores without append records wrote it: put a="xy", put b="1",
+  // put a="z", delete b.
+  WriteFile(path_, Bytes{0x01, 0x01, 'a', 0x02, 'x', 'y',  //
+                         0x01, 0x01, 'b', 0x01, '1',       //
+                         0x01, 0x01, 'a', 0x01, 'z',       //
+                         0x02, 0x01, 'b'});
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    EXPECT_EQ(ScanAll(**kv), (std::map<std::string, std::string>{{"a", "z"}}));
+    EXPECT_EQ((*kv)->DeadBytes(), 3u);
+    ASSERT_TRUE((*kv)->Append("a", 1, ToBytes("q")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(ScanAll(**kv), (std::map<std::string, std::string>{{"a", "zq"}}));
+}
+
+TEST_F(LogKvTest, CompactThenReplayYieldsTheSameMap) {
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  for (int i = 0; i < 8; ++i) {
+    std::string key = "n" + std::to_string(i);
+    ASSERT_TRUE((*kv)->Put(key, ToBytes("e0")).ok());
+    for (int e = 1; e <= i; ++e) {
+      ASSERT_TRUE((*kv)->Append(key, 2u * e, ToBytes("e" + std::to_string(e)))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE((*kv)->Put("n3", ToBytes("overwritten")).ok());
+  ASSERT_TRUE((*kv)->Delete("n5").ok());
+  auto before = ScanAll(**kv);
+
+  ASSERT_TRUE((*kv)->Compact().ok());
+  EXPECT_EQ(ScanAll(**kv), before);
+  // Appends keep working on merged values after the rewrite.
+  ASSERT_TRUE((*kv)->Append("n7", 16, ToBytes("e8")).ok());
+  before["n7"] += "e8";
+  ASSERT_TRUE((*kv)->Sync().ok());
+  kv->reset();
+
+  auto reopened = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(ScanAll(**reopened), before);
+}
+
+TEST(LruCacheTest, AppendGrowsACachedValueInPlace) {
+  LruCache cache(64);
+  cache.Put("k", ToBytes("ab"));
+  cache.Append("k", 2, ToBytes("cd"));
+  EXPECT_EQ(ToString(*cache.Get("k")), "abcd");
+  EXPECT_EQ(cache.size_bytes(), 4u);
+}
+
+TEST(LruCacheTest, AppendDropsStaleEntriesAndLeavesAbsentOnesAbsent) {
+  LruCache cache(8);
+  cache.Append("absent", 0, ToBytes("x"));
+  EXPECT_FALSE(cache.Get("absent").has_value());
+
+  cache.Put("stale", ToBytes("ab"));
+  cache.Append("stale", 5, ToBytes("x"));  // the store's value moved on
+  EXPECT_FALSE(cache.Get("stale").has_value());
+
+  cache.Put("big", ToBytes("abcdef"));
+  cache.Append("big", 6, ToBytes("ghi"));  // would outgrow the budget
+  EXPECT_FALSE(cache.Get("big").has_value());
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
+TEST(DecoratorAppendTest, PrefixLatencyAndFaultStoresForwardAppend) {
+  auto backend = std::make_shared<MemKvStore>();
+  PrefixKvStore view(backend, "s1/");
+  ASSERT_TRUE(view.Put("k", ToBytes("ab")).ok());
+  ASSERT_TRUE(view.Append("k", 2, ToBytes("c")).ok());
+  EXPECT_EQ(ToString(*backend->Get("s1/k")), "abc");
+
+  LatencyKvStore slow(backend, std::chrono::microseconds(0));
+  ASSERT_TRUE(slow.Append("s1/k", 3, ToBytes("d")).ok());
+  EXPECT_EQ(slow.ops(), 1u);
+  EXPECT_EQ(ToString(*backend->Get("s1/k")), "abcd");
+
+  // An append is a write: it takes its turn on the put schedule.
+  FaultOptions options;
+  options.fail_every_nth_put = 2;
+  FaultKvStore faulty(backend, options);
+  ASSERT_TRUE(faulty.Put("f", ToBytes("a")).ok());
+  EXPECT_EQ(faulty.Append("f", 1, ToBytes("b")).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(faulty.puts_failed(), 1u);
+  ASSERT_TRUE(faulty.Append("f", 1, ToBytes("b")).ok());
+  EXPECT_EQ(ToString(*backend->Get("f")), "ab");
 }
 
 TEST(LatencyKvTest, InjectsDelay) {

@@ -188,6 +188,7 @@ std::vector<Bytes> ValidEncodings() {
   rops.first_seq = 12;
   rops.ops.push_back({kReplicaOpPut, "chunk/7/0", ToBytes("sealed")});
   rops.ops.push_back({kReplicaOpDelete, "chunk/7/1", {}});
+  rops.ops.push_back({kReplicaOpAppend, "s/L0/3", ToBytes("entry"), 40});
   out.push_back(rops.Encode());
   out.push_back(ReplicaSnapshotBeginRequest{2, 0x0effULL, 13}.Encode());
   ReplicaSnapshotChunkRequest chunk;
@@ -373,13 +374,49 @@ TEST(WireFuzz, ReplicaOpsRejectsMalformedOps) {
   ReplicaOpsRequest good;
   good.shard = 3;
   good.first_seq = 5;
-  good.ops = {{kReplicaOpPut, "k", ToBytes("v")}, {kReplicaOpDelete, "k", {}}};
+  good.ops = {{kReplicaOpPut, "k", ToBytes("v")},
+              {kReplicaOpAppend, "k", ToBytes("w"), 1},
+              {kReplicaOpDelete, "k", {}}};
   auto decoded = ReplicaOpsRequest::Decode(good.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->shard, 3u);
   EXPECT_EQ(decoded->first_seq, 5u);
-  ASSERT_EQ(decoded->ops.size(), 2u);
-  EXPECT_EQ(decoded->ops[0], good.ops[0]);
+  EXPECT_EQ(decoded->ops, good.ops);
+
+  // Put and delete frames carry no prior length, byte for byte as before
+  // appends existed: kind, key, value.
+  ReplicaOpsRequest put_only;
+  put_only.ops = {{kReplicaOpPut, "k", ToBytes("v")}};
+  BinaryWriter put_frame;
+  put_frame.PutU32(0);
+  put_frame.PutU64(0);
+  put_frame.PutVar(1);
+  put_frame.PutU8(kReplicaOpPut);
+  put_frame.PutString("k");
+  put_frame.PutBytes(ToBytes("v"));
+  EXPECT_EQ(put_only.Encode(), put_frame.data());
+
+  // An append whose prior length is cut off is truncated, not a put.
+  BinaryWriter short_append;
+  short_append.PutU32(3);
+  short_append.PutU64(5);
+  short_append.PutVar(1);
+  short_append.PutU8(kReplicaOpAppend);
+  short_append.PutString("k");
+  short_append.PutU32(1);  // half of the u64 prior length
+  EXPECT_FALSE(ReplicaOpsRequest::Decode(short_append.data()).ok());
+
+  // An append carrying no bytes is a malformed frame.
+  BinaryWriter empty_append;
+  empty_append.PutU32(3);
+  empty_append.PutU64(5);
+  empty_append.PutVar(1);
+  empty_append.PutU8(kReplicaOpAppend);
+  empty_append.PutString("k");
+  empty_append.PutU64(1);
+  empty_append.PutBytes({});
+  EXPECT_EQ(ReplicaOpsRequest::Decode(empty_append.data()).status().code(),
+            StatusCode::kInvalidArgument);
 
   // Unknown op kind: rejected at decode, not trusted into the store.
   BinaryWriter bad_kind;
