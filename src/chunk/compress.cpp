@@ -2,8 +2,6 @@
 
 #include <zlib.h>
 
-#include <limits>
-
 #include "chunk/gorilla.hpp"
 #include "common/io.hpp"
 
@@ -11,55 +9,16 @@ namespace tc::chunk {
 
 namespace {
 constexpr uint8_t kFormatVersion = 1;
-
-/// A deflate stream kept for the life of its thread. deflateInit allocates
-/// ~256 KB of window and hash tables, and compress2 pays that (and the
-/// free) on every call, which dominated sealing small chunks;
-/// deflateReset only clears the state. Same parameters as compress2, so
-/// the output is byte-identical.
-class Deflater {
- public:
-  Deflater() { ready_ = deflateInit(&zs_, Z_DEFAULT_COMPRESSION) == Z_OK; }
-  ~Deflater() {
-    if (ready_) deflateEnd(&zs_);
-  }
-  Deflater(const Deflater&) = delete;
-  Deflater& operator=(const Deflater&) = delete;
-
-  Result<Bytes> Deflate(BytesView data) {
-    if (!ready_) return Internal("zlib deflateInit failed");
-    uLong bound = compressBound(static_cast<uLong>(data.size()));
-    // One deflate call takes uInt-sized buffers; chunk bodies are far
-    // smaller than 4 GiB.
-    if (bound > std::numeric_limits<uInt>::max()) {
-      return InvalidArgument("zlib input exceeds one deflate call");
-    }
-    int rc = deflateReset(&zs_);
-    if (rc != Z_OK) {
-      return Internal("zlib deflateReset failed: " + std::to_string(rc));
-    }
-    Bytes out(bound);
-    zs_.next_in = const_cast<Bytef*>(data.data());
-    zs_.avail_in = static_cast<uInt>(data.size());
-    zs_.next_out = out.data();
-    zs_.avail_out = static_cast<uInt>(out.size());
-    rc = deflate(&zs_, Z_FINISH);
-    if (rc != Z_STREAM_END) {
-      return Internal("zlib deflate failed: " + std::to_string(rc));
-    }
-    out.resize(zs_.total_out);
-    return out;
-  }
-
- private:
-  z_stream zs_{};
-  bool ready_ = false;
-};
-}  // namespace
+}
 
 Result<Bytes> ZlibDeflate(BytesView data) {
-  thread_local Deflater deflater;
-  return deflater.Deflate(data);
+  uLongf bound = compressBound(static_cast<uLong>(data.size()));
+  Bytes out(bound);
+  int rc = compress2(out.data(), &bound, data.data(),
+                     static_cast<uLong>(data.size()), Z_DEFAULT_COMPRESSION);
+  if (rc != Z_OK) return Internal("zlib deflate failed: " + std::to_string(rc));
+  out.resize(bound);
+  return out;
 }
 
 Result<Bytes> ZlibInflate(BytesView data, size_t max_output) {

@@ -193,10 +193,11 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   Bytes digest_blob;
   switch (s.config.cipher) {
     case net::CipherKind::kHeac: {
-      crypto::HeacCiphertext c = crypto::HeacCodec(fields.size()).Encrypt(
-          fields, chunk_index, leaf_i, leaf_n);
-      digest_blob.resize(c.fields.size() * sizeof(uint64_t));
-      std::memcpy(digest_blob.data(), c.fields.data(), digest_blob.size());
+      TC_ASSIGN_OR_RETURN(
+          digest_blob,
+          index::EncryptHeacBlob(
+              crypto::HeacCodec(s.config.schema.num_fields()), fields,
+              chunk_index, leaf_i, leaf_n));
       break;
     }
     case net::CipherKind::kPlain: {

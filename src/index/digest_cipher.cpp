@@ -72,15 +72,9 @@ class HeacCipher final : public DigestCipher {
 
   Result<Bytes> Encrypt(std::span<const uint64_t> fields,
                         uint64_t index) const override {
-    if (fields.size() != num_fields_) {
-      return InvalidArgument("field count mismatch");
-    }
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_i, tree_->DeriveLeaf(index));
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_n, tree_->DeriveLeaf(index + 1));
-    crypto::HeacCiphertext c = codec_.Encrypt(fields, index, leaf_i, leaf_n);
-    Bytes blob(blob_size());
-    std::memcpy(blob.data(), c.fields.data(), blob.size());
-    return blob;
+    return EncryptHeacBlob(codec_, fields, index, leaf_i, leaf_n);
   }
 
   Status Add(std::span<uint8_t> acc, BytesView other) const override {
@@ -261,6 +255,19 @@ std::unique_ptr<DigestCipher> MakePlainCipher(size_t num_fields) {
 std::unique_ptr<DigestCipher> MakeHeacCipher(
     size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree) {
   return std::make_unique<HeacCipher>(num_fields, std::move(tree));
+}
+
+Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
+                              std::span<const uint64_t> fields, uint64_t index,
+                              const crypto::Key128& leaf_i,
+                              const crypto::Key128& leaf_n) {
+  if (fields.size() != codec.num_fields()) {
+    return InvalidArgument("field count mismatch");
+  }
+  crypto::HeacCiphertext c = codec.Encrypt(fields, index, leaf_i, leaf_n);
+  Bytes blob(c.fields.size() * sizeof(uint64_t));
+  std::memcpy(blob.data(), c.fields.data(), blob.size());
+  return blob;
 }
 
 std::unique_ptr<DigestCipher> MakePaillierCipher(

@@ -131,6 +131,19 @@ Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
       if (s.code() == StatusCode::kNotFound) {
         return FailedPrecondition("replica append to absent key " + key);
       }
+      if (s.code() == StatusCode::kFailedPrecondition) {
+        // Already applied: a snapshot read the value after this append
+        // landed on the primary, or a retried batch re-delivers it. The
+        // suffix then sits at exactly `expected_size`.
+        auto current = kv.Get(key);
+        if (current.ok() && current->size() >= expected_size &&
+            current->size() - expected_size >= value.size() &&
+            std::equal(value.begin(), value.end(),
+                       current->begin() +
+                           static_cast<ptrdiff_t>(expected_size))) {
+          return Status::Ok();
+        }
+      }
       return s;
     }
     default: {
@@ -481,7 +494,9 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
       // Behind the retained window (or fresh): snapshot catch-up. Pinning
       // snap_seq under mu_ guarantees every op <= snap_seq is visible to
       // the key scan; ops that race in during the stream are harmlessly
-      // re-applied afterwards (in-order replay converges).
+      // re-applied afterwards (in-order replay converges: puts overwrite,
+      // and an append the snapshot already holds is recognised and
+      // skipped).
       uint64_t snap_seq = head_seq_.load(std::memory_order_relaxed);
       mu_.unlock();
       Status s = StreamSnapshot(state, snap_seq);

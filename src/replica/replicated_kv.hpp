@@ -72,11 +72,13 @@ struct LoggedOp {
   uint64_t expected_size = 0;  // appends only: value length before
 };
 
-/// Apply one shipped mutation to a follower's store. Deleting a missing key
-/// succeeds (re-delivery is expected). An append whose key is missing or
-/// whose value length differs from `expected_size` fails with
-/// kFailedPrecondition: the follower diverged and must be re-seeded, never
-/// appended to blindly.
+/// Apply one shipped mutation to a follower's store. Every kind is
+/// idempotent, because re-delivery is expected (a retried batch, or ops that
+/// raced a snapshot stream): deleting a missing key succeeds, and an append
+/// whose suffix already sits at `expected_size` is a no-op. Any other append
+/// whose key is missing or whose value length differs from `expected_size`
+/// fails with kFailedPrecondition: the follower diverged and must be
+/// re-seeded, never appended to blindly.
 Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
                       BytesView value, uint64_t expected_size);
 
@@ -92,7 +94,7 @@ class Follower {
 
   /// Apply a contiguous, ordered run of ops. Re-delivery after a failure
   /// must be tolerated (puts overwrite; deleting a missing key is OK; a
-  /// re-delivered append fails its length check and re-seeds). A
+  /// re-delivered append is recognised and skipped). A
   /// kFailedPrecondition return means the follower cannot accept this run
   /// at all (a sequence gap or an append that does not fit: it restarted
   /// or diverged) and needs a fresh snapshot, not a retry.

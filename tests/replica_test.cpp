@@ -7,8 +7,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <span>
 #include <thread>
+#include <utility>
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
@@ -486,6 +489,95 @@ TEST(ReplicatedKv, LocalFollowerAppliesAndReseedsOnAppendMismatch) {
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
   EXPECT_GT(rkv->snapshots_shipped(), seeded);
   EXPECT_EQ(Contents(*follower), Contents(*rkv));
+}
+
+TEST(ReplicatedKv, ReDeliveredAppendsAreSkippedAndMisfitsRejected) {
+  auto kv = std::make_shared<store::MemKvStore>();
+  ASSERT_TRUE(kv->Put("node", ToBytes("ab")).ok());
+  LocalFollower follower(kv);
+  std::vector<replica::LoggedOp> batch = {
+      {1, net::kReplicaOpAppend, "node", ToBytes("cd"), 2},
+      {2, net::kReplicaOpAppend, "node", ToBytes("ef"), 4}};
+  // A batch that failed after its first op is shipped again whole.
+  ASSERT_TRUE(follower.ApplyOps(std::span(batch).first(1)).ok());
+  ASSERT_TRUE(follower.ApplyOps(batch).ok());
+  ASSERT_TRUE(follower.ApplyOps(batch).ok());
+  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
+
+  // An append that does not match the bytes at its offset is a divergence.
+  auto apply = [&](const std::string& key, std::string_view suffix,
+                   uint64_t at) {
+    return replica::ApplyShippedOp(*kv, net::kReplicaOpAppend, key,
+                                   ToBytes(suffix), at)
+        .code();
+  };
+  EXPECT_EQ(apply("node", "cx", 2), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(apply("node", "efgh", 4), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(apply("node", "x", 9), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(apply("gone", "x", 0), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
+}
+
+/// Runs `hook` once, as the first snapshot stream opens (after the shipper
+/// pinned its seq and listed the keys, before it reads any value).
+class SnapshotHookFollower final : public replica::Follower {
+ public:
+  SnapshotHookFollower(std::shared_ptr<replica::Follower> inner,
+                       std::function<void()> hook)
+      : inner_(std::move(inner)), hook_(std::move(hook)) {}
+
+  Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
+    return inner_->ApplyOps(ops);
+  }
+  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
+    if (hook_) std::exchange(hook_, nullptr)();
+    return inner_->BeginSnapshot(origin, seq);
+  }
+  Status ApplySnapshotChunk(
+      uint64_t seq, uint64_t first_index,
+      std::span<const replica::SnapshotEntry> entries) override {
+    return inner_->ApplySnapshotChunk(seq, first_index, entries);
+  }
+  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
+    return inner_->EndSnapshot(seq, total_entries);
+  }
+
+ private:
+  std::shared_ptr<replica::Follower> inner_;
+  std::function<void()> hook_;
+};
+
+TEST(ReplicatedKv, AppendsRacingASnapshotConvergeAfterOneSnapshot) {
+  // Ingest keeps appending while a follower is seeded, so the snapshot can
+  // carry appends newer than its pinned seq, and those are shipped again
+  // afterwards. The follower must skip them, not fail their length check
+  // and re-seed (which under steady ingest would repeat forever).
+  for (bool remote : {false, true}) {
+    SCOPED_TRACE(remote ? "remote follower" : "local follower");
+    auto rkv = std::make_shared<ReplicatedKvStore>(
+        std::make_shared<store::MemKvStore>());
+    ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
+    auto follower_kv = std::make_shared<store::MemKvStore>();
+    std::shared_ptr<replica::Follower> inner;
+    if (remote) {
+      inner = std::make_shared<replica::RemoteFollower>(
+          std::make_shared<net::InProcTransport>(
+              std::make_shared<replica::ReplicaApplier>(follower_kv)));
+    } else {
+      inner = std::make_shared<LocalFollower>(follower_kv);
+    }
+    ReplicatedKvStore* primary = rkv.get();
+    rkv->AddFollower(std::make_shared<SnapshotHookFollower>(inner, [primary] {
+      EXPECT_TRUE(primary->Append("node", 2, ToBytes("cd")).ok());
+      EXPECT_TRUE(primary->Append("node", 4, ToBytes("ef")).ok());
+    }));
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+    ASSERT_TRUE(rkv->Append("node", 6, ToBytes("gh")).ok());
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+    EXPECT_EQ(rkv->snapshots_shipped(), 1u);
+    EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdefgh");
+    EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
+  }
 }
 
 // --------------------------------------------------------------- ReplicaSet
