@@ -87,12 +87,18 @@ const crypto::DualKeyRegression& StreamKeys::Resolution(
   return *it->second;
 }
 
-Result<Bytes> StreamKeys::MakeEnvelope(uint64_t resolution_chunks,
-                                       uint64_t window) {
-  const auto& kr = Resolution(resolution_chunks);
-  TC_ASSIGN_OR_RETURN(crypto::Key128 res_key, kr.DeriveKey(window));
-  crypto::Key128 outer_leaf = Leaf(window * resolution_chunks);
-  return crypto::GcmSeal(res_key, outer_leaf);
+Result<std::vector<Bytes>> StreamKeys::MakeEnvelopes(
+    uint64_t resolution_chunks, uint64_t lower, uint64_t upper) {
+  TC_ASSIGN_OR_RETURN(
+      crypto::SecretKeys res_keys,
+      Resolution(resolution_chunks).DeriveKeys(lower, upper));
+  std::vector<Bytes> envelopes;
+  envelopes.reserve(res_keys.size());
+  for (uint64_t j = lower; j <= upper; ++j) {
+    envelopes.push_back(crypto::GcmSeal(res_keys[j - lower],
+                                        Leaf(j * resolution_chunks)));
+  }
+  return envelopes;
 }
 
 Result<crypto::Key128> StreamKeys::OpenEnvelope(const crypto::Key128& res_key,

@@ -48,8 +48,10 @@ class StreamKeys {
   /// from the master seed so re-opened streams agree).
   const crypto::DualKeyRegression& Resolution(uint64_t resolution_chunks);
 
-  /// Envelope for window j of a resolution: enc_{k̄_j}(leaf(j*r)) (§4.4.2).
-  Result<Bytes> MakeEnvelope(uint64_t resolution_chunks, uint64_t window);
+  /// Envelopes for windows lower..upper of a resolution, in window order;
+  /// window j's is enc_{k̄_j}(leaf(j*r)) (§4.4.2).
+  Result<std::vector<Bytes>> MakeEnvelopes(uint64_t resolution_chunks,
+                                           uint64_t lower, uint64_t upper);
 
   /// Open an envelope with a derived resolution key (consumer side).
   static Result<crypto::Key128> OpenEnvelope(const crypto::Key128& res_key,

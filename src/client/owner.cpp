@@ -512,11 +512,10 @@ Status OwnerClient::GrantChunkRange(StreamState& s, uint64_t uuid,
     env_req.uuid = uuid;
     env_req.resolution_chunks = resolution_chunks;
     env_req.first_index = grant.window_lower;
-    for (uint64_t j = grant.window_lower; j <= grant.window_upper; ++j) {
-      TC_ASSIGN_OR_RETURN(Bytes env,
-                          s.keys->MakeEnvelope(resolution_chunks, j));
-      env_req.envelopes.push_back(std::move(env));
-    }
+    TC_ASSIGN_OR_RETURN(
+        env_req.envelopes,
+        s.keys->MakeEnvelopes(resolution_chunks, grant.window_lower,
+                              grant.window_upper));
     TC_RETURN_IF_ERROR(
         CallVoid(*transport_, MessageType::kPutEnvelopes, env_req.Encode()));
   }

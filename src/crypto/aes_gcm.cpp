@@ -2,8 +2,6 @@
 
 #include <openssl/evp.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "crypto/evp_ctx.hpp"
@@ -11,12 +9,9 @@
 
 namespace tc::crypto {
 
-namespace {
-[[noreturn]] void FatalOpenSsl(const char* what) {
-  std::fprintf(stderr, "fatal: OpenSSL %s failed\n", what);
-  std::abort();
-}
+using internal::FatalOpenSsl;
 
+namespace {
 EVP_CIPHER_CTX* ThreadCtx() {
   return internal::ThreadLocalCtx<EVP_CIPHER_CTX, EVP_CIPHER_CTX_new,
                                   EVP_CIPHER_CTX_free>();
@@ -28,8 +23,8 @@ Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
   Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
   RandomBytes(MutableBytesView(out.data(), kGcmNonceSize));
 
-  if (EVP_EncryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
-                         out.data()) != 1) {
+  if (EVP_EncryptInit_ex2(ctx, internal::Fetched().aes_128_gcm, key.data(),
+                          out.data(), nullptr) != 1) {
     FatalOpenSsl("EncryptInit(gcm)");
   }
   int len = 0;
@@ -67,8 +62,8 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
-  if (EVP_DecryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
-                         nonce) != 1) {
+  if (EVP_DecryptInit_ex2(ctx, internal::Fetched().aes_128_gcm, key.data(),
+                          nonce, nullptr) != 1) {
     FatalOpenSsl("DecryptInit(gcm)");
   }
   int len = 0;

@@ -104,19 +104,35 @@ DualKeyRegression::DualKeyRegression(Key128 primary_seed, Key128 secondary_seed,
       secondary_(secondary_seed, length) {}
 
 Result<Key128> DualKeyRegression::DeriveKey(uint64_t j) const {
-  if (j >= length_) return OutOfRange("key index out of range");
-  TC_ASSIGN_OR_RETURN(Key128 s1, primary_.StateAt(j));
+  TC_ASSIGN_OR_RETURN(SecretKeys keys, DeriveKeys(j, j));
+  return keys[0];
+}
+
+Result<SecretKeys> DualKeyRegression::DeriveKeys(uint64_t lower,
+                                                 uint64_t upper) const {
+  if (lower > upper) return InvalidArgument("lower > upper in key range");
+  if (upper >= length_) return OutOfRange("key index out of range");
+  // keys[i] first holds primary state lower+i, walked down from upper.
+  SecretKeys keys(upper - lower + 1);
+  TC_ASSIGN_OR_RETURN(Key128 s1, primary_.StateAt(upper));
+  for (size_t i = keys.size(); i-- > 0;) {
+    keys[i] = s1;
+    if (i > 0) s1 = HashChain::StepDown(s1);
+  }
+  SecureZero(s1);
   // Secondary chain consumed in reverse: key index j uses secondary state
   // at chain position length-1-j, i.e. walking down the secondary chain
   // moves forward in key-index space.
-  TC_ASSIGN_OR_RETURN(Key128 s2, secondary_.StateAt(length_ - 1 - j));
+  TC_ASSIGN_OR_RETURN(Key128 s2, secondary_.StateAt(length_ - 1 - lower));
   Key128 mixed;
-  for (size_t b = 0; b < mixed.size(); ++b) mixed[b] = s1[b] ^ s2[b];
-  Key128 out = HashChain::KeyOf(mixed);
-  SecureZero(s1);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0) s2 = HashChain::StepDown(s2);
+    for (size_t b = 0; b < mixed.size(); ++b) mixed[b] = keys[i][b] ^ s2[b];
+    keys[i] = HashChain::KeyOf(mixed);
+  }
   SecureZero(s2);
   SecureZero(mixed);
-  return out;
+  return keys;
 }
 
 Result<DualKeyRegressionView> DualKeyRegression::Share(uint64_t lower,

@@ -108,6 +108,9 @@ class DualKeyRegressionView {
   KeyRegressionState secondary_;  // discloses indices >= secondary_.index
 };
 
+/// Derived keys; the storage is scrubbed when released.
+using SecretKeys = std::vector<Key128, ZeroizingAllocator<Key128>>;
+
 /// Owner side of a dual key regression (two chains + checkpoints).
 class DualKeyRegression {
  public:
@@ -116,8 +119,15 @@ class DualKeyRegression {
 
   uint64_t length() const { return length_; }
 
-  /// Key k_j (owner can compute any key).
+  /// Key k_j (owner can compute any key); DeriveKeys(j, j).
   Result<Key128> DeriveKey(uint64_t j) const;
+
+  /// Keys k_lower..k_upper in index order. One checkpointed StateAt per
+  /// chain, then one walk down the primary chain and one up the secondary:
+  /// about 3*(upper-lower) + 2*sqrt(length) hashes in all, where DeriveKey
+  /// costs up to 2*sqrt(length) per key. InvalidArgument if lower > upper,
+  /// OutOfRange if upper >= length.
+  Result<SecretKeys> DeriveKeys(uint64_t lower, uint64_t upper) const;
 
   /// Grant the interval [lower, upper]: tokens (s1_upper, s2_lower).
   Result<DualKeyRegressionView> Share(uint64_t lower, uint64_t upper) const;

@@ -4,19 +4,12 @@
 #include <openssl/hmac.h>
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "crypto/evp_ctx.hpp"
 
 namespace tc::crypto {
 
-namespace {
-[[noreturn]] void FatalOpenSsl(const char* what) {
-  std::fprintf(stderr, "fatal: OpenSSL %s failed\n", what);
-  std::abort();
-}
-}  // namespace
+using internal::FatalOpenSsl;
 
 Sha256Digest Sha256(BytesView data) {
   return Sha256Concat(data, {});
@@ -28,7 +21,7 @@ Sha256Digest Sha256Concat(BytesView a, BytesView b) {
   EVP_MD_CTX* ctx = internal::ThreadLocalCtx<EVP_MD_CTX, EVP_MD_CTX_new,
                                              EVP_MD_CTX_free>();
   Sha256Digest out;
-  if (EVP_DigestInit_ex(ctx, EVP_sha256(), nullptr) != 1) {
+  if (EVP_DigestInit_ex2(ctx, internal::Fetched().sha256, nullptr) != 1) {
     FatalOpenSsl("DigestInit");
   }
   if (!a.empty() && EVP_DigestUpdate(ctx, a.data(), a.size()) != 1) {
@@ -47,8 +40,9 @@ Sha256Digest Sha256Concat(BytesView a, BytesView b) {
 Sha256Digest HmacSha256(BytesView key, BytesView data) {
   Sha256Digest out;
   unsigned int len = 0;
-  if (HMAC(EVP_sha256(), key.data(), static_cast<int>(key.size()), data.data(),
-           data.size(), out.data(), &len) == nullptr ||
+  if (HMAC(internal::Fetched().sha256, key.data(),
+           static_cast<int>(key.size()), data.data(), data.size(), out.data(),
+           &len) == nullptr ||
       len != out.size()) {
     FatalOpenSsl("HMAC");
   }

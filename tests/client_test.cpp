@@ -121,22 +121,35 @@ TEST(StreamKeysTest, ResolutionKeystreamsAreIndependent) {
   EXPECT_NE(k6, k60);
 }
 
-TEST(StreamKeysTest, EnvelopeRoundTrip) {
+// Envelopes for windows [lo, hi] with lo > 0. Between consecutive windows
+// StreamKeys::Leaf steps its iterator at r = 6 and re-anchors it at r = 60
+// (the step limit is tree_height / 2 = 15 leaves).
+class StreamKeysEnvelopes : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StreamKeysEnvelopes, EachOpensOnlyUnderItsWindowKey) {
+  const uint64_t r = GetParam();
+  constexpr uint64_t kLo = 3, kHi = 12;
   StreamKeys keys(crypto::RandomKey128());
-  auto envelope = keys.MakeEnvelope(/*resolution=*/6, /*window=*/10);
-  ASSERT_TRUE(envelope.ok());
-  auto res_key = keys.Resolution(6).DeriveKey(10).value();
-  auto leaf = StreamKeys::OpenEnvelope(res_key, *envelope);
-  ASSERT_TRUE(leaf.ok());
-  EXPECT_EQ(*leaf, keys.Leaf(60));  // outer leaf at window*resolution
+  auto envelopes = keys.MakeEnvelopes(r, kLo, kHi);
+  ASSERT_TRUE(envelopes.ok()) << envelopes.status().ToString();
+  ASSERT_EQ(envelopes->size(), kHi - kLo + 1);
+  const auto& kr = keys.Resolution(r);
+  for (uint64_t j = kLo; j <= kHi; ++j) {
+    SCOPED_TRACE(::testing::Message() << "window " << j);
+    const Bytes& envelope = (*envelopes)[j - kLo];
+    auto leaf = StreamKeys::OpenEnvelope(kr.DeriveKey(j).value(), envelope);
+    ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+    EXPECT_EQ(*leaf, keys.tree().DeriveLeaf(j * r).value());
+    for (uint64_t neighbour : {j - 1, j + 1}) {
+      EXPECT_FALSE(
+          StreamKeys::OpenEnvelope(kr.DeriveKey(neighbour).value(), envelope)
+              .ok());
+    }
+  }
 }
 
-TEST(StreamKeysTest, EnvelopeRejectsWrongKey) {
-  StreamKeys keys(crypto::RandomKey128());
-  auto envelope = keys.MakeEnvelope(6, 10);
-  auto wrong = keys.Resolution(6).DeriveKey(11).value();
-  EXPECT_FALSE(StreamKeys::OpenEnvelope(wrong, *envelope).ok());
-}
+INSTANTIATE_TEST_SUITE_P(Resolutions, StreamKeysEnvelopes,
+                         ::testing::Values(6, 60));
 
 TEST(DecryptStatBlobTest, MultiStreamKeySums) {
   // Two HEAC streams aggregated by the server = field-wise sum; decryption

@@ -1,6 +1,7 @@
 // Concurrency tests: the server engine is shared mutable state behind
 // per-stream mutexes and a shared_mutex registry; the TCP server is
-// connection-per-thread; the LRU cache and KV stores claim thread safety.
+// connection-per-thread; the LRU cache and KV stores claim thread safety;
+// the crypto wrappers share algorithm handles fetched once per process.
 // These tests drive them from many threads and assert the results stay
 // exactly consistent (sums match oracles — no lost updates, no torn reads).
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include "client/owner.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "crypto/aes_gcm.hpp"
+#include "crypto/sha256.hpp"
 #include "net/tcp.hpp"
 #include "server/server_engine.hpp"
 #include "store/lru_cache.hpp"
@@ -34,6 +37,40 @@ net::StreamConfig ConfigNamed(const std::string& name) {
   c.cipher = net::CipherKind::kHeac;
   c.fanout = 4;
   return c;
+}
+
+// Must stay the first test in this file: nothing in the process has hashed
+// or sealed yet, so the four threads race the one-time fetch of the
+// SHA-256 and AES-128-GCM handles.
+TEST(Concurrency, FirstCryptoCallsRaceTheAlgorithmFetch) {
+  constexpr int kThreads = 4;
+  const std::string kAbc =
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+  // McGrew-Viega GCM spec test case 2: zero key and IV, one zero block.
+  const Bytes kSpecBlob = FromHex(
+                              "000000000000000000000000"
+                              "0388dace60b6a392f328c2b971b2fe78"
+                              "ab6e47d42cec13bdf53a67b21257bddf")
+                              .value();
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      crypto::Sha256Digest d = crypto::Sha256(ToBytes("abc"));
+      if (ToHex(BytesView(d.data(), d.size())) != kAbc) ++failures;
+      crypto::Key128 key{};
+      Bytes pt(16, 0);
+      auto round_trip = crypto::GcmOpen(key, crypto::GcmSeal(key, pt));
+      if (!round_trip.ok() || *round_trip != pt) ++failures;
+      auto spec = crypto::GcmOpen(key, kSpecBlob);
+      if (!spec.ok() || *spec != pt) ++failures;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures, 0);
 }
 
 TEST(Concurrency, ParallelStreamsIngestIndependently) {

@@ -1,11 +1,123 @@
-// AES-GCM payload encryption and X25519 sealed-box tests.
+// SHA-256 and AES-GCM known answers, AES-GCM payload encryption and X25519
+// sealed-box tests.
 #include <gtest/gtest.h>
+#include <openssl/evp.h>
+
+#include <optional>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sealed_box.hpp"
+#include "crypto/sha256.hpp"
 
 namespace tc::crypto {
 namespace {
+
+std::string HexOf(const Sha256Digest& d) {
+  return ToHex(BytesView(d.data(), d.size()));
+}
+
+TEST(Sha256Test, Fips180KnownAnswers) {
+  EXPECT_EQ(HexOf(Sha256({})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(HexOf(Sha256(ToBytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Test, ConcatEqualsHashOfConcatenation) {
+  Bytes msg(100);
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
+  const Sha256Digest whole = Sha256(msg);
+  for (size_t split : {0, 1, 63, 64}) {
+    BytesView a(msg.data(), split);
+    BytesView b(msg.data() + split, msg.size() - split);
+    EXPECT_EQ(Sha256Concat(a, b), whole) << "split " << split;
+  }
+}
+
+// Reference AES-128-GCM through OpenSSL's legacy EVP_aes_128_gcm() path,
+// independent of the algorithm handle GcmSeal/GcmOpen fetch. Same layout:
+// nonce || ciphertext || tag.
+Bytes LegacyGcmSeal(const Key128& key, BytesView nonce, BytesView pt,
+                    BytesView aad) {
+  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
+  Bytes out(nonce.begin(), nonce.end());
+  out.resize(kGcmNonceSize + pt.size() + kGcmTagSize);
+  uint8_t* ct = out.data() + kGcmNonceSize;
+  int len = 0, final_len = 0;
+  bool ok =
+      EVP_EncryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
+                         nonce.data()) == 1 &&
+      (aad.empty() || EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
+                                        static_cast<int>(aad.size())) == 1) &&
+      (pt.empty() || EVP_EncryptUpdate(ctx, ct, &len, pt.data(),
+                                       static_cast<int>(pt.size())) == 1) &&
+      EVP_EncryptFinal_ex(ctx, ct + (pt.empty() ? 0 : len), &final_len) == 1 &&
+      EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize,
+                          ct + pt.size()) == 1;
+  EVP_CIPHER_CTX_free(ctx);
+  EXPECT_TRUE(ok);
+  return out;
+}
+
+std::optional<Bytes> LegacyGcmOpen(const Key128& key, BytesView sealed,
+                                   BytesView aad) {
+  const size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
+  const uint8_t* ct = sealed.data() + kGcmNonceSize;
+  Bytes pt(ct_len);
+  Bytes tag(ct + ct_len, ct + ct_len + kGcmTagSize);
+  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
+  int len = 0, final_len = 0;
+  bool ok =
+      EVP_DecryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
+                         sealed.data()) == 1 &&
+      (aad.empty() || EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
+                                        static_cast<int>(aad.size())) == 1) &&
+      (ct_len == 0 || EVP_DecryptUpdate(ctx, pt.data(), &len, ct,
+                                        static_cast<int>(ct_len)) == 1) &&
+      EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_SET_TAG, kGcmTagSize,
+                          tag.data()) == 1 &&
+      EVP_DecryptFinal_ex(ctx, pt.data() + (ct_len == 0 ? 0 : len),
+                          &final_len) == 1;
+  EVP_CIPHER_CTX_free(ctx);
+  if (!ok) return std::nullopt;
+  return pt;
+}
+
+TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
+  const Key128 key = RandomKey128();
+  const Bytes aad = ToBytes("chunk-42");
+  const Bytes fixed_nonce = FromHex("0102030405060708090a0b0c").value();
+  for (const Bytes& pt : {Bytes{}, Bytes(16, 0xab), Bytes(100, 0x5c)}) {
+    // Same key and nonce: byte-identical ciphertext and tag.
+    Bytes ours = GcmSeal(key, pt, aad);
+    Bytes ref = LegacyGcmSeal(key, BytesView(ours.data(), kGcmNonceSize), pt,
+                              aad);
+    EXPECT_EQ(ours, ref) << "plaintext size " << pt.size();
+
+    // Each side opens the other's blob.
+    auto opened_by_ref = LegacyGcmOpen(key, ours, aad);
+    ASSERT_TRUE(opened_by_ref.has_value()) << "plaintext size " << pt.size();
+    EXPECT_EQ(*opened_by_ref, pt);
+    auto opened_by_us = GcmOpen(key, LegacyGcmSeal(key, fixed_nonce, pt, aad),
+                                aad);
+    ASSERT_TRUE(opened_by_us.ok()) << opened_by_us.status().ToString();
+    EXPECT_EQ(*opened_by_us, pt);
+  }
+}
+
+TEST(AesGcm, OpensGcmSpecTestCase2) {
+  // McGrew-Viega GCM spec, test case 2: zero key, zero 96-bit IV, one zero
+  // block of plaintext.
+  const Key128 key{};
+  Bytes sealed = FromHex(
+                     "000000000000000000000000"
+                     "0388dace60b6a392f328c2b971b2fe78"
+                     "ab6e47d42cec13bdf53a67b21257bddf")
+                     .value();
+  auto open = GcmOpen(key, sealed);
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(*open, Bytes(16, 0));
+}
 
 TEST(AesGcm, RoundTrip) {
   Key128 key = RandomKey128();

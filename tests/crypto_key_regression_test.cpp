@@ -3,6 +3,9 @@
 // acceleration consistency.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "crypto/key_regression.hpp"
 #include "crypto/rand.hpp"
 
@@ -98,11 +101,66 @@ TEST(DualKeyRegression, FullRangeShare) {
   }
 }
 
-TEST(DualKeyRegression, InvalidShareRanges) {
+TEST(DualKeyRegression, InvalidRangesAreRejected) {
   DualKeyRegression kr(RandomKey128(), RandomKey128(), 10);
   EXPECT_FALSE(kr.Share(5, 4).ok());
   EXPECT_FALSE(kr.Share(0, 10).ok());
-  EXPECT_FALSE(kr.DeriveKey(10).ok());
+  EXPECT_EQ(kr.DeriveKey(10).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(kr.DeriveKeys(5, 4).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(kr.DeriveKeys(0, 10).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(kr.DeriveKeys(10, 10).status().code(), StatusCode::kOutOfRange);
+}
+
+// DeriveKeys against two independent derivations: the consumer's view,
+// which walks down from the two disclosed states, and both chains walked
+// by hand from their seeds. Lengths are not multiples of the checkpoint
+// stride floor(sqrt(length)) (8, 22, 31), so the top anchor is the seed.
+TEST(DualKeyRegression, DeriveKeysMatchesViewAndHandWalkedChains) {
+  for (uint64_t len : {75u, 512u, 1000u}) {
+    Key128 primary_seed = RandomKey128(), secondary_seed = RandomKey128();
+    DualKeyRegression kr(primary_seed, secondary_seed, len);
+    auto walk = [len](Key128 cur) {
+      std::vector<Key128> states(len);
+      for (uint64_t i = len; i-- > 0;) {
+        states[i] = cur;
+        if (i > 0) cur = HashChain::StepDown(cur);
+      }
+      return states;
+    };
+    std::vector<Key128> primary = walk(primary_seed);
+    std::vector<Key128> secondary = walk(secondary_seed);
+    auto by_hand = [&](uint64_t j) {
+      Key128 mixed;
+      for (size_t b = 0; b < mixed.size(); ++b) {
+        mixed[b] = primary[j][b] ^ secondary[len - 1 - j][b];
+      }
+      return HashChain::KeyOf(mixed);
+    };
+
+    const uint64_t stride = static_cast<uint64_t>(std::sqrt(len));
+    const std::pair<uint64_t, uint64_t> ranges[] = {
+        {0, 0},
+        {len - 1, len - 1},
+        {0, len - 1},
+        {stride - 1, stride + 1},          // one checkpoint inside
+        {stride + 1, 3 * stride + 2},      // two, neither at an end
+        {2 * stride, 4 * stride},          // starts and ends on one
+        {len - stride - 2, len - 1},       // last checkpoint, then the seed
+    };
+    for (auto [lo, hi] : ranges) {
+      auto keys = kr.DeriveKeys(lo, hi);
+      ASSERT_TRUE(keys.ok()) << keys.status().ToString();
+      ASSERT_EQ(keys->size(), hi - lo + 1);
+      auto view = kr.Share(lo, hi).value();
+      for (uint64_t j = lo; j <= hi; ++j) {
+        SCOPED_TRACE(::testing::Message() << "len " << len << " range [" << lo
+                                          << ", " << hi << "] key " << j);
+        EXPECT_EQ((*keys)[j - lo], view.DeriveKey(j).value());
+        EXPECT_EQ((*keys)[j - lo], by_hand(j));
+      }
+    }
+  }
 }
 
 TEST(DualKeyRegression, DistinctSeedsDistinctKeystreams) {
@@ -136,6 +194,11 @@ TEST_P(DualKrProperty, RandomIntervalsEnforceBounds) {
 
   uint64_t probe = lo + rng.NextBelow(hi - lo + 1);
   EXPECT_EQ(view.DeriveKey(probe).value(), kr.DeriveKey(probe).value());
+  auto keys = kr.DeriveKeys(lo, hi).value();
+  ASSERT_EQ(keys.size(), hi - lo + 1);
+  EXPECT_EQ(keys.front(), view.DeriveKey(lo).value());
+  EXPECT_EQ(keys[probe - lo], view.DeriveKey(probe).value());
+  EXPECT_EQ(keys.back(), view.DeriveKey(hi).value());
   if (lo > 0) EXPECT_FALSE(view.DeriveKey(rng.NextBelow(lo)).ok());
   if (hi + 1 < kLen) {
     EXPECT_FALSE(view.DeriveKey(hi + 1 + rng.NextBelow(kLen - hi - 1)).ok());

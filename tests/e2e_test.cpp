@@ -184,6 +184,35 @@ TEST_F(E2eTest, ResolutionGrantRestrictsGranularity) {
   EXPECT_EQ(raw.status().code(), StatusCode::kPermissionDenied);
 }
 
+TEST_F(E2eTest, ResolutionGrantNotStartingAtWindowZero) {
+  uint64_t uuid = IngestStream(60, HeartRateConfig());
+  Principal analyst{"analyst", crypto::GenerateBoxKeyPair()};
+
+  // Chunks [12, 48) at 6-chunk resolution: windows 2..8.
+  ASSERT_TRUE(owner_
+                  .GrantAccess(uuid, analyst.id, analyst.keys.public_key,
+                               {12 * kDelta, 48 * kDelta},
+                               /*resolution_chunks=*/6)
+                  .ok());
+  ConsumerClient consumer(transport_, analyst);
+  ASSERT_TRUE(consumer.FetchGrants().ok());
+
+  auto whole = consumer.GetStatRange(uuid, {12 * kDelta, 48 * kDelta});
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->stats.Sum().value(), OracleSum(12, 48));
+  auto first = consumer.GetStatRange(uuid, {12 * kDelta, 18 * kDelta});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->stats.Sum().value(), OracleSum(12, 18));
+  auto last = consumer.GetStatRange(uuid, {42 * kDelta, 48 * kDelta});
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last->stats.Sum().value(), OracleSum(42, 48));
+
+  auto before = consumer.GetStatRange(uuid, {6 * kDelta, 12 * kDelta});
+  EXPECT_EQ(before.status().code(), StatusCode::kPermissionDenied);
+  auto after = consumer.GetStatRange(uuid, {48 * kDelta, 54 * kDelta});
+  EXPECT_EQ(after.status().code(), StatusCode::kPermissionDenied);
+}
+
 TEST_F(E2eTest, TwoConsumersDifferentResolutions) {
   // The paper's running example: the doctor sees minute-level data, the
   // trainer a coarser view of the same stream — simultaneously (§1).
