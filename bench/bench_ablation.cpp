@@ -1,6 +1,5 @@
-// Ablation benches for TimeCrypt's design choices (DESIGN.md calls these
-// out; none corresponds to a single paper table, but each quantifies a
-// decision the paper makes):
+// Ablation benches for TimeCrypt's design choices (none corresponds to a
+// single paper table, but each quantifies a decision the paper makes):
 //
 //   1. Index fanout k (the paper fixes k = 64): ingest + query cost across
 //      k = 2..256 — why 64 is a good middle ground.
@@ -291,7 +290,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Ablations: fanout / key-canceling / PRG / compression / "
       "strided / cache ===\n"
-      "(design-choice quantification; see DESIGN.md experiment index)\n\n");
+      "(design-choice quantification; see README.md benchmark matrix)\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -7,7 +7,7 @@
 // cost model — implementing a pairing library offline is out of scope, and
 // any real pairing implementation pays milliseconds per operation, so the
 // 3-4 orders-of-magnitude gap being reproduced is insensitive to the exact
-// constant (DESIGN.md substitution #4).
+// constant.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"

@@ -1,7 +1,7 @@
 // Shared helpers for the benchmark binaries: index fixtures per cipher
 // backend, scaled-down size defaults for single-core runs, and table
 // printing utilities. Every binary regenerates one table/figure of the
-// paper; see DESIGN.md's experiment index.
+// paper; README.md's benchmark matrix lists which.
 #pragma once
 
 #include <chrono>

@@ -4,9 +4,9 @@
 //
 // The paper's "IoT" row ran on an OpenMote (32-bit ARM M3 @ 32 MHz with a
 // crypto accelerator); we have no such hardware, so the laptop-class row is
-// measured and the IoT row is reported from the paper for reference
-// (DESIGN.md substitution #3). The claim preserved: HEAC is microseconds,
-// orders of magnitude below both strawman ciphers on every platform.
+// measured and the IoT row is reported from the paper for reference. The
+// claim preserved: HEAC is microseconds, orders of magnitude below both
+// strawman ciphers on every platform.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"

@@ -52,22 +52,25 @@ std::string EscapeJson(const std::string& s) {
 void SpanRing::Push(const SpanRecord& r) {
   uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[ticket & (kCapacity - 1)];
-  // Odd version marks the write window; the closing increment releases the
-  // field stores to any snapshot that observes the even value. Two writers
-  // wrapping onto one slot (kCapacity tickets apart) each add 2, so the
-  // version always settles even — a mixed slot is possible but benign, and
-  // both spans count as dropped coverage anyway.
+  // Odd version marks the write window. Each field is a release store, so
+  // a snapshot whose acquire load reads a field written in this window
+  // also sees the odd version, and its closing version check fails (a
+  // seqlock reader after Boehm, with no fence). The closing increment
+  // releases the field stores to any snapshot that observes the even
+  // value. Two writers wrapping onto one slot (kCapacity tickets apart)
+  // each add 2, so the version always settles even — a mixed slot is
+  // possible but benign, and both spans count as dropped coverage anyway.
   s.ver.fetch_add(1, std::memory_order_acq_rel);
-  s.trace_id.store(r.trace_id, std::memory_order_relaxed);
-  s.span_id.store(r.span_id, std::memory_order_relaxed);
-  s.parent_span_id.store(r.parent_span_id, std::memory_order_relaxed);
-  s.op.store(r.op, std::memory_order_relaxed);
+  s.trace_id.store(r.trace_id, std::memory_order_release);
+  s.span_id.store(r.span_id, std::memory_order_release);
+  s.parent_span_id.store(r.parent_span_id, std::memory_order_release);
+  s.op.store(r.op, std::memory_order_release);
   s.meta.store((static_cast<uint64_t>(r.shard) << 32) |
                    (static_cast<uint64_t>(r.msg_type) << 8) |
                    (r.slow ? 1u : 0u),
-               std::memory_order_relaxed);
-  s.start_us.store(r.start_us, std::memory_order_relaxed);
-  s.duration_us.store(r.duration_us, std::memory_order_relaxed);
+               std::memory_order_release);
+  s.start_us.store(r.start_us, std::memory_order_release);
+  s.duration_us.store(r.duration_us, std::memory_order_release);
   s.ver.fetch_add(1, std::memory_order_release);
   if (ticket >= kCapacity) {
     static metrics::Counter& dropped =
@@ -86,18 +89,17 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
     uint64_t v1 = s.ver.load(std::memory_order_acquire);
     if (v1 == 0 || (v1 & 1) != 0) continue;  // never written or mid-write
     SpanRecord r;
-    r.trace_id = s.trace_id.load(std::memory_order_relaxed);
-    r.span_id = s.span_id.load(std::memory_order_relaxed);
-    r.parent_span_id = s.parent_span_id.load(std::memory_order_relaxed);
-    const char* op = s.op.load(std::memory_order_relaxed);
+    r.trace_id = s.trace_id.load(std::memory_order_acquire);
+    r.span_id = s.span_id.load(std::memory_order_acquire);
+    r.parent_span_id = s.parent_span_id.load(std::memory_order_acquire);
+    const char* op = s.op.load(std::memory_order_acquire);
     r.op = op != nullptr ? op : "";
-    uint64_t meta = s.meta.load(std::memory_order_relaxed);
+    uint64_t meta = s.meta.load(std::memory_order_acquire);
     r.shard = static_cast<uint32_t>(meta >> 32);
     r.msg_type = static_cast<uint8_t>((meta >> 8) & 0xff);
     r.slow = (meta & 1) != 0;
-    r.start_us = s.start_us.load(std::memory_order_relaxed);
-    r.duration_us = s.duration_us.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    r.start_us = s.start_us.load(std::memory_order_acquire);
+    r.duration_us = s.duration_us.load(std::memory_order_acquire);
     if (s.ver.load(std::memory_order_relaxed) != v1) continue;  // torn
     out.push_back(r);
   }

@@ -6,11 +6,11 @@
 //    parent, op, message type, shard, wall start, duration). Writers are
 //    the TraceSpan destructor on request threads; the reader is the
 //    kTraceInfo handler snapshotting for `tccli trace`. Slots are per-field
-//    relaxed atomics behind a per-slot version counter, so concurrent
-//    record/snapshot is race-free by construction (a torn slot is detected
-//    via the version and skipped, never blocked on). Overwrites of old
-//    spans are counted in tc_trace_spans_dropped_total — overflow is
-//    visible, not silent.
+//    release/acquire atomics behind a per-slot version counter, so
+//    concurrent record/snapshot is race-free by construction (a torn slot
+//    is detected via the version and skipped, never blocked on).
+//    Overwrites of old spans are counted in tc_trace_spans_dropped_total —
+//    overflow is visible, not silent.
 //
 //  - EventJournal: a bounded deque of cluster lifecycle events (follower
 //    hello/drop, view changes, elections, promotions, snapshot streams,
@@ -62,7 +62,7 @@ struct SpanRecord {
 };
 
 /// Bounded lock-free ring of recent spans. Push is wait-free (one
-/// fetch_add plus relaxed stores); Snapshot never blocks a writer.
+/// fetch_add plus release stores); Snapshot never blocks a writer.
 class SpanRing {
  public:
   static constexpr size_t kCapacity = 4096;  // power of two

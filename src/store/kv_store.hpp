@@ -1,9 +1,11 @@
 // Key-value storage abstraction — TimeCrypt's persistence layer (§4.6:
 // "TimeCrypt can be plugged-in with any scalable key-value store"). The
-// paper's prototype uses Cassandra; this library ships an in-memory sharded
-// store and a file-backed log store, both behind this interface. Index node
-// and chunk identifiers are computed on the fly from (stream, level, index)
-// so no scans are ever needed — exactly the paper's storage model.
+// paper's prototype uses Cassandra; this library ships two stores behind
+// this interface: MemKvStore keeps every value in memory, and LogKvStore
+// keeps values in an append-only file with only a key directory of file
+// offsets in memory. Index node and chunk identifiers are computed on the
+// fly from (stream, level, index) so no scans are ever needed — exactly the
+// paper's storage model.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,18 @@
 #include "store/log_kv.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "common/varint.hpp"
 
 namespace tc::store {
 
@@ -16,6 +20,13 @@ namespace {
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
 constexpr uint8_t kRecordAppend = 3;  // value = suffix of the key's value
+
+constexpr size_t kMaxVarintBytes = 10;
+/// A Get reads two extents with one pread when at most this many bytes of
+/// other records lie between them: copying a page costs less than another
+/// syscall. The entries of an index node, appended one per chunk, sit this
+/// close.
+constexpr uint64_t kMaxReadGap = 4096;
 
 /// Process-wide log-store op counters (all LogKvStore instances sum into
 /// one family; per-shard splits come from the kClusterInfo gauges).
@@ -39,6 +50,48 @@ StoreOps& Ops() {
 }
 }  // namespace
 
+class LogKvStore::ReadFile {
+ public:
+  /// NotFound when `path` does not exist.
+  static Result<std::shared_ptr<const ReadFile>> Open(const std::string& path) {
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOENT) return NotFound("no log file: " + path);
+      return Unavailable("cannot open log for reading: " + path);
+    }
+    return std::make_shared<const ReadFile>(fd);
+  }
+
+  explicit ReadFile(int fd) : fd_(fd) {}
+  ~ReadFile() { ::close(fd_); }
+  ReadFile(const ReadFile&) = delete;
+  ReadFile& operator=(const ReadFile&) = delete;
+
+  Result<uint64_t> Size() const {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) return Unavailable("cannot stat log file");
+    return static_cast<uint64_t>(st.st_size);
+  }
+
+  /// Exactly `n` bytes at `offset`; DataLoss if the file ends first.
+  Status Read(uint8_t* dst, size_t n, uint64_t offset) const {
+    while (n > 0) {
+      ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        return DataLoss("short read at log offset " + std::to_string(offset));
+      }
+      dst += got;
+      n -= static_cast<size_t>(got);
+      offset += static_cast<uint64_t>(got);
+    }
+    return Status::Ok();
+  }
+
+ private:
+  int fd_;
+};
+
 LogKvStore::LogKvStore(std::string path, LogKvOptions options)
     : path_(std::move(path)), options_(options) {}
 
@@ -52,77 +105,119 @@ Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path,
   auto store = std::unique_ptr<LogKvStore>(new LogKvStore(path, options));
   // The store has not escaped this function yet, so the lock is
   // uncontended; taking it anyway keeps Replay under the same capability
-  // as every other map_/log_ access.
+  // as every other dir_/log_ access.
   MutexLock lock(store->mu_);
   TC_RETURN_IF_ERROR(store->Replay());
   store->log_ = std::fopen(path.c_str(), "ab");
   if (store->log_ == nullptr) {
     return Unavailable("cannot open log file: " + path);
   }
+  TC_ASSIGN_OR_RETURN(store->reader_, ReadFile::Open(path));
   return store;
 }
 
-Status LogKvStore::Replay() {
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) return Status::Ok();  // fresh store
-  // Read the whole log; individual records are length-prefixed.
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(static_cast<size_t>(size));
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
-    std::fclose(f);
-    return DataLoss("short read replaying log: " + path_);
-  }
-  std::fclose(f);
+LogKvStore::Entry LogKvStore::WholeValue(uint64_t offset, uint64_t size) {
+  Entry entry;
+  entry.size = size;
+  if (size > 0) entry.extents.push_back({offset, size});
+  return entry;
+}
 
-  BinaryReader r(data);
-  size_t valid_end = 0;  // offset just past the last complete record
-  while (!r.AtEnd()) {
-    auto type = r.GetU8();
-    auto key = r.GetString();
-    if (!type.ok() || !key.ok()) break;  // torn tail write
-    if (*type == kRecordPut) {
-      auto value = r.GetBytes();
-      if (!value.ok()) break;
-      auto [it, inserted] = map_.try_emplace(*key);
-      if (!inserted) {
-        dead_bytes_ += it->second.size();
-        value_bytes_ -= it->second.size();
-      }
-      it->second = std::move(*value);
-      value_bytes_ += it->second.size();
-    } else if (*type == kRecordTombstone) {
-      auto it = map_.find(*key);
-      if (it != map_.end()) {
-        dead_bytes_ += it->second.size();
-        value_bytes_ -= it->second.size();
-        map_.erase(it);
-      }
-    } else if (*type == kRecordAppend) {
-      auto suffix = r.GetBytes();
-      if (!suffix.ok()) break;
+void LogKvStore::ApplyPut(const std::string& key, uint64_t offset,
+                          uint64_t size) {
+  auto [it, inserted] = dir_.try_emplace(key);
+  if (!inserted) {
+    dead_bytes_ += it->second.size;
+    value_bytes_ -= it->second.size;
+  }
+  it->second = WholeValue(offset, size);
+  value_bytes_ += size;
+}
+
+void LogKvStore::ApplyAppend(Entry& entry, uint64_t offset, uint64_t length) {
+  if (length > 0) entry.extents.push_back({offset, length});
+  entry.size += length;
+  value_bytes_ += length;
+}
+
+void LogKvStore::ApplyDelete(Directory::iterator it) {
+  dead_bytes_ += it->second.size;
+  value_bytes_ -= it->second.size;
+  dir_.erase(it);
+}
+
+Status LogKvStore::Replay() {
+  auto file = ReadFile::Open(path_);
+  if (file.status().code() == StatusCode::kNotFound) return Status::Ok();
+  TC_RETURN_IF_ERROR(file.status());
+  TC_ASSIGN_OR_RETURN(uint64_t file_size, (*file)->Size());
+
+  // The log's bytes [at, at + n), clipped at the end of the file. They come
+  // from a buffer of kReplayBufferBytes, refilled from `at` when they are
+  // not all in it; only a key about the buffer's size grows it.
+  Bytes buf;
+  uint64_t buf_at = 0;  // file offset of buf[0]
+  auto window = [&](uint64_t at, uint64_t n) -> Result<BytesView> {
+    n = std::min(n, file_size - at);
+    if (at < buf_at || at + n > buf_at + buf.size()) {
+      buf.resize(std::min(std::max<uint64_t>(n, kReplayBufferBytes),
+                          file_size - at));
+      TC_RETURN_IF_ERROR((*file)->Read(buf.data(), buf.size(), at));
+      buf_at = at;
+    }
+    return BytesView(buf).subspan(at - buf_at, n);
+  };
+
+  // Records are `type keylen key [vallen value]`. Replay reads each header
+  // and key and skips over the value, recording where it lies. A record
+  // that runs past the end of the file is a torn tail write.
+  uint64_t pos = 0;  // offset just past the last complete record
+  while (pos < file_size) {
+    uint64_t left = file_size - pos;
+    TC_ASSIGN_OR_RETURN(BytesView head, window(pos, 1 + kMaxVarintBytes));
+    uint8_t type = head[0];
+    if (type != kRecordPut && type != kRecordTombstone &&
+        type != kRecordAppend) {
+      break;  // garbage tail (crash mid-write): recover the valid prefix
+    }
+    size_t key_at = 1;
+    auto key_len = GetVarint(head, key_at);
+    if (!key_len || *key_len > left - key_at) break;
+    TC_ASSIGN_OR_RETURN(BytesView record,
+                        window(pos, key_at + *key_len + kMaxVarintBytes));
+    std::string key(record.begin() + key_at,
+                    record.begin() + key_at + *key_len);
+    size_t value_at = key_at + *key_len;
+    uint64_t value_len = 0;
+    if (type != kRecordTombstone) {
+      auto len = GetVarint(record, value_at);
+      if (!len || *len > left - value_at) break;
+      value_len = *len;
+    }
+    if (type == kRecordPut) {
+      ApplyPut(key, pos + value_at, value_len);
+    } else if (type == kRecordTombstone) {
+      auto it = dir_.find(key);
+      if (it != dir_.end()) ApplyDelete(it);
+    } else {
       // Append() refuses absent keys, so a complete append record without
       // its base value is corruption, not a torn tail: truncating here
       // would silently drop every record after it.
-      auto it = map_.find(*key);
-      if (it == map_.end()) {
+      auto it = dir_.find(key);
+      if (it == dir_.end()) {
         return DataLoss("log " + path_ + ": append record at offset " +
-                        std::to_string(valid_end) + " for absent key " +
-                        *key);
+                        std::to_string(pos) + " for absent key " + key);
       }
-      tc::Append(it->second, *suffix);
-      value_bytes_ += suffix->size();
-    } else {
-      break;  // garbage tail (crash mid-write): recover the valid prefix
+      ApplyAppend(it->second, pos + value_at, value_len);
     }
-    valid_end = r.position();
+    pos += value_at + value_len;
   }
-  if (valid_end < data.size()) {
+  if (pos < file_size) {
     // Drop the torn tail so future appends follow a well-formed record —
     // otherwise the next Replay would stop at the garbage and lose them.
-    TC_RETURN_IF_ERROR(TruncateTo(valid_end));
+    TC_RETURN_IF_ERROR(TruncateTo(pos));
   }
+  log_end_ = flushed_end_ = pos;
   return Status::Ok();
 }
 
@@ -134,9 +229,10 @@ Status LogKvStore::TruncateTo(size_t size) {
   return Status::Ok();
 }
 
-Status LogKvStore::AppendRecord(uint8_t type, const std::string& key,
-                                BytesView value) {
-  // A failed compaction can lose the append handle (reopen failed); refuse
+Result<uint64_t> LogKvStore::AppendRecord(uint8_t type,
+                                          const std::string& key,
+                                          BytesView value) {
+  // A failed compaction or append can lose the append handle; refuse
   // writes instead of fwrite-ing into a null stream.
   if (log_ == nullptr) {
     return Unavailable("log append handle closed (failed compaction?): " +
@@ -147,9 +243,57 @@ Status LogKvStore::AppendRecord(uint8_t type, const std::string& key,
   w.PutString(key);
   if (type != kRecordTombstone) w.PutBytes(value);
   if (std::fwrite(w.data().data(), 1, w.size(), log_) != w.size()) {
-    return Unavailable("log append failed");
+    // Part of the record may have reached the file, so the offset of the
+    // next one is unknown and the directory could not point at it. Refuse
+    // writes until a compaction rewrites the log or the store reopens.
+    std::fclose(log_);
+    log_ = nullptr;
+    flushed_end_ = log_end_;
+    return Unavailable("log append failed: " + path_);
   }
-  ++append_seq_;
+  uint64_t value_at = log_end_ + w.size() - value.size();
+  log_end_ += w.size();
+  return value_at;
+}
+
+Status LogKvStore::FlushThrough(uint64_t end) const {
+  if (end <= flushed_end_ || log_ == nullptr) return Status::Ok();
+  if (std::fflush(log_) != 0) return Unavailable("fflush failed: " + path_);
+  flushed_end_ = log_end_;
+  return Status::Ok();
+}
+
+Status LogKvStore::ReadValue(const ReadFile& file,
+                             const std::vector<Extent>& extents, Bytes& out) {
+  uint8_t* dst = out.data();
+  for (size_t i = 0; i < extents.size();) {
+    // One read covers a run of extents that each start at most kMaxReadGap
+    // bytes after the previous one ends.
+    uint64_t start = extents[i].offset;
+    uint64_t end = start + extents[i].length;
+    size_t j = i + 1;
+    while (j < extents.size() && extents[j].offset >= end &&
+           extents[j].offset - end <= kMaxReadGap) {
+      end = extents[j].offset + extents[j].length;
+      ++j;
+    }
+    if (j == i + 1) {
+      TC_RETURN_IF_ERROR(file.Read(dst, extents[i].length, start));
+      dst += extents[i].length;
+    } else {
+      // Into a buffer, the records between the extents too: a preadv that
+      // scattered the extents and dropped the rest costs the kernel more
+      // per piece than copying the run out again does.
+      auto run = std::make_unique_for_overwrite<uint8_t[]>(end - start);
+      TC_RETURN_IF_ERROR(file.Read(run.get(), end - start, start));
+      for (; i < j; ++i) {
+        std::memcpy(dst, run.get() + (extents[i].offset - start),
+                    extents[i].length);
+        dst += extents[i].length;
+      }
+    }
+    i = j;
+  }
   return Status::Ok();
 }
 
@@ -180,35 +324,43 @@ void LogKvStore::MaybeAutoCompactLocked() {
 Status LogKvStore::Put(const std::string& key, BytesView value) {
   if constexpr (metrics::kEnabled) Ops().puts.Inc();
   MutexLock lock(mu_);
-  TC_RETURN_IF_ERROR(AppendRecord(kRecordPut, key, value));
-  auto [it, inserted] = map_.try_emplace(key);
-  if (!inserted) {
-    dead_bytes_ += it->second.size();
-    value_bytes_ -= it->second.size();
-  }
-  it->second.assign(value.begin(), value.end());
-  value_bytes_ += value.size();
+  TC_ASSIGN_OR_RETURN(uint64_t offset, AppendRecord(kRecordPut, key, value));
+  ApplyPut(key, offset, value.size());
   MaybeAutoCompactLocked();
   return Status::Ok();
 }
 
 Result<Bytes> LogKvStore::Get(const std::string& key) const {
   if constexpr (metrics::kEnabled) Ops().gets.Inc();
-  MutexLock lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) return NotFound("key not found: " + key);
-  return it->second;
+  uint64_t size = 0;
+  std::vector<Extent> extents;
+  std::shared_ptr<const ReadFile> file;
+  {
+    MutexLock lock(mu_);
+    auto it = dir_.find(key);
+    if (it == dir_.end()) return NotFound("key not found: " + key);
+    size = it->second.size;
+    extents = it->second.extents;
+    if (!extents.empty()) {
+      TC_RETURN_IF_ERROR(
+          FlushThrough(extents.back().offset + extents.back().length));
+    }
+    file = reader_;
+  }
+  // Log bytes never change once written and Compact() writes a new file,
+  // so the extents stay valid in `file` without the lock.
+  Bytes value(size);
+  TC_RETURN_IF_ERROR(ReadValue(*file, extents, value));
+  return value;
 }
 
 Status LogKvStore::Delete(const std::string& key) {
   if constexpr (metrics::kEnabled) Ops().deletes.Inc();
   MutexLock lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}));
-  dead_bytes_ += it->second.size();
-  value_bytes_ -= it->second.size();
-  map_.erase(it);
+  auto it = dir_.find(key);
+  if (it == dir_.end()) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}).status());
+  ApplyDelete(it);
   MaybeAutoCompactLocked();
   return Status::Ok();
 }
@@ -217,23 +369,23 @@ Result<size_t> LogKvStore::Append(const std::string& key,
                                   size_t expected_size, BytesView suffix) {
   if constexpr (metrics::kEnabled) Ops().appends.Inc();
   MutexLock lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(CheckAppendSize(key, it->second.size(), expected_size));
-  TC_RETURN_IF_ERROR(AppendRecord(kRecordAppend, key, suffix));
-  tc::Append(it->second, suffix);
-  value_bytes_ += suffix.size();
-  return it->second.size();
+  auto it = dir_.find(key);
+  if (it == dir_.end()) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(CheckAppendSize(key, it->second.size, expected_size));
+  TC_ASSIGN_OR_RETURN(uint64_t offset,
+                      AppendRecord(kRecordAppend, key, suffix));
+  ApplyAppend(it->second, offset, suffix.size());
+  return it->second.size;
 }
 
 bool LogKvStore::Contains(const std::string& key) const {
   MutexLock lock(mu_);
-  return map_.contains(key);
+  return dir_.contains(key);
 }
 
 size_t LogKvStore::Size() const {
   MutexLock lock(mu_);
-  return map_.size();
+  return dir_.size();
 }
 
 size_t LogKvStore::ValueBytes() const {
@@ -243,10 +395,14 @@ size_t LogKvStore::ValueBytes() const {
 
 Status LogKvStore::Scan(
     const std::function<void(const std::string&, BytesView)>& fn) const {
-  // mu_ is held for the whole walk, so a scan is an atomic snapshot and a
-  // concurrent Compact() cannot interleave (it rewrites under this mutex).
   MutexLock lock(mu_);
-  for (const auto& [key, value] : map_) fn(key, value);
+  TC_RETURN_IF_ERROR(FlushThrough(log_end_));
+  Bytes value;
+  for (const auto& [key, entry] : dir_) {
+    value.resize(entry.size);
+    TC_RETURN_IF_ERROR(ReadValue(*reader_, entry.extents, value));
+    fn(key, value);
+  }
   return Status::Ok();
 }
 
@@ -256,33 +412,59 @@ Result<size_t> LogKvStore::Compact() {
 }
 
 Result<size_t> LogKvStore::CompactLocked() {
+  // Values are copied out of the log, so all of it must be in the file.
+  TC_RETURN_IF_ERROR(FlushThrough(log_end_));
   std::string tmp_path = path_ + ".compact";
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
   if (tmp == nullptr) return Unavailable("cannot open compaction file");
 
-  for (const auto& [key, value] : map_) {
-    BinaryWriter w(key.size() + value.size() + 16);
+  // Where each value lands in the new log, in dir_'s iteration order; dir_
+  // is updated only once the new log has replaced the old one.
+  std::vector<uint64_t> offsets;
+  offsets.reserve(dir_.size());
+  uint64_t tmp_end = 0;
+  Bytes value;
+  for (const auto& [key, entry] : dir_) {
+    value.resize(entry.size);
+    Status read = ReadValue(*reader_, entry.extents, value);
+    BinaryWriter w(key.size() + 16);
     w.PutU8(kRecordPut);
     w.PutString(key);
-    w.PutBytes(value);
-    if (std::fwrite(w.data().data(), 1, w.size(), tmp) != w.size()) {
+    w.PutVar(value.size());
+    offsets.push_back(tmp_end + w.size());
+    tmp_end += w.size() + value.size();
+    if (!read.ok() ||
+        std::fwrite(w.data().data(), 1, w.size(), tmp) != w.size() ||
+        std::fwrite(value.data(), 1, value.size(), tmp) != value.size()) {
       std::fclose(tmp);
       std::remove(tmp_path.c_str());
-      return Unavailable("compaction write failed");
+      return read.ok() ? Unavailable("compaction write failed") : read;
     }
   }
-  std::fclose(tmp);
-  std::fclose(log_);
+  if (std::fclose(tmp) != 0) {
+    std::remove(tmp_path.c_str());
+    return Unavailable("compaction write failed");
+  }
+  auto reader = ReadFile::Open(tmp_path);
+  if (!reader.ok()) {
+    std::remove(tmp_path.c_str());
+    return reader.status();
+  }
+  // The flush above put every record appended so far in the file, so
+  // closing the old handle loses nothing.
+  if (log_ != nullptr) std::fclose(log_);
   log_ = nullptr;
-  // Closing the old handle flushed it, so every record appended so far is
-  // on disk in whichever file survives below.
-  flushed_seq_ = append_seq_;
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     // The old log is intact at path_; reopen it so appends keep working.
     std::remove(tmp_path.c_str());
     log_ = std::fopen(path_.c_str(), "ab");
     return Unavailable("compaction rename failed");
   }
+  size_t i = 0;
+  for (auto& [key, entry] : dir_) entry = WholeValue(offsets[i++], entry.size);
+  // A Get that copied the old descriptor finishes on the old file.
+  reader_ = std::move(*reader);
+  log_end_ = flushed_end_ = tmp_end;
   size_t reclaimed = dead_bytes_;
   dead_bytes_ = 0;
   ++compactions_;
@@ -298,15 +480,9 @@ Result<size_t> LogKvStore::CompactLocked() {
 Status LogKvStore::Sync() {
   if constexpr (metrics::kEnabled) Ops().syncs.Inc();
   MutexLock lock(mu_);
-  if (log_ == nullptr) return Status::Ok();
   // Group commit: if a concurrent caller's flush already covered every
   // record appended before this Sync, skip the (expensive) flush entirely.
-  if (flushed_seq_ >= append_seq_) return Status::Ok();
-  if (std::fflush(log_) != 0) {
-    return Unavailable("fflush failed");
-  }
-  flushed_seq_ = append_seq_;
-  return Status::Ok();
+  return FlushThrough(log_end_);
 }
 
 size_t LogKvStore::DeadBytes() const {

@@ -1,13 +1,17 @@
-// File-backed KV store: append-only value log with an in-memory index.
-// Gives the repository a durable storage engine so examples and tests can
-// exercise persistence/restart paths (the paper's Cassandra layer persists
-// to disk; this is our single-node equivalent).
+// File-backed KV store: an append-only log file holds every value, and
+// memory holds only a key directory saying where each live value sits in
+// that log. This is the repository's durable storage engine (the paper's
+// Cassandra layer persists to disk; this is our single-node equivalent).
+// Because values are read back from the file, a server over this store
+// holds the key directory plus its index cache, which is the part the
+// cache budget bounds.
 #pragma once
 
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "store/kv_store.hpp"
@@ -26,16 +30,25 @@ struct LogKvOptions {
 };
 
 /// Log-structured store. Writes append `type keylen key vallen value`
-/// records to a single log file; Get serves from an in-memory map populated
-/// at open. Deletes append a tombstone; Append writes a record holding only
-/// the suffix, which replay concatenates onto the key's value, so growing a
-/// value leaves no dead bytes behind. Compact() rewrites the log dropping
-/// dead records (merged values become plain puts); with
-/// LogKvOptions::compact_dead_fraction set it also triggers automatically
-/// once dead bytes dominate.
+/// records to a single log file. The key directory maps each live key to
+/// its value's length and the log extents (offset, length) that hold it, in
+/// order: a put records one extent, and an append, whose record holds only
+/// the suffix, adds one more, so growing a value leaves no dead bytes
+/// behind. Deletes append a tombstone. Get reads the extents with pread on
+/// a read-only descriptor, outside the store's lock; it flushes the write
+/// buffer first only when the value's bytes are not yet in the file.
+/// Compact() rewrites the log dropping dead records (each value becomes one
+/// put) and swaps in a descriptor on the new file; a Get racing it finishes
+/// on the old, renamed-over file. With LogKvOptions::compact_dead_fraction
+/// set, compaction also triggers automatically once dead bytes dominate.
 class LogKvStore final : public KvStore {
  public:
-  /// Opens (or creates) the log at `path` and replays it.
+  /// Replay reads the log through a buffer of this size, so opening a
+  /// store holds this much of the log in memory, not all of it.
+  static constexpr size_t kReplayBufferBytes = size_t{1} << 20;
+
+  /// Opens (or creates) the log at `path` and replays it into the key
+  /// directory.
   static Result<std::unique_ptr<LogKvStore>> Open(const std::string& path,
                                                   LogKvOptions options = {});
 
@@ -49,16 +62,18 @@ class LogKvStore final : public KvStore {
                         BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
+  /// Reads every value from the log under the store's lock, so a scan is
+  /// an atomic snapshot that no write or Compact() interleaves with.
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
 
   /// Rewrite the log keeping only live records. Returns bytes reclaimed.
   Result<size_t> Compact();
 
-  /// Flush buffered writes to the OS. Group-committed: appends carry a
-  /// sequence number, and a Sync whose appends were already covered by a
-  /// concurrent caller's flush returns without touching the file — N
-  /// ingest threads share one flush per batch window.
+  /// Flush buffered writes to the OS. Group-committed: a Sync whose
+  /// appends were already covered by a concurrent caller's flush (or a Get
+  /// that had to read them) returns without touching the file — N ingest
+  /// threads share one flush per batch window.
   TC_BLOCKING Status Sync() override;
 
   /// Dead (overwritten/tombstoned) value bytes awaiting compaction.
@@ -70,15 +85,48 @@ class LogKvStore final : public KvStore {
   CompactionStats Compaction() const override;
 
  private:
+  /// `length` bytes of a value at log offset `offset`.
+  struct Extent {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+  /// A live key: its value's length and, in order, the extents holding it.
+  /// An empty value has no extents.
+  struct Entry {
+    uint64_t size = 0;
+    std::vector<Extent> extents;
+  };
+  using Directory = std::unordered_map<std::string, Entry>;
+  /// A read-only descriptor on one log file, closed by its last holder.
+  class ReadFile;
+
   LogKvStore(std::string path, LogKvOptions options);
+
+  /// The entry of a value held in one place: a put record's value.
+  static Entry WholeValue(uint64_t offset, uint64_t size);
+  /// Read `extents` (in log order, totalling the size of `out`) from
+  /// `file` into `out`. Extents a small gap apart share one pread.
+  static Status ReadValue(const ReadFile& file,
+                          const std::vector<Extent>& extents, Bytes& out);
+
+  /// Directory and byte accounting for a put, an append and a delete
+  /// whose records are in the log; shared by the write paths and Replay.
+  void ApplyPut(const std::string& key, uint64_t offset, uint64_t size)
+      REQUIRES(mu_);
+  void ApplyAppend(Entry& entry, uint64_t offset, uint64_t length)
+      REQUIRES(mu_);
+  void ApplyDelete(Directory::iterator it) REQUIRES(mu_);
 
   Status Replay() REQUIRES(mu_);
   /// Drop a torn tail discovered during replay (crash-recovery path).
   Status TruncateTo(size_t size);
   /// `type` is one of the record types in log_kv.cpp; tombstones carry no
-  /// value.
-  Status AppendRecord(uint8_t type, const std::string& key, BytesView value)
-      REQUIRES(mu_);
+  /// value. Returns the log offset at which the value's bytes start.
+  Result<uint64_t> AppendRecord(uint8_t type, const std::string& key,
+                                BytesView value) REQUIRES(mu_);
+  /// Make the log's bytes up to offset `end` readable through the file:
+  /// flush the write buffer unless an earlier flush already covered them.
+  Status FlushThrough(uint64_t end) const REQUIRES(mu_);
   /// Compact() body.
   Result<size_t> CompactLocked() REQUIRES(mu_);
   /// Run CompactLocked() if the dead-byte threshold is crossed.
@@ -88,18 +136,19 @@ class LogKvStore final : public KvStore {
   LogKvOptions options_;
   mutable Mutex mu_;
   std::FILE* log_ GUARDED_BY(mu_) = nullptr;
-  std::unordered_map<std::string, Bytes> map_ GUARDED_BY(mu_);
+  std::shared_ptr<const ReadFile> reader_ GUARDED_BY(mu_);
+  Directory dir_ GUARDED_BY(mu_);
   size_t value_bytes_ GUARDED_BY(mu_) = 0;
   size_t dead_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t compactions_ GUARDED_BY(mu_) = 0;
   // After a failed auto-compaction, don't retry until dead bytes reach
   // this level (0 = no backoff; reset by any successful compaction).
   size_t compact_backoff_dead_bytes_ GUARDED_BY(mu_) = 0;
-  // Group-commit bookkeeping: records appended vs records covered by the
-  // last flush. Sync() is a no-op when another caller already flushed past
-  // our appends.
-  uint64_t append_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t flushed_seq_ GUARDED_BY(mu_) = 0;
+  // Log size counting records still in the write buffer, and the prefix of
+  // it known to be in the file. Sync() and FlushThrough() skip the flush
+  // when another caller's already covered what they need (group commit).
+  uint64_t log_end_ GUARDED_BY(mu_) = 0;
+  mutable uint64_t flushed_end_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tc::store

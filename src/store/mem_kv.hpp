@@ -1,5 +1,6 @@
-// Sharded in-memory KV store: the default storage engine (stands in for the
-// paper's Cassandra deployment; see DESIGN.md substitution #1).
+// Sharded in-memory KV store: the default storage engine. It stands in for
+// the paper's Cassandra deployment, which a single process cannot run;
+// LogKvStore is the durable alternative.
 #pragma once
 
 #include <array>

@@ -4,6 +4,7 @@
 // Scan interactions with replication catch-up.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -612,15 +613,228 @@ TEST_F(LogKvTest, CompactThenReplayYieldsTheSameMap) {
 
   ASSERT_TRUE((*kv)->Compact().ok());
   EXPECT_EQ(ScanAll(**kv), before);
+  // Get reads the rewritten log through the descriptor Compact swapped in.
+  for (const auto& [key, value] : before) {
+    EXPECT_EQ(ToString(*(*kv)->Get(key)), value) << key;
+  }
   // Appends keep working on merged values after the rewrite.
   ASSERT_TRUE((*kv)->Append("n7", 16, ToBytes("e8")).ok());
   before["n7"] += "e8";
+  EXPECT_EQ(ToString(*(*kv)->Get("n7")), before["n7"]);
   ASSERT_TRUE((*kv)->Sync().ok());
   kv->reset();
 
   auto reopened = LogKvStore::Open(path_.string());
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(ScanAll(**reopened), before);
+}
+
+TEST_F(LogKvTest, GetSeesPutsAndAppendsBeforeAnySync) {
+  // Records sit in the write buffer until a flush; Get must flush them
+  // itself before it reads the file.
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->Put("empty", {}).ok());
+  EXPECT_TRUE((*kv)->Get("empty")->empty());
+  ASSERT_TRUE((*kv)->Put("k", ToBytes("ab")).ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("k")), "ab");
+  ASSERT_TRUE((*kv)->Append("k", 2, ToBytes("cd")).ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("k")), "abcd");
+  ASSERT_TRUE((*kv)->Put("k", ToBytes("new")).ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("k")), "new");
+  // The flush the last Get made counts for Sync's group commit: the file
+  // already holds every record.
+  auto size = std::filesystem::file_size(path_);
+  ASSERT_TRUE((*kv)->Sync().ok());
+  EXPECT_EQ(std::filesystem::file_size(path_), size);
+}
+
+TEST_F(LogKvTest, ValueOf64InterleavedAppendsReadsBackAfterReopen) {
+  // An index node's shape: one put, then 63 appends with other records in
+  // between. Most gaps are small; every 16th is a value longer than the
+  // gap a single read spans, so the node is read in several runs.
+  Bytes expected = Bytes(40, 0);
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("node", expected).ok());
+    for (uint8_t e = 1; e < 64; ++e) {
+      size_t filler = e % 16 == 0 ? 3 * 4096 : 100;
+      ASSERT_TRUE(
+          (*kv)->Put("chunk/" + std::to_string(e), Bytes(filler, 0xee)).ok());
+      ASSERT_TRUE((*kv)->Append("node", expected.size(), Bytes(40, e)).ok());
+      Append(expected, Bytes(40, e));
+    }
+    EXPECT_EQ(*(*kv)->Get("node"), expected);
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(*(*kv)->Get("node"), expected);
+  EXPECT_EQ(*(*kv)->Get("chunk/16"), Bytes(3 * 4096, 0xee));
+  EXPECT_EQ((*kv)->ValueBytes(), 64u * 40u + 60u * 100u + 3u * 3u * 4096u);
+}
+
+TEST_F(LogKvTest, GetsRacingPutsAndCompactionsSeeWholeValues) {
+  // Readers copy a value's extents under the lock and read the file
+  // without it, while the writer overwrites, appends and compacts. Every
+  // value read must be one the store held: "k" is Bytes(n, n % 251) for
+  // some n, and "node" is blocks of 8 bytes, block b holding b.
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  LogKvStore& store = **kv;
+  ASSERT_TRUE(store.Put("k", Bytes(1, 1)).ok());
+  ASSERT_TRUE(store.Put("node", Bytes(8, 0)).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        auto k = store.Get("k");
+        auto node = store.Get("node");
+        if (!k.ok() || !node.ok() || k->empty() || node->size() % 8 != 0) {
+          ++bad;
+          continue;
+        }
+        for (uint8_t byte : *k) {
+          if (byte != k->size() % 251) ++bad;
+        }
+        for (size_t i = 0; i < node->size(); ++i) {
+          if ((*node)[i] != static_cast<uint8_t>(i / 8)) ++bad;
+        }
+      }
+    });
+  }
+  auto write = [&] {
+    size_t blocks = 1;
+    for (size_t i = 2; i < 400; ++i) {
+      ASSERT_TRUE(
+          store.Put("k", Bytes(i, static_cast<uint8_t>(i % 251))).ok());
+      if (blocks == 32) {
+        ASSERT_TRUE(store.Put("node", Bytes(8, 0)).ok());
+        blocks = 1;
+      } else {
+        ASSERT_TRUE(store
+                        .Append("node", blocks * 8,
+                                Bytes(8, static_cast<uint8_t>(blocks)))
+                        .ok());
+        ++blocks;
+      }
+      if (i % 25 == 0) ASSERT_TRUE(store.Compact().ok());
+    }
+  };
+  write();
+  done = true;
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(store.CompactionCount(), 15u);
+}
+
+TEST_F(LogKvTest, LogWrittenByTheDirectoryFreeStoreReplays) {
+  // Byte for byte what the store wrote before it kept a key directory,
+  // when it held every value in memory: put node="n0", put chunk/0,
+  // append node "n1", put chunk/1, append node "n2", put empty="",
+  // put over="old value", append over "+tail", put over="new",
+  // append over "!", put gone="bye", delete gone, append node "n3".
+  WriteFile(path_,
+            Bytes{0x01, 0x04, 'n', 'o', 'd', 'e', 0x02, 'n', '0', 0x01, 0x07,
+                  'c', 'h', 'u', 'n', 'k', '/', '0', 0x09, 'p', 'a', 'y', 'l',
+                  'o', 'a', 'd', '-', '0', 0x03, 0x04, 'n', 'o', 'd', 'e',
+                  0x02, 'n', '1', 0x01, 0x07, 'c', 'h', 'u', 'n', 'k', '/',
+                  '1', 0x09, 'p', 'a', 'y', 'l', 'o', 'a', 'd', '-', '1',
+                  0x03, 0x04, 'n', 'o', 'd', 'e', 0x02, 'n', '2', 0x01, 0x05,
+                  'e', 'm', 'p', 't', 'y', 0x00, 0x01, 0x04, 'o', 'v', 'e',
+                  'r', 0x09, 'o', 'l', 'd', ' ', 'v', 'a', 'l', 'u', 'e',
+                  0x03, 0x04, 'o', 'v', 'e', 'r', 0x05, '+', 't', 'a', 'i',
+                  'l', 0x01, 0x04, 'o', 'v', 'e', 'r', 0x03, 'n', 'e', 'w',
+                  0x03, 0x04, 'o', 'v', 'e', 'r', 0x01, '!', 0x01, 0x04, 'g',
+                  'o', 'n', 'e', 0x03, 'b', 'y', 'e', 0x02, 0x04, 'g', 'o',
+                  'n', 'e', 0x03, 0x04, 'n', 'o', 'd', 'e', 0x02, 'n', '3'});
+  // What that store answered after writing it.
+  const std::map<std::string, std::string> expected = {
+      {"chunk/0", "payload-0"}, {"chunk/1", "payload-1"}, {"empty", ""},
+      {"node", "n0n1n2n3"},     {"over", "new!"}};
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(ScanAll(**kv), expected);
+  for (const auto& [key, value] : expected) {
+    EXPECT_EQ(ToString(*(*kv)->Get(key)), value) << key;
+  }
+  EXPECT_FALSE((*kv)->Contains("gone"));
+  EXPECT_EQ((*kv)->Size(), 5u);
+  EXPECT_EQ((*kv)->ValueBytes(), 30u);
+  EXPECT_EQ((*kv)->DeadBytes(), 17u);
+}
+
+// Replay reads the log through a buffer of LogKvStore::kReplayBufferBytes.
+// These logs hold 60-byte puts ("k" + 6 digits, 50 value bytes), so record
+// kStraddler starts 16 bytes before the buffer's end and ends past it.
+constexpr size_t kRecordBytes = 60;
+constexpr size_t kStraddler = LogKvStore::kReplayBufferBytes / kRecordBytes;
+
+std::string RecordKey(size_t i) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "k%06zu", i);
+  return key;
+}
+
+Bytes RecordValue(size_t i) { return Bytes(50, static_cast<uint8_t>(i % 251)); }
+
+TEST_F(LogKvTest, RecordsAcrossReplayBufferBoundariesReplay) {
+  constexpr size_t kRecords = kStraddler + 10;
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    for (size_t i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE((*kv)->Put(RecordKey(i), RecordValue(i)).ok());
+    }
+    ASSERT_TRUE((*kv)->Sync().ok());
+    ASSERT_EQ(std::filesystem::file_size(path_), kRecords * kRecordBytes);
+    // A value longer than the buffer, then more small records after it.
+    ASSERT_TRUE(
+        (*kv)->Put("big", Bytes(LogKvStore::kReplayBufferBytes + 7, 0xb1))
+            .ok());
+    ASSERT_TRUE((*kv)->Put("after", ToBytes("tail")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ((*kv)->Size(), kRecords + 2);
+  for (size_t i : {size_t{0}, kStraddler - 1, kStraddler, kRecords - 1}) {
+    EXPECT_EQ(*(*kv)->Get(RecordKey(i)), RecordValue(i)) << i;
+  }
+  EXPECT_EQ(*(*kv)->Get("big"),
+            Bytes(LogKvStore::kReplayBufferBytes + 7, 0xb1));
+  EXPECT_EQ(ToString(*(*kv)->Get("after")), "tail");
+}
+
+TEST_F(LogKvTest, TornTailJustPastTheReplayBufferIsTruncated) {
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    for (size_t i = 0; i < kStraddler + 10; ++i) {
+      ASSERT_TRUE((*kv)->Put(RecordKey(i), RecordValue(i)).ok());
+    }
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  // Crash 3 bytes into the second buffer: the straddling record is torn.
+  std::filesystem::resize_file(path_, LogKvStore::kReplayBufferBytes + 3);
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    EXPECT_EQ((*kv)->Size(), kStraddler);
+    EXPECT_EQ(*(*kv)->Get(RecordKey(kStraddler - 1)),
+              RecordValue(kStraddler - 1));
+    EXPECT_FALSE((*kv)->Contains(RecordKey(kStraddler)));
+    EXPECT_EQ(std::filesystem::file_size(path_), kStraddler * kRecordBytes);
+    ASSERT_TRUE((*kv)->Put("next", ToBytes("kept")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ((*kv)->Size(), kStraddler + 1);
+  EXPECT_EQ(ToString(*(*kv)->Get("next")), "kept");
 }
 
 TEST(LruCacheTest, AppendGrowsACachedValueInPlace) {

@@ -61,7 +61,10 @@ void Usage() {
       "\n"
       "flags:\n"
       "  --port N        TCP port to listen on (default 4433; 0 = ephemeral)\n"
-      "  --store KIND    mem | log (default mem)\n"
+      "  --store KIND    mem | log (default mem); mem holds every value in\n"
+      "                  memory, log keeps values in the log file, so the\n"
+      "                  server's memory is the log's key directory plus\n"
+      "                  the index cache (--cache-mb)\n"
       "  --path FILE     log-store path (default ./timecrypt.log); with\n"
       "                  --shards N > 1, shard i logs to FILE.shard<i>;\n"
       "                  replica j of shard i logs to FILE.shard<i>.r<j>\n"
