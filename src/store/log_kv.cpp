@@ -23,9 +23,12 @@ constexpr uint8_t kRecordAppend = 3;  // value = suffix of the key's value
 
 constexpr size_t kMaxVarintBytes = 10;
 /// A Get reads two extents with one pread when at most this many bytes of
-/// other records lie between them: copying a page costs less than another
-/// syscall. The entries of an index node, appended one per chunk, sit this
-/// close.
+/// other records lie between them, about where copying the gap out of the
+/// page cache costs as much as one more pread. The gaps between an index
+/// node's entries, appended one per chunk, are the records every stream
+/// of the shard wrote meanwhile: with one stream ingesting they are the
+/// chunk records alone and a node is one read; with a dozen or more
+/// streams interleaving, a node costs up to one read per entry.
 constexpr uint64_t kMaxReadGap = 4096;
 
 /// Process-wide log-store op counters (all LogKvStore instances sum into
@@ -129,13 +132,18 @@ void LogKvStore::ApplyPut(const std::string& key, uint64_t offset,
   if (!inserted) {
     dead_bytes_ += it->second.size;
     value_bytes_ -= it->second.size;
+    extent_count_ -= it->second.extents.size();
   }
   it->second = WholeValue(offset, size);
   value_bytes_ += size;
+  extent_count_ += it->second.extents.size();
 }
 
 void LogKvStore::ApplyAppend(Entry& entry, uint64_t offset, uint64_t length) {
-  if (length > 0) entry.extents.push_back({offset, length});
+  if (length > 0) {
+    entry.extents.push_back({offset, length});
+    ++extent_count_;
+  }
   entry.size += length;
   value_bytes_ += length;
 }
@@ -143,6 +151,7 @@ void LogKvStore::ApplyAppend(Entry& entry, uint64_t offset, uint64_t length) {
 void LogKvStore::ApplyDelete(Directory::iterator it) {
   dead_bytes_ += it->second.size;
   value_bytes_ -= it->second.size;
+  extent_count_ -= it->second.extents.size();
   dir_.erase(it);
 }
 
@@ -246,9 +255,15 @@ Result<uint64_t> LogKvStore::AppendRecord(uint8_t type,
     // Part of the record may have reached the file, so the offset of the
     // next one is unknown and the directory could not point at it. Refuse
     // writes until a compaction rewrites the log or the store reopens.
-    std::fclose(log_);
+    // Earlier records still in the write buffer may have failed with this
+    // one, and stdio can drop a buffer whose write failed, so fclose's
+    // result alone does not show they reached the file. The file's size
+    // does: it holds them all only if it reaches log_end_. If it does not,
+    // Sync and any Get of their keys fail from here on.
+    bool closed = std::fclose(log_) == 0;
     log_ = nullptr;
-    flushed_end_ = log_end_;
+    auto size = reader_->Size();
+    if (closed && size.ok() && *size >= log_end_) flushed_end_ = log_end_;
     return Unavailable("log append failed: " + path_);
   }
   uint64_t value_at = log_end_ + w.size() - value.size();
@@ -257,14 +272,17 @@ Result<uint64_t> LogKvStore::AppendRecord(uint8_t type,
 }
 
 Status LogKvStore::FlushThrough(uint64_t end) const {
-  if (end <= flushed_end_ || log_ == nullptr) return Status::Ok();
+  if (end <= flushed_end_) return Status::Ok();
+  if (log_ == nullptr) {
+    return Unavailable("log records lost with a failed write: " + path_);
+  }
   if (std::fflush(log_) != 0) return Unavailable("fflush failed: " + path_);
   flushed_end_ = log_end_;
   return Status::Ok();
 }
 
 Status LogKvStore::ReadValue(const ReadFile& file,
-                             const std::vector<Extent>& extents, Bytes& out) {
+                             std::span<const Extent> extents, Bytes& out) {
   uint8_t* dst = out.data();
   for (size_t i = 0; i < extents.size();) {
     // One read covers a run of extents that each start at most kMaxReadGap
@@ -395,13 +413,39 @@ size_t LogKvStore::ValueBytes() const {
 
 Status LogKvStore::Scan(
     const std::function<void(const std::string&, BytesView)>& fn) const {
-  MutexLock lock(mu_);
-  TC_RETURN_IF_ERROR(FlushThrough(log_end_));
+  // The directory and descriptor as of one instant, the extents of all
+  // values in one array; as in Get, the values are read without the lock.
+  struct Item {
+    std::string key;
+    uint64_t size;
+    size_t extents_end;  // items[i]'s extents end where items[i + 1]'s start
+  };
+  std::vector<Item> items;
+  std::vector<Extent> extents;
+  std::shared_ptr<const ReadFile> file;
+  {
+    MutexLock lock(mu_);
+    TC_RETURN_IF_ERROR(FlushThrough(log_end_));
+    items.reserve(dir_.size());
+    extents.reserve(extent_count_);
+    for (const auto& [key, entry] : dir_) {
+      extents.insert(extents.end(), entry.extents.begin(),
+                     entry.extents.end());
+      items.push_back({key, entry.size, extents.size()});
+    }
+    file = reader_;
+  }
   Bytes value;
-  for (const auto& [key, entry] : dir_) {
-    value.resize(entry.size);
-    TC_RETURN_IF_ERROR(ReadValue(*reader_, entry.extents, value));
-    fn(key, value);
+  size_t extents_begin = 0;
+  for (const auto& item : items) {
+    value.resize(item.size);
+    TC_RETURN_IF_ERROR(ReadValue(
+        *file,
+        std::span(extents).subspan(extents_begin,
+                                   item.extents_end - extents_begin),
+        value));
+    extents_begin = item.extents_end;
+    fn(item.key, value);
   }
   return Status::Ok();
 }
@@ -461,7 +505,11 @@ Result<size_t> LogKvStore::CompactLocked() {
     return Unavailable("compaction rename failed");
   }
   size_t i = 0;
-  for (auto& [key, entry] : dir_) entry = WholeValue(offsets[i++], entry.size);
+  extent_count_ = 0;
+  for (auto& [key, entry] : dir_) {
+    entry = WholeValue(offsets[i++], entry.size);
+    extent_count_ += entry.extents.size();
+  }
   // A Get that copied the old descriptor finishes on the old file.
   reader_ = std::move(*reader);
   log_end_ = flushed_end_ = tmp_end;

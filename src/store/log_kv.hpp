@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,8 +63,9 @@ class LogKvStore final : public KvStore {
                         BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
-  /// Reads every value from the log under the store's lock, so a scan is
-  /// an atomic snapshot that no write or Compact() interleaves with.
+  /// Copies the key directory under the store's lock, then reads the
+  /// values from the log without it, so a scan is an atomic snapshot that
+  /// blocks writes only for the copy.
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
 
@@ -107,7 +109,7 @@ class LogKvStore final : public KvStore {
   /// Read `extents` (in log order, totalling the size of `out`) from
   /// `file` into `out`. Extents a small gap apart share one pread.
   static Status ReadValue(const ReadFile& file,
-                          const std::vector<Extent>& extents, Bytes& out);
+                          std::span<const Extent> extents, Bytes& out);
 
   /// Directory and byte accounting for a put, an append and a delete
   /// whose records are in the log; shared by the write paths and Replay.
@@ -126,6 +128,7 @@ class LogKvStore final : public KvStore {
                                 BytesView value) REQUIRES(mu_);
   /// Make the log's bytes up to offset `end` readable through the file:
   /// flush the write buffer unless an earlier flush already covered them.
+  /// Unavailable if they were lost with a failed append (see AppendRecord).
   Status FlushThrough(uint64_t end) const REQUIRES(mu_);
   /// Compact() body.
   Result<size_t> CompactLocked() REQUIRES(mu_);
@@ -140,6 +143,9 @@ class LogKvStore final : public KvStore {
   Directory dir_ GUARDED_BY(mu_);
   size_t value_bytes_ GUARDED_BY(mu_) = 0;
   size_t dead_bytes_ GUARDED_BY(mu_) = 0;
+  // Extents across the directory: Scan's snapshot copies them into one
+  // array of this size.
+  size_t extent_count_ GUARDED_BY(mu_) = 0;
   uint64_t compactions_ GUARDED_BY(mu_) = 0;
   // After a failed auto-compaction, don't retry until dead bytes reach
   // this level (0 = no backoff; reset by any successful compaction).

@@ -4,7 +4,10 @@
 // Scan interactions with replication catch-up.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -835,6 +838,90 @@ TEST_F(LogKvTest, TornTailJustPastTheReplayBufferIsTruncated) {
   ASSERT_TRUE(kv.ok());
   EXPECT_EQ((*kv)->Size(), kStraddler + 1);
   EXPECT_EQ(ToString(*(*kv)->Get("next")), "kept");
+}
+
+TEST(LogKvFailureTest, RecordsLostWithAFailedWriteFailSyncAndGet) {
+  // Every write to /dev/full fails with ENOSPC. The first put fits in the
+  // write buffer and succeeds; the second is larger than the buffer, so its
+  // write fails and takes the first put's buffered bytes with it. Sync and
+  // a Get of the first key must report that, not succeed. (No Compact here:
+  // it would write /dev/full.compact and rename it over the device.)
+  if (!std::filesystem::is_character_file("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  auto kv = LogKvStore::Open("/dev/full");
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->Put("buffered", ToBytes("never written")).ok());
+  EXPECT_FALSE((*kv)->Put("big", Bytes(64 << 10, 0xbb)).ok());
+  EXPECT_FALSE((*kv)->Sync().ok());
+  EXPECT_FALSE((*kv)->Get("buffered").ok());
+  EXPECT_FALSE((*kv)->Sync().ok());
+  EXPECT_FALSE((*kv)->Put("later", ToBytes("x")).ok());
+}
+
+TEST_F(LogKvTest, FailedWriteKeepsRecordsThatReachedTheFile) {
+  // A file size limit a little past the synced log: the buffered put and
+  // the start of the big one reach the file, then the write fails with
+  // EFBIG. The buffered put is in the file, so Sync and Get succeed;
+  // writes are refused until a compaction rewrites the log.
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->Put("synced", ToBytes("s")).ok());
+  ASSERT_TRUE((*kv)->Sync().ok());
+  ASSERT_TRUE((*kv)->Put("buffered", ToBytes("b")).ok());
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = std::filesystem::file_size(path_) + 64;
+  auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Status big = (*kv)->Put("big", Bytes(64 << 10, 0xbb));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(big.ok());
+  EXPECT_TRUE((*kv)->Sync().ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("buffered")), "b");
+  EXPECT_FALSE((*kv)->Contains("big"));
+  EXPECT_FALSE((*kv)->Put("refused", ToBytes("r")).ok());
+  ASSERT_TRUE((*kv)->Compact().ok());
+  ASSERT_TRUE((*kv)->Put("after", ToBytes("a")).ok());
+  ASSERT_TRUE((*kv)->Sync().ok());
+  kv->reset();
+
+  auto reopened = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(reopened.ok());
+  const std::map<std::string, std::string> expected = {
+      {"after", "a"}, {"buffered", "b"}, {"synced", "s"}};
+  EXPECT_EQ(ScanAll(**reopened), expected);
+}
+
+TEST_F(LogKvTest, ScanCallbackMayWriteToTheStore) {
+  // Scan reads values without the store's lock, from the directory as it
+  // was when the scan began: writes made by the callback neither deadlock
+  // nor show up in the scan.
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*kv)
+                    ->Put("k" + std::to_string(i),
+                          Bytes(100, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+  size_t seen = 0;
+  ASSERT_TRUE((*kv)
+                  ->Scan([&](const std::string& key, BytesView value) {
+                    EXPECT_EQ(value.size(), 100u);
+                    ++seen;
+                    ASSERT_TRUE((*kv)->Put(key, Bytes(7, 0)).ok());
+                    ASSERT_TRUE((*kv)->Put("new/" + key, {}).ok());
+                    ASSERT_TRUE((*kv)->Compact().ok());
+                  })
+                  .ok());
+  EXPECT_EQ(seen, 20u);
+  EXPECT_EQ((*kv)->Size(), 40u);
+  EXPECT_EQ(*(*kv)->Get("k3"), Bytes(7, 0));
 }
 
 TEST(LruCacheTest, AppendGrowsACachedValueInPlace) {
