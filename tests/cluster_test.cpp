@@ -14,6 +14,8 @@
 #include "client/owner.hpp"
 #include "cluster/shard_router.hpp"
 #include "net/tcp.hpp"
+#include "replica/follower_daemon.hpp"
+#include "replica/replica_set.hpp"
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
@@ -647,6 +649,165 @@ TEST(ShardRouter, PrefixViewsIsolateShardNamespaces) {
   EXPECT_TRUE(b.Contains("k"));
   EXPECT_EQ(backend->Size(), 1u);
   EXPECT_TRUE(a.Sync().ok());
+}
+
+
+// ----------------------------------------------------------------------
+// Per-frame-type routing, pinned for every type byte: each MessageType, the
+// reserved bytes 22 and 23, and one byte far outside the enum. The expected
+// sets below are written out independently of the servers' own dispatch.
+
+using net::MessageType;
+
+std::vector<uint8_t> TypeBytes() {
+  std::vector<uint8_t> bytes;
+  for (int b = 0; b <= static_cast<int>(MessageType::kEventsInfo); ++b) {
+    bytes.push_back(static_cast<uint8_t>(b));
+  }
+  bytes.push_back(0xEE);
+  return bytes;
+}
+
+/// Served by a caught-up replica. Key-store reads (grants, envelopes,
+/// attestations) stay on primaries: replica engines do not refresh
+/// key-store state.
+bool ReplicaRead(MessageType type) {
+  static const std::set<MessageType> types = {
+      MessageType::kGetRange,          MessageType::kGetStatRange,
+      MessageType::kGetStatSeries,     MessageType::kGetStreamInfo,
+      MessageType::kGetChunkWitnessed, MessageType::kMultiStatRange,
+  };
+  return types.contains(type);
+}
+
+bool ReplicationFrame(MessageType type) {
+  static const std::set<MessageType> types = {
+      MessageType::kReplicaHello,         MessageType::kReplicaSnapshotBegin,
+      MessageType::kReplicaSnapshotChunk, MessageType::kReplicaSnapshotEnd,
+      MessageType::kReplicaHeartbeat,     MessageType::kReplicaOps,
+  };
+  return types.contains(type);
+}
+
+/// Not a request any serving stack answers: responses, replication frames
+/// (a follower endpoint's business) and bytes outside the enum.
+bool NotARequest(MessageType type) {
+  auto byte = static_cast<uint8_t>(type);
+  return type == MessageType::kResponse || ReplicationFrame(type) ||
+         byte == 22 || byte == 23 ||
+         byte > static_cast<uint8_t>(MessageType::kEventsInfo);
+}
+
+bool IsUnknownTypeError(const Result<Bytes>& result) {
+  return !result.ok() &&
+         result.status().code() == StatusCode::kInvalidArgument &&
+         result.status().message() == "unknown message type";
+}
+
+/// A well-formed request body for the reads (so a replica can answer them)
+/// and the introspection frames; every other type gets a body naming a
+/// stream that does not exist, so a write routed by it fails harmlessly.
+Bytes RequestBody(MessageType type, uint64_t uuid) {
+  const TimeRange all{0, 4 * kDelta};
+  switch (type) {
+    case MessageType::kGetRange: return net::GetRangeRequest{uuid, all}.Encode();
+    case MessageType::kGetStatRange:
+      return net::StatRangeRequest{uuid, all}.Encode();
+    case MessageType::kGetStatSeries:
+      return net::StatSeriesRequest{uuid, all, 2}.Encode();
+    case MessageType::kGetStreamInfo:
+      return net::DeleteStreamRequest{uuid}.Encode();
+    case MessageType::kGetChunkWitnessed:
+      return net::GetChunkWitnessedRequest{uuid, 0, 2, 0}.Encode();
+    case MessageType::kMultiStatRange:
+      return net::MultiStatRangeRequest{{uuid}, all}.Encode();
+    case MessageType::kTraceInfo: return net::TraceInfoRequest{}.Encode();
+    case MessageType::kEventsInfo: return net::EventsInfoRequest{}.Encode();
+    default: break;
+  }
+  BinaryWriter w;
+  w.PutU64(0xDEAD);
+  return std::move(w).Take();
+}
+
+net::StreamConfig WitnessedConfig(const std::string& name) {
+  auto c = HeacConfig(name);
+  c.integrity = true;
+  return c;
+}
+
+TEST(FrameRouting, RouterSendsExactlyTheReplicaReadsToACaughtUpReplica) {
+  auto backend = std::make_shared<store::MemKvStore>();
+  auto set = replica::ReplicaSet::Make(
+      std::make_shared<store::PrefixKvStore>(backend, "p/"),
+      {std::make_shared<store::PrefixKvStore>(backend, "r/")}, {}, {});
+  auto router = std::make_shared<ShardRouter>(
+      std::vector<std::shared_ptr<replica::ReplicaSet>>{set});
+  OwnerClient owner(std::make_shared<net::InProcTransport>(router));
+  auto uuid = owner.CreateStream(WitnessedConfig("routed"));
+  ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+  ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 4).ok());
+  ASSERT_TRUE(set->WaitCaughtUp().ok());
+
+  for (uint8_t byte : TypeBytes()) {
+    auto type = static_cast<MessageType>(byte);
+    uint64_t replica_before = set->replica_reads();
+    uint64_t primary_before = set->primary_reads();
+    auto result = router->Handle(type, RequestBody(type, *uuid));
+    if (ReplicaRead(type)) {
+      EXPECT_TRUE(result.ok())
+          << "type byte " << int{byte} << ": " << result.status().ToString();
+    }
+    EXPECT_EQ(set->replica_reads() - replica_before, ReplicaRead(type) ? 1u : 0u)
+        << "type byte " << int{byte};
+    EXPECT_EQ(set->primary_reads(), primary_before) << "type byte " << int{byte};
+    EXPECT_EQ(IsUnknownTypeError(result), NotARequest(type))
+        << "type byte " << int{byte} << ": " << result.status().ToString();
+  }
+}
+
+TEST(FrameRouting, EngineRejectsExactlyTheNonRequestTypes) {
+  server::ServerEngine engine(std::make_shared<store::MemKvStore>());
+  for (uint8_t byte : TypeBytes()) {
+    auto type = static_cast<MessageType>(byte);
+    auto result = engine.Handle(type, RequestBody(type, 0xDEAD));
+    EXPECT_EQ(IsUnknownTypeError(result), NotARequest(type))
+        << "type byte " << int{byte} << ": " << result.status().ToString();
+  }
+}
+
+TEST(FrameRouting, FollowingDaemonServesReplicaReadsAndDefersTheRest) {
+  auto kv = std::make_shared<store::MemKvStore>();
+  uint64_t uuid = 0;
+  {
+    OwnerClient owner(std::make_shared<net::InProcTransport>(
+        std::make_shared<server::ServerEngine>(kv)));
+    auto created = owner.CreateStream(WitnessedConfig("followed"));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    uuid = *created;
+    ASSERT_TRUE(IngestChunks(owner, uuid, 0, 4).ok());
+  }
+  replica::FollowerDaemon daemon({kv}, {});
+  const std::set<MessageType> answered_by_any_server = {
+      MessageType::kPing,        MessageType::kClusterInfo,
+      MessageType::kMetricsInfo, MessageType::kTraceInfo,
+      MessageType::kEventsInfo,
+  };
+  for (uint8_t byte : TypeBytes()) {
+    auto type = static_cast<MessageType>(byte);
+    auto result = daemon.Handle(type, RequestBody(type, uuid));
+    if (ReplicaRead(type) || answered_by_any_server.contains(type)) {
+      EXPECT_TRUE(result.ok())
+          << "type byte " << int{byte} << ": " << result.status().ToString();
+    } else if (type == MessageType::kReplicaHello) {
+      EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    } else if (!ReplicationFrame(type)) {
+      // Writes, key-store reads, responses and unknown bytes all need the
+      // primary.
+      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+          << "type byte " << int{byte} << ": " << result.status().ToString();
+    }
+  }
 }
 
 }  // namespace
