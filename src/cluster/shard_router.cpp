@@ -6,6 +6,7 @@
 #include "common/metrics.hpp"
 #include "common/time.hpp"
 #include "common/trace.hpp"
+#include "net/introspection.hpp"
 #include "net/messages.hpp"
 
 namespace tc::cluster {
@@ -41,22 +42,12 @@ std::vector<std::shared_ptr<replica::ReplicaSet>> WrapEngines(
   return sets;
 }
 
-/// True when a shard may serve `type` from a caught-up replica instead of
-/// its primary. Mirrors the read-only routing in ShardRouter::Handle —
-/// grants/envelopes/attestations stay on primaries (replica engines do not
-/// refresh key-store state), and Ping/FetchGrants probe primaries.
-bool ReplicaServable(MessageType type) {
-  switch (type) {
-    case MessageType::kGetRange:
-    case MessageType::kGetStatRange:
-    case MessageType::kGetStatSeries:
-    case MessageType::kGetStreamInfo:
-    case MessageType::kGetChunkWitnessed:
-    case MessageType::kMultiStatRange:
-      return true;
-    default:
-      return false;
-  }
+/// One shard's answer: replica reads from a caught-up replica (primary
+/// fallback inside the set), everything else from the primary.
+Result<Bytes> ShardHandle(replica::ReplicaSet& set, MessageType type,
+                          BytesView body) {
+  return net::FrameType(type).replica_read ? set.HandleRead(type, body)
+                                           : set.Handle(type, body);
 }
 
 /// In-process shard channel: net::Transport over one shard's ReplicaSet,
@@ -81,8 +72,7 @@ class LocalShardChannel final : public net::Transport {
     exec_->Submit([set = set_, completer, type, copy = std::move(copy),
                    ctx] {
       metrics::SetCurrentTraceContext(ctx);
-      completer.Complete(ReplicaServable(type) ? set->HandleRead(type, copy)
-                                               : set->Handle(type, copy));
+      completer.Complete(ShardHandle(*set, type, copy));
       metrics::SetCurrentTraceContext({});
     });
     return completer.pending();
@@ -176,66 +166,37 @@ Result<Bytes> ShardRouter::Handle(MessageType type, BytesView body) {
   metrics::TraceSpan span("router_dispatch", &route_hist,
                           metrics::TraceSpan::kNoShard,
                           static_cast<uint8_t>(type));
+  const net::FrameTypeInfo& info = net::FrameType(type);
+  if (info.route == net::Route::kStream) {
+    // The body starts with the owning stream's uuid: route to its shard.
+    BinaryReader r(body);
+    TC_ASSIGN_OR_RETURN(uint64_t uuid, r.GetU64());
+    return ShardHandle(*sets_[ShardOf(uuid)], type, body);
+  }
+  if (info.route == net::Route::kProcess) {
+    // One registry / span ring / event journal per process: the router and
+    // its in-process shard engines share them, so answering here covers
+    // everything this process recorded — no scatter needed. The scrape
+    // first refreshes the shard-derived gauges.
+    return net::Introspect(type, body, [this] {
+      for (size_t i = 0; i < sets_.size(); ++i) {
+        sets_[i]->ShardInfoSnapshot(static_cast<uint32_t>(i));
+      }
+    });
+  }
+  // Cluster-wide operations: scatter-gather through the shard channels.
   switch (type) {
-    // Single-stream mutations (and key-store state): the body starts with
-    // the owning stream's uuid; route to its shard's primary.
-    case MessageType::kCreateStream:
-    case MessageType::kDeleteStream:
-    case MessageType::kInsertChunk:
-    case MessageType::kInsertChunkBatch:
-    case MessageType::kDeleteRange:
-    case MessageType::kPutGrant:
-    case MessageType::kRevokeGrant:
-    case MessageType::kPutEnvelopes:
-    case MessageType::kGetEnvelopes:
-    case MessageType::kPutAttestation:
-    case MessageType::kGetAttestation:
-      return RouteByUuid(type, body, /*read_only=*/false);
-    // Single-stream read-only queries: serveable by a caught-up replica of
-    // the owning shard (primary fallback inside the set).
-    case MessageType::kGetRange:
-    case MessageType::kGetStatRange:
-    case MessageType::kGetStatSeries:
-    case MessageType::kGetStreamInfo:
-    case MessageType::kGetChunkWitnessed:
-      return RouteByUuid(type, body, /*read_only=*/true);
-    // Cluster-wide operations: scatter-gather through the shard channels.
     case MessageType::kFetchGrants: return FetchGrants(body);
     case MessageType::kMultiStatRange: return MultiStatRange(body);
     case MessageType::kClusterInfo: return ClusterInfo();
-    case MessageType::kMetricsInfo: return MetricsInfo();
-    // One span ring / event journal per process: the router and its
-    // in-process shard engines share them, so answering here covers every
-    // span and event this process produced — no scatter needed.
-    case MessageType::kTraceInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::TraceInfoRequest::Decode(body));
-      return net::TraceInfoResponse::FromRing(req).Encode();
-    }
-    case MessageType::kEventsInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::EventsInfoRequest::Decode(body));
-      return net::EventsInfoResponse::FromJournal(req).Encode();
-    }
     case MessageType::kPing: return Broadcast(type, body);
     case MessageType::kRollupStream: return RollupStream(body);
-    case MessageType::kResponse: break;
-    // Replication frames address a follower endpoint (and kReplicaHello a
-    // PrimaryCoordinator wrapping this router), not the cluster itself.
-    case MessageType::kReplicaOps: break;
-    case MessageType::kReplicaHello: break;
-    case MessageType::kReplicaSnapshotBegin: break;
-    case MessageType::kReplicaSnapshotChunk: break;
-    case MessageType::kReplicaSnapshotEnd: break;
-    case MessageType::kReplicaHeartbeat: break;
+    default: break;
   }
+  // kResponse, bytes with no frame type, and replication frames, which
+  // address a follower endpoint (and kReplicaHello a PrimaryCoordinator
+  // wrapping this router), not the cluster itself.
   return InvalidArgument("unknown message type");
-}
-
-Result<Bytes> ShardRouter::RouteByUuid(MessageType type, BytesView body,
-                                       bool read_only) {
-  BinaryReader r(body);
-  TC_ASSIGN_OR_RETURN(uint64_t uuid, r.GetU64());
-  auto& set = sets_[ShardOf(uuid)];
-  return read_only ? set->HandleRead(type, body) : set->Handle(type, body);
 }
 
 std::vector<Result<Bytes>> ShardRouter::Gather(
@@ -287,14 +248,6 @@ Result<Bytes> ShardRouter::ClusterInfo() {
         sets_[i]->ShardInfoSnapshot(static_cast<uint32_t>(i)));
   }
   return resp.Encode();
-}
-
-Result<Bytes> ShardRouter::MetricsInfo() {
-  // Refresh the shard-derived gauges, then serialize the whole registry.
-  for (size_t i = 0; i < sets_.size(); ++i) {
-    sets_[i]->ShardInfoSnapshot(static_cast<uint32_t>(i));
-  }
-  return net::MetricsInfoResponse::FromRegistry().Encode();
 }
 
 Result<Bytes> ShardRouter::MultiStatRange(BytesView body) {

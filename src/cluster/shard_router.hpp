@@ -109,11 +109,6 @@ class ShardRouter final : public net::RequestHandler {
   }
 
  private:
-  /// Route a message whose body starts with the owning stream's uuid.
-  /// `read_only` selects the replica-serving path.
-  Result<Bytes> RouteByUuid(net::MessageType type, BytesView body,
-                            bool read_only);
-
   /// Wait on a scattered call set, in order.
   static std::vector<Result<Bytes>> Gather(
       std::vector<net::PendingCall> calls);
@@ -122,7 +117,6 @@ class ShardRouter final : public net::RequestHandler {
   Result<Bytes> FetchGrants(BytesView body);
   Result<Bytes> MultiStatRange(BytesView body);
   Result<Bytes> ClusterInfo();
-  Result<Bytes> MetricsInfo();
   Result<Bytes> Broadcast(net::MessageType type, BytesView body);
 
   /// Cross-shard rollup: decomposed into wire ops against both shards.

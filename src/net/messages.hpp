@@ -149,9 +149,6 @@ struct MetricsInfoResponse {
   };
   std::vector<Entry> entries;
 
-  /// Snapshot every metric the registry holds (empty under TC_METRICS=OFF).
-  static MetricsInfoResponse FromRegistry();
-
   Bytes Encode() const;
   static Result<MetricsInfoResponse> Decode(BytesView in);
 };
@@ -181,9 +178,6 @@ struct TraceInfoResponse {
   std::vector<Span> spans;
   uint64_t dropped = 0;  // spans evicted by ring wrap since process start
 
-  /// Snapshot the process ring, applying the request's filters.
-  static TraceInfoResponse FromRing(const TraceInfoRequest& req);
-
   Bytes Encode() const;
   static Result<TraceInfoResponse> Decode(BytesView in);
 };
@@ -207,9 +201,6 @@ struct EventsInfoResponse {
   };
   std::vector<Event> events;
   uint64_t dropped = 0;  // events evicted by the capacity bound
-
-  /// Snapshot the process journal from min_seq.
-  static EventsInfoResponse FromJournal(const EventsInfoRequest& req);
 
   Bytes Encode() const;
   static Result<EventsInfoResponse> Decode(BytesView in);

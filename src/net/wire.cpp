@@ -5,90 +5,6 @@
 
 namespace tc::net {
 
-bool IsMutation(MessageType type) {
-  // Exhaustive by construction: every enumerator appears exactly once, no
-  // default. Adding a MessageType without classifying it here is a compile
-  // warning (-Wswitch) and a tc_lint failure — an unclassified frame would
-  // silently pick an ordering discipline.
-  switch (type) {
-    case MessageType::kResponse:
-    case MessageType::kGetRange:
-    case MessageType::kGetStatRange:
-    case MessageType::kGetStatSeries:
-    case MessageType::kGetStreamInfo:
-    case MessageType::kFetchGrants:
-    case MessageType::kGetEnvelopes:
-    case MessageType::kMultiStatRange:
-    case MessageType::kPing:
-    case MessageType::kGetAttestation:
-    case MessageType::kGetChunkWitnessed:
-    case MessageType::kClusterInfo:
-    case MessageType::kMetricsInfo:
-    case MessageType::kTraceInfo:
-    case MessageType::kEventsInfo:
-      return false;
-    // Ingest, grants, rollups, deletes, attestations, and replica shipments
-    // mutate server state — same-connection arrival order is preserved.
-    case MessageType::kCreateStream:
-    case MessageType::kDeleteStream:
-    case MessageType::kInsertChunk:
-    case MessageType::kRollupStream:
-    case MessageType::kDeleteRange:
-    case MessageType::kPutGrant:
-    case MessageType::kRevokeGrant:
-    case MessageType::kPutEnvelopes:
-    case MessageType::kPutAttestation:
-    case MessageType::kInsertChunkBatch:
-    case MessageType::kReplicaHello:
-    case MessageType::kReplicaSnapshotBegin:
-    case MessageType::kReplicaSnapshotChunk:
-    case MessageType::kReplicaSnapshotEnd:
-    case MessageType::kReplicaHeartbeat:
-    case MessageType::kReplicaOps:
-      return true;
-  }
-  // A raw wire byte outside the enum (hostile or future peer) is
-  // conservatively a mutation: serialized, never interleaved.
-  return true;
-}
-
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kResponse: return "response";
-    case MessageType::kCreateStream: return "create_stream";
-    case MessageType::kDeleteStream: return "delete_stream";
-    case MessageType::kInsertChunk: return "insert_chunk";
-    case MessageType::kGetRange: return "get_range";
-    case MessageType::kGetStatRange: return "get_stat_range";
-    case MessageType::kGetStatSeries: return "get_stat_series";
-    case MessageType::kRollupStream: return "rollup_stream";
-    case MessageType::kDeleteRange: return "delete_range";
-    case MessageType::kGetStreamInfo: return "get_stream_info";
-    case MessageType::kPutGrant: return "put_grant";
-    case MessageType::kFetchGrants: return "fetch_grants";
-    case MessageType::kRevokeGrant: return "revoke_grant";
-    case MessageType::kPutEnvelopes: return "put_envelopes";
-    case MessageType::kGetEnvelopes: return "get_envelopes";
-    case MessageType::kMultiStatRange: return "multi_stat_range";
-    case MessageType::kPing: return "ping";
-    case MessageType::kPutAttestation: return "put_attestation";
-    case MessageType::kGetAttestation: return "get_attestation";
-    case MessageType::kGetChunkWitnessed: return "get_chunk_witnessed";
-    case MessageType::kInsertChunkBatch: return "insert_chunk_batch";
-    case MessageType::kClusterInfo: return "cluster_info";
-    case MessageType::kReplicaHello: return "replica_hello";
-    case MessageType::kReplicaSnapshotBegin: return "replica_snapshot_begin";
-    case MessageType::kReplicaSnapshotChunk: return "replica_snapshot_chunk";
-    case MessageType::kReplicaSnapshotEnd: return "replica_snapshot_end";
-    case MessageType::kReplicaHeartbeat: return "replica_heartbeat";
-    case MessageType::kReplicaOps: return "replica_ops";
-    case MessageType::kMetricsInfo: return "metrics_info";
-    case MessageType::kTraceInfo: return "trace_info";
-    case MessageType::kEventsInfo: return "events_info";
-  }
-  return "unknown";
-}
-
 namespace detail {
 struct CallState {
   Mutex mu;

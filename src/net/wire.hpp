@@ -20,9 +20,18 @@
 // order (the pipelining the paper's Netty stack gets for free, §5).
 // Call() is a thin blocking wrapper over AsyncCall for call sites that
 // want one round trip.
+//
+// What each frame type is — its metric/span name, whether it mutates
+// (ordering on the connection), how a server routes it, whether a replica
+// may answer it — is one row of kFrameTypes below; servers read the row and
+// restate none of it. Adding a frame type takes one enum value, one row at
+// that value, and one case in tests/wire_fuzz_test.cpp; then an arm in the
+// handler of each server that answers it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -88,18 +97,131 @@ enum class MessageType : uint8_t {
   kEventsInfo = 32,
 };
 
-/// Stable snake_case name for one message type ("insert_chunk",
-/// "get_stat_range", ...) — the `type` label on per-request metrics and the
-/// op name on slow-op trace lines. Unknown values map to "unknown".
-const char* MessageTypeName(MessageType type);
+/// How a serving stack (engine, router, follower daemon) reaches the answer
+/// to one frame type.
+enum class Route : uint8_t {
+  kNone,         // not a request: kResponse and unknown or reserved bytes
+  kStream,       // the body starts with the owning stream's uuid
+  kCluster,      // answered for the whole cluster (scatter-gather, or per
+                 // server for Ping and ClusterInfo)
+  kProcess,      // answered from this process's metrics registry, span ring
+                 // or event journal (net/introspection.hpp)
+  kReplication,  // primary<->follower replication; no serving engine's job
+};
 
-/// True for message types that mutate server state. The TCP server keeps
-/// same-connection mutations in arrival order (a pipelined ingest stream
-/// must apply batch N before batch N+1; replica op shipments must apply in
-/// sequence) while non-mutating requests dispatch concurrently — a slow
-/// query cannot head-of-line-block a Ping on the same connection.
-/// Unrecognised types are conservatively treated as mutations.
-bool IsMutation(MessageType type);
+/// Everything the servers need to know about one frame type.
+struct FrameTypeInfo {
+  MessageType type;
+  /// Stable snake_case name: the `type` label on per-request metrics and the
+  /// op name on slow-op trace lines.
+  const char* name;
+  /// Mutates server state. The TCP server keeps same-connection mutations in
+  /// arrival order (a pipelined ingest stream must apply batch N before
+  /// batch N+1; replica op shipments must apply in sequence) while other
+  /// requests dispatch concurrently — a slow query cannot head-of-line-block
+  /// a Ping on the same connection.
+  bool mutation;
+  Route route;
+  /// A caught-up replica may answer it instead of the primary. Key-store
+  /// reads (grants, envelopes, attestations) stay on primaries: replica
+  /// engines do not refresh key-store state.
+  bool replica_read;
+};
+
+/// The row of a byte with no frame type: reserved, or from a newer peer. It
+/// is conservatively a mutation — serialized, never interleaved.
+constexpr FrameTypeInfo UnknownFrameType(uint8_t byte) {
+  return {static_cast<MessageType>(byte), "unknown", true, Route::kNone,
+          false};
+}
+
+/// One row per MessageType, row i describing type i; columns as in
+/// FrameTypeInfo. Rollups (which may create the derived stream on another
+/// shard) and FetchGrants (a principal's grants span every shard) route as
+/// cluster operations.
+namespace frame_table {
+using enum MessageType;
+using enum Route;
+// clang-format off
+inline constexpr FrameTypeInfo kRows[] = {
+  {kResponse,             "response",               false, kNone,        false},
+  {kCreateStream,         "create_stream",          true,  kStream,      false},
+  {kDeleteStream,         "delete_stream",          true,  kStream,      false},
+  {kInsertChunk,          "insert_chunk",           true,  kStream,      false},
+  {kGetRange,             "get_range",              false, kStream,      true},
+  {kGetStatRange,         "get_stat_range",         false, kStream,      true},
+  {kGetStatSeries,        "get_stat_series",        false, kStream,      true},
+  {kRollupStream,         "rollup_stream",          true,  kCluster,     false},
+  {kDeleteRange,          "delete_range",           true,  kStream,      false},
+  {kGetStreamInfo,        "get_stream_info",        false, kStream,      true},
+  {kPutGrant,             "put_grant",              true,  kStream,      false},
+  {kFetchGrants,          "fetch_grants",           false, kCluster,     false},
+  {kRevokeGrant,          "revoke_grant",           true,  kStream,      false},
+  {kPutEnvelopes,         "put_envelopes",          true,  kStream,      false},
+  {kGetEnvelopes,         "get_envelopes",          false, kStream,      false},
+  {kMultiStatRange,       "multi_stat_range",       false, kCluster,     true},
+  {kPing,                 "ping",                   false, kCluster,     false},
+  {kPutAttestation,       "put_attestation",        true,  kStream,      false},
+  {kGetAttestation,       "get_attestation",        false, kStream,      false},
+  {kGetChunkWitnessed,    "get_chunk_witnessed",    false, kStream,      true},
+  {kInsertChunkBatch,     "insert_chunk_batch",     true,  kStream,      false},
+  {kClusterInfo,          "cluster_info",           false, kCluster,     false},
+  UnknownFrameType(22),  // reserved: see the enum
+  UnknownFrameType(23),  // reserved: see the enum
+  {kReplicaHello,         "replica_hello",          true,  kReplication, false},
+  {kReplicaSnapshotBegin, "replica_snapshot_begin", true,  kReplication, false},
+  {kReplicaSnapshotChunk, "replica_snapshot_chunk", true,  kReplication, false},
+  {kReplicaSnapshotEnd,   "replica_snapshot_end",   true,  kReplication, false},
+  {kReplicaHeartbeat,     "replica_heartbeat",      true,  kReplication, false},
+  {kReplicaOps,           "replica_ops",            true,  kReplication, false},
+  {kMetricsInfo,          "metrics_info",           false, kProcess,     false},
+  {kTraceInfo,            "trace_info",             false, kProcess,     false},
+  {kEventsInfo,           "events_info",            false, kProcess,     false},
+};
+// clang-format on
+}  // namespace frame_table
+inline constexpr auto& kFrameTypes = frame_table::kRows;
+
+inline constexpr size_t kNumFrameTypes = std::size(kFrameTypes);
+inline constexpr FrameTypeInfo kUnknownFrameType =
+    UnknownFrameType(kNumFrameTypes);
+
+/// The row for `type`: one array index; every byte past the table reads
+/// kUnknownFrameType.
+constexpr const FrameTypeInfo& FrameType(MessageType type) {
+  auto i = static_cast<size_t>(type);
+  return i < kNumFrameTypes ? kFrameTypes[i] : kUnknownFrameType;
+}
+
+namespace detail {
+constexpr bool FrameTableIsWellFormed() {
+  for (size_t i = 0; i < kNumFrameTypes; ++i) {
+    const FrameTypeInfo& row = kFrameTypes[i];
+    // Row i describes type i: a deleted or misplaced row would be indexed as
+    // its neighbour.
+    if (static_cast<size_t>(row.type) != i) return false;
+    if (row.replica_read && (row.mutation || row.route == Route::kNone)) {
+      return false;
+    }
+  }
+  return true;
+}
+}  // namespace detail
+
+static_assert(detail::FrameTableIsWellFormed(),
+              "kFrameTypes: row i must describe MessageType i, and only "
+              "non-mutating requests may be replica reads");
+// A metrics scrape must pipeline past slow mutations, and it mutates nothing.
+static_assert(!FrameType(MessageType::kMetricsInfo).mutation,
+              "kMetricsInfo must be a read");
+
+/// FrameType(type).name; "unknown" for bytes with no frame type.
+inline const char* MessageTypeName(MessageType type) {
+  return FrameType(type).name;
+}
+
+/// FrameType(type).mutation; true for bytes with no frame type.
+inline bool IsMutation(MessageType type) { return FrameType(type).mutation; }
 
 /// Server-side dispatch: handle one decoded request, produce a response
 /// payload. Implementations must be thread-safe — the TCP server dispatches

@@ -7,6 +7,7 @@
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/trace.hpp"
+#include "net/introspection.hpp"
 
 namespace tc::replica {
 
@@ -134,17 +135,12 @@ Result<Bytes> FollowerDaemon::Handle(net::MessageType type, BytesView body) {
   // primary can never slip a mutation in outside the new era's log.
   ReaderMutexLock lock(mode_mu_);
   if (serving_) return serving_->Handle(type, body);
-  if (sealed_) {
-    switch (type) {
-      case net::MessageType::kReplicaOps:
-      case net::MessageType::kReplicaSnapshotBegin:
-      case net::MessageType::kReplicaSnapshotChunk:
-      case net::MessageType::kReplicaSnapshotEnd:
-      case net::MessageType::kReplicaHeartbeat:
-        return Unavailable("follower is promoting; no longer replicating");
-      default:
-        break;  // reads keep serving through the promotion
-    }
+  // Sealed, the frames a primary sends its followers are refused; reads
+  // keep serving through the promotion, and a Hello still learns that this
+  // node is not a primary yet.
+  if (sealed_ && net::FrameType(type).route == net::Route::kReplication &&
+      type != net::MessageType::kReplicaHello) {
+    return Unavailable("follower is promoting; no longer replicating");
   }
   return HandleFollowing(type, body);
 }
@@ -152,6 +148,15 @@ Result<Bytes> FollowerDaemon::Handle(net::MessageType type, BytesView body) {
 Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
                                               BytesView body) {
   using net::MessageType;
+  const net::FrameTypeInfo& info = net::FrameType(type);
+  // Replica reads are served from the refreshed local engine, without a
+  // second network hop.
+  if (info.replica_read) return ServeRead(type, body);
+  // A follower answers from its own registry (net + apply-path metrics;
+  // engine-derived gauges refresh through the serving path), span ring and
+  // event journal — `tccli trace --peers` stitches them with the primary's
+  // under one trace id.
+  if (info.route == net::Route::kProcess) return net::Introspect(type, body);
   switch (type) {
     case MessageType::kReplicaOps: {
       TC_ASSIGN_OR_RETURN(auto req, net::ReplicaOpsRequest::Decode(body));
@@ -230,34 +235,6 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
       return Bytes{};
     case MessageType::kClusterInfo:
       return FollowerClusterInfo();
-    case MessageType::kMetricsInfo:
-      // A follower scrapes its own process registry (net + apply-path
-      // metrics); engine-derived gauges refresh through the serving path.
-      return net::MetricsInfoResponse::FromRegistry().Encode();
-    // A follower drains its own span ring and event journal — `tccli
-    // trace --peers` stitches them with the primary's under one trace id.
-    case MessageType::kTraceInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::TraceInfoRequest::Decode(body));
-      return net::TraceInfoResponse::FromRing(req).Encode();
-    }
-    case MessageType::kEventsInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::EventsInfoRequest::Decode(body));
-      return net::EventsInfoResponse::FromJournal(req).Encode();
-    }
-    // Read-only single-stream queries: served locally from the refreshed
-    // follower engine — replica reads without a second network hop.
-    case MessageType::kGetRange:
-    case MessageType::kGetStatRange:
-    case MessageType::kGetStatSeries:
-    case MessageType::kGetStreamInfo:
-    case MessageType::kGetChunkWitnessed:
-      return ServeRead(type, body);
-    case MessageType::kMultiStatRange:
-      if (shards_.size() == 1) {
-        TC_RETURN_IF_ERROR(EnsureFresh(*shards_[0]));
-        return shards_[0]->engine->Handle(type, body);
-      }
-      return Unavailable("multi-stream reads need the primary");
     default:
       return Unavailable(
           "follower daemon: this operation needs the primary (writes and "
@@ -266,9 +243,15 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
 }
 
 Result<Bytes> FollowerDaemon::ServeRead(net::MessageType type, BytesView body) {
-  BinaryReader r(body);
-  TC_ASSIGN_OR_RETURN(uint64_t uuid, r.GetU64());
-  Shard& shard = *shards_[cluster::PlaceShard(uuid, shards_.size())];
+  size_t shard_index = 0;
+  if (net::FrameType(type).route == net::Route::kStream) {
+    BinaryReader r(body);
+    TC_ASSIGN_OR_RETURN(uint64_t uuid, r.GetU64());
+    shard_index = cluster::PlaceShard(uuid, shards_.size());
+  } else if (shards_.size() != 1) {
+    return Unavailable("multi-stream reads need the primary");
+  }
+  Shard& shard = *shards_[shard_index];
   TC_RETURN_IF_ERROR(EnsureFresh(shard));
   return shard.engine->Handle(type, body);
 }

@@ -110,6 +110,7 @@ class FollowerDaemon {
 
   Result<Bytes> HandleFollowing(net::MessageType type, BytesView body)
       EXCLUDES(view_mu_);
+  /// Serve a replica read from the refreshed local engine of its shard.
   Result<Bytes> ServeRead(net::MessageType type, BytesView body);
   Result<Bytes> FollowerClusterInfo() const;
   Status EnsureFresh(Shard& shard);

@@ -8,6 +8,7 @@
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "integrity/attestation.hpp"
+#include "net/introspection.hpp"
 
 namespace tc::server {
 
@@ -29,25 +30,22 @@ struct RequestMetrics {
 };
 
 RequestMetrics& MetricsFor(MessageType type) {
+  // One slot per frame-table row, plus a last one shared by every byte past
+  // the table. Reserved rows and that last slot are all labelled "unknown".
   static auto* table = [] {
     auto* t = new std::vector<RequestMetrics>;
-    auto last = static_cast<size_t>(MessageType::kEventsInfo);
-    t->reserve(last + 1);
-    for (size_t i = 0; i <= last; ++i) {
-      auto mt = static_cast<MessageType>(i);
-      std::string labels =
-          std::string("type=\"") + net::MessageTypeName(mt) + "\"";
+    t->reserve(net::kNumFrameTypes + 1);
+    for (size_t i = 0; i <= net::kNumFrameTypes; ++i) {
+      std::string labels = std::string("type=\"") +
+                           net::MessageTypeName(static_cast<MessageType>(i)) +
+                           "\"";
       t->push_back({metrics::GetCounter("tc_server_requests_total", labels),
                     metrics::GetHistogram("tc_server_request_seconds",
                                           labels)});
     }
     return t;
   }();
-  size_t idx = static_cast<size_t>(type);
-  // Out-of-enum wire bytes share the kResponse slot ("response" is never a
-  // request, so the slot is otherwise idle).
-  if (idx >= table->size()) idx = 0;
-  return (*table)[idx];
+  return (*table)[std::min(static_cast<size_t>(type), net::kNumFrameTypes)];
 }
 
 /// Stage-split histograms for the slow-op breakdown (decode/store/index/
@@ -276,27 +274,16 @@ Result<Bytes> ServerEngine::Handle(MessageType type, BytesView body) {
     case MessageType::kPutAttestation: return PutAttestation(body);
     case MessageType::kGetAttestation: return GetAttestation(body);
     case MessageType::kGetChunkWitnessed: return GetChunkWitnessed(body);
-    case MessageType::kMetricsInfo: return MetricsInfo();
-    case MessageType::kTraceInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::TraceInfoRequest::Decode(body));
-      return net::TraceInfoResponse::FromRing(req).Encode();
-    }
-    case MessageType::kEventsInfo: {
-      TC_ASSIGN_OR_RETURN(auto req, net::EventsInfoRequest::Decode(body));
-      return net::EventsInfoResponse::FromJournal(req).Encode();
-    }
     case MessageType::kPing: return Bytes{};
-    case MessageType::kResponse: break;
-    // Replication frames target a follower's ReplicaApplier endpoint (and
-    // kReplicaHello a PrimaryCoordinator); a serving engine is never the
-    // right recipient.
-    case MessageType::kReplicaOps: break;
-    case MessageType::kReplicaHello: break;
-    case MessageType::kReplicaSnapshotBegin: break;
-    case MessageType::kReplicaSnapshotChunk: break;
-    case MessageType::kReplicaSnapshotEnd: break;
-    case MessageType::kReplicaHeartbeat: break;
+    default: break;
   }
+  if (net::FrameType(type).route == net::Route::kProcess) {
+    // Gauges derived from engine state are refreshed on scrape, not on
+    // mutation — the snapshot call doubles as the refresh.
+    return net::Introspect(type, body, [this] { ShardInfoSnapshot(); });
+  }
+  // kResponse, replication frames (a follower's ReplicaApplier and a
+  // PrimaryCoordinator handle those) and bytes with no frame type.
   return InvalidArgument("unknown message type");
 }
 
@@ -562,13 +549,6 @@ Result<Bytes> ServerEngine::ClusterInfo() const {
   net::ClusterInfoResponse resp;
   resp.shards.push_back(ShardInfoSnapshot());
   return resp.Encode();
-}
-
-Result<Bytes> ServerEngine::MetricsInfo() const {
-  // Gauges derived from engine state are refreshed on scrape, not on
-  // mutation — the snapshot call doubles as the refresh.
-  ShardInfoSnapshot();
-  return net::MetricsInfoResponse::FromRegistry().Encode();
 }
 
 Result<Bytes> ServerEngine::GetRange(BytesView body) const {

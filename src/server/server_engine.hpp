@@ -135,7 +135,6 @@ class ServerEngine final : public net::RequestHandler {
   Result<Bytes> PutAttestation(BytesView body);
   Result<Bytes> GetAttestation(BytesView body) const;
   Result<Bytes> GetChunkWitnessed(BytesView body) const;
-  Result<Bytes> MetricsInfo() const;
 
   Result<std::shared_ptr<Stream>> FindStream(uint64_t uuid) const;
 

@@ -653,16 +653,17 @@ TEST(ShardRouter, PrefixViewsIsolateShardNamespaces) {
 
 
 // ----------------------------------------------------------------------
-// Per-frame-type routing, pinned for every type byte: each MessageType, the
-// reserved bytes 22 and 23, and one byte far outside the enum. The expected
-// sets below are written out independently of the servers' own dispatch.
+// Per-frame-type routing, pinned for every row of the frame-type table (the
+// reserved bytes 22 and 23 included) and one byte far outside the enum. The
+// expected sets below are written out independently of the table the
+// servers dispatch on.
 
 using net::MessageType;
 
 std::vector<uint8_t> TypeBytes() {
   std::vector<uint8_t> bytes;
-  for (int b = 0; b <= static_cast<int>(MessageType::kEventsInfo); ++b) {
-    bytes.push_back(static_cast<uint8_t>(b));
+  for (const net::FrameTypeInfo& row : net::kFrameTypes) {
+    bytes.push_back(static_cast<uint8_t>(row.type));
   }
   bytes.push_back(0xEE);
   return bytes;
@@ -753,6 +754,8 @@ TEST(FrameRouting, RouterSendsExactlyTheReplicaReadsToACaughtUpReplica) {
     auto type = static_cast<MessageType>(byte);
     uint64_t replica_before = set->replica_reads();
     uint64_t primary_before = set->primary_reads();
+    EXPECT_EQ(net::FrameType(type).replica_read, ReplicaRead(type))
+        << "type byte " << int{byte};
     auto result = router->Handle(type, RequestBody(type, *uuid));
     if (ReplicaRead(type)) {
       EXPECT_TRUE(result.ok())

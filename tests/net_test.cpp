@@ -44,8 +44,8 @@ TEST(Wire, ResponseBodyCarriesError) {
 
 // The full read/write classification the transport's ordering guarantees
 // rest on. Every frame type is listed: a new MessageType must be added to
-// one of these tables (and to IsMutation's exhaustive switch — the
-// compiler and tools/lint/tc_lint.py both enforce that) or this test
+// one of these tables (and to the frame-type table in net/wire.hpp — a
+// static_assert and tools/lint/tc_lint.py both enforce that) or this test
 // fails, which is the point.
 TEST(Wire, IsMutationClassifiesEveryMessageType) {
   const MessageType mutations[] = {
@@ -82,6 +82,35 @@ TEST(Wire, IsMutationClassifiesEveryMessageType) {
   // An out-of-enum byte (a frame from a newer peer) must classify as a
   // mutation: ordering conservatively is safe, reordering is not.
   EXPECT_TRUE(IsMutation(static_cast<MessageType>(0xEE)));
+}
+
+// Row names label metrics and trace spans: one snake_case name per frame
+// type. Bytes with no frame type — the two reserved ones and any past the
+// enum — share the "unknown" row and order as mutations.
+TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
+  std::set<std::string> names;
+  for (const FrameTypeInfo& row : kFrameTypes) {
+    std::string name = row.name;
+    auto byte = static_cast<int>(row.type);
+    if (byte == 22 || byte == 23) {
+      EXPECT_EQ(name, "unknown");
+      continue;
+    }
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    ASSERT_FALSE(name.empty()) << "type " << byte;
+    EXPECT_TRUE(name.front() >= 'a' && name.front() <= 'z') << name;
+    for (char c : name) {
+      EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                  c == '_')
+          << name;
+    }
+    EXPECT_NE(name, "unknown") << "type " << byte;
+  }
+  for (int byte : {22, 23, 0xEE}) {
+    auto type = static_cast<MessageType>(byte);
+    EXPECT_STREQ(MessageTypeName(type), "unknown") << "byte " << byte;
+    EXPECT_TRUE(IsMutation(type)) << "byte " << byte;
+  }
 }
 
 TEST(Wire, FrameLayout) {

@@ -3,6 +3,7 @@
 // client-driven e2e tests).
 #include <gtest/gtest.h>
 
+#include "common/metrics.hpp"
 #include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
@@ -102,9 +103,23 @@ TEST_F(ServerTest, InsertEnforcesOrderAndBlobSize) {
 }
 
 TEST_F(ServerTest, UnknownStreamAndTypeErrors) {
+  auto& unknown =
+      metrics::GetCounter("tc_server_requests_total", "type=\"unknown\"");
+  auto& response =
+      metrics::GetCounter("tc_server_requests_total", "type=\"response\"");
+  uint64_t unknown_before = unknown.value();
+  uint64_t response_before = response.value();
+
   EXPECT_FALSE(Query(9, {0, 1000}).ok());
   EXPECT_FALSE(engine_->Handle(static_cast<MessageType>(200), {}).ok());
+  EXPECT_FALSE(engine_->Handle(static_cast<MessageType>(22), {}).ok());
   EXPECT_TRUE(engine_->Handle(MessageType::kPing, {}).ok());
+  if (metrics::kEnabled) {
+    // A byte past the enum and a reserved one both count as "unknown";
+    // neither is a response.
+    EXPECT_EQ(unknown.value() - unknown_before, 2u);
+    EXPECT_EQ(response.value(), response_before);
+  }
 }
 
 TEST_F(ServerTest, GrantStoreLifecycle) {

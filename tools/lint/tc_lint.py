@@ -3,10 +3,12 @@
 
 Checks cross-file invariants the compiler cannot see:
 
-  R1  every net::MessageType enumerator is classified in net::IsMutation
-      (the exhaustive switch in src/net/wire.cpp) — a frame type without a
-      read/write classification would silently lose mutation pipelining
-      ordering on the server.
+  R1  every net::MessageType enumerator has a row in net::kFrameTypes (the
+      frame-type table in src/net/wire.hpp) — a frame type without a row
+      reads as "unknown" and loses its name, ordering and routing. A
+      static_assert beside the table keeps row i describing type i, so a
+      row deleted mid-table fails the build and one deleted at the end
+      fails here.
   R2  every wire frame type has fuzz coverage: its enumerator (or a known
       alias) appears in tests/wire_fuzz_test.cpp.
   R3  every decode path goes through the bounded DecodeFrameHeader: a file
@@ -23,9 +25,8 @@ Checks cross-file invariants the compiler cannot see:
       and no name is registered as two different metric kinds — the
       registry keys (name, labels) per kind, so a collision would render
       one family under two TYPE lines.
-  R7  kMetricsInfo is classified as a read in IsMutation: a metrics scrape
-      pipelining behind a slow mutation would defeat its purpose, and
-      nothing about serving a registry snapshot mutates server state.
+  R7  (kMetricsInfo is a read: a static_assert beside the frame-type table
+      in src/net/wire.hpp checks it at compile time.)
   R8  span-op and event-kind literals (TraceSpan constructions and
       RecordEvent calls) form one flat vocabulary: snake_case, globally
       unique, exactly one call site each — `tccli trace`/`tccli events`
@@ -83,21 +84,21 @@ def message_types():
     return re.findall(r"\b(k[A-Za-z0-9]+)\s*=", body)
 
 
-def check_is_mutation(enumerators):
-    path = SRC / "net" / "wire.cpp"
+def check_frame_table(enumerators):
+    path = SRC / "net" / "wire.hpp"
     text = read(path)
-    match = re.search(r"bool IsMutation\([^)]*\)\s*\{(.*?)\n\}", text,
+    match = re.search(r"kRows\[\]\s*=\s*\{(.*?)\n\};", text,
                       re.DOTALL)
     if not match:
-        fail(path, 1, "IsMutation not found")
+        fail(path, 1, "frame-type table frame_table::kRows not found")
         return
-    body = match.group(1)
+    body = re.sub(r"//[^\n]*", "", match.group(1))
+    line = text[:match.start()].count("\n") + 1
     for name in enumerators:
-        if not re.search(rf"MessageType::{name}\b", body):
-            line = text[:match.start()].count("\n") + 1
+        if not re.search(rf"\b{name}\b", body):
             fail(path, line,
-                 f"MessageType::{name} is not classified in IsMutation; "
-                 "add it to the read or mutation arm of the switch")
+                 f"MessageType::{name} has no row in kFrameTypes; add one "
+                 "(name, mutation, route, replica_read) at its enum value")
 
 
 # --------------------------------------------------------------------- R2
@@ -227,25 +228,6 @@ def check_metric_names():
                          "family must have one kind")
 
 
-# --------------------------------------------------------------------- R7
-def check_metrics_info_is_read():
-    path = SRC / "net" / "wire.cpp"
-    text = read(path)
-    match = re.search(r"bool IsMutation\([^)]*\)\s*\{(.*?)\n\}", text,
-                      re.DOTALL)
-    if not match:
-        return  # R1 already failed on this
-    body = match.group(1)
-    case = re.search(r"MessageType::kMetricsInfo\b", body)
-    first_false = re.search(r"return\s+false\s*;", body)
-    if not case or not first_false or case.start() > first_false.start():
-        line = text[:match.start()].count("\n") + 1
-        fail(path, line,
-             "kMetricsInfo must sit in the read arm of IsMutation (before "
-             "its 'return false'): a scrape must pipeline past slow "
-             "mutations, and it mutates nothing")
-
-
 # --------------------------------------------------------------------- R8
 SPAN_OP = re.compile(r"TraceSpan\s+\w+\s*\(\s*\"([^\"]*)\"")
 EVENT_KIND = re.compile(r"RecordEvent\s*\(\s*\"([^\"]*)\"")
@@ -358,13 +340,12 @@ def main():
     if not enumerators:
         print("tc_lint: could not parse MessageType enum", file=sys.stderr)
         return 1
-    check_is_mutation(enumerators)
+    check_frame_table(enumerators)
     check_fuzz_coverage(enumerators)
     check_bounded_decode()
     check_no_naked_mutexes()
     check_crypto_constant_time()
     check_metric_names()
-    check_metrics_info_is_read()
     check_trace_vocabulary()
     check_crypto_secret_annotations()
     check_blocking_annotations()
@@ -374,7 +355,7 @@ def main():
         print(f"tc_lint: {len(failures)} violation(s)", file=sys.stderr)
         return 1
     print(f"tc_lint: clean ({len(enumerators)} frame types, "
-          "10 invariants)")
+          "9 invariants)")
     return 0
 
 
