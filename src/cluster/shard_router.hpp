@@ -20,9 +20,10 @@
 // later requests find them without a placement directory.
 //
 // Each shard is a replica::ReplicaSet. With followers configured, the
-// shard's mutations ship to replica stores, read-only messages (stat/range
-// queries, stream info, witnessed reads, and MultiStatRange sub-queries)
-// round-robin across caught-up replicas with primary fallback, and a dead
+// shard's mutations ship to replica stores, replica reads (the
+// `replica_read` rows of net::kFrameTypes: stat/range queries, stream info,
+// witnessed reads, and MultiStatRange sub-queries) round-robin across
+// caught-up replicas with primary fallback, and a dead
 // primary can be failed over to a promoted follower without losing the
 // stream history. A replica-less shard behaves exactly as before.
 //
