@@ -4,7 +4,9 @@
 // send anything; the server must never trust frame contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string_view>
 
 #include "client/grants.hpp"
 #include "crypto/rand.hpp"
@@ -121,86 +123,128 @@ std::vector<NamedDecoder> AllDecoders() {
   };
 }
 
+/// One valid encoded message: the body of request frame `type` (kResponse
+/// for a reply payload or a blob nested in another message), its bytes, and
+/// a decode-then-encode of those bytes.
+struct Sample {
+  const char* name;
+  MessageType type;
+  Bytes bytes;
+  std::function<Result<Bytes>(BytesView)> reencode;
+};
+
+template <typename T>
+Sample Of(const char* name, MessageType type, const T& message) {
+  return {name, type, message.Encode(), [](BytesView in) -> Result<Bytes> {
+            TC_ASSIGN_OR_RETURN(T decoded, T::Decode(in));
+            return decoded.Encode();
+          }};
+}
+
 /// One valid encoded instance per message type, used as the truncation
 /// baseline (truncating a *valid* message probes every partial-field path).
-std::vector<Bytes> ValidEncodings() {
-  std::vector<Bytes> out;
+/// Every stream-routed request addresses uuid 7.
+std::vector<Sample> ValidEncodings() {
+  using enum MessageType;
+  std::vector<Sample> out;
   StreamConfig config;
   config.name = "fuzz/stream";
   config.schema.hist_bins = 4;
-  out.push_back(CreateStreamRequest{7, config}.Encode());
-  out.push_back(DeleteStreamRequest{7}.Encode());
   out.push_back(
-      InsertChunkRequest{7, 3, ToBytes("digest"), ToBytes("payload")}
-          .Encode());
-  out.push_back(GetRangeRequest{7, {100, 200}}.Encode());
+      Of("CreateStream", kCreateStream, CreateStreamRequest{7, config}));
+  out.push_back(Of("DeleteStream", kDeleteStream, DeleteStreamRequest{7}));
+  out.push_back(Of(
+      "InsertChunk", kInsertChunk,
+      InsertChunkRequest{7, 3, ToBytes("digest"), ToBytes("payload")}));
+  out.push_back(Of("GetRange", kGetRange, GetRangeRequest{7, {100, 200}}));
   GetRangeResponse rr;
   rr.chunks.push_back({1, ToBytes("chunk-1")});
   rr.chunks.push_back({2, ToBytes("chunk-2")});
-  out.push_back(rr.Encode());
-  out.push_back(StatRangeRequest{7, {100, 200}}.Encode());
-  out.push_back(StatRangeResponse{1, 5, ToBytes("aggregate")}.Encode());
-  out.push_back(StatSeriesRequest{7, {0, 500}, 4}.Encode());
+  out.push_back(Of("GetRangeResponse", kResponse, rr));
+  out.push_back(
+      Of("StatRange", kGetStatRange, StatRangeRequest{7, {100, 200}}));
+  out.push_back(Of("StatRangeResponse", kResponse,
+                   StatRangeResponse{1, 5, ToBytes("aggregate")}));
+  out.push_back(
+      Of("StatSeries", kGetStatSeries, StatSeriesRequest{7, {0, 500}, 4}));
   StatSeriesResponse sr;
   sr.first_chunk = 0;
   sr.granularity_chunks = 4;
   sr.aggregates = {ToBytes("w0"), ToBytes("w1")};
-  out.push_back(sr.Encode());
-  out.push_back(MultiStatRangeRequest{{1, 2, 3}, {0, 100}}.Encode());
-  out.push_back(RollupStreamRequest{7, 8, 6, {0, 0}}.Encode());
-  out.push_back(DeleteRangeRequest{7, {0, 100}}.Encode());
-  out.push_back(StreamInfoResponse{config, 42}.Encode());
-  out.push_back(PutGrantRequest{7, "alice", 1, ToBytes("sealed")}.Encode());
-  out.push_back(FetchGrantsRequest{"alice"}.Encode());
+  out.push_back(Of("StatSeriesResponse", kResponse, sr));
+  out.push_back(Of("MultiStatRange", kMultiStatRange,
+                   MultiStatRangeRequest{{1, 2, 3}, {0, 100}}));
+  out.push_back(Of("RollupStream", kRollupStream,
+                   RollupStreamRequest{7, 8, 6, {0, 0}}));
+  out.push_back(
+      Of("DeleteRange", kDeleteRange, DeleteRangeRequest{7, {0, 100}}));
+  out.push_back(
+      Of("StreamInfoResponse", kResponse, StreamInfoResponse{config, 42}));
+  out.push_back(Of("PutGrant", kPutGrant,
+                   PutGrantRequest{7, "alice", 1, ToBytes("sealed")}));
+  out.push_back(Of("FetchGrants", kFetchGrants, FetchGrantsRequest{"alice"}));
   FetchGrantsResponse fr;
   fr.grants.push_back({7, 1, ToBytes("sealed")});
-  out.push_back(fr.Encode());
-  out.push_back(RevokeGrantRequest{7, "alice", 1}.Encode());
+  out.push_back(Of("FetchGrantsResponse", kResponse, fr));
+  out.push_back(
+      Of("RevokeGrant", kRevokeGrant, RevokeGrantRequest{7, "alice", 1}));
   PutEnvelopesRequest pe;
   pe.uuid = 7;
   pe.resolution_chunks = 6;
   pe.envelopes = {ToBytes("env0"), ToBytes("env1")};
-  out.push_back(pe.Encode());
-  out.push_back(GetEnvelopesRequest{7, 6, 0, 10}.Encode());
+  out.push_back(Of("PutEnvelopes", kPutEnvelopes, pe));
+  out.push_back(Of("GetEnvelopes", kGetEnvelopes,
+                   GetEnvelopesRequest{7, 6, 0, 10}));
   GetEnvelopesResponse ge;
   ge.envelopes = {ToBytes("env")};
-  out.push_back(ge.Encode());
-  out.push_back(EncodeResponseBody(Status::Ok(), ToBytes("payload")));
-  out.push_back(PutAttestationRequest{7, ToBytes("attestation")}.Encode());
-  out.push_back(GetAttestationRequest{7}.Encode());
-  out.push_back(GetChunkWitnessedRequest{7, 0, 8, 8}.Encode());
+  out.push_back(Of("GetEnvelopesResponse", kResponse, ge));
+  out.push_back({"ResponseBody", kResponse,
+                 EncodeResponseBody(Status::Ok(), ToBytes("payload")),
+                 [](BytesView in) -> Result<Bytes> {
+                   TC_ASSIGN_OR_RETURN(Bytes payload, DecodeResponseBody(in));
+                   return EncodeResponseBody(Status::Ok(), payload);
+                 }});
+  out.push_back(Of("PutAttestation", kPutAttestation,
+                   PutAttestationRequest{7, ToBytes("attestation")}));
+  out.push_back(
+      Of("GetAttestation", kGetAttestation, GetAttestationRequest{7}));
+  out.push_back(Of("GetChunkWitnessed", kGetChunkWitnessed,
+                   GetChunkWitnessedRequest{7, 0, 8, 8}));
   GetChunkWitnessedResponse wr;
   wr.entries.push_back({3, ToBytes("digest"), ToBytes("payload"),
                         ToBytes("proof")});
-  out.push_back(wr.Encode());
+  out.push_back(Of("GetChunkWitnessedResponse", kResponse, wr));
   InsertChunkBatchRequest batch;
   batch.uuid = 7;
   batch.entries.push_back({0, ToBytes("digest-0"), ToBytes("payload-0")});
   batch.entries.push_back({1, ToBytes("digest-1"), {}});
   batch.entries.push_back({5, ToBytes("digest-5"), ToBytes("payload-5")});
-  out.push_back(batch.Encode());
+  out.push_back(Of("InsertChunkBatch", kInsertChunkBatch, batch));
   ClusterInfoResponse cluster;
   cluster.shards.push_back({0, 3, 4096, 2, ClusterInfoResponse::kAckQuorum, 5});
   cluster.shards.push_back({1, 2, 2048});
-  out.push_back(cluster.Encode());
+  out.push_back(Of("ClusterInfoResponse", kResponse, cluster));
   ReplicaOpsRequest rops;
   rops.shard = 2;
   rops.first_seq = 12;
   rops.ops.push_back({kReplicaOpPut, "chunk/7/0", ToBytes("sealed")});
   rops.ops.push_back({kReplicaOpDelete, "chunk/7/1", {}});
   rops.ops.push_back({kReplicaOpAppend, "s/L0/3", ToBytes("entry"), 40});
-  out.push_back(rops.Encode());
-  out.push_back(ReplicaSnapshotBeginRequest{2, 0x0effULL, 13}.Encode());
+  out.push_back(Of("ReplicaOps", kReplicaOps, rops));
+  out.push_back(Of("ReplicaSnapshotBegin", kReplicaSnapshotBegin,
+                   ReplicaSnapshotBeginRequest{2, 0x0effULL, 13}));
   ReplicaSnapshotChunkRequest chunk;
   chunk.shard = 2;
   chunk.seq = 13;
   chunk.first_index = 5;
   chunk.entries.emplace_back("meta/streams", ToBytes("dir"));
   chunk.entries.emplace_back("chunk/7/0", ToBytes("sealed"));
-  out.push_back(chunk.Encode());
-  out.push_back(ReplicaSnapshotEndRequest{2, 13, 7}.Encode());
-  out.push_back(ReplicaSnapshotAckResponse{7}.Encode());
-  out.push_back(ReplicaAckResponse{13}.Encode());
+  out.push_back(Of("ReplicaSnapshotChunk", kReplicaSnapshotChunk, chunk));
+  out.push_back(Of("ReplicaSnapshotEnd", kReplicaSnapshotEnd,
+                   ReplicaSnapshotEndRequest{2, 13, 7}));
+  out.push_back(
+      Of("ReplicaSnapshotAck", kResponse, ReplicaSnapshotAckResponse{7}));
+  out.push_back(Of("ReplicaAck", kResponse, ReplicaAckResponse{13}));
   ReplicaHelloRequest hello;
   hello.shard = 2;
   hello.num_shards = 4;
@@ -208,14 +252,15 @@ std::vector<Bytes> ValidEncodings() {
   hello.store_fingerprint = 0xfeedULL;
   hello.host = "127.0.0.1";
   hello.port = 4434;
-  out.push_back(hello.Encode());
-  out.push_back(ReplicaHelloResponse{21, 500}.Encode());
+  out.push_back(Of("ReplicaHello", kReplicaHello, hello));
+  out.push_back(Of("ReplicaHelloResponse", kResponse,
+                   ReplicaHelloResponse{21, 500}));
   ReplicaHeartbeatRequest beat;
   beat.shard = 2;
   beat.head_seq = 21;
   beat.peers.push_back({"127.0.0.1", 4434, 13});
   beat.peers.push_back({"127.0.0.1", 4435, 21});
-  out.push_back(beat.Encode());
+  out.push_back(Of("ReplicaHeartbeat", kReplicaHeartbeat, beat));
   // MetricsInfo: the request is bodyless; the response carries all three
   // sample kinds so truncation probes every per-kind field path.
   MetricsInfoResponse mi;
@@ -242,8 +287,9 @@ std::vector<Bytes> ValidEncodings() {
     e.p99 = 63;
     mi.entries.push_back(e);
   }
-  out.push_back(mi.Encode());
-  out.push_back(TraceInfoRequest{0x1234, 1}.Encode());
+  out.push_back(Of("MetricsInfoResponse", kResponse, mi));
+  out.push_back(
+      Of("TraceInfo", kTraceInfo, TraceInfoRequest{0x1234, 1}));
   TraceInfoResponse ti;
   {
     TraceInfoResponse::Span s;
@@ -265,15 +311,15 @@ std::vector<Bytes> ValidEncodings() {
     ti.spans.push_back(s);
     ti.dropped = 9;
   }
-  out.push_back(ti.Encode());
-  out.push_back(EventsInfoRequest{17}.Encode());
+  out.push_back(Of("TraceInfoResponse", kResponse, ti));
+  out.push_back(Of("EventsInfo", kEventsInfo, EventsInfoRequest{17}));
   EventsInfoResponse ev;
   ev.events.push_back({21, 1'700'000'000'000, "self_promotion", 0,
                        "127.0.0.1:4434 silent_ms=3000"});
   ev.events.push_back({22, 1'700'000'000'250, "promotion_complete", 0,
                        "127.0.0.1:4434 streams=3"});
   ev.dropped = 2;
-  out.push_back(ev.Encode());
+  out.push_back(Of("EventsInfoResponse", kResponse, ev));
   client::AccessGrant grant;
   grant.stream_uuid = 7;
   grant.kind = client::GrantKind::kFullResolution;
@@ -281,7 +327,7 @@ std::vector<Bytes> ValidEncodings() {
   grant.last_chunk = 8;
   grant.tree_height = 10;
   grant.tokens.push_back({3, 1, crypto::Key128{}});
-  out.push_back(grant.Encode());
+  out.push_back(Of("AccessGrant", kResponse, grant));
   return out;
 }
 
@@ -290,7 +336,8 @@ TEST(WireFuzz, EveryDecoderSurvivesTruncationOfValidMessages) {
   auto encodings = ValidEncodings();
   // Truncate each valid encoding at every byte boundary and feed it to
   // every decoder (not just its own — cross-type confusion included).
-  for (const auto& full : encodings) {
+  for (const Sample& sample : encodings) {
+    const Bytes& full = sample.bytes;
     for (size_t cut = 0; cut < full.size(); ++cut) {
       BytesView prefix(full.data(), cut);
       for (const auto& decoder : decoders) {
@@ -318,9 +365,9 @@ TEST(WireFuzz, EveryDecoderSurvivesBitFlipsOfValidMessages) {
   auto decoders = AllDecoders();
   auto encodings = ValidEncodings();
   crypto::DeterministicRng rng(77);
-  for (const auto& full : encodings) {
+  for (const Sample& sample : encodings) {
     for (int round = 0; round < 32; ++round) {
-      Bytes mutated = full;
+      Bytes mutated = sample.bytes;
       if (mutated.empty()) continue;
       mutated[rng.NextBelow(mutated.size())] ^=
           static_cast<uint8_t>(1u << rng.NextBelow(8));
@@ -330,6 +377,185 @@ TEST(WireFuzz, EveryDecoderSurvivesBitFlipsOfValidMessages) {
     }
   }
   SUCCEED();
+}
+
+/// The exact encoding of each ValidEncodings() sample, by name.
+struct PinnedBytes {
+  const char* name;
+  const char* hex;
+};
+
+// clang-format off
+constexpr PinnedBytes kPinnedBytes[] = {
+  {"CreateStream",
+   "07000000000000000b66757a7a2f73747265616d000000000000000010270000"
+   "000000002801010000000000000000000060ea00000000000004000000000000"
+   "000000000001000000000000000100400000000100"},
+  {"DeleteStream",
+   "0700000000000000"},
+  {"InsertChunk",
+   "0700000000000000030000000000000006646967657374077061796c6f6164"},
+  {"GetRange",
+   "07000000000000006400000000000000c800000000000000"},
+  {"GetRangeResponse",
+   "020100000000000000076368756e6b2d310200000000000000076368756e6b2d"
+   "32"},
+  {"StatRange",
+   "07000000000000006400000000000000c800000000000000"},
+  {"StatRangeResponse",
+   "0100000000000000050000000000000009616767726567617465"},
+  {"StatSeries",
+   "07000000000000000000000000000000f4010000000000000400000000000000"},
+  {"StatSeriesResponse",
+   "00000000000000000000000000000000040000000000000002027730027731"},
+  {"MultiStatRange",
+   "0301000000000000000200000000000000030000000000000000000000000000"
+   "006400000000000000"},
+  {"RollupStream",
+   "0700000000000000080000000000000006000000000000000000000000000000"
+   "0000000000000000"},
+  {"DeleteRange",
+   "070000000000000000000000000000006400000000000000"},
+  {"StreamInfoResponse",
+   "0b66757a7a2f73747265616d0000000000000000102700000000000028010100"
+   "00000000000000000060ea000000000000040000000000000000000000010000"
+   "000000000001004000000001002a00000000000000"},
+  {"PutGrant",
+   "070000000000000005616c6963650100000000000000067365616c6564"},
+  {"FetchGrants",
+   "05616c696365"},
+  {"FetchGrantsResponse",
+   "0107000000000000000100000000000000067365616c6564"},
+  {"RevokeGrant",
+   "070000000000000005616c6963650100000000000000"},
+  {"PutEnvelopes",
+   "0700000000000000060000000000000000000000000000000204656e76300465"
+   "6e7631"},
+  {"GetEnvelopes",
+   "0700000000000000060000000000000000000000000000000a00000000000000"},
+  {"GetEnvelopesResponse",
+   "00000000000000000103656e76"},
+  {"ResponseBody",
+   "00007061796c6f6164"},
+  {"PutAttestation",
+   "07000000000000000b6174746573746174696f6e"},
+  {"GetAttestation",
+   "0700000000000000"},
+  {"GetChunkWitnessed",
+   "0700000000000000000000000000000008000000000000000800000000000000"},
+  {"GetChunkWitnessedResponse",
+   "01030000000000000006646967657374077061796c6f61640570726f6f66"},
+  {"InsertChunkBatch",
+   "0700000000000000030000000000000000086469676573742d30097061796c6f"
+   "61642d300100000000000000086469676573742d310005000000000000000864"
+   "69676573742d35097061796c6f61642d35"},
+  {"ClusterInfoResponse",
+   "0200000000030000000000000000100000000000000200000001050000000000"
+   "0000000000000000000000000000000000000000000000000000000000000001"
+   "0000000200000000000000000800000000000000000000000000000000000000"
+   "0000000000000000000000000000000000000000000000000000000000"},
+  {"ReplicaOps",
+   "020000000c000000000000000301096368756e6b2f372f30067365616c656402"
+   "096368756e6b2f372f31000306732f4c302f33280000000000000005656e7472"
+   "79"},
+  {"ReplicaSnapshotBegin",
+   "02000000ff0e0000000000000d00000000000000"},
+  {"ReplicaSnapshotChunk",
+   "020000000d000000000000000500000000000000020c6d6574612f7374726561"
+   "6d7303646972096368756e6b2f372f30067365616c6564"},
+  {"ReplicaSnapshotEnd",
+   "020000000d000000000000000700000000000000"},
+  {"ReplicaSnapshotAck",
+   "0700000000000000"},
+  {"ReplicaAck",
+   "0d00000000000000"},
+  {"ReplicaHello",
+   "02000000040000000d00000000000000edfe000000000000093132372e302e30"
+   "2e3152110000"},
+  {"ReplicaHelloResponse",
+   "1500000000000000f4010000"},
+  {"ReplicaHeartbeat",
+   "02000000150000000000000002093132372e302e302e31521100000d00000000"
+   "000000093132372e302e302e31531100001500000000000000"},
+  {"MetricsInfoResponse",
+   "03001874635f7365727665725f72657175657374735f746f74616c0b74797065"
+   "3d2270696e67222a00000000000000000000000000011374635f6e65745f7365"
+   "727665725f636f6e6e7300ffffffffffffffff000000000000021974635f7365"
+   "727665725f726571756573745f7365636f6e64730b747970653d2270696e6722"
+   "ffffffffffffffff2ae807630f3f3f"},
+  {"TraceInfo",
+   "341200000000000001"},
+  {"TraceInfoResponse",
+   "023412000000000000030000000000000001000000000000000f726f75746572"
+   "5f64697370617463680bffffffff00401e18240a0600ac060134120000000000"
+   "00050000000000000003000000000000000a737461745f72616e67650b010000"
+   "0000401e18240a0600ac060009"},
+  {"EventsInfo",
+   "1100000000000000"},
+  {"EventsInfoResponse",
+   "0215000000000000000068e5cf8b0100000e73656c665f70726f6d6f74696f6e"
+   "000000001d3132372e302e302e313a343433342073696c656e745f6d733d3330"
+   "30301600000000000000fa68e5cf8b0100001270726f6d6f74696f6e5f636f6d"
+   "706c65746500000000183132372e302e302e313a343433342073747265616d73"
+   "3d3302"},
+  {"AccessGrant",
+   "070000000000000001000000000000000008000000000000000a000000010300"
+   "0000010000000000000000000000000000000000000000000000000000000000"
+   "0000000000000000000000000000000000000000000000000000000000000000"
+   "000000000000000000000000000000000000"},
+};
+// clang-format on
+
+TEST(WireFuzz, ValidEncodingsMatchPinnedBytes) {
+  // Wire compatibility: every sample encodes to exactly the bytes pinned
+  // here, so a codec change that moves one byte names the message and the
+  // offset.
+  auto samples = ValidEncodings();
+  for (const PinnedBytes& pinned : kPinnedBytes) {
+    auto it =
+        std::find_if(samples.begin(), samples.end(), [&](const Sample& s) {
+          return std::string_view(s.name) == pinned.name;
+        });
+    ASSERT_NE(it, samples.end()) << "no sample named " << pinned.name;
+    auto want = FromHex(pinned.hex);
+    ASSERT_TRUE(want.ok()) << pinned.name;
+    const Bytes& got = it->bytes;
+    size_t diff = 0;
+    while (diff < got.size() && diff < want->size() &&
+           got[diff] == (*want)[diff]) {
+      ++diff;
+    }
+    EXPECT_EQ(ToHex(got), pinned.hex)
+        << pinned.name << ": first difference at byte " << diff;
+  }
+}
+
+TEST(WireFuzz, DecodeThenEncodeReproducesEverySample) {
+  for (const Sample& sample : ValidEncodings()) {
+    auto again = sample.reencode(sample.bytes);
+    ASSERT_TRUE(again.ok()) << sample.name << ": " << again.status().ToString();
+    EXPECT_EQ(ToHex(*again), ToHex(sample.bytes)) << sample.name;
+  }
+}
+
+TEST(WireFuzz, StreamRoutedRequestsStartWithTheirUuid) {
+  // The shard router and a follower daemon route a Route::kStream frame on
+  // the first 8 bytes of its body, read as the owning stream's uuid.
+  auto samples = ValidEncodings();
+  for (const FrameTypeInfo& row : kFrameTypes) {
+    if (row.route != Route::kStream) continue;
+    // A stream-info request is a DeleteStreamRequest: the bare uuid.
+    MessageType body = row.type == MessageType::kGetStreamInfo
+                           ? MessageType::kDeleteStream
+                           : row.type;
+    auto it = std::find_if(samples.begin(), samples.end(),
+                           [&](const Sample& s) { return s.type == body; });
+    ASSERT_NE(it, samples.end()) << row.name << " has no sample";
+    BinaryReader r(it->bytes);
+    auto uuid = r.GetU64();
+    ASSERT_TRUE(uuid.ok()) << row.name;
+    EXPECT_EQ(*uuid, 7u) << row.name;
+  }
 }
 
 TEST(WireFuzz, LengthPrefixedVectorsRejectAbsurdCounts) {
