@@ -441,9 +441,7 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
   TC_ASSIGN_OR_RETURN(
       Bytes resp,
       transport_->Call(MessageType::kRollupStream, req.Encode()));
-  BinaryReader resp_reader(resp);
-  TC_ASSIGN_OR_RETURN(uint64_t aligned_first, resp_reader.GetU64());
-  TC_ASSIGN_OR_RETURN(uint64_t aligned_last, resp_reader.GetU64());
+  TC_ASSIGN_OR_RETURN(auto aligned, net::RollupStreamResponse::Decode(resp));
 
   // The derived stream reuses the source key material: rollup chunk j
   // aggregates source chunks [j*r, (j+1)*r), so its outer keys are source
@@ -455,13 +453,15 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
                         std::to_string(granularity_chunks);
   derived.config.delta_ms =
       s->config.delta_ms * static_cast<int64_t>(granularity_chunks);
-  derived.clock = ChunkClock(
-      s->clock.RangeOfChunk(aligned_first).start, derived.config.delta_ms);
+  derived.clock =
+      ChunkClock(s->clock.RangeOfChunk(aligned.first_chunk).start,
+                 derived.config.delta_ms);
   derived.keys =
       std::make_unique<StreamKeys>(s->keys->master_seed(), options_.keys);
   derived.leaf_scale = s->leaf_scale * granularity_chunks;
-  derived.leaf_offset = s->LeafIndexOf(aligned_first);
-  derived.next_chunk = (aligned_last - aligned_first) / granularity_chunks;
+  derived.leaf_offset = s->LeafIndexOf(aligned.first_chunk);
+  derived.next_chunk =
+      (aligned.last_chunk - aligned.first_chunk) / granularity_chunks;
   streams_.emplace(target_uuid, std::move(derived));
   return target_uuid;
 }

@@ -389,10 +389,7 @@ Result<Bytes> ShardRouter::RollupStream(BytesView body) {
                          ->Handle(MessageType::kInsertChunkBatch, batch.Encode())
                          .status());
 
-  BinaryWriter w;
-  w.PutU64(first);
-  w.PutU64(last);
-  return std::move(w).Take();
+  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 }  // namespace tc::cluster

@@ -1,8 +1,14 @@
-// Typed request/response messages for TimeCrypt's API (Table 1), with
-// binary codecs. Each struct has Encode()/Decode() so both transports and
-// tests can round-trip them.
+// Typed request/response messages for TimeCrypt's API (Table 1). Each
+// struct lists its fields once, in wire order, in a static Visit(m, v):
+// `v(fields...)` visits them, and `v.Check(cond, msg)` rejects a malformed
+// decode at that point. TC_WIRE_MESSAGE derives Encode() and
+// Decode(BytesView) from that list through the visitors in net/codec.hpp,
+// where a field's C++ type picks its encoding and Var/Flag/SchemaBlob mark
+// the exceptions. The structs stay aggregates: tests and callers build them
+// with brace initialisation.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,6 +16,7 @@
 #include "common/io.hpp"
 #include "common/time.hpp"
 #include "index/digest.hpp"
+#include "net/codec.hpp"
 #include "net/wire.hpp"
 
 namespace tc::net {
@@ -41,8 +48,14 @@ struct StreamConfig {
   // one SHA-256 per chunk to the ingest path).
   bool integrity = false;
 
-  void Encode(BinaryWriter& w) const;
-  static Result<StreamConfig> Decode(BinaryReader& r);
+  static void Visit(auto& m, auto& v) {
+    v(m.name, m.t0, m.delta_ms, SchemaBlob(m.schema), m.cipher,
+      m.cipher_public, m.fanout, m.compression, Flag(m.integrity));
+  }
+  void Encode(BinaryWriter& w) const { codec::Write(w, *this); }
+  static Result<StreamConfig> Decode(BinaryReader& r) {
+    return codec::Read<StreamConfig>(r);
+  }
 
   friend bool operator==(const StreamConfig&, const StreamConfig&) = default;
 };
@@ -51,15 +64,15 @@ struct CreateStreamRequest {
   uint64_t uuid = 0;
   StreamConfig config;
 
-  Bytes Encode() const;
-  static Result<CreateStreamRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.config); }
+  TC_WIRE_MESSAGE(CreateStreamRequest)
 };
 
 struct DeleteStreamRequest {
   uint64_t uuid = 0;
 
-  Bytes Encode() const;
-  static Result<DeleteStreamRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid); }
+  TC_WIRE_MESSAGE(DeleteStreamRequest)
 };
 
 struct InsertChunkRequest {
@@ -68,8 +81,10 @@ struct InsertChunkRequest {
   Bytes digest_blob;   // encrypted digest for the index
   Bytes payload;       // sealed compressed points (may be empty: digest-only)
 
-  Bytes Encode() const;
-  static Result<InsertChunkRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.chunk_index, m.digest_blob, m.payload);
+  }
+  TC_WIRE_MESSAGE(InsertChunkRequest)
 };
 
 /// Batched single-stream ingest (§4.6 scalability): many sealed chunks in
@@ -82,12 +97,21 @@ struct InsertChunkBatchRequest {
     uint64_t chunk_index = 0;
     Bytes digest_blob;
     Bytes payload;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.chunk_index, m.digest_blob, m.payload);
+    }
   };
   uint64_t uuid = 0;
   std::vector<Entry> entries;
 
-  Bytes Encode() const;
-  static Result<InsertChunkBatchRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.entries);
+    v.Check(std::ranges::adjacent_find(m.entries, std::ranges::greater_equal{},
+                                       &Entry::chunk_index) == m.entries.end(),
+            "batch chunk indices must strictly increase");
+  }
+  TC_WIRE_MESSAGE(InsertChunkBatchRequest)
 };
 
 /// Per-shard stream counts, index sizes, and replication health (cluster
@@ -121,11 +145,19 @@ struct ClusterInfoResponse {
     // for volatile stores.
     uint64_t store_dead_bytes = 0;
     uint32_t store_compactions = 0;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.shard, m.num_streams, m.index_bytes, m.replicas, m.ack_mode);
+      v.Check(m.ack_mode <= kAckQuorum, "unknown replica ack mode");
+      v(m.max_lag_ops, m.remote_followers, Flag(m.auto_failover),
+        m.promotions, m.snapshot_chunks, m.store_dead_bytes,
+        m.store_compactions);
+    }
   };
   std::vector<ShardInfo> shards;
 
-  Bytes Encode() const;
-  static Result<ClusterInfoResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.shards); }
+  TC_WIRE_MESSAGE(ClusterInfoResponse)
 };
 
 /// Snapshot of the process-wide metrics registry (kMetricsInfo; request body
@@ -146,11 +178,18 @@ struct MetricsInfoResponse {
     uint64_t sum = 0;
     uint64_t max = 0;
     uint64_t p50 = 0, p95 = 0, p99 = 0;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.kind);
+      v.Check(m.kind <= kHistogram, "unknown metric kind");
+      v(m.name, m.labels, m.value, Var(m.count), Var(m.sum), Var(m.max),
+        Var(m.p50), Var(m.p95), Var(m.p99));
+    }
   };
   std::vector<Entry> entries;
 
-  Bytes Encode() const;
-  static Result<MetricsInfoResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.entries); }
+  TC_WIRE_MESSAGE(MetricsInfoResponse)
 };
 
 /// Drain the process-wide span ring (kTraceInfo). `trace_id != 0` filters to
@@ -159,8 +198,8 @@ struct TraceInfoRequest {
   uint64_t trace_id = 0;
   uint8_t slow_only = 0;
 
-  Bytes Encode() const;
-  static Result<TraceInfoRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.trace_id, Flag(m.slow_only)); }
+  TC_WIRE_MESSAGE(TraceInfoRequest)
 };
 
 struct TraceInfoResponse {
@@ -174,12 +213,17 @@ struct TraceInfoResponse {
     int64_t start_us = 0;          // wall clock, us since the Unix epoch
     uint64_t duration_us = 0;
     uint8_t slow = 0;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.trace_id, m.span_id, m.parent_span_id, m.op, m.msg_type, m.shard,
+        m.start_us, Var(m.duration_us), Flag(m.slow));
+    }
   };
   std::vector<Span> spans;
   uint64_t dropped = 0;  // spans evicted by ring wrap since process start
 
-  Bytes Encode() const;
-  static Result<TraceInfoResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.spans, Var(m.dropped)); }
+  TC_WIRE_MESSAGE(TraceInfoResponse)
 };
 
 /// Structured event journal query (kEventsInfo): lifecycle events with
@@ -187,8 +231,8 @@ struct TraceInfoResponse {
 struct EventsInfoRequest {
   uint64_t min_seq = 0;
 
-  Bytes Encode() const;
-  static Result<EventsInfoRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.min_seq); }
+  TC_WIRE_MESSAGE(EventsInfoRequest)
 };
 
 struct EventsInfoResponse {
@@ -198,39 +242,45 @@ struct EventsInfoResponse {
     std::string kind;     // snake_case event class
     uint32_t shard = 0;
     std::string detail;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.seq, m.wall_ms, m.kind, m.shard, m.detail);
+    }
   };
   std::vector<Event> events;
   uint64_t dropped = 0;  // events evicted by the capacity bound
 
-  Bytes Encode() const;
-  static Result<EventsInfoResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.events, Var(m.dropped)); }
+  TC_WIRE_MESSAGE(EventsInfoResponse)
 };
 
 struct GetRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<GetRangeRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.range); }
+  TC_WIRE_MESSAGE(GetRangeRequest)
 };
 
 struct GetRangeResponse {
   struct ChunkData {
     uint64_t chunk_index = 0;
     Bytes payload;
+
+    static void Visit(auto& m, auto& v) { v(m.chunk_index, m.payload); }
   };
   std::vector<ChunkData> chunks;
 
-  Bytes Encode() const;
-  static Result<GetRangeResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.chunks); }
+  TC_WIRE_MESSAGE(GetRangeResponse)
 };
 
 struct StatRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<StatRangeRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.range); }
+  TC_WIRE_MESSAGE(StatRangeRequest)
 };
 
 /// Aggregate over [first_chunk, last_chunk) — the decryptor needs the chunk
@@ -240,8 +290,10 @@ struct StatRangeResponse {
   uint64_t last_chunk = 0;
   Bytes aggregate_blob;
 
-  Bytes Encode() const;
-  static Result<StatRangeResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.first_chunk, m.last_chunk, m.aggregate_blob);
+  }
+  TC_WIRE_MESSAGE(StatRangeResponse)
 };
 
 /// Series of fixed-granularity aggregates (visualization / Fig 8 views):
@@ -251,8 +303,10 @@ struct StatSeriesRequest {
   TimeRange range;
   uint64_t granularity_chunks = 1;
 
-  Bytes Encode() const;
-  static Result<StatSeriesRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.range, m.granularity_chunks);
+  }
+  TC_WIRE_MESSAGE(StatSeriesRequest)
 };
 
 struct StatSeriesResponse {
@@ -261,8 +315,10 @@ struct StatSeriesResponse {
   uint64_t granularity_chunks = 1;
   std::vector<Bytes> aggregates;  // consecutive windows
 
-  Bytes Encode() const;
-  static Result<StatSeriesResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.first_chunk, m.last_chunk, m.granularity_chunks, m.aggregates);
+  }
+  TC_WIRE_MESSAGE(StatSeriesResponse)
 };
 
 /// Inter-stream aggregate (§4.3): server sums the per-stream aggregates;
@@ -271,8 +327,8 @@ struct MultiStatRangeRequest {
   std::vector<uint64_t> uuids;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<MultiStatRangeRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuids, m.range); }
+  TC_WIRE_MESSAGE(MultiStatRangeRequest)
 };
 
 struct RollupStreamRequest {
@@ -281,24 +337,37 @@ struct RollupStreamRequest {
   uint64_t granularity_chunks = 0;  // aggregation factor
   TimeRange range;               // segment to roll up ({0,0} = everything)
 
-  Bytes Encode() const;
-  static Result<RollupStreamRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.source_uuid, m.target_uuid, m.granularity_chunks, m.range);
+  }
+  TC_WIRE_MESSAGE(RollupStreamRequest)
+};
+
+/// The aligned source chunk range [first_chunk, last_chunk) a rollup
+/// covered, so the owner can map derived chunk indices back to source
+/// keystream positions.
+struct RollupStreamResponse {
+  uint64_t first_chunk = 0;
+  uint64_t last_chunk = 0;
+
+  static void Visit(auto& m, auto& v) { v(m.first_chunk, m.last_chunk); }
+  TC_WIRE_MESSAGE(RollupStreamResponse)
 };
 
 struct DeleteRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<DeleteRangeRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.range); }
+  TC_WIRE_MESSAGE(DeleteRangeRequest)
 };
 
 struct StreamInfoResponse {
   StreamConfig config;
   uint64_t num_chunks = 0;
 
-  Bytes Encode() const;
-  static Result<StreamInfoResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.config, m.num_chunks); }
+  TC_WIRE_MESSAGE(StreamInfoResponse)
 };
 
 // ------------------------------------------------------------- key store
@@ -311,15 +380,17 @@ struct PutGrantRequest {
   uint64_t grant_id = 0;
   Bytes sealed_grant;
 
-  Bytes Encode() const;
-  static Result<PutGrantRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.principal_id, m.grant_id, m.sealed_grant);
+  }
+  TC_WIRE_MESSAGE(PutGrantRequest)
 };
 
 struct FetchGrantsRequest {
   std::string principal_id;
 
-  Bytes Encode() const;
-  static Result<FetchGrantsRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.principal_id); }
+  TC_WIRE_MESSAGE(FetchGrantsRequest)
 };
 
 struct FetchGrantsResponse {
@@ -327,11 +398,15 @@ struct FetchGrantsResponse {
     uint64_t uuid = 0;
     uint64_t grant_id = 0;
     Bytes sealed_grant;
+
+    static void Visit(auto& m, auto& v) {
+      v(m.uuid, m.grant_id, m.sealed_grant);
+    }
   };
   std::vector<Entry> grants;
 
-  Bytes Encode() const;
-  static Result<FetchGrantsResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.grants); }
+  TC_WIRE_MESSAGE(FetchGrantsResponse)
 };
 
 struct RevokeGrantRequest {
@@ -339,8 +414,8 @@ struct RevokeGrantRequest {
   std::string principal_id;
   uint64_t grant_id = 0;  // 0 = all grants of this principal on this stream
 
-  Bytes Encode() const;
-  static Result<RevokeGrantRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.principal_id, m.grant_id); }
+  TC_WIRE_MESSAGE(RevokeGrantRequest)
 };
 
 /// Resolution-keystream envelopes (§4.4.2): enc_k̄j(k_{j·r}) blobs stored
@@ -351,8 +426,10 @@ struct PutEnvelopesRequest {
   uint64_t first_index = 0;
   std::vector<Bytes> envelopes;
 
-  Bytes Encode() const;
-  static Result<PutEnvelopesRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.resolution_chunks, m.first_index, m.envelopes);
+  }
+  TC_WIRE_MESSAGE(PutEnvelopesRequest)
 };
 
 struct GetEnvelopesRequest {
@@ -361,16 +438,18 @@ struct GetEnvelopesRequest {
   uint64_t first_index = 0;
   uint64_t last_index = 0;  // inclusive
 
-  Bytes Encode() const;
-  static Result<GetEnvelopesRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.resolution_chunks, m.first_index, m.last_index);
+  }
+  TC_WIRE_MESSAGE(GetEnvelopesRequest)
 };
 
 struct GetEnvelopesResponse {
   uint64_t first_index = 0;
   std::vector<Bytes> envelopes;
 
-  Bytes Encode() const;
-  static Result<GetEnvelopesResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.first_index, m.envelopes); }
+  TC_WIRE_MESSAGE(GetEnvelopesResponse)
 };
 
 // ---------------------------------------------------- integrity extension
@@ -382,16 +461,16 @@ struct PutAttestationRequest {
   uint64_t uuid = 0;
   Bytes attestation;
 
-  Bytes Encode() const;
-  static Result<PutAttestationRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.attestation); }
+  TC_WIRE_MESSAGE(PutAttestationRequest)
 };
 
 /// Fetch the latest attestation published for a stream.
 struct GetAttestationRequest {
   uint64_t uuid = 0;
 
-  Bytes Encode() const;
-  static Result<GetAttestationRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.uuid); }
+  TC_WIRE_MESSAGE(GetAttestationRequest)
 };
 
 /// Witnessed chunk read: chunks [first_chunk, last_chunk) together with
@@ -403,8 +482,10 @@ struct GetChunkWitnessedRequest {
   uint64_t last_chunk = 0;
   uint64_t at_size = 0;
 
-  Bytes Encode() const;
-  static Result<GetChunkWitnessedRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.uuid, m.first_chunk, m.last_chunk, m.at_size);
+  }
+  TC_WIRE_MESSAGE(GetChunkWitnessedRequest)
 };
 
 struct GetChunkWitnessedResponse {
@@ -413,11 +494,15 @@ struct GetChunkWitnessedResponse {
     Bytes digest_blob;
     Bytes payload;
     Bytes proof;  // integrity::AuditPath wire encoding
+
+    static void Visit(auto& m, auto& v) {
+      v(m.chunk_index, m.digest_blob, m.payload, m.proof);
+    }
   };
   std::vector<Entry> entries;
 
-  Bytes Encode() const;
-  static Result<GetChunkWitnessedResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.entries); }
+  TC_WIRE_MESSAGE(GetChunkWitnessedResponse)
 };
 
 // ---------------------------------------------------- replication extension
@@ -444,14 +529,27 @@ struct ReplicaOpsRequest {
     Bytes value;  // empty for deletes; the suffix for appends
     uint64_t expected_size = 0;  // appends only: value length before
 
+    static void Visit(auto& m, auto& v) {
+      v(m.kind);
+      v.Check(m.kind == kReplicaOpPut || m.kind == kReplicaOpDelete ||
+                  m.kind == kReplicaOpAppend,
+              "unknown replica op kind");
+      v(m.key);
+      if (m.kind == kReplicaOpAppend) v(m.expected_size);
+      v(m.value);
+      v.Check(m.kind != kReplicaOpDelete || m.value.empty(),
+              "replica delete carries a value");
+      v.Check(m.kind != kReplicaOpAppend || !m.value.empty(),
+              "replica append carries no bytes");
+    }
     friend bool operator==(const Op&, const Op&) = default;
   };
   uint32_t shard = 0;
   uint64_t first_seq = 0;
   std::vector<Op> ops;
 
-  Bytes Encode() const;
-  static Result<ReplicaOpsRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.shard, m.first_seq, m.ops); }
+  TC_WIRE_MESSAGE(ReplicaOpsRequest)
 };
 
 // Chunked snapshot catch-up: Begin pins the snapshot's sequence number,
@@ -473,8 +571,8 @@ struct ReplicaSnapshotBeginRequest {
   uint64_t origin = 0;
   uint64_t seq = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotBeginRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.shard, m.origin, m.seq); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotBeginRequest)
 };
 
 struct ReplicaSnapshotChunkRequest {
@@ -484,8 +582,10 @@ struct ReplicaSnapshotChunkRequest {
   uint64_t first_index = 0;
   std::vector<std::pair<std::string, Bytes>> entries;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotChunkRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.shard, m.seq, m.first_index, m.entries);
+  }
+  TC_WIRE_MESSAGE(ReplicaSnapshotChunkRequest)
 };
 
 struct ReplicaSnapshotEndRequest {
@@ -494,8 +594,8 @@ struct ReplicaSnapshotEndRequest {
   /// Total entries shipped; the applier cross-checks its received count.
   uint64_t total_entries = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotEndRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.shard, m.seq, m.total_entries); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotEndRequest)
 };
 
 /// Reply to SnapshotBegin (entries = resume point: how many stream entries
@@ -504,16 +604,16 @@ struct ReplicaSnapshotEndRequest {
 struct ReplicaSnapshotAckResponse {
   uint64_t entries = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotAckResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.entries); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotAckResponse)
 };
 
 /// Follower's reply to kReplicaOps / kReplicaSnapshotEnd / kReplicaHeartbeat.
 struct ReplicaAckResponse {
   uint64_t applied_seq = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaAckResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.applied_seq); }
+  TC_WIRE_MESSAGE(ReplicaAckResponse)
 };
 
 /// Follower-daemon registration, sent by the follower to the primary's
@@ -534,16 +634,23 @@ struct ReplicaHelloRequest {
   std::string host;
   uint32_t port = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaHelloRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) {
+    v(m.shard, m.num_shards);
+    v.Check(m.shard < m.num_shards,
+            "replica hello shard id outside its shard count");
+    v(m.applied_seq, m.store_fingerprint, m.host, m.port);
+    v.Check(m.port != 0 && m.port <= 65535,
+            "replica hello carries an invalid port");
+  }
+  TC_WIRE_MESSAGE(ReplicaHelloRequest)
 };
 
 struct ReplicaHelloResponse {
   uint64_t head_seq = 0;       // primary's current head for the shard
   uint32_t heartbeat_ms = 0;   // primary's heartbeat cadence
 
-  Bytes Encode() const;
-  static Result<ReplicaHelloResponse> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.head_seq, m.heartbeat_ms); }
+  TC_WIRE_MESSAGE(ReplicaHelloResponse)
 };
 
 /// Primary → follower liveness beacon carrying the shard's group view:
@@ -556,14 +663,17 @@ struct ReplicaHeartbeatRequest {
     uint32_t port = 0;
     uint64_t applied_seq = 0;
 
+    static void Visit(auto& m, auto& v) {
+      v(m.host, m.port, m.applied_seq);
+    }
     friend bool operator==(const Peer&, const Peer&) = default;
   };
   uint32_t shard = 0;
   uint64_t head_seq = 0;
   std::vector<Peer> peers;
 
-  Bytes Encode() const;
-  static Result<ReplicaHeartbeatRequest> Decode(BytesView in);
+  static void Visit(auto& m, auto& v) { v(m.shard, m.head_seq, m.peers); }
+  TC_WIRE_MESSAGE(ReplicaHeartbeatRequest)
 };
 
 }  // namespace tc::net

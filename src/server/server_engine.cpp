@@ -692,12 +692,7 @@ Result<Bytes> ServerEngine::RollupStream(BytesView body) {
                         source->tree->Query(w, w + req.granularity_chunks));
     TC_RETURN_IF_ERROR(target->tree->Append(out_index++, blob));
   }
-  // Report the aligned source chunk range so the owner can map derived
-  // chunk indices back to source keystream positions.
-  BinaryWriter w;
-  w.PutU64(first);
-  w.PutU64(last);
-  return std::move(w).Take();
+  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 Result<Bytes> ServerEngine::DeleteRange(BytesView body) {

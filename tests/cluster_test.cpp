@@ -423,9 +423,10 @@ TEST(ShardRouter, RollupAcrossShardsMatchesEngineNative) {
     auto resp =
         c.transport->Call(net::MessageType::kRollupStream, req.Encode());
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    BinaryReader r(*resp);
-    EXPECT_EQ(r.GetU64().value(), 0u);
-    EXPECT_EQ(r.GetU64().value(), 8u);
+    auto aligned = net::RollupStreamResponse::Decode(*resp);
+    ASSERT_TRUE(aligned.ok());
+    EXPECT_EQ(aligned->first_chunk, 0u);
+    EXPECT_EQ(aligned->last_chunk, 8u);
   }
 
   // Both derived streams answer from the shard their uuid hashes to, with

@@ -228,6 +228,9 @@ TEST(Messages, RollupAndDeleteRoundTrip) {
   auto rback = RollupStreamRequest::Decode(roll.Encode());
   ASSERT_TRUE(rback.ok());
   EXPECT_EQ(rback->granularity_chunks, 6u);
+  // The reply is the aligned source range as two fixed-width u64s.
+  EXPECT_EQ(ToHex(RollupStreamResponse{3, 9}.Encode()),
+            "03000000000000000900000000000000");
 
   DeleteRangeRequest del{1, {5, 10}};
   auto dback = DeleteRangeRequest::Decode(del.Encode());

@@ -48,6 +48,8 @@ std::vector<NamedDecoder> AllDecoders() {
        [](BytesView in) { return MultiStatRangeRequest::Decode(in).ok(); }},
       {"RollupStream",
        [](BytesView in) { return RollupStreamRequest::Decode(in).ok(); }},
+      {"RollupStreamResponse",
+       [](BytesView in) { return RollupStreamResponse::Decode(in).ok(); }},
       {"DeleteRange",
        [](BytesView in) { return DeleteRangeRequest::Decode(in).ok(); }},
       {"StreamInfoResponse",
@@ -176,6 +178,8 @@ std::vector<Sample> ValidEncodings() {
                    MultiStatRangeRequest{{1, 2, 3}, {0, 100}}));
   out.push_back(Of("RollupStream", kRollupStream,
                    RollupStreamRequest{7, 8, 6, {0, 0}}));
+  out.push_back(
+      Of("RollupStreamResponse", kResponse, RollupStreamResponse{0, 8}));
   out.push_back(
       Of("DeleteRange", kDeleteRange, DeleteRangeRequest{7, {0, 100}}));
   out.push_back(
@@ -714,6 +718,43 @@ TEST(WireFuzz, ReplicaHandshakeFramesRejectHostileFields) {
         ReplicaHeartbeatRequest::Decode(BytesView(beat_frame.data(), cut))
             .ok())
         << "heartbeat cut at " << cut;
+  }
+}
+
+TEST(WireFuzz, OutOfRangeFieldBytesAreInvalidArgument) {
+  // One byte of a valid sample set outside its range: every 0/1 flag (all
+  // decode through one flag rule), the replica ack mode and the metric
+  // kind. A negative offset counts from the end of the sample.
+  struct Case {
+    const char* sample;
+    int offset;
+    uint8_t was;
+    uint8_t bad;
+  };
+  const Case cases[] = {
+      {"CreateStream", -1, 0, 2},         // config.integrity
+      {"StreamInfoResponse", -9, 0, 2},   // config.integrity, num_chunks
+      {"ClusterInfoResponse", 25, 1, 2},  // shards[0].ack_mode
+      {"ClusterInfoResponse", 38, 0, 2},  // shards[0].auto_failover
+      {"MetricsInfoResponse", 1, 0, 3},   // entries[0].kind
+      {"TraceInfo", 8, 1, 2},             // slow_only
+      {"TraceInfoResponse", -2, 0, 2},    // spans[1].slow, dropped
+  };
+  auto samples = ValidEncodings();
+  for (const Case& c : cases) {
+    auto it =
+        std::find_if(samples.begin(), samples.end(), [&](const Sample& s) {
+          return std::string_view(s.name) == c.sample;
+        });
+    ASSERT_NE(it, samples.end()) << c.sample;
+    Bytes bytes = it->bytes;
+    size_t at = c.offset < 0 ? bytes.size() - static_cast<size_t>(-c.offset)
+                             : static_cast<size_t>(c.offset);
+    ASSERT_EQ(bytes[at], c.was) << c.sample << " byte " << at;
+    bytes[at] = c.bad;
+    EXPECT_EQ(it->reencode(bytes).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.sample << " byte " << at;
   }
 }
 
