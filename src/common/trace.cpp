@@ -51,16 +51,31 @@ std::string EscapeJson(const std::string& s) {
 
 void SpanRing::Push(const SpanRecord& r) {
   uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
+  if (ticket >= kCapacity) {
+    // One span leaves the ring per push past capacity: the evicted one, or
+    // this one when it is dropped below.
+    static metrics::Counter& dropped =
+        metrics::GetCounter("tc_trace_spans_dropped_total");
+    dropped.Inc();
+  }
   Slot& s = slots_[ticket & (kCapacity - 1)];
+  // Claim the slot by moving its version from even to odd. Two writers a
+  // full lap (kCapacity tickets) apart map to one slot; if another writer
+  // holds it, this span is dropped rather than written over that writer's
+  // fields, and no writer ever waits on another. Only the claimant writes
+  // the slot, so a snapshot that sees an even version sees one span.
+  //
   // Odd version marks the write window. Each field is a release store, so
   // a snapshot whose acquire load reads a field written in this window
   // also sees the odd version, and its closing version check fails (a
-  // seqlock reader after Boehm, with no fence). The closing increment
-  // releases the field stores to any snapshot that observes the even
-  // value. Two writers wrapping onto one slot (kCapacity tickets apart)
-  // each add 2, so the version always settles even — a mixed slot is
-  // possible but benign, and both spans count as dropped coverage anyway.
-  s.ver.fetch_add(1, std::memory_order_acq_rel);
+  // seqlock reader after Boehm, with no fence). The closing store releases
+  // the field stores to any snapshot that observes the even value.
+  uint64_t ver = s.ver.load(std::memory_order_relaxed);
+  do {
+    if ((ver & 1) != 0) return;
+  } while (!s.ver.compare_exchange_weak(ver, ver + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed));
   s.trace_id.store(r.trace_id, std::memory_order_release);
   s.span_id.store(r.span_id, std::memory_order_release);
   s.parent_span_id.store(r.parent_span_id, std::memory_order_release);
@@ -71,12 +86,7 @@ void SpanRing::Push(const SpanRecord& r) {
                std::memory_order_release);
   s.start_us.store(r.start_us, std::memory_order_release);
   s.duration_us.store(r.duration_us, std::memory_order_release);
-  s.ver.fetch_add(1, std::memory_order_release);
-  if (ticket >= kCapacity) {
-    static metrics::Counter& dropped =
-        metrics::GetCounter("tc_trace_spans_dropped_total");
-    dropped.Inc();
-  }
+  s.ver.store(ver + 2, std::memory_order_release);
 }
 
 std::vector<SpanRecord> SpanRing::Snapshot() const {

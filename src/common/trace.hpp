@@ -61,8 +61,10 @@ struct SpanRecord {
   bool slow = false;
 };
 
-/// Bounded lock-free ring of recent spans. Push is wait-free (one
-/// fetch_add plus release stores); Snapshot never blocks a writer.
+/// Bounded lock-free ring of recent spans. Push never waits (one
+/// fetch_add, a compare-exchange claiming the slot, release stores): a
+/// Push whose slot another writer holds drops its span. Snapshot never
+/// blocks a writer.
 class SpanRing {
  public:
   static constexpr size_t kCapacity = 4096;  // power of two
@@ -73,7 +75,8 @@ class SpanRing {
   /// mid-write (odd version, or version changed under the read) is skipped.
   std::vector<SpanRecord> Snapshot() const;
 
-  /// Spans evicted by ring wrap since process start.
+  /// Spans evicted by ring wrap, or dropped at a held slot, since process
+  /// start.
   uint64_t dropped() const {
     uint64_t head = head_.load(std::memory_order_relaxed);
     return head > kCapacity ? head - kCapacity : 0;
