@@ -25,8 +25,10 @@
 // (ordering on the connection), how a server routes it, whether a replica
 // may answer it — is one row of kFrameTypes below; servers read the row and
 // restate none of it. Adding a frame type takes one enum value, one row at
-// that value, and one case in tests/wire_fuzz_test.cpp; then an arm in the
-// handler of each server that answers it.
+// that value, one struct with a Visit field list in net/messages.hpp (which
+// derives its Encode and Decode), and one fuzz case in
+// tests/wire_fuzz_test.cpp; then an arm in the handler of each server that
+// answers it.
 #pragma once
 
 #include <cstddef>
