@@ -3,11 +3,23 @@
 namespace tc {
 
 void PutVarint(Bytes& out, uint64_t value) {
+  // Byte by byte: the wire codec and the chunk compressor write mostly
+  // one- and two-byte varints, where push_back beats a ranged insert.
   while (value >= 0x80) {
     out.push_back(static_cast<uint8_t>(value) | 0x80);
     value >>= 7;
   }
   out.push_back(static_cast<uint8_t>(value));
+}
+
+size_t PutVarint(uint8_t* out, uint64_t value) {
+  size_t n = 0;
+  while (value >= 0x80) {
+    out[n++] = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  out[n++] = static_cast<uint8_t>(value);
+  return n;
 }
 
 std::optional<uint64_t> GetVarint(BytesView in, size_t& pos) {

@@ -9,8 +9,15 @@
 
 namespace tc {
 
+/// The longest varint of a 64-bit value.
+inline constexpr size_t kMaxVarintBytes = 10;
+
 /// Append an unsigned LEB128 varint to `out` (1..10 bytes for 64-bit).
 void PutVarint(Bytes& out, uint64_t value);
+
+/// Write an unsigned LEB128 varint to `out`, which has room for
+/// kMaxVarintBytes; returns the bytes written.
+size_t PutVarint(uint8_t* out, uint64_t value);
 
 /// Decode a varint starting at out[pos]; advances pos. nullopt on truncation
 /// or overlong (>10 byte) encodings.

@@ -71,10 +71,12 @@ class KvStore {
   virtual size_t ValueBytes() const = 0;
 
   /// Flush buffered writes toward stable storage. No-op for volatile
-  /// stores; durable stores (LogKvStore) override with a group-committing
-  /// flush so many callers share one flush of the same appends. Blocking:
-  /// a durable Sync parks the caller on fsync — never call it with a
-  /// tc::Mutex held (tc_analyze B1).
+  /// stores. LogKvStore overrides it with a group-committing flush, so many
+  /// callers share one flush of the same appends. That flush is an fflush
+  /// into the OS page cache, not an fsync: the records outlive a crash of
+  /// the process, not of the machine (ROADMAP item 4 adds the fdatasync).
+  /// Blocking: the flush is a write(2) — never call it with a tc::Mutex
+  /// held (tc_analyze B1).
   TC_BLOCKING virtual Status Sync() { return Status::Ok(); }
 
   /// Visit every (key, value) pair in unspecified order. The callback MUST

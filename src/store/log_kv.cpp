@@ -5,8 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/io.hpp"
 #include "common/logging.hpp"
@@ -21,7 +25,6 @@ constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
 constexpr uint8_t kRecordAppend = 3;  // value = suffix of the key's value
 
-constexpr size_t kMaxVarintBytes = 10;
 /// A Get reads two extents with one pread when at most this many bytes of
 /// other records lie between them, about where copying the gap out of the
 /// page cache costs as much as one more pread. The gaps between an index
@@ -30,6 +33,10 @@ constexpr size_t kMaxVarintBytes = 10;
 /// chunk records alone and a node is one read; with a dozen or more
 /// streams interleaving, a node costs up to one read per entry.
 constexpr uint64_t kMaxReadGap = 4096;
+/// Get copies a value's extents out of the directory onto its stack when
+/// there are at most this many: an index node has one per entry, and 64 is
+/// the default fanout.
+constexpr size_t kInlineExtents = 64;
 
 /// Process-wide log-store op counters (all LogKvStore instances sum into
 /// one family; per-shard splits come from the kClusterInfo gauges).
@@ -95,8 +102,222 @@ class LogKvStore::ReadFile {
   int fd_;
 };
 
+/// A live key: where its bytes are in the arena, and its value's size and
+/// log extents. An empty value has no extents; otherwise the first starts
+/// at `offset`, and `more`, when not 0, is 1 + the side-table slot holding
+/// the others, in log order. The first extent is `size` minus their sum.
+struct LogKvStore::Record {
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint32_t key_block = 0;
+  uint32_t key_at = 0;
+  uint32_t hash = 0;  // of the key, so probes and growth need not read it
+  uint32_t more = 0;
+};
+
+/// Open addressing with linear probing over record ids. A directory holds
+/// fewer than 2^32 - 1 records: 128 GiB of them.
+class LogKvStore::Directory {
+ public:
+  Directory() : slots_(16, kEmpty) {}
+
+  /// Live keys.
+  size_t size() const { return live_; }
+
+  const Record* Find(std::string_view key) const {
+    uint32_t id = slots_[Probe(key, Hash(key))];
+    return id == kEmpty ? nullptr : &At(id);
+  }
+  Record* Find(std::string_view key) {
+    return const_cast<Record*>(std::as_const(*this).Find(key));
+  }
+
+  /// The record of `key`, added with an empty value if absent; the flag
+  /// says whether it was.
+  std::pair<Record*, bool> FindOrInsert(std::string_view key) {
+    // Grow before probing, so the slot found is where the key goes.
+    if ((live_ + 1) * 4 > slots_.size() * 3) Grow();
+    uint32_t hash = Hash(key);
+    size_t slot = Probe(key, hash);
+    if (slots_[slot] != kEmpty) return {&At(slots_[slot]), false};
+    uint32_t id = records_++;
+    if (id % kRecordsPerBlock == 0) {
+      record_blocks_.push_back(
+          std::make_unique<Record[]>(kRecordsPerBlock));
+    }
+    Record& record = At(id);  // value-initialized with its block
+    record.hash = hash;
+    StoreKey(record, key);
+    slots_[slot] = id;
+    ++live_;
+    return {&record, true};
+  }
+
+  /// Drops `key`; returns its value's size, or nullopt if it was absent.
+  std::optional<uint64_t> Erase(std::string_view key) {
+    size_t hole = Probe(key, Hash(key));
+    if (slots_[hole] == kEmpty) return std::nullopt;
+    Record& record = At(slots_[hole]);
+    FreeMore(record);
+    record.key_block = kErased;
+    --live_;
+    // Backward-shift deletion: pull each later record of the probe run
+    // into the hole unless that would put it before its home slot, so
+    // every remaining key is still reached from its home without a gap.
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (hole + 1) & mask; slots_[i] != kEmpty; i = (i + 1) & mask) {
+      size_t home = At(slots_[i]).hash & mask;
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = kEmpty;
+    return record.size;
+  }
+
+  std::string_view Key(const Record& record) const {
+    // StoreKey left room for a whole varint at every key.
+    const uint8_t* at = key_blocks_[record.key_block].get() + record.key_at;
+    size_t pos = 0;
+    uint64_t length = *GetVarint(BytesView(at, kMaxVarintBytes), pos);
+    return {reinterpret_cast<const char*>(at + pos), length};
+  }
+
+  /// Sets the value to the `size` bytes at log offset `offset`.
+  void SetValue(Record& record, uint64_t offset, uint64_t size) {
+    FreeMore(record);
+    record.offset = offset;
+    record.size = size;
+  }
+
+  /// Adds `length` bytes at log offset `offset` to the end of the value.
+  void AddExtent(Record& record, uint64_t offset, uint64_t length) {
+    if (length == 0) return;
+    if (record.size == 0) {
+      SetValue(record, offset, length);
+      return;
+    }
+    if (record.more == 0) {
+      if (free_more_.empty()) {
+        more_.emplace_back();
+        record.more = static_cast<uint32_t>(more_.size());
+      } else {
+        record.more = free_more_.back() + 1;
+        free_more_.pop_back();
+      }
+    }
+    more_[record.more - 1].push_back({offset, length});
+    record.size += length;
+  }
+
+  size_t ExtentCount(const Record& record) const {
+    if (record.size == 0) return 0;
+    return 1 + (record.more == 0 ? 0 : more_[record.more - 1].size());
+  }
+
+  /// Writes the value's ExtentCount(record) extents to `out`.
+  void CopyExtents(const Record& record, std::span<Extent> out) const {
+    if (out.empty()) return;
+    uint64_t first = record.size;
+    if (record.more != 0) {
+      const auto& rest = more_[record.more - 1];
+      std::copy(rest.begin(), rest.end(), out.begin() + 1);
+      for (const Extent& e : rest) first -= e.length;
+    }
+    out[0] = {record.offset, first};
+  }
+
+  /// Record ids run from 0 to this, in insertion order, erased ones
+  /// included.
+  uint32_t records() const { return records_; }
+  /// The record with id `id`, or nullptr if its key was erased.
+  const Record* Live(uint32_t id) const {
+    const Record& record = At(id);
+    return record.key_block == kErased ? nullptr : &record;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;   // a free table slot
+  static constexpr uint32_t kErased = UINT32_MAX;  // key_block of an erased record
+  static constexpr size_t kKeyBlockBytes = size_t{64} << 10;
+  static constexpr uint32_t kRecordsPerBlock = 2048;  // 64 KiB
+  static_assert(sizeof(Record) == 32);
+
+  static uint32_t Hash(std::string_view key) {
+    uint64_t h = std::hash<std::string_view>{}(key);
+    return static_cast<uint32_t>(h ^ (h >> 32));
+  }
+
+  const Record& At(uint32_t id) const {
+    return record_blocks_[id / kRecordsPerBlock][id % kRecordsPerBlock];
+  }
+  Record& At(uint32_t id) {
+    return record_blocks_[id / kRecordsPerBlock][id % kRecordsPerBlock];
+  }
+
+  /// The table slot holding `key`, or the free slot where it would go.
+  size_t Probe(std::string_view key, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      uint32_t id = slots_[i];
+      if (id == kEmpty) return i;
+      const Record& record = At(id);
+      if (record.hash == hash && Key(record) == key) return i;
+    }
+  }
+
+  /// Doubles the table and places every live record in it again.
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < records_; ++id) {
+      const Record* record = Live(id);
+      if (record == nullptr) continue;
+      size_t i = record->hash & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  /// Copies `key`, behind its varint length, to the arena's last block,
+  /// or to a new block when it might not fit: one of kKeyBlockBytes, or of
+  /// the key's size for a key longer than that.
+  void StoreKey(Record& record, std::string_view key) {
+    size_t room = kMaxVarintBytes + key.size();
+    if (key_block_used_ + room > kKeyBlockBytes) {
+      key_blocks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+          std::max(room, kKeyBlockBytes)));
+      key_block_used_ = 0;
+    }
+    uint8_t* at = key_blocks_.back().get() + key_block_used_;
+    size_t prefix = PutVarint(at, key.size());
+    std::memcpy(at + prefix, key.data(), key.size());
+    record.key_block = static_cast<uint32_t>(key_blocks_.size() - 1);
+    record.key_at = static_cast<uint32_t>(key_block_used_);
+    key_block_used_ += prefix + key.size();
+  }
+
+  void FreeMore(Record& record) {
+    if (record.more == 0) return;
+    std::vector<Extent>().swap(more_[record.more - 1]);
+    free_more_.push_back(record.more - 1);
+    record.more = 0;
+  }
+
+  std::vector<std::unique_ptr<uint8_t[]>> key_blocks_;
+  size_t key_block_used_ = kKeyBlockBytes;  // bytes of key_blocks_.back()
+  std::vector<std::unique_ptr<Record[]>> record_blocks_;
+  uint32_t records_ = 0;  // ids handed out, erased ones included
+  size_t live_ = 0;
+  std::vector<uint32_t> slots_;  // record ids; size a power of two
+  std::vector<std::vector<Extent>> more_;  // the side table
+  std::vector<uint32_t> free_more_;
+};
+
 LogKvStore::LogKvStore(std::string path, LogKvOptions options)
-    : path_(std::move(path)), options_(options) {}
+    : path_(std::move(path)), options_(options),
+      dir_(std::make_unique<Directory>()) {}
 
 LogKvStore::~LogKvStore() {
   MutexLock lock(mu_);
@@ -119,40 +340,28 @@ Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path,
   return store;
 }
 
-LogKvStore::Entry LogKvStore::WholeValue(uint64_t offset, uint64_t size) {
-  Entry entry;
-  entry.size = size;
-  if (size > 0) entry.extents.push_back({offset, size});
-  return entry;
-}
-
-void LogKvStore::ApplyPut(const std::string& key, uint64_t offset,
+void LogKvStore::ApplyPut(std::string_view key, uint64_t offset,
                           uint64_t size) {
-  auto [it, inserted] = dir_.try_emplace(key);
+  auto [record, inserted] = dir_->FindOrInsert(key);
   if (!inserted) {
-    dead_bytes_ += it->second.size;
-    value_bytes_ -= it->second.size;
-    extent_count_ -= it->second.extents.size();
+    dead_bytes_ += record->size;
+    value_bytes_ -= record->size;
   }
-  it->second = WholeValue(offset, size);
+  dir_->SetValue(*record, offset, size);
   value_bytes_ += size;
-  extent_count_ += it->second.extents.size();
 }
 
-void LogKvStore::ApplyAppend(Entry& entry, uint64_t offset, uint64_t length) {
-  if (length > 0) {
-    entry.extents.push_back({offset, length});
-    ++extent_count_;
-  }
-  entry.size += length;
+void LogKvStore::ApplyAppend(Record& record, uint64_t offset,
+                             uint64_t length) {
+  dir_->AddExtent(record, offset, length);
   value_bytes_ += length;
 }
 
-void LogKvStore::ApplyDelete(Directory::iterator it) {
-  dead_bytes_ += it->second.size;
-  value_bytes_ -= it->second.size;
-  extent_count_ -= it->second.extents.size();
-  dir_.erase(it);
+void LogKvStore::ApplyDelete(std::string_view key) {
+  std::optional<uint64_t> size = dir_->Erase(key);
+  if (!size) return;
+  dead_bytes_ += *size;
+  value_bytes_ -= *size;
 }
 
 Status LogKvStore::Replay() {
@@ -194,8 +403,9 @@ Status LogKvStore::Replay() {
     if (!key_len || *key_len > left - key_at) break;
     TC_ASSIGN_OR_RETURN(BytesView record,
                         window(pos, key_at + *key_len + kMaxVarintBytes));
-    std::string key(record.begin() + key_at,
-                    record.begin() + key_at + *key_len);
+    // A view into the buffer, used before the next window() call.
+    std::string_view key(reinterpret_cast<const char*>(record.data()) + key_at,
+                         *key_len);
     size_t value_at = key_at + *key_len;
     uint64_t value_len = 0;
     if (type != kRecordTombstone) {
@@ -206,18 +416,18 @@ Status LogKvStore::Replay() {
     if (type == kRecordPut) {
       ApplyPut(key, pos + value_at, value_len);
     } else if (type == kRecordTombstone) {
-      auto it = dir_.find(key);
-      if (it != dir_.end()) ApplyDelete(it);
+      ApplyDelete(key);
     } else {
       // Append() refuses absent keys, so a complete append record without
       // its base value is corruption, not a torn tail: truncating here
       // would silently drop every record after it.
-      auto it = dir_.find(key);
-      if (it == dir_.end()) {
+      Record* base = dir_->Find(key);
+      if (base == nullptr) {
         return DataLoss("log " + path_ + ": append record at offset " +
-                        std::to_string(pos) + " for absent key " + key);
+                        std::to_string(pos) + " for absent key " +
+                        std::string(key));
       }
-      ApplyAppend(it->second, pos + value_at, value_len);
+      ApplyAppend(*base, pos + value_at, value_len);
     }
     pos += value_at + value_len;
   }
@@ -351,14 +561,24 @@ Status LogKvStore::Put(const std::string& key, BytesView value) {
 Result<Bytes> LogKvStore::Get(const std::string& key) const {
   if constexpr (metrics::kEnabled) Ops().gets.Inc();
   uint64_t size = 0;
-  std::vector<Extent> extents;
+  // The value's extents, copied out to read them without the lock.
+  std::array<Extent, kInlineExtents> inline_extents;
+  std::vector<Extent> many_extents;
+  std::span<Extent> extents;
   std::shared_ptr<const ReadFile> file;
   {
     MutexLock lock(mu_);
-    auto it = dir_.find(key);
-    if (it == dir_.end()) return NotFound("key not found: " + key);
-    size = it->second.size;
-    extents = it->second.extents;
+    const Record* record = dir_->Find(key);
+    if (record == nullptr) return NotFound("key not found: " + key);
+    size = record->size;
+    size_t count = dir_->ExtentCount(*record);
+    if (count <= kInlineExtents) {
+      extents = std::span(inline_extents).first(count);
+    } else {
+      many_extents.resize(count);
+      extents = many_extents;
+    }
+    dir_->CopyExtents(*record, extents);
     if (!extents.empty()) {
       TC_RETURN_IF_ERROR(
           FlushThrough(extents.back().offset + extents.back().length));
@@ -375,10 +595,9 @@ Result<Bytes> LogKvStore::Get(const std::string& key) const {
 Status LogKvStore::Delete(const std::string& key) {
   if constexpr (metrics::kEnabled) Ops().deletes.Inc();
   MutexLock lock(mu_);
-  auto it = dir_.find(key);
-  if (it == dir_.end()) return NotFound("key not found: " + key);
+  if (dir_->Find(key) == nullptr) return NotFound("key not found: " + key);
   TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}).status());
-  ApplyDelete(it);
+  ApplyDelete(key);
   MaybeAutoCompactLocked();
   return Status::Ok();
 }
@@ -387,23 +606,23 @@ Result<size_t> LogKvStore::Append(const std::string& key,
                                   size_t expected_size, BytesView suffix) {
   if constexpr (metrics::kEnabled) Ops().appends.Inc();
   MutexLock lock(mu_);
-  auto it = dir_.find(key);
-  if (it == dir_.end()) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(CheckAppendSize(key, it->second.size, expected_size));
+  Record* record = dir_->Find(key);
+  if (record == nullptr) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(CheckAppendSize(key, record->size, expected_size));
   TC_ASSIGN_OR_RETURN(uint64_t offset,
                       AppendRecord(kRecordAppend, key, suffix));
-  ApplyAppend(it->second, offset, suffix.size());
-  return it->second.size;
+  ApplyAppend(*record, offset, suffix.size());
+  return record->size;
 }
 
 bool LogKvStore::Contains(const std::string& key) const {
   MutexLock lock(mu_);
-  return dir_.contains(key);
+  return dir_->Find(key) != nullptr;
 }
 
 size_t LogKvStore::Size() const {
   MutexLock lock(mu_);
-  return dir_.size();
+  return dir_->size();
 }
 
 size_t LogKvStore::ValueBytes() const {
@@ -413,39 +632,49 @@ size_t LogKvStore::ValueBytes() const {
 
 Status LogKvStore::Scan(
     const std::function<void(const std::string&, BytesView)>& fn) const {
-  // The directory and descriptor as of one instant, the extents of all
-  // values in one array; as in Get, the values are read without the lock.
+  // The directory and descriptor as of one instant, the keys and extents
+  // of all values in one array each; as in Get, the values are read without
+  // the lock.
   struct Item {
-    std::string key;
+    size_t key_end;      // items[i]'s key ends where items[i + 1]'s starts
     uint64_t size;
-    size_t extents_end;  // items[i]'s extents end where items[i + 1]'s start
+    size_t extents_end;  // and likewise its extents
   };
   std::vector<Item> items;
+  std::string keys;
   std::vector<Extent> extents;
   std::shared_ptr<const ReadFile> file;
   {
     MutexLock lock(mu_);
     TC_RETURN_IF_ERROR(FlushThrough(log_end_));
-    items.reserve(dir_.size());
-    extents.reserve(extent_count_);
-    for (const auto& [key, entry] : dir_) {
-      extents.insert(extents.end(), entry.extents.begin(),
-                     entry.extents.end());
-      items.push_back({key, entry.size, extents.size()});
+    items.reserve(dir_->size());
+    extents.reserve(dir_->size());
+    for (uint32_t id = 0; id < dir_->records(); ++id) {
+      const Record* record = dir_->Live(id);
+      if (record == nullptr) continue;
+      keys += dir_->Key(*record);
+      size_t count = dir_->ExtentCount(*record);
+      extents.resize(extents.size() + count);
+      dir_->CopyExtents(*record, std::span(extents).last(count));
+      items.push_back({keys.size(), record->size, extents.size()});
     }
     file = reader_;
   }
+  std::string key;
   Bytes value;
+  size_t key_begin = 0;
   size_t extents_begin = 0;
   for (const auto& item : items) {
+    key.assign(keys, key_begin, item.key_end - key_begin);
     value.resize(item.size);
     TC_RETURN_IF_ERROR(ReadValue(
         *file,
         std::span(extents).subspan(extents_begin,
                                    item.extents_end - extents_begin),
         value));
+    key_begin = item.key_end;
     extents_begin = item.extents_end;
-    fn(item.key, value);
+    fn(key, value);
   }
   return Status::Ok();
 }
@@ -462,24 +691,33 @@ Result<size_t> LogKvStore::CompactLocked() {
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
   if (tmp == nullptr) return Unavailable("cannot open compaction file");
 
-  // Where each value lands in the new log, in dir_'s iteration order; dir_
-  // is updated only once the new log has replaced the old one.
-  std::vector<uint64_t> offsets;
-  offsets.reserve(dir_.size());
+  // The new log and, beside it, the directory that will describe it: each
+  // key in dir_'s order, its value now one put. dir_ is replaced only once
+  // the new log has replaced the old one.
+  auto dense = std::make_unique<Directory>();
   uint64_t tmp_end = 0;
+  std::vector<Extent> extents;
   Bytes value;
-  for (const auto& [key, entry] : dir_) {
-    value.resize(entry.size);
-    Status read = ReadValue(*reader_, entry.extents, value);
+  for (uint32_t id = 0; id < dir_->records(); ++id) {
+    const Record* record = dir_->Live(id);
+    if (record == nullptr) continue;
+    std::string_view key = dir_->Key(*record);
+    extents.resize(dir_->ExtentCount(*record));
+    dir_->CopyExtents(*record, extents);
+    value.resize(record->size);
+    Status read = ReadValue(*reader_, extents, value);
     BinaryWriter w(key.size() + 16);
     w.PutU8(kRecordPut);
     w.PutString(key);
     w.PutVar(value.size());
-    offsets.push_back(tmp_end + w.size());
+    dense->SetValue(*dense->FindOrInsert(key).first, tmp_end + w.size(),
+                    value.size());
     tmp_end += w.size() + value.size();
+    // An empty value's data() may be null, which fwrite must not get.
     if (!read.ok() ||
         std::fwrite(w.data().data(), 1, w.size(), tmp) != w.size() ||
-        std::fwrite(value.data(), 1, value.size(), tmp) != value.size()) {
+        (!value.empty() &&
+         std::fwrite(value.data(), 1, value.size(), tmp) != value.size())) {
       std::fclose(tmp);
       std::remove(tmp_path.c_str());
       return read.ok() ? Unavailable("compaction write failed") : read;
@@ -504,12 +742,7 @@ Result<size_t> LogKvStore::CompactLocked() {
     log_ = std::fopen(path_.c_str(), "ab");
     return Unavailable("compaction rename failed");
   }
-  size_t i = 0;
-  extent_count_ = 0;
-  for (auto& [key, entry] : dir_) {
-    entry = WholeValue(offsets[i++], entry.size);
-    extent_count_ += entry.extents.size();
-  }
+  dir_ = std::move(dense);
   // A Get that copied the old descriptor finishes on the old file.
   reader_ = std::move(*reader);
   log_end_ = flushed_end_ = tmp_end;

@@ -11,8 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <string_view>
 
 #include "common/thread_annotations.hpp"
 #include "store/kv_store.hpp"
@@ -31,17 +30,27 @@ struct LogKvOptions {
 };
 
 /// Log-structured store. Writes append `type keylen key vallen value`
-/// records to a single log file. The key directory maps each live key to
-/// its value's length and the log extents (offset, length) that hold it, in
-/// order: a put records one extent, and an append, whose record holds only
-/// the suffix, adds one more, so growing a value leaves no dead bytes
-/// behind. Deletes append a tombstone. Get reads the extents with pread on
-/// a read-only descriptor, outside the store's lock; it flushes the write
-/// buffer first only when the value's bytes are not yet in the file.
-/// Compact() rewrites the log dropping dead records (each value becomes one
-/// put) and swaps in a descriptor on the new file; a Get racing it finishes
-/// on the old, renamed-over file. With LogKvOptions::compact_dead_fraction
-/// set, compaction also triggers automatically once dead bytes dominate.
+/// records to a single log file. Deletes append a tombstone. Get reads a
+/// value's log extents (offset, length) with pread on a read-only
+/// descriptor, outside the store's lock; it flushes the write buffer first
+/// only when the value's bytes are not yet in the file. Compact() rewrites
+/// the log dropping dead records (each value becomes one put) and swaps in
+/// a descriptor on the new file; a Get racing it finishes on the old,
+/// renamed-over file. With LogKvOptions::compact_dead_fraction set,
+/// compaction also triggers automatically once dead bytes dominate.
+///
+/// Memory holds only the key directory, which is flat. Each key has a
+/// 32-byte record holding where its bytes sit in an arena of fixed-size
+/// blocks, its value's size and the value's first extent; an
+/// open-addressing table of 32-bit record ids finds the record. A put
+/// records one extent. An append, whose log record holds only the suffix,
+/// adds one more to a side table, so growing a value (an index node)
+/// leaves no dead bytes behind. A key thus costs its length plus 38 to 44
+/// bytes (record, length prefix, and a table slot at between 3/8 and 3/4
+/// load): about 76 bytes for a chunk key, where a hash map of strings to
+/// extent vectors takes about 190. Records and keys are only added, in
+/// blocks, so growth never copies them; a deleted key's record and bytes
+/// stay until Compact() rebuilds the directory densely.
 class LogKvStore final : public KvStore {
  public:
   /// Replay reads the log through a buffer of this size, so opening a
@@ -92,20 +101,16 @@ class LogKvStore final : public KvStore {
     uint64_t offset = 0;
     uint64_t length = 0;
   };
-  /// A live key: its value's length and, in order, the extents holding it.
-  /// An empty value has no extents.
-  struct Entry {
-    uint64_t size = 0;
-    std::vector<Extent> extents;
-  };
-  using Directory = std::unordered_map<std::string, Entry>;
+
+  /// The key directory (see the class comment) and its per-key record,
+  /// both defined in log_kv.cpp.
+  class Directory;
+  struct Record;
   /// A read-only descriptor on one log file, closed by its last holder.
   class ReadFile;
 
   LogKvStore(std::string path, LogKvOptions options);
 
-  /// The entry of a value held in one place: a put record's value.
-  static Entry WholeValue(uint64_t offset, uint64_t size);
   /// Read `extents` (in log order, totalling the size of `out`) from
   /// `file` into `out`. Extents a small gap apart share one pread.
   static Status ReadValue(const ReadFile& file,
@@ -113,11 +118,11 @@ class LogKvStore final : public KvStore {
 
   /// Directory and byte accounting for a put, an append and a delete
   /// whose records are in the log; shared by the write paths and Replay.
-  void ApplyPut(const std::string& key, uint64_t offset, uint64_t size)
+  void ApplyPut(std::string_view key, uint64_t offset, uint64_t size)
       REQUIRES(mu_);
-  void ApplyAppend(Entry& entry, uint64_t offset, uint64_t length)
+  void ApplyAppend(Record& record, uint64_t offset, uint64_t length)
       REQUIRES(mu_);
-  void ApplyDelete(Directory::iterator it) REQUIRES(mu_);
+  void ApplyDelete(std::string_view key) REQUIRES(mu_);
 
   Status Replay() REQUIRES(mu_);
   /// Drop a torn tail discovered during replay (crash-recovery path).
@@ -140,12 +145,9 @@ class LogKvStore final : public KvStore {
   mutable Mutex mu_;
   std::FILE* log_ GUARDED_BY(mu_) = nullptr;
   std::shared_ptr<const ReadFile> reader_ GUARDED_BY(mu_);
-  Directory dir_ GUARDED_BY(mu_);
+  std::unique_ptr<Directory> dir_ GUARDED_BY(mu_);
   size_t value_bytes_ GUARDED_BY(mu_) = 0;
   size_t dead_bytes_ GUARDED_BY(mu_) = 0;
-  // Extents across the directory: Scan's snapshot copies them into one
-  // array of this size.
-  size_t extent_count_ GUARDED_BY(mu_) = 0;
   uint64_t compactions_ GUARDED_BY(mu_) = 0;
   // After a failed auto-compaction, don't retry until dead bytes reach
   // this level (0 = no backoff; reset by any successful compaction).

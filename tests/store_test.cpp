@@ -1,9 +1,11 @@
 // Storage substrate tests: sharded in-memory KV, file-backed log KV with
 // restart/compaction, the Append contract across stores, decorators and
-// the cache, prefix views, byte-budget LRU cache, latency decorator, and
-// Scan interactions with replication catch-up.
+// the cache, prefix views, byte-budget LRU cache, latency decorator,
+// Scan interactions with replication catch-up, a differential test of the
+// log store against the in-memory one, and the log store's heap per key.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <random>
 #include <thread>
 
 #include "replica/replicated_kv.hpp"
@@ -922,6 +925,127 @@ TEST_F(LogKvTest, ScanCallbackMayWriteToTheStore) {
   EXPECT_EQ(seen, 20u);
   EXPECT_EQ((*kv)->Size(), 40u);
   EXPECT_EQ(*(*kv)->Get("k3"), Bytes(7, 0));
+}
+
+// Seeded random Put, Append, Delete, Get and Contains against MemKvStore
+// as the oracle, with a Compact or a reopen between phases. 3,000 keys
+// take the log store's directory table through eight doublings, and
+// deleting from it at up to 3/4 load removes keys from the middle of probe
+// runs. Values and suffixes are often empty, and keys grown by appends
+// keep growing across every Compact. A few keys exceed the 64 KiB blocks
+// the directory keeps keys in.
+class LogKvDifferentialTest : public LogKvTest,
+                              public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  static constexpr size_t kKeys = 3000;
+
+  static std::string KeyOf(size_t i) {
+    std::string key = "chunk/" + std::to_string(i * 7919) + "/" +
+                      std::to_string(i);
+    if (i % 1000 == 999) key.append(70'000, 'x');
+    return key;
+  }
+
+  // Both stores hold the same pairs, checked through every read path.
+  void ExpectSame(const KvStore& log, const KvStore& mem,
+                  const std::string& when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(log.Size(), mem.Size());
+    EXPECT_EQ(log.ValueBytes(), mem.ValueBytes());
+    EXPECT_EQ(ScanAll(log), ScanAll(mem));
+    for (size_t i = 0; i < kKeys; ++i) {
+      std::string key = KeyOf(i);
+      ASSERT_EQ(log.Contains(key), mem.Contains(key)) << i;
+      auto got = log.Get(key);
+      auto want = mem.Get(key);
+      ASSERT_EQ(got.status().code(), want.status().code()) << i;
+      if (want.ok()) ASSERT_EQ(*got, *want) << i;
+    }
+  }
+};
+
+TEST_P(LogKvDifferentialTest, MatchesMemKvStoreAcrossCompactionsAndReopens) {
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto bytes = [&](size_t max_len) {
+    Bytes b(pick(max_len + 1) * pick(2));  // empty about half the time
+    for (auto& byte : b) byte = static_cast<uint8_t>(rng());
+    return b;
+  };
+  MemKvStore mem(4);
+  auto log = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(log.ok());
+  for (int phase = 0; phase < 8; ++phase) {
+    // The first phase only puts, filling the table; later ones mix in
+    // the other operations.
+    for (int op = 0; op < 4000; ++op) {
+      std::string key = KeyOf(pick(kKeys));
+      size_t kind = phase == 0 ? 0 : pick(10);
+      if (kind < 3) {
+        Bytes value = bytes(40);
+        ASSERT_TRUE((*log)->Put(key, value).ok());
+        ASSERT_TRUE(mem.Put(key, value).ok());
+      } else if (kind < 6) {
+        auto size = mem.Get(key);
+        // Mostly the right length; sometimes one off, which must fail.
+        size_t expected = size.ok() ? size->size() + pick(8) / 7 : 0;
+        Bytes suffix = bytes(16);
+        auto got = (*log)->Append(key, expected, suffix);
+        auto want = mem.Append(key, expected, suffix);
+        ASSERT_EQ(got.status().code(), want.status().code()) << key;
+        if (want.ok()) ASSERT_EQ(*got, *want);
+      } else if (kind < 8) {
+        ASSERT_EQ((*log)->Delete(key).code(), mem.Delete(key).code());
+      } else if (kind < 9) {
+        auto got = (*log)->Get(key);
+        auto want = mem.Get(key);
+        ASSERT_EQ(got.status().code(), want.status().code());
+        if (want.ok()) ASSERT_EQ(*got, *want);
+      } else {
+        ASSERT_EQ((*log)->Contains(key), mem.Contains(key));
+      }
+    }
+    ExpectSame(**log, mem, "phase " + std::to_string(phase));
+    if (phase % 2 == 0) {
+      ASSERT_TRUE((*log)->Compact().ok());
+      ExpectSame(**log, mem, "compacted " + std::to_string(phase));
+    } else {
+      ASSERT_TRUE((*log)->Sync().ok());
+      log->reset();
+      log = LogKvStore::Open(path_.string());
+      ASSERT_TRUE(log.ok());
+      ExpectSame(**log, mem, "reopened " + std::to_string(phase));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LogKvDifferentialTest,
+                         ::testing::Values(1, 2, 3));
+
+TEST_F(LogKvTest, KeyDirectoryTakesAtMost96BytesOfHeapPerKey) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
+#endif
+  // Chunk keys as the server names them, with small values: the log holds
+  // the values, so the heap grows by the directory alone. Allocations too
+  // big for the heap are mapped and counted in hblkhd, not uordblks.
+  constexpr size_t kKeys = 100'000;
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  auto heap_bytes = [] {
+    struct mallinfo2 info = ::mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  size_t before = heap_bytes();
+  for (size_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE((*kv)
+                    ->Put("chunk/18446744073709551557/" + std::to_string(i),
+                          Bytes(8, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+  size_t per_key = (heap_bytes() - before) / kKeys;
+  EXPECT_LE(per_key, 96u) << "heap bytes per key";
+  EXPECT_EQ((*kv)->Size(), kKeys);
 }
 
 TEST(LruCacheTest, AppendGrowsACachedValueInPlace) {
