@@ -2,6 +2,9 @@
 
 #include <zlib.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "chunk/gorilla.hpp"
 #include "common/io.hpp"
 
@@ -12,33 +15,76 @@ constexpr uint8_t kFormatVersion = 1;
 }
 
 Result<Bytes> ZlibDeflate(BytesView data) {
-  uLongf bound = compressBound(static_cast<uLong>(data.size()));
-  Bytes out(bound);
-  int rc = compress2(out.data(), &bound, data.data(),
-                     static_cast<uLong>(data.size()), Z_DEFAULT_COMPRESSION);
-  if (rc != Z_OK) return Internal("zlib deflate failed: " + std::to_string(rc));
-  out.resize(bound);
+  // One deflate state per thread, reset per call. compress2 builds and
+  // frees the same ~256 KB state on every call; deflateInit gives it
+  // compress2's level, window and memLevel, so the bytes are identical.
+  struct Deflater {
+    z_stream zs{};
+    int init = deflateInit(&zs, Z_DEFAULT_COMPRESSION);
+    ~Deflater() {
+      if (init == Z_OK) deflateEnd(&zs);
+    }
+  };
+  thread_local Deflater deflater;
+  z_stream& zs = deflater.zs;
+  if (deflater.init != Z_OK) {
+    return Internal("zlib deflate init failed: " +
+                    std::to_string(deflater.init));
+  }
+  if (data.size() > std::numeric_limits<uInt>::max()) {
+    return InvalidArgument("zlib input exceeds 4 GiB");
+  }
+  Bytes out(compressBound(static_cast<uLong>(data.size())));
+  deflateReset(&zs);
+  zs.next_in = const_cast<Bytef*>(data.data());
+  zs.avail_in = static_cast<uInt>(data.size());
+  zs.next_out = out.data();
+  zs.avail_out = static_cast<uInt>(out.size());
+  int rc = deflate(&zs, Z_FINISH);
+  if (rc != Z_STREAM_END) {
+    return Internal("zlib deflate failed: " + std::to_string(rc));
+  }
+  out.resize(zs.total_out);
   return out;
 }
 
 Result<Bytes> ZlibInflate(BytesView data, size_t max_output) {
-  // Grow the output buffer geometrically until the payload fits.
-  size_t cap = std::max<size_t>(data.size() * 4, 256);
-  while (cap <= max_output) {
-    Bytes out(cap);
-    uLongf out_len = static_cast<uLongf>(out.size());
-    int rc = uncompress(out.data(), &out_len, data.data(),
-                        static_cast<uLong>(data.size()));
-    if (rc == Z_OK) {
-      out.resize(out_len);
-      return out;
-    }
-    if (rc != Z_BUF_ERROR) {
+  if (data.size() > std::numeric_limits<uInt>::max()) {
+    return DataLoss("zlib payload exceeds size limit");
+  }
+  z_stream zs{};
+  if (inflateInit(&zs) != Z_OK) return Internal("zlib inflate init failed");
+  struct End {
+    z_stream* zs;
+    ~End() { inflateEnd(zs); }
+  } end{&zs};
+  zs.next_in = const_cast<Bytef*>(data.data());
+  zs.avail_in = static_cast<uInt>(data.size());
+
+  // Inflate once, doubling the output buffer whenever it fills. The buffer
+  // stops one byte past the limit: filling that byte means the payload is
+  // larger than max_output.
+  const size_t limit = max_output + (max_output < SIZE_MAX ? 1 : 0);
+  Bytes out(std::min(limit, std::max<size_t>(data.size() * 4, 256)));
+  for (;;) {
+    const size_t done = zs.total_out;
+    zs.next_out = out.data() + done;
+    zs.avail_out = static_cast<uInt>(
+        std::min<size_t>(out.size() - done, std::numeric_limits<uInt>::max()));
+    int rc = inflate(&zs, Z_NO_FLUSH);
+    if (rc == Z_STREAM_END) break;
+    // Room left over means the input ran out before the stream ended.
+    if ((rc != Z_OK && rc != Z_BUF_ERROR) || zs.avail_out > 0) {
       return DataLoss("zlib inflate failed: " + std::to_string(rc));
     }
-    cap *= 2;
+    if (out.size() == limit) break;
+    out.resize(std::min(limit, out.size() * 2));
   }
-  return DataLoss("zlib payload exceeds size limit");
+  if (zs.total_out > max_output) {
+    return DataLoss("zlib payload exceeds size limit");
+  }
+  out.resize(zs.total_out);
+  return out;
 }
 
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,

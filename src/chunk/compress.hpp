@@ -25,7 +25,15 @@ Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data);
 
 /// Raw zlib helpers (exposed for tests and for callers compressing other
 /// payloads, e.g. archived rollups).
+///
+/// ZlibDeflate returns exactly the bytes of compress2(…,
+/// Z_DEFAULT_COMPRESSION). Each thread that calls it keeps one deflate
+/// state of about 256 KB for the rest of its life and resets it per call,
+/// instead of building and freeing one per call; the state is freed at
+/// thread exit.
 Result<Bytes> ZlibDeflate(BytesView data);
+/// Inflates a payload of at most `max_output` bytes; a larger one is
+/// DataLoss.
 Result<Bytes> ZlibInflate(BytesView data, size_t max_output = 256 << 20);
 
 }  // namespace tc::chunk

@@ -70,9 +70,9 @@ Result<uint64_t> OwnerClient::CreateStream(const net::StreamConfig& config) {
   }
   TC_RETURN_IF_ERROR(create_status);
 
-  StreamState s{config, ChunkClock(config.t0, config.delta_ms),
-                nullptr, nullptr, nullptr,
-                0,       1,       0,       {},      {},      false};
+  StreamState s;
+  s.config = config;
+  s.clock = ChunkClock(config.t0, config.delta_ms);
   s.keys = std::make_unique<StreamKeys>(crypto::RandomKey128(), options_.keys);
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       0, s.clock.RangeOfChunk(0),
@@ -99,17 +99,10 @@ Status OwnerClient::AttachStream(uint64_t uuid,
       transport_->Call(MessageType::kGetStreamInfo, info_req.Encode()));
   TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(payload));
 
-  StreamState s{info.config,
-                ChunkClock(info.config.t0, info.config.delta_ms),
-                nullptr,
-                nullptr,
-                nullptr,
-                info.num_chunks,
-                1,
-                0,
-                {},
-                {},
-                false};
+  StreamState s;
+  s.config = info.config;
+  s.clock = ChunkClock(info.config.t0, info.config.delta_ms);
+  s.next_chunk = info.num_chunks;
   s.keys = std::make_unique<StreamKeys>(master_seed, options_.keys);
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       info.num_chunks, s.clock.RangeOfChunk(info.num_chunks),
@@ -193,11 +186,19 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   Bytes digest_blob;
   switch (s.config.cipher) {
     case net::CipherKind::kHeac: {
+      // Leaf i's field keys were derived as leaf i+1's of the previous
+      // chunk; derive them only for a stream's first chunk or a re-seal.
+      const size_t num_fields = s.config.schema.num_fields();
+      if (!s.carried_keys || s.carried_chunk != chunk_index) {
+        s.carried_keys.emplace(leaf_i, num_fields);
+      }
+      crypto::FieldKeys keys_n(leaf_n, num_fields);
       TC_ASSIGN_OR_RETURN(
           digest_blob,
-          index::EncryptHeacBlob(
-              crypto::HeacCodec(s.config.schema.num_fields()), fields,
-              chunk_index, leaf_i, leaf_n));
+          index::EncryptHeacBlob(crypto::HeacCodec(num_fields), fields,
+                                 chunk_index, *s.carried_keys, keys_n));
+      s.carried_keys.emplace(std::move(keys_n));
+      s.carried_chunk = chunk_index + 1;
       break;
     }
     case net::CipherKind::kPlain: {

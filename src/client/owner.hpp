@@ -8,6 +8,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "chunk/chunk.hpp"
 #include "client/grants.hpp"
@@ -161,6 +162,10 @@ class OwnerClient {
     // source leaves at affine-mapped indices.
     uint64_t leaf_scale = 1;
     uint64_t leaf_offset = 0;
+    // HEAC field keys of leaf `carried_chunk`, kept from the seal of the
+    // chunk before it: sequential chunks derive each leaf's keys once.
+    TC_SECRET std::optional<crypto::FieldKeys> carried_keys;
+    uint64_t carried_chunk = 0;
     // Sealed chunks awaiting a batched upload (upload_batch_chunks > 1).
     std::vector<net::InsertChunkBatchRequest::Entry> pending;
     // Pipelined batches already on the wire, oldest first. Entries are

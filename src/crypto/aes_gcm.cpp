@@ -1,7 +1,9 @@
 #include "crypto/aes_gcm.hpp"
 
 #include <openssl/evp.h>
+#include <unistd.h>
 
+#include <array>
 #include <cstring>
 
 #include "crypto/evp_ctx.hpp"
@@ -16,15 +18,44 @@ EVP_CIPHER_CTX* ThreadCtx() {
   return internal::ThreadLocalCtx<EVP_CIPHER_CTX, EVP_CIPHER_CTX_new,
                                   EVP_CIPHER_CTX_free>();
 }
+
+/// The cipher to pass to an EVP_*Init_ex2 call on `ctx`: null when the
+/// context already holds AES-128-GCM, which keeps its provider state
+/// instead of freeing and rebuilding it.
+const EVP_CIPHER* GcmCipherFor(EVP_CIPHER_CTX* ctx) {
+  const EVP_CIPHER* gcm = internal::Fetched().aes_128_gcm;
+  return EVP_CIPHER_CTX_get0_cipher(ctx) == gcm ? nullptr : gcm;
+}
+
+/// Copies the next nonce of this thread's reserve into `out`. One
+/// RandomBytes call refills the whole reserve. A reserve filled by another
+/// process (this thread's copy in a forked child) is refilled first, so
+/// parent and child never seal with the same nonce.
+void NextNonce(uint8_t* out) {
+  struct Reserve {
+    std::array<uint8_t, 4096 / kGcmNonceSize * kGcmNonceSize> bytes{};
+    size_t used = bytes.size();
+    pid_t pid = 0;
+  };
+  thread_local Reserve reserve;
+  const pid_t pid = getpid();
+  if (reserve.used == reserve.bytes.size() || reserve.pid != pid) {
+    RandomBytes(reserve.bytes);
+    reserve.used = 0;
+    reserve.pid = pid;
+  }
+  std::memcpy(out, reserve.bytes.data() + reserve.used, kGcmNonceSize);
+  reserve.used += kGcmNonceSize;
+}
 }  // namespace
 
 Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
   EVP_CIPHER_CTX* ctx = ThreadCtx();
   Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
-  RandomBytes(MutableBytesView(out.data(), kGcmNonceSize));
+  NextNonce(out.data());
 
-  if (EVP_EncryptInit_ex2(ctx, internal::Fetched().aes_128_gcm, key.data(),
-                          out.data(), nullptr) != 1) {
+  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), out.data(),
+                          nullptr) != 1) {
     FatalOpenSsl("EncryptInit(gcm)");
   }
   int len = 0;
@@ -62,8 +93,8 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
-  if (EVP_DecryptInit_ex2(ctx, internal::Fetched().aes_128_gcm, key.data(),
-                          nonce, nullptr) != 1) {
+  if (EVP_DecryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
+                          nullptr) != 1) {
     FatalOpenSsl("DecryptInit(gcm)");
   }
   int len = 0;

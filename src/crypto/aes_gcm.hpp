@@ -15,6 +15,12 @@ constexpr size_t kGcmTagSize = 16;
 /// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
 /// random nonce is drawn per call; with per-chunk keys nonce reuse across
 /// chunks is impossible by construction.
+///
+/// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
+/// one RandomBytes call refills, instead of one CSPRNG call per seal. The
+/// reserve records the pid that filled it, so a forked child refills before
+/// its first seal and never reuses a nonce its parent holds. Nonces are
+/// public, so the reserve needs no scrubbing.
 Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
               BytesView aad = {});
 

@@ -39,13 +39,20 @@ Status HeacAddInPlace(HeacCiphertext& acc, const HeacCiphertext& b) {
 HeacCiphertext HeacCodec::Encrypt(std::span<const uint64_t> fields,
                                   uint64_t chunk, const Key128& leaf_i,
                                   const Key128& leaf_next) const {
+  return Encrypt(fields, chunk, FieldKeys(leaf_i, num_fields_),
+                 FieldKeys(leaf_next, num_fields_));
+}
+
+HeacCiphertext HeacCodec::Encrypt(std::span<const uint64_t> fields,
+                                  uint64_t chunk, const FieldKeys& keys_i,
+                                  const FieldKeys& keys_next) const {
   assert(fields.size() == num_fields_);
-  FieldKeys ki(leaf_i, num_fields_);
-  FieldKeys kn(leaf_next, num_fields_);
+  assert(keys_i.num_fields() == num_fields_);
+  assert(keys_next.num_fields() == num_fields_);
   HeacCiphertext c;
   c.fields.reserve(num_fields_);
   for (size_t f = 0; f < num_fields_; ++f) {
-    c.fields.push_back(fields[f] + ki.key(f) - kn.key(f));
+    c.fields.push_back(fields[f] + keys_i.key(f) - keys_next.key(f));
   }
   c.first_chunk = chunk;
   c.last_chunk = chunk + 1;

@@ -98,6 +98,13 @@ class HeacCodec {
   HeacCiphertext Encrypt(std::span<const uint64_t> fields, uint64_t chunk,
                          const Key128& leaf_i, const Key128& leaf_next) const;
 
+  /// The same, from the field keys of leaves i and i+1. A sequential writer
+  /// keeps `keys_next` and passes it as `keys_i` of the next chunk, which
+  /// derives each leaf's field keys once instead of twice.
+  HeacCiphertext Encrypt(std::span<const uint64_t> fields, uint64_t chunk,
+                         const FieldKeys& keys_i,
+                         const FieldKeys& keys_next) const;
+
   /// Decrypt an aggregate over [c.first_chunk, c.last_chunk):
   /// m[f] = c[f] - k_{first,f} + k_{last,f}.
   /// `leaf_first`/`leaf_last` are GGM leaves first_chunk and last_chunk.

@@ -74,7 +74,9 @@ class HeacCipher final : public DigestCipher {
                         uint64_t index) const override {
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_i, tree_->DeriveLeaf(index));
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_n, tree_->DeriveLeaf(index + 1));
-    return EncryptHeacBlob(codec_, fields, index, leaf_i, leaf_n);
+    return EncryptHeacBlob(codec_, fields, index,
+                           crypto::FieldKeys(leaf_i, num_fields_),
+                           crypto::FieldKeys(leaf_n, num_fields_));
   }
 
   Status Add(std::span<uint8_t> acc, BytesView other) const override {
@@ -259,12 +261,14 @@ std::unique_ptr<DigestCipher> MakeHeacCipher(
 
 Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
                               std::span<const uint64_t> fields, uint64_t index,
-                              const crypto::Key128& leaf_i,
-                              const crypto::Key128& leaf_n) {
-  if (fields.size() != codec.num_fields()) {
+                              const crypto::FieldKeys& keys_i,
+                              const crypto::FieldKeys& keys_n) {
+  if (fields.size() != codec.num_fields() ||
+      keys_i.num_fields() != codec.num_fields() ||
+      keys_n.num_fields() != codec.num_fields()) {
     return InvalidArgument("field count mismatch");
   }
-  crypto::HeacCiphertext c = codec.Encrypt(fields, index, leaf_i, leaf_n);
+  crypto::HeacCiphertext c = codec.Encrypt(fields, index, keys_i, keys_n);
   Bytes blob(c.fields.size() * sizeof(uint64_t));
   std::memcpy(blob.data(), c.fields.data(), blob.size());
   return blob;

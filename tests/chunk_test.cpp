@@ -1,6 +1,10 @@
-// Chunk pipeline tests: delta+varint+zlib compression round trips, builder
-// window enforcement, seal/open with chunk binding.
+// Chunk pipeline tests: delta+varint+zlib compression round trips, deflate
+// output against compress2 (one thread and four at once), the inflate size
+// limit, builder window enforcement, seal/open with chunk binding.
 #include <gtest/gtest.h>
+#include <zlib.h>
+
+#include <thread>
 
 #include "chunk/chunk.hpp"
 #include "crypto/rand.hpp"
@@ -95,6 +99,115 @@ TEST(ZlibRaw, RoundTrip) {
   auto inflated = ZlibInflate(*deflated);
   ASSERT_TRUE(inflated.ok());
   EXPECT_EQ(*inflated, data);
+}
+
+Bytes Compress2(BytesView data) {
+  uLongf len = compressBound(static_cast<uLong>(data.size()));
+  Bytes out(len);
+  EXPECT_EQ(compress2(out.data(), &len, data.data(),
+                      static_cast<uLong>(data.size()), Z_DEFAULT_COMPRESSION),
+            Z_OK);
+  out.resize(len);
+  return out;
+}
+
+// Deflate inputs: empty, tiny, chunk-body sized, and large enough for
+// several deflate blocks, plus random bytes that do not compress.
+std::vector<Bytes> DeflateInputs() {
+  std::vector<Bytes> inputs;
+  for (size_t size : {0, 1, 30, 1000, 70'000}) {
+    Bytes b(size);
+    for (size_t i = 0; i < size; ++i) {
+      b[i] = static_cast<uint8_t>((i * 31) % 97 + (i / 500) % 5);
+    }
+    inputs.push_back(std::move(b));
+  }
+  crypto::DeterministicRng rng(7);
+  for (size_t size : {64, 4096, 70'000}) {
+    Bytes b(size);
+    rng.Fill(b);
+    inputs.push_back(std::move(b));
+  }
+  return inputs;
+}
+
+TEST(ZlibRaw, DeflateMatchesCompress2AndRoundTrips) {
+  const std::vector<Bytes> inputs = DeflateInputs();
+  // Twice over on one thread: the reused deflate state must reset fully
+  // between calls, including after a large input.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Bytes& in : inputs) {
+      auto deflated = ZlibDeflate(in);
+      ASSERT_TRUE(deflated.ok());
+      EXPECT_EQ(*deflated, Compress2(in)) << "size " << in.size();
+      auto inflated = ZlibInflate(*deflated);
+      ASSERT_TRUE(inflated.ok()) << inflated.status().ToString();
+      EXPECT_EQ(*inflated, in);
+    }
+  }
+}
+
+TEST(ZlibRaw, DeflateFromConcurrentThreads) {
+  const std::vector<Bytes> inputs = DeflateInputs();
+  std::vector<Bytes> expected;
+  for (const Bytes& in : inputs) expected.push_back(Compress2(in));
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (size_t i = 0; i < inputs.size(); ++i) {
+          // Each thread starts at a different input.
+          size_t k = (i + t) % inputs.size();
+          auto deflated = ZlibDeflate(inputs[k]);
+          auto inflated = deflated.ok() ? ZlibInflate(*deflated)
+                                        : Result<Bytes>(deflated.status());
+          if (!deflated.ok() || *deflated != expected[k] || !inflated.ok() ||
+              *inflated != inputs[k]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+TEST(ZlibRaw, InflateAcceptsExactlyMaxOutput) {
+  // 300 zero bytes deflate to a few bytes, so the output buffer must grow
+  // to reach the limit exactly.
+  for (size_t limit : {0, 1, 255, 256, 300, 1002, 5000}) {
+    auto at_limit = ZlibDeflate(Bytes(limit, 0));
+    ASSERT_TRUE(at_limit.ok());
+    auto inflated = ZlibInflate(*at_limit, limit);
+    ASSERT_TRUE(inflated.ok()) << "limit " << limit << ": "
+                               << inflated.status().ToString();
+    EXPECT_EQ(*inflated, Bytes(limit, 0));
+
+    auto over = ZlibDeflate(Bytes(limit + 1, 0));
+    ASSERT_TRUE(over.ok());
+    EXPECT_EQ(ZlibInflate(*over, limit).status().code(), StatusCode::kDataLoss)
+        << "limit " << limit;
+  }
+}
+
+TEST(ZlibRaw, InflateRejectsTruncatedAndCorruptStreams) {
+  Bytes data(1000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  auto deflated = ZlibDeflate(data);
+  ASSERT_TRUE(deflated.ok());
+  for (size_t cut : {size_t{0}, size_t{1}, deflated->size() / 2,
+                     deflated->size() - 1}) {
+    EXPECT_EQ(ZlibInflate(BytesView(deflated->data(), cut)).status().code(),
+              StatusCode::kDataLoss)
+        << "cut at " << cut;
+  }
+  Bytes corrupt = *deflated;
+  corrupt[corrupt.size() - 1] ^= 0x01;  // Adler-32 trailer
+  EXPECT_EQ(ZlibInflate(corrupt).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ChunkBuilder, EnforcesWindow) {

@@ -1,6 +1,7 @@
 // Client-layer unit tests: grant serialization/sealing, StreamKeys
 // determinism and envelope round trips, multi-stream decrypt helper, and
-// the owner's sealed uploads against reference encryption and compression.
+// the owner's sealed uploads against reference encryption and compression
+// (including the HEAC field keys it carries from chunk to chunk).
 #include <gtest/gtest.h>
 #include <zlib.h>
 
@@ -192,6 +193,10 @@ class UploadRecorder final : public net::RequestHandler {
   Result<Bytes> Handle(net::MessageType type, BytesView body) override {
     if (type == net::MessageType::kInsertChunk) {
       auto req = net::InsertChunkRequest::Decode(body);
+      if (req.ok() && req->chunk_index == fail_once_at) {
+        fail_once_at = ~uint64_t{0};
+        return Unavailable("injected upload failure");
+      }
       if (req.ok()) {
         chunks.push_back({req->chunk_index, req->digest_blob, req->payload});
       }
@@ -205,6 +210,9 @@ class UploadRecorder final : public net::RequestHandler {
   }
 
   std::vector<net::InsertChunkBatchRequest::Entry> chunks;
+  // The first single-chunk upload of this chunk fails without reaching the
+  // engine.
+  uint64_t fail_once_at = ~uint64_t{0};
 
  private:
   std::shared_ptr<net::RequestHandler> inner_;
@@ -285,6 +293,76 @@ TEST(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
     expected.resize(len);
     EXPECT_EQ(Bytes(deflated.begin(), deflated.end()), expected)
         << "chunk " << i;
+  }
+}
+
+TEST(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
+  // The owner carries leaf i+1's HEAC field keys into the seal of chunk
+  // i+1. Every digest must still equal one encrypted under leaves derived
+  // afresh: across gap fillers, a failed upload that re-seals its chunk,
+  // and a producer that re-attaches mid-stream.
+  auto engine = std::make_shared<server::ServerEngine>(
+      std::make_shared<store::MemKvStore>(), server::ServerOptions{});
+  auto recorder = std::make_shared<UploadRecorder>(engine);
+  auto transport = std::make_shared<net::InProcTransport>(recorder);
+
+  net::StreamConfig config;
+  config.name = "seal/carried-keys";
+  config.t0 = 0;
+  config.delta_ms = 1000;
+  config.schema.with_sumsq = true;
+  config.cipher = net::CipherKind::kHeac;
+  config.compression = static_cast<uint8_t>(chunk::Compression::kZlib);
+
+  constexpr uint64_t kChunks = 1000;
+  constexpr uint64_t kAttachAt = 500;
+  recorder->fail_once_at = 123;
+  auto is_gap = [](uint64_t c) { return c % 37 == 5 || c % 101 == 50; };
+  std::map<uint64_t, std::vector<index::DataPoint>> points;
+  auto ingest = [&](OwnerClient& owner, uint64_t uuid, uint64_t first,
+                    uint64_t last) {
+    for (uint64_t c = first; c < last; ++c) {
+      if (is_gap(c)) continue;
+      for (int64_t i = 0; i < 2; ++i) {
+        index::DataPoint p{static_cast<int64_t>(c) * 1000 + i * 400,
+                           static_cast<int64_t>(c * 7 + i)};
+        Status st = owner.InsertRecord(uuid, p);
+        if (!st.ok()) st = owner.InsertRecord(uuid, p);  // the injected one
+        ASSERT_TRUE(st.ok()) << "chunk " << c << ": " << st.ToString();
+        points[c].push_back(p);
+      }
+    }
+  };
+
+  OwnerClient owner(transport);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  ingest(owner, *uuid, 0, kAttachAt);
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  crypto::Key128 master = (*owner.KeysFor(*uuid))->master_seed();
+
+  OwnerOptions batched;
+  batched.upload_batch_chunks = 16;
+  OwnerClient resumed(transport, batched);
+  ASSERT_TRUE(resumed.AttachStream(*uuid, master).ok());
+  ingest(resumed, *uuid, kAttachAt, kChunks);
+  ASSERT_TRUE(resumed.Flush(*uuid).ok());
+  ASSERT_EQ(recorder->fail_once_at, ~uint64_t{0}) << "no upload failed";
+
+  const size_t num_fields = config.schema.num_fields();
+  StreamKeys keys(master);
+  const crypto::GgmTree& reference = keys.tree();
+  ASSERT_EQ(recorder->chunks.size(), kChunks);
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    const auto& uploaded = recorder->chunks[i];
+    ASSERT_EQ(uploaded.chunk_index, i);
+    EXPECT_EQ(uploaded.payload.empty(), is_gap(i)) << "chunk " << i;
+    auto expected = index::EncryptHeacBlob(
+        crypto::HeacCodec(num_fields), config.schema.Compute(points[i]), i,
+        crypto::FieldKeys(*reference.DeriveLeaf(i), num_fields),
+        crypto::FieldKeys(*reference.DeriveLeaf(i + 1), num_fields));
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(uploaded.digest_blob, *expected) << "chunk " << i;
   }
 }
 

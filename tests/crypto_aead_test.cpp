@@ -1,9 +1,13 @@
-// SHA-256 and AES-GCM known answers, AES-GCM payload encryption and X25519
-// sealed-box tests.
+// SHA-256 and AES-GCM known answers, AES-GCM payload encryption (cipher
+// context reuse, the per-thread nonce reserve and its fork safety) and
+// X25519 sealed-box tests.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <optional>
+#include <set>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sealed_box.hpp"
@@ -84,10 +88,24 @@ std::optional<Bytes> LegacyGcmOpen(const Key128& key, BytesView sealed,
 }
 
 TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
-  const Key128 key = RandomKey128();
-  const Bytes aad = ToBytes("chunk-42");
   const Bytes fixed_nonce = FromHex("0102030405060708090a0b0c").value();
-  for (const Bytes& pt : {Bytes{}, Bytes(16, 0xab), Bytes(100, 0x5c)}) {
+  std::vector<Bytes> inputs = {Bytes{}, Bytes(16, 0xab), Bytes(100, 0x5c)};
+  DeterministicRng rng(3);
+  for (size_t size : {1, 15, 17, 64, 333, 1000}) {
+    inputs.emplace_back(size);
+    rng.Fill(inputs.back());
+  }
+  // GcmSeal and GcmOpen share this thread's cipher context and keep its
+  // AES-128-GCM state between calls. Each input is sealed right after an
+  // open of the previous one, under a fresh key, and every other one right
+  // after a failed open.
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Bytes& pt = inputs[i];
+    const Key128 key = RandomKey128();
+    const Bytes aad = i % 3 == 2 ? Bytes{} : ToBytes("chunk-42");
+    if (i % 2 == 1) {
+      EXPECT_FALSE(GcmOpen(key, GcmSeal(RandomKey128(), pt, aad), aad).ok());
+    }
     // Same key and nonce: byte-identical ciphertext and tag.
     Bytes ours = GcmSeal(key, pt, aad);
     Bytes ref = LegacyGcmSeal(key, BytesView(ours.data(), kGcmNonceSize), pt,
@@ -102,6 +120,46 @@ TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
                                 aad);
     ASSERT_TRUE(opened_by_us.ok()) << opened_by_us.status().ToString();
     EXPECT_EQ(*opened_by_us, pt);
+  }
+}
+
+TEST(AesGcm, OneThreadsNoncesAreDistinctAcrossRefills) {
+  // 10,000 seals use about 29 refills of the 341-nonce reserve.
+  const Key128 key = RandomKey128();
+  std::set<Bytes> nonces;
+  for (int i = 0; i < 10'000; ++i) {
+    Bytes sealed = GcmSeal(key, {});
+    nonces.emplace(sealed.begin(), sealed.begin() + kGcmNonceSize);
+  }
+  EXPECT_EQ(nonces.size(), 10'000u);
+}
+
+TEST(AesGcm, ForkedChildDoesNotReuseParentNonces) {
+  const Key128 key = RandomKey128();
+  (void)GcmSeal(key, {});  // the reserve is now filled and partly used
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    Bytes sealed = GcmSeal(key, {});
+    ssize_t n = write(fds[1], sealed.data(), kGcmNonceSize);
+    _exit(n == static_cast<ssize_t>(kGcmNonceSize) ? 0 : 1);
+  }
+  close(fds[1]);
+  Bytes child_nonce(kGcmNonceSize);
+  ASSERT_EQ(read(fds[0], child_nonce.data(), child_nonce.size()),
+            static_cast<ssize_t>(kGcmNonceSize));
+  close(fds[0]);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  // More than the rest of the reserve the child inherited.
+  for (int i = 0; i < 400; ++i) {
+    Bytes sealed = GcmSeal(key, {});
+    ASSERT_NE(Bytes(sealed.begin(), sealed.begin() + kGcmNonceSize),
+              child_nonce)
+        << "parent nonce " << i;
   }
 }
 

@@ -173,6 +173,19 @@ TEST(FieldKeys, DeterministicPerLeafAndField) {
   EXPECT_NE(a.key(0), a.key(1));
 }
 
+TEST_F(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
+  HeacCodec codec(5);
+  DeterministicRng rng(11);
+  for (uint64_t chunk : {0, 1, 2, 17, 4094}) {
+    std::vector<uint64_t> m(5);
+    for (auto& v : m) v = rng.NextU64();
+    FieldKeys ki(Leaf(chunk), 5), kn(Leaf(chunk + 1), 5);
+    EXPECT_EQ(codec.Encrypt(m, chunk, ki, kn),
+              codec.Encrypt(m, chunk, Leaf(chunk), Leaf(chunk + 1)))
+        << "chunk " << chunk;
+  }
+}
+
 // Property sweep: random chunk ranges with random values always telescope.
 class HeacRangeProperty : public ::testing::TestWithParam<int> {};
 
