@@ -218,20 +218,27 @@ class UploadRecorder final : public net::RequestHandler {
   std::shared_ptr<net::RequestHandler> inner_;
 };
 
-TEST(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
-  auto engine = std::make_shared<server::ServerEngine>(
-      std::make_shared<store::MemKvStore>(), server::ServerOptions{});
-  auto recorder = std::make_shared<UploadRecorder>(engine);
-  auto transport = std::make_shared<net::InProcTransport>(recorder);
+/// An engine behind an UploadRecorder, and a HEAC + zlib stream config.
+class OwnerSealTest : public ::testing::Test {
+ protected:
+  OwnerSealTest() {
+    config.name = "seal/test";
+    config.t0 = 0;
+    config.delta_ms = 1000;
+    config.schema.with_sumsq = true;
+    config.cipher = net::CipherKind::kHeac;
+    config.compression = static_cast<uint8_t>(chunk::Compression::kZlib);
+  }
 
+  std::shared_ptr<UploadRecorder> recorder = std::make_shared<UploadRecorder>(
+      std::make_shared<server::ServerEngine>(
+          std::make_shared<store::MemKvStore>(), server::ServerOptions{}));
+  std::shared_ptr<net::InProcTransport> transport =
+      std::make_shared<net::InProcTransport>(recorder);
   net::StreamConfig config;
-  config.name = "seal/equivalence";
-  config.t0 = 0;
-  config.delta_ms = 1000;
-  config.schema.with_sumsq = true;
-  config.cipher = net::CipherKind::kHeac;
-  config.compression = static_cast<uint8_t>(chunk::Compression::kZlib);
+};
 
+TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
   std::map<uint64_t, std::vector<index::DataPoint>> points;
   auto ingest = [&](OwnerClient& owner, uint64_t uuid, uint64_t chunk) {
     for (int64_t i = 0; i < 50; ++i) {
@@ -296,24 +303,11 @@ TEST(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
   }
 }
 
-TEST(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
+TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
   // The owner carries leaf i+1's HEAC field keys into the seal of chunk
   // i+1. Every digest must still equal one encrypted under leaves derived
   // afresh: across gap fillers, a failed upload that re-seals its chunk,
   // and a producer that re-attaches mid-stream.
-  auto engine = std::make_shared<server::ServerEngine>(
-      std::make_shared<store::MemKvStore>(), server::ServerOptions{});
-  auto recorder = std::make_shared<UploadRecorder>(engine);
-  auto transport = std::make_shared<net::InProcTransport>(recorder);
-
-  net::StreamConfig config;
-  config.name = "seal/carried-keys";
-  config.t0 = 0;
-  config.delta_ms = 1000;
-  config.schema.with_sumsq = true;
-  config.cipher = net::CipherKind::kHeac;
-  config.compression = static_cast<uint8_t>(chunk::Compression::kZlib);
-
   constexpr uint64_t kChunks = 1000;
   constexpr uint64_t kAttachAt = 500;
   recorder->fail_once_at = 123;
