@@ -139,8 +139,11 @@ std::vector<index::DataPoint> VitalsPoints(size_t n) {
   return gen.Batch(/*metric=*/0, n);
 }
 
+// The argument is points per chunk. A 10-point body is shorter than
+// chunk::kMinDeflateBody, so kZlib stores it raw without trying deflate;
+// a 500-point body deflates.
 void BM_CompressNone(benchmark::State& state) {
-  auto points = VitalsPoints(500);
+  auto points = VitalsPoints(static_cast<size_t>(state.range(0)));
   size_t out_bytes = 0;
   for (auto _ : state) {
     auto blob = chunk::CompressPoints(points, chunk::Compression::kNone);
@@ -152,10 +155,10 @@ void BM_CompressNone(benchmark::State& state) {
   state.counters["bytes_per_point"] =
       static_cast<double>(out_bytes) / static_cast<double>(points.size());
 }
-BENCHMARK(BM_CompressNone)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CompressNone)->Arg(10)->Arg(500)->Unit(benchmark::kMicrosecond);
 
 void BM_CompressZlib(benchmark::State& state) {
-  auto points = VitalsPoints(500);
+  auto points = VitalsPoints(static_cast<size_t>(state.range(0)));
   size_t out_bytes = 0;
   for (auto _ : state) {
     auto blob = chunk::CompressPoints(points, chunk::Compression::kZlib);
@@ -167,7 +170,7 @@ void BM_CompressZlib(benchmark::State& state) {
   state.counters["bytes_per_point"] =
       static_cast<double>(out_bytes) / static_cast<double>(points.size());
 }
-BENCHMARK(BM_CompressZlib)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CompressZlib)->Arg(10)->Arg(500)->Unit(benchmark::kMicrosecond);
 
 // ----------------------------------------- 5. strided aggregation (§7)
 

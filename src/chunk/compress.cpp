@@ -98,20 +98,24 @@ Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
     return out;
   }
 
-  // Delta+zigzag+varint both columns. First point stored absolute.
+  // Delta+zigzag+varint both columns. First point stored absolute. The
+  // deltas wrap modulo 2^64, so far-apart values cannot overflow.
   BinaryWriter w(points.size() * 4 + 16);
   w.PutVar(points.size());
-  int64_t prev_ts = 0;
-  int64_t prev_val = 0;
+  uint64_t prev_ts = 0;
+  uint64_t prev_val = 0;
   for (const auto& p : points) {
-    w.PutVarSigned(p.timestamp_ms - prev_ts);
-    w.PutVarSigned(p.value - prev_val);
-    prev_ts = p.timestamp_ms;
-    prev_val = p.value;
+    const auto ts = static_cast<uint64_t>(p.timestamp_ms);
+    const auto val = static_cast<uint64_t>(p.value);
+    w.PutVarSigned(static_cast<int64_t>(ts - prev_ts));
+    w.PutVarSigned(static_cast<int64_t>(val - prev_val));
+    prev_ts = ts;
+    prev_val = val;
   }
 
   Bytes body = std::move(w).Take();
-  if (codec == Compression::kZlib) {
+  // A short body is stored raw without a deflate attempt (kMinDeflateBody).
+  if (codec == Compression::kZlib && body.size() >= kMinDeflateBody) {
     TC_ASSIGN_OR_RETURN(Bytes deflated, ZlibDeflate(body));
     // Keep whichever representation is smaller (incompressible data).
     if (deflated.size() < body.size()) {
@@ -150,13 +154,13 @@ Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data) {
   if (n > r.remaining() / 2) return DataLoss("implausible point count");
   std::vector<index::DataPoint> points;
   points.reserve(n);
-  int64_t ts = 0, val = 0;
+  uint64_t ts = 0, val = 0;
   for (uint64_t i = 0; i < n; ++i) {
     TC_ASSIGN_OR_RETURN(int64_t dts, r.GetVarSigned());
     TC_ASSIGN_OR_RETURN(int64_t dval, r.GetVarSigned());
-    ts += dts;
-    val += dval;
-    points.push_back({ts, val});
+    ts += static_cast<uint64_t>(dts);
+    val += static_cast<uint64_t>(dval);
+    points.push_back({static_cast<int64_t>(ts), static_cast<int64_t>(val)});
   }
   return points;
 }

@@ -72,16 +72,18 @@ Bytes GorillaCompress(std::span<const index::DataPoint> points) {
   header.PutI64(points[0].value);
 
   BitWriter bits;
-  int64_t prev_ts = points[0].timestamp_ms;
-  int64_t prev_delta = 0;
+  // Timestamp deltas wrap modulo 2^64, so far-apart values cannot overflow.
+  uint64_t prev_ts = static_cast<uint64_t>(points[0].timestamp_ms);
+  uint64_t prev_delta = 0;
   uint64_t prev_val = static_cast<uint64_t>(points[0].value);
   uint32_t prev_lead = 64, prev_len = 0;  // no previous XOR window
 
   for (size_t i = 1; i < points.size(); ++i) {
     // --- timestamp: delta-of-delta with bucketed width ---
-    int64_t delta = points[i].timestamp_ms - prev_ts;
-    int64_t dod = delta - prev_delta;
-    prev_ts = points[i].timestamp_ms;
+    const auto ts = static_cast<uint64_t>(points[i].timestamp_ms);
+    uint64_t delta = ts - prev_ts;
+    auto dod = static_cast<int64_t>(delta - prev_delta);
+    prev_ts = ts;
     prev_delta = delta;
     if (dod == 0) {
       bits.PutBit(false);
@@ -138,12 +140,13 @@ Result<std::vector<index::DataPoint>> GorillaDecompress(BytesView data) {
   // Bit cost per point is >= 2 bits; bound the claimed count.
   if (n > data.size() * 4 + 1) return DataLoss("implausible point count");
   points.reserve(n);
-  TC_ASSIGN_OR_RETURN(int64_t ts, header.GetI64());
+  TC_ASSIGN_OR_RETURN(int64_t first_ts, header.GetI64());
   TC_ASSIGN_OR_RETURN(int64_t first_val, header.GetI64());
-  points.push_back({ts, first_val});
+  points.push_back({first_ts, first_val});
 
   BitReader bits(data.subspan(header.position()));
-  int64_t prev_delta = 0;
+  uint64_t ts = static_cast<uint64_t>(first_ts);
+  uint64_t prev_delta = 0;
   uint64_t val = static_cast<uint64_t>(first_val);
   uint32_t prev_lead = 64, prev_len = 0;
 
@@ -173,7 +176,7 @@ Result<std::vector<index::DataPoint>> GorillaDecompress(BytesView data) {
         dod = static_cast<int64_t>((raw ^ sign_bit)) -
               static_cast<int64_t>(sign_bit);
       }
-      prev_delta += dod;
+      prev_delta += static_cast<uint64_t>(dod);
     }
     ts += prev_delta;
 
@@ -194,7 +197,7 @@ Result<std::vector<index::DataPoint>> GorillaDecompress(BytesView data) {
       TC_ASSIGN_OR_RETURN(uint64_t significant, bits.GetBits(prev_len));
       val ^= significant << (64 - prev_lead - prev_len);
     }
-    points.push_back({ts, static_cast<int64_t>(val)});
+    points.push_back({static_cast<int64_t>(ts), static_cast<int64_t>(val)});
   }
   return points;
 }

@@ -1,9 +1,11 @@
-// Chunk pipeline tests: delta+varint+zlib compression round trips, deflate
+// Chunk pipeline tests: delta+varint+zlib compression round trips (int64
+// extremes included), the raw-body floor under kMinDeflateBody, deflate
 // output against compress2 (one thread and four at once), the inflate size
 // limit, builder window enforcement, seal/open with chunk binding.
 #include <gtest/gtest.h>
 #include <zlib.h>
 
+#include <limits>
 #include <thread>
 
 #include "chunk/chunk.hpp"
@@ -51,12 +53,34 @@ TEST_P(CompressionTest, NegativeValuesAndTimestamps) {
   EXPECT_EQ(*DecompressPoints(*compressed), pts);
 }
 
+TEST_P(CompressionTest, AlternatingInt64ExtremesRoundTrip) {
+  // Every delta in both columns wraps around 2^64. 40 points make a body
+  // long enough for kZlib to try deflate.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<DataPoint> pts;
+  for (int i = 0; i < 40; ++i) {
+    pts.push_back(i % 2 == 0 ? DataPoint{kMin, kMax} : DataPoint{kMax, kMin});
+  }
+  auto compressed = CompressPoints(pts, GetParam());
+  ASSERT_TRUE(compressed.ok());
+  EXPECT_EQ(*DecompressPoints(*compressed), pts);
+}
+
 INSTANTIATE_TEST_SUITE_P(Codecs, CompressionTest,
                          ::testing::Values(Compression::kNone,
-                                           Compression::kZlib),
+                                           Compression::kZlib,
+                                           Compression::kGorilla),
                          [](const auto& info) {
-                           return info.param == Compression::kZlib ? "Zlib"
-                                                                   : "None";
+                           switch (info.param) {
+                             case Compression::kNone:
+                               return "None";
+                             case Compression::kZlib:
+                               return "Zlib";
+                             case Compression::kGorilla:
+                               return "Gorilla";
+                           }
+                           return "Unknown";
                          });
 
 TEST(Compression, RegularSeriesCompressesWell) {
@@ -208,6 +232,62 @@ TEST(ZlibRaw, InflateRejectsTruncatedAndCorruptStreams) {
   Bytes corrupt = *deflated;
   corrupt[corrupt.size() - 1] ^= 0x01;  // Adler-32 trailer
   EXPECT_EQ(ZlibInflate(corrupt).status().code(), StatusCode::kDataLoss);
+}
+
+// The delta+varint body CompressPoints stores for kNone.
+Bytes RawBody(std::span<const DataPoint> pts) {
+  auto raw = CompressPoints(pts, Compression::kNone);
+  EXPECT_TRUE(raw.ok());
+  return Bytes(raw->begin() + 2, raw->end());
+}
+
+// One value at a 20 ms cadence: two body bytes per point after the first.
+std::vector<DataPoint> ConstantSeries(size_t n, int64_t t0) {
+  std::vector<DataPoint> pts;
+  for (size_t i = 0; i < n; ++i) {
+    pts.push_back({t0 + static_cast<int64_t>(i) * 20, 600});
+  }
+  return pts;
+}
+
+TEST(Compression, ShortBodyIsStoredRawEvenWhenZlibWouldShrinkIt) {
+  // A 1 Hz sensor stuck on one value: zlib would save 14 of the body's
+  // 32 bytes, but a body under kMinDeflateBody is stored raw by design.
+  std::vector<DataPoint> pts;
+  for (int64_t i = 0; i < 10; ++i) pts.push_back({1'000'000 + i * 1000, 42});
+  const Bytes body = RawBody(pts);
+  ASSERT_EQ(body.size(), 32u);
+  EXPECT_LT(Compress2(body).size(), body.size());
+
+  auto compressed = CompressPoints(pts, Compression::kZlib);
+  ASSERT_TRUE(compressed.ok());
+  EXPECT_EQ((*compressed)[1], static_cast<uint8_t>(Compression::kNone));
+  EXPECT_EQ(Bytes(compressed->begin() + 2, compressed->end()), body);
+  EXPECT_EQ(*DecompressPoints(*compressed), pts);
+}
+
+TEST(Compression, DeflateStartsAtExactlyMinDeflateBody) {
+  // 31 points from t0 = 0 make a 64-byte body; 30 points from t0 = 100,
+  // whose first timestamp takes a second varint byte, make a 63-byte one.
+  // zlib shrinks both.
+  const auto at = ConstantSeries(31, 0);
+  const Bytes at_body = RawBody(at);
+  ASSERT_EQ(at_body.size(), kMinDeflateBody);
+  auto deflated = CompressPoints(at, Compression::kZlib);
+  ASSERT_TRUE(deflated.ok());
+  EXPECT_EQ((*deflated)[1], static_cast<uint8_t>(Compression::kZlib));
+  EXPECT_EQ(Bytes(deflated->begin() + 2, deflated->end()), Compress2(at_body));
+  EXPECT_EQ(*DecompressPoints(*deflated), at);
+
+  const auto under = ConstantSeries(30, 100);
+  const Bytes under_body = RawBody(under);
+  ASSERT_EQ(under_body.size(), kMinDeflateBody - 1);
+  EXPECT_LT(Compress2(under_body).size(), under_body.size());
+  auto raw = CompressPoints(under, Compression::kZlib);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ((*raw)[1], static_cast<uint8_t>(Compression::kNone));
+  EXPECT_EQ(Bytes(raw->begin() + 2, raw->end()), under_body);
+  EXPECT_EQ(*DecompressPoints(*raw), under);
 }
 
 TEST(ChunkBuilder, EnforcesWindow) {
