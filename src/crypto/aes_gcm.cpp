@@ -1,9 +1,12 @@
 #include "crypto/aes_gcm.hpp"
 
 #include <openssl/evp.h>
-#include <unistd.h>
+#include <pthread.h>
 
 #include <array>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "crypto/evp_ctx.hpp"
@@ -27,22 +30,38 @@ const EVP_CIPHER* GcmCipherFor(EVP_CIPHER_CTX* ctx) {
   return EVP_CIPHER_CTX_get0_cipher(ctx) == gcm ? nullptr : gcm;
 }
 
+/// Bumped in a forked child, before fork() returns there. A reserve filled
+/// at an older generation was filled by an ancestor process.
+std::atomic<uint64_t> fork_generation{0};
+
+void OnForkChild() { ++fork_generation; }
+
 /// Copies the next nonce of this thread's reserve into `out`. One
-/// RandomBytes call refills the whole reserve. A reserve filled by another
-/// process (this thread's copy in a forked child) is refilled first, so
-/// parent and child never seal with the same nonce.
+/// RandomBytes call refills the whole reserve. A reserve filled before a
+/// fork (this thread's copy in the child) is refilled first, so parent and
+/// child never seal with the same nonce. The fork handler is registered
+/// before the first fill, so no reserve holds nonces it could miss.
 void NextNonce(uint8_t* out) {
   struct Reserve {
     std::array<uint8_t, 4096 / kGcmNonceSize * kGcmNonceSize> bytes{};
     size_t used = bytes.size();
-    pid_t pid = 0;
+    uint64_t generation = 0;
   };
   thread_local Reserve reserve;
-  const pid_t pid = getpid();
-  if (reserve.used == reserve.bytes.size() || reserve.pid != pid) {
+  const uint64_t generation = fork_generation.load();
+  if (reserve.used == reserve.bytes.size() ||
+      reserve.generation != generation) {
+    static const bool registered = [] {
+      if (pthread_atfork(nullptr, nullptr, OnForkChild) != 0) {
+        std::fprintf(stderr, "fatal: pthread_atfork failed\n");
+        std::abort();
+      }
+      return true;
+    }();
+    (void)registered;
     RandomBytes(reserve.bytes);
     reserve.used = 0;
-    reserve.pid = pid;
+    reserve.generation = generation;
   }
   std::memcpy(out, reserve.bytes.data() + reserve.used, kGcmNonceSize);
   reserve.used += kGcmNonceSize;

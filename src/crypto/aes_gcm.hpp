@@ -17,10 +17,13 @@ constexpr size_t kGcmTagSize = 16;
 /// chunks is impossible by construction.
 ///
 /// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
-/// one RandomBytes call refills, instead of one CSPRNG call per seal. The
-/// reserve records the pid that filled it, so a forked child refills before
-/// its first seal and never reuses a nonce its parent holds. Nonces are
-/// public, so the reserve needs no scrubbing.
+/// one RandomBytes call refills, instead of one CSPRNG call per seal. A
+/// pthread_atfork child handler bumps a process-wide fork generation, and
+/// the reserve records the generation it was filled at. A forked child
+/// therefore refills before its first seal and never reuses a nonce its
+/// parent holds, without a getpid call per seal. A child made by a raw
+/// clone or fork system call runs no atfork handlers, so it must not seal
+/// before it execs. Nonces are public, so the reserve needs no scrubbing.
 Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
               BytesView aad = {});
 

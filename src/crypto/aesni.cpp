@@ -1,12 +1,14 @@
 #include "crypto/aesni.hpp"
 
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 
 // The hardware path needs both x86 and a translation unit compiled with
 // -maes (the build system sets that only where supported). Everything else
 // gets the portable fallback at the bottom of this file; runtime dispatch in
-// MakePrg() keeps callers off AesNiBlock when CpuHasAesNi() is false.
+// MakePrg() and FieldKeys keeps callers off AesNiBlock when CpuHasAesNi() is
+// false.
 #if defined(__AES__) && (defined(__x86_64__) || defined(__i386__))
 #define TC_AESNI_COMPILED 1
 #include <cpuid.h>
@@ -72,35 +74,76 @@ AesNiBlock::AesNiBlock(const Key128& key) {
   std::memcpy(round_keys_.data(), rk, sizeof(rk));
 }
 
+namespace {
+
+/// Encrypts N independent blocks in place, one round at a time across all
+/// of them, so N AES pipelines stay busy instead of one.
+/// The loops are unrolled so that `b` lives in registers.
+template <size_t N>
+inline void EncryptLanes(const __m128i* rk, __m128i (&b)[N]) {
+  __m128i k = _mm_load_si128(&rk[0]);
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) b[j] = _mm_xor_si128(b[j], k);
+#pragma GCC unroll 9
+  for (int i = 1; i < 10; ++i) {
+    k = _mm_load_si128(&rk[i]);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < N; ++j) b[j] = _mm_aesenc_si128(b[j], k);
+  }
+  k = _mm_load_si128(&rk[10]);
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) b[j] = _mm_aesenclast_si128(b[j], k);
+}
+
+inline __m128i Load(const Block128& in) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(in.data()));
+}
+
+inline void Store(__m128i b, Block128& out) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), b);
+}
+
+template <size_t N>
+inline void EncryptRun(const __m128i* rk, const Block128* in, Block128* out) {
+  __m128i b[N];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) b[j] = Load(in[j]);
+  EncryptLanes(rk, b);
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) Store(b[j], out[j]);
+}
+
+}  // namespace
+
 Block128 AesNiBlock::EncryptBlock(const Block128& plaintext) const {
   const __m128i* rk = reinterpret_cast<const __m128i*>(round_keys_.data());
-  __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(plaintext.data()));
-  b = _mm_xor_si128(b, _mm_load_si128(&rk[0]));
-  for (int i = 1; i < 10; ++i) b = _mm_aesenc_si128(b, _mm_load_si128(&rk[i]));
-  b = _mm_aesenclast_si128(b, _mm_load_si128(&rk[10]));
+  __m128i b[1] = {Load(plaintext)};
+  EncryptLanes(rk, b);
   Block128 out;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), b);
+  Store(b[0], out);
   return out;
 }
 
 void AesNiBlock::EncryptTwoBlocks(const Block128& in0, const Block128& in1,
                                   Block128& out0, Block128& out1) const {
   const __m128i* rk = reinterpret_cast<const __m128i*>(round_keys_.data());
-  __m128i b0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in0.data()));
-  __m128i b1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in1.data()));
-  __m128i k = _mm_load_si128(&rk[0]);
-  b0 = _mm_xor_si128(b0, k);
-  b1 = _mm_xor_si128(b1, k);
-  for (int i = 1; i < 10; ++i) {
-    k = _mm_load_si128(&rk[i]);
-    b0 = _mm_aesenc_si128(b0, k);
-    b1 = _mm_aesenc_si128(b1, k);
+  __m128i b[2] = {Load(in0), Load(in1)};
+  EncryptLanes(rk, b);
+  Store(b[0], out0);
+  Store(b[1], out1);
+}
+
+void AesNiBlock::EncryptBlocks(std::span<const Block128> in,
+                               std::span<Block128> out) const {
+  assert(in.size() == out.size());
+  const __m128i* rk = reinterpret_cast<const __m128i*>(round_keys_.data());
+  size_t i = 0;
+  for (; i + 8 <= in.size(); i += 8) EncryptRun<8>(rk, &in[i], &out[i]);
+  if (i + 4 <= in.size()) {
+    EncryptRun<4>(rk, &in[i], &out[i]);
+    i += 4;
   }
-  k = _mm_load_si128(&rk[10]);
-  b0 = _mm_aesenclast_si128(b0, k);
-  b1 = _mm_aesenclast_si128(b1, k);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out0.data()), b0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out1.data()), b1);
+  for (; i < in.size(); ++i) EncryptRun<1>(rk, &in[i], &out[i]);
 }
 
 #else  // !TC_AESNI_COMPILED — portable fallback
@@ -111,8 +154,8 @@ bool CpuHasAesNi() {
 }
 
 // Without AES-NI codegen the class delegates to the portable implementation.
-// CpuHasAesNi() is false here so the PRG dispatch never puts AesNiBlock on a
-// hot path; the delegate only runs if someone constructs it directly.
+// CpuHasAesNi() is false here so the dispatch never puts AesNiBlock on a hot
+// path; the delegate only runs if someone constructs it directly.
 AesNiBlock::AesNiBlock(const Key128& key) {
   std::memcpy(round_keys_.data(), key.data(), key.size());
 }
@@ -130,6 +173,13 @@ void AesNiBlock::EncryptTwoBlocks(const Block128& in0, const Block128& in1,
   SoftAes128 cipher(key);
   out0 = cipher.EncryptBlock(in0);
   out1 = cipher.EncryptBlock(in1);
+}
+
+void AesNiBlock::EncryptBlocks(std::span<const Block128> in,
+                               std::span<Block128> out) const {
+  Key128 key;
+  std::memcpy(key.data(), round_keys_.data(), key.size());
+  SoftAes128(key).EncryptBlocks(in, out);
 }
 
 #endif  // TC_AESNI_COMPILED

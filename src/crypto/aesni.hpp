@@ -1,8 +1,10 @@
-// Hardware-accelerated AES-128 single-block encryption via AES-NI compiler
+// Hardware-accelerated AES-128 block encryption via AES-NI compiler
 // intrinsics. This is the production PRG primitive (§6.2: "AES-NI is the
 // best candidate in terms of performance"). Falls back to the software
 // implementation when the CPU lacks AES-NI.
 #pragma once
+
+#include <span>
 
 #include "crypto/soft_aes.hpp"
 
@@ -25,6 +27,11 @@ class AesNiBlock {
   /// PRG which always expands one node into two children).
   void EncryptTwoBlocks(const Block128& in0, const Block128& in1,
                         Block128& out0, Block128& out1) const;
+
+  /// Encrypt in.size() independent blocks into `out` (same size), eight
+  /// or four at a time so the AES rounds of several blocks overlap.
+  void EncryptBlocks(std::span<const Block128> in,
+                     std::span<Block128> out) const;
 
  private:
   // Round keys stored as raw bytes; reinterpreted as __m128i internally to

@@ -1,4 +1,8 @@
-// SHA-256, HMAC-SHA256 and HKDF wrappers over OpenSSL EVP.
+// SHA-256, HMAC-SHA256 and HKDF. Inputs of at most 55 bytes fit one
+// padded block: where the CPU has the SHA extensions (SHA-NI), they are
+// hashed with one hardware compression. That covers every key-regression
+// step, chunk payload key and SHA-256 PRG call. Longer inputs, HMAC, HKDF
+// and CPUs without SHA-NI go through OpenSSL EVP, which gives the same bytes.
 #pragma once
 
 #include <array>

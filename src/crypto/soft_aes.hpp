@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
@@ -24,6 +25,13 @@ class SoftAes128 {
 
   /// Encrypt one 16-byte block (ECB single block).
   Block128 EncryptBlock(const Block128& plaintext) const;
+
+  /// Encrypt in.size() blocks into `out` (same size), one at a time; the
+  /// same interface as AesNiBlock::EncryptBlocks.
+  void EncryptBlocks(std::span<const Block128> in,
+                     std::span<Block128> out) const {
+    for (size_t i = 0; i < in.size(); ++i) out[i] = EncryptBlock(in[i]);
+  }
 
  private:
   void ExpandKey(const Key128& key);

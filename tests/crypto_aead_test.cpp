@@ -1,6 +1,7 @@
-// SHA-256 and AES-GCM known answers, AES-GCM payload encryption (cipher
-// context reuse, the per-thread nonce reserve and its fork safety) and
-// X25519 sealed-box tests.
+// SHA-256 and AES-GCM known answers, the one-block SHA-256 path against
+// OpenSSL at every block boundary, AES-GCM payload encryption (cipher
+// context reuse, the per-thread nonce reserve, its thread and fork safety)
+// and X25519 sealed-box tests.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 #include <sys/wait.h>
@@ -8,6 +9,8 @@
 
 #include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sealed_box.hpp"
@@ -35,6 +38,32 @@ TEST(Sha256Test, ConcatEqualsHashOfConcatenation) {
     BytesView a(msg.data(), split);
     BytesView b(msg.data() + split, msg.size() - split);
     EXPECT_EQ(Sha256Concat(a, b), whole) << "split " << split;
+  }
+}
+
+// Every total length from 0 to 64, split every way between the two inputs,
+// against OpenSSL's one-shot digest. Lengths 0-55 fit one padded block;
+// from 56 the length field no longer fits, and at 64 the terminator starts
+// the second block.
+TEST(Sha256Test, ConcatMatchesEvpAtEveryLengthAndSplit) {
+  Bytes msg(64);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(0xa5 ^ (i * 29));
+  }
+  for (size_t n = 0; n <= msg.size(); ++n) {
+    Sha256Digest expected;
+    unsigned int len = 0;
+    ASSERT_EQ(EVP_Digest(msg.data(), n, expected.data(), &len, EVP_sha256(),
+                         nullptr),
+              1);
+    for (size_t split = 0; split <= n; ++split) {
+      BytesView a(msg.data(), split);
+      BytesView b(msg.data() + split, n - split);
+      ASSERT_EQ(HexOf(Sha256Concat(a, b)), HexOf(expected))
+          << "length " << n << " split " << split;
+    }
+    ASSERT_EQ(HexOf(Sha256(BytesView(msg.data(), n))), HexOf(expected))
+        << "length " << n;
   }
 }
 
@@ -134,6 +163,28 @@ TEST(AesGcm, OneThreadsNoncesAreDistinctAcrossRefills) {
   EXPECT_EQ(nonces.size(), 10'000u);
 }
 
+TEST(AesGcm, ConcurrentThreadsDrawDistinctNonces) {
+  // Four sealing threads, each through about three refills of its own
+  // reserve, all reading the shared fork generation.
+  constexpr int kThreads = 4;
+  constexpr int kSeals = 1'000;
+  const Key128 key = RandomKey128();
+  std::vector<std::vector<Bytes>> drawn(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&key, &out = drawn[t]] {
+      for (int i = 0; i < kSeals; ++i) {
+        Bytes sealed = GcmSeal(key, {});
+        out.emplace_back(sealed.begin(), sealed.begin() + kGcmNonceSize);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<Bytes> nonces;
+  for (const auto& v : drawn) nonces.insert(v.begin(), v.end());
+  EXPECT_EQ(nonces.size(), static_cast<size_t>(kThreads * kSeals));
+}
+
 TEST(AesGcm, ForkedChildDoesNotReuseParentNonces) {
   const Key128 key = RandomKey128();
   (void)GcmSeal(key, {});  // the reserve is now filled and partly used
@@ -226,6 +277,16 @@ TEST(AesGcm, TruncatedBlobRejected) {
   Bytes sealed = GcmSeal(key, ToBytes("x"));
   sealed.resize(kGcmNonceSize + kGcmTagSize - 1);
   EXPECT_FALSE(GcmOpen(key, sealed).ok());
+}
+
+TEST(ChunkPayloadKeyTest, KnownAnswer) {
+  // The key of every stored chunk payload: its bytes must never change.
+  Key128 a, b;
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<uint8_t>(0x30 + i);
+    b[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  EXPECT_EQ(ToHex(ChunkPayloadKey(a, b)), "a2c02486feb59d5eaff5e2a43e2bc8ec");
 }
 
 TEST(ChunkPayloadKeyTest, DeterministicAndPositionDependent) {

@@ -173,6 +173,30 @@ TEST(FieldKeys, DeterministicPerLeafAndField) {
   EXPECT_NE(a.key(0), a.key(1));
 }
 
+// Known answer for a fixed leaf, 19 fields: two full batches of eight
+// counter blocks and a remainder of three. Every stored digest depends on
+// these keys. crypto_heac_test_soft_fallback runs this on the software AES.
+TEST(FieldKeys, KnownAnswer) {
+  Key128 leaf;
+  for (size_t i = 0; i < leaf.size(); ++i) leaf[i] = static_cast<uint8_t>(0x50 + i);
+  constexpr uint64_t kExpected[19] = {
+      0x390afdf4903b2fb3ULL, 0xebc7a1dc7d566c70ULL, 0xd115fa936f560981ULL,
+      0xe6490527fe9c49f8ULL, 0xe4e3c61d889fc3abULL, 0x021025e94f4c66eeULL,
+      0xab133cfda78f3b25ULL, 0x37aa468f4ddf22c3ULL, 0x3e11979b98d73797ULL,
+      0x5bd22e80a4d53cfcULL, 0x59cee38d8c1908ebULL, 0x2b727e55407f26feULL,
+      0xd41c3b7eba8a4acaULL, 0x577ed4ea71636795ULL, 0xacf247ac8d7586a8ULL,
+      0x37d3df448b35fbc6ULL, 0x5bb152c16e08ebfbULL, 0xd3bcc7a026a53c1cULL,
+      0xfec7cd6f2e3e0556ULL};
+  FieldKeys keys(leaf, 19);
+  ASSERT_EQ(keys.num_fields(), 19u);
+  for (size_t f = 0; f < 19; ++f) {
+    EXPECT_EQ(keys.key(f), kExpected[f]) << "field " << f;
+  }
+  // A shorter key set is a prefix of the longer one.
+  FieldKeys five(leaf, 5);
+  for (size_t f = 0; f < 5; ++f) EXPECT_EQ(five.key(f), kExpected[f]);
+}
+
 TEST_F(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
   HeacCodec codec(5);
   DeterministicRng rng(11);

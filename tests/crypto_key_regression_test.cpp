@@ -12,6 +12,34 @@
 namespace tc::crypto {
 namespace {
 
+/// The 16 bytes start, start + 1, ..., start + 15.
+Key128 Sequence(uint8_t start) {
+  Key128 k;
+  for (size_t i = 0; i < k.size(); ++i) k[i] = static_cast<uint8_t>(start + i);
+  return k;
+}
+
+// Known answers: every stored grant and envelope depends on these bytes, so
+// a faster hash must reproduce them exactly. StepDown and KeyOf are the two
+// halves of SHA-256(00 01 .. 0f).
+TEST(HashChain, KnownAnswers) {
+  const Key128 state = Sequence(0x00);
+  EXPECT_EQ(ToHex(HashChain::StepDown(state)),
+            "be45cb2605bf36bebde684841a28f0fd");
+  EXPECT_EQ(ToHex(HashChain::KeyOf(state)), "43c69850a3dce5fedba69928ee3a8991");
+}
+
+TEST(DualKeyRegression, KnownAnswers) {
+  DualKeyRegression kr(Sequence(0x10), Sequence(0x20), 16);
+  auto keys = kr.DeriveKeys(0, 3);
+  ASSERT_TRUE(keys.ok()) << keys.status().ToString();
+  ASSERT_EQ(keys->size(), 4u);
+  EXPECT_EQ(ToHex((*keys)[0]), "938bcc82e88633fd29f0e2df0cb5a1dd");
+  EXPECT_EQ(ToHex((*keys)[1]), "1ae6f99db8f9ea7fdb16e70ccc08b438");
+  EXPECT_EQ(ToHex((*keys)[2]), "c2e9f7ab33abf13b4cb55320ee4b7a18");
+  EXPECT_EQ(ToHex((*keys)[3]), "34e079dcb419fa2d8ded4f92c6f88a5b");
+}
+
 TEST(HashChain, StateAtMatchesManualWalk) {
   Key128 seed = RandomKey128();
   constexpr uint64_t kLen = 100;

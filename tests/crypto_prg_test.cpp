@@ -1,8 +1,12 @@
 // PRG/AES correctness: software AES against the FIPS-197 test vector, the
-// AES-NI implementation against the software one, and PRG properties.
+// AES-NI implementation (one, two and many blocks) against the software one,
+// and PRG properties.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "crypto/aesni.hpp"
 #include "crypto/prg.hpp"
@@ -57,6 +61,31 @@ TEST(AesNi, TwoBlockPathMatchesSingle) {
   EXPECT_EQ(out1, aes.EncryptBlock(b));
 }
 
+// n = 0..13 covers an empty call, the single-block remainder, the four-block
+// run, the eight-block run with and without a remainder, and an eight-block
+// run followed by a four-block one.
+TEST(AesBlocks, MultiBlockPathMatchesSingle) {
+  const Key128 key = RandomKey128();
+  SoftAes128 soft(key);
+  std::optional<AesNiBlock> hard;  // only where AES-NI may run
+  if (CpuHasAesNi()) hard.emplace(key);
+  std::vector<Block128> in(13);
+  for (auto& b : in) b = RandomKey128();
+  for (size_t n = 0; n <= in.size(); ++n) {
+    std::span<const Block128> blocks(in.data(), n);
+    std::vector<Block128> from_soft(n), from_hard(n);
+    soft.EncryptBlocks(blocks, from_soft);
+    if (hard) hard->EncryptBlocks(blocks, from_hard);
+    for (size_t i = 0; i < n; ++i) {
+      const Block128 expected = soft.EncryptBlock(in[i]);
+      EXPECT_EQ(from_soft[i], expected) << "n " << n << " block " << i;
+      if (hard) {
+        EXPECT_EQ(from_hard[i], expected) << "n " << n << " block " << i;
+      }
+    }
+  }
+}
+
 TEST(AesNi, DispatchHonoursDisableEnv) {
   // The CTest entry crypto_prg_test_soft_fallback reruns this binary with
   // TC_DISABLE_AESNI=1: the dispatch must then report no AES-NI, and
@@ -84,6 +113,18 @@ TEST(Sha256, ConcatMatchesSingleShot) {
   Bytes b = ToBytes("world");
   Bytes ab = ToBytes("hello world");
   EXPECT_EQ(Sha256Concat(a, b), Sha256(ab));
+}
+
+TEST(Sha256Prg, KnownAnswer) {
+  // G0(x) = H(0 || x), G1(x) = H(1 || x): 17-byte one-block inputs.
+  Key128 parent;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    parent[i] = static_cast<uint8_t>(0x60 + i);
+  }
+  Key128 l, r;
+  MakePrg(PrgKind::kSha256)->Expand(parent, l, r);
+  EXPECT_EQ(ToHex(l), "46f6ffadd3d06a09ff3c5860d2755c8b");
+  EXPECT_EQ(ToHex(r), "729a43e43dd1eeea049780d268244191");
 }
 
 TEST(Hkdf, ProducesRequestedLengthAndIsDeterministic) {
