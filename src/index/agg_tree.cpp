@@ -1,5 +1,6 @@
 #include "index/agg_tree.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tc::index {
@@ -44,15 +45,29 @@ Result<Bytes> AggTree::LoadNode(uint32_t level, uint64_t node_index,
 Status AggTree::StoreNode(uint32_t level, uint64_t node_index,
                           BytesView node) {
   std::string key = NodeKey(level, node_index);
+  // A failed put wrote nothing, so any cached copy still matches the store.
+  TC_RETURN_IF_ERROR(kv_->Put(key, node));
   cache_.Put(key, node);
-  return kv_->Put(key, node);
+  return Status::Ok();
 }
 
-Status AggTree::AppendEntry(uint32_t level, uint64_t node_index, size_t entry,
-                            BytesView blob) {
-  std::string key = NodeKey(level, node_index);
+Status AggTree::WriteEntries(uint32_t level, uint64_t node_index,
+                             size_t entry, BytesView blobs) {
+  if (entry == 0) return StoreNode(level, node_index, blobs);
   const size_t expected = entry * cipher_->blob_size();
-  auto appended = kv_->Append(key, expected, blob);
+  if (level < ahead_levels_) {
+    // A failed run may have left entries past the position in this node:
+    // rewrite it whole rather than append behind them.
+    TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_index, nullptr));
+    if (node.size() < expected) {
+      return Internal("index node has unexpected entry count");
+    }
+    node.resize(expected);
+    tc::Append(node, blobs);
+    return StoreNode(level, node_index, node);
+  }
+  std::string key = NodeKey(level, node_index);
+  auto appended = kv_->Append(key, expected, blobs);
   if (!appended.ok()) {
     // The store wrote nothing; a cached copy may be what went stale.
     cache_.Erase(key);
@@ -62,60 +77,78 @@ Status AggTree::AppendEntry(uint32_t level, uint64_t node_index, size_t entry,
     }
     return appended.status();
   }
-  cache_.Append(key, expected, blob);
+  cache_.Append(key, expected, blobs);
   return Status::Ok();
 }
 
 Status AggTree::Append(uint64_t index, BytesView digest_blob) {
-  if (index != next_index_) {
+  return AppendRun(index, 1, digest_blob);
+}
+
+Status AggTree::AppendRun(uint64_t first, size_t count, BytesView digests) {
+  if (first != next_index_) {
     return FailedPrecondition(
         "append-only index: expected chunk " + std::to_string(next_index_) +
-        ", got " + std::to_string(index));
-  }
-  if (digest_blob.size() != cipher_->blob_size()) {
-    return InvalidArgument("digest blob size mismatch");
+        ", got " + std::to_string(first));
   }
   const uint32_t k = options_.fanout;
   const size_t bs = cipher_->blob_size();
-
-  // Append at level 0, then cascade completed nodes upward. `carry` is the
-  // entry for the current level: the digest at level 0, above it `agg`,
-  // the aggregate of the node completed at the previous level.
-  BytesView carry = digest_blob;
-  Bytes agg;
-  uint64_t child_pos = index;  // entry position at the current level
-  uint32_t level = 0;
-  while (true) {
-    uint64_t node_index = child_pos / k;
-    size_t entry = child_pos % k;
-
-    // A node is written whole once, with its first entry; every later
-    // entry is appended in place, so an append costs one entry's bytes
-    // instead of a rewrite of the node.
-    if (entry == 0) {
-      TC_RETURN_IF_ERROR(StoreNode(level, node_index, carry));
-    } else {
-      TC_RETURN_IF_ERROR(AppendEntry(level, node_index, entry, carry));
-    }
-
-    if (entry != k - 1) break;  // node not complete: no cascade
-
-    // Node complete: compute its aggregate and insert into the parent.
-    TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_index, nullptr));
-    if (node.size() != k * bs) {
-      return Internal("index node has unexpected entry count");
-    }
-    agg.assign(node.begin(), node.begin() + bs);
-    for (size_t e = 1; e < k; ++e) {
-      TC_RETURN_IF_ERROR(cipher_->Add(std::span<uint8_t>(agg),
-                                      BytesView(node).subspan(e * bs, bs)));
-    }
-    carry = agg;
-    child_pos = node_index;
-    ++level;
+  if (count == 0 || digests.size() != count * bs) {
+    return InvalidArgument("digest blob size mismatch");
   }
-  next_index_ = index + 1;
+  // One level-0 node at a time, the position advancing only past nodes
+  // whose write and cascade both landed.
+  while (!digests.empty()) {
+    const size_t take =
+        std::min<size_t>(k - next_index_ % k, digests.size() / bs);
+    uint32_t landed = 0;
+    Status s = WriteNode(next_index_, digests.first(take * bs), landed);
+    if (!s.ok()) {
+      // The writes that landed hold entries past the position.
+      ahead_levels_ = std::max(ahead_levels_, landed);
+      return s;
+    }
+    if (landed >= ahead_levels_) ahead_levels_ = 0;
+    next_index_ += take;
+    digests = digests.subspan(take * bs);
+  }
   return Status::Ok();
+}
+
+Status AggTree::WriteNode(uint64_t position, BytesView entries,
+                          uint32_t& landed) {
+  const uint32_t k = options_.fanout;
+  const size_t bs = cipher_->blob_size();
+  Bytes agg;
+  for (uint32_t level = 0;; ++level) {
+    const uint64_t node_index = position / k;
+    const size_t entry = position % k;
+    TC_RETURN_IF_ERROR(WriteEntries(level, node_index, entry, entries));
+    landed = level + 1;
+    if (entry + entries.size() / bs != k) return Status::Ok();
+    // Complete: insert its aggregate into the parent. The aggregate comes
+    // from `entries` when they are the whole node, else from the store.
+    TC_ASSIGN_OR_RETURN(
+        agg, Aggregate(level, node_index, entry == 0 ? entries : BytesView{}));
+    entries = agg;
+    position = node_index;
+  }
+}
+
+Result<Bytes> AggTree::Aggregate(uint32_t level, uint64_t node_index,
+                                 BytesView whole) const {
+  Bytes node;
+  if (whole.empty()) {
+    TC_ASSIGN_OR_RETURN(node, LoadNode(level, node_index, nullptr));
+    whole = node;
+  }
+  const uint32_t k = options_.fanout;
+  if (whole.size() != k * cipher_->blob_size()) {
+    return Internal("index node has unexpected entry count");
+  }
+  Bytes agg;
+  TC_RETURN_IF_ERROR(FoldEntries(whole, 0, k, agg, nullptr));
+  return agg;
 }
 
 Status AggTree::FoldEntries(BytesView node, size_t from, size_t to,

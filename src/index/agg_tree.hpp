@@ -7,6 +7,12 @@
 // aggregate is appended to the parent. Time series ingest is in-order
 // append-only (§4.5), which makes the update path a single rightmost spine.
 //
+// Digests arrive in runs (one chunk, or a whole upload batch). Each level-0
+// node's share of a run is one store write: a Put when the run starts the
+// node, else one Append of the slice. A node the run completes cascades its
+// aggregate upward before the next node is written, so the store passes
+// through the same node-boundary states as one-chunk-at-a-time ingest.
+//
 // Range queries drill down both ends of the range and use whole higher-level
 // entries in the middle: O(2(k-1) log_k n) digest additions worst case.
 //
@@ -41,8 +47,14 @@ class AggTree {
   AggTree(std::shared_ptr<store::KvStore> kv, std::string prefix,
           std::shared_ptr<const DigestCipher> cipher, AggTreeOptions options);
 
-  /// Append chunk `index`'s encrypted digest. Indices must arrive in order
-  /// starting at 0 (in-order append-only workload, §4.5).
+  /// Append the encrypted digests of chunks [first, first + count), given
+  /// as `count` blobs back to back. Runs must arrive in order starting at
+  /// chunk 0 (in-order append-only workload, §4.5). On a store error, the
+  /// chunks whose node write and cascade completed stay appended:
+  /// num_chunks() tells how far the run got.
+  Status AppendRun(uint64_t first, size_t count, BytesView digests);
+
+  /// AppendRun of one chunk's digest.
   Status Append(uint64_t index, BytesView digest_blob);
 
   /// Rediscover the append position from the backing store (server restart
@@ -87,10 +99,20 @@ class AggTree {
   Result<Bytes> LoadNode(uint32_t level, uint64_t node_index,
                          QueryStats* stats) const;
   Status StoreNode(uint32_t level, uint64_t node_index, BytesView node);
-  /// Append `blob` as entry `entry` of a node that holds entries
-  /// [0, entry), in the store and in the cache.
-  Status AppendEntry(uint32_t level, uint64_t node_index, size_t entry,
-                     BytesView blob);
+  /// Write `blobs` as entries [entry, entry + n) of a node that holds
+  /// entries [0, entry), in the store and in the cache: one record either
+  /// way, a Put when `entry` is 0 or the node may hold entries past the
+  /// position (a rewrite), else an Append.
+  Status WriteEntries(uint32_t level, uint64_t node_index, size_t entry,
+                      BytesView blobs);
+  /// Write `entries`, which start at level-0 position `position` and end
+  /// in its node, then cascade each node they complete upward. `landed`
+  /// counts the levels written, also when a later write fails.
+  Status WriteNode(uint64_t position, BytesView entries, uint32_t& landed);
+  /// The aggregate of the complete node (level, node_index), folded from
+  /// `whole` when the caller holds its k entries, else from the stored node.
+  Result<Bytes> Aggregate(uint32_t level, uint64_t node_index,
+                          BytesView whole) const;
 
   /// Aggregate entries [from, to) of a loaded node into `acc` (or move the
   /// first entry into acc when empty).
@@ -103,6 +125,9 @@ class AggTree {
   AggTreeOptions options_;
   mutable store::LruCache cache_;
   uint64_t next_index_ = 0;
+  // Levels [0, ahead_levels_) of the spine may hold entries past
+  // next_index_: a failed run wrote them but not the rest of its cascade.
+  uint32_t ahead_levels_ = 0;
 };
 
 }  // namespace tc::index

@@ -483,35 +483,59 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
   TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
   metrics::TraceSpan::StageMark("decode", &StageHist(Stage::kDecode));
 
-  // One lock acquisition, one (group-committed) store sync for the whole
-  // batch — the amortization InsertChunkBatch exists for. The batch is not
-  // atomic: on a mid-batch error the already-appended prefix stays (same
-  // observable state as the equivalent InsertChunk sequence failing there).
+  // One lock acquisition, one index run and one (group-committed) store
+  // sync for the whole batch — the amortization InsertChunkBatch exists
+  // for. The batch is not atomic: on an error it applies the longest
+  // prefix that the equivalent InsertChunk sequence would have applied,
+  // then reports the error.
+  Status status;
   {
     WriterMutexLock lock(stream->mu);
-    for (const auto& e : req.entries) {
-      // Position check before the payload write — see InsertChunk.
-      if (e.chunk_index != stream->tree->num_chunks()) {
-        return FailedPrecondition(
-            "append-only index: expected chunk " +
-            std::to_string(stream->tree->num_chunks()) + ", got " +
-            std::to_string(e.chunk_index));
+    const uint64_t first = stream->tree->num_chunks();
+    const size_t blob_size = stream->add_cipher->blob_size();
+    // Payloads of the valid prefix before the index run — see InsertChunk.
+    // Each entry's position and digest size are checked before its payload
+    // is written; the first bad entry or failed write ends the prefix.
+    Bytes digests;
+    digests.reserve(req.entries.size() * blob_size);
+    size_t n = 0;
+    for (; n < req.entries.size(); ++n) {
+      const auto& e = req.entries[n];
+      if (e.chunk_index != first + n) {
+        status = FailedPrecondition("append-only index: expected chunk " +
+                                    std::to_string(first + n) + ", got " +
+                                    std::to_string(e.chunk_index));
+        break;
       }
-      // Payload before index append — see InsertChunk.
+      if (e.digest_blob.size() != blob_size) {
+        status = InvalidArgument("digest blob size mismatch");
+        break;
+      }
       if (!e.payload.empty()) {
-        TC_RETURN_IF_ERROR(
-            kv_->Put(ChunkKey(req.uuid, e.chunk_index), e.payload));
+        status = kv_->Put(ChunkKey(req.uuid, e.chunk_index), e.payload);
+        if (!status.ok()) break;
       }
-      TC_RETURN_IF_ERROR(stream->tree->Append(e.chunk_index, e.digest_blob));
-      if (stream->witnesses) {
+      tc::Append(digests, e.digest_blob);
+    }
+    metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
+    if (n > 0) {
+      Status run = stream->tree->AppendRun(first, n, digests);
+      if (!run.ok()) status = std::move(run);
+    }
+    metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
+    if (stream->witnesses) {
+      // Witnesses for exactly the chunks the index accepted — see
+      // InsertChunk.
+      const uint64_t accepted = stream->tree->num_chunks() - first;
+      for (size_t i = 0; i < accepted; ++i) {
+        const auto& e = req.entries[i];
         stream->witnesses->Append(integrity::ChunkWitness(
             req.uuid, e.chunk_index, e.digest_blob, e.payload));
       }
+      metrics::TraceSpan::StageMark("crypto", &StageHist(Stage::kCrypto));
     }
-    // The batch interleaves store puts and index appends; the loop reports
-    // as one "index" stage (the split is visible on the InsertChunk path).
-    metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
   }
+  TC_RETURN_IF_ERROR(status);
   // Flush outside the stream lock — see InsertChunk.
   if (options_.sync_each_insert) {
     TC_RETURN_IF_ERROR(kv_->Sync());
@@ -686,12 +710,14 @@ Result<Bytes> ServerEngine::RollupStream(BytesView body) {
   // target shared while waiting for source exclusive.
   ReaderMutexLock source_lock(source->mu);
   WriterMutexLock lock(target->mu);
-  uint64_t out_index = 0;
+  Bytes digests;
   for (uint64_t w = first; w < last; w += req.granularity_chunks) {
     TC_ASSIGN_OR_RETURN(Bytes blob,
                         source->tree->Query(w, w + req.granularity_chunks));
-    TC_RETURN_IF_ERROR(target->tree->Append(out_index++, blob));
+    tc::Append(digests, blob);
   }
+  TC_RETURN_IF_ERROR(target->tree->AppendRun(
+      0, (last - first) / req.granularity_chunks, digests));
   return net::RollupStreamResponse{first, last}.Encode();
 }
 

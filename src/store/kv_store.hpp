@@ -51,8 +51,8 @@ class KvStore {
   /// Append `suffix` to the value under `key` if that value is exactly
   /// `expected_size` bytes long; returns the new length. NotFound when the
   /// key is absent, FailedPrecondition (nothing written) on a length
-  /// mismatch. This is how the index grows its open node one entry at a
-  /// time without rewriting it. The default is Get + check + Put, atomic
+  /// mismatch. This is how the index grows its open node by a run of
+  /// entries without rewriting it. The default is Get + check + Put, atomic
   /// only against writers that serialize per key (the index writes under
   /// its stream lock); stores that can write just the suffix override it.
   virtual Result<size_t> Append(const std::string& key, size_t expected_size,

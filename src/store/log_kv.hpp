@@ -43,9 +43,13 @@ struct LogKvOptions {
 /// 32-byte record holding where its bytes sit in an arena of fixed-size
 /// blocks, its value's size and the value's first extent; an
 /// open-addressing table of 32-bit record ids finds the record. A put
-/// records one extent. An append, whose log record holds only the suffix,
-/// adds one more to a side table, so growing a value (an index node)
-/// leaves no dead bytes behind. A key thus costs its length plus 38 to 44
+/// records one extent and needs no side table. An append, whose log record
+/// holds only the suffix, adds one extent to a side table, so growing a
+/// value (an index node) leaves no dead bytes behind. The index writes
+/// each level-0 node's share of an upload batch as one record, so a node
+/// filled by one batch is one put with no side-table entry, while a node
+/// filled one InsertChunk at a time costs one side-table extent (16 bytes)
+/// per entry after the first. A key thus costs its length plus 38 to 44
 /// bytes (record, length prefix, and a table slot at between 3/8 and 3/4
 /// load): about 76 bytes for a chunk key, where a hash map of strings to
 /// extent vectors takes about 190. Records and keys are only added, in

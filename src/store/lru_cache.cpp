@@ -21,8 +21,12 @@ metrics::Counter& CacheMisses() {
 
 void LruCache::Put(const std::string& key, BytesView value) {
   MutexLock lock(mu_);
-  if (value.size() > capacity_) return;
   auto it = map_.find(key);
+  if (value.size() > capacity_) {
+    // Not cached, and an older value must not stay behind to be served.
+    if (it != map_.end()) EraseLocked(it);
+    return;
+  }
   if (it != map_.end()) {
     bytes_ -= it->second->value.size();
     it->second->value.assign(value.begin(), value.end());

@@ -20,7 +20,8 @@ class LruCache {
  public:
   explicit LruCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-  /// Insert or refresh. Values larger than the whole budget are not cached.
+  /// Insert or refresh. A value larger than the whole budget is not cached,
+  /// and drops any older value cached under `key`.
   void Put(const std::string& key, BytesView value) EXCLUDES(mu_);
 
   /// Mirror a KvStore::Append: grow a cached value in place (and mark it

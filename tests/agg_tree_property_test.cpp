@@ -2,8 +2,11 @@
 // query against the encrypted k-ary index must equal a brute-force oracle
 // over the plaintext digests — including after decay, across node
 // boundaries, and against the HEAC backend with telescoped decryption.
+// Appending in runs must leave the store exactly as appending chunk by
+// chunk does, in one write per level-0 node.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <tuple>
 
@@ -171,6 +174,155 @@ TEST(AggTreeLeafDigest, ReturnsExactStoredBlob) {
     EXPECT_EQ(*leaf, blobs[i]) << "chunk " << i;
   }
   EXPECT_FALSE(tree.LeafDigest(10).ok());
+}
+
+/// Every key and value of a store, for byte-for-byte comparison.
+std::map<std::string, Bytes> Contents(const store::KvStore& kv) {
+  std::map<std::string, Bytes> all;
+  Status s = kv.Scan([&](const std::string& key, BytesView value) {
+    all.emplace(key, Bytes(value.begin(), value.end()));
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return all;
+}
+
+class AggTreeRuns : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(AggTreeRuns, RunsStoreTheSameNodesAsSingleAppends) {
+  const uint32_t k = GetParam();
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  const AggTreeOptions options{k, 1 << 22};
+  bool saw_single = false, saw_mid_node_start = false, saw_levels = false;
+
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    crypto::DeterministicRng rng(k * 7919 + seed);
+    const uint64_t chunks =
+        seed == 1 ? 3ull * k * k : 1 + rng.NextBelow(3ull * k * k);
+    auto single_kv = std::make_shared<store::MemKvStore>();
+    auto run_kv = std::make_shared<store::MemKvStore>();
+    AggTree single(single_kv, "t", cipher, options);
+    AggTree runs(run_kv, "t", cipher, options);
+
+    Bytes digests;
+    for (uint64_t i = 0; i < chunks; ++i) {
+      Bytes blob =
+          *cipher->Encrypt(std::vector<uint64_t>{rng.NextBelow(1'000'000)}, i);
+      ASSERT_TRUE(single.Append(i, blob).ok());
+      Append(digests, blob);
+    }
+
+    // Seeded split: runs of one, runs within or across a node boundary,
+    // and runs of up to k^2 + k chunks, which cross level-1 nodes.
+    for (uint64_t next = 0; next < chunks;) {
+      uint64_t len = 1;
+      switch (rng.NextBelow(3)) {
+        case 0: break;
+        case 1: len = 1 + rng.NextBelow(k); break;
+        default: len = 1 + rng.NextBelow(uint64_t{k} * k + k); break;
+      }
+      len = std::min(len, chunks - next);
+      saw_single |= len == 1;
+      saw_mid_node_start |= len > 1 && next % k != 0;
+      const uint64_t level1 = uint64_t{k} * k;
+      saw_levels |= len > k && (next + len) / level1 > next / level1;
+      BytesView run = BytesView(digests).subspan(next * bs, len * bs);
+      ASSERT_TRUE(runs.AppendRun(next, len, run).ok())
+          << "run [" << next << ", " << next + len << ")";
+      next += len;
+      ASSERT_EQ(runs.num_chunks(), next);
+    }
+
+    EXPECT_EQ(runs.num_chunks(), single.num_chunks());
+    EXPECT_EQ(Contents(*run_kv), Contents(*single_kv))
+        << "k=" << k << " chunks=" << chunks;
+    AggTree recovered(run_kv, "t", cipher, options);
+    ASSERT_TRUE(recovered.Recover().ok());
+    EXPECT_EQ(recovered.num_chunks(), single.num_chunks());
+    for (int q = 0; q < 40; ++q) {
+      uint64_t first = rng.NextBelow(chunks);
+      uint64_t last = first + 1 + rng.NextBelow(chunks - first);
+      auto want = single.Query(first, last);
+      auto got = runs.Query(first, last);
+      ASSERT_TRUE(want.ok() && got.ok()) << "[" << first << ", " << last << ")";
+      EXPECT_EQ(*got, *want) << "[" << first << ", " << last << ")";
+    }
+  }
+  EXPECT_TRUE(saw_single && saw_mid_node_start && saw_levels);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, AggTreeRuns,
+                         ::testing::Values(2u, 3u, 4u, 64u),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
+                         });
+
+/// Counts the writes that reach the store, and those to level-0 nodes.
+class CountingKv final : public store::KvStore {
+ public:
+  explicit CountingKv(std::shared_ptr<store::KvStore> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Put(const std::string& key, BytesView value) override {
+    Count(key);
+    return inner_->Put(key, value);
+  }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    Count(key);
+    return inner_->Append(key, expected_size, suffix);
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    return inner_->Get(key);
+  }
+  Status Delete(const std::string& key) override { return inner_->Delete(key); }
+  bool Contains(const std::string& key) const override {
+    return inner_->Contains(key);
+  }
+  size_t Size() const override { return inner_->Size(); }
+  size_t ValueBytes() const override { return inner_->ValueBytes(); }
+  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
+      const override {
+    return inner_->Scan(fn);
+  }
+
+  uint64_t writes = 0;
+  uint64_t level0_writes = 0;
+
+ private:
+  void Count(const std::string& key) {
+    ++writes;
+    if (key.find("/L0/") != std::string::npos) ++level0_writes;
+  }
+
+  std::shared_ptr<store::KvStore> inner_;
+};
+
+TEST(AggTreeRunWrites, AlignedRunWritesEachLevel0NodeOnce) {
+  constexpr uint32_t kFanout = 64;
+  constexpr uint64_t kChunks = 256;
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  Bytes digests;
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    Append(digests, *cipher->Encrypt(std::vector<uint64_t>{i}, i));
+  }
+
+  auto run_kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+  AggTree runs(run_kv, "t", cipher, AggTreeOptions{kFanout, 1 << 22});
+  ASSERT_TRUE(runs.AppendRun(0, kChunks, digests).ok());
+  EXPECT_EQ(run_kv->level0_writes, 4u);
+  EXPECT_EQ(run_kv->writes, 8u);  // 4 level-0 puts, then 1 put + 3 appends
+
+  // The same digests one chunk at a time: one level-0 write per chunk.
+  auto single_kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+  AggTree single(single_kv, "t", cipher, AggTreeOptions{kFanout, 1 << 22});
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(single.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+  }
+  EXPECT_EQ(single_kv->level0_writes, kChunks);
 }
 
 }  // namespace

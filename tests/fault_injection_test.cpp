@@ -42,12 +42,12 @@ net::StreamConfig SmallConfig() {
 
 /// Owner + server wired through a FaultKvStore.
 struct FaultRig {
-  explicit FaultRig(FaultOptions opts)
+  explicit FaultRig(FaultOptions opts, client::OwnerOptions owner_opts = {})
       : mem(std::make_shared<store::MemKvStore>()),
         fault(std::make_shared<FaultKvStore>(mem, opts)),
         server(std::make_shared<server::ServerEngine>(fault)),
         transport(std::make_shared<net::InProcTransport>(server)),
-        owner(transport) {}
+        owner(transport, std::move(owner_opts)) {}
 
   Status IngestChunks(uint64_t uuid, uint64_t first, uint64_t count) {
     for (uint64_t c = first; c < first + count; ++c) {
@@ -126,6 +126,101 @@ TEST(FaultInjection, SporadicPutFailuresSurfaceToCaller) {
   }
   EXPECT_GT(failures, 0);
   EXPECT_GT(rig.fault->puts_failed(), 0u);
+}
+
+/// The server's chunk count for `uuid`.
+Result<uint64_t> ServerChunks(net::Transport& transport, uint64_t uuid) {
+  using net::MessageType;
+  net::DeleteStreamRequest req{uuid};
+  TC_ASSIGN_OR_RETURN(
+      Bytes blob, transport.Call(MessageType::kGetStreamInfo, req.Encode()));
+  TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(blob));
+  return info.num_chunks;
+}
+
+/// Witnessed read of chunk `index` proven against a witness tree of
+/// `at_size` leaves: fails when the server holds fewer witnesses.
+Status WitnessedRead(net::Transport& transport, uint64_t uuid, uint64_t index,
+                     uint64_t at_size) {
+  net::GetChunkWitnessedRequest req{uuid, index, index + 1, at_size};
+  return transport.Call(net::MessageType::kGetChunkWitnessed, req.Encode())
+      .status();
+}
+
+TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
+  // One batch carries the whole upload (40 chunks over 10 level-0 nodes
+  // and 3 levels at fanout 4), so every fault lands in the server's batch
+  // path: a payload put, a level-0 node write, or a cascade write. A retry
+  // resumes from the server's position, mid-node or not. The schedule
+  // starts at every 5th write: the last retries re-put the payloads of
+  // chunks 37-39 and then write their node, and a fault every 4th write or
+  // more often hits each such attempt before its node write lands.
+  constexpr uint64_t kChunks = 40;
+  int64_t sum = 0;
+  for (uint64_t c = 0; c < kChunks; ++c) sum += 5 * static_cast<int64_t>(c + 1);
+
+  for (uint64_t nth = 5; nth <= 64; ++nth) {
+    SCOPED_TRACE("every " + std::to_string(nth) + "th write fails");
+    FaultOptions opts;
+    opts.fail_every_nth_put = nth;
+    client::OwnerOptions batched;
+    batched.upload_batch_chunks = 64;
+    FaultRig rig(opts, std::move(batched));
+    auto config = SmallConfig();
+    config.integrity = true;
+    auto uuid = rig.owner.CreateStream(config);
+    ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+    ASSERT_EQ(rig.fault->puts_failed(), 0u);
+
+    Status flushed = rig.IngestChunks(*uuid, 0, kChunks);
+    int retries = 0;
+    while (!flushed.ok()) {
+      ASSERT_LT(++retries, 100) << flushed.ToString();
+      // Whatever prefix the failed batch left: every indexed chunk has
+      // its payload, and the server witnessed exactly the indexed chunks.
+      auto indexed = ServerChunks(*rig.transport, *uuid);
+      ASSERT_TRUE(indexed.ok());
+      if (*indexed > 0) {
+        net::GetChunkWitnessedRequest req{*uuid, 0, *indexed, 0};
+        auto blob = rig.transport->Call(net::MessageType::kGetChunkWitnessed,
+                                        req.Encode());
+        ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+        auto chunks = net::GetChunkWitnessedResponse::Decode(*blob);
+        ASSERT_TRUE(chunks.ok());
+        ASSERT_EQ(chunks->entries.size(), *indexed);
+        for (const auto& e : chunks->entries) {
+          // Retries seal one empty, payload-less chunk past the data.
+          if (e.chunk_index < kChunks) {
+            EXPECT_FALSE(e.payload.empty()) << "chunk " << e.chunk_index;
+          }
+        }
+        EXPECT_TRUE(
+            WitnessedRead(*rig.transport, *uuid, *indexed - 1, *indexed).ok());
+        EXPECT_EQ(WitnessedRead(*rig.transport, *uuid, *indexed - 1,
+                                *indexed + 1)
+                      .code(),
+                  StatusCode::kOutOfRange);
+      }
+      flushed = rig.owner.Flush(*uuid);
+    }
+    EXPECT_GT(retries, 0);
+
+    auto stats = rig.owner.GetStatRange(*uuid, {0, kChunks * kDelta});
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->stats.Count().value(), 5 * kChunks);
+    EXPECT_EQ(stats->stats.Sum().value(), sum);
+
+    // The owner's witnesses and the server's agree chunk by chunk.
+    Status attested = rig.owner.Attest(*uuid).status();
+    for (int i = 0; !attested.ok() && i < 4; ++i) {
+      attested = rig.owner.Attest(*uuid).status();
+    }
+    ASSERT_TRUE(attested.ok()) << attested.ToString();
+    auto verified =
+        rig.owner.GetVerifiedStatRange(*uuid, {0, kChunks * kDelta});
+    ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+    EXPECT_EQ(verified->stats.Sum().value(), sum);
+  }
 }
 
 TEST(FaultInjection, CorruptedPayloadReadFailsAuthentication) {

@@ -2,10 +2,14 @@
 // lifecycle, key store, envelopes, and error paths (complementing the
 // client-driven e2e tests).
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <filesystem>
 
 #include "common/metrics.hpp"
 #include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
+#include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
 
 namespace tc::server {
@@ -213,6 +217,89 @@ TEST_F(ServerTest, TotalIndexBytesAccumulates) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
   ASSERT_TRUE(Insert(1, 0, 1).ok());
   EXPECT_GT(engine_->TotalIndexBytes(), 0u);
+}
+
+/// An InsertChunkBatch request of chunks [first, first + count) of a
+/// one-field plaintext stream, each with an 8-byte payload.
+net::InsertChunkBatchRequest PlainBatch(uint64_t uuid, uint64_t first,
+                                        uint64_t count) {
+  auto cipher = index::MakePlainCipher(1);
+  net::InsertChunkBatchRequest batch;
+  batch.uuid = uuid;
+  for (uint64_t i = first; i < first + count; ++i) {
+    batch.entries.push_back({i, *cipher->Encrypt(std::vector<uint64_t>{i}, i),
+                             Bytes(8, static_cast<uint8_t>(i))});
+  }
+  return batch;
+}
+
+TEST_F(ServerTest, BatchMarksStoreAndIndexStagesOnce) {
+  if (!metrics::kEnabled) GTEST_SKIP() << "metrics are compiled out";
+  auto& store_hist =
+      metrics::GetHistogram("tc_server_stage_seconds", "stage=\"store\"");
+  auto& index_hist =
+      metrics::GetHistogram("tc_server_stage_seconds", "stage=\"index\"");
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  uint64_t store_before = store_hist.Snapshot().count;
+  uint64_t index_before = index_hist.Snapshot().count;
+  ASSERT_TRUE(engine_
+                  ->Handle(MessageType::kInsertChunkBatch,
+                           PlainBatch(1, 0, 10).Encode())
+                  .ok());
+  EXPECT_EQ(store_hist.Snapshot().count, store_before + 1);
+  EXPECT_EQ(index_hist.Snapshot().count, index_before + 1);
+}
+
+TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
+#endif
+  // Over a log store with the index cache off, the heap holds the engine's
+  // stream state and the store's key directory: a chunk key per chunk, an
+  // index node key per 64 chunks, and a side-table extent per appended
+  // record. Allocations too big for the heap are mapped and counted in
+  // hblkhd, not uordblks.
+  constexpr uint64_t kBatch = 256;
+  constexpr uint64_t kChunks = 65'536;
+  auto path = std::filesystem::path(::testing::TempDir()) /
+              ("server_heap_" + std::to_string(::getpid()) + ".log");
+  std::filesystem::remove(path);
+  {
+    auto log = store::LogKvStore::Open(path.string());
+    ASSERT_TRUE(log.ok());
+    ServerOptions options;
+    options.index_cache_bytes = 0;
+    ServerEngine engine(std::shared_ptr<store::KvStore>(std::move(*log)),
+                        options);
+    net::StreamConfig config;
+    config.name = "s";
+    config.t0 = 0;
+    config.delta_ms = 1000;
+    config.schema.with_sum = true;
+    config.schema.with_count = false;
+    config.cipher = net::CipherKind::kPlain;
+    config.fanout = 64;
+    // A random-looking 64-bit uuid, so keys are as long as in production.
+    constexpr uint64_t kUuid = 18446744073709551557u;
+    net::CreateStreamRequest create{kUuid, config};
+    ASSERT_TRUE(
+        engine.Handle(MessageType::kCreateStream, create.Encode()).ok());
+
+    auto heap_bytes = [] {
+      struct mallinfo2 info = ::mallinfo2();
+      return info.uordblks + info.hblkhd;
+    };
+    size_t before = heap_bytes();
+    for (uint64_t first = 0; first < kChunks; first += kBatch) {
+      ASSERT_TRUE(engine
+                      .Handle(MessageType::kInsertChunkBatch,
+                              PlainBatch(kUuid, first, kBatch).Encode())
+                      .ok());
+    }
+    size_t per_chunk = (heap_bytes() - before) / kChunks;
+    EXPECT_LE(per_chunk, 80u) << "heap bytes per batched chunk";
+  }
+  std::filesystem::remove(path);
 }
 
 // sync_each_insert flushes outside the stream lock (holding stream->mu

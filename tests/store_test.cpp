@@ -1072,6 +1072,15 @@ TEST(LruCacheTest, AppendDropsStaleEntriesAndLeavesAbsentOnesAbsent) {
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
+TEST(LruCacheTest, OversizedPutDropsTheOlderValue) {
+  LruCache cache(8);
+  cache.Put("k", ToBytes("ab"));
+  cache.Put("k", ToBytes("abcdefghi"));  // larger than the whole budget
+  EXPECT_FALSE(cache.Get("k").has_value());
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
 TEST(DecoratorAppendTest, PrefixLatencyAndFaultStoresForwardAppend) {
   auto backend = std::make_shared<MemKvStore>();
   PrefixKvStore view(backend, "s1/");
