@@ -2,19 +2,23 @@
 // statistical-query throughput and latency through the full stack (client
 // serialization pipeline -> transport -> server index), for Plaintext,
 // TimeCrypt, and the strawman ciphers, plus the small-index-cache (1 MB)
-// variant.
+// variant, and raw range reads over the log store.
 //
 // The paper's numbers come from an 8-vCPU server with 100 client threads;
 // this harness runs single-core, so absolute throughput is lower across the
 // board — the reproduced claims are the *relative* ones: TimeCrypt within a
 // few percent of plaintext, strawman orders of magnitude below.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <map>
 
 #include "bench_common.hpp"
 #include "client/owner.hpp"
 #include "server/server_engine.hpp"
+#include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
 #include "workload/mhealth.hpp"
 
@@ -143,6 +147,71 @@ void BM_E2eMixed(benchmark::State& state, net::CipherKind cipher) {
   state.SetItemsProcessed(ops);
 }
 
+// ---- raw range reads over the log store ----------------------------------
+
+/// A TimeCrypt stream of kRangeStreamChunks chunks of `points` points each,
+/// uploaded in 256-chunk batches to an engine over a log store in a
+/// temporary file, the way tcserver --store log keeps it.
+struct LogStack {
+  static constexpr uint64_t kRangeStreamChunks = 8192;
+
+  std::filesystem::path path;
+  std::shared_ptr<server::ServerEngine> server;
+  std::unique_ptr<client::OwnerClient> owner;
+  uint64_t uuid = 0;
+
+  explicit LogStack(int points)
+      : path(std::filesystem::temp_directory_path() /
+             ("bench_fig7_range_" + std::to_string(::getpid()) + "_" +
+              std::to_string(points) + ".log")) {
+    std::filesystem::remove(path);
+    auto log = store::LogKvStore::Open(path.string());
+    if (!log.ok()) std::abort();
+    server = std::make_shared<server::ServerEngine>(
+        std::shared_ptr<store::KvStore>(std::move(*log)));
+    client::OwnerOptions options;
+    options.upload_batch_chunks = 256;
+    owner = std::make_unique<client::OwnerClient>(
+        std::make_shared<net::InProcTransport>(server), options);
+    uuid = *owner->CreateStream(MHealthConfig(net::CipherKind::kHeac));
+    // `points` samples per kDelta chunk.
+    workload::MHealthGenerator gen(
+        {.num_metrics = 1, .sample_hz = points * 1e3 / kDelta});
+    for (uint64_t n = 0; n < kRangeStreamChunks * points; ++n) {
+      if (!owner->InsertRecord(uuid, gen.Next(0)).ok()) std::abort();
+    }
+    if (!owner->Flush(uuid).ok()) std::abort();
+  }
+  ~LogStack() {
+    owner.reset();
+    server.reset();
+    std::filesystem::remove(path);
+  }
+};
+
+/// Fetch and decrypt `chunks` consecutive chunks at a random start: the
+/// server reads their payloads from the log, the owner opens them.
+void BM_E2eGetRange(benchmark::State& state, int points, uint64_t chunks) {
+  // One stream per chunk size, built on first use and kept for the process.
+  static std::map<int, std::unique_ptr<LogStack>> stacks;
+  auto& stack = stacks[points];
+  if (!stack) stack = std::make_unique<LogStack>(points);
+
+  crypto::DeterministicRng rng(5);
+  int64_t read = 0;
+  for (auto _ : state) {
+    uint64_t first =
+        rng.NextBelow(LogStack::kRangeStreamChunks - chunks + 1);
+    auto r = stack->owner->GetRange(
+        stack->uuid, {static_cast<Timestamp>(first) * kDelta,
+                      static_cast<Timestamp>(first + chunks) * kDelta});
+    if (!r.ok() || r->empty()) std::abort();
+    benchmark::DoNotOptimize(r->data());
+    read += static_cast<int64_t>(chunks);
+  }
+  state.SetItemsProcessed(read);  // items/s == chunks read/s
+}
+
 void RegisterAll() {
   struct Scheme {
     const char* name;
@@ -176,6 +245,18 @@ void RegisterAll() {
         (std::string("BM_E2eMixed/") + s.name).c_str(),
         [s](benchmark::State& st) { BM_E2eMixed(st, s.kind); })
         ->Unit(benchmark::kMicrosecond);
+  }
+  for (int points : {10, 500}) {
+    for (uint64_t chunks : {1, 64, 4096}) {
+      benchmark::RegisterBenchmark(
+          ("BM_E2eGetRange/TimeCrypt/" + std::to_string(points) + "pt/" +
+           std::to_string(chunks))
+              .c_str(),
+          [points, chunks](benchmark::State& st) {
+            BM_E2eGetRange(st, points, chunks);
+          })
+          ->Unit(benchmark::kMicrosecond);
+    }
   }
 }
 

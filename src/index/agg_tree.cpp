@@ -313,6 +313,26 @@ Status AggTree::DecayLeafRange(uint64_t first, uint64_t last) {
   return Status::Ok();
 }
 
+Status AggTree::Drop() {
+  // Level L has next_index_ / k^L complete entries, in nodes [0, entries /
+  // k]. A failed run wrote at most the node holding the position on each
+  // level it reached, and it reached a level only through a full node
+  // below, so those nodes are in the same ranges.
+  const uint32_t k = options_.fanout;
+  for (uint64_t entries = next_index_, level = 0;; entries /= k, ++level) {
+    for (uint64_t node = 0; node <= entries / k; ++node) {
+      std::string key = NodeKey(static_cast<uint32_t>(level), node);
+      cache_.Erase(key);
+      Status s = kv_->Delete(key);
+      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+    }
+    if (entries == 0) break;
+  }
+  next_index_ = 0;
+  ahead_levels_ = 0;
+  return Status::Ok();
+}
+
 uint64_t AggTree::IndexBytes() const {
   // Sum over levels of ceil(n / k^level) entries, each blob_size() bytes.
   const uint32_t k = options_.fanout;

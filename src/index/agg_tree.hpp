@@ -84,6 +84,10 @@ class AggTree {
   /// decayed range still answer (the paper's retention/rollup model).
   Status DecayLeafRange(uint64_t first, uint64_t last);
 
+  /// Delete every node of the tree from the store, including any that a
+  /// failed run wrote past the position. The tree is empty afterwards.
+  Status Drop();
+
   uint64_t num_chunks() const { return next_index_; }
   uint32_t fanout() const { return options_.fanout; }
 

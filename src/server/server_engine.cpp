@@ -22,6 +22,31 @@ std::string ConfigKey(uint64_t uuid) {
   return "meta/cfg/" + std::to_string(uuid);
 }
 
+/// Chunks per payload block (see the header). A constant of the store
+/// layout, independent of the index fanout.
+constexpr uint64_t kBlockChunks = 64;
+
+std::string PayloadKey(uint64_t uuid, uint64_t block) {
+  return "pay/" + std::to_string(uuid) + "/" + std::to_string(block);
+}
+
+/// Bytes of a payload's block entry: varint length, then the payload.
+size_t EntryBytes(BytesView payload) {
+  size_t n = 1;
+  for (uint64_t v = payload.size(); v >= 0x80; v >>= 7) ++n;
+  return n + payload.size();
+}
+
+/// Read the next entry of a payload block.
+Result<BytesView> NextEntry(BinaryReader& block, const std::string& key) {
+  auto length = block.GetVar();
+  auto payload = length.ok() ? block.GetRaw(*length) : length.status();
+  if (!payload.ok()) {
+    return DataLoss("payload block " + key + " ends before its chunks do");
+  }
+  return *payload;
+}
+
 /// Per-MessageType request count + latency, registered eagerly for every
 /// frame type on first use so one lookup serves the whole process lifetime.
 struct RequestMetrics {
@@ -116,23 +141,52 @@ Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
   auto stream = std::make_shared<Stream>(
       config, ChunkClock(config.t0, config.delta_ms), cipher,
       std::move(tree));
-  if (recover && stream->witnesses) {
+  if (!recover) return stream;
+  // The stream has not escaped this function yet, so its lock is
+  // uncontended; taking it keeps the recovery under mu's capability.
+  WriterMutexLock stream_lock(stream->mu);
+  const uint64_t n = stream->tree->num_chunks();
+  if (n > 0 && kv_->Contains("chunk/" + std::to_string(uuid) + "/0")) {
+    return DataLoss("stream " + std::to_string(uuid) +
+                    " keeps its payloads under per-chunk keys "
+                    "(chunk/<uuid>/<index>), a layout this server no longer "
+                    "reads; it reads 64-chunk blocks (pay/<uuid>/<block>)");
+  }
+  TC_RETURN_IF_ERROR(RecoverOpenBlock(uuid, *stream));
+  if (stream->witnesses) {
     // Rebuild the witness tree from the stored ciphertexts — the witnesses
     // hash exactly what the store holds, so this is a pure recomputation.
-    // The stream has not escaped this function yet, so its lock is
-    // uncontended; taking it keeps the rebuild under mu's capability.
-    WriterMutexLock stream_lock(stream->mu);
-    uint64_t n = stream->tree->num_chunks();
-    for (uint64_t i = 0; i < n; ++i) {
-      TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
-      Bytes payload;
-      auto stored = kv_->Get(ChunkKey(uuid, i));
-      if (stored.ok()) payload = std::move(*stored);
-      stream->witnesses->Append(
-          integrity::ChunkWitness(uuid, i, digest, payload));
-    }
+    TC_RETURN_IF_ERROR(ReadPayloads(
+        uuid, 0, n, [&](uint64_t i, BytesView payload) -> Status {
+          TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
+          stream->witnesses->Append(
+              integrity::ChunkWitness(uuid, i, digest, payload));
+          return Status::Ok();
+        }));
   }
   return stream;
+}
+
+Status ServerEngine::RecoverOpenBlock(uint64_t uuid, Stream& stream) {
+  const uint64_t n = stream.tree->num_chunks();
+  stream.open_block_bytes = 0;
+  stream.open_block_ahead = false;
+  if (n % kBlockChunks == 0) return Status::Ok();
+  // Payloads land before index entries, so the block holds an entry for
+  // every indexed chunk in it, and may hold more.
+  const std::string key = PayloadKey(uuid, n / kBlockChunks);
+  auto block = kv_->Get(key);
+  if (block.status().code() == StatusCode::kNotFound) {
+    return DataLoss("payload block " + key + " is missing");
+  }
+  TC_RETURN_IF_ERROR(block.status());
+  BinaryReader r(*block);
+  for (uint64_t i = 0; i < n % kBlockChunks; ++i) {
+    TC_RETURN_IF_ERROR(NextEntry(r, key).status());
+  }
+  stream.open_block_bytes = r.position();
+  stream.open_block_ahead = !r.AtEnd();
+  return Status::Ok();
 }
 
 Status ServerEngine::StoreDirectoryLocked() {
@@ -228,17 +282,16 @@ Status ServerEngine::Refresh() {
   for (auto& [uuid, stream] : existing) {
     WriterMutexLock stream_lock(stream->mu);
     TC_RETURN_IF_ERROR(stream->tree->Refresh());
+    TC_RETURN_IF_ERROR(RecoverOpenBlock(uuid, *stream));
     if (stream->witnesses) {
-      uint64_t n = stream->tree->num_chunks();
-      for (uint64_t i = stream->witnesses->size(); i < n; ++i) {
-        TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
-        Bytes payload;
-        if (auto stored = kv_->Get(ChunkKey(uuid, i)); stored.ok()) {
-          payload = std::move(*stored);
-        }
-        stream->witnesses->Append(
-            integrity::ChunkWitness(uuid, i, digest, payload));
-      }
+      TC_RETURN_IF_ERROR(ReadPayloads(
+          uuid, stream->witnesses->size(), stream->tree->num_chunks(),
+          [&](uint64_t i, BytesView payload) -> Status {
+            TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
+            stream->witnesses->Append(
+                integrity::ChunkWitness(uuid, i, digest, payload));
+            return Status::Ok();
+          }));
     }
   }
   return Status::Ok();
@@ -359,8 +412,134 @@ Result<std::pair<uint64_t, uint64_t>> ServerEngine::ResolveRange(
   return std::make_pair(first, last);
 }
 
-std::string ServerEngine::ChunkKey(uint64_t uuid, uint64_t chunk_index) const {
-  return "chunk/" + std::to_string(uuid) + "/" + std::to_string(chunk_index);
+Status ServerEngine::AppendChunks(uint64_t uuid, Stream& stream,
+                                  std::span<const BytesView> payloads,
+                                  BytesView digests) {
+  // Payloads before the index run: any store state where the index shows
+  // chunk n also holds n's payload. Replicas and crash recovery see
+  // mutation prefixes, and the reverse order would let them serve an index
+  // position whose payload never arrived. Payloads a failed run left past
+  // the position are overwritten by the retry.
+  const uint64_t first = stream.tree->num_chunks();
+  size_t landed = 0;
+  Status status = WritePayloads(uuid, stream, payloads, landed);
+  metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
+  if (landed > 0) {
+    const size_t blob_size = stream.add_cipher->blob_size();
+    Status run = stream.tree->AppendRun(first, landed,
+                                        digests.first(landed * blob_size));
+    if (!run.ok()) status = std::move(run);
+  }
+  metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
+  // Move the open block to the new position. Written blocks hold exactly
+  // the accepted chunks unless the index stopped short of them.
+  const uint64_t end = stream.tree->num_chunks();
+  if (landed > 0) stream.open_block_ahead = first + landed > end;
+  const uint64_t open_first = end - end % kBlockChunks;
+  if (open_first > first) stream.open_block_bytes = 0;
+  for (uint64_t c = std::max(first, open_first); c < end; ++c) {
+    stream.open_block_bytes += EntryBytes(payloads[c - first]);
+  }
+  return status;
+}
+
+Status ServerEngine::WritePayloads(uint64_t uuid, const Stream& stream,
+                                   std::span<const BytesView> payloads,
+                                   size_t& landed) {
+  const uint64_t first = stream.tree->num_chunks();
+  landed = 0;
+  Bytes share;
+  while (landed < payloads.size()) {
+    const uint64_t chunk = first + landed;
+    const size_t take = std::min<size_t>(kBlockChunks - chunk % kBlockChunks,
+                                         payloads.size() - landed);
+    const auto entries = payloads.subspan(landed, take);
+    share.clear();
+    size_t bytes = 0;
+    for (BytesView p : entries) bytes += EntryBytes(p);
+    share.reserve(bytes);
+    for (BytesView p : entries) {
+      PutVarint(share, p.size());
+      tc::Append(share, p);
+    }
+    // Only the run's first share can continue a block.
+    const size_t expected = landed == 0 ? stream.open_block_bytes : 0;
+    const std::string key = PayloadKey(uuid, chunk / kBlockChunks);
+    if (expected == 0) {
+      TC_RETURN_IF_ERROR(kv_->Put(key, share));
+    } else if (stream.open_block_ahead) {
+      // Rewrite the block without the entries past the position.
+      TC_ASSIGN_OR_RETURN(Bytes block, kv_->Get(key));
+      if (block.size() < expected) {
+        return DataLoss("payload block " + key + " is shorter than its chunks");
+      }
+      block.resize(expected);
+      tc::Append(block, share);
+      TC_RETURN_IF_ERROR(kv_->Put(key, block));
+    } else {
+      TC_RETURN_IF_ERROR(kv_->Append(key, expected, share).status());
+    }
+    landed += take;
+  }
+  return Status::Ok();
+}
+
+Status ServerEngine::ReadPayloads(
+    uint64_t uuid, uint64_t first, uint64_t last,
+    const std::function<Status(uint64_t, BytesView)>& fn) const {
+  for (uint64_t block = first / kBlockChunks; block * kBlockChunks < last;
+       ++block) {
+    const std::string key = PayloadKey(uuid, block);
+    auto value = kv_->Get(key);
+    if (!value.ok() && value.status().code() != StatusCode::kNotFound) {
+      return value.status();
+    }
+    BinaryReader r(value.ok() ? BytesView(*value) : BytesView{});
+    const uint64_t end = std::min(last, (block + 1) * kBlockChunks);
+    for (uint64_t c = block * kBlockChunks; c < end; ++c) {
+      BytesView payload;
+      if (value.ok()) {
+        TC_ASSIGN_OR_RETURN(payload, NextEntry(r, key));
+      }
+      if (c >= first) TC_RETURN_IF_ERROR(fn(c, payload));
+    }
+  }
+  return Status::Ok();
+}
+
+Status ServerEngine::DropPayloads(uint64_t uuid, Stream& stream,
+                                  uint64_t first, uint64_t last) {
+  const uint64_t n = stream.tree->num_chunks();
+  for (uint64_t block = first / kBlockChunks; block * kBlockChunks < last;
+       ++block) {
+    const std::string key = PayloadKey(uuid, block);
+    const uint64_t begin = block * kBlockChunks;
+    const uint64_t end = std::min(n, begin + kBlockChunks);
+    if (first <= begin && end == begin + kBlockChunks && end <= last) {
+      Status s = kv_->Delete(key);
+      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+      continue;
+    }
+    auto value = kv_->Get(key);
+    if (value.status().code() == StatusCode::kNotFound) continue;
+    TC_RETURN_IF_ERROR(value.status());
+    // Keep the entries of indexed chunks outside the range; entries past
+    // the position (a failed run's) go.
+    BinaryReader r(*value);
+    Bytes rewritten;
+    for (uint64_t c = begin; c < end; ++c) {
+      TC_ASSIGN_OR_RETURN(BytesView payload, NextEntry(r, key));
+      if (c >= first && c < last) payload = {};
+      PutVarint(rewritten, payload.size());
+      tc::Append(rewritten, payload);
+    }
+    TC_RETURN_IF_ERROR(kv_->Put(key, rewritten));
+    if (block == n / kBlockChunks) {
+      stream.open_block_bytes = rewritten.size();
+      stream.open_block_ahead = false;
+    }
+  }
+  return Status::Ok();
 }
 
 std::string ServerEngine::GrantKey(const std::string& principal,
@@ -416,15 +595,21 @@ Result<Bytes> ServerEngine::DeleteStream(BytesView body) {
     TC_RETURN_IF_ERROR(StoreDirectoryLocked());
   }
 
-  // Wait out any in-flight ingest on this stream, then drop chunk payloads;
-  // index nodes stay orphaned in the KV (a real deployment would GC them;
-  // compaction handles it for the log store).
+  // Wait out any in-flight ingest on this stream, then drop its payload
+  // blocks, its index nodes and its attestation, best effort: an orphaned
+  // key is unreachable once the stream is unpublished. The blocks go up to
+  // the last one present, as a failed batch may have written some past the
+  // position.
   WriterMutexLock stream_lock(stream->mu);
-  uint64_t n = stream->tree->num_chunks();
-  for (uint64_t i = 0; i < n; ++i) {
-    // tc_analyze:allow(status-discard) best-effort payload GC; an orphaned chunk is unreachable once unpublished
-    (void)kv_->Delete(ChunkKey(req.uuid, i));
+  const uint64_t open_block = stream->tree->num_chunks() / kBlockChunks;
+  for (uint64_t block = 0;; ++block) {
+    Status s = kv_->Delete(PayloadKey(req.uuid, block));
+    if (!s.ok() && block >= open_block) break;
   }
+  // tc_analyze:allow(status-discard) best-effort cleanup, as above
+  (void)stream->tree->Drop();
+  // tc_analyze:allow(status-discard) best-effort cleanup; most streams have no attestation
+  (void)kv_->Delete("att/" + std::to_string(req.uuid));
   return Bytes{};
 }
 
@@ -444,18 +629,13 @@ Result<Bytes> ServerEngine::InsertChunk(BytesView body) {
           std::to_string(stream->tree->num_chunks()) + ", got " +
           std::to_string(req.chunk_index));
     }
-    // Payload before index append: any store state where the index shows
-    // chunk n also holds n's payload. Replicas and crash recovery see
-    // mutation prefixes, and the reverse order would let them serve an
-    // index position whose payload never arrived. (A payload orphaned by
-    // an append failure is overwritten on retry.)
-    if (!req.payload.empty()) {
-      TC_RETURN_IF_ERROR(
-          kv_->Put(ChunkKey(req.uuid, req.chunk_index), req.payload));
+    if (req.digest_blob.size() != stream->add_cipher->blob_size()) {
+      return InvalidArgument("digest blob size mismatch");
     }
-    metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
-    TC_RETURN_IF_ERROR(stream->tree->Append(req.chunk_index, req.digest_blob));
-    metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
+    const BytesView payload = req.payload;
+    TC_RETURN_IF_ERROR(AppendChunks(req.uuid, *stream,
+                                    std::span<const BytesView>(&payload, 1),
+                                    req.digest_blob));
     if (stream->witnesses) {
       // Mirror the producer's witness so audit paths can be served. The
       // producer computes the same hash over the same ciphertext bytes; any
@@ -493,11 +673,12 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
     WriterMutexLock lock(stream->mu);
     const uint64_t first = stream->tree->num_chunks();
     const size_t blob_size = stream->add_cipher->blob_size();
-    // Payloads of the valid prefix before the index run — see InsertChunk.
-    // Each entry's position and digest size are checked before its payload
-    // is written; the first bad entry or failed write ends the prefix.
+    // The valid prefix ends at the first entry whose position or digest
+    // size is wrong; AppendChunks may cut it shorter on a failed write.
     Bytes digests;
     digests.reserve(req.entries.size() * blob_size);
+    std::vector<BytesView> payloads;
+    payloads.reserve(req.entries.size());
     size_t n = 0;
     for (; n < req.entries.size(); ++n) {
       const auto& e = req.entries[n];
@@ -511,18 +692,13 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
         status = InvalidArgument("digest blob size mismatch");
         break;
       }
-      if (!e.payload.empty()) {
-        status = kv_->Put(ChunkKey(req.uuid, e.chunk_index), e.payload);
-        if (!status.ok()) break;
-      }
+      payloads.push_back(e.payload);
       tc::Append(digests, e.digest_blob);
     }
-    metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
     if (n > 0) {
-      Status run = stream->tree->AppendRun(first, n, digests);
-      if (!run.ok()) status = std::move(run);
+      Status applied = AppendChunks(req.uuid, *stream, payloads, digests);
+      if (!applied.ok()) status = std::move(applied);
     }
-    metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
     if (stream->witnesses) {
       // Witnesses for exactly the chunks the index accepted — see
       // InsertChunk.
@@ -583,11 +759,15 @@ Result<Bytes> ServerEngine::GetRange(BytesView body) const {
   TC_ASSIGN_OR_RETURN(auto range, ResolveRange(*stream, req.range));
 
   net::GetRangeResponse resp;
-  for (uint64_t i = range.first; i < range.second; ++i) {
-    auto payload = kv_->Get(ChunkKey(req.uuid, i));
-    if (!payload.ok()) continue;  // decayed or digest-only chunk
-    resp.chunks.push_back({i, std::move(*payload)});
-  }
+  TC_RETURN_IF_ERROR(ReadPayloads(
+      req.uuid, range.first, range.second,
+      [&](uint64_t i, BytesView payload) {
+        // A deleted or digest-only chunk has no payload to return.
+        if (!payload.empty()) {
+          resp.chunks.push_back({i, Bytes(payload.begin(), payload.end())});
+        }
+        return Status::Ok();
+      }));
   metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
   return resp.Encode();
 }
@@ -716,8 +896,12 @@ Result<Bytes> ServerEngine::RollupStream(BytesView body) {
                         source->tree->Query(w, w + req.granularity_chunks));
     tc::Append(digests, blob);
   }
-  TC_RETURN_IF_ERROR(target->tree->AppendRun(
-      0, (last - first) / req.granularity_chunks, digests));
+  // Derived chunks carry no payloads, but their blocks hold empty entries
+  // like any digest-only chunk's.
+  const std::vector<BytesView> payloads(
+      (last - first) / req.granularity_chunks);
+  TC_RETURN_IF_ERROR(
+      AppendChunks(req.target_uuid, *target, payloads, digests));
   return net::RollupStreamResponse{first, last}.Encode();
 }
 
@@ -730,10 +914,8 @@ Result<Bytes> ServerEngine::DeleteRange(BytesView body) {
   // Drop raw payloads; per-chunk digests are retained (Table 1 row 7:
   // "Delete specified segment of the stream, while maintaining per-chunk
   // digest").
-  for (uint64_t i = range.first; i < range.second; ++i) {
-    Status s = kv_->Delete(ChunkKey(req.uuid, i));
-    if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-  }
+  TC_RETURN_IF_ERROR(
+      DropPayloads(req.uuid, *stream, range.first, range.second));
   return Bytes{};
 }
 
@@ -813,26 +995,28 @@ Result<Bytes> ServerEngine::GetChunkWitnessed(BytesView body) const {
     return OutOfRange("chunk range exceeds attested prefix");
   }
   ReaderMutexLock stream_lock(stream->mu);
-  if (!with_proofs && req.last_chunk > stream->tree->num_chunks()) {
+  if (req.last_chunk > stream->tree->num_chunks()) {
     return OutOfRange("chunk range exceeds ingested chunks");
   }
 
   net::GetChunkWitnessedResponse resp;
-  for (uint64_t i = req.first_chunk; i < req.last_chunk; ++i) {
-    net::GetChunkWitnessedResponse::Entry entry;
-    entry.chunk_index = i;
-    TC_ASSIGN_OR_RETURN(entry.digest_blob, stream->tree->LeafDigest(i));
-    auto payload = kv_->Get(ChunkKey(req.uuid, i));
-    if (payload.ok()) entry.payload = std::move(*payload);
-    if (with_proofs) {
-      TC_ASSIGN_OR_RETURN(auto path,
-                          stream->witnesses->Proof(i, req.at_size));
-      BinaryWriter w;
-      integrity::EncodeAuditPath(w, path);
-      entry.proof = std::move(w).Take();
-    }
-    resp.entries.push_back(std::move(entry));
-  }
+  TC_RETURN_IF_ERROR(ReadPayloads(
+      req.uuid, req.first_chunk, req.last_chunk,
+      [&](uint64_t i, BytesView payload) -> Status {
+        net::GetChunkWitnessedResponse::Entry entry;
+        entry.chunk_index = i;
+        TC_ASSIGN_OR_RETURN(entry.digest_blob, stream->tree->LeafDigest(i));
+        entry.payload.assign(payload.begin(), payload.end());
+        if (with_proofs) {
+          TC_ASSIGN_OR_RETURN(auto path,
+                              stream->witnesses->Proof(i, req.at_size));
+          BinaryWriter w;
+          integrity::EncodeAuditPath(w, path);
+          entry.proof = std::move(w).Take();
+        }
+        resp.entries.push_back(std::move(entry));
+        return Status::Ok();
+      }));
   return resp.Encode();
 }
 

@@ -10,11 +10,24 @@
 // The engine is exposed as a net::RequestHandler so it can sit behind the
 // in-process transport or the TCP server unchanged. TimeCrypt instances are
 // stateless apart from the backing KvStore (horizontally scalable, §3.2) —
-// all stream state lives in the store.
+// all stream state lives in the store, under computed keys:
+//
+//   meta/streams, meta/cfg/<uuid>   stream directory and configs
+//   idx/<uuid>/L<level>/<node>      index nodes (index::AggTree)
+//   pay/<uuid>/<b>                  payloads of chunks [64 b, 64 b + 64)
+//   grant/..., env/..., att/<uuid>  key store and attestations
+//
+// A payload block holds `varint length ‖ payload` per chunk in chunk order,
+// length 0 for a chunk without a payload. Ingest writes each block's share
+// of a run of chunks as one record, a put when the run starts the block and
+// an append otherwise, so a stream costs the store one key per 64 chunks.
+// A chunk's payload lands before its index entry.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "common/thread_annotations.hpp"
 #include "index/agg_tree.hpp"
@@ -96,6 +109,12 @@ class ServerEngine final : public net::RequestHandler {
     // Integrity extension: the server-side mirror of the witness tree
     // (config.integrity streams only). Guarded by mu like the agg tree.
     std::unique_ptr<integrity::MerkleTree> witnesses PT_GUARDED_BY(mu);
+    // Byte length of the payload block that holds chunk num_chunks(), up to
+    // that chunk: where the next chunk's payload entry goes. The block may
+    // hold entries past it when payloads of a failed run (or of a crash)
+    // landed without their index entries; the next write rewrites it.
+    size_t open_block_bytes GUARDED_BY(mu) = 0;
+    bool open_block_ahead GUARDED_BY(mu) = false;
     // Reader/writer lock over tree + witnesses: Append grows internal
     // vectors, so even "append-only prefix" reads can hit a reallocation;
     // ingest takes it exclusive, query paths take it shared.
@@ -157,7 +176,33 @@ class ServerEngine final : public net::RequestHandler {
       const Stream& stream, const TimeRange& range)
       REQUIRES_SHARED(stream.mu);
 
-  std::string ChunkKey(uint64_t uuid, uint64_t chunk_index) const;
+  /// Append the stream's next chunks: their payloads, then one index run
+  /// over `digests` (their blobs back to back). Applies a prefix on error;
+  /// num_chunks() tells how far it got.
+  Status AppendChunks(uint64_t uuid, Stream& stream,
+                      std::span<const BytesView> payloads, BytesView digests)
+      REQUIRES(stream.mu);
+  /// Write the payloads of the stream's next chunks, one store write per
+  /// block: a put when the run starts the block, else an append, or a
+  /// rewrite when the block holds entries past the position. `landed`
+  /// counts the chunks whose blocks were written, also on an error.
+  Status WritePayloads(uint64_t uuid, const Stream& stream,
+                       std::span<const BytesView> payloads, size_t& landed)
+      REQUIRES(stream.mu);
+  /// Visit the payloads of chunks [first, last) in order, an empty view for
+  /// a chunk without one. A block the store lacks holds no payloads
+  /// (DeleteRange dropped it); every other store error fails the read.
+  Status ReadPayloads(uint64_t uuid, uint64_t first, uint64_t last,
+                      const std::function<Status(uint64_t, BytesView)>& fn)
+      const;
+  /// Drop the payloads of indexed chunks [first, last): delete the blocks
+  /// the range covers whole, rewrite the others with empty entries.
+  Status DropPayloads(uint64_t uuid, Stream& stream, uint64_t first,
+                      uint64_t last) REQUIRES(stream.mu);
+  /// Read the open block's length, and whether it holds entries past the
+  /// position, from the store (open and refresh paths).
+  Status RecoverOpenBlock(uint64_t uuid, Stream& stream) REQUIRES(stream.mu);
+
   std::string GrantKey(const std::string& principal, uint64_t uuid,
                        uint64_t grant_id) const;
   std::string EnvelopeKey(uint64_t uuid, uint64_t resolution,

@@ -11,6 +11,7 @@
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
 #include "store/fault_kv.hpp"
 #include "store/log_kv.hpp"
@@ -150,16 +151,19 @@ Status WitnessedRead(net::Transport& transport, uint64_t uuid, uint64_t index,
 TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
   // One batch carries the whole upload (40 chunks over 10 level-0 nodes
   // and 3 levels at fanout 4), so every fault lands in the server's batch
-  // path: a payload put, a level-0 node write, or a cascade write. A retry
-  // resumes from the server's position, mid-node or not. The schedule
-  // starts at every 5th write: the last retries re-put the payloads of
-  // chunks 37-39 and then write their node, and a fault every 4th write or
-  // more often hits each such attempt before its node write lands.
+  // path: the payload block write, a level-0 node write, or a cascade
+  // write. A retry resumes from the server's position, mid-node or not,
+  // and rewrites the payload block its failed attempt left ahead. The
+  // schedule starts at every 5th write, and a fault every 4th write or
+  // more often can hit each retry of a node whose cascade takes three
+  // writes. It ends at the first schedule under which no write fails:
+  // until its first fault a run makes the fault-free run's writes, so
+  // every write of the upload fails once on the way.
   constexpr uint64_t kChunks = 40;
   int64_t sum = 0;
   for (uint64_t c = 0; c < kChunks; ++c) sum += 5 * static_cast<int64_t>(c + 1);
 
-  for (uint64_t nth = 5; nth <= 64; ++nth) {
+  for (uint64_t nth = 5;; ++nth) {
     SCOPED_TRACE("every " + std::to_string(nth) + "th write fails");
     FaultOptions opts;
     opts.fail_every_nth_put = nth;
@@ -203,7 +207,7 @@ TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
       }
       flushed = rig.owner.Flush(*uuid);
     }
-    EXPECT_GT(retries, 0);
+    const bool faulted = retries > 0;
 
     auto stats = rig.owner.GetStatRange(*uuid, {0, kChunks * kDelta});
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -220,6 +224,11 @@ TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
         rig.owner.GetVerifiedStatRange(*uuid, {0, kChunks * kDelta});
     ASSERT_TRUE(verified.ok()) << verified.status().ToString();
     EXPECT_EQ(verified->stats.Sum().value(), sum);
+    if (!faulted) {
+      // Creating the stream and uploading it take 25 writes.
+      EXPECT_EQ(nth, 26u);
+      break;
+    }
   }
 }
 
@@ -341,6 +350,171 @@ TEST(FaultInjection, GrantFetchDuringOutageFailsCleanly) {
   auto n = consumer.FetchGrants();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1);
+}
+
+/// A witnessed stream of 130 chunks (three payload blocks) written straight
+/// to the engine, for the payload read paths under Get faults.
+constexpr uint64_t kReadUuid = 9;
+constexpr uint64_t kReadChunks = 130;
+
+Status UploadRaw(server::ServerEngine& engine, uint64_t first,
+                 uint64_t count) {
+  auto cipher = index::MakePlainCipher(1);
+  net::InsertChunkBatchRequest batch;
+  batch.uuid = kReadUuid;
+  for (uint64_t i = first; i < first + count; ++i) {
+    batch.entries.push_back({i, *cipher->Encrypt(std::vector<uint64_t>{i}, i),
+                             Bytes(3 + i % 5, static_cast<uint8_t>(i))});
+  }
+  return engine.Handle(net::MessageType::kInsertChunkBatch, batch.Encode())
+      .status();
+}
+
+Status CreateRaw(server::ServerEngine& engine) {
+  net::StreamConfig config;
+  config.name = "fault/raw";
+  config.t0 = 0;
+  config.delta_ms = kDelta;
+  config.schema.with_sum = true;
+  config.schema.with_count = false;
+  config.cipher = net::CipherKind::kPlain;
+  config.fanout = 64;
+  config.integrity = true;
+  net::CreateStreamRequest create{kReadUuid, config};
+  return engine.Handle(net::MessageType::kCreateStream, create.Encode())
+      .status();
+}
+
+Result<Bytes> RawRange(server::ServerEngine& engine) {
+  net::GetRangeRequest req{kReadUuid, {0, kReadChunks * kDelta}};
+  return engine.Handle(net::MessageType::kGetRange, req.Encode());
+}
+
+/// Every chunk with its payload, proven against `at_size` witnesses (none
+/// when 0).
+Result<Bytes> RawWitnessed(server::ServerEngine& engine, uint64_t at_size) {
+  net::GetChunkWitnessedRequest req{kReadUuid, 0, kReadChunks, at_size};
+  return engine.Handle(net::MessageType::kGetChunkWitnessed, req.Encode());
+}
+
+/// RawWitnessed with proofs, retried past periodic Get faults.
+Result<Bytes> ProvenRead(server::ServerEngine& engine) {
+  auto read = RawWitnessed(engine, kReadChunks);
+  for (int i = 0; !read.ok() && i < 8; ++i) {
+    read = RawWitnessed(engine, kReadChunks);
+  }
+  return read;
+}
+
+/// A fault-free engine over `mem` holding the whole stream.
+std::shared_ptr<server::ServerEngine> CleanRawStream(
+    const std::shared_ptr<store::MemKvStore>& mem) {
+  auto clean = std::make_shared<server::ServerEngine>(mem);
+  EXPECT_TRUE(CreateRaw(*clean).ok());
+  EXPECT_TRUE(UploadRaw(*clean, 0, kReadChunks).ok());
+  return clean;
+}
+
+TEST(FaultInjection, FailedPayloadReadFailsRangeAndWitnessedReads) {
+  // A store error on a payload block fails the read; only a missing block
+  // means "no payloads". A read that succeeds is the fault-free answer.
+  auto mem = std::make_shared<store::MemKvStore>();
+  auto clean = CleanRawStream(mem);
+  auto range = RawRange(*clean);
+  auto witnessed = RawWitnessed(*clean, 0);
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(witnessed.ok());
+
+  int range_failed = 0, range_served = 0;
+  int witnessed_failed = 0, witnessed_served = 0;
+  for (uint64_t nth = 1; nth <= 24; ++nth) {
+    SCOPED_TRACE("every " + std::to_string(nth) + "th get fails");
+    FaultOptions opts;
+    opts.fail_every_nth_get = nth;
+    server::ServerEngine engine(std::make_shared<FaultKvStore>(mem, opts));
+    if (engine.NumStreams() == 0) continue;  // recovery failed on a get
+    for (int call = 0; call < 4; ++call) {
+      auto got = RawRange(engine);
+      if (got.ok()) {
+        EXPECT_EQ(*got, *range);
+        ++range_served;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+        ++range_failed;
+      }
+      got = RawWitnessed(engine, 0);
+      if (got.ok()) {
+        EXPECT_EQ(*got, *witnessed);
+        ++witnessed_served;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+        ++witnessed_failed;
+      }
+    }
+  }
+  EXPECT_GT(range_failed, 0);
+  EXPECT_GT(range_served, 0);
+  EXPECT_GT(witnessed_failed, 0);
+  EXPECT_GT(witnessed_served, 0);
+}
+
+TEST(FaultInjection, FailedPayloadReadFailsWitnessRebuildOnOpen) {
+  // Recovery rebuilds the witness tree from the stored payloads. A failed
+  // read must keep the stream out of service, not hash an empty payload.
+  auto mem = std::make_shared<store::MemKvStore>();
+  auto clean = CleanRawStream(mem);
+  auto proven = ProvenRead(*clean);
+  ASSERT_TRUE(proven.ok());
+
+  int refused = 0, recovered = 0;
+  for (uint64_t nth = 1; nth <= 24; ++nth) {
+    SCOPED_TRACE("every " + std::to_string(nth) + "th get fails");
+    FaultOptions opts;
+    opts.fail_every_nth_get = nth;
+    server::ServerEngine engine(std::make_shared<FaultKvStore>(mem, opts));
+    if (engine.NumStreams() == 0) {
+      ++refused;
+      continue;
+    }
+    ++recovered;
+    auto got = ProvenRead(engine);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *proven);
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(recovered, 0);
+}
+
+TEST(FaultInjection, FailedPayloadReadFailsWitnessRefresh) {
+  // A replica's Refresh extends the witness tree with the chunks that
+  // arrived underneath it. A failed read must fail the refresh.
+  int failed = 0, refreshed = 0;
+  for (uint64_t nth = 1; nth <= 24; ++nth) {
+    SCOPED_TRACE("every " + std::to_string(nth) + "th get fails");
+    auto mem = std::make_shared<store::MemKvStore>();
+    server::ServerEngine primary(mem);
+    ASSERT_TRUE(CreateRaw(primary).ok());
+    ASSERT_TRUE(UploadRaw(primary, 0, 10).ok());
+    FaultOptions opts;
+    opts.fail_every_nth_get = nth;
+    server::ServerEngine replica(std::make_shared<FaultKvStore>(mem, opts));
+    if (replica.NumStreams() == 0) continue;  // recovery failed on a get
+    ASSERT_TRUE(UploadRaw(primary, 10, kReadChunks - 10).ok());
+    Status refresh = replica.Refresh();
+    if (!refresh.ok()) {
+      EXPECT_EQ(refresh.code(), StatusCode::kUnavailable);
+      ++failed;
+      continue;
+    }
+    ++refreshed;
+    auto proven = ProvenRead(primary);
+    auto got = ProvenRead(replica);
+    ASSERT_TRUE(proven.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *proven);
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(refreshed, 0);
 }
 
 TEST(FaultInjection, FaultCountersTrackInjectedFaults) {

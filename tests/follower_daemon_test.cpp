@@ -138,7 +138,7 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   // Primary: one replication-capable shard, snapshot chunks forced small so
   // catch-up must stream many frames.
   replica::ReplicaSetOptions set_options;
-  set_options.kv.snapshot_chunk_bytes = 2048;
+  set_options.kv.snapshot_chunk_bytes = 512;
   auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
                               set_options);
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};

@@ -12,6 +12,7 @@
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "cluster/shard_router.hpp"
+#include "common/logging.hpp"
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
@@ -281,13 +282,24 @@ TEST(Restart, ReattachRejectsTamperedWitnessHistory) {
   }
 
   // Tamper with a stored chunk payload (the server "loses" a byte).
-  // Chunk keys are internal; flip via direct put on the known layout.
-  auto payload = kv->Get("chunk/" + std::to_string(uuid) + "/2");
-  ASSERT_TRUE(payload.ok());
-  Bytes tampered = *payload;
-  tampered[tampered.size() / 2] ^= 0x01;
-  ASSERT_TRUE(
-      kv->Put("chunk/" + std::to_string(uuid) + "/2", tampered).ok());
+  // Store keys are internal; flip via direct put on the known layout: the
+  // payloads of chunks 0-63 are `varint length ‖ payload` entries in one
+  // block. Flip a byte inside chunk 2's payload, not a length prefix.
+  const std::string block_key = "pay/" + std::to_string(uuid) + "/0";
+  auto block = kv->Get(block_key);
+  ASSERT_TRUE(block.ok());
+  Bytes tampered = *block;
+  BinaryReader entries(tampered);
+  for (int chunk = 0; chunk < 2; ++chunk) {
+    auto length = entries.GetVar();
+    ASSERT_TRUE(length.ok());
+    ASSERT_TRUE(entries.GetRaw(*length).ok());
+  }
+  auto length = entries.GetVar();
+  ASSERT_TRUE(length.ok());
+  ASSERT_GT(*length, 0u);
+  tampered[entries.position() + *length / 2] ^= 0x01;
+  ASSERT_TRUE(kv->Put(block_key, tampered).ok());
 
   // Reattach on a FRESH engine (so the witness tree is rebuilt from the
   // tampered store rather than served from memory).
@@ -297,6 +309,34 @@ TEST(Restart, ReattachRejectsTamperedWitnessHistory) {
   Status attach = owner2.AttachStream(uuid, seed);
   EXPECT_EQ(attach.code(), StatusCode::kPermissionDenied)
       << attach.ToString();
+}
+
+TEST(Restart, StreamInTheOldPerChunkPayloadLayoutIsRefused) {
+  // Payloads used to live under one key per chunk, chunk/<uuid>/<index>. A
+  // store still holding one must not serve the stream without its payloads.
+  auto kv = std::make_shared<store::MemKvStore>();
+  uint64_t uuid = 0;
+  {
+    auto server = std::make_shared<server::ServerEngine>(kv);
+    OwnerClient owner(std::make_shared<net::InProcTransport>(server));
+    auto created = owner.CreateStream(RestartConfig());
+    ASSERT_TRUE(created.ok());
+    uuid = *created;
+    ASSERT_TRUE(IngestChunks(owner, uuid, 0, 3).ok());
+  }
+  ASSERT_TRUE(
+      kv->Put("chunk/" + std::to_string(uuid) + "/0", ToBytes("sealed")).ok());
+
+  // Recovery skips the stream and logs why.
+  SetLogLevel(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  auto server = std::make_shared<server::ServerEngine>(kv);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(server->NumStreams(), 0u);
+  EXPECT_NE(log.find("DATA_LOSS"), std::string::npos) << log;
+  EXPECT_NE(log.find("chunk/<uuid>/<index>"), std::string::npos) << log;
+  OwnerClient owner(std::make_shared<net::InProcTransport>(server));
+  EXPECT_EQ(owner.NumChunks(uuid).status().code(), StatusCode::kNotFound);
 }
 
 TEST(Restart, DeletedStreamsStayDeletedAfterRestart) {

@@ -5,6 +5,7 @@
 #include <malloc.h>
 
 #include <filesystem>
+#include <map>
 
 #include "common/metrics.hpp"
 #include "index/digest_cipher.hpp"
@@ -55,6 +56,27 @@ class ServerTest : public ::testing::Test {
                         engine_->Handle(MessageType::kGetStatRange,
                                         req.Encode()));
     return net::StatRangeResponse::Decode(payload);
+  }
+
+  /// The (chunk, payload) pairs GetRange returns for chunks [first, last).
+  std::map<uint64_t, Bytes> Payloads(uint64_t uuid, uint64_t first,
+                                     uint64_t last) {
+    net::GetRangeRequest req{uuid, {static_cast<Timestamp>(first) * 1000,
+                                    static_cast<Timestamp>(last) * 1000}};
+    auto blob = engine_->Handle(MessageType::kGetRange, req.Encode());
+    EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+    std::map<uint64_t, Bytes> out;
+    if (!blob.ok()) return out;
+    auto resp = net::GetRangeResponse::Decode(*blob);
+    EXPECT_TRUE(resp.ok());
+    for (auto& c : resp->chunks) out.emplace(c.chunk_index, c.payload);
+    return out;
+  }
+
+  Status DeleteRange(uint64_t uuid, uint64_t first, uint64_t last) {
+    net::DeleteRangeRequest req{uuid, {static_cast<Timestamp>(first) * 1000,
+                                       static_cast<Timestamp>(last) * 1000}};
+    return engine_->Handle(MessageType::kDeleteRange, req.Encode()).status();
   }
 
   uint64_t DecodeSum(const net::StatRangeResponse& resp) {
@@ -250,6 +272,140 @@ TEST_F(ServerTest, BatchMarksStoreAndIndexStagesOnce) {
   EXPECT_EQ(index_hist.Snapshot().count, index_before + 1);
 }
 
+/// Chunk c's payload in these tests: none for every third chunk.
+Bytes TestPayload(uint64_t c) {
+  return c % 3 == 0 ? Bytes{} : Bytes(1 + c % 200, static_cast<uint8_t>(c));
+}
+
+TEST_F(ServerTest, PayloadsRoundTripAcrossBlocks) {
+  // Payloads sit in 64-chunk blocks; single inserts append to the open
+  // block and a batch writes its share of each block at once.
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  for (uint64_t c = 0; c < 70; ++c) {
+    ASSERT_TRUE(Insert(1, c, 1, TestPayload(c)).ok());
+  }
+  auto batch = PlainBatch(1, 70, 130);
+  for (auto& e : batch.entries) e.payload = TestPayload(e.chunk_index);
+  ASSERT_TRUE(
+      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+  for (uint64_t c = 200; c < 205; ++c) {
+    ASSERT_TRUE(Insert(1, c, 1, TestPayload(c)).ok());
+  }
+  EXPECT_TRUE(kv_->Contains("pay/1/3"));
+  EXPECT_FALSE(kv_->Contains("pay/1/4"));
+
+  auto check = [&] {
+    auto got = Payloads(1, 0, 205);
+    for (uint64_t c = 0; c < 205; ++c) {
+      if (c % 3 == 0) {
+        EXPECT_FALSE(got.contains(c)) << "chunk " << c;
+      } else {
+        EXPECT_EQ(got[c], TestPayload(c)) << "chunk " << c;
+      }
+    }
+    EXPECT_EQ(Payloads(1, 130, 131).size(), 1u);
+  };
+  check();
+  engine_ = std::make_shared<ServerEngine>(kv_);  // restart
+  check();
+  ASSERT_TRUE(Insert(1, 205, 1, TestPayload(205)).ok());
+  EXPECT_EQ(Payloads(1, 205, 206)[205], TestPayload(205));
+}
+
+TEST_F(ServerTest, DeleteRangeDropsPayloadsAndKeepsDigests) {
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  auto batch = PlainBatch(1, 0, 150);
+  for (auto& e : batch.entries) e.payload = TestPayload(e.chunk_index);
+  ASSERT_TRUE(
+      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+
+  // Block 1 (chunks 64-127) goes whole; blocks 0 and 2 keep some chunks.
+  ASSERT_TRUE(DeleteRange(1, 10, 140).ok());
+  EXPECT_FALSE(kv_->Contains("pay/1/1"));
+  EXPECT_TRUE(kv_->Contains("pay/1/0"));
+  auto kept = [](uint64_t c) { return c % 3 != 0 && (c < 10 || c >= 140); };
+  auto check = [&](uint64_t last) {
+    auto got = Payloads(1, 0, last);
+    for (uint64_t c = 0; c < last; ++c) {
+      if (kept(c)) {
+        EXPECT_EQ(got[c], TestPayload(c)) << "chunk " << c;
+      } else {
+        EXPECT_FALSE(got.contains(c)) << "chunk " << c;
+      }
+    }
+  };
+  check(150);
+  auto sum = Query(1, {0, 150'000});
+  ASSERT_TRUE(sum.ok());
+  uint64_t expected = 0;
+  for (uint64_t c = 0; c < 150; ++c) expected += c;
+  EXPECT_EQ(DecodeSum(*sum), expected);
+
+  // The open block was rewritten under the stream: ingest continues, and
+  // deleting the same range again changes nothing.
+  ASSERT_TRUE(Insert(1, 150, 150, TestPayload(150)).ok());
+  ASSERT_TRUE(DeleteRange(1, 10, 140).ok());
+  check(151);
+  engine_ = std::make_shared<ServerEngine>(kv_);  // restart
+  check(151);
+}
+
+TEST_F(ServerTest, DeleteStreamLeavesNoKeysBehind) {
+  // A stream that stays keeps the stream directory in the store.
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  ASSERT_TRUE(Insert(1, 0, 1).ok());
+  const size_t before = kv_->Size();
+
+  ASSERT_TRUE(Create(2, PlainConfig()).ok());
+  ASSERT_TRUE(engine_
+                  ->Handle(MessageType::kInsertChunkBatch,
+                           PlainBatch(2, 0, 300).Encode())
+                  .ok());
+  for (uint64_t c = 300; c < 303; ++c) ASSERT_TRUE(Insert(2, c, 1).ok());
+  // A block that a failed batch wrote past the position.
+  ASSERT_TRUE(kv_->Put("pay/2/5", Bytes{1, 7}).ok());
+  EXPECT_GT(kv_->Size(), before + 300 / 64);
+
+  net::DeleteStreamRequest del{2};
+  ASSERT_TRUE(engine_->Handle(MessageType::kDeleteStream, del.Encode()).ok());
+  EXPECT_EQ(kv_->Size(), before);
+}
+
+TEST_F(ServerTest, IngestRewritesPayloadsLeftAheadOfTheIndex) {
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  for (uint64_t c = 0; c < 5; ++c) {
+    ASSERT_TRUE(Insert(1, c, 1, TestPayload(c)).ok());
+  }
+  // A crash between chunk 5's payload write and its index entry: the
+  // block holds an entry past the index.
+  Bytes block = *kv_->Get("pay/1/0");
+  tc::Append(block, Bytes{3, 9, 9, 9});
+  ASSERT_TRUE(kv_->Put("pay/1/0", block).ok());
+
+  engine_ = std::make_shared<ServerEngine>(kv_);  // restart
+  ASSERT_TRUE(Insert(1, 5, 1, Bytes{5, 5}).ok());
+  ASSERT_TRUE(Insert(1, 6, 1, Bytes{6}).ok());
+  auto got = Payloads(1, 0, 7);
+  EXPECT_EQ(got[5], (Bytes{5, 5}));
+  EXPECT_EQ(got[6], (Bytes{6}));
+  EXPECT_EQ(got[4], TestPayload(4));
+}
+
+TEST_F(ServerTest, RollupStreamSurvivesRestart) {
+  ASSERT_TRUE(Create(1, PlainConfig()).ok());
+  for (uint64_t c = 0; c < 8; ++c) ASSERT_TRUE(Insert(1, c, 1).ok());
+  net::RollupStreamRequest rollup{1, 2, 4, {0, 0}};
+  ASSERT_TRUE(
+      engine_->Handle(MessageType::kRollupStream, rollup.Encode()).ok());
+
+  engine_ = std::make_shared<ServerEngine>(kv_);  // restart
+  EXPECT_EQ(engine_->NumStreams(), 2u);
+  auto resp = Query(2, {0, 8000});
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(DecodeSum(*resp), 8u);
+  EXPECT_TRUE(Payloads(2, 0, 2).empty());
+}
+
 TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
@@ -300,6 +456,86 @@ TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
     EXPECT_LE(per_chunk, 80u) << "heap bytes per batched chunk";
   }
   std::filesystem::remove(path);
+}
+
+/// Heap bytes per chunk that an engine over a log store, with the index
+/// cache off, takes to ingest 65,536 chunks of a one-field plaintext stream
+/// with 8-byte payloads: in batches of 256 chunks, or one InsertChunk each.
+/// The heap then holds the engine's stream state and the store's key
+/// directory: a payload block key and an index node key per 64 chunks, and
+/// a side-table extent per appended record. Allocations too big for the
+/// heap are mapped and counted in hblkhd, not uordblks.
+size_t HeapBytesPerChunk(bool batched) {
+  constexpr uint64_t kBatch = 256;
+  constexpr uint64_t kChunks = 65'536;
+  auto path = std::filesystem::path(::testing::TempDir()) /
+              ("server_heap_" + std::to_string(::getpid()) + ".log");
+  std::filesystem::remove(path);
+  size_t per_chunk = 0;
+  {
+    auto log = store::LogKvStore::Open(path.string());
+    EXPECT_TRUE(log.ok());
+    ServerOptions options;
+    options.index_cache_bytes = 0;
+    ServerEngine engine(std::shared_ptr<store::KvStore>(std::move(*log)),
+                        options);
+    net::StreamConfig config;
+    config.name = "s";
+    config.t0 = 0;
+    config.delta_ms = 1000;
+    config.schema.with_sum = true;
+    config.schema.with_count = false;
+    config.cipher = net::CipherKind::kPlain;
+    config.fanout = 64;
+    // A random-looking 64-bit uuid, so keys are as long as in production.
+    constexpr uint64_t kUuid = 18446744073709551557u;
+    net::CreateStreamRequest create{kUuid, config};
+    EXPECT_TRUE(
+        engine.Handle(MessageType::kCreateStream, create.Encode()).ok());
+
+    auto heap_bytes = [] {
+      struct mallinfo2 info = ::mallinfo2();
+      return info.uordblks + info.hblkhd;
+    };
+    size_t before = heap_bytes();
+    for (uint64_t first = 0; first < kChunks; first += kBatch) {
+      net::InsertChunkBatchRequest batch = PlainBatch(kUuid, first, kBatch);
+      if (batched) {
+        EXPECT_TRUE(
+            engine.Handle(MessageType::kInsertChunkBatch, batch.Encode())
+                .ok());
+        continue;
+      }
+      for (auto& e : batch.entries) {
+        net::InsertChunkRequest insert{kUuid, e.chunk_index,
+                                       std::move(e.digest_blob),
+                                       std::move(e.payload)};
+        EXPECT_TRUE(
+            engine.Handle(MessageType::kInsertChunk, insert.Encode()).ok());
+      }
+    }
+    per_chunk = (heap_bytes() - before) / kChunks;
+  }
+  std::filesystem::remove(path);
+  return per_chunk;
+}
+
+TEST(ServerHeap, BatchedChunkTakesAtMost8BytesOfHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
+#endif
+  EXPECT_LE(HeapBytesPerChunk(/*batched=*/true), 8u)
+      << "heap bytes per batched chunk";
+}
+
+TEST(ServerHeap, SingleInsertChunkTakesAtMost40BytesOfHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
+#endif
+  // Two side-table extents per chunk: its payload block's and its index
+  // node's appends.
+  EXPECT_LE(HeapBytesPerChunk(/*batched=*/false), 40u)
+      << "heap bytes per single-inserted chunk";
 }
 
 // sync_each_insert flushes outside the stream lock (holding stream->mu
