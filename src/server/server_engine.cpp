@@ -145,48 +145,48 @@ Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
   // The stream has not escaped this function yet, so its lock is
   // uncontended; taking it keeps the recovery under mu's capability.
   WriterMutexLock stream_lock(stream->mu);
-  const uint64_t n = stream->tree->num_chunks();
-  if (n > 0 && kv_->Contains("chunk/" + std::to_string(uuid) + "/0")) {
+  if (stream->tree->num_chunks() > 0 &&
+      kv_->Contains("chunk/" + std::to_string(uuid) + "/0")) {
     return DataLoss("stream " + std::to_string(uuid) +
                     " keeps its payloads under per-chunk keys "
                     "(chunk/<uuid>/<index>), a layout this server no longer "
                     "reads; it reads 64-chunk blocks (pay/<uuid>/<block>)");
   }
-  TC_RETURN_IF_ERROR(RecoverOpenBlock(uuid, *stream));
-  if (stream->witnesses) {
-    // Rebuild the witness tree from the stored ciphertexts — the witnesses
-    // hash exactly what the store holds, so this is a pure recomputation.
-    TC_RETURN_IF_ERROR(ReadPayloads(
-        uuid, 0, n, [&](uint64_t i, BytesView payload) -> Status {
-          TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
-          stream->witnesses->Append(
-              integrity::ChunkWitness(uuid, i, digest, payload));
-          return Status::Ok();
-        }));
-  }
+  TC_RETURN_IF_ERROR(CatchUpWithStore(uuid, *stream));
   return stream;
 }
 
-Status ServerEngine::RecoverOpenBlock(uint64_t uuid, Stream& stream) {
+Status ServerEngine::CatchUpWithStore(uint64_t uuid, Stream& stream) {
   const uint64_t n = stream.tree->num_chunks();
   stream.open_block_bytes = 0;
   stream.open_block_ahead = false;
-  if (n % kBlockChunks == 0) return Status::Ok();
-  // Payloads land before index entries, so the block holds an entry for
-  // every indexed chunk in it, and may hold more.
-  const std::string key = PayloadKey(uuid, n / kBlockChunks);
-  auto block = kv_->Get(key);
-  if (block.status().code() == StatusCode::kNotFound) {
-    return DataLoss("payload block " + key + " is missing");
+  if (n % kBlockChunks != 0) {
+    // Payloads land before index entries, so the block holds an entry for
+    // every indexed chunk in it, and may hold more.
+    const std::string key = PayloadKey(uuid, n / kBlockChunks);
+    auto block = kv_->Get(key);
+    if (block.status().code() == StatusCode::kNotFound) {
+      return DataLoss("payload block " + key + " is missing");
+    }
+    TC_RETURN_IF_ERROR(block.status());
+    BinaryReader r(*block);
+    for (uint64_t i = 0; i < n % kBlockChunks; ++i) {
+      TC_RETURN_IF_ERROR(NextEntry(r, key).status());
+    }
+    stream.open_block_bytes = r.position();
+    stream.open_block_ahead = !r.AtEnd();
   }
-  TC_RETURN_IF_ERROR(block.status());
-  BinaryReader r(*block);
-  for (uint64_t i = 0; i < n % kBlockChunks; ++i) {
-    TC_RETURN_IF_ERROR(NextEntry(r, key).status());
-  }
-  stream.open_block_bytes = r.position();
-  stream.open_block_ahead = !r.AtEnd();
-  return Status::Ok();
+  if (!stream.witnesses) return Status::Ok();
+  // Extend the witness tree from the stored ciphertexts — the witnesses
+  // hash exactly what the store holds, so this is a pure recomputation.
+  return ReadPayloads(
+      uuid, stream.witnesses->size(), n,
+      [&](uint64_t i, BytesView payload) -> Status {
+        TC_ASSIGN_OR_RETURN(Bytes digest, stream.tree->LeafDigest(i));
+        stream.witnesses->Append(
+            integrity::ChunkWitness(uuid, i, digest, payload));
+        return Status::Ok();
+      });
 }
 
 Status ServerEngine::StoreDirectoryLocked() {
@@ -282,17 +282,7 @@ Status ServerEngine::Refresh() {
   for (auto& [uuid, stream] : existing) {
     WriterMutexLock stream_lock(stream->mu);
     TC_RETURN_IF_ERROR(stream->tree->Refresh());
-    TC_RETURN_IF_ERROR(RecoverOpenBlock(uuid, *stream));
-    if (stream->witnesses) {
-      TC_RETURN_IF_ERROR(ReadPayloads(
-          uuid, stream->witnesses->size(), stream->tree->num_chunks(),
-          [&](uint64_t i, BytesView payload) -> Status {
-            TC_ASSIGN_OR_RETURN(Bytes digest, stream->tree->LeafDigest(i));
-            stream->witnesses->Append(
-                integrity::ChunkWitness(uuid, i, digest, payload));
-            return Status::Ok();
-          }));
-    }
+    TC_RETURN_IF_ERROR(CatchUpWithStore(uuid, *stream));
   }
   return Status::Ok();
 }

@@ -199,9 +199,9 @@ class ServerEngine final : public net::RequestHandler {
   /// the range covers whole, rewrite the others with empty entries.
   Status DropPayloads(uint64_t uuid, Stream& stream, uint64_t first,
                       uint64_t last) REQUIRES(stream.mu);
-  /// Read the open block's length, and whether it holds entries past the
-  /// position, from the store (open and refresh paths).
-  Status RecoverOpenBlock(uint64_t uuid, Stream& stream) REQUIRES(stream.mu);
+  /// Bring the stream's open payload block and witness tree up to its
+  /// index position from the store (open and refresh paths).
+  Status CatchUpWithStore(uint64_t uuid, Stream& stream) REQUIRES(stream.mu);
 
   std::string GrantKey(const std::string& principal, uint64_t uuid,
                        uint64_t grant_id) const;
