@@ -1,9 +1,6 @@
 #include "client/consumer.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "integrity/attestation.hpp"
+#include "client/key_manager.hpp"
 
 namespace tc::client {
 
@@ -28,16 +25,13 @@ Result<int> ConsumerClient::FetchGrants() {
   return static_cast<int>(grants_.size());
 }
 
-Result<net::StreamConfig> ConsumerClient::ConfigFor(uint64_t uuid) {
+Result<const net::StreamConfig*> ConsumerClient::ConfigFor(uint64_t uuid) {
   auto it = config_cache_.find(uuid);
-  if (it != config_cache_.end()) return it->second;
-  net::DeleteStreamRequest req{uuid};  // GetStreamInfo shares the uuid body
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload,
-      transport_->Call(MessageType::kGetStreamInfo, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::StreamInfoResponse::Decode(payload));
-  config_cache_[uuid] = resp.config;
-  return resp.config;
+  if (it == config_cache_.end()) {
+    TC_ASSIGN_OR_RETURN(auto info, FetchStreamInfo(*transport_, uuid));
+    it = config_cache_.emplace(uuid, std::move(info.config)).first;
+  }
+  return &it->second;
 }
 
 Result<const AccessGrant*> ConsumerClient::GrantFor(uint64_t uuid,
@@ -86,154 +80,50 @@ Result<crypto::Key128> ConsumerClient::BoundaryLeaf(uint64_t uuid,
       std::to_string(chunk) + " (wrong range or resolution)");
 }
 
+LeafSource ConsumerClient::LeavesOf(uint64_t uuid) {
+  return [this, uuid](uint64_t chunk) { return BoundaryLeaf(uuid, chunk); };
+}
+
+Result<StreamReader> ConsumerClient::ReaderFor(uint64_t uuid) {
+  TC_ASSIGN_OR_RETURN(const net::StreamConfig* config, ConfigFor(uuid));
+  return StreamReader{*transport_, uuid, *config, LeavesOf(uuid)};
+}
+
 Result<StatResult> ConsumerClient::GetStatRange(uint64_t uuid,
                                                 TimeRange range) {
-  TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuid));
-  net::StatRangeRequest req{uuid, range};
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload,
-      transport_->Call(MessageType::kGetStatRange, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::StatRangeResponse::Decode(payload));
-
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_first,
-                      BoundaryLeaf(uuid, resp.first_chunk));
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_last,
-                      BoundaryLeaf(uuid, resp.last_chunk));
-  std::pair<crypto::Key128, crypto::Key128> leaves = {leaf_first, leaf_last};
-  TC_ASSIGN_OR_RETURN(
-      auto fields, DecryptStatBlob(config, resp.aggregate_blob, {&leaves, 1}));
-  return StatResult{resp.first_chunk, resp.last_chunk,
-                    index::DigestStats(config.schema, std::move(fields))};
+  TC_ASSIGN_OR_RETURN(StreamReader reader, ReaderFor(uuid));
+  return reader.StatRange(range);
 }
 
 Result<std::vector<StatResult>> ConsumerClient::GetStatSeries(
     uint64_t uuid, TimeRange range, uint64_t granularity_chunks) {
-  TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuid));
-  net::StatSeriesRequest req{uuid, range, granularity_chunks};
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload,
-      transport_->Call(MessageType::kGetStatSeries, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::StatSeriesResponse::Decode(payload));
-
-  std::vector<StatResult> results;
-  uint64_t w = resp.first_chunk;
-  for (const auto& blob : resp.aggregates) {
-    // The final window clips to the response's end bound. BoundaryLeaf
-    // failures remain the (crypto-enforced) detector for windows the
-    // grant's resolution cannot reach.
-    uint64_t end = std::min(w + resp.granularity_chunks, resp.last_chunk);
-    TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_first, BoundaryLeaf(uuid, w));
-    TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_last, BoundaryLeaf(uuid, end));
-    std::pair<crypto::Key128, crypto::Key128> leaves = {leaf_first, leaf_last};
-    TC_ASSIGN_OR_RETURN(auto fields,
-                        DecryptStatBlob(config, blob, {&leaves, 1}));
-    results.push_back(StatResult{
-        w, end, index::DigestStats(config.schema, std::move(fields))});
-    w = end;
-  }
-  return results;
+  TC_ASSIGN_OR_RETURN(StreamReader reader, ReaderFor(uuid));
+  return reader.StatSeries(range, granularity_chunks);
 }
 
 Result<std::vector<index::DataPoint>> ConsumerClient::GetRange(
     uint64_t uuid, TimeRange range) {
-  TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuid));
-  net::GetRangeRequest req{uuid, range};
-  TC_ASSIGN_OR_RETURN(Bytes payload,
-                      transport_->Call(MessageType::kGetRange, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::GetRangeResponse::Decode(payload));
-
-  std::vector<index::DataPoint> points;
-  for (const auto& c : resp.chunks) {
-    // Payload keys need both adjacent leaves: full-resolution grants only.
-    TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_i,
-                        BoundaryLeaf(uuid, c.chunk_index));
-    TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_n,
-                        BoundaryLeaf(uuid, c.chunk_index + 1));
-    crypto::Key128 key = crypto::ChunkPayloadKey(leaf_i, leaf_n);
-    TC_ASSIGN_OR_RETURN(auto chunk_points,
-                        chunk::OpenPayload(key, c.chunk_index, c.payload));
-    for (const auto& p : chunk_points) {
-      if (range.Contains(p.timestamp_ms)) points.push_back(p);
-    }
-  }
-  return points;
+  TC_ASSIGN_OR_RETURN(StreamReader reader, ReaderFor(uuid));
+  return reader.Range(range);
 }
 
 Result<StatResult> ConsumerClient::GetVerifiedStatRange(
     uint64_t uuid, TimeRange range, BytesView owner_signing_public) {
-  TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuid));
-  if (config.cipher != net::CipherKind::kHeac) {
-    return Unimplemented("verified queries require a HEAC stream");
-  }
-
-  net::GetAttestationRequest att_req{uuid};
-  TC_ASSIGN_OR_RETURN(
-      Bytes att_blob,
-      transport_->Call(MessageType::kGetAttestation, att_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto attestation,
-                      integrity::Attestation::Decode(att_blob));
-  TC_RETURN_IF_ERROR(attestation.Verify(owner_signing_public));
-  if (attestation.uuid != uuid) {
-    return PermissionDenied("attestation covers a different stream");
-  }
-
-  ChunkClock clock(config.t0, config.delta_ms);
-  TC_ASSIGN_OR_RETURN(auto idx_range, clock.IndexRange(range));
-  uint64_t first = idx_range.first;
-  uint64_t last = std::min(idx_range.second, attestation.size);
-  if (first >= last) return OutOfRange("range beyond attested prefix");
-
-  // Grant check before fetching: the decrypt below would fail anyway
+  TC_ASSIGN_OR_RETURN(StreamReader reader, ReaderFor(uuid));
+  // Grant check before fetching: the decrypt would fail anyway
   // (crypto-enforced), but failing early gives a cleaner error.
-  TC_RETURN_IF_ERROR(GrantFor(uuid, first, last).status());
-
-  net::GetChunkWitnessedRequest req{uuid, first, last, attestation.size};
-  TC_ASSIGN_OR_RETURN(
-      Bytes resp_blob,
-      transport_->Call(MessageType::kGetChunkWitnessed, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp,
-                      net::GetChunkWitnessedResponse::Decode(resp_blob));
-  if (resp.entries.size() != last - first) {
-    return DataLoss("server returned wrong number of witnessed chunks");
-  }
-
-  size_t fields = config.schema.num_fields();
-  std::vector<uint64_t> acc(fields, 0);
-  for (size_t i = 0; i < resp.entries.size(); ++i) {
-    const auto& entry = resp.entries[i];
-    if (entry.chunk_index != first + i) {
-      return DataLoss("witnessed chunks out of order");
-    }
-    BinaryReader pr(entry.proof);
-    TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
-    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
-        attestation, owner_signing_public, entry.chunk_index,
-        entry.digest_blob, entry.payload, path));
-    if (entry.digest_blob.size() != fields * 8) {
-      return DataLoss("digest blob size mismatch");
-    }
-    for (size_t f = 0; f < fields; ++f) {
-      uint64_t word;
-      std::memcpy(&word, entry.digest_blob.data() + f * 8, 8);
-      acc[f] += word;
-    }
-  }
-
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_first, BoundaryLeaf(uuid, first));
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_last, BoundaryLeaf(uuid, last));
-  std::pair<crypto::Key128, crypto::Key128> leaves = {leaf_first, leaf_last};
-  Bytes acc_blob(fields * 8);
-  std::memcpy(acc_blob.data(), acc.data(), acc_blob.size());
-  TC_ASSIGN_OR_RETURN(auto decrypted,
-                      DecryptStatBlob(config, acc_blob, {&leaves, 1}));
-  return StatResult{first, last,
-                    index::DigestStats(config.schema, std::move(decrypted))};
+  return reader.VerifiedStatRange(
+      ChunkClock(reader.config.t0, reader.config.delta_ms), range,
+      owner_signing_public,
+      [&](uint64_t first, uint64_t last) {
+        return GrantFor(uuid, first, last).status();
+      });
 }
 
 Result<StatResult> ConsumerClient::GetMultiStatRange(
     const std::vector<uint64_t>& uuids, TimeRange range) {
   if (uuids.empty()) return InvalidArgument("no streams");
-  TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuids[0]));
+  TC_ASSIGN_OR_RETURN(const net::StreamConfig* config, ConfigFor(uuids[0]));
 
   net::MultiStatRangeRequest req{uuids, range};
   TC_ASSIGN_OR_RETURN(
@@ -242,19 +132,10 @@ Result<StatResult> ConsumerClient::GetMultiStatRange(
   TC_ASSIGN_OR_RETURN(auto resp, net::StatRangeResponse::Decode(payload));
 
   // Need outer keys for every stream: the grant requirement of §4.3.
-  std::vector<std::pair<crypto::Key128, crypto::Key128>> leaf_pairs;
-  for (uint64_t uuid : uuids) {
-    TC_ASSIGN_OR_RETURN(crypto::Key128 first,
-                        BoundaryLeaf(uuid, resp.first_chunk));
-    TC_ASSIGN_OR_RETURN(crypto::Key128 last,
-                        BoundaryLeaf(uuid, resp.last_chunk));
-    leaf_pairs.emplace_back(first, last);
-  }
-  TC_ASSIGN_OR_RETURN(auto fields,
-                      DecryptStatBlob(config, resp.aggregate_blob,
-                                      leaf_pairs));
-  return StatResult{resp.first_chunk, resp.last_chunk,
-                    index::DigestStats(config.schema, std::move(fields))};
+  std::vector<LeafSource> leaves;
+  for (uint64_t uuid : uuids) leaves.push_back(LeavesOf(uuid));
+  return OpenAggregate(*config, resp.aggregate_blob, resp.first_chunk,
+                       resp.last_chunk, leaves);
 }
 
 }  // namespace tc::client

@@ -2,16 +2,15 @@
 // from the server key store, opens them with its X25519 key, and decrypts
 // query results strictly within the granted scope — access control is
 // enforced by key derivability, not server policy (§4.2.3 "true end-to-end
-// encryption").
+// encryption"). Its queries run on the read path it shares with the owner
+// (client/stream_reader.hpp), with boundary leaves taken from its grants.
 #pragma once
 
 #include <map>
 #include <memory>
 
-#include "chunk/chunk.hpp"
 #include "client/grants.hpp"
-#include "client/key_manager.hpp"
-#include "client/owner.hpp"
+#include "client/stream_reader.hpp"
 #include "net/messages.hpp"
 #include "net/wire.hpp"
 
@@ -31,6 +30,8 @@ class ConsumerClient {
   /// Statistical range query (§4.5). The chunk window is clipped to the
   /// intersection with this principal's grants; PermissionDenied when no
   /// grant overlaps or the range boundaries require underivable keys.
+  /// Plaintext (kPlain) streams need no keys: their aggregates are read
+  /// as the server stores them.
   Result<StatResult> GetStatRange(uint64_t uuid, TimeRange range);
 
   /// Fixed-granularity series (visualization, Fig 8). Granularity must be a
@@ -49,12 +50,9 @@ class ConsumerClient {
   Result<StatResult> GetMultiStatRange(const std::vector<uint64_t>& uuids,
                                        TimeRange range);
 
-  /// Verified statistical query (integrity extension): fetches the attested
-  /// per-chunk digests with audit paths, verifies each against the
-  /// owner-signed root (`owner_signing_public`, obtained out of band from
-  /// the identity provider), re-aggregates client-side, and decrypts within
-  /// this principal's grant. Detects tampered, reordered, or replaced
-  /// chunks that the plain GetStatRange would silently mis-decrypt.
+  /// Verified statistical query (StreamReader::VerifiedStatRange) within
+  /// this principal's grant; `owner_signing_public` comes out of band from
+  /// the identity provider.
   Result<StatResult> GetVerifiedStatRange(uint64_t uuid, TimeRange range,
                                           BytesView owner_signing_public);
 
@@ -62,8 +60,11 @@ class ConsumerClient {
   /// Outer leaf for chunk boundary `chunk` of stream `uuid`, via whichever
   /// grant can derive it (tree token or resolution envelope).
   Result<crypto::Key128> BoundaryLeaf(uint64_t uuid, uint64_t chunk);
+  LeafSource LeavesOf(uint64_t uuid);
 
-  Result<net::StreamConfig> ConfigFor(uint64_t uuid);
+  /// The stream's public config, fetched once and cached.
+  Result<const net::StreamConfig*> ConfigFor(uint64_t uuid);
+  Result<StreamReader> ReaderFor(uint64_t uuid);
 
   /// Find a grant on `uuid` overlapping [first, last) chunks.
   Result<const AccessGrant*> GrantFor(uint64_t uuid, uint64_t first,

@@ -1,7 +1,6 @@
 #include "client/owner.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/heac.hpp"
@@ -17,30 +16,6 @@ Status CallVoid(net::Transport& t, MessageType type, BytesView body) {
   return t.Call(type, body).status();
 }
 }  // namespace
-
-Result<std::vector<uint64_t>> DecryptStatBlob(
-    const net::StreamConfig& config, BytesView blob,
-    std::span<const std::pair<crypto::Key128, crypto::Key128>> leaf_pairs) {
-  size_t fields = config.schema.num_fields();
-  if (config.cipher != net::CipherKind::kHeac) {
-    return FailedPrecondition("DecryptStatBlob expects a HEAC stream");
-  }
-  if (blob.size() != fields * 8) {
-    return InvalidArgument("aggregate blob size mismatch");
-  }
-  std::vector<uint64_t> m(fields);
-  std::memcpy(m.data(), blob.data(), blob.size());
-  // m[f] = c[f] - sum_s k_first^{s,f} + sum_s k_last^{s,f}: outer-key pairs
-  // accumulate across streams for inter-stream aggregates (§4.3).
-  for (const auto& [leaf_first, leaf_last] : leaf_pairs) {
-    crypto::FieldKeys kf(leaf_first, fields);
-    crypto::FieldKeys kl(leaf_last, fields);
-    for (size_t f = 0; f < fields; ++f) {
-      m[f] = m[f] - kf.key(f) + kl.key(f);
-    }
-  }
-  return m;
-}
 
 OwnerClient::OwnerClient(std::shared_ptr<net::Transport> transport,
                          OwnerOptions options)
@@ -93,11 +68,7 @@ Status OwnerClient::AttachStream(uint64_t uuid,
   if (streams_.contains(uuid)) {
     return AlreadyExists("stream already attached");
   }
-  net::DeleteStreamRequest info_req{uuid};  // GetStreamInfo shares the body
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload,
-      transport_->Call(MessageType::kGetStreamInfo, info_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(payload));
+  TC_ASSIGN_OR_RETURN(auto info, FetchStreamInfo(*transport_, uuid));
 
   StreamState s;
   s.config = info.config;
@@ -298,11 +269,7 @@ Status OwnerClient::PumpPending(uint64_t uuid, StreamState& s, bool drain) {
     // The failed attempt may have been applied partially (mid-batch store
     // error) or fully (response lost): the server's append-only index
     // rejects re-sent indices, so drop whatever it already holds.
-    net::DeleteStreamRequest info_req{uuid};
-    TC_ASSIGN_OR_RETURN(
-        Bytes payload,
-        transport_->Call(MessageType::kGetStreamInfo, info_req.Encode()));
-    TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(payload));
+    TC_ASSIGN_OR_RETURN(auto info, FetchStreamInfo(*transport_, uuid));
     std::erase_if(s.pending, [&](const auto& e) {
       return e.chunk_index < info.num_chunks;
     });
@@ -354,83 +321,28 @@ Status OwnerClient::Flush(uint64_t uuid) {
   return FlushPending(uuid, *s);
 }
 
+StreamReader OwnerClient::ReaderFor(uint64_t uuid, StreamState& s) {
+  return {*transport_, uuid, s.config,
+          [&s](uint64_t chunk) -> Result<crypto::Key128> {
+            return s.keys->Leaf(s.LeafIndexOf(chunk));
+          }};
+}
+
 Result<std::vector<index::DataPoint>> OwnerClient::GetRange(uint64_t uuid,
                                                             TimeRange range) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  net::GetRangeRequest req{uuid, range};
-  TC_ASSIGN_OR_RETURN(Bytes payload,
-                      transport_->Call(MessageType::kGetRange, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::GetRangeResponse::Decode(payload));
-
-  std::vector<index::DataPoint> points;
-  for (const auto& c : resp.chunks) {
-    TC_ASSIGN_OR_RETURN(
-        auto chunk_points,
-        chunk::OpenPayload(s->keys->PayloadKey(c.chunk_index), c.chunk_index,
-                           c.payload));
-    for (const auto& p : chunk_points) {
-      if (range.Contains(p.timestamp_ms)) points.push_back(p);
-    }
-  }
-  return points;
+  return ReaderFor(uuid, *s).Range(range);
 }
 
 Result<StatResult> OwnerClient::GetStatRange(uint64_t uuid, TimeRange range) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  net::StatRangeRequest req{uuid, range};
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload, transport_->Call(MessageType::kGetStatRange, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::StatRangeResponse::Decode(payload));
-
-  std::vector<uint64_t> fields;
-  if (s->config.cipher == net::CipherKind::kHeac) {
-    std::pair<crypto::Key128, crypto::Key128> leaves = {
-        s->keys->Leaf(s->LeafIndexOf(resp.first_chunk)),
-        s->keys->Leaf(s->LeafIndexOf(resp.last_chunk))};
-    TC_ASSIGN_OR_RETURN(
-        fields, DecryptStatBlob(s->config, resp.aggregate_blob, {&leaves, 1}));
-  } else {
-    auto plain = index::MakePlainCipher(s->config.schema.num_fields());
-    TC_ASSIGN_OR_RETURN(fields,
-                        plain->Decrypt(resp.aggregate_blob, resp.first_chunk,
-                                       resp.last_chunk));
-  }
-  return StatResult{resp.first_chunk, resp.last_chunk,
-                    index::DigestStats(s->config.schema, std::move(fields))};
+  return ReaderFor(uuid, *s).StatRange(range);
 }
 
 Result<std::vector<StatResult>> OwnerClient::GetStatSeries(
     uint64_t uuid, TimeRange range, uint64_t granularity_chunks) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  net::StatSeriesRequest req{uuid, range, granularity_chunks};
-  TC_ASSIGN_OR_RETURN(
-      Bytes payload,
-      transport_->Call(MessageType::kGetStatSeries, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp, net::StatSeriesResponse::Decode(payload));
-
-  std::vector<StatResult> results;
-  results.reserve(resp.aggregates.size());
-  uint64_t w = resp.first_chunk;
-  for (const auto& blob : resp.aggregates) {
-    // The final window clips to the response's end bound — NOT to local
-    // ingest state, which is absent when chunks were uploaded out-of-band.
-    uint64_t end = std::min(w + resp.granularity_chunks, resp.last_chunk);
-    std::vector<uint64_t> fields;
-    if (s->config.cipher == net::CipherKind::kHeac) {
-      std::pair<crypto::Key128, crypto::Key128> leaves = {
-          s->keys->Leaf(s->LeafIndexOf(w)),
-          s->keys->Leaf(s->LeafIndexOf(end))};
-      TC_ASSIGN_OR_RETURN(fields,
-                          DecryptStatBlob(s->config, blob, {&leaves, 1}));
-    } else {
-      auto plain = index::MakePlainCipher(s->config.schema.num_fields());
-      TC_ASSIGN_OR_RETURN(fields, plain->Decrypt(blob, w, end));
-    }
-    results.push_back(StatResult{
-        w, end, index::DigestStats(s->config.schema, std::move(fields))});
-    w = end;
-  }
-  return results;
+  return ReaderFor(uuid, *s).StatSeries(range, granularity_chunks);
 }
 
 Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
@@ -643,63 +555,8 @@ Result<StatResult> OwnerClient::GetVerifiedStatRange(uint64_t uuid,
   if (!s->attestor) {
     return FailedPrecondition("stream was not created with integrity");
   }
-  if (s->config.cipher != net::CipherKind::kHeac) {
-    return Unimplemented("verified queries require a HEAC stream");
-  }
-
-  // Fetch the latest published attestation (what a consumer would do; the
-  // owner could also call s->attestor->Attest() locally).
-  net::GetAttestationRequest att_req{uuid};
-  TC_ASSIGN_OR_RETURN(
-      Bytes att_blob,
-      transport_->Call(MessageType::kGetAttestation, att_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto attestation,
-                      integrity::Attestation::Decode(att_blob));
-
-  TC_ASSIGN_OR_RETURN(auto idx_range, s->clock.IndexRange(range));
-  uint64_t first = idx_range.first;
-  uint64_t last = std::min(idx_range.second, attestation.size);
-  if (first >= last) return OutOfRange("range beyond attested prefix");
-
-  net::GetChunkWitnessedRequest req{uuid, first, last, attestation.size};
-  TC_ASSIGN_OR_RETURN(
-      Bytes resp_blob,
-      transport_->Call(MessageType::kGetChunkWitnessed, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp,
-                      net::GetChunkWitnessedResponse::Decode(resp_blob));
-  if (resp.entries.size() != last - first) {
-    return DataLoss("server returned wrong number of witnessed chunks");
-  }
-
-  // Verify every chunk against the signed root, then re-aggregate the
-  // (verified) HEAC ciphertexts locally — addition in the uint64 ring.
-  size_t fields = s->config.schema.num_fields();
-  std::vector<uint64_t> acc(fields, 0);
-  for (const auto& entry : resp.entries) {
-    BinaryReader pr(entry.proof);
-    TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
-    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
-        attestation, options_.signing.public_key, entry.chunk_index,
-        entry.digest_blob, entry.payload, path));
-    if (entry.digest_blob.size() != fields * 8) {
-      return DataLoss("digest blob size mismatch");
-    }
-    for (size_t f = 0; f < fields; ++f) {
-      uint64_t word;
-      std::memcpy(&word, entry.digest_blob.data() + f * 8, 8);
-      acc[f] += word;
-    }
-  }
-
-  std::pair<crypto::Key128, crypto::Key128> leaves = {
-      s->keys->Leaf(s->LeafIndexOf(first)),
-      s->keys->Leaf(s->LeafIndexOf(last))};
-  Bytes acc_blob(fields * 8);
-  std::memcpy(acc_blob.data(), acc.data(), acc_blob.size());
-  TC_ASSIGN_OR_RETURN(auto decrypted,
-                      DecryptStatBlob(s->config, acc_blob, {&leaves, 1}));
-  return StatResult{first, last,
-                    index::DigestStats(s->config.schema, std::move(decrypted))};
+  return ReaderFor(uuid, *s).VerifiedStatRange(s->clock, range,
+                                               options_.signing.public_key);
 }
 
 }  // namespace tc::client

@@ -1,8 +1,9 @@
 // Data-owner / data-producer client (§3.2, Table 1): creates streams, runs
 // the serialization pipeline (chunking -> digest -> HEAC encrypt -> compress
-// -> AES-GCM), uploads chunks, issues statistical queries over its own data,
-// and manages grants (time-range, resolution-restricted, open-ended) and
-// revocation.
+// -> AES-GCM), uploads chunks, and manages grants (time-range,
+// resolution-restricted, open-ended) and revocation. Its queries run on the
+// read path it shares with consumers (client/stream_reader.hpp), with
+// boundary leaves taken from its own key tree.
 #pragma once
 
 #include <deque>
@@ -13,6 +14,7 @@
 #include "chunk/chunk.hpp"
 #include "client/grants.hpp"
 #include "client/key_manager.hpp"
+#include "client/stream_reader.hpp"
 #include "crypto/ed25519.hpp"
 #include "index/digest.hpp"
 #include "index/digest_cipher.hpp"
@@ -21,13 +23,6 @@
 #include "net/wire.hpp"
 
 namespace tc::client {
-
-/// Decoded statistical query result.
-struct StatResult {
-  uint64_t first_chunk = 0;
-  uint64_t last_chunk = 0;
-  index::DigestStats stats;
-};
 
 struct OwnerOptions {
   StreamKeysConfig keys;
@@ -143,10 +138,8 @@ class OwnerClient {
   /// through the identity provider alongside the X25519 key).
   const Bytes& signing_public() const { return options_.signing.public_key; }
 
-  /// Verified statistical query: fetches the attested per-chunk digests
-  /// with audit paths, verifies each against the owner-signed root,
-  /// re-aggregates client-side and decrypts. O(chunks) work — the price of
-  /// not trusting the server's aggregation (Verena-style verified reads).
+  /// Verified statistical query (StreamReader::VerifiedStatRange) against
+  /// this owner's signing key.
   Result<StatResult> GetVerifiedStatRange(uint64_t uuid, TimeRange range);
 
  private:
@@ -206,6 +199,8 @@ class OwnerClient {
   };
 
   Result<StreamState*> FindStream(uint64_t uuid);
+  /// Reads of `s`, with leaves from its key tree (affine for rollups).
+  StreamReader ReaderFor(uint64_t uuid, StreamState& s);
   Status SealAndUpload(uint64_t uuid, StreamState& s);
   /// Drain the upload pipeline: send everything buffered and wait for every
   /// in-flight batch (no-op when empty).
@@ -229,12 +224,5 @@ class OwnerClient {
   std::vector<OpenGrant> open_grants_;
   std::vector<IssuedGrant> issued_grants_;
 };
-
-/// Decode + decrypt a stat response with explicit outer leaves (shared by
-/// owner and consumer paths, and by multi-stream aggregates where the key
-/// sums span streams).
-Result<std::vector<uint64_t>> DecryptStatBlob(
-    const net::StreamConfig& config, BytesView blob,
-    std::span<const std::pair<crypto::Key128, crypto::Key128>> leaf_pairs);
 
 }  // namespace tc::client

@@ -311,6 +311,62 @@ TEST_F(E2eTest, MultiStreamAggregate) {
   EXPECT_EQ(combined->stats.Sum().value(), 2 * OracleSum(0, 10));
 }
 
+// Plaintext streams take the consumer's read path too: aggregates open
+// without boundary leaves, while raw payloads stay sealed under leaf keys.
+TEST_F(E2eTest, ConsumerReadsPlainStreamLikeTheOwner) {
+  auto config = HeartRateConfig();
+  config.cipher = net::CipherKind::kPlain;
+  config.name = "hr/plain-a";
+  uint64_t a = IngestStream(12, config);
+  config.name = "hr/plain-b";
+  uint64_t b = IngestStream(12, config);
+
+  Principal analyst{"analyst", crypto::GenerateBoxKeyPair()};
+  for (uint64_t uuid : {a, b}) {
+    ASSERT_TRUE(owner_
+                    .GrantAccess(uuid, analyst.id, analyst.keys.public_key,
+                                 {0, 12 * kDelta}, 1)
+                    .ok());
+  }
+  ConsumerClient consumer(transport_, analyst);
+  ASSERT_TRUE(consumer.FetchGrants().ok());
+
+  TimeRange range{2 * kDelta, 11 * kDelta};
+  auto owned = owner_.GetStatRange(a, range);
+  auto consumed = consumer.GetStatRange(a, range);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(consumed->first_chunk, owned->first_chunk);
+  EXPECT_EQ(consumed->last_chunk, owned->last_chunk);
+  EXPECT_EQ(consumed->stats.Sum().value(), OracleSum(2, 11));
+  EXPECT_EQ(consumed->stats.Sum().value(), owned->stats.Sum().value());
+  EXPECT_EQ(consumed->stats.Count().value(), owned->stats.Count().value());
+  EXPECT_EQ(consumed->stats.Freq(0).value(), owned->stats.Freq(0).value());
+
+  auto owned_series = owner_.GetStatSeries(a, {0, 12 * kDelta}, 5);
+  auto consumed_series = consumer.GetStatSeries(a, {0, 12 * kDelta}, 5);
+  ASSERT_TRUE(owned_series.ok()) << owned_series.status().ToString();
+  ASSERT_TRUE(consumed_series.ok()) << consumed_series.status().ToString();
+  ASSERT_EQ(consumed_series->size(), 3u);  // [0,5) [5,10) [10,12)
+  ASSERT_EQ(consumed_series->size(), owned_series->size());
+  for (size_t w = 0; w < owned_series->size(); ++w) {
+    EXPECT_EQ((*consumed_series)[w].last_chunk, (*owned_series)[w].last_chunk);
+    EXPECT_EQ((*consumed_series)[w].stats.Sum().value(),
+              (*owned_series)[w].stats.Sum().value());
+  }
+
+  auto both = consumer.GetMultiStatRange({a, b}, {0, 12 * kDelta});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(both->stats.Sum().value(), 2 * OracleSum(0, 12));
+
+  auto owned_points = owner_.GetRange(a, {0, 3 * kDelta});
+  auto consumed_points = consumer.GetRange(a, {0, 3 * kDelta});
+  ASSERT_TRUE(owned_points.ok()) << owned_points.status().ToString();
+  ASSERT_TRUE(consumed_points.ok()) << consumed_points.status().ToString();
+  ASSERT_EQ(consumed_points->size(), 30u);
+  EXPECT_EQ(consumed_points->back().value, owned_points->back().value);
+}
+
 TEST_F(E2eTest, RollupProducesDecryptableDerivedStream) {
   uint64_t uuid = IngestStream(24, HeartRateConfig());
   auto rollup = owner_.RollupStream(uuid, /*granularity_chunks=*/6);

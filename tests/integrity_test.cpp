@@ -514,5 +514,142 @@ TEST_F(IntegrityE2eTest, NonIntegrityStreamRefusesWitnessedReads) {
                    .ok());
 }
 
+// ------------------------------------------------------- lying server
+
+/// An honest engine behind a server that lies about witnessed reads: it
+/// either serves witnessed chunk 1 as a copy of chunk 0, or answers reads
+/// of one stream with another stream of the same owner. Every chunk it
+/// serves carries a valid audit path against a valid owner signature, so
+/// only the reader's order and stream checks can catch the lie.
+class LyingServer final : public net::RequestHandler {
+ public:
+  enum class Lie { kNone, kRepeatChunk, kForeignStream };
+
+  explicit LyingServer(std::shared_ptr<server::ServerEngine> engine)
+      : engine_(std::move(engine)) {}
+
+  void Tell(Lie lie, uint64_t victim = 0, uint64_t decoy = 0) {
+    lie_ = lie;
+    victim_ = victim;
+    decoy_ = decoy;
+  }
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    if (lie_ == Lie::kForeignStream &&
+        type == net::MessageType::kGetAttestation) {
+      TC_ASSIGN_OR_RETURN(auto req, net::GetAttestationRequest::Decode(body));
+      if (req.uuid == victim_) req.uuid = decoy_;
+      return engine_->Handle(type, req.Encode());
+    }
+    if (lie_ == Lie::kForeignStream &&
+        type == net::MessageType::kGetChunkWitnessed) {
+      TC_ASSIGN_OR_RETURN(auto req,
+                          net::GetChunkWitnessedRequest::Decode(body));
+      if (req.uuid == victim_) req.uuid = decoy_;
+      return engine_->Handle(type, req.Encode());
+    }
+    TC_ASSIGN_OR_RETURN(Bytes out, engine_->Handle(type, body));
+    if (lie_ == Lie::kRepeatChunk &&
+        type == net::MessageType::kGetChunkWitnessed) {
+      TC_ASSIGN_OR_RETURN(auto resp,
+                          net::GetChunkWitnessedResponse::Decode(out));
+      if (resp.entries.size() >= 2) resp.entries[1] = resp.entries[0];
+      return resp.Encode();
+    }
+    return out;
+  }
+
+ private:
+  std::shared_ptr<server::ServerEngine> engine_;
+  Lie lie_ = Lie::kNone;
+  uint64_t victim_ = 0;
+  uint64_t decoy_ = 0;
+};
+
+class LyingServerTest : public ::testing::Test {
+ protected:
+  LyingServerTest()
+      : liar_(std::make_shared<LyingServer>(
+            std::make_shared<server::ServerEngine>(
+                std::make_shared<store::MemKvStore>()))),
+        transport_(std::make_shared<net::InProcTransport>(liar_)),
+        owner_(transport_),
+        consumer_(transport_, auditor_) {
+    victim_ = Ingest(/*base=*/1);
+    decoy_ = Ingest(/*base=*/100);
+    EXPECT_TRUE(consumer_.FetchGrants().ok());
+  }
+
+  /// An attested 8-chunk stream of 5 points per chunk, value base + chunk,
+  /// granted in full to the auditor.
+  uint64_t Ingest(int64_t base) {
+    auto uuid = owner_.CreateStream(IntegrityConfig());
+    EXPECT_TRUE(uuid.ok());
+    for (uint64_t c = 0; c < kChunks; ++c) {
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE(owner_
+                        .InsertRecord(*uuid, {static_cast<Timestamp>(
+                                                  c * kDelta + i * 1000),
+                                              base + static_cast<int64_t>(c)})
+                        .ok());
+      }
+    }
+    EXPECT_TRUE(owner_.Flush(*uuid).ok());
+    EXPECT_TRUE(owner_.Attest(*uuid).ok());
+    EXPECT_TRUE(owner_
+                    .GrantAccess(*uuid, auditor_.id, auditor_.keys.public_key,
+                                 {0, kChunks * kDelta}, 1)
+                    .ok());
+    return *uuid;
+  }
+
+  /// The owner's and the consumer's verified read of the victim stream.
+  std::pair<Status, Status> VerifiedReads() {
+    TimeRange all{0, kChunks * kDelta};
+    return {owner_.GetVerifiedStatRange(victim_, all).status(),
+            consumer_.GetVerifiedStatRange(victim_, all,
+                                           owner_.signing_public())
+                .status()};
+  }
+
+  static constexpr uint64_t kChunks = 8;
+  Principal auditor_{"auditor", crypto::GenerateBoxKeyPair()};
+  std::shared_ptr<LyingServer> liar_;
+  std::shared_ptr<net::Transport> transport_;
+  OwnerClient owner_;
+  ConsumerClient consumer_;
+  uint64_t victim_ = 0;
+  uint64_t decoy_ = 0;
+};
+
+TEST_F(LyingServerTest, HonestServerVerifiesForOwnerAndConsumer) {
+  TimeRange all{0, kChunks * kDelta};
+  auto owned = owner_.GetVerifiedStatRange(victim_, all);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  auto consumed =
+      consumer_.GetVerifiedStatRange(victim_, all, owner_.signing_public());
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(owned->stats.Sum().value(), 5 * 36);  // 5 * (1 + ... + 8)
+  EXPECT_EQ(consumed->stats.Sum().value(), 5 * 36);
+}
+
+TEST_F(LyingServerTest, RepeatedWitnessedChunkIsDataLossForBothRoles) {
+  liar_->Tell(LyingServer::Lie::kRepeatChunk);
+  auto [owner_status, consumer_status] = VerifiedReads();
+  EXPECT_EQ(owner_status.code(), StatusCode::kDataLoss)
+      << owner_status.ToString();
+  EXPECT_EQ(consumer_status.code(), StatusCode::kDataLoss)
+      << consumer_status.ToString();
+}
+
+TEST_F(LyingServerTest, ForeignStreamAttestationIsDeniedForBothRoles) {
+  liar_->Tell(LyingServer::Lie::kForeignStream, victim_, decoy_);
+  auto [owner_status, consumer_status] = VerifiedReads();
+  EXPECT_EQ(owner_status.code(), StatusCode::kPermissionDenied)
+      << owner_status.ToString();
+  EXPECT_EQ(consumer_status.code(), StatusCode::kPermissionDenied)
+      << consumer_status.ToString();
+}
+
 }  // namespace
 }  // namespace tc

@@ -82,38 +82,44 @@ void Usage() {
       "           fetch grants and run a stat query as that principal\n");
 }
 
-Result<std::shared_ptr<net::Transport>> Connect(const Flags& flags) {
+/// Connect to --host/--port. Exits on error.
+std::shared_ptr<net::Transport> Connect(const Flags& flags) {
   auto client = net::TcpClient::Connect(
       flags.Get("host", "127.0.0.1"),
       static_cast<uint16_t>(flags.GetInt("port", 4433)));
-  TC_RETURN_IF_ERROR(client.status());
+  if (!client.ok()) Die(client.status());
   return std::shared_ptr<net::Transport>(std::move(*client));
 }
 
-/// Owner options with the state dir's persistent signing identity, so
-/// attestations verify across invocations.
-Result<client::OwnerOptions> OwnerOpts(const std::string& state_dir) {
+/// An owner client with the state dir's persistent signing identity, so
+/// attestations verify across invocations. Exits on error.
+std::unique_ptr<client::OwnerClient> MakeOwner(
+    const Flags& flags, const std::string& state_dir,
+    uint64_t upload_batch_chunks = 1) {
+  auto transport = Connect(flags);
+  auto signing = LoadOrCreateSigning(state_dir);
+  if (!signing.ok()) Die(signing.status());
   client::OwnerOptions options;
-  TC_ASSIGN_OR_RETURN(options.signing, LoadOrCreateSigning(state_dir));
-  return options;
+  options.signing = *signing;
+  options.upload_batch_chunks = upload_batch_chunks;
+  return std::make_unique<client::OwnerClient>(transport, options);
 }
 
-/// Re-attach the stream from its state file into `owner`.
-Result<uint64_t> Attach(client::OwnerClient& owner, const Flags& flags,
-                        const std::string& state_dir) {
+/// MakeOwner, re-attached to --uuid's stream from its state file.
+std::pair<std::unique_ptr<client::OwnerClient>, uint64_t> AttachOwner(
+    const Flags& flags, const std::string& state_dir,
+    uint64_t upload_batch_chunks = 1) {
+  auto owner = MakeOwner(flags, state_dir, upload_batch_chunks);
   uint64_t uuid = flags.GetUint("uuid", 0);
-  if (uuid == 0) return InvalidArgument("--uuid is required");
-  TC_ASSIGN_OR_RETURN(StreamState s, LoadStreamState(state_dir, uuid));
-  TC_RETURN_IF_ERROR(owner.AttachStream(uuid, s.master_seed));
-  return uuid;
+  if (uuid == 0) Die(InvalidArgument("--uuid is required"));
+  auto state = LoadStreamState(state_dir, uuid);
+  if (!state.ok()) Die(state.status());
+  CheckOk(owner->AttachStream(uuid, state->master_seed));
+  return {std::move(owner), uuid};
 }
 
 int CmdCreate(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
+  auto owner = MakeOwner(flags, state_dir);
 
   net::StreamConfig config;
   config.name = flags.Get("name", "stream");
@@ -143,9 +149,9 @@ int CmdCreate(const Flags& flags, const std::string& state_dir) {
     if (config.schema.hist_width <= 0) config.schema.hist_width = 1;
   }
 
-  auto uuid = owner.CreateStream(config);
+  auto uuid = owner->CreateStream(config);
   if (!uuid.ok()) Die(uuid.status());
-  auto keys = owner.KeysFor(*uuid);
+  auto keys = owner->KeysFor(*uuid);
   if (!keys.ok()) Die(keys.status());
   CheckOk(SaveStreamState(state_dir,
                           StreamState{*uuid, (*keys)->master_seed(), config}));
@@ -155,16 +161,10 @@ int CmdCreate(const Flags& flags, const std::string& state_dir) {
 }
 
 int CmdInsert(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
   int64_t batch = flags.GetInt("batch", 1);
   if (batch < 1) Die(InvalidArgument("--batch must be >= 1"));
-  owner_opts->upload_batch_chunks = static_cast<uint64_t>(batch);
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
+  auto [owner, uuid] =
+      AttachOwner(flags, state_dir, static_cast<uint64_t>(batch));
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -184,17 +184,16 @@ int CmdInsert(const Flags& flags, const std::string& state_dir) {
     }
     index::DataPoint p{std::strtoll(line.c_str(), nullptr, 10),
                        std::strtoll(line.c_str() + comma + 1, nullptr, 10)};
-    CheckOk(owner.InsertRecord(*uuid, p));
+    CheckOk(owner->InsertRecord(uuid, p));
     ++inserted;
   }
-  CheckOk(owner.Flush(*uuid));
+  CheckOk(owner->Flush(uuid));
   std::printf("inserted %" PRIu64 " point(s) into stream %" PRIu64 "\n",
-              inserted, *uuid);
+              inserted, uuid);
   return 0;
 }
 
-void PrintStats(const client::StatResult& r,
-                const index::DigestSchema& schema) {
+void PrintStats(const client::StatResult& r) {
   std::printf("chunks [%" PRIu64 ", %" PRIu64 ")\n", r.first_chunk,
               r.last_chunk);
   if (auto sum = r.stats.Sum(); sum.ok()) {
@@ -206,62 +205,40 @@ void PrintStats(const client::StatResult& r,
   if (auto mean = r.stats.Mean(); mean.ok()) {
     std::printf("  mean     %.4f\n", *mean);
   }
-  if (schema.with_sumsq) {
-    if (auto var = r.stats.Variance(); var.ok()) {
-      std::printf("  var      %.4f\n", *var);
-      std::printf("  stddev   %.4f\n", r.stats.StdDev().value());
-    }
+  if (auto var = r.stats.Variance(); var.ok()) {
+    std::printf("  var      %.4f\n", *var);
+    std::printf("  stddev   %.4f\n", r.stats.StdDev().value());
   }
-  if (schema.with_trend) {
-    if (auto slope = r.stats.TrendSlope(); slope.ok()) {
-      std::printf("  trend    %.6f per unit (intercept %.4f)\n", *slope,
-                  r.stats.TrendIntercept().value());
-    }
+  if (auto slope = r.stats.TrendSlope(); slope.ok()) {
+    std::printf("  trend    %.6f per unit (intercept %.4f)\n", *slope,
+                r.stats.TrendIntercept().value());
   }
-  if (schema.hist_bins > 0) {
-    if (auto lo = r.stats.MinBinLow(); lo.ok()) {
-      std::printf("  min-bin  >= %" PRId64 "\n", *lo);
-      std::printf("  max-bin  <  %" PRId64 "\n", r.stats.MaxBinHigh().value());
-    }
+  if (auto lo = r.stats.MinBinLow(); lo.ok()) {
+    std::printf("  min-bin  >= %" PRId64 "\n", *lo);
+    std::printf("  max-bin  <  %" PRId64 "\n", r.stats.MaxBinHigh().value());
   }
 }
 
 int CmdStats(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
   TimeRange range{flags.GetInt("start", 0), flags.GetInt("end", 0)};
-
-  auto state = LoadStreamState(state_dir, *uuid);
-  if (!state.ok()) Die(state.status());
-
   if (flags.Has("granularity")) {
-    auto series = owner.GetStatSeries(
-        *uuid, range, static_cast<uint64_t>(flags.GetInt("granularity", 1)));
+    auto series = owner->GetStatSeries(
+        uuid, range, static_cast<uint64_t>(flags.GetInt("granularity", 1)));
     if (!series.ok()) Die(series.status());
-    for (const auto& window : *series) PrintStats(window, state->config.schema);
+    for (const auto& window : *series) PrintStats(window);
   } else {
-    auto result = owner.GetStatRange(*uuid, range);
+    auto result = owner->GetStatRange(uuid, range);
     if (!result.ok()) Die(result.status());
-    PrintStats(*result, state->config.schema);
+    PrintStats(*result);
   }
   return 0;
 }
 
 int CmdRange(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
-  auto points = owner.GetRange(
-      *uuid, {flags.GetInt("start", 0), flags.GetInt("end", 0)});
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
+  auto points = owner->GetRange(
+      uuid, {flags.GetInt("start", 0), flags.GetInt("end", 0)});
   if (!points.ok()) Die(points.status());
   for (const auto& p : *points) {
     std::printf("%" PRId64 ",%" PRId64 "\n", p.timestamp_ms, p.value);
@@ -271,12 +248,7 @@ int CmdRange(const Flags& flags, const std::string& state_dir) {
 
 int CmdInfo(const Flags& flags) {
   auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  net::DeleteStreamRequest req{flags.GetUint("uuid", 0)};
-  auto payload = (*transport)->Call(net::MessageType::kGetStreamInfo,
-                                    req.Encode());
-  if (!payload.ok()) Die(payload.status());
-  auto info = net::StreamInfoResponse::Decode(*payload);
+  auto info = client::FetchStreamInfo(*transport, flags.GetUint("uuid", 0));
   if (!info.ok()) Die(info.status());
   std::printf(
       "name        %s\n"
@@ -299,8 +271,7 @@ const char* AckName(uint8_t ack_mode, uint32_t replicas) {
 
 int CmdClusterInfo(const Flags& flags) {
   auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto payload = (*transport)->Call(net::MessageType::kClusterInfo, {});
+  auto payload = transport->Call(net::MessageType::kClusterInfo, {});
   if (!payload.ok()) Die(payload.status());
   auto info = net::ClusterInfoResponse::Decode(*payload);
   if (!info.ok()) Die(info.status());
@@ -329,8 +300,7 @@ int CmdClusterInfo(const Flags& flags) {
 
 int CmdReplicaInfo(const Flags& flags) {
   auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto payload = (*transport)->Call(net::MessageType::kClusterInfo, {});
+  auto payload = transport->Call(net::MessageType::kClusterInfo, {});
   if (!payload.ok()) Die(payload.status());
   auto info = net::ClusterInfoResponse::Decode(*payload);
   if (!info.ok()) {
@@ -388,14 +358,13 @@ void PrintMetrics(const net::MetricsInfoResponse& info) {
 
 int CmdMetrics(const Flags& flags) {
   auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
   int64_t watch_sec = flags.GetInt("watch", 0);
   if (watch_sec < 0) {
     std::fprintf(stderr, "--watch must be >= 0 seconds\n");
     return 1;
   }
   for (;;) {
-    auto payload = (*transport)->Call(net::MessageType::kMetricsInfo, {});
+    auto payload = transport->Call(net::MessageType::kMetricsInfo, {});
     if (!payload.ok()) {
       if (payload.status().code() == StatusCode::kInvalidArgument) {
         // Old servers answer any unknown frame type this way; say what it
@@ -444,10 +413,9 @@ struct TraceSource {
 
 Result<std::vector<TraceSource>> ConnectSources(const Flags& flags) {
   std::vector<TraceSource> sources;
-  TC_ASSIGN_OR_RETURN(auto main_transport, Connect(flags));
   sources.push_back({flags.Get("host", "127.0.0.1") + ":" +
                          std::to_string(flags.GetInt("port", 4433)),
-                     std::move(main_transport)});
+                     Connect(flags)});
   std::istringstream peers(flags.Get("peers", ""));
   std::string peer;
   while (std::getline(peers, peer, ',')) {
@@ -737,17 +705,8 @@ int CmdEvents(const Flags& flags) {
 }
 
 int CmdAttest(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
-  // NOTE: a re-attached producer can only attest streams it has witnessed
-  // from chunk 0 (see OwnerClient::AttachStream); attest right after
-  // ingesting in the same process.
-  auto att = owner.Attest(*uuid);
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
+  auto att = owner->Attest(uuid);
   if (!att.ok()) Die(att.status());
   std::printf("attested stream %" PRIu64 " at %" PRIu64
               " chunks (root %s...)\n",
@@ -757,20 +716,12 @@ int CmdAttest(const Flags& flags, const std::string& state_dir) {
 }
 
 int CmdVerify(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
-  auto state = LoadStreamState(state_dir, *uuid);
-  if (!state.ok()) Die(state.status());
-  auto result = owner.GetVerifiedStatRange(
-      *uuid, {flags.GetInt("start", 0), flags.GetInt("end", 0)});
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
+  auto result = owner->GetVerifiedStatRange(
+      uuid, {flags.GetInt("start", 0), flags.GetInt("end", 0)});
   if (!result.ok()) Die(result.status());
   std::puts("verified against the signed attestation:");
-  PrintStats(*result, state->config.schema);
+  PrintStats(*result);
   return 0;
 }
 
@@ -783,48 +734,35 @@ int CmdKeygen(const Flags& flags, const std::string& state_dir) {
 }
 
 int CmdGrant(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
   auto pub = FromHex(flags.Get("pub"));
   if (!pub.ok()) Die(InvalidArgument("--pub must be the consumer's hex key"));
-  CheckOk(owner.GrantAccess(
-      *uuid, flags.Get("principal"), *pub,
+  CheckOk(owner->GrantAccess(
+      uuid, flags.Get("principal"), *pub,
       {flags.GetInt("start", 0), flags.GetInt("end", 0)},
       static_cast<uint64_t>(flags.GetInt("resolution", 1))));
   std::printf("granted %s access to stream %" PRIu64 " at resolution %lld\n",
-              flags.Get("principal").c_str(), *uuid,
+              flags.Get("principal").c_str(), uuid,
               static_cast<long long>(flags.GetInt("resolution", 1)));
   return 0;
 }
 
 int CmdRevoke(const Flags& flags, const std::string& state_dir) {
-  auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
-  auto owner_opts = OwnerOpts(state_dir);
-  if (!owner_opts.ok()) Die(owner_opts.status());
-  client::OwnerClient owner(*transport, *owner_opts);
-  auto uuid = Attach(owner, flags, state_dir);
-  if (!uuid.ok()) Die(uuid.status());
-  CheckOk(owner.RevokeAccess(*uuid, flags.Get("principal"),
-                             flags.GetInt("end", 0)));
+  auto [owner, uuid] = AttachOwner(flags, state_dir);
+  CheckOk(owner->RevokeAccess(uuid, flags.Get("principal"),
+                              flags.GetInt("end", 0)));
   std::printf("revoked %s on stream %" PRIu64 "\n",
-              flags.Get("principal").c_str(), *uuid);
+              flags.Get("principal").c_str(), uuid);
   return 0;
 }
 
 int CmdConsume(const Flags& flags, const std::string& state_dir) {
   auto transport = Connect(flags);
-  if (!transport.ok()) Die(transport.status());
   auto identity = LoadOrCreateIdentity(state_dir, /*create=*/false);
   if (!identity.ok()) Die(identity.status());
 
   client::Principal principal{flags.Get("principal"), *identity};
-  client::ConsumerClient consumer(*transport, principal);
+  client::ConsumerClient consumer(transport, principal);
   auto n = consumer.FetchGrants();
   if (!n.ok()) Die(n.status());
   std::printf("%d grant(s) held\n", *n);
@@ -833,14 +771,7 @@ int CmdConsume(const Flags& flags, const std::string& state_dir) {
   auto result = consumer.GetStatRange(
       uuid, {flags.GetInt("start", 0), flags.GetInt("end", 0)});
   if (!result.ok()) Die(result.status());
-  // Consumers know the schema from the (public) stream config.
-  net::DeleteStreamRequest info_req{uuid};
-  auto info_payload = (*transport)->Call(net::MessageType::kGetStreamInfo,
-                                         info_req.Encode());
-  if (!info_payload.ok()) Die(info_payload.status());
-  auto info = net::StreamInfoResponse::Decode(*info_payload);
-  if (!info.ok()) Die(info.status());
-  PrintStats(*result, info->config.schema);
+  PrintStats(*result);
   return 0;
 }
 
