@@ -4,14 +4,14 @@
 // uploads on a real socket?
 //
 //  1. Ingest scaling: N log-backed shards behind a ShardRouter, fixed
-//     writer-thread pool, digest-only InsertChunk requests. A single
+//     writer-thread pool, digest-only one-chunk requests. A single
 //     shard serializes every append behind one log mutex; N shards give
 //     N independent append paths, so aggregate chunks/s should rise with
 //     the shard count on a multi-core host.
 //  2. Query scaling: GetStatRange over the same fixture from the same
 //     thread pool (per-shard stores give independent read paths).
 //  3. Batched ingest on loopback TCP: one InsertChunkBatch frame of K
-//     chunks vs K InsertChunk round trips against a tcserver-shaped
+//     chunks vs K one-chunk round trips against a tcserver-shaped
 //     stack (TcpServer + TcpClient) — the batching win is K-1 saved
 //     round trips plus one group-committed log sync per batch — now also
 //     with the multiplexed transport keeping several batches in flight
@@ -96,12 +96,12 @@ struct LogCluster {
   }
 };
 
-/// Pre-encoded digest-only InsertChunk bodies for `streams` plain streams
+/// Pre-encoded digest-only one-chunk bodies for `streams` plain streams
 /// of `chunks` chunks each (encoding cost is client-side; the benchmark
 /// times the server).
 struct IngestLoad {
   std::vector<uint64_t> uuids;
-  // bodies[s][c] = encoded InsertChunkRequest for stream s, chunk c.
+  // bodies[s][c] = encoded InsertChunkBatchRequest for stream s, chunk c.
   std::vector<std::vector<Bytes>> bodies;
 
   IngestLoad(size_t streams, uint64_t chunks) {
@@ -112,8 +112,8 @@ struct IngestLoad {
       bodies.back().reserve(chunks);
       for (uint64_t c = 0; c < chunks; ++c) {
         std::vector<uint64_t> fields{c + 1, 1};
-        net::InsertChunkRequest req{uuids[s], c, *cipher->Encrypt(fields, c),
-                                    {}};
+        net::InsertChunkBatchRequest req{
+            uuids[s], {{c, *cipher->Encrypt(fields, c), {}}}};
         bodies.back().push_back(req.Encode());
       }
     }
@@ -161,7 +161,7 @@ void BenchShardScaling(const std::vector<size_t>& shard_counts,
       for (size_t s = worker; s < load.uuids.size(); s += threads) {
         for (const auto& body : load.bodies[s]) {
           if (!cluster->router
-                   ->Handle(net::MessageType::kInsertChunk, body)
+                   ->Handle(net::MessageType::kInsertChunkBatch, body)
                    .ok()) {
             std::abort();
           }
@@ -277,29 +277,16 @@ void BenchBatchedTcpIngest(uint64_t chunks, const std::vector<IngestMode>& modes
       }
     };
     WallTimer timer;
-    if (mode.batch <= 1) {
-      for (uint64_t c = 0; c < chunks; ++c) {
+    for (uint64_t c = 0; c < chunks;) {
+      net::InsertChunkBatchRequest req;
+      req.uuid = uuid;
+      for (size_t b = 0; b < mode.batch && c < chunks; ++b, ++c) {
         std::vector<uint64_t> fields{c, 1};
-        net::InsertChunkRequest req{uuid, c, *cipher->Encrypt(fields, c),
-                                    payload};
-        inflight.push_back(
-            (*client)->AsyncCall(net::MessageType::kInsertChunk,
-                                 req.Encode()));
-        pump(mode.window - 1);
+        req.entries.push_back({c, *cipher->Encrypt(fields, c), payload});
       }
-    } else {
-      for (uint64_t c = 0; c < chunks;) {
-        net::InsertChunkBatchRequest req;
-        req.uuid = uuid;
-        for (size_t b = 0; b < mode.batch && c < chunks; ++b, ++c) {
-          std::vector<uint64_t> fields{c, 1};
-          req.entries.push_back({c, *cipher->Encrypt(fields, c), payload});
-        }
-        inflight.push_back(
-            (*client)->AsyncCall(net::MessageType::kInsertChunkBatch,
-                                 req.Encode()));
-        pump(mode.window - 1);
-      }
+      inflight.push_back((*client)->AsyncCall(
+          net::MessageType::kInsertChunkBatch, req.Encode()));
+      pump(mode.window - 1);
     }
     pump(0);
     double wall = timer.Seconds();
@@ -334,8 +321,10 @@ void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t c = 0; c < chunks; ++c) {
     std::vector<uint64_t> fields{c + 1, 1};
-    net::InsertChunkRequest req{uuid, c, *cipher->Encrypt(fields, c), {}};
-    if (!(*client)->Call(net::MessageType::kInsertChunk, req.Encode()).ok())
+    net::InsertChunkBatchRequest req{uuid,
+                                     {{c, *cipher->Encrypt(fields, c), {}}}};
+    if (!(*client)->Call(net::MessageType::kInsertChunkBatch, req.Encode())
+             .ok())
       std::abort();
   }
 
@@ -429,9 +418,9 @@ void BenchScatterGatherLatency(const std::vector<size_t>& shard_counts,
         }
         for (uint64_t c = 0; c < chunks; ++c) {
           std::vector<uint64_t> fields{c + 1, 1};
-          net::InsertChunkRequest req{uuid, c, *cipher->Encrypt(fields, c),
-                                      {}};
-          if (!router.Handle(net::MessageType::kInsertChunk, req.Encode())
+          net::InsertChunkBatchRequest req{
+              uuid, {{c, *cipher->Encrypt(fields, c), {}}}};
+          if (!router.Handle(net::MessageType::kInsertChunkBatch, req.Encode())
                    .ok()) {
             std::abort();
           }

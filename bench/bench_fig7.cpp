@@ -283,8 +283,9 @@ void StrawmanRow(const char* name,
   WallTimer ingest_timer;
   for (uint64_t c = 0; c < chunks; ++c) {
     Bytes blob = *cipher->Encrypt(fields, c);
-    net::InsertChunkRequest req{1, c, std::move(blob), {}};
-    if (!stack.transport->Call(net::MessageType::kInsertChunk, req.Encode())
+    net::InsertChunkBatchRequest req{1, {{c, std::move(blob), {}}}};
+    if (!stack.transport
+             ->Call(net::MessageType::kInsertChunkBatch, req.Encode())
              .ok()) {
       std::abort();
     }

@@ -62,8 +62,8 @@ struct MonthFixture {
     for (uint64_t c = 0; c < total_chunks; ++c) {
       std::vector<uint64_t> fields = {467 * 600, 467};
       Bytes blob = *heac->Encrypt(fields, c);
-      net::InsertChunkRequest req{uuid, c, std::move(blob), {}};
-      if (!transport->Call(net::MessageType::kInsertChunk, req.Encode())
+      net::InsertChunkBatchRequest req{uuid, {{c, std::move(blob), {}}}};
+      if (!transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
                .ok()) {
         std::abort();
       }

@@ -91,7 +91,7 @@ struct Cluster {
   }
 };
 
-/// Pre-encoded digest-only InsertChunk bodies (encoding is client work;
+/// Pre-encoded digest-only one-chunk bodies (encoding is client work;
 /// the benchmark times the server side).
 struct IngestLoad {
   std::vector<uint64_t> uuids;
@@ -105,8 +105,8 @@ struct IngestLoad {
       bodies.back().reserve(chunks);
       for (uint64_t c = 0; c < chunks; ++c) {
         std::vector<uint64_t> fields{c + 1, 1};
-        net::InsertChunkRequest req{uuids[s], c, *cipher->Encrypt(fields, c),
-                                    {}};
+        net::InsertChunkBatchRequest req{
+            uuids[s], {{c, *cipher->Encrypt(fields, c), {}}}};
         bodies.back().push_back(req.Encode());
       }
     }
@@ -123,7 +123,8 @@ void Ingest(Cluster& cluster, const IngestLoad& load) {
   }
   for (size_t s = 0; s < load.uuids.size(); ++s) {
     for (const auto& body : load.bodies[s]) {
-      if (!cluster.router->Handle(net::MessageType::kInsertChunk, body).ok()) {
+      if (!cluster.router->Handle(net::MessageType::kInsertChunkBatch, body)
+               .ok()) {
         std::abort();
       }
     }
@@ -208,7 +209,7 @@ void BenchReadScatter(size_t shards, size_t streams, uint64_t chunks,
 
 void BenchAckOverhead(size_t shards, size_t streams, uint64_t chunks) {
   std::printf(
-      "== ingest ack overhead: digest-only InsertChunk, %zu shard(s), 2 "
+      "== ingest ack overhead: digest-only one-chunk batches, %zu shard(s), 2 "
       "replicas ==\n",
       shards);
   std::printf("%9s %9s %9s %11s %9s\n", "ack", "chunks", "wall", "chunks/s",

@@ -113,9 +113,7 @@ Result<StatResult> ConsumerClient::GetVerifiedStatRange(
   // Grant check before fetching: the decrypt would fail anyway
   // (crypto-enforced), but failing early gives a cleaner error.
   return reader.VerifiedStatRange(
-      ChunkClock(reader.config.t0, reader.config.delta_ms), range,
-      owner_signing_public,
-      [&](uint64_t first, uint64_t last) {
+      range, owner_signing_public, [&](uint64_t first, uint64_t last) {
         return GrantFor(uuid, first, last).status();
       });
 }

@@ -11,6 +11,11 @@ namespace tc::client {
 using net::MessageType;
 
 namespace {
+/// Batched uploads keep up to this many InsertChunkBatch frames in flight
+/// before ingest blocks on the oldest: round trips overlap instead of
+/// stalling per batch.
+constexpr size_t kInflightBatches = 4;
+
 /// Issue a request and discard the (empty) payload.
 Status CallVoid(net::Transport& t, MessageType type, BytesView body) {
   return t.Call(type, body).status();
@@ -47,10 +52,9 @@ Result<uint64_t> OwnerClient::CreateStream(const net::StreamConfig& config) {
 
   StreamState s;
   s.config = config;
-  s.clock = ChunkClock(config.t0, config.delta_ms);
   s.keys = std::make_unique<StreamKeys>(crypto::RandomKey128(), options_.keys);
   s.builder = std::make_unique<chunk::ChunkBuilder>(
-      0, s.clock.RangeOfChunk(0),
+      0, config.clock().RangeOfChunk(0),
       static_cast<chunk::Compression>(config.compression));
   if (config.integrity) {
     if (options_.signing.secret_key.empty()) {
@@ -72,11 +76,10 @@ Status OwnerClient::AttachStream(uint64_t uuid,
 
   StreamState s;
   s.config = info.config;
-  s.clock = ChunkClock(info.config.t0, info.config.delta_ms);
   s.next_chunk = info.num_chunks;
   s.keys = std::make_unique<StreamKeys>(master_seed, options_.keys);
   s.builder = std::make_unique<chunk::ChunkBuilder>(
-      info.num_chunks, s.clock.RangeOfChunk(info.num_chunks),
+      info.num_chunks, info.config.clock().RangeOfChunk(info.num_chunks),
       static_cast<chunk::Compression>(info.config.compression));
   if (info.config.integrity) {
     if (options_.signing.secret_key.empty()) {
@@ -191,35 +194,21 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
         payload, builder.SealPayload(crypto::ChunkPayloadKey(leaf_i, leaf_n)));
   }
 
-  if (options_.upload_batch_chunks > 1) {
-    // Batched path: buffer the sealed chunk; one InsertChunkBatch frame
-    // carries upload_batch_chunks of them. The attestor witnesses at seal
-    // time — the server appends the batch in the same order, so the trees
-    // agree once the batch lands.
-    if (s.attestor) {
-      TC_RETURN_IF_ERROR(s.attestor->Add(chunk_index, digest_blob, payload));
-    }
-    s.pending.push_back(
-        {chunk_index, std::move(digest_blob), std::move(payload)});
-    if (s.pending.size() >= options_.upload_batch_chunks) {
-      // Pipelined: issue the full batch asynchronously and return to
-      // sealing; up to upload_inflight_batches round trips overlap.
-      TC_RETURN_IF_ERROR(PumpPending(uuid, s, /*drain=*/false));
-    }
-  } else {
-    net::InsertChunkRequest req{uuid, chunk_index, std::move(digest_blob),
-                                std::move(payload)};
-    TC_RETURN_IF_ERROR(
-        CallVoid(*transport_, MessageType::kInsertChunk, req.Encode()));
-    if (s.attestor) {
-      TC_RETURN_IF_ERROR(
-          s.attestor->Add(chunk_index, req.digest_blob, req.payload));
-    }
+  // Witness at seal time: the server appends in upload order, so the trees
+  // agree once the chunk lands. The chunk stays queued until the server
+  // acknowledges it (a failed send puts it back for a resynced retry), so
+  // the builder moves on before the upload can report an error.
+  if (s.attestor) {
+    TC_RETURN_IF_ERROR(s.attestor->Add(chunk_index, digest_blob, payload));
   }
-
+  s.pending.push_back(
+      {chunk_index, std::move(digest_blob), std::move(payload)});
   s.next_chunk = chunk_index + 1;
-  builder.Reset(s.next_chunk, s.clock.RangeOfChunk(s.next_chunk));
-  return Status::Ok();
+  builder.Reset(s.next_chunk, s.config.clock().RangeOfChunk(s.next_chunk));
+  if (s.pending.size() < options_.upload_batch_chunks) return Status::Ok();
+  // A one-chunk upload is waited for: the server holds every sealed chunk
+  // once the call returns. Full batches go out pipelined.
+  return PumpPending(uuid, s, /*drain=*/options_.upload_batch_chunks <= 1);
 }
 
 Status OwnerClient::FlushPending(uint64_t uuid, StreamState& s) {
@@ -278,10 +267,8 @@ Status OwnerClient::PumpPending(uint64_t uuid, StreamState& s, bool drain) {
   }
 
   const size_t batch = std::max<uint64_t>(1, options_.upload_batch_chunks);
-  const size_t window =
-      std::max<uint64_t>(1, options_.upload_inflight_batches);
   while (s.pending.size() >= batch || (drain && !s.pending.empty())) {
-    if (s.inflight.size() >= window) {
+    if (s.inflight.size() >= kInflightBatches) {
       // Pipeline full: block on the oldest batch, then re-check — an error
       // re-queues everything into `pending` and propagates here.
       TC_RETURN_IF_ERROR(ReapInflight(s, Reap::kWaitOne));
@@ -304,7 +291,7 @@ Status OwnerClient::PumpPending(uint64_t uuid, StreamState& s, bool drain) {
 Status OwnerClient::InsertRecord(uint64_t uuid, const index::DataPoint& point) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
   TC_ASSIGN_OR_RETURN(uint64_t target_chunk,
-                      s->clock.IndexOf(point.timestamp_ms));
+                      s->config.clock().IndexOf(point.timestamp_ms));
   if (target_chunk < s->builder->index()) {
     return FailedPrecondition("point is older than the open chunk window");
   }
@@ -357,18 +344,13 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
   TC_ASSIGN_OR_RETURN(auto aligned, net::RollupStreamResponse::Decode(resp));
 
   // The derived stream reuses the source key material: rollup chunk j
-  // aggregates source chunks [j*r, (j+1)*r), so its outer keys are source
-  // leaves at j*r — the same keystream with indices scaled by r. The HEAC
-  // telescoping makes every window boundary decryptable without re-keying.
+  // aggregates source chunks [first + j*r, first + (j+1)*r), so its outer
+  // keys are source leaves at first + j*r — the same keystream with indices
+  // scaled by r. The HEAC telescoping makes every window boundary
+  // decryptable without re-keying.
   StreamState derived;
-  derived.config = s->config;
-  derived.config.name = s->config.name + "/rollup" +
-                        std::to_string(granularity_chunks);
-  derived.config.delta_ms =
-      s->config.delta_ms * static_cast<int64_t>(granularity_chunks);
-  derived.clock =
-      ChunkClock(s->clock.RangeOfChunk(aligned.first_chunk).start,
-                 derived.config.delta_ms);
+  derived.config =
+      net::RollupConfig(s->config, granularity_chunks, aligned.first_chunk);
   derived.keys =
       std::make_unique<StreamKeys>(s->keys->master_seed(), options_.keys);
   derived.leaf_scale = s->leaf_scale * granularity_chunks;
@@ -449,7 +431,7 @@ Status OwnerClient::GrantAccess(uint64_t uuid, const std::string& principal_id,
                                 BytesView principal_public, TimeRange range,
                                 uint64_t resolution_chunks) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  TC_ASSIGN_OR_RETURN(auto idx_range, s->clock.IndexRange(range));
+  TC_ASSIGN_OR_RETURN(auto idx_range, s->config.clock().IndexRange(range));
   return GrantChunkRange(*s, uuid, principal_id, principal_public,
                          idx_range.first, idx_range.second,
                          resolution_chunks);
@@ -461,7 +443,7 @@ Status OwnerClient::GrantOpenAccess(uint64_t uuid,
                                     Timestamp start,
                                     uint64_t resolution_chunks) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  TC_ASSIGN_OR_RETURN(uint64_t start_chunk, s->clock.IndexOf(start));
+  TC_ASSIGN_OR_RETURN(uint64_t start_chunk, s->config.clock().IndexOf(start));
   start_chunk -= start_chunk % std::max<uint64_t>(resolution_chunks, 1);
   open_grants_.push_back(OpenGrant{
       uuid, principal_id,
@@ -494,7 +476,7 @@ Status OwnerClient::RevokeAccess(uint64_t uuid,
                                  const std::string& principal_id,
                                  Timestamp end) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  TC_ASSIGN_OR_RETURN(uint64_t end_chunk, s->clock.IndexOf(end));
+  TC_ASSIGN_OR_RETURN(uint64_t end_chunk, s->config.clock().IndexOf(end));
   // Forward secrecy: stop extending subscriptions past `end`.
   for (auto& og : open_grants_) {
     if (og.uuid == uuid && og.principal_id == principal_id) {
@@ -555,7 +537,7 @@ Result<StatResult> OwnerClient::GetVerifiedStatRange(uint64_t uuid,
   if (!s->attestor) {
     return FailedPrecondition("stream was not created with integrity");
   }
-  return ReaderFor(uuid, *s).VerifiedStatRange(s->clock, range,
+  return ReaderFor(uuid, *s).VerifiedStatRange(range,
                                                options_.signing.public_key);
 }
 

@@ -28,19 +28,15 @@ struct OwnerOptions {
   StreamKeysConfig keys;
   /// Open-ended grants are extended one epoch at a time (chunks per epoch).
   uint64_t open_grant_epoch_chunks = 360;
-  /// Upload sealed chunks in InsertChunkBatch messages of this many chunks
-  /// (1 = one InsertChunk per chunk, the classic path). Batching amortizes
-  /// framing, round trips, and the server's per-stream lock/log sync; until
-  /// a batch fills (or Flush() is called) the buffered chunks are not yet
-  /// visible to server-side queries.
+  /// Upload sealed chunks in InsertChunkBatch messages of this many chunks.
+  /// With 1, each chunk goes out alone and InsertRecord/Flush return once
+  /// the server holds it. Larger batches amortize framing, round trips and
+  /// the server's per-stream lock and log sync, and go out pipelined (a few
+  /// frames in flight at once); until a batch fills (or Flush() is called)
+  /// its chunks are not yet visible to server-side queries. A failed send
+  /// surfaces on a later call or at Flush(); its chunks are kept and
+  /// re-sent after a position resync.
   uint64_t upload_batch_chunks = 1;
-  /// Pipeline depth for batched uploads: up to this many InsertChunkBatch
-  /// frames stay in flight (net::AsyncCall) before ingest blocks on the
-  /// oldest — round trips overlap instead of stalling per batch. 1 restores
-  /// the send-and-wait behavior. Transport errors surface on a later
-  /// insert or at Flush(); the unacknowledged chunks are kept and re-sent
-  /// (after a position resync) exactly as with a synchronous failure.
-  uint64_t upload_inflight_batches = 4;
   /// Signing identity for stream attestations (integrity extension). A
   /// fresh keypair is generated when left empty and an integrity stream is
   /// created; pass long-term keys for identities that outlive the process.
@@ -145,7 +141,6 @@ class OwnerClient {
  private:
   struct StreamState {
     net::StreamConfig config;
-    ChunkClock clock{0, 1};
     std::unique_ptr<StreamKeys> keys;
     std::unique_ptr<chunk::ChunkBuilder> builder;
     std::unique_ptr<integrity::StreamAttestor> attestor;  // iff integrity
@@ -159,7 +154,7 @@ class OwnerClient {
     // chunk before it: sequential chunks derive each leaf's keys once.
     TC_SECRET std::optional<crypto::FieldKeys> carried_keys;
     uint64_t carried_chunk = 0;
-    // Sealed chunks awaiting a batched upload (upload_batch_chunks > 1).
+    // Sealed chunks not yet on the wire, oldest first.
     std::vector<net::InsertChunkBatchRequest::Entry> pending;
     // Pipelined batches already on the wire, oldest first. Entries are
     // retained until their response lands: a failure re-queues every
@@ -205,7 +200,7 @@ class OwnerClient {
   /// Drain the upload pipeline: send everything buffered and wait for every
   /// in-flight batch (no-op when empty).
   Status FlushPending(uint64_t uuid, StreamState& s);
-  /// Advance the pipelined upload: reap completed batches, resync after a
+  /// Advance the upload pipeline: reap completed batches, resync after a
   /// failure, and issue full batches up to the in-flight window. With
   /// `drain` it also sends a short final batch and waits everything out.
   Status PumpPending(uint64_t uuid, StreamState& s, bool drain);

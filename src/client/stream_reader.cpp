@@ -122,7 +122,7 @@ Result<std::vector<index::DataPoint>> StreamReader::Range(
 }
 
 Result<StatResult> StreamReader::VerifiedStatRange(
-    const ChunkClock& clock, TimeRange range, BytesView owner_signing_public,
+    TimeRange range, BytesView owner_signing_public,
     const std::function<Status(uint64_t, uint64_t)>& check) const {
   if (config.cipher != net::CipherKind::kHeac) {
     return Unimplemented("verified queries require a HEAC stream");
@@ -141,7 +141,7 @@ Result<StatResult> StreamReader::VerifiedStatRange(
     return PermissionDenied("attestation covers a different stream");
   }
 
-  TC_ASSIGN_OR_RETURN(auto idx_range, clock.IndexRange(range));
+  TC_ASSIGN_OR_RETURN(auto idx_range, config.clock().IndexRange(range));
   uint64_t first = idx_range.first;
   uint64_t last = std::min(idx_range.second, attestation.size);
   if (first >= last) return OutOfRange("range beyond attested prefix");

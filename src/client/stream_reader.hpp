@@ -66,11 +66,9 @@ struct StreamReader {
   /// `owner_signing_public`, re-aggregates client-side and decrypts. It
   /// catches tampered, reordered or transplanted chunks that StatRange
   /// would mis-decrypt, at O(chunks) work (Verena-style verified reads).
-  /// The caller's `clock` maps `range` to chunks: a rollup owner's starts
-  /// at a t0 the config does not carry. `check` vets the chunk range before
-  /// it is fetched.
+  /// `check` vets the chunk range before it is fetched.
   Result<StatResult> VerifiedStatRange(
-      const ChunkClock& clock, TimeRange range, BytesView owner_signing_public,
+      TimeRange range, BytesView owner_signing_public,
       const std::function<Status(uint64_t first, uint64_t last)>& check =
           nullptr) const;
 };

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/metrics.hpp"
-#include "common/time.hpp"
 #include "common/trace.hpp"
 #include "net/introspection.hpp"
 #include "net/messages.hpp"
@@ -190,7 +189,12 @@ Result<Bytes> ShardRouter::Handle(MessageType type, BytesView body) {
     case MessageType::kMultiStatRange: return MultiStatRange(body);
     case MessageType::kClusterInfo: return ClusterInfo();
     case MessageType::kPing: return Broadcast(type, body);
-    case MessageType::kRollupStream: return RollupStream(body);
+    case MessageType::kRollupStream: {
+      // The source's shard feeds the target's: see server::RollupStream.
+      TC_ASSIGN_OR_RETURN(auto req, net::RollupStreamRequest::Decode(body));
+      return server::RollupStream(*sets_[ShardOf(req.source_uuid)],
+                                  *sets_[ShardOf(req.target_uuid)], body);
+    }
     default: break;
   }
   // kResponse, bytes with no frame type, and replication frames, which
@@ -317,79 +321,6 @@ Result<Bytes> ShardRouter::MultiStatRange(BytesView body) {
   }
   merged.aggregate_blob = std::move(acc);
   return merged.Encode();
-}
-
-Result<Bytes> ShardRouter::RollupStream(BytesView body) {
-  TC_ASSIGN_OR_RETURN(auto req, net::RollupStreamRequest::Decode(body));
-  size_t source_shard = ShardOf(req.source_uuid);
-  size_t target_shard = ShardOf(req.target_uuid);
-  if (source_shard == target_shard) {
-    // Same shard: the engine's native rollup (one lock scope, no wire
-    // re-encoding of window aggregates).
-    return sets_[source_shard]->Handle(MessageType::kRollupStream, body);
-  }
-  if (req.granularity_chunks == 0) {
-    return InvalidArgument("rollup granularity must be positive");
-  }
-
-  // Cross-shard: decompose into the wire operations rollup is made of.
-  // The legs are data-dependent (each needs the previous one's result), so
-  // they run sequentially on this thread against the shard sets directly.
-  // Window aggregates are plain encrypted digests, so the derived stream
-  // built from a StatSeries is byte-identical to the engine-native path.
-  // All legs run against primaries: a rollup is a write, and deriving it
-  // from a lagging replica would silently truncate the derived stream.
-  net::DeleteStreamRequest info_req{req.source_uuid};
-  TC_ASSIGN_OR_RETURN(Bytes info_blob,
-                      sets_[source_shard]->Handle(MessageType::kGetStreamInfo,
-                                                  info_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(info_blob));
-  ChunkClock clock(info.config.t0, info.config.delta_ms);
-
-  uint64_t first = 0, last = info.num_chunks;
-  if (!(req.range.start == 0 && req.range.end == 0)) {
-    TC_ASSIGN_OR_RETURN(auto idx_range, clock.IndexRange(req.range));
-    first = idx_range.first;
-    if (first >= info.num_chunks) return OutOfRange("range beyond ingested data");
-    last = std::min(idx_range.second, info.num_chunks);
-  }
-  first -= first % req.granularity_chunks;
-  last -= last % req.granularity_chunks;
-  if (first >= last) return InvalidArgument("rollup segment is empty");
-
-  net::StreamConfig derived = info.config;
-  // Match the engine-native path: derived streams carry no witness tree
-  // (their digests are server-computed, not producer-sealed).
-  derived.integrity = false;
-  derived.name += "/rollup" + std::to_string(req.granularity_chunks);
-  derived.delta_ms = info.config.delta_ms *
-                     static_cast<int64_t>(req.granularity_chunks);
-  derived.t0 = clock.RangeOfChunk(first).start;
-  net::CreateStreamRequest create{req.target_uuid, derived};
-  TC_RETURN_IF_ERROR(sets_[target_shard]
-                         ->Handle(MessageType::kCreateStream, create.Encode())
-                         .status());
-
-  net::StatSeriesRequest series{
-      req.source_uuid,
-      {clock.RangeOfChunk(first).start, clock.RangeOfChunk(last - 1).end},
-      req.granularity_chunks};
-  TC_ASSIGN_OR_RETURN(Bytes series_blob,
-                      sets_[source_shard]->Handle(MessageType::kGetStatSeries,
-                                                  series.Encode()));
-  TC_ASSIGN_OR_RETURN(auto windows, net::StatSeriesResponse::Decode(series_blob));
-
-  net::InsertChunkBatchRequest batch;
-  batch.uuid = req.target_uuid;
-  batch.entries.reserve(windows.aggregates.size());
-  for (size_t j = 0; j < windows.aggregates.size(); ++j) {
-    batch.entries.push_back({j, std::move(windows.aggregates[j]), Bytes{}});
-  }
-  TC_RETURN_IF_ERROR(sets_[target_shard]
-                         ->Handle(MessageType::kInsertChunkBatch, batch.Encode())
-                         .status());
-
-  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 }  // namespace tc::cluster

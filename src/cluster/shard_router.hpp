@@ -13,11 +13,11 @@
 // through an in-process channel whose calls run on a small executor (the
 // CPU-bound remnant of the old scatter worker pool); the same scatter code
 // drives remote shards through any net::Transport — socket-backed shard
-// channels are a constructor away, not a redesign. RollupStream whose
-// source and target hash to different shards is decomposed into the wire
-// operations it is made of (create + windowed stat series + batch insert),
-// so derived streams always live on the shard their uuid hashes to and
-// later requests find them without a placement directory.
+// channels are a constructor away, not a redesign. RollupStream runs as
+// the wire operations it is made of (server::RollupStream: create +
+// windowed stat series + batch insert) from the source's shard into the
+// target's, so derived streams always live on the shard their uuid hashes
+// to and later requests find them without a placement directory.
 //
 // Each shard is a replica::ReplicaSet. With followers configured, the
 // shard's mutations ship to replica stores, replica reads (the
@@ -119,9 +119,6 @@ class ShardRouter final : public net::RequestHandler {
   Result<Bytes> MultiStatRange(BytesView body);
   Result<Bytes> ClusterInfo();
   Result<Bytes> Broadcast(net::MessageType type, BytesView body);
-
-  /// Cross-shard rollup: decomposed into wire ops against both shards.
-  Result<Bytes> RollupStream(BytesView body);
 
   std::vector<std::shared_ptr<replica::ReplicaSet>> sets_;
   /// Executor behind the local channels; must outlive them.

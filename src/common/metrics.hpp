@@ -247,7 +247,7 @@ class ScopedTimer {
 /// through every signature. On destruction the total is recorded into
 /// `total_hist` and, when it crosses the registry's slow-op threshold, one
 /// structured WARN line is logged:
-///   slow-op op=insert_chunk trace=00000002000000a1 total_us=52181
+///   slow-op op=insert_chunk_batch trace=00000002000000a1 total_us=52181
 ///   stages=decode:112,store:9441,index:42510
 class TraceSpan {
  public:

@@ -57,8 +57,19 @@ struct StreamConfig {
     return codec::Read<StreamConfig>(r);
   }
 
+  /// Maps times to chunk indices; every stream's, rollups' included.
+  ChunkClock clock() const { return {t0, delta_ms}; }
+
   friend bool operator==(const StreamConfig&, const StreamConfig&) = default;
 };
+
+/// The config of the stream rolling `source`'s chunks up by
+/// `granularity_chunks` from its chunk `first_chunk` on (RollupStream): Δ
+/// scaled up and t0 moved to that chunk's start. It has no witness tree:
+/// its digests are server-computed aggregates, not producer-sealed
+/// ciphertexts, so no owner attestation could prove them.
+StreamConfig RollupConfig(const StreamConfig& source,
+                          uint64_t granularity_chunks, uint64_t first_chunk);
 
 struct CreateStreamRequest {
   uint64_t uuid = 0;
@@ -75,23 +86,13 @@ struct DeleteStreamRequest {
   TC_WIRE_MESSAGE(DeleteStreamRequest)
 };
 
-struct InsertChunkRequest {
-  uint64_t uuid = 0;
-  uint64_t chunk_index = 0;
-  Bytes digest_blob;   // encrypted digest for the index
-  Bytes payload;       // sealed compressed points (may be empty: digest-only)
-
-  static void Visit(auto& m, auto& v) {
-    v(m.uuid, m.chunk_index, m.digest_blob, m.payload);
-  }
-  TC_WIRE_MESSAGE(InsertChunkRequest)
-};
-
-/// Batched single-stream ingest (§4.6 scalability): many sealed chunks in
-/// one frame, amortizing framing, dispatch, the per-stream lock, and (on
-/// durable stores) the log sync across the batch. Entries must carry
-/// strictly increasing chunk indices — the stream is append-only, so an
-/// out-of-order or overlapping batch is malformed, and Decode rejects it.
+/// Single-stream ingest, the only way chunks enter a stream: the producer's
+/// uploads (one chunk per frame, or a §4.6 client-side batch amortizing
+/// framing, dispatch, the per-stream lock, and on durable stores the log
+/// sync) and a rollup's derived chunks. Each entry is an encrypted digest
+/// for the index and a sealed payload (empty: digest-only). Entries must
+/// carry strictly increasing chunk indices — the stream is append-only, so
+/// an out-of-order or overlapping batch is malformed, and Decode rejects it.
 struct InsertChunkBatchRequest {
   struct Entry {
     uint64_t chunk_index = 0;

@@ -48,7 +48,9 @@ enum class MessageType : uint8_t {
   kResponse = 0,
   kCreateStream = 1,
   kDeleteStream = 2,
-  kInsertChunk = 3,
+  // Value 3 carried kInsertChunk, the one-chunk ingest frame; every chunk
+  // now enters a stream through kInsertChunkBatch. It stays reserved so old
+  // captures cannot be misparsed.
   kGetRange = 4,
   kGetStatRange = 5,
   kGetStatSeries = 6,
@@ -67,8 +69,8 @@ enum class MessageType : uint8_t {
   kPutAttestation = 17,
   kGetAttestation = 18,
   kGetChunkWitnessed = 19,
-  // Cluster extension (src/cluster): batched single-stream ingest and
-  // per-shard introspection.
+  // Cluster extension (src/cluster): single-stream ingest (one or many
+  // chunks per frame) and per-shard introspection.
   kInsertChunkBatch = 20,
   kClusterInfo = 21,
   // Replication extension (src/replica): primary→follower log shipping.
@@ -149,7 +151,7 @@ inline constexpr FrameTypeInfo kRows[] = {
   {kResponse,             "response",               false, kNone,        false},
   {kCreateStream,         "create_stream",          true,  kStream,      false},
   {kDeleteStream,         "delete_stream",          true,  kStream,      false},
-  {kInsertChunk,          "insert_chunk",           true,  kStream,      false},
+  UnknownFrameType(3),   // reserved: see the enum
   {kGetRange,             "get_range",              false, kStream,      true},
   {kGetStatRange,         "get_stat_range",         false, kStream,      true},
   {kGetStatSeries,        "get_stat_series",        false, kStream,      true},

@@ -62,7 +62,7 @@ struct ReplicaSetOptions {
   FailoverOptions failover;
 };
 
-class ReplicaSet {
+class ReplicaSet final : public net::RequestHandler {
  public:
   /// Replication-less shard: wraps an existing engine; reads and writes
   /// both hit it, and failover APIs report FailedPrecondition.
@@ -79,10 +79,10 @@ class ReplicaSet {
       std::vector<std::shared_ptr<store::KvStore>> follower_kvs,
       server::ServerOptions engine_options, ReplicaSetOptions options);
 
-  ~ReplicaSet();
+  ~ReplicaSet() override;
 
   /// Write path (and anything stateful): the primary engine.
-  Result<Bytes> Handle(net::MessageType type, BytesView body)
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override
       EXCLUDES(state_mu_);
 
   /// Read path: round-robin over in-bound replicas with primary fallback.

@@ -138,9 +138,7 @@ Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
   if (recover) {
     TC_RETURN_IF_ERROR(tree->Recover());
   }
-  auto stream = std::make_shared<Stream>(
-      config, ChunkClock(config.t0, config.delta_ms), cipher,
-      std::move(tree));
+  auto stream = std::make_shared<Stream>(config, cipher, std::move(tree));
   if (!recover) return stream;
   // The stream has not escaped this function yet, so its lock is
   // uncontended; taking it keeps the recovery under mu's capability.
@@ -299,14 +297,13 @@ Result<Bytes> ServerEngine::Handle(MessageType type, BytesView body) {
   switch (type) {
     case MessageType::kCreateStream: return CreateStream(body);
     case MessageType::kDeleteStream: return DeleteStream(body);
-    case MessageType::kInsertChunk: return InsertChunk(body);
     case MessageType::kInsertChunkBatch: return InsertChunkBatch(body);
     case MessageType::kClusterInfo: return ClusterInfo();
     case MessageType::kGetRange: return GetRange(body);
     case MessageType::kGetStatRange: return GetStatRange(body);
     case MessageType::kGetStatSeries: return GetStatSeries(body);
     case MessageType::kMultiStatRange: return MultiStatRange(body);
-    case MessageType::kRollupStream: return RollupStream(body);
+    case MessageType::kRollupStream: return RollupStream(*this, *this, body);
     case MessageType::kDeleteRange: return DeleteRange(body);
     case MessageType::kGetStreamInfo: return GetStreamInfo(body);
     case MessageType::kPutGrant: return PutGrant(body);
@@ -394,7 +391,7 @@ Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::FindStream(
 
 Result<std::pair<uint64_t, uint64_t>> ServerEngine::ResolveRange(
     const Stream& stream, const TimeRange& range) {
-  TC_ASSIGN_OR_RETURN(auto idx_range, stream.clock.IndexRange(range));
+  TC_ASSIGN_OR_RETURN(auto idx_range, stream.config.clock().IndexRange(range));
   auto [first, last] = idx_range;
   uint64_t ingested = stream.tree->num_chunks();
   if (first >= ingested) return OutOfRange("range beyond ingested data");
@@ -603,50 +600,6 @@ Result<Bytes> ServerEngine::DeleteStream(BytesView body) {
   return Bytes{};
 }
 
-Result<Bytes> ServerEngine::InsertChunk(BytesView body) {
-  TC_ASSIGN_OR_RETURN(auto req, net::InsertChunkRequest::Decode(body));
-  TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
-  metrics::TraceSpan::StageMark("decode", &StageHist(Stage::kDecode));
-
-  {
-    WriterMutexLock lock(stream->mu);
-    // The append-only position check runs before any store write: a
-    // rejected insert (duplicate or gapped index) must not clobber a
-    // committed chunk's stored ciphertext.
-    if (req.chunk_index != stream->tree->num_chunks()) {
-      return FailedPrecondition(
-          "append-only index: expected chunk " +
-          std::to_string(stream->tree->num_chunks()) + ", got " +
-          std::to_string(req.chunk_index));
-    }
-    if (req.digest_blob.size() != stream->add_cipher->blob_size()) {
-      return InvalidArgument("digest blob size mismatch");
-    }
-    const BytesView payload = req.payload;
-    TC_RETURN_IF_ERROR(AppendChunks(req.uuid, *stream,
-                                    std::span<const BytesView>(&payload, 1),
-                                    req.digest_blob));
-    if (stream->witnesses) {
-      // Mirror the producer's witness so audit paths can be served. The
-      // producer computes the same hash over the same ciphertext bytes; any
-      // later divergence is exactly what verification catches.
-      stream->witnesses->Append(integrity::ChunkWitness(
-          req.uuid, req.chunk_index, req.digest_blob, req.payload));
-      metrics::TraceSpan::StageMark("crypto", &StageHist(Stage::kCrypto));
-    }
-  }
-  // Durability flush outside the stream lock: fsync under stream->mu would
-  // stall every reader and the next insert behind the disk (tc_analyze B1).
-  // The ack-after-flush contract is unchanged — we reply only after Sync —
-  // and the group-committing Sync covers this insert's appends even when a
-  // later insert slips in between unlock and flush.
-  if (options_.sync_each_insert) {
-    TC_RETURN_IF_ERROR(kv_->Sync());
-    metrics::TraceSpan::StageMark("sync", &StageHist(Stage::kSync));
-  }
-  return Bytes{};
-}
-
 Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
   TC_ASSIGN_OR_RETURN(auto req, net::InsertChunkBatchRequest::Decode(body));
   if (req.entries.empty()) return InvalidArgument("empty chunk batch");
@@ -654,10 +607,8 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
   metrics::TraceSpan::StageMark("decode", &StageHist(Stage::kDecode));
 
   // One lock acquisition, one index run and one (group-committed) store
-  // sync for the whole batch — the amortization InsertChunkBatch exists
-  // for. The batch is not atomic: on an error it applies the longest
-  // prefix that the equivalent InsertChunk sequence would have applied,
-  // then reports the error.
+  // sync for the whole batch. The batch is not atomic: on an error it
+  // applies its longest valid prefix, then reports the error.
   Status status;
   {
     WriterMutexLock lock(stream->mu);
@@ -665,6 +616,8 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
     const size_t blob_size = stream->add_cipher->blob_size();
     // The valid prefix ends at the first entry whose position or digest
     // size is wrong; AppendChunks may cut it shorter on a failed write.
+    // The checks run before any store write: a rejected entry (duplicate
+    // or gapped index) must not clobber a committed chunk's ciphertext.
     Bytes digests;
     digests.reserve(req.entries.size() * blob_size);
     std::vector<BytesView> payloads;
@@ -690,8 +643,10 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
       if (!applied.ok()) status = std::move(applied);
     }
     if (stream->witnesses) {
-      // Witnesses for exactly the chunks the index accepted — see
-      // InsertChunk.
+      // Mirror the producer's witnesses, for exactly the chunks the index
+      // accepted, so audit paths can be served. The producer computes the
+      // same hash over the same ciphertext bytes; any later divergence is
+      // exactly what verification catches.
       const uint64_t accepted = stream->tree->num_chunks() - first;
       for (size_t i = 0; i < accepted; ++i) {
         const auto& e = req.entries[i];
@@ -702,7 +657,11 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
     }
   }
   TC_RETURN_IF_ERROR(status);
-  // Flush outside the stream lock — see InsertChunk.
+  // Durability flush outside the stream lock: fsync under stream->mu would
+  // stall every reader and the next insert behind the disk (tc_analyze B1).
+  // The ack-after-flush contract is unchanged — we reply only after Sync —
+  // and the group-committing Sync covers this batch's appends even when a
+  // later insert slips in between unlock and flush.
   if (options_.sync_each_insert) {
     TC_RETURN_IF_ERROR(kv_->Sync());
     metrics::TraceSpan::StageMark("sync", &StageHist(Stage::kSync));
@@ -835,64 +794,6 @@ Result<Bytes> ServerEngine::MultiStatRange(BytesView body) const {
   resp.last_chunk = last;
   resp.aggregate_blob = std::move(acc);
   return resp.Encode();
-}
-
-Result<Bytes> ServerEngine::RollupStream(BytesView body) {
-  TC_ASSIGN_OR_RETURN(auto req, net::RollupStreamRequest::Decode(body));
-  if (req.granularity_chunks == 0) {
-    return InvalidArgument("rollup granularity must be positive");
-  }
-  TC_ASSIGN_OR_RETURN(auto source, FindStream(req.source_uuid));
-
-  // Resolve the segment ({0,0} = whole stream so far). The shared lock is
-  // scoped: CreateStream below takes streams_mu_, and holding source->mu
-  // across it would invert the streams_mu_ -> stream->mu lock order.
-  uint64_t first = 0, last = 0;
-  {
-    ReaderMutexLock source_lock(source->mu);
-    last = source->tree->num_chunks();
-    if (!(req.range.start == 0 && req.range.end == 0)) {
-      TC_ASSIGN_OR_RETURN(auto range, ResolveRange(*source, req.range));
-      first = range.first;
-      last = range.second;
-    }
-  }
-  // Align to whole rollup windows.
-  first -= first % req.granularity_chunks;
-  last -= last % req.granularity_chunks;
-  if (first >= last) return InvalidArgument("rollup segment is empty");
-
-  // Create the derived stream: same schema/cipher, Δ scaled up. No witness
-  // tree: its digests are server-computed aggregates, not producer-sealed
-  // ciphertexts, so there is no owner attestation they could prove against.
-  net::StreamConfig derived = source->config;
-  derived.integrity = false;
-  derived.name += "/rollup" + std::to_string(req.granularity_chunks);
-  derived.delta_ms =
-      source->config.delta_ms * static_cast<int64_t>(req.granularity_chunks);
-  derived.t0 = source->clock.RangeOfChunk(first).start;
-  net::CreateStreamRequest create{req.target_uuid, derived};
-  TC_RETURN_IF_ERROR(CreateStream(create.Encode()).status());
-
-  TC_ASSIGN_OR_RETURN(auto target, FindStream(req.target_uuid));
-  // source is read under a shared lock while target is written; the target
-  // stream was just created, so no opposite-direction rollup can hold
-  // target shared while waiting for source exclusive.
-  ReaderMutexLock source_lock(source->mu);
-  WriterMutexLock lock(target->mu);
-  Bytes digests;
-  for (uint64_t w = first; w < last; w += req.granularity_chunks) {
-    TC_ASSIGN_OR_RETURN(Bytes blob,
-                        source->tree->Query(w, w + req.granularity_chunks));
-    tc::Append(digests, blob);
-  }
-  // Derived chunks carry no payloads, but their blocks hold empty entries
-  // like any digest-only chunk's.
-  const std::vector<BytesView> payloads(
-      (last - first) / req.granularity_chunks);
-  TC_RETURN_IF_ERROR(
-      AppendChunks(req.target_uuid, *target, payloads, digests));
-  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 Result<Bytes> ServerEngine::DeleteRange(BytesView body) {
@@ -1055,6 +956,64 @@ Result<Bytes> ServerEngine::GetEnvelopes(BytesView body) const {
     resp.envelopes.push_back(std::move(e));
   }
   return resp.Encode();
+}
+
+Result<Bytes> RollupStream(net::RequestHandler& source,
+                           net::RequestHandler& target, BytesView body) {
+  TC_ASSIGN_OR_RETURN(auto req, net::RollupStreamRequest::Decode(body));
+  if (req.granularity_chunks == 0) {
+    return InvalidArgument("rollup granularity must be positive");
+  }
+  // The legs are data-dependent (each needs the previous one's result), so
+  // they run one after another on this thread.
+  net::DeleteStreamRequest info_req{req.source_uuid};  // GetStreamInfo's body
+  TC_ASSIGN_OR_RETURN(
+      Bytes info_blob,
+      source.Handle(MessageType::kGetStreamInfo, info_req.Encode()));
+  TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(info_blob));
+  const ChunkClock clock = info.config.clock();
+
+  // Resolve the segment ({0,0} = whole stream so far) and align it to whole
+  // rollup windows.
+  uint64_t first = 0, last = info.num_chunks;
+  if (!(req.range.start == 0 && req.range.end == 0)) {
+    TC_ASSIGN_OR_RETURN(auto idx_range, clock.IndexRange(req.range));
+    first = idx_range.first;
+    if (first >= info.num_chunks) {
+      return OutOfRange("range beyond ingested data");
+    }
+    last = std::min(idx_range.second, info.num_chunks);
+  }
+  first -= first % req.granularity_chunks;
+  last -= last % req.granularity_chunks;
+  if (first >= last) return InvalidArgument("rollup segment is empty");
+
+  net::CreateStreamRequest create{
+      req.target_uuid,
+      net::RollupConfig(info.config, req.granularity_chunks, first)};
+  TC_RETURN_IF_ERROR(
+      target.Handle(MessageType::kCreateStream, create.Encode()).status());
+
+  // Window aggregates are plain encrypted digests: derived chunk j is the
+  // aggregate of source window j, with no payload.
+  net::StatSeriesRequest series{
+      req.source_uuid,
+      {clock.RangeOfChunk(first).start, clock.RangeOfChunk(last - 1).end},
+      req.granularity_chunks};
+  TC_ASSIGN_OR_RETURN(
+      Bytes series_blob,
+      source.Handle(MessageType::kGetStatSeries, series.Encode()));
+  TC_ASSIGN_OR_RETURN(auto windows,
+                      net::StatSeriesResponse::Decode(series_blob));
+  net::InsertChunkBatchRequest batch;
+  batch.uuid = req.target_uuid;
+  batch.entries.reserve(windows.aggregates.size());
+  for (size_t j = 0; j < windows.aggregates.size(); ++j) {
+    batch.entries.push_back({j, std::move(windows.aggregates[j]), Bytes{}});
+  }
+  TC_RETURN_IF_ERROR(
+      target.Handle(MessageType::kInsertChunkBatch, batch.Encode()).status());
+  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 }  // namespace tc::server

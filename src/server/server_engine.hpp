@@ -40,9 +40,9 @@ namespace tc::server {
 
 struct ServerOptions {
   size_t index_cache_bytes = 256 << 20;  // per-stream LRU budget
-  /// Sync the backing store after every ingest message. A single
-  /// InsertChunk pays one sync; an InsertChunkBatch pays one sync for the
-  /// whole batch (group commit — the durable-ingest amortization lever).
+  /// Sync the backing store after every ingest message: an
+  /// InsertChunkBatch pays one sync however many chunks it carries (group
+  /// commit — the durable-ingest amortization lever).
   bool sync_each_insert = false;
   /// This engine's shard id in a cluster (ClusterInfo reporting only).
   uint32_t shard_id = 0;
@@ -100,7 +100,6 @@ class ServerEngine final : public net::RequestHandler {
  private:
   struct Stream {
     net::StreamConfig config;
-    ChunkClock clock;
     std::shared_ptr<const index::DigestCipher> add_cipher;
     // The pointers are set at construction and never reseated, so only the
     // pointees are guarded (PT_GUARDED_BY): null checks need no lock,
@@ -120,11 +119,10 @@ class ServerEngine final : public net::RequestHandler {
     // ingest takes it exclusive, query paths take it shared.
     mutable SharedMutex mu;
 
-    Stream(net::StreamConfig cfg, ChunkClock clk,
+    Stream(net::StreamConfig cfg,
            std::shared_ptr<const index::DigestCipher> cipher,
            std::unique_ptr<index::AggTree> t)
         : config(std::move(cfg)),
-          clock(clk),
           add_cipher(std::move(cipher)),
           tree(std::move(t)) {
       if (config.integrity) {
@@ -136,14 +134,12 @@ class ServerEngine final : public net::RequestHandler {
   // Request handlers (one per message type).
   Result<Bytes> CreateStream(BytesView body);
   Result<Bytes> DeleteStream(BytesView body);
-  Result<Bytes> InsertChunk(BytesView body);
   Result<Bytes> InsertChunkBatch(BytesView body);
   Result<Bytes> ClusterInfo() const;
   Result<Bytes> GetRange(BytesView body) const;
   Result<Bytes> GetStatRange(BytesView body) const;
   Result<Bytes> GetStatSeries(BytesView body) const;
   Result<Bytes> MultiStatRange(BytesView body) const;
-  Result<Bytes> RollupStream(BytesView body);
   Result<Bytes> DeleteRange(BytesView body);
   Result<Bytes> GetStreamInfo(BytesView body) const;
   Result<Bytes> PutGrant(BytesView body);
@@ -176,9 +172,9 @@ class ServerEngine final : public net::RequestHandler {
       const Stream& stream, const TimeRange& range)
       REQUIRES_SHARED(stream.mu);
 
-  /// Append the stream's next chunks: their payloads, then one index run
-  /// over `digests` (their blobs back to back). Applies a prefix on error;
-  /// num_chunks() tells how far it got.
+  /// Append the stream's next chunks (InsertChunkBatch): their payloads,
+  /// then one index run over `digests` (their blobs back to back). Applies
+  /// a prefix on error; num_chunks() tells how far it got.
   Status AppendChunks(uint64_t uuid, Stream& stream,
                       std::span<const BytesView> payloads, BytesView digests)
       REQUIRES(stream.mu);
@@ -229,5 +225,16 @@ class ServerEngine final : public net::RequestHandler {
   std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>>
       principal_grants_ GUARDED_BY(keystore_mu_);
 };
+
+/// RollupStream (Table 1 row 3) as the wire operations it is made of:
+/// GetStreamInfo and GetStatSeries on `source`, then CreateStream and
+/// InsertChunkBatch on `target`. An engine passes itself as both; the shard
+/// router passes the source's and the target's shards, so a derived stream
+/// lives on the shard its uuid hashes to. A rollup is a write: both
+/// handlers must answer from primaries, as a lagging replica would
+/// silently truncate the derived stream. `body` is a RollupStreamRequest;
+/// the answer is a RollupStreamResponse.
+Result<Bytes> RollupStream(net::RequestHandler& source,
+                           net::RequestHandler& target, BytesView body);
 
 }  // namespace tc::server

@@ -48,14 +48,14 @@ struct LogKvOptions {
 /// value (an index node, a payload block) leaves no dead bytes behind. The
 /// server engine writes each level-0 index node's and each 64-chunk
 /// payload block's share of an upload batch as one record, so a value
-/// filled by one batch is one put with no side-table entry, while a value
-/// filled one InsertChunk at a time costs one side-table extent (16 bytes)
+/// filled by one large batch is one put with no side-table entry, while a
+/// value filled by one-chunk batches costs one side-table extent (16 bytes)
 /// per entry after the first. A key costs its length plus 38 to 44 bytes
 /// (record, length prefix, and a table slot at between 3/8 and 3/4 load):
 /// about 70 bytes for a payload block key, where a hash map of strings to
 /// extent vectors takes about 190. With one such key per 64 chunks for
-/// payloads and one for index nodes, a batched chunk costs the directory
-/// about 2 bytes, and a single-inserted one about 35 (its two extents).
+/// payloads and one for index nodes, a chunk of a large batch costs the
+/// directory about 2 bytes, and one sent alone about 35 (its two extents).
 /// Records and keys are only added, in blocks, so growth never copies
 /// them; a deleted key's record and bytes stay until Compact() rebuilds
 /// the directory densely.

@@ -191,17 +191,13 @@ class UploadRecorder final : public net::RequestHandler {
       : inner_(std::move(inner)) {}
 
   Result<Bytes> Handle(net::MessageType type, BytesView body) override {
-    if (type == net::MessageType::kInsertChunk) {
-      auto req = net::InsertChunkRequest::Decode(body);
-      if (req.ok() && req->chunk_index == fail_once_at) {
+    if (type == net::MessageType::kInsertChunkBatch) {
+      auto req = net::InsertChunkBatchRequest::Decode(body);
+      if (req.ok() && !req->entries.empty() &&
+          req->entries.front().chunk_index == fail_once_at) {
         fail_once_at = ~uint64_t{0};
         return Unavailable("injected upload failure");
       }
-      if (req.ok()) {
-        chunks.push_back({req->chunk_index, req->digest_blob, req->payload});
-      }
-    } else if (type == net::MessageType::kInsertChunkBatch) {
-      auto req = net::InsertChunkBatchRequest::Decode(body);
       if (req.ok()) {
         chunks.insert(chunks.end(), req->entries.begin(), req->entries.end());
       }
@@ -210,8 +206,8 @@ class UploadRecorder final : public net::RequestHandler {
   }
 
   std::vector<net::InsertChunkBatchRequest::Entry> chunks;
-  // The first single-chunk upload of this chunk fails without reaching the
-  // engine.
+  // The first upload batch that starts at this chunk fails without reaching
+  // the engine.
   uint64_t fail_once_at = ~uint64_t{0};
 
  private:
@@ -306,7 +302,7 @@ TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
 TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
   // The owner carries leaf i+1's HEAC field keys into the seal of chunk
   // i+1. Every digest must still equal one encrypted under leaves derived
-  // afresh: across gap fillers, a failed upload that re-seals its chunk,
+  // afresh: across gap fillers, a failed one-chunk upload that is re-sent,
   // and a producer that re-attaches mid-stream.
   constexpr uint64_t kChunks = 1000;
   constexpr uint64_t kAttachAt = 500;

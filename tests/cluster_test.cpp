@@ -110,8 +110,8 @@ void MakePlainStream(net::Transport& t, uint64_t uuid, uint64_t chunks,
   for (uint64_t c = 0; c < chunks; ++c) {
     std::vector<uint64_t> fields{value(c), 1};
     Bytes blob = *cipher->Encrypt(fields, c);
-    net::InsertChunkRequest req{uuid, c, std::move(blob), {}};
-    ASSERT_TRUE(t.Call(net::MessageType::kInsertChunk, req.Encode()).ok())
+    net::InsertChunkBatchRequest req{uuid, {{c, std::move(blob), {}}}};
+    ASSERT_TRUE(t.Call(net::MessageType::kInsertChunkBatch, req.Encode()).ok())
         << "chunk " << c;
   }
 }
@@ -195,8 +195,11 @@ TEST(ShardRouter, BatchedIngestMatchesUnbatched) {
   EXPECT_EQ(points->size(), 21u * 5u);
 }
 
-/// Transport that fails the next InsertChunkBatch when armed (transient
-/// network error injection for the batched-upload retry path).
+constexpr uint64_t kNever = ~uint64_t{0};
+
+/// Transport that fails one InsertChunkBatch: the next one when armed, or
+/// the first one starting at chunk `fail_batch_at` (transient network error
+/// injection for the upload retry path).
 class FlakyTransport final : public net::Transport {
  public:
   explicit FlakyTransport(std::shared_ptr<net::Transport> inner)
@@ -204,8 +207,10 @@ class FlakyTransport final : public net::Transport {
 
   net::PendingCall AsyncCall(net::MessageType type, BytesView body,
                              net::CallCallback on_done = nullptr) override {
-    if (fail_next_batch && type == net::MessageType::kInsertChunkBatch) {
+    if (type == net::MessageType::kInsertChunkBatch &&
+        (fail_next_batch || FirstChunk(body) == fail_batch_at)) {
       fail_next_batch = false;
+      fail_batch_at = kNever;
       net::CallCompleter completer(std::move(on_done));
       completer.Complete(Unavailable("injected transport failure"));
       return completer.pending();
@@ -214,8 +219,15 @@ class FlakyTransport final : public net::Transport {
   }
 
   bool fail_next_batch = false;
+  uint64_t fail_batch_at = kNever;
 
  private:
+  static uint64_t FirstChunk(BytesView body) {
+    auto req = net::InsertChunkBatchRequest::Decode(body);
+    return req.ok() && !req->entries.empty() ? req->entries[0].chunk_index
+                                              : kNever;
+  }
+
   std::shared_ptr<net::Transport> inner_;
 };
 
@@ -251,6 +263,81 @@ TEST(ShardRouter, BatchedUploadSurvivesTransientTransportFailure) {
   EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 5));
   EXPECT_EQ(stats->stats.Count().value(), 25u);
 }
+
+/// One upload that fails mid-ingest, on a stream with or without a witness
+/// tree, in batches of `batch_chunks` (1: one-chunk uploads).
+struct MidIngestFailure {
+  bool integrity;
+  uint64_t batch_chunks;
+  uint64_t fail_at;  // first chunk of the failing batch
+};
+
+class UploadFailsMidIngest
+    : public ::testing::TestWithParam<MidIngestFailure> {};
+
+TEST_P(UploadFailsMidIngest, OneCallFailsAndEveryChunkLandsOnce) {
+  // The owner moves on to the next chunk and re-sends the failed ones after
+  // a resync: exactly the call that saw the failure fails, and the stream
+  // ends with no gap and no duplicate.
+  const MidIngestFailure& p = GetParam();
+  auto c = MakeCluster(2);
+  auto flaky = std::make_shared<FlakyTransport>(c.transport);
+  client::OwnerOptions options;
+  options.upload_batch_chunks = p.batch_chunks;
+  OwnerClient owner(flaky, options);
+  auto config = HeacConfig("mid-ingest");
+  config.integrity = p.integrity;
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+
+  // 40 chunks of 5 points; each failed InsertRecord is retried once.
+  constexpr uint64_t kChunks = 40;
+  flaky->fail_batch_at = p.fail_at;
+  int failed_calls = 0;
+  for (uint64_t ch = 0; ch < kChunks; ++ch) {
+    for (int i = 0; i < 5; ++i) {
+      index::DataPoint point{static_cast<Timestamp>(ch * kDelta + i * 1000),
+                             static_cast<int64_t>(ch + 1)};
+      Status st = owner.InsertRecord(*uuid, point);
+      if (!st.ok()) {
+        ++failed_calls;
+        st = owner.InsertRecord(*uuid, point);
+      }
+      ASSERT_TRUE(st.ok()) << "chunk " << ch << ": " << st.ToString();
+    }
+  }
+  Status flush = owner.Flush(*uuid);
+  ASSERT_TRUE(flush.ok()) << flush.ToString();
+  EXPECT_EQ(failed_calls, 1);
+  EXPECT_EQ(flaky->fail_batch_at, kNever) << "no upload failed";
+
+  net::DeleteStreamRequest info_req{*uuid};
+  auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
+                                     info_req.Encode());
+  ASSERT_TRUE(info_blob.ok());
+  EXPECT_EQ(net::StreamInfoResponse::Decode(*info_blob)->num_chunks, kChunks);
+  auto stats = owner.GetStatRange(*uuid, {0, kChunks * kDelta});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->stats.Count().value(), 5 * kChunks);
+  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, kChunks));
+  if (!p.integrity) return;
+  ASSERT_TRUE(owner.Attest(*uuid).ok());
+  auto verified = owner.GetVerifiedStatRange(*uuid, {0, kChunks * kDelta});
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified->stats.Count().value(), 5 * kChunks);
+  EXPECT_EQ(verified->stats.Sum().value(), OracleSum(0, kChunks));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardRouter, UploadFailsMidIngest,
+    ::testing::Values(MidIngestFailure{false, 4, 8},
+                      MidIngestFailure{true, 4, 8},
+                      MidIngestFailure{false, 1, 13},
+                      MidIngestFailure{true, 1, 13}),
+    [](const ::testing::TestParamInfo<MidIngestFailure>& info) {
+      return std::string(info.param.integrity ? "Integrity" : "Heac") +
+             (info.param.batch_chunks == 1 ? "OneChunk" : "Batched");
+    });
 
 TEST(ShardRouter, BatchedChunksInvisibleUntilFlush) {
   auto c = MakeCluster(2);
@@ -304,7 +391,7 @@ TEST(ShardRouter, InsertChunkBatchValidation) {
             StatusCode::kFailedPrecondition);
 
   // Mid-batch failure applies the valid prefix (same observable state as
-  // the equivalent InsertChunk sequence failing at that point).
+  // the equivalent sequence of one-chunk batches failing at that point).
   net::InsertChunkBatchRequest partial{uuid,
                                        {{2, blob, {}}, {3, blob, {}},
                                         {7, blob, {}}}};
@@ -466,9 +553,11 @@ TEST(ShardRouter, RollupDropsIntegrityFlagOnBothPaths) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch, 1};
-    net::InsertChunkRequest req{source, ch, *cipher->Encrypt(fields, ch), {}};
+    net::InsertChunkBatchRequest req{source,
+                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
     ASSERT_TRUE(
-        c.transport->Call(net::MessageType::kInsertChunk, req.Encode()).ok());
+        c.transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
+            .ok());
   }
 
   uint64_t targets[2] = {
@@ -624,7 +713,6 @@ TEST(ShardRouter, PipelinedBatchedIngestOverTcpMatchesOracle) {
 
   client::OwnerOptions options;
   options.upload_batch_chunks = 4;
-  options.upload_inflight_batches = 3;
   OwnerClient owner(std::shared_ptr<net::Transport>(std::move(*tcp)),
                     options);
   auto uuid = owner.CreateStream(HeacConfig("pipelined"));
@@ -692,11 +780,12 @@ bool ReplicationFrame(MessageType type) {
 }
 
 /// Not a request any serving stack answers: responses, replication frames
-/// (a follower endpoint's business) and bytes outside the enum.
+/// (a follower endpoint's business), reserved bytes and bytes outside the
+/// enum.
 bool NotARequest(MessageType type) {
   auto byte = static_cast<uint8_t>(type);
   return type == MessageType::kResponse || ReplicationFrame(type) ||
-         byte == 22 || byte == 23 ||
+         byte == 3 || byte == 22 || byte == 23 ||
          byte > static_cast<uint8_t>(MessageType::kEventsInfo);
 }
 

@@ -50,10 +50,10 @@ TEST(Wire, ResponseBodyCarriesError) {
 TEST(Wire, IsMutationClassifiesEveryMessageType) {
   const MessageType mutations[] = {
       MessageType::kCreateStream,        MessageType::kDeleteStream,
-      MessageType::kInsertChunk,         MessageType::kRollupStream,
-      MessageType::kDeleteRange,         MessageType::kPutGrant,
-      MessageType::kRevokeGrant,         MessageType::kPutEnvelopes,
-      MessageType::kPutAttestation,      MessageType::kInsertChunkBatch,
+      MessageType::kRollupStream,        MessageType::kDeleteRange,
+      MessageType::kPutGrant,            MessageType::kRevokeGrant,
+      MessageType::kPutEnvelopes,        MessageType::kPutAttestation,
+      MessageType::kInsertChunkBatch,
       MessageType::kReplicaHello,        MessageType::kReplicaSnapshotBegin,
       MessageType::kReplicaSnapshotChunk, MessageType::kReplicaSnapshotEnd,
       MessageType::kReplicaHeartbeat,    MessageType::kReplicaOps,
@@ -85,14 +85,14 @@ TEST(Wire, IsMutationClassifiesEveryMessageType) {
 }
 
 // Row names label metrics and trace spans: one snake_case name per frame
-// type. Bytes with no frame type — the two reserved ones and any past the
+// type. Bytes with no frame type — the reserved ones and any past the
 // enum — share the "unknown" row and order as mutations.
 TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
   std::set<std::string> names;
   for (const FrameTypeInfo& row : kFrameTypes) {
     std::string name = row.name;
     auto byte = static_cast<int>(row.type);
-    if (byte == 22 || byte == 23) {
+    if (byte == 3 || byte == 22 || byte == 23) {
       EXPECT_EQ(name, "unknown");
       continue;
     }
@@ -106,7 +106,7 @@ TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
     }
     EXPECT_NE(name, "unknown") << "type " << byte;
   }
-  for (int byte : {22, 23, 0xEE}) {
+  for (int byte : {3, 22, 23, 0xEE}) {
     auto type = static_cast<MessageType>(byte);
     EXPECT_STREQ(MessageTypeName(type), "unknown") << "byte " << byte;
     EXPECT_TRUE(IsMutation(type)) << "byte " << byte;
@@ -150,14 +150,15 @@ TEST(Messages, CreateStreamRoundTrip) {
   EXPECT_EQ(back->config, req.config);
 }
 
-TEST(Messages, InsertChunkRoundTrip) {
-  InsertChunkRequest req{7, 123, Bytes{1, 2, 3}, Bytes{9, 9}};
-  auto back = InsertChunkRequest::Decode(req.Encode());
+TEST(Messages, InsertChunkBatchRoundTrip) {
+  InsertChunkBatchRequest req{7, {{123, Bytes{1, 2, 3}, Bytes{9, 9}}}};
+  auto back = InsertChunkBatchRequest::Decode(req.Encode());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->uuid, 7u);
-  EXPECT_EQ(back->chunk_index, 123u);
-  EXPECT_EQ(back->digest_blob, req.digest_blob);
-  EXPECT_EQ(back->payload, req.payload);
+  ASSERT_EQ(back->entries.size(), 1u);
+  EXPECT_EQ(back->entries[0].chunk_index, 123u);
+  EXPECT_EQ(back->entries[0].digest_blob, req.entries[0].digest_blob);
+  EXPECT_EQ(back->entries[0].payload, req.entries[0].payload);
 }
 
 TEST(Messages, StatRangeRoundTrip) {
@@ -341,7 +342,7 @@ TEST(Messages, MetricsInfoRoundTrip) {
   MetricsInfoResponse::Entry counter;
   counter.kind = MetricsInfoResponse::kCounter;
   counter.name = "tc_server_requests_total";
-  counter.labels = "type=\"insert_chunk\"";
+  counter.labels = "type=\"insert_chunk_batch\"";
   counter.value = 12345;
   resp.entries.push_back(counter);
   MetricsInfoResponse::Entry gauge;
@@ -368,7 +369,7 @@ TEST(Messages, MetricsInfoRoundTrip) {
   ASSERT_EQ(back->entries.size(), 3u);
   EXPECT_EQ(back->entries[0].kind, MetricsInfoResponse::kCounter);
   EXPECT_EQ(back->entries[0].name, "tc_server_requests_total");
-  EXPECT_EQ(back->entries[0].labels, "type=\"insert_chunk\"");
+  EXPECT_EQ(back->entries[0].labels, "type=\"insert_chunk_batch\"");
   EXPECT_EQ(back->entries[0].value, 12345);
   EXPECT_EQ(back->entries[1].value, -7);
   EXPECT_EQ(back->entries[2].count, 100u);
@@ -546,13 +547,13 @@ TEST(Async, EmptyPendingCallReportsInternal) {
 
 /// Handler that parks requests on per-tag gates: kGetStatRange with a
 /// 1-byte body blocks until that tag is released (deterministic slowness —
-/// no sleeps), kPing echoes immediately, kInsertChunk records its body's
-/// first byte in arrival order.
+/// no sleeps), kPing echoes immediately, kInsertChunkBatch records its
+/// body's first byte in arrival order.
 class GateHandler : public RequestHandler {
  public:
   Result<Bytes> Handle(MessageType type, BytesView body) override {
     if (type == MessageType::kPing) return Bytes(body.begin(), body.end());
-    if (type == MessageType::kInsertChunk) {
+    if (type == MessageType::kInsertChunkBatch) {
       std::lock_guard lock(mu_);
       mutation_order_.push_back(body.empty() ? 0xff : body[0]);
       return Bytes{};
@@ -682,7 +683,8 @@ TEST(Tcp, PipelinedMutationsApplyInSendOrder) {
   // batch N), even with reads interleaved.
   std::vector<PendingCall> calls;
   for (uint8_t i = 0; i < 10; ++i) {
-    calls.push_back((*client)->AsyncCall(MessageType::kInsertChunk, Bytes{i}));
+    calls.push_back(
+        (*client)->AsyncCall(MessageType::kInsertChunkBatch, Bytes{i}));
     if (i % 3 == 0) {
       ASSERT_TRUE((*client)->Call(MessageType::kPing, {}).ok());
     }

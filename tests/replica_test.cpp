@@ -669,9 +669,10 @@ TEST(ReplicaSet, LaggingReplicaIsSkippedUntilCaughtUp) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkRequest req{42, ch, *cipher->Encrypt(fields, ch), {}};
+    net::InsertChunkBatchRequest req{42,
+                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
     ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunk, req.Encode()).ok());
+        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
   net::StatRangeRequest stat{42, {0, 4 * kDelta}};
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
@@ -697,10 +698,12 @@ TEST(ReplicaSet, WitnessedReadsServeFromReplicas) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 6; ++ch) {
     std::vector<uint64_t> fields{ch, 1};
-    net::InsertChunkRequest req{7, ch, *cipher->Encrypt(fields, ch),
-                                ToBytes("sealed" + std::to_string(ch))};
+    net::InsertChunkBatchRequest req{
+        7, {{ch, *cipher->Encrypt(fields, ch),
+             ToBytes("sealed" + std::to_string(ch))}}};
     ASSERT_TRUE(
-        c.transport->Call(net::MessageType::kInsertChunk, req.Encode()).ok());
+        c.transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
+            .ok());
   }
   ASSERT_TRUE(c.WaitCaughtUp().ok());
 
@@ -729,17 +732,12 @@ TEST(ReplicaSet, RejectedDuplicateInsertDoesNotClobberStoredPayload) {
       engine->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
   auto cipher = index::MakePlainCipher(2);
   std::vector<uint64_t> fields{1, 1};
-  net::InsertChunkRequest first{9, 0, *cipher->Encrypt(fields, 0),
-                                ToBytes("committed")};
+  net::InsertChunkBatchRequest first{9, {{0, *cipher->Encrypt(fields, 0),
+                                          ToBytes("committed")}}};
   ASSERT_TRUE(
-      engine->Handle(net::MessageType::kInsertChunk, first.Encode()).ok());
+      engine->Handle(net::MessageType::kInsertChunkBatch, first.Encode())
+          .ok());
 
-  net::InsertChunkRequest dup{9, 0, *cipher->Encrypt(fields, 0),
-                              ToBytes("clobber")};
-  EXPECT_EQ(engine->Handle(net::MessageType::kInsertChunk, dup.Encode())
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
   net::InsertChunkBatchRequest dup_batch{9, {{0, *cipher->Encrypt(fields, 0),
                                               ToBytes("clobber")}}};
   EXPECT_EQ(engine
@@ -793,8 +791,9 @@ void RunFailoverDrill(AckMode ack) {
   // (The failed write is probed at the wire so the owner's client-side
   // retry buffer stays empty for the post-promotion ingest below.)
   for (auto& set : c.sets) ASSERT_TRUE(set->DropPrimary().ok());
-  net::InsertChunkRequest probe{uuids[0], 10, ToBytes("digest"), {}};
-  EXPECT_EQ(c.transport->Call(net::MessageType::kInsertChunk, probe.Encode())
+  net::InsertChunkBatchRequest probe{uuids[0], {{10, ToBytes("digest"), {}}}};
+  EXPECT_EQ(c.transport
+                ->Call(net::MessageType::kInsertChunkBatch, probe.Encode())
                 .status()
                 .code(),
             StatusCode::kUnavailable);
@@ -876,9 +875,10 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 6; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkRequest req{42, ch, *cipher->Encrypt(fields, ch), {}};
+    net::InsertChunkBatchRequest req{42,
+                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
     ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunk, req.Encode()).ok());
+        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(set->promotions(), 0u);
@@ -900,8 +900,9 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   std::vector<uint64_t> next{7, 1};
-  net::InsertChunkRequest more{42, 6, *cipher->Encrypt(next, 6), {}};
-  ASSERT_TRUE(set->Handle(net::MessageType::kInsertChunk, more.Encode()).ok());
+  net::InsertChunkBatchRequest more{42, {{6, *cipher->Encrypt(next, 6), {}}}};
+  ASSERT_TRUE(
+      set->Handle(net::MessageType::kInsertChunkBatch, more.Encode()).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
 }
 
@@ -934,9 +935,10 @@ TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkRequest req{42, ch, *cipher->Encrypt(fields, ch), {}};
+    net::InsertChunkBatchRequest req{42,
+                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
     ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunk, req.Encode()).ok());
+        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_GT(applier->applied_seq(), 0u);
@@ -948,9 +950,10 @@ TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
   EXPECT_EQ(set->num_remote_followers(), 1u);
   for (uint64_t ch = 4; ch < 8; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkRequest req{42, ch, *cipher->Encrypt(fields, ch), {}};
+    net::InsertChunkBatchRequest req{42,
+                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
     ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunk, req.Encode()).ok());
+        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(Contents(*remote_kv), Contents(*local));

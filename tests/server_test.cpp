@@ -44,10 +44,12 @@ class ServerTest : public ::testing::Test {
   Status Insert(uint64_t uuid, uint64_t chunk, uint64_t value,
                 Bytes payload = {}) {
     auto cipher = index::MakePlainCipher(1);
-    net::InsertChunkRequest req{
-        uuid, chunk, *cipher->Encrypt(std::vector<uint64_t>{value}, chunk),
-        std::move(payload)};
-    return engine_->Handle(MessageType::kInsertChunk, req.Encode()).status();
+    net::InsertChunkBatchRequest req{
+        uuid,
+        {{chunk, *cipher->Encrypt(std::vector<uint64_t>{value}, chunk),
+          std::move(payload)}}};
+    return engine_->Handle(MessageType::kInsertChunkBatch, req.Encode())
+        .status();
   }
 
   Result<net::StatRangeResponse> Query(uint64_t uuid, TimeRange range) {
@@ -124,8 +126,9 @@ TEST_F(ServerTest, InsertEnforcesOrderAndBlobSize) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
   ASSERT_TRUE(Insert(1, 0, 1).ok());
   EXPECT_FALSE(Insert(1, 2, 1).ok());  // gap
-  net::InsertChunkRequest bad{1, 1, Bytes(3, 0), {}};
-  EXPECT_FALSE(engine_->Handle(MessageType::kInsertChunk, bad.Encode()).ok());
+  net::InsertChunkBatchRequest bad{1, {{1, Bytes(3, 0), {}}}};
+  EXPECT_FALSE(
+      engine_->Handle(MessageType::kInsertChunkBatch, bad.Encode()).ok());
 }
 
 TEST_F(ServerTest, UnknownStreamAndTypeErrors) {
@@ -226,9 +229,10 @@ TEST_F(ServerTest, MultiStatRequiresMatchingLayouts) {
   ASSERT_TRUE(Insert(1, 0, 5).ok());
 
   auto cipher2 = index::MakePlainCipher(2);
-  net::InsertChunkRequest ins2{
-      2, 0, *cipher2->Encrypt(std::vector<uint64_t>{5, 1}, 0), {}};
-  ASSERT_TRUE(engine_->Handle(MessageType::kInsertChunk, ins2.Encode()).ok());
+  net::InsertChunkBatchRequest ins2{
+      2, {{0, *cipher2->Encrypt(std::vector<uint64_t>{5, 1}, 0), {}}}};
+  ASSERT_TRUE(
+      engine_->Handle(MessageType::kInsertChunkBatch, ins2.Encode()).ok());
 
   net::MultiStatRangeRequest req{{1, 2}, {0, 1000}};
   EXPECT_FALSE(
@@ -460,7 +464,7 @@ TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
 
 /// Heap bytes per chunk that an engine over a log store, with the index
 /// cache off, takes to ingest 65,536 chunks of a one-field plaintext stream
-/// with 8-byte payloads: in batches of 256 chunks, or one InsertChunk each.
+/// with 8-byte payloads: in batches of 256 chunks, or of one chunk each.
 /// The heap then holds the engine's stream state and the store's key
 /// directory: a payload block key and an index node key per 64 chunks, and
 /// a side-table extent per appended record. Allocations too big for the
@@ -507,11 +511,10 @@ size_t HeapBytesPerChunk(bool batched) {
         continue;
       }
       for (auto& e : batch.entries) {
-        net::InsertChunkRequest insert{kUuid, e.chunk_index,
-                                       std::move(e.digest_blob),
-                                       std::move(e.payload)};
+        net::InsertChunkBatchRequest insert{kUuid, {std::move(e)}};
         EXPECT_TRUE(
-            engine.Handle(MessageType::kInsertChunk, insert.Encode()).ok());
+            engine.Handle(MessageType::kInsertChunkBatch, insert.Encode())
+                .ok());
       }
     }
     per_chunk = (heap_bytes() - before) / kChunks;
@@ -604,9 +607,10 @@ TEST(ServerSyncEachInsert, AckImpliesFlushedAndBatchPaysOneSync) {
 
   auto cipher = index::MakePlainCipher(1);
   int syncs_before = spy->syncs();
-  net::InsertChunkRequest ins{
-      1, 0, *cipher->Encrypt(std::vector<uint64_t>{1}, 0), Bytes{0x01}};
-  ASSERT_TRUE(engine.Handle(MessageType::kInsertChunk, ins.Encode()).ok());
+  net::InsertChunkBatchRequest ins{
+      1, {{0, *cipher->Encrypt(std::vector<uint64_t>{1}, 0), Bytes{0x01}}}};
+  ASSERT_TRUE(
+      engine.Handle(MessageType::kInsertChunkBatch, ins.Encode()).ok());
   EXPECT_EQ(spy->syncs(), syncs_before + 1);  // one insert, one flush
   EXPECT_EQ(spy->unsynced_writes(), 0);       // ...and it covered the Puts
 

@@ -30,8 +30,6 @@ std::vector<NamedDecoder> AllDecoders() {
        [](BytesView in) { return CreateStreamRequest::Decode(in).ok(); }},
       {"DeleteStream",
        [](BytesView in) { return DeleteStreamRequest::Decode(in).ok(); }},
-      {"InsertChunk",
-       [](BytesView in) { return InsertChunkRequest::Decode(in).ok(); }},
       {"GetRange",
        [](BytesView in) { return GetRangeRequest::Decode(in).ok(); }},
       {"GetRangeResponse",
@@ -155,9 +153,6 @@ std::vector<Sample> ValidEncodings() {
   out.push_back(
       Of("CreateStream", kCreateStream, CreateStreamRequest{7, config}));
   out.push_back(Of("DeleteStream", kDeleteStream, DeleteStreamRequest{7}));
-  out.push_back(Of(
-      "InsertChunk", kInsertChunk,
-      InsertChunkRequest{7, 3, ToBytes("digest"), ToBytes("payload")}));
   out.push_back(Of("GetRange", kGetRange, GetRangeRequest{7, {100, 200}}));
   GetRangeResponse rr;
   rr.chunks.push_back({1, ToBytes("chunk-1")});
@@ -397,8 +392,6 @@ constexpr PinnedBytes kPinnedBytes[] = {
    "000000000001000000000000000100400000000100"},
   {"DeleteStream",
    "0700000000000000"},
-  {"InsertChunk",
-   "0700000000000000030000000000000006646967657374077061796c6f6164"},
   {"GetRange",
    "07000000000000006400000000000000c800000000000000"},
   {"GetRangeResponse",
