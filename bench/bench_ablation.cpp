@@ -13,10 +13,15 @@
 //      grows linearly, unlike contiguous ranges.
 //   6. Index cache budget sweep: query latency as the cache shrinks below
 //      the working set (the Fig 7 "small cache" effect, isolated).
+//   7. Payload seal (§4.1, §4.3): AES-GCM-128 seal and open of one chunk
+//      body under a fresh per-chunk key, and the owner's whole payload
+//      seal (build, compress, seal) at 10 and 500 points per chunk.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "chunk/chunk.hpp"
 #include "chunk/compress.hpp"
+#include "crypto/aes_gcm.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
 #include "index/digest_cipher.hpp"
@@ -286,13 +291,86 @@ BENCHMARK(BM_CacheBudgetQuery)
     ->Arg(1)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
+// ------------------------------------------------------ 7. payload seal
+
+// A pool of per-chunk keys: each seal or open schedules a key it has not
+// used for 63 calls, as every chunk's payload has its own key.
+std::vector<crypto::Key128> PayloadKeys() {
+  std::vector<crypto::Key128> keys(64);
+  for (auto& key : keys) key = crypto::RandomKey128();
+  return keys;
+}
+
+// The argument is the body size in bytes: 32 is about a 10-point chunk's
+// compressed points, 1024 a deflated 500-point chunk's.
+void BM_GcmSeal(benchmark::State& state) {
+  Bytes body(static_cast<size_t>(state.range(0)));
+  crypto::RandomBytes(body);
+  const auto keys = PayloadKeys();
+  const auto aad = chunk::ChunkAad(7);
+  size_t i = 0;
+  for (auto _ : state) {
+    Bytes sealed = crypto::GcmSeal(keys[i++ % keys.size()], body, aad);
+    benchmark::DoNotOptimize(sealed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(i * body.size()));
+}
+BENCHMARK(BM_GcmSeal)->Arg(32)->Arg(1024);
+
+void BM_GcmOpen(benchmark::State& state) {
+  Bytes body(static_cast<size_t>(state.range(0)));
+  crypto::RandomBytes(body);
+  const auto keys = PayloadKeys();
+  const auto aad = chunk::ChunkAad(7);
+  std::vector<Bytes> sealed;
+  for (const auto& key : keys) sealed.push_back(crypto::GcmSeal(key, body, aad));
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % keys.size();
+    auto opened = crypto::GcmOpen(keys[k], sealed[k], aad);
+    if (!opened.ok()) std::abort();
+    benchmark::DoNotOptimize(opened->data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(i * body.size()));
+}
+BENCHMARK(BM_GcmOpen)->Arg(32)->Arg(1024);
+
+// The owner's payload path for one chunk: ChunkBuilder::Add per point,
+// then SealPayload (compress, seal) under that chunk's key. The argument is
+// points per chunk; the 10-point body is stored raw, the 500-point one
+// deflated (kZlib, the owner's default).
+void BM_SealPayload(benchmark::State& state) {
+  const auto points = VitalsPoints(static_cast<size_t>(state.range(0)));
+  const TimeRange window{points.front().timestamp_ms,
+                         points.back().timestamp_ms + 1};
+  const auto keys = PayloadKeys();
+  chunk::ChunkBuilder builder(0, window, chunk::Compression::kZlib);
+  size_t payload_bytes = 0;
+  uint64_t chunk = 0;
+  for (auto _ : state) {
+    builder.Reset(chunk, window);
+    for (const auto& p : points) {
+      if (!builder.Add(p).ok()) std::abort();
+    }
+    auto sealed = builder.SealPayload(keys[chunk++ % keys.size()]);
+    if (!sealed.ok()) std::abort();
+    payload_bytes = sealed->size();
+    benchmark::DoNotOptimize(sealed->data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["payload_bytes"] = static_cast<double>(payload_bytes);
+}
+BENCHMARK(BM_SealPayload)->Arg(10)->Arg(500);
+
 }  // namespace
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
   std::printf(
       "=== Ablations: fanout / key-canceling / PRG / compression / "
-      "strided / cache ===\n"
+      "strided / cache / payload seal ===\n"
       "(design-choice quantification; see README.md benchmark matrix)\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

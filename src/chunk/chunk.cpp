@@ -1,14 +1,19 @@
 #include "chunk/chunk.hpp"
 
-#include "common/io.hpp"
+#include <cstring>
+#include <string_view>
 
 namespace tc::chunk {
 
-Bytes ChunkAad(uint64_t chunk_index) {
-  BinaryWriter w(12);
-  w.PutString("tc-chunk");
-  w.PutU64(chunk_index);
-  return std::move(w).Take();
+std::array<uint8_t, kChunkAadSize> ChunkAad(uint64_t chunk_index) {
+  constexpr std::string_view kLabel = "tc-chunk";
+  std::array<uint8_t, kChunkAadSize> aad{};
+  aad[0] = static_cast<uint8_t>(kLabel.size());
+  std::memcpy(aad.data() + 1, kLabel.data(), kLabel.size());
+  for (size_t i = 0; i < 8; ++i) {
+    aad[1 + kLabel.size() + i] = static_cast<uint8_t>(chunk_index >> (8 * i));
+  }
+  return aad;
 }
 
 Status ChunkBuilder::Add(const index::DataPoint& point) {
@@ -25,8 +30,13 @@ Status ChunkBuilder::Add(const index::DataPoint& point) {
 
 Result<Bytes> ChunkBuilder::SealPayload(
     const crypto::Key128& payload_key) const {
-  TC_ASSIGN_OR_RETURN(Bytes compressed, CompressPoints(points_, codec_));
-  return crypto::GcmSeal(payload_key, compressed, ChunkAad(index_));
+  // The compressed points land between the nonce and tag room and are
+  // sealed where they lie: one buffer from points to sealed payload.
+  TC_ASSIGN_OR_RETURN(Bytes sealed,
+                      CompressPoints(points_, codec_, crypto::kGcmNonceSize,
+                                     crypto::kGcmTagSize));
+  crypto::GcmSealInPlace(payload_key, sealed, ChunkAad(index_));
+  return sealed;
 }
 
 void ChunkBuilder::Reset(uint64_t chunk_index, TimeRange window) {

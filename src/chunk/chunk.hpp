@@ -7,6 +7,8 @@
 //     per-chunk key H(k_i - k_{i+1}), §4.3).
 #pragma once
 
+#include <array>
+
 #include "chunk/compress.hpp"
 #include "common/time.hpp"
 #include "crypto/aes_gcm.hpp"
@@ -60,7 +62,10 @@ Result<std::vector<index::DataPoint>> OpenPayload(
     const crypto::Key128& payload_key, uint64_t chunk_index,
     BytesView sealed);
 
-/// AAD used to bind a payload to its chunk position.
-Bytes ChunkAad(uint64_t chunk_index);
+inline constexpr size_t kChunkAadSize = 17;
+
+/// AAD used to bind a payload to its chunk position: varint 8, "tc-chunk",
+/// then the chunk index as u64 little-endian.
+std::array<uint8_t, kChunkAadSize> ChunkAad(uint64_t chunk_index);
 
 }  // namespace tc::chunk

@@ -3,14 +3,28 @@
 #include <openssl/evp.h>
 #include <pthread.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "crypto/aesni.hpp"
+#include "crypto/constant_time.hpp"
 #include "crypto/evp_ctx.hpp"
 #include "crypto/sha256.hpp"
+
+// The native path needs PCLMULQDQ and SSSE3 for GHASH and AesNiBlock for the
+// counter blocks. Only its functions are compiled for those instructions,
+// through a target attribute, so the rest of this file stays baseline x86
+// and GcmIsNative() gates every call into them.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define TC_GCM_NATIVE_COMPILED 1
+#include <cpuid.h>
+#include <immintrin.h>
+#define TC_GCM_TARGET __attribute__((target("aes,pclmul,ssse3")))
+#endif
 
 namespace tc::crypto {
 
@@ -66,39 +80,266 @@ void NextNonce(uint8_t* out) {
   std::memcpy(out, reserve.bytes.data() + reserve.used, kGcmNonceSize);
   reserve.used += kGcmNonceSize;
 }
+
+#if defined(TC_GCM_NATIVE_COMPILED)
+
+/// Reverses the 16 bytes of a block. GHASH works on blocks whose bit order
+/// is reflected; reversing the bytes lets PCLMULQDQ multiply them as
+/// ordinary polynomials (Gueron and Kounavis, "Intel Carry-Less
+/// Multiplication Instruction and its Usage for Computing the GCM Mode").
+TC_GCM_TARGET inline __m128i Reflect(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+/// A 256-bit carry-less product, kept as its low, middle and high 128-bit
+/// parts so several products can be summed before one reduction.
+struct WideProduct {
+  __m128i lo = _mm_setzero_si128();
+  __m128i mid = _mm_setzero_si128();
+  __m128i hi = _mm_setzero_si128();
+};
+
+/// Adds the carry-less product a * b (four PCLMULQDQs) into `acc`.
+TC_GCM_TARGET inline void MulAdd(WideProduct& acc, __m128i a, __m128i b) {
+  acc.lo = _mm_xor_si128(acc.lo, _mm_clmulepi64_si128(a, b, 0x00));
+  acc.hi = _mm_xor_si128(acc.hi, _mm_clmulepi64_si128(a, b, 0x11));
+  acc.mid = _mm_xor_si128(acc.mid,
+                          _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                                        _mm_clmulepi64_si128(a, b, 0x01)));
+}
+
+/// Reduces a sum of products of byte-reflected elements to the element of
+/// GF(2^128): shifts the 256-bit sum left one bit for the reflection, then
+/// reduces it modulo x^128 + x^7 + x^2 + x + 1. Both steps are linear, so
+/// one reduction of a sum equals the sum of reduced products.
+TC_GCM_TARGET inline __m128i Reduce(const WideProduct& p) {
+  __m128i lo = _mm_xor_si128(p.lo, _mm_slli_si128(p.mid, 8));
+  __m128i hi = _mm_xor_si128(p.hi, _mm_srli_si128(p.mid, 8));
+
+  // Shift the 256-bit hi:lo left by one bit.
+  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
+  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
+  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
+  hi = _mm_or_si128(_mm_or_si128(_mm_slli_epi32(hi, 1),
+                                 _mm_slli_si128(hi_carry, 4)),
+                    _mm_srli_si128(lo_carry, 12));
+
+  // Fold the low half into the high half.
+  __m128i fold = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  const __m128i fold_hi = _mm_srli_si128(fold, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(fold, 12));
+  fold = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_xor_si128(_mm_srli_epi32(lo, 7), fold_hi));
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, fold));
+}
+
+/// The GF(2^128) product of two byte-reflected elements.
+TC_GCM_TARGET inline __m128i GfMul(__m128i a, __m128i b) {
+  WideProduct p;
+  MulAdd(p, a, b);
+  return Reduce(p);
+}
+
+TC_GCM_TARGET inline __m128i LoadReflected(const uint8_t* p) {
+  return Reflect(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// Absorbs `n` bytes into the GHASH state `x`, the last partial block
+/// zero-padded. `h` holds the reflected hash key and its powers: h[k] is
+/// H^(k+1). Four blocks at a time are multiplied by H^4 .. H and reduced
+/// once (Gueron and Kounavis' aggregated reduction), which takes the
+/// reduction off the dependency chain of three blocks in four.
+TC_GCM_TARGET __m128i GhashUpdate(__m128i x, const __m128i (&h)[4],
+                                  const uint8_t* p, size_t n) {
+  for (; n >= 64; p += 64, n -= 64) {
+    WideProduct acc;
+    MulAdd(acc, _mm_xor_si128(x, LoadReflected(p)), h[3]);
+    MulAdd(acc, LoadReflected(p + 16), h[2]);
+    MulAdd(acc, LoadReflected(p + 32), h[1]);
+    MulAdd(acc, LoadReflected(p + 48), h[0]);
+    x = Reduce(acc);
+  }
+  for (; n >= 16; p += 16, n -= 16) {
+    x = GfMul(_mm_xor_si128(x, LoadReflected(p)), h[0]);
+  }
+  if (n > 0) {
+    uint8_t last[16] = {};
+    std::memcpy(last, p, n);
+    x = GfMul(_mm_xor_si128(x, LoadReflected(last)), h[0]);
+  }
+  return x;
+}
+
+/// data[0, n) ^= stream[0, n), sixteen bytes at a time.
+TC_GCM_TARGET inline void XorStream(uint8_t* data, const uint8_t* stream,
+                                    size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    const __m128i k =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stream + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(data + i), _mm_xor_si128(d, k));
+  }
+  for (; i < n; ++i) data[i] ^= stream[i];
+}
+
+/// AES-128-GCM with a 96-bit nonce on AES-NI and PCLMULQDQ: the key
+/// schedule, the hash key H = E(0) and the tag mask E(J0). The round keys
+/// (in AesNiBlock), H and E(J0) are scrubbed on destruction.
+class NativeGcm {
+ public:
+  NativeGcm(const Key128& key, const uint8_t* nonce) : aes_(key) {
+    std::memcpy(nonce_.data(), nonce, kGcmNonceSize);
+    Block128 zero{};
+    Block128 j0{};
+    std::memcpy(j0.data(), nonce, kGcmNonceSize);
+    j0[15] = 1;
+    aes_.EncryptTwoBlocks(zero, j0, hash_key_, tag_mask_);
+  }
+  ~NativeGcm() {
+    SecureZero(hash_key_);
+    SecureZero(tag_mask_);
+  }
+  NativeGcm(const NativeGcm&) = delete;
+  NativeGcm& operator=(const NativeGcm&) = delete;
+
+  /// XORs the keystream E(nonce || 2), E(nonce || 3), ... into data[0, n):
+  /// encrypts and decrypts. Eight counter blocks go through the AES rounds
+  /// together; the keystream is scrubbed on return.
+  TC_GCM_TARGET void Crypt(uint8_t* data, size_t n) const {
+    std::array<Block128, 8> counters{};
+    std::array<Block128, 8> stream{};
+    uint32_t counter = 2;
+    while (n > 0) {
+      const size_t blocks = std::min(counters.size(), (n + 15) / 16);
+      for (size_t j = 0; j < blocks; ++j, ++counter) {
+        std::memcpy(counters[j].data(), nonce_.data(), kGcmNonceSize);
+        counters[j][12] = static_cast<uint8_t>(counter >> 24);
+        counters[j][13] = static_cast<uint8_t>(counter >> 16);
+        counters[j][14] = static_cast<uint8_t>(counter >> 8);
+        counters[j][15] = static_cast<uint8_t>(counter);
+      }
+      aes_.EncryptBlocks({counters.data(), blocks}, {stream.data(), blocks});
+      const size_t bytes = std::min(n, blocks * 16);
+      XorStream(data, stream[0].data(), bytes);
+      data += bytes;
+      n -= bytes;
+    }
+    SecureZero(MutableBytesView(stream[0].data(), sizeof(stream)));
+  }
+
+  /// The tag over `aad` and the ciphertext ct[0, n).
+  TC_GCM_TARGET Block128 Tag(BytesView aad, const uint8_t* ct,
+                             size_t n) const {
+    // H, and H^2 .. H^4 when there are four blocks to aggregate.
+    __m128i h[4];
+    h[0] = LoadReflected(hash_key_.data());
+    h[1] = h[2] = h[3] = _mm_setzero_si128();
+    if (aad.size() >= 64 || n >= 64) {
+      for (int k = 1; k < 4; ++k) h[k] = GfMul(h[k - 1], h[0]);
+    }
+    __m128i x = GhashUpdate(_mm_setzero_si128(), h, aad.data(), aad.size());
+    x = GhashUpdate(x, h, ct, n);
+    // The length block: bit lengths of the AAD and the ciphertext, each a
+    // big-endian u64, which reflects to (aad bits : high, ct bits : low).
+    const __m128i lengths =
+        _mm_set_epi64x(static_cast<long long>(aad.size() * 8),
+                       static_cast<long long>(n * 8));
+    x = GfMul(_mm_xor_si128(x, lengths), h[0]);
+    SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(h), sizeof(h)));
+    const __m128i tag = _mm_xor_si128(
+        Reflect(x),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tag_mask_.data())));
+    Block128 out;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), tag);
+    return out;
+  }
+
+ private:
+  AesNiBlock aes_;
+  std::array<uint8_t, kGcmNonceSize> nonce_{};
+  TC_SECRET Block128 hash_key_{};
+  TC_SECRET Block128 tag_mask_{};
+};
+
+#endif  // TC_GCM_NATIVE_COMPILED
 }  // namespace
 
-Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
-  EVP_CIPHER_CTX* ctx = ThreadCtx();
-  Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
-  NextNonce(out.data());
+bool GcmIsNative() {
+#if defined(TC_GCM_NATIVE_COMPILED)
+  // CpuHasAesNi() covers the AES bit, TC_DISABLE_AESNI and a build whose
+  // AesNiBlock has no AES-NI code. Cached for the same reason as it: CPUID
+  // can be a VM exit.
+  static const bool native = [] {
+    if (!CpuHasAesNi()) return false;
+    unsigned int eax, ebx, ecx, edx;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    return (ecx & bit_PCLMUL) != 0 && (ecx & bit_SSSE3) != 0;
+  }();
+  return native;
+#else
+  return false;
+#endif
+}
 
-  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), out.data(),
+void GcmSealInPlace(const Key128& key, MutableBytesView buf, BytesView aad) {
+  if (buf.size() < kGcmNonceSize + kGcmTagSize) {
+    std::fprintf(stderr, "fatal: GcmSealInPlace buffer has no room for the "
+                         "nonce and tag\n");
+    std::abort();
+  }
+  uint8_t* nonce = buf.data();
+  uint8_t* data = nonce + kGcmNonceSize;
+  const size_t len = buf.size() - kGcmNonceSize - kGcmTagSize;
+  uint8_t* tag = data + len;
+  NextNonce(nonce);
+
+#if defined(TC_GCM_NATIVE_COMPILED)
+  if (GcmIsNative()) {
+    const NativeGcm gcm(key, nonce);
+    gcm.Crypt(data, len);
+    const Block128 computed = gcm.Tag(aad, data, len);
+    std::memcpy(tag, computed.data(), kGcmTagSize);
+    return;
+  }
+#endif
+
+  EVP_CIPHER_CTX* ctx = ThreadCtx();
+  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
                           nullptr) != 1) {
     FatalOpenSsl("EncryptInit(gcm)");
   }
-  int len = 0;
+  int out_len = 0;
   if (!aad.empty() &&
-      EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
+      EVP_EncryptUpdate(ctx, nullptr, &out_len, aad.data(),
                         static_cast<int>(aad.size())) != 1) {
     FatalOpenSsl("EncryptUpdate(aad)");
   }
-  if (!plaintext.empty() &&
-      EVP_EncryptUpdate(ctx, out.data() + kGcmNonceSize, &len,
-                        plaintext.data(),
-                        static_cast<int>(plaintext.size())) != 1) {
+  // GCM encrypts in place: the output may be the input.
+  if (len > 0 && EVP_EncryptUpdate(ctx, data, &out_len, data,
+                                   static_cast<int>(len)) != 1) {
     FatalOpenSsl("EncryptUpdate");
   }
   int final_len = 0;
-  if (EVP_EncryptFinal_ex(ctx, out.data() + kGcmNonceSize + len,
-                          &final_len) != 1) {
+  if (EVP_EncryptFinal_ex(ctx, data + out_len, &final_len) != 1) {
     FatalOpenSsl("EncryptFinal");
   }
-  if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize,
-                          out.data() + kGcmNonceSize + plaintext.size()) !=
-      1) {
+  if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize, tag) != 1) {
     FatalOpenSsl("GET_TAG");
   }
+}
+
+Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
+  Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
+  if (!plaintext.empty()) {
+    std::memcpy(out.data() + kGcmNonceSize, plaintext.data(),
+                plaintext.size());
+  }
+  GcmSealInPlace(key, out, aad);
   return out;
 }
 
@@ -106,12 +347,26 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   if (sealed.size() < kGcmNonceSize + kGcmTagSize) {
     return DataLoss("sealed blob too short");
   }
-  EVP_CIPHER_CTX* ctx = ThreadCtx();
   const uint8_t* nonce = sealed.data();
   const uint8_t* ct = sealed.data() + kGcmNonceSize;
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
+#if defined(TC_GCM_NATIVE_COMPILED)
+  if (GcmIsNative()) {
+    // Authenticate first: no plaintext is written unless the tag matches.
+    const NativeGcm gcm(key, nonce);
+    const Block128 computed = gcm.Tag(aad, ct, ct_len);
+    if (!ConstantTimeEqual(BytesView(computed), BytesView(tag, kGcmTagSize))) {
+      return DataLoss("GCM authentication failed (tampered or wrong key)");
+    }
+    Bytes plaintext(ct, ct + ct_len);
+    gcm.Crypt(plaintext.data(), plaintext.size());
+    return plaintext;
+  }
+#endif
+
+  EVP_CIPHER_CTX* ctx = ThreadCtx();
   if (EVP_DecryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
                           nullptr) != 1) {
     FatalOpenSsl("DecryptInit(gcm)");

@@ -12,9 +12,25 @@ namespace tc::crypto {
 constexpr size_t kGcmNonceSize = 12;
 constexpr size_t kGcmTagSize = 16;
 
-/// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
-/// random nonce is drawn per call; with per-chunk keys nonce reuse across
-/// chunks is impossible by construction.
+/// Two implementations, one output. Where the CPU has AES-NI, PCLMULQDQ
+/// and SSSE3 (GcmIsNative()), a native one-shot path runs: AesNiBlock's key
+/// schedule gives H = E(0) and E(J0), the counter blocks go through its
+/// eight-lane EncryptBlocks, and GHASH is a PCLMULQDQ multiply and
+/// reduction over byte-reflected blocks. Round keys, H, E(J0) and keystream
+/// blocks are scrubbed before it returns. Elsewhere, or with
+/// TC_DISABLE_AESNI set, OpenSSL's EVP AES-128-GCM runs; nothing else
+/// selects it. Both give byte-identical ciphertexts and tags (OpenSSL's for
+/// the same key and nonce), so stored payloads, envelopes and sealed grants
+/// open on either.
+
+/// True when this process seals and opens on the native path. Cached.
+bool GcmIsNative();
+
+/// Encrypt in place. `buf` is laid out nonce(12) || plaintext || tag(16):
+/// the call draws a fresh nonce into the first 12 bytes, encrypts the
+/// plaintext where it lies and writes the tag into the last 16, giving
+/// GcmSeal's output layout without a copy. `buf` must hold at least the
+/// nonce and tag; a shorter one aborts (a caller bug).
 ///
 /// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
 /// one RandomBytes call refills, instead of one CSPRNG call per seal. A
@@ -24,10 +40,19 @@ constexpr size_t kGcmTagSize = 16;
 /// parent holds, without a getpid call per seal. A child made by a raw
 /// clone or fork system call runs no atfork handlers, so it must not seal
 /// before it execs. Nonces are public, so the reserve needs no scrubbing.
+void GcmSealInPlace(TC_SECRET const Key128& key, MutableBytesView buf,
+                    BytesView aad = {});
+
+/// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
+/// random nonce is drawn per call; with per-chunk keys nonce reuse across
+/// chunks is impossible by construction. Copies `plaintext` into the output
+/// and seals it with GcmSealInPlace.
 Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
               BytesView aad = {});
 
-/// Decrypt + authenticate. DataLoss on any tampering/truncation.
+/// Decrypt + authenticate. DataLoss on any tampering/truncation. The native
+/// path checks the tag (in constant time) before it decrypts, so no
+/// unauthenticated plaintext is ever written.
 Result<Bytes> GcmOpen(TC_SECRET const Key128& key, BytesView sealed,
                       BytesView aad = {});
 

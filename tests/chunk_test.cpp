@@ -1,7 +1,9 @@
 // Chunk pipeline tests: delta+varint+zlib compression round trips (int64
 // extremes included), the raw-body floor under kMinDeflateBody, deflate
 // output against compress2 (one thread and four at once), the inflate size
-// limit, builder window enforcement, seal/open with chunk binding.
+// limit, builder window enforcement, seal/open with chunk binding, the
+// pinned chunk AAD bytes, and the one-buffer seal against CompressPoints and
+// a payload sealed before it.
 #include <gtest/gtest.h>
 #include <zlib.h>
 
@@ -327,6 +329,60 @@ TEST(ChunkBuilder, ChunkBindingPreventsTransplant) {
   auto sealed = b.SealPayload(key);
   // Replaying chunk 7's payload as chunk 8 must fail authentication.
   EXPECT_FALSE(OpenPayload(key, 8, *sealed).ok());
+}
+
+TEST(ChunkAad, BytesArePinned) {
+  // Every stored payload is authenticated under these bytes: varint 8,
+  // "tc-chunk", then the chunk index as u64 little-endian.
+  EXPECT_EQ(ToHex(ChunkAad(0)), "0874632d6368756e6b0000000000000000");
+  EXPECT_EQ(ToHex(ChunkAad(0x0102030405060708ULL)),
+            "0874632d6368756e6b0807060504030201");
+}
+
+TEST(ChunkBuilder, OpensPinnedStoredPayload) {
+  // A stored payload pinned as bytes (chunk 5, ten points, kZlib, sealed
+  // under OpenSSL's GCM): every payload already stored must keep opening.
+  crypto::Key128 key;
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(0x10 + i);
+  const Bytes sealed =
+      FromHex(
+          "11b6e45f5884a7c2bfed0188db83e9c5d224662dd7deeebc267c613c8b1e7487"
+          "b4b1e45878ae2bdbd6f3d0c8a4b8f373044bff4a8c885e98e3ad3aa6dedb32")
+          .value();
+  auto points = OpenPayload(key, 5, sealed);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  std::vector<DataPoint> expected;
+  for (int64_t i = 0; i < 10; ++i) {
+    expected.push_back({50'000 + i * 1000, 600 + (i % 3)});
+  }
+  EXPECT_EQ(*points, expected);
+}
+
+TEST(ChunkBuilder, SealedPlaintextIsCompressPointsOutput) {
+  // SealPayload writes the compressed points straight into the sealed
+  // buffer; opening it must give exactly CompressPoints' bytes, on every
+  // codec and on both sides of kMinDeflateBody.
+  const crypto::Key128 key = crypto::RandomKey128();
+  for (Compression codec :
+       {Compression::kNone, Compression::kZlib, Compression::kGorilla}) {
+    for (size_t n : {0, 1, 10, 31, 500}) {
+      const auto pts = RegularSeries(n, 90'000);
+      ChunkBuilder b(9, {90'000, 200'000}, codec);
+      for (const auto& p : pts) ASSERT_TRUE(b.Add(p).ok());
+      auto sealed = b.SealPayload(key);
+      ASSERT_TRUE(sealed.ok());
+      auto compressed = CompressPoints(pts, codec);
+      ASSERT_TRUE(compressed.ok());
+      EXPECT_EQ(sealed->size(), crypto::kGcmNonceSize + compressed->size() +
+                                    crypto::kGcmTagSize);
+      auto plain = crypto::GcmOpen(key, *sealed, ChunkAad(9));
+      ASSERT_TRUE(plain.ok()) << "codec " << static_cast<int>(codec)
+                              << " points " << n;
+      EXPECT_EQ(*plain, *compressed)
+          << "codec " << static_cast<int>(codec) << " points " << n;
+      EXPECT_EQ(*OpenPayload(key, 9, *sealed), pts);
+    }
+  }
 }
 
 TEST(ChunkBuilder, ResetStartsFreshWindow) {

@@ -1,12 +1,16 @@
 // SHA-256 and AES-GCM known answers, the one-block SHA-256 path against
-// OpenSSL at every block boundary, AES-GCM payload encryption (cipher
-// context reuse, the per-thread nonce reserve, its thread and fork safety)
-// and X25519 sealed-box tests.
+// OpenSSL at every block boundary, AES-GCM payload encryption (byte-for-byte
+// agreement with OpenSSL's EVP path, tamper detection, cipher context
+// reuse, the per-thread nonce reserve, its thread and fork safety) and
+// X25519 sealed-box tests.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <thread>
@@ -116,39 +120,160 @@ std::optional<Bytes> LegacyGcmOpen(const Key128& key, BytesView sealed,
   return pt;
 }
 
+// Every AAD length from 0 to 48, and 64 and 100, against plaintext lengths
+// 0-129, 255-257, 1000 and 4109: across the eight-block counter batch, the
+// four-block GHASH aggregation, a partial last block, a partial AAD block,
+// and AAD and plaintext that both end mid-block.
 TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
   const Bytes fixed_nonce = FromHex("0102030405060708090a0b0c").value();
-  std::vector<Bytes> inputs = {Bytes{}, Bytes(16, 0xab), Bytes(100, 0x5c)};
+  std::vector<size_t> aad_sizes;
+  for (size_t n = 0; n <= 48; ++n) aad_sizes.push_back(n);
+  aad_sizes.push_back(64);
+  aad_sizes.push_back(100);
+  std::vector<size_t> pt_sizes;
+  for (size_t n = 0; n <= 129; ++n) pt_sizes.push_back(n);
+  for (size_t n : {255, 256, 257, 1000, 4109}) pt_sizes.push_back(n);
   DeterministicRng rng(3);
-  for (size_t size : {1, 15, 17, 64, 333, 1000}) {
-    inputs.emplace_back(size);
-    rng.Fill(inputs.back());
-  }
-  // GcmSeal and GcmOpen share this thread's cipher context and keep its
-  // AES-128-GCM state between calls. Each input is sealed right after an
-  // open of the previous one, under a fresh key, and every other one right
-  // after a failed open.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const Bytes& pt = inputs[i];
-    const Key128 key = RandomKey128();
-    const Bytes aad = i % 3 == 2 ? Bytes{} : ToBytes("chunk-42");
-    if (i % 2 == 1) {
-      EXPECT_FALSE(GcmOpen(key, GcmSeal(RandomKey128(), pt, aad), aad).ok());
-    }
-    // Same key and nonce: byte-identical ciphertext and tag.
-    Bytes ours = GcmSeal(key, pt, aad);
-    Bytes ref = LegacyGcmSeal(key, BytesView(ours.data(), kGcmNonceSize), pt,
-                              aad);
-    EXPECT_EQ(ours, ref) << "plaintext size " << pt.size();
+  Bytes pt_pool(4109);
+  Bytes aad_pool(100);
+  rng.Fill(pt_pool);
+  rng.Fill(aad_pool);
+  // GcmSeal and GcmOpen share this thread's cipher context on the EVP path
+  // and keep its AES-128-GCM state between calls. Each input is sealed
+  // right after an open of the previous one, under a fresh key, and every
+  // other one right after a failed open.
+  size_t round = 0;
+  for (size_t aad_len : aad_sizes) {
+    const BytesView aad(aad_pool.data(), aad_len);
+    for (size_t pt_len : pt_sizes) {
+      const BytesView pt(pt_pool.data(), pt_len);
+      const Key128 key = RandomKey128();
+      if (round++ % 2 == 1) {
+        ASSERT_FALSE(
+            GcmOpen(key, GcmSeal(RandomKey128(), pt, aad), aad).ok());
+      }
+      // Same key and nonce: byte-identical ciphertext and tag.
+      Bytes ours = GcmSeal(key, pt, aad);
+      Bytes ref = LegacyGcmSeal(key, BytesView(ours.data(), kGcmNonceSize),
+                                pt, aad);
+      ASSERT_EQ(ours, ref) << "aad " << aad_len << " plaintext " << pt_len;
 
-    // Each side opens the other's blob.
-    auto opened_by_ref = LegacyGcmOpen(key, ours, aad);
-    ASSERT_TRUE(opened_by_ref.has_value()) << "plaintext size " << pt.size();
-    EXPECT_EQ(*opened_by_ref, pt);
-    auto opened_by_us = GcmOpen(key, LegacyGcmSeal(key, fixed_nonce, pt, aad),
-                                aad);
-    ASSERT_TRUE(opened_by_us.ok()) << opened_by_us.status().ToString();
-    EXPECT_EQ(*opened_by_us, pt);
+      // Each side opens the other's blob.
+      auto opened_by_ref = LegacyGcmOpen(key, ours, aad);
+      ASSERT_TRUE(opened_by_ref.has_value())
+          << "aad " << aad_len << " plaintext " << pt_len;
+      ASSERT_EQ(*opened_by_ref, Bytes(pt.begin(), pt.end()));
+      auto opened_by_us =
+          GcmOpen(key, LegacyGcmSeal(key, fixed_nonce, pt, aad), aad);
+      ASSERT_TRUE(opened_by_us.ok()) << opened_by_us.status().ToString();
+      ASSERT_EQ(*opened_by_us, Bytes(pt.begin(), pt.end()));
+    }
+  }
+}
+
+// GcmSealInPlace leaves the layout GcmSeal returns: the nonce it drew, the
+// ciphertext where the plaintext was, then the tag.
+TEST(AesGcm, SealInPlaceMatchesLegacyEvpPath) {
+  const Key128 key = RandomKey128();
+  const Bytes aad = ToBytes("chunk-42");
+  for (size_t pt_len : {0, 1, 33, 200}) {
+    Bytes pt(pt_len);
+    DeterministicRng(pt_len).Fill(pt);
+    Bytes buf(kGcmNonceSize + pt_len + kGcmTagSize);
+    std::copy(pt.begin(), pt.end(), buf.begin() + kGcmNonceSize);
+    GcmSealInPlace(key, buf, aad);
+    EXPECT_EQ(buf, LegacyGcmSeal(key, BytesView(buf.data(), kGcmNonceSize),
+                                 pt, aad))
+        << "plaintext " << pt_len;
+  }
+}
+
+struct GcmSpecCase {
+  const char* key;
+  const char* iv;
+  const char* plaintext;
+  const char* aad;
+  const char* ciphertext;
+  const char* tag;
+};
+
+// McGrew and Viega, "The Galois/Counter Mode of Operation (GCM)", test
+// cases 1-4: AES-128 with a 96-bit IV.
+constexpr GcmSpecCase kGcmSpecCases[] = {
+    {"00000000000000000000000000000000", "000000000000000000000000", "", "",
+     "", "58e2fccefa7e3061367f1d57a4e7455a"},
+    {"00000000000000000000000000000000", "000000000000000000000000",
+     "00000000000000000000000000000000", "",
+     "0388dace60b6a392f328c2b971b2fe78", "ab6e47d42cec13bdf53a67b21257bddf"},
+    {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+     "",
+     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+     "4d5c2af327cd64a62cf35abd2ba6fab4"},
+    {"feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+     "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+     "5bc94fbc3221a5db94fae95ae7121a47"},
+};
+
+TEST(AesGcm, OpensGcmSpecTestCases1To4) {
+  for (size_t i = 0; i < std::size(kGcmSpecCases); ++i) {
+    const GcmSpecCase& c = kGcmSpecCases[i];
+    Key128 key;
+    const Bytes key_bytes = FromHex(c.key).value();
+    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+    const Bytes iv = FromHex(c.iv).value();
+    const Bytes pt = FromHex(c.plaintext).value();
+    const Bytes aad = FromHex(c.aad).value();
+    Bytes sealed = iv;
+    Append(sealed, FromHex(c.ciphertext).value());
+    Append(sealed, FromHex(c.tag).value());
+    // The typed vector is first checked against the EVP reference.
+    ASSERT_EQ(LegacyGcmSeal(key, iv, pt, aad), sealed) << "test case " << i + 1;
+    auto open = GcmOpen(key, sealed, aad);
+    ASSERT_TRUE(open.ok()) << "test case " << i + 1 << ": "
+                           << open.status().ToString();
+    EXPECT_EQ(*open, pt) << "test case " << i + 1;
+  }
+}
+
+// One flipped bit in any tag byte, the first or last ciphertext byte, or
+// the AAD fails the open with DataLoss and returns no plaintext.
+TEST(AesGcm, EveryTamperedByteIsDataLoss) {
+  const Key128 key = RandomKey128();
+  Bytes aad = ToBytes("tc-chunk-aad");
+  Bytes pt(40);
+  DeterministicRng(5).Fill(pt);
+  const Bytes sealed = GcmSeal(key, pt, aad);
+  const size_t ct_end = sealed.size() - kGcmTagSize;
+  std::vector<size_t> positions = {kGcmNonceSize, ct_end - 1};
+  for (size_t i = ct_end; i < sealed.size(); ++i) positions.push_back(i);
+  ASSERT_EQ(positions.size(), 18u);
+  for (size_t pos : positions) {
+    Bytes tampered = sealed;
+    tampered[pos] ^= 0x01;
+    auto open = GcmOpen(key, tampered, aad);
+    ASSERT_FALSE(open.ok()) << "byte " << pos;
+    EXPECT_EQ(open.status().code(), StatusCode::kDataLoss) << "byte " << pos;
+  }
+  aad[3] ^= 0x80;
+  auto open = GcmOpen(key, sealed, aad);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(AesGcm, DispatchHonoursDisableEnv) {
+  // The CTest entry crypto_aead_test_soft_fallback reruns this binary with
+  // TC_DISABLE_AESNI=1: the native path must then report off, so every
+  // test above runs on OpenSSL's EVP path.
+  const char* disabled = std::getenv("TC_DISABLE_AESNI");
+  if (disabled != nullptr && *disabled != '\0' && *disabled != '0') {
+    EXPECT_FALSE(GcmIsNative());
   }
 }
 
@@ -212,20 +337,6 @@ TEST(AesGcm, ForkedChildDoesNotReuseParentNonces) {
               child_nonce)
         << "parent nonce " << i;
   }
-}
-
-TEST(AesGcm, OpensGcmSpecTestCase2) {
-  // McGrew-Viega GCM spec, test case 2: zero key, zero 96-bit IV, one zero
-  // block of plaintext.
-  const Key128 key{};
-  Bytes sealed = FromHex(
-                     "000000000000000000000000"
-                     "0388dace60b6a392f328c2b971b2fe78"
-                     "ab6e47d42cec13bdf53a67b21257bddf")
-                     .value();
-  auto open = GcmOpen(key, sealed);
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  EXPECT_EQ(*open, Bytes(16, 0));
 }
 
 TEST(AesGcm, RoundTrip) {
