@@ -30,13 +30,8 @@ Status ChunkBuilder::Add(const index::DataPoint& point) {
 
 Result<Bytes> ChunkBuilder::SealPayload(
     const crypto::Key128& payload_key) const {
-  // The compressed points land between the nonce and tag room and are
-  // sealed where they lie: one buffer from points to sealed payload.
-  TC_ASSIGN_OR_RETURN(Bytes sealed,
-                      CompressPoints(points_, codec_, crypto::kGcmNonceSize,
-                                     crypto::kGcmTagSize));
-  crypto::GcmSealInPlace(payload_key, sealed, ChunkAad(index_));
-  return sealed;
+  TC_ASSIGN_OR_RETURN(Bytes compressed, CompressPoints(points_, codec_));
+  return crypto::GcmSeal(payload_key, compressed, ChunkAad(index_));
 }
 
 void ChunkBuilder::Reset(uint64_t chunk_index, TimeRange window) {

@@ -3,67 +3,16 @@
 #include <zlib.h>
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "chunk/gorilla.hpp"
 #include "common/io.hpp"
-#include "common/varint.hpp"
 
 namespace tc::chunk {
 
 namespace {
 constexpr uint8_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 2;  // format version, codec
-
-/// Calls `emit` with each varint of the delta body: the point count, then
-/// per point the zigzag deltas of timestamp and value. The first point is
-/// stored absolute; the deltas wrap modulo 2^64, so far-apart values cannot
-/// overflow.
-template <typename Emit>
-void ForEachBodyVarint(std::span<const index::DataPoint> points, Emit emit) {
-  emit(points.size());
-  uint64_t prev_ts = 0;
-  uint64_t prev_val = 0;
-  for (const auto& p : points) {
-    const auto ts = static_cast<uint64_t>(p.timestamp_ms);
-    const auto val = static_cast<uint64_t>(p.value);
-    emit(ZigzagEncode(static_cast<int64_t>(ts - prev_ts)));
-    emit(ZigzagEncode(static_cast<int64_t>(val - prev_val)));
-    prev_ts = ts;
-    prev_val = val;
-  }
 }
-
-size_t DeltaBodySize(std::span<const index::DataPoint> points) {
-  size_t size = 0;
-  ForEachBodyVarint(points, [&size](uint64_t v) {
-    size += (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
-  });
-  return size;
-}
-
-void WriteDeltaBody(std::span<const index::DataPoint> points, uint8_t* out) {
-  ForEachBodyVarint(points, [&out](uint64_t v) { out += PutVarint(out, v); });
-}
-
-/// A buffer of head_room + header + body_size + tail_room bytes with the
-/// header written.
-Bytes Frame(Compression stored, size_t body_size, size_t head_room,
-            size_t tail_room) {
-  Bytes out(head_room + kHeaderBytes + body_size + tail_room);
-  out[head_room] = kFormatVersion;
-  out[head_room + 1] = static_cast<uint8_t>(stored);
-  return out;
-}
-
-Bytes FrameCopy(Compression stored, BytesView body, size_t head_room,
-                size_t tail_room) {
-  Bytes out = Frame(stored, body.size(), head_room, tail_room);
-  std::copy(body.begin(), body.end(), out.begin() + head_room + kHeaderBytes);
-  return out;
-}
-}  // namespace
 
 Result<Bytes> ZlibDeflate(BytesView data) {
   // One deflate state per thread, reset per call. compress2 builds and
@@ -139,26 +88,44 @@ Result<Bytes> ZlibInflate(BytesView data, size_t max_output) {
 }
 
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
-                             Compression codec, size_t head_room,
-                             size_t tail_room) {
+                             Compression codec) {
+  Bytes out;
+  out.push_back(kFormatVersion);
+
   if (codec == Compression::kGorilla) {
-    return FrameCopy(Compression::kGorilla, GorillaCompress(points),
-                     head_room, tail_room);
+    out.push_back(static_cast<uint8_t>(Compression::kGorilla));
+    Append(out, GorillaCompress(points));
+    return out;
   }
-  const size_t body_size = DeltaBodySize(points);
+
+  // Delta+zigzag+varint both columns. First point stored absolute. The
+  // deltas wrap modulo 2^64, so far-apart values cannot overflow.
+  BinaryWriter w(points.size() * 4 + 16);
+  w.PutVar(points.size());
+  uint64_t prev_ts = 0;
+  uint64_t prev_val = 0;
+  for (const auto& p : points) {
+    const auto ts = static_cast<uint64_t>(p.timestamp_ms);
+    const auto val = static_cast<uint64_t>(p.value);
+    w.PutVarSigned(static_cast<int64_t>(ts - prev_ts));
+    w.PutVarSigned(static_cast<int64_t>(val - prev_val));
+    prev_ts = ts;
+    prev_val = val;
+  }
+
+  Bytes body = std::move(w).Take();
   // A short body is stored raw without a deflate attempt (kMinDeflateBody).
-  if (codec == Compression::kZlib && body_size >= kMinDeflateBody) {
-    Bytes body(body_size);
-    WriteDeltaBody(points, body.data());
+  if (codec == Compression::kZlib && body.size() >= kMinDeflateBody) {
     TC_ASSIGN_OR_RETURN(Bytes deflated, ZlibDeflate(body));
     // Keep whichever representation is smaller (incompressible data).
     if (deflated.size() < body.size()) {
-      return FrameCopy(Compression::kZlib, deflated, head_room, tail_room);
+      out.push_back(static_cast<uint8_t>(Compression::kZlib));
+      Append(out, deflated);
+      return out;
     }
-    return FrameCopy(Compression::kNone, body, head_room, tail_room);
   }
-  Bytes out = Frame(Compression::kNone, body_size, head_room, tail_room);
-  WriteDeltaBody(points, out.data() + head_room + kHeaderBytes);
+  out.push_back(static_cast<uint8_t>(Compression::kNone));
+  Append(out, body);
   return out;
 }
 

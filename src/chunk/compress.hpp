@@ -29,15 +29,9 @@ enum class Compression : uint8_t {
 /// under 0.002 bytes.
 inline constexpr size_t kMinDeflateBody = 64;
 
-/// Serialize and compress a batch of points: a format byte, the codec
-/// byte, then the body. The bytes sit after `head_room` zero bytes and
-/// before `tail_room` more, so a caller can seal them in place (the chunk
-/// seal leaves room for the GCM nonce and tag). A delta+varint body is
-/// written straight into the result; a deflated or gorilla body is built
-/// first and copied in.
+/// Serialize and compress a batch of points.
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
-                             Compression codec, size_t head_room = 0,
-                             size_t tail_room = 0);
+                             Compression codec);
 
 /// Inverse of CompressPoints.
 Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data);

@@ -286,16 +286,13 @@ bool GcmIsNative() {
 #endif
 }
 
-void GcmSealInPlace(const Key128& key, MutableBytesView buf, BytesView aad) {
-  if (buf.size() < kGcmNonceSize + kGcmTagSize) {
-    std::fprintf(stderr, "fatal: GcmSealInPlace buffer has no room for the "
-                         "nonce and tag\n");
-    std::abort();
-  }
-  uint8_t* nonce = buf.data();
+Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
+  Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
+  uint8_t* nonce = out.data();
   uint8_t* data = nonce + kGcmNonceSize;
-  const size_t len = buf.size() - kGcmNonceSize - kGcmTagSize;
+  const size_t len = plaintext.size();
   uint8_t* tag = data + len;
+  if (len > 0) std::memcpy(data, plaintext.data(), len);
   NextNonce(nonce);
 
 #if defined(TC_GCM_NATIVE_COMPILED)
@@ -304,7 +301,7 @@ void GcmSealInPlace(const Key128& key, MutableBytesView buf, BytesView aad) {
     gcm.Crypt(data, len);
     const Block128 computed = gcm.Tag(aad, data, len);
     std::memcpy(tag, computed.data(), kGcmTagSize);
-    return;
+    return out;
   }
 #endif
 
@@ -331,15 +328,6 @@ void GcmSealInPlace(const Key128& key, MutableBytesView buf, BytesView aad) {
   if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize, tag) != 1) {
     FatalOpenSsl("GET_TAG");
   }
-}
-
-Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
-  Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
-  if (!plaintext.empty()) {
-    std::memcpy(out.data() + kGcmNonceSize, plaintext.data(),
-                plaintext.size());
-  }
-  GcmSealInPlace(key, out, aad);
   return out;
 }
 

@@ -26,11 +26,11 @@ constexpr size_t kGcmTagSize = 16;
 /// True when this process seals and opens on the native path. Cached.
 bool GcmIsNative();
 
-/// Encrypt in place. `buf` is laid out nonce(12) || plaintext || tag(16):
-/// the call draws a fresh nonce into the first 12 bytes, encrypts the
-/// plaintext where it lies and writes the tag into the last 16, giving
-/// GcmSeal's output layout without a copy. `buf` must hold at least the
-/// nonce and tag; a shorter one aborts (a caller bug).
+/// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
+/// random nonce is drawn per call; with per-chunk keys nonce reuse across
+/// chunks is impossible by construction. Both paths seal in place: the
+/// plaintext is copied once into the output, between the nonce and tag
+/// room, and encrypted where it lies (EVP GCM accepts out == in).
 ///
 /// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
 /// one RandomBytes call refills, instead of one CSPRNG call per seal. A
@@ -40,13 +40,6 @@ bool GcmIsNative();
 /// parent holds, without a getpid call per seal. A child made by a raw
 /// clone or fork system call runs no atfork handlers, so it must not seal
 /// before it execs. Nonces are public, so the reserve needs no scrubbing.
-void GcmSealInPlace(TC_SECRET const Key128& key, MutableBytesView buf,
-                    BytesView aad = {});
-
-/// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
-/// random nonce is drawn per call; with per-chunk keys nonce reuse across
-/// chunks is impossible by construction. Copies `plaintext` into the output
-/// and seals it with GcmSealInPlace.
 Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
               BytesView aad = {});
 

@@ -260,8 +260,7 @@ std::unique_ptr<DigestCipher> MakeHeacCipher(
 }
 
 Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
-                              std::span<const uint64_t> fields,
-                              uint64_t /*index*/,
+                              std::span<const uint64_t> fields, uint64_t index,
                               const crypto::FieldKeys& keys_i,
                               const crypto::FieldKeys& keys_n) {
   if (fields.size() != codec.num_fields() ||
@@ -269,12 +268,9 @@ Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
       keys_n.num_fields() != codec.num_fields()) {
     return InvalidArgument("field count mismatch");
   }
-  // HeacCodec::Encrypt's fields, written straight into the blob.
-  Bytes blob(fields.size() * sizeof(uint64_t));
-  for (size_t f = 0; f < fields.size(); ++f) {
-    const uint64_t c = fields[f] + keys_i.key(f) - keys_n.key(f);
-    std::memcpy(blob.data() + f * sizeof(c), &c, sizeof(c));
-  }
+  crypto::HeacCiphertext c = codec.Encrypt(fields, index, keys_i, keys_n);
+  Bytes blob(c.fields.size() * sizeof(uint64_t));
+  std::memcpy(blob.data(), c.fields.data(), blob.size());
   return blob;
 }
 

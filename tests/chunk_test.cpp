@@ -2,8 +2,7 @@
 // extremes included), the raw-body floor under kMinDeflateBody, deflate
 // output against compress2 (one thread and four at once), the inflate size
 // limit, builder window enforcement, seal/open with chunk binding, the
-// pinned chunk AAD bytes, and the one-buffer seal against CompressPoints and
-// a payload sealed before it.
+// pinned chunk AAD bytes, and a payload sealed by an earlier build.
 #include <gtest/gtest.h>
 #include <zlib.h>
 
@@ -356,33 +355,6 @@ TEST(ChunkBuilder, OpensPinnedStoredPayload) {
     expected.push_back({50'000 + i * 1000, 600 + (i % 3)});
   }
   EXPECT_EQ(*points, expected);
-}
-
-TEST(ChunkBuilder, SealedPlaintextIsCompressPointsOutput) {
-  // SealPayload writes the compressed points straight into the sealed
-  // buffer; opening it must give exactly CompressPoints' bytes, on every
-  // codec and on both sides of kMinDeflateBody.
-  const crypto::Key128 key = crypto::RandomKey128();
-  for (Compression codec :
-       {Compression::kNone, Compression::kZlib, Compression::kGorilla}) {
-    for (size_t n : {0, 1, 10, 31, 500}) {
-      const auto pts = RegularSeries(n, 90'000);
-      ChunkBuilder b(9, {90'000, 200'000}, codec);
-      for (const auto& p : pts) ASSERT_TRUE(b.Add(p).ok());
-      auto sealed = b.SealPayload(key);
-      ASSERT_TRUE(sealed.ok());
-      auto compressed = CompressPoints(pts, codec);
-      ASSERT_TRUE(compressed.ok());
-      EXPECT_EQ(sealed->size(), crypto::kGcmNonceSize + compressed->size() +
-                                    crypto::kGcmTagSize);
-      auto plain = crypto::GcmOpen(key, *sealed, ChunkAad(9));
-      ASSERT_TRUE(plain.ok()) << "codec " << static_cast<int>(codec)
-                              << " points " << n;
-      EXPECT_EQ(*plain, *compressed)
-          << "codec " << static_cast<int>(codec) << " points " << n;
-      EXPECT_EQ(*OpenPayload(key, 9, *sealed), pts);
-    }
-  }
 }
 
 TEST(ChunkBuilder, ResetStartsFreshWindow) {

@@ -171,23 +171,6 @@ TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
   }
 }
 
-// GcmSealInPlace leaves the layout GcmSeal returns: the nonce it drew, the
-// ciphertext where the plaintext was, then the tag.
-TEST(AesGcm, SealInPlaceMatchesLegacyEvpPath) {
-  const Key128 key = RandomKey128();
-  const Bytes aad = ToBytes("chunk-42");
-  for (size_t pt_len : {0, 1, 33, 200}) {
-    Bytes pt(pt_len);
-    DeterministicRng(pt_len).Fill(pt);
-    Bytes buf(kGcmNonceSize + pt_len + kGcmTagSize);
-    std::copy(pt.begin(), pt.end(), buf.begin() + kGcmNonceSize);
-    GcmSealInPlace(key, buf, aad);
-    EXPECT_EQ(buf, LegacyGcmSeal(key, BytesView(buf.data(), kGcmNonceSize),
-                                 pt, aad))
-        << "plaintext " << pt_len;
-  }
-}
-
 struct GcmSpecCase {
   const char* key;
   const char* iv;
