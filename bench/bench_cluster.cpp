@@ -458,11 +458,9 @@ void BenchScatterGatherLatency(const std::vector<size_t>& shard_counts,
 #endif
 
 void BenchMetricsOverhead(bool assert_bound) {
-  // The marginal cost the TC_METRICS=OFF kill switch removes: one
-  // Counter::Inc plus one LatencyHistogram::Record per request (the
-  // per-message-type count + latency pair every instrumented handler pays).
-  // In the OFF build both calls compile to nothing, so this same binary
-  // asserts the switch works: the loop must then cost ~0 ns/op.
+  // The marginal cost of the metrics registry: one Counter::Inc plus one
+  // LatencyHistogram::Record per request (the per-message-type count +
+  // latency pair every instrumented handler pays).
   constexpr uint64_t kOps = 2'000'000;
   auto& ops = metrics::GetCounter("tc_bench_overhead_total");
   auto& latency = metrics::GetHistogram("tc_bench_overhead_us");
@@ -473,9 +471,8 @@ void BenchMetricsOverhead(bool assert_bound) {
   }
   double ns_per_op = timer.Seconds() * 1e9 / static_cast<double>(kOps);
   std::printf(
-      "== metrics record overhead (%s): %.1f ns per instrumented "
-      "request ==\n\n",
-      metrics::kEnabled ? "registry on" : "TC_METRICS=OFF", ns_per_op);
+      "== metrics record overhead: %.1f ns per instrumented request ==\n\n",
+      ns_per_op);
   // Anything under this bound is lost in the noise of a ~28 us request
   // round trip (the pipelined-ingest path above); a regression to a locked
   // or false-sharing record path would blow through it by an order of
@@ -498,17 +495,15 @@ void BenchMetricsOverhead(bool assert_bound) {
 void BenchSpanOverhead(bool assert_bound) {
   // The marginal cost of distributed tracing: one TraceSpan open/close per
   // request — two clock reads, the sampling hash, and a lock-free ring
-  // push. Under TC_METRICS=OFF the span compiles to nothing, so the same
-  // binary asserts the kill switch covers tracing too.
+  // push.
   constexpr uint64_t kOps = 1'000'000;
   WallTimer timer;
   for (uint64_t i = 0; i < kOps; ++i) {
     metrics::TraceSpan span("bench_span", nullptr, 0, 0);
   }
   double ns_per_op = timer.Seconds() * 1e9 / static_cast<double>(kOps);
-  std::printf(
-      "== span record overhead (%s): %.1f ns per traced request ==\n\n",
-      metrics::kEnabled ? "registry on" : "TC_METRICS=OFF", ns_per_op);
+  std::printf("== span record overhead: %.1f ns per traced request ==\n\n",
+              ns_per_op);
   // Same noise bound as the counter+histogram pair above: a span is two
   // steady_clock reads plus a seqlock-slot write, far under the ~28 us
   // request round trip. A regression to a locked ring blows through it.

@@ -110,10 +110,9 @@ inline bool LargeRuns() {
 /// Server-side view of where the benchmark's requests spent their time:
 /// renders the tc_server_request_seconds (per message type) and
 /// tc_server_stage_seconds (per pipeline stage) histograms the engines
-/// recorded while the bench drove them. Prints nothing under TC_METRICS=OFF
-/// or when no instrumented path ran.
+/// recorded while the bench drove them. Prints nothing when no instrumented
+/// path ran.
 inline void PrintStageBreakdown() {
-  if constexpr (!metrics::kEnabled) return;
   auto samples = metrics::MetricsRegistry::Instance().Collect();
   bool header = false;
   for (const auto& sample : samples) {

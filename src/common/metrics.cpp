@@ -139,15 +139,13 @@ const char* SanitizerName() {
 MetricsRegistry& MetricsRegistry::Instance() {
   static MetricsRegistry* registry = [] {
     auto* r = new MetricsRegistry();  // never torn down
-    if constexpr (kEnabled) {
-      // Value is always 1; the labels carry the build identity so one
-      // scrape answers "what is this binary" (version, metrics build,
-      // sanitizer) without shell access to the host.
-      std::string labels = "version=\"8\",metrics=\"on\",sanitizer=\"";
-      labels += SanitizerName();
-      labels += '"';
-      r->GetGauge("tc_build_info", labels).Set(1);
-    }
+    // Value is always 1; the labels carry the build identity so one scrape
+    // answers "what is this binary" (version, sanitizer) without shell
+    // access to the host.
+    std::string labels = "version=\"8\",sanitizer=\"";
+    labels += SanitizerName();
+    labels += '"';
+    r->GetGauge("tc_build_info", labels).Set(1);
     return r;
   }();
   return *registry;
@@ -211,10 +209,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
   std::vector<MetricSample> samples = Collect();
   std::string out;
   out.reserve(4096);
-  if constexpr (!kEnabled) {
-    out += "# metrics disabled at compile time (TC_METRICS=OFF)\n";
-    return out;
-  }
   std::string last_family;
   for (const MetricSample& s : samples) {
     switch (s.kind) {
@@ -303,7 +297,6 @@ TraceContext OutgoingTraceContext() {
 TraceSpan::TraceSpan(const char* op, LatencyHistogram* total_hist,
                      uint32_t shard, uint8_t msg_type)
     : op_(op), total_hist_(total_hist), shard_(shard), msg_type_(msg_type) {
-  if constexpr (!kEnabled) return;
   trace_id_ = g_trace_id;
   span_id_ = NextSpanId();
   parent_ = g_current_span;
@@ -315,7 +308,6 @@ TraceSpan::TraceSpan(const char* op, LatencyHistogram* total_hist,
 }
 
 void TraceSpan::Stage(const char* name, LatencyHistogram* hist) {
-  if constexpr (!kEnabled) return;
   auto now = std::chrono::steady_clock::now();
   uint64_t us = ElapsedUs(stage_start_, now);
   stage_start_ = now;
@@ -324,7 +316,6 @@ void TraceSpan::Stage(const char* name, LatencyHistogram* hist) {
 }
 
 TraceSpan::~TraceSpan() {
-  if constexpr (!kEnabled) return;
   g_current_span = parent_;
   uint64_t total_us = ElapsedUs(start_, std::chrono::steady_clock::now());
   if (total_hist_ != nullptr) total_hist_->Record(total_us);
@@ -362,7 +353,6 @@ TraceSpan::~TraceSpan() {
 }
 
 void TraceSpan::StageMark(const char* name, LatencyHistogram* hist) {
-  if constexpr (!kEnabled) return;
   if (g_current_span != nullptr) g_current_span->Stage(name, hist);
 }
 

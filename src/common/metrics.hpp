@@ -16,9 +16,9 @@
 // configured threshold (`tcserver --slow-op-ms`), carrying the per-request
 // trace id the wire layer stamped on the handling thread.
 //
-// Compile-time kill switch: configure with -DTC_METRICS=OFF and every
-// recording call compiles to nothing (`kEnabled` is false); the registry
-// then reports no samples. Used by CI to bound instrumentation overhead.
+// There is one build and it is instrumented. What recording costs is
+// bounded by bench_cluster's two overhead gates (counter+histogram record
+// and span, each under 250 ns; run in tier-1 as smoke_bench_cluster).
 #pragma once
 
 #include <array>
@@ -35,18 +35,14 @@
 
 namespace tc::metrics {
 
-#if defined(TC_METRICS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
+/// Always true: metrics are always compiled in. Kept only for callers that
+/// still read it; new code must not branch on it.
 inline constexpr bool kEnabled = true;
-#endif
 
 /// Monotonic event count. Prometheus kind: counter (name them *_total).
 class Counter {
  public:
-  void Inc(uint64_t n = 1) {
-    if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void Inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -56,15 +52,9 @@ class Counter {
 /// Instantaneous level (queue depths, connection counts, lag).
 class Gauge {
  public:
-  void Set(int64_t v) {
-    if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
-  }
-  void Inc(int64_t n = 1) {
-    if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void Dec(int64_t n = 1) {
-    if constexpr (kEnabled) v_.fetch_sub(n, std::memory_order_relaxed);
-  }
+  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Inc(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void Dec(int64_t n = 1) { v_.fetch_sub(n, std::memory_order_relaxed); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -87,7 +77,6 @@ class LatencyHistogram {
   static constexpr size_t kNumBuckets = HistogramSnapshot::kNumBuckets;
 
   void Record(uint64_t value) {
-    if constexpr (!kEnabled) return;
     sum_.fetch_add(value, std::memory_order_relaxed);
     uint64_t seen = max_.load(std::memory_order_relaxed);
     while (seen < value &&
@@ -222,16 +211,13 @@ TraceContext OutgoingTraceContext();
 /// Times one scope into a histogram (for sites that need no stage split).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(LatencyHistogram& hist) : hist_(hist) {
-    if constexpr (kEnabled) start_ = std::chrono::steady_clock::now();
-  }
+  explicit ScopedTimer(LatencyHistogram& hist)
+      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
-    if constexpr (kEnabled) {
-      hist_.Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start_)
-              .count()));
-    }
+    hist_.Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count()));
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "common/metrics.hpp"
+
 namespace tc::trace {
 
 namespace {

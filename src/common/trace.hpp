@@ -24,10 +24,6 @@
 // follower daemons agree on every trace without a wire flag — one sampled
 // trace is sampled everywhere, or nowhere. Slow ops bypass sampling and are
 // always retained.
-//
-// Under TC_METRICS=OFF every record path compiles to nothing (the spans are
-// never constructed and RecordEvent is constexpr-gated), and tcserver
-// rejects --trace-sample/--event-log outright.
 #pragma once
 
 #include <array>
@@ -38,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 
@@ -156,16 +151,10 @@ class EventJournal {
   std::FILE* log_ GUARDED_BY(mu_) = nullptr;
 };
 
-/// Record one lifecycle event; compiles to nothing under TC_METRICS=OFF.
+/// Record one lifecycle event in the process journal.
 inline void RecordEvent(const char* kind, uint32_t shard,
                         std::string detail) {
-  if constexpr (metrics::kEnabled) {
-    EventJournal::Instance().Record(kind, shard, std::move(detail));
-  } else {
-    (void)kind;
-    (void)shard;
-    (void)detail;
-  }
+  EventJournal::Instance().Record(kind, shard, std::move(detail));
 }
 
 }  // namespace tc::trace

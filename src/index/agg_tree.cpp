@@ -238,9 +238,6 @@ Result<Bytes> AggTree::Query(uint64_t first, uint64_t last,
 }
 
 Status AggTree::Recover() {
-  // The probe assumes level-0 nodes form a contiguous prefix, which decay
-  // (DecayLeafRange) can break: recover *before* re-applying retention
-  // policies, or persist the decay watermark externally.
   if (!kv_->Contains(NodeKey(0, 0))) {
     next_index_ = 0;
     return Status::Ok();
@@ -290,27 +287,6 @@ Result<Bytes> AggTree::LeafDigest(uint64_t index) const {
   }
   BytesView view = BytesView(node).subspan(entry * bs, bs);
   return Bytes(view.begin(), view.end());
-}
-
-Status AggTree::DecayLeafRange(uint64_t first, uint64_t last) {
-  if (first >= last || last > next_index_) {
-    return InvalidArgument("bad decay range");
-  }
-  const uint32_t k = options_.fanout;
-  // Only drop level-0 nodes fully inside the range whose parents captured
-  // their aggregate (i.e. complete nodes).
-  uint64_t node_first = (first + k - 1) / k;
-  uint64_t node_last = last / k;
-  for (uint64_t n = node_first; n < node_last; ++n) {
-    // Parent aggregate exists only if the node completed.
-    if ((n + 1) * k <= next_index_) {
-      std::string key = NodeKey(0, n);
-      cache_.Erase(key);
-      Status s = kv_->Delete(key);
-      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-    }
-  }
-  return Status::Ok();
 }
 
 Status AggTree::Drop() {

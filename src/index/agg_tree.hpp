@@ -76,13 +76,8 @@ class AggTree {
   Result<Bytes> Query(uint64_t first, uint64_t last, QueryStats& stats) const;
 
   /// The stored level-0 digest blob of one chunk (witnessed reads need the
-  /// exact ciphertext bytes the producer uploaded). NotFound after decay.
+  /// exact ciphertext bytes the producer uploaded).
   Result<Bytes> LeafDigest(uint64_t index) const;
-
-  /// Drop a leaf-level digest range [first, last) — data decay support.
-  /// Higher-level aggregates are retained, so coarse statistics over the
-  /// decayed range still answer (the paper's retention/rollup model).
-  Status DecayLeafRange(uint64_t first, uint64_t last);
 
   /// Delete every node of the tree from the store, including any that a
   /// failed run wrote past the position. The tree is empty afterwards.

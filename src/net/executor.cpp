@@ -5,7 +5,7 @@
 namespace tc::net {
 
 Executor::Executor(size_t num_threads, const char* pool_name) {
-  if (metrics::kEnabled && pool_name != nullptr) {
+  if (pool_name != nullptr) {
     std::string labels = std::string("pool=\"") + pool_name + "\"";
     queue_depth_ = &metrics::GetGauge("tc_executor_queue_depth", labels);
     dispatch_wait_ =

@@ -8,7 +8,7 @@ namespace tc::net {
 
 namespace {
 
-/// Every metric the registry holds (empty under TC_METRICS=OFF).
+/// Every metric the registry holds.
 MetricsInfoResponse FromRegistry() {
   MetricsInfoResponse resp;
   for (const metrics::MetricSample& s :

@@ -162,10 +162,8 @@ struct TcpServer::Conn {
     Bytes body = result.ok() ? EncodeResponseBody(Status::Ok(), *result)
                              : EncodeResponseBody(result.status(), {});
     Bytes frame = EncodeFrame(MessageType::kResponse, request_id, body);
-    if constexpr (metrics::kEnabled) {
-      ServerVolume().tx_frames.Inc();
-      ServerVolume().tx_bytes.Inc(frame.size());
-    }
+    ServerVolume().tx_frames.Inc();
+    ServerVolume().tx_bytes.Inc(frame.size());
     MutexLock lock(write_mu);
     // tc_analyze:allow(blocking-under-lock,blocking-in-executor) write_mu exists to serialize whole frames onto the socket — the write IS its critical section — and dispatch-pool handlers are the intended writers until the epoll rewrite (ROADMAP, gated on green B2)
     if (!WriteAll(fd, frame).ok()) {
@@ -179,11 +177,6 @@ struct TcpServer::Conn {
 TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
                      TcpServerOptions options)
     : handler_(std::move(handler)), port_(port), options_(options) {}
-
-TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
-                     bool bind_any)
-    : TcpServer(std::move(handler), port,
-                TcpServerOptions{.bind_any = bind_any}) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
@@ -290,16 +283,14 @@ void TcpServer::HandleRequest(const std::shared_ptr<Conn>& conn,
   // request), else derive the origin id (connection serial | request id).
   // TraceSpans opened inside the handler inherit it and parent under the
   // caller's span.
-  if constexpr (metrics::kEnabled) {
-    uint64_t trace_id =
-        header.trace_id != 0
-            ? header.trace_id
-            : (conn->serial << 32) | (header.request_id & 0xffffffff);
-    metrics::SetCurrentTraceContext({trace_id, header.parent_span_id});
-  }
+  uint64_t trace_id =
+      header.trace_id != 0
+          ? header.trace_id
+          : (conn->serial << 32) | (header.request_id & 0xffffffff);
+  metrics::SetCurrentTraceContext({trace_id, header.parent_span_id});
   conn->WriteResponse(header.request_id,
                       handler_->Handle(header.type, body));
-  if constexpr (metrics::kEnabled) metrics::SetCurrentTraceContext({});
+  metrics::SetCurrentTraceContext({});
 }
 
 void TcpServer::DrainMutations(const std::shared_ptr<Conn>& conn) {
@@ -341,11 +332,9 @@ void TcpServer::ServeConnection(std::shared_ptr<Conn> conn) {
     }
     Bytes body(header->body_len);
     if (!ReadExact(conn->fd, body).ok()) break;
-    if constexpr (metrics::kEnabled) {
-      ServerVolume().rx_frames.Inc();
-      // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
-      ServerVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
-    }
+    ServerVolume().rx_frames.Inc();
+    // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
+    ServerVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
 
     {
       MutexLock lock(conn->inflight_mu);
@@ -550,14 +539,11 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
   WakeReader();
   // Stamp the caller's live trace context on the frame so the server's
   // spans land in the same trace, under the span issuing this call.
-  metrics::TraceContext ctx;
-  if constexpr (metrics::kEnabled) ctx = metrics::OutgoingTraceContext();
+  metrics::TraceContext ctx = metrics::OutgoingTraceContext();
   Bytes frame = EncodeFrame(type, id, body, ctx.trace_id,
                             ctx.parent_span_id);
-  if constexpr (metrics::kEnabled) {
-    ClientVolume().tx_frames.Inc();
-    ClientVolume().tx_bytes.Inc(frame.size());
-  }
+  ClientVolume().tx_frames.Inc();
+  ClientVolume().tx_bytes.Inc(frame.size());
   Status write_status;
   {
     MutexLock lock(write_mu_);
@@ -654,11 +640,9 @@ void TcpClient::ReaderLoop() {
       FailConnection(st);
       return;
     }
-    if constexpr (metrics::kEnabled) {
-      ClientVolume().rx_frames.Inc();
-      // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
-      ClientVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
-    }
+    ClientVolume().rx_frames.Inc();
+    // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
+    ClientVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
 
     std::optional<CallCompleter> completer;
     {

@@ -54,10 +54,7 @@ struct TcpServerOptions {
 class TcpServer {
  public:
   TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
-            TcpServerOptions options);
-  /// Compatibility constructor (pre-options call sites).
-  TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
-            bool bind_any = false);
+            TcpServerOptions options = {});
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;

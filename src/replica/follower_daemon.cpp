@@ -60,8 +60,9 @@ Status FollowerDaemon::Start(uint16_t port) {
   // across the network, so the endpoint must listen beyond loopback.
   bool bind_any = options_.advertise_host != "127.0.0.1" &&
                   options_.advertise_host != "localhost";
-  server_ = std::make_unique<net::TcpServer>(std::make_shared<Forwarder>(this),
-                                             port, bind_any);
+  server_ = std::make_unique<net::TcpServer>(
+      std::make_shared<Forwarder>(this), port,
+      net::TcpServerOptions{.bind_any = bind_any});
   TC_RETURN_IF_ERROR(server_->Start());
   {
     MutexLock lock(view_mu_);

@@ -378,24 +378,22 @@ net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
   auto compaction = StoreCompaction();
   info.store_dead_bytes = compaction.dead_bytes;
   info.store_compactions = static_cast<uint32_t>(compaction.compactions);
-  if constexpr (metrics::kEnabled) {
-    // Same values, shard-labeled, for the Prometheus exposition — one
-    // source for both surfaces.
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "shard=\"%u\"", shard);
-    metrics::GetGauge("tc_cluster_streams", labels)
-        .Set(static_cast<int64_t>(info.num_streams));
-    metrics::GetGauge("tc_cluster_index_bytes", labels)
-        .Set(static_cast<int64_t>(info.index_bytes));
-    metrics::GetGauge("tc_store_dead_bytes", labels)
-        .Set(static_cast<int64_t>(info.store_dead_bytes));
-    metrics::GetGauge("tc_store_compactions", labels)
-        .Set(static_cast<int64_t>(info.store_compactions));
-    metrics::GetGauge("tc_replica_lag_ops", labels)
-        .Set(static_cast<int64_t>(info.max_lag_ops));
-    metrics::GetGauge("tc_replica_promotions", labels)
-        .Set(static_cast<int64_t>(info.promotions));
-  }
+  // Same values, shard-labeled, for the Prometheus exposition — one
+  // source for both surfaces.
+  char labels[32];
+  std::snprintf(labels, sizeof(labels), "shard=\"%u\"", shard);
+  metrics::GetGauge("tc_cluster_streams", labels)
+      .Set(static_cast<int64_t>(info.num_streams));
+  metrics::GetGauge("tc_cluster_index_bytes", labels)
+      .Set(static_cast<int64_t>(info.index_bytes));
+  metrics::GetGauge("tc_store_dead_bytes", labels)
+      .Set(static_cast<int64_t>(info.store_dead_bytes));
+  metrics::GetGauge("tc_store_compactions", labels)
+      .Set(static_cast<int64_t>(info.store_compactions));
+  metrics::GetGauge("tc_replica_lag_ops", labels)
+      .Set(static_cast<int64_t>(info.max_lag_ops));
+  metrics::GetGauge("tc_replica_promotions", labels)
+      .Set(static_cast<int64_t>(info.promotions));
   return info;
 }
 

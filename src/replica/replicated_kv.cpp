@@ -263,12 +263,9 @@ Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
     // trace of the ingest that produced the ops (approximate for a batch
     // mixing traces — the last writer wins — but exact for the common
     // one-request burst).
-    if constexpr (metrics::kEnabled) {
-      metrics::TraceContext ctx = metrics::OutgoingTraceContext();
-      ship_trace_id_.store(ctx.trace_id, std::memory_order_relaxed);
-      ship_parent_span_.store(ctx.parent_span_id,
-                              std::memory_order_relaxed);
-    }
+    metrics::TraceContext ctx = metrics::OutgoingTraceContext();
+    ship_trace_id_.store(ctx.trace_id, std::memory_order_relaxed);
+    ship_parent_span_.store(ctx.parent_span_id, std::memory_order_relaxed);
     while (log_.size() > options_.max_log_ops) {
       log_.pop_front();
       ++log_first_seq_;
@@ -439,7 +436,7 @@ Status ReplicatedKvStore::StreamSnapshot(FollowerState* state,
     TC_RETURN_IF_ERROR(
         state->follower->ApplySnapshotChunk(snap_seq, chunk_first, chunk));
     snapshot_chunks_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (metrics::kEnabled) Ship().snapshot_chunks.Inc();
+    Ship().snapshot_chunks.Inc();
     chunk_first += chunk.size();
     chunk.clear();
     chunk_bytes = 0;
@@ -512,7 +509,7 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
         state->applied_seq.store(snap_seq, std::memory_order_release);
       }
       snapshots_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (metrics::kEnabled) Ship().snapshots.Inc();
+      Ship().snapshots.Inc();
       ack_cv_.NotifyAll();
       continue;
     }
@@ -525,21 +522,17 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
     mu_.unlock();
     // Ship under the originating request's trace context so the follower's
     // replica_ops span lands in the same trace as the ingest.
-    if constexpr (metrics::kEnabled) {
-      metrics::SetCurrentTraceContext(
-          {ship_trace_id_.load(std::memory_order_relaxed),
-           ship_parent_span_.load(std::memory_order_relaxed)});
-    }
+    metrics::SetCurrentTraceContext(
+        {ship_trace_id_.load(std::memory_order_relaxed),
+         ship_parent_span_.load(std::memory_order_relaxed)});
     auto ship_start = std::chrono::steady_clock::now();
     Status s = state->follower->ApplyOps(batch);
-    if constexpr (metrics::kEnabled) metrics::SetCurrentTraceContext({});
-    if constexpr (metrics::kEnabled) {
-      Ship().batch_ops.Record(batch.size());
-      Ship().ack_us.Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - ship_start)
-              .count()));
-    }
+    metrics::SetCurrentTraceContext({});
+    Ship().batch_ops.Record(batch.size());
+    Ship().ack_us.Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - ship_start)
+            .count()));
     mu_.lock();
     if (!s.ok()) {
       if (s.code() == StatusCode::kFailedPrecondition) {

@@ -679,18 +679,16 @@ net::ClusterInfoResponse::ShardInfo ServerEngine::ShardInfoSnapshot() const {
   auto compaction = StoreCompaction();
   info.store_dead_bytes = compaction.dead_bytes;
   info.store_compactions = static_cast<uint32_t>(compaction.compactions);
-  if constexpr (metrics::kEnabled) {
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "shard=\"%u\"", options_.shard_id);
-    metrics::GetGauge("tc_cluster_streams", labels)
-        .Set(static_cast<int64_t>(info.num_streams));
-    metrics::GetGauge("tc_cluster_index_bytes", labels)
-        .Set(static_cast<int64_t>(info.index_bytes));
-    metrics::GetGauge("tc_store_dead_bytes", labels)
-        .Set(static_cast<int64_t>(info.store_dead_bytes));
-    metrics::GetGauge("tc_store_compactions", labels)
-        .Set(static_cast<int64_t>(info.store_compactions));
-  }
+  char labels[32];
+  std::snprintf(labels, sizeof(labels), "shard=\"%u\"", options_.shard_id);
+  metrics::GetGauge("tc_cluster_streams", labels)
+      .Set(static_cast<int64_t>(info.num_streams));
+  metrics::GetGauge("tc_cluster_index_bytes", labels)
+      .Set(static_cast<int64_t>(info.index_bytes));
+  metrics::GetGauge("tc_store_dead_bytes", labels)
+      .Set(static_cast<int64_t>(info.store_dead_bytes));
+  metrics::GetGauge("tc_store_compactions", labels)
+      .Set(static_cast<int64_t>(info.store_compactions));
   return info;
 }
 

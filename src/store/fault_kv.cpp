@@ -70,6 +70,11 @@ Status FaultKvStore::Scan(
   return inner_->Scan(fn);
 }
 
+Status FaultKvStore::Sync() {
+  if (FailAll()) return Fault();
+  return inner_->Sync();
+}
+
 size_t FaultKvStore::Size() const { return inner_->Size(); }
 
 size_t FaultKvStore::ValueBytes() const { return inner_->ValueBytes(); }

@@ -46,6 +46,8 @@ class FaultKvStore final : public KvStore {
   /// is one logical operation, not a countable stream of faults).
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
+  /// Like Scan: fails only under the hard outage, else forwards.
+  TC_BLOCKING Status Sync() override;
   CompactionStats Compaction() const override { return inner_->Compaction(); }
 
   /// Flip the hard-outage switch (all operations fail until cleared).

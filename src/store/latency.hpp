@@ -46,6 +46,10 @@ class LatencyKvStore final : public KvStore {
     Delay();  // one round trip: a remote scan streams, it does not chat
     return inner_->Scan(fn);
   }
+  TC_BLOCKING Status Sync() override {
+    Delay();
+    return inner_->Sync();
+  }
   CompactionStats Compaction() const override { return inner_->Compaction(); }
 
   uint64_t ops() const { return ops_.load(); }

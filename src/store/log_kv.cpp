@@ -550,7 +550,7 @@ void LogKvStore::MaybeAutoCompactLocked() {
 }
 
 Status LogKvStore::Put(const std::string& key, BytesView value) {
-  if constexpr (metrics::kEnabled) Ops().puts.Inc();
+  Ops().puts.Inc();
   MutexLock lock(mu_);
   TC_ASSIGN_OR_RETURN(uint64_t offset, AppendRecord(kRecordPut, key, value));
   ApplyPut(key, offset, value.size());
@@ -559,7 +559,7 @@ Status LogKvStore::Put(const std::string& key, BytesView value) {
 }
 
 Result<Bytes> LogKvStore::Get(const std::string& key) const {
-  if constexpr (metrics::kEnabled) Ops().gets.Inc();
+  Ops().gets.Inc();
   uint64_t size = 0;
   // The value's extents, copied out to read them without the lock.
   std::array<Extent, kInlineExtents> inline_extents;
@@ -593,7 +593,7 @@ Result<Bytes> LogKvStore::Get(const std::string& key) const {
 }
 
 Status LogKvStore::Delete(const std::string& key) {
-  if constexpr (metrics::kEnabled) Ops().deletes.Inc();
+  Ops().deletes.Inc();
   MutexLock lock(mu_);
   if (dir_->Find(key) == nullptr) return NotFound("key not found: " + key);
   TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}).status());
@@ -604,7 +604,7 @@ Status LogKvStore::Delete(const std::string& key) {
 
 Result<size_t> LogKvStore::Append(const std::string& key,
                                   size_t expected_size, BytesView suffix) {
-  if constexpr (metrics::kEnabled) Ops().appends.Inc();
+  Ops().appends.Inc();
   MutexLock lock(mu_);
   Record* record = dir_->Find(key);
   if (record == nullptr) return NotFound("key not found: " + key);
@@ -749,7 +749,7 @@ Result<size_t> LogKvStore::CompactLocked() {
   size_t reclaimed = dead_bytes_;
   dead_bytes_ = 0;
   ++compactions_;
-  if constexpr (metrics::kEnabled) Ops().compactions.Inc();
+  Ops().compactions.Inc();
   trace::RecordEvent("store_compaction", trace::kNoShard,
                      path_ + " reclaimed=" + std::to_string(reclaimed));
   compact_backoff_dead_bytes_ = 0;  // a successful rewrite clears the backoff
@@ -759,7 +759,7 @@ Result<size_t> LogKvStore::CompactLocked() {
 }
 
 Status LogKvStore::Sync() {
-  if constexpr (metrics::kEnabled) Ops().syncs.Inc();
+  Ops().syncs.Inc();
   MutexLock lock(mu_);
   // Group commit: if a concurrent caller's flush already covered every
   // record appended before this Sync, skip the (expensive) flush entirely.

@@ -62,11 +62,11 @@ std::optional<Bytes> LruCache::Get(const std::string& key) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    if constexpr (metrics::kEnabled) CacheMisses().Inc();
+    CacheMisses().Inc();
     return std::nullopt;
   }
   ++hits_;
-  if constexpr (metrics::kEnabled) CacheHits().Inc();
+  CacheHits().Inc();
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }

@@ -1,7 +1,7 @@
 // Aggregation-tree property sweeps: for every fanout and size shape, every
 // query against the encrypted k-ary index must equal a brute-force oracle
-// over the plaintext digests — including after decay, across node
-// boundaries, and against the HEAC backend with telescoped decryption.
+// over the plaintext digests — across node boundaries, and against the
+// HEAC backend with telescoped decryption.
 // Appending in runs must leave the store exactly as appending chunk by
 // chunk does, in one write per level-0 node.
 #include <gtest/gtest.h>
@@ -129,32 +129,6 @@ TEST(AggTreeHeacOracle, TelescopedDecryptMatchesOracleAcrossShapes) {
                                       values.begin() + last, uint64_t{0});
     EXPECT_EQ((*fields)[0], oracle) << "[" << first << ", " << last << ")";
   }
-}
-
-TEST(AggTreeDecay, CoarseQueriesSurviveLeafDecay) {
-  // After decaying leaf digests of complete nodes, queries aligned to the
-  // parent level still answer from retained aggregates (§4.5 data decay).
-  constexpr uint32_t kFanout = 4;
-  constexpr uint64_t kChunks = 64;
-  OracleFixture fx(kFanout, kChunks);
-  uint64_t full = fx.OracleSum(0, kChunks);
-
-  ASSERT_TRUE(fx.tree.DecayLeafRange(0, 32).ok());
-
-  // Node-aligned coarse query over the decayed region still answers.
-  auto whole = fx.QuerySum(0, kChunks);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_EQ(*whole, full);
-  auto aligned = fx.QuerySum(0, 32);
-  ASSERT_TRUE(aligned.ok());
-  EXPECT_EQ(*aligned, fx.OracleSum(0, 32));
-
-  // Chunk-granular queries inside the decayed region fail cleanly (the
-  // level-0 node is gone), and the undecayed tail still works.
-  EXPECT_FALSE(fx.QuerySum(1, 3).ok());
-  auto tail = fx.QuerySum(40, 50);
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(*tail, fx.OracleSum(40, 50));
 }
 
 TEST(AggTreeLeafDigest, ReturnsExactStoredBlob) {

@@ -404,16 +404,11 @@ TEST(Concurrency, LatencyHistogramParallelRecordsAndSnapshots) {
   reader.join();
   EXPECT_EQ(bad_snapshots.load(), 0);
 
-  // Quiesced: nothing may have been lost or double-counted. (Under the
-  // TC_METRICS=OFF build every Record compiled to nothing, so the same
-  // assertions pin the kill switch to exactly zero.)
+  // Quiesced: nothing may have been lost or double-counted.
   auto s = hist.Snapshot();
-  const uint64_t expect_count =
-      metrics::kEnabled ? kThreads * kRecordsPerThread : 0;
-  EXPECT_EQ(s.count, expect_count);
+  EXPECT_EQ(s.count, kThreads * kRecordsPerThread);
   // Largest recorded value: (1 << 7) + 15 from thread 7.
-  EXPECT_EQ(s.max,
-            metrics::kEnabled ? (uint64_t{1} << (kThreads - 1)) + 15 : 0u);
+  EXPECT_EQ(s.max, (uint64_t{1} << (kThreads - 1)) + 15);
   EXPECT_LE(s.p50, s.p95);
   EXPECT_LE(s.p95, s.p99);
   EXPECT_LE(s.p99, s.max);
@@ -441,9 +436,8 @@ TEST(Concurrency, CountersAndGaugesLoseNoUpdatesUnderContention) {
     });
   }
   for (auto& t : threads) t.join();
-  const uint64_t expect_incs =
-      metrics::kEnabled ? static_cast<uint64_t>(kThreads) * kOpsPerThread : 0;
-  EXPECT_EQ(counter.value() - counter_before, expect_incs);
+  EXPECT_EQ(counter.value() - counter_before,
+            static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(gauge.value(), 0);
 }
 

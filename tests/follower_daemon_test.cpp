@@ -309,35 +309,33 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   // election, the self-promotion decision, and its completion in that
   // order. Seqs are assigned at Record() time, so ordering by seq is the
   // causal order within this process.
-  if (metrics::kEnabled) {
-    auto events_blob = (*promoted_transport)
-                           ->Call(net::MessageType::kEventsInfo,
-                                  net::EventsInfoRequest{0}.Encode());
-    ASSERT_TRUE(events_blob.ok()) << events_blob.status().ToString();
-    auto events = net::EventsInfoResponse::Decode(*events_blob);
-    ASSERT_TRUE(events.ok());
-    // Only the winner records self_promotion; anchor on it, because the
-    // process-global journal also holds the loser's takeover_election
-    // (both daemons see the silence) which may land after the winner's.
-    uint64_t promotion_seq = 0;
-    for (const auto& e : events->events) {
-      if (e.kind == "self_promotion") promotion_seq = e.seq;
-    }
-    ASSERT_GT(promotion_seq, 0u) << "no self_promotion event journaled";
-    bool election_before = false, complete_after = false;
-    for (const auto& e : events->events) {
-      if (e.kind == "takeover_election" && e.seq < promotion_seq) {
-        election_before = true;
-      }
-      if (e.kind == "promotion_complete" && e.seq > promotion_seq) {
-        complete_after = true;
-      }
-    }
-    EXPECT_TRUE(election_before)
-        << "no takeover_election journaled before the self_promotion";
-    EXPECT_TRUE(complete_after)
-        << "no promotion_complete journaled after the self_promotion";
+  auto events_blob = (*promoted_transport)
+                         ->Call(net::MessageType::kEventsInfo,
+                                net::EventsInfoRequest{0}.Encode());
+  ASSERT_TRUE(events_blob.ok()) << events_blob.status().ToString();
+  auto events = net::EventsInfoResponse::Decode(*events_blob);
+  ASSERT_TRUE(events.ok());
+  // Only the winner records self_promotion; anchor on it, because the
+  // process-global journal also holds the loser's takeover_election
+  // (both daemons see the silence) which may land after the winner's.
+  uint64_t promotion_seq = 0;
+  for (const auto& e : events->events) {
+    if (e.kind == "self_promotion") promotion_seq = e.seq;
   }
+  ASSERT_GT(promotion_seq, 0u) << "no self_promotion event journaled";
+  bool election_before = false, complete_after = false;
+  for (const auto& e : events->events) {
+    if (e.kind == "takeover_election" && e.seq < promotion_seq) {
+      election_before = true;
+    }
+    if (e.kind == "promotion_complete" && e.seq > promotion_seq) {
+      complete_after = true;
+    }
+  }
+  EXPECT_TRUE(election_before)
+      << "no takeover_election journaled before the self_promotion";
+  EXPECT_TRUE(complete_after)
+      << "no promotion_complete journaled after the self_promotion";
 
   f1.Stop();
   f2.Stop();
@@ -482,9 +480,6 @@ TEST(FollowerDaemonE2E, HelloHandshakeValidation) {
 // endpoint as a primary — scrape it after a real snapshot + op-ship cycle
 // and assert the replica apply-path counters actually moved.
 TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
-  if (!metrics::kEnabled) {
-    GTEST_SKIP() << "registry is compiled out under TC_METRICS=OFF";
-  }
   auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
                               replica::ReplicaSetOptions{});
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
@@ -525,10 +520,10 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   // stamp every process exports.
   for (const char* row :
        {"tc_replica_snapshots_total", "tc_replica_ship_batch_ops",
-        "tc_replica_lag_ops", "tc_net_rx_frames_total", "tc_build_info{"}) {
+        "tc_replica_lag_ops", "tc_net_rx_frames_total",
+        "tc_build_info{version=\"8\",sanitizer=\""}) {
     EXPECT_NE(body.find(row), std::string::npos) << "missing row: " << row;
   }
-  EXPECT_NE(body.find("metrics=\"on\""), std::string::npos);
 
   // The snapshot counter is a real count, not a registered-but-zero row:
   // the daemon's registration forced at least one snapshot ship. Anchor
@@ -549,9 +544,6 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
 // crosses the TCP frame header, the router's scatter executor hop, and the
 // async op-shipping hop.
 TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
-  if (!metrics::kEnabled) {
-    GTEST_SKIP() << "spans are compiled out under TC_METRICS=OFF";
-  }
   trace::SetSamplePercent(100);
 
   // Two replication-capable shards behind one router, one daemon

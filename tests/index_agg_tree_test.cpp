@@ -1,6 +1,6 @@
 // Aggregation tree tests: append/cascade correctness, range queries vs a
 // naive scan oracle (property tests over random ranges and fanouts, all
-// four cipher backends), cache behaviour, decay, and complexity bounds.
+// four cipher backends), cache behaviour, and complexity bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -222,15 +222,6 @@ TEST(AggTree, IndexBytesAccounting) {
   TreeFixture f(4, 64, MakePlainCipher(1));
   // Levels: 64 + 16 + 4 + 1 entries of 8 bytes.
   EXPECT_EQ(f.tree.IndexBytes(), (64u + 16u + 4u + 1u) * 8u);
-}
-
-TEST(AggTree, DecayKeepsCoarseAggregates) {
-  TreeFixture f(4, 64, MakePlainCipher(1));
-  uint64_t full = f.ExpectedSum(0, 64);
-  ASSERT_TRUE(f.tree.DecayLeafRange(0, 32).ok());
-  // Coarse query over the decayed range still works (level >= 1 nodes).
-  EXPECT_EQ(f.QuerySum(0, 64), full);
-  EXPECT_EQ(f.QuerySum(0, 32), f.ExpectedSum(0, 32));  // aligned to level 1
 }
 
 TEST(AggTree, MultiStreamPrefixIsolation) {

@@ -1018,7 +1018,6 @@ class TraceProbeHandler : public RequestHandler {
 };
 
 TEST(Tcp, TraceContextPropagatesAcrossLoopback) {
-  if (!metrics::kEnabled) GTEST_SKIP() << "tracing compiled out";
   auto probe = std::make_shared<TraceProbeHandler>();
   TcpServer server(probe, 0);
   ASSERT_TRUE(server.Start().ok());
@@ -1124,45 +1123,43 @@ TEST(MetricsHttp, ScrapeServesValidPrometheusExposition) {
     sample_names.insert(name);
     ++samples;
   }
-  if (metrics::kEnabled) {
-    EXPECT_GT(samples, 0u);
-    // The traffic above must be visible: server-side frame counters and
-    // the request histogram family.
-    EXPECT_NE(body.find("tc_net_rx_frames_total{side=\"server\"}"),
-              std::string::npos)
-        << body.substr(0, 512);
-    EXPECT_NE(body.find("tc_net_server_conns"), std::string::npos);
-    // Histogram summary conformance: every `_count` row has a matching
-    // `_sum` row under the same name + labels, and vice versa — Prometheus
-    // clients join the pair to compute rates and averages.
-    metrics::GetHistogram("tc_test_scrape_seconds").Record(1234);
-    std::string again_body = HttpGet(metrics.port(), "/metrics");
-    EXPECT_NE(again_body.find("tc_test_scrape_seconds_count"),
-              std::string::npos);
-    EXPECT_NE(again_body.find("tc_test_scrape_seconds_sum"),
-              std::string::npos);
-    size_t count_rows = 0;
-    for (const auto& name : sample_names) {
-      auto mark = name.find("_count");
-      if (mark == std::string::npos) continue;
-      ++count_rows;
-      std::string sum_name = name;
-      sum_name.replace(mark, 6, "_sum");
-      EXPECT_TRUE(sample_names.contains(sum_name))
-          << name << " has no matching " << sum_name << " row";
-    }
-    for (const auto& name : sample_names) {
-      auto mark = name.find("_sum");
-      if (mark == std::string::npos) continue;
-      std::string count_name = name;
-      count_name.replace(mark, 4, "_count");
-      EXPECT_TRUE(sample_names.contains(count_name))
-          << name << " has no matching " << count_name << " row";
-    }
-    // The build-identity gauge is registered on first registry touch.
-    EXPECT_NE(body.find("tc_build_info{"), std::string::npos);
-    EXPECT_NE(body.find("metrics=\"on\""), std::string::npos);
+  EXPECT_GT(samples, 0u);
+  // The traffic above must be visible: server-side frame counters and
+  // the request histogram family.
+  EXPECT_NE(body.find("tc_net_rx_frames_total{side=\"server\"}"),
+            std::string::npos)
+      << body.substr(0, 512);
+  EXPECT_NE(body.find("tc_net_server_conns"), std::string::npos);
+  // Histogram summary conformance: every `_count` row has a matching
+  // `_sum` row under the same name + labels, and vice versa — Prometheus
+  // clients join the pair to compute rates and averages.
+  metrics::GetHistogram("tc_test_scrape_seconds").Record(1234);
+  std::string again_body = HttpGet(metrics.port(), "/metrics");
+  EXPECT_NE(again_body.find("tc_test_scrape_seconds_count"),
+            std::string::npos);
+  EXPECT_NE(again_body.find("tc_test_scrape_seconds_sum"),
+            std::string::npos);
+  size_t count_rows = 0;
+  for (const auto& name : sample_names) {
+    auto mark = name.find("_count");
+    if (mark == std::string::npos) continue;
+    ++count_rows;
+    std::string sum_name = name;
+    sum_name.replace(mark, 6, "_sum");
+    EXPECT_TRUE(sample_names.contains(sum_name))
+        << name << " has no matching " << sum_name << " row";
   }
+  for (const auto& name : sample_names) {
+    auto mark = name.find("_sum");
+    if (mark == std::string::npos) continue;
+    std::string count_name = name;
+    count_name.replace(mark, 4, "_count");
+    EXPECT_TRUE(sample_names.contains(count_name))
+        << name << " has no matching " << count_name << " row";
+  }
+  // The build-identity gauge is registered on first registry touch.
+  EXPECT_NE(body.find("tc_build_info{version=\"8\",sanitizer=\""),
+            std::string::npos);
 
   // Anything but GET /metrics is a 404, and the listener survives it.
   std::string missing = HttpGet(metrics.port(), "/other");

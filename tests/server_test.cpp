@@ -143,12 +143,10 @@ TEST_F(ServerTest, UnknownStreamAndTypeErrors) {
   EXPECT_FALSE(engine_->Handle(static_cast<MessageType>(200), {}).ok());
   EXPECT_FALSE(engine_->Handle(static_cast<MessageType>(22), {}).ok());
   EXPECT_TRUE(engine_->Handle(MessageType::kPing, {}).ok());
-  if (metrics::kEnabled) {
-    // A byte past the enum and a reserved one both count as "unknown";
-    // neither is a response.
-    EXPECT_EQ(unknown.value() - unknown_before, 2u);
-    EXPECT_EQ(response.value(), response_before);
-  }
+  // A byte past the enum and a reserved one both count as "unknown";
+  // neither is a response.
+  EXPECT_EQ(unknown.value() - unknown_before, 2u);
+  EXPECT_EQ(response.value(), response_before);
 }
 
 TEST_F(ServerTest, GrantStoreLifecycle) {
@@ -260,7 +258,6 @@ net::InsertChunkBatchRequest PlainBatch(uint64_t uuid, uint64_t first,
 }
 
 TEST_F(ServerTest, BatchMarksStoreAndIndexStagesOnce) {
-  if (!metrics::kEnabled) GTEST_SKIP() << "metrics are compiled out";
   auto& store_hist =
       metrics::GetHistogram("tc_server_stage_seconds", "stage=\"store\"");
   auto& index_hist =

@@ -16,6 +16,7 @@
 #include <random>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "replica/replicated_kv.hpp"
 #include "store/fault_kv.hpp"
 #include "store/latency.hpp"
@@ -1103,6 +1104,38 @@ TEST(DecoratorAppendTest, PrefixLatencyAndFaultStoresForwardAppend) {
   EXPECT_EQ(faulty.puts_failed(), 1u);
   ASSERT_TRUE(faulty.Append("f", 1, ToBytes("b")).ok());
   EXPECT_EQ(ToString(*backend->Get("f")), "ab");
+}
+
+TEST(DecoratorSyncTest, PrefixLatencyAndFaultStoresForwardSync) {
+  auto path = std::filesystem::temp_directory_path() /
+              ("tc_decorator_sync_" + std::to_string(::getpid()));
+  std::filesystem::remove(path);
+  {
+    auto log = LogKvStore::Open(path.string());
+    ASSERT_TRUE(log.ok());
+    std::shared_ptr<KvStore> inner = std::move(*log);
+    // Every Sync that reaches the log store counts here.
+    metrics::Counter& syncs = metrics::GetCounter("tc_store_syncs_total");
+    const uint64_t before = syncs.value();
+
+    PrefixKvStore view(inner, "s1/");
+    ASSERT_TRUE(view.Sync().ok());
+    EXPECT_EQ(syncs.value() - before, 1u);
+
+    LatencyKvStore slow(inner, std::chrono::microseconds(0));
+    ASSERT_TRUE(slow.Sync().ok());
+    EXPECT_EQ(slow.ops(), 1u);
+    EXPECT_EQ(syncs.value() - before, 2u);
+
+    FaultKvStore faulty(inner);
+    ASSERT_TRUE(faulty.Sync().ok());
+    EXPECT_EQ(syncs.value() - before, 3u);
+    // Under the hard outage a Sync fails, like a Scan, and stops here.
+    faulty.SetFailAll(true);
+    EXPECT_EQ(faulty.Sync().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(syncs.value() - before, 3u);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(LatencyKvTest, InjectsDelay) {

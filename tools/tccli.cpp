@@ -388,9 +388,7 @@ int CmdMetrics(const Flags& flags) {
       return 1;
     }
     if (info->entries.empty()) {
-      std::puts(
-          "no metrics recorded (server built with TC_METRICS=OFF, or no "
-          "requests served yet)");
+      std::puts("no metrics recorded (no requests served yet)");
     } else {
       PrintMetrics(*info);
     }
@@ -663,8 +661,7 @@ int CmdEvents(const Flags& flags) {
     }
   }
   if (events.empty()) {
-    std::puts("no lifecycle events recorded (quiet cluster, or server built "
-              "with TC_METRICS=OFF)");
+    std::puts("no lifecycle events recorded (quiet cluster)");
     return 0;
   }
   // Seqs are per-process; wall clock is the only cluster-wide order. Ties

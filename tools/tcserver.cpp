@@ -310,17 +310,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--trace-sample must be in [0, 100]\n");
     return 1;
   }
-  if (!metrics::kEnabled &&
-      (metrics_enabled || flags.Has("slow-op-ms") ||
-       flags.Has("trace-sample") || flags.Has("event-log"))) {
-    // The kill-switch build compiles every record site to nothing; a flag
-    // that silently serves an empty exposition is an operator trap.
-    std::fprintf(stderr,
-                 "--metrics-port/--slow-op-ms/--trace-sample/--event-log need "
-                 "a build with TC_METRICS=ON (this binary was compiled with "
-                 "the metrics kill switch)\n");
-    return 1;
-  }
   metrics::MetricsRegistry::Instance().SetSlowOpMicros(
       static_cast<uint64_t>(slow_op_ms) * 1000);
   trace::SetSamplePercent(static_cast<uint32_t>(trace_sample));
