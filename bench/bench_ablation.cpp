@@ -372,7 +372,5 @@ int main(int argc, char** argv) {
       "=== Ablations: fanout / key-canceling / PRG / compression / "
       "strided / cache / payload seal ===\n"
       "(design-choice quantification; see README.md benchmark matrix)\n\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

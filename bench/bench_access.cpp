@@ -117,12 +117,11 @@ int main(int argc, char** argv) {
       "dual key regression O(sqrt n) hashes, decrypt 2 arithmetic ops.\n"
       "Paper reference: 2.5 us derive (2^30 keys), 2.7 ms dual-KR worst "
       "case, 2 ns decrypt.\n\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const int status = tc::bench::RunBenchmarks(argc, argv);
 
   std::printf(
       "\nspeedup summary (per-chunk grant-path): ABE 53ms vs TimeCrypt "
       "token derive —\nsee BM_TokenDerive above; the gap is ~4 orders of "
       "magnitude on any hardware.\n");
-  return 0;
+  return status;
 }

@@ -1,45 +1,45 @@
-// Cluster-layer scaling benchmark: does throughput scale with the number
-// of engine shards (the paper's §4.6 horizontal-scaling claim, Fig 9
-// reproduced in-process), and does batched ingest beat chunk-at-a-time
-// uploads on a real socket?
+// Cluster-layer rungs of the bench ladder: does throughput scale with the
+// number of engine shards (the paper's §4.6 horizontal-scaling claim, Fig 9
+// reproduced in-process), and what do batching and pipelining save on a
+// real socket?
 //
-//  1. Ingest scaling: N log-backed shards behind a ShardRouter, fixed
-//     writer-thread pool, digest-only one-chunk requests. A single
-//     shard serializes every append behind one log mutex; N shards give
-//     N independent append paths, so aggregate chunks/s should rise with
-//     the shard count on a multi-core host.
-//  2. Query scaling: GetStatRange over the same fixture from the same
-//     thread pool (per-shard stores give independent read paths).
-//  3. Batched ingest on loopback TCP: one InsertChunkBatch frame of K
-//     chunks vs K one-chunk round trips against a tcserver-shaped
-//     stack (TcpServer + TcpClient) — the batching win is K-1 saved
-//     round trips plus one group-committed log sync per batch — now also
-//     with the multiplexed transport keeping several batches in flight
-//     (blocking send-and-wait vs pipelined AsyncCall).
-//  4. Pipelined queries on one socket: Q GetStatRange round trips with an
-//     in-flight window of W AsyncCalls (W=1 is the old one-call-per-
-//     connection transport).
-//  5. Scatter-gather latency per shard count: MultiStatRange across
-//     latency-injected shards, serial scatter (scatter_threads=1) vs the
-//     pipelined shard channels.
+//  - BM_ShardIngest / BM_ShardQuery: N log-backed shards behind a
+//    ShardRouter, driven by a pool of row threads with digest-only
+//    one-chunk requests, then GetStatRange over the same fixture. A single
+//    shard serializes every append behind one log mutex; N shards give N
+//    independent append and read paths, so aggregate rates should rise
+//    with the shard count on a multi-core host.
+//  - BM_TcpIngest: InsertChunkBatch frames of `batch` chunks over loopback
+//    TCP against a tcserver-shaped stack (TcpServer + TcpClient), with up
+//    to `window` frames in flight (window 1 is blocking send-and-wait).
+//    Batching saves batch-1 round trips and, on the log store, batch-1
+//    group-committed syncs.
+//  - BM_TcpQuery: GetStatRange round trips on one socket with up to
+//    `window` AsyncCalls in flight.
+//  - BM_ScatterStatRange: MultiStatRange across latency-injected shards,
+//    serial scatter (scatter_threads = 1) vs the pipelined shard channels.
+//  - BM_MetricsRecord / BM_SpanRecord: the marginal cost of one
+//    counter+histogram record and one span open/close. main() fails the
+//    run when either exceeds 250 ns per iteration in an optimized,
+//    unsanitized build.
 //
-// `--quick` shrinks sizes for the CI smoke run; TC_BENCH_LARGE=1 unlocks
-// an 8-shard sweep. Results depend on available cores: a 1-core host
-// shows flat shard scaling (expected — there is nothing to scale onto)
-// while the batching/pipelining wins persist, since they save round
-// trips, not CPU.
+// One iteration is one request (one batch frame for BM_TcpIngest, one
+// record for the overhead rows); each row runs a fixed number of them,
+// named in its `iterations:` suffix. Rows ending in chunks:400, chunks:512,
+// chunks:128 (BM_TcpQuery) and chunks:32 are the smoke sizes. Results depend
+// on available cores: a 1-core host shows flat shard scaling while the
+// batching and pipelining wins persist, since they save round trips, not
+// CPU.
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <filesystem>
-#include <functional>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/shard_router.hpp"
+#include "common/metrics.hpp"
 #include "index/digest_cipher.hpp"
 #include "net/messages.hpp"
 #include "net/tcp.hpp"
@@ -51,17 +51,15 @@
 namespace tc::bench {
 namespace {
 
-constexpr DurationMs kDelta = 10 * kSecond;
+constexpr size_t kStreams = 8;
+// Fixed at 4 (not the core count) so row names match across hosts; on
+// fewer cores the concurrent routing path still runs, at ~1.0x speedup.
+constexpr int kThreads = 4;
 
-net::StreamConfig PlainConfig(const std::string& name) {
-  net::StreamConfig c;
-  c.name = name;
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = c.schema.with_count = true;
-  c.cipher = net::CipherKind::kPlain;
-  c.fanout = 64;
-  return c;
+std::string TempLogPath(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("bench_cluster_" + std::to_string(::getpid()) + "_" + tag + ".log"))
+      .string();
 }
 
 struct LogCluster {
@@ -69,19 +67,13 @@ struct LogCluster {
   std::vector<std::shared_ptr<server::ServerEngine>> engines;
   std::shared_ptr<cluster::ShardRouter> router;
 
-  explicit LogCluster(size_t shards, bool sync_each_insert) {
-    auto dir = std::filesystem::temp_directory_path();
+  explicit LogCluster(size_t shards) {
     for (size_t i = 0; i < shards; ++i) {
-      std::string path =
-          (dir / ("bench_cluster_" + std::to_string(::getpid()) + "_s" +
-                  std::to_string(shards) + "_" + std::to_string(i) + ".log"))
-              .string();
-      std::remove(path.c_str());
-      paths.push_back(path);
-      auto log = store::LogKvStore::Open(path);
+      paths.push_back(TempLogPath("s" + std::to_string(i)));
+      std::remove(paths.back().c_str());
+      auto log = store::LogKvStore::Open(paths.back());
       if (!log.ok()) std::abort();
       server::ServerOptions options;
-      options.sync_each_insert = sync_each_insert;
       options.shard_id = static_cast<uint32_t>(i);
       engines.push_back(std::make_shared<server::ServerEngine>(
           std::shared_ptr<store::KvStore>(std::move(*log)), options));
@@ -90,471 +82,349 @@ struct LogCluster {
   }
 
   ~LogCluster() {
-    engines.clear();
     router.reset();
+    engines.clear();
     for (const auto& path : paths) std::remove(path.c_str());
   }
 };
 
-/// Pre-encoded digest-only one-chunk bodies for `streams` plain streams
-/// of `chunks` chunks each (encoding cost is client-side; the benchmark
-/// times the server).
-struct IngestLoad {
-  std::vector<uint64_t> uuids;
-  // bodies[s][c] = encoded InsertChunkBatchRequest for stream s, chunk c.
-  std::vector<std::vector<Bytes>> bodies;
+// ---------------------------------------------------------- shard scaling
 
-  IngestLoad(size_t streams, uint64_t chunks) {
-    auto cipher = index::MakePlainCipher(2);
-    for (size_t s = 0; s < streams; ++s) {
-      uuids.push_back(0x1000 + s);
-      bodies.emplace_back();
-      bodies.back().reserve(chunks);
-      for (uint64_t c = 0; c < chunks; ++c) {
-        std::vector<uint64_t> fields{c + 1, 1};
-        net::InsertChunkBatchRequest req{
-            uuids[s], {{c, *cipher->Encrypt(fields, c), {}}}};
-        bodies.back().push_back(req.Encode());
-      }
-    }
-  }
+/// Shared by a shard row's threads: thread 0 builds it before the loop
+/// (the loop's start barrier publishes it) and drops it after.
+struct ShardFixture {
+  IngestLoad load;
+  LogCluster cluster;
+  ShardFixture(size_t shards, uint64_t chunks)
+      : load(kStreams, chunks), cluster(shards) {}
 };
+std::unique_ptr<ShardFixture> shard_fixture;
 
-void CreateStreams(net::RequestHandler& handler,
-                   const std::vector<uint64_t>& uuids) {
-  for (uint64_t uuid : uuids) {
-    net::CreateStreamRequest req{uuid, PlainConfig("b" + std::to_string(uuid))};
-    if (!handler.Handle(net::MessageType::kCreateStream, req.Encode()).ok()) {
-      std::abort();
-    }
+void BM_ShardIngest(benchmark::State& state) {
+  const auto chunks = static_cast<uint64_t>(state.range(1));
+  if (state.thread_index() == 0) {
+    shard_fixture = std::make_unique<ShardFixture>(state.range(0), chunks);
+    shard_fixture->load.CreateStreams(*shard_fixture->cluster.router);
   }
-}
-
-/// Partition streams across `threads` workers; each worker drives its
-/// streams' requests through the handler. Returns wall seconds.
-double RunThreads(size_t threads,
-                  const std::function<void(size_t worker)>& body) {
-  WallTimer timer;
-  std::vector<std::thread> pool;
-  for (size_t w = 0; w < threads; ++w) pool.emplace_back(body, w);
-  for (auto& t : pool) t.join();
-  return timer.Seconds();
-}
-
-void BenchShardScaling(const std::vector<size_t>& shard_counts,
-                       size_t streams, uint64_t chunks, size_t threads) {
-  IngestLoad load(streams, chunks);
-  uint64_t total_chunks = streams * chunks;
-
-  std::printf(
-      "== ingest scaling: log-backed shards, %zu writer thread(s), "
-      "digest-only ==\n",
-      threads);
-  std::printf("%6s %9s %9s %11s %8s\n", "shards", "chunks", "wall",
-              "chunks/s", "speedup");
-  double base_rate = 0;
-  std::vector<std::unique_ptr<LogCluster>> keep_alive;
-  for (size_t shards : shard_counts) {
-    auto cluster = std::make_unique<LogCluster>(shards, /*sync=*/false);
-    CreateStreams(*cluster->router, load.uuids);
-    double wall = RunThreads(threads, [&](size_t worker) {
-      for (size_t s = worker; s < load.uuids.size(); s += threads) {
-        for (const auto& body : load.bodies[s]) {
-          if (!cluster->router
-                   ->Handle(net::MessageType::kInsertChunkBatch, body)
-                   .ok()) {
-            std::abort();
-          }
-        }
-      }
-    });
-    double rate = static_cast<double>(total_chunks) / wall;
-    if (base_rate == 0) base_rate = rate;
-    std::printf("%6zu %9llu %9s %10.1fk %7.2fx\n", shards,
-                static_cast<unsigned long long>(total_chunks),
-                FmtMicros(wall * 1e6).c_str(), rate / 1000.0,
-                rate / base_rate);
-    keep_alive.push_back(std::move(cluster));
-  }
-
-  std::printf(
-      "\n== query scaling: GetStatRange over the same fixtures, %zu "
-      "reader thread(s) ==\n",
-      threads);
-  std::printf("%6s %9s %9s %11s %8s\n", "shards", "queries", "wall",
-              "queries/s", "speedup");
-  uint64_t queries_per_thread = std::max<uint64_t>(total_chunks / 4, 1);
-  base_rate = 0;
-  for (size_t i = 0; i < shard_counts.size(); ++i) {
-    auto& cluster = *keep_alive[i];
-    uint64_t total_queries = queries_per_thread * threads;
-    double wall = RunThreads(threads, [&](size_t worker) {
-      // Deterministic per-worker range walk over all streams.
-      uint64_t x = 0x9e3779b9u + worker;
-      for (uint64_t q = 0; q < queries_per_thread; ++q) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        uint64_t uuid = load.uuids[(x >> 33) % load.uuids.size()];
-        uint64_t first = (x >> 17) % (chunks - 1);
-        uint64_t max_span = chunks - first - 1;
-        uint64_t last = first + 1 + (max_span == 0 ? 0 : x % max_span);
-        net::StatRangeRequest req{
-            uuid,
-            {static_cast<Timestamp>(first * kDelta),
-             static_cast<Timestamp>(last * kDelta)}};
-        if (!cluster.router
-                 ->Handle(net::MessageType::kGetStatRange, req.Encode())
-                 .ok()) {
-          std::abort();
-        }
-      }
-    });
-    double rate = static_cast<double>(total_queries) / wall;
-    if (base_rate == 0) base_rate = rate;
-    std::printf("%6zu %9llu %9s %10.1fk %7.2fx\n", shard_counts[i],
-                static_cast<unsigned long long>(total_queries),
-                FmtMicros(wall * 1e6).c_str(), rate / 1000.0,
-                rate / base_rate);
-  }
-  std::printf("\n");
-}
-
-/// One (batch size, in-flight window) ingest configuration. window == 1 is
-/// the blocking send-and-wait path; window > 1 pipelines that many
-/// InsertChunkBatch frames on the socket before blocking on the oldest.
-struct IngestMode {
-  size_t batch;
-  size_t window;
-};
-
-void BenchBatchedTcpIngest(uint64_t chunks, const std::vector<IngestMode>& modes,
-                           bool durable) {
-  // One engine behind a real TCP loopback server — the client pays a full
-  // round trip per Call, which is exactly what batching amortizes.
-  std::string path;
-  std::shared_ptr<store::KvStore> kv;
-  if (durable) {
-    path = (std::filesystem::temp_directory_path() /
-            ("bench_cluster_tcp_" + std::to_string(::getpid()) + ".log"))
-               .string();
-    std::remove(path.c_str());
-    auto log = store::LogKvStore::Open(path);
-    if (!log.ok()) std::abort();
-    kv = std::move(*log);
-  } else {
-    kv = std::make_shared<store::MemKvStore>();
-  }
-  server::ServerOptions options;
-  options.sync_each_insert = durable;  // batch => one group-committed sync
-  auto engine = std::make_shared<server::ServerEngine>(kv, options);
-  net::TcpServer server(engine, 0);
-  if (!server.Start().ok()) std::abort();
-  auto client = net::TcpClient::Connect("127.0.0.1", server.port());
-  if (!client.ok()) std::abort();
-
-  auto cipher = index::MakePlainCipher(2);
-  Bytes payload(256, 0xab);  // a small sealed payload per chunk
-
-  std::printf(
-      "== batched ingest over loopback TCP (%s store%s), %llu chunks ==\n",
-      durable ? "log" : "mem", durable ? ", sync per message" : "",
-      static_cast<unsigned long long>(chunks));
-  std::printf("%9s %9s %9s %11s %8s\n", "batch", "inflight", "wall",
-              "chunks/s", "speedup");
-  double base_rate = 0;
-  uint64_t uuid = 0x2000;
-  for (const IngestMode& mode : modes) {
-    net::CreateStreamRequest create{++uuid, PlainConfig("tcp")};
-    if (!(*client)->Call(net::MessageType::kCreateStream, create.Encode())
+  // Worker w sends streams w, w + threads, ... one after another.
+  size_t stream = state.thread_index();
+  uint64_t chunk = 0;
+  for (auto _ : state) {
+    const ShardFixture& fx = *shard_fixture;
+    if (!fx.cluster.router
+             ->Handle(net::MessageType::kInsertChunkBatch,
+                      fx.load.bodies[stream][chunk])
              .ok()) {
       std::abort();
     }
-    // Pipeline of in-flight frames; window 1 degenerates to send-and-wait.
-    std::deque<net::PendingCall> inflight;
-    auto pump = [&](size_t limit) {
-      while (inflight.size() > limit) {
-        if (!inflight.front().Wait().ok()) std::abort();
-        inflight.pop_front();
-      }
-    };
-    WallTimer timer;
-    for (uint64_t c = 0; c < chunks;) {
-      net::InsertChunkBatchRequest req;
-      req.uuid = uuid;
-      for (size_t b = 0; b < mode.batch && c < chunks; ++b, ++c) {
-        std::vector<uint64_t> fields{c, 1};
-        req.entries.push_back({c, *cipher->Encrypt(fields, c), payload});
-      }
-      inflight.push_back((*client)->AsyncCall(
-          net::MessageType::kInsertChunkBatch, req.Encode()));
-      pump(mode.window - 1);
+    if (++chunk == chunks) {
+      chunk = 0;
+      stream += state.threads();
     }
-    pump(0);
-    double wall = timer.Seconds();
-    double rate = static_cast<double>(chunks) / wall;
-    if (base_rate == 0) base_rate = rate;
-    std::printf("%9zu %9zu %9s %10.1fk %7.2fx\n", mode.batch, mode.window,
-                FmtMicros(wall * 1e6).c_str(), rate / 1000.0,
-                rate / base_rate);
   }
-  server.Stop();
-  if (durable) std::remove(path.c_str());
-  std::printf("\n");
+  state.counters["chunks"] =
+      benchmark::Counter(state.iterations(), benchmark::Counter::kIsRate);
+  if (state.thread_index() == 0) shard_fixture.reset();
 }
 
-void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
-                              const std::vector<size_t>& windows) {
-  // One engine behind loopback TCP; every query pays a full round trip.
-  // The window is how many AsyncCalls ride the socket at once — window 1
-  // reproduces the old blocking transport (one in-flight call per
-  // connection), larger windows overlap the round trips.
-  auto engine = std::make_shared<server::ServerEngine>(
-      std::make_shared<store::MemKvStore>());
-  net::TcpServer server(engine, 0);
-  if (!server.Start().ok()) std::abort();
-  auto client = net::TcpClient::Connect("127.0.0.1", server.port());
-  if (!client.ok()) std::abort();
-
-  uint64_t uuid = 0x3000;
-  net::CreateStreamRequest create{uuid, PlainConfig("q")};
-  if (!(*client)->Call(net::MessageType::kCreateStream, create.Encode()).ok())
-    std::abort();
-  auto cipher = index::MakePlainCipher(2);
-  for (uint64_t c = 0; c < chunks; ++c) {
-    std::vector<uint64_t> fields{c + 1, 1};
-    net::InsertChunkBatchRequest req{uuid,
-                                     {{c, *cipher->Encrypt(fields, c), {}}}};
-    if (!(*client)->Call(net::MessageType::kInsertChunkBatch, req.Encode())
-             .ok())
+void BM_ShardQuery(benchmark::State& state) {
+  const auto chunks = static_cast<uint64_t>(state.range(1));
+  if (state.thread_index() == 0) {
+    shard_fixture = std::make_unique<ShardFixture>(state.range(0), chunks);
+    shard_fixture->load.Ingest(*shard_fixture->cluster.router);
+  }
+  uint64_t x = 0x9e3779b9u + state.thread_index();
+  for (auto _ : state) {
+    const ShardFixture& fx = *shard_fixture;
+    if (!fx.cluster.router
+             ->Handle(net::MessageType::kGetStatRange,
+                      fx.load.NextStatRange(x, chunks))
+             .ok()) {
       std::abort();
-  }
-
-  std::printf(
-      "== pipelined queries over loopback TCP: %llu GetStatRange round "
-      "trips on one socket ==\n",
-      static_cast<unsigned long long>(queries));
-  std::printf("%9s %9s %11s %8s\n", "inflight", "wall", "queries/s",
-              "speedup");
-  double base_rate = 0;
-  for (size_t window : windows) {
-    std::deque<net::PendingCall> inflight;
-    auto pump = [&](size_t limit) {
-      while (inflight.size() > limit) {
-        if (!inflight.front().Wait().ok()) std::abort();
-        inflight.pop_front();
-      }
-    };
-    uint64_t x = 0x2545f4914f6cdd1dULL;
-    WallTimer timer;
-    for (uint64_t q = 0; q < queries; ++q) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      uint64_t first = (x >> 33) % (chunks - 1);
-      uint64_t last = first + 1 + (x >> 17) % (chunks - first - 1 + 1);
-      net::StatRangeRequest req{
-          uuid,
-          {static_cast<Timestamp>(first * kDelta),
-           static_cast<Timestamp>(last * kDelta)}};
-      inflight.push_back((*client)->AsyncCall(net::MessageType::kGetStatRange,
-                                              req.Encode()));
-      pump(window - 1);
     }
-    pump(0);
-    double wall = timer.Seconds();
-    double rate = static_cast<double>(queries) / wall;
-    if (base_rate == 0) base_rate = rate;
-    std::printf("%9zu %9s %10.1fk %7.2fx\n", window,
-                FmtMicros(wall * 1e6).c_str(), rate / 1000.0,
-                rate / base_rate);
   }
-  server.Stop();
-  std::printf("\n");
+  state.counters["queries"] =
+      benchmark::Counter(state.iterations(), benchmark::Counter::kIsRate);
+  if (state.thread_index() == 0) shard_fixture.reset();
 }
 
-void BenchScatterGatherLatency(const std::vector<size_t>& shard_counts,
-                               uint64_t chunks, uint64_t queries) {
-  // Each shard's store pays an emulated remote-store hop (the paper's
-  // client<->Cassandra RTT) and the engine cache is starved so queries
-  // actually hit it; a MultiStatRange spanning all shards then takes
-  // N x per-shard-latency when the scatter is serial and ~1 x when the
-  // shard channels pipeline. scatter_threads=1 reproduces the serial
-  // scatter of a blocking per-shard transport.
-  std::printf(
-      "== scatter-gather latency: MultiStatRange across latency-injected "
-      "shards (0.5 ms/store-op) ==\n");
-  std::printf("%6s %12s %12s %8s\n", "shards", "serial", "pipelined",
-              "speedup");
-  for (size_t shards : shard_counts) {
-    double wall[2] = {0, 0};
-    for (int mode = 0; mode < 2; ++mode) {
-      std::vector<std::shared_ptr<server::ServerEngine>> engines;
-      for (size_t i = 0; i < shards; ++i) {
-        auto slow = std::make_shared<store::LatencyKvStore>(
-            std::make_shared<store::MemKvStore>(),
-            std::chrono::microseconds(500));
-        server::ServerOptions options;
-        options.shard_id = static_cast<uint32_t>(i);
-        options.index_cache_bytes = 1;  // starve the cache: queries hit kv
-        engines.push_back(
-            std::make_shared<server::ServerEngine>(std::move(slow), options));
-      }
-      cluster::RouterOptions router_options;
-      // Serial mode models the old blocking per-shard scatter; pipelined
-      // mode sizes the channel executor one-thread-per-shard (what the
-      // default resolves to on a host with >= shards cores) so the
-      // store-latency waits overlap even on a small CI box.
-      router_options.scatter_threads = mode == 0 ? 1 : shards;
-      cluster::ShardRouter router(engines, router_options);
+// ------------------------------------------------------- loopback TCP
 
-      // One stream per shard, covering every shard in the scatter.
-      std::vector<uint64_t> uuids;
-      auto cipher = index::MakePlainCipher(2);
-      for (size_t s = 0; s < shards; ++s) {
-        uint64_t uuid = 0x4000 + s;
-        while (router.ShardOf(uuid) != s) ++uuid;
-        uuids.push_back(uuid);
-        net::CreateStreamRequest create{uuid, PlainConfig("sc")};
-        if (!router.Handle(net::MessageType::kCreateStream, create.Encode())
-                 .ok()) {
-          std::abort();
-        }
-        for (uint64_t c = 0; c < chunks; ++c) {
-          std::vector<uint64_t> fields{c + 1, 1};
-          net::InsertChunkBatchRequest req{
-              uuid, {{c, *cipher->Encrypt(fields, c), {}}}};
-          if (!router.Handle(net::MessageType::kInsertChunkBatch, req.Encode())
-                   .ok()) {
-            std::abort();
-          }
-        }
-      }
-      net::MultiStatRangeRequest req{
-          uuids, {0, static_cast<Timestamp>(chunks * kDelta)}};
-      Bytes body = req.Encode();
-      WallTimer timer;
-      for (uint64_t q = 0; q < queries; ++q) {
-        if (!router.Handle(net::MessageType::kMultiStatRange, body).ok()) {
-          std::abort();
-        }
-      }
-      wall[mode] = timer.Seconds();
+/// One engine behind a real loopback TcpServer and one connected client:
+/// every Call pays a full round trip.
+struct TcpStack {
+  std::string path;  // empty for the mem store
+  std::unique_ptr<net::TcpServer> server;
+  std::unique_ptr<net::TcpClient> client;
+  uint64_t uuid = 0x2000;
+
+  explicit TcpStack(bool durable) {
+    std::shared_ptr<store::KvStore> kv;
+    if (durable) {
+      path = TempLogPath("tcp");
+      std::remove(path.c_str());
+      auto log = store::LogKvStore::Open(path);
+      if (!log.ok()) std::abort();
+      kv = std::move(*log);
+    } else {
+      kv = std::make_shared<store::MemKvStore>();
     }
-    std::printf("%6zu %11.2fms %11.2fms %7.2fx\n", shards,
-                wall[0] * 1e3 / static_cast<double>(queries),
-                wall[1] * 1e3 / static_cast<double>(queries),
-                wall[0] / wall[1]);
+    server::ServerOptions options;
+    options.sync_each_insert = durable;  // batch => one group-committed sync
+    server = std::make_unique<net::TcpServer>(
+        std::make_shared<server::ServerEngine>(kv, options), 0);
+    if (!server->Start().ok()) std::abort();
+    auto connected = net::TcpClient::Connect("127.0.0.1", server->port());
+    if (!connected.ok()) std::abort();
+    client = std::move(*connected);
+    net::CreateStreamRequest create{uuid, PlainConfig("tcp")};
+    if (!client->Call(net::MessageType::kCreateStream, create.Encode()).ok()) {
+      std::abort();
+    }
   }
-  std::printf("\n");
+
+  ~TcpStack() {
+    client.reset();
+    server->Stop();
+    server.reset();
+    if (!path.empty()) std::remove(path.c_str());
+  }
+};
+
+/// Calls in flight on one socket, oldest first.
+class Window {
+ public:
+  explicit Window(size_t size) : size_(size) {}
+
+  /// Send one call, then wait on the oldest until at most size - 1 remain
+  /// in flight, or none on the row's last iteration.
+  void Push(net::PendingCall call, bool last) {
+    inflight_.push_back(std::move(call));
+    const size_t limit = last ? 0 : size_ - 1;
+    while (inflight_.size() > limit) {
+      if (!inflight_.front().Wait().ok()) std::abort();
+      inflight_.pop_front();
+    }
+  }
+
+ private:
+  size_t size_;
+  std::deque<net::PendingCall> inflight_;
+};
+
+void BM_TcpIngest(benchmark::State& state, bool durable) {
+  const auto batch = static_cast<size_t>(state.range(0));
+  const auto chunks = static_cast<uint64_t>(state.range(2));
+  TcpStack stack(durable);
+  Window window(state.range(1));
+  auto cipher = index::MakePlainCipher(2);
+  const Bytes payload(256, 0xab);  // a small sealed payload per chunk
+  uint64_t c = 0;
+  for (auto _ : state) {
+    net::InsertChunkBatchRequest req;
+    req.uuid = stack.uuid;
+    for (size_t b = 0; b < batch && c < chunks; ++b, ++c) {
+      std::vector<uint64_t> fields{c, 1};
+      req.entries.push_back({c, *cipher->Encrypt(fields, c), payload});
+    }
+    window.Push(stack.client->AsyncCall(net::MessageType::kInsertChunkBatch,
+                                        req.Encode()),
+                c == chunks);
+  }
+  if (c != chunks) std::abort();  // the row's iteration count is wrong
+  state.counters["chunks"] =
+      benchmark::Counter(static_cast<double>(c), benchmark::Counter::kIsRate);
 }
 
-// Assert the overhead bound only where it is meaningful: optimized code,
-// no sanitizer instrumentation inflating every atomic op.
-#if defined(NDEBUG)
-#if defined(__has_feature)
-#if !__has_feature(address_sanitizer) && !__has_feature(thread_sanitizer)
-#define TC_BENCH_ASSERT_OVERHEAD 1
-#endif
-#elif !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define TC_BENCH_ASSERT_OVERHEAD 1
-#endif
-#endif
+void BM_TcpQuery(benchmark::State& state) {
+  const auto chunks = static_cast<uint64_t>(state.range(1));
+  TcpStack stack(/*durable=*/false);
+  for (uint64_t c = 0; c < chunks; ++c) {
+    if (!stack.client
+             ->Call(net::MessageType::kInsertChunkBatch,
+                    PlainChunkBody(stack.uuid, c))
+             .ok()) {
+      std::abort();
+    }
+  }
+  Window window(state.range(0));
+  uint64_t x = 0x2545f4914f6cdd1dULL;
+  int64_t sent = 0;
+  for (auto _ : state) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint64_t first = (x >> 33) % (chunks - 1);
+    uint64_t last = first + 1 + (x >> 17) % (chunks - first);
+    net::StatRangeRequest req{
+        stack.uuid,
+        {static_cast<Timestamp>(first * kPlainDelta),
+         static_cast<Timestamp>(last * kPlainDelta)}};
+    window.Push(stack.client->AsyncCall(net::MessageType::kGetStatRange,
+                                        req.Encode()),
+                ++sent == state.max_iterations);
+  }
+  state.counters["queries"] =
+      benchmark::Counter(state.iterations(), benchmark::Counter::kIsRate);
+}
 
-void BenchMetricsOverhead(bool assert_bound) {
-  // The marginal cost of the metrics registry: one Counter::Inc plus one
-  // LatencyHistogram::Record per request (the per-message-type count +
-  // latency pair every instrumented handler pays).
-  constexpr uint64_t kOps = 2'000'000;
+// -------------------------------------------------------- scatter-gather
+
+/// Each shard's store pays an emulated remote-store hop of 0.5 ms per op
+/// (the paper's client<->Cassandra RTT) and the engine cache is starved so
+/// queries hit it; a MultiStatRange over one stream per shard then takes
+/// N x per-shard latency when the scatter is serial and ~1 x when the
+/// shard channels pipeline. Serial mode models a blocking per-shard
+/// transport; pipelined mode sizes the channel executor one thread per
+/// shard (what the default resolves to on a host with >= shards cores), so
+/// the store-latency waits overlap even on a small CI box.
+void BM_ScatterStatRange(benchmark::State& state, bool pipelined) {
+  const auto shards = static_cast<size_t>(state.range(0));
+  const auto chunks = static_cast<uint64_t>(state.range(1));
+  std::vector<std::shared_ptr<server::ServerEngine>> engines;
+  for (size_t i = 0; i < shards; ++i) {
+    auto slow = std::make_shared<store::LatencyKvStore>(
+        std::make_shared<store::MemKvStore>(), std::chrono::microseconds(500));
+    server::ServerOptions options;
+    options.shard_id = static_cast<uint32_t>(i);
+    options.index_cache_bytes = 1;  // starve the cache: queries hit kv
+    engines.push_back(
+        std::make_shared<server::ServerEngine>(std::move(slow), options));
+  }
+  cluster::RouterOptions router_options;
+  router_options.scatter_threads = pipelined ? shards : 1;
+  cluster::ShardRouter router(engines, router_options);
+
+  std::vector<uint64_t> uuids;
+  for (size_t s = 0; s < shards; ++s) {
+    uint64_t uuid = 0x4000 + s;
+    while (router.ShardOf(uuid) != s) ++uuid;  // one stream on each shard
+    uuids.push_back(uuid);
+    net::CreateStreamRequest create{uuid, PlainConfig("sc")};
+    if (!router.Handle(net::MessageType::kCreateStream, create.Encode())
+             .ok()) {
+      std::abort();
+    }
+    for (uint64_t c = 0; c < chunks; ++c) {
+      if (!router
+               .Handle(net::MessageType::kInsertChunkBatch,
+                       PlainChunkBody(uuid, c))
+               .ok()) {
+        std::abort();
+      }
+    }
+  }
+  const Bytes body =
+      net::MultiStatRangeRequest{
+          uuids, {0, static_cast<Timestamp>(chunks * kPlainDelta)}}
+          .Encode();
+  for (auto _ : state) {
+    if (!router.Handle(net::MessageType::kMultiStatRange, body).ok()) {
+      std::abort();
+    }
+  }
+}
+
+// ------------------------------------------------- instrumentation costs
+
+// Anything under the 250 ns bound is lost in the noise of a ~28 us request
+// round trip. The rows run on one thread, so they catch added work per
+// record, not contention: an uncontended mutex on either path adds only
+// tens of ns.
+constexpr double kOverheadBoundNs = 250.0;
+
+/// One Counter::Inc plus one LatencyHistogram::Record: the per-message-type
+/// count + latency pair every instrumented handler pays.
+void BM_MetricsRecord(benchmark::State& state) {
   auto& ops = metrics::GetCounter("tc_bench_overhead_total");
   auto& latency = metrics::GetHistogram("tc_bench_overhead_us");
-  WallTimer timer;
-  for (uint64_t i = 0; i < kOps; ++i) {
+  uint64_t i = 0;
+  for (auto _ : state) {
     ops.Inc();
-    latency.Record(i & 0x3FF);
+    latency.Record(i++ & 0x3FF);
   }
-  double ns_per_op = timer.Seconds() * 1e9 / static_cast<double>(kOps);
-  std::printf(
-      "== metrics record overhead: %.1f ns per instrumented request ==\n\n",
-      ns_per_op);
-  // Anything under this bound is lost in the noise of a ~28 us request
-  // round trip (the pipelined-ingest path above); a regression to a locked
-  // or false-sharing record path would blow through it by an order of
-  // magnitude.
-  constexpr double kBoundNs = 250.0;
-#if defined(TC_BENCH_ASSERT_OVERHEAD)
-  if (assert_bound && ns_per_op > kBoundNs) {
-    std::fprintf(stderr,
-                 "metrics overhead %.1f ns/op exceeds the %.0f ns noise "
-                 "bound — the record path is no longer lock-free?\n",
-                 ns_per_op, kBoundNs);
-    std::abort();
-  }
-#else
-  (void)assert_bound;
-  (void)kBoundNs;
-#endif
 }
 
-void BenchSpanOverhead(bool assert_bound) {
-  // The marginal cost of distributed tracing: one TraceSpan open/close per
-  // request — two clock reads, the sampling hash, and a lock-free ring
-  // push.
-  constexpr uint64_t kOps = 1'000'000;
-  WallTimer timer;
-  for (uint64_t i = 0; i < kOps; ++i) {
+/// One TraceSpan open/close: two clock reads, the sampling hash, and a
+/// lock-free ring push.
+void BM_SpanRecord(benchmark::State& state) {
+  for (auto _ : state) {
     metrics::TraceSpan span("bench_span", nullptr, 0, 0);
   }
-  double ns_per_op = timer.Seconds() * 1e9 / static_cast<double>(kOps);
-  std::printf("== span record overhead: %.1f ns per traced request ==\n\n",
-              ns_per_op);
-  // Same noise bound as the counter+histogram pair above: a span is two
-  // steady_clock reads plus a seqlock-slot write, far under the ~28 us
-  // request round trip. A regression to a locked ring blows through it.
-  constexpr double kBoundNs = 250.0;
-#if defined(TC_BENCH_ASSERT_OVERHEAD)
-  if (assert_bound && ns_per_op > kBoundNs) {
-    std::fprintf(stderr,
-                 "span overhead %.1f ns/op exceeds the %.0f ns noise "
-                 "bound — the span ring is no longer lock-free?\n",
-                 ns_per_op, kBoundNs);
-    std::abort();
+}
+
+void RegisterAll() {
+  for (int64_t chunks : {400, 4000}) {
+    // Every chunk is sent once, split across the threads.
+    benchmark::RegisterBenchmark("BM_ShardIngest", BM_ShardIngest)
+        ->ArgNames({"shards", "chunks"})
+        ->ArgsProduct({{1, 2, 4, 8}, {chunks}})
+        ->Iterations(kStreams * chunks / kThreads)
+        ->Threads(kThreads)
+        ->UseRealTime();
+    // Each thread sends a quarter as many queries as the fixture has chunks.
+    benchmark::RegisterBenchmark("BM_ShardQuery", BM_ShardQuery)
+        ->ArgNames({"shards", "chunks"})
+        ->ArgsProduct({{1, 2, 4, 8}, {chunks}})
+        ->Iterations(kStreams * chunks / 4)
+        ->Threads(kThreads)
+        ->UseRealTime();
   }
-#else
-  (void)assert_bound;
-  (void)kBoundNs;
-#endif
+  struct Mode {
+    int64_t batch, window;
+  };
+  for (bool durable : {false, true}) {
+    for (int64_t chunks : {512, 4096}) {
+      for (Mode m : {Mode{1, 1}, Mode{1, 8}, Mode{16, 1}, Mode{64, 1},
+                     Mode{16, 4}, Mode{64, 4}}) {
+        benchmark::RegisterBenchmark(
+            durable ? "BM_TcpIngest/log" : "BM_TcpIngest/mem",
+            [durable](benchmark::State& st) { BM_TcpIngest(st, durable); })
+            ->ArgNames({"batch", "window", "chunks"})
+            ->Args({m.batch, m.window, chunks})
+            ->Iterations((chunks + m.batch - 1) / m.batch)
+            ->UseRealTime()
+            ->Unit(benchmark::kMicrosecond);
+      }
+    }
+  }
+  struct QuerySize {
+    int64_t chunks, queries;
+  };
+  for (QuerySize size : {QuerySize{128, 500}, QuerySize{512, 4000}}) {
+    benchmark::RegisterBenchmark("BM_TcpQuery", BM_TcpQuery)
+        ->ArgNames({"window", "chunks"})
+        ->ArgsProduct({{1, 8, 32}, {size.chunks}})
+        ->Iterations(size.queries)
+        ->UseRealTime()
+        ->Unit(benchmark::kMicrosecond);
+  }
+  for (QuerySize size : {QuerySize{32, 5}, QuerySize{64, 20}}) {
+    for (bool pipelined : {false, true}) {
+      benchmark::RegisterBenchmark(
+          pipelined ? "BM_ScatterStatRange/pipelined"
+                    : "BM_ScatterStatRange/serial",
+          [pipelined](benchmark::State& st) {
+            BM_ScatterStatRange(st, pipelined);
+          })
+          ->ArgNames({"shards", "chunks"})
+          ->ArgsProduct({{1, 2, 4, 8}, {size.chunks}})
+          ->Iterations(size.queries)
+          ->UseRealTime()
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
+  benchmark::RegisterBenchmark("BM_MetricsRecord", BM_MetricsRecord)
+      ->Iterations(2'000'000);
+  benchmark::RegisterBenchmark("BM_SpanRecord", BM_SpanRecord)
+      ->Iterations(1'000'000);
 }
 
 }  // namespace
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
-  using namespace tc::bench;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-
-  std::vector<size_t> shard_counts = {1, 2, 4};
-  if (LargeRuns()) shard_counts.push_back(8);
-  size_t streams = 8;
-  uint64_t chunks = quick ? 400 : 4000;
-  size_t hw = std::thread::hardware_concurrency();
-  // Floor at 2 so the concurrent routing path is exercised even on a
-  // single-core runner (where the speedup column will read ~1.0x).
-  size_t threads = std::max<size_t>(2, std::min<size_t>(4, hw));
-  std::printf("bench_cluster: %zu hardware thread(s) visible — shard "
-              "speedups need cores to land on\n\n",
-              hw);
-
-  BenchShardScaling(shard_counts, streams, chunks, threads);
-  // Blocking (window 1) vs pipelined (window 4) batched ingest.
-  std::vector<IngestMode> modes = {{1, 1}, {1, 8}, {16, 1},
-                                   {64, 1}, {16, 4}, {64, 4}};
-  BenchBatchedTcpIngest(quick ? 512 : 4096, modes, /*durable=*/false);
-  BenchBatchedTcpIngest(quick ? 512 : 4096, modes, /*durable=*/true);
-  BenchPipelinedTcpQueries(quick ? 128 : 512, quick ? 500 : 4000,
-                           {1, 8, 32});
-  BenchScatterGatherLatency(shard_counts, quick ? 32 : 64, quick ? 5 : 20);
-  BenchMetricsOverhead(/*assert_bound=*/quick);
-  BenchSpanOverhead(/*assert_bound=*/quick);
-  PrintStageBreakdown();
-  return 0;
+  tc::bench::RegisterAll();
+  return tc::bench::RunBenchmarks(
+      argc, argv,
+      {{"BM_MetricsRecord", tc::bench::kOverheadBoundNs},
+       {"BM_SpanRecord", tc::bench::kOverheadBoundNs}});
 }

@@ -1,60 +1,27 @@
 // Shared helpers for the benchmark binaries: index fixtures per cipher
-// backend, scaled-down size defaults for single-core runs, and table
-// printing utilities. Every binary regenerates one table/figure of the
-// paper; README.md's benchmark matrix lists which.
+// backend, scaled-down size defaults for single-core runs, the plain-stream
+// ingest fixture the cluster and replication rungs share, and the main()
+// that runs the registered rows and enforces their timing gates. Every
+// binary regenerates one table/figure of the paper or one rung of the layer
+// ladder; README.md's benchmark matrix lists which.
 #pragma once
 
-#include <chrono>
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
-#include <functional>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/metrics.hpp"
+#include "common/time.hpp"
 #include "crypto/rand.hpp"
 #include "index/agg_tree.hpp"
+#include "index/digest_cipher.hpp"
+#include "net/messages.hpp"
 #include "store/mem_kv.hpp"
 
 namespace tc::bench {
-
-/// Wall-clock timer returning seconds.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-  double Micros() const { return Seconds() * 1e6; }
-  void Reset() { start_ = std::chrono::steady_clock::now(); }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Time `op()` n times, return average microseconds.
-inline double AvgMicros(size_t n, const std::function<void()>& op) {
-  WallTimer t;
-  for (size_t i = 0; i < n; ++i) op();
-  return t.Micros() / static_cast<double>(n);
-}
-
-/// Pretty duration: picks ns/µs/ms/s.
-inline std::string FmtMicros(double us) {
-  char buf[64];
-  if (us < 0.001) {
-    std::snprintf(buf, sizeof(buf), "%.1fns", us * 1000.0);
-  } else if (us < 1000.0) {
-    std::snprintf(buf, sizeof(buf), "%.2fus", us);
-  } else if (us < 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", us / 1000.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2fs", us / 1e6);
-  }
-  return buf;
-}
 
 inline std::string FmtBytes(uint64_t bytes) {
   char buf[64];
@@ -107,37 +74,185 @@ inline bool LargeRuns() {
   return env != nullptr && env[0] == '1';
 }
 
-/// Server-side view of where the benchmark's requests spent their time:
-/// renders the tc_server_request_seconds (per message type) and
-/// tc_server_stage_seconds (per pipeline stage) histograms the engines
-/// recorded while the bench drove them. Prints nothing when no instrumented
-/// path ran.
-inline void PrintStageBreakdown() {
-  auto samples = metrics::MetricsRegistry::Instance().Collect();
-  bool header = false;
-  for (const auto& sample : samples) {
-    if (sample.kind != metrics::MetricSample::Kind::kHistogram) continue;
-    if (sample.name != "tc_server_request_seconds" &&
-        sample.name != "tc_server_stage_seconds") {
-      continue;
+// ------------------------------------------- plain-stream ingest fixture
+
+/// Chunk interval of the plain streams below.
+inline constexpr DurationMs kPlainDelta = 10 * kSecond;
+
+/// A sum+count plaintext stream: the server does the same index work as
+/// for HEAC without any client-side key derivation.
+inline net::StreamConfig PlainConfig(const std::string& name) {
+  net::StreamConfig c;
+  c.name = name;
+  c.t0 = 0;
+  c.delta_ms = kPlainDelta;
+  c.schema.with_sum = c.schema.with_count = true;
+  c.cipher = net::CipherKind::kPlain;
+  c.fanout = 64;
+  return c;
+}
+
+/// A digest-only one-chunk InsertChunkBatch body: chunk `c` of plain
+/// stream `uuid`, with sum c + 1 and count 1.
+inline Bytes PlainChunkBody(uint64_t uuid, uint64_t c) {
+  static const auto cipher = index::MakePlainCipher(2);
+  std::vector<uint64_t> fields{c + 1, 1};
+  return net::InsertChunkBatchRequest{uuid,
+                                      {{c, *cipher->Encrypt(fields, c), {}}}}
+      .Encode();
+}
+
+/// Pre-encoded PlainChunkBody requests for `streams` plain streams of
+/// `chunks` chunks each (encoding is client work; the rows that use this
+/// time the server).
+struct IngestLoad {
+  std::vector<uint64_t> uuids;
+  std::vector<std::vector<Bytes>> bodies;  // [stream][chunk]
+
+  IngestLoad(size_t streams, uint64_t chunks) {
+    for (size_t s = 0; s < streams; ++s) {
+      uuids.push_back(0x1000 + s);
+      bodies.emplace_back();
+      bodies.back().reserve(chunks);
+      for (uint64_t c = 0; c < chunks; ++c) {
+        bodies.back().push_back(PlainChunkBody(uuids[s], c));
+      }
     }
-    if (sample.hist.count == 0) continue;
-    if (!header) {
-      std::printf(
-          "== server-side breakdown (from the metrics registry) ==\n"
-          "%-44s %10s %10s %10s %10s %10s\n",
-          "histogram", "count", "p50", "p95", "p99", "max");
-      header = true;
-    }
-    std::string row = sample.name + "{" + sample.labels + "}";
-    std::printf("%-44s %10llu %10s %10s %10s %10s\n", row.c_str(),
-                static_cast<unsigned long long>(sample.hist.count),
-                FmtMicros(static_cast<double>(sample.hist.p50)).c_str(),
-                FmtMicros(static_cast<double>(sample.hist.p95)).c_str(),
-                FmtMicros(static_cast<double>(sample.hist.p99)).c_str(),
-                FmtMicros(static_cast<double>(sample.hist.max)).c_str());
   }
-  if (header) std::printf("\n");
+
+  /// Create every stream through `handler`.
+  void CreateStreams(net::RequestHandler& handler) const {
+    for (uint64_t uuid : uuids) {
+      net::CreateStreamRequest req{uuid,
+                                   PlainConfig("b" + std::to_string(uuid))};
+      if (!handler.Handle(net::MessageType::kCreateStream, req.Encode())
+               .ok()) {
+        std::abort();
+      }
+    }
+  }
+
+  /// Create the streams, then send every body, stream by stream.
+  void Ingest(net::RequestHandler& handler) const {
+    CreateStreams(handler);
+    for (const auto& stream : bodies) {
+      for (const auto& body : stream) {
+        if (!handler.Handle(net::MessageType::kInsertChunkBatch, body).ok()) {
+          std::abort();
+        }
+      }
+    }
+  }
+
+  /// The next query of a deterministic walk: advances the LCG state `x` and
+  /// returns a GetStatRange body over a random stream and a random range
+  /// of its `chunks` chunks.
+  Bytes NextStatRange(uint64_t& x, uint64_t chunks) const {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint64_t uuid = uuids[(x >> 33) % uuids.size()];
+    uint64_t first = (x >> 17) % (chunks - 1);
+    uint64_t max_span = chunks - first - 1;
+    uint64_t last = first + 1 + (max_span == 0 ? 0 : x % max_span);
+    return net::StatRangeRequest{
+        uuid,
+        {static_cast<Timestamp>(first * kPlainDelta),
+         static_cast<Timestamp>(last * kPlainDelta)}}
+        .Encode();
+  }
+};
+
+// ------------------------------------------------------ main and gates
+
+// Timing gates hold only where they are meaningful: optimized code, no
+// sanitizer instrumentation inflating every atomic op.
+#if defined(NDEBUG) && defined(__has_feature)
+#if !__has_feature(address_sanitizer) && !__has_feature(thread_sanitizer)
+#define TC_BENCH_GATES_APPLY 1
+#endif
+#elif defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define TC_BENCH_GATES_APPLY 1
+#endif
+#if defined(TC_BENCH_GATES_APPLY)
+inline constexpr bool kTimingGatesApply = true;
+#else
+inline constexpr bool kTimingGatesApply = false;
+#endif
+
+/// A bound on one row's wall time per iteration.
+struct TimingGate {
+  std::string row;  // the row's family name, e.g. "BM_SpanRecord"
+  double max_ns;
+};
+
+/// Display reporter that passes every run to the default one (so
+/// --benchmark_format still applies) and checks the gated rows' runs.
+class GateReporter : public benchmark::BenchmarkReporter {
+ public:
+  explicit GateReporter(std::vector<TimingGate> gates)
+      : display_(benchmark::CreateDefaultDisplayReporter()),
+        gates_(std::move(gates)),
+        ran_(gates_.size(), false) {}
+
+  bool ReportContext(const Context& context) override {
+    running_ = true;
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    display_->ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.iterations == 0) continue;
+      for (size_t g = 0; g < gates_.size(); ++g) {
+        if (run.run_name.function_name != gates_[g].row) continue;
+        ran_[g] = true;
+        double ns = run.real_accumulated_time * 1e9 /
+                    static_cast<double>(run.iterations);
+        if (kTimingGatesApply && ns > gates_[g].max_ns) {
+          std::fprintf(stderr,
+                       "%s: %.1f ns per iteration exceeds its %.0f ns bound\n",
+                       run.benchmark_name().c_str(), ns, gates_[g].max_ns);
+          failed_ = true;
+        }
+      }
+    }
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  /// True when a gate was exceeded, or when rows ran but a gated row named
+  /// in `filter` did not (the row was renamed and the filter was not).
+  bool Failed(const std::string& filter) const {
+    bool failed = failed_;
+    for (size_t g = 0; g < gates_.size(); ++g) {
+      if (running_ && !ran_[g] &&
+          filter.find(gates_[g].row) != std::string::npos) {
+        std::fprintf(stderr,
+                     "gated row %s is named by the filter but did not run\n",
+                     gates_[g].row.c_str());
+        failed = true;
+      }
+    }
+    return failed;
+  }
+
+ private:
+  benchmark::BenchmarkReporter* display_;  // owned by the library
+  std::vector<TimingGate> gates_;
+  std::vector<bool> ran_;
+  bool running_ = false;  // false when only listing rows
+  bool failed_ = false;
+};
+
+/// The main() of every bench binary: runs the rows the flags select, and
+/// returns nonzero when the filter matched no row or a gate failed.
+inline int RunBenchmarks(int argc, char** argv,
+                         std::vector<TimingGate> gates = {}) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  GateReporter reporter(std::move(gates));
+  const size_t matched = benchmark::RunSpecifiedBenchmarks(&reporter);
+  const std::string filter = benchmark::GetBenchmarkFilter();
+  benchmark::Shutdown();
+  return matched == 0 || reporter.Failed(filter) ? 1 : 0;
 }
 
 }  // namespace tc::bench

@@ -124,8 +124,6 @@ int main(int argc, char** argv) {
   std::printf(
       "=== §6.3 DevOps: CPU monitoring, plaintext vs TimeCrypt ===\n"
       "paper: 60.6k rec/s ingest / 40.4k ops/s query, TimeCrypt -0.75%%\n\n");
-  benchmark::Initialize(&argc, argv);
   tc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
       "=== Fig 5: aggregate query latency vs interval size [0, 2^x] ===\n"
       "(expected shape: TimeCrypt ~ plaintext, flat with log steps;\n"
       " strawman orders of magnitude above with sawtooth)\n\n");
-  benchmark::Initialize(&argc, argv);
   tc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -56,8 +56,6 @@ int main(int argc, char** argv) {
       "one derivation = x PRG expansions; paper: 2.5us at 2^30 with AES-NI\n"
       "CPU AES-NI support: %s\n\n",
       tc::crypto::CpuHasAesNi() ? "yes" : "NO (AES-NI series = soft fallback)");
-  benchmark::Initialize(&argc, argv);
   tc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <map>
 
@@ -260,102 +259,140 @@ void RegisterAll() {
   }
 }
 
-// ---- strawman E2E (Fig 7a-b-d): direct ingest/query with Paillier &
-// EC-ElGamal digests through the same server ------------------------------
+// ---- strawman E2E (Fig 7a-b-d): honest per-chunk Paillier and EC-ElGamal
+// encryption through the same server --------------------------------------
 
-void StrawmanRow(const char* name,
-                 std::shared_ptr<const index::DigestCipher> cipher,
-                 Bytes cipher_public, net::CipherKind kind, uint64_t chunks) {
+/// A strawman scheme's digest cipher and public key, made once per process
+/// (Paillier-3072 keygen takes seconds).
+struct StrawmanKeys {
+  std::shared_ptr<const index::DigestCipher> cipher;
+  Bytes public_key;
+};
+
+const StrawmanKeys& KeysFor(net::CipherKind kind) {
+  if (kind == net::CipherKind::kPaillier) {
+    static const StrawmanKeys paillier = [] {
+      auto key = std::shared_ptr<const crypto::Paillier>(
+          crypto::Paillier::Generate(3072));
+      return StrawmanKeys{index::MakePaillierCipher(1, key),
+                          key->ExportPublicKey()};
+    }();
+    return paillier;
+  }
+  static const StrawmanKeys ec_elgamal = [] {
+    auto key =
+        std::shared_ptr<const crypto::EcElGamal>(crypto::EcElGamal::Generate());
+    return StrawmanKeys{index::MakeEcElGamalCipher(1, key, 17),
+                        key->ExportPublicKey()};
+  }();
+  return ec_elgamal;
+}
+
+/// A stack holding one strawman stream. Its schema is sum-only, since
+/// strawman cost is per field.
+struct StrawmanStack {
   Stack stack;
-  net::StreamConfig config = MHealthConfig(kind);
-  config.schema = index::DigestSchema{};  // sum+count only: strawman cost is
-  config.schema.with_sum = true;          // per-field, keep fields minimal
-  config.schema.with_count = false;
-  config.cipher_public = std::move(cipher_public);
-  net::CreateStreamRequest create{1, config};
-  if (!stack.transport->Call(net::MessageType::kCreateStream, create.Encode())
-           .ok()) {
-    std::abort();
+  std::shared_ptr<const index::DigestCipher> cipher;
+  uint64_t chunks = 0;
+
+  explicit StrawmanStack(net::CipherKind kind) : cipher(KeysFor(kind).cipher) {
+    net::StreamConfig config = MHealthConfig(kind);
+    config.schema = index::DigestSchema{};
+    config.schema.with_count = false;
+    config.cipher_public = KeysFor(kind).public_key;
+    net::CreateStreamRequest create{1, config};
+    if (!stack.transport
+             ->Call(net::MessageType::kCreateStream, create.Encode())
+             .ok()) {
+      std::abort();
+    }
   }
 
-  // Ingest: honest per-chunk encryption + server index update.
-  std::vector<uint64_t> fields = {600};
-  WallTimer ingest_timer;
-  for (uint64_t c = 0; c < chunks; ++c) {
-    Bytes blob = *cipher->Encrypt(fields, c);
-    net::InsertChunkBatchRequest req{1, {{c, std::move(blob), {}}}};
+  /// Encrypt the next chunk's digest and index it.
+  void InsertChunk() {
+    std::vector<uint64_t> fields = {600};
+    net::InsertChunkBatchRequest req{
+        1, {{chunks, *cipher->Encrypt(fields, chunks), {}}}};
     if (!stack.transport
              ->Call(net::MessageType::kInsertChunkBatch, req.Encode())
              .ok()) {
       std::abort();
     }
+    ++chunks;
   }
-  double ingest_us = ingest_timer.Micros() / chunks;
+};
 
-  // Queries: random ranges, decrypt included.
+/// One iteration is one chunk: honest encryption plus the server's index
+/// update. `records` is Fig 7a's rate at 500 records per chunk.
+void BM_StrawmanIngest(benchmark::State& state, net::CipherKind kind) {
+  StrawmanStack strawman(kind);
+  for (auto _ : state) strawman.InsertChunk();
+  state.counters["records"] = benchmark::Counter(
+      static_cast<double>(strawman.chunks * kPointsPerChunk),
+      benchmark::Counter::kIsRate);
+}
+
+/// One iteration is one random-range statistical query, decryption included.
+void BM_StrawmanStatQuery(benchmark::State& state, net::CipherKind kind,
+                          uint64_t chunks) {
+  // One stream per scheme, built on first use and kept for the process.
+  static std::map<net::CipherKind, std::unique_ptr<StrawmanStack>> strawmen;
+  auto& strawman = strawmen[kind];
+  if (!strawman) {
+    strawman = std::make_unique<StrawmanStack>(kind);
+    while (strawman->chunks < chunks) strawman->InsertChunk();
+  }
   crypto::DeterministicRng rng(3);
-  constexpr int kQueries = 20;
-  WallTimer query_timer;
-  for (int q = 0; q < kQueries; ++q) {
+  for (auto _ : state) {
     uint64_t a = rng.NextBelow(chunks - 1);
     uint64_t b = a + 1 + rng.NextBelow(chunks - a - 1);
     net::StatRangeRequest req{1, {static_cast<Timestamp>(a) * kDelta,
                                   static_cast<Timestamp>(b) * kDelta}};
-    auto resp = stack.transport->Call(net::MessageType::kGetStatRange,
-                                      req.Encode());
+    auto resp = strawman->stack.transport->Call(
+        net::MessageType::kGetStatRange, req.Encode());
     if (!resp.ok()) std::abort();
     auto decoded = net::StatRangeResponse::Decode(*resp);
-    auto plain = cipher->Decrypt(decoded->aggregate_blob,
-                                 decoded->first_chunk, decoded->last_chunk);
+    auto plain = strawman->cipher->Decrypt(
+        decoded->aggregate_blob, decoded->first_chunk, decoded->last_chunk);
     if (!plain.ok()) std::abort();
   }
-  double query_us = query_timer.Micros() / kQueries;
-
-  std::printf("%-12s ingest %10s/chunk (%8.0f rec/s at 500 rec/chunk)   "
-              "query %10s/op\n",
-              name, FmtMicros(ingest_us).c_str(),
-              kPointsPerChunk * 1e6 / ingest_us,
-              FmtMicros(query_us).c_str());
+  state.counters["queries"] =
+      benchmark::Counter(state.iterations(), benchmark::Counter::kIsRate);
 }
 
-void RunStrawmanRows() {
-  std::printf("\n=== Fig 7a/b/d: strawman E2E rows (honest encryption) ===\n");
-  auto paillier = std::shared_ptr<const crypto::Paillier>(
-      crypto::Paillier::Generate(3072));
-  StrawmanRow("Paillier", index::MakePaillierCipher(1, paillier),
-              paillier->ExportPublicKey(), net::CipherKind::kPaillier,
-              /*chunks=*/100);
-  auto eg =
-      std::shared_ptr<const crypto::EcElGamal>(crypto::EcElGamal::Generate());
-  StrawmanRow("EC-ElGamal", index::MakeEcElGamalCipher(1, eg, 17),
-              eg->ExportPublicKey(), net::CipherKind::kEcElGamal,
-              /*chunks=*/400);
-  std::printf("\n");
+void RegisterStrawmen() {
+  struct Scheme {
+    const char* name;
+    net::CipherKind kind;
+    uint64_t query_chunks;
+  };
+  for (auto s : {Scheme{"Paillier", net::CipherKind::kPaillier, 100},
+                 Scheme{"EC-ElGamal", net::CipherKind::kEcElGamal, 400}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_StrawmanIngest/") + s.name).c_str(),
+        [s](benchmark::State& st) { BM_StrawmanIngest(st, s.kind); })
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_StrawmanStatQuery/") + s.name + "/chunks:" +
+         std::to_string(s.query_chunks))
+            .c_str(),
+        [s](benchmark::State& st) {
+          BM_StrawmanStatQuery(st, s.kind, s.query_chunks);
+        })
+        ->Unit(benchmark::kMicrosecond);
+  }
 }
 
 }  // namespace
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
-  // The strawman table is a direct measurement (incl. a multi-second
-  // Paillier-3072 keygen), not a registered benchmark — skip it when the
-  // caller only wants the registry listed (e.g. the CTest smoke).
-  bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--benchmark_list_tests") == 0 ||
-        std::strcmp(argv[i], "--benchmark_list_tests=true") == 0 ||
-        std::strcmp(argv[i], "--benchmark_list_tests=1") == 0) {
-      list_only = true;
-    }
-  }
   std::printf(
       "=== Fig 7 + §6.3 mhealth: E2E ingest & query, plaintext vs "
       "TimeCrypt vs strawman ===\n"
       "paper (8 vCPU, 100 clients): plaintext 2.47M rec/s, 19.4k query "
       "ops/s; TimeCrypt -1.8%%; 20x/52x over EC-ElGamal/Paillier\n\n");
-  benchmark::Initialize(&argc, argv);
-  if (!list_only) tc::bench::RunStrawmanRows();
   tc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  tc::bench::RegisterStrawmen();
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -161,9 +161,7 @@ void PrintIndexSizes() {
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   tc::bench::PrintIndexSizes();
   tc::bench::RegisterSized();
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -127,7 +127,5 @@ int main(int argc, char** argv) {
       "EC-ElGamal 1.4ms/1.1ms\n"
       "paper IoT    : TimeCrypt 1.08ms | Paillier 1.59s/1.62s | "
       "EC-ElGamal 252ms/N/A  (OpenMote, not reproducible here)\n\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -180,7 +180,7 @@ Status LocalFollower::EndSnapshot(uint64_t seq, uint64_t total_entries) {
 
 ReplicatedKvStore::ReplicatedKvStore(std::shared_ptr<store::KvStore> primary,
                                      ReplicatedKvOptions options)
-    : primary_(std::move(primary)),
+    : ForwardingKvStore(std::move(primary)),
       options_(options),
       origin_(crypto::RandomU64() | 1) {
   if (options_.ship_batch_ops == 0) options_.ship_batch_ops = 1;
@@ -245,14 +245,14 @@ Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
     // that fails its length check) is not replicated.
     switch (kind) {
       case net::kReplicaOpPut:
-        TC_RETURN_IF_ERROR(primary_->Put(key, value));
+        TC_RETURN_IF_ERROR(primary()->Put(key, value));
         break;
       case net::kReplicaOpAppend:
         TC_RETURN_IF_ERROR(
-            primary_->Append(key, expected_size, value).status());
+            primary()->Append(key, expected_size, value).status());
         break;
       default:
-        TC_RETURN_IF_ERROR(primary_->Delete(key));
+        TC_RETURN_IF_ERROR(primary()->Delete(key));
     }
     seq = head_seq_.load(std::memory_order_relaxed) + 1;
     log_.push_back(
@@ -289,25 +289,6 @@ Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
                        std::to_string(seq));
   }
   return Status::Ok();
-}
-
-Result<Bytes> ReplicatedKvStore::Get(const std::string& key) const {
-  return primary_->Get(key);
-}
-
-bool ReplicatedKvStore::Contains(const std::string& key) const {
-  return primary_->Contains(key);
-}
-
-size_t ReplicatedKvStore::Size() const { return primary_->Size(); }
-
-size_t ReplicatedKvStore::ValueBytes() const { return primary_->ValueBytes(); }
-
-Status ReplicatedKvStore::Sync() { return primary_->Sync(); }
-
-Status ReplicatedKvStore::Scan(
-    const std::function<void(const std::string&, BytesView)>& fn) const {
-  return primary_->Scan(fn);
 }
 
 size_t ReplicatedKvStore::num_followers() const {
@@ -414,7 +395,7 @@ Status ReplicatedKvStore::StreamSnapshot(FollowerState* state,
   // interrupted stream resume: the same snap_seq implies no mutations since
   // it was pinned, hence the same keys in the same order.
   std::vector<std::string> keys;
-  TC_RETURN_IF_ERROR(primary_->Scan([&](const std::string& key, BytesView) {
+  TC_RETURN_IF_ERROR(primary()->Scan([&](const std::string& key, BytesView) {
     if (!std::string_view(key).starts_with(kReplicaMetaPrefix)) {
       keys.push_back(key);
     }
@@ -445,7 +426,7 @@ Status ReplicatedKvStore::StreamSnapshot(FollowerState* state,
 
   uint64_t stream_index = 0;  // position among entries that resolved
   for (const auto& key : keys) {
-    auto value = primary_->Get(key);
+    auto value = primary()->Get(key);
     if (!value.ok()) {
       // Deleted while we walked the list: the op log replays the delete
       // after the snapshot lands, and End reconciles diverged holders.

@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "store/kv_store.hpp"
+#include "store/forwarding_kv.hpp"
 
 namespace tc::replica {
 
@@ -186,10 +186,10 @@ struct ReplicatedKvOptions {
 };
 
 /// KvStore decorator: applies to the primary, ships to followers. Reads
-/// (Get/Contains/Scan/Size/ValueBytes/Sync) pass straight to the primary —
-/// replica reads are routed above this layer (ReplicaSet), where engine
-/// state can be refreshed to match the follower store.
-class ReplicatedKvStore final : public store::KvStore {
+/// (Get/Contains/Scan/Size/ValueBytes/Sync/Compaction) pass straight to the
+/// primary — replica reads are routed above this layer (ReplicaSet), where
+/// engine state can be refreshed to match the follower store.
+class ReplicatedKvStore final : public store::ForwardingKvStore {
  public:
   explicit ReplicatedKvStore(std::shared_ptr<store::KvStore> primary,
                              ReplicatedKvOptions options = {});
@@ -201,22 +201,12 @@ class ReplicatedKvStore final : public store::KvStore {
   /// Returns its index for follower_seq().
   size_t AddFollower(std::shared_ptr<Follower> follower);
 
-  // KvStore
+  // KvStore writes; every other call is ForwardingKvStore's.
   Status Put(const std::string& key, BytesView value) override;
-  Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   /// Ships only the suffix and the prior length, not the grown value.
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override;
-  bool Contains(const std::string& key) const override;
-  size_t Size() const override;
-  size_t ValueBytes() const override;
-  TC_BLOCKING Status Sync() override;
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override;
-  CompactionStats Compaction() const override {
-    return primary_->Compaction();
-  }
 
   // Replication introspection. Sequence numbers start at 1; follower_seq is
   // the highest op a follower has durably applied (snapshots jump it).
@@ -245,7 +235,7 @@ class ReplicatedKvStore final : public store::KvStore {
   /// this to drain the async pipeline.
   TC_BLOCKING Status WaitCaughtUp(int64_t timeout_ms = 30'000);
 
-  const std::shared_ptr<store::KvStore>& primary() const { return primary_; }
+  const std::shared_ptr<store::KvStore>& primary() const { return inner(); }
 
  private:
   // The non-atomic fields are guarded by the outer mu_ — an attribute
@@ -279,7 +269,6 @@ class ReplicatedKvStore final : public store::KvStore {
   /// True when every follower is past snapshot catch-up and at `target`.
   bool AllCaughtUpLocked(uint64_t target) const REQUIRES(mu_);
 
-  std::shared_ptr<store::KvStore> primary_;
   ReplicatedKvOptions options_;
 
   mutable Mutex mu_;

@@ -11,7 +11,9 @@ bool ShouldFire(std::atomic<uint64_t>& counter, uint64_t every_nth) {
 
 FaultKvStore::FaultKvStore(std::shared_ptr<KvStore> inner,
                            FaultOptions options)
-    : inner_(std::move(inner)), options_(options), fail_all_(options.fail_all) {}
+    : ForwardingKvStore(std::move(inner)),
+      options_(options),
+      fail_all_(options.fail_all) {}
 
 Status FaultKvStore::Fault() const {
   return {options_.failure_code, "injected fault"};
@@ -27,7 +29,7 @@ bool FaultKvStore::FailWrite() {
 
 Status FaultKvStore::Put(const std::string& key, BytesView value) {
   if (FailWrite()) return Fault();
-  return inner_->Put(key, value);
+  return inner()->Put(key, value);
 }
 
 Result<Bytes> FaultKvStore::Get(const std::string& key) const {
@@ -35,9 +37,9 @@ Result<Bytes> FaultKvStore::Get(const std::string& key) const {
     ++gets_failed_;
     return Fault();
   }
-  auto value = inner_->Get(key);
+  auto value = inner()->Get(key);
   if (value.ok() && !value->empty() &&
-      ShouldFire(get_ops_, options_.corrupt_every_nth_get)) {
+      ShouldFire(value_gets_, options_.corrupt_every_nth_get)) {
     ++gets_corrupted_;
     (*value)[value->size() / 2] ^= 0x5a;
   }
@@ -50,33 +52,29 @@ Status FaultKvStore::Delete(const std::string& key) {
     ++deletes_failed_;
     return Fault();
   }
-  return inner_->Delete(key);
+  return inner()->Delete(key);
 }
 
 Result<size_t> FaultKvStore::Append(const std::string& key,
                                     size_t expected_size, BytesView suffix) {
   if (FailWrite()) return Fault();
-  return inner_->Append(key, expected_size, suffix);
+  return inner()->Append(key, expected_size, suffix);
 }
 
 bool FaultKvStore::Contains(const std::string& key) const {
   if (FailAll()) return false;
-  return inner_->Contains(key);
+  return inner()->Contains(key);
 }
 
 Status FaultKvStore::Scan(
     const std::function<void(const std::string&, BytesView)>& fn) const {
   if (FailAll()) return Fault();
-  return inner_->Scan(fn);
+  return inner()->Scan(fn);
 }
 
 Status FaultKvStore::Sync() {
   if (FailAll()) return Fault();
-  return inner_->Sync();
+  return inner()->Sync();
 }
-
-size_t FaultKvStore::Size() const { return inner_->Size(); }
-
-size_t FaultKvStore::ValueBytes() const { return inner_->ValueBytes(); }
 
 }  // namespace tc::store

@@ -9,27 +9,32 @@
 #include <atomic>
 #include <memory>
 
-#include "store/kv_store.hpp"
+#include "store/forwarding_kv.hpp"
 
 namespace tc::store {
 
 /// Failure schedule. All counters are per-operation-kind and 1-based:
 /// `fail_every_nth_get = 3` fails the 3rd, 6th, 9th... Get. Zero disables
-/// that fault. `fail_all` overrides everything (a hard outage).
+/// that fault. `fail_all` overrides everything (a hard outage). Put and
+/// Append share the write schedule.
 struct FaultOptions {
   uint64_t fail_every_nth_put = 0;
   uint64_t fail_every_nth_get = 0;
   uint64_t fail_every_nth_delete = 0;
-  /// Corrupt (flip one byte of) the value returned by every nth Get. The
-  /// stored data is untouched — simulates a read-path bit flip / stale
-  /// replica, the case end-to-end integrity checking must catch.
+  /// Corrupt (flip one byte of) the value returned by every nth Get that
+  /// returns a non-empty value. It counts only those Gets, on its own
+  /// counter: Gets that fail (injected or not) or find an empty value do
+  /// not advance it, and it does not move the fail schedule. The stored
+  /// data is untouched — simulates a read-path bit flip / stale replica,
+  /// the case end-to-end integrity checking must catch.
   uint64_t corrupt_every_nth_get = 0;
   bool fail_all = false;
   StatusCode failure_code = StatusCode::kUnavailable;
 };
 
 /// Thread-safe decorator; schedules apply process-wide across threads.
-class FaultKvStore final : public KvStore {
+/// Calls without a schedule (Size, ValueBytes, Compaction) pass through.
+class FaultKvStore final : public ForwardingKvStore {
  public:
   FaultKvStore(std::shared_ptr<KvStore> inner, FaultOptions options = {});
 
@@ -40,15 +45,12 @@ class FaultKvStore final : public KvStore {
   /// A write: shares the put schedule and the puts_failed counter.
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override;
-  size_t Size() const override;
-  size_t ValueBytes() const override;
   /// Scans fail only under the hard outage (no per-nth schedule: one scan
   /// is one logical operation, not a countable stream of faults).
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
   /// Like Scan: fails only under the hard outage, else forwards.
   TC_BLOCKING Status Sync() override;
-  CompactionStats Compaction() const override { return inner_->Compaction(); }
 
   /// Flip the hard-outage switch (all operations fail until cleared).
   /// Atomic: tests flip it from their own thread while shipper / failover
@@ -69,11 +71,11 @@ class FaultKvStore final : public KvStore {
   bool FailWrite();
   bool FailAll() const { return fail_all_.load(std::memory_order_acquire); }
 
-  std::shared_ptr<KvStore> inner_;
   FaultOptions options_;
   std::atomic<bool> fail_all_;  // seeded from options_, runtime-flippable
   mutable std::atomic<uint64_t> put_ops_{0};
   mutable std::atomic<uint64_t> get_ops_{0};
+  mutable std::atomic<uint64_t> value_gets_{0};  // corruption schedule
   mutable std::atomic<uint64_t> delete_ops_{0};
   mutable std::atomic<uint64_t> puts_failed_{0};
   mutable std::atomic<uint64_t> gets_failed_{0};

@@ -8,49 +8,48 @@
 #include <memory>
 #include <thread>
 
-#include "store/kv_store.hpp"
+#include "store/forwarding_kv.hpp"
 
 namespace tc::store {
 
-class LatencyKvStore final : public KvStore {
+/// Every call that would cross the network to a remote store pays one
+/// Delay; Size, ValueBytes and Compaction are local bookkeeping and do not.
+class LatencyKvStore final : public ForwardingKvStore {
  public:
   LatencyKvStore(std::shared_ptr<KvStore> inner,
                  std::chrono::microseconds per_op_latency)
-      : inner_(std::move(inner)), latency_(per_op_latency) {}
+      : ForwardingKvStore(std::move(inner)), latency_(per_op_latency) {}
 
   Status Put(const std::string& key, BytesView value) override {
     Delay();
-    return inner_->Put(key, value);
+    return inner()->Put(key, value);
   }
   Result<Bytes> Get(const std::string& key) const override {
     Delay();
-    return inner_->Get(key);
+    return inner()->Get(key);
   }
   Status Delete(const std::string& key) override {
     Delay();
-    return inner_->Delete(key);
+    return inner()->Delete(key);
   }
   bool Contains(const std::string& key) const override {
     Delay();
-    return inner_->Contains(key);
+    return inner()->Contains(key);
   }
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override {
     Delay();
-    return inner_->Append(key, expected_size, suffix);
+    return inner()->Append(key, expected_size, suffix);
   }
-  size_t Size() const override { return inner_->Size(); }
-  size_t ValueBytes() const override { return inner_->ValueBytes(); }
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override {
     Delay();  // one round trip: a remote scan streams, it does not chat
-    return inner_->Scan(fn);
+    return inner()->Scan(fn);
   }
   TC_BLOCKING Status Sync() override {
     Delay();
-    return inner_->Sync();
+    return inner()->Sync();
   }
-  CompactionStats Compaction() const override { return inner_->Compaction(); }
 
   uint64_t ops() const { return ops_.load(); }
 
@@ -65,7 +64,6 @@ class LatencyKvStore final : public KvStore {
     }
   }
 
-  std::shared_ptr<KvStore> inner_;
   std::chrono::microseconds latency_;
   mutable std::atomic<uint64_t> ops_{0};
 };

@@ -8,13 +8,16 @@
 #include <memory>
 #include <string>
 
-#include "store/kv_store.hpp"
+#include "store/forwarding_kv.hpp"
 
 namespace tc::store {
 
 /// View store. Thread-safety and durability are whatever the backend
-/// provides; the view itself adds no locking.
-class PrefixKvStore final : public KvStore {
+/// provides; the view itself adds no locking. Size, ValueBytes, Sync and
+/// Compaction pass straight to the backend: they report the whole shared
+/// store, not this view's slice (per-view accounting would cost a lookup
+/// per Put; shard introspection uses the engine's index stats instead).
+class PrefixKvStore final : public ForwardingKvStore {
  public:
   PrefixKvStore(std::shared_ptr<KvStore> backend, std::string prefix);
 
@@ -24,21 +27,11 @@ class PrefixKvStore final : public KvStore {
   bool Contains(const std::string& key) const override;
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override;
-  /// Size/ValueBytes delegate to the backend: they report the whole shared
-  /// store, not this view's slice (per-view accounting would cost a lookup
-  /// per Put; shard introspection uses the engine's index stats instead).
-  size_t Size() const override;
-  size_t ValueBytes() const override;
-  TC_BLOCKING Status Sync() override;
   /// Visits only this view's slice: backend keys carrying the prefix, with
   /// the prefix stripped — so a scan of a view round-trips through Put
   /// unchanged, and sibling views' keys never leak in.
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
-  /// Whole-backend compaction pressure, like Size/ValueBytes.
-  CompactionStats Compaction() const override {
-    return backend_->Compaction();
-  }
 
   const std::string& prefix() const { return prefix_; }
 
@@ -47,7 +40,6 @@ class PrefixKvStore final : public KvStore {
     return prefix_ + key;
   }
 
-  std::shared_ptr<KvStore> backend_;
   std::string prefix_;
 };
 

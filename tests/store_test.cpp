@@ -1082,60 +1082,164 @@ TEST(LruCacheTest, OversizedPutDropsTheOlderValue) {
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
-TEST(DecoratorAppendTest, PrefixLatencyAndFaultStoresForwardAppend) {
-  auto backend = std::make_shared<MemKvStore>();
-  PrefixKvStore view(backend, "s1/");
-  ASSERT_TRUE(view.Put("k", ToBytes("ab")).ok());
-  ASSERT_TRUE(view.Append("k", 2, ToBytes("c")).ok());
-  EXPECT_EQ(ToString(*backend->Get("s1/k")), "abc");
+// Records every KvStore call that reaches it, over a MemKvStore, and
+// reports a fixed compaction figure so a forwarded Compaction is visible.
+class SpyKv final : public KvStore {
+ public:
+  Status Put(const std::string& key, BytesView value) override {
+    ++calls["Put"];
+    return inner_.Put(key, value);
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    ++calls["Get"];
+    return inner_.Get(key);
+  }
+  Status Delete(const std::string& key) override {
+    ++calls["Delete"];
+    return inner_.Delete(key);
+  }
+  bool Contains(const std::string& key) const override {
+    ++calls["Contains"];
+    return inner_.Contains(key);
+  }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    ++calls["Append"];
+    return inner_.Append(key, expected_size, suffix);
+  }
+  size_t Size() const override {
+    ++calls["Size"];
+    return inner_.Size();
+  }
+  size_t ValueBytes() const override {
+    ++calls["ValueBytes"];
+    return inner_.ValueBytes();
+  }
+  Status Sync() override {
+    ++calls["Sync"];
+    return Status::Ok();
+  }
+  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
+      const override {
+    ++calls["Scan"];
+    return inner_.Scan(fn);
+  }
+  CompactionStats Compaction() const override {
+    ++calls["Compaction"];
+    return {7, 42};
+  }
 
-  LatencyKvStore slow(backend, std::chrono::microseconds(0));
-  ASSERT_TRUE(slow.Append("s1/k", 3, ToBytes("d")).ok());
-  EXPECT_EQ(slow.ops(), 1u);
-  EXPECT_EQ(ToString(*backend->Get("s1/k")), "abcd");
+  mutable std::map<std::string, int> calls;
 
-  // An append is a write: it takes its turn on the put schedule.
+ private:
+  MemKvStore inner_{1};
+};
+
+// Every decorator passes each KvStore call to the store it wraps exactly
+// once: none falls back to a KvStore default (Append as Get + Put, a no-op
+// Sync, an Unimplemented Scan, zero Compaction).
+TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
+  struct Decorator {
+    const char* name;
+    std::function<std::shared_ptr<KvStore>(std::shared_ptr<KvStore>)> wrap;
+  };
+  const std::vector<Decorator> decorators = {
+      {"prefix",
+       [](auto inner) { return std::make_shared<PrefixKvStore>(inner, "p/"); }},
+      {"fault",
+       [](auto inner) { return std::make_shared<FaultKvStore>(inner); }},
+      {"latency",
+       [](auto inner) {
+         return std::make_shared<LatencyKvStore>(inner,
+                                                 std::chrono::microseconds(0));
+       }},
+      {"replicated",
+       [](auto inner) {
+         return std::make_shared<replica::ReplicatedKvStore>(inner);
+       }},
+  };
+  for (const auto& d : decorators) {
+    SCOPED_TRACE(d.name);
+    auto spy = std::make_shared<SpyKv>();
+    auto kv = d.wrap(spy);
+    ASSERT_TRUE(kv->Put("k", ToBytes("ab")).ok());
+    EXPECT_EQ(ToString(*kv->Get("k")), "ab");
+    EXPECT_TRUE(kv->Contains("k"));
+    EXPECT_EQ(*kv->Append("k", 2, ToBytes("c")), 3u);
+    EXPECT_EQ(kv->Size(), 1u);
+    EXPECT_EQ(kv->ValueBytes(), 3u);
+    EXPECT_TRUE(kv->Sync().ok());
+    std::map<std::string, std::string> seen;
+    ASSERT_TRUE(kv->Scan([&](const std::string& key, BytesView value) {
+                    seen[key] = ToString(value);
+                  }).ok());
+    EXPECT_EQ(seen, (std::map<std::string, std::string>{{"k", "abc"}}));
+    const KvStore::CompactionStats compaction = kv->Compaction();
+    EXPECT_EQ(compaction.compactions, 7u);
+    EXPECT_EQ(compaction.dead_bytes, 42u);
+    ASSERT_TRUE(kv->Delete("k").ok());
+    EXPECT_EQ(spy->calls, (std::map<std::string, int>{{"Append", 1},
+                                                      {"Compaction", 1},
+                                                      {"Contains", 1},
+                                                      {"Delete", 1},
+                                                      {"Get", 1},
+                                                      {"Put", 1},
+                                                      {"Scan", 1},
+                                                      {"Size", 1},
+                                                      {"Sync", 1},
+                                                      {"ValueBytes", 1}}));
+  }
+
+  // A Latency store pays one delay per call that crosses to the store.
+  auto spy = std::make_shared<SpyKv>();
+  LatencyKvStore slow(spy, std::chrono::microseconds(0));
+  ASSERT_TRUE(slow.Put("k", ToBytes("a")).ok());
+  ASSERT_TRUE(slow.Append("k", 1, ToBytes("b")).ok());
+  ASSERT_TRUE(slow.Sync().ok());
+  EXPECT_EQ(slow.ops(), 3u);
+
+  // A Fault store's Append is a write: it takes its turn on the put
+  // schedule. Under the hard outage a Sync fails, like a Scan, and stops.
   FaultOptions options;
   options.fail_every_nth_put = 2;
-  FaultKvStore faulty(backend, options);
+  FaultKvStore faulty(spy, options);
   ASSERT_TRUE(faulty.Put("f", ToBytes("a")).ok());
   EXPECT_EQ(faulty.Append("f", 1, ToBytes("b")).status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(faulty.puts_failed(), 1u);
   ASSERT_TRUE(faulty.Append("f", 1, ToBytes("b")).ok());
-  EXPECT_EQ(ToString(*backend->Get("f")), "ab");
+  EXPECT_EQ(ToString(*spy->Get("f")), "ab");
+  faulty.SetFailAll(true);
+  const int syncs = spy->calls["Sync"];
+  EXPECT_EQ(faulty.Sync().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(faulty.Scan([](const std::string&, BytesView) {}).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(spy->calls["Sync"], syncs);
 }
 
-TEST(DecoratorSyncTest, PrefixLatencyAndFaultStoresForwardSync) {
-  auto path = std::filesystem::temp_directory_path() /
-              ("tc_decorator_sync_" + std::to_string(::getpid()));
-  std::filesystem::remove(path);
-  {
-    auto log = LogKvStore::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<KvStore> inner = std::move(*log);
-    // Every Sync that reaches the log store counts here.
-    metrics::Counter& syncs = metrics::GetCounter("tc_store_syncs_total");
-    const uint64_t before = syncs.value();
-
-    PrefixKvStore view(inner, "s1/");
-    ASSERT_TRUE(view.Sync().ok());
-    EXPECT_EQ(syncs.value() - before, 1u);
-
-    LatencyKvStore slow(inner, std::chrono::microseconds(0));
-    ASSERT_TRUE(slow.Sync().ok());
-    EXPECT_EQ(slow.ops(), 1u);
-    EXPECT_EQ(syncs.value() - before, 2u);
-
-    FaultKvStore faulty(inner);
-    ASSERT_TRUE(faulty.Sync().ok());
-    EXPECT_EQ(syncs.value() - before, 3u);
-    // Under the hard outage a Sync fails, like a Scan, and stops here.
-    faulty.SetFailAll(true);
-    EXPECT_EQ(faulty.Sync().code(), StatusCode::kUnavailable);
-    EXPECT_EQ(syncs.value() - before, 3u);
+// With both Get schedules set, each keeps its own count: failures land on
+// every nth Get, corruption on every nth Get that returned a value.
+TEST(FaultKvTest, FailAndCorruptGetSchedulesAreIndependent) {
+  auto inner = std::make_shared<MemKvStore>();
+  ASSERT_TRUE(inner->Put("k", ToBytes("value")).ok());
+  FaultOptions options;
+  options.fail_every_nth_get = 3;
+  options.corrupt_every_nth_get = 2;
+  FaultKvStore kv(inner, options);
+  std::vector<int> failed, corrupted;
+  for (int get = 1; get <= 12; ++get) {
+    auto value = kv.Get("k");
+    if (!value.ok()) {
+      failed.push_back(get);
+    } else if (ToString(*value) != "value") {
+      corrupted.push_back(get);
+    }
   }
-  std::filesystem::remove(path);
+  // Gets 1 2 4 5 7 8 10 11 return a value; every 2nd of those is corrupted.
+  EXPECT_EQ(failed, (std::vector<int>{3, 6, 9, 12}));
+  EXPECT_EQ(corrupted, (std::vector<int>{2, 5, 8, 11}));
+  EXPECT_EQ(kv.gets_failed(), 4u);
+  EXPECT_EQ(kv.gets_corrupted(), 4u);
 }
 
 TEST(LatencyKvTest, InjectsDelay) {
