@@ -231,7 +231,7 @@ void BM_AuditProofServe(benchmark::State& state) {
   for (auto _ : state) {
     auto proof = tree.Proof(rng.NextBelow(n), n);
     if (!proof.ok()) std::abort();
-    benchmark::DoNotOptimize(proof->siblings.data());
+    benchmark::DoNotOptimize(proof->steps.data());
   }
 }
 BENCHMARK(BM_AuditProofServe)

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "chunk/gorilla.hpp"
 #include "common/io.hpp"
 
 namespace tc::chunk {
@@ -89,14 +88,11 @@ Result<Bytes> ZlibInflate(BytesView data, size_t max_output) {
 
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
                              Compression codec) {
+  if (codec != Compression::kNone && codec != Compression::kZlib) {
+    return InvalidArgument("unknown chunk compression codec");
+  }
   Bytes out;
   out.push_back(kFormatVersion);
-
-  if (codec == Compression::kGorilla) {
-    out.push_back(static_cast<uint8_t>(Compression::kGorilla));
-    Append(out, GorillaCompress(points));
-    return out;
-  }
 
   // Delta+zigzag+varint both columns. First point stored absolute. The
   // deltas wrap modulo 2^64, so far-apart values cannot overflow.
@@ -136,9 +132,6 @@ Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data) {
   }
   auto codec = static_cast<Compression>(data[1]);
   BytesView body_view = data.subspan(2);
-  if (codec == Compression::kGorilla) {
-    return GorillaDecompress(body_view);
-  }
   Bytes inflated;
   if (codec == Compression::kZlib) {
     TC_ASSIGN_OR_RETURN(inflated, ZlibInflate(body_view));

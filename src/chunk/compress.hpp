@@ -12,12 +12,14 @@
 
 namespace tc::chunk {
 
+/// A chunk payload's codec byte. Any other byte fails to decode with
+/// DataLoss, and CompressPoints rejects any other value with
+/// InvalidArgument. Byte 2 was a gorilla XOR codec that no writer selected.
 enum class Compression : uint8_t {
-  kNone = 0,     // delta+varint only
-  kZlib = 1,     // delta+varint, then zlib (the paper's default); bodies
-                 // under kMinDeflateBody, and bodies zlib cannot shrink,
-                 // are stored as kNone
-  kGorilla = 2,  // delta-of-delta + XOR bit packing (gorilla.hpp)
+  kNone = 0,  // delta+varint only
+  kZlib = 1,  // delta+varint, then zlib (the paper's default); bodies
+              // under kMinDeflateBody, and bodies zlib cannot shrink,
+              // are stored as kNone
 };
 
 /// The shortest delta+varint body that kZlib tries to deflate. An attempt

@@ -6,26 +6,20 @@
 namespace tc::client {
 
 namespace {
-/// Domain-separated subseed derivation from the master seed.
-crypto::Key128 Subseed(const crypto::Key128& master, std::string_view label,
-                       uint64_t param) {
-  BinaryWriter w;
-  w.PutString(label);
-  w.PutU64(param);
-  auto h = crypto::HmacSha256(master, w.data());
-  crypto::Key128 k;
-  std::copy(h.begin(), h.begin() + k.size(), k.begin());
-  return k;
-}
+/// Windows per resolution keystream.
+constexpr uint64_t kResolutionStreamLength = 1 << 16;
 
-crypto::Key128 Subseed2(const crypto::Key128& master, std::string_view label,
-                        uint64_t param) {
+/// Domain-separated subseed derivation from the master seed: half 0 or 1 of
+/// HMAC(master, label || param).
+crypto::Key128 Subseed(const crypto::Key128& master, std::string_view label,
+                       uint64_t param, size_t half = 0) {
   BinaryWriter w;
   w.PutString(label);
   w.PutU64(param);
   auto h = crypto::HmacSha256(master, w.data());
   crypto::Key128 k;
-  std::copy(h.begin() + 16, h.end(), k.begin());
+  const auto first = h.begin() + half * k.size();
+  std::copy(first, first + k.size(), k.begin());
   return k;
 }
 }  // namespace
@@ -76,13 +70,11 @@ const crypto::DualKeyRegression& StreamKeys::Resolution(
     uint64_t resolution_chunks) {
   auto it = resolutions_.find(resolution_chunks);
   if (it == resolutions_.end()) {
-    it = resolutions_
-             .emplace(resolution_chunks,
-                      std::make_unique<crypto::DualKeyRegression>(
-                          Subseed(master_, "res-primary", resolution_chunks),
-                          Subseed2(master_, "res-secondary", resolution_chunks),
-                          config_.resolution_stream_length))
-             .first;
+    auto chains = std::make_unique<crypto::DualKeyRegression>(
+        Subseed(master_, "res-primary", resolution_chunks),
+        Subseed(master_, "res-secondary", resolution_chunks, /*half=*/1),
+        kResolutionStreamLength);
+    it = resolutions_.emplace(resolution_chunks, std::move(chains)).first;
   }
   return *it->second;
 }

@@ -16,8 +16,7 @@
 namespace tc::client {
 
 struct StreamKeysConfig {
-  uint32_t tree_height = 30;            // ~10^9 keys (the §6 setup)
-  uint64_t resolution_stream_length = 1 << 16;  // windows per resolution
+  uint32_t tree_height = 30;  // ~10^9 keys (the §6 setup)
 };
 
 /// All secret material for one stream the owner writes. Deterministic from

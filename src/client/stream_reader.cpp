@@ -15,7 +15,7 @@ using net::MessageType;
 
 Result<net::StreamInfoResponse> FetchStreamInfo(net::Transport& transport,
                                                 uint64_t uuid) {
-  net::DeleteStreamRequest req{uuid};  // GetStreamInfo shares the uuid body
+  net::StreamInfoRequest req{uuid};
   TC_ASSIGN_OR_RETURN(
       Bytes payload, transport.Call(MessageType::kGetStreamInfo, req.Encode()));
   return net::StreamInfoResponse::Decode(payload);

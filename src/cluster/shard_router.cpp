@@ -84,6 +84,14 @@ class LocalShardChannel final : public net::Transport {
 
 constexpr const char kShardMetaKey[] = "meta/cluster/shard";
 
+/// The layout a store was bound to (kShardMetaKey).
+struct ShardMeta {
+  uint32_t shard_id = 0;
+  uint32_t num_shards = 0;
+
+  static void Visit(auto& m, auto& v) { v(m.shard_id, m.num_shards); }
+};
+
 }  // namespace
 
 Status BindShardMeta(store::KvStore& kv, uint32_t shard_id,
@@ -93,18 +101,15 @@ Status BindShardMeta(store::KvStore& kv, uint32_t shard_id,
     if (existing.status().code() != StatusCode::kNotFound) {
       return existing.status();
     }
-    BinaryWriter w;
-    w.PutU32(shard_id);
-    w.PutU32(num_shards);
-    return kv.Put(kShardMetaKey, w.data());
+    return kv.Put(kShardMetaKey,
+                  net::codec::Encode(ShardMeta{shard_id, num_shards}));
   }
-  BinaryReader r(*existing);
-  TC_ASSIGN_OR_RETURN(uint32_t stored_id, r.GetU32());
-  TC_ASSIGN_OR_RETURN(uint32_t stored_n, r.GetU32());
-  if (stored_id != shard_id || stored_n != num_shards) {
+  TC_ASSIGN_OR_RETURN(auto stored, net::codec::Decode<ShardMeta>(*existing));
+  if (stored.shard_id != shard_id || stored.num_shards != num_shards) {
     return FailedPrecondition(
-        "store was laid out as shard " + std::to_string(stored_id) + "/" +
-        std::to_string(stored_n) + " but is being opened as shard " +
+        "store was laid out as shard " + std::to_string(stored.shard_id) +
+        "/" + std::to_string(stored.num_shards) +
+        " but is being opened as shard " +
         std::to_string(shard_id) + "/" + std::to_string(num_shards) +
         "; changing the shard count re-homes streams away from their "
         "on-disk state — restart with the original --shards value");
@@ -281,7 +286,7 @@ Result<Bytes> ShardRouter::MultiStatRange(BytesView body) {
 
   // The merge needs the homomorphic Add; build it from the first stream's
   // public config, exactly as each shard does server-side.
-  net::DeleteStreamRequest info_req{req.uuids[0]};
+  net::StreamInfoRequest info_req{req.uuids[0]};
   TC_ASSIGN_OR_RETURN(Bytes info_blob,
                       sets_[ShardOf(req.uuids[0])]->HandleRead(
                           MessageType::kGetStreamInfo, info_req.Encode()));

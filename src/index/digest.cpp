@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/io.hpp"
-
 namespace tc::index {
 
 uint32_t DigestSchema::BinOf(int64_t value) const {
@@ -44,46 +42,6 @@ std::vector<uint64_t> DigestSchema::Compute(
     }
   }
   return fields;
-}
-
-void DigestSchema::Serialize(std::vector<uint8_t>& out) const {
-  BinaryWriter w;
-  w.PutU8(with_sum ? 1 : 0);
-  w.PutU8(with_count ? 1 : 0);
-  w.PutU8(with_sumsq ? 1 : 0);
-  w.PutU8(with_trend ? 1 : 0);
-  w.PutI64(trend_t0);
-  w.PutI64(trend_unit_ms);
-  w.PutU32(hist_bins);
-  w.PutI64(hist_min);
-  w.PutI64(hist_width);
-  Append(out, w.data());
-}
-
-Result<DigestSchema> DigestSchema::Deserialize(std::span<const uint8_t> in,
-                                               size_t& pos) {
-  BinaryReader r(in.subspan(pos));
-  DigestSchema s;
-  TC_ASSIGN_OR_RETURN(uint8_t sum, r.GetU8());
-  TC_ASSIGN_OR_RETURN(uint8_t count, r.GetU8());
-  TC_ASSIGN_OR_RETURN(uint8_t sumsq, r.GetU8());
-  TC_ASSIGN_OR_RETURN(uint8_t trend, r.GetU8());
-  TC_ASSIGN_OR_RETURN(int64_t trend_t0, r.GetI64());
-  TC_ASSIGN_OR_RETURN(int64_t trend_unit, r.GetI64());
-  TC_ASSIGN_OR_RETURN(uint32_t bins, r.GetU32());
-  TC_ASSIGN_OR_RETURN(int64_t hist_min, r.GetI64());
-  TC_ASSIGN_OR_RETURN(int64_t hist_width, r.GetI64());
-  s.with_sum = sum != 0;
-  s.with_count = count != 0;
-  s.with_sumsq = sumsq != 0;
-  s.with_trend = trend != 0;
-  s.trend_t0 = trend_t0;
-  s.trend_unit_ms = trend_unit;
-  s.hist_bins = bins;
-  s.hist_min = hist_min;
-  s.hist_width = hist_width;
-  pos += r.position();
-  return s;
 }
 
 Result<int64_t> DigestStats::Sum() const {

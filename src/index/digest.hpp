@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "net/codec.hpp"
 
 namespace tc::index {
 
@@ -89,10 +90,13 @@ struct DigestSchema {
   /// Compute the digest fields of a batch of points.
   std::vector<uint64_t> Compute(std::span<const DataPoint> points) const;
 
-  /// Wire encoding for stream metadata.
-  void Serialize(class std::vector<uint8_t>& out) const;
-  static Result<DigestSchema> Deserialize(std::span<const uint8_t> in,
-                                          size_t& pos);
+  /// The stored and wire layout, carried inside a stream config as
+  /// net::SchemaBlob.
+  static void Visit(auto& m, auto& v) {
+    v(net::Flag(m.with_sum), net::Flag(m.with_count), net::Flag(m.with_sumsq),
+      net::Flag(m.with_trend), m.trend_t0, m.trend_unit_ms, m.hist_bins,
+      m.hist_min, m.hist_width);
+  }
 
   friend bool operator==(const DigestSchema&, const DigestSchema&) = default;
 };

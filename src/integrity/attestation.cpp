@@ -3,8 +3,15 @@
 namespace tc::integrity {
 
 namespace {
-constexpr size_t kMaxAuditPathLen = 64;  // a 2^64-leaf tree is depth <= 64
-}
+/// An attestation without its signature: what the signature covers.
+struct SignedFields {
+  const Attestation& attestation;
+
+  static void Visit(auto& m, auto& v) {
+    Attestation::VisitSigned(m.attestation, v);
+  }
+};
+}  // namespace
 
 Hash ChunkWitness(uint64_t uuid, uint64_t chunk_index, BytesView digest_blob,
                   BytesView payload) {
@@ -17,31 +24,7 @@ Hash ChunkWitness(uint64_t uuid, uint64_t chunk_index, BytesView digest_blob,
 }
 
 Bytes Attestation::SignedBytes() const {
-  BinaryWriter w(8 + 8 + sizeof(Hash));
-  w.PutU64(uuid);
-  w.PutU64(size);
-  w.PutRaw(root);
-  return std::move(w).Take();
-}
-
-Bytes Attestation::Encode() const {
-  BinaryWriter w;
-  w.PutU64(uuid);
-  w.PutU64(size);
-  w.PutRaw(root);
-  w.PutBytes(signature);
-  return std::move(w).Take();
-}
-
-Result<Attestation> Attestation::Decode(BytesView in) {
-  BinaryReader r(in);
-  Attestation a;
-  TC_ASSIGN_OR_RETURN(a.uuid, r.GetU64());
-  TC_ASSIGN_OR_RETURN(a.size, r.GetU64());
-  TC_ASSIGN_OR_RETURN(BytesView root, r.GetRaw(sizeof(Hash)));
-  std::copy(root.begin(), root.end(), a.root.begin());
-  TC_ASSIGN_OR_RETURN(a.signature, r.GetBytes());
-  return a;
+  return net::codec::Encode(SignedFields{*this});
 }
 
 Status Attestation::Verify(BytesView owner_public) const {
@@ -81,31 +64,6 @@ Status VerifyChunk(const Attestation& attestation, BytesView owner_public,
   Hash witness = ChunkWitness(attestation.uuid, chunk_index, digest_blob,
                               payload);
   return VerifyAuditPath(attestation.root, witness, path);
-}
-
-void EncodeAuditPath(BinaryWriter& w, const AuditPath& path) {
-  w.PutVar(path.siblings.size());
-  for (size_t i = 0; i < path.siblings.size(); ++i) {
-    w.PutU8(path.left_sibling[i] ? 1 : 0);
-    w.PutRaw(path.siblings[i]);
-  }
-}
-
-Result<AuditPath> DecodeAuditPath(BinaryReader& r) {
-  TC_ASSIGN_OR_RETURN(uint64_t n, r.GetVar());
-  if (n > kMaxAuditPathLen) return DataLoss("implausible audit path length");
-  AuditPath path;
-  path.siblings.reserve(n);
-  path.left_sibling.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    TC_ASSIGN_OR_RETURN(uint8_t left, r.GetU8());
-    TC_ASSIGN_OR_RETURN(BytesView h, r.GetRaw(sizeof(Hash)));
-    Hash hash;
-    std::copy(h.begin(), h.end(), hash.begin());
-    path.siblings.push_back(hash);
-    path.left_sibling.push_back(left != 0);
-  }
-  return path;
 }
 
 }  // namespace tc::integrity

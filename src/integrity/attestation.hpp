@@ -38,11 +38,16 @@ struct Attestation {
   Hash root{};
   Bytes signature;  // Ed25519 over SignedBytes()
 
+  /// The fields the signature covers, in signed order.
+  static void VisitSigned(auto& m, auto& v) { v(m.uuid, m.size, m.root); }
+  static void Visit(auto& m, auto& v) {
+    VisitSigned(m, v);
+    v(m.signature);
+  }
+  TC_WIRE_MESSAGE(Attestation)
+
   /// The exact byte string the signature covers.
   Bytes SignedBytes() const;
-
-  Bytes Encode() const;
-  static Result<Attestation> Decode(BytesView in);
 
   /// Check the signature against the owner's public signing key.
   Status Verify(BytesView owner_public) const;
@@ -80,8 +85,12 @@ Status VerifyChunk(const Attestation& attestation, BytesView owner_public,
                    uint64_t chunk_index, BytesView digest_blob,
                    BytesView payload, const AuditPath& path);
 
-/// Wire encoding for audit paths (served by the server).
-void EncodeAuditPath(BinaryWriter& w, const AuditPath& path);
-Result<AuditPath> DecodeAuditPath(BinaryReader& r);
+/// Wire encoding for audit paths (served by the server): AuditPath's Visit.
+inline void EncodeAuditPath(BinaryWriter& w, const AuditPath& path) {
+  net::codec::Write(w, path);
+}
+inline Result<AuditPath> DecodeAuditPath(BinaryReader& r) {
+  return net::codec::Read<AuditPath>(r);
+}
 
 }  // namespace tc::integrity

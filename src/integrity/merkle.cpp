@@ -89,25 +89,20 @@ Status MerkleTree::BuildProof(uint64_t index, uint64_t first, uint64_t last,
   if (index < first + k) {
     // Leaf in the left subtree: right sibling joins the path above us.
     TC_RETURN_IF_ERROR(BuildProof(index, first, first + k, path));
-    path.siblings.push_back(SubtreeRoot(first + k, last));
-    path.left_sibling.push_back(false);
+    path.steps.push_back({false, SubtreeRoot(first + k, last)});
   } else {
     TC_RETURN_IF_ERROR(BuildProof(index, first + k, last, path));
-    path.siblings.push_back(SubtreeRoot(first, first + k));
-    path.left_sibling.push_back(true);
+    path.steps.push_back({true, SubtreeRoot(first, first + k)});
   }
   return Status::Ok();
 }
 
 Status VerifyAuditPath(const Hash& expected_root, const Hash& leaf_hash,
                        const AuditPath& path) {
-  if (path.siblings.size() != path.left_sibling.size()) {
-    return InvalidArgument("malformed audit path");
-  }
   Hash running = leaf_hash;
-  for (size_t i = 0; i < path.siblings.size(); ++i) {
-    running = path.left_sibling[i] ? NodeHash(path.siblings[i], running)
-                                   : NodeHash(running, path.siblings[i]);
+  for (const AuditPath::Step& step : path.steps) {
+    running = step.left ? NodeHash(step.sibling, running)
+                        : NodeHash(running, step.sibling);
   }
   if (running != expected_root) {
     return PermissionDenied("audit path does not match attested root");

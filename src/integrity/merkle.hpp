@@ -16,6 +16,7 @@
 
 #include "common/status.hpp"
 #include "crypto/sha256.hpp"
+#include "net/codec.hpp"
 
 namespace tc::integrity {
 
@@ -28,13 +29,20 @@ Hash LeafHash(BytesView data);
 Hash NodeHash(const Hash& left, const Hash& right);
 
 /// An audit path: sibling hashes from the leaf's level up to the root.
-/// `left_sibling[i]` records whether proof step i's hash sits to the LEFT
-/// of the running hash (order matters — SHA-256 is not commutative).
 struct AuditPath {
-  std::vector<Hash> siblings;
-  std::vector<bool> left_sibling;
+  struct Step {
+    /// Whether the sibling sits to the LEFT of the running hash (order
+    /// matters: SHA-256 is not commutative).
+    bool left = false;
+    Hash sibling{};
 
-  size_t size() const { return siblings.size(); }
+    static void Visit(auto& m, auto& v) { v(net::Flag(m.left), m.sibling); }
+    friend bool operator==(const Step&, const Step&) = default;
+  };
+  std::vector<Step> steps;
+
+  static void Visit(auto& m, auto& v) { v(m.steps); }
+  size_t size() const { return steps.size(); }
 };
 
 /// In-memory append-only Merkle tree. Leaves arrive in order; Root() and

@@ -6,6 +6,7 @@
 //
 //   uint8_t, uint32_t, uint64_t, int64_t   fixed width, little endian
 //   an enum                                its underlying integer
+//   std::array<uint8_t, N>                 the N bytes, raw (Key128, Hash)
 //   std::string, Bytes                     varint length, then the bytes
 //   TimeRange                              start, end (int64 each)
 //   std::vector<T>                         varint count, then each T
@@ -14,18 +15,21 @@
 //
 // Three wrappers mark the exceptions: Var(x) encodes a uint64 as a varint,
 // Flag(x) a bool or 0/1 byte (decoding rejects any other byte), and
-// SchemaBlob(s) a DigestSchema as a length-prefixed blob. Any other type
-// fails to compile.
+// SchemaBlob(s) a DigestSchema as a length-prefixed blob of its own field
+// list. Any other type fails to compile.
 //
 // Visit may also call v.Check(cond, msg). Decoding fails with
 // InvalidArgument(msg) when `cond` is false at that point of the field
 // list; encoding ignores it, so Encode never validates and never stops
-// early. A decode stops at its first failure, and a vector count that
-// exceeds the remaining input fails with DataLoss before anything is
-// reserved (each element takes at least one byte, so such a count is an
-// allocation bomb, not a message).
+// early. A decode stops at its first failure. A vector count fails with
+// DataLoss before anything is reserved when the remaining input cannot hold
+// that many elements of the minimum size, the encoded size of a
+// default-constructed element: no decodable element is smaller, so such a
+// count is an allocation bomb, not a message.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -33,7 +37,10 @@
 
 #include "common/io.hpp"
 #include "common/time.hpp"
-#include "index/digest.hpp"
+
+namespace tc::index {
+struct DigestSchema;
+}
 
 namespace tc::net {
 
@@ -65,8 +72,8 @@ FlagField<T> Flag(T& x) {
   return {x};
 }
 
-/// A DigestSchema field, carried as its serialization in a length-prefixed
-/// blob.
+/// A DigestSchema field, carried as a length-prefixed blob of its own field
+/// list.
 template <typename T>
 SchemaField<T> SchemaBlob(T& x) {
   static_assert(
@@ -75,6 +82,11 @@ SchemaField<T> SchemaBlob(T& x) {
 }
 
 namespace codec {
+
+template <typename M>
+Bytes Encode(const M& m);
+template <typename M>
+Result<M> Decode(BytesView in);
 
 /// The sink of a sizing pass: counts what a BinaryWriter would append.
 class ByteCounter {
@@ -93,6 +105,7 @@ class ByteCounter {
     PutVar(b.size());
     size_ += b.size();
   }
+  void PutRaw(BytesView b) { size_ += b.size(); }
   void PutString(std::string_view s) {
     PutVar(s.size());
     size_ += s.size();
@@ -124,6 +137,10 @@ class Writer {
   void Put(int64_t x) { out_.PutI64(x); }
   void Put(const std::string& x) { out_.PutString(x); }
   void Put(const Bytes& x) { out_.PutBytes(x); }
+  template <size_t N>
+  void Put(const std::array<uint8_t, N>& x) {
+    out_.PutRaw(x);
+  }
   void Put(const TimeRange& x) { (*this)(x.start, x.end); }
   template <typename E>
     requires std::is_enum_v<E>
@@ -140,9 +157,7 @@ class Writer {
   }
   template <typename T>
   void Put(SchemaField<T> f) {
-    Bytes blob;
-    f.value.Serialize(blob);
-    out_.PutBytes(blob);
+    out_.PutBytes(Encode(f.value));
   }
   template <typename T>
   void Put(const std::vector<T>& xs) {
@@ -160,6 +175,19 @@ class Writer {
 
   Sink& out_;
 };
+
+/// The encoded size of a default-constructed T, at least 1: a lower bound
+/// on the size of any T a decode accepts.
+template <typename T>
+size_t MinEncodedSize() {
+  static const size_t size = [] {
+    ByteCounter counter;
+    Writer<ByteCounter> writer(counter);
+    writer(T{});
+    return std::max<size_t>(counter.size(), 1);
+  }();
+  return size;
+}
 
 /// Reads the visited fields back; status() holds the first failure.
 class Reader {
@@ -192,6 +220,12 @@ class Reader {
   void Get(int64_t& x) { Take(in_.GetI64(), x); }
   void Get(std::string& x) { Take(in_.GetString(), x); }
   void Get(Bytes& x) { Take(in_.GetBytes(), x); }
+  template <size_t N>
+  void Get(std::array<uint8_t, N>& x) {
+    BytesView raw;
+    Take(in_.GetRaw(N), raw);
+    std::copy(raw.begin(), raw.end(), x.begin());
+  }
   void Get(TimeRange& x) { (*this)(x.start, x.end); }
   template <typename E>
     requires std::is_enum_v<E>
@@ -208,19 +242,18 @@ class Reader {
     Check(raw <= 1, "flag byte is neither 0 nor 1");
     f.value = static_cast<T>(raw);
   }
-  void Get(SchemaField<index::DigestSchema> f) {
+  template <typename T>
+  void Get(SchemaField<T> f) {
     Bytes blob;
     Get(blob);
-    if (!status_.ok()) return;
-    size_t pos = 0;
-    Take(index::DigestSchema::Deserialize(blob, pos), f.value);
+    if (status_.ok()) Take(Decode<T>(blob), f.value);
   }
   template <typename T>
   void Get(std::vector<T>& xs) {
     uint64_t count = 0;
     Get(Var(count));
     if (!status_.ok()) return;
-    if (count > in_.remaining()) {
+    if (count > in_.remaining() / MinEncodedSize<T>()) {
       status_ = DataLoss("element count exceeds input");
       return;
     }

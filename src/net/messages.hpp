@@ -52,10 +52,6 @@ struct StreamConfig {
     v(m.name, m.t0, m.delta_ms, SchemaBlob(m.schema), m.cipher,
       m.cipher_public, m.fanout, m.compression, Flag(m.integrity));
   }
-  void Encode(BinaryWriter& w) const { codec::Write(w, *this); }
-  static Result<StreamConfig> Decode(BinaryReader& r) {
-    return codec::Read<StreamConfig>(r);
-  }
 
   /// Maps times to chunk indices; every stream's, rollups' included.
   ChunkClock clock() const { return {t0, delta_ms}; }
@@ -361,6 +357,13 @@ struct DeleteRangeRequest {
 
   static void Visit(auto& m, auto& v) { v(m.uuid, m.range); }
   TC_WIRE_MESSAGE(DeleteRangeRequest)
+};
+
+struct StreamInfoRequest {
+  uint64_t uuid = 0;
+
+  static void Visit(auto& m, auto& v) { v(m.uuid); }
+  TC_WIRE_MESSAGE(StreamInfoRequest)
 };
 
 struct StreamInfoResponse {

@@ -338,7 +338,7 @@ void TcpServer::ServeConnection(std::shared_ptr<Conn> conn) {
 
     {
       MutexLock lock(conn->inflight_mu);
-      while (conn->inflight >= options_.max_inflight_per_conn && running_ &&
+      while (conn->inflight >= kMaxInflightPerConn && running_ &&
              conn->alive) {
         conn->inflight_cv.Wait(conn->inflight_mu);
       }

@@ -42,12 +42,13 @@ struct TcpServerOptions {
   /// per hardware core, floored at 2 so same-connection concurrency exists
   /// even on a single-core host.
   size_t dispatch_threads = 0;
-  /// Per-connection cap on requests being processed or queued at once; the
-  /// connection's reader stops reading further frames when it is hit (TCP
-  /// backpressure), bounding server memory against a client that pipelines
-  /// faster than handlers drain.
-  size_t max_inflight_per_conn = 32;
 };
+
+/// Per-connection cap on requests being processed or queued at once; the
+/// connection's reader stops reading further frames when it is hit (TCP
+/// backpressure), bounding server memory against a client that pipelines
+/// faster than handlers drain.
+inline constexpr size_t kMaxInflightPerConn = 32;
 
 /// TCP server owning an accept loop. Start() binds and spawns the acceptor;
 /// Stop() closes the listener and joins all threads.

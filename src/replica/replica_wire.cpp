@@ -1,6 +1,5 @@
 #include "replica/replica_wire.hpp"
 
-#include "common/io.hpp"
 #include "net/tcp.hpp"
 
 namespace tc::replica {
@@ -10,6 +9,13 @@ namespace {
 /// exempt from snapshot shipping and reconciliation).
 const std::string kAppliedSeqKey =
     std::string(kReplicaMetaPrefix) + "applied";
+
+/// The record under kAppliedSeqKey.
+struct AppliedSeq {
+  uint64_t seq = 0;
+
+  static void Visit(auto& m, auto& v) { v(m.seq); }
+};
 }  // namespace
 
 Result<Bytes> RemoteFollower::Call(net::MessageType type, BytesView body) {
@@ -119,8 +125,10 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<store::KvStore> kv)
   // A durable follower restarting over its previous store resumes from its
   // persisted position instead of claiming an empty history.
   if (auto persisted = kv_->Get(kAppliedSeqKey); persisted.ok()) {
-    BinaryReader r(*persisted);
-    if (auto seq = r.GetU64(); seq.ok()) applied_seq_ = *seq;
+    if (auto marker = net::codec::Decode<AppliedSeq>(*persisted);
+        marker.ok()) {
+      applied_seq_ = marker->seq;
+    }
   }
 }
 
@@ -129,9 +137,7 @@ Status ReplicaApplier::PersistAppliedLocked() {
   // the fsync that makes both durable happens in the caller AFTER mu_ is
   // released (tc_analyze B1: no blocking while a tc::Mutex is held), and
   // the ack is only encoded after that flush returns.
-  BinaryWriter w;
-  w.PutU64(applied_seq_);
-  return kv_->Put(kAppliedSeqKey, w.data());
+  return kv_->Put(kAppliedSeqKey, net::codec::Encode(AppliedSeq{applied_seq_}));
 }
 
 Result<Bytes> ReplicaApplier::ApplyOps(const net::ReplicaOpsRequest& req) {

@@ -12,6 +12,9 @@
 namespace tc::replica {
 
 namespace {
+/// Max ops per ApplyOps shipment (one wire frame for remote followers).
+constexpr size_t kShipBatchOps = 256;
+
 /// Shipping-path metrics, shared by every ReplicatedKvStore in the process
 /// (the per-instance atomics keep serving the wire accessors; these feed
 /// the Prometheus exposition).
@@ -183,7 +186,6 @@ ReplicatedKvStore::ReplicatedKvStore(std::shared_ptr<store::KvStore> primary,
     : ForwardingKvStore(std::move(primary)),
       options_(options),
       origin_(crypto::RandomU64() | 1) {
-  if (options_.ship_batch_ops == 0) options_.ship_batch_ops = 1;
   if (options_.max_log_ops == 0) options_.max_log_ops = 1;
   if (options_.snapshot_chunk_entries == 0) options_.snapshot_chunk_entries = 1;
   if (options_.snapshot_chunk_bytes == 0) options_.snapshot_chunk_bytes = 1;
@@ -497,7 +499,7 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
 
     // Stream the next batch from the retained window.
     size_t offset = static_cast<size_t>(applied + 1 - log_first_seq_);
-    size_t count = std::min(options_.ship_batch_ops, log_.size() - offset);
+    size_t count = std::min(kShipBatchOps, log_.size() - offset);
     std::vector<LoggedOp> batch(log_.begin() + offset,
                                 log_.begin() + offset + count);
     mu_.unlock();

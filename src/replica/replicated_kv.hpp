@@ -172,8 +172,6 @@ class LocalFollower final : public Follower {
 
 struct ReplicatedKvOptions {
   AckMode ack = AckMode::kAsync;
-  /// Max ops per ApplyOps shipment (one wire frame for remote followers).
-  size_t ship_batch_ops = 256;
   /// Retained op-log window. A follower lagging past it is snapshot-fed.
   size_t max_log_ops = 8192;
   /// Snapshot chunk bounds: a chunk closes at whichever limit hits first.

@@ -22,6 +22,31 @@ std::string ConfigKey(uint64_t uuid) {
   return "meta/cfg/" + std::to_string(uuid);
 }
 
+/// The stream directory (kDirectoryKey): every stream's uuid, in order.
+struct StreamDirectory {
+  std::vector<uint64_t> uuids;
+
+  static void Visit(auto& m, auto& v) { v(m.uuids); }
+};
+
+/// The grant directory (kGrantDirectoryKey): per principal, in order, the
+/// (uuid, grant id) of each grant it holds.
+struct GrantDirectory {
+  using Grants = std::vector<std::pair<uint64_t, uint64_t>>;
+  std::vector<std::pair<std::string, Grants>> principals;
+
+  static void Visit(auto& m, auto& v) { v(m.principals); }
+};
+
+/// The record under `key`; an empty one when the store has none.
+template <typename Record>
+Result<Record> ReadRecord(const store::KvStore& kv, const std::string& key) {
+  auto blob = kv.Get(key);
+  if (blob.status().code() == StatusCode::kNotFound) return Record{};
+  TC_RETURN_IF_ERROR(blob.status());
+  return net::codec::Decode<Record>(*blob);
+}
+
 /// Chunks per payload block (see the header). A constant of the store
 /// layout, independent of the index fanout.
 constexpr uint64_t kBlockChunks = 64;
@@ -30,11 +55,22 @@ std::string PayloadKey(uint64_t uuid, uint64_t block) {
   return "pay/" + std::to_string(uuid) + "/" + std::to_string(block);
 }
 
-/// Bytes of a payload's block entry: varint length, then the payload.
-size_t EntryBytes(BytesView payload) {
-  size_t n = 1;
-  for (uint64_t v = payload.size(); v >= 0x80; v >>= 7) ++n;
-  return n + payload.size();
+/// A payload block holds one entry per chunk: varint length, then the
+/// payload, the layout of a codec Bytes field. PutEntries is its one writer,
+/// into a codec::ByteCounter to size a run or a BinaryWriter to encode it,
+/// and NextEntry its one reader; both work on views, so no payload is
+/// copied on its way into or out of a block.
+template <typename Sink>
+void PutEntries(Sink& out, std::span<const BytesView> payloads) {
+  for (BytesView p : payloads) out.PutBytes(p);
+}
+
+Bytes EncodeEntries(std::span<const BytesView> payloads) {
+  net::codec::ByteCounter size;
+  PutEntries(size, payloads);
+  BinaryWriter out(size.size());
+  PutEntries(out, payloads);
+  return std::move(out).Take();
 }
 
 /// Read the next entry of a payload block.
@@ -106,27 +142,30 @@ ServerEngine::ServerEngine(std::shared_ptr<store::KvStore> kv,
 }
 
 void ServerEngine::RecoverStreams() {
-  auto dir = kv_->Get(kDirectoryKey);
-  if (!dir.ok()) return;  // fresh store (or volatile one): nothing to do
-  BinaryReader r(*dir);
-  auto count = r.GetVar();
-  if (!count.ok()) return;
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto uuid = r.GetU64();
-    if (!uuid.ok()) return;
-    auto cfg_blob = kv_->Get(ConfigKey(*uuid));
-    if (!cfg_blob.ok()) continue;
-    BinaryReader cfg_reader(*cfg_blob);
-    auto config = net::StreamConfig::Decode(cfg_reader);
-    if (!config.ok()) continue;
-    auto stream = OpenStream(*uuid, *config, /*recover=*/true);
-    if (!stream.ok()) {
-      TC_LOG_WARN << "recovery: skipping stream " << *uuid << ": "
-                  << stream.status().ToString();
-      continue;
-    }
-    streams_.emplace(*uuid, std::move(*stream));
+  auto dir = ReadRecord<StreamDirectory>(*kv_, kDirectoryKey);
+  if (!dir.ok()) {
+    TC_LOG_WARN << "recovery: skipping every stream: " << kDirectoryKey
+                << ": " << dir.status().ToString();
+    return;
   }
+  for (uint64_t uuid : dir->uuids) RecoverStream(uuid, "recovery");
+}
+
+void ServerEngine::RecoverStream(uint64_t uuid, const char* phase) {
+  auto blob = kv_->Get(ConfigKey(uuid));
+  if (blob.status().code() == StatusCode::kNotFound) return;
+  auto stream = [&]() -> Result<std::shared_ptr<Stream>> {
+    TC_RETURN_IF_ERROR(blob.status());
+    TC_ASSIGN_OR_RETURN(auto config,
+                        net::codec::Decode<net::StreamConfig>(*blob));
+    return OpenStream(uuid, config, /*recover=*/true);
+  }();
+  if (!stream.ok()) {
+    TC_LOG_WARN << phase << ": skipping stream " << uuid << " ("
+                << ConfigKey(uuid) << "): " << stream.status().ToString();
+    return;
+  }
+  streams_.emplace(uuid, std::move(*stream));
 }
 
 Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
@@ -188,63 +227,34 @@ Status ServerEngine::CatchUpWithStore(uint64_t uuid, Stream& stream) {
 }
 
 Status ServerEngine::StoreDirectoryLocked() {
-  BinaryWriter w;
-  w.PutVar(streams_.size());
-  for (const auto& [uuid, stream] : streams_) w.PutU64(uuid);
-  return kv_->Put(kDirectoryKey, w.data());
+  StreamDirectory dir;
+  for (const auto& [uuid, stream] : streams_) dir.uuids.push_back(uuid);
+  return kv_->Put(kDirectoryKey, net::codec::Encode(dir));
 }
 
 Status ServerEngine::StoreGrantDirectoryLocked() {
-  BinaryWriter w;
-  w.PutVar(principal_grants_.size());
-  for (const auto& [principal, grants] : principal_grants_) {
-    w.PutString(principal);
-    w.PutVar(grants.size());
-    for (auto [uuid, grant_id] : grants) {
-      w.PutU64(uuid);
-      w.PutU64(grant_id);
-    }
-  }
-  return kv_->Put(kGrantDirectoryKey, w.data());
+  GrantDirectory dir;
+  dir.principals.assign(principal_grants_.begin(), principal_grants_.end());
+  return kv_->Put(kGrantDirectoryKey, net::codec::Encode(dir));
 }
 
 void ServerEngine::RecoverGrantDirectory() {
-  auto blob = kv_->Get(kGrantDirectoryKey);
-  if (!blob.ok()) return;
-  BinaryReader r(*blob);
-  auto principals = r.GetVar();
-  if (!principals.ok()) return;
-  for (uint64_t p = 0; p < *principals; ++p) {
-    auto principal = r.GetString();
-    auto count = r.GetVar();
-    if (!principal.ok() || !count.ok()) return;
-    auto& list = principal_grants_[*principal];
-    for (uint64_t g = 0; g < *count; ++g) {
-      auto uuid = r.GetU64();
-      auto grant_id = r.GetU64();
-      if (!uuid.ok() || !grant_id.ok()) return;
-      list.emplace_back(*uuid, *grant_id);
-    }
+  auto dir = ReadRecord<GrantDirectory>(*kv_, kGrantDirectoryKey);
+  if (!dir.ok()) {
+    TC_LOG_WARN << "recovery: skipping every grant: " << kGrantDirectoryKey
+                << ": " << dir.status().ToString();
+    return;
   }
+  principal_grants_.insert(dir->principals.begin(), dir->principals.end());
 }
 
 Status ServerEngine::Refresh() {
   // Decode the store's current stream directory. Only NotFound means "no
   // streams"; a transient store error must fail the refresh, not be
   // mistaken for an empty directory and tear down every serving stream.
-  std::set<uint64_t> live;
-  auto dir = kv_->Get(kDirectoryKey);
-  if (!dir.ok() && dir.status().code() != StatusCode::kNotFound) {
-    return dir.status();
-  }
-  if (dir.ok()) {
-    BinaryReader r(*dir);
-    TC_ASSIGN_OR_RETURN(uint64_t count, r.GetVar());
-    for (uint64_t i = 0; i < count; ++i) {
-      TC_ASSIGN_OR_RETURN(uint64_t uuid, r.GetU64());
-      live.insert(uuid);
-    }
-  }
+  TC_ASSIGN_OR_RETURN(auto dir,
+                      ReadRecord<StreamDirectory>(*kv_, kDirectoryKey));
+  const std::set<uint64_t> live(dir.uuids.begin(), dir.uuids.end());
 
   // Diff it against the in-memory registry.
   std::vector<std::pair<uint64_t, std::shared_ptr<Stream>>> existing;
@@ -259,19 +269,7 @@ Status ServerEngine::Refresh() {
       }
     }
     for (uint64_t uuid : live) {
-      if (streams_.contains(uuid)) continue;
-      auto cfg_blob = kv_->Get(ConfigKey(uuid));
-      if (!cfg_blob.ok()) continue;  // directory shipped before the config
-      BinaryReader cfg_reader(*cfg_blob);
-      auto config = net::StreamConfig::Decode(cfg_reader);
-      if (!config.ok()) continue;
-      auto stream = OpenStream(uuid, *config, /*recover=*/true);
-      if (!stream.ok()) {
-        TC_LOG_WARN << "refresh: skipping stream " << uuid << ": "
-                    << stream.status().ToString();
-        continue;
-      }
-      streams_.emplace(uuid, std::move(*stream));
+      if (!streams_.contains(uuid)) RecoverStream(uuid, "refresh");
     }
   }
 
@@ -424,9 +422,10 @@ Status ServerEngine::AppendChunks(uint64_t uuid, Stream& stream,
   if (landed > 0) stream.open_block_ahead = first + landed > end;
   const uint64_t open_first = end - end % kBlockChunks;
   if (open_first > first) stream.open_block_bytes = 0;
-  for (uint64_t c = std::max(first, open_first); c < end; ++c) {
-    stream.open_block_bytes += EntryBytes(payloads[c - first]);
-  }
+  const uint64_t from = std::max(first, open_first);
+  net::codec::ByteCounter appended;
+  PutEntries(appended, payloads.subspan(from - first, end - from));
+  stream.open_block_bytes += appended.size();
   return status;
 }
 
@@ -435,20 +434,11 @@ Status ServerEngine::WritePayloads(uint64_t uuid, const Stream& stream,
                                    size_t& landed) {
   const uint64_t first = stream.tree->num_chunks();
   landed = 0;
-  Bytes share;
   while (landed < payloads.size()) {
     const uint64_t chunk = first + landed;
     const size_t take = std::min<size_t>(kBlockChunks - chunk % kBlockChunks,
                                          payloads.size() - landed);
-    const auto entries = payloads.subspan(landed, take);
-    share.clear();
-    size_t bytes = 0;
-    for (BytesView p : entries) bytes += EntryBytes(p);
-    share.reserve(bytes);
-    for (BytesView p : entries) {
-      PutVarint(share, p.size());
-      tc::Append(share, p);
-    }
+    const Bytes share = EncodeEntries(payloads.subspan(landed, take));
     // Only the run's first share can continue a block.
     const size_t expected = landed == 0 ? stream.open_block_bytes : 0;
     const std::string key = PayloadKey(uuid, chunk / kBlockChunks);
@@ -513,13 +503,12 @@ Status ServerEngine::DropPayloads(uint64_t uuid, Stream& stream,
     // Keep the entries of indexed chunks outside the range; entries past
     // the position (a failed run's) go.
     BinaryReader r(*value);
-    Bytes rewritten;
+    std::vector<BytesView> kept;
     for (uint64_t c = begin; c < end; ++c) {
       TC_ASSIGN_OR_RETURN(BytesView payload, NextEntry(r, key));
-      if (c >= first && c < last) payload = {};
-      PutVarint(rewritten, payload.size());
-      tc::Append(rewritten, payload);
+      kept.push_back(c >= first && c < last ? BytesView{} : payload);
     }
+    const Bytes rewritten = EncodeEntries(kept);
     TC_RETURN_IF_ERROR(kv_->Put(key, rewritten));
     if (block == n / kBlockChunks) {
       stream.open_block_bytes = rewritten.size();
@@ -557,9 +546,8 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
 
   // Persist the config + directory so a restarted engine recovers the
   // stream from a durable store.
-  BinaryWriter cfg;
-  req.config.Encode(cfg);
-  TC_RETURN_IF_ERROR(kv_->Put(ConfigKey(req.uuid), cfg.data()));
+  TC_RETURN_IF_ERROR(
+      kv_->Put(ConfigKey(req.uuid), net::codec::Encode(req.config)));
   TC_RETURN_IF_ERROR(StoreDirectoryLocked());
   return Bytes{};
 }
@@ -809,7 +797,7 @@ Result<Bytes> ServerEngine::DeleteRange(BytesView body) {
 }
 
 Result<Bytes> ServerEngine::GetStreamInfo(BytesView body) const {
-  TC_ASSIGN_OR_RETURN(auto req, net::DeleteStreamRequest::Decode(body));
+  TC_ASSIGN_OR_RETURN(auto req, net::StreamInfoRequest::Decode(body));
   TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
   ReaderMutexLock stream_lock(stream->mu);
   net::StreamInfoResponse resp;
@@ -856,10 +844,9 @@ Result<Bytes> ServerEngine::PutAttestation(BytesView body) {
   }
   // The server need not (and cannot meaningfully) verify the signature —
   // it just stores the latest attestation for consumers to pick up.
-  return kv_->Put("att/" + std::to_string(req.uuid), req.attestation)
-             .ok()
-         ? Result<Bytes>(Bytes{})
-         : Result<Bytes>(Unavailable("attestation store failed"));
+  TC_RETURN_IF_ERROR(
+      kv_->Put("att/" + std::to_string(req.uuid), req.attestation));
+  return Bytes{};
 }
 
 Result<Bytes> ServerEngine::GetAttestation(BytesView body) const {
@@ -899,9 +886,7 @@ Result<Bytes> ServerEngine::GetChunkWitnessed(BytesView body) const {
         if (with_proofs) {
           TC_ASSIGN_OR_RETURN(auto path,
                               stream->witnesses->Proof(i, req.at_size));
-          BinaryWriter w;
-          integrity::EncodeAuditPath(w, path);
-          entry.proof = std::move(w).Take();
+          entry.proof = net::codec::Encode(path);
         }
         resp.entries.push_back(std::move(entry));
         return Status::Ok();
@@ -964,7 +949,7 @@ Result<Bytes> RollupStream(net::RequestHandler& source,
   }
   // The legs are data-dependent (each needs the previous one's result), so
   // they run one after another on this thread.
-  net::DeleteStreamRequest info_req{req.source_uuid};  // GetStreamInfo's body
+  net::StreamInfoRequest info_req{req.source_uuid};
   TC_ASSIGN_OR_RETURN(
       Bytes info_blob,
       source.Handle(MessageType::kGetStreamInfo, info_req.Encode()));

@@ -156,12 +156,17 @@ class ServerEngine final : public net::RequestHandler {
   /// Rebuild the in-memory stream registry from the store's metadata
   /// directory (constructor path). Logs and skips unrecoverable streams.
   void RecoverStreams() REQUIRES(streams_mu_);
+  /// Open a stream from its persisted config and register it; `phase`
+  /// names the caller in the warning logged when that fails. A stream
+  /// without a config (deleted, or not yet shipped to a replica) is skipped
+  /// silently.
+  void RecoverStream(uint64_t uuid, const char* phase) REQUIRES(streams_mu_);
   /// Build a Stream (index handle + recovered append position + witness
   /// tree) from a persisted config.
   Result<std::shared_ptr<Stream>> OpenStream(uint64_t uuid,
                                              const net::StreamConfig& config,
                                              bool recover);
-  /// Persist / load the uuid directory under the metadata key.
+  /// Persist the uuid directory under the metadata key.
   Status StoreDirectoryLocked() REQUIRES(streams_mu_);
   /// Persist / load the per-principal grant directory (key store state).
   Status StoreGrantDirectoryLocked() REQUIRES(keystore_mu_);

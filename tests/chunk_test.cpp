@@ -70,19 +70,29 @@ TEST_P(CompressionTest, AlternatingInt64ExtremesRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Codecs, CompressionTest,
                          ::testing::Values(Compression::kNone,
-                                           Compression::kZlib,
-                                           Compression::kGorilla),
+                                           Compression::kZlib),
                          [](const auto& info) {
                            switch (info.param) {
                              case Compression::kNone:
                                return "None";
                              case Compression::kZlib:
                                return "Zlib";
-                             case Compression::kGorilla:
-                               return "Gorilla";
                            }
                            return "Unknown";
                          });
+
+TEST(Compression, UnknownCodecIsRejectedBothWays) {
+  // Byte 2 was a gorilla codec that no writer ever selected.
+  const auto unknown = static_cast<Compression>(2);
+  EXPECT_EQ(CompressPoints(RegularSeries(10), unknown).status().code(),
+            StatusCode::kInvalidArgument);
+  auto payload = CompressPoints(RegularSeries(10), Compression::kNone);
+  ASSERT_TRUE(payload.ok());
+  (*payload)[1] = 2;
+  auto decoded = DecompressPoints(*payload);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "unknown chunk compression codec");
+}
 
 TEST(Compression, RegularSeriesCompressesWell) {
   // 500 regular samples: delta encoding should collapse each point to a few

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 
 #include "tools/cli_common.hpp"
 
@@ -117,6 +119,99 @@ TEST(SigningFile, CreateOnceThenStable) {
   EXPECT_TRUE(
       crypto::VerifySignature(second->public_key, ToBytes("head"), *sig)
           .ok());
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------- key file layouts
+// Losing a key file's layout loses every stream it unlocks: these pin the
+// bytes a state dir holds.
+
+Bytes ReadFileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::filesystem::path& path, std::string_view hex) {
+  Bytes data = FromHex(hex).value();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+}
+
+TEST(StreamStateFile, BytesArePinned) {
+  std::string dir = ::testing::TempDir() + "/cli_state_pinned";
+  std::filesystem::remove_all(dir);
+  StreamState s;
+  s.uuid = 7;
+  for (size_t i = 0; i < s.master_seed.size(); ++i) {
+    s.master_seed[i] = static_cast<uint8_t>(i);
+  }
+  s.config.name = "hr";
+  ASSERT_TRUE(SaveStreamState(dir, s).ok());
+  // uuid (u64), the raw 16-byte seed, then the stream config as it goes on
+  // the wire.
+  const std::string pinned =
+      "0700000000000000" "000102030405060708090a0b0c0d0e0f"
+      "026872" "0000000000000000" "1027000000000000"  // name, t0, delta
+      "28" "01010000" "0000000000000000" "60ea000000000000" "00000000"
+      "0000000000000000" "0100000000000000"  // schema
+      "01" "00" "40000000" "01" "00";  // cipher, public, fanout, codec, flag
+  EXPECT_EQ(ToHex(ReadFileBytes(StreamStatePath(dir, 7))), pinned);
+
+  WriteFileBytes(StreamStatePath(dir, 7), pinned.substr(0, 40));
+  EXPECT_EQ(LoadStreamState(dir, 7).status().code(), StatusCode::kDataLoss);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
+  // Both files hold the public key, then the secret key, each behind a
+  // varint length.
+  std::string dir = ::testing::TempDir() + "/cli_keys_pinned";
+  struct KeyFile {
+    const char* name;
+    std::function<Result<std::pair<Bytes, Bytes>>()> load;
+  };
+  const KeyFile files[] = {
+      {"identity.key",
+       [&]() -> Result<std::pair<Bytes, Bytes>> {
+         TC_ASSIGN_OR_RETURN(auto kp, LoadOrCreateIdentity(dir, true));
+         return std::pair(kp.public_key, Bytes(kp.secret_key.view().begin(),
+                                               kp.secret_key.view().end()));
+       }},
+      {"signing.key",
+       [&]() -> Result<std::pair<Bytes, Bytes>> {
+         TC_ASSIGN_OR_RETURN(auto kp, LoadOrCreateSigning(dir));
+         return std::pair(kp.public_key, Bytes(kp.secret_key.view().begin(),
+                                               kp.secret_key.view().end()));
+       }},
+  };
+  for (const KeyFile& file : files) {
+    std::filesystem::remove_all(dir);
+    const auto path = std::filesystem::path(dir) / file.name;
+    auto created = file.load();
+    ASSERT_TRUE(created.ok()) << file.name;
+    ASSERT_EQ(created->first.size(), 32u);
+    ASSERT_EQ(created->second.size(), 32u);
+    EXPECT_EQ(ToHex(ReadFileBytes(path)),
+              "20" + ToHex(created->first) + "20" + ToHex(created->second))
+        << file.name;
+
+    WriteFileBytes(path, "03010203" "020405");
+    auto loaded = file.load();
+    ASSERT_TRUE(loaded.ok()) << file.name;
+    EXPECT_EQ(loaded->first, (Bytes{1, 2, 3})) << file.name;
+    EXPECT_EQ(loaded->second, (Bytes{4, 5})) << file.name;
+
+    for (const char* bad : {
+             "03010203" "0204",        // truncated secret key
+             "ffffffff0f" "010203",    // length beyond the input
+         }) {
+      WriteFileBytes(path, bad);
+      EXPECT_EQ(file.load().status().code(), StatusCode::kDataLoss)
+          << file.name << " " << bad;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -311,7 +311,7 @@ TEST_P(UploadFailsMidIngest, OneCallFailsAndEveryChunkLandsOnce) {
   EXPECT_EQ(failed_calls, 1);
   EXPECT_EQ(flaky->fail_batch_at, kNever) << "no upload failed";
 
-  net::DeleteStreamRequest info_req{*uuid};
+  net::StreamInfoRequest info_req{*uuid};
   auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
                                      info_req.Encode());
   ASSERT_TRUE(info_blob.ok());
@@ -353,7 +353,7 @@ TEST(ShardRouter, BatchedChunksInvisibleUntilFlush) {
         owner.InsertRecord(*uuid, {static_cast<Timestamp>(ch * kDelta), 1})
             .ok());
   }
-  net::DeleteStreamRequest info_req{*uuid};
+  net::StreamInfoRequest info_req{*uuid};
   auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
                                      info_req.Encode());
   ASSERT_TRUE(info_blob.ok());
@@ -567,7 +567,7 @@ TEST(ShardRouter, RollupDropsIntegrityFlagOnBothPaths) {
     net::RollupStreamRequest req{source, target, 2, {0, 0}};
     ASSERT_TRUE(
         c.transport->Call(net::MessageType::kRollupStream, req.Encode()).ok());
-    net::DeleteStreamRequest info_req{target};
+    net::StreamInfoRequest info_req{target};
     auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
                                        info_req.Encode());
     ASSERT_TRUE(info_blob.ok());
@@ -807,7 +807,7 @@ Bytes RequestBody(MessageType type, uint64_t uuid) {
     case MessageType::kGetStatSeries:
       return net::StatSeriesRequest{uuid, all, 2}.Encode();
     case MessageType::kGetStreamInfo:
-      return net::DeleteStreamRequest{uuid}.Encode();
+      return net::StreamInfoRequest{uuid}.Encode();
     case MessageType::kGetChunkWitnessed:
       return net::GetChunkWitnessedRequest{uuid, 0, 2, 0}.Encode();
     case MessageType::kMultiStatRange:

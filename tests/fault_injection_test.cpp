@@ -132,7 +132,7 @@ TEST(FaultInjection, SporadicPutFailuresSurfaceToCaller) {
 /// The server's chunk count for `uuid`.
 Result<uint64_t> ServerChunks(net::Transport& transport, uint64_t uuid) {
   using net::MessageType;
-  net::DeleteStreamRequest req{uuid};
+  net::StreamInfoRequest req{uuid};
   TC_ASSIGN_OR_RETURN(
       Bytes blob, transport.Call(MessageType::kGetStreamInfo, req.Encode()));
   TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(blob));
@@ -413,6 +413,21 @@ std::shared_ptr<server::ServerEngine> CleanRawStream(
   EXPECT_TRUE(CreateRaw(*clean).ok());
   EXPECT_TRUE(UploadRaw(*clean, 0, kReadChunks).ok());
   return clean;
+}
+
+TEST(FaultInjection, FailedAttestationWriteSurfacesTheStoreStatus) {
+  FaultOptions opts;
+  opts.failure_code = StatusCode::kDataLoss;
+  auto fault =
+      std::make_shared<FaultKvStore>(std::make_shared<store::MemKvStore>(), opts);
+  server::ServerEngine engine(fault);
+  ASSERT_TRUE(CreateRaw(engine).ok());
+  fault->SetFailAll(true);
+  net::PutAttestationRequest put{kReadUuid, ToBytes("attestation")};
+  EXPECT_EQ(engine.Handle(net::MessageType::kPutAttestation, put.Encode())
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(FaultInjection, FailedPayloadReadFailsRangeAndWitnessedReads) {

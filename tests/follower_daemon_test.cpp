@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +28,7 @@
 #include "replica/follower_daemon.hpp"
 #include "replica/replica_set.hpp"
 #include "net/tcp.hpp"
-#include "store/latency.hpp"
+#include "store/forwarding_kv.hpp"
 #include "store/mem_kv.hpp"
 
 namespace tc {
@@ -341,6 +342,43 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   f2.Stop();
 }
 
+/// A store that fails every write after its first `allowed` ones until the
+/// test releases it: a snapshot stream into it stops, still open, at entry
+/// `allowed`, however fast the shipper runs.
+class WriteGateKvStore final : public store::ForwardingKvStore {
+ public:
+  WriteGateKvStore(std::shared_ptr<store::KvStore> inner, uint64_t allowed)
+      : ForwardingKvStore(std::move(inner)), allowed_(allowed) {}
+
+  Status Put(const std::string& key, BytesView value) override {
+    TC_RETURN_IF_ERROR(Gate());
+    return ForwardingKvStore::Put(key, value);
+  }
+  Status Delete(const std::string& key) override {
+    TC_RETURN_IF_ERROR(Gate());
+    return ForwardingKvStore::Delete(key);
+  }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    TC_RETURN_IF_ERROR(Gate());
+    return ForwardingKvStore::Append(key, expected_size, suffix);
+  }
+
+  void Release() { released_.store(true); }
+
+ private:
+  Status Gate() {
+    if (released_.load() || writes_.fetch_add(1) < allowed_) {
+      return Status::Ok();
+    }
+    return Unavailable("write gate closed");
+  }
+
+  const uint64_t allowed_;
+  std::atomic<uint64_t> writes_{0};
+  std::atomic<bool> released_{false};
+};
+
 // The satellite drill: kill a follower daemon mid-snapshot, restart it on
 // the same endpoint over the surviving store, and verify catch-up heals.
 TEST(FollowerDaemonE2E, DaemonKilledMidSnapshotHealsOnRestart) {
@@ -362,10 +400,11 @@ TEST(FollowerDaemonE2E, DaemonKilledMidSnapshotHealsOnRestart) {
   ASSERT_TRUE(uuid.ok());
   ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 30).ok());
 
-  // The daemon's store applies each write slowly, so the one-entry chunk
-  // stream is reliably in flight when we pull the plug.
-  auto follower_store = std::make_shared<store::LatencyKvStore>(
-      std::make_shared<store::MemKvStore>(), std::chrono::microseconds(800));
+  // The daemon's store takes the first three snapshot entries, then fails
+  // every write: the one-entry chunk stream stays open, retried by the
+  // shipper, until the test releases the store.
+  auto follower_store = std::make_shared<WriteGateKvStore>(
+      std::make_shared<store::MemKvStore>(), 3);
   auto options = DaemonOptions(server.port());
   options.auto_promote = false;  // a passive replica: never takes over
   auto daemon = std::make_unique<FollowerDaemon>(
@@ -375,13 +414,13 @@ TEST(FollowerDaemonE2E, DaemonKilledMidSnapshotHealsOnRestart) {
   ASSERT_TRUE(PollUntil(
       [&] { return daemon->snapshot_chunks_received(0) >= 3; }, 30'000))
       << "snapshot stream never started";
-  ASSERT_TRUE(daemon->snapshot_in_progress(0) ||
-              daemon->applied_seq(0) < set->head_seq());
+  ASSERT_TRUE(daemon->snapshot_in_progress(0));
 
   // Kill it mid-stream. The shipper's in-flight chunk fails; it backs off
   // and retries against the same endpoint.
   daemon->Stop();
   daemon.reset();
+  follower_store->Release();
 
   // Restart on the same endpoint over the surviving store. The fresh
   // applier has no open session, so the re-seed streams from entry 0 and

@@ -6,6 +6,7 @@
 
 #include "common/bytes.hpp"
 #include "index/digest.hpp"
+#include "net/codec.hpp"
 
 namespace tc::index {
 namespace {
@@ -165,24 +166,65 @@ TEST(DigestStats, QuantileErrors) {
   EXPECT_FALSE(none.QuantileBinLow(0.5).ok());
 }
 
-TEST(DigestSchema, SerializeRoundTrip) {
+TEST(DigestSchema, EncodeRoundTrip) {
   DigestSchema s = FullSchema();
-  Bytes buf;
-  s.Serialize(buf);
-  size_t pos = 0;
-  auto back = DigestSchema::Deserialize(buf, pos);
+  auto back = net::codec::Decode<DigestSchema>(net::codec::Encode(s));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
-  EXPECT_EQ(pos, buf.size());
 }
 
-TEST(DigestSchema, DeserializeTruncatedFails) {
-  DigestSchema s = FullSchema();
-  Bytes buf;
-  s.Serialize(buf);
+TEST(DigestSchema, DecodeTruncatedFails) {
+  Bytes buf = net::codec::Encode(FullSchema());
   buf.resize(buf.size() - 1);
-  size_t pos = 0;
-  EXPECT_FALSE(DigestSchema::Deserialize(buf, pos).ok());
+  EXPECT_FALSE(net::codec::Decode<DigestSchema>(buf).ok());
+}
+
+TEST(DigestSchema, FlagBytesOtherThanZeroOrOneAreRejected) {
+  Bytes buf = net::codec::Encode(FullSchema());
+  buf[0] = 2;  // with_sum
+  EXPECT_EQ(net::codec::Decode<DigestSchema>(buf).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// A record carrying one schema the way a stream config does.
+struct SchemaRecord {
+  DigestSchema schema;
+
+  static void Visit(auto& m, auto& v) { v(net::SchemaBlob(m.schema)); }
+};
+
+TEST(DigestSchema, BytesArePinned) {
+  // A varint blob length, then four 0/1 operator flags, trend t0 and unit
+  // (i64), histogram bins (u32), minimum and width (i64), little endian.
+  DigestSchema s;
+  s.with_sum = true;
+  s.with_count = false;
+  s.with_sumsq = true;
+  s.with_trend = true;
+  s.trend_t0 = 1000;
+  s.trend_unit_ms = 60'000;
+  s.hist_bins = 4;
+  s.hist_min = -50;
+  s.hist_width = 25;
+  const std::string blob =
+      "01000101" "e803000000000000" "60ea000000000000" "04000000"
+      "ceffffffffffffff" "1900000000000000";
+  EXPECT_EQ(ToHex(net::codec::Encode(SchemaRecord{s})), "28" + blob);
+  auto back = net::codec::Decode<SchemaRecord>(FromHex("28" + blob).value());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->schema, s);
+
+  for (const std::string& bad : {
+           "28" + blob.substr(0, blob.size() - 2),  // truncated record
+           "27" + blob.substr(0, blob.size() - 2),  // truncated schema
+           "ffffffff0f" + blob,                     // length beyond input
+       }) {
+    EXPECT_EQ(net::codec::Decode<SchemaRecord>(FromHex(bad).value())
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -130,17 +130,16 @@ TEST(Merkle, TamperedPathFailsVerification) {
   Hash root = tree.Root();
 
   AuditPath bad = *path;
-  bad.siblings[0][0] ^= 1;
+  bad.steps[0].sibling[0] ^= 1;
   EXPECT_FALSE(integrity::VerifyAuditPath(root, NumberedLeaf(6), bad).ok());
 
   AuditPath flipped = *path;
-  flipped.left_sibling[0] = !flipped.left_sibling[0];
+  flipped.steps[0].left = !flipped.steps[0].left;
   EXPECT_FALSE(
       integrity::VerifyAuditPath(root, NumberedLeaf(6), flipped).ok());
 
   AuditPath truncated = *path;
-  truncated.siblings.pop_back();
-  truncated.left_sibling.pop_back();
+  truncated.steps.pop_back();
   EXPECT_FALSE(
       integrity::VerifyAuditPath(root, NumberedLeaf(6), truncated).ok());
 }
@@ -166,8 +165,48 @@ TEST(Merkle, AuditPathWireRoundTrip) {
   BinaryReader r(w.data());
   auto back = integrity::DecodeAuditPath(r);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->siblings, path->siblings);
-  EXPECT_EQ(back->left_sibling, path->left_sibling);
+  EXPECT_EQ(back->steps, path->steps);
+}
+
+TEST(Merkle, AuditPathBytesArePinned) {
+  // Servers send these bytes to consumers: a varint step count, then per
+  // step a 0/1 byte (1 = the sibling sits left) and the sibling hash.
+  MerkleTree tree;
+  for (int i = 0; i < 5; ++i) tree.Append(NumberedLeaf(i));
+  auto path = tree.Proof(2, 5);
+  ASSERT_TRUE(path.ok());
+  ASSERT_EQ(path->size(), 3u);
+  BinaryWriter w;
+  integrity::EncodeAuditPath(w, *path);
+  const std::string pinned =
+      "03"
+      "00" "f76836325aec5699d8d71f8e42e9d47c5c29b08059ba296384f7ca40ad3a40ae"
+      "01" "60a53eed0de87a90c8e59427c59c46253c33a76a09502a51801300927b7e6bdc"
+      "00" "ea9fc1a1b6e191b460d0d6306e3e870c173f39330f13cda1b70cfc72bdc398ba";
+  EXPECT_EQ(ToHex(w.data()), pinned);
+
+  BinaryReader r(w.data());
+  auto back = integrity::DecodeAuditPath(r);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(integrity::VerifyAuditPath(tree.Root(), NumberedLeaf(2), *back)
+                  .ok());
+}
+
+TEST(Merkle, AuditPathThatDoesNotDecodeIsRejected) {
+  MerkleTree tree;
+  for (int i = 0; i < 5; ++i) tree.Append(NumberedLeaf(i));
+  BinaryWriter w;
+  integrity::EncodeAuditPath(w, *tree.Proof(2, 5));
+  Bytes truncated(w.data().begin(), w.data().end() - 1);
+  BinaryReader short_reader(truncated);
+  EXPECT_EQ(integrity::DecodeAuditPath(short_reader).status().code(),
+            StatusCode::kDataLoss);
+
+  Bytes overlong = FromHex("ffffffff0f").value();  // ~2^32 steps
+  tc::Append(overlong, BytesView(w.data()).subspan(1));
+  BinaryReader long_reader(overlong);
+  EXPECT_EQ(integrity::DecodeAuditPath(long_reader).status().code(),
+            StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------- Ed25519
@@ -242,6 +281,38 @@ TEST(Attestation, SignedRoundTripAndTamperDetection) {
   bad = *att;
   bad.uuid = 43;
   EXPECT_FALSE(bad.Verify(keys.public_key).ok());
+}
+
+TEST(Attestation, BytesArePinned) {
+  // The owner signs uuid, size and root as little-endian u64, u64 and the
+  // raw 32-byte root; the stored attestation appends the signature with a
+  // varint length.
+  Attestation att;
+  att.uuid = 7;
+  att.size = 3;
+  for (size_t i = 0; i < att.root.size(); ++i) {
+    att.root[i] = static_cast<uint8_t>(i);
+  }
+  att.signature = ToBytes("sig");
+  const std::string signed_hex =
+      "0700000000000000" "0300000000000000"
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f";
+  EXPECT_EQ(ToHex(att.SignedBytes()), signed_hex);
+  EXPECT_EQ(ToHex(att.Encode()), signed_hex + "03736967");
+
+  auto back = Attestation::Decode(att.Encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->uuid, 7u);
+  EXPECT_EQ(back->size, 3u);
+  EXPECT_EQ(back->root, att.root);
+  EXPECT_EQ(back->signature, att.signature);
+
+  Bytes encoded = att.Encode();
+  EXPECT_EQ(Attestation::Decode(BytesView(encoded).first(40)).status().code(),
+            StatusCode::kDataLoss);  // truncated inside the root
+  Bytes overlong = FromHex(signed_hex + "ffffffff0f736967").value();
+  EXPECT_EQ(Attestation::Decode(overlong).status().code(),
+            StatusCode::kDataLoss);  // signature length beyond the input
 }
 
 TEST(Attestation, OutOfOrderWitnessRejected) {

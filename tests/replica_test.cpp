@@ -812,7 +812,7 @@ void RunFailoverDrill(AckMode ack) {
     EXPECT_EQ(set->num_replicas(), 1u);  // one follower became primary
   }
   for (size_t s = 0; s < uuids.size(); ++s) {
-    net::DeleteStreamRequest info_req{uuids[s]};
+    net::StreamInfoRequest info_req{uuids[s]};
     auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
                                        info_req.Encode());
     ASSERT_TRUE(info_blob.ok()) << info_blob.status().ToString();
@@ -1041,6 +1041,41 @@ TEST(ShardMeta, MetaKeyReplicatesWithTheShard) {
   EXPECT_TRUE(cluster::BindShardMeta(*fkv, 0, 2).ok());
   EXPECT_EQ(cluster::BindShardMeta(*fkv, 0, 3).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardMeta, BytesArePinned) {
+  // Shard id, then shard count, as little-endian u32s.
+  store::MemKvStore kv;
+  ASSERT_TRUE(cluster::BindShardMeta(kv, 2, 4).ok());
+  EXPECT_EQ(ToHex(kv.Get("meta/cluster/shard").value()), "0200000004000000");
+
+  store::MemKvStore truncated;
+  ASSERT_TRUE(
+      truncated.Put("meta/cluster/shard", FromHex("020000000400").value())
+          .ok());
+  EXPECT_EQ(cluster::BindShardMeta(truncated, 2, 4).code(),
+            StatusCode::kDataLoss);
+}
+
+// ---------------------------------------------------- applied-seq marker
+
+TEST(AppliedSeqMarker, BytesArePinnedAndABadMarkerStartsOver) {
+  // The follower's applied seq, a little-endian u64 under the replica-meta
+  // prefix, read back when an applier opens the store.
+  const std::string key = std::string(replica::kReplicaMetaPrefix) + "applied";
+  auto kv = std::make_shared<store::MemKvStore>();
+  replica::ReplicaApplier applier(kv);
+  net::ReplicaOpsRequest ops;
+  ops.first_seq = 1;
+  ops.ops.push_back({net::kReplicaOpPut, "k1", ToBytes("v1")});
+  ops.ops.push_back({net::kReplicaOpPut, "k2", ToBytes("v2")});
+  ASSERT_TRUE(
+      applier.Handle(net::MessageType::kReplicaOps, ops.Encode()).ok());
+  EXPECT_EQ(ToHex(kv->Get(key).value()), "0200000000000000");
+  EXPECT_EQ(replica::ReplicaApplier(kv).applied_seq(), 2u);
+
+  ASSERT_TRUE(kv->Put(key, FromHex("020000").value()).ok());  // truncated
+  EXPECT_EQ(replica::ReplicaApplier(kv).applied_seq(), 0u);
 }
 
 }  // namespace

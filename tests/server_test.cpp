@@ -196,7 +196,7 @@ TEST_F(ServerTest, EnvelopeStoreRoundTrip) {
 TEST_F(ServerTest, StreamInfoReportsProgress) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
   ASSERT_TRUE(Insert(1, 0, 5).ok());
-  net::DeleteStreamRequest info{1};
+  net::StreamInfoRequest info{1};
   auto resp = engine_->Handle(MessageType::kGetStreamInfo, info.Encode());
   ASSERT_TRUE(resp.ok());
   auto decoded = net::StreamInfoResponse::Decode(*resp);
@@ -405,6 +405,106 @@ TEST_F(ServerTest, RollupStreamSurvivesRestart) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(DecodeSum(*resp), 8u);
   EXPECT_TRUE(Payloads(2, 0, 2).empty());
+}
+
+// ------------------------------------------------- stored record layouts
+// The engine's records are the store's durable contract: a store written by
+// one build must open under the next. These pin their exact bytes.
+
+Bytes Hex(std::string_view hex) { return FromHex(hex).value(); }
+
+TEST_F(ServerTest, StreamDirectoryBytesArePinned) {
+  ASSERT_TRUE(Create(0x0102030405060708, PlainConfig()).ok());
+  ASSERT_TRUE(Create(7, PlainConfig()).ok());
+  // varint count, then each uuid as a little-endian u64, in uuid order.
+  EXPECT_EQ(ToHex(kv_->Get("meta/streams").value()),
+            "02" "0700000000000000" "0807060504030201");
+}
+
+TEST_F(ServerTest, StreamDirectoryThatDoesNotDecodeIsRejected) {
+  for (const char* dir : {
+           "02" "0700000000000000" "080706",     // truncated
+           "ffffffff0f" "0700000000000000",      // count beyond the input
+       }) {
+    auto kv = std::make_shared<store::MemKvStore>();
+    ASSERT_TRUE(kv->Put("meta/streams", Hex(dir)).ok());
+    ServerEngine engine(kv);  // recovery is best-effort: no stream, no crash
+    EXPECT_EQ(engine.NumStreams(), 0u) << dir;
+    EXPECT_EQ(engine.Refresh().code(), StatusCode::kDataLoss) << dir;
+  }
+}
+
+TEST_F(ServerTest, GrantDirectoryBytesArePinned) {
+  for (const net::PutGrantRequest& put : {
+           net::PutGrantRequest{7, "alice", 1, ToBytes("s1")},
+           net::PutGrantRequest{8, "alice", 2, ToBytes("s2")},
+           net::PutGrantRequest{7, "bob", 3, ToBytes("s3")},
+       }) {
+    ASSERT_TRUE(engine_->Handle(MessageType::kPutGrant, put.Encode()).ok());
+  }
+  // varint principal count; per principal its name, a varint grant count
+  // and (uuid, grant id) as little-endian u64s.
+  EXPECT_EQ(ToHex(kv_->Get("meta/grantdir").value()),
+            "02"
+            "05616c696365" "02"
+            "0700000000000000" "0100000000000000"
+            "0800000000000000" "0200000000000000"
+            "03626f62" "01"
+            "0700000000000000" "0300000000000000");
+}
+
+TEST_F(ServerTest, GrantDirectoryThatDoesNotDecodeIsRejected) {
+  auto alice_grants = [](const char* dir) {
+    auto kv = std::make_shared<store::MemKvStore>();
+    EXPECT_TRUE(kv->Put("grant/alice/7/1", ToBytes("sealed")).ok());
+    EXPECT_TRUE(kv->Put("meta/grantdir", Hex(dir)).ok());
+    ServerEngine engine(kv);
+    auto resp = engine.Handle(MessageType::kFetchGrants,
+                              net::FetchGrantsRequest{"alice"}.Encode());
+    EXPECT_TRUE(resp.ok());
+    return net::FetchGrantsResponse::Decode(resp.value())->grants.size();
+  };
+  EXPECT_EQ(alice_grants("01" "05616c696365" "01"
+                         "0700000000000000" "0100000000000000"),
+            1u);
+  EXPECT_EQ(alice_grants("01" "05616c696365" "01"
+                         "0700000000000000" "0100"),  // truncated
+            0u);
+  EXPECT_EQ(alice_grants("ffffffff0f" "05616c696365" "01"
+                         "0700000000000000"),  // count beyond the input
+            0u);
+}
+
+TEST_F(ServerTest, PayloadBlockBytesArePinned) {
+  ASSERT_TRUE(Create(7, PlainConfig()).ok());
+  auto batch = PlainBatch(7, 0, 3);
+  batch.entries[0].payload = ToBytes("ab");
+  batch.entries[1].payload = {};
+  batch.entries[2].payload = ToBytes("cde");
+  ASSERT_TRUE(
+      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+  // One entry per chunk: varint length, then the payload.
+  EXPECT_EQ(ToHex(kv_->Get("pay/7/0").value()), "026162" "00" "03636465");
+}
+
+TEST_F(ServerTest, PayloadBlockThatDoesNotDecodeIsRejected) {
+  ASSERT_TRUE(Create(7, PlainConfig()).ok());
+  ASSERT_TRUE(engine_
+                  ->Handle(MessageType::kInsertChunkBatch,
+                           PlainBatch(7, 0, 2).Encode())
+                  .ok());
+  for (const char* block : {
+           "026162" "056364",      // truncated second entry
+           "026162" "ffffffff0f6364",  // length beyond the input
+       }) {
+    ASSERT_TRUE(kv_->Put("pay/7/0", Hex(block)).ok());
+    net::GetRangeRequest req{7, {0, 2000}};
+    EXPECT_EQ(engine_->Handle(MessageType::kGetRange, req.Encode())
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss)
+        << block;
+  }
 }
 
 TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {

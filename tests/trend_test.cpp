@@ -40,14 +40,11 @@ TEST(TrendSchema, FieldLayoutAndCount) {
   EXPECT_EQ(s.hist_field(0), 5u);  // histogram sits after the trend block
 }
 
-TEST(TrendSchema, SerializeRoundTripsTrendFields) {
+TEST(TrendSchema, EncodeRoundTripsTrendFields) {
   auto s = TrendSchema();
   s.trend_t0 = 12345;
   s.trend_unit_ms = 30'000;
-  std::vector<uint8_t> buf;
-  s.Serialize(buf);
-  size_t pos = 0;
-  auto back = index::DigestSchema::Deserialize(buf, pos);
+  auto back = net::codec::Decode<index::DigestSchema>(net::codec::Encode(s));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
 }

@@ -50,6 +50,8 @@ std::vector<NamedDecoder> AllDecoders() {
        [](BytesView in) { return RollupStreamResponse::Decode(in).ok(); }},
       {"DeleteRange",
        [](BytesView in) { return DeleteRangeRequest::Decode(in).ok(); }},
+      {"StreamInfo",
+       [](BytesView in) { return StreamInfoRequest::Decode(in).ok(); }},
       {"StreamInfoResponse",
        [](BytesView in) { return StreamInfoResponse::Decode(in).ok(); }},
       {"PutGrant",
@@ -177,6 +179,7 @@ std::vector<Sample> ValidEncodings() {
       Of("RollupStreamResponse", kResponse, RollupStreamResponse{0, 8}));
   out.push_back(
       Of("DeleteRange", kDeleteRange, DeleteRangeRequest{7, {0, 100}}));
+  out.push_back(Of("StreamInfo", kGetStreamInfo, StreamInfoRequest{7}));
   out.push_back(
       Of("StreamInfoResponse", kResponse, StreamInfoResponse{config, 42}));
   out.push_back(Of("PutGrant", kPutGrant,
@@ -413,6 +416,8 @@ constexpr PinnedBytes kPinnedBytes[] = {
    "0000000000000000"},
   {"DeleteRange",
    "070000000000000000000000000000006400000000000000"},
+  {"StreamInfo",
+   "0700000000000000"},
   {"StreamInfoResponse",
    "0b66757a7a2f73747265616d0000000000000000102700000000000028010100"
    "00000000000000000060ea000000000000040000000000000000000000010000"
@@ -541,12 +546,8 @@ TEST(WireFuzz, StreamRoutedRequestsStartWithTheirUuid) {
   auto samples = ValidEncodings();
   for (const FrameTypeInfo& row : kFrameTypes) {
     if (row.route != Route::kStream) continue;
-    // A stream-info request is a DeleteStreamRequest: the bare uuid.
-    MessageType body = row.type == MessageType::kGetStreamInfo
-                           ? MessageType::kDeleteStream
-                           : row.type;
     auto it = std::find_if(samples.begin(), samples.end(),
-                           [&](const Sample& s) { return s.type == body; });
+                           [&](const Sample& s) { return s.type == row.type; });
     ASSERT_NE(it, samples.end()) << row.name << " has no sample";
     BinaryReader r(it->bytes);
     auto uuid = r.GetU64();
@@ -590,6 +591,20 @@ TEST(WireFuzz, LengthPrefixedVectorsRejectAbsurdCounts) {
   // Trace and event journal responses: count is the first field.
   EXPECT_FALSE(TraceInfoResponse::Decode(hostile_at(0)).ok());
   EXPECT_FALSE(EventsInfoResponse::Decode(hostile_at(0)).ok());
+}
+
+TEST(WireFuzz, VectorCountsAreBoundedByTheMinimumElementSize) {
+  // A GetRangeResponse chunk is at least 9 bytes (index, empty payload).
+  // Five chunks in 9 bytes pass a one-byte-per-element bound, so a decoder
+  // that only had that bound would reserve them before running out of
+  // input; the minimum-size bound rejects the count before reserving.
+  Bytes body = FromHex("05" "010000000000000000").value();
+  auto decoded = GetRangeResponse::Decode(body);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "element count exceeds input");
+  // One chunk fits, and decodes.
+  body[0] = 0x01;
+  ASSERT_TRUE(GetRangeResponse::Decode(body).ok());
 }
 
 TEST(WireFuzz, ReplicaOpsRejectsMalformedOps) {

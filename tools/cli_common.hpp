@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/io.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/rand.hpp"
 #include "crypto/sealed_box.hpp"
@@ -99,11 +98,32 @@ inline int64_t RequireInt(const Flags& flags, const std::string& name,
   return parsed;
 }
 
+/// Reads a whole state file; NotFound when it does not exist.
+inline Result<Bytes> ReadStateFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return NotFound("no file " + path.string());
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
+
+/// Writes a state file whole, creating the state dir first.
+inline Status WriteStateFile(const std::filesystem::path& path,
+                             BytesView data) {
+  std::error_code ec;
+  std::filesystem::create_directories(path.parent_path(), ec);
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+  return out ? Status::Ok() : Unavailable("cannot write " + path.string());
+}
+
 /// On-disk producer state for one stream: uuid + master seed + config.
 struct StreamState {
   uint64_t uuid = 0;
   crypto::Key128 master_seed{};
   net::StreamConfig config;
+
+  static void Visit(auto& m, auto& v) { v(m.uuid, m.master_seed, m.config); }
 };
 
 inline std::filesystem::path StreamStatePath(const std::string& state_dir,
@@ -114,62 +134,63 @@ inline std::filesystem::path StreamStatePath(const std::string& state_dir,
 
 inline Status SaveStreamState(const std::string& state_dir,
                               const StreamState& s) {
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  BinaryWriter w;
-  w.PutU64(s.uuid);
-  w.PutRaw(s.master_seed);
-  s.config.Encode(w);
-  std::ofstream out(StreamStatePath(state_dir, s.uuid), std::ios::binary);
-  if (!out) return Unavailable("cannot write stream state file");
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-  return out ? Status::Ok() : Unavailable("stream state write failed");
+  return WriteStateFile(StreamStatePath(state_dir, s.uuid),
+                        net::codec::Encode(s));
 }
 
 inline Result<StreamState> LoadStreamState(const std::string& state_dir,
                                            uint64_t uuid) {
-  std::ifstream in(StreamStatePath(state_dir, uuid), std::ios::binary);
-  if (!in) {
+  auto data = ReadStateFile(StreamStatePath(state_dir, uuid));
+  if (!data.ok()) {
     return NotFound("no local key state for stream " + std::to_string(uuid) +
                     " (created on another machine?)");
   }
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  BinaryReader r(data);
-  StreamState s;
-  TC_ASSIGN_OR_RETURN(s.uuid, r.GetU64());
-  TC_ASSIGN_OR_RETURN(BytesView seed, r.GetRaw(s.master_seed.size()));
-  std::copy(seed.begin(), seed.end(), s.master_seed.begin());
-  TC_ASSIGN_OR_RETURN(s.config, net::StreamConfig::Decode(r));
-  return s;
+  return net::codec::Decode<StreamState>(*data);
+}
+
+/// The layout of the identity and signing-key files: the public key, then
+/// the secret key.
+struct KeyPairFile {
+  Bytes public_key;
+  Bytes secret_key;
+
+  static void Visit(auto& m, auto& v) { v(m.public_key, m.secret_key); }
+};
+
+/// Loads the keypair in `state_dir`/`name`, or, when there is none and
+/// `generate` is set, creates one with it and saves it.
+template <typename KeyPair>
+Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
+                                    const char* name, KeyPair (*generate)()) {
+  const auto path = std::filesystem::path(state_dir) / name;
+  auto data = ReadStateFile(path);
+  KeyPair kp;
+  if (data.ok()) {
+    TC_ASSIGN_OR_RETURN(auto file, net::codec::Decode<KeyPairFile>(*data));
+    kp.public_key = std::move(file.public_key);
+    kp.secret_key = std::move(file.secret_key);
+    return kp;
+  }
+  if (generate == nullptr) return data.status();
+  kp = generate();
+  KeyPairFile file{kp.public_key, Bytes(kp.secret_key.view().begin(),
+                                        kp.secret_key.view().end())};
+  Bytes encoded = net::codec::Encode(file);
+  Status written = WriteStateFile(path, encoded);
+  SecureZero(MutableBytesView(file.secret_key));
+  SecureZero(MutableBytesView(encoded));
+  TC_RETURN_IF_ERROR(written);
+  return kp;
 }
 
 /// Consumer identity (X25519 keypair) persisted in the state dir.
 inline Result<crypto::BoxKeyPair> LoadOrCreateIdentity(
     const std::string& state_dir, bool create) {
-  auto path = std::filesystem::path(state_dir) / "identity.key";
-  std::ifstream in(path, std::ios::binary);
-  if (in) {
-    Bytes data((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    BinaryReader r(data);
-    crypto::BoxKeyPair kp;
-    TC_ASSIGN_OR_RETURN(kp.public_key, r.GetBytes());
-    TC_ASSIGN_OR_RETURN(kp.secret_key, r.GetBytes());
-    return kp;
+  auto kp = LoadOrCreateKeyPair(state_dir, "identity.key",
+                                create ? &crypto::GenerateBoxKeyPair : nullptr);
+  if (kp.status().code() == StatusCode::kNotFound) {
+    return NotFound("no identity; run `tccli keygen` first");
   }
-  if (!create) return NotFound("no identity; run `tccli keygen` first");
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  crypto::BoxKeyPair kp = crypto::GenerateBoxKeyPair();
-  BinaryWriter w;
-  w.PutBytes(kp.public_key);
-  w.PutBytes(kp.secret_key);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Unavailable("cannot write identity file");
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
   return kp;
 }
 
@@ -177,28 +198,8 @@ inline Result<crypto::BoxKeyPair> LoadOrCreateIdentity(
 /// keypair must sign every attestation of a stream, across invocations.
 inline Result<crypto::SigningKeyPair> LoadOrCreateSigning(
     const std::string& state_dir) {
-  auto path = std::filesystem::path(state_dir) / "signing.key";
-  std::ifstream in(path, std::ios::binary);
-  if (in) {
-    Bytes data((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    BinaryReader r(data);
-    crypto::SigningKeyPair kp;
-    TC_ASSIGN_OR_RETURN(kp.public_key, r.GetBytes());
-    TC_ASSIGN_OR_RETURN(kp.secret_key, r.GetBytes());
-    return kp;
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  crypto::SigningKeyPair kp = crypto::GenerateSigningKeyPair();
-  BinaryWriter w;
-  w.PutBytes(kp.public_key);
-  w.PutBytes(kp.secret_key);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Unavailable("cannot write signing key file");
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-  return kp;
+  return LoadOrCreateKeyPair(state_dir, "signing.key",
+                             &crypto::GenerateSigningKeyPair);
 }
 
 [[noreturn]] inline void Die(const Status& status) {
