@@ -16,17 +16,23 @@
 //   7. Payload seal (§4.1, §4.3): AES-GCM-128 seal and open of one chunk
 //      body under a fresh per-chunk key, and the owner's whole payload
 //      seal (build, compress, seal) at 10 and 500 points per chunk.
+//   8. Owner seal (§4.1): the whole per-chunk client pipeline (digest,
+//      HEAC, compress, AES-GCM, upload batch) through an OwnerClient whose
+//      transport acks every chunk batch at once.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include "chunk/chunk.hpp"
 #include "chunk/compress.hpp"
+#include "client/owner.hpp"
 #include "crypto/aes_gcm.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
 #include "index/digest_cipher.hpp"
 #include "integrity/attestation.hpp"
 #include "integrity/merkle.hpp"
+#include "server/server_engine.hpp"
+#include "store/mem_kv.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc::bench {
@@ -364,13 +370,68 @@ void BM_SealPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_SealPayload)->Arg(10)->Arg(500);
 
+// ------------------------------------------------------ 8. owner seal
+
+/// Acks every InsertChunkBatch at once and hands every other call to an
+/// in-memory engine: the owner's pipeline with no server work per chunk.
+class AckingHandler final : public net::RequestHandler {
+ public:
+  AckingHandler()
+      : engine_(std::make_shared<store::MemKvStore>(),
+                server::ServerOptions{}) {}
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    if (type == net::MessageType::kInsertChunkBatch) return Bytes{};
+    return engine_.Handle(type, body);
+  }
+
+ private:
+  server::ServerEngine engine_;
+};
+
+// One iteration inserts one chunk's points into a 19-field HEAC vitals
+// stream (kZlib); its first point seals the chunk before it. The arguments
+// are points per chunk and OwnerOptions::upload_batch_chunks: 10-point
+// chunks in 256-chunk batches are tcbench's prefill, 500-point chunks sent
+// one at a time its live producers.
+void BM_OwnerSeal(benchmark::State& state) {
+  const auto points = static_cast<int64_t>(state.range(0));
+  constexpr DurationMs kDelta = 10 * kSecond;
+  client::OwnerOptions options;
+  options.upload_batch_chunks = static_cast<uint64_t>(state.range(1));
+  client::OwnerClient owner(
+      std::make_shared<net::InProcTransport>(std::make_shared<AckingHandler>()),
+      options);
+  net::StreamConfig config;
+  config.name = "owner-seal";
+  config.delta_ms = kDelta;
+  config.schema = workload::MHealthGenerator::VitalsSchema();
+  config.cipher = net::CipherKind::kHeac;
+  auto uuid = owner.CreateStream(config);
+  if (!uuid.ok()) std::abort();
+  const auto values = VitalsPoints(static_cast<size_t>(points));
+  uint64_t chunk = 0;
+  for (auto _ : state) {
+    const auto t0 = static_cast<Timestamp>(chunk++) * kDelta;
+    for (int64_t i = 0; i < points; ++i) {
+      index::DataPoint p{t0 + i * (kDelta / points), values[i].value};
+      if (!owner.InsertRecord(*uuid, p).ok()) std::abort();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(chunk));
+}
+BENCHMARK(BM_OwnerSeal)
+    ->ArgNames({"points", "batch"})
+    ->Args({10, 256})
+    ->Args({500, 1});
+
 }  // namespace
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
   std::printf(
       "=== Ablations: fanout / key-canceling / PRG / compression / "
-      "strided / cache / payload seal ===\n"
+      "strided / cache / payload seal / owner seal ===\n"
       "(design-choice quantification; see README.md benchmark matrix)\n\n");
   return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -219,13 +219,17 @@ void BM_TcpIngest(benchmark::State& state, bool durable) {
   Window window(state.range(1));
   auto cipher = index::MakePlainCipher(2);
   const Bytes payload(256, 0xab);  // a small sealed payload per chunk
+  std::vector<Bytes> digests;  // the batch's digests, which its entries view
+  digests.reserve(batch);
   uint64_t c = 0;
   for (auto _ : state) {
     net::InsertChunkBatchRequest req;
     req.uuid = stack.uuid;
+    digests.clear();
     for (size_t b = 0; b < batch && c < chunks; ++b, ++c) {
       std::vector<uint64_t> fields{c, 1};
-      req.entries.push_back({c, *cipher->Encrypt(fields, c), payload});
+      digests.push_back(*cipher->Encrypt(fields, c));
+      req.entries.push_back({c, digests.back(), payload});
     }
     window.Push(stack.client->AsyncCall(net::MessageType::kInsertChunkBatch,
                                         req.Encode()),

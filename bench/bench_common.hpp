@@ -97,9 +97,8 @@ inline net::StreamConfig PlainConfig(const std::string& name) {
 inline Bytes PlainChunkBody(uint64_t uuid, uint64_t c) {
   static const auto cipher = index::MakePlainCipher(2);
   std::vector<uint64_t> fields{c + 1, 1};
-  return net::InsertChunkBatchRequest{uuid,
-                                      {{c, *cipher->Encrypt(fields, c), {}}}}
-      .Encode();
+  const Bytes digest = *cipher->Encrypt(fields, c);
+  return net::InsertChunkBatchRequest{uuid, {{c, digest, {}}}}.Encode();
 }
 
 /// Pre-encoded PlainChunkBody requests for `streams` plain streams of

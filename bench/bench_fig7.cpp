@@ -311,8 +311,8 @@ struct StrawmanStack {
   /// Encrypt the next chunk's digest and index it.
   void InsertChunk() {
     std::vector<uint64_t> fields = {600};
-    net::InsertChunkBatchRequest req{
-        1, {{chunks, *cipher->Encrypt(fields, chunks), {}}}};
+    const Bytes blob = *cipher->Encrypt(fields, chunks);
+    net::InsertChunkBatchRequest req{1, {{chunks, blob, {}}}};
     if (!stack.transport
              ->Call(net::MessageType::kInsertChunkBatch, req.Encode())
              .ok()) {

@@ -60,8 +60,8 @@ struct MonthFixture {
     for (uint64_t c = 0; c < total_chunks; ++c) {
       std::vector<uint64_t> fields = {kRecordsPerChunk * 600,
                                       kRecordsPerChunk};
-      net::InsertChunkBatchRequest req{
-          uuid, {{c, *digest->Encrypt(fields, c), {}}}};
+      const Bytes blob = *digest->Encrypt(fields, c);
+      net::InsertChunkBatchRequest req{uuid, {{c, blob, {}}}};
       if (!transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
                .ok()) {
         std::abort();

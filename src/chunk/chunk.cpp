@@ -28,9 +28,14 @@ Status ChunkBuilder::Add(const index::DataPoint& point) {
   return Status::Ok();
 }
 
-Result<Bytes> ChunkBuilder::SealPayload(
-    const crypto::Key128& payload_key) const {
-  TC_ASSIGN_OR_RETURN(Bytes compressed, CompressPoints(points_, codec_));
+Result<BytesView> ChunkBuilder::CompressedPoints() {
+  compressed_.clear();
+  TC_RETURN_IF_ERROR(AppendCompressedPoints(points_, codec_, compressed_));
+  return BytesView(compressed_);
+}
+
+Result<Bytes> ChunkBuilder::SealPayload(const crypto::Key128& payload_key) {
+  TC_ASSIGN_OR_RETURN(BytesView compressed, CompressedPoints());
   return crypto::GcmSeal(payload_key, compressed, ChunkAad(index_));
 }
 

@@ -38,14 +38,13 @@ class ChunkBuilder {
   const TimeRange& window() const { return window_; }
   std::span<const index::DataPoint> points() const { return points_; }
 
-  /// Compute the plaintext digest fields for this window.
-  std::vector<uint64_t> ComputeDigest(const index::DigestSchema& schema) const {
-    return schema.Compute(points_);
-  }
+  /// The points as CompressPoints encodes them, in a buffer the builder
+  /// reuses from chunk to chunk; valid until the builder next changes.
+  Result<BytesView> CompressedPoints();
 
   /// Compress and AES-GCM-seal the payload under `payload_key`, binding the
   /// chunk index as AAD so chunks cannot be transplanted.
-  Result<Bytes> SealPayload(const crypto::Key128& payload_key) const;
+  Result<Bytes> SealPayload(const crypto::Key128& payload_key);
 
   /// Start the next window.
   void Reset(uint64_t chunk_index, TimeRange window);
@@ -55,6 +54,7 @@ class ChunkBuilder {
   TimeRange window_;
   Compression codec_;
   std::vector<index::DataPoint> points_;
+  Bytes compressed_;
 };
 
 /// Open a sealed payload: verify the AAD/chunk binding and decompress.

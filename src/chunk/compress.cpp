@@ -3,6 +3,7 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/io.hpp"
@@ -11,9 +12,13 @@ namespace tc::chunk {
 
 namespace {
 constexpr uint8_t kFormatVersion = 1;
-}
 
-Result<Bytes> ZlibDeflate(BytesView data) {
+/// Deflates `n` bytes at `in` into the `cap` bytes at `out`, which must not
+/// overlap them; returns the deflated size. The bytes are exactly
+/// compress2(…, Z_DEFAULT_COMPRESSION)'s for any `cap` of at least
+/// compressBound(n).
+Result<size_t> Deflate(const uint8_t* in, size_t n, uint8_t* out,
+                       size_t cap) {
   // One deflate state per thread, reset per call. compress2 builds and
   // frees the same ~256 KB state on every call; deflateInit gives it
   // compress2's level, window and memLevel, so the bytes are identical.
@@ -30,20 +35,31 @@ Result<Bytes> ZlibDeflate(BytesView data) {
     return Internal("zlib deflate init failed: " +
                     std::to_string(deflater.init));
   }
-  if (data.size() > std::numeric_limits<uInt>::max()) {
+  if (n > std::numeric_limits<uInt>::max() ||
+      cap > std::numeric_limits<uInt>::max()) {
     return InvalidArgument("zlib input exceeds 4 GiB");
   }
-  Bytes out(compressBound(static_cast<uLong>(data.size())));
   deflateReset(&zs);
-  zs.next_in = const_cast<Bytef*>(data.data());
-  zs.avail_in = static_cast<uInt>(data.size());
-  zs.next_out = out.data();
-  zs.avail_out = static_cast<uInt>(out.size());
+  zs.next_in = const_cast<Bytef*>(in);
+  zs.avail_in = static_cast<uInt>(n);
+  zs.next_out = out;
+  zs.avail_out = static_cast<uInt>(cap);
   int rc = deflate(&zs, Z_FINISH);
   if (rc != Z_STREAM_END) {
     return Internal("zlib deflate failed: " + std::to_string(rc));
   }
-  out.resize(zs.total_out);
+  return static_cast<size_t>(zs.total_out);
+}
+}  // namespace
+
+Result<Bytes> ZlibDeflate(BytesView data) {
+  if (data.size() > std::numeric_limits<uInt>::max()) {
+    return InvalidArgument("zlib input exceeds 4 GiB");
+  }
+  Bytes out(compressBound(static_cast<uLong>(data.size())));
+  TC_ASSIGN_OR_RETURN(
+      size_t len, Deflate(data.data(), data.size(), out.data(), out.size()));
+  out.resize(len);
   return out;
 }
 
@@ -88,41 +104,57 @@ Result<Bytes> ZlibInflate(BytesView data, size_t max_output) {
 
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
                              Compression codec) {
+  Bytes out;
+  TC_RETURN_IF_ERROR(AppendCompressedPoints(points, codec, out));
+  return out;
+}
+
+Status AppendCompressedPoints(std::span<const index::DataPoint> points,
+                              Compression codec, Bytes& out) {
   if (codec != Compression::kNone && codec != Compression::kZlib) {
     return InvalidArgument("unknown chunk compression codec");
   }
-  Bytes out;
-  out.push_back(kFormatVersion);
+  // Room for the two header bytes, the count and two varints per point.
+  const size_t head = out.size();
+  const size_t body_at = head + 2;
+  out.resize(body_at + kMaxVarintBytes * (1 + 2 * points.size()));
+  out[head] = kFormatVersion;
+  out[head + 1] = static_cast<uint8_t>(Compression::kNone);
 
   // Delta+zigzag+varint both columns. First point stored absolute. The
   // deltas wrap modulo 2^64, so far-apart values cannot overflow.
-  BinaryWriter w(points.size() * 4 + 16);
-  w.PutVar(points.size());
+  uint8_t* p = out.data() + body_at;
+  p += PutVarint(p, points.size());
   uint64_t prev_ts = 0;
   uint64_t prev_val = 0;
-  for (const auto& p : points) {
-    const auto ts = static_cast<uint64_t>(p.timestamp_ms);
-    const auto val = static_cast<uint64_t>(p.value);
-    w.PutVarSigned(static_cast<int64_t>(ts - prev_ts));
-    w.PutVarSigned(static_cast<int64_t>(val - prev_val));
+  for (const auto& pt : points) {
+    const auto ts = static_cast<uint64_t>(pt.timestamp_ms);
+    const auto val = static_cast<uint64_t>(pt.value);
+    p += PutVarint(p, ZigzagEncode(static_cast<int64_t>(ts - prev_ts)));
+    p += PutVarint(p, ZigzagEncode(static_cast<int64_t>(val - prev_val)));
     prev_ts = ts;
     prev_val = val;
   }
-
-  Bytes body = std::move(w).Take();
+  const size_t body = static_cast<size_t>(p - (out.data() + body_at));
+  out.resize(body_at + body);
   // A short body is stored raw without a deflate attempt (kMinDeflateBody).
-  if (codec == Compression::kZlib && body.size() >= kMinDeflateBody) {
-    TC_ASSIGN_OR_RETURN(Bytes deflated, ZlibDeflate(body));
-    // Keep whichever representation is smaller (incompressible data).
-    if (deflated.size() < body.size()) {
-      out.push_back(static_cast<uint8_t>(Compression::kZlib));
-      Append(out, deflated);
-      return out;
-    }
+  if (codec != Compression::kZlib || body < kMinDeflateBody) {
+    return Status::Ok();
   }
-  out.push_back(static_cast<uint8_t>(Compression::kNone));
-  Append(out, body);
-  return out;
+  const size_t bound = compressBound(static_cast<uLong>(body));
+  out.resize(body_at + body + bound);
+  TC_ASSIGN_OR_RETURN(size_t deflated,
+                      Deflate(out.data() + body_at, body,
+                              out.data() + body_at + body, bound));
+  // Keep whichever representation is smaller (incompressible data).
+  if (deflated < body) {
+    out[head + 1] = static_cast<uint8_t>(Compression::kZlib);
+    std::memmove(out.data() + body_at, out.data() + body_at + body, deflated);
+    out.resize(body_at + deflated);
+  } else {
+    out.resize(body_at + body);
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data) {

@@ -31,9 +31,16 @@ enum class Compression : uint8_t {
 /// under 0.002 bytes.
 inline constexpr size_t kMinDeflateBody = 64;
 
-/// Serialize and compress a batch of points.
+/// Serialize and compress a batch of points: the format byte, the codec
+/// byte, then the delta+varint body, raw or deflated.
 Result<Bytes> CompressPoints(std::span<const index::DataPoint> points,
                              Compression codec);
+
+/// Append CompressPoints' bytes to `out`. Each byte is written once, in
+/// place; a deflated body is deflated from the raw one in `out` into the
+/// room behind it and moved down over it.
+Status AppendCompressedPoints(std::span<const index::DataPoint> points,
+                              Compression codec, Bytes& out);
 
 /// Inverse of CompressPoints.
 Result<std::vector<index::DataPoint>> DecompressPoints(BytesView data);

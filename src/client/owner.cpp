@@ -1,6 +1,7 @@
 #include "client/owner.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/heac.hpp"
@@ -16,6 +17,15 @@ namespace {
 /// stalling per batch.
 constexpr size_t kInflightBatches = 4;
 
+/// Room in front of an open batch for the request header: the uuid (8
+/// bytes) and the entry count (a varint).
+constexpr size_t kBatchHeaderRoom = 8 + kMaxVarintBytes;
+
+/// Write `v` as 8 little-endian bytes, as the wire codec writes a uint64_t.
+void PutU64At(uint8_t* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
 /// Issue a request and discard the (empty) payload.
 Status CallVoid(net::Transport& t, MessageType type, BytesView body) {
   return t.Call(type, body).status();
@@ -26,12 +36,21 @@ OwnerClient::OwnerClient(std::shared_ptr<net::Transport> transport,
                          OwnerOptions options)
     : transport_(std::move(transport)), options_(options) {}
 
-Result<OwnerClient::StreamState*> OwnerClient::FindStream(uint64_t uuid) {
+OwnerClient::StreamState* OwnerClient::LookupStream(uint64_t uuid) {
+  if (uuid == last_uuid_) return last_stream_;
   auto it = streams_.find(uuid);
-  if (it == streams_.end()) {
+  if (it == streams_.end()) return nullptr;
+  last_uuid_ = uuid;
+  last_stream_ = &it->second;
+  return last_stream_;
+}
+
+Result<OwnerClient::StreamState*> OwnerClient::FindStream(uint64_t uuid) {
+  StreamState* s = LookupStream(uuid);
+  if (s == nullptr) {
     return NotFound("owner has no stream " + std::to_string(uuid));
   }
-  return &it->second;
+  return s;
 }
 
 Result<uint64_t> OwnerClient::CreateStream(const net::StreamConfig& config) {
@@ -142,12 +161,40 @@ Status OwnerClient::DeleteStream(uint64_t uuid) {
   TC_RETURN_IF_ERROR(
       CallVoid(*transport_, MessageType::kDeleteStream, req.Encode()));
   streams_.erase(uuid);
+  last_uuid_ = 0;
+  last_stream_ = nullptr;
   return Status::Ok();
 }
 
 Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
+  TC_RETURN_IF_ERROR(SealInto(s));
+  // The chunk stays queued until the server acknowledges it (a failed send
+  // puts it back for a resynced retry), so the builder moves on before the
+  // upload can report an error.
+  s.next_chunk = s.builder->index() + 1;
+  s.builder->Reset(s.next_chunk, s.config.clock().RangeOfChunk(s.next_chunk));
+  if (++s.open_chunks >= options_.upload_batch_chunks) CloseBatch(uuid, s);
+  if (s.queued.empty()) return Status::Ok();
+  // A one-chunk upload is waited for: the server holds every sealed chunk
+  // once the call returns. Full batches go out pipelined.
+  return PumpPending(uuid, s, /*drain=*/options_.upload_batch_chunks <= 1);
+}
+
+Status OwnerClient::SealInto(StreamState& s) {
   auto& builder = *s.builder;
-  uint64_t chunk_index = builder.index();
+  const uint64_t chunk_index = builder.index();
+  const net::CipherKind cipher = s.config.cipher;
+  if (cipher != net::CipherKind::kHeac && cipher != net::CipherKind::kPlain) {
+    return Unimplemented(
+        "owner ingest supports HEAC and plaintext streams; strawman "
+        "ciphers are exercised by the benchmarks directly");
+  }
+  // Payload points, compressed into the builder's buffer. Empty chunks (gap
+  // filler) upload digests only.
+  BytesView compressed;
+  if (builder.num_points() > 0) {
+    TC_ASSIGN_OR_RETURN(compressed, builder.CompressedPoints());
+  }
 
   // Leaves i and i+1 key both the HEAC digest (§4.2.2) and the payload
   // (§4.3). Sequential chunks take them from the key iterator in amortized
@@ -155,60 +202,81 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   const crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
   const crypto::Key128 leaf_n = s.keys->Leaf(chunk_index + 1);
 
-  // Digest: compute plaintext fields, encrypt per stream cipher.
-  std::vector<uint64_t> fields = builder.ComputeDigest(s.config.schema);
-  Bytes digest_blob;
-  switch (s.config.cipher) {
-    case net::CipherKind::kHeac: {
-      // Leaf i's field keys were derived as leaf i+1's of the previous
-      // chunk; derive them only for a stream's first chunk or a re-seal.
-      const size_t num_fields = s.config.schema.num_fields();
-      if (!s.carried_keys || s.carried_chunk != chunk_index) {
-        s.carried_keys.emplace(leaf_i, num_fields);
-      }
-      crypto::FieldKeys keys_n(leaf_n, num_fields);
-      TC_ASSIGN_OR_RETURN(
-          digest_blob,
-          index::EncryptHeacBlob(crypto::HeacCodec(num_fields), fields,
-                                 chunk_index, *s.carried_keys, keys_n));
-      s.carried_keys.emplace(std::move(keys_n));
-      s.carried_chunk = chunk_index + 1;
-      break;
+  // The entry, written once into the open batch as the codec encodes an
+  // InsertChunkBatchRequest::Entry: the chunk index, then the digest blob
+  // and the sealed payload, each behind its varint length.
+  Bytes& out = s.open;
+  if (out.empty()) {
+    out = std::move(s.spare);
+    out.assign(kBatchHeaderRoom, 0);
+  }
+  const size_t entry_at = out.size();
+  const size_t num_fields = s.config.schema.num_fields();
+  const size_t blob_size = num_fields * sizeof(uint64_t);
+  out.resize(entry_at + 8);
+  PutU64At(out.data() + entry_at, chunk_index);
+  PutVarint(out, blob_size);
+  const size_t digest_at = out.size();
+  out.resize(digest_at + blob_size);
+
+  // Digest: compute the plaintext fields, then encrypt them in place.
+  s.fields.resize(num_fields);
+  s.config.schema.ComputeInto(builder.points(), s.fields);
+  uint8_t* blob = out.data() + digest_at;
+  if (cipher == net::CipherKind::kHeac) {
+    // Leaf i's field keys were derived as leaf i+1's of the previous
+    // chunk; derive them only for a stream's first chunk or a re-seal.
+    if (!s.carried_keys || s.carried_chunk != chunk_index) {
+      s.carried_keys.emplace(leaf_i, num_fields);
     }
-    case net::CipherKind::kPlain: {
-      auto plain = index::MakePlainCipher(fields.size());
-      TC_ASSIGN_OR_RETURN(digest_blob, plain->Encrypt(fields, chunk_index));
-      break;
+    if (s.next_keys) {
+      s.next_keys->Derive(leaf_n);
+    } else {
+      s.next_keys.emplace(leaf_n, num_fields);
     }
-    default:
-      return Unimplemented(
-          "owner ingest supports HEAC and plaintext streams; strawman "
-          "ciphers are exercised by the benchmarks directly");
+    crypto::HeacCodec(num_fields)
+        .EncryptTo(s.fields, *s.carried_keys, *s.next_keys, blob);
+    std::swap(s.carried_keys, s.next_keys);
+    s.carried_chunk = chunk_index + 1;
+  } else {
+    std::memcpy(blob, s.fields.data(), blob_size);
   }
 
-  // Payload: compress + AES-GCM under the per-chunk key. Empty chunks (gap
-  // filler) upload digests only.
-  Bytes payload;
-  if (builder.num_points() > 0) {
-    TC_ASSIGN_OR_RETURN(
-        payload, builder.SealPayload(crypto::ChunkPayloadKey(leaf_i, leaf_n)));
+  // Payload: AES-GCM under the per-chunk key, sealed into the body.
+  PutVarint(out, compressed.empty() ? 0
+                                    : crypto::kGcmNonceSize +
+                                          compressed.size() +
+                                          crypto::kGcmTagSize);
+  const size_t payload_at = out.size();
+  if (!compressed.empty()) {
+    crypto::GcmSealAppend(crypto::ChunkPayloadKey(leaf_i, leaf_n), compressed,
+                          chunk::ChunkAad(chunk_index), out);
   }
 
   // Witness at seal time: the server appends in upload order, so the trees
-  // agree once the chunk lands. The chunk stays queued until the server
-  // acknowledges it (a failed send puts it back for a resynced retry), so
-  // the builder moves on before the upload can report an error.
+  // agree once the chunk lands. A chunk it rejects leaves the batch.
   if (s.attestor) {
-    TC_RETURN_IF_ERROR(s.attestor->Add(chunk_index, digest_blob, payload));
+    BytesView body(out);
+    Status witnessed =
+        s.attestor->Add(chunk_index, body.subspan(digest_at, blob_size),
+                        body.subspan(payload_at));
+    if (!witnessed.ok()) {
+      out.resize(entry_at);
+      return witnessed;
+    }
   }
-  s.pending.push_back(
-      {chunk_index, std::move(digest_blob), std::move(payload)});
-  s.next_chunk = chunk_index + 1;
-  builder.Reset(s.next_chunk, s.config.clock().RangeOfChunk(s.next_chunk));
-  if (s.pending.size() < options_.upload_batch_chunks) return Status::Ok();
-  // A one-chunk upload is waited for: the server holds every sealed chunk
-  // once the call returns. Full batches go out pipelined.
-  return PumpPending(uuid, s, /*drain=*/options_.upload_batch_chunks <= 1);
+  return Status::Ok();
+}
+
+void OwnerClient::CloseBatch(uint64_t uuid, StreamState& s) {
+  // The header, right-aligned against the first entry.
+  uint8_t count[kMaxVarintBytes];
+  const size_t count_size = PutVarint(count, s.open_chunks);
+  const size_t start = kBatchHeaderRoom - 8 - count_size;
+  PutU64At(s.open.data() + start, uuid);
+  std::memcpy(s.open.data() + start + 8, count, count_size);
+  s.queued.push_back({std::move(s.open), start});
+  s.open_chunks = 0;
 }
 
 Status OwnerClient::FlushPending(uint64_t uuid, StreamState& s) {
@@ -229,10 +297,11 @@ Status OwnerClient::ReapInflight(StreamState& s, Reap mode) {
       result = std::move(*probe);
     }
     if (result.ok()) {
+      s.spare = std::move(s.inflight.front().body.bytes);
       s.inflight.pop_front();
       continue;
     }
-    // Keep every unacknowledged chunk so a later Flush() can retry once
+    // Keep every unacknowledged body so a later Flush() can retry once
     // the transport recovers — dropping them would gap the append-only
     // stream (and, on integrity streams, orphan their already-witnessed
     // hashes). Later in-flight batches cannot have been applied over the
@@ -240,9 +309,7 @@ Status OwnerClient::ReapInflight(StreamState& s, Reap mode) {
     // append-only), so re-queue them all, oldest first.
     Status status = result.status();
     for (auto it = s.inflight.rbegin(); it != s.inflight.rend(); ++it) {
-      s.pending.insert(s.pending.begin(),
-                       std::make_move_iterator(it->entries.begin()),
-                       std::make_move_iterator(it->entries.end()));
+      s.queued.push_front(std::move(it->body));
     }
     s.inflight.clear();
     s.pending_retry = true;
@@ -251,55 +318,74 @@ Status OwnerClient::ReapInflight(StreamState& s, Reap mode) {
   return Status::Ok();
 }
 
+Status OwnerClient::DropApplied(std::deque<BatchBody>& queued,
+                                uint64_t applied) {
+  std::deque<BatchBody> kept;
+  for (auto& body : queued) {
+    TC_ASSIGN_OR_RETURN(auto req,
+                        net::InsertChunkBatchRequest::Decode(body.request()));
+    auto first_kept = std::ranges::find_if(
+        req.entries, [&](const auto& e) { return e.chunk_index >= applied; });
+    if (first_kept == req.entries.end()) continue;
+    if (first_kept != req.entries.begin()) {
+      req.entries.erase(req.entries.begin(), first_kept);
+      body = {req.Encode(), 0};
+    }
+    kept.push_back(std::move(body));
+  }
+  queued = std::move(kept);
+  return Status::Ok();
+}
+
 Status OwnerClient::PumpPending(uint64_t uuid, StreamState& s, bool drain) {
   TC_RETURN_IF_ERROR(ReapInflight(s, drain ? Reap::kWaitAll : Reap::kPoll));
-  if (s.pending.empty()) return Status::Ok();
+  if (drain && s.open_chunks > 0) CloseBatch(uuid, s);
+  if (s.queued.empty()) return Status::Ok();
   if (s.pending_retry) {
     // The failed attempt may have been applied partially (mid-batch store
     // error) or fully (response lost): the server's append-only index
     // rejects re-sent indices, so drop whatever it already holds.
     TC_ASSIGN_OR_RETURN(auto info, FetchStreamInfo(*transport_, uuid));
-    std::erase_if(s.pending, [&](const auto& e) {
-      return e.chunk_index < info.num_chunks;
-    });
+    TC_RETURN_IF_ERROR(DropApplied(s.queued, info.num_chunks));
     s.pending_retry = false;
-    if (s.pending.empty()) return Status::Ok();
+    if (s.queued.empty()) return Status::Ok();
   }
 
-  const size_t batch = std::max<uint64_t>(1, options_.upload_batch_chunks);
-  while (s.pending.size() >= batch || (drain && !s.pending.empty())) {
+  while (!s.queued.empty()) {
     if (s.inflight.size() >= kInflightBatches) {
       // Pipeline full: block on the oldest batch, then re-check — an error
-      // re-queues everything into `pending` and propagates here.
+      // re-queues everything and propagates here.
       TC_RETURN_IF_ERROR(ReapInflight(s, Reap::kWaitOne));
       continue;
     }
-    size_t take = std::min(s.pending.size(), batch);
-    net::InsertChunkBatchRequest req;
-    req.uuid = uuid;
-    req.entries.assign(std::make_move_iterator(s.pending.begin()),
-                       std::make_move_iterator(s.pending.begin() + take));
-    s.pending.erase(s.pending.begin(), s.pending.begin() + take);
+    BatchBody body = std::move(s.queued.front());
+    s.queued.pop_front();
     net::PendingCall call =
-        transport_->AsyncCall(MessageType::kInsertChunkBatch, req.Encode());
-    s.inflight.push_back({std::move(call), std::move(req.entries)});
+        transport_->AsyncCall(MessageType::kInsertChunkBatch, body.request());
+    s.inflight.push_back({std::move(call), std::move(body)});
   }
   if (drain) return ReapInflight(s, Reap::kWaitAll);
   return Status::Ok();
 }
 
 Status OwnerClient::InsertRecord(uint64_t uuid, const index::DataPoint& point) {
-  TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
+  StreamState* s = LookupStream(uuid);
+  if (s == nullptr) {
+    return NotFound("owner has no stream " + std::to_string(uuid));
+  }
+  chunk::ChunkBuilder& builder = *s->builder;
+  // A point inside the open window goes straight into the builder.
+  if (builder.window().Contains(point.timestamp_ms)) return builder.Add(point);
   TC_ASSIGN_OR_RETURN(uint64_t target_chunk,
                       s->config.clock().IndexOf(point.timestamp_ms));
-  if (target_chunk < s->builder->index()) {
+  if (target_chunk < builder.index()) {
     return FailedPrecondition("point is older than the open chunk window");
   }
   // Seal every window up to the point's window (gaps become empty chunks).
-  while (target_chunk > s->builder->index()) {
+  while (target_chunk > builder.index()) {
     TC_RETURN_IF_ERROR(SealAndUpload(uuid, *s));
   }
-  return s->builder->Add(point);
+  return builder.Add(point);
 }
 
 Status OwnerClient::Flush(uint64_t uuid) {

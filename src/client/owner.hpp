@@ -33,9 +33,13 @@ struct OwnerOptions {
   /// the server holds it. Larger batches amortize framing, round trips and
   /// the server's per-stream lock and log sync, and go out pipelined (a few
   /// frames in flight at once); until a batch fills (or Flush() is called)
-  /// its chunks are not yet visible to server-side queries. A failed send
-  /// surfaces on a later call or at Flush(); its chunks are kept and
-  /// re-sent after a position resync.
+  /// its chunks are not yet visible to server-side queries. A pending batch
+  /// is the request body itself: each chunk is sealed straight into one
+  /// growing buffer per stream, as the encoded entry the server decodes,
+  /// and the uuid and count go in front when the batch is sent. A failed
+  /// send surfaces on a later call or at Flush(); the bodies still
+  /// unacknowledged are kept and re-sent after a position resync, less the
+  /// chunks the server already holds.
   uint64_t upload_batch_chunks = 1;
   /// Signing identity for stream attestations (integrity extension). A
   /// fresh keypair is generated when left empty and an integrity stream is
@@ -139,6 +143,14 @@ class OwnerClient {
   Result<StatResult> GetVerifiedStatRange(uint64_t uuid, TimeRange range);
 
  private:
+  /// An InsertChunkBatch request body; the request starts at `start`.
+  struct BatchBody {
+    Bytes bytes;
+    size_t start = 0;
+
+    BytesView request() const { return BytesView(bytes).subspan(start); }
+  };
+
   struct StreamState {
     net::StreamConfig config;
     std::unique_ptr<StreamKeys> keys;
@@ -150,20 +162,31 @@ class OwnerClient {
     // source leaves at affine-mapped indices.
     uint64_t leaf_scale = 1;
     uint64_t leaf_offset = 0;
-    // HEAC field keys of leaf `carried_chunk`, kept from the seal of the
-    // chunk before it: sequential chunks derive each leaf's keys once.
+    // Seal storage reused from chunk to chunk: the digest fields, and the
+    // HEAC field keys of leaf `carried_chunk` (kept from the seal of the
+    // chunk before it, so sequential chunks derive each leaf's keys once)
+    // and of the leaf after it.
+    std::vector<uint64_t> fields;
     TC_SECRET std::optional<crypto::FieldKeys> carried_keys;
+    TC_SECRET std::optional<crypto::FieldKeys> next_keys;
     uint64_t carried_chunk = 0;
-    // Sealed chunks not yet on the wire, oldest first.
-    std::vector<net::InsertChunkBatchRequest::Entry> pending;
-    // Pipelined batches already on the wire, oldest first. Entries are
-    // retained until their response lands: a failure re-queues every
-    // unacknowledged chunk into `pending` for a resynced retry.
+    // The open batch: room for the request header, then the encoded
+    // entries of the `open_chunks` chunks sealed into it so far.
+    Bytes open;
+    size_t open_chunks = 0;
+    // Closed batches not yet on the wire, oldest first.
+    std::deque<BatchBody> queued;
+    // Pipelined batches already on the wire, oldest first. Bodies are
+    // retained until their response lands: a failure puts every
+    // unacknowledged body back at the front of `queued` for a resynced
+    // retry.
     struct InflightBatch {
       net::PendingCall call;
-      std::vector<net::InsertChunkBatchRequest::Entry> entries;
+      BatchBody body;
     };
     std::deque<InflightBatch> inflight;
+    // The buffer of the last acknowledged body, for the next open batch.
+    Bytes spare;
     // A previous batch send failed; the server may have applied a prefix
     // (the batch is not atomic), so the retry must re-sync first.
     bool pending_retry = false;
@@ -194,9 +217,15 @@ class OwnerClient {
   };
 
   Result<StreamState*> FindStream(uint64_t uuid);
+  /// The stream, or null; remembers the last one found.
+  StreamState* LookupStream(uint64_t uuid);
   /// Reads of `s`, with leaves from its key tree (affine for rollups).
   StreamReader ReaderFor(uint64_t uuid, StreamState& s);
   Status SealAndUpload(uint64_t uuid, StreamState& s);
+  /// Seal the builder's chunk into the open batch as one encoded entry.
+  Status SealInto(StreamState& s);
+  /// Write the request header in front of the open batch and queue it.
+  static void CloseBatch(uint64_t uuid, StreamState& s);
   /// Drain the upload pipeline: send everything buffered and wait for every
   /// in-flight batch (no-op when empty).
   Status FlushPending(uint64_t uuid, StreamState& s);
@@ -206,8 +235,13 @@ class OwnerClient {
   Status PumpPending(uint64_t uuid, StreamState& s, bool drain);
   enum class Reap { kPoll, kWaitOne, kWaitAll };
   /// Retire in-flight batches from the front; on the first error, re-queue
-  /// every unacknowledged entry into `pending` and arm the resync.
+  /// every unacknowledged body at the front of `queued` and arm the resync.
   Status ReapInflight(StreamState& s, Reap mode);
+  /// Drop from `queued` every chunk the server already holds (index below
+  /// `applied`), reading each body back with the server's decoder. Entries
+  /// increase within a body, so each loses at most a prefix; a body that
+  /// keeps only a suffix is re-encoded.
+  static Status DropApplied(std::deque<BatchBody>& queued, uint64_t applied);
   Status GrantChunkRange(StreamState& s, uint64_t uuid,
                          const std::string& principal_id,
                          BytesView principal_public, uint64_t first_chunk,
@@ -216,6 +250,8 @@ class OwnerClient {
   std::shared_ptr<net::Transport> transport_;
   OwnerOptions options_;
   std::map<uint64_t, StreamState> streams_;
+  uint64_t last_uuid_ = 0;  // 0 is never a stream's uuid
+  StreamState* last_stream_ = nullptr;
   std::vector<OpenGrant> open_grants_;
   std::vector<IssuedGrant> issued_grants_;
 };

@@ -287,8 +287,16 @@ bool GcmIsNative() {
 }
 
 Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
-  Bytes out(kGcmNonceSize + plaintext.size() + kGcmTagSize);
-  uint8_t* nonce = out.data();
+  Bytes out;
+  GcmSealAppend(key, plaintext, aad, out);
+  return out;
+}
+
+void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
+                   Bytes& out) {
+  const size_t at = out.size();
+  out.resize(at + kGcmNonceSize + plaintext.size() + kGcmTagSize);
+  uint8_t* nonce = out.data() + at;
   uint8_t* data = nonce + kGcmNonceSize;
   const size_t len = plaintext.size();
   uint8_t* tag = data + len;
@@ -301,7 +309,7 @@ Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
     gcm.Crypt(data, len);
     const Block128 computed = gcm.Tag(aad, data, len);
     std::memcpy(tag, computed.data(), kGcmTagSize);
-    return out;
+    return;
   }
 #endif
 
@@ -328,7 +336,6 @@ Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
   if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize, tag) != 1) {
     FatalOpenSsl("GET_TAG");
   }
-  return out;
 }
 
 Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {

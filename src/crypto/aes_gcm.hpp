@@ -43,6 +43,12 @@ bool GcmIsNative();
 Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
               BytesView aad = {});
 
+/// GcmSeal's output, appended to `out` (kGcmNonceSize + plaintext.size() +
+/// kGcmTagSize bytes) instead of returned. `plaintext` must not point into
+/// `out`. GcmSeal is this into an empty buffer.
+void GcmSealAppend(TC_SECRET const Key128& key, BytesView plaintext,
+                   BytesView aad, Bytes& out);
+
 /// Decrypt + authenticate. DataLoss on any tampering/truncation. The native
 /// path checks the tag (in constant time) before it decrypts, so no
 /// unauthenticated plaintext is ever written.

@@ -119,15 +119,21 @@ SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
 }
 
 void SequentialLeafIterator::DescendTo(uint64_t leaf_index) {
-  // Extend the path from its current tail down to the leaf.
   while (path_.size() < static_cast<size_t>(height_ - root_depth_) + 1) {
+    PathEntry& parent = path_.back();
     uint32_t depth = root_depth_ + static_cast<uint32_t>(path_.size()) - 1;
-    uint32_t shift = height_ - depth - 1;
-    bool right = (leaf_index >> shift) & 1;
-    Key128 child = prg_->ExpandOne(path_.back().key, right);
-    uint64_t child_index = (path_.back().index << 1) | (right ? 1 : 0);
-    path_.push_back({child, child_index});
-    SecureZero(child);
+    bool right = (leaf_index >> (height_ - depth - 1)) & 1;
+    Key128 left_child, right_child;
+    prg_->Expand(parent.key, left_child, right_child);
+    uint64_t child_index = (parent.index << 1) | (right ? 1 : 0);
+    if (right) {
+      path_.push_back({right_child, child_index});
+    } else {
+      parent.right = right_child;
+      path_.push_back({left_child, child_index});
+    }
+    SecureZero(left_child);
+    SecureZero(right_child);
   }
 }
 
@@ -137,16 +143,20 @@ bool SequentialLeafIterator::Next() {
     return false;
   }
   ++current_;
-  // Pop up to the deepest ancestor shared with the new leaf, then descend.
-  // The number of trailing one-bits of the previous leaf tells how many
-  // levels to pop: leaf 0b0111 -> 0b1000 changes the bottom 4 path steps.
+  // Pop up to the deepest ancestor shared with the new leaf: the number of
+  // trailing one-bits of the previous leaf, plus one (leaf 0b0111 -> 0b1000
+  // changes the bottom 4 path steps). The path went left from that
+  // ancestor and now goes right, into the sibling it kept.
   uint64_t prev = current_ - 1;
-  int pops = 1;
-  while ((prev & 1) == 1 && pops < static_cast<int>(path_.size()) - 1) {
+  size_t pops = 1;
+  while ((prev & 1) == 1) {
     prev >>= 1;
     ++pops;
   }
   path_.resize(path_.size() - pops);
+  PathEntry& ancestor = path_.back();
+  path_.push_back({ancestor.right, (ancestor.index << 1) | 1});
+  SecureZero(path_[path_.size() - 2].right);
   DescendTo(current_);
   return true;
 }

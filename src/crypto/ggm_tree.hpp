@@ -101,7 +101,9 @@ class TokenSet {
 /// stack and reuses the shared prefix between consecutive leaves. This is
 /// the ingest fast path — encrypting chunk i needs leaves i and i+1, and
 /// chunks arrive in order, so deriving each from the root (log n PRG calls)
-/// would waste a factor of ~height.
+/// would waste a factor of ~height. Where the path turns left it keeps the
+/// right sibling the same expansion produced, so every interior node is
+/// expanded once: about one PRG call per leaf.
 class SequentialLeafIterator {
  public:
   /// Iterates leaves [start, 2^height) of the tree rooted at root_key, where
@@ -130,12 +132,19 @@ class SequentialLeafIterator {
     PathEntry& operator=(PathEntry&&) noexcept = default;
     // Popped path suffixes (Next() shrinks the stack every step) scrub
     // themselves — the re-derivable inner-node keys never linger.
-    ~PathEntry() { SecureZero(key); }
+    ~PathEntry() {
+      SecureZero(key);
+      SecureZero(right);
+    }
 
     TC_SECRET Key128 key{};
+    // This node's right child while the path goes through its left child
+    // (Next() steps into it next); zero otherwise.
+    TC_SECRET Key128 right{};
     uint64_t index = 0;  // node index at this depth (global)
   };
 
+  /// Extend the path from its tail down to `leaf_index`.
   void DescendTo(uint64_t leaf_index);
 
   std::unique_ptr<Prg> prg_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
 #include <span>
 
 namespace tc::crypto {
@@ -34,6 +35,10 @@ void DeriveFieldKeys(const Cipher& cipher, std::span<uint64_t> keys) {
 
 FieldKeys::FieldKeys(const Key128& leaf, size_t num_fields)
     : keys_(num_fields) {
+  Derive(leaf);
+}
+
+void FieldKeys::Derive(const Key128& leaf) {
   // The same dispatch as MakePrg: AES-NI only where the CPU has it.
   if (CpuHasAesNi()) {
     DeriveFieldKeys(AesNiBlock(leaf), keys_);
@@ -74,17 +79,25 @@ HeacCiphertext HeacCodec::Encrypt(std::span<const uint64_t> fields,
 HeacCiphertext HeacCodec::Encrypt(std::span<const uint64_t> fields,
                                   uint64_t chunk, const FieldKeys& keys_i,
                                   const FieldKeys& keys_next) const {
-  assert(fields.size() == num_fields_);
-  assert(keys_i.num_fields() == num_fields_);
-  assert(keys_next.num_fields() == num_fields_);
   HeacCiphertext c;
-  c.fields.reserve(num_fields_);
-  for (size_t f = 0; f < num_fields_; ++f) {
-    c.fields.push_back(fields[f] + keys_i.key(f) - keys_next.key(f));
-  }
+  c.fields.resize(num_fields_);
+  EncryptTo(fields, keys_i, keys_next,
+            reinterpret_cast<uint8_t*>(c.fields.data()));
   c.first_chunk = chunk;
   c.last_chunk = chunk + 1;
   return c;
+}
+
+void HeacCodec::EncryptTo(std::span<const uint64_t> fields,
+                          const FieldKeys& keys_i, const FieldKeys& keys_next,
+                          uint8_t* out) const {
+  assert(fields.size() == num_fields_);
+  assert(keys_i.num_fields() == num_fields_);
+  assert(keys_next.num_fields() == num_fields_);
+  for (size_t f = 0; f < num_fields_; ++f) {
+    const uint64_t c = fields[f] + keys_i.key(f) - keys_next.key(f);
+    std::memcpy(out + f * sizeof(c), &c, sizeof(c));
+  }
 }
 
 std::vector<uint64_t> HeacCodec::Decrypt(const HeacCiphertext& c,

@@ -54,6 +54,9 @@ class FieldKeys {
                                 keys_.size() * sizeof(uint64_t)));
   }
 
+  /// Replace the keys with leaf `leaf`'s, reusing the storage.
+  void Derive(TC_SECRET const Key128& leaf);
+
   uint64_t key(size_t field) const { return keys_[field]; }
   size_t num_fields() const { return keys_.size(); }
 
@@ -104,6 +107,12 @@ class HeacCodec {
   HeacCiphertext Encrypt(std::span<const uint64_t> fields, uint64_t chunk,
                          const FieldKeys& keys_i,
                          const FieldKeys& keys_next) const;
+
+  /// The same ciphertext fields, written to `out` as num_fields() raw
+  /// uint64s in host byte order (the digest blob layout), with no
+  /// allocation.
+  void EncryptTo(std::span<const uint64_t> fields, const FieldKeys& keys_i,
+                 const FieldKeys& keys_next, uint8_t* out) const;
 
   /// Decrypt an aggregate over [c.first_chunk, c.last_chunk):
   /// m[f] = c[f] - k_{first,f} + k_{last,f}.

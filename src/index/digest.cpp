@@ -1,5 +1,7 @@
 #include "index/digest.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace tc::index {
@@ -16,7 +18,15 @@ uint32_t DigestSchema::BinOf(int64_t value) const {
 
 std::vector<uint64_t> DigestSchema::Compute(
     std::span<const DataPoint> points) const {
-  std::vector<uint64_t> fields(num_fields(), 0);
+  std::vector<uint64_t> fields(num_fields());
+  ComputeInto(points, fields);
+  return fields;
+}
+
+void DigestSchema::ComputeInto(std::span<const DataPoint> points,
+                               std::span<uint64_t> fields) const {
+  assert(fields.size() == num_fields());
+  std::fill(fields.begin(), fields.end(), 0);
   for (const DataPoint& p : points) {
     if (with_sum) {
       fields[sum_field()] += static_cast<uint64_t>(p.value);
@@ -41,7 +51,6 @@ std::vector<uint64_t> DigestSchema::Compute(
       fields[hist_field(BinOf(p.value))] += 1;
     }
   }
-  return fields;
 }
 
 Result<int64_t> DigestStats::Sum() const {

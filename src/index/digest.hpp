@@ -89,6 +89,9 @@ struct DigestSchema {
 
   /// Compute the digest fields of a batch of points.
   std::vector<uint64_t> Compute(std::span<const DataPoint> points) const;
+  /// The same into `fields`, num_fields() long, reusing its storage.
+  void ComputeInto(std::span<const DataPoint> points,
+                   std::span<uint64_t> fields) const;
 
   /// The stored and wire layout, carried inside a stream config as
   /// net::SchemaBlob.

@@ -72,11 +72,15 @@ class HeacCipher final : public DigestCipher {
 
   Result<Bytes> Encrypt(std::span<const uint64_t> fields,
                         uint64_t index) const override {
+    if (fields.size() != num_fields_) {
+      return InvalidArgument("field count mismatch");
+    }
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_i, tree_->DeriveLeaf(index));
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_n, tree_->DeriveLeaf(index + 1));
-    return EncryptHeacBlob(codec_, fields, index,
-                           crypto::FieldKeys(leaf_i, num_fields_),
-                           crypto::FieldKeys(leaf_n, num_fields_));
+    Bytes blob(blob_size());
+    codec_.EncryptTo(fields, crypto::FieldKeys(leaf_i, num_fields_),
+                     crypto::FieldKeys(leaf_n, num_fields_), blob.data());
+    return blob;
   }
 
   Status Add(std::span<uint8_t> acc, BytesView other) const override {
@@ -257,21 +261,6 @@ std::unique_ptr<DigestCipher> MakePlainCipher(size_t num_fields) {
 std::unique_ptr<DigestCipher> MakeHeacCipher(
     size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree) {
   return std::make_unique<HeacCipher>(num_fields, std::move(tree));
-}
-
-Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
-                              std::span<const uint64_t> fields, uint64_t index,
-                              const crypto::FieldKeys& keys_i,
-                              const crypto::FieldKeys& keys_n) {
-  if (fields.size() != codec.num_fields() ||
-      keys_i.num_fields() != codec.num_fields() ||
-      keys_n.num_fields() != codec.num_fields()) {
-    return InvalidArgument("field count mismatch");
-  }
-  crypto::HeacCiphertext c = codec.Encrypt(fields, index, keys_i, keys_n);
-  Bytes blob(c.fields.size() * sizeof(uint64_t));
-  std::memcpy(blob.data(), c.fields.data(), blob.size());
-  return blob;
 }
 
 std::unique_ptr<DigestCipher> MakePaillierCipher(

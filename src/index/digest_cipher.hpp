@@ -64,16 +64,6 @@ std::unique_ptr<DigestCipher> MakePlainCipher(size_t num_fields);
 std::unique_ptr<DigestCipher> MakeHeacCipher(
     size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree);
 
-/// HEAC-encrypt chunk `index`'s digest fields under the field keys of GGM
-/// leaves `index` (`keys_i`) and `index + 1` (`keys_n`) into a digest blob:
-/// one raw uint64 per field. The HEAC backend calls this after deriving both
-/// leaves; the owner's ingest, which carries leaf i+1's keys from one chunk
-/// to the next, calls it directly.
-Result<Bytes> EncryptHeacBlob(const crypto::HeacCodec& codec,
-                              std::span<const uint64_t> fields, uint64_t index,
-                              const crypto::FieldKeys& keys_i,
-                              const crypto::FieldKeys& keys_n);
-
 /// Paillier strawman. Shares the keypair.
 std::unique_ptr<DigestCipher> MakePaillierCipher(
     size_t num_fields, std::shared_ptr<const crypto::Paillier> paillier);

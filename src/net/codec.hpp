@@ -8,6 +8,9 @@
 //   an enum                                its underlying integer
 //   std::array<uint8_t, N>                 the N bytes, raw (Key128, Hash)
 //   std::string, Bytes                     varint length, then the bytes
+//   BytesView                              the same bytes as Bytes; decodes
+//                                          as a view into the input, which
+//                                          must outlive the message
 //   TimeRange                              start, end (int64 each)
 //   std::vector<T>                         varint count, then each T
 //   std::pair<A, B>                        A, then B
@@ -137,6 +140,7 @@ class Writer {
   void Put(int64_t x) { out_.PutI64(x); }
   void Put(const std::string& x) { out_.PutString(x); }
   void Put(const Bytes& x) { out_.PutBytes(x); }
+  void Put(BytesView x) { out_.PutBytes(x); }
   template <size_t N>
   void Put(const std::array<uint8_t, N>& x) {
     out_.PutRaw(x);
@@ -220,6 +224,11 @@ class Reader {
   void Get(int64_t& x) { Take(in_.GetI64(), x); }
   void Get(std::string& x) { Take(in_.GetString(), x); }
   void Get(Bytes& x) { Take(in_.GetBytes(), x); }
+  void Get(BytesView& x) {
+    uint64_t size = 0;
+    Take(in_.GetVar(), size);
+    if (status_.ok()) Take(in_.GetRaw(size), x);
+  }
   template <size_t N>
   void Get(std::array<uint8_t, N>& x) {
     BytesView raw;

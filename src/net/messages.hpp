@@ -89,11 +89,14 @@ struct DeleteStreamRequest {
 /// for the index and a sealed payload (empty: digest-only). Entries must
 /// carry strictly increasing chunk indices — the stream is append-only, so
 /// an out-of-order or overlapping batch is malformed, and Decode rejects it.
+/// The entries are views: a decoded batch points into the body it was
+/// decoded from, and a built one into its caller's buffers, which must
+/// outlive it.
 struct InsertChunkBatchRequest {
   struct Entry {
     uint64_t chunk_index = 0;
-    Bytes digest_blob;
-    Bytes payload;
+    BytesView digest_blob;
+    BytesView payload;
 
     static void Visit(auto& m, auto& v) {
       v(m.chunk_index, m.digest_blob, m.payload);

@@ -992,7 +992,7 @@ Result<Bytes> RollupStream(net::RequestHandler& source,
   batch.uuid = req.target_uuid;
   batch.entries.reserve(windows.aggregates.size());
   for (size_t j = 0; j < windows.aggregates.size(); ++j) {
-    batch.entries.push_back({j, std::move(windows.aggregates[j]), Bytes{}});
+    batch.entries.push_back({j, windows.aggregates[j], {}});
   }
   TC_RETURN_IF_ERROR(
       target.Handle(MessageType::kInsertChunkBatch, batch.Encode()).status());

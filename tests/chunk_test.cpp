@@ -1,8 +1,9 @@
 // Chunk pipeline tests: delta+varint+zlib compression round trips (int64
 // extremes included), the raw-body floor under kMinDeflateBody, deflate
 // output against compress2 (one thread and four at once), the inflate size
-// limit, builder window enforcement, seal/open with chunk binding, the
-// pinned chunk AAD bytes, and a payload sealed by an earlier build.
+// limit, the pinned bytes of CompressPoints, builder window enforcement,
+// seal/open with chunk binding, the pinned chunk AAD bytes, and a payload
+// sealed by an earlier build.
 #include <gtest/gtest.h>
 #include <zlib.h>
 
@@ -11,6 +12,7 @@
 
 #include "chunk/chunk.hpp"
 #include "crypto/rand.hpp"
+#include "crypto/sha256.hpp"
 
 namespace tc::chunk {
 namespace {
@@ -301,6 +303,55 @@ TEST(Compression, DeflateStartsAtExactlyMinDeflateBody) {
   EXPECT_EQ(*DecompressPoints(*raw), under);
 }
 
+TEST(Compression, BytesArePinned) {
+  // Every stored payload opens to these bytes: format byte, codec byte,
+  // then the delta+varint body, raw or deflated. Short bodies are pinned
+  // as hex, long ones by SHA-256.
+  auto hex = [](std::span<const DataPoint> pts, Compression codec) {
+    auto out = CompressPoints(pts, codec);
+    EXPECT_TRUE(out.ok());
+    return out.ok() ? ToHex(*out) : std::string();
+  };
+  auto sha = [](std::span<const DataPoint> pts, Compression codec) {
+    auto out = CompressPoints(pts, codec);
+    EXPECT_TRUE(out.ok());
+    return out.ok() ? ToHex(crypto::Sha256(*out)) : std::string();
+  };
+  EXPECT_EQ(hex({}, Compression::kNone), "010000");
+  EXPECT_EQ(hex({}, Compression::kZlib), "010000");
+  const std::vector<DataPoint> one = {{1'700'000'000'000, -42}};
+  EXPECT_EQ(hex(one, Compression::kZlib), "01000180a0abfef96253");
+  const std::string ten =
+      "01000a904eb009d00f02d00f02d00f02d00f02d00f02d00f02d00f0bd00f02d00f02";
+  EXPECT_EQ(hex(RegularSeries(10, 5'000, 1000), Compression::kNone), ten);
+  EXPECT_EQ(hex(RegularSeries(10, 5'000, 1000), Compression::kZlib), ten);
+  // Bodies of kMinDeflateBody - 1 and kMinDeflateBody bytes.
+  EXPECT_EQ(hex(ConstantSeries(30, 100), Compression::kZlib),
+            "01001ec801b009280028002800280028002800280028002800280028"
+            "002800280028002800280028002800280028002800280028002800280028"
+            "00280028002800");
+  EXPECT_EQ(hex(ConstantSeries(31, 0), Compression::kZlib),
+            "0101789c9367d8c0a9c1403e0400c6150589");
+  EXPECT_EQ(sha(RegularSeries(500), Compression::kZlib),
+            "eb17a1141221011d91d3623d52a67f1496025835ad43420eb8b5a83ca1667508");
+  EXPECT_EQ(sha(RegularSeries(500), Compression::kNone),
+            "641102a2d1c84d4922d72801f491eaf8aacc9468717c44df28511926b6085e04");
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<DataPoint> extremes = {
+      {kMin, kMax}, {kMax, kMin}, {kMax, kMax}, {0, kMin}, {kMin, 0}};
+  EXPECT_EQ(hex(extremes, Compression::kZlib),
+            "010005ffffffffffffffffff01feffffffffffffffff0101020001fdffffffff"
+            "ffffffff0102ffffffffffffffffff01ffffffffffffffffff01");
+  std::vector<DataPoint> alternating;
+  for (int i = 0; i < 40; ++i) {
+    alternating.push_back(i % 2 == 0 ? DataPoint{kMin, kMax}
+                                     : DataPoint{kMax, kMin});
+  }
+  EXPECT_EQ(sha(alternating, Compression::kZlib),
+            "56ba5fbd23efeb334280e6c30e9feac7db064ec1170ac9025c159354d2139b55");
+}
+
 TEST(ChunkBuilder, EnforcesWindow) {
   ChunkBuilder b(0, {0, 10'000}, Compression::kZlib);
   EXPECT_TRUE(b.Add({0, 1}).ok());
@@ -383,7 +434,7 @@ TEST(ChunkBuilder, DigestMatchesSchema) {
   ASSERT_TRUE(b.Add({2, 20}).ok());
   index::DigestSchema schema;
   schema.with_sum = schema.with_count = true;
-  auto fields = b.ComputeDigest(schema);
+  auto fields = schema.Compute(b.points());
   EXPECT_EQ(fields[0], 30u);
   EXPECT_EQ(fields[1], 2u);
 }

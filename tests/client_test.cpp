@@ -184,7 +184,15 @@ TEST(DecryptStatBlobTest, RejectsNonHeacAndBadSizes) {
   EXPECT_FALSE(DecryptStatBlob(config, Bytes(7, 0), {}).ok());
 }
 
-/// Passes requests to the engine and keeps a copy of every uploaded chunk.
+/// One uploaded chunk, copied out of its request body.
+struct UploadedChunk {
+  uint64_t chunk_index = 0;
+  Bytes digest_blob;
+  Bytes payload;
+};
+
+/// Passes requests to the engine and keeps a copy of every uploaded chunk
+/// and of every InsertChunkBatch body.
 class UploadRecorder final : public net::RequestHandler {
  public:
   explicit UploadRecorder(std::shared_ptr<net::RequestHandler> inner)
@@ -199,13 +207,19 @@ class UploadRecorder final : public net::RequestHandler {
         return Unavailable("injected upload failure");
       }
       if (req.ok()) {
-        chunks.insert(chunks.end(), req->entries.begin(), req->entries.end());
+        bodies.emplace_back(body.begin(), body.end());
+        for (const auto& e : req->entries) {
+          chunks.push_back({e.chunk_index,
+                            Bytes(e.digest_blob.begin(), e.digest_blob.end()),
+                            Bytes(e.payload.begin(), e.payload.end())});
+        }
       }
     }
     return inner_->Handle(type, body);
   }
 
-  std::vector<net::InsertChunkBatchRequest::Entry> chunks;
+  std::vector<UploadedChunk> chunks;
+  std::vector<Bytes> bodies;
   // The first upload batch that starts at this chunk fails without reaching
   // the engine.
   uint64_t fail_once_at = ~uint64_t{0};
@@ -234,10 +248,21 @@ class OwnerSealTest : public ::testing::Test {
   net::StreamConfig config;
 };
 
-TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
+/// Upload batch size and points per chunk: 50-point chunks deflate, 10-point
+/// chunks are stored raw (their bodies are under kMinDeflateBody).
+struct SealShape {
+  uint64_t batch_chunks;
+  int64_t points;
+};
+
+class OwnerSealShapes : public OwnerSealTest,
+                        public ::testing::WithParamInterface<SealShape> {};
+
+TEST_P(OwnerSealShapes, UploadsMatchTheReferenceCipherAndCompress2) {
+  const SealShape shape = GetParam();
   std::map<uint64_t, std::vector<index::DataPoint>> points;
   auto ingest = [&](OwnerClient& owner, uint64_t uuid, uint64_t chunk) {
-    for (int64_t i = 0; i < 50; ++i) {
+    for (int64_t i = 0; i < shape.points; ++i) {
       index::DataPoint p{static_cast<int64_t>(chunk) * 1000 + i * 20,
                          static_cast<int64_t>(chunk) * 3 + i % 7};
       points[chunk].push_back(p);
@@ -247,14 +272,16 @@ TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
 
   // Chunks 5-7 and 12-13 are gap fillers (digest only); chunks 10 onward
   // come from a producer that re-attached with the exported seed.
-  OwnerClient owner(transport);
+  OwnerOptions options;
+  options.upload_batch_chunks = shape.batch_chunks;
+  OwnerClient owner(transport, options);
   auto uuid = owner.CreateStream(config);
   ASSERT_TRUE(uuid.ok());
   for (uint64_t c : {0, 1, 2, 3, 4, 8, 9}) ingest(owner, *uuid, c);
   ASSERT_TRUE(owner.Flush(*uuid).ok());
   crypto::Key128 master = (*owner.KeysFor(*uuid))->master_seed();
 
-  OwnerClient resumed(transport);
+  OwnerClient resumed(transport, options);
   ASSERT_TRUE(resumed.AttachStream(*uuid, master).ok());
   for (uint64_t c : {10, 11, 14}) ingest(resumed, *uuid, c);
   ASSERT_TRUE(resumed.Flush(*uuid).ok());
@@ -280,12 +307,21 @@ TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
     auto plain = crypto::GcmOpen(key, uploaded.payload, chunk::ChunkAad(i));
     ASSERT_TRUE(plain.ok()) << "chunk " << i;
     EXPECT_EQ(*chunk::DecompressPoints(*plain), pts);
-    // Format byte, codec byte, then exactly the stream compress2 makes of
-    // the same body.
+    // Format byte, codec byte, then the raw body or exactly the stream
+    // compress2 makes of it.
     ASSERT_GT(plain->size(), 2u);
-    ASSERT_EQ((*plain)[1], static_cast<uint8_t>(chunk::Compression::kZlib));
-    BytesView deflated = BytesView(*plain).subspan(2);
-    auto body = chunk::ZlibInflate(deflated);
+    const bool deflated = shape.points > 10;
+    const auto codec =
+        deflated ? chunk::Compression::kZlib : chunk::Compression::kNone;
+    ASSERT_EQ((*plain)[1], static_cast<uint8_t>(codec));
+    BytesView stored = BytesView(*plain).subspan(2);
+    if (!deflated) {
+      auto raw = chunk::CompressPoints(pts, chunk::Compression::kNone);
+      ASSERT_TRUE(raw.ok());
+      EXPECT_EQ(*plain, *raw) << "chunk " << i;
+      continue;
+    }
+    auto body = chunk::ZlibInflate(stored);
     ASSERT_TRUE(body.ok());
     uLongf len = compressBound(static_cast<uLong>(body->size()));
     Bytes expected(len);
@@ -294,9 +330,70 @@ TEST_F(OwnerSealTest, UploadsMatchTheReferenceCipherAndCompress2) {
                         Z_DEFAULT_COMPRESSION),
               Z_OK);
     expected.resize(len);
-    EXPECT_EQ(Bytes(deflated.begin(), deflated.end()), expected)
+    EXPECT_EQ(Bytes(stored.begin(), stored.end()), expected)
         << "chunk " << i;
   }
+  // Every body is exactly the codec's encoding of the chunks it carries.
+  for (const Bytes& body : recorder->bodies) {
+    auto req = net::InsertChunkBatchRequest::Decode(body);
+    ASSERT_TRUE(req.ok());
+    EXPECT_LE(req->entries.size(), std::max<uint64_t>(shape.batch_chunks, 1));
+    EXPECT_EQ(req->Encode(), body);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OwnerSealShapes,
+    ::testing::Values(SealShape{1, 50}, SealShape{4, 50}, SealShape{256, 50},
+                      SealShape{1, 10}, SealShape{4, 10}, SealShape{256, 10}),
+    [](const auto& info) {
+      return "batch" + std::to_string(info.param.batch_chunks) + "_points" +
+             std::to_string(info.param.points);
+    });
+
+TEST_F(OwnerSealTest, BatchedBodyIsTheCodecEncodingOfItsEntries) {
+  // A three-chunk HEAC batch from a producer with a fixed master seed: the
+  // body on the wire is byte for byte codec::Encode of the entries it
+  // carries, and the digests are the reference cipher's.
+  OwnerClient creator(transport);
+  auto uuid = creator.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  crypto::Key128 master;
+  for (size_t i = 0; i < master.size(); ++i) {
+    master[i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  OwnerOptions options;
+  options.upload_batch_chunks = 3;
+  OwnerClient owner(transport, options);
+  ASSERT_TRUE(owner.AttachStream(*uuid, master).ok());
+  std::map<uint64_t, std::vector<index::DataPoint>> points;
+  for (int64_t c = 0; c < 4; ++c) {
+    for (int64_t i = 0; i < 1 + c; ++i) {
+      index::DataPoint p{c * 1000 + i * 100, c * 11 - i};
+      if (c < 3) points[static_cast<uint64_t>(c)].push_back(p);
+      ASSERT_TRUE(owner.InsertRecord(*uuid, p).ok());
+    }
+  }
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  ASSERT_EQ(recorder->bodies.size(), 2u);
+  const Bytes& body = recorder->bodies.front();
+
+  StreamKeys reference(master);
+  auto cipher = index::MakeHeacCipher(config.schema.num_fields(),
+                                      reference.shared_tree());
+  net::InsertChunkBatchRequest expected;
+  expected.uuid = *uuid;
+  std::vector<Bytes> digests;
+  for (uint64_t i = 0; i < 3; ++i) {
+    digests.push_back(*cipher->Encrypt(config.schema.Compute(points[i]), i));
+  }
+  for (uint64_t i = 0; i < 3; ++i) {
+    const UploadedChunk& uploaded = recorder->chunks[i];
+    ASSERT_EQ(uploaded.chunk_index, i);
+    EXPECT_EQ(uploaded.digest_blob, digests[i]) << "chunk " << i;
+    expected.entries.push_back({i, digests[i], uploaded.payload});
+  }
+  EXPECT_EQ(ToHex(net::codec::Encode(expected)), ToHex(body));
 }
 
 TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
@@ -347,12 +444,13 @@ TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
     const auto& uploaded = recorder->chunks[i];
     ASSERT_EQ(uploaded.chunk_index, i);
     EXPECT_EQ(uploaded.payload.empty(), is_gap(i)) << "chunk " << i;
-    auto expected = index::EncryptHeacBlob(
-        crypto::HeacCodec(num_fields), config.schema.Compute(points[i]), i,
-        crypto::FieldKeys(*reference.DeriveLeaf(i), num_fields),
-        crypto::FieldKeys(*reference.DeriveLeaf(i + 1), num_fields));
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(uploaded.digest_blob, *expected) << "chunk " << i;
+    Bytes expected(num_fields * sizeof(uint64_t));
+    crypto::HeacCodec(num_fields)
+        .EncryptTo(config.schema.Compute(points[i]),
+                   crypto::FieldKeys(*reference.DeriveLeaf(i), num_fields),
+                   crypto::FieldKeys(*reference.DeriveLeaf(i + 1), num_fields),
+                   expected.data());
+    ASSERT_EQ(uploaded.digest_blob, expected) << "chunk " << i;
   }
 }
 

@@ -110,7 +110,7 @@ void MakePlainStream(net::Transport& t, uint64_t uuid, uint64_t chunks,
   for (uint64_t c = 0; c < chunks; ++c) {
     std::vector<uint64_t> fields{value(c), 1};
     Bytes blob = *cipher->Encrypt(fields, c);
-    net::InsertChunkBatchRequest req{uuid, {{c, std::move(blob), {}}}};
+    net::InsertChunkBatchRequest req{uuid, {{c, blob, {}}}};
     ASSERT_TRUE(t.Call(net::MessageType::kInsertChunkBatch, req.Encode()).ok())
         << "chunk " << c;
   }
@@ -553,8 +553,8 @@ TEST(ShardRouter, RollupDropsIntegrityFlagOnBothPaths) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch, 1};
-    net::InsertChunkBatchRequest req{source,
-                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
+    Bytes blob = *cipher->Encrypt(fields, ch);
+    net::InsertChunkBatchRequest req{source, {{ch, blob, {}}}};
     ASSERT_TRUE(
         c.transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
             .ok());

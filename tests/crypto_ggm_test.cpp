@@ -170,6 +170,64 @@ TEST(SequentialLeafIterator, WorksWithinSubtreeToken) {
   EXPECT_TRUE(it.AtEnd());
 }
 
+class SequentialLeafIteratorPrg : public ::testing::TestWithParam<PrgKind> {
+};
+
+// Walks the iterator from `start` to AtEnd() and checks every leaf against
+// a root walk of the same tree.
+void ExpectMatchesTree(const GgmTree& tree, SequentialLeafIterator& it,
+                       uint64_t start, uint64_t end) {
+  uint64_t leaf = start;
+  for (; !it.AtEnd(); ++leaf) {
+    ASSERT_EQ(it.CurrentIndex(), leaf);
+    ASSERT_EQ(it.Current(), tree.DeriveLeaf(leaf).value()) << "leaf " << leaf;
+    EXPECT_EQ(it.Next(), leaf + 1 < end) << "leaf " << leaf;
+  }
+  EXPECT_EQ(leaf, end);
+}
+
+TEST_P(SequentialLeafIteratorPrg, MatchesTreeFromEvenAndOddStarts) {
+  // Every start from 0 to 70 in a 2^7-leaf tree: even and odd starts, and
+  // walks that cross the 2^k boundaries at 8, 16, 32 and 64 up to the end.
+  constexpr uint32_t kHeight = 7;
+  const Key128 seed = RandomKey128();
+  GgmTree tree(seed, kHeight, GetParam());
+  for (uint64_t start = 0; start <= 70; ++start) {
+    SCOPED_TRACE("start " + std::to_string(start));
+    SequentialLeafIterator it(seed, 0, 0, kHeight, start, GetParam());
+    ExpectMatchesTree(tree, it, start, uint64_t{1} << kHeight);
+  }
+}
+
+TEST_P(SequentialLeafIteratorPrg, MatchesTreeInsideATokenSubtree) {
+  // Token subtrees at depths 1 to 9 of a height-12 tree, each walked from
+  // its first leaf and from an odd leaf inside it up to AtEnd().
+  constexpr uint32_t kHeight = 12;
+  const Key128 seed = RandomKey128();
+  GgmTree tree(seed, kHeight, GetParam());
+  for (uint32_t depth = 1; depth <= 9; ++depth) {
+    const uint64_t index = (uint64_t{1} << depth) - 2 + (depth % 2);
+    const Key128 node = tree.DeriveNode(depth, index).value();
+    const AccessToken token{depth, index, node};
+    const uint64_t first = TokenSet::FirstLeaf(token, kHeight);
+    const uint64_t end = TokenSet::LastLeaf(token, kHeight) + 1;
+    for (uint64_t start : {first, first + (end - first) / 2 - 1}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + " start " +
+                   std::to_string(start));
+      SequentialLeafIterator it(node, depth, index, kHeight, start,
+                                GetParam());
+      ExpectMatchesTree(tree, it, start, end);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Prgs, SequentialLeafIteratorPrg,
+                         ::testing::Values(PrgKind::kAesNi, PrgKind::kAesSoft),
+                         [](const auto& info) {
+                           return info.param == PrgKind::kAesNi ? "AesNi"
+                                                                : "Soft";
+                         });
+
 TEST(SequentialLeafIterator, EndOfStreamStops) {
   Key128 seed = RandomKey128();
   SequentialLeafIterator it(seed, 0, 0, 3, 6);

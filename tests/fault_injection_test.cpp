@@ -360,11 +360,16 @@ constexpr uint64_t kReadChunks = 130;
 Status UploadRaw(server::ServerEngine& engine, uint64_t first,
                  uint64_t count) {
   auto cipher = index::MakePlainCipher(1);
+  // Reserved up front: the entries view these buffers.
+  std::vector<Bytes> digests, payloads;
+  digests.reserve(count);
+  payloads.reserve(count);
   net::InsertChunkBatchRequest batch;
   batch.uuid = kReadUuid;
   for (uint64_t i = first; i < first + count; ++i) {
-    batch.entries.push_back({i, *cipher->Encrypt(std::vector<uint64_t>{i}, i),
-                             Bytes(3 + i % 5, static_cast<uint8_t>(i))});
+    digests.push_back(*cipher->Encrypt(std::vector<uint64_t>{i}, i));
+    payloads.emplace_back(3 + i % 5, static_cast<uint8_t>(i));
+    batch.entries.push_back({i, digests.back(), payloads.back()});
   }
   return engine.Handle(net::MessageType::kInsertChunkBatch, batch.Encode())
       .status();

@@ -207,7 +207,8 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
     auto stats = follower_reader.GetStatRange(*plain, {0, 14 * kDelta});
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->stats.Sum().value(), plain_sum);
-    net::InsertChunkBatchRequest probe{*plain, {{99, ToBytes("digest"), {}}}};
+    const Bytes digest = ToBytes("digest");
+    net::InsertChunkBatchRequest probe{*plain, {{99, digest, {}}}};
     EXPECT_EQ((*follower_transport)
                   ->Call(net::MessageType::kInsertChunkBatch, probe.Encode())
                   .status()

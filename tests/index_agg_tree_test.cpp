@@ -147,6 +147,9 @@ TEST(AggTree, HeacMultiFieldDigests) {
   EXPECT_EQ((*fields)[0], sums[0]);
   EXPECT_EQ((*fields)[1], sums[1]);
   EXPECT_EQ((*fields)[2], sums[2]);
+  // A field list of the wrong length is rejected, not encrypted.
+  EXPECT_EQ(cipher->Encrypt(std::vector<uint64_t>{1, 2}, 50).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(AggTree, PaillierBackendMatchesOracle) {

@@ -151,14 +151,20 @@ TEST(Messages, CreateStreamRoundTrip) {
 }
 
 TEST(Messages, InsertChunkBatchRoundTrip) {
-  InsertChunkBatchRequest req{7, {{123, Bytes{1, 2, 3}, Bytes{9, 9}}}};
-  auto back = InsertChunkBatchRequest::Decode(req.Encode());
+  const Bytes digest{1, 2, 3};
+  const Bytes payload{9, 9};
+  InsertChunkBatchRequest req{7, {{123, digest, payload}}};
+  const Bytes body = req.Encode();
+  auto back = InsertChunkBatchRequest::Decode(body);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->uuid, 7u);
   ASSERT_EQ(back->entries.size(), 1u);
   EXPECT_EQ(back->entries[0].chunk_index, 123u);
-  EXPECT_EQ(back->entries[0].digest_blob, req.entries[0].digest_blob);
-  EXPECT_EQ(back->entries[0].payload, req.entries[0].payload);
+  EXPECT_EQ(ToHex(back->entries[0].digest_blob), ToHex(digest));
+  EXPECT_EQ(ToHex(back->entries[0].payload), ToHex(payload));
+  // The decoded entries are views into the body.
+  EXPECT_EQ(back->entries[0].digest_blob.data(), body.data() + 18);
+  EXPECT_EQ(back->entries[0].payload.data(), body.data() + 22);
 }
 
 TEST(Messages, StatRangeRoundTrip) {

@@ -669,8 +669,8 @@ TEST(ReplicaSet, LaggingReplicaIsSkippedUntilCaughtUp) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkBatchRequest req{42,
-                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
+    Bytes digest = *cipher->Encrypt(fields, ch);
+    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
     ASSERT_TRUE(
         set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
@@ -698,9 +698,9 @@ TEST(ReplicaSet, WitnessedReadsServeFromReplicas) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 6; ++ch) {
     std::vector<uint64_t> fields{ch, 1};
-    net::InsertChunkBatchRequest req{
-        7, {{ch, *cipher->Encrypt(fields, ch),
-             ToBytes("sealed" + std::to_string(ch))}}};
+    Bytes digest = *cipher->Encrypt(fields, ch);
+    Bytes payload = ToBytes("sealed" + std::to_string(ch));
+    net::InsertChunkBatchRequest req{7, {{ch, digest, payload}}};
     ASSERT_TRUE(
         c.transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
             .ok());
@@ -732,14 +732,15 @@ TEST(ReplicaSet, RejectedDuplicateInsertDoesNotClobberStoredPayload) {
       engine->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
   auto cipher = index::MakePlainCipher(2);
   std::vector<uint64_t> fields{1, 1};
-  net::InsertChunkBatchRequest first{9, {{0, *cipher->Encrypt(fields, 0),
-                                          ToBytes("committed")}}};
+  const Bytes digest = *cipher->Encrypt(fields, 0);
+  const Bytes committed = ToBytes("committed");
+  net::InsertChunkBatchRequest first{9, {{0, digest, committed}}};
   ASSERT_TRUE(
       engine->Handle(net::MessageType::kInsertChunkBatch, first.Encode())
           .ok());
 
-  net::InsertChunkBatchRequest dup_batch{9, {{0, *cipher->Encrypt(fields, 0),
-                                              ToBytes("clobber")}}};
+  const Bytes clobber = ToBytes("clobber");
+  net::InsertChunkBatchRequest dup_batch{9, {{0, digest, clobber}}};
   EXPECT_EQ(engine
                 ->Handle(net::MessageType::kInsertChunkBatch,
                          dup_batch.Encode())
@@ -791,7 +792,8 @@ void RunFailoverDrill(AckMode ack) {
   // (The failed write is probed at the wire so the owner's client-side
   // retry buffer stays empty for the post-promotion ingest below.)
   for (auto& set : c.sets) ASSERT_TRUE(set->DropPrimary().ok());
-  net::InsertChunkBatchRequest probe{uuids[0], {{10, ToBytes("digest"), {}}}};
+  const Bytes probe_digest = ToBytes("digest");
+  net::InsertChunkBatchRequest probe{uuids[0], {{10, probe_digest, {}}}};
   EXPECT_EQ(c.transport
                 ->Call(net::MessageType::kInsertChunkBatch, probe.Encode())
                 .status()
@@ -875,8 +877,8 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 6; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkBatchRequest req{42,
-                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
+    Bytes digest = *cipher->Encrypt(fields, ch);
+    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
     ASSERT_TRUE(
         set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
@@ -900,7 +902,8 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   std::vector<uint64_t> next{7, 1};
-  net::InsertChunkBatchRequest more{42, {{6, *cipher->Encrypt(next, 6), {}}}};
+  const Bytes next_digest = *cipher->Encrypt(next, 6);
+  net::InsertChunkBatchRequest more{42, {{6, next_digest, {}}}};
   ASSERT_TRUE(
       set->Handle(net::MessageType::kInsertChunkBatch, more.Encode()).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
@@ -935,8 +938,8 @@ TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 4; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkBatchRequest req{42,
-                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
+    Bytes digest = *cipher->Encrypt(fields, ch);
+    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
     ASSERT_TRUE(
         set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }
@@ -950,8 +953,8 @@ TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
   EXPECT_EQ(set->num_remote_followers(), 1u);
   for (uint64_t ch = 4; ch < 8; ++ch) {
     std::vector<uint64_t> fields{ch + 1, 1};
-    net::InsertChunkBatchRequest req{42,
-                                     {{ch, *cipher->Encrypt(fields, ch), {}}}};
+    Bytes digest = *cipher->Encrypt(fields, ch);
+    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
     ASSERT_TRUE(
         set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
   }

@@ -5,6 +5,7 @@
 #include <malloc.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 
 #include "common/metrics.hpp"
@@ -44,10 +45,8 @@ class ServerTest : public ::testing::Test {
   Status Insert(uint64_t uuid, uint64_t chunk, uint64_t value,
                 Bytes payload = {}) {
     auto cipher = index::MakePlainCipher(1);
-    net::InsertChunkBatchRequest req{
-        uuid,
-        {{chunk, *cipher->Encrypt(std::vector<uint64_t>{value}, chunk),
-          std::move(payload)}}};
+    const Bytes digest = *cipher->Encrypt(std::vector<uint64_t>{value}, chunk);
+    net::InsertChunkBatchRequest req{uuid, {{chunk, digest, payload}}};
     return engine_->Handle(MessageType::kInsertChunkBatch, req.Encode())
         .status();
   }
@@ -126,7 +125,8 @@ TEST_F(ServerTest, InsertEnforcesOrderAndBlobSize) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
   ASSERT_TRUE(Insert(1, 0, 1).ok());
   EXPECT_FALSE(Insert(1, 2, 1).ok());  // gap
-  net::InsertChunkBatchRequest bad{1, {{1, Bytes(3, 0), {}}}};
+  const Bytes short_digest(3, 0);
+  net::InsertChunkBatchRequest bad{1, {{1, short_digest, {}}}};
   EXPECT_FALSE(
       engine_->Handle(MessageType::kInsertChunkBatch, bad.Encode()).ok());
 }
@@ -227,8 +227,8 @@ TEST_F(ServerTest, MultiStatRequiresMatchingLayouts) {
   ASSERT_TRUE(Insert(1, 0, 5).ok());
 
   auto cipher2 = index::MakePlainCipher(2);
-  net::InsertChunkBatchRequest ins2{
-      2, {{0, *cipher2->Encrypt(std::vector<uint64_t>{5, 1}, 0), {}}}};
+  const Bytes digest2 = *cipher2->Encrypt(std::vector<uint64_t>{5, 1}, 0);
+  net::InsertChunkBatchRequest ins2{2, {{0, digest2, {}}}};
   ASSERT_TRUE(
       engine_->Handle(MessageType::kInsertChunkBatch, ins2.Encode()).ok());
 
@@ -243,18 +243,25 @@ TEST_F(ServerTest, TotalIndexBytesAccumulates) {
   EXPECT_GT(engine_->TotalIndexBytes(), 0u);
 }
 
-/// An InsertChunkBatch request of chunks [first, first + count) of a
-/// one-field plaintext stream, each with an 8-byte payload.
-net::InsertChunkBatchRequest PlainBatch(uint64_t uuid, uint64_t first,
-                                        uint64_t count) {
+/// Chunk c's payload in PlainBatch by default: 8 bytes of c.
+Bytes EightBytesOf(uint64_t c) { return Bytes(8, static_cast<uint8_t>(c)); }
+
+/// The body of an InsertChunkBatch request of chunks [first, first + count)
+/// of a one-field plaintext stream. Chunk c's payload is payload(c).
+Bytes PlainBatch(uint64_t uuid, uint64_t first, uint64_t count,
+                 const std::function<Bytes(uint64_t)>& payload = EightBytesOf) {
   auto cipher = index::MakePlainCipher(1);
-  net::InsertChunkBatchRequest batch;
-  batch.uuid = uuid;
-  for (uint64_t i = first; i < first + count; ++i) {
-    batch.entries.push_back({i, *cipher->Encrypt(std::vector<uint64_t>{i}, i),
-                             Bytes(8, static_cast<uint8_t>(i))});
+  // Reserved up front: the entries view these buffers.
+  std::vector<Bytes> digests, payloads;
+  digests.reserve(count);
+  payloads.reserve(count);
+  net::InsertChunkBatchRequest batch{uuid, {}};
+  for (uint64_t c = first; c < first + count; ++c) {
+    digests.push_back(*cipher->Encrypt(std::vector<uint64_t>{c}, c));
+    payloads.push_back(payload(c));
+    batch.entries.push_back({c, digests.back(), payloads.back()});
   }
-  return batch;
+  return batch.Encode();
 }
 
 TEST_F(ServerTest, BatchMarksStoreAndIndexStagesOnce) {
@@ -267,7 +274,7 @@ TEST_F(ServerTest, BatchMarksStoreAndIndexStagesOnce) {
   uint64_t index_before = index_hist.Snapshot().count;
   ASSERT_TRUE(engine_
                   ->Handle(MessageType::kInsertChunkBatch,
-                           PlainBatch(1, 0, 10).Encode())
+                           PlainBatch(1, 0, 10))
                   .ok());
   EXPECT_EQ(store_hist.Snapshot().count, store_before + 1);
   EXPECT_EQ(index_hist.Snapshot().count, index_before + 1);
@@ -285,10 +292,10 @@ TEST_F(ServerTest, PayloadsRoundTripAcrossBlocks) {
   for (uint64_t c = 0; c < 70; ++c) {
     ASSERT_TRUE(Insert(1, c, 1, TestPayload(c)).ok());
   }
-  auto batch = PlainBatch(1, 70, 130);
-  for (auto& e : batch.entries) e.payload = TestPayload(e.chunk_index);
-  ASSERT_TRUE(
-      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+  ASSERT_TRUE(engine_
+                  ->Handle(MessageType::kInsertChunkBatch,
+                           PlainBatch(1, 70, 130, TestPayload))
+                  .ok());
   for (uint64_t c = 200; c < 205; ++c) {
     ASSERT_TRUE(Insert(1, c, 1, TestPayload(c)).ok());
   }
@@ -315,10 +322,10 @@ TEST_F(ServerTest, PayloadsRoundTripAcrossBlocks) {
 
 TEST_F(ServerTest, DeleteRangeDropsPayloadsAndKeepsDigests) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
-  auto batch = PlainBatch(1, 0, 150);
-  for (auto& e : batch.entries) e.payload = TestPayload(e.chunk_index);
-  ASSERT_TRUE(
-      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+  ASSERT_TRUE(engine_
+                  ->Handle(MessageType::kInsertChunkBatch,
+                           PlainBatch(1, 0, 150, TestPayload))
+                  .ok());
 
   // Block 1 (chunks 64-127) goes whole; blocks 0 and 2 keep some chunks.
   ASSERT_TRUE(DeleteRange(1, 10, 140).ok());
@@ -360,7 +367,7 @@ TEST_F(ServerTest, DeleteStreamLeavesNoKeysBehind) {
   ASSERT_TRUE(Create(2, PlainConfig()).ok());
   ASSERT_TRUE(engine_
                   ->Handle(MessageType::kInsertChunkBatch,
-                           PlainBatch(2, 0, 300).Encode())
+                           PlainBatch(2, 0, 300))
                   .ok());
   for (uint64_t c = 300; c < 303; ++c) ASSERT_TRUE(Insert(2, c, 1).ok());
   // A block that a failed batch wrote past the position.
@@ -477,12 +484,10 @@ TEST_F(ServerTest, GrantDirectoryThatDoesNotDecodeIsRejected) {
 
 TEST_F(ServerTest, PayloadBlockBytesArePinned) {
   ASSERT_TRUE(Create(7, PlainConfig()).ok());
-  auto batch = PlainBatch(7, 0, 3);
-  batch.entries[0].payload = ToBytes("ab");
-  batch.entries[1].payload = {};
-  batch.entries[2].payload = ToBytes("cde");
-  ASSERT_TRUE(
-      engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
+  const Bytes batch = PlainBatch(7, 0, 3, [](uint64_t c) {
+    return c == 0 ? ToBytes("ab") : c == 2 ? ToBytes("cde") : Bytes{};
+  });
+  ASSERT_TRUE(engine_->Handle(MessageType::kInsertChunkBatch, batch).ok());
   // One entry per chunk: varint length, then the payload.
   EXPECT_EQ(ToHex(kv_->Get("pay/7/0").value()), "026162" "00" "03636465");
 }
@@ -491,7 +496,7 @@ TEST_F(ServerTest, PayloadBlockThatDoesNotDecodeIsRejected) {
   ASSERT_TRUE(Create(7, PlainConfig()).ok());
   ASSERT_TRUE(engine_
                   ->Handle(MessageType::kInsertChunkBatch,
-                           PlainBatch(7, 0, 2).Encode())
+                           PlainBatch(7, 0, 2))
                   .ok());
   for (const char* block : {
            "026162" "056364",      // truncated second entry
@@ -550,7 +555,7 @@ TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
     for (uint64_t first = 0; first < kChunks; first += kBatch) {
       ASSERT_TRUE(engine
                       .Handle(MessageType::kInsertChunkBatch,
-                              PlainBatch(kUuid, first, kBatch).Encode())
+                              PlainBatch(kUuid, first, kBatch))
                       .ok());
     }
     size_t per_chunk = (heap_bytes() - before) / kChunks;
@@ -600,18 +605,18 @@ size_t HeapBytesPerChunk(bool batched) {
     };
     size_t before = heap_bytes();
     for (uint64_t first = 0; first < kChunks; first += kBatch) {
-      net::InsertChunkBatchRequest batch = PlainBatch(kUuid, first, kBatch);
       if (batched) {
-        EXPECT_TRUE(
-            engine.Handle(MessageType::kInsertChunkBatch, batch.Encode())
-                .ok());
+        EXPECT_TRUE(engine
+                        .Handle(MessageType::kInsertChunkBatch,
+                                PlainBatch(kUuid, first, kBatch))
+                        .ok());
         continue;
       }
-      for (auto& e : batch.entries) {
-        net::InsertChunkBatchRequest insert{kUuid, {std::move(e)}};
-        EXPECT_TRUE(
-            engine.Handle(MessageType::kInsertChunkBatch, insert.Encode())
-                .ok());
+      for (uint64_t c = first; c < first + kBatch; ++c) {
+        EXPECT_TRUE(engine
+                        .Handle(MessageType::kInsertChunkBatch,
+                                PlainBatch(kUuid, c, 1))
+                        .ok());
       }
     }
     per_chunk = (heap_bytes() - before) / kChunks;
@@ -704,8 +709,9 @@ TEST(ServerSyncEachInsert, AckImpliesFlushedAndBatchPaysOneSync) {
 
   auto cipher = index::MakePlainCipher(1);
   int syncs_before = spy->syncs();
-  net::InsertChunkBatchRequest ins{
-      1, {{0, *cipher->Encrypt(std::vector<uint64_t>{1}, 0), Bytes{0x01}}}};
+  const Bytes payload{0x01};
+  const Bytes digest = *cipher->Encrypt(std::vector<uint64_t>{1}, 0);
+  net::InsertChunkBatchRequest ins{1, {{0, digest, payload}}};
   ASSERT_TRUE(
       engine.Handle(MessageType::kInsertChunkBatch, ins.Encode()).ok());
   EXPECT_EQ(spy->syncs(), syncs_before + 1);  // one insert, one flush
@@ -713,9 +719,12 @@ TEST(ServerSyncEachInsert, AckImpliesFlushedAndBatchPaysOneSync) {
 
   net::InsertChunkBatchRequest batch;
   batch.uuid = 1;
+  std::vector<Bytes> digests;
   for (uint64_t i = 1; i <= 4; ++i) {
-    batch.entries.push_back(
-        {i, *cipher->Encrypt(std::vector<uint64_t>{i}, i), Bytes{0x01}});
+    digests.push_back(*cipher->Encrypt(std::vector<uint64_t>{i}, i));
+  }
+  for (uint64_t i = 1; i <= 4; ++i) {
+    batch.entries.push_back({i, digests[i - 1], payload});
   }
   syncs_before = spy->syncs();
   ASSERT_TRUE(

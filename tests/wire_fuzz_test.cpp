@@ -216,11 +216,15 @@ std::vector<Sample> ValidEncodings() {
   wr.entries.push_back({3, ToBytes("digest"), ToBytes("payload"),
                         ToBytes("proof")});
   out.push_back(Of("GetChunkWitnessedResponse", kResponse, wr));
+  // The batch's entries view these buffers, which outlive every sample.
+  static const std::vector<Bytes> kBatchBytes = {
+      ToBytes("digest-0"), ToBytes("payload-0"), ToBytes("digest-1"),
+      ToBytes("digest-5"), ToBytes("payload-5")};
   InsertChunkBatchRequest batch;
   batch.uuid = 7;
-  batch.entries.push_back({0, ToBytes("digest-0"), ToBytes("payload-0")});
-  batch.entries.push_back({1, ToBytes("digest-1"), {}});
-  batch.entries.push_back({5, ToBytes("digest-5"), ToBytes("payload-5")});
+  batch.entries.push_back({0, kBatchBytes[0], kBatchBytes[1]});
+  batch.entries.push_back({1, kBatchBytes[2], {}});
+  batch.entries.push_back({5, kBatchBytes[3], kBatchBytes[4]});
   out.push_back(Of("InsertChunkBatch", kInsertChunkBatch, batch));
   ClusterInfoResponse cluster;
   cluster.shards.push_back({0, 3, 4096, 2, ClusterInfoResponse::kAckQuorum, 5});
@@ -767,24 +771,23 @@ TEST(WireFuzz, OutOfRangeFieldBytesAreInvalidArgument) {
 }
 
 TEST(WireFuzz, InsertChunkBatchRejectsMalformedFrames) {
-  auto entry = [](uint64_t index) {
-    InsertChunkBatchRequest::Entry e;
-    e.chunk_index = index;
-    e.digest_blob = ToBytes("digest");
-    e.payload = ToBytes("payload");
-    return e;
+  const Bytes digest = ToBytes("digest");
+  const Bytes payload = ToBytes("payload");
+  auto entry = [&](uint64_t index) {
+    return InsertChunkBatchRequest::Entry{index, digest, payload};
   };
 
   // Well-formed baseline round-trips.
   InsertChunkBatchRequest good;
   good.uuid = 7;
   good.entries = {entry(3), entry(4), entry(9)};
-  auto decoded = InsertChunkBatchRequest::Decode(good.Encode());
+  const Bytes encoded = good.Encode();
+  auto decoded = InsertChunkBatchRequest::Decode(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->uuid, 7u);
   ASSERT_EQ(decoded->entries.size(), 3u);
   EXPECT_EQ(decoded->entries[2].chunk_index, 9u);
-  EXPECT_EQ(decoded->entries[0].payload, ToBytes("payload"));
+  EXPECT_EQ(ToString(decoded->entries[0].payload), "payload");
 
   // Overlapping chunk indices: duplicates and regressions are malformed
   // frames, rejected at decode before any server state is touched.
@@ -802,7 +805,6 @@ TEST(WireFuzz, InsertChunkBatchRejectsMalformedFrames) {
 
   // Truncated counts: a frame claiming more entries than its bytes can
   // hold fails cleanly at every cut point.
-  Bytes encoded = good.Encode();
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
     EXPECT_FALSE(
         InsertChunkBatchRequest::Decode(BytesView(encoded.data(), cut)).ok())
