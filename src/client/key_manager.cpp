@@ -66,8 +66,7 @@ crypto::Key128 StreamKeys::PayloadKey(uint64_t chunk) {
   return crypto::ChunkPayloadKey(leaf_i, leaf_n);
 }
 
-const crypto::DualKeyRegression& StreamKeys::Resolution(
-    uint64_t resolution_chunks) {
+crypto::DualKeyRegression& StreamKeys::Resolution(uint64_t resolution_chunks) {
   auto it = resolutions_.find(resolution_chunks);
   if (it == resolutions_.end()) {
     auto chains = std::make_unique<crypto::DualKeyRegression>(

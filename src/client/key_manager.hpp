@@ -44,8 +44,9 @@ class StreamKeys {
   crypto::Key128 PayloadKey(uint64_t chunk);
 
   /// The dual key regression for a resolution (created lazily; deterministic
-  /// from the master seed so re-opened streams agree).
-  const crypto::DualKeyRegression& Resolution(uint64_t resolution_chunks);
+  /// from the master seed so re-opened streams agree). Not const: its hash
+  /// chains build their checkpoints as grants and envelopes ask for states.
+  crypto::DualKeyRegression& Resolution(uint64_t resolution_chunks);
 
   /// Envelopes for windows lower..upper of a resolution, in window order;
   /// window j's is enc_{k̄_j}(leaf(j*r)) (§4.4.2).

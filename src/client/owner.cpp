@@ -480,7 +480,7 @@ Status OwnerClient::GrantChunkRange(StreamState& s, uint64_t uuid,
     grant.resolution_chunks = resolution_chunks;
     grant.window_lower = first_chunk / resolution_chunks;
     grant.window_upper = last_chunk / resolution_chunks;
-    const auto& kr = s.keys->Resolution(resolution_chunks);
+    auto& kr = s.keys->Resolution(resolution_chunks);
     TC_ASSIGN_OR_RETURN(auto view,
                         kr.Share(grant.window_lower, grant.window_upper));
     // Extract the two states from the view by re-deriving: Share returns

@@ -276,7 +276,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
 }
 
 uint64_t CurrentTraceId() { return g_trace_id; }
-void SetCurrentTraceId(uint64_t id) { g_trace_id = id; }
 
 TraceContext CurrentTraceContext() {
   return TraceContext{g_trace_id, g_parent_span_id};

@@ -187,7 +187,6 @@ inline LatencyHistogram& GetHistogram(std::string_view name,
 /// wire layer stamps it before dispatching into the handler chain; TraceSpan
 /// picks it up for slow-op lines.
 uint64_t CurrentTraceId();
-void SetCurrentTraceId(uint64_t id);
 
 /// Distributed trace context: the origin trace id plus the span the current
 /// work descends from. Carried in every frame header, stamped on the

@@ -12,7 +12,7 @@
 #if defined(__AES__) && (defined(__x86_64__) || defined(__i386__))
 #define TC_AESNI_COMPILED 1
 #include <cpuid.h>
-#include <wmmintrin.h>
+#include <immintrin.h>
 #endif
 
 namespace tc::crypto {
@@ -33,45 +33,49 @@ bool AesNiDisabledByEnv() {
 bool CpuHasAesNi() {
   // CPUID is serializing and, under virtualization, a VM exit — ~10 µs per
   // call on some hypervisors. MakePrg() probes this on every construction
-  // (e.g. each keystream re-anchor), so cache the answer once.
+  // (e.g. each keystream re-anchor), so cache the answer once. The key
+  // schedule also needs SSSE3, which every AES-NI CPU has.
   static const bool has_aesni = [] {
     if (AesNiDisabledByEnv()) return false;
     unsigned int eax, ebx, ecx, edx;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    return (ecx & bit_AES) != 0;
+    return (ecx & bit_AES) != 0 && (ecx & bit_SSSE3) != 0;
   }();
   return has_aesni;
 }
 
 namespace {
 
-// One step of the AES-128 key schedule using AESKEYGENASSIST.
-template <int Rcon>
-inline __m128i ExpandStep(__m128i key) {
-  __m128i tmp = _mm_aeskeygenassist_si128(key, Rcon);
-  tmp = _mm_shuffle_epi32(tmp, _MM_SHUFFLE(3, 3, 3, 3));
-  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-  return _mm_xor_si128(key, tmp);
+// The AES-128 key schedule by AESENCLAST (Gueron's method, from Intel's
+// AES-NI white paper) rather than AESKEYGENASSIST, which has low throughput
+// on recent cores. Round i needs SubWord(RotWord(w3)) ^ Rcon_i in every
+// word: PSHUFB rotates the last word and broadcasts it to all four lanes,
+// so AESENCLAST's ShiftRows moves nothing, its SubBytes is SubWord and its
+// round-key XOR adds Rcon_i. Two shifted XORs turn (w0, w1, w2, w3) into
+// (w0, w0^w1, w0^w1^w2, w0^w1^w2^w3), and adding that word gives the next
+// round key. Writes the 11 round keys to `rk`.
+__attribute__((target("aes,ssse3"))) void ExpandKey(const uint8_t* key,
+                                                    __m128i* rk) {
+  constexpr int kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                             0x20, 0x40, 0x80, 0x1b, 0x36};
+  const __m128i rot_broadcast_w3 = _mm_set1_epi32(0x0c0f0e0d);
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  _mm_store_si128(&rk[0], k);
+#pragma GCC unroll 10
+  for (int i = 0; i < 10; ++i) {
+    const __m128i sub = _mm_aesenclast_si128(
+        _mm_shuffle_epi8(k, rot_broadcast_w3), _mm_set1_epi32(kRcon[i]));
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
+    k = _mm_xor_si128(k, sub);
+    _mm_store_si128(&rk[i + 1], k);
+  }
 }
 
 }  // namespace
 
 AesNiBlock::AesNiBlock(const Key128& key) {
-  __m128i rk[11];
-  rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
-  rk[1] = ExpandStep<0x01>(rk[0]);
-  rk[2] = ExpandStep<0x02>(rk[1]);
-  rk[3] = ExpandStep<0x04>(rk[2]);
-  rk[4] = ExpandStep<0x08>(rk[3]);
-  rk[5] = ExpandStep<0x10>(rk[4]);
-  rk[6] = ExpandStep<0x20>(rk[5]);
-  rk[7] = ExpandStep<0x40>(rk[6]);
-  rk[8] = ExpandStep<0x80>(rk[7]);
-  rk[9] = ExpandStep<0x1b>(rk[8]);
-  rk[10] = ExpandStep<0x36>(rk[9]);
-  std::memcpy(round_keys_.data(), rk, sizeof(rk));
+  ExpandKey(key.data(), reinterpret_cast<__m128i*>(round_keys_.data()));
 }
 
 namespace {

@@ -14,7 +14,12 @@
 //
 // Enumerating state t from an anchor state requires walking the chain;
 // the owner keeps √n-spaced checkpoints so any state costs O(√n) hashes
-// (the paper's §6.2 bound).
+// (the paper's §6.2 bound). The checkpoints are built on first need, from
+// the top of the chain down and only as far as the lowest state asked for:
+// a grant over key windows 0..1092 of a 2^16-state keystream walks the
+// primary chain once down to state 1092 and the secondary chain not at all
+// (its state for window 0 is its seed). Every walk goes through
+// Sha256ChainWalk (crypto/sha256.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +52,8 @@ struct KeyRegressionState {
 /// reveals states 0..i.
 class HashChain {
  public:
-  /// Builds checkpoints spaced ~sqrt(length) apart; O(length) once.
+  /// Hashes nothing: the checkpoints, spaced ~sqrt(length) apart, are
+  /// built by StateAt as it needs them.
   HashChain(Key128 seed, uint64_t length);
   HashChain(const HashChain&) = default;
   HashChain& operator=(const HashChain&) = default;
@@ -60,15 +66,18 @@ class HashChain {
 
   uint64_t length() const { return length_; }
 
-  /// State i (owner-side, checkpoint-accelerated: O(sqrt(n)) hashes).
-  Result<Key128> StateAt(uint64_t i) const;
+  /// State i (owner-side). The first request below the lowest checkpoint
+  /// built so far extends the checkpoints down to i's anchor in one walk
+  /// from there; with the anchor built, state i costs O(sqrt(n)) hashes.
+  Result<Key128> StateAt(uint64_t i);
 
   /// Walk from a disclosed state down to an earlier one (consumer-side).
   /// steps = from.index - target_index hashes.
   static Result<Key128> Walk(const KeyRegressionState& from,
                              uint64_t target_index);
 
-  /// The hash-chain step: next_lower_state = MSB128(SHA256(state)).
+  /// The hash-chain step: next_lower_state = MSB128(SHA256(state)); a
+  /// one-step Sha256ChainWalk.
   static Key128 StepDown(const Key128& state);
 
   /// Key material of a state: LSB128(SHA256(state)).
@@ -78,9 +87,11 @@ class HashChain {
   uint64_t length_;
   TC_SECRET Key128 seed_;  // state at index length-1 (the top anchor)
   uint64_t stride_;
-  // checkpoints_[j] = state at j*stride_ — every entry is chain state, i.e.
-  // key material; the destructor scrubs the lot.
+  // checkpoints_[j] = state at j*stride_ for j >= built_from_; the entries
+  // below are not built yet. Every built entry is chain state, i.e. key
+  // material; the destructor scrubs the lot.
   TC_SECRET std::vector<Key128> checkpoints_;
+  size_t built_from_;
 };
 
 /// A consumer's view of a dual key regression interval: can derive keys
@@ -120,17 +131,17 @@ class DualKeyRegression {
   uint64_t length() const { return length_; }
 
   /// Key k_j (owner can compute any key); DeriveKeys(j, j).
-  Result<Key128> DeriveKey(uint64_t j) const;
+  Result<Key128> DeriveKey(uint64_t j);
 
   /// Keys k_lower..k_upper in index order. One checkpointed StateAt per
   /// chain, then one walk down the primary chain and one up the secondary:
-  /// about 3*(upper-lower) + 2*sqrt(length) hashes in all, where DeriveKey
-  /// costs up to 2*sqrt(length) per key. InvalidArgument if lower > upper,
-  /// OutOfRange if upper >= length.
-  Result<SecretKeys> DeriveKeys(uint64_t lower, uint64_t upper) const;
+  /// about 3*(upper-lower) + 2*sqrt(length) hashes in all once the two
+  /// anchors are built, where DeriveKey costs up to 2*sqrt(length) per key.
+  /// InvalidArgument if lower > upper, OutOfRange if upper >= length.
+  Result<SecretKeys> DeriveKeys(uint64_t lower, uint64_t upper);
 
   /// Grant the interval [lower, upper]: tokens (s1_upper, s2_lower).
-  Result<DualKeyRegressionView> Share(uint64_t lower, uint64_t upper) const;
+  Result<DualKeyRegressionView> Share(uint64_t lower, uint64_t upper);
 
  private:
   uint64_t length_;

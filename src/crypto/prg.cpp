@@ -75,9 +75,4 @@ std::unique_ptr<Prg> MakePrg(PrgKind kind) {
   return std::make_unique<AesSoftPrg>();
 }
 
-const Prg& DefaultPrg() {
-  static const std::unique_ptr<Prg> prg = MakePrg(PrgKind::kAesNi);
-  return *prg;
-}
-
 }  // namespace tc::crypto

@@ -49,7 +49,4 @@ class Prg {
 /// software implementation when the CPU lacks AES-NI.
 std::unique_ptr<Prg> MakePrg(PrgKind kind);
 
-/// Process-wide default PRG (AES-NI). Never null.
-const Prg& DefaultPrg();
-
 }  // namespace tc::crypto

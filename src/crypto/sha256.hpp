@@ -1,14 +1,24 @@
 // SHA-256, HMAC-SHA256 and HKDF. Inputs of at most 55 bytes fit one
 // padded block: where the CPU has the SHA extensions (SHA-NI), they are
-// hashed with one hardware compression. That covers every key-regression
-// step, chunk payload key and SHA-256 PRG call. Longer inputs, HMAC, HKDF
-// and CPUs without SHA-NI go through OpenSSL EVP, which gives the same bytes.
+// hashed with one hardware compression. That covers every chunk payload key
+// and SHA-256 PRG call. Longer inputs, HMAC, HKDF and CPUs without SHA-NI go
+// through OpenSSL EVP, which gives the same bytes.
+//
+// Key regression's hash chains (§4.4.2) have their own kernel:
+// Sha256ChainWalk applies s <- MSB128(SHA-256(s)) any number of times. On
+// SHA-NI the 16-byte state stays in one register, as the four big-endian
+// words that are both the digest's first half and the next message, and the
+// rest of each one-block message is constant padding: no block is built in
+// memory, copied or scrubbed per step. Sha256ChainWalkPair walks two states
+// at once, interleaving their rounds, and Sha256ChainKey, LSB128(SHA-256(s)),
+// takes the same register form.
 #pragma once
 
 #include <array>
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/rand.hpp"
 
 namespace tc::crypto {
 
@@ -18,6 +28,19 @@ Sha256Digest Sha256(BytesView data);
 
 /// SHA-256 over the concatenation a || b (avoids a temporary buffer).
 Sha256Digest Sha256Concat(BytesView a, BytesView b);
+
+/// The hash-chain step s <- MSB128(SHA-256(s)), applied `steps` times to
+/// `state` in place (none for steps = 0).
+void Sha256ChainWalk(TC_SECRET Key128& state, uint64_t steps);
+
+/// Sha256ChainWalk(a, a_steps) and Sha256ChainWalk(b, b_steps). On SHA-NI
+/// the two walks run in lockstep while both have steps left, so that one
+/// walk's rounds fill the other's latency.
+void Sha256ChainWalkPair(TC_SECRET Key128& a, uint64_t a_steps,
+                         TC_SECRET Key128& b, uint64_t b_steps);
+
+/// LSB128(SHA-256(state)): a chain state's key material.
+Key128 Sha256ChainKey(TC_SECRET const Key128& state);
 
 Sha256Digest HmacSha256(TC_SECRET BytesView key, BytesView data);
 

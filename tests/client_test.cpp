@@ -134,7 +134,7 @@ TEST_P(StreamKeysEnvelopes, EachOpensOnlyUnderItsWindowKey) {
   auto envelopes = keys.MakeEnvelopes(r, kLo, kHi);
   ASSERT_TRUE(envelopes.ok()) << envelopes.status().ToString();
   ASSERT_EQ(envelopes->size(), kHi - kLo + 1);
-  const auto& kr = keys.Resolution(r);
+  auto& kr = keys.Resolution(r);
   for (uint64_t j = kLo; j <= kHi; ++j) {
     SCOPED_TRACE(::testing::Message() << "window " << j);
     const Bytes& envelope = (*envelopes)[j - kLo];

@@ -40,6 +40,99 @@ TEST(DualKeyRegression, KnownAnswers) {
   EXPECT_EQ(ToHex((*keys)[3]), "34e079dcb419fa2d8ded4f92c6f88a5b");
 }
 
+// The resolution keystreams' shape: 2^16 states, a grant over windows
+// 0..1092. Pinned from the build that walked every chain in full at
+// construction, so building checkpoints on demand must not move a byte.
+TEST(HashChain, LongChainKnownAnswers) {
+  HashChain chain(Sequence(0x30), 1 << 16);
+  EXPECT_EQ(ToHex(chain.StateAt(65535 - 1092).value()),
+            "2a7a645d00b36df2c1a8b62547c41177");
+  EXPECT_EQ(ToHex(chain.StateAt(1092).value()),
+            "d779a57e563200d976b92062e685a61f");
+  EXPECT_EQ(ToHex(chain.StateAt(0).value()),
+            "0942ef092c8666febd86c5267664e24e");
+}
+
+TEST(DualKeyRegression, LongChainKnownAnswers) {
+  DualKeyRegression kr(Sequence(0x40), Sequence(0x50), 1 << 16);
+  auto view = kr.Share(0, 1092).value();
+  EXPECT_EQ(ToHex(view.primary_state()), "9281bc8e0c6fc1839f8a7e0b8eb5bf95");
+  EXPECT_EQ(ToHex(view.secondary_state()), "505152535455565758595a5b5c5d5e5f");
+  auto low = kr.DeriveKeys(0, 3).value();
+  ASSERT_EQ(low.size(), 4u);
+  EXPECT_EQ(ToHex(low[0]), "6b5895ae56096dad4f51c5350e70dc86");
+  EXPECT_EQ(ToHex(low[3]), "bb590bb1db76afc141de87054e81120d");
+  auto high = kr.DeriveKeys(1089, 1092).value();
+  ASSERT_EQ(high.size(), 4u);
+  EXPECT_EQ(ToHex(high[0]), "009500249d33795181a0d464239fadbf");
+  EXPECT_EQ(ToHex(high[3]), "fae0e93c61e6a0391b1724d122345c3e");
+}
+
+/// States 0..len-1 of the chain whose top state (len - 1) is `seed`, by
+/// stepping down one hash at a time.
+std::vector<Key128> WalkByHand(Key128 cur, uint64_t len) {
+  std::vector<Key128> states(len);
+  for (uint64_t i = len; i-- > 0;) {
+    states[i] = cur;
+    if (i > 0) cur = HashChain::StepDown(cur);
+  }
+  return states;
+}
+
+// Checkpoints are built from the top down as far as the lowest state asked
+// for; every order of requests must see the same states.
+TEST(HashChain, StateAtInAnyOrderMatchesHandWalk) {
+  constexpr uint64_t kLen = 1000;
+  const Key128 seed = Sequence(0x60);
+  const std::vector<Key128> states = WalkByHand(seed, kLen);
+  HashChain descending(seed, kLen);
+  for (uint64_t i = kLen; i-- > 0;) {
+    ASSERT_EQ(descending.StateAt(i).value(), states[i]) << "state " << i;
+  }
+  HashChain ascending(seed, kLen);
+  for (uint64_t i = 0; i < kLen; ++i) {
+    ASSERT_EQ(ascending.StateAt(i).value(), states[i]) << "state " << i;
+  }
+  HashChain random(seed, kLen);
+  DeterministicRng rng(31);
+  for (int n = 0; n < 2000; ++n) {
+    const uint64_t i = rng.NextBelow(kLen);
+    ASSERT_EQ(random.StateAt(i).value(), states[i]) << "state " << i;
+  }
+}
+
+// Share and DeriveKeys after the chains have been built part of the way
+// down: a high state first, then a low one, then both kinds of call again.
+TEST(DualKeyRegression, ShareAndDeriveKeysAfterPartialBuild) {
+  constexpr uint64_t kLen = 1000;
+  const Key128 primary_seed = Sequence(0x70), secondary_seed = Sequence(0x80);
+  const std::vector<Key128> primary = WalkByHand(primary_seed, kLen);
+  const std::vector<Key128> secondary = WalkByHand(secondary_seed, kLen);
+  auto by_hand = [&](uint64_t j) {
+    Key128 mixed;
+    for (size_t b = 0; b < mixed.size(); ++b) {
+      mixed[b] = primary[j][b] ^ secondary[kLen - 1 - j][b];
+    }
+    return HashChain::KeyOf(mixed);
+  };
+  DualKeyRegression kr(primary_seed, secondary_seed, kLen);
+  const std::pair<uint64_t, uint64_t> ranges[] = {
+      {990, 995}, {3, 40}, {500, 560}, {0, 0}, {998, 999}, {0, kLen - 1}};
+  for (auto [lo, hi] : ranges) {
+    SCOPED_TRACE(::testing::Message() << "range [" << lo << ", " << hi << "]");
+    auto view = kr.Share(lo, hi).value();
+    EXPECT_EQ(view.primary_state(), primary[hi]);
+    EXPECT_EQ(view.secondary_state(), secondary[kLen - 1 - lo]);
+    auto keys = kr.DeriveKeys(lo, hi).value();
+    ASSERT_EQ(keys.size(), hi - lo + 1);
+    for (uint64_t j = lo; j <= hi; j += 7) {
+      EXPECT_EQ(keys[j - lo], by_hand(j)) << "key " << j;
+    }
+    EXPECT_EQ(keys.back(), by_hand(hi));
+    EXPECT_EQ(kr.DeriveKey(lo).value(), by_hand(lo));
+  }
+}
+
 TEST(HashChain, StateAtMatchesManualWalk) {
   Key128 seed = RandomKey128();
   constexpr uint64_t kLen = 100;

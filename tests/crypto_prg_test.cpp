@@ -1,7 +1,8 @@
 // PRG/AES correctness: software AES against the FIPS-197 test vector, the
 // AES-NI implementation (one, two and many blocks) against the software one,
-// and PRG properties.
+// SHA-256 and its hash-chain kernels against OpenSSL, and PRG properties.
 #include <gtest/gtest.h>
+#include <openssl/evp.h>
 
 #include <cstdlib>
 #include <optional>
@@ -39,14 +40,42 @@ TEST(SoftAes, DistinctBlocksDistinctOutputs) {
   EXPECT_NE(aes.EncryptBlock(a), aes.EncryptBlock(b));
 }
 
+TEST(AesNi, Fips197Vector) {
+  if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
+  AesNiBlock aes(KeyFromHex("000102030405060708090a0b0c0d0e0f"));
+  Block128 pt = KeyFromHex("00112233445566778899aabbccddeeff");
+  EXPECT_EQ(ToHex(aes.EncryptBlock(pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
+}
+
+// The key schedule against the software one on 1,000 seeded keys and the
+// two extreme keys, through all three encrypt entry points: a wrong round
+// key shows in every block.
 TEST(AesNi, MatchesSoftwareAes) {
   if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
-  for (int i = 0; i < 32; ++i) {
-    Key128 key = RandomKey128();
-    Block128 pt = RandomKey128();
+  DeterministicRng rng(197);
+  std::vector<Key128> keys(1000);
+  for (auto& key : keys) rng.Fill(key);
+  keys.push_back(Key128{});
+  Key128 ones;
+  ones.fill(0xff);
+  keys.push_back(ones);
+  std::vector<Block128> in(9), from_hard(9);
+  for (const Key128& key : keys) {
+    SCOPED_TRACE(::testing::Message() << "key " << ToHex(key));
+    for (auto& b : in) rng.Fill(b);
     SoftAes128 soft(key);
     AesNiBlock hard(key);
-    EXPECT_EQ(soft.EncryptBlock(pt), hard.EncryptBlock(pt));
+    std::vector<Block128> expected(in.size());
+    for (size_t i = 0; i < in.size(); ++i) {
+      expected[i] = soft.EncryptBlock(in[i]);
+    }
+    EXPECT_EQ(hard.EncryptBlock(in[0]), expected[0]);
+    Block128 out0, out1;
+    hard.EncryptTwoBlocks(in[1], in[2], out0, out1);
+    EXPECT_EQ(out0, expected[1]);
+    EXPECT_EQ(out1, expected[2]);
+    hard.EncryptBlocks(in, from_hard);
+    EXPECT_EQ(from_hard, expected);
   }
 }
 
@@ -113,6 +142,53 @@ TEST(Sha256, ConcatMatchesSingleShot) {
   Bytes b = ToBytes("world");
   Bytes ab = ToBytes("hello world");
   EXPECT_EQ(Sha256Concat(a, b), Sha256(ab));
+}
+
+/// SHA-256 through OpenSSL's one-shot digest, which shares no code with the
+/// SHA-NI path.
+Sha256Digest EvpSha256(const Key128& in) {
+  Sha256Digest d;
+  unsigned int len = 0;
+  EXPECT_EQ(EVP_Digest(in.data(), in.size(), d.data(), &len, EVP_sha256(),
+                       nullptr),
+            1);
+  return d;
+}
+
+TEST(Sha256ChainWalk, MatchesRepeatedSha256) {
+  DeterministicRng rng(256);
+  for (uint64_t n : {0, 1, 2, 255, 256, 1092}) {
+    SCOPED_TRACE(::testing::Message() << n << " steps");
+    Key128 start;
+    rng.Fill(start);
+    Key128 by_evp = start, by_sha256 = start;
+    for (uint64_t i = 0; i < n; ++i) {
+      const Sha256Digest e = EvpSha256(by_evp);
+      std::copy(e.begin(), e.begin() + 16, by_evp.begin());
+      const Sha256Digest d = Sha256(by_sha256);
+      std::copy(d.begin(), d.begin() + 16, by_sha256.begin());
+    }
+    Key128 walked = start;
+    Sha256ChainWalk(walked, n);
+    EXPECT_EQ(ToHex(walked), ToHex(by_evp));
+    EXPECT_EQ(ToHex(walked), ToHex(by_sha256));
+    // Two walks that add up to n steps land on the same state.
+    Key128 in_two = start;
+    Sha256ChainWalk(in_two, n / 3);
+    Sha256ChainWalk(in_two, n - n / 3);
+    EXPECT_EQ(in_two, walked);
+  }
+}
+
+TEST(Sha256ChainKey, IsTheSecondHalfOfTheDigest) {
+  DeterministicRng rng(128);
+  for (int i = 0; i < 100; ++i) {
+    Key128 state;
+    rng.Fill(state);
+    const Sha256Digest d = EvpSha256(state);
+    EXPECT_EQ(ToHex(Sha256ChainKey(state)),
+              ToHex(BytesView(d.data() + 16, 16)));
+  }
 }
 
 TEST(Sha256Prg, KnownAnswer) {
