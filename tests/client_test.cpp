@@ -10,8 +10,10 @@
 #include "client/grants.hpp"
 #include "client/key_manager.hpp"
 #include "client/owner.hpp"
+#include "crypto/sha256.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
+#include "workload/mhealth.hpp"
 
 namespace tc::client {
 namespace {
@@ -394,6 +396,48 @@ TEST_F(OwnerSealTest, BatchedBodyIsTheCodecEncodingOfItsEntries) {
     expected.entries.push_back({i, digests[i], uploaded.payload});
   }
   EXPECT_EQ(ToHex(net::codec::Encode(expected)), ToHex(body));
+}
+
+TEST_F(OwnerSealTest, DigestBlobsArePinned) {
+  // The first 130 chunks of a 19-field HEAC vitals stream from a fixed
+  // master seed, ten points each: a SHA-256 over every chunk's digest blob
+  // and payload key. The walk crosses the iterator's 2^k boundaries up to
+  // 128, and the blobs depend on every leaf's field keys.
+  constexpr uint64_t kChunks = 130;
+  config.schema = workload::MHealthGenerator::VitalsSchema();
+  ASSERT_EQ(config.schema.num_fields(), 19u);
+  OwnerClient creator(transport);
+  auto uuid = creator.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  crypto::Key128 master;
+  for (size_t i = 0; i < master.size(); ++i) {
+    master[i] = static_cast<uint8_t>(0x5a ^ (13 * i));
+  }
+  OwnerOptions options;
+  options.upload_batch_chunks = 16;
+  OwnerClient owner(transport, options);
+  ASSERT_TRUE(owner.AttachStream(*uuid, master).ok());
+  for (uint64_t c = 0; c < kChunks; ++c) {
+    for (int64_t i = 0; i < 10; ++i) {
+      const auto n = static_cast<int64_t>(c) * 10 + i;
+      index::DataPoint p{n * 100, 60 + (n * 37) % 90};
+      ASSERT_TRUE(owner.InsertRecord(*uuid, p).ok());
+    }
+  }
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  ASSERT_EQ(recorder->chunks.size(), kChunks);
+
+  StreamKeys keys(master);
+  Bytes pinned;
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    const UploadedChunk& uploaded = recorder->chunks[i];
+    ASSERT_EQ(uploaded.chunk_index, i);
+    ASSERT_EQ(uploaded.digest_blob.size(), 19 * sizeof(uint64_t));
+    Append(pinned, uploaded.digest_blob);
+    Append(pinned, keys.PayloadKey(i));
+  }
+  EXPECT_EQ(ToHex(crypto::Sha256(pinned)),
+            "0087b57dfbdf18b4ab72566d6d3d307b114af8c815b9ab65ae63bd373f53c378");
 }
 
 TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {

@@ -228,6 +228,63 @@ INSTANTIATE_TEST_SUITE_P(Prgs, SequentialLeafIteratorPrg,
                                                                 : "Soft";
                          });
 
+// Known answers for leaves of a fixed-root height-30 tree, through both
+// GgmTree::DeriveLeaf and SequentialLeafIterator, on each AES PRG. The
+// leaves sit at the 2^k boundaries the iterator's path crosses (63 -> 64,
+// 127 -> 128), at 65,519 -> 65,520 (a query_full prefill's last chunk) and
+// at the last leaf. Every stored digest and payload key depends on these.
+struct PinnedLeaf {
+  uint64_t index;
+  const char* hex;
+};
+
+constexpr uint32_t kPinHeight = 30;
+constexpr PinnedLeaf kPinnedLeaves[] = {
+    {0, "2b3ef779e3ccd999a430f47e3263edf9"},
+    {1, "5e0a88b4ea981a6fdcf00bf5eec05b76"},
+    {63, "9dc81061dd6fcf9a2062855ee27b6535"},
+    {64, "82c1a4de795167b5116a77a49a582aad"},
+    {127, "c21d2073af9fe840fb099ea5d8573224"},
+    {128, "c66232f3a939816dc8cb1b9c86aa9b3a"},
+    {65519, "673f4f2e0af4fe205b9c9a6a06ccbe46"},
+    {65520, "ecd787dbb4dc693bff4525e7857f65ff"},
+    {(uint64_t{1} << kPinHeight) - 1, "44538bc8a90150ba3bd8c953e302e1df"},
+};
+
+Key128 PinRoot() {
+  Key128 root;
+  for (size_t i = 0; i < root.size(); ++i) {
+    root[i] = static_cast<uint8_t>(0x11 * i + 7);
+  }
+  return root;
+}
+
+TEST_P(SequentialLeafIteratorPrg, LeavesArePinned) {
+  const GgmTree tree(PinRoot(), kPinHeight, GetParam());
+  for (const PinnedLeaf& pin : kPinnedLeaves) {
+    EXPECT_EQ(ToHex(*tree.DeriveLeaf(pin.index)), pin.hex)
+        << "DeriveLeaf " << pin.index;
+  }
+  // One walk from leaf 0 over the first six pins, and one from each later
+  // pin (65,520 is reached by a step from 65,519).
+  SequentialLeafIterator walk(PinRoot(), 0, 0, kPinHeight, 0, GetParam());
+  for (size_t p = 0; p < 6; ++p) {
+    while (walk.CurrentIndex() < kPinnedLeaves[p].index) {
+      ASSERT_TRUE(walk.Next());
+    }
+    EXPECT_EQ(ToHex(walk.Current()), kPinnedLeaves[p].hex)
+        << "iterator " << kPinnedLeaves[p].index;
+  }
+  SequentialLeafIterator tail(PinRoot(), 0, 0, kPinHeight, 65519, GetParam());
+  EXPECT_EQ(ToHex(tail.Current()), kPinnedLeaves[6].hex);
+  ASSERT_TRUE(tail.Next());
+  EXPECT_EQ(ToHex(tail.Current()), kPinnedLeaves[7].hex);
+  SequentialLeafIterator last(PinRoot(), 0, 0, kPinHeight,
+                              kPinnedLeaves[8].index, GetParam());
+  EXPECT_EQ(ToHex(last.Current()), kPinnedLeaves[8].hex);
+  EXPECT_FALSE(last.Next());
+}
+
 TEST(SequentialLeafIterator, EndOfStreamStops) {
   Key128 seed = RandomKey128();
   SequentialLeafIterator it(seed, 0, 0, 3, 6);
