@@ -19,6 +19,8 @@
 //   8. Owner seal (§4.1): the whole per-chunk client pipeline (digest,
 //      HEAC, compress, AES-GCM, upload batch) through an OwnerClient whose
 //      transport acks every chunk batch at once.
+//   9. Seal kernels: the per-chunk key derivations of 8 one at a time —
+//      the GGM leaf pair, HEAC's field keys and the payload key.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -425,13 +427,59 @@ BENCHMARK(BM_OwnerSeal)
     ->Args({10, 256})
     ->Args({500, 1});
 
+// ------------------------------------------------------ 9. seal kernels
+
+// Leaves i and i+1 of a height-30 keystream for chunk i, as the owner asks
+// StreamKeys for them: leaf i is the previous chunk's leaf i+1, so each
+// iteration is one step of the sequential iterator.
+void BM_SequentialLeafPair(benchmark::State& state) {
+  client::StreamKeys keys(crypto::RandomKey128());
+  uint64_t chunk = 0;
+  for (auto _ : state) {
+    crypto::Key128 leaf_i = keys.Leaf(chunk);
+    crypto::Key128 leaf_n = keys.Leaf(chunk + 1);
+    benchmark::DoNotOptimize(leaf_i);
+    benchmark::DoNotOptimize(leaf_n);
+    ++chunk;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(chunk));
+}
+BENCHMARK(BM_SequentialLeafPair);
+
+// One leaf's HEAC field keys, re-derived into the same storage as the
+// owner does for every chunk; the argument is the field count (19 for the
+// vitals schema).
+void BM_FieldKeysDerive(benchmark::State& state) {
+  const auto leaves = PayloadKeys();
+  crypto::FieldKeys keys(leaves[0], static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    keys.Derive(leaves[i++ % leaves.size()]);
+    benchmark::DoNotOptimize(keys.key(0));
+  }
+}
+BENCHMARK(BM_FieldKeysDerive)->Arg(19);
+
+// The payload key H(k_i - k_{i+1}) of one chunk.
+void BM_ChunkPayloadKey(benchmark::State& state) {
+  const auto leaves = PayloadKeys();
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % leaves.size();
+    crypto::Key128 key = crypto::ChunkPayloadKey(
+        leaves[k], leaves[(k + 1) % leaves.size()]);
+    benchmark::DoNotOptimize(key);
+  }
+}
+BENCHMARK(BM_ChunkPayloadKey);
+
 }  // namespace
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
   std::printf(
       "=== Ablations: fanout / key-canceling / PRG / compression / "
-      "strided / cache / payload seal / owner seal ===\n"
+      "strided / cache / payload seal / owner seal / seal kernels ===\n"
       "(design-choice quantification; see README.md benchmark matrix)\n\n");
   return tc::bench::RunBenchmarks(argc, argv);
 }

@@ -39,7 +39,7 @@ crypto::Key128 StreamKeys::Leaf(uint64_t i) {
     return cached_leaf_;
   }
   // Short forward strides (sequential ingest, window-series decryption)
-  // advance the iterator: ~2 PRG calls per step amortized, vs height calls
+  // advance the iterator: ~1 PRG call per step amortized, vs height calls
   // for a re-anchor. Beyond that, re-anchor.
   if (iter_ && !iter_->AtEnd() && i > iter_->CurrentIndex() &&
       i - iter_->CurrentIndex() <= config_.tree_height / 2) {

@@ -29,7 +29,7 @@ class StreamKeys {
     SecureZero(ggm_root_);
     SecureZero(cached_leaf_);
     // tree_, iter_ and resolutions_ scrub themselves: GgmTree, the
-    // iterator's PathEntry stack and HashChain all zeroize on destruction.
+    // iterator's path slots and HashChain all zeroize on destruction.
   }
 
   const crypto::GgmTree& tree() const { return *tree_; }

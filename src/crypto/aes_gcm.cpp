@@ -9,20 +9,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "crypto/aesni.hpp"
+#include "crypto/aesni_rounds.hpp"
 #include "crypto/constant_time.hpp"
 #include "crypto/evp_ctx.hpp"
 #include "crypto/sha256.hpp"
 
-// The native path needs PCLMULQDQ and SSSE3 for GHASH and AesNiBlock for the
-// counter blocks. Only its functions are compiled for those instructions,
-// through a target attribute, so the rest of this file stays baseline x86
-// and GcmIsNative() gates every call into them.
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define TC_GCM_NATIVE_COMPILED 1
+// The native path needs AES-NI for the blocks and PCLMULQDQ and SSSE3 for
+// GHASH. Only its functions are compiled for those instructions, through a
+// target attribute, so the rest of this file stays baseline x86 and
+// GcmIsNative() gates every call into them.
+#if defined(TC_AESNI_COMPILED)
 #include <cpuid.h>
-#include <immintrin.h>
 #define TC_GCM_TARGET __attribute__((target("aes,pclmul,ssse3")))
 #endif
 
@@ -81,7 +81,7 @@ void NextNonce(uint8_t* out) {
   reserve.used += kGcmNonceSize;
 }
 
-#if defined(TC_GCM_NATIVE_COMPILED)
+#if defined(TC_AESNI_COMPILED)
 
 /// Reverses the 16 bytes of a block. GHASH works on blocks whose bit order
 /// is reflected; reversing the bytes lets PCLMULQDQ multiply them as
@@ -174,106 +174,139 @@ TC_GCM_TARGET __m128i GhashUpdate(__m128i x, const __m128i (&h)[4],
   return x;
 }
 
-/// data[0, n) ^= stream[0, n), sixteen bytes at a time.
-TC_GCM_TARGET inline void XorStream(uint8_t* data, const uint8_t* stream,
+/// The GCM tag over `aad` and the ciphertext ct[0, n): GHASH under the
+/// hash key H, closed by the length block, XORed with the tag mask E(J0).
+TC_GCM_TARGET inline __m128i GcmTag(__m128i hash_key, __m128i tag_mask,
+                                    BytesView aad, const uint8_t* ct,
                                     size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stream + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(data + i), _mm_xor_si128(d, k));
+  // H, and H^2 .. H^4 when there are four blocks to aggregate.
+  __m128i h[4];
+  h[0] = Reflect(hash_key);
+  h[1] = h[2] = h[3] = _mm_setzero_si128();
+  if (aad.size() >= 64 || n >= 64) {
+    for (int k = 1; k < 4; ++k) h[k] = GfMul(h[k - 1], h[0]);
   }
-  for (; i < n; ++i) data[i] ^= stream[i];
+  __m128i x = GhashUpdate(_mm_setzero_si128(), h, aad.data(), aad.size());
+  x = GhashUpdate(x, h, ct, n);
+  // The length block: bit lengths of the AAD and the ciphertext, each a
+  // big-endian u64, which reflects to (aad bits : high, ct bits : low).
+  const __m128i lengths =
+      _mm_set_epi64x(static_cast<long long>(aad.size() * 8),
+                     static_cast<long long>(n * 8));
+  x = GfMul(_mm_xor_si128(x, lengths), h[0]);
+  return _mm_xor_si128(Reflect(x), tag_mask);
 }
 
-/// AES-128-GCM with a 96-bit nonce on AES-NI and PCLMULQDQ: the key
-/// schedule, the hash key H = E(0) and the tag mask E(J0). The round keys
-/// (in AesNiBlock), H and E(J0) are scrubbed on destruction.
-class NativeGcm {
- public:
-  NativeGcm(const Key128& key, const uint8_t* nonce) : aes_(key) {
-    std::memcpy(nonce_.data(), nonce, kGcmNonceSize);
-    Block128 zero{};
-    Block128 j0{};
-    std::memcpy(j0.data(), nonce, kGcmNonceSize);
-    j0[15] = 1;
-    aes_.EncryptTwoBlocks(zero, j0, hash_key_, tag_mask_);
-  }
-  ~NativeGcm() {
-    SecureZero(hash_key_);
-    SecureZero(tag_mask_);
-  }
-  NativeGcm(const NativeGcm&) = delete;
-  NativeGcm& operator=(const NativeGcm&) = delete;
+/// The counter block nonce || counter, the counter big-endian. `nonce`
+/// holds the 12 nonce bytes and four zero bytes.
+TC_GCM_TARGET inline __m128i CounterBlock(__m128i nonce, uint32_t counter) {
+  return _mm_xor_si128(
+      nonce, _mm_set_epi32(static_cast<int>(__builtin_bswap32(counter)), 0,
+                           0, 0));
+}
 
-  /// XORs the keystream E(nonce || 2), E(nonce || 3), ... into data[0, n):
-  /// encrypts and decrypts. Eight counter blocks go through the AES rounds
-  /// together; the keystream is scrubbed on return.
-  TC_GCM_TARGET void Crypt(uint8_t* data, size_t n) const {
-    std::array<Block128, 8> counters{};
-    std::array<Block128, 8> stream{};
-    uint32_t counter = 2;
-    while (n > 0) {
-      const size_t blocks = std::min(counters.size(), (n + 15) / 16);
-      for (size_t j = 0; j < blocks; ++j, ++counter) {
-        std::memcpy(counters[j].data(), nonce_.data(), kGcmNonceSize);
-        counters[j][12] = static_cast<uint8_t>(counter >> 24);
-        counters[j][13] = static_cast<uint8_t>(counter >> 16);
-        counters[j][14] = static_cast<uint8_t>(counter >> 8);
-        counters[j][15] = static_cast<uint8_t>(counter);
-      }
-      aes_.EncryptBlocks({counters.data(), blocks}, {stream.data(), blocks});
-      const size_t bytes = std::min(n, blocks * 16);
-      XorStream(data, stream[0].data(), bytes);
-      data += bytes;
-      n -= bytes;
+/// out[0, n) = in[0, n) ^ stream[0, n), for n <= 16.
+TC_GCM_TARGET inline void XorBlock(__m128i stream, const uint8_t* in,
+                                   uint8_t* out, size_t n) {
+  if (n == 16) {
+    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_xor_si128(d, stream));
+    return;
+  }
+  alignas(16) uint8_t last[16] = {};
+  std::memcpy(last, in, n);
+  const __m128i d = _mm_load_si128(reinterpret_cast<const __m128i*>(last));
+  _mm_store_si128(reinterpret_cast<__m128i*>(last), _mm_xor_si128(d, stream));
+  std::memcpy(out, last, n);
+}
+
+/// AES blocks per pass. The first pass encrypts H = E(0), the tag mask
+/// E(J0) and the first kFirstStream keystream blocks E(J0 + 1), ...; each
+/// later pass encrypts the next kLanes keystream blocks.
+constexpr size_t kLanes = 8;
+constexpr size_t kFirstStream = kLanes - 2;
+
+/// AES-128-GCM with a 96-bit nonce on AES-NI and PCLMULQDQ, from in[0, n)
+/// to out[0, n) (which may be the same bytes). The first pass runs the key
+/// schedule between its rounds, in registers; only a payload longer than
+/// its keystream also stores the schedule on the stack, for the later
+/// passes, and scrubs it. Seal (kOpen false) encrypts, then writes the tag
+/// over the ciphertext to `tag`. Open computes the tag over `in` first and
+/// returns false, having written nothing, unless it equals `tag`; then it
+/// decrypts.
+template <bool kOpen>
+TC_GCM_TARGET bool NativeGcm(const Key128& key, const uint8_t* nonce,
+                             BytesView aad, const uint8_t* in, size_t n,
+                             uint8_t* out,
+                             std::conditional_t<kOpen, const uint8_t*,
+                                                uint8_t*> tag) {
+  alignas(16) uint8_t nonce_bytes[16] = {};
+  std::memcpy(nonce_bytes, nonce, kGcmNonceSize);
+  const __m128i nonce_block =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(nonce_bytes));
+  __m128i b[kLanes];
+  b[0] = _mm_setzero_si128();
+#pragma GCC unroll 8
+  for (size_t j = 1; j < kLanes; ++j) {
+    b[j] = CounterBlock(nonce_block, static_cast<uint32_t>(j));
+  }
+  TC_SECRET __m128i rk[11];
+  const bool more = n > kFirstStream * 16;
+  internal::AesEncryptScheduling(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data())), b,
+      more ? rk : nullptr);
+  const auto scrub = [&] {
+    if (more) {
+      SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(rk), sizeof(rk)));
     }
-    SecureZero(MutableBytesView(stream[0].data(), sizeof(stream)));
-  }
+  };
 
-  /// The tag over `aad` and the ciphertext ct[0, n).
-  TC_GCM_TARGET Block128 Tag(BytesView aad, const uint8_t* ct,
-                             size_t n) const {
-    // H, and H^2 .. H^4 when there are four blocks to aggregate.
-    __m128i h[4];
-    h[0] = LoadReflected(hash_key_.data());
-    h[1] = h[2] = h[3] = _mm_setzero_si128();
-    if (aad.size() >= 64 || n >= 64) {
-      for (int k = 1; k < 4; ++k) h[k] = GfMul(h[k - 1], h[0]);
+  if constexpr (kOpen) {
+    Block128 computed;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(computed.data()),
+                     GcmTag(b[0], b[1], aad, in, n));
+    if (!ConstantTimeEqual(BytesView(computed), BytesView(tag, kGcmTagSize))) {
+      scrub();
+      return false;
     }
-    __m128i x = GhashUpdate(_mm_setzero_si128(), h, aad.data(), aad.size());
-    x = GhashUpdate(x, h, ct, n);
-    // The length block: bit lengths of the AAD and the ciphertext, each a
-    // big-endian u64, which reflects to (aad bits : high, ct bits : low).
-    const __m128i lengths =
-        _mm_set_epi64x(static_cast<long long>(aad.size() * 8),
-                       static_cast<long long>(n * 8));
-    x = GfMul(_mm_xor_si128(x, lengths), h[0]);
-    SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(h), sizeof(h)));
-    const __m128i tag = _mm_xor_si128(
-        Reflect(x),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tag_mask_.data())));
-    Block128 out;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), tag);
-    return out;
   }
+  size_t done = 0;
+#pragma GCC unroll 6
+  for (size_t j = 0; j < kFirstStream && done < n; ++j) {
+    const size_t len = std::min<size_t>(16, n - done);
+    XorBlock(b[2 + j], in + done, out + done, len);
+    done += len;
+  }
+  for (uint32_t counter = kLanes; done < n; counter += kLanes) {
+    __m128i stream[kLanes];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      stream[j] = CounterBlock(nonce_block, counter + static_cast<uint32_t>(j));
+    }
+    internal::AesEncryptLanes(rk, stream);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes && done < n; ++j) {
+      const size_t len = std::min<size_t>(16, n - done);
+      XorBlock(stream[j], in + done, out + done, len);
+      done += len;
+    }
+  }
+  scrub();
+  if constexpr (!kOpen) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(tag),
+                     GcmTag(b[0], b[1], aad, out, n));
+  }
+  return true;
+}
 
- private:
-  AesNiBlock aes_;
-  std::array<uint8_t, kGcmNonceSize> nonce_{};
-  TC_SECRET Block128 hash_key_{};
-  TC_SECRET Block128 tag_mask_{};
-};
-
-#endif  // TC_GCM_NATIVE_COMPILED
+#endif  // TC_AESNI_COMPILED
 }  // namespace
 
 bool GcmIsNative() {
-#if defined(TC_GCM_NATIVE_COMPILED)
-  // CpuHasAesNi() covers the AES bit, TC_DISABLE_AESNI and a build whose
-  // AesNiBlock has no AES-NI code. Cached for the same reason as it: CPUID
-  // can be a VM exit.
+#if defined(TC_AESNI_COMPILED)
+  // CpuHasAesNi() covers the AES bit and TC_DISABLE_AESNI. Cached for the
+  // same reason as it: CPUID can be a VM exit.
   static const bool native = [] {
     if (!CpuHasAesNi()) return false;
     unsigned int eax, ebx, ecx, edx;
@@ -300,18 +333,15 @@ void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
   uint8_t* data = nonce + kGcmNonceSize;
   const size_t len = plaintext.size();
   uint8_t* tag = data + len;
-  if (len > 0) std::memcpy(data, plaintext.data(), len);
   NextNonce(nonce);
 
-#if defined(TC_GCM_NATIVE_COMPILED)
+#if defined(TC_AESNI_COMPILED)
   if (GcmIsNative()) {
-    const NativeGcm gcm(key, nonce);
-    gcm.Crypt(data, len);
-    const Block128 computed = gcm.Tag(aad, data, len);
-    std::memcpy(tag, computed.data(), kGcmTagSize);
+    NativeGcm<false>(key, nonce, aad, plaintext.data(), len, data, tag);
     return;
   }
 #endif
+  if (len > 0) std::memcpy(data, plaintext.data(), len);
 
   EVP_CIPHER_CTX* ctx = ThreadCtx();
   if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
@@ -347,16 +377,14 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
-#if defined(TC_GCM_NATIVE_COMPILED)
+#if defined(TC_AESNI_COMPILED)
   if (GcmIsNative()) {
     // Authenticate first: no plaintext is written unless the tag matches.
-    const NativeGcm gcm(key, nonce);
-    const Block128 computed = gcm.Tag(aad, ct, ct_len);
-    if (!ConstantTimeEqual(BytesView(computed), BytesView(tag, kGcmTagSize))) {
+    Bytes plaintext(ct_len);
+    if (!NativeGcm<true>(key, nonce, aad, ct, ct_len, plaintext.data(),
+                         tag)) {
       return DataLoss("GCM authentication failed (tampered or wrong key)");
     }
-    Bytes plaintext(ct, ct + ct_len);
-    gcm.Crypt(plaintext.data(), plaintext.size());
     return plaintext;
   }
 #endif
@@ -389,15 +417,16 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
 }
 
 Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next) {
-  // Component-wise difference of the two leaves (two uint64 lanes), hashed.
-  uint64_t a[2], b[2], d[2];
+  // The component-wise difference of the two leaves (two uint64 lanes),
+  // then MSB128(SHA-256(d)), which is one hash-chain step.
+  uint64_t a[2], b[2];
   std::memcpy(a, leaf_i.data(), 16);
   std::memcpy(b, leaf_next.data(), 16);
-  d[0] = a[0] - b[0];
-  d[1] = a[1] - b[1];
-  Sha256Digest h = Sha256(BytesView(reinterpret_cast<uint8_t*>(d), 16));
+  a[0] -= b[0];
+  a[1] -= b[1];
   Key128 key;
-  std::memcpy(key.data(), h.data(), 16);
+  std::memcpy(key.data(), a, 16);
+  Sha256ChainWalk(key, 1);
   return key;
 }
 

@@ -13,24 +13,26 @@ constexpr size_t kGcmNonceSize = 12;
 constexpr size_t kGcmTagSize = 16;
 
 /// Two implementations, one output. Where the CPU has AES-NI, PCLMULQDQ
-/// and SSSE3 (GcmIsNative()), a native one-shot path runs: AesNiBlock's key
-/// schedule gives H = E(0) and E(J0), the counter blocks go through its
-/// eight-lane EncryptBlocks, and GHASH is a PCLMULQDQ multiply and
-/// reduction over byte-reflected blocks. Round keys, H, E(J0) and keystream
-/// blocks are scrubbed before it returns. Elsewhere, or with
-/// TC_DISABLE_AESNI set, OpenSSL's EVP AES-128-GCM runs; nothing else
-/// selects it. Both give byte-identical ciphertexts and tags (OpenSSL's for
-/// the same key and nonce), so stored payloads, envelopes and sealed grants
-/// open on either.
+/// and SSSE3 (GcmIsNative()), a native one-shot kernel runs. One AES pass
+/// of eight blocks, with the key schedule run between its rounds in
+/// registers, gives H = E(0), E(J0) and the first six keystream blocks;
+/// longer payloads continue in passes of eight keystream blocks under a
+/// stack copy of the schedule, scrubbed before it returns. GHASH is a
+/// PCLMULQDQ multiply and reduction over byte-reflected blocks. Elsewhere,
+/// or with TC_DISABLE_AESNI set, OpenSSL's EVP AES-128-GCM runs; nothing
+/// else selects it. Both give byte-identical ciphertexts and tags
+/// (OpenSSL's for the same key and nonce), so stored payloads, envelopes
+/// and sealed grants open on either.
 
 /// True when this process seals and opens on the native path. Cached.
 bool GcmIsNative();
 
 /// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
 /// random nonce is drawn per call; with per-chunk keys nonce reuse across
-/// chunks is impossible by construction. Both paths seal in place: the
-/// plaintext is copied once into the output, between the nonce and tag
-/// room, and encrypted where it lies (EVP GCM accepts out == in).
+/// chunks is impossible by construction. The native path encrypts the
+/// plaintext straight into the output, between the nonce and the tag; the
+/// EVP path copies it there and encrypts it in place (EVP GCM accepts
+/// out == in).
 ///
 /// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
 /// one RandomBytes call refills, instead of one CSPRNG call per seal. A
@@ -57,7 +59,7 @@ Result<Bytes> GcmOpen(TC_SECRET const Key128& key, BytesView sealed,
 
 /// The chunk payload key of §4.3: H(k_i - k_{i+1}) where subtraction is the
 /// component-wise uint64 difference of the two 128-bit leaves (mod 2^64 per
-/// lane), hashed and truncated to 128 bits.
+/// lane), hashed and truncated to 128 bits: one Sha256ChainWalk step.
 Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next);
 
 }  // namespace tc::crypto

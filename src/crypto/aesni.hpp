@@ -1,21 +1,39 @@
-// Hardware-accelerated AES-128 block encryption via AES-NI compiler
-// intrinsics. This is the production PRG primitive (§6.2: "AES-NI is the
-// best candidate in terms of performance"). Falls back to the software
-// implementation when the CPU lacks AES-NI.
+// AES-128 on AES-NI, the production PRG primitive (§6.2: "AES-NI is the
+// best candidate in terms of performance"). The hot paths run fused
+// kernels that keep the key schedule in registers: the GGM step and HEAC's
+// field keys here, AES-GCM in aes_gcm.cpp (all built on aesni_rounds.hpp).
+// Callers dispatch on CpuHasAesNi() and run the software AES
+// (soft_aes.hpp) where it is false.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "crypto/soft_aes.hpp"
 
 namespace tc::crypto {
 
-/// True if this CPU supports the AES-NI instruction set.
+/// True if this CPU supports the AES-NI instruction set and TC_DISABLE_AESNI
+/// is unset.
 bool CpuHasAesNi();
 
-/// AES-128 with precomputed round keys, encrypt-only, AES-NI backed.
-/// The key schedule is computed once at construction; EncryptBlock is then
-/// ~10 aesenc instructions (a few ns).
+/// The GGM step of the AES PRG: left = AES_parent(0) and right =
+/// AES_parent(1), where block 1 is 1 in its first byte and zero elsewhere.
+/// The key schedule runs between the two blocks' rounds, in registers; only
+/// the children are written. Requires CpuHasAesNi().
+void AesNiExpand(TC_SECRET const Key128& parent, Key128& left, Key128& right);
+
+/// HEAC field keys: keys[f] = Fold64(AES_leaf(f)) for every f, where block
+/// f holds f as a little-endian uint64 and Fold64 XORs the block's two
+/// halves. The first eight blocks run with the key schedule; with more
+/// fields the schedule also goes to a stack array, scrubbed on return, for
+/// the later runs of eight. Requires CpuHasAesNi().
+void AesNiFieldKeys(TC_SECRET const Key128& leaf, std::span<uint64_t> keys);
+
+/// One-block AES-128 on AES-NI over a stored key schedule: the reference
+/// the tests check the kernels' rounds and schedule against (FIPS-197 and
+/// the software AES). The schedule is scrubbed on destruction. Requires
+/// CpuHasAesNi().
 class AesNiBlock {
  public:
   explicit AesNiBlock(TC_SECRET const Key128& key);
@@ -23,20 +41,9 @@ class AesNiBlock {
 
   Block128 EncryptBlock(const Block128& plaintext) const;
 
-  /// Encrypt two independent blocks (pipelines the AES rounds; used by the
-  /// PRG which always expands one node into two children).
-  void EncryptTwoBlocks(const Block128& in0, const Block128& in1,
-                        Block128& out0, Block128& out1) const;
-
-  /// Encrypt in.size() independent blocks into `out` (same size), eight
-  /// or four at a time so the AES rounds of several blocks overlap.
-  void EncryptBlocks(std::span<const Block128> in,
-                     std::span<Block128> out) const;
-
  private:
   // Round keys stored as raw bytes; reinterpreted as __m128i internally to
-  // keep SSE types out of this header. An expanded form of the key itself,
-  // scrubbed on destruction.
+  // keep SSE types out of this header.
   TC_SECRET alignas(16) std::array<uint8_t, 176> round_keys_{};
 };
 

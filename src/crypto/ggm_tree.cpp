@@ -1,5 +1,6 @@
 #include "crypto/ggm_tree.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace tc::crypto {
@@ -107,33 +108,23 @@ SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
                                                uint32_t tree_height,
                                                uint64_t start_leaf,
                                                PrgKind prg_kind)
-    : prg_(MakePrg(prg_kind)), root_depth_(root_depth), height_(tree_height) {
-  uint32_t sub_height = tree_height - root_depth;
-  uint64_t first = root_index << sub_height;
-  end_ = first + (uint64_t{1} << sub_height);
+    : prg_(MakePrg(prg_kind)), height_(tree_height - root_depth) {
+  assert(root_depth <= tree_height && height_ <= kMaxHeight);
+  const uint64_t first = root_index << height_;
+  end_ = first + (uint64_t{1} << height_);
   assert(start_leaf >= first && start_leaf < end_);
-  path_.reserve(sub_height + 1);
-  path_.push_back({root_key, root_index});
   current_ = start_leaf;
-  DescendTo(start_leaf);
-}
-
-void SequentialLeafIterator::DescendTo(uint64_t leaf_index) {
-  while (path_.size() < static_cast<size_t>(height_ - root_depth_) + 1) {
-    PathEntry& parent = path_.back();
-    uint32_t depth = root_depth_ + static_cast<uint32_t>(path_.size()) - 1;
-    bool right = (leaf_index >> (height_ - depth - 1)) & 1;
-    Key128 left_child, right_child;
-    prg_->Expand(parent.key, left_child, right_child);
-    uint64_t child_index = (parent.index << 1) | (right ? 1 : 0);
-    if (right) {
-      path_.push_back({right_child, child_index});
+  // Walk down from the root: bit (height_ - 1 - d) of the leaf picks the
+  // child at depth d. A left turn keeps the right child for Next().
+  nodes_[0] = root_key;
+  for (uint32_t d = 0; d < height_; ++d) {
+    if ((start_leaf >> (height_ - 1 - d)) & 1) {
+      Key128 left;
+      prg_->Expand(nodes_[d], left, nodes_[d + 1]);
+      SecureZero(left);
     } else {
-      parent.right = right_child;
-      path_.push_back({left_child, child_index});
+      prg_->Expand(nodes_[d], nodes_[d + 1], rights_[d]);
     }
-    SecureZero(left_child);
-    SecureZero(right_child);
   }
 }
 
@@ -142,22 +133,19 @@ bool SequentialLeafIterator::Next() {
     current_ = end_;
     return false;
   }
+  // The deepest ancestor shared with the next leaf sits as many levels
+  // above the leaf as the current leaf has trailing one-bits, plus one
+  // (leaf 0b0111 -> 0b1000 changes the bottom 4 path steps). The path went
+  // left from it and now goes right, into the sibling it kept; below that
+  // it goes left all the way down.
+  const uint32_t shared =
+      height_ - 1 - static_cast<uint32_t>(std::countr_one(current_));
   ++current_;
-  // Pop up to the deepest ancestor shared with the new leaf: the number of
-  // trailing one-bits of the previous leaf, plus one (leaf 0b0111 -> 0b1000
-  // changes the bottom 4 path steps). The path went left from that
-  // ancestor and now goes right, into the sibling it kept.
-  uint64_t prev = current_ - 1;
-  size_t pops = 1;
-  while ((prev & 1) == 1) {
-    prev >>= 1;
-    ++pops;
+  nodes_[shared + 1] = rights_[shared];
+  SecureZero(rights_[shared]);
+  for (uint32_t d = shared + 1; d < height_; ++d) {
+    prg_->Expand(nodes_[d], nodes_[d + 1], rights_[d]);
   }
-  path_.resize(path_.size() - pops);
-  PathEntry& ancestor = path_.back();
-  path_.push_back({ancestor.right, (ancestor.index << 1) | 1});
-  SecureZero(path_[path_.size() - 2].right);
-  DescendTo(current_);
   return true;
 }
 

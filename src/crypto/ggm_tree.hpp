@@ -6,6 +6,7 @@
 // mechanism behind TimeCrypt's cryptographic time-range access control.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -97,25 +98,37 @@ class TokenSet {
   std::unique_ptr<Prg> prg_;
 };
 
-/// Amortized-O(1) sequential leaf derivation: keeps the root->leaf path as a
-/// stack and reuses the shared prefix between consecutive leaves. This is
-/// the ingest fast path — encrypting chunk i needs leaves i and i+1, and
-/// chunks arrive in order, so deriving each from the root (log n PRG calls)
-/// would waste a factor of ~height. Where the path turns left it keeps the
-/// right sibling the same expansion produced, so every interior node is
-/// expanded once: about one PRG call per leaf.
+/// Amortized-O(1) sequential leaf derivation: keeps the root->leaf path and
+/// reuses the shared prefix between consecutive leaves. This is the ingest
+/// fast path — encrypting chunk i needs leaves i and i+1, and chunks arrive
+/// in order, so deriving each from the root (log n PRG calls) would waste a
+/// factor of ~height. Where the path turns left it keeps the right sibling
+/// the same expansion produced, so every interior node is expanded once:
+/// about one PRG call per leaf. The path lives in fixed per-depth slots
+/// that each step overwrites in place; the destructor scrubs them.
 class SequentialLeafIterator {
  public:
   /// Iterates leaves [start, 2^height) of the tree rooted at root_key, where
   /// root_depth/root_index identify that root in the global tree (use
-  /// depth 0/index 0 with the master seed for the whole keystream).
+  /// depth 0/index 0 with the master seed for the whole keystream). The
+  /// subtree height, tree_height - root_depth, is at most kMaxHeight.
   SequentialLeafIterator(Key128 root_key, uint32_t root_depth,
                          uint64_t root_index, uint32_t tree_height,
                          uint64_t start_leaf,
                          PrgKind prg_kind = PrgKind::kAesNi);
+  ~SequentialLeafIterator() {
+    SecureZero(MutableBytesView(nodes_[0].data(),
+                                (height_ + 1) * sizeof(Key128)));
+    SecureZero(MutableBytesView(rights_[0].data(), height_ * sizeof(Key128)));
+  }
+  SequentialLeafIterator(const SequentialLeafIterator&) = delete;
+  SequentialLeafIterator& operator=(const SequentialLeafIterator&) = delete;
+
+  /// GgmTree's bound: the leaf indices fit a uint64 with the end index.
+  static constexpr uint32_t kMaxHeight = 63;
 
   /// Key of the current leaf.
-  const Key128& Current() const { return path_.back().key; }
+  const Key128& Current() const { return nodes_[height_]; }
   uint64_t CurrentIndex() const { return current_; }
   bool AtEnd() const { return current_ >= end_; }
 
@@ -123,36 +136,17 @@ class SequentialLeafIterator {
   bool Next();
 
  private:
-  struct PathEntry {
-    PathEntry() = default;
-    PathEntry(const Key128& key, uint64_t index) : key(key), index(index) {}
-    PathEntry(const PathEntry&) = default;
-    PathEntry& operator=(const PathEntry&) = default;
-    PathEntry(PathEntry&&) noexcept = default;
-    PathEntry& operator=(PathEntry&&) noexcept = default;
-    // Popped path suffixes (Next() shrinks the stack every step) scrub
-    // themselves — the re-derivable inner-node keys never linger.
-    ~PathEntry() {
-      SecureZero(key);
-      SecureZero(right);
-    }
-
-    TC_SECRET Key128 key{};
-    // This node's right child while the path goes through its left child
-    // (Next() steps into it next); zero otherwise.
-    TC_SECRET Key128 right{};
-    uint64_t index = 0;  // node index at this depth (global)
-  };
-
-  /// Extend the path from its tail down to `leaf_index`.
-  void DescendTo(uint64_t leaf_index);
-
   std::unique_ptr<Prg> prg_;
-  std::vector<PathEntry> path_;  // path_[0] = subtree root ... back() = leaf
-  uint32_t root_depth_;
-  uint32_t height_;  // global tree height
+  uint32_t height_;  // subtree height: nodes_[height_] is the leaf
   uint64_t current_ = 0;
   uint64_t end_ = 0;
+  // nodes_[d] is the path's node d levels below the subtree root. Only
+  // slots 0..height_ are used, so the destructor scrubs only those.
+  TC_SECRET std::array<Key128, kMaxHeight + 1> nodes_{};
+  // rights_[d] is nodes_[d]'s right child while the path goes through its
+  // left child (Next() steps into it next). Next() zeroes the one it steps
+  // into; where the path goes right the slot is not read.
+  TC_SECRET std::array<Key128, kMaxHeight> rights_{};
 };
 
 }  // namespace tc::crypto

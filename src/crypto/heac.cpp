@@ -8,31 +8,6 @@
 
 namespace tc::crypto {
 
-namespace {
-
-/// keys[f] = fold64(E(f)) for every field f, eight counter blocks per
-/// EncryptBlocks call from stack buffers.
-template <typename Cipher>
-void DeriveFieldKeys(const Cipher& cipher, std::span<uint64_t> keys) {
-  constexpr size_t kBatch = 8;
-  std::array<Block128, kBatch> counters{};
-  TC_SECRET std::array<Block128, kBatch> blocks{};
-  for (size_t base = 0; base < keys.size(); base += kBatch) {
-    const size_t n = std::min(kBatch, keys.size() - base);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t f = base + i;
-      std::memcpy(counters[i].data(), &f, sizeof(f));
-    }
-    cipher.EncryptBlocks(std::span(counters).first(n),
-                         std::span(blocks).first(n));
-    for (size_t i = 0; i < n; ++i) keys[base + i] = Fold64(blocks[i]);
-  }
-  SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(blocks.data()),
-                              sizeof(blocks)));
-}
-
-}  // namespace
-
 FieldKeys::FieldKeys(const Key128& leaf, size_t num_fields)
     : keys_(num_fields) {
   Derive(leaf);
@@ -41,10 +16,19 @@ FieldKeys::FieldKeys(const Key128& leaf, size_t num_fields)
 void FieldKeys::Derive(const Key128& leaf) {
   // The same dispatch as MakePrg: AES-NI only where the CPU has it.
   if (CpuHasAesNi()) {
-    DeriveFieldKeys(AesNiBlock(leaf), keys_);
-  } else {
-    DeriveFieldKeys(SoftAes128(leaf), keys_);
+    AesNiFieldKeys(leaf, keys_);
+    return;
   }
+  const SoftAes128 cipher(leaf);
+  TC_SECRET Block128 block{};
+  for (size_t f = 0; f < keys_.size(); ++f) {
+    Block128 counter{};
+    const uint64_t field = f;
+    std::memcpy(counter.data(), &field, sizeof(field));
+    block = cipher.EncryptBlock(counter);
+    keys_[f] = Fold64(block);
+  }
+  SecureZero(block);
 }
 
 Result<HeacCiphertext> HeacAdd(const HeacCiphertext& a,

@@ -26,8 +26,7 @@ class AesNiPrg final : public Prg {
  public:
   void Expand(const Key128& parent, Key128& left,
               Key128& right) const override {
-    AesNiBlock cipher(parent);
-    cipher.EncryptTwoBlocks(kZeroBlock, kOneBlock, left, right);
+    AesNiExpand(parent, left, right);
   }
 };
 

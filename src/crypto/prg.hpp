@@ -24,9 +24,10 @@ std::string_view PrgKindName(PrgKind kind);
 
 /// A length-doubling PRG. Implementations must be stateless and
 /// thread-compatible: Expand may be called concurrently from any thread.
-/// Implementations key a block cipher with `parent` per call; the cipher
-/// types scrub their expanded key schedules on destruction, so no copy of
-/// the parent key outlives the call.
+/// Implementations key a block cipher with `parent` per call. The AES-NI
+/// step keeps its key schedule in registers and the software AES scrubs
+/// its stored one on destruction, so no copy of the parent key outlives
+/// the call.
 class Prg {
  public:
   virtual ~Prg() = default;

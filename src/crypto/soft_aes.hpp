@@ -1,12 +1,11 @@
 // Portable software AES-128 (encrypt-only), implemented from the FIPS-197
-// specification. Exists so the Fig 6 benchmark can compare a software AES
-// PRG against the AES-NI PRG on identical workloads; production code paths
-// use AesNiBlock (aesni.hpp).
+// specification. It is the fallback where the CPU lacks AES-NI (or
+// TC_DISABLE_AESNI is set), and the Fig 6 benchmark's software AES PRG;
+// elsewhere production code paths run the AES-NI kernels (aesni.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
@@ -25,13 +24,6 @@ class SoftAes128 {
 
   /// Encrypt one 16-byte block (ECB single block).
   Block128 EncryptBlock(const Block128& plaintext) const;
-
-  /// Encrypt in.size() blocks into `out` (same size), one at a time; the
-  /// same interface as AesNiBlock::EncryptBlocks.
-  void EncryptBlocks(std::span<const Block128> in,
-                     std::span<Block128> out) const {
-    for (size_t i = 0; i < in.size(); ++i) out[i] = EncryptBlock(in[i]);
-  }
 
  private:
   void ExpandKey(const Key128& key);

@@ -1,15 +1,17 @@
 // PRG/AES correctness: software AES against the FIPS-197 test vector, the
-// AES-NI implementation (one, two and many blocks) against the software one,
+// AES-NI block cipher and kernels (the GGM step and HEAC's field keys)
+// against the software one,
 // SHA-256 and its hash-chain kernels against OpenSSL, and PRG properties.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 
 #include <cstdlib>
-#include <optional>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "crypto/aesni.hpp"
+#include "crypto/heac.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rand.hpp"
 #include "crypto/sha256.hpp"
@@ -47,9 +49,16 @@ TEST(AesNi, Fips197Vector) {
   EXPECT_EQ(ToHex(aes.EncryptBlock(pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
+/// AES_key(f) folded to 64 bits on the software AES: HEAC's field key f.
+uint64_t SoftFieldKey(const SoftAes128& soft, uint64_t f) {
+  Block128 counter{};
+  std::memcpy(counter.data(), &f, sizeof(f));
+  return Fold64(soft.EncryptBlock(counter));
+}
+
 // The key schedule against the software one on 1,000 seeded keys and the
-// two extreme keys, through all three encrypt entry points: a wrong round
-// key shows in every block.
+// two extreme keys, through the one-block cipher and both kernels: a wrong
+// round key shows in every block.
 TEST(AesNi, MatchesSoftwareAes) {
   if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
   DeterministicRng rng(197);
@@ -59,59 +68,41 @@ TEST(AesNi, MatchesSoftwareAes) {
   Key128 ones;
   ones.fill(0xff);
   keys.push_back(ones);
-  std::vector<Block128> in(9), from_hard(9);
+  constexpr Block128 kZero{};
+  constexpr Block128 kOne{1};
+  std::vector<uint64_t> field_keys(19);
   for (const Key128& key : keys) {
     SCOPED_TRACE(::testing::Message() << "key " << ToHex(key));
-    for (auto& b : in) rng.Fill(b);
+    Block128 in;
+    rng.Fill(in);
     SoftAes128 soft(key);
-    AesNiBlock hard(key);
-    std::vector<Block128> expected(in.size());
-    for (size_t i = 0; i < in.size(); ++i) {
-      expected[i] = soft.EncryptBlock(in[i]);
+    EXPECT_EQ(AesNiBlock(key).EncryptBlock(in), soft.EncryptBlock(in));
+    Key128 left, right;
+    AesNiExpand(key, left, right);
+    EXPECT_EQ(left, soft.EncryptBlock(kZero));
+    EXPECT_EQ(right, soft.EncryptBlock(kOne));
+    AesNiFieldKeys(key, field_keys);
+    for (uint64_t f = 0; f < field_keys.size(); ++f) {
+      EXPECT_EQ(field_keys[f], SoftFieldKey(soft, f)) << "field " << f;
     }
-    EXPECT_EQ(hard.EncryptBlock(in[0]), expected[0]);
-    Block128 out0, out1;
-    hard.EncryptTwoBlocks(in[1], in[2], out0, out1);
-    EXPECT_EQ(out0, expected[1]);
-    EXPECT_EQ(out1, expected[2]);
-    hard.EncryptBlocks(in, from_hard);
-    EXPECT_EQ(from_hard, expected);
   }
 }
 
-TEST(AesNi, TwoBlockPathMatchesSingle) {
+// Field counts 0..25: an empty call, one run of eight with and without
+// unused lanes, and later runs (whose schedule comes from the stack copy)
+// full and partial.
+TEST(AesNi, FieldKeysMatchSoftwareAtEveryCount) {
   if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
-  Key128 key = RandomKey128();
-  AesNiBlock aes(key);
-  Block128 a = RandomKey128(), b = RandomKey128();
-  Block128 out0, out1;
-  aes.EncryptTwoBlocks(a, b, out0, out1);
-  EXPECT_EQ(out0, aes.EncryptBlock(a));
-  EXPECT_EQ(out1, aes.EncryptBlock(b));
-}
-
-// n = 0..13 covers an empty call, the single-block remainder, the four-block
-// run, the eight-block run with and without a remainder, and an eight-block
-// run followed by a four-block one.
-TEST(AesBlocks, MultiBlockPathMatchesSingle) {
   const Key128 key = RandomKey128();
   SoftAes128 soft(key);
-  std::optional<AesNiBlock> hard;  // only where AES-NI may run
-  if (CpuHasAesNi()) hard.emplace(key);
-  std::vector<Block128> in(13);
-  for (auto& b : in) b = RandomKey128();
-  for (size_t n = 0; n <= in.size(); ++n) {
-    std::span<const Block128> blocks(in.data(), n);
-    std::vector<Block128> from_soft(n), from_hard(n);
-    soft.EncryptBlocks(blocks, from_soft);
-    if (hard) hard->EncryptBlocks(blocks, from_hard);
-    for (size_t i = 0; i < n; ++i) {
-      const Block128 expected = soft.EncryptBlock(in[i]);
-      EXPECT_EQ(from_soft[i], expected) << "n " << n << " block " << i;
-      if (hard) {
-        EXPECT_EQ(from_hard[i], expected) << "n " << n << " block " << i;
-      }
+  for (size_t n = 0; n <= 25; ++n) {
+    // One guard word past the end must stay untouched.
+    std::vector<uint64_t> keys(n + 1, 0x5eed);
+    AesNiFieldKeys(key, std::span(keys).first(n));
+    for (size_t f = 0; f < n; ++f) {
+      EXPECT_EQ(keys[f], SoftFieldKey(soft, f)) << "n " << n << " field " << f;
     }
+    EXPECT_EQ(keys[n], 0x5eedu) << "n " << n;
   }
 }
 

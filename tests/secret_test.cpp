@@ -1,7 +1,8 @@
 // Secret-hygiene primitives: ZeroizingAllocator scrubs freed blocks,
 // SecretBuffer scrubs on destruction/adoption/clear and redacts itself when
 // streamed, and the TC_SECRET-annotated crypto types really do zeroize
-// their key material in their destructors.
+// their key material in their destructors (the GGM iterator's path and
+// kept siblings included).
 //
 // Freed-memory inspection is done legally: the allocator tests run over an
 // arena Upstream whose storage outlives deallocate(), and the destructor
@@ -236,6 +237,45 @@ TEST(SecretZeroizeTest, SoftAesDestructorScrubsRoundKeys) {
   cipher->~SoftAes128();
   EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0x6E, key.size()))
       << "SoftAes128::~SoftAes128 left the round-key schedule behind";
+}
+
+/// True if the 16 bytes of `key` appear anywhere in data[0, size).
+bool HasKey(const unsigned char* data, size_t size, const crypto::Key128& key) {
+  return std::search(data, data + size, key.begin(), key.end()) != data + size;
+}
+
+TEST(SecretZeroizeTest, SequentialLeafIteratorScrubsPathAndKeptSiblings) {
+  // A height-8 walk from leaf 0 turns left at every depth and keeps each
+  // right sibling; one step to leaf 1 moves the last sibling onto the path.
+  // The destructor must scrub the path slots and the siblings still kept.
+  using crypto::SequentialLeafIterator;
+  crypto::Key128 root;
+  root.fill(0xA5);
+  constexpr uint32_t kHeight = 8;
+  const crypto::GgmTree tree(root, kHeight);
+  std::vector<crypto::Key128> path, siblings;
+  for (uint32_t d = 0; d < kHeight; ++d) path.push_back(*tree.DeriveNode(d, 0));
+  path.push_back(*tree.DeriveNode(kHeight, 1));  // the leaf after Next()
+  for (uint32_t d = 1; d < kHeight; ++d) {
+    siblings.push_back(*tree.DeriveNode(d, 1));
+  }
+
+  alignas(SequentialLeafIterator) unsigned char
+      raw[sizeof(SequentialLeafIterator)] = {};
+  auto* it = new (raw) SequentialLeafIterator(root, 0, 0, kHeight, 0);
+  ASSERT_TRUE(it->Next());
+  for (const auto& key : path) ASSERT_TRUE(HasKey(raw, sizeof(raw), key));
+  for (const auto& key : siblings) ASSERT_TRUE(HasKey(raw, sizeof(raw), key));
+  it->~SequentialLeafIterator();
+  for (size_t d = 0; d < path.size(); ++d) {
+    EXPECT_FALSE(HasKey(raw, sizeof(raw), path[d]))
+        << "~SequentialLeafIterator left the path node at depth " << d;
+  }
+  for (size_t d = 0; d < siblings.size(); ++d) {
+    EXPECT_FALSE(HasKey(raw, sizeof(raw), siblings[d]))
+        << "~SequentialLeafIterator left the kept right sibling at depth "
+        << d + 1;
+  }
 }
 
 // ---------------------------------------------------------------------------
