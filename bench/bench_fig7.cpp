@@ -100,7 +100,12 @@ void BM_E2eStatQuery(benchmark::State& state, net::CipherKind cipher,
     auto r = stack.owner->GetStatRange(
         uuid, {static_cast<Timestamp>(a) * kDelta,
                static_cast<Timestamp>(b) * kDelta});
-    if (!r.ok()) std::abort();
+    // The prefill's closed form: chunks [a, b) hold ten points each, with
+    // values 600..609 (sum 6045).
+    if (!r.ok() || r->stats.Count().value_or(0) != 10 * (b - a) ||
+        r->stats.Sum().value_or(0) != static_cast<int64_t>(6045 * (b - a))) {
+      std::abort();
+    }
     benchmark::DoNotOptimize(r->stats.fields().data());
     ++ops;
   }

@@ -17,9 +17,13 @@ Result<int> ConsumerClient::FetchGrants() {
   TC_ASSIGN_OR_RETURN(auto resp, net::FetchGrantsResponse::Decode(payload));
 
   grants_.clear();
+  token_sets_.clear();
   for (const auto& entry : resp.grants) {
     auto grant = AccessGrant::Open(principal_.keys, entry.sealed_grant);
     if (!grant.ok()) continue;  // not for us / corrupt — skip
+    if (auto tokens = grant->MakeTokenSet(); tokens.ok()) {
+      token_sets_.emplace(grant->stream_uuid, std::move(*tokens));
+    }
     grants_.push_back(std::move(*grant));
   }
   return static_cast<int>(grants_.size());
@@ -49,12 +53,9 @@ Result<const AccessGrant*> ConsumerClient::GrantFor(uint64_t uuid,
 Result<crypto::Key128> ConsumerClient::BoundaryLeaf(uint64_t uuid,
                                                     uint64_t chunk) {
   // Try full-resolution grants first (cheapest: pure local derivation).
-  for (const auto& g : grants_) {
-    if (g.stream_uuid != uuid || g.kind != GrantKind::kFullResolution) {
-      continue;
-    }
-    TC_ASSIGN_OR_RETURN(auto tokens, g.MakeTokenSet());
-    if (tokens.Covers(chunk)) return tokens.DeriveLeaf(chunk);
+  auto [first, end] = token_sets_.equal_range(uuid);
+  for (auto it = first; it != end; ++it) {
+    if (it->second.Covers(chunk)) return it->second.DeriveLeaf(chunk);
   }
   // Resolution grants: chunk must be a window boundary; recover the outer
   // leaf from the server-stored envelope.

@@ -73,6 +73,8 @@ class ConsumerClient {
   std::shared_ptr<net::Transport> transport_;
   Principal principal_;
   std::vector<AccessGrant> grants_;
+  // Full-resolution grants' token sets by stream; each holds a leaf path.
+  std::multimap<uint64_t, crypto::TokenSet> token_sets_;
   std::map<uint64_t, net::StreamConfig> config_cache_;
 };
 

@@ -43,6 +43,10 @@ Result<AccessGrant> AccessGrant::Decode(BytesView in) {
     crypto::AccessToken t;
     TC_ASSIGN_OR_RETURN(t.depth, r.GetU32());
     TC_ASSIGN_OR_RETURN(t.index, r.GetU64());
+    // A token must name a node of the tree: token sets walk from it.
+    if (g.tree_height > 63 || t.depth > g.tree_height || t.index >> t.depth) {
+      return DataLoss("token outside the key tree");
+    }
     TC_ASSIGN_OR_RETURN(BytesView key, r.GetRaw(t.node_key.size()));
     std::copy(key.begin(), key.end(), t.node_key.begin());
     g.tokens.push_back(t);

@@ -5,7 +5,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "common/secret.hpp"
 #include "crypto/aes_gcm.hpp"
@@ -26,9 +25,7 @@ class StreamKeys {
   StreamKeys(crypto::Key128 master_seed, StreamKeysConfig config = {});
   ~StreamKeys() {
     SecureZero(master_);
-    SecureZero(ggm_root_);
-    SecureZero(cached_leaf_);
-    // tree_, iter_ and resolutions_ scrub themselves: GgmTree, the
+    // tree_, path_ and resolutions_ scrub themselves: GgmTree, the
     // iterator's path slots and HashChain all zeroize on destruction.
   }
 
@@ -36,8 +33,8 @@ class StreamKeys {
   std::shared_ptr<const crypto::GgmTree> shared_tree() const { return tree_; }
   uint32_t tree_height() const { return config_.tree_height; }
 
-  /// Leaf for chunk i. Sequential calls (i, i+1, ...) are amortized O(1)
-  /// via an internal iterator; random access costs log(n) PRG calls.
+  /// Leaf for chunk i < 2^tree_height. One held path seeks from leaf to
+  /// leaf, so sequential calls (i, i+1, ...) cost about one PRG call each.
   crypto::Key128 Leaf(uint64_t i);
 
   /// Per-chunk payload key H(k_i - k_{i+1}) (§4.3).
@@ -57,18 +54,13 @@ class StreamKeys {
   static Result<crypto::Key128> OpenEnvelope(const crypto::Key128& res_key,
                                              BytesView envelope);
 
-  const StreamKeysConfig& config() const { return config_; }
   const crypto::Key128& master_seed() const { return master_; }
 
  private:
   TC_SECRET crypto::Key128 master_;
   StreamKeysConfig config_;
-  // Cached subseed: Leaf() re-anchors often.
-  TC_SECRET crypto::Key128 ggm_root_;
   std::shared_ptr<crypto::GgmTree> tree_;
-  std::optional<crypto::SequentialLeafIterator> iter_;
-  TC_SECRET crypto::Key128 cached_leaf_{};
-  uint64_t cached_index_ = ~uint64_t{0};
+  crypto::SequentialLeafIterator path_;
   std::map<uint64_t, std::unique_ptr<crypto::DualKeyRegression>> resolutions_;
 };
 

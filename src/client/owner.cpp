@@ -189,6 +189,10 @@ Status OwnerClient::SealInto(StreamState& s) {
         "owner ingest supports HEAC and plaintext streams; strawman "
         "ciphers are exercised by the benchmarks directly");
   }
+  // Leaves i and i+1 key the chunk: past the last leaf there are no keys.
+  if (chunk_index + 1 >= s.keys->tree().num_leaves()) {
+    return OutOfRange("keystream exhausted");
+  }
   // Payload points, compressed into the builder's buffer. Empty chunks (gap
   // filler) upload digests only.
   BytesView compressed;
@@ -197,8 +201,8 @@ Status OwnerClient::SealInto(StreamState& s) {
   }
 
   // Leaves i and i+1 key both the HEAC digest (§4.2.2) and the payload
-  // (§4.3). Sequential chunks take them from the key iterator in amortized
-  // O(1) PRG calls; deriving them from the GGM root costs the tree height.
+  // (§4.3). Sequential chunks seek the key path one leaf on, about one PRG
+  // call each; deriving them from the GGM root costs the tree height.
   const crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
   const crypto::Key128 leaf_n = s.keys->Leaf(chunk_index + 1);
 
@@ -397,7 +401,8 @@ Status OwnerClient::Flush(uint64_t uuid) {
 StreamReader OwnerClient::ReaderFor(uint64_t uuid, StreamState& s) {
   return {*transport_, uuid, s.config,
           [&s](uint64_t chunk) -> Result<crypto::Key128> {
-            return s.keys->Leaf(s.LeafIndexOf(chunk));
+            TC_ASSIGN_OR_RETURN(uint64_t leaf, s.LeafIndexOf(chunk));
+            return s.keys->Leaf(leaf);
           }};
 }
 
@@ -440,7 +445,8 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
   derived.keys =
       std::make_unique<StreamKeys>(s->keys->master_seed(), options_.keys);
   derived.leaf_scale = s->leaf_scale * granularity_chunks;
-  derived.leaf_offset = s->LeafIndexOf(aligned.first_chunk);
+  TC_ASSIGN_OR_RETURN(derived.leaf_offset,
+                      s->LeafIndexOf(aligned.first_chunk));
   derived.next_chunk =
       (aligned.last_chunk - aligned.first_chunk) / granularity_chunks;
   streams_.emplace(target_uuid, std::move(derived));

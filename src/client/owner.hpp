@@ -191,8 +191,15 @@ class OwnerClient {
     // (the batch is not atomic), so the retry must re-sync first.
     bool pending_retry = false;
 
-    uint64_t LeafIndexOf(uint64_t chunk) const {
-      return leaf_offset + chunk * leaf_scale;
+    /// The leaf at chunk boundary `chunk`; OutOfRange past the keystream.
+    Result<uint64_t> LeafIndexOf(uint64_t chunk) const {
+      uint64_t leaf;
+      if (__builtin_mul_overflow(chunk, leaf_scale, &leaf) ||
+          __builtin_add_overflow(leaf, leaf_offset, &leaf) ||
+          leaf >= keys->tree().num_leaves()) {
+        return OutOfRange("chunk is past the stream's keystream");
+      }
+      return leaf;
     }
   };
 

@@ -33,15 +33,7 @@ Result<std::vector<uint64_t>> DecryptStatBlob(
   }
   std::vector<uint64_t> m(fields);
   std::memcpy(m.data(), blob.data(), blob.size());
-  // m[f] = c[f] - sum_s k_first^{s,f} + sum_s k_last^{s,f}: outer-key pairs
-  // accumulate across streams for inter-stream aggregates (§4.3).
-  for (const auto& [leaf_first, leaf_last] : leaf_pairs) {
-    crypto::FieldKeys kf(leaf_first, fields);
-    crypto::FieldKeys kl(leaf_last, fields);
-    for (size_t f = 0; f < fields; ++f) {
-      m[f] = m[f] - kf.key(f) + kl.key(f);
-    }
-  }
+  for (const auto& [first, last] : leaf_pairs) crypto::HeacOpen(m, first, last);
   return m;
 }
 

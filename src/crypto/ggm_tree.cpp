@@ -61,9 +61,7 @@ Result<std::vector<AccessToken>> GgmTree::CoverRange(uint64_t first,
 
 TokenSet::TokenSet(std::vector<AccessToken> tokens, uint32_t tree_height,
                    PrgKind prg_kind)
-    : tokens_(std::move(tokens)),
-      height_(tree_height),
-      prg_(MakePrg(prg_kind)) {}
+    : tokens_(std::move(tokens)), height_(tree_height), prg_kind_(prg_kind) {}
 
 uint64_t TokenSet::FirstLeaf(const AccessToken& t, uint32_t tree_height) {
   return t.index << (tree_height - t.depth);
@@ -74,32 +72,33 @@ uint64_t TokenSet::LastLeaf(const AccessToken& t, uint32_t tree_height) {
   return (t.index << up) + ((uint64_t{1} << up) - 1);
 }
 
-bool TokenSet::Covers(uint64_t leaf_index) const {
-  for (const auto& t : tokens_) {
-    if (leaf_index >= FirstLeaf(t, height_) &&
-        leaf_index <= LastLeaf(t, height_)) {
-      return true;
-    }
+size_t TokenSet::Find(uint64_t leaf_index) const {
+  size_t t = 0;
+  while (t < tokens_.size() && (leaf_index < FirstLeaf(tokens_[t], height_) ||
+                                leaf_index > LastLeaf(tokens_[t], height_))) {
+    ++t;
   }
-  return false;
+  return t;
 }
 
-Result<Key128> TokenSet::DeriveLeaf(uint64_t leaf_index) const {
-  for (const auto& t : tokens_) {
-    uint64_t first = FirstLeaf(t, height_);
-    uint64_t last = LastLeaf(t, height_);
-    if (leaf_index < first || leaf_index > last) continue;
-    // Walk down from the token: the low (height - depth) bits of leaf_index
-    // select the path within the subtree.
-    uint32_t sub_height = height_ - t.depth;
-    Key128 node = t.node_key;
-    for (uint32_t i = 0; i < sub_height; ++i) {
-      bool right = (leaf_index >> (sub_height - 1 - i)) & 1;
-      node = prg_->ExpandOne(node, right);
-    }
-    return node;
+bool TokenSet::Covers(uint64_t leaf_index) const {
+  return Find(leaf_index) < tokens_.size();
+}
+
+Result<Key128> TokenSet::DeriveLeaf(uint64_t leaf_index) {
+  const size_t t = Find(leaf_index);
+  if (t == tokens_.size()) {
+    return PermissionDenied("no access token covers requested key");
   }
-  return PermissionDenied("no access token covers requested key");
+  if (path_ && path_token_ == t) {
+    path_->Seek(leaf_index);
+  } else {
+    const AccessToken& token = tokens_[t];
+    path_.emplace(token.node_key, token.depth, token.index, height_,
+                  leaf_index, prg_kind_);
+    path_token_ = t;
+  }
+  return path_->Current();
 }
 
 SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
@@ -114,11 +113,15 @@ SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
   end_ = first + (uint64_t{1} << height_);
   assert(start_leaf >= first && start_leaf < end_);
   current_ = start_leaf;
-  // Walk down from the root: bit (height_ - 1 - d) of the leaf picks the
-  // child at depth d. A left turn keeps the right child for Next().
   nodes_[0] = root_key;
-  for (uint32_t d = 0; d < height_; ++d) {
-    if ((start_leaf >> (height_ - 1 - d)) & 1) {
+  Descend(0, start_leaf);
+}
+
+void SequentialLeafIterator::Descend(uint32_t from, uint64_t leaf) {
+  // Bit (height_ - 1 - d) of the leaf picks the child at depth d. A left
+  // turn keeps the right child for a later step right.
+  for (uint32_t d = from; d < height_; ++d) {
+    if ((leaf >> (height_ - 1 - d)) & 1) {
       Key128 left;
       prg_->Expand(nodes_[d], left, nodes_[d + 1]);
       SecureZero(left);
@@ -128,24 +131,33 @@ SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
   }
 }
 
+void SequentialLeafIterator::Seek(uint64_t leaf) {
+  assert(leaf < end_ && leaf >= end_ - (uint64_t{1} << height_));
+  // Past the end, the path still holds the last leaf.
+  const uint64_t held = AtEnd() ? end_ - 1 : current_;
+  current_ = leaf;
+  const uint64_t diff = leaf ^ held;
+  if (diff == 0) return;
+  // The paths part below the highest bit in which the leaves differ. Where
+  // the new leaf turns right there, the held one turned left and kept the
+  // sibling; where it turns left, re-expand.
+  const uint32_t shared =
+      height_ - static_cast<uint32_t>(std::bit_width(diff));
+  if ((leaf >> (height_ - 1 - shared)) & 1) {
+    nodes_[shared + 1] = rights_[shared];
+    SecureZero(rights_[shared]);
+    Descend(shared + 1, leaf);
+  } else {
+    Descend(shared, leaf);
+  }
+}
+
 bool SequentialLeafIterator::Next() {
   if (current_ + 1 >= end_) {
     current_ = end_;
     return false;
   }
-  // The deepest ancestor shared with the next leaf sits as many levels
-  // above the leaf as the current leaf has trailing one-bits, plus one
-  // (leaf 0b0111 -> 0b1000 changes the bottom 4 path steps). The path went
-  // left from it and now goes right, into the sibling it kept; below that
-  // it goes left all the way down.
-  const uint32_t shared =
-      height_ - 1 - static_cast<uint32_t>(std::countr_one(current_));
-  ++current_;
-  nodes_[shared + 1] = rights_[shared];
-  SecureZero(rights_[shared]);
-  for (uint32_t d = shared + 1; d < height_; ++d) {
-    prg_->Expand(nodes_[d], nodes_[d + 1], rights_[d]);
-  }
+  Seek(current_ + 1);
   return true;
 }
 

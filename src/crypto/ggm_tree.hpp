@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/secret.hpp"
@@ -72,6 +73,65 @@ class GgmTree {
   std::unique_ptr<Prg> prg_;
 };
 
+/// A GGM root->leaf path that moves from leaf to leaf. Where it turns left
+/// it keeps the right sibling the same expansion produced. Seek() re-derives
+/// only the path below the deepest ancestor the new leaf shares with the
+/// current one, so a sequential walk costs about one PRG call per leaf and a
+/// jump costs the height of the subtree the two leaves part in. The path
+/// lives in fixed per-depth slots overwritten in place; the destructor
+/// scrubs them.
+class SequentialLeafIterator {
+ public:
+  /// A path at start_leaf of the subtree rooted at root_key, where
+  /// root_depth/root_index identify that root in the global tree (use
+  /// depth 0/index 0 with the master seed for the whole keystream). The
+  /// subtree height, tree_height - root_depth, is at most kMaxHeight.
+  SequentialLeafIterator(Key128 root_key, uint32_t root_depth,
+                         uint64_t root_index, uint32_t tree_height,
+                         uint64_t start_leaf,
+                         PrgKind prg_kind = PrgKind::kAesNi);
+  ~SequentialLeafIterator() {
+    SecureZero(MutableBytesView(nodes_[0].data(),
+                                (height_ + 1) * sizeof(Key128)));
+    SecureZero(MutableBytesView(rights_[0].data(), height_ * sizeof(Key128)));
+  }
+  // A move copies the slots; the source's destructor scrubs its own.
+  SequentialLeafIterator(SequentialLeafIterator&&) noexcept = default;
+  SequentialLeafIterator& operator=(SequentialLeafIterator&&) noexcept =
+      default;
+
+  /// GgmTree's bound: the leaf indices fit a uint64 with the end index.
+  static constexpr uint32_t kMaxHeight = 63;
+
+  /// Key of the current leaf.
+  const Key128& Current() const { return nodes_[height_]; }
+  uint64_t CurrentIndex() const { return current_; }
+  bool AtEnd() const { return current_ >= end_; }
+
+  /// Move to leaf `leaf`, which must lie in the subtree (forward, backward,
+  /// or after AtEnd()). A no-op when it is the current leaf.
+  void Seek(uint64_t leaf);
+
+  /// Advance to the next leaf. Returns false at the end of the subtree.
+  bool Next();
+
+ private:
+  /// Expand the path from depth `from` down to `leaf`.
+  void Descend(uint32_t from, uint64_t leaf);
+
+  std::unique_ptr<Prg> prg_;
+  uint32_t height_ = 0;  // subtree height: nodes_[height_] is the leaf
+  uint64_t current_ = 0;
+  uint64_t end_ = 0;
+  // nodes_[d] is the path's node d levels below the subtree root. At the
+  // end of the subtree it still holds the last leaf's path.
+  TC_SECRET std::array<Key128, kMaxHeight + 1> nodes_{};
+  // rights_[d] is nodes_[d]'s right child while the path goes through its
+  // left child (a step right takes it next). Stepping into one zeroes it;
+  // where the path goes right the slot is not read.
+  TC_SECRET std::array<Key128, kMaxHeight> rights_{};
+};
+
 /// Consumer-side view: a set of tokens received in a grant. Can derive
 /// exactly the leaves covered by its tokens.
 class TokenSet {
@@ -87,66 +147,19 @@ class TokenSet {
 
   /// Derive leaf k_i; PermissionDenied if no token covers it — this is the
   /// cryptographic enforcement surface (we simply cannot compute the key).
-  Result<Key128> DeriveLeaf(uint64_t leaf_index) const;
-
-  const std::vector<AccessToken>& tokens() const { return tokens_; }
-  uint32_t tree_height() const { return height_; }
+  /// Seeks one held path, rooted at the token that covers the leaf and
+  /// re-rooted (the old path scrubbed) only when that token changes.
+  Result<Key128> DeriveLeaf(uint64_t leaf_index);
 
  private:
+  /// Index of the token covering `leaf_index`, or tokens_.size().
+  size_t Find(uint64_t leaf_index) const;
+
   std::vector<AccessToken> tokens_;
   uint32_t height_;
-  std::unique_ptr<Prg> prg_;
-};
-
-/// Amortized-O(1) sequential leaf derivation: keeps the root->leaf path and
-/// reuses the shared prefix between consecutive leaves. This is the ingest
-/// fast path — encrypting chunk i needs leaves i and i+1, and chunks arrive
-/// in order, so deriving each from the root (log n PRG calls) would waste a
-/// factor of ~height. Where the path turns left it keeps the right sibling
-/// the same expansion produced, so every interior node is expanded once:
-/// about one PRG call per leaf. The path lives in fixed per-depth slots
-/// that each step overwrites in place; the destructor scrubs them.
-class SequentialLeafIterator {
- public:
-  /// Iterates leaves [start, 2^height) of the tree rooted at root_key, where
-  /// root_depth/root_index identify that root in the global tree (use
-  /// depth 0/index 0 with the master seed for the whole keystream). The
-  /// subtree height, tree_height - root_depth, is at most kMaxHeight.
-  SequentialLeafIterator(Key128 root_key, uint32_t root_depth,
-                         uint64_t root_index, uint32_t tree_height,
-                         uint64_t start_leaf,
-                         PrgKind prg_kind = PrgKind::kAesNi);
-  ~SequentialLeafIterator() {
-    SecureZero(MutableBytesView(nodes_[0].data(),
-                                (height_ + 1) * sizeof(Key128)));
-    SecureZero(MutableBytesView(rights_[0].data(), height_ * sizeof(Key128)));
-  }
-  SequentialLeafIterator(const SequentialLeafIterator&) = delete;
-  SequentialLeafIterator& operator=(const SequentialLeafIterator&) = delete;
-
-  /// GgmTree's bound: the leaf indices fit a uint64 with the end index.
-  static constexpr uint32_t kMaxHeight = 63;
-
-  /// Key of the current leaf.
-  const Key128& Current() const { return nodes_[height_]; }
-  uint64_t CurrentIndex() const { return current_; }
-  bool AtEnd() const { return current_ >= end_; }
-
-  /// Advance to the next leaf. Returns false at the end of the subtree.
-  bool Next();
-
- private:
-  std::unique_ptr<Prg> prg_;
-  uint32_t height_;  // subtree height: nodes_[height_] is the leaf
-  uint64_t current_ = 0;
-  uint64_t end_ = 0;
-  // nodes_[d] is the path's node d levels below the subtree root. Only
-  // slots 0..height_ are used, so the destructor scrubs only those.
-  TC_SECRET std::array<Key128, kMaxHeight + 1> nodes_{};
-  // rights_[d] is nodes_[d]'s right child while the path goes through its
-  // left child (Next() steps into it next). Next() zeroes the one it steps
-  // into; where the path goes right the slot is not read.
-  TC_SECRET std::array<Key128, kMaxHeight> rights_{};
+  PrgKind prg_kind_;
+  size_t path_token_ = 0;  // the token path_ is rooted at
+  std::optional<SequentialLeafIterator> path_;
 };
 
 }  // namespace tc::crypto

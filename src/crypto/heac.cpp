@@ -84,17 +84,21 @@ void HeacCodec::EncryptTo(std::span<const uint64_t> fields,
   }
 }
 
+void HeacOpen(std::span<uint64_t> fields, const Key128& leaf_first,
+              const Key128& leaf_last) {
+  const FieldKeys kf(leaf_first, fields.size());
+  const FieldKeys kl(leaf_last, fields.size());
+  for (size_t f = 0; f < fields.size(); ++f) {
+    fields[f] = fields[f] - kf.key(f) + kl.key(f);
+  }
+}
+
 std::vector<uint64_t> HeacCodec::Decrypt(const HeacCiphertext& c,
                                          const Key128& leaf_first,
                                          const Key128& leaf_last) const {
   assert(c.fields.size() == num_fields_);
-  FieldKeys kf(leaf_first, num_fields_);
-  FieldKeys kl(leaf_last, num_fields_);
-  std::vector<uint64_t> m;
-  m.reserve(num_fields_);
-  for (size_t f = 0; f < num_fields_; ++f) {
-    m.push_back(c.fields[f] - kf.key(f) + kl.key(f));
-  }
+  std::vector<uint64_t> m = c.fields;
+  HeacOpen(m, leaf_first, leaf_last);
   return m;
 }
 

@@ -87,6 +87,12 @@ Result<HeacCiphertext> HeacAdd(const HeacCiphertext& a,
 /// field counts match).
 Status HeacAddInPlace(HeacCiphertext& acc, const HeacCiphertext& b);
 
+/// Open an aggregate over chunks [first, last) in place:
+/// m[f] = c[f] - k_{first,f} + k_{last,f}. Applied once per stream, it opens
+/// inter-stream sums too (§4.3), whose outer keys add up across streams.
+void HeacOpen(std::span<uint64_t> fields, const Key128& leaf_first,
+              const Key128& leaf_last);
+
 /// Encrypts / decrypts digests given access to leaf keys. The key source is
 /// abstract so both the owner (full GgmTree) and a consumer (TokenSet) can
 /// supply keys.

@@ -12,7 +12,7 @@ namespace {
 
 // ---------------------------------------------------------------- plaintext
 
-class PlainCipher final : public DigestCipher {
+class PlainCipher : public DigestCipher {
  public:
   explicit PlainCipher(size_t num_fields) : num_fields_(num_fields) {}
 
@@ -54,21 +54,22 @@ class PlainCipher final : public DigestCipher {
     return fields;
   }
 
- private:
+ protected:
   size_t num_fields_;
 };
 
 // --------------------------------------------------------------------- HEAC
 
-class HeacCipher final : public DigestCipher {
+// HEAC blobs are plaintext blobs: 8 bytes per field, no ciphertext expansion
+// (§6.1), and the server adds them exactly as it adds plaintext — this is
+// the whole point of HEAC (Table 2 "Micro ADD": 1 ns, same as plaintext).
+// Only encryption and decryption use the keys.
+class HeacCipher final : public PlainCipher {
  public:
   HeacCipher(size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree)
-      : num_fields_(num_fields), tree_(std::move(tree)), codec_(num_fields) {}
+      : PlainCipher(num_fields), tree_(std::move(tree)), codec_(num_fields) {}
 
   std::string_view name() const override { return "TimeCrypt"; }
-  size_t num_fields() const override { return num_fields_; }
-  // No ciphertext expansion: 8 bytes per field, same as plaintext (§6.1).
-  size_t blob_size() const override { return num_fields_ * 8; }
 
   Result<Bytes> Encrypt(std::span<const uint64_t> fields,
                         uint64_t index) const override {
@@ -83,39 +84,17 @@ class HeacCipher final : public DigestCipher {
     return blob;
   }
 
-  Status Add(std::span<uint8_t> acc, BytesView other) const override {
-    if (acc.size() != blob_size() || other.size() != blob_size()) {
-      return InvalidArgument("blob size mismatch");
-    }
-    // Identical to plaintext addition — this is the whole point of HEAC
-    // (Table 2 "Micro ADD": 1 ns, same as plaintext).
-    for (size_t f = 0; f < num_fields_; ++f) {
-      uint64_t a, b;
-      std::memcpy(&a, acc.data() + f * 8, 8);
-      std::memcpy(&b, other.data() + f * 8, 8);
-      a += b;
-      std::memcpy(acc.data() + f * 8, &a, 8);
-    }
-    return Status::Ok();
-  }
-
   Result<std::vector<uint64_t>> Decrypt(BytesView blob, uint64_t first,
                                         uint64_t last) const override {
-    if (blob.size() != blob_size()) {
-      return InvalidArgument("blob size mismatch");
-    }
-    crypto::HeacCiphertext c;
-    c.fields.resize(num_fields_);
-    std::memcpy(c.fields.data(), blob.data(), blob.size());
-    c.first_chunk = first;
-    c.last_chunk = last;
+    TC_ASSIGN_OR_RETURN(std::vector<uint64_t> fields,
+                        PlainCipher::Decrypt(blob, first, last));
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_f, tree_->DeriveLeaf(first));
     TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_l, tree_->DeriveLeaf(last));
-    return codec_.Decrypt(c, leaf_f, leaf_l);
+    crypto::HeacOpen(fields, leaf_f, leaf_l);
+    return fields;
   }
 
  private:
-  size_t num_fields_;
   std::shared_ptr<const crypto::GgmTree> tree_;
   crypto::HeacCodec codec_;
 };

@@ -125,8 +125,7 @@ TEST(StreamKeysTest, ResolutionKeystreamsAreIndependent) {
 }
 
 // Envelopes for windows [lo, hi] with lo > 0. Between consecutive windows
-// StreamKeys::Leaf steps its iterator at r = 6 and re-anchors it at r = 60
-// (the step limit is tree_height / 2 = 15 leaves).
+// StreamKeys::Leaf seeks its path 6 or 60 leaves on.
 class StreamKeysEnvelopes : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StreamKeysEnvelopes, EachOpensOnlyUnderItsWindowKey) {
@@ -496,6 +495,60 @@ TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
                    expected.data());
     ASSERT_EQ(uploaded.digest_blob, expected) << "chunk " << i;
   }
+}
+
+TEST_F(OwnerSealTest, SealRefusesChunksPastTheLastLeaf) {
+  // A height-4 key tree has 16 leaves and chunk i needs leaves i and i+1:
+  // chunks 0-14 seal, and chunk 15 is refused before any key is derived,
+  // in every build type (the key path's range assert is debug-only).
+  OwnerOptions options;
+  options.keys.tree_height = 4;
+  OwnerClient owner(transport, options);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  for (int64_t c = 0; c <= 15; ++c) {
+    ASSERT_TRUE(owner.InsertRecord(*uuid, {c * 1000, c}).ok()) << c;
+  }
+  Status refused = owner.Flush(*uuid);
+  EXPECT_EQ(refused.code(), StatusCode::kOutOfRange) << refused.ToString();
+  ASSERT_EQ(recorder->chunks.size(), 15u);
+  EXPECT_EQ(recorder->chunks.back().chunk_index, 14u);
+}
+
+/// Answers GetStatRange over chunks [0, 2^40), past the end of any key tree,
+/// and passes every other request to the engine.
+class FarRangeHandler final : public net::RequestHandler {
+ public:
+  explicit FarRangeHandler(std::shared_ptr<net::RequestHandler> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    if (type != net::MessageType::kGetStatRange) {
+      return inner_->Handle(type, body);
+    }
+    net::StatRangeResponse resp;
+    resp.last_chunk = uint64_t{1} << 40;
+    resp.aggregate_blob = Bytes(blob_size, 0);
+    return resp.Encode();
+  }
+
+  size_t blob_size = 0;
+
+ private:
+  std::shared_ptr<net::RequestHandler> inner_;
+};
+
+TEST_F(OwnerSealTest, ServerChunkPastTheKeystreamIsAnError) {
+  auto handler = std::make_shared<FarRangeHandler>(recorder);
+  handler->blob_size = config.schema.num_fields() * sizeof(uint64_t);
+  OwnerClient owner(std::make_shared<net::InProcTransport>(handler));
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  auto stats = owner.GetStatRange(*uuid, {0, 1000});
+  EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange)
+      << stats.status().ToString();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "crypto/ggm_tree.hpp"
 #include "crypto/rand.hpp"
@@ -283,6 +284,100 @@ TEST_P(SequentialLeafIteratorPrg, LeavesArePinned) {
                               kPinnedLeaves[8].index, GetParam());
   EXPECT_EQ(ToHex(last.Current()), kPinnedLeaves[8].hex);
   EXPECT_FALSE(last.Next());
+}
+
+// Property: Seek lands on the key a root walk derives, whatever leaf the
+// path held before: a random leaf ahead or behind, the same leaf again, a
+// leaf after Next() ran off the end, or one Next() on from a Seek. Over the
+// whole tree and the subtree under a random token, on every PRG.
+class SeekProperty
+    : public ::testing::TestWithParam<std::tuple<uint32_t, PrgKind>> {};
+
+TEST_P(SeekProperty, MatchesDeriveLeaf) {
+  const auto [height, kind] = GetParam();
+  DeterministicRng rng(height * 3 + static_cast<uint64_t>(kind));
+  const GgmTree tree(PinRoot(), height, kind);
+  const uint32_t depth = height / 2;
+  const uint64_t index = rng.NextBelow(uint64_t{1} << depth);
+  const AccessToken whole{0, 0, PinRoot()};
+  const AccessToken token{depth, index, *tree.DeriveNode(depth, index)};
+  for (const AccessToken& root : {whole, token}) {
+    SCOPED_TRACE("root depth " + std::to_string(root.depth));
+    const uint64_t first = TokenSet::FirstLeaf(root, height);
+    const uint64_t last = TokenSet::LastLeaf(root, height);
+    const uint64_t leaves = last - first + 1;
+    SequentialLeafIterator it(root.node_key, root.depth, root.index, height,
+                              first + rng.NextBelow(leaves), kind);
+    for (int step = 0; step < 300; ++step) {
+      uint64_t target = first + rng.NextBelow(leaves);
+      switch (rng.NextBelow(4)) {
+        case 0:  // anywhere: forward or backward
+          break;
+        case 1:  // the same leaf again
+          if (!it.AtEnd()) target = it.CurrentIndex();
+          break;
+        case 2:  // run off the end first
+          it.Seek(last);
+          EXPECT_FALSE(it.Next());
+          ASSERT_TRUE(it.AtEnd());
+          break;
+        case 3:  // one Next() on
+          if (it.CurrentIndex() < last) {
+            ASSERT_TRUE(it.Next());
+            target = it.CurrentIndex();
+          }
+          break;
+      }
+      it.Seek(target);
+      ASSERT_EQ(it.CurrentIndex(), target);
+      ASSERT_FALSE(it.AtEnd());
+      ASSERT_EQ(it.Current(), *tree.DeriveLeaf(target))
+          << "step " << step << " leaf " << target;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HeightsAndPrgs, SeekProperty,
+    ::testing::Combine(::testing::Values(1u, 2u, 5u, 12u, 30u),
+                       ::testing::Values(PrgKind::kAesNi, PrgKind::kAesSoft,
+                                         PrgKind::kSha256)),
+    [](const auto& info) {
+      const PrgKind kind = std::get<1>(info.param);
+      return "h" + std::to_string(std::get<0>(info.param)) +
+             (kind == PrgKind::kAesNi     ? "_AesNi"
+              : kind == PrgKind::kAesSoft ? "_Soft"
+                                          : "_Sha256");
+    });
+
+TEST(TokenSet, LeavesAlternatingBetweenTokensMatchTheTree) {
+  // A cover of [37, 900] in a height-10 tree has tokens of many depths.
+  // Leaves taken from two tokens in turn re-root the held path each time;
+  // leaves from one token seek it. Every key matches a root walk, and a
+  // leaf outside the cover stays underivable with a path held.
+  constexpr uint32_t kHeight = 10;
+  const GgmTree tree(RandomKey128(), kHeight);
+  auto cover = *tree.CoverRange(37, 900);
+  ASSERT_GE(cover.size(), 4u);
+  TokenSet ts(cover, kHeight);
+  DeterministicRng rng(17);
+  for (int step = 0; step < 400; ++step) {
+    const AccessToken& t = cover[step % 2 == 0 ? 0 : cover.size() - 1 -
+                                                      rng.NextBelow(2)];
+    const uint64_t first = TokenSet::FirstLeaf(t, kHeight);
+    const uint64_t leaf =
+        first + rng.NextBelow(TokenSet::LastLeaf(t, kHeight) - first + 1);
+    ASSERT_EQ(*ts.DeriveLeaf(leaf), *tree.DeriveLeaf(leaf)) << "leaf " << leaf;
+    if (step % 50 == 0) {
+      const uint64_t outside = rng.NextBelow(2) ? 36 : 901 + rng.NextBelow(123);
+      EXPECT_EQ(ts.DeriveLeaf(outside).status().code(),
+                StatusCode::kPermissionDenied)
+          << "leaf " << outside;
+    }
+  }
+  for (uint64_t leaf = 37; leaf <= 900; ++leaf) {
+    ASSERT_EQ(*ts.DeriveLeaf(leaf), *tree.DeriveLeaf(leaf)) << "leaf " << leaf;
+  }
 }
 
 TEST(SequentialLeafIterator, EndOfStreamStops) {

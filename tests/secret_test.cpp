@@ -2,7 +2,7 @@
 // SecretBuffer scrubs on destruction/adoption/clear and redacts itself when
 // streamed, and the TC_SECRET-annotated crypto types really do zeroize
 // their key material in their destructors (the GGM iterator's path and
-// kept siblings included).
+// kept siblings, and a token set's held path, included).
 //
 // Freed-memory inspection is done legally: the allocator tests run over an
 // arena Upstream whose storage outlives deallocate(), and the destructor
@@ -275,6 +275,51 @@ TEST(SecretZeroizeTest, SequentialLeafIteratorScrubsPathAndKeptSiblings) {
     EXPECT_FALSE(HasKey(raw, sizeof(raw), siblings[d]))
         << "~SequentialLeafIterator left the kept right sibling at depth "
         << d + 1;
+  }
+}
+
+TEST(SecretZeroizeTest, TokenSetScrubsItsPathOnRerootAndDestruction) {
+  // A cover of leaves [0, 191] of a height-8 tree is two tokens: (1, 0)
+  // over [0, 127] and (2, 2) over [128, 191]. Leaf 5 roots the held path at
+  // the first; leaf 130 re-roots it at the second, which must scrub the
+  // first path (token copy, path nodes and kept siblings). The destructor
+  // must scrub the second.
+  crypto::Key128 root;
+  root.fill(0x3C);
+  constexpr uint32_t kHeight = 8;
+  const crypto::GgmTree tree(root, kHeight);
+  auto cover = *tree.CoverRange(0, 191);
+  ASSERT_EQ(cover.size(), 2u);
+  // The path from a token at `depth` to `leaf`, and the right siblings
+  // kept where it turns left.
+  auto held = [&](uint64_t leaf, uint32_t depth) {
+    std::vector<crypto::Key128> keys;
+    for (uint32_t d = depth; d <= kHeight; ++d) {
+      const uint64_t node = leaf >> (kHeight - d);
+      keys.push_back(*tree.DeriveNode(d, node));
+      if (d < kHeight && ((leaf >> (kHeight - d - 1)) & 1) == 0) {
+        keys.push_back(*tree.DeriveNode(d + 1, 2 * node + 1));
+      }
+    }
+    return keys;
+  };
+  const auto first = held(5, 1);
+  const auto second = held(130, 2);
+
+  alignas(crypto::TokenSet) unsigned char raw[sizeof(crypto::TokenSet)] = {};
+  auto* tokens = new (raw) crypto::TokenSet(cover, kHeight);
+  ASSERT_EQ(*tokens->DeriveLeaf(5), *tree.DeriveLeaf(5));
+  for (const auto& key : first) ASSERT_TRUE(HasKey(raw, sizeof(raw), key));
+  ASSERT_EQ(*tokens->DeriveLeaf(130), *tree.DeriveLeaf(130));
+  for (const auto& key : second) ASSERT_TRUE(HasKey(raw, sizeof(raw), key));
+  for (size_t k = 0; k < first.size(); ++k) {
+    EXPECT_FALSE(HasKey(raw, sizeof(raw), first[k]))
+        << "re-rooting TokenSet left key " << k << " of the old path";
+  }
+  tokens->~TokenSet();
+  for (size_t k = 0; k < second.size(); ++k) {
+    EXPECT_FALSE(HasKey(raw, sizeof(raw), second[k]))
+        << "~TokenSet left key " << k << " of the held path";
   }
 }
 
