@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace tc::index {
 
@@ -42,31 +43,30 @@ Result<Bytes> AggTree::LoadNode(uint32_t level, uint64_t node_index,
   return node;
 }
 
-Status AggTree::StoreNode(uint32_t level, uint64_t node_index,
-                          BytesView node) {
-  std::string key = NodeKey(level, node_index);
+Status AggTree::StoreNode(const std::string& key, BytesView node) {
   // A failed put wrote nothing, so any cached copy still matches the store.
   TC_RETURN_IF_ERROR(kv_->Put(key, node));
-  cache_.Put(key, node);
+  cache_.Erase(key);
   return Status::Ok();
 }
 
 Status AggTree::WriteEntries(uint32_t level, uint64_t node_index,
                              size_t entry, BytesView blobs) {
-  if (entry == 0) return StoreNode(level, node_index, blobs);
+  std::string key = NodeKey(level, node_index);
+  if (entry == 0) return StoreNode(key, blobs);
   const size_t expected = entry * cipher_->blob_size();
   if (level < ahead_levels_) {
     // A failed run may have left entries past the position in this node:
-    // rewrite it whole rather than append behind them.
-    TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_index, nullptr));
+    // rewrite it whole rather than append behind them. This retry is the
+    // only write that reads a node back.
+    TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(key));
     if (node.size() < expected) {
       return Internal("index node has unexpected entry count");
     }
     node.resize(expected);
     tc::Append(node, blobs);
-    return StoreNode(level, node_index, node);
+    return StoreNode(key, node);
   }
-  std::string key = NodeKey(level, node_index);
   auto appended = kv_->Append(key, expected, blobs);
   if (!appended.ok()) {
     // The store wrote nothing; a cached copy may be what went stale.
@@ -77,6 +77,7 @@ Status AggTree::WriteEntries(uint32_t level, uint64_t node_index,
     }
     return appended.status();
   }
+  // Keeps a node a query cached current; an uncached node stays out.
   cache_.Append(key, expected, blobs);
   return Status::Ok();
 }
@@ -119,36 +120,35 @@ Status AggTree::WriteNode(uint64_t position, BytesView entries,
                           uint32_t& landed) {
   const uint32_t k = options_.fanout;
   const size_t bs = cipher_->blob_size();
-  Bytes agg;
   for (uint32_t level = 0;; ++level) {
     const uint64_t node_index = position / k;
     const size_t entry = position % k;
+    if (entry != 0 && (level >= spine_.size() || spine_[level].empty())) {
+      return Internal("index spine has no aggregate for an open node");
+    }
     TC_RETURN_IF_ERROR(WriteEntries(level, node_index, entry, entries));
     landed = level + 1;
-    if (entry + entries.size() / bs != k) return Status::Ok();
-    // Complete: insert its aggregate into the parent. The aggregate comes
-    // from `entries` when they are the whole node, else from the store.
-    TC_ASSIGN_OR_RETURN(
-        agg, Aggregate(level, node_index, entry == 0 ? entries : BytesView{}));
-    entries = agg;
+    // Fold into a scratch blob, so that a failed write above leaves the
+    // spine as it was. `entries` views the other one.
+    Bytes& acc = fold_[level % 2];
+    if (entry == 0) {
+      acc.clear();
+    } else {
+      acc.assign(spine_[level].begin(), spine_[level].end());
+    }
+    const size_t count = entries.size() / bs;
+    TC_RETURN_IF_ERROR(FoldEntries(entries, 0, count, acc, nullptr));
+    if (entry + count != k) {
+      // Every write landed. The levels below completed: their blobs go
+      // unread until a write starts their next node afresh.
+      if (spine_.size() <= level) spine_.resize(level + 1);
+      std::swap(spine_[level], acc);
+      return Status::Ok();
+    }
+    // Complete: its aggregate is the parent's next entry.
+    entries = acc;
     position = node_index;
   }
-}
-
-Result<Bytes> AggTree::Aggregate(uint32_t level, uint64_t node_index,
-                                 BytesView whole) const {
-  Bytes node;
-  if (whole.empty()) {
-    TC_ASSIGN_OR_RETURN(node, LoadNode(level, node_index, nullptr));
-    whole = node;
-  }
-  const uint32_t k = options_.fanout;
-  if (whole.size() != k * cipher_->blob_size()) {
-    return Internal("index node has unexpected entry count");
-  }
-  Bytes agg;
-  TC_RETURN_IF_ERROR(FoldEntries(whole, 0, k, agg, nullptr));
-  return agg;
 }
 
 Status AggTree::FoldEntries(BytesView node, size_t from, size_t to,
@@ -240,6 +240,7 @@ Result<Bytes> AggTree::Query(uint64_t first, uint64_t last,
 Status AggTree::Recover() {
   if (!kv_->Contains(NodeKey(0, 0))) {
     next_index_ = 0;
+    spine_.clear();
     return Status::Ok();
   }
   // Exponential then binary search for the last existing level-0 node.
@@ -256,24 +257,45 @@ Status AggTree::Recover() {
       hi = mid;
     }
   }
-  TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(0, lo, nullptr));
-  if (node.empty() || node.size() % cipher_->blob_size() != 0) {
+  const uint32_t k = options_.fanout;
+  const size_t bs = cipher_->blob_size();
+  TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(NodeKey(0, lo)));
+  if (node.empty() || node.size() % bs != 0) {
     return DataLoss("recovered index node has torn size");
   }
-  next_index_ = lo * options_.fanout + node.size() / cipher_->blob_size();
+  const uint64_t position = lo * k + node.size() / bs;
+
+  // Fold each open node's entries: one read per open level above 0 (the
+  // level-0 node is the one just read).
+  std::vector<Bytes> spine;
+  for (uint64_t entries = position, level = 0; entries > 0;
+       entries /= k, ++level) {
+    const size_t open = entries % k;
+    spine.emplace_back();
+    if (open == 0) continue;
+    if (level > 0) {
+      auto read = kv_->Get(NodeKey(static_cast<uint32_t>(level), entries / k));
+      if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
+        return read.status();
+      }
+      node = read.ok() ? std::move(*read) : Bytes{};
+    }
+    // A cascade that failed before a restart, or that a replica has not
+    // received yet, leaves an upper node short. Fold what it holds: the
+    // next write there fails on the entry count, as it would anyway.
+    TC_RETURN_IF_ERROR(FoldEntries(node, 0, std::min(open, node.size() / bs),
+                                   spine.back(), nullptr));
+  }
+  next_index_ = position;
+  spine_ = std::move(spine);
   return Status::Ok();
 }
 
 Status AggTree::Refresh() {
+  // Recover leaves the position and spine as they were if it fails; the
+  // cache drop alone is harmless.
   cache_.Clear();
-  uint64_t before = next_index_;
-  next_index_ = 0;
-  Status s = Recover();
-  if (!s.ok()) {
-    // Keep serving the position we had; the cache drop alone is harmless.
-    next_index_ = before;
-  }
-  return s;
+  return Recover();
 }
 
 Result<Bytes> AggTree::LeafDigest(uint64_t index) const {
@@ -305,6 +327,7 @@ Status AggTree::Drop() {
     if (entries == 0) break;
   }
   next_index_ = 0;
+  spine_.clear();
   ahead_levels_ = 0;
   return Status::Ok();
 }

@@ -13,15 +13,25 @@
 // aggregate upward before the next node is written, so the store passes
 // through the same node-boundary states as one-chunk-at-a-time ingest.
 //
+// The tree keeps the running aggregate of each open spine node in memory:
+// one blob per level, folded left in entry order as a query's fold would.
+// A node that completes hands its aggregate to the parent from that blob,
+// so ingest reads no node back; only a retry after a failed run reads the
+// node it rewrites. Recover() rebuilds the blobs with one read per open
+// level.
+//
 // Range queries drill down both ends of the range and use whole higher-level
 // entries in the middle: O(2(k-1) log_k n) digest additions worst case.
 //
 // Nodes live in a KvStore under computed identifiers (stream, level, index)
-// — no stored references (§4.6) — with an LRU cache in front (§5).
+// — no stored references (§4.6) — with an LRU cache in front (§5). The
+// cache holds only nodes that queries (and LeafDigest) read: ingest adds
+// nothing to it, and keeps a node a query cached current in place.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "index/digest_cipher.hpp"
 #include "store/kv_store.hpp"
@@ -31,6 +41,7 @@ namespace tc::index {
 
 struct AggTreeOptions {
   uint32_t fanout = 64;        // the paper's default k (§6 setup)
+  /// Budget of the node cache, which only reads fill (ingest adds nothing).
   size_t cache_bytes = 256 << 20;
 };
 
@@ -59,13 +70,15 @@ class AggTree {
 
   /// Rediscover the append position from the backing store (server restart
   /// over a durable KV). Probes level-0 node keys — O(log n) Contains calls
-  /// plus one node read; no scan API needed.
+  /// plus one node read; no scan API needed — then rebuilds the open spine
+  /// nodes' aggregates with one read per open level. Reads bypass the
+  /// cache. On error the tree is left as it was.
   Status Recover();
 
   /// Re-sync with a store that advanced underneath this handle (a replica
   /// store receiving shipped mutations): drop every cached node — appends
   /// grow rightmost-spine nodes in place, so any of them may be stale —
-  /// and re-run the Recover probe for the new append position.
+  /// and re-run Recover for the new append position and spine.
   Status Refresh();
 
   /// Aggregate over chunk range [first, last). Returns the encrypted
@@ -90,28 +103,26 @@ class AggTree {
   /// across all tree entries (Table 2 "Index - Size" column).
   uint64_t IndexBytes() const;
 
-  /// Cache statistics (Fig 7 small-cache experiment).
+  /// Cache statistics (Fig 7 small-cache experiment). Only reads fill it.
   const store::LruCache& cache() const { return cache_; }
 
  private:
   std::string NodeKey(uint32_t level, uint64_t node_index) const;
   Result<Bytes> LoadNode(uint32_t level, uint64_t node_index,
                          QueryStats* stats) const;
-  Status StoreNode(uint32_t level, uint64_t node_index, BytesView node);
+  /// Put a whole node; a cached copy is dropped, never added.
+  Status StoreNode(const std::string& key, BytesView node);
   /// Write `blobs` as entries [entry, entry + n) of a node that holds
-  /// entries [0, entry), in the store and in the cache: one record either
-  /// way, a Put when `entry` is 0 or the node may hold entries past the
-  /// position (a rewrite), else an Append.
+  /// entries [0, entry): one record, a Put when `entry` is 0 or the node
+  /// may hold entries past the position (a rewrite), else an Append, which
+  /// a cached copy follows in place.
   Status WriteEntries(uint32_t level, uint64_t node_index, size_t entry,
                       BytesView blobs);
   /// Write `entries`, which start at level-0 position `position` and end
-  /// in its node, then cascade each node they complete upward. `landed`
-  /// counts the levels written, also when a later write fails.
+  /// in its node, then cascade each node they complete upward with its
+  /// aggregate from the spine. `landed` counts the levels written, also
+  /// when a later write fails. The spine changes only when all landed.
   Status WriteNode(uint64_t position, BytesView entries, uint32_t& landed);
-  /// The aggregate of the complete node (level, node_index), folded from
-  /// `whole` when the caller holds its k entries, else from the stored node.
-  Result<Bytes> Aggregate(uint32_t level, uint64_t node_index,
-                          BytesView whole) const;
 
   /// Aggregate entries [from, to) of a loaded node into `acc` (or move the
   /// first entry into acc when empty).
@@ -124,6 +135,13 @@ class AggTree {
   AggTreeOptions options_;
   mutable store::LruCache cache_;
   uint64_t next_index_ = 0;
+  // spine_[L] folds entries [0, e) of the open level-L node, where e =
+  // (next_index_ / k^L) % k. When e is 0 it is unread: the next write to
+  // the level starts a node.
+  std::vector<Bytes> spine_;
+  // WriteNode's scratch aggregates, alternating by level; kept to reuse
+  // their buffers.
+  Bytes fold_[2];
   // Levels [0, ahead_levels_) of the spine may hold entries past
   // next_index_: a failed run wrote them but not the rest of its cascade.
   uint32_t ahead_levels_ = 0;

@@ -39,7 +39,9 @@
 namespace tc::server {
 
 struct ServerOptions {
-  size_t index_cache_bytes = 256 << 20;  // per-stream LRU budget
+  /// Per-stream LRU budget of the index node cache. Only queries fill it:
+  /// ingest adds nothing, so a write-only stream holds no cached nodes.
+  size_t index_cache_bytes = 256 << 20;
   /// Sync the backing store after every ingest message: an
   /// InsertChunkBatch pays one sync however many chunks it carries (group
   /// commit — the durable-ingest amortization lever).
@@ -64,10 +66,11 @@ class ServerEngine final : public net::RequestHandler {
   /// stores receive shipped KV mutations, and the engine over them must
   /// pick up new streams, new appends, and new witnesses before serving.
   /// Diffs the stream directory (opening/closing streams), re-recovers each
-  /// index's append position with its node cache dropped, and extends
-  /// witness trees to the new chunk count. Key-store state (grants) is NOT
-  /// refreshed: replicas serve data reads only; grants are read on the
-  /// primary, and failover promotion rebuilds a full engine instead.
+  /// index's append position and open-node aggregates with its node cache
+  /// dropped, and extends witness trees to the new chunk count. Key-store
+  /// state (grants) is NOT refreshed: replicas serve data reads only;
+  /// grants are read on the primary, and failover promotion rebuilds a
+  /// full engine instead.
   Status Refresh();
 
   /// Number of live streams.

@@ -1,6 +1,8 @@
 // Byte-budget LRU cache for index nodes (the paper's caffeine cache, §5).
 // The Fig 7 "small cache (1 MB)" experiment shrinks this budget to force
-// cache misses against the backing store.
+// cache misses against the backing store. The aggregation tree uses it as a
+// read cache: only reads Put, and a write keeps a cached node current
+// (Append) or drops it (Erase), never adding one.
 #pragma once
 
 #include <cstdint>

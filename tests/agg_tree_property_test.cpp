@@ -3,17 +3,26 @@
 // over the plaintext digests — across node boundaries, and against the
 // HEAC backend with telescoped decryption.
 // Appending in runs must leave the store exactly as appending chunk by
-// chunk does, in one write per level-0 node.
+// chunk does, in one write per level-0 node. Ingest must leave the node
+// cache to queries and read no node back, the open spine nodes'
+// aggregates must survive restarts, refreshes and failed cascades, and
+// concurrent queries may fill the cache between appends.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <numeric>
+#include <set>
+#include <shared_mutex>
+#include <thread>
 #include <tuple>
+#include <utility>
 
 #include "crypto/ggm_tree.hpp"
 #include "crypto/rand.hpp"
 #include "index/agg_tree.hpp"
 #include "index/digest_cipher.hpp"
+#include "store/fault_kv.hpp"
 #include "store/mem_kv.hpp"
 
 namespace tc::index {
@@ -231,7 +240,8 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, AggTreeRuns,
                            return "k" + std::to_string(info.param);
                          });
 
-/// Counts the writes that reach the store, and those to level-0 nodes.
+/// Counts the reads and writes that reach the store, and the writes to
+/// level-0 nodes; logs the key of every write.
 class CountingKv final : public store::KvStore {
  public:
   explicit CountingKv(std::shared_ptr<store::KvStore> inner)
@@ -247,6 +257,7 @@ class CountingKv final : public store::KvStore {
     return inner_->Append(key, expected_size, suffix);
   }
   Result<Bytes> Get(const std::string& key) const override {
+    ++gets;
     return inner_->Get(key);
   }
   Status Delete(const std::string& key) override { return inner_->Delete(key); }
@@ -260,13 +271,16 @@ class CountingKv final : public store::KvStore {
     return inner_->Scan(fn);
   }
 
+  mutable uint64_t gets = 0;
   uint64_t writes = 0;
   uint64_t level0_writes = 0;
+  std::vector<std::string> written;
 
  private:
   void Count(const std::string& key) {
     ++writes;
     if (key.find("/L0/") != std::string::npos) ++level0_writes;
+    written.push_back(key);
   }
 
   std::shared_ptr<store::KvStore> inner_;
@@ -297,6 +311,378 @@ TEST(AggTreeRunWrites, AlignedRunWritesEachLevel0NodeOnce) {
     ASSERT_TRUE(single.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
   }
   EXPECT_EQ(single_kv->level0_writes, kChunks);
+}
+
+using Runs = std::vector<std::pair<uint64_t, uint64_t>>;  // (first, count)
+
+/// Seeded split of chunks [from, to): runs of one, runs within or across a
+/// node boundary, and runs of up to k^2 + k chunks, which cross level-1
+/// nodes.
+Runs SeededRuns(uint64_t seed, uint32_t k, uint64_t from, uint64_t to) {
+  crypto::DeterministicRng rng(seed);
+  Runs runs;
+  for (uint64_t next = from; next < to;) {
+    uint64_t len = 1;
+    switch (rng.NextBelow(3)) {
+      case 0: break;
+      case 1: len = 1 + rng.NextBelow(k); break;
+      default: len = 1 + rng.NextBelow(uint64_t{k} * k + k); break;
+    }
+    len = std::min(len, to - next);
+    runs.emplace_back(next, len);
+    next += len;
+  }
+  return runs;
+}
+
+Status AppendRuns(AggTree& tree, BytesView digests, size_t blob_size,
+                  const Runs& runs) {
+  for (auto [first, len] : runs) {
+    TC_RETURN_IF_ERROR(tree.AppendRun(
+        first, len, digests.subspan(first * blob_size, len * blob_size)));
+  }
+  return Status::Ok();
+}
+
+/// Digests of `values`, back to back.
+Bytes EncryptAll(const DigestCipher& cipher,
+                 const std::vector<uint64_t>& values) {
+  Bytes digests;
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    Append(digests, *cipher.Encrypt(std::vector<uint64_t>{values[i]}, i));
+  }
+  return digests;
+}
+
+std::vector<uint64_t> SeededValues(uint64_t seed, uint64_t count) {
+  crypto::DeterministicRng rng(seed);
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < count; ++i) {
+    values.push_back(rng.NextBelow(1'000'000));
+  }
+  return values;
+}
+
+class AggTreeWritePath
+    : public ::testing::TestWithParam<std::tuple<uint32_t, size_t>> {};
+
+TEST_P(AggTreeWritePath, IngestLeavesTheCacheToQueriesAndReadsNothing) {
+  const auto [k, cache_bytes] = GetParam();
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+
+  for (bool single : {true, false}) {
+    SCOPED_TRACE(single ? "one-chunk appends" : "seeded runs");
+    crypto::DeterministicRng rng(k * 131 + single);
+    // Three levels or more, ending inside a level-0 node, with room for k
+    // more chunks.
+    uint64_t chunks = uint64_t{k} * k + 1 + rng.NextBelow(2ull * k * k);
+    if (chunks % k == 0) ++chunks;
+    const std::vector<uint64_t> values = SeededValues(chunks, chunks + k);
+    const Bytes digests = EncryptAll(*cipher, values);
+    auto oracle = [&](uint64_t first, uint64_t last) {
+      return std::accumulate(values.begin() + first, values.begin() + last,
+                             uint64_t{0});
+    };
+
+    auto kv =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+    AggTree tree(kv, "w", cipher, AggTreeOptions{k, cache_bytes});
+    auto query = [&](uint64_t first, uint64_t last, QueryStats& stats) {
+      auto blob = tree.Query(first, last, stats);
+      EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+      auto fields = cipher->Decrypt(*blob, first, last);
+      EXPECT_TRUE(fields.ok());
+      return (*fields)[0];
+    };
+    if (single) {
+      for (uint64_t i = 0; i < chunks; ++i) {
+        ASSERT_TRUE(
+            tree.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+      }
+    } else {
+      ASSERT_TRUE(AppendRuns(tree, digests, bs, SeededRuns(k, k, 0, chunks))
+                      .ok());
+    }
+    EXPECT_EQ(tree.cache().entry_count(), 0u);
+    EXPECT_EQ(kv->gets, 0u);
+
+    // A tail query across levels, then one of the open level-0 node alone,
+    // fill the cache.
+    const uint64_t tail = chunks - uint64_t{k} * k - 1;
+    const uint64_t open = chunks - chunks % k;
+    QueryStats stats;
+    EXPECT_EQ(query(tail, chunks, stats), oracle(tail, chunks));
+    EXPECT_EQ(query(open, chunks, stats), oracle(open, chunks));
+
+    // Appending still reads nothing back, and grows the cached node in
+    // place. The runs pass completes the node, which cascades.
+    const uint64_t gets = kv->gets;
+    const uint64_t end = single ? chunks + 1 : open + k;
+    for (uint64_t i = chunks; i < end; ++i) {
+      ASSERT_TRUE(tree.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+    }
+    EXPECT_EQ(kv->gets, gets);
+    QueryStats repeat;
+    EXPECT_EQ(query(open, end, repeat), oracle(open, end));
+    EXPECT_EQ(repeat.nodes_fetched, 1u);
+    if ((end - open) * bs <= cache_bytes) {
+      EXPECT_EQ(repeat.cache_hits, 1u);
+    } else {
+      EXPECT_EQ(repeat.cache_hits, 0u);  // dropped when it outgrew the budget
+    }
+    EXPECT_LE(tree.cache().size_bytes(), cache_bytes);
+    EXPECT_EQ(query(tail, end, stats), oracle(tail, end));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanoutsAndBudgets, AggTreeWritePath,
+    ::testing::Combine(::testing::Values(2u, 4u, 64u),
+                       ::testing::Values(size_t{64}, size_t{4} << 20)),
+    [](const auto& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) + "cache" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+class AggTreeSpine : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(AggTreeSpine, RestartAnywhereContinuesTheSameStore) {
+  const uint32_t k = GetParam();
+  const AggTreeOptions options{k, 1 << 20};
+  const uint64_t chunks = 2ull * k * k + k + 2;
+  auto ggm = std::make_shared<crypto::GgmTree>(crypto::RandomKey128(), 16);
+
+  for (bool heac : {false, true}) {
+    SCOPED_TRACE(heac ? "HEAC" : "plain");
+    std::shared_ptr<const DigestCipher> cipher =
+        heac ? MakeHeacCipher(1, ggm) : MakePlainCipher(1);
+    const size_t bs = cipher->blob_size();
+    const Bytes digests = EncryptAll(*cipher, SeededValues(k, chunks));
+    auto ref_kv = std::make_shared<store::MemKvStore>();
+    AggTree ref(ref_kv, "r", cipher, options);
+    for (uint64_t i = 0; i < chunks; ++i) {
+      ASSERT_TRUE(ref.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+    }
+
+    std::set<int> open_levels_seen;
+    for (uint64_t stop = 1; stop < chunks; ++stop) {
+      SCOPED_TRACE("restart at " + std::to_string(stop));
+      auto kv =
+          std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+      {
+        AggTree before(kv, "r", cipher, options);
+        ASSERT_TRUE(
+            before.AppendRun(0, stop, BytesView(digests).first(stop * bs))
+                .ok());
+      }
+      AggTree after(kv, "r", cipher, options);
+      const uint64_t gets = kv->gets;
+      ASSERT_TRUE(after.Recover().ok());
+      ASSERT_EQ(after.num_chunks(), stop);
+      // The level-0 node, then one read per open level above it.
+      int open_above = 0;
+      for (uint64_t entries = stop / k; entries > 0; entries /= k) {
+        open_above += entries % k != 0;
+      }
+      EXPECT_EQ(kv->gets - gets, 1u + open_above);
+      open_levels_seen.insert(open_above + (stop % k != 0));
+
+      ASSERT_TRUE(AppendRuns(after, digests, bs,
+                             SeededRuns(stop, k, stop, chunks))
+                      .ok());
+      EXPECT_EQ(Contents(*kv), Contents(*ref_kv));
+    }
+    EXPECT_TRUE(open_levels_seen.contains(1) && open_levels_seen.contains(2) &&
+                open_levels_seen.contains(3));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, AggTreeSpine, ::testing::Values(2u, 3u, 4u),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
+                         });
+
+TEST(AggTreeSpineRefresh, RefreshedHandleAppendsWhereTheStoreIs) {
+  // A second handle over the same store, as a replica's engine holds one:
+  // it serves reads, falls behind while the first handle appends, then
+  // refreshes and takes over the appends.
+  constexpr uint32_t kFanout = 4;
+  constexpr uint64_t kChunks = 3 * kFanout * kFanout + 3;
+  const AggTreeOptions options{kFanout, 1 << 20};
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  const std::vector<uint64_t> values = SeededValues(17, kChunks);
+  const Bytes digests = EncryptAll(*cipher, values);
+  auto sum_of = [&](const AggTree& tree, uint64_t first, uint64_t last) {
+    auto blob = tree.Query(first, last);
+    EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+    return (*cipher->Decrypt(*blob, first, last))[0] ==
+           std::accumulate(values.begin() + first, values.begin() + last,
+                           uint64_t{0});
+  };
+
+  auto ref_kv = std::make_shared<store::MemKvStore>();
+  AggTree ref(ref_kv, "f", cipher, options);
+  ASSERT_TRUE(AppendRuns(ref, digests, bs, {{0, kChunks}}).ok());
+
+  auto kv = std::make_shared<store::MemKvStore>();
+  AggTree primary(kv, "f", cipher, options);
+  AggTree replica(kv, "f", cipher, options);
+  constexpr uint64_t kFirst = kFanout * kFanout + 1;
+  constexpr uint64_t kSecond = 2 * kFanout * kFanout + kFanout + 2;
+  ASSERT_TRUE(AppendRuns(primary, digests, bs, {{0, kFirst}}).ok());
+  ASSERT_TRUE(replica.Refresh().ok());
+  ASSERT_EQ(replica.num_chunks(), kFirst);
+  EXPECT_TRUE(sum_of(replica, 1, kFirst));  // caches the spine's nodes
+
+  for (uint64_t i = kFirst; i < kSecond; ++i) {
+    ASSERT_TRUE(primary.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+  }
+  ASSERT_TRUE(replica.Refresh().ok());
+  EXPECT_EQ(replica.cache().entry_count(), 0u);
+  ASSERT_EQ(replica.num_chunks(), kSecond);
+  ASSERT_TRUE(AppendRuns(replica, digests, bs,
+                         SeededRuns(kFanout, kFanout, kSecond, kChunks))
+                  .ok());
+  EXPECT_EQ(Contents(*kv), Contents(*ref_kv));
+  EXPECT_TRUE(sum_of(replica, 1, kChunks));
+  EXPECT_TRUE(sum_of(replica, kFirst - 1, kSecond + 1));
+}
+
+TEST(AggTreeSpineFault, FailedLevel1WriteCommitsNoSpine) {
+  // Fail one level-1 write of a seeded upload, then retry from the tree's
+  // position: a spine committed with the failed cascade would fold the
+  // retried entries twice, or miss them, in every later parent entry.
+  constexpr uint32_t kFanout = 4;
+  constexpr uint64_t kChunks = 3 * kFanout * kFanout + 3;
+  const AggTreeOptions options{kFanout, 1 << 20};
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  const Bytes digests = EncryptAll(*cipher, SeededValues(23, kChunks));
+  const Runs runs = SeededRuns(29, kFanout, 0, kChunks);
+
+  auto ref_kv = std::make_shared<store::MemKvStore>();
+  AggTree ref(ref_kv, "x", cipher, options);
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(ref.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+  }
+  // A fault-free pass numbers the upload's writes.
+  auto logged =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+  AggTree dry(logged, "x", cipher, options);
+  ASSERT_TRUE(AppendRuns(dry, digests, bs, runs).ok());
+
+  int tried = 0;
+  for (uint64_t nth = 1; nth <= logged->writes; ++nth) {
+    // Only level-1 writes, and late enough that the schedule fires once.
+    if (logged->written[nth - 1].find("/L1/") == std::string::npos ||
+        2 * nth <= logged->writes + 8) {
+      continue;
+    }
+    SCOPED_TRACE("write " + std::to_string(nth) + " fails");
+    store::FaultOptions fault_options;
+    fault_options.fail_every_nth_put = nth;
+    auto mem = std::make_shared<store::MemKvStore>();
+    auto fault = std::make_shared<store::FaultKvStore>(mem, fault_options);
+    AggTree tree(fault, "x", cipher, options);
+    for (auto [first, len] : runs) {
+      for (int attempt = 0; tree.num_chunks() < first + len; ++attempt) {
+        ASSERT_LT(attempt, 2);
+        const uint64_t at = tree.num_chunks();
+        const uint64_t rest = first + len - at;
+        (void)tree.AppendRun(
+            at, rest, BytesView(digests).subspan(at * bs, rest * bs));
+      }
+    }
+    EXPECT_EQ(fault->puts_failed(), 1u);
+    EXPECT_EQ(Contents(*mem), Contents(*ref_kv));
+    ++tried;
+  }
+  EXPECT_GE(tried, 3);
+}
+
+TEST(AggTreeSpineFault, RecoverToleratesACascadeLostBeforeARestart) {
+  // Level-0 node 1 lands, its entry in level-1 node 0 does not, and the
+  // server restarts. Recovery still finds the position; the next write
+  // that needs the lost entry fails as it did before the spine.
+  constexpr uint32_t kFanout = 4;
+  const AggTreeOptions options{kFanout, 1 << 20};
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  const Bytes digests = EncryptAll(*cipher, SeededValues(37, 16));
+  store::FaultOptions fault_options;
+  // Chunks 0-3 take five writes and chunks 4-7 four, then the level-1
+  // append of node 1's aggregate.
+  fault_options.fail_every_nth_put = 10;
+  auto mem = std::make_shared<store::MemKvStore>();
+  auto fault = std::make_shared<store::FaultKvStore>(mem, fault_options);
+  {
+    AggTree tree(fault, "z", cipher, options);
+    for (uint64_t i = 0; i < 7; ++i) {
+      ASSERT_TRUE(tree.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+    }
+    EXPECT_FALSE(tree.Append(7, BytesView(digests).subspan(7 * bs, bs)).ok());
+  }
+  AggTree recovered(fault, "z", cipher, options);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.num_chunks(), 8u);
+  EXPECT_TRUE(recovered.Query(0, 7).ok());  // ranges without the lost entry
+  EXPECT_TRUE(recovered.Query(4, 8).ok());
+  for (uint64_t i = 8; i < 11; ++i) {
+    ASSERT_TRUE(
+        recovered.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+  }
+  EXPECT_EQ(
+      recovered.Append(11, BytesView(digests).subspan(11 * bs, bs)).code(),
+      StatusCode::kInternal);
+}
+
+TEST(AggTreeConcurrentReads, ReadersFillTheCacheBetweenAppends) {
+  // The server's shape: queries fill the cache together under a stream's
+  // reader lock, and an append holds the writer lock alone.
+  constexpr uint32_t kFanout = 8;
+  constexpr uint64_t kChunks = 3 * kFanout * kFanout;
+  constexpr int kReaders = 4;
+  std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
+  const size_t bs = cipher->blob_size();
+  const std::vector<uint64_t> values = SeededValues(31, kChunks);
+  const Bytes digests = EncryptAll(*cipher, values);
+  auto kv = std::make_shared<store::MemKvStore>();
+  AggTree tree(kv, "c", cipher, AggTreeOptions{kFanout, 4 << 10});
+  std::shared_mutex mu;
+  ASSERT_TRUE(tree.AppendRun(0, kFanout, BytesView(digests).first(kFanout * bs))
+                  .ok());
+
+  std::thread appender([&] {
+    for (uint64_t i = kFanout; i < kChunks; ++i) {
+      std::unique_lock lock(mu);
+      ASSERT_TRUE(tree.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+    }
+  });
+  std::vector<std::thread> readers;
+  std::atomic<int> wrong{0};
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      crypto::DeterministicRng rng(r + 1);
+      for (int q = 0; q < 200; ++q) {
+        std::shared_lock lock(mu);
+        const uint64_t n = tree.num_chunks();
+        const uint64_t first = rng.NextBelow(n);
+        const uint64_t last = first + 1 + rng.NextBelow(n - first);
+        auto blob = tree.Query(first, last);
+        const uint64_t want = std::accumulate(
+            values.begin() + first, values.begin() + last, uint64_t{0});
+        if (!blob.ok() || (*cipher->Decrypt(*blob, first, last))[0] != want) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  appender.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(tree.cache().size_bytes(), size_t{4} << 10);
 }
 
 }  // namespace
