@@ -20,7 +20,8 @@
 //      HEAC, compress, AES-GCM, upload batch) through an OwnerClient whose
 //      transport acks every chunk batch at once.
 //   9. Seal kernels: the per-chunk key derivations of 8 one at a time —
-//      the GGM leaf pair, HEAC's field keys and the payload key.
+//      the GGM leaf pair, HEAC's field keys and the payload key — and the
+//      hashes under the owner's other keys: SHA-256 and HMAC-SHA256.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -30,6 +31,7 @@
 #include "crypto/aes_gcm.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
+#include "crypto/sha256.hpp"
 #include "index/digest_cipher.hpp"
 #include "integrity/attestation.hpp"
 #include "integrity/merkle.hpp"
@@ -472,6 +474,31 @@ void BM_ChunkPayloadKey(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChunkPayloadKey);
+
+// SHA-256 of the longest one-block message (55 bytes), of one whole block,
+// whose padding takes a second, and of 1 KiB.
+void BM_Sha256(benchmark::State& state) {
+  const Bytes msg(static_cast<size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) {
+    crypto::Sha256Digest d = crypto::Sha256(msg);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256)->Arg(55)->Arg(64)->Arg(1024);
+
+// HMAC-SHA256 under a 16-byte key, as StreamKeys derives its subseeds from
+// the master seed, over 16 bytes and 1 KiB.
+void BM_HmacSha256(benchmark::State& state) {
+  const crypto::Key128 key = crypto::RandomKey128();
+  const Bytes msg(static_cast<size_t>(state.range(0)), 0xa5);
+  for (auto _ : state) {
+    crypto::Sha256Digest d = crypto::HmacSha256(key, msg);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HmacSha256)->Arg(16)->Arg(1024);
 
 }  // namespace
 }  // namespace tc::bench

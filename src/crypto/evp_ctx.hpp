@@ -1,6 +1,6 @@
-// OpenSSL EVP plumbing shared by the SHA-256 and AES-GCM wrappers: the
-// process-wide algorithm handles, a thread-local RAII holder for reusable
-// contexts, and the abort used when OpenSSL fails where it cannot.
+// OpenSSL EVP plumbing for AES-GCM on CPUs without AES-NI: the
+// process-wide cipher handle, a thread-local RAII holder for a reusable
+// context, and the abort used when OpenSSL fails where it cannot.
 #pragma once
 
 #include <openssl/evp.h>
@@ -15,9 +15,9 @@ namespace tc::crypto::internal {
   std::abort();
 }
 
-/// Hot paths (SHA-256 in the PRG, AES-GCM chunk sealing) reuse one context
-/// per thread instead of allocating per call; the holder frees it at thread
-/// exit so worker threads don't leak one context each.
+/// Chunk sealing reuses one cipher context per thread instead of
+/// allocating per call; the holder frees it at thread exit so worker
+/// threads don't leak one context each.
 template <typename Ctx, Ctx* (*New)(), void (*Free)(Ctx*)>
 Ctx* ThreadLocalCtx() {
   struct Holder {
@@ -28,24 +28,18 @@ Ctx* ThreadLocalCtx() {
   return holder.ctx;
 }
 
-/// SHA-256 and AES-128-GCM, fetched from the default provider once per
-/// process and freed at exit. An init call given EVP_sha256() or
-/// EVP_aes_128_gcm() makes OpenSSL 3 look the algorithm up in its locked
-/// method store on every call: that triples the cost of a 16-byte hash,
-/// and threads hashing at the same time wait on each other for it.
+/// AES-128-GCM, fetched from the default provider once per process and
+/// freed at exit. An init call given EVP_aes_128_gcm() makes OpenSSL 3 look
+/// the algorithm up in its locked method store on every call, and threads
+/// sealing at the same time wait on each other for it.
 struct Algorithms {
   Algorithms() {
-    if (sha256 == nullptr) FatalOpenSsl("EVP_MD_fetch(SHA256)");
     if (aes_128_gcm == nullptr) FatalOpenSsl("EVP_CIPHER_fetch(AES-128-GCM)");
   }
-  ~Algorithms() {
-    EVP_MD_free(sha256);
-    EVP_CIPHER_free(aes_128_gcm);
-  }
+  ~Algorithms() { EVP_CIPHER_free(aes_128_gcm); }
   Algorithms(const Algorithms&) = delete;
   Algorithms& operator=(const Algorithms&) = delete;
 
-  EVP_MD* sha256 = EVP_MD_fetch(nullptr, "SHA256", nullptr);
   EVP_CIPHER* aes_128_gcm = EVP_CIPHER_fetch(nullptr, "AES-128-GCM", nullptr);
 };
 

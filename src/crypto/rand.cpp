@@ -1,18 +1,28 @@
 #include "crypto/rand.hpp"
 
-#include <openssl/rand.h>
+#include <sys/random.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace tc::crypto {
 
 void RandomBytes(MutableBytesView out) {
-  if (out.empty()) return;
-  if (RAND_bytes(out.data(), static_cast<int>(out.size())) != 1) {
-    std::fprintf(stderr, "fatal: OpenSSL RAND_bytes failed\n");
-    std::abort();
+  // A signal can cut a getrandom(2) call short: it then returns fewer bytes
+  // than asked (only above 256) or fails with EINTR. Any other failure is
+  // an entropy failure.
+  while (!out.empty()) {
+    const ssize_t n = getrandom(out.data(), out.size(), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      std::fprintf(stderr, "fatal: getrandom failed: %s\n",
+                   std::strerror(errno));
+      std::abort();
+    }
+    out = out.subspan(static_cast<size_t>(n));
   }
 }
 

@@ -1,5 +1,5 @@
-// Cryptographically secure randomness (OpenSSL CSPRNG) plus a deterministic
-// generator for tests and reproducible workloads.
+// Cryptographically secure randomness (the kernel's getrandom(2)) plus a
+// deterministic generator for tests and reproducible workloads.
 #pragma once
 
 #include <array>

@@ -1,18 +1,15 @@
 #include "crypto/sha256.hpp"
 
-#include <openssl/evp.h>
-#include <openssl/hmac.h>
-
 #include <algorithm>
-#include <cassert>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
-#include "crypto/evp_ctx.hpp"
-
-// The one-block fast path and the chain walk use the SHA extensions
-// (SHA-NI). Only the functions that run them are compiled for them, through
-// a target attribute, so the rest of this file stays baseline x86 and
-// CpuHasShaNi() gates the calls.
+// The compression and the chain walk use the SHA extensions (SHA-NI) where
+// the CPU has them. Only the functions that run them are compiled for them,
+// through a target attribute, so the rest of this file stays baseline x86
+// and UseShaNi() gates the calls.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define TC_SHANI_COMPILED 1
 #define TC_SHANI_TARGET __attribute__((target("sha,ssse3,sse4.1")))
@@ -22,15 +19,75 @@
 
 namespace tc::crypto {
 
-using internal::FatalOpenSsl;
-
 namespace {
 
-#if defined(TC_SHANI_COMPILED)
+/// Set by internal::ForcePortableSha256.
+std::atomic<bool> force_portable{false};
 
 // A message of at most this many bytes leaves room in its one 64-byte
 // block for the 0x80 terminator and the 8-byte bit length.
 constexpr size_t kOneBlockMax = 55;
+
+/// The initial state. Every running state is kept in the digest's form:
+/// the eight words A..H, big-endian.
+constexpr Sha256Digest kInitialState = {
+    0x6a, 0x09, 0xe6, 0x67, 0xbb, 0x67, 0xae, 0x85, 0x3c, 0x6e, 0xf3,
+    0x72, 0xa5, 0x4f, 0xf5, 0x3a, 0x51, 0x0e, 0x52, 0x7f, 0x9b, 0x05,
+    0x68, 0x8c, 0x1f, 0x83, 0xd9, 0xab, 0x5b, 0xe0, 0xcd, 0x19};
+
+alignas(16) constexpr uint32_t kRoundConstants[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+inline uint32_t LoadBe32(const uint8_t* p) {
+  return uint32_t{p[0]} << 24 | uint32_t{p[1]} << 16 | uint32_t{p[2]} << 8 |
+         uint32_t{p[3]};
+}
+
+/// The compression function in plain C++ over `n` 64-byte blocks, for CPUs
+/// without SHA-NI. The message schedule can hold key material (HMAC's
+/// padded keys), so it is scrubbed.
+void PortableCompress(uint8_t* state, const uint8_t* p, size_t n) {
+  TC_SECRET uint32_t h[8] = {}, w[64] = {};
+  for (int i = 0; i < 8; ++i) h[i] = LoadBe32(state + 4 * i);
+  for (; n > 0; --n, p += 64) {
+    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(p + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      w[i] = w[i - 16] + w[i - 7] +
+             (Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)) +
+             (Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10));
+    }
+    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t t1 = hh + (Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25)) +
+                          ((e & f) ^ (~e & g)) + kRoundConstants[i] + w[i];
+      const uint32_t t2 = (Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22)) +
+                          ((a & b) ^ (a & c) ^ (b & c));
+      hh = g, g = f, f = e, e = d + t1, d = c, c = b, b = a, a = t1 + t2;
+    }
+    h[0] += a, h[1] += b, h[2] += c, h[3] += d;
+    h[4] += e, h[5] += f, h[6] += g, h[7] += hh;
+  }
+  for (int i = 0; i < 32; ++i) {
+    state[i] = static_cast<uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(h), sizeof(h)));
+  SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(w), sizeof(w)));
+}
+
+#if defined(TC_SHANI_COMPILED)
 
 /// True if this CPU has the SHA extensions (CPUID leaf 7, EBX bit 29).
 /// Cached for the same reason as CpuHasAesNi(): CPUID can be a VM exit. The
@@ -47,39 +104,27 @@ bool CpuHasShaNi() {
   return has_shani;
 }
 
-alignas(16) constexpr uint32_t kRoundConstants[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+bool UseShaNi() {
+  return CpuHasShaNi() && !force_portable.load(std::memory_order_relaxed);
+}
 
-/// The 64 rounds of SHA-256 from the standard initial state over N
-/// independent one-block messages, each given as its 16 big-endian words in
-/// four registers (lane i of w[j][q] is word 4q + i). Leaves each message's
-/// digest, feed-forward included, in the ABEF/CDGH register layout that
-/// SHA256RNDS2 wants. Each of the 16 steps does four rounds and extends the
-/// message schedule with SHA256MSG1/MSG2 four words ahead of the rounds
-/// that need them; N > 1 interleaves the messages' rounds so that their
-/// dependency chains overlap.
+/// The 64 rounds of SHA-256 over one block of each of N independent
+/// messages, each block given as its 16 big-endian words in four registers
+/// (lane i of w[j][q] is word 4q + i). Takes each message's running state
+/// in the ABEF/CDGH register layout that SHA256RNDS2 wants and leaves the
+/// next one there, feed-forward included. Each of the 16 steps does four
+/// rounds and extends the message schedule with SHA256MSG1/MSG2 four words
+/// ahead of the rounds that need them; N > 1 interleaves the messages'
+/// rounds so that their dependency chains overlap.
 template <size_t N>
 TC_SHANI_TARGET inline void ShaNiRounds(__m128i (&w)[N][4],
                                         __m128i (&abef)[N],
                                         __m128i (&cdgh)[N]) {
   const __m128i* k = reinterpret_cast<const __m128i*>(kRoundConstants);
-  const __m128i abef_init =
-      _mm_set_epi32(0x6a09e667, 0xbb67ae85, 0x510e527f, 0x9b05688c);
-  const __m128i cdgh_init =
-      _mm_set_epi32(0x3c6ef372, 0xa54ff53a, 0x1f83d9ab, 0x5be0cd19);
+  __m128i abef_in[N], cdgh_in[N];
   for (size_t j = 0; j < N; ++j) {
-    abef[j] = abef_init;
-    cdgh[j] = cdgh_init;
+    abef_in[j] = abef[j];
+    cdgh_in[j] = cdgh[j];
   }
 #pragma GCC unroll 16
   for (int r = 0; r < 16; ++r) {
@@ -105,9 +150,15 @@ TC_SHANI_TARGET inline void ShaNiRounds(__m128i (&w)[N][4],
     }
   }
   for (size_t j = 0; j < N; ++j) {
-    abef[j] = _mm_add_epi32(abef[j], abef_init);
-    cdgh[j] = _mm_add_epi32(cdgh[j], cdgh_init);
+    abef[j] = _mm_add_epi32(abef[j], abef_in[j]);
+    cdgh[j] = _mm_add_epi32(cdgh[j], cdgh_in[j]);
   }
+}
+
+/// The standard initial state in the ABEF/CDGH layout.
+TC_SHANI_TARGET inline void ShaNiInitialState(__m128i& abef, __m128i& cdgh) {
+  abef = _mm_set_epi32(0x6a09e667, 0xbb67ae85, 0x510e527f, 0x9b05688c);
+  cdgh = _mm_set_epi32(0x3c6ef372, 0xa54ff53a, 0x1f83d9ab, 0x5be0cd19);
 }
 
 /// Four big-endian words from p (lane i = word i), and back: SHA-256 words
@@ -135,16 +186,21 @@ TC_SHANI_TARGET inline __m128i WordsEfgh(__m128i abef, __m128i cdgh) {
                          _mm_shuffle_epi32(abef, 0x1b), 8);
 }
 
-/// SHA-256 of one padded 64-byte block.
-TC_SHANI_TARGET Sha256Digest ShaNiCompress(const uint8_t* block) {
-  __m128i w[1][4];
-  for (int i = 0; i < 4; ++i) w[0][i] = LoadWords(block + 16 * i);
-  __m128i abef[1], cdgh[1];
-  ShaNiRounds(w, abef, cdgh);
-  Sha256Digest out;
-  StoreWords(WordsAbcd(abef[0], cdgh[0]), out.data());
-  StoreWords(WordsEfgh(abef[0], cdgh[0]), out.data() + 16);
-  return out;
+/// The compression over `n` 64-byte blocks: the running state moves into
+/// the ABEF/CDGH layout for the blocks and back after.
+TC_SHANI_TARGET void ShaNiCompress(uint8_t* state, const uint8_t* p,
+                                   size_t n) {
+  const __m128i cdab = _mm_shuffle_epi32(LoadWords(state), 0xb1);
+  const __m128i hgfe = _mm_shuffle_epi32(LoadWords(state + 16), 0x1b);
+  __m128i abef[1] = {_mm_alignr_epi8(cdab, hgfe, 8)};
+  __m128i cdgh[1] = {_mm_blend_epi16(hgfe, cdab, 0xf0)};
+  for (; n > 0; --n, p += 64) {
+    __m128i w[1][4];
+    for (int i = 0; i < 4; ++i) w[0][i] = LoadWords(p + 16 * i);
+    ShaNiRounds(w, abef, cdgh);
+  }
+  StoreWords(WordsAbcd(abef[0], cdgh[0]), state);
+  StoreWords(WordsEfgh(abef[0], cdgh[0]), state + 16);
 }
 
 /// The one block of a 16-byte message whose words are `s`: the message,
@@ -163,7 +219,10 @@ TC_SHANI_TARGET inline void PadSixteenBytes(__m128i s, __m128i (&w)[4]) {
 template <size_t N>
 TC_SHANI_TARGET inline void ShaNiChainStep(__m128i (&s)[N]) {
   __m128i w[N][4], abef[N], cdgh[N];
-  for (size_t j = 0; j < N; ++j) PadSixteenBytes(s[j], w[j]);
+  for (size_t j = 0; j < N; ++j) {
+    PadSixteenBytes(s[j], w[j]);
+    ShaNiInitialState(abef[j], cdgh[j]);
+  }
   ShaNiRounds(w, abef, cdgh);
   for (size_t j = 0; j < N; ++j) s[j] = WordsAbcd(abef[j], cdgh[j]);
 }
@@ -191,49 +250,55 @@ TC_SHANI_TARGET void ShaNiChainKey(const uint8_t* state, uint8_t* key) {
   __m128i w[1][4];
   PadSixteenBytes(LoadWords(state), w[0]);
   __m128i abef[1], cdgh[1];
+  ShaNiInitialState(abef[0], cdgh[0]);
   ShaNiRounds(w, abef, cdgh);
   StoreWords(WordsEfgh(abef[0], cdgh[0]), key);
 }
 
-/// SHA-256 of a || b, which together hold at most kOneBlockMax bytes.
-Sha256Digest ShaNiOneBlock(BytesView a, BytesView b) {
-  const size_t n = a.size() + b.size();
-  // The block may hold key material: scrub it after use.
-  TC_SECRET alignas(16) std::array<uint8_t, 64> block{};
-  if (!a.empty()) std::memcpy(block.data(), a.data(), a.size());
-  if (!b.empty()) std::memcpy(block.data() + a.size(), b.data(), b.size());
-  block[n] = 0x80;
-  const uint64_t bits = static_cast<uint64_t>(n) * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[63 - i] = static_cast<uint8_t>(bits >> (8 * i));
-  }
-  Sha256Digest out = ShaNiCompress(block.data());
-  SecureZero(block);
-  return out;
-}
-
 #endif  // TC_SHANI_COMPILED
 
-Sha256Digest EvpSha256Concat(BytesView a, BytesView b) {
-  // Thread-local context: SHA-256 is on the PRG hot path (Fig 6), so avoid
-  // per-call allocation.
-  EVP_MD_CTX* ctx = internal::ThreadLocalCtx<EVP_MD_CTX, EVP_MD_CTX_new,
-                                             EVP_MD_CTX_free>();
-  Sha256Digest out;
-  if (EVP_DigestInit_ex2(ctx, internal::Fetched().sha256, nullptr) != 1) {
-    FatalOpenSsl("DigestInit");
+using CompressFn = void (*)(uint8_t* state, const uint8_t* blocks, size_t n);
+
+/// SHA-256 of a || b through `compress`: whole blocks straight from the
+/// inputs, the rest through one buffered block, then the padding. The
+/// buffer and the running states can hold key material (HMAC's padded keys
+/// and the states after them): the buffer is scrubbed, and each state
+/// overwrites the last, up to the digest.
+Sha256Digest HashBlocks(CompressFn compress, BytesView a, BytesView b) {
+  TC_SECRET Sha256Digest state = kInitialState;
+  // Left uninitialized on the one-block hot path: every byte a compression
+  // reads is copied in or written by the padding first.
+  TC_SECRET std::array<uint8_t, 128> tail;
+  size_t fill = 0;
+  for (BytesView part : {a, b}) {
+    while (!part.empty()) {
+      if (fill == 0 && part.size() >= 64) {
+        compress(state.data(), part.data(), part.size() / 64);
+        part = part.subspan(part.size() / 64 * 64);
+        continue;
+      }
+      const size_t take = std::min(part.size(), 64 - fill);
+      std::memcpy(tail.data() + fill, part.data(), take);
+      part = part.subspan(take);
+      fill += take;
+      if (fill == 64) {
+        compress(state.data(), tail.data(), 1);
+        fill = 0;
+      }
+    }
   }
-  if (!a.empty() && EVP_DigestUpdate(ctx, a.data(), a.size()) != 1) {
-    FatalOpenSsl("DigestUpdate");
+  // The terminator, zeros and the 64-bit bit length close the last block,
+  // or spill into a second one when fewer than 9 bytes are left.
+  const size_t end = fill <= kOneBlockMax ? 64 : 128;
+  tail[fill] = 0x80;
+  std::memset(tail.data() + fill + 1, 0, end - 8 - (fill + 1));
+  const uint64_t bits = static_cast<uint64_t>(a.size() + b.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[end - 1 - i] = static_cast<uint8_t>(bits >> (8 * i));
   }
-  if (!b.empty() && EVP_DigestUpdate(ctx, b.data(), b.size()) != 1) {
-    FatalOpenSsl("DigestUpdate");
-  }
-  unsigned int len = 0;
-  if (EVP_DigestFinal_ex(ctx, out.data(), &len) != 1 || len != out.size()) {
-    FatalOpenSsl("DigestFinal");
-  }
-  return out;
+  compress(state.data(), tail.data(), end / 64);
+  SecureZero(MutableBytesView(tail.data(), end));
+  return state;
 }
 
 }  // namespace
@@ -244,16 +309,14 @@ Sha256Digest Sha256(BytesView data) {
 
 Sha256Digest Sha256Concat(BytesView a, BytesView b) {
 #if defined(TC_SHANI_COMPILED)
-  if (a.size() + b.size() <= kOneBlockMax && CpuHasShaNi()) {
-    return ShaNiOneBlock(a, b);
-  }
+  if (UseShaNi()) return HashBlocks(ShaNiCompress, a, b);
 #endif
-  return EvpSha256Concat(a, b);
+  return HashBlocks(PortableCompress, a, b);
 }
 
 void Sha256ChainWalk(Key128& state, uint64_t steps) {
 #if defined(TC_SHANI_COMPILED)
-  if (CpuHasShaNi()) {
+  if (UseShaNi()) {
     ShaNiChainWalk(state.data(), steps);
     return;
   }
@@ -270,7 +333,7 @@ void Sha256ChainWalk(Key128& state, uint64_t steps) {
 void Sha256ChainWalkPair(Key128& a, uint64_t a_steps, Key128& b,
                          uint64_t b_steps) {
 #if defined(TC_SHANI_COMPILED)
-  if (CpuHasShaNi()) {
+  if (UseShaNi()) {
     ShaNiChainWalkPair(a.data(), a_steps, b.data(), b_steps);
     return;
   }
@@ -282,7 +345,7 @@ void Sha256ChainWalkPair(Key128& a, uint64_t a_steps, Key128& b,
 Key128 Sha256ChainKey(const Key128& state) {
   Key128 key;
 #if defined(TC_SHANI_COMPILED)
-  if (CpuHasShaNi()) {
+  if (UseShaNi()) {
     ShaNiChainKey(state.data(), key.data());
     return key;
   }
@@ -294,36 +357,56 @@ Key128 Sha256ChainKey(const Key128& state) {
 }
 
 Sha256Digest HmacSha256(BytesView key, BytesView data) {
-  Sha256Digest out;
-  unsigned int len = 0;
-  if (HMAC(internal::Fetched().sha256, key.data(),
-           static_cast<int>(key.size()), data.data(), data.size(), out.data(),
-           &len) == nullptr ||
-      len != out.size()) {
-    FatalOpenSsl("HMAC");
+  // The key, zero-padded to one block (hashed first if longer), XOR ipad
+  // and then opad.
+  TC_SECRET std::array<uint8_t, 64> pad{};
+  if (key.size() > pad.size()) {
+    TC_SECRET Sha256Digest hashed = Sha256(key);
+    std::memcpy(pad.data(), hashed.data(), hashed.size());
+    SecureZero(hashed);
+  } else if (!key.empty()) {
+    std::memcpy(pad.data(), key.data(), key.size());
   }
+  for (uint8_t& byte : pad) byte ^= 0x36;
+  TC_SECRET Sha256Digest inner = Sha256Concat(pad, data);
+  for (uint8_t& byte : pad) byte ^= 0x36 ^ 0x5c;
+  const Sha256Digest out = Sha256Concat(pad, inner);
+  SecureZero(pad);
+  SecureZero(inner);
   return out;
 }
 
 Bytes HkdfSha256(BytesView ikm, BytesView salt, BytesView info, size_t length) {
-  assert(length <= 255 * 32 && "HKDF output too long");
-  // Extract.
-  Sha256Digest prk = HmacSha256(salt, ikm);
-  // Expand.
+  // The block counter is one byte: a longer output would wrap it.
+  if (length > 255 * 32) {
+    std::fprintf(stderr, "fatal: HKDF output of %zu bytes exceeds 255 * 32\n",
+                 length);
+    std::abort();
+  }
+  TC_SECRET Sha256Digest prk = HmacSha256(salt, ikm);  // Extract.
+  // Expand: block i is the HMAC under prk of block i-1 || info || i, and
+  // every block but the last is whole, so block i-1 is the output's last
+  // 32 bytes.
   Bytes out;
   out.reserve(length);
-  Bytes block;
-  uint8_t counter = 1;
-  while (out.size() < length) {
-    Bytes input = block;
+  for (uint8_t i = 1; out.size() < length; ++i) {
+    Bytes input(out.end() - (i == 1 ? 0 : 32), out.end());
     Append(input, info);
-    input.push_back(counter++);
-    Sha256Digest t = HmacSha256(prk, input);
-    block.assign(t.begin(), t.end());
-    size_t take = std::min(block.size(), length - out.size());
-    out.insert(out.end(), block.begin(), block.begin() + take);
+    input.push_back(i);
+    const Sha256Digest t = HmacSha256(prk, input);
+    out.insert(out.end(), t.begin(),
+               t.begin() + std::min(t.size(), length - out.size()));
   }
+  SecureZero(prk);
   return out;
 }
+
+namespace internal {
+
+void ForcePortableSha256(bool on) {
+  force_portable.store(on, std::memory_order_relaxed);
+}
+
+}  // namespace internal
 
 }  // namespace tc::crypto

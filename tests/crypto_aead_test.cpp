@@ -1,10 +1,12 @@
-// SHA-256 and AES-GCM known answers, the one-block SHA-256 path against
-// OpenSSL at every block boundary, AES-GCM payload encryption (byte-for-byte
-// agreement with OpenSSL's EVP path, tamper detection, cipher context
-// reuse, the per-thread nonce reserve, its thread and fork safety) and
-// X25519 sealed-box tests.
+// SHA-256, HMAC-SHA256, HKDF and AES-GCM known answers, SHA-256 and HMAC
+// against OpenSSL at every block boundary and on both compressions (SHA-NI
+// and portable), HKDF's length bound, AES-GCM payload encryption
+// (byte-for-byte agreement with OpenSSL's EVP path, tamper detection, cipher
+// context reuse, the per-thread nonce reserve, its thread and fork safety)
+// and X25519 sealed-box tests.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
+#include <openssl/hmac.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -23,37 +25,51 @@
 namespace tc::crypto {
 namespace {
 
-std::string HexOf(const Sha256Digest& d) {
-  return ToHex(BytesView(d.data(), d.size()));
-}
+std::string HexOf(BytesView b) { return ToHex(b); }
 
-TEST(Sha256Test, Fips180KnownAnswers) {
+Bytes Repeat(uint8_t byte, size_t n) { return Bytes(n, byte); }
+
+// Every SHA-256 test runs twice: on the compression this CPU picks (SHA-NI
+// where it has it) and on the portable one, forced through the test seam.
+class Sha256Test : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { internal::ForcePortableSha256(GetParam()); }
+  void TearDown() override { internal::ForcePortableSha256(false); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Compressions, Sha256Test, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Portable" : "Native";
+                         });
+
+TEST_P(Sha256Test, Fips180KnownAnswers) {
   EXPECT_EQ(HexOf(Sha256({})),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
   EXPECT_EQ(HexOf(Sha256(ToBytes("abc"))),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  // FIPS 180-2's multi-block vectors: 448 bits (the padding spills into a
+  // second block), 896 bits, and one million 'a'.
+  EXPECT_EQ(
+      HexOf(Sha256(ToBytes(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(
+      HexOf(Sha256(ToBytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklm"
+                           "ghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrs"
+                           "mnopqrstnopqrstu"))),
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(HexOf(Sha256(Repeat('a', 1000000))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256Test, ConcatEqualsHashOfConcatenation) {
-  Bytes msg(100);
-  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
-  const Sha256Digest whole = Sha256(msg);
-  for (size_t split : {0, 1, 63, 64}) {
-    BytesView a(msg.data(), split);
-    BytesView b(msg.data() + split, msg.size() - split);
-    EXPECT_EQ(Sha256Concat(a, b), whole) << "split " << split;
-  }
-}
-
-// Every total length from 0 to 64, split every way between the two inputs,
-// against OpenSSL's one-shot digest. Lengths 0-55 fit one padded block;
-// from 56 the length field no longer fits, and at 64 the terminator starts
-// the second block.
-TEST(Sha256Test, ConcatMatchesEvpAtEveryLengthAndSplit) {
-  Bytes msg(64);
-  for (size_t i = 0; i < msg.size(); ++i) {
-    msg[i] = static_cast<uint8_t>(0xa5 ^ (i * 29));
-  }
+// Every total length from 0 to 300 of a seeded message, split every way
+// between the two inputs, against OpenSSL's one-shot digest. Lengths 0-55
+// fit one padded block; from 56 the length field no longer fits, and at 64
+// the terminator starts the second block. Past 64 a split can fall
+// anywhere in a block, so both inputs feed the buffered block.
+TEST_P(Sha256Test, ConcatMatchesEvpAtEveryLengthAndSplit) {
+  Bytes msg(300);
+  DeterministicRng(0x5a256).Fill(msg);
   for (size_t n = 0; n <= msg.size(); ++n) {
     Sha256Digest expected;
     unsigned int len = 0;
@@ -63,12 +79,108 @@ TEST(Sha256Test, ConcatMatchesEvpAtEveryLengthAndSplit) {
     for (size_t split = 0; split <= n; ++split) {
       BytesView a(msg.data(), split);
       BytesView b(msg.data() + split, n - split);
-      ASSERT_EQ(HexOf(Sha256Concat(a, b)), HexOf(expected))
+      ASSERT_EQ(Sha256Concat(a, b), expected)
           << "length " << n << " split " << split;
     }
     ASSERT_EQ(HexOf(Sha256(BytesView(msg.data(), n))), HexOf(expected))
         << "length " << n;
   }
+}
+
+// RFC 4231 test cases 1-7. Case 5's tag is truncated to 128 bits; cases 6
+// and 7 hash their 131-byte key first.
+TEST_P(Sha256Test, HmacRfc4231KnownAnswers) {
+  struct Case {
+    Bytes key;
+    Bytes data;
+    std::string tag;
+  };
+  const Bytes key4 =
+      FromHex("0102030405060708090a0b0c0d0e0f10111213141516171819").value();
+  const Case cases[] = {
+      {Repeat(0x0b, 20), ToBytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {ToBytes("Jefe"), ToBytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Repeat(0xaa, 20), Repeat(0xdd, 50),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, Repeat(0xcd, 50),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Repeat(0x0c, 20), ToBytes("Test With Truncation"),
+       "a3b6167473100ee06e0c796c2955552b"},
+      {Repeat(0xaa, 131),
+       ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Repeat(0xaa, 131),
+       ToBytes("This is a test using a larger than block-size key and a "
+               "larger than block-size data. The key needs to be hashed "
+               "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Sha256Digest tag = HmacSha256(cases[i].key, cases[i].data);
+    EXPECT_EQ(HexOf(BytesView(tag.data(), cases[i].tag.size() / 2)),
+              cases[i].tag)
+        << "case " << i + 1;
+  }
+}
+
+// RFC 5869 test cases A.1-A.3 (A.3: no salt and no info).
+TEST_P(Sha256Test, HkdfRfc5869KnownAnswers) {
+  auto range = [](int from, int to) {
+    Bytes b;
+    for (int i = from; i < to; ++i) b.push_back(static_cast<uint8_t>(i));
+    return b;
+  };
+  EXPECT_EQ(HexOf(HkdfSha256(Repeat(0x0b, 22), range(0x00, 0x0d),
+                             range(0xf0, 0xfa), 42)),
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+            "34007208d5b887185865");
+  EXPECT_EQ(HexOf(HkdfSha256(range(0x00, 0x50), range(0x60, 0xb0),
+                             range(0xb0, 0x100), 82)),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87");
+  EXPECT_EQ(HexOf(HkdfSha256(Repeat(0x0b, 22), {}, {}, 42)),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8");
+}
+
+// HMAC under seeded keys of every length 0-200 (past 64 the key is hashed
+// first) over seeded messages of every length 0-300, against OpenSSL's
+// HMAC().
+TEST_P(Sha256Test, HmacMatchesOpenSslAtEveryKeyAndMessageLength) {
+  DeterministicRng rng(0x4a3c);
+  Bytes msg(300), key(200);
+  rng.Fill(msg);
+  rng.Fill(key);
+  for (size_t k = 0; k <= key.size(); ++k) {
+    for (size_t n = 0; n <= msg.size(); ++n) {
+      Sha256Digest expected;
+      unsigned int len = 0;
+      ASSERT_NE(HMAC(EVP_sha256(), key.data(), static_cast<int>(k), msg.data(),
+                     n, expected.data(), &len),
+                nullptr);
+      ASSERT_EQ(
+          HmacSha256(BytesView(key.data(), k), BytesView(msg.data(), n)),
+          expected)
+          << "key length " << k << " message length " << n;
+    }
+  }
+}
+
+// The one-byte block counter numbers 255 blocks: 255 * 32 bytes is the
+// longest output, and one byte more aborts in every build type.
+TEST(HkdfTest, OutputLengthIsBoundedInEveryBuild) {
+  const Bytes ikm = Repeat(0x0b, 22);
+  const Bytes longest = HkdfSha256(ikm, {}, ToBytes("info"), 255 * 32);
+  ASSERT_EQ(longest.size(), 255u * 32);
+  // A prefix of the output is the shorter output.
+  EXPECT_EQ(HkdfSha256(ikm, {}, ToBytes("info"), 64),
+            Bytes(longest.begin(), longest.begin() + 64));
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(HkdfSha256(ikm, {}, ToBytes("info"), 255 * 32 + 1),
+               "HKDF output of 8161 bytes");
 }
 
 // Reference AES-128-GCM through OpenSSL's legacy EVP_aes_128_gcm() path,

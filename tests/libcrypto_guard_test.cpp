@@ -1,0 +1,87 @@
+// The owner's symmetric path never initializes OpenSSL's libcrypto: it
+// creates a HEAC stream, ingests, queries, reads raw points and rolls up
+// with native SHA-256, HMAC, HKDF, AES-GCM and getrandom(2). Public-key
+// operations (sealed grants, signatures, the strawman ciphers) still do.
+//
+// The executable defines OPENSSL_init_crypto, which every libcrypto entry
+// point that needs its library context calls first. The dynamic linker
+// binds libcrypto's own calls to this definition, which counts the call and
+// forwards it to libcrypto's. The suite has its own binary so that no other
+// test can have started OpenSSL before this one looks.
+#include <dlfcn.h>
+#include <gtest/gtest.h>
+#include <openssl/crypto.h>
+
+#include <atomic>
+#include <memory>
+
+#include "client/owner.hpp"
+#include "crypto/aes_gcm.hpp"
+#include "crypto/sealed_box.hpp"
+#include "server/server_engine.hpp"
+#include "store/mem_kv.hpp"
+
+namespace {
+
+std::atomic<int> init_calls{0};
+
+}  // namespace
+
+extern "C" int OPENSSL_init_crypto(uint64_t opts,
+                                   const OPENSSL_INIT_SETTINGS* settings) {
+  init_calls.fetch_add(1, std::memory_order_relaxed);
+  using InitFn = int (*)(uint64_t, const OPENSSL_INIT_SETTINGS*);
+  static const auto real =
+      reinterpret_cast<InitFn>(dlsym(RTLD_NEXT, "OPENSSL_init_crypto"));
+  return real != nullptr ? real(opts, settings) : 0;
+}
+
+namespace tc::client {
+namespace {
+
+constexpr uint64_t kDelta = 1000;
+
+TEST(LibcryptoGuard, OwnerPathNeverInitializesLibcrypto) {
+  if (!crypto::GcmIsNative()) {
+    GTEST_SKIP() << "AES-GCM runs on OpenSSL's EVP path on this CPU";
+  }
+  auto server = std::make_shared<server::ServerEngine>(
+      std::make_shared<store::MemKvStore>());
+  OwnerClient owner(std::make_shared<net::InProcTransport>(server));
+
+  net::StreamConfig config;
+  config.name = "guard/stream";
+  config.delta_ms = kDelta;
+  config.cipher = net::CipherKind::kHeac;
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+  for (int i = 0; i < 40; ++i) {
+    const auto ts = static_cast<Timestamp>(i * kDelta / 4);
+    ASSERT_TRUE(owner.InsertRecord(*uuid, {ts, i}).ok());
+  }
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+
+  auto stats = owner.GetStatRange(*uuid, {0, 10 * kDelta});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->stats.Sum().value(), 39 * 40 / 2);
+  EXPECT_EQ(stats->stats.Count().value(), 40u);
+  auto points = owner.GetRange(*uuid, {0, 10 * kDelta});
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_EQ(points->size(), 40u);
+  auto rollup = owner.RollupStream(*uuid, 5);
+  ASSERT_TRUE(rollup.ok()) << rollup.status().ToString();
+  auto rolled = owner.GetStatRange(*rollup, {0, 10 * kDelta});
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  EXPECT_EQ(rolled->stats.Sum().value(), 39 * 40 / 2);
+
+  EXPECT_EQ(init_calls.load(), 0);
+
+  // Positive control: a public-key operation must register, or the probe
+  // itself has stopped working and the check above proves nothing.
+  const crypto::BoxKeyPair pair = crypto::GenerateBoxKeyPair();
+  EXPECT_FALSE(pair.public_key.empty());
+  EXPECT_GT(init_calls.load(), 0);
+}
+
+}  // namespace
+}  // namespace tc::client
