@@ -128,7 +128,7 @@ void RegisterAll() {
             [cipher = cipher, span, g](benchmark::State& st) {
               BM_Fig8Series(st, cipher, span.chunks, g.chunks);
             })
-            ->Unit(benchmark::kMillisecond);
+            ->Unit(benchmark::kMicrosecond);
       }
     }
   }

@@ -21,8 +21,7 @@
 // GHASH. Only its functions are compiled for those instructions, through a
 // target attribute, so the rest of this file stays baseline x86 and
 // GcmIsNative() gates every call into them.
-#if defined(TC_AESNI_COMPILED)
-#include <cpuid.h>
+#if defined(TC_NATIVE_KERNELS)
 #define TC_GCM_TARGET __attribute__((target("aes,pclmul,ssse3")))
 #endif
 
@@ -81,7 +80,7 @@ void NextNonce(uint8_t* out) {
   reserve.used += kGcmNonceSize;
 }
 
-#if defined(TC_AESNI_COMPILED)
+#if defined(TC_NATIVE_KERNELS)
 
 /// Reverses the 16 bytes of a block. GHASH works on blocks whose bit order
 /// is reflected; reversing the bytes lets PCLMULQDQ multiply them as
@@ -300,24 +299,10 @@ TC_GCM_TARGET bool NativeGcm(const Key128& key, const uint8_t* nonce,
   return true;
 }
 
-#endif  // TC_AESNI_COMPILED
+#endif  // TC_NATIVE_KERNELS
 }  // namespace
 
-bool GcmIsNative() {
-#if defined(TC_AESNI_COMPILED)
-  // CpuHasAesNi() covers the AES bit and TC_DISABLE_AESNI. Cached for the
-  // same reason as it: CPUID can be a VM exit.
-  static const bool native = [] {
-    if (!CpuHasAesNi()) return false;
-    unsigned int eax, ebx, ecx, edx;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    return (ecx & bit_PCLMUL) != 0 && (ecx & bit_SSSE3) != 0;
-  }();
-  return native;
-#else
-  return false;
-#endif
-}
+bool GcmIsNative() { return CpuHas(kCpuAesNi | kCpuPclmul); }
 
 Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
   Bytes out;
@@ -335,7 +320,7 @@ void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
   uint8_t* tag = data + len;
   NextNonce(nonce);
 
-#if defined(TC_AESNI_COMPILED)
+#if defined(TC_NATIVE_KERNELS)
   if (GcmIsNative()) {
     NativeGcm<false>(key, nonce, aad, plaintext.data(), len, data, tag);
     return;
@@ -377,7 +362,7 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
-#if defined(TC_AESNI_COMPILED)
+#if defined(TC_NATIVE_KERNELS)
   if (GcmIsNative()) {
     // Authenticate first: no plaintext is written unless the tag matches.
     Bytes plaintext(ct_len);

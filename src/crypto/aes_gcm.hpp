@@ -12,19 +12,18 @@ namespace tc::crypto {
 constexpr size_t kGcmNonceSize = 12;
 constexpr size_t kGcmTagSize = 16;
 
-/// Two implementations, one output. Where the CPU has AES-NI, PCLMULQDQ
-/// and SSSE3 (GcmIsNative()), a native one-shot kernel runs. One AES pass
-/// of eight blocks, with the key schedule run between its rounds in
-/// registers, gives H = E(0), E(J0) and the first six keystream blocks;
-/// longer payloads continue in passes of eight keystream blocks under a
-/// stack copy of the schedule, scrubbed before it returns. GHASH is a
-/// PCLMULQDQ multiply and reduction over byte-reflected blocks. Elsewhere,
-/// or with TC_DISABLE_AESNI set, OpenSSL's EVP AES-128-GCM runs; nothing
-/// else selects it. Both give byte-identical ciphertexts and tags
-/// (OpenSSL's for the same key and nonce), so stored payloads, envelopes
-/// and sealed grants open on either.
+/// Two implementations, one output. Where the CPU feature table (cpu.hpp)
+/// has AES-NI and PCLMULQDQ (GcmIsNative()), a native one-shot kernel runs.
+/// One AES pass of eight blocks, with the key schedule run between its
+/// rounds in registers, gives H = E(0), E(J0) and the first six keystream
+/// blocks; longer payloads continue in passes of eight keystream blocks
+/// under a stack copy of the schedule, scrubbed before it returns. GHASH is
+/// a PCLMULQDQ multiply and reduction over byte-reflected blocks. Elsewhere
+/// OpenSSL's EVP AES-128-GCM runs; nothing else selects it. Both give
+/// byte-identical ciphertexts and tags (OpenSSL's for the same key and
+/// nonce), so stored payloads, envelopes and sealed grants open on either.
 
-/// True when this process seals and opens on the native path. Cached.
+/// True when this process seals and opens on the native path.
 bool GcmIsNative();
 
 /// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh

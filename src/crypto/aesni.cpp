@@ -1,46 +1,16 @@
 #include "crypto/aesni.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "crypto/aesni_rounds.hpp"
 
-#if defined(TC_AESNI_COMPILED)
-#include <cpuid.h>
-#endif
-
 namespace tc::crypto {
 
-namespace {
-
-// Operators can force the software dispatch path (e.g. to exercise the
-// fallback on AES-NI hardware, or to sidestep a hypervisor CPUID quirk).
-bool AesNiDisabledByEnv() {
-  const char* v = std::getenv("TC_DISABLE_AESNI");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
-
-#if defined(TC_AESNI_COMPILED)
+#if defined(TC_NATIVE_KERNELS)
 
 using internal::AesEncryptLanes;
 using internal::AesEncryptScheduling;
 using internal::AesNextRoundKey;
-
-bool CpuHasAesNi() {
-  // CPUID is serializing and, under virtualization, a VM exit — ~10 µs per
-  // call on some hypervisors. MakePrg() probes this on every construction
-  // (e.g. each keystream re-anchor), so cache the answer once. The key
-  // schedule also needs SSSE3, which every AES-NI CPU has.
-  static const bool has_aesni = [] {
-    if (AesNiDisabledByEnv()) return false;
-    unsigned int eax, ebx, ecx, edx;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    return (ecx & bit_AES) != 0 && (ecx & bit_SSSE3) != 0;
-  }();
-  return has_aesni;
-}
 
 namespace {
 
@@ -121,27 +91,15 @@ AesNiBlock::EncryptBlock(const Block128& plaintext) const {
   return out;
 }
 
-#else  // !TC_AESNI_COMPILED
+#else  // !TC_NATIVE_KERNELS
 
-bool CpuHasAesNi() {
-  (void)AesNiDisabledByEnv();  // keep the helper referenced on all paths
-  return false;
-}
+// The feature table is empty here, so every caller takes the software path
+// and nothing below runs.
+void AesNiExpand(const Key128&, Key128&, Key128&) { std::abort(); }
+void AesNiFieldKeys(const Key128&, std::span<uint64_t>) { std::abort(); }
+AesNiBlock::AesNiBlock(const Key128&) { std::abort(); }
+Block128 AesNiBlock::EncryptBlock(const Block128&) const { std::abort(); }
 
-// CpuHasAesNi() is false here, so every caller takes the software path and
-// nothing below runs.
-namespace {
-[[noreturn]] void NoAesNi() {
-  std::fprintf(stderr, "fatal: AES-NI kernel called without AES-NI\n");
-  std::abort();
-}
-}  // namespace
-
-void AesNiExpand(const Key128&, Key128&, Key128&) { NoAesNi(); }
-void AesNiFieldKeys(const Key128&, std::span<uint64_t>) { NoAesNi(); }
-AesNiBlock::AesNiBlock(const Key128&) { NoAesNi(); }
-Block128 AesNiBlock::EncryptBlock(const Block128&) const { NoAesNi(); }
-
-#endif  // TC_AESNI_COMPILED
+#endif  // TC_NATIVE_KERNELS
 
 }  // namespace tc::crypto

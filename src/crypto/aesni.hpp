@@ -2,38 +2,35 @@
 // best candidate in terms of performance"). The hot paths run fused
 // kernels that keep the key schedule in registers: the GGM step and HEAC's
 // field keys here, AES-GCM in aes_gcm.cpp (all built on aesni_rounds.hpp).
-// Callers dispatch on CpuHasAesNi() and run the software AES
+// Callers dispatch on CpuHas(kCpuAesNi) (cpu.hpp) and run the software AES
 // (soft_aes.hpp) where it is false.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "crypto/cpu.hpp"
 #include "crypto/soft_aes.hpp"
 
 namespace tc::crypto {
 
-/// True if this CPU supports the AES-NI instruction set and TC_DISABLE_AESNI
-/// is unset.
-bool CpuHasAesNi();
-
 /// The GGM step of the AES PRG: left = AES_parent(0) and right =
 /// AES_parent(1), where block 1 is 1 in its first byte and zero elsewhere.
 /// The key schedule runs between the two blocks' rounds, in registers; only
-/// the children are written. Requires CpuHasAesNi().
+/// the children are written. Requires CpuHas(kCpuAesNi).
 void AesNiExpand(TC_SECRET const Key128& parent, Key128& left, Key128& right);
 
 /// HEAC field keys: keys[f] = Fold64(AES_leaf(f)) for every f, where block
 /// f holds f as a little-endian uint64 and Fold64 XORs the block's two
 /// halves. The first eight blocks run with the key schedule; with more
 /// fields the schedule also goes to a stack array, scrubbed on return, for
-/// the later runs of eight. Requires CpuHasAesNi().
+/// the later runs of eight. Requires CpuHas(kCpuAesNi).
 void AesNiFieldKeys(TC_SECRET const Key128& leaf, std::span<uint64_t> keys);
 
 /// One-block AES-128 on AES-NI over a stored key schedule: the reference
 /// the tests check the kernels' rounds and schedule against (FIPS-197 and
 /// the software AES). The schedule is scrubbed on destruction. Requires
-/// CpuHasAesNi().
+/// CpuHas(kCpuAesNi).
 class AesNiBlock {
  public:
   explicit AesNiBlock(TC_SECRET const Key128& key);

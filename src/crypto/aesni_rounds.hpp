@@ -2,7 +2,7 @@
 // aesni.cpp (the GGM step, HEAC field keys) and aes_gcm.cpp (GCM). Internal
 // to src/crypto/. Every function carries its own target attribute, so a
 // translation unit needs no -maes flag, and callers gate each call on
-// CpuHasAesNi().
+// CpuHas(kCpuAesNi) (cpu.hpp).
 //
 // The key schedule is Gueron's AESENCLAST method (Intel's AES-NI white
 // paper) rather than AESKEYGENASSIST, which has low throughput on recent
@@ -12,8 +12,9 @@
 // asks for a copy to run further blocks with.
 #pragma once
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define TC_AESNI_COMPILED 1
+#include "crypto/cpu.hpp"
+
+#if defined(TC_NATIVE_KERNELS)
 
 #include <immintrin.h>
 

@@ -14,8 +14,7 @@ FieldKeys::FieldKeys(const Key128& leaf, size_t num_fields)
 }
 
 void FieldKeys::Derive(const Key128& leaf) {
-  // The same dispatch as MakePrg: AES-NI only where the CPU has it.
-  if (CpuHasAesNi()) {
+  if (CpuHas(kCpuAesNi)) {
     AesNiFieldKeys(leaf, keys_);
     return;
   }

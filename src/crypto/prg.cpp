@@ -64,7 +64,7 @@ class Sha256Prg final : public Prg {
 std::unique_ptr<Prg> MakePrg(PrgKind kind) {
   switch (kind) {
     case PrgKind::kAesNi:
-      if (CpuHasAesNi()) return std::make_unique<AesNiPrg>();
+      if (CpuHas(kCpuAesNi)) return std::make_unique<AesNiPrg>();
       return std::make_unique<AesSoftPrg>();
     case PrgKind::kAesSoft:
       return std::make_unique<AesSoftPrg>();

@@ -46,8 +46,8 @@ class Prg {
   }
 };
 
-/// Create a PRG of the given kind. kAesNi silently falls back to the
-/// software implementation when the CPU lacks AES-NI.
+/// Create a PRG of the given kind. kAesNi falls back to the software AES
+/// where the CPU feature table (cpu.hpp) has no AES-NI at construction.
 std::unique_ptr<Prg> MakePrg(PrgKind kind);
 
 }  // namespace tc::crypto

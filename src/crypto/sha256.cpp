@@ -1,28 +1,23 @@
 #include "crypto/sha256.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-// The compression and the chain walk use the SHA extensions (SHA-NI) where
-// the CPU has them. Only the functions that run them are compiled for them,
+#include "crypto/cpu.hpp"
+
+// Only the SHA-NI compression and chain kernels are compiled for SHA-NI,
 // through a target attribute, so the rest of this file stays baseline x86
-// and UseShaNi() gates the calls.
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define TC_SHANI_COMPILED 1
+// and CpuHas(kCpuShaNi) gates the calls.
+#if defined(TC_NATIVE_KERNELS)
 #define TC_SHANI_TARGET __attribute__((target("sha,ssse3,sse4.1")))
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
 namespace tc::crypto {
 
 namespace {
-
-/// Set by internal::ForcePortableSha256.
-std::atomic<bool> force_portable{false};
 
 // A message of at most this many bytes leaves room in its one 64-byte
 // block for the 0x80 terminator and the 8-byte bit length.
@@ -87,26 +82,7 @@ void PortableCompress(uint8_t* state, const uint8_t* p, size_t n) {
   SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(w), sizeof(w)));
 }
 
-#if defined(TC_SHANI_COMPILED)
-
-/// True if this CPU has the SHA extensions (CPUID leaf 7, EBX bit 29).
-/// Cached for the same reason as CpuHasAesNi(): CPUID can be a VM exit. The
-/// compression also needs SSSE3 and SSE4.1, which every SHA-NI CPU has, but
-/// they are cheap to check.
-bool CpuHasShaNi() {
-  static const bool has_shani = [] {
-    unsigned int eax, ebx, ecx, edx;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
-    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-    return (ebx & bit_SHA) != 0;
-  }();
-  return has_shani;
-}
-
-bool UseShaNi() {
-  return CpuHasShaNi() && !force_portable.load(std::memory_order_relaxed);
-}
+#if defined(TC_NATIVE_KERNELS)
 
 /// The 64 rounds of SHA-256 over one block of each of N independent
 /// messages, each block given as its 16 big-endian words in four registers
@@ -255,7 +231,7 @@ TC_SHANI_TARGET void ShaNiChainKey(const uint8_t* state, uint8_t* key) {
   StoreWords(WordsEfgh(abef[0], cdgh[0]), key);
 }
 
-#endif  // TC_SHANI_COMPILED
+#endif  // TC_NATIVE_KERNELS
 
 using CompressFn = void (*)(uint8_t* state, const uint8_t* blocks, size_t n);
 
@@ -308,18 +284,15 @@ Sha256Digest Sha256(BytesView data) {
 }
 
 Sha256Digest Sha256Concat(BytesView a, BytesView b) {
-#if defined(TC_SHANI_COMPILED)
-  if (UseShaNi()) return HashBlocks(ShaNiCompress, a, b);
+#if defined(TC_NATIVE_KERNELS)
+  if (CpuHas(kCpuShaNi)) return HashBlocks(ShaNiCompress, a, b);
 #endif
   return HashBlocks(PortableCompress, a, b);
 }
 
 void Sha256ChainWalk(Key128& state, uint64_t steps) {
-#if defined(TC_SHANI_COMPILED)
-  if (UseShaNi()) {
-    ShaNiChainWalk(state.data(), steps);
-    return;
-  }
+#if defined(TC_NATIVE_KERNELS)
+  if (CpuHas(kCpuShaNi)) return ShaNiChainWalk(state.data(), steps);
 #endif
   if (steps == 0) return;
   Sha256Digest d;
@@ -332,10 +305,9 @@ void Sha256ChainWalk(Key128& state, uint64_t steps) {
 
 void Sha256ChainWalkPair(Key128& a, uint64_t a_steps, Key128& b,
                          uint64_t b_steps) {
-#if defined(TC_SHANI_COMPILED)
-  if (UseShaNi()) {
-    ShaNiChainWalkPair(a.data(), a_steps, b.data(), b_steps);
-    return;
+#if defined(TC_NATIVE_KERNELS)
+  if (CpuHas(kCpuShaNi)) {
+    return ShaNiChainWalkPair(a.data(), a_steps, b.data(), b_steps);
   }
 #endif
   Sha256ChainWalk(a, a_steps);
@@ -344,8 +316,8 @@ void Sha256ChainWalkPair(Key128& a, uint64_t a_steps, Key128& b,
 
 Key128 Sha256ChainKey(const Key128& state) {
   Key128 key;
-#if defined(TC_SHANI_COMPILED)
-  if (UseShaNi()) {
+#if defined(TC_NATIVE_KERNELS)
+  if (CpuHas(kCpuShaNi)) {
     ShaNiChainKey(state.data(), key.data());
     return key;
   }
@@ -400,13 +372,5 @@ Bytes HkdfSha256(BytesView ikm, BytesView salt, BytesView info, size_t length) {
   SecureZero(prk);
   return out;
 }
-
-namespace internal {
-
-void ForcePortableSha256(bool on) {
-  force_portable.store(on, std::memory_order_relaxed);
-}
-
-}  // namespace internal
 
 }  // namespace tc::crypto

@@ -1,7 +1,7 @@
 // SHA-256, HMAC-SHA256 and HKDF, native at every input length: one
-// compression function, run with the SHA extensions (SHA-NI) where the CPU
-// has them and in portable C++ where it does not. HMAC and HKDF are built on
-// that SHA-256, so hashing never enters OpenSSL.
+// compression function, run with the SHA extensions (SHA-NI) where the
+// feature table (cpu.hpp) has them and in portable C++ where it does not.
+// HMAC and HKDF are built on that SHA-256, so hashing never enters OpenSSL.
 //
 // Key regression's hash chains (§4.4.2) have their own kernel:
 // Sha256ChainWalk applies s <- MSB128(SHA-256(s)) any number of times. On
@@ -47,14 +47,5 @@ Sha256Digest HmacSha256(TC_SECRET BytesView key, BytesView data);
 /// exceeds 255 * 32 bytes, the most the one-byte block counter can number.
 Bytes HkdfSha256(TC_SECRET BytesView ikm, BytesView salt, BytesView info,
                  size_t length);
-
-namespace internal {
-
-/// Test seam: while on, every SHA-256 of this process (HMAC, HKDF and the
-/// chain kernels included) runs the portable compression, also on CPUs
-/// with SHA-NI.
-void ForcePortableSha256(bool on);
-
-}  // namespace internal
 
 }  // namespace tc::crypto

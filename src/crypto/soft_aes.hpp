@@ -1,7 +1,7 @@
 // Portable software AES-128 (encrypt-only), implemented from the FIPS-197
-// specification. It is the fallback where the CPU lacks AES-NI (or
-// TC_DISABLE_AESNI is set), and the Fig 6 benchmark's software AES PRG;
-// elsewhere production code paths run the AES-NI kernels (aesni.hpp).
+// specification. It runs where the feature table (cpu.hpp) has no AES-NI,
+// and as the Fig 6 benchmark's software AES PRG; elsewhere production code
+// paths run the AES-NI kernels (aesni.hpp).
 #pragma once
 
 #include <array>

@@ -13,6 +13,7 @@
 #include "crypto/sha256.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/kernel_arms.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc::client {
@@ -397,7 +398,12 @@ TEST_F(OwnerSealTest, BatchedBodyIsTheCodecEncodingOfItsEntries) {
   EXPECT_EQ(ToHex(net::codec::Encode(expected)), ToHex(body));
 }
 
-TEST_F(OwnerSealTest, DigestBlobsArePinned) {
+// The pin holds on both kernel arms: the AES-NI, SHA-NI and native GCM
+// kernels, and the software AES, portable SHA-256 and OpenSSL's GCM.
+class OwnerSealPins : public test::KernelArms, public OwnerSealTest {};
+TC_INSTANTIATE_KERNEL_ARMS(OwnerSealPins);
+
+TEST_P(OwnerSealPins, DigestBlobsArePinned) {
   // The first 130 chunks of a 19-field HEAC vitals stream from a fixed
   // master seed, ten points each: a SHA-256 over every chunk's digest blob
   // and payload key. The walk crosses the iterator's 2^k boundaries up to

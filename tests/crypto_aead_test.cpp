@@ -1,9 +1,9 @@
 // SHA-256, HMAC-SHA256, HKDF and AES-GCM known answers, SHA-256 and HMAC
-// against OpenSSL at every block boundary and on both compressions (SHA-NI
-// and portable), HKDF's length bound, AES-GCM payload encryption
+// against OpenSSL at every block boundary, HKDF's length bound, AES-GCM
+// payload encryption
 // (byte-for-byte agreement with OpenSSL's EVP path, tamper detection, cipher
 // context reuse, the per-thread nonce reserve, its thread and fork safety)
-// and X25519 sealed-box tests.
+// and X25519 sealed-box tests, on both kernel arms (tests/kernel_arms.hpp).
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 #include <openssl/hmac.h>
@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -21,6 +20,7 @@
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sealed_box.hpp"
 #include "crypto/sha256.hpp"
+#include "tests/kernel_arms.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -29,18 +29,18 @@ std::string HexOf(BytesView b) { return ToHex(b); }
 
 Bytes Repeat(uint8_t byte, size_t n) { return Bytes(n, byte); }
 
-// Every SHA-256 test runs twice: on the compression this CPU picks (SHA-NI
-// where it has it) and on the portable one, forced through the test seam.
-class Sha256Test : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override { internal::ForcePortableSha256(GetParam()); }
-  void TearDown() override { internal::ForcePortableSha256(false); }
-};
-
-INSTANTIATE_TEST_SUITE_P(Compressions, Sha256Test, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Portable" : "Native";
-                         });
+// Every SHA-256, AES-GCM, payload-key and sealed-box test runs on both
+// kernel arms: on the kernels this CPU has (SHA-NI, AES-NI and PCLMULQDQ
+// where it has them) and on the portable compression and OpenSSL's EVP
+// AES-GCM, with the CPU feature table masked.
+class Sha256Test : public test::KernelArmTest {};
+class AesGcm : public test::KernelArmTest {};
+class ChunkPayloadKeyTest : public test::KernelArmTest {};
+class SealedBox : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(Sha256Test);
+TC_INSTANTIATE_KERNEL_ARMS(AesGcm);
+TC_INSTANTIATE_KERNEL_ARMS(ChunkPayloadKeyTest);
+TC_INSTANTIATE_KERNEL_ARMS(SealedBox);
 
 TEST_P(Sha256Test, Fips180KnownAnswers) {
   EXPECT_EQ(HexOf(Sha256({})),
@@ -236,7 +236,7 @@ std::optional<Bytes> LegacyGcmOpen(const Key128& key, BytesView sealed,
 // 0-129, 255-257, 1000 and 4109: across the eight-block counter batch, the
 // four-block GHASH aggregation, a partial last block, a partial AAD block,
 // and AAD and plaintext that both end mid-block.
-TEST(AesGcm, AgreesWithLegacyEvpPathBothWays) {
+TEST_P(AesGcm, AgreesWithLegacyEvpPathBothWays) {
   const Bytes fixed_nonce = FromHex("0102030405060708090a0b0c").value();
   std::vector<size_t> aad_sizes;
   for (size_t n = 0; n <= 48; ++n) aad_sizes.push_back(n);
@@ -316,7 +316,7 @@ constexpr GcmSpecCase kGcmSpecCases[] = {
      "5bc94fbc3221a5db94fae95ae7121a47"},
 };
 
-TEST(AesGcm, OpensGcmSpecTestCases1To4) {
+TEST_P(AesGcm, OpensGcmSpecTestCases1To4) {
   for (size_t i = 0; i < std::size(kGcmSpecCases); ++i) {
     const GcmSpecCase& c = kGcmSpecCases[i];
     Key128 key;
@@ -339,7 +339,7 @@ TEST(AesGcm, OpensGcmSpecTestCases1To4) {
 
 // One flipped bit in any tag byte, the first or last ciphertext byte, or
 // the AAD fails the open with DataLoss and returns no plaintext.
-TEST(AesGcm, EveryTamperedByteIsDataLoss) {
+TEST_P(AesGcm, EveryTamperedByteIsDataLoss) {
   const Key128 key = RandomKey128();
   Bytes aad = ToBytes("tc-chunk-aad");
   Bytes pt(40);
@@ -362,17 +362,7 @@ TEST(AesGcm, EveryTamperedByteIsDataLoss) {
   EXPECT_EQ(open.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(AesGcm, DispatchHonoursDisableEnv) {
-  // The CTest entry crypto_aead_test_soft_fallback reruns this binary with
-  // TC_DISABLE_AESNI=1: the native path must then report off, so every
-  // test above runs on OpenSSL's EVP path.
-  const char* disabled = std::getenv("TC_DISABLE_AESNI");
-  if (disabled != nullptr && *disabled != '\0' && *disabled != '0') {
-    EXPECT_FALSE(GcmIsNative());
-  }
-}
-
-TEST(AesGcm, OneThreadsNoncesAreDistinctAcrossRefills) {
+TEST_P(AesGcm, OneThreadsNoncesAreDistinctAcrossRefills) {
   // 10,000 seals use about 29 refills of the 341-nonce reserve.
   const Key128 key = RandomKey128();
   std::set<Bytes> nonces;
@@ -383,7 +373,7 @@ TEST(AesGcm, OneThreadsNoncesAreDistinctAcrossRefills) {
   EXPECT_EQ(nonces.size(), 10'000u);
 }
 
-TEST(AesGcm, ConcurrentThreadsDrawDistinctNonces) {
+TEST_P(AesGcm, ConcurrentThreadsDrawDistinctNonces) {
   // Four sealing threads, each through about three refills of its own
   // reserve, all reading the shared fork generation.
   constexpr int kThreads = 4;
@@ -405,7 +395,7 @@ TEST(AesGcm, ConcurrentThreadsDrawDistinctNonces) {
   EXPECT_EQ(nonces.size(), static_cast<size_t>(kThreads * kSeals));
 }
 
-TEST(AesGcm, ForkedChildDoesNotReuseParentNonces) {
+TEST_P(AesGcm, ForkedChildDoesNotReuseParentNonces) {
   const Key128 key = RandomKey128();
   (void)GcmSeal(key, {});  // the reserve is now filled and partly used
   int fds[2];
@@ -434,7 +424,7 @@ TEST(AesGcm, ForkedChildDoesNotReuseParentNonces) {
   }
 }
 
-TEST(AesGcm, RoundTrip) {
+TEST_P(AesGcm, RoundTrip) {
   Key128 key = RandomKey128();
   Bytes pt = ToBytes("the quick brown fox");
   Bytes sealed = GcmSeal(key, pt);
@@ -444,7 +434,7 @@ TEST(AesGcm, RoundTrip) {
   EXPECT_EQ(*open, pt);
 }
 
-TEST(AesGcm, EmptyPlaintext) {
+TEST_P(AesGcm, EmptyPlaintext) {
   Key128 key = RandomKey128();
   Bytes sealed = GcmSeal(key, {});
   auto open = GcmOpen(key, sealed);
@@ -452,25 +442,25 @@ TEST(AesGcm, EmptyPlaintext) {
   EXPECT_TRUE(open->empty());
 }
 
-TEST(AesGcm, RandomizedEncryption) {
+TEST_P(AesGcm, RandomizedEncryption) {
   Key128 key = RandomKey128();
   Bytes pt = ToBytes("same message");
   EXPECT_NE(GcmSeal(key, pt), GcmSeal(key, pt));  // fresh nonce per call
 }
 
-TEST(AesGcm, TamperDetected) {
+TEST_P(AesGcm, TamperDetected) {
   Key128 key = RandomKey128();
   Bytes sealed = GcmSeal(key, ToBytes("payload"));
   sealed[kGcmNonceSize] ^= 1;  // flip a ciphertext bit
   EXPECT_FALSE(GcmOpen(key, sealed).ok());
 }
 
-TEST(AesGcm, WrongKeyFails) {
+TEST_P(AesGcm, WrongKeyFails) {
   Bytes sealed = GcmSeal(RandomKey128(), ToBytes("payload"));
   EXPECT_FALSE(GcmOpen(RandomKey128(), sealed).ok());
 }
 
-TEST(AesGcm, AadIsAuthenticated) {
+TEST_P(AesGcm, AadIsAuthenticated) {
   Key128 key = RandomKey128();
   Bytes aad = ToBytes("chunk-42");
   Bytes sealed = GcmSeal(key, ToBytes("payload"), aad);
@@ -478,14 +468,14 @@ TEST(AesGcm, AadIsAuthenticated) {
   EXPECT_FALSE(GcmOpen(key, sealed, ToBytes("chunk-43")).ok());
 }
 
-TEST(AesGcm, TruncatedBlobRejected) {
+TEST_P(AesGcm, TruncatedBlobRejected) {
   Key128 key = RandomKey128();
   Bytes sealed = GcmSeal(key, ToBytes("x"));
   sealed.resize(kGcmNonceSize + kGcmTagSize - 1);
   EXPECT_FALSE(GcmOpen(key, sealed).ok());
 }
 
-TEST(ChunkPayloadKeyTest, KnownAnswer) {
+TEST_P(ChunkPayloadKeyTest, KnownAnswer) {
   // The key of every stored chunk payload: its bytes must never change.
   Key128 a, b;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -495,14 +485,14 @@ TEST(ChunkPayloadKeyTest, KnownAnswer) {
   EXPECT_EQ(ToHex(ChunkPayloadKey(a, b)), "a2c02486feb59d5eaff5e2a43e2bc8ec");
 }
 
-TEST(ChunkPayloadKeyTest, DeterministicAndPositionDependent) {
+TEST_P(ChunkPayloadKeyTest, DeterministicAndPositionDependent) {
   Key128 a = RandomKey128(), b = RandomKey128(), c = RandomKey128();
   EXPECT_EQ(ChunkPayloadKey(a, b), ChunkPayloadKey(a, b));
   EXPECT_NE(ChunkPayloadKey(a, b), ChunkPayloadKey(a, c));
   EXPECT_NE(ChunkPayloadKey(a, b), ChunkPayloadKey(b, a));
 }
 
-TEST(SealedBox, RoundTrip) {
+TEST_P(SealedBox, RoundTrip) {
   BoxKeyPair alice = GenerateBoxKeyPair();
   Bytes msg = ToBytes("access token bundle");
   auto sealed = SealToPublicKey(alice.public_key, msg);
@@ -512,7 +502,7 @@ TEST(SealedBox, RoundTrip) {
   EXPECT_EQ(*open, msg);
 }
 
-TEST(SealedBox, OnlyRecipientCanOpen) {
+TEST_P(SealedBox, OnlyRecipientCanOpen) {
   BoxKeyPair alice = GenerateBoxKeyPair();
   BoxKeyPair eve = GenerateBoxKeyPair();
   auto sealed = SealToPublicKey(alice.public_key, ToBytes("secret"));
@@ -520,14 +510,14 @@ TEST(SealedBox, OnlyRecipientCanOpen) {
   EXPECT_FALSE(OpenSealed(eve, *sealed).ok());
 }
 
-TEST(SealedBox, FreshEphemeralPerSeal) {
+TEST_P(SealedBox, FreshEphemeralPerSeal) {
   BoxKeyPair alice = GenerateBoxKeyPair();
   auto a = SealToPublicKey(alice.public_key, ToBytes("m"));
   auto b = SealToPublicKey(alice.public_key, ToBytes("m"));
   EXPECT_NE(*a, *b);
 }
 
-TEST(SealedBox, TamperDetected) {
+TEST_P(SealedBox, TamperDetected) {
   BoxKeyPair alice = GenerateBoxKeyPair();
   auto sealed = SealToPublicKey(alice.public_key, ToBytes("secret"));
   ASSERT_TRUE(sealed.ok());
@@ -535,11 +525,11 @@ TEST(SealedBox, TamperDetected) {
   EXPECT_FALSE(OpenSealed(alice, *sealed).ok());
 }
 
-TEST(SealedBox, RejectsBadPublicKeySize) {
+TEST_P(SealedBox, RejectsBadPublicKeySize) {
   EXPECT_FALSE(SealToPublicKey(Bytes(31, 0), ToBytes("m")).ok());
 }
 
-TEST(SealedBox, KeypairsAreUnique) {
+TEST_P(SealedBox, KeypairsAreUnique) {
   EXPECT_NE(GenerateBoxKeyPair().public_key,
             GenerateBoxKeyPair().public_key);
 }

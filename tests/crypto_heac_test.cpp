@@ -1,18 +1,21 @@
 // HEAC tests: encrypt/decrypt round trips, the key-canceling telescoping
 // property over ranges, homomorphic addition, per-field key independence,
-// and the access-control interaction with GGM tokens.
+// and the access-control interaction with GGM tokens. Every test that
+// derives leaves or field keys runs on both kernel arms: the AES-NI GGM
+// step and field keys, and the software AES.
 #include <gtest/gtest.h>
 
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
 #include "crypto/rand.hpp"
+#include "tests/kernel_arms.hpp"
 
 namespace tc::crypto {
 namespace {
 
 constexpr uint32_t kHeight = 12;
 
-class HeacTest : public ::testing::Test {
+class HeacTest : public test::KernelArmTest {
  protected:
   HeacTest() : tree_(RandomKey128(), kHeight) {}
 
@@ -27,7 +30,9 @@ class HeacTest : public ::testing::Test {
   GgmTree tree_;
 };
 
-TEST_F(HeacTest, SingleChunkRoundTrip) {
+TC_INSTANTIATE_KERNEL_ARMS(HeacTest);
+
+TEST_P(HeacTest, SingleChunkRoundTrip) {
   HeacCodec codec(3);
   std::vector<uint64_t> m = {42, 7, 1};
   auto c = codec.Encrypt(m, 5, Leaf(5), Leaf(6));
@@ -36,7 +41,7 @@ TEST_F(HeacTest, SingleChunkRoundTrip) {
   EXPECT_EQ(back, m);
 }
 
-TEST_F(HeacTest, CiphertextHidesPlaintext) {
+TEST_P(HeacTest, CiphertextHidesPlaintext) {
   HeacCodec codec(1);
   auto c1 = codec.Encrypt(std::vector<uint64_t>{0}, 0, Leaf(0), Leaf(1));
   auto c2 = codec.Encrypt(std::vector<uint64_t>{0}, 1, Leaf(1), Leaf(2));
@@ -44,7 +49,7 @@ TEST_F(HeacTest, CiphertextHidesPlaintext) {
   EXPECT_NE(c1.fields, c2.fields);
 }
 
-TEST_F(HeacTest, TelescopingSumNeedsOnlyOuterKeys) {
+TEST_P(HeacTest, TelescopingSumNeedsOnlyOuterKeys) {
   constexpr uint64_t kN = 100;
   HeacCodec codec(1);
   uint64_t expected = 0;
@@ -60,7 +65,7 @@ TEST_F(HeacTest, TelescopingSumNeedsOnlyOuterKeys) {
   EXPECT_EQ(m[0], expected);
 }
 
-TEST_F(HeacTest, MidRangeAggregateDecrypts) {
+TEST_P(HeacTest, MidRangeAggregateDecrypts) {
   HeacCodec codec(2);
   HeacCiphertext agg = EncryptChunk(10, {1, 100});
   ASSERT_TRUE(HeacAddInPlace(agg, EncryptChunk(11, {2, 200})).ok());
@@ -69,26 +74,26 @@ TEST_F(HeacTest, MidRangeAggregateDecrypts) {
   EXPECT_EQ(m, (std::vector<uint64_t>{6, 600}));
 }
 
-TEST_F(HeacTest, WrongOuterKeysGiveGarbage) {
+TEST_P(HeacTest, WrongOuterKeysGiveGarbage) {
   HeacCodec codec(1);
   auto c = EncryptChunk(4, {1234});
   auto wrong = codec.Decrypt(c, Leaf(3), Leaf(5));
   EXPECT_NE(wrong[0], 1234u);
 }
 
-TEST_F(HeacTest, NonContiguousAddRejected) {
+TEST_P(HeacTest, NonContiguousAddRejected) {
   auto a = EncryptChunk(0, {1});
   auto b = EncryptChunk(2, {2});  // gap at chunk 1
   EXPECT_FALSE(HeacAdd(a, b).ok());
 }
 
-TEST_F(HeacTest, FieldCountMismatchRejected) {
+TEST_P(HeacTest, FieldCountMismatchRejected) {
   auto a = EncryptChunk(0, {1});
   auto b = EncryptChunk(1, {1, 2});
   EXPECT_FALSE(HeacAdd(a, b).ok());
 }
 
-TEST_F(HeacTest, ModularWraparoundMatchesPlaintextRing) {
+TEST_P(HeacTest, ModularWraparoundMatchesPlaintextRing) {
   // Values near 2^64 wrap exactly like plaintext uint64 arithmetic (§4.2.1:
   // "there will be an overflow (modulo M), if the aggregated values grow
   // larger than M" — same as plaintext).
@@ -100,14 +105,14 @@ TEST_F(HeacTest, ModularWraparoundMatchesPlaintextRing) {
   EXPECT_EQ(m[0], big + 20);  // wrapped
 }
 
-TEST_F(HeacTest, FieldsUseIndependentKeystreams) {
+TEST_P(HeacTest, FieldsUseIndependentKeystreams) {
   HeacCodec codec(2);
   auto c = codec.Encrypt(std::vector<uint64_t>{5, 5}, 0, Leaf(0), Leaf(1));
   // Same plaintext in both fields must yield different ciphertexts.
   EXPECT_NE(c.fields[0], c.fields[1]);
 }
 
-TEST_F(HeacTest, ConsumerWithTokensCanDecryptGrantedRange) {
+TEST_P(HeacTest, ConsumerWithTokensCanDecryptGrantedRange) {
   // Grant chunks [8, 16): consumer needs leaves 8..16 (outer key of the last
   // chunk is leaf 16).
   auto cover = tree_.CoverRange(8, 16).value();
@@ -123,14 +128,17 @@ TEST_F(HeacTest, ConsumerWithTokensCanDecryptGrantedRange) {
   EXPECT_EQ(m[0], 11u * 8);
 }
 
-TEST_F(HeacTest, ConsumerCannotDeriveKeysOutsideGrant) {
+TEST_P(HeacTest, ConsumerCannotDeriveKeysOutsideGrant) {
   auto cover = tree_.CoverRange(8, 16).value();
   TokenSet tokens(cover, kHeight);
   EXPECT_FALSE(tokens.DeriveLeaf(7).ok());
   EXPECT_FALSE(tokens.DeriveLeaf(17).ok());
 }
 
-TEST(HeacOuterKeySharing, ResolutionRestriction) {
+class HeacOuterKeySharing : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(HeacOuterKeySharing);
+
+TEST_P(HeacOuterKeySharing, ResolutionRestriction) {
   // §4.4.1: sharing only every 6th key restricts the consumer to 6-fold
   // aggregates. Verify a consumer holding outer keys {k_0, k_6} can decrypt
   // the 6-aggregate but no finer granularity.
@@ -166,7 +174,10 @@ TEST(Fold64, MixesBothHalves) {
   EXPECT_NE(Fold64(b), Fold64(Key128{}));
 }
 
-TEST(FieldKeys, DeterministicPerLeafAndField) {
+class FieldKeysTest : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(FieldKeysTest);
+
+TEST_P(FieldKeysTest, DeterministicPerLeafAndField) {
   Key128 leaf = RandomKey128();
   FieldKeys a(leaf, 4), b(leaf, 4);
   for (size_t f = 0; f < 4; ++f) EXPECT_EQ(a.key(f), b.key(f));
@@ -175,8 +186,8 @@ TEST(FieldKeys, DeterministicPerLeafAndField) {
 
 // Known answer for a fixed leaf, 19 fields: two full batches of eight
 // counter blocks and a remainder of three. Every stored digest depends on
-// these keys. crypto_heac_test_soft_fallback runs this on the software AES.
-TEST(FieldKeys, KnownAnswer) {
+// these keys, on either arm.
+TEST_P(FieldKeysTest, KnownAnswer) {
   Key128 leaf;
   for (size_t i = 0; i < leaf.size(); ++i) leaf[i] = static_cast<uint8_t>(0x50 + i);
   constexpr uint64_t kExpected[19] = {
@@ -197,7 +208,7 @@ TEST(FieldKeys, KnownAnswer) {
   for (size_t f = 0; f < 5; ++f) EXPECT_EQ(five.key(f), kExpected[f]);
 }
 
-TEST_F(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
+TEST_P(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
   HeacCodec codec(5);
   DeterministicRng rng(11);
   for (uint64_t chunk : {0, 1, 2, 17, 4094}) {
@@ -211,38 +222,38 @@ TEST_F(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
 }
 
 // Property sweep: random chunk ranges with random values always telescope.
-class HeacRangeProperty : public ::testing::TestWithParam<int> {};
+class HeacRangeProperty : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(HeacRangeProperty);
 
 TEST_P(HeacRangeProperty, RandomRangesTelescope) {
   GgmTree tree(RandomKey128(), 10);
   auto leaf = [&](uint64_t i) { return tree.DeriveLeaf(i).value(); };
-  DeterministicRng rng(GetParam());
   HeacCodec codec(2);
-
-  uint64_t start = rng.NextBelow(500);
-  uint64_t len = 1 + rng.NextBelow(100);
-  uint64_t sum0 = 0, sum1 = 0;
-  HeacCiphertext agg;
-  for (uint64_t i = start; i < start + len; ++i) {
-    uint64_t v0 = rng.NextBelow(1'000'000);
-    uint64_t v1 = rng.NextBelow(1'000'000);
-    sum0 += v0;
-    sum1 += v1;
-    auto c = codec.Encrypt(std::vector<uint64_t>{v0, v1}, i, leaf(i),
-                           leaf(i + 1));
-    if (i == start) {
-      agg = c;
-    } else {
-      ASSERT_TRUE(HeacAddInPlace(agg, c).ok());
+  for (int seed = 100; seed < 120; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    DeterministicRng rng(seed);
+    uint64_t start = rng.NextBelow(500);
+    uint64_t len = 1 + rng.NextBelow(100);
+    uint64_t sum0 = 0, sum1 = 0;
+    HeacCiphertext agg;
+    for (uint64_t i = start; i < start + len; ++i) {
+      uint64_t v0 = rng.NextBelow(1'000'000);
+      uint64_t v1 = rng.NextBelow(1'000'000);
+      sum0 += v0;
+      sum1 += v1;
+      auto c = codec.Encrypt(std::vector<uint64_t>{v0, v1}, i, leaf(i),
+                             leaf(i + 1));
+      if (i == start) {
+        agg = c;
+      } else {
+        ASSERT_TRUE(HeacAddInPlace(agg, c).ok());
+      }
     }
+    auto m = codec.Decrypt(agg, leaf(start), leaf(start + len));
+    EXPECT_EQ(m[0], sum0);
+    EXPECT_EQ(m[1], sum1);
   }
-  auto m = codec.Decrypt(agg, leaf(start), leaf(start + len));
-  EXPECT_EQ(m[0], sum0);
-  EXPECT_EQ(m[1], sum1);
 }
-
-INSTANTIATE_TEST_SUITE_P(RandomRanges, HeacRangeProperty,
-                         ::testing::Range(100, 120));
 
 }  // namespace
 }  // namespace tc::crypto

@@ -8,6 +8,7 @@
 
 #include "crypto/key_regression.hpp"
 #include "crypto/rand.hpp"
+#include "tests/kernel_arms.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -20,16 +21,22 @@ Key128 Sequence(uint8_t start) {
 }
 
 // Known answers: every stored grant and envelope depends on these bytes, so
-// a faster hash must reproduce them exactly. StepDown and KeyOf are the two
+// a faster hash must reproduce them exactly, on both kernel arms (the SHA-NI
+// chain kernels and the portable SHA-256). StepDown and KeyOf are the two
 // halves of SHA-256(00 01 .. 0f).
-TEST(HashChain, KnownAnswers) {
+class HashChainPins : public test::KernelArmTest {};
+class DualKeyRegressionPins : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(HashChainPins);
+TC_INSTANTIATE_KERNEL_ARMS(DualKeyRegressionPins);
+
+TEST_P(HashChainPins, KnownAnswers) {
   const Key128 state = Sequence(0x00);
   EXPECT_EQ(ToHex(HashChain::StepDown(state)),
             "be45cb2605bf36bebde684841a28f0fd");
   EXPECT_EQ(ToHex(HashChain::KeyOf(state)), "43c69850a3dce5fedba69928ee3a8991");
 }
 
-TEST(DualKeyRegression, KnownAnswers) {
+TEST_P(DualKeyRegressionPins, KnownAnswers) {
   DualKeyRegression kr(Sequence(0x10), Sequence(0x20), 16);
   auto keys = kr.DeriveKeys(0, 3);
   ASSERT_TRUE(keys.ok()) << keys.status().ToString();
@@ -43,7 +50,7 @@ TEST(DualKeyRegression, KnownAnswers) {
 // The resolution keystreams' shape: 2^16 states, a grant over windows
 // 0..1092. Pinned from the build that walked every chain in full at
 // construction, so building checkpoints on demand must not move a byte.
-TEST(HashChain, LongChainKnownAnswers) {
+TEST_P(HashChainPins, LongChainKnownAnswers) {
   HashChain chain(Sequence(0x30), 1 << 16);
   EXPECT_EQ(ToHex(chain.StateAt(65535 - 1092).value()),
             "2a7a645d00b36df2c1a8b62547c41177");
@@ -53,7 +60,7 @@ TEST(HashChain, LongChainKnownAnswers) {
             "0942ef092c8666febd86c5267664e24e");
 }
 
-TEST(DualKeyRegression, LongChainKnownAnswers) {
+TEST_P(DualKeyRegressionPins, LongChainKnownAnswers) {
   DualKeyRegression kr(Sequence(0x40), Sequence(0x50), 1 << 16);
   auto view = kr.Share(0, 1092).value();
   EXPECT_EQ(ToHex(view.primary_state()), "9281bc8e0c6fc1839f8a7e0b8eb5bf95");

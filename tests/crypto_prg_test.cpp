@@ -1,21 +1,26 @@
 // PRG/AES correctness: software AES against the FIPS-197 test vector, the
 // AES-NI block cipher and kernels (the GGM step and HEAC's field keys)
-// against the software one,
-// SHA-256 and its hash-chain kernels against OpenSSL, and PRG properties.
+// against the software one, the CPU feature table's dispatch and test mask,
+// SHA-256 and its hash-chain kernels against OpenSSL on both kernel arms,
+// and PRG properties.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <span>
+#include <typeinfo>
 #include <vector>
 
+#include "crypto/aes_gcm.hpp"
 #include "crypto/aesni.hpp"
+#include "crypto/cpu.hpp"
 #include "crypto/heac.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rand.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/soft_aes.hpp"
+#include "tests/kernel_arms.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -43,7 +48,7 @@ TEST(SoftAes, DistinctBlocksDistinctOutputs) {
 }
 
 TEST(AesNi, Fips197Vector) {
-  if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
+  if (!CpuHas(kCpuAesNi)) GTEST_SKIP() << "no AES-NI on this CPU";
   AesNiBlock aes(KeyFromHex("000102030405060708090a0b0c0d0e0f"));
   Block128 pt = KeyFromHex("00112233445566778899aabbccddeeff");
   EXPECT_EQ(ToHex(aes.EncryptBlock(pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
@@ -60,7 +65,7 @@ uint64_t SoftFieldKey(const SoftAes128& soft, uint64_t f) {
 // two extreme keys, through the one-block cipher and both kernels: a wrong
 // round key shows in every block.
 TEST(AesNi, MatchesSoftwareAes) {
-  if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
+  if (!CpuHas(kCpuAesNi)) GTEST_SKIP() << "no AES-NI on this CPU";
   DeterministicRng rng(197);
   std::vector<Key128> keys(1000);
   for (auto& key : keys) rng.Fill(key);
@@ -92,7 +97,7 @@ TEST(AesNi, MatchesSoftwareAes) {
 // unused lanes, and later runs (whose schedule comes from the stack copy)
 // full and partial.
 TEST(AesNi, FieldKeysMatchSoftwareAtEveryCount) {
-  if (!CpuHasAesNi()) GTEST_SKIP() << "no AES-NI on this CPU";
+  if (!CpuHas(kCpuAesNi)) GTEST_SKIP() << "no AES-NI on this CPU";
   const Key128 key = RandomKey128();
   SoftAes128 soft(key);
   for (size_t n = 0; n <= 25; ++n) {
@@ -106,20 +111,56 @@ TEST(AesNi, FieldKeysMatchSoftwareAtEveryCount) {
   }
 }
 
-TEST(AesNi, DispatchHonoursDisableEnv) {
-  // The CTest entry crypto_prg_test_soft_fallback reruns this binary with
-  // TC_DISABLE_AESNI=1: the dispatch must then report no AES-NI, and
-  // MakePrg(kAesNi) must transparently produce the software fallback so no
-  // code path can reach an AES instruction.
-  const char* disabled = std::getenv("TC_DISABLE_AESNI");
-  if (disabled != nullptr && *disabled != '\0' && *disabled != '0') {
-    EXPECT_FALSE(CpuHasAesNi());
-  }
-  auto prg = MakePrg(PrgKind::kAesNi);
-  Key128 l, r;
-  prg->Expand(RandomKey128(), l, r);
-  EXPECT_NE(l, r);
+/// True when `prg` is the software AES PRG: MakePrg(kAesSoft)'s type.
+bool IsSoftAesPrg(const Prg& prg) {
+  const auto soft = MakePrg(PrgKind::kAesSoft);
+  return typeid(prg) == typeid(*soft);
 }
+
+// The one test seam: under a mask AES-GCM leaves its native path and
+// MakePrg(kAesNi) expands like the software AES; a mask never sets a bit,
+// and the table it found comes back when the scope ends.
+TEST(CpuFeatures, MaskMovesEveryKernelAndLiftsWithItsScope) {
+  const uint32_t detected = CpuFeatures();
+  EXPECT_EQ(detected & ~kCpuAllFeatures, 0u);
+  const Key128 parent = RandomKey128();
+  Key128 soft_left, soft_right;
+  MakePrg(PrgKind::kAesSoft)->Expand(parent, soft_left, soft_right);
+  {
+    internal::ScopedCpuFeatureMask mask(kCpuAllFeatures);
+    EXPECT_EQ(CpuFeatures(), 0u);
+    EXPECT_FALSE(GcmIsNative());
+    const auto prg = MakePrg(PrgKind::kAesNi);
+    EXPECT_TRUE(IsSoftAesPrg(*prg));
+    Key128 left, right;
+    prg->Expand(parent, left, right);
+    EXPECT_EQ(left, soft_left);
+    EXPECT_EQ(right, soft_right);
+  }
+  EXPECT_EQ(CpuFeatures(), detected);
+  {
+    internal::ScopedCpuFeatureMask mask(kCpuAesNi);
+    EXPECT_EQ(CpuFeatures(), detected & ~kCpuAesNi);
+    internal::ScopedCpuFeatureMask none(0);
+    EXPECT_EQ(CpuFeatures(), detected & ~kCpuAesNi);
+  }
+  EXPECT_EQ(CpuFeatures(), detected);
+  EXPECT_EQ(GcmIsNative(), CpuHas(kCpuAesNi | kCpuPclmul));
+}
+
+// Each arm runs the kernels it claims: the Portable arm every software
+// path, the Native arm those of the features this CPU has.
+class KernelDispatch : public test::KernelArmTest {};
+
+TEST_P(KernelDispatch, EveryKernelFollowsTheTable) {
+  std::printf("CPU feature table: AES-NI %d, PCLMULQDQ %d, SHA-NI %d\n",
+              CpuHas(kCpuAesNi), CpuHas(kCpuPclmul), CpuHas(kCpuShaNi));
+  if (portable()) EXPECT_EQ(CpuFeatures(), 0u);
+  EXPECT_EQ(GcmIsNative(), CpuHas(kCpuAesNi | kCpuPclmul));
+  EXPECT_EQ(IsSoftAesPrg(*MakePrg(PrgKind::kAesNi)), !CpuHas(kCpuAesNi));
+}
+
+TC_INSTANTIATE_KERNEL_ARMS(KernelDispatch);
 
 TEST(Sha256, KnownAnswer) {
   // SHA-256("abc") — NIST FIPS 180-2 test vector.
@@ -146,7 +187,12 @@ Sha256Digest EvpSha256(const Key128& in) {
   return d;
 }
 
-TEST(Sha256ChainWalk, MatchesRepeatedSha256) {
+class Sha256ChainWalkTest : public test::KernelArmTest {};
+class Sha256ChainKeyTest : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(Sha256ChainWalkTest);
+TC_INSTANTIATE_KERNEL_ARMS(Sha256ChainKeyTest);
+
+TEST_P(Sha256ChainWalkTest, MatchesRepeatedSha256) {
   DeterministicRng rng(256);
   for (uint64_t n : {0, 1, 2, 255, 256, 1092}) {
     SCOPED_TRACE(::testing::Message() << n << " steps");
@@ -171,7 +217,7 @@ TEST(Sha256ChainWalk, MatchesRepeatedSha256) {
   }
 }
 
-TEST(Sha256ChainKey, IsTheSecondHalfOfTheDigest) {
+TEST_P(Sha256ChainKeyTest, IsTheSecondHalfOfTheDigest) {
   DeterministicRng rng(128);
   for (int i = 0; i < 100; ++i) {
     Key128 state;

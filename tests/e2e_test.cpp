@@ -10,6 +10,7 @@
 #include "net/tcp.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/kernel_arms.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc {
@@ -79,6 +80,29 @@ TEST_F(E2eTest, OwnerIngestAndStatQuery) {
   EXPECT_EQ(result->stats.Sum().value(), OracleSum(0, 20));
   EXPECT_EQ(result->stats.Count().value(), 200u);
   EXPECT_NEAR(result->stats.Mean().value(), OracleSum(0, 20) / 200.0, 1e-9);
+}
+
+// The owner's round trip on the Portable arm (the tests above are its
+// Native one): with the CPU feature table masked, HEAC's leaves and field
+// keys run on the software AES, payloads seal on OpenSSL's GCM and payload
+// keys on the portable SHA-256.
+class E2eKernels : public test::KernelArms, public E2eTest {};
+INSTANTIATE_TEST_SUITE_P(Kernels, E2eKernels,
+                         ::testing::Values(test::KernelArm::kPortable),
+                         test::KernelArmName);
+
+TEST_P(E2eKernels, HeacIngestThenStatRangeThenRawRange) {
+  uint64_t uuid = IngestStream(20, HeartRateConfig());
+  auto stats = owner_.GetStatRange(uuid, {0, 20 * kDelta});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 20));
+  EXPECT_EQ(stats->stats.Count().value(), 200u);
+  auto points = owner_.GetRange(uuid, {0, 20 * kDelta});
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  ASSERT_EQ(points->size(), 200u);
+  for (size_t i = 0; i < points->size(); ++i) {
+    EXPECT_EQ((*points)[i].value, static_cast<int64_t>(i / 10 + 1)) << i;
+  }
 }
 
 TEST_F(E2eTest, UnalignedRangeClipsToChunks) {

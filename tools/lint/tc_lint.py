@@ -46,6 +46,11 @@ Checks cross-file invariants the compiler cannot see:
       suppression must name only known rules and carry a justification;
       a typo'd or bare suppression is inert in the analyzer, so it is
       rejected here instead.
+  R11 one module decides which crypto kernels run: in src/, <cpuid.h> and
+      __get_cpuid appear only in src/crypto/cpu.cpp, the CPU feature
+      table's one probe, and nothing under src/crypto/ calls getenv — a
+      kernel choice is never made by a second probe or by the environment
+      (tests reach the portable side through ScopedCpuFeatureMask).
 
 Run from anywhere: paths are resolved relative to the repo root (this
 file's grandparent directory). Exit code 0 = clean, 1 = violations (each
@@ -335,6 +340,28 @@ def check_blocking_annotations():
                          "why this hazard is safe here")
 
 
+# -------------------------------------------------------------------- R11
+R11_CPUID = re.compile(r"<cpuid\.h>|\b__get_cpuid")
+R11_GETENV = re.compile(r"\bgetenv\s*\(")
+
+
+def check_one_cpu_probe():
+    probe = SRC / "crypto" / "cpu.cpp"
+    for path in sorted(SRC.rglob("*.[ch]pp")):
+        in_crypto = (SRC / "crypto") in path.parents
+        for number, line in enumerate(read(path).splitlines(), 1):
+            code = line.split("//")[0]
+            if path != probe and R11_CPUID.search(code):
+                fail(path, number,
+                     "CPUID outside src/crypto/cpu.cpp; extend the CPU "
+                     "feature table (crypto/cpu.hpp) instead of probing "
+                     "again")
+            if in_crypto and R11_GETENV.search(code):
+                fail(path, number,
+                     "getenv in src/crypto/; kernel dispatch reads only "
+                     "the CPU feature table (crypto/cpu.hpp)")
+
+
 def main():
     enumerators = message_types()
     if not enumerators:
@@ -349,13 +376,14 @@ def main():
     check_trace_vocabulary()
     check_crypto_secret_annotations()
     check_blocking_annotations()
+    check_one_cpu_probe()
     if failures:
         for failure in failures:
             print(failure)
         print(f"tc_lint: {len(failures)} violation(s)", file=sys.stderr)
         return 1
     print(f"tc_lint: clean ({len(enumerators)} frame types, "
-          "9 invariants)")
+          "10 invariants)")
     return 0
 
 
