@@ -129,10 +129,6 @@ void SetSamplePercent(uint32_t pct) {
   g_sample_pct.store(pct > 100 ? 100 : pct, std::memory_order_relaxed);
 }
 
-uint32_t SamplePercent() {
-  return g_sample_pct.load(std::memory_order_relaxed);
-}
-
 bool Sampled(uint64_t trace_id) {
   uint32_t pct = g_sample_pct.load(std::memory_order_relaxed);
   if (pct >= 100) return true;
@@ -198,14 +194,6 @@ Status EventJournal::OpenLogFile(const std::string& path) {
   if (f == nullptr) return Unavailable("cannot open event log " + path);
   log_ = f;
   return Status::Ok();
-}
-
-void EventJournal::CloseLogFile() {
-  MutexLock lock(mu_);
-  if (log_ != nullptr) {
-    std::fclose(log_);
-    log_ = nullptr;
-  }
 }
 
 }  // namespace tc::trace

@@ -103,7 +103,6 @@ void RecordSpan(const SpanRecord& r);
 
 /// Head-based sampling percentage in [0, 100]; default 100 (keep all).
 void SetSamplePercent(uint32_t pct);
-uint32_t SamplePercent();
 
 /// Pure hash of the trace id against the sample percentage — every process
 /// in the cluster answers the same for the same trace.
@@ -139,7 +138,6 @@ class EventJournal {
 
   /// Mirror every subsequent event as one JSON line appended to `path`.
   Status OpenLogFile(const std::string& path) EXCLUDES(mu_);
-  void CloseLogFile() EXCLUDES(mu_);
 
  private:
   EventJournal() = default;

@@ -103,8 +103,6 @@ std::unique_ptr<Paillier> Paillier::Generate(int modulus_bits) {
   return paillier;
 }
 
-int Paillier::modulus_bits() const { return impl_->bits; }
-
 size_t Paillier::ciphertext_size() const {
   return static_cast<size_t>(impl_->bits) / 4;  // 2 * (bits/8)
 }

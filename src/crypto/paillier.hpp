@@ -35,7 +35,6 @@ class Paillier {
   Paillier(const Paillier&) = delete;
   Paillier& operator=(const Paillier&) = delete;
 
-  int modulus_bits() const;
   /// Serialized ciphertext size in bytes (2 * modulus bytes).
   size_t ciphertext_size() const;
 

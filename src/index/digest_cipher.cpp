@@ -16,7 +16,6 @@ class PlainCipher : public DigestCipher {
  public:
   explicit PlainCipher(size_t num_fields) : num_fields_(num_fields) {}
 
-  std::string_view name() const override { return "Plaintext"; }
   size_t num_fields() const override { return num_fields_; }
   size_t blob_size() const override { return num_fields_ * 8; }
 
@@ -69,7 +68,6 @@ class HeacCipher final : public PlainCipher {
   HeacCipher(size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree)
       : PlainCipher(num_fields), tree_(std::move(tree)), codec_(num_fields) {}
 
-  std::string_view name() const override { return "TimeCrypt"; }
 
   Result<Bytes> Encrypt(std::span<const uint64_t> fields,
                         uint64_t index) const override {
@@ -107,7 +105,6 @@ class PaillierCipher final : public DigestCipher {
                  std::shared_ptr<const crypto::Paillier> paillier)
       : num_fields_(num_fields), paillier_(std::move(paillier)) {}
 
-  std::string_view name() const override { return "Paillier"; }
   size_t num_fields() const override { return num_fields_; }
   size_t blob_size() const override {
     return num_fields_ * paillier_->ciphertext_size();
@@ -175,7 +172,6 @@ class EcElGamalCipher final : public DigestCipher {
                   uint32_t table_bits)
       : num_fields_(num_fields), eg_(std::move(eg)), table_bits_(table_bits) {}
 
-  std::string_view name() const override { return "EC-ElGamal"; }
   size_t num_fields() const override { return num_fields_; }
   size_t blob_size() const override {
     return num_fields_ * eg_->ciphertext_size();

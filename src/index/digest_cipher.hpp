@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <string_view>
 
 #include "common/status.hpp"
 #include "crypto/ec_elgamal.hpp"
@@ -28,7 +27,6 @@ class DigestCipher {
  public:
   virtual ~DigestCipher() = default;
 
-  virtual std::string_view name() const = 0;
   virtual size_t num_fields() const = 0;
 
   /// Serialized size of one encrypted digest blob (fixed per backend —

@@ -51,11 +51,6 @@ Result<Hash> MerkleTree::RootAt(uint64_t n) const {
   return SubtreeRoot(0, n);
 }
 
-Result<Hash> MerkleTree::Leaf(uint64_t index) const {
-  if (index >= size()) return OutOfRange("leaf index out of range");
-  return levels_[0][index];
-}
-
 Hash MerkleTree::SubtreeRoot(uint64_t first, uint64_t last) const {
   uint64_t n = last - first;
   if (n == 0) return crypto::Sha256({});  // empty-tree convention

@@ -77,9 +77,6 @@ class MerkleTree {
   /// leaves. Verify with VerifyAuditPath.
   Result<AuditPath> Proof(uint64_t index, uint64_t n) const;
 
-  /// The stored hash of leaf `index`.
-  Result<Hash> Leaf(uint64_t index) const;
-
  private:
   Hash SubtreeRoot(uint64_t first, uint64_t last) const;  // [first, last)
   Status BuildProof(uint64_t index, uint64_t first, uint64_t last,

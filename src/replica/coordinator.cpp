@@ -37,11 +37,6 @@ Result<Bytes> PrimaryCoordinator::Handle(net::MessageType type,
   return inner_->Handle(type, body);
 }
 
-size_t PrimaryCoordinator::num_remote_followers() const {
-  MutexLock lock(mu_);
-  return endpoints_.size();
-}
-
 Result<Bytes> PrimaryCoordinator::Hello(BytesView body) {
   TC_ASSIGN_OR_RETURN(auto req, net::ReplicaHelloRequest::Decode(body));
   if (req.shard >= sets_.size()) {

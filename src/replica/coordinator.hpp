@@ -37,9 +37,6 @@ class PrimaryCoordinator final : public net::RequestHandler {
 
   Result<Bytes> Handle(net::MessageType type, BytesView body) override;
 
-  /// Registered follower endpoints across all shards.
-  size_t num_remote_followers() const;
-
  private:
   struct Endpoint {
     uint32_t shard = 0;

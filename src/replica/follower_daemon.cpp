@@ -41,14 +41,10 @@ FollowerDaemon::FollowerDaemon(
       takeover_ms_(options_.takeover_timeout_ms) {
   if (options_.tick_ms < 10) options_.tick_ms = 10;
   for (size_t i = 0; i < shard_stores.size(); ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->kv = shard_stores[i];
-    shard->applier = std::make_shared<ReplicaApplier>(shard_stores[i]);
     server::ServerOptions engine_options = options_.engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
-    shard->engine = std::make_shared<server::ServerEngine>(shard_stores[i],
-                                                           engine_options);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<ReplicaApplier>(
+        std::move(shard_stores[i]), engine_options));
   }
 }
 
@@ -86,17 +82,17 @@ void FollowerDaemon::Stop() {
 
 uint64_t FollowerDaemon::applied_seq(uint32_t shard) const {
   if (shard >= shards_.size()) return 0;
-  return shards_[shard]->applier->applied_seq();
+  return shards_[shard]->applied_seq();
 }
 
 uint64_t FollowerDaemon::snapshot_chunks_received(uint32_t shard) const {
   if (shard >= shards_.size()) return 0;
-  return shards_[shard]->applier->snapshot_chunks_received();
+  return shards_[shard]->snapshot_chunks_received();
 }
 
 bool FollowerDaemon::snapshot_in_progress(uint32_t shard) const {
   if (shard >= shards_.size()) return false;
-  return shards_[shard]->applier->snapshot_in_progress();
+  return shards_[shard]->snapshot_in_progress();
 }
 
 size_t FollowerDaemon::num_remote_followers() const {
@@ -116,7 +112,7 @@ size_t FollowerDaemon::NumStreams() const {
     }
   }
   size_t n = 0;
-  for (const auto& shard : shards_) n += shard->engine->NumStreams();
+  for (const auto& shard : shards_) n += shard->engine().NumStreams();
   return n;
 }
 
@@ -159,45 +155,19 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
   // under one trace id.
   if (info.route == net::Route::kProcess) return net::Introspect(type, body);
   switch (type) {
-    case MessageType::kReplicaOps: {
-      TC_ASSIGN_OR_RETURN(auto req, net::ReplicaOpsRequest::Decode(body));
-      if (req.shard >= shards_.size()) {
-        return InvalidArgument("replica frame for unknown shard");
-      }
-      Touch();
-      // The shipped frame carries the originating client's trace context, so
-      // this span stitches the follower's apply under the same trace as the
-      // primary-side ingest that produced the batch.
-      metrics::TraceSpan span("replica_apply", nullptr, req.shard,
-                              static_cast<uint8_t>(type));
-      return shards_[req.shard]->applier->ApplyOps(req);
-    }
-    case MessageType::kReplicaSnapshotBegin: {
-      TC_ASSIGN_OR_RETURN(auto req,
-                          net::ReplicaSnapshotBeginRequest::Decode(body));
-      if (req.shard >= shards_.size()) {
-        return InvalidArgument("replica frame for unknown shard");
-      }
-      Touch();
-      return shards_[req.shard]->applier->SnapshotBegin(req);
-    }
-    case MessageType::kReplicaSnapshotChunk: {
-      TC_ASSIGN_OR_RETURN(auto req,
-                          net::ReplicaSnapshotChunkRequest::Decode(body));
-      if (req.shard >= shards_.size()) {
-        return InvalidArgument("replica frame for unknown shard");
-      }
-      Touch();
-      return shards_[req.shard]->applier->SnapshotChunk(req);
-    }
+    case MessageType::kReplicaOps:
+    case MessageType::kReplicaSnapshotBegin:
+    case MessageType::kReplicaSnapshotChunk:
     case MessageType::kReplicaSnapshotEnd: {
-      TC_ASSIGN_OR_RETURN(auto req,
-                          net::ReplicaSnapshotEndRequest::Decode(body));
-      if (req.shard >= shards_.size()) {
+      // Every apply request leads with its shard; that shard's applier
+      // decodes the rest.
+      BinaryReader r(body);
+      TC_ASSIGN_OR_RETURN(uint32_t shard, r.GetU32());
+      if (shard >= shards_.size()) {
         return InvalidArgument("replica frame for unknown shard");
       }
       Touch();
-      return shards_[req.shard]->applier->SnapshotEnd(req);
+      return shards_[shard]->Handle(type, body);
     }
     case MessageType::kReplicaHeartbeat: {
       TC_ASSIGN_OR_RETURN(auto req,
@@ -252,27 +222,7 @@ Result<Bytes> FollowerDaemon::ServeRead(net::MessageType type, BytesView body) {
   } else if (shards_.size() != 1) {
     return Unavailable("multi-stream reads need the primary");
   }
-  Shard& shard = *shards_[shard_index];
-  TC_RETURN_IF_ERROR(EnsureFresh(shard));
-  return shard.engine->Handle(type, body);
-}
-
-Status FollowerDaemon::EnsureFresh(Shard& shard) {
-  // Equality, not <=: a re-homed follower adopts the new primary's
-  // restarted sequence numbering through its re-seed snapshot, so applied
-  // can jump BACKWARD — that store is from another era, not "older than
-  // the engine", and must be refreshed like any advance.
-  uint64_t applied = shard.applier->applied_seq();
-  if (applied == shard.refreshed_seq.load(std::memory_order_acquire)) {
-    return Status::Ok();
-  }
-  MutexLock lock(shard.refresh_mu);
-  if (applied == shard.refreshed_seq.load(std::memory_order_relaxed)) {
-    return Status::Ok();
-  }
-  TC_RETURN_IF_ERROR(shard.engine->Refresh());
-  shard.refreshed_seq.store(applied, std::memory_order_release);
-  return Status::Ok();
+  return shards_[shard_index]->Read(type, body);
 }
 
 Result<Bytes> FollowerDaemon::FollowerClusterInfo() const {
@@ -280,10 +230,11 @@ Result<Bytes> FollowerDaemon::FollowerClusterInfo() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     net::ClusterInfoResponse::ShardInfo info;
     info.shard = static_cast<uint32_t>(i);
-    info.num_streams = shards_[i]->engine->NumStreams();
-    info.index_bytes = shards_[i]->engine->TotalIndexBytes();
-    info.snapshot_chunks = shards_[i]->applier->snapshot_chunks_received();
-    auto compaction = shards_[i]->engine->StoreCompaction();
+    const server::ServerEngine& engine = shards_[i]->engine();
+    info.num_streams = engine.NumStreams();
+    info.index_bytes = engine.TotalIndexBytes();
+    info.snapshot_chunks = shards_[i]->snapshot_chunks_received();
+    auto compaction = engine.StoreCompaction();
     info.store_dead_bytes = compaction.dead_bytes;
     info.store_compactions = static_cast<uint32_t>(compaction.compactions);
     resp.shards.push_back(info);
@@ -344,8 +295,8 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
     net::ReplicaHelloRequest hello;
     hello.shard = static_cast<uint32_t>(i);
     hello.num_shards = static_cast<uint32_t>(shards_.size());
-    hello.applied_seq = shards_[i]->applier->applied_seq();
-    hello.store_fingerprint = StoreFingerprint(*shards_[i]->kv);
+    hello.applied_seq = shards_[i]->applied_seq();
+    hello.store_fingerprint = StoreFingerprint(*shards_[i]->kv());
     hello.host = options_.advertise_host;
     hello.port = this->port();
     TC_ASSIGN_OR_RETURN(
@@ -487,7 +438,7 @@ void FollowerDaemon::PromoteSelf() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     server::ServerOptions engine_options = options_.engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
-    sets.push_back(ReplicaSet::Make(shards_[i]->kv, {}, engine_options,
+    sets.push_back(ReplicaSet::Make(shards_[i]->kv(), {}, engine_options,
                                     options_.set_options));
   }
   auto router = std::make_shared<cluster::ShardRouter>(sets);

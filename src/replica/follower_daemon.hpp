@@ -100,20 +100,11 @@ class FollowerDaemon {
   Result<Bytes> Handle(net::MessageType type, BytesView body);
 
  private:
-  struct Shard {
-    std::shared_ptr<store::KvStore> kv;
-    std::shared_ptr<ReplicaApplier> applier;
-    std::shared_ptr<server::ServerEngine> engine;  // read serving
-    std::atomic<uint64_t> refreshed_seq{0};
-    Mutex refresh_mu;
-  };
-
   Result<Bytes> HandleFollowing(net::MessageType type, BytesView body)
       EXCLUDES(view_mu_);
-  /// Serve a replica read from the refreshed local engine of its shard.
+  /// Serve a replica read from its shard's applier.
   Result<Bytes> ServeRead(net::MessageType type, BytesView body);
   Result<Bytes> FollowerClusterInfo() const;
-  Status EnsureFresh(Shard& shard);
   void Touch();
   int64_t MillisSinceContact() const;
 
@@ -125,7 +116,8 @@ class FollowerDaemon {
   void HandleSilence() EXCLUDES(view_mu_, mode_mu_);
   void PromoteSelf() EXCLUDES(mode_mu_);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// One per shard: its store, replication endpoint and read engine.
+  std::vector<std::unique_ptr<ReplicaApplier>> shards_;
   FollowerDaemonOptions options_;
 
   std::unique_ptr<net::TcpServer> server_;

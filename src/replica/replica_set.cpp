@@ -9,6 +9,16 @@
 
 namespace tc::replica {
 
+namespace {
+/// A follower in this process: the shipper reaches its applier through the
+/// same frames a follower daemon receives.
+std::shared_ptr<Follower> InProcFollower(
+    std::shared_ptr<ReplicaApplier> applier) {
+  return std::make_shared<RemoteFollower>(
+      std::make_shared<net::InProcTransport>(std::move(applier)));
+}
+}  // namespace
+
 std::shared_ptr<ReplicaSet> ReplicaSet::Single(
     std::shared_ptr<server::ServerEngine> engine) {
   auto set = std::shared_ptr<ReplicaSet>(new ReplicaSet());
@@ -33,16 +43,13 @@ std::shared_ptr<ReplicaSet> ReplicaSet::Make(
     set->rkv_ = std::make_shared<ReplicatedKvStore>(std::move(primary_kv),
                                                     options.kv);
     for (auto& kv : follower_kvs) {
-      auto replica = std::make_unique<Replica>();
-      replica->kv = kv;
       // The read engine recovers whatever the follower store holds right
       // now; the initial snapshot lands asynchronously and the first read
       // past it triggers a Refresh.
-      replica->engine =
-          std::make_shared<server::ServerEngine>(kv, engine_options);
-      replica->rkv_index = set->rkv_->AddFollower(
-          std::make_shared<LocalFollower>(std::move(kv)));
-      set->replicas_.push_back(std::move(replica));
+      auto applier =
+          std::make_shared<ReplicaApplier>(std::move(kv), engine_options);
+      size_t rkv_index = set->rkv_->AddFollower(InProcFollower(applier));
+      set->replicas_.push_back({std::move(applier), rkv_index});
     }
     set->ResetRotationLocked();
     // The primary engine recovers through the replicated store (reads pass
@@ -83,28 +90,22 @@ Result<Bytes> ReplicaSet::Handle(net::MessageType type, BytesView body) {
 Result<Bytes> ReplicaSet::HandleRead(net::MessageType type, BytesView body) {
   ReaderMutexLock lock(state_mu_);
   if (!replicas_.empty() && (rkv_ || dropped_)) {
-    uint64_t head = rkv_ ? rkv_->head_seq() : 0;
+    // Primary down, promotion pending: follower stores are frozen at the
+    // seqs captured when it died. The lag bound still applies, measured
+    // against the most-caught-up survivor — in quorum mode that survivor
+    // holds every acknowledged write, so an uneven follower must not serve
+    // reads missing acked data.
+    uint64_t head = rkv_ ? rkv_->head_seq() : final_head_;
     size_t n = replicas_.size();
     size_t start = static_cast<size_t>(rr_.fetch_add(1) % n);
     for (size_t k = 0; k < n; ++k) {
-      Replica& replica = *replicas_[(start + k) % n];
-      uint64_t applied;
-      if (rkv_) {
-        applied = rkv_->follower_seq(replica.rkv_index);
-        uint64_t lag = head - std::min(head, applied);
-        if (lag > options_.max_read_lag_ops) continue;
-      } else {
-        // Primary down, promotion pending: follower stores are frozen at
-        // the seqs captured when it died. The lag bound still applies,
-        // measured against the most-caught-up survivor — in quorum mode
-        // that survivor holds every acknowledged write, so an uneven
-        // follower must not serve reads missing acked data.
-        applied = replica.final_seq;
-        uint64_t lag = final_head_ - std::min(final_head_, applied);
-        if (lag > options_.max_read_lag_ops) continue;
+      const Replica& replica = replicas_[(start + k) % n];
+      uint64_t applied =
+          rkv_ ? rkv_->follower_seq(replica.rkv_index) : replica.final_seq;
+      if (head - std::min(head, applied) > options_.max_read_lag_ops) {
+        continue;
       }
-      if (!EnsureFresh(replica, applied).ok()) continue;
-      auto result = replica.engine->Handle(type, body);
+      auto result = replica.applier->Read(type, body);
       if (result.ok()) {
         replica_reads_.fetch_add(1, std::memory_order_relaxed);
         return result;
@@ -120,21 +121,6 @@ Result<Bytes> ReplicaSet::HandleRead(net::MessageType type, BytesView body) {
   }
   primary_reads_.fetch_add(1, std::memory_order_relaxed);
   return primary_->Handle(type, body);
-}
-
-Status ReplicaSet::EnsureFresh(Replica& replica, uint64_t applied_seq) {
-  if (applied_seq <= replica.refreshed_seq.load(std::memory_order_acquire)) {
-    return Status::Ok();
-  }
-  MutexLock lock(replica.refresh_mu);
-  if (applied_seq <= replica.refreshed_seq.load(std::memory_order_relaxed)) {
-    return Status::Ok();
-  }
-  // `applied_seq` was read before the refresh started, so recording it
-  // afterwards can only under-state freshness — the safe direction.
-  TC_RETURN_IF_ERROR(replica.engine->Refresh());
-  replica.refreshed_seq.store(applied_seq, std::memory_order_release);
-  return Status::Ok();
 }
 
 Status ReplicaSet::AddRemoteFollower(std::shared_ptr<Follower> follower,
@@ -178,8 +164,8 @@ Status ReplicaSet::DropPrimary() {
   if (dropped_) return FailedPrecondition("primary already dropped");
   final_head_ = 0;
   for (auto& replica : replicas_) {
-    replica->final_seq = rkv_->follower_seq(replica->rkv_index);
-    final_head_ = std::max(final_head_, replica->final_seq);
+    replica.final_seq = rkv_->follower_seq(replica.rkv_index);
+    final_head_ = std::max(final_head_, replica.final_seq);
   }
   // Severing both references tears down the shipping pipeline with the
   // engine; ops not yet shipped (async mode) are lost, exactly as they
@@ -206,18 +192,17 @@ Status ReplicaSet::Promote() {
   // FollowerDaemon — and re-home below either way.)
   size_t best = 0;
   for (size_t i = 1; i < replicas_.size(); ++i) {
-    if (replicas_[i]->final_seq > replicas_[best]->final_seq) best = i;
+    if (replicas_[i].final_seq > replicas_[best].final_seq) best = i;
   }
-  auto promoted = std::move(replicas_[best]);
+  std::shared_ptr<store::KvStore> promoted_kv = replicas_[best].applier->kv();
   replicas_.erase(replicas_.begin() + best);
 
-  auto rkv = std::make_shared<ReplicatedKvStore>(promoted->kv, options_.kv);
+  auto rkv = std::make_shared<ReplicatedKvStore>(promoted_kv, options_.kv);
   for (auto& replica : replicas_) {
     // Sequence numbers restart under the new primary; the registration
     // snapshot reconciles whatever the survivor holds (it may trail the
     // promoted store, or even diverge if the dead primary shipped unevenly).
-    replica->rkv_index =
-        rkv->AddFollower(std::make_shared<LocalFollower>(replica->kv));
+    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier));
   }
   // Remote daemons keep following across the failover: attach their
   // shippers to the new pipeline. Their appliers adopt the restarted
@@ -229,17 +214,11 @@ Status ReplicaSet::Promote() {
   // — the complete history the old primary had shipped.
   auto engine = std::make_shared<server::ServerEngine>(rkv, engine_options_);
   // Settle the survivors before reads resume (we hold state_mu_ exclusive,
-  // so nothing serves mid-promotion): wait out the snapshots, then refresh
-  // the read engines to the reconciled stores.
+  // so nothing serves mid-promotion): wait out the snapshots. Each applier
+  // refreshes its read engine on the first read after its re-seed.
   // tc_analyze:allow(blocking-under-lock) the exclusive state_mu_ hold IS the promotion barrier; serving resumes only after the survivors settle
   if (Status s = rkv->WaitCaughtUp(options_.kv.quorum_timeout_ms); !s.ok()) {
     TC_LOG_WARN << "promotion: survivors still catching up: " << s.ToString();
-  }
-  for (auto& replica : replicas_) {
-    if (Status s = replica->engine->Refresh(); !s.ok()) {
-      TC_LOG_WARN << "promotion: replica refresh failed: " << s.ToString();
-    }
-    replica->refreshed_seq.store(rkv->follower_seq(replica->rkv_index));
   }
   primary_ = std::move(engine);
   rkv_ = std::move(rkv);
@@ -309,13 +288,6 @@ std::shared_ptr<server::ServerEngine> ReplicaSet::primary() const {
 std::shared_ptr<store::KvStore> ReplicaSet::primary_kv() const {
   ReaderMutexLock lock(state_mu_);
   return rkv_ ? rkv_->primary() : nullptr;
-}
-
-std::shared_ptr<server::ServerEngine> ReplicaSet::replica_engine(
-    size_t i) const {
-  ReaderMutexLock lock(state_mu_);
-  if (i >= replicas_.size()) return nullptr;
-  return replicas_[i]->engine;
 }
 
 size_t ReplicaSet::num_replicas() const {

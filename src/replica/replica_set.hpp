@@ -1,21 +1,23 @@
 // One shard's replica group: a primary ServerEngine over a
-// ReplicatedKvStore, plus read-serving engines over the follower stores.
+// ReplicatedKvStore, plus a ReplicaApplier per follower store that applies
+// what ships and serves reads.
 //
 // Write-path messages go to the primary; its KV mutations ship to the
 // followers underneath. Read-only messages can be served by a follower:
-// each follower store backs its own ServerEngine whose in-memory state
-// (stream registry, index append positions, witness trees, node caches) is
-// refreshed on demand when the follower has applied ops the engine has not
-// seen yet. A replica serves a read only while its lag is within the
-// configured bound; any replica-side failure (e.g. a mid-mutation prefix
-// the refresh landed on) falls back to the next replica and finally the
-// primary, so replica reads are an optimization, never a correctness risk.
+// the applier's read engine (stream registry, index append positions,
+// witness trees, node caches) is refreshed on demand when the applier has
+// applied ops the engine has not seen yet. A replica serves a read only
+// while its lag is within the configured bound; any replica-side failure
+// (e.g. a mid-mutation prefix the refresh landed on) falls back to the next
+// replica and finally the primary, so replica reads are an optimization,
+// never a correctness risk.
 //
-// Followers come in two kinds: local (a KvStore in this process, serving
-// reads as above) and remote (a follower daemon behind a socket, reached
-// through a RemoteFollower; it serves its own reads in its own process).
-// Remote registrations survive failover: Promote() re-homes them under the
-// new primary alongside the surviving local replicas.
+// Every follower is shipped to through a RemoteFollower. A local replica's
+// transport is an InProcTransport to an applier in this process (serving
+// reads as above); a remote one reaches a follower daemon behind a socket,
+// which serves its own reads in its own process. Remote registrations
+// survive failover: Promote() re-homes them under the new primary
+// alongside the surviving local replicas.
 //
 // Failover: DropPrimary() severs the primary (the process-kill stand-in);
 // Promote() elects the most-caught-up local follower, rebuilds a full
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "replica/replica_wire.hpp"
 #include "replica/replicated_kv.hpp"
 #include "server/server_engine.hpp"
 
@@ -70,9 +73,9 @@ class ReplicaSet final : public net::RequestHandler {
       std::shared_ptr<server::ServerEngine> engine);
 
   /// Replicated shard: the primary engine is built over `primary_kv`
-  /// wrapped in a ReplicatedKvStore shipping to one LocalFollower per
-  /// follower store; each follower store also gets a read engine. An empty
-  /// follower list is valid — the shard is then replication-capable but
+  /// wrapped in a ReplicatedKvStore shipping to one in-process
+  /// ReplicaApplier per follower store, which also serves its reads. An
+  /// empty follower list is valid — the shard is then replication-capable but
   /// follower-less until remote daemons register.
   static std::shared_ptr<ReplicaSet> Make(
       std::shared_ptr<store::KvStore> primary_kv,
@@ -118,8 +121,6 @@ class ReplicaSet final : public net::RequestHandler {
   /// The primary's backing store (null for Single() or while dropped) —
   /// the hello handshake fingerprints it.
   std::shared_ptr<store::KvStore> primary_kv() const;
-  /// Test hook: follower `i`'s read engine.
-  std::shared_ptr<server::ServerEngine> replica_engine(size_t i) const;
   size_t num_replicas() const;
   size_t num_remote_followers() const;
   /// (label, applied seq) of every remote follower — the heartbeat group
@@ -154,8 +155,8 @@ class ReplicaSet final : public net::RequestHandler {
   ReplicaSet() = default;
 
   struct Replica {
-    std::shared_ptr<store::KvStore> kv;
-    std::shared_ptr<server::ServerEngine> engine;
+    /// Owns the follower store and its read engine.
+    std::shared_ptr<ReplicaApplier> applier;
     /// This replica's follower index inside the current rkv_. Re-assigned
     /// whenever the shipping pipeline is rebuilt (promotion) — never assume
     /// it equals the replica's position in replicas_.
@@ -163,11 +164,6 @@ class ReplicaSet final : public net::RequestHandler {
     /// Frozen applied seq captured at DropPrimary (serves the headless
     /// window); meaningless while rkv_ is live.
     uint64_t final_seq = 0;
-    /// Follower seq the engine's in-memory state reflects. Reads past it
-    /// trigger an engine Refresh (serialized by refresh_mu; concurrent
-    /// readers on the fast path never take the mutex).
-    std::atomic<uint64_t> refreshed_seq{0};
-    Mutex refresh_mu;
   };
 
   struct RemoteEntry {
@@ -176,8 +172,6 @@ class ReplicaSet final : public net::RequestHandler {
     size_t rkv_index = 0;
   };
 
-  Status EnsureFresh(Replica& replica, uint64_t applied_seq)
-      REQUIRES_SHARED(state_mu_);
   /// Reset the read rotation for the current membership (the round-robin
   /// cursor restarts at slot 0). Must run under state_mu_ exclusive —
   /// every membership change (construction, drop, promotion) goes through
@@ -192,7 +186,7 @@ class ReplicaSet final : public net::RequestHandler {
   mutable SharedMutex state_mu_;
   std::shared_ptr<server::ServerEngine> primary_ GUARDED_BY(state_mu_);
   std::shared_ptr<ReplicatedKvStore> rkv_ GUARDED_BY(state_mu_);  // null for Single()
-  std::vector<std::unique_ptr<Replica>> replicas_ GUARDED_BY(state_mu_);
+  std::vector<Replica> replicas_ GUARDED_BY(state_mu_);
   std::vector<RemoteEntry> remotes_ GUARDED_BY(state_mu_);
   bool dropped_ GUARDED_BY(state_mu_) = false;
   // max frozen seq at drop: all acked writes

@@ -1,5 +1,8 @@
 #include "replica/replica_wire.hpp"
 
+#include <algorithm>
+
+#include "common/metrics.hpp"
 #include "net/tcp.hpp"
 
 namespace tc::replica {
@@ -16,6 +19,48 @@ struct AppliedSeq {
 
   static void Visit(auto& m, auto& v) { v(m.seq); }
 };
+
+/// Apply one shipped mutation to a follower's store. Every kind is
+/// idempotent, because re-delivery is expected (a retried batch, or ops that
+/// raced a snapshot stream): deleting a missing key succeeds, and an append
+/// whose suffix already sits at `expected_size` is a no-op. Any other append
+/// whose key is missing or whose value length differs from `expected_size`
+/// fails with kFailedPrecondition: the follower diverged and must be
+/// re-seeded, never appended to blindly.
+Status ApplyShippedOp(store::KvStore& kv,
+                      const net::ReplicaOpsRequest::Op& op) {
+  switch (op.kind) {
+    case net::kReplicaOpPut:
+      return kv.Put(op.key, op.value);
+    case net::kReplicaOpAppend: {
+      Status s = kv.Append(op.key, op.expected_size, op.value).status();
+      if (s.code() == StatusCode::kNotFound) {
+        return FailedPrecondition("replica append to absent key " + op.key);
+      }
+      if (s.code() == StatusCode::kFailedPrecondition) {
+        // Already applied: a snapshot read the value after this append
+        // landed on the primary, or a retried batch re-delivers it. The
+        // suffix then sits at exactly `expected_size`.
+        auto current = kv.Get(op.key);
+        if (current.ok() && current->size() >= op.expected_size &&
+            current->size() - op.expected_size >= op.value.size() &&
+            std::equal(op.value.begin(), op.value.end(),
+                       current->begin() +
+                           static_cast<ptrdiff_t>(op.expected_size))) {
+          return Status::Ok();
+        }
+      }
+      return s;
+    }
+    default: {
+      // Re-delivery after a mid-batch failure (or a delete folded into an
+      // earlier snapshot) makes missing keys expected, not errors.
+      Status s = kv.Delete(op.key);
+      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+      return Status::Ok();
+    }
+  }
+}
 }  // namespace
 
 Result<Bytes> RemoteFollower::Call(net::MessageType type, BytesView body) {
@@ -117,8 +162,9 @@ Status RemoteFollower::EndSnapshot(uint64_t seq, uint64_t total_entries) {
   return Status::Ok();
 }
 
-ReplicaApplier::ReplicaApplier(std::shared_ptr<store::KvStore> kv)
-    : kv_(kv), session_(kv) {
+ReplicaApplier::ReplicaApplier(std::shared_ptr<store::KvStore> kv,
+                               server::ServerOptions engine_options)
+    : kv_(kv), engine_(std::move(kv), engine_options) {
   // The applier has not escaped the constructor yet; the lock is
   // uncontended but keeps applied_seq_ under its capability.
   MutexLock lock(mu_);
@@ -146,19 +192,19 @@ Result<Bytes> ReplicaApplier::ApplyOps(const net::ReplicaOpsRequest& req) {
     MutexLock lock(mu_);
     if (req.first_seq > applied_seq_ + 1) {
       // A gap means this store is missing history (daemon restart over a
-      // volatile store, or a diverged ex-peer). Applying a suffix would
-      // silently corrupt it; the shipper re-seeds on this error.
+      // volatile store, a diverged ex-peer, or a shipment lost after it was
+      // acked). Applying a suffix would silently corrupt it; the shipper
+      // re-seeds on this error.
       return FailedPrecondition(
           "sequence gap: follower applied " + std::to_string(applied_seq_) +
           ", shipment starts at " + std::to_string(req.first_seq));
     }
     for (size_t i = 0; i < req.ops.size(); ++i) {
-      const auto& op = req.ops[i];
       uint64_t seq = req.first_seq + i;
       if (seq <= applied_seq_) continue;  // re-delivered prefix
-      TC_RETURN_IF_ERROR(
-          ApplyShippedOp(*kv_, op.kind, op.key, op.value, op.expected_size));
+      TC_RETURN_IF_ERROR(ApplyShippedOp(*kv_, req.ops[i]));
       applied_seq_ = seq;
+      version_.fetch_add(1, std::memory_order_release);
     }
     TC_RETURN_IF_ERROR(PersistAppliedLocked());
     acked = applied_seq_;
@@ -177,16 +223,45 @@ Result<Bytes> ReplicaApplier::ApplyOps(const net::ReplicaOpsRequest& req) {
 Result<Bytes> ReplicaApplier::SnapshotBegin(
     const net::ReplicaSnapshotBeginRequest& req) {
   MutexLock lock(mu_);
-  return net::ReplicaSnapshotAckResponse{session_.Begin(req.origin, req.seq)}
-      .Encode();
+  // The same pipeline retrying the same stream resumes it; anything else
+  // (another seq, or another pipeline whose restarted numbering collides)
+  // starts a fresh one.
+  if (!stream_.active || stream_.origin != req.origin ||
+      stream_.seq != req.seq) {
+    stream_ = {};
+    stream_.active = true;
+    stream_.origin = req.origin;
+    stream_.seq = req.seq;
+  }
+  return net::ReplicaSnapshotAckResponse{stream_.received}.Encode();
 }
 
 Result<Bytes> ReplicaApplier::SnapshotChunk(
     const net::ReplicaSnapshotChunkRequest& req) {
   MutexLock lock(mu_);
-  TC_RETURN_IF_ERROR(session_.Chunk(req.seq, req.first_index, req.entries));
+  if (!stream_.active || stream_.seq != req.seq) {
+    return FailedPrecondition("no snapshot stream open for seq " +
+                              std::to_string(req.seq));
+  }
+  if (req.first_index > stream_.received) {
+    return FailedPrecondition(
+        "snapshot chunk gap: stream at " + std::to_string(stream_.received) +
+        ", chunk starts at " + std::to_string(req.first_index));
+  }
+  for (size_t i = 0; i < req.entries.size(); ++i) {
+    if (req.first_index + i < stream_.received) continue;  // overlap
+    const auto& [key, value] = req.entries[i];
+    stream_.keys.insert(key);
+    // Skip byte-identical values: re-seeding a durable follower (restart
+    // with a reused log file) must not rewrite its entire log as dead bytes.
+    auto existing = kv_->Get(key);
+    if (!existing.ok() || *existing != value) {
+      TC_RETURN_IF_ERROR(kv_->Put(key, value));
+    }
+    stream_.received = req.first_index + i + 1;
+  }
   ++snapshot_chunks_;
-  return net::ReplicaSnapshotAckResponse{session_.received()}.Encode();
+  return net::ReplicaSnapshotAckResponse{stream_.received}.Encode();
 }
 
 Result<Bytes> ReplicaApplier::SnapshotEnd(
@@ -194,12 +269,38 @@ Result<Bytes> ReplicaApplier::SnapshotEnd(
   uint64_t acked = 0;
   {
     MutexLock lock(mu_);
-    TC_RETURN_IF_ERROR(session_.End(req.seq, req.total_entries));
+    if (!stream_.active || stream_.seq != req.seq ||
+        stream_.received != req.total_entries) {
+      Status error = FailedPrecondition(
+          "snapshot end mismatch: stream " + std::to_string(stream_.seq) +
+          "/" + std::to_string(stream_.received) + " entries vs end " +
+          std::to_string(req.seq) + "/" + std::to_string(req.total_entries));
+      // Close it so the shipper's restart begins a clean stream.
+      stream_ = {};
+      return error;
+    }
+    // Reconcile: delete the keys the stream never named, so a diverged
+    // store reconverges. Collect first, mutate after: Scan callbacks must
+    // not call back into the store. Keys under the replica-meta prefix are
+    // follower-local bookkeeping, never part of the shipped state.
+    const auto& named = stream_.keys;
+    std::vector<std::string> stale;
+    TC_RETURN_IF_ERROR(kv_->Scan([&](const std::string& key, BytesView) {
+      if (!named.contains(key) && !key.starts_with(kReplicaMetaPrefix)) {
+        stale.push_back(key);
+      }
+    }));
+    for (const auto& key : stale) {
+      Status s = kv_->Delete(key);
+      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+    }
+    stream_ = {};
     // A snapshot is the authoritative full state as of its seq — SET, not
     // max: after failover the new primary restarts sequence numbering, and a
     // re-homed survivor must adopt the new numbering or it would skip every
     // subsequent shipment as "already applied".
     applied_seq_ = req.seq;
+    version_.fetch_add(1, std::memory_order_release);
     TC_RETURN_IF_ERROR(PersistAppliedLocked());
     acked = applied_seq_;
   }
@@ -212,6 +313,11 @@ Result<Bytes> ReplicaApplier::Handle(net::MessageType type, BytesView body) {
   switch (type) {
     case net::MessageType::kReplicaOps: {
       TC_ASSIGN_OR_RETURN(auto req, net::ReplicaOpsRequest::Decode(body));
+      // The shipped frame carries the originating client's trace context, so
+      // this span stitches the follower's apply under the same trace as the
+      // primary-side ingest that produced the batch.
+      metrics::TraceSpan span("replica_apply", nullptr, req.shard,
+                              static_cast<uint8_t>(type));
       return ApplyOps(req);
     }
     case net::MessageType::kReplicaSnapshotBegin: {
@@ -236,6 +342,20 @@ Result<Bytes> ReplicaApplier::Handle(net::MessageType type, BytesView body) {
   }
 }
 
+Result<Bytes> ReplicaApplier::Read(net::MessageType type, BytesView body) {
+  uint64_t version = version_.load(std::memory_order_acquire);
+  if (version != engine_version_.load(std::memory_order_acquire)) {
+    MutexLock lock(refresh_mu_);
+    if (version != engine_version_.load(std::memory_order_relaxed)) {
+      // `version` was read before the refresh started, so recording it
+      // afterwards can only under-state freshness — the safe direction.
+      TC_RETURN_IF_ERROR(engine_.Refresh());
+      engine_version_.store(version, std::memory_order_release);
+    }
+  }
+  return engine_.Handle(type, body);
+}
+
 uint64_t ReplicaApplier::applied_seq() const {
   MutexLock lock(mu_);
   return applied_seq_;
@@ -248,7 +368,7 @@ uint64_t ReplicaApplier::snapshot_chunks_received() const {
 
 bool ReplicaApplier::snapshot_in_progress() const {
   MutexLock lock(mu_);
-  return session_.active();
+  return stream_.active;
 }
 
 }  // namespace tc::replica

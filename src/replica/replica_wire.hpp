@@ -1,20 +1,23 @@
-// Replication over the wire: the follower side of log shipping when the
-// follower lives behind a transport instead of in-process. A RemoteFollower
-// encodes shipped ops into kReplicaOps frames and snapshot streams into
-// kReplicaSnapshotBegin/Chunk/End frames; a ReplicaApplier is the request
-// handler a follower node runs to apply them to its local store. Together
-// they make `tcserver --follower-of` follower processes possible without
-// the primary knowing the difference — the ReplicatedKvStore only ever
-// sees the Follower interface.
+// The follower side of log shipping. A RemoteFollower encodes shipped ops
+// into kReplicaOps frames and snapshot streams into
+// kReplicaSnapshotBegin/Chunk/End frames; a ReplicaApplier is the one
+// follower-side type: it owns the follower store, applies those frames to
+// it, and serves replica reads from an engine over it. In-process replicas
+// reach their applier through an InProcTransport, follower daemons
+// (`tcserver --follower-of`) through TCP — either way the
+// ReplicatedKvStore only ever sees the Follower interface.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <unordered_set>
 
 #include "common/thread_annotations.hpp"
 #include "net/messages.hpp"
 #include "net/wire.hpp"
 #include "replica/replicated_kv.hpp"
+#include "server/server_engine.hpp"
 
 namespace tc::replica {
 
@@ -55,24 +58,31 @@ class RemoteFollower final : public Follower {
   uint16_t port_ = 0;
 };
 
-/// Server-side handler a follower node runs: applies replication frames to
-/// its local store, in arrival order. Answers kPing for liveness probes and
-/// rejects every non-replication message — a follower endpoint is not a
-/// serving engine. The applied sequence number is persisted in the store
-/// (under kReplicaMetaPrefix) so a daemon restart over a durable store
-/// resumes from where it left off instead of claiming an empty history.
+/// A follower store and everything that reads or writes it: applies
+/// replication frames in arrival order (checking for sequence gaps),
+/// answers kPing for liveness probes, rejects every other message on the
+/// replication path, and serves replica reads from a ServerEngine over the
+/// store. The applied sequence number is persisted in the store (under
+/// kReplicaMetaPrefix) so a restart over a durable store resumes from where
+/// it left off instead of claiming an empty history.
 class ReplicaApplier final : public net::RequestHandler {
  public:
-  explicit ReplicaApplier(std::shared_ptr<store::KvStore> kv);
+  explicit ReplicaApplier(std::shared_ptr<store::KvStore> kv,
+                          server::ServerOptions engine_options = {});
 
+  /// The one decoder of kReplicaOps and kReplicaSnapshot{Begin,Chunk,End}.
+  /// Each returns the encoded ack.
   Result<Bytes> Handle(net::MessageType type, BytesView body) override;
 
-  // Typed entry points (the follower daemon demuxes decoded frames by
-  // shard and calls these directly). Each returns the encoded response.
-  Result<Bytes> ApplyOps(const net::ReplicaOpsRequest& req);
-  Result<Bytes> SnapshotBegin(const net::ReplicaSnapshotBeginRequest& req);
-  Result<Bytes> SnapshotChunk(const net::ReplicaSnapshotChunkRequest& req);
-  Result<Bytes> SnapshotEnd(const net::ReplicaSnapshotEndRequest& req);
+  /// Serve a read-only message from the engine over the follower store,
+  /// refreshed first whenever the store changed since the engine last saw
+  /// it.
+  Result<Bytes> Read(net::MessageType type, BytesView body)
+      EXCLUDES(refresh_mu_);
+
+  const std::shared_ptr<store::KvStore>& kv() const { return kv_; }
+  /// The read engine as of its last refresh (cluster-info counts).
+  const server::ServerEngine& engine() const { return engine_; }
 
   /// Highest sequence number applied (0 before any frame).
   uint64_t applied_seq() const;
@@ -82,13 +92,40 @@ class ReplicaApplier final : public net::RequestHandler {
   bool snapshot_in_progress() const;
 
  private:
+  /// The open snapshot stream: applied chunk by chunk, so only the key set
+  /// is retained for End's reconciliation.
+  struct SnapshotStream {
+    bool active = false;
+    uint64_t origin = 0;
+    uint64_t seq = 0;
+    uint64_t received = 0;
+    std::unordered_set<std::string> keys;  // named by the stream so far
+  };
+
+  Result<Bytes> ApplyOps(const net::ReplicaOpsRequest& req) EXCLUDES(mu_);
+  Result<Bytes> SnapshotBegin(const net::ReplicaSnapshotBeginRequest& req)
+      EXCLUDES(mu_);
+  Result<Bytes> SnapshotChunk(const net::ReplicaSnapshotChunkRequest& req)
+      EXCLUDES(mu_);
+  Result<Bytes> SnapshotEnd(const net::ReplicaSnapshotEndRequest& req)
+      EXCLUDES(mu_);
   Status PersistAppliedLocked() REQUIRES(mu_);
 
   std::shared_ptr<store::KvStore> kv_;
+  server::ServerEngine engine_;
   mutable Mutex mu_;
   uint64_t applied_seq_ GUARDED_BY(mu_) = 0;
   uint64_t snapshot_chunks_ GUARDED_BY(mu_) = 0;
-  SnapshotSession session_ GUARDED_BY(mu_);
+  SnapshotStream stream_ GUARDED_BY(mu_);
+  /// Bumped (under mu_) by every applied op and every completed snapshot.
+  /// The engine refreshes whenever this differs from the value it last
+  /// saw; a counter rather than the applied seq, because a re-seed sets the
+  /// seq to the new primary's numbering, which can equal the old value.
+  std::atomic<uint64_t> version_{0};
+  /// The version the engine last refreshed to; refreshes serialize on
+  /// refresh_mu_, reads that find it current never take the mutex.
+  std::atomic<uint64_t> engine_version_{0};
+  Mutex refresh_mu_;
 };
 
 }  // namespace tc::replica

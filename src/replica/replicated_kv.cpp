@@ -56,131 +56,6 @@ uint64_t StoreFingerprint(const store::KvStore& kv) {
   return h == 0 ? 1 : h;  // 0 is reserved for "no layout bound"
 }
 
-uint64_t SnapshotSession::Begin(uint64_t origin, uint64_t seq) {
-  if (active_ && origin_ == origin && seq_ == seq) {
-    return received_;  // same pipeline retrying the same stream: resume
-  }
-  active_ = true;
-  origin_ = origin;
-  seq_ = seq;
-  received_ = 0;
-  keys_.clear();
-  return 0;
-}
-
-Status SnapshotSession::Chunk(uint64_t seq, uint64_t first_index,
-                              std::span<const SnapshotEntry> entries) {
-  if (!active_ || seq_ != seq) {
-    return FailedPrecondition("no snapshot stream open for seq " +
-                              std::to_string(seq));
-  }
-  if (first_index > received_) {
-    return FailedPrecondition("snapshot chunk gap: stream at " +
-                              std::to_string(received_) + ", chunk starts at " +
-                              std::to_string(first_index));
-  }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (first_index + i < received_) continue;  // re-delivered overlap
-    const auto& [key, value] = entries[i];
-    keys_.insert(key);
-    // Skip byte-identical values: re-seeding a durable follower (restart
-    // with a reused log file) must not rewrite its entire log as dead bytes.
-    auto existing = kv_->Get(key);
-    if (!existing.ok() || *existing != value) {
-      TC_RETURN_IF_ERROR(kv_->Put(key, value));
-    }
-    received_ = first_index + i + 1;
-  }
-  return Status::Ok();
-}
-
-Status SnapshotSession::End(uint64_t seq, uint64_t total_entries) {
-  if (!active_ || seq_ != seq || received_ != total_entries) {
-    // Reset so the shipper's restart begins a clean stream.
-    Status error = FailedPrecondition(
-        "snapshot end mismatch: stream " + std::to_string(seq_) + "/" +
-        std::to_string(received_) + " entries vs end " + std::to_string(seq) +
-        "/" + std::to_string(total_entries));
-    active_ = false;
-    keys_.clear();
-    return error;
-  }
-  // Collect stale keys first, mutate after: Scan callbacks must not call
-  // back into the store (the iteration holds its internal locks). Keys
-  // under the replica-meta prefix are follower-local bookkeeping, never
-  // part of the shipped state.
-  std::vector<std::string> stale;
-  TC_RETURN_IF_ERROR(kv_->Scan([&](const std::string& key, BytesView) {
-    if (!keys_.contains(key) && !key.starts_with(kReplicaMetaPrefix)) {
-      stale.push_back(key);
-    }
-  }));
-  for (const auto& key : stale) {
-    Status s = kv_->Delete(key);
-    if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-  }
-  active_ = false;
-  keys_.clear();
-  return Status::Ok();
-}
-
-Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
-                      BytesView value, uint64_t expected_size) {
-  switch (kind) {
-    case net::kReplicaOpPut:
-      return kv.Put(key, value);
-    case net::kReplicaOpAppend: {
-      Status s = kv.Append(key, expected_size, value).status();
-      if (s.code() == StatusCode::kNotFound) {
-        return FailedPrecondition("replica append to absent key " + key);
-      }
-      if (s.code() == StatusCode::kFailedPrecondition) {
-        // Already applied: a snapshot read the value after this append
-        // landed on the primary, or a retried batch re-delivers it. The
-        // suffix then sits at exactly `expected_size`.
-        auto current = kv.Get(key);
-        if (current.ok() && current->size() >= expected_size &&
-            current->size() - expected_size >= value.size() &&
-            std::equal(value.begin(), value.end(),
-                       current->begin() +
-                           static_cast<ptrdiff_t>(expected_size))) {
-          return Status::Ok();
-        }
-      }
-      return s;
-    }
-    default: {
-      // Re-delivery after a mid-batch failure (or a delete folded into an
-      // earlier snapshot) makes missing keys expected, not errors.
-      Status s = kv.Delete(key);
-      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-      return Status::Ok();
-    }
-  }
-}
-
-Status LocalFollower::ApplyOps(std::span<const LoggedOp> ops) {
-  for (const auto& op : ops) {
-    TC_RETURN_IF_ERROR(
-        ApplyShippedOp(*kv_, op.kind, op.key, op.value, op.expected_size));
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> LocalFollower::BeginSnapshot(uint64_t origin, uint64_t seq) {
-  return session_.Begin(origin, seq);
-}
-
-Status LocalFollower::ApplySnapshotChunk(
-    uint64_t seq, uint64_t first_index,
-    std::span<const SnapshotEntry> entries) {
-  return session_.Chunk(seq, first_index, entries);
-}
-
-Status LocalFollower::EndSnapshot(uint64_t seq, uint64_t total_entries) {
-  return session_.End(seq, total_entries);
-}
-
 ReplicatedKvStore::ReplicatedKvStore(std::shared_ptr<store::KvStore> primary,
                                      ReplicatedKvOptions options)
     : ForwardingKvStore(std::move(primary)),
@@ -291,11 +166,6 @@ Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
                        std::to_string(seq));
   }
   return Status::Ok();
-}
-
-size_t ReplicatedKvStore::num_followers() const {
-  MutexLock lock(mu_);
-  return followers_.size();
 }
 
 uint64_t ReplicatedKvStore::follower_seq(size_t i) const {

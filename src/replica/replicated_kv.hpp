@@ -39,7 +39,6 @@
 #include <span>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -72,22 +71,13 @@ struct LoggedOp {
   uint64_t expected_size = 0;  // appends only: value length before
 };
 
-/// Apply one shipped mutation to a follower's store. Every kind is
-/// idempotent, because re-delivery is expected (a retried batch, or ops that
-/// raced a snapshot stream): deleting a missing key succeeds, and an append
-/// whose suffix already sits at `expected_size` is a no-op. Any other append
-/// whose key is missing or whose value length differs from `expected_size`
-/// fails with kFailedPrecondition: the follower diverged and must be
-/// re-seeded, never appended to blindly.
-Status ApplyShippedOp(store::KvStore& kv, uint8_t kind, const std::string& key,
-                      BytesView value, uint64_t expected_size);
-
 /// One snapshot-stream entry.
 using SnapshotEntry = std::pair<std::string, Bytes>;
 
-/// Where shipped mutations land. Implementations: LocalFollower (a KvStore
-/// in this process), RemoteFollower (a transport to a ReplicaApplier).
-/// Calls arrive from one shipper thread at a time, strictly in order.
+/// Where shipped mutations land: a RemoteFollower, whose transport reaches
+/// a ReplicaApplier in this process or in a follower daemon (tests put
+/// fakes in between). Calls arrive from one shipper thread at a time,
+/// strictly in order.
 class Follower {
  public:
   virtual ~Follower() = default;
@@ -120,54 +110,6 @@ class Follower {
   /// `seq`. `total_entries` cross-checks that nothing was lost in transit.
   TC_BLOCKING virtual Status EndSnapshot(uint64_t seq,
                                          uint64_t total_entries) = 0;
-};
-
-/// Receiver-side state machine of the chunked snapshot stream, shared by
-/// LocalFollower and the wire-side ReplicaApplier. Applies each chunk
-/// straight into the store (skipping byte-identical values so re-seeding a
-/// durable follower does not rewrite its whole log) and retains only the
-/// key set for the End reconciliation. Not thread-safe; callers serialize.
-class SnapshotSession {
- public:
-  explicit SnapshotSession(std::shared_ptr<store::KvStore> kv)
-      : kv_(std::move(kv)) {}
-
-  /// Returns the resume point (received entry count) when (origin, seq)
-  /// matches an in-progress stream, else resets and returns 0.
-  uint64_t Begin(uint64_t origin, uint64_t seq);
-  Status Chunk(uint64_t seq, uint64_t first_index,
-               std::span<const SnapshotEntry> entries);
-  /// Reconcile deletes and close. Fails (kFailedPrecondition) on a seq or
-  /// count mismatch — the shipper restarts the stream.
-  Status End(uint64_t seq, uint64_t total_entries);
-
-  bool active() const { return active_; }
-  uint64_t received() const { return received_; }
-
- private:
-  std::shared_ptr<store::KvStore> kv_;
-  bool active_ = false;
-  uint64_t origin_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t received_ = 0;
-  std::unordered_set<std::string> keys_;  // named by the stream so far
-};
-
-/// In-process follower over any KvStore.
-class LocalFollower final : public Follower {
- public:
-  explicit LocalFollower(std::shared_ptr<store::KvStore> kv)
-      : kv_(kv), session_(std::move(kv)) {}
-
-  Status ApplyOps(std::span<const LoggedOp> ops) override;
-  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override;
-  Status ApplySnapshotChunk(uint64_t seq, uint64_t first_index,
-                            std::span<const SnapshotEntry> entries) override;
-  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override;
-
- private:
-  std::shared_ptr<store::KvStore> kv_;
-  SnapshotSession session_;
 };
 
 struct ReplicatedKvOptions {
@@ -209,7 +151,6 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   // Replication introspection. Sequence numbers start at 1; follower_seq is
   // the highest op a follower has durably applied (snapshots jump it).
   uint64_t head_seq() const { return head_seq_.load(std::memory_order_acquire); }
-  size_t num_followers() const;
   uint64_t follower_seq(size_t i) const;
   /// Widest lag across followers, in ops (0 with no followers).
   uint64_t MaxLagOps() const;

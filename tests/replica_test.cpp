@@ -32,7 +32,6 @@ using client::OwnerClient;
 using client::Principal;
 using cluster::ShardRouter;
 using replica::AckMode;
-using replica::LocalFollower;
 using replica::ReplicatedKvOptions;
 using replica::ReplicatedKvStore;
 using replica::ReplicaSet;
@@ -90,6 +89,15 @@ int64_t OracleSum(uint64_t first, uint64_t last) {
   return sum;
 }
 
+/// A follower in this process, built the way ReplicaSet builds one: the
+/// shipper reaches an applier over `kv` through the replication frames.
+std::shared_ptr<replica::Follower> InProcFollower(
+    std::shared_ptr<store::KvStore> kv) {
+  return std::make_shared<replica::RemoteFollower>(
+      std::make_shared<net::InProcTransport>(
+          std::make_shared<replica::ReplicaApplier>(std::move(kv))));
+}
+
 // --------------------------------------------------------- ReplicatedKvStore
 
 TEST(ReplicatedKv, ShipsPutsAndDeletesToFollowers) {
@@ -97,8 +105,8 @@ TEST(ReplicatedKv, ShipsPutsAndDeletesToFollowers) {
       std::make_shared<store::MemKvStore>());
   auto f0 = std::make_shared<store::MemKvStore>();
   auto f1 = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(std::make_shared<LocalFollower>(f0));
-  rkv->AddFollower(std::make_shared<LocalFollower>(f1));
+  rkv->AddFollower(InProcFollower(f0));
+  rkv->AddFollower(InProcFollower(f1));
 
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(
@@ -131,8 +139,8 @@ TEST(ReplicatedKv, SnapshotSeedsEmptyAndReconvergesDivergedFollowers) {
   auto stale = std::make_shared<store::MemKvStore>();
   ASSERT_TRUE(stale->Put("zombie", ToBytes("boo")).ok());
   ASSERT_TRUE(stale->Put("a", ToBytes("wrong")).ok());
-  rkv->AddFollower(std::make_shared<LocalFollower>(empty));
-  rkv->AddFollower(std::make_shared<LocalFollower>(stale));
+  rkv->AddFollower(InProcFollower(empty));
+  rkv->AddFollower(InProcFollower(stale));
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
 
   EXPECT_EQ(Contents(*empty), Contents(*rkv));
@@ -145,32 +153,32 @@ TEST(ReplicatedKv, SnapshotSeedsEmptyAndReconvergesDivergedFollowers) {
 class GatedFollower final : public replica::Follower {
  public:
   explicit GatedFollower(std::shared_ptr<store::KvStore> kv)
-      : inner_(std::move(kv)) {}
+      : inner_(InProcFollower(std::move(kv))) {}
 
   Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
     if (!open_.load()) return Unavailable("gate closed");
-    return inner_.ApplyOps(ops);
+    return inner_->ApplyOps(ops);
   }
   Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
     if (!open_.load()) return Unavailable("gate closed");
-    return inner_.BeginSnapshot(origin, seq);
+    return inner_->BeginSnapshot(origin, seq);
   }
   Status ApplySnapshotChunk(
       uint64_t seq, uint64_t first_index,
       std::span<const replica::SnapshotEntry> entries) override {
     if (!open_.load()) return Unavailable("gate closed");
-    return inner_.ApplySnapshotChunk(seq, first_index, entries);
+    return inner_->ApplySnapshotChunk(seq, first_index, entries);
   }
   Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
     if (!open_.load()) return Unavailable("gate closed");
-    return inner_.EndSnapshot(seq, total_entries);
+    return inner_->EndSnapshot(seq, total_entries);
   }
 
   void Open() { open_.store(true); }
   void Close() { open_.store(false); }
 
  private:
-  LocalFollower inner_;
+  std::shared_ptr<replica::Follower> inner_;
   std::atomic<bool> open_{true};
 };
 
@@ -257,7 +265,7 @@ TEST(ReplicatedKv, SnapshotStreamsInBoundedChunks) {
                     .ok());
   }
   auto fkv = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(std::make_shared<LocalFollower>(fkv));
+  rkv->AddFollower(InProcFollower(fkv));
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
 
   // 100 entries at ≤8 per chunk: the stream must have been split, never a
@@ -267,46 +275,106 @@ TEST(ReplicatedKv, SnapshotStreamsInBoundedChunks) {
   EXPECT_EQ(Contents(*fkv), Contents(*rkv));
 }
 
-TEST(SnapshotSession, ResumesReconvergesAndRejectsGaps) {
+TEST(ReplicaApplier, SnapshotStreamResumesReconvergesAndRejectsGaps) {
   auto kv = std::make_shared<store::MemKvStore>();
   ASSERT_TRUE(kv->Put("zombie", ToBytes("stale")).ok());
-  replica::SnapshotSession session(kv);
+  auto applier = std::make_shared<replica::ReplicaApplier>(kv);
+  // Drive the applier's snapshot frames the way a shipper does; the
+  // follower checks every chunk ack against the entries it sent.
+  replica::RemoteFollower stream(
+      std::make_shared<net::InProcTransport>(applier));
 
-  EXPECT_EQ(session.Begin(/*origin=*/1, 7), 0u);
+  EXPECT_EQ(stream.BeginSnapshot(/*origin=*/1, 7).value(), 0u);
   std::vector<replica::SnapshotEntry> first = {{"a", ToBytes("1")},
                                                {"b", ToBytes("2")}};
-  ASSERT_TRUE(session.Chunk(7, 0, first).ok());
+  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 0, first).ok());
 
   // Reconnect mid-stream: a Begin with the same (origin, seq) resumes
   // where the stream left off instead of restarting.
-  EXPECT_EQ(session.Begin(1, 7), 2u);
+  EXPECT_EQ(stream.BeginSnapshot(1, 7).value(), 2u);
   // A different origin with the same seq (a new primary whose restarted
   // numbering happens to collide) must NOT resume the stale stream.
-  EXPECT_EQ(session.Begin(2, 7), 0u);
-  EXPECT_EQ(session.Begin(1, 7), 0u);  // ...and the stale session is gone
-  ASSERT_TRUE(session.Chunk(7, 0, first).ok());
+  EXPECT_EQ(stream.BeginSnapshot(2, 7).value(), 0u);
+  EXPECT_EQ(stream.BeginSnapshot(1, 7).value(), 0u);  // ...and it is gone
+  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 0, first).ok());
   std::vector<replica::SnapshotEntry> second = {{"c", ToBytes("3")}};
-  ASSERT_TRUE(session.Chunk(7, 2, second).ok());
+  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 2, second).ok());
 
-  // Re-delivered overlap is idempotent; a gap is rejected.
+  // Re-delivered overlap is idempotent (the ack still counts 3 entries);
+  // a gap is rejected.
   std::vector<replica::SnapshotEntry> overlap = {{"b", ToBytes("2")},
                                                  {"c", ToBytes("3")}};
-  ASSERT_TRUE(session.Chunk(7, 1, overlap).ok());
-  EXPECT_EQ(session.received(), 3u);
-  EXPECT_EQ(session.Chunk(7, 5, second).code(),
+  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 1, overlap).ok());
+  EXPECT_EQ(stream.ApplySnapshotChunk(7, 5, second).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(applier->snapshot_in_progress());
 
-  // End reconciles: keys the stream never named are deleted.
-  ASSERT_TRUE(session.End(7, 3).ok());
+  // End reconciles: keys the stream never named are deleted, and the
+  // applied seq jumps to the snapshot's.
+  ASSERT_TRUE(stream.EndSnapshot(7, 3).ok());
+  EXPECT_FALSE(applier->snapshot_in_progress());
+  EXPECT_EQ(applier->applied_seq(), 7u);
   EXPECT_FALSE(kv->Contains("zombie"));
   EXPECT_TRUE(kv->Contains("a"));
   EXPECT_TRUE(kv->Contains("c"));
 
   // A different seq is a different stream: no resume.
-  EXPECT_EQ(session.Begin(1, 9), 0u);
+  EXPECT_EQ(stream.BeginSnapshot(1, 9).value(), 0u);
   // And a count mismatch at End fails instead of passing a short stream.
-  ASSERT_TRUE(session.Chunk(9, 0, first).ok());
-  EXPECT_EQ(session.End(9, 5).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(stream.ApplySnapshotChunk(9, 0, first).ok());
+  EXPECT_EQ(stream.EndSnapshot(9, 5).code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(applier->snapshot_in_progress());
+  EXPECT_EQ(applier->applied_seq(), 7u);
+}
+
+TEST(ReplicaApplier, ReadRefreshesAfterAReseedLandsOnTheSameSeq) {
+  // After failover the new primary numbers its ops from 1 again, so a
+  // re-seed can leave the applied seq exactly where it was while the store
+  // changed underneath. The read engine must still refresh.
+  auto applier = std::make_shared<replica::ReplicaApplier>(
+      std::make_shared<store::MemKvStore>());
+  replica::RemoteFollower follower(
+      std::make_shared<net::InProcTransport>(applier));
+  auto seed = [&](uint64_t origin, uint64_t chunks) {
+    // A primary's store holding one stream of `chunks` chunks, streamed to
+    // the applier as one snapshot at seq 7.
+    auto primary_kv = std::make_shared<store::MemKvStore>();
+    server::ServerEngine primary(primary_kv);
+    net::CreateStreamRequest create{42, PlainConfig("reseeded")};
+    ASSERT_TRUE(
+        primary.Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+    auto cipher = index::MakePlainCipher(2);
+    for (uint64_t ch = 0; ch < chunks; ++ch) {
+      std::vector<uint64_t> fields{ch + 1, 1};
+      Bytes digest = *cipher->Encrypt(fields, ch);
+      net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
+      ASSERT_TRUE(
+          primary.Handle(net::MessageType::kInsertChunkBatch, req.Encode())
+              .ok());
+    }
+    std::vector<replica::SnapshotEntry> entries;
+    ASSERT_TRUE(primary_kv
+                    ->Scan([&](const std::string& key, BytesView value) {
+                      entries.emplace_back(key,
+                                           Bytes(value.begin(), value.end()));
+                    })
+                    .ok());
+    ASSERT_EQ(follower.BeginSnapshot(origin, 7).value(), 0u);
+    ASSERT_TRUE(follower.ApplySnapshotChunk(7, 0, entries).ok());
+    ASSERT_TRUE(follower.EndSnapshot(7, entries.size()).ok());
+  };
+  auto replica_chunks = [&] {
+    net::StreamInfoRequest req{42};
+    auto resp = applier->Read(net::MessageType::kGetStreamInfo, req.Encode());
+    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+    return resp.ok() ? net::StreamInfoResponse::Decode(*resp)->num_chunks : 0;
+  };
+
+  seed(/*origin=*/1, 4);
+  EXPECT_EQ(replica_chunks(), 4u);
+  seed(/*origin=*/2, 6);
+  EXPECT_EQ(applier->applied_seq(), 7u);
+  EXPECT_EQ(replica_chunks(), 6u);
 }
 
 // ------------------------------------------------------------ wire follower
@@ -473,11 +541,11 @@ TEST(ReplicaWire, AppendsShipAsSuffixesAndDivergedFollowersReseed) {
   EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
 }
 
-TEST(ReplicatedKv, LocalFollowerAppliesAndReseedsOnAppendMismatch) {
+TEST(ReplicatedKv, InProcFollowerAppliesAndReseedsOnAppendMismatch) {
   auto rkv = std::make_shared<ReplicatedKvStore>(
       std::make_shared<store::MemKvStore>());
   auto follower = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(std::make_shared<LocalFollower>(follower));
+  rkv->AddFollower(InProcFollower(follower));
   ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
   ASSERT_TRUE(rkv->Append("node", 2, ToBytes("cd")).ok());
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
@@ -491,31 +559,104 @@ TEST(ReplicatedKv, LocalFollowerAppliesAndReseedsOnAppendMismatch) {
   EXPECT_EQ(Contents(*follower), Contents(*rkv));
 }
 
-TEST(ReplicatedKv, ReDeliveredAppendsAreSkippedAndMisfitsRejected) {
+/// Acks the first op shipment after the initial snapshot without passing
+/// it on: a shipment lost after the follower acknowledged it.
+class LossyFollower final : public replica::Follower {
+ public:
+  explicit LossyFollower(std::shared_ptr<replica::Follower> inner)
+      : inner_(std::move(inner)) {}
+
+  Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
+    if (seeded_ && !lost_) {
+      lost_ = true;
+      return Status::Ok();
+    }
+    return inner_->ApplyOps(ops);
+  }
+  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
+    return inner_->BeginSnapshot(origin, seq);
+  }
+  Status ApplySnapshotChunk(
+      uint64_t seq, uint64_t first_index,
+      std::span<const replica::SnapshotEntry> entries) override {
+    return inner_->ApplySnapshotChunk(seq, first_index, entries);
+  }
+  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
+    Status s = inner_->EndSnapshot(seq, total_entries);
+    if (s.ok()) seeded_ = true;
+    return s;
+  }
+
+ private:
+  std::shared_ptr<replica::Follower> inner_;
+  // Touched only by the one shipper thread.
+  bool seeded_ = false;
+  bool lost_ = false;
+};
+
+TEST(ReplicatedKv, InProcFollowerCatchesAnAckedButLostShipment) {
+  auto rkv = std::make_shared<ReplicatedKvStore>(
+      std::make_shared<store::MemKvStore>());
+  auto fkv = std::make_shared<store::MemKvStore>();
+  rkv->AddFollower(std::make_shared<LossyFollower>(InProcFollower(fkv)));
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+
+  // One key per shipment: the first vanishes after its ack, and the next
+  // arrives past a sequence gap the applier must refuse.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(rkv->Put("k" + std::to_string(i),
+                         ToBytes("v" + std::to_string(i)))
+                    .ok());
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  }
+  EXPECT_EQ(Contents(*fkv), Contents(*rkv));
+  EXPECT_TRUE(fkv->Contains("k0"));
+  // The registration snapshot, then the re-seed the gap forced.
+  EXPECT_EQ(rkv->snapshots_shipped(), 2u);
+}
+
+TEST(ReplicaApplier, ReDeliveredAppendsAreSkippedAndMisfitsRejected) {
   auto kv = std::make_shared<store::MemKvStore>();
   ASSERT_TRUE(kv->Put("node", ToBytes("ab")).ok());
-  LocalFollower follower(kv);
-  std::vector<replica::LoggedOp> batch = {
-      {1, net::kReplicaOpAppend, "node", ToBytes("cd"), 2},
-      {2, net::kReplicaOpAppend, "node", ToBytes("ef"), 4}};
+  replica::ReplicaApplier applier(kv);
+  auto ship = [&](uint64_t first_seq,
+                  std::vector<net::ReplicaOpsRequest::Op> ops) {
+    net::ReplicaOpsRequest req;
+    req.first_seq = first_seq;
+    req.ops = std::move(ops);
+    return applier.Handle(net::MessageType::kReplicaOps, req.Encode())
+        .status()
+        .code();
+  };
+  auto append = [](std::string key, std::string_view suffix, uint64_t at) {
+    return net::ReplicaOpsRequest::Op{net::kReplicaOpAppend, std::move(key),
+                                      ToBytes(suffix), at};
+  };
   // A batch that failed after its first op is shipped again whole.
-  ASSERT_TRUE(follower.ApplyOps(std::span(batch).first(1)).ok());
-  ASSERT_TRUE(follower.ApplyOps(batch).ok());
-  ASSERT_TRUE(follower.ApplyOps(batch).ok());
+  EXPECT_EQ(ship(1, {append("node", "cd", 2)}), StatusCode::kOk);
+  EXPECT_EQ(ship(1, {append("node", "cd", 2), append("node", "ef", 4)}),
+            StatusCode::kOk);
+  EXPECT_EQ(ship(1, {append("node", "cd", 2), append("node", "ef", 4)}),
+            StatusCode::kOk);
+  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
+  EXPECT_EQ(applier.applied_seq(), 2u);
+
+  // An append the store already holds at its offset (a snapshot read the
+  // value after the append landed) is recognised by its bytes and skipped.
+  EXPECT_EQ(ship(3, {append("node", "ef", 4)}), StatusCode::kOk);
   EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
 
   // An append that does not match the bytes at its offset is a divergence.
-  auto apply = [&](const std::string& key, std::string_view suffix,
-                   uint64_t at) {
-    return replica::ApplyShippedOp(*kv, net::kReplicaOpAppend, key,
-                                   ToBytes(suffix), at)
-        .code();
-  };
-  EXPECT_EQ(apply("node", "cx", 2), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(apply("node", "efgh", 4), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(apply("node", "x", 9), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(apply("gone", "x", 0), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ship(4, {append("node", "cx", 2)}),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ship(4, {append("node", "efgh", 4)}),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ship(4, {append("node", "x", 9)}),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ship(4, {append("gone", "x", 0)}),
+            StatusCode::kFailedPrecondition);
   EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
+  EXPECT_EQ(applier.applied_seq(), 3u);
 }
 
 /// Runs `hook` once, as the first snapshot stream opens (after the shipper
@@ -552,32 +693,22 @@ TEST(ReplicatedKv, AppendsRacingASnapshotConvergeAfterOneSnapshot) {
   // carry appends newer than its pinned seq, and those are shipped again
   // afterwards. The follower must skip them, not fail their length check
   // and re-seed (which under steady ingest would repeat forever).
-  for (bool remote : {false, true}) {
-    SCOPED_TRACE(remote ? "remote follower" : "local follower");
-    auto rkv = std::make_shared<ReplicatedKvStore>(
-        std::make_shared<store::MemKvStore>());
-    ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
-    auto follower_kv = std::make_shared<store::MemKvStore>();
-    std::shared_ptr<replica::Follower> inner;
-    if (remote) {
-      inner = std::make_shared<replica::RemoteFollower>(
-          std::make_shared<net::InProcTransport>(
-              std::make_shared<replica::ReplicaApplier>(follower_kv)));
-    } else {
-      inner = std::make_shared<LocalFollower>(follower_kv);
-    }
-    ReplicatedKvStore* primary = rkv.get();
-    rkv->AddFollower(std::make_shared<SnapshotHookFollower>(inner, [primary] {
-      EXPECT_TRUE(primary->Append("node", 2, ToBytes("cd")).ok());
-      EXPECT_TRUE(primary->Append("node", 4, ToBytes("ef")).ok());
-    }));
-    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-    ASSERT_TRUE(rkv->Append("node", 6, ToBytes("gh")).ok());
-    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-    EXPECT_EQ(rkv->snapshots_shipped(), 1u);
-    EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdefgh");
-    EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
-  }
+  auto rkv = std::make_shared<ReplicatedKvStore>(
+      std::make_shared<store::MemKvStore>());
+  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
+  auto follower_kv = std::make_shared<store::MemKvStore>();
+  ReplicatedKvStore* primary = rkv.get();
+  rkv->AddFollower(std::make_shared<SnapshotHookFollower>(
+      InProcFollower(follower_kv), [primary] {
+        EXPECT_TRUE(primary->Append("node", 2, ToBytes("cd")).ok());
+        EXPECT_TRUE(primary->Append("node", 4, ToBytes("ef")).ok());
+      }));
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  ASSERT_TRUE(rkv->Append("node", 6, ToBytes("gh")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(rkv->snapshots_shipped(), 1u);
+  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdefgh");
+  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
 }
 
 // --------------------------------------------------------------- ReplicaSet
@@ -1038,7 +1169,7 @@ TEST(ShardMeta, MetaKeyReplicatesWithTheShard) {
   auto rkv = std::make_shared<ReplicatedKvStore>(
       std::make_shared<store::MemKvStore>());
   auto fkv = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(std::make_shared<LocalFollower>(fkv));
+  rkv->AddFollower(InProcFollower(fkv));
   ASSERT_TRUE(cluster::BindShardMeta(*rkv, 0, 2).ok());
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
   EXPECT_TRUE(cluster::BindShardMeta(*fkv, 0, 2).ok());

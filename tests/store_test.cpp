@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/metrics.hpp"
+#include "replica/replica_wire.hpp"
 #include "replica/replicated_kv.hpp"
 #include "store/fault_kv.hpp"
 #include "store/latency.hpp"
@@ -382,6 +383,15 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
   // matter how the two interleave — and survive its own reopen.
   auto follower_path = path_.string() + ".follower";
   std::filesystem::remove(follower_path);
+  // The follower's applier keeps its applied seq under this key; the rest
+  // of its store is the primary's, byte for byte.
+  auto replicated = [](const KvStore& kv) {
+    auto contents = ScanAll(kv);
+    EXPECT_EQ(contents.erase(std::string(replica::kReplicaMetaPrefix) +
+                             "applied"),
+              1u);
+    return contents;
+  };
   {
     auto primary = LogKvStore::Open(path_.string());
     ASSERT_TRUE(primary.ok());
@@ -400,7 +410,9 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
     auto follower = LogKvStore::Open(follower_path);
     ASSERT_TRUE(follower.ok());
     std::shared_ptr<KvStore> follower_kv = std::move(*follower);
-    rkv->AddFollower(std::make_shared<replica::LocalFollower>(follower_kv));
+    rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
+        std::make_shared<net::InProcTransport>(
+            std::make_shared<replica::ReplicaApplier>(follower_kv))));
     // Compact mid-catch-up, then keep churning so streaming continues past
     // the snapshot.
     ASSERT_TRUE(primary_raw->Compact().ok());
@@ -411,7 +423,7 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
     }
     ASSERT_TRUE(primary_raw->Compact().ok());
     ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-    EXPECT_EQ(ScanAll(*follower_kv), ScanAll(*rkv));
+    EXPECT_EQ(replicated(*follower_kv), ScanAll(*rkv));
   }
   // The follower's own log replays to the same state.
   {
@@ -419,7 +431,7 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
     ASSERT_TRUE(reopened.ok());
     auto primary = LogKvStore::Open(path_.string());
     ASSERT_TRUE(primary.ok());
-    EXPECT_EQ(ScanAll(**reopened), ScanAll(**primary));
+    EXPECT_EQ(replicated(**reopened), ScanAll(**primary));
   }
   std::filesystem::remove(follower_path);
 }

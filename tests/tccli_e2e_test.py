@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
 """End-to-end test of the tcserver and tccli binaries over loopback TCP.
 
-Starts `tcserver --port 0` on a log store in a temporary directory, reads
-the port from its "listening on" line, and drives tccli's owner and
-consumer commands against it: create --integrity, insert, stats (range and
-series), range, attest, verify, keygen, grant and consume. Every printed
-sum, count and point is checked against the inserted data. The server is
-killed however the test ends.
+Starts `tcserver --port 0` on a log store in a temporary directory, with one
+in-process replica per shard, an event-log file and every trace sampled;
+reads the port from its "listening on" line, and drives tccli's owner,
+consumer and operator commands against it: create --integrity, insert, info,
+stats (range and series), range, attest, verify, keygen, grant, consume,
+revoke, cluster-info, replica-info, metrics, traces, trace and events. Every
+printed sum, count and point is checked against the inserted data, and each
+operator command against one fact it must report. The server is stopped
+with SIGTERM and must exit cleanly; it is killed if the test fails first.
 
 Usage: tccli_e2e_test.py PATH/TO/tcserver PATH/TO/tccli
 """
 
+import json
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 DELTA_MS = 1000
@@ -35,17 +41,24 @@ def expected(start_chunk, end_chunk):
 
 
 def start_server(tcserver, workdir):
+    """Returns the server process, its port and a list that collects the
+    rest of its output."""
     server = subprocess.Popen(
         [tcserver, "--port", "0", "--store", "log", "--path",
-         str(workdir / "server.log")],
+         str(workdir / "server.log"), "--replicas", "1", "--event-log",
+         str(workdir / "events.jsonl"), "--trace-sample", "100"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     for line in server.stdout:
         match = re.search(r"listening on [\d.]+:(\d+)", line)
         if match:
             # Keep draining the server's output so a full pipe never
             # blocks it.
-            threading.Thread(target=server.stdout.read, daemon=True).start()
-            return server, int(match.group(1))
+            output = []
+
+            def drain():
+                output.append(server.stdout.read())
+            threading.Thread(target=drain, daemon=True).start()
+            return server, int(match.group(1)), output
     server.kill()
     server.wait()
     raise RuntimeError("tcserver exited before listening (code %s)" %
@@ -81,12 +94,66 @@ def check(condition, message):
         raise AssertionError(message)
 
 
+def poll(fetch, done, timeout_s=10):
+    """Calls fetch() until done(result) holds or timeout_s passes; returns
+    the last result."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        result = fetch()
+        if done(result) or time.monotonic() > deadline:
+            return result
+        time.sleep(0.05)
+
+
+def check_operator_commands(cli, state_dir, uuid, workdir):
+    """One fact from each operator command, on a server with one replica."""
+    out = cli.run(state_dir, "info", "--uuid", uuid)
+    check(re.search(r"^chunks +%d$" % CHUNKS, out, re.M) and
+          re.search(r"^cipher +TimeCrypt$", out, re.M) and
+          re.search(r"^integrity +yes$", out, re.M), "info: " + out)
+
+    out = cli.run(state_dir, "cluster-info")
+    # shard, streams, index bytes, replicas, ack.
+    check(re.search(r"^ +0 +1 +\d+ +1  async ", out, re.M),
+          "cluster-info: " + out)
+
+    # Replica acks are asynchronous: the follower may still be applying
+    # the tail of the ingest.
+    caught_up = "1 of 1 shard(s) replicated, worst lag 0 op(s)"
+    out = poll(lambda: cli.run(state_dir, "replica-info"),
+               lambda out: caught_up in out)
+    check(caught_up in out, "replica-info: " + out)
+
+    # The replica was seeded by a snapshot stream when it registered.
+    out = cli.run(state_dir, "metrics")
+    match = re.search(r"^tc_replica_snapshots_total +(\d+)$", out, re.M)
+    check(match and int(match.group(1)) >= 1, "metrics: " + out)
+
+    out = cli.run(state_dir, "traces")
+    ids = re.findall(r"^([0-9a-f]{16}) +\d+ ", out, re.M)
+    check(ids, "traces: " + out)
+    out = cli.run(state_dir, "trace", ids[0])
+    check(out.startswith("trace %s: " % ids[0]), "trace: " + out)
+    # The replica applies shipments under the trace of the ingest that
+    # produced them.
+    check(any("replica_apply" in cli.run(state_dir, "trace", trace_id)
+              for trace_id in ids),
+          "no trace holds a replica_apply span")
+
+    out = cli.run(state_dir, "events")
+    check(re.search(r" snapshot_stream_begin ", out), "events: " + out)
+    with open(workdir / "events.jsonl") as log:
+        kinds = {json.loads(line)["kind"] for line in log}
+    check({"snapshot_stream_begin", "snapshot_stream_end"} <= kinds,
+          "event log kinds: %s" % sorted(kinds))
+
+
 def run(tcserver, tccli):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         owner_dir = workdir / "owner"
         consumer_dir = workdir / "consumer"
-        server, port = start_server(tcserver, workdir)
+        server, port, server_output = start_server(tcserver, workdir)
         try:
             cli = Cli(tccli, port)
             out = cli.run(owner_dir, "create", "--name", "e2e/vitals",
@@ -135,9 +202,28 @@ def run(tcserver, tccli):
             check("1 grant(s) held" in out and
                   stat_blocks(out) == [(1, 5, *expected(1, 5))],
                   "consume: " + out)
+
+            out = cli.run(owner_dir, "revoke", "--uuid", uuid, "--principal",
+                          "doc", "--end", "3000")
+            check(out.strip() == "revoked doc on stream %s" % uuid,
+                  "revoke: " + out)
+
+            check_operator_commands(cli, owner_dir, uuid, workdir)
+
+            # A clean shutdown: SIGTERM runs the server's signal handler
+            # and graceful stop, and the process exits 0.
+            server.send_signal(signal.SIGTERM)
+            code = server.wait(timeout=TIMEOUT_S)
+            check(code == 0, "tcserver exited %d on SIGTERM" % code)
+            deadline = time.monotonic() + TIMEOUT_S
+            while not server_output and time.monotonic() < deadline:
+                time.sleep(0.01)
+            check(server_output and "shutting down" in server_output[0],
+                  "tcserver output: %s" % server_output)
         finally:
-            server.kill()
-            server.wait()
+            if server.poll() is None:
+                server.kill()
+                server.wait()
 
 
 def main():
