@@ -14,15 +14,21 @@
 //   6. Index cache budget sweep: query latency as the cache shrinks below
 //      the working set (the Fig 7 "small cache" effect, isolated).
 //   7. Payload seal (§4.1, §4.3): AES-GCM-128 seal and open of one chunk
-//      body under a fresh per-chunk key, and the owner's whole payload
-//      seal (build, compress, seal) at 10 and 500 points per chunk.
+//      body under a fresh per-chunk key, four bodies sealed at once in VAES
+//      lanes, and the owner's whole payload seal (build, compress, seal) at
+//      10 and 500 points per chunk.
 //   8. Owner seal (§4.1): the whole per-chunk client pipeline (digest,
 //      HEAC, compress, AES-GCM, upload batch) through an OwnerClient whose
 //      transport acks every chunk batch at once.
 //   9. Seal kernels: the per-chunk key derivations of 8 one at a time —
-//      the GGM leaf pair, HEAC's field keys and the payload key — and the
-//      hashes under the owner's other keys: SHA-256 and HMAC-SHA256.
+//      the GGM leaf pair, HEAC's field keys (also four leaves at once) and
+//      the payload key — and the hashes under the owner's other keys:
+//      SHA-256 and HMAC-SHA256.
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <cstring>
+#include <span>
 
 #include "bench_common.hpp"
 #include "chunk/chunk.hpp"
@@ -328,6 +334,37 @@ void BM_GcmSeal(benchmark::State& state) {
 }
 BENCHMARK(BM_GcmSeal)->Arg(32)->Arg(1024);
 
+// BM_GcmSeal's payload sealed four at a time, each under its own key, into
+// the owner's layout (in place, between nonce and tag room): one iteration
+// is four seals, so compare items/s (or a quarter of the time) with
+// BM_GcmSeal. On CPUs without VAES each lane seals alone.
+void BM_GcmSealLanes(benchmark::State& state) {
+  const auto size = static_cast<size_t>(state.range(0));
+  Bytes body(size);
+  crypto::RandomBytes(body);
+  const auto keys = PayloadKeys();
+  const auto aad = chunk::ChunkAad(7);
+  constexpr size_t kLanes = crypto::kCryptoLanes;
+  std::array<Bytes, kLanes> sealed;
+  std::array<crypto::GcmSealLane, kLanes> lanes;
+  size_t i = 0;
+  for (auto _ : state) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      sealed[l].resize(crypto::kGcmNonceSize + size + crypto::kGcmTagSize);
+      uint8_t* out = sealed[l].data();
+      std::memcpy(out + crypto::kGcmNonceSize, body.data(), size);
+      lanes[l] = {&keys[i++ % keys.size()],
+                  BytesView(out + crypto::kGcmNonceSize, size), aad, out};
+    }
+    crypto::GcmSealLanes(lanes);
+    benchmark::DoNotOptimize(sealed[0].data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(i));
+  state.SetBytesProcessed(static_cast<int64_t>(i * size));
+}
+BENCHMARK(BM_GcmSealLanes)->Arg(32);
+
 void BM_GcmOpen(benchmark::State& state) {
   Bytes body(static_cast<size_t>(state.range(0)));
   crypto::RandomBytes(body);
@@ -461,6 +498,25 @@ void BM_FieldKeysDerive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FieldKeysDerive)->Arg(19);
+
+// Four leaves' field keys per iteration, as the owner derives a group of
+// four chunks' (FieldKeys::DeriveLanes): compare items/s (or a quarter of
+// the time) with BM_FieldKeysDerive.
+void BM_FieldKeysDeriveLanes(benchmark::State& state) {
+  const auto leaves = PayloadKeys();
+  constexpr size_t kLanes = crypto::kCryptoLanes;
+  std::vector<crypto::FieldKeys> keys(
+      kLanes, crypto::FieldKeys(static_cast<size_t>(state.range(0))));
+  size_t i = 0;
+  for (auto _ : state) {
+    crypto::FieldKeys::DeriveLanes(
+        std::span(leaves).subspan(i % (leaves.size() - kLanes), kLanes), keys);
+    i += kLanes;
+    benchmark::DoNotOptimize(keys[0].key(0));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(i));
+}
+BENCHMARK(BM_FieldKeysDeriveLanes)->Arg(19);
 
 // The payload key H(k_i - k_{i+1}) of one chunk.
 void BM_ChunkPayloadKey(benchmark::State& state) {

@@ -1,7 +1,9 @@
 #include "client/owner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "crypto/aes_gcm.hpp"
 #include "crypto/heac.hpp"
@@ -167,20 +169,30 @@ Status OwnerClient::DeleteStream(uint64_t uuid) {
 }
 
 Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
-  TC_RETURN_IF_ERROR(SealInto(s));
+  if (Status closed = CloseChunk(s); !closed.ok()) {
+    // The chunks closed before a refused one are not stranded in the open
+    // batch: they are sealed and sent (a send error resurfaces on a later
+    // call), and the refusal is what this call reports.
+    (void)FlushPending(uuid, s);
+    return closed;
+  }
   // The chunk stays queued until the server acknowledges it (a failed send
   // puts it back for a resynced retry), so the builder moves on before the
   // upload can report an error.
   s.next_chunk = s.builder->index() + 1;
   s.builder->Reset(s.next_chunk, s.config.clock().RangeOfChunk(s.next_chunk));
-  if (++s.open_chunks >= options_.upload_batch_chunks) CloseBatch(uuid, s);
+  if (++s.open_chunks >= options_.upload_batch_chunks) {
+    TC_RETURN_IF_ERROR(CloseBatch(uuid, s));
+  } else if (s.group.size() == crypto::kCryptoLanes) {
+    TC_RETURN_IF_ERROR(SealGroup(s));
+  }
   if (s.queued.empty()) return Status::Ok();
   // A one-chunk upload is waited for: the server holds every sealed chunk
   // once the call returns. Full batches go out pipelined.
   return PumpPending(uuid, s, /*drain=*/options_.upload_batch_chunks <= 1);
 }
 
-Status OwnerClient::SealInto(StreamState& s) {
+Status OwnerClient::CloseChunk(StreamState& s) {
   auto& builder = *s.builder;
   const uint64_t chunk_index = builder.index();
   const net::CipherKind cipher = s.config.cipher;
@@ -193,6 +205,11 @@ Status OwnerClient::SealInto(StreamState& s) {
   if (chunk_index + 1 >= s.keys->tree().num_leaves()) {
     return OutOfRange("keystream exhausted");
   }
+  // The group's seal witnesses its chunks in order; one out of order is
+  // refused here, as StreamAttestor::Add would refuse it then.
+  if (s.attestor && chunk_index != s.attestor->size() + s.group.size()) {
+    return FailedPrecondition("witnesses must arrive in order");
+  }
   // Payload points, compressed into the builder's buffer. Empty chunks (gap
   // filler) upload digests only.
   BytesView compressed;
@@ -200,15 +217,11 @@ Status OwnerClient::SealInto(StreamState& s) {
     TC_ASSIGN_OR_RETURN(compressed, builder.CompressedPoints());
   }
 
-  // Leaves i and i+1 key both the HEAC digest (§4.2.2) and the payload
-  // (§4.3). Sequential chunks seek the key path one leaf on, about one PRG
-  // call each; deriving them from the GGM root costs the tree height.
-  const crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
-  const crypto::Key128 leaf_n = s.keys->Leaf(chunk_index + 1);
-
   // The entry, written once into the open batch as the codec encodes an
   // InsertChunkBatchRequest::Entry: the chunk index, then the digest blob
-  // and the sealed payload, each behind its varint length.
+  // and the sealed payload, each behind its varint length. The blob holds
+  // the plaintext digest fields and the payload the compressed points
+  // between room for the nonce and the tag, until the group seals them.
   Bytes& out = s.open;
   if (out.empty()) {
     out = std::move(s.spare);
@@ -221,58 +234,107 @@ Status OwnerClient::SealInto(StreamState& s) {
   PutU64At(out.data() + entry_at, chunk_index);
   PutVarint(out, blob_size);
   const size_t digest_at = out.size();
-  out.resize(digest_at + blob_size);
-
-  // Digest: compute the plaintext fields, then encrypt them in place.
   s.fields.resize(num_fields);
   s.config.schema.ComputeInto(builder.points(), s.fields);
-  uint8_t* blob = out.data() + digest_at;
-  if (cipher == net::CipherKind::kHeac) {
-    // Leaf i's field keys were derived as leaf i+1's of the previous
-    // chunk; derive them only for a stream's first chunk or a re-seal.
-    if (!s.carried_keys || s.carried_chunk != chunk_index) {
-      s.carried_keys.emplace(leaf_i, num_fields);
-    }
-    if (s.next_keys) {
-      s.next_keys->Derive(leaf_n);
-    } else {
-      s.next_keys.emplace(leaf_n, num_fields);
-    }
-    crypto::HeacCodec(num_fields)
-        .EncryptTo(s.fields, *s.carried_keys, *s.next_keys, blob);
-    std::swap(s.carried_keys, s.next_keys);
-    s.carried_chunk = chunk_index + 1;
-  } else {
-    std::memcpy(blob, s.fields.data(), blob_size);
-  }
-
-  // Payload: AES-GCM under the per-chunk key, sealed into the body.
+  out.resize(digest_at + blob_size);
+  std::memcpy(out.data() + digest_at, s.fields.data(), blob_size);
   PutVarint(out, compressed.empty() ? 0
                                     : crypto::kGcmNonceSize +
                                           compressed.size() +
                                           crypto::kGcmTagSize);
   const size_t payload_at = out.size();
   if (!compressed.empty()) {
-    crypto::GcmSealAppend(crypto::ChunkPayloadKey(leaf_i, leaf_n), compressed,
-                          chunk::ChunkAad(chunk_index), out);
+    out.resize(payload_at + crypto::kGcmNonceSize + compressed.size() +
+               crypto::kGcmTagSize);
+    std::memcpy(out.data() + payload_at + crypto::kGcmNonceSize,
+                compressed.data(), compressed.size());
   }
-
-  // Witness at seal time: the server appends in upload order, so the trees
-  // agree once the chunk lands. A chunk it rejects leaves the batch.
-  if (s.attestor) {
-    BytesView body(out);
-    Status witnessed =
-        s.attestor->Add(chunk_index, body.subspan(digest_at, blob_size),
-                        body.subspan(payload_at));
-    if (!witnessed.ok()) {
-      out.resize(entry_at);
-      return witnessed;
-    }
-  }
+  s.group.push_back({chunk_index, digest_at, payload_at, compressed.size()});
   return Status::Ok();
 }
 
-void OwnerClient::CloseBatch(uint64_t uuid, StreamState& s) {
+Status OwnerClient::SealGroup(StreamState& s) {
+  const size_t n = s.group.size();
+  if (n == 0) return Status::Ok();
+  const uint64_t first = s.group.front().chunk;
+  // Leaves first .. first + n key the group's digests (§4.2.2) and payloads
+  // (§4.3). Sequential chunks seek the key path one leaf on, about one PRG
+  // call each; deriving them from the GGM root costs the tree height.
+  TC_SECRET std::array<crypto::Key128, crypto::kCryptoLanes + 1> leaves;
+  for (size_t j = 0; j <= n; ++j) leaves[j] = s.keys->Leaf(first + j);
+  uint8_t* body = s.open.data();
+  const size_t num_fields = s.config.schema.num_fields();
+  const size_t blob_size = num_fields * sizeof(uint64_t);
+
+  if (s.config.cipher == net::CipherKind::kHeac) {
+    // Leaf `first`'s field keys were derived as the last leaf's of the
+    // group before; derive them only for a stream's first group.
+    if (s.field_keys.empty() || s.carried_chunk != first) {
+      if (s.field_keys.empty()) {
+        s.field_keys.assign(crypto::kCryptoLanes + 1,
+                            crypto::FieldKeys(num_fields));
+      }
+      s.field_keys[0].Derive(leaves[0]);
+    }
+    crypto::FieldKeys::DeriveLanes(
+        std::span<const crypto::Key128>(leaves).subspan(1, n),
+        std::span(s.field_keys).subspan(1, n));
+    const crypto::HeacCodec codec(num_fields);
+    for (size_t j = 0; j < n; ++j) {
+      uint8_t* blob = body + s.group[j].digest_at;
+      std::memcpy(s.fields.data(), blob, blob_size);
+      codec.EncryptTo(s.fields, s.field_keys[j], s.field_keys[j + 1], blob);
+    }
+    std::swap(s.field_keys[0], s.field_keys[n]);
+    s.carried_chunk = first + n;
+  }
+
+  // Payloads: AES-GCM under each chunk's key, sealed where they lie.
+  TC_SECRET std::array<crypto::Key128, crypto::kCryptoLanes> payload_keys;
+  crypto::ChunkPayloadKeys(std::span<const crypto::Key128>(leaves).first(n + 1),
+                           std::span(payload_keys).first(n));
+  std::array<std::array<uint8_t, chunk::kChunkAadSize>, crypto::kCryptoLanes>
+      aads;
+  std::array<crypto::GcmSealLane, crypto::kCryptoLanes> lanes;
+  size_t sealing = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const StreamState::PendingSeal& c = s.group[j];
+    if (c.payload_size == 0) continue;
+    aads[sealing] = chunk::ChunkAad(c.chunk);
+    uint8_t* sealed = body + c.payload_at;
+    lanes[sealing] = {&payload_keys[j],
+                      BytesView(sealed + crypto::kGcmNonceSize, c.payload_size),
+                      aads[sealing], sealed};
+    ++sealing;
+  }
+  crypto::GcmSealLanes(std::span(lanes).first(sealing));
+  SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(leaves.data()),
+                              sizeof(leaves)));
+  SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(payload_keys.data()),
+                              sizeof(payload_keys)));
+
+  // Witness at seal time: the server appends in upload order, so the trees
+  // agree once the chunks land. CloseChunk checked the order already.
+  Status witnessed;
+  if (s.attestor) {
+    const BytesView view(s.open);
+    for (const StreamState::PendingSeal& c : s.group) {
+      const size_t payload_bytes =
+          c.payload_size == 0 ? 0
+                              : crypto::kGcmNonceSize + c.payload_size +
+                                    crypto::kGcmTagSize;
+      witnessed =
+          s.attestor->Add(c.chunk, view.subspan(c.digest_at, blob_size),
+                          view.subspan(c.payload_at, payload_bytes));
+      if (!witnessed.ok()) break;
+    }
+  }
+  s.group.clear();
+  return witnessed;
+}
+
+Status OwnerClient::CloseBatch(uint64_t uuid, StreamState& s) {
+  TC_RETURN_IF_ERROR(SealGroup(s));
   // The header, right-aligned against the first entry.
   uint8_t count[kMaxVarintBytes];
   const size_t count_size = PutVarint(count, s.open_chunks);
@@ -281,6 +343,7 @@ void OwnerClient::CloseBatch(uint64_t uuid, StreamState& s) {
   std::memcpy(s.open.data() + start + 8, count, count_size);
   s.queued.push_back({std::move(s.open), start});
   s.open_chunks = 0;
+  return Status::Ok();
 }
 
 Status OwnerClient::FlushPending(uint64_t uuid, StreamState& s) {
@@ -343,7 +406,7 @@ Status OwnerClient::DropApplied(std::deque<BatchBody>& queued,
 
 Status OwnerClient::PumpPending(uint64_t uuid, StreamState& s, bool drain) {
   TC_RETURN_IF_ERROR(ReapInflight(s, drain ? Reap::kWaitAll : Reap::kPoll));
-  if (drain && s.open_chunks > 0) CloseBatch(uuid, s);
+  if (drain && s.open_chunks > 0) TC_RETURN_IF_ERROR(CloseBatch(uuid, s));
   if (s.queued.empty()) return Status::Ok();
   if (s.pending_retry) {
     // The failed attempt may have been applied partially (mid-batch store

@@ -9,7 +9,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "chunk/chunk.hpp"
 #include "client/grants.hpp"
@@ -162,14 +161,25 @@ class OwnerClient {
     // source leaves at affine-mapped indices.
     uint64_t leaf_scale = 1;
     uint64_t leaf_offset = 0;
-    // Seal storage reused from chunk to chunk: the digest fields, and the
-    // HEAC field keys of leaf `carried_chunk` (kept from the seal of the
-    // chunk before it, so sequential chunks derive each leaf's keys once)
-    // and of the leaf after it.
+    // Seal storage reused from group to group: the digest fields, and the
+    // HEAC field keys. field_keys[0] holds leaf `carried_chunk`'s, kept
+    // from the group before (so sequential chunks derive each leaf's keys
+    // once), and a group of n chunks derives the n leaves after it into
+    // field_keys[1..n].
     std::vector<uint64_t> fields;
-    TC_SECRET std::optional<crypto::FieldKeys> carried_keys;
-    TC_SECRET std::optional<crypto::FieldKeys> next_keys;
+    TC_SECRET std::vector<crypto::FieldKeys> field_keys;
     uint64_t carried_chunk = 0;
+    // The closed chunks of the open batch not yet sealed, oldest first: at
+    // most kCryptoLanes consecutive chunks, sealed together in lanes. Each
+    // one's entry is already in `open` with its plaintext digest fields and
+    // compressed points in place, which its seal encrypts where they lie.
+    struct PendingSeal {
+      uint64_t chunk = 0;
+      size_t digest_at = 0;     // the digest blob's offset in `open`
+      size_t payload_at = 0;    // the sealed payload's (its nonce's) offset
+      size_t payload_size = 0;  // compressed points; 0 for an empty chunk
+    };
+    std::vector<PendingSeal> group;
     // The open batch: room for the request header, then the encoded
     // entries of the `open_chunks` chunks sealed into it so far.
     Bytes open;
@@ -228,11 +238,20 @@ class OwnerClient {
   StreamState* LookupStream(uint64_t uuid);
   /// Reads of `s`, with leaves from its key tree (affine for rollups).
   StreamReader ReaderFor(uint64_t uuid, StreamState& s);
+  /// Close the builder's chunk, add it to the pending group, and seal the
+  /// group when it is full or its batch closes. A chunk refused here still
+  /// lets the chunks before it drain.
   Status SealAndUpload(uint64_t uuid, StreamState& s);
-  /// Seal the builder's chunk into the open batch as one encoded entry.
-  Status SealInto(StreamState& s);
-  /// Write the request header in front of the open batch and queue it.
-  static void CloseBatch(uint64_t uuid, StreamState& s);
+  /// Write the builder's chunk into the open batch as one encoded entry,
+  /// still in plaintext, and add it to the pending group. Every check that
+  /// can refuse the chunk runs here, before anything is written.
+  Status CloseChunk(StreamState& s);
+  /// Encrypt the pending group's digests and seal its payloads in place,
+  /// each kernel once for the whole group, then witness its chunks.
+  Status SealGroup(StreamState& s);
+  /// Seal the pending group, write the request header in front of the
+  /// open batch and queue it.
+  Status CloseBatch(uint64_t uuid, StreamState& s);
   /// Drain the upload pipeline: send everything buffered and wait for every
   /// in-flight batch (no-op when empty).
   Status FlushPending(uint64_t uuid, StreamState& s);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,9 +50,19 @@ std::atomic<uint64_t> fork_generation{0};
 
 void OnForkChild() { ++fork_generation; }
 
+/// Fills a nonce reserve: AES-128-CTR under one fresh 16-byte getrandom
+/// key, scrubbed after. Without AES-NI the software AES would cost more
+/// than the kernel's bytes, so getrandom fills all of it.
+void FillNonceReserve(MutableBytesView out) {
+  if (!CpuHas(kCpuAesNi)) return RandomBytes(out);
+  TC_SECRET Key128 key = RandomKey128();
+  AesNiKeystream(key, out);
+  SecureZero(key);
+}
+
 /// Copies the next nonce of this thread's reserve into `out`. One
-/// RandomBytes call refills the whole reserve. A reserve filled before a
-/// fork (this thread's copy in the child) is refilled first, so parent and
+/// FillNonceReserve call refills the whole reserve. A reserve filled before
+/// a fork (this thread's copy in the child) is refilled first, so parent and
 /// child never seal with the same nonce. The fork handler is registered
 /// before the first fill, so no reserve holds nonces it could miss.
 void NextNonce(uint8_t* out) {
@@ -72,7 +83,7 @@ void NextNonce(uint8_t* out) {
       return true;
     }();
     (void)registered;
-    RandomBytes(reserve.bytes);
+    FillNonceReserve(reserve.bytes);
     reserve.used = 0;
     reserve.generation = generation;
   }
@@ -299,22 +310,180 @@ TC_GCM_TARGET bool NativeGcm(const Key128& key, const uint8_t* nonce,
   return true;
 }
 
-#endif  // TC_NATIVE_KERNELS
-}  // namespace
-
-bool GcmIsNative() { return CpuHas(kCpuAesNi | kCpuPclmul); }
-
-Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
-  Bytes out;
-  GcmSealAppend(key, plaintext, aad, out);
-  return out;
+/// x ^ y ^ z in one instruction.
+TC_VAES_TARGET inline __m512i Xor3(__m512i x, __m512i y, __m512i z) {
+  return _mm512_ternarylogic_epi64(x, y, z, 0x96);
 }
 
-void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
-                   Bytes& out) {
-  const size_t at = out.size();
-  out.resize(at + kGcmNonceSize + plaintext.size() + kGcmTagSize);
-  uint8_t* nonce = out.data() + at;
+/// Reflect on each 128-bit lane.
+TC_VAES_TARGET inline __m512i Reflect4(__m512i x) {
+  return _mm512_shuffle_epi8(
+      x, _mm512_broadcast_i32x4(_mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                             11, 12, 13, 14, 15)));
+}
+
+/// GfMul on each 128-bit lane: four GHASH products at once, with Reduce's
+/// shift and fold.
+TC_VAES_TARGET inline __m512i GfMul4(__m512i a, __m512i b) {
+  const __m512i mid = _mm512_xor_si512(_mm512_clmulepi64_epi128(a, b, 0x10),
+                                       _mm512_clmulepi64_epi128(a, b, 0x01));
+  __m512i lo = _mm512_xor_si512(_mm512_clmulepi64_epi128(a, b, 0x00),
+                                _mm512_bslli_epi128(mid, 8));
+  __m512i hi = _mm512_xor_si512(_mm512_clmulepi64_epi128(a, b, 0x11),
+                                _mm512_bsrli_epi128(mid, 8));
+  const __m512i lo_carry = _mm512_srli_epi32(lo, 31);
+  const __m512i hi_carry = _mm512_srli_epi32(hi, 31);
+  lo = _mm512_or_si512(_mm512_slli_epi32(lo, 1),
+                       _mm512_bslli_epi128(lo_carry, 4));
+  hi = _mm512_ternarylogic_epi64(_mm512_slli_epi32(hi, 1),
+                                 _mm512_bslli_epi128(hi_carry, 4),
+                                 _mm512_bsrli_epi128(lo_carry, 12), 0xfe);
+  __m512i fold = Xor3(_mm512_slli_epi32(lo, 31), _mm512_slli_epi32(lo, 30),
+                      _mm512_slli_epi32(lo, 25));
+  const __m512i fold_hi = _mm512_bsrli_epi128(fold, 4);
+  lo = _mm512_xor_si512(lo, _mm512_bslli_epi128(fold, 12));
+  fold = Xor3(Xor3(_mm512_srli_epi32(lo, 1), _mm512_srli_epi32(lo, 2),
+                   _mm512_srli_epi32(lo, 7)),
+              fold_hi, lo);
+  return _mm512_xor_si512(hi, fold);
+}
+
+TC_VAES_TARGET inline void SplitLanes(__m512i v,
+                                      __m128i (&x)[kCryptoLanes]) {
+  x[0] = _mm512_castsi512_si128(v);
+  x[1] = _mm512_extracti32x4_epi32(v, 1);
+  x[2] = _mm512_extracti32x4_epi32(v, 2);
+  x[3] = _mm512_extracti32x4_epi32(v, 3);
+}
+
+/// The byte mask of p[at, at + 16) cut at n; at < n.
+inline __mmask16 BlockMask(size_t at, size_t n) {
+  return n - at >= 16 ? 0xffff : static_cast<__mmask16>((1u << (n - at)) - 1);
+}
+
+/// p[at, at + 16), zero past n.
+TC_VAES_TARGET inline __m128i LoadBlock(const uint8_t* p, size_t at,
+                                        size_t n) {
+  return _mm_maskz_loadu_epi8(BlockMask(at, n), p + at);
+}
+
+/// Block `counter` of every lane: each lane's nonce || counter.
+TC_VAES_TARGET inline __m512i CounterLanes(__m512i nonces, uint32_t counter) {
+  return _mm512_xor_si512(
+      nonces, _mm512_broadcast_i32x4(_mm_set_epi32(
+                  static_cast<int>(__builtin_bswap32(counter)), 0, 0, 0)));
+}
+
+/// NativeGcm<false> on two to four lanes, each with its nonce already
+/// written. The first pass encrypts H, E(J0) and six keystream blocks of
+/// every lane under the four schedules; later passes run eight more blocks
+/// while any lane has plaintext left. GHASH step k absorbs block k of each
+/// lane's AAD || ciphertext || lengths sequence, and a lane whose sequence
+/// has ended keeps its state.
+TC_VAES_TARGET void VaesGcmSeal(std::span<const GcmSealLane> lanes) {
+  const size_t n = lanes.size();
+  const Key128* keys[kCryptoLanes];
+  __m128i nonce[kCryptoLanes] = {};
+  const uint8_t* in[kCryptoLanes] = {};
+  uint8_t* ct[kCryptoLanes] = {};
+  size_t len[kCryptoLanes] = {};
+  size_t aad_blocks[kCryptoLanes] = {};
+  size_t ghash_steps[kCryptoLanes] = {};
+  size_t blocks = 0;
+  size_t steps = 0;
+  for (size_t l = 0; l < n; ++l) {
+    const GcmSealLane& lane = lanes[l];
+    keys[l] = lane.key;
+    nonce[l] = _mm_maskz_loadu_epi8(0x0fff, lane.out);
+    in[l] = lane.plaintext.data();
+    ct[l] = lane.out + kGcmNonceSize;
+    len[l] = lane.plaintext.size();
+    aad_blocks[l] = (lane.aad.size() + 15) / 16;
+    ghash_steps[l] = aad_blocks[l] + (len[l] + 15) / 16 + 1;
+    blocks = std::max(blocks, (len[l] + 15) / 16);
+    steps = std::max(steps, ghash_steps[l]);
+  }
+  const __m512i nonces = internal::JoinLanes(nonce);
+
+  // Keystream block i is counter i + 2, and lane l's block i covers its
+  // bytes [16i, 16i + 16).
+  const auto xor_block = [&](__m512i stream, size_t i) TC_VAES_TARGET {
+    __m128i s[kCryptoLanes];
+    SplitLanes(stream, s);
+    for (size_t l = 0; l < n; ++l) {
+      const size_t at = 16 * i;
+      if (at >= len[l]) continue;
+      _mm_mask_storeu_epi8(
+          ct[l] + at, BlockMask(at, len[l]),
+          _mm_xor_si128(LoadBlock(in[l], at, len[l]), s[l]));
+    }
+  };
+  __m512i b[kLanes];
+  b[0] = _mm512_setzero_si512();
+#pragma GCC unroll 8
+  for (size_t j = 1; j < kLanes; ++j) {
+    b[j] = CounterLanes(nonces, static_cast<uint32_t>(j));
+  }
+  TC_SECRET __m512i rk[11];
+  const bool more = blocks > kFirstStream;
+  internal::Aes4EncryptScheduling(internal::LoadKeyLanes(keys, n), b,
+                                  more ? rk : nullptr);
+  for (size_t i = 0; i < kFirstStream && i < blocks; ++i) {
+    xor_block(b[2 + i], i);
+  }
+  if (more) {
+    for (uint32_t counter = kLanes; counter - 2 < blocks; counter += kLanes) {
+      __m512i stream[kLanes];
+#pragma GCC unroll 8
+      for (size_t j = 0; j < kLanes; ++j) {
+        stream[j] = CounterLanes(nonces, counter + static_cast<uint32_t>(j));
+      }
+      internal::Aes4EncryptLanes(rk, stream);
+      for (size_t j = 0; j < kLanes && counter + j - 2 < blocks; ++j) {
+        xor_block(stream[j], counter + j - 2);
+      }
+    }
+    SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(rk), sizeof(rk)));
+  }
+
+  const __m512i h = Reflect4(b[0]);
+  __m512i x = _mm512_setzero_si512();
+  for (size_t k = 0; k < steps; ++k) {
+    __m128i block[kCryptoLanes] = {};
+    __mmask8 active = 0;
+    for (size_t l = 0; l < n; ++l) {
+      if (k >= ghash_steps[l]) continue;
+      active |= static_cast<__mmask8>(3u << (2 * l));
+      const BytesView aad = lanes[l].aad;
+      if (k < aad_blocks[l]) {
+        block[l] = LoadBlock(aad.data(), 16 * k, aad.size());
+      } else if (k + 1 < ghash_steps[l]) {
+        block[l] = LoadBlock(ct[l], 16 * (k - aad_blocks[l]), len[l]);
+      } else {
+        block[l] = Reflect(
+            _mm_set_epi64x(static_cast<long long>(aad.size() * 8),
+                           static_cast<long long>(len[l] * 8)));
+      }
+    }
+    x = _mm512_mask_mov_epi64(
+        x, active,
+        GfMul4(_mm512_xor_si512(x, Reflect4(internal::JoinLanes(block))), h));
+  }
+  __m128i tag[kCryptoLanes];
+  SplitLanes(_mm512_xor_si512(Reflect4(x), b[1]), tag);
+  for (size_t l = 0; l < n; ++l) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ct[l] + len[l]), tag[l]);
+  }
+}
+
+#endif  // TC_NATIVE_KERNELS
+
+/// Seals `plaintext` under a fresh nonce into out[0, kGcmNonceSize +
+/// plaintext.size() + kGcmTagSize): the plaintext may already sit at
+/// out + kGcmNonceSize.
+void SealOne(const Key128& key, BytesView plaintext, BytesView aad,
+             uint8_t* out) {
+  uint8_t* nonce = out;
   uint8_t* data = nonce + kGcmNonceSize;
   const size_t len = plaintext.size();
   uint8_t* tag = data + len;
@@ -326,7 +495,9 @@ void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
     return;
   }
 #endif
-  if (len > 0) std::memcpy(data, plaintext.data(), len);
+  if (len > 0 && plaintext.data() != data) {
+    std::memcpy(data, plaintext.data(), len);
+  }
 
   EVP_CIPHER_CTX* ctx = ThreadCtx();
   if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
@@ -350,6 +521,50 @@ void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
   }
   if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize, tag) != 1) {
     FatalOpenSsl("GET_TAG");
+  }
+}
+
+/// The component-wise uint64 difference leaf_i - leaf_next (mod 2^64 per
+/// lane), the input of a payload key's hash step.
+Key128 LeafDifference(const Key128& leaf_i, const Key128& leaf_next) {
+  uint64_t a[2], b[2];
+  std::memcpy(a, leaf_i.data(), 16);
+  std::memcpy(b, leaf_next.data(), 16);
+  a[0] -= b[0];
+  a[1] -= b[1];
+  Key128 d;
+  std::memcpy(d.data(), a, 16);
+  return d;
+}
+
+}  // namespace
+
+bool GcmIsNative() { return CpuHas(kCpuAesNi | kCpuPclmul); }
+
+Bytes GcmSeal(const Key128& key, BytesView plaintext, BytesView aad) {
+  Bytes out;
+  GcmSealAppend(key, plaintext, aad, out);
+  return out;
+}
+
+void GcmSealAppend(const Key128& key, BytesView plaintext, BytesView aad,
+                   Bytes& out) {
+  const size_t at = out.size();
+  out.resize(at + kGcmNonceSize + plaintext.size() + kGcmTagSize);
+  SealOne(key, plaintext, aad, out.data() + at);
+}
+
+void GcmSealLanes(std::span<const GcmSealLane> lanes) {
+  assert(lanes.size() <= kCryptoLanes);
+#if defined(TC_NATIVE_KERNELS)
+  if (lanes.size() > 1 && CpuHasLanes()) {
+    for (const GcmSealLane& lane : lanes) NextNonce(lane.out);
+    VaesGcmSeal(lanes);
+    return;
+  }
+#endif
+  for (const GcmSealLane& lane : lanes) {
+    SealOne(*lane.key, lane.plaintext, lane.aad, lane.out);
   }
 }
 
@@ -402,17 +617,23 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
 }
 
 Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next) {
-  // The component-wise difference of the two leaves (two uint64 lanes),
-  // then MSB128(SHA-256(d)), which is one hash-chain step.
-  uint64_t a[2], b[2];
-  std::memcpy(a, leaf_i.data(), 16);
-  std::memcpy(b, leaf_next.data(), 16);
-  a[0] -= b[0];
-  a[1] -= b[1];
-  Key128 key;
-  std::memcpy(key.data(), a, 16);
+  // The difference of the two leaves, then MSB128(SHA-256(d)), which is
+  // one hash-chain step.
+  Key128 key = LeafDifference(leaf_i, leaf_next);
   Sha256ChainWalk(key, 1);
   return key;
+}
+
+void ChunkPayloadKeys(std::span<const Key128> leaves, std::span<Key128> keys) {
+  assert(leaves.size() == keys.size() + 1);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    keys[j] = LeafDifference(leaves[j], leaves[j + 1]);
+  }
+  size_t j = 0;
+  for (; j + 1 < keys.size(); j += 2) {
+    Sha256ChainWalkPair(keys[j], 1, keys[j + 1], 1);
+  }
+  if (j < keys.size()) Sha256ChainWalk(keys[j], 1);
 }
 
 }  // namespace tc::crypto

@@ -3,8 +3,11 @@
 // (AES-GCM-128)"). The per-chunk key is H(k_i - k_{i+1}) per §4.3.
 #pragma once
 
+#include <span>
+
 #include "common/secret.hpp"
 #include "common/status.hpp"
+#include "crypto/cpu.hpp"
 #include "crypto/rand.hpp"
 
 namespace tc::crypto {
@@ -33,8 +36,12 @@ bool GcmIsNative();
 /// EVP path copies it there and encrypts it in place (EVP GCM accepts
 /// out == in).
 ///
-/// Nonces come from a per-thread reserve of about 4 KiB (341 nonces) that
-/// one RandomBytes call refills, instead of one CSPRNG call per seal. A
+/// Nonces come from a per-thread reserve of about 4 KiB (341 nonces),
+/// instead of one CSPRNG call per seal. On AES-NI a refill draws one
+/// 16-byte key from getrandom(2), expands it with AES-128 in counter mode
+/// into the whole reserve and scrubs the key: a 16-byte getrandom costs a
+/// thirtieth of a 4 KiB one. Without AES-NI, where the software AES would
+/// cost more than that, getrandom fills the whole reserve. A
 /// pthread_atfork child handler bumps a process-wide fork generation, and
 /// the reserve records the generation it was filled at. A forked child
 /// therefore refills before its first seal and never reuses a nonce its
@@ -50,6 +57,27 @@ Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
 void GcmSealAppend(TC_SECRET const Key128& key, BytesView plaintext,
                    BytesView aad, Bytes& out);
 
+/// One payload for GcmSealLanes: sealed as GcmSealAppend seals `plaintext`
+/// under `*key` and `aad`, into the kGcmNonceSize + plaintext.size() +
+/// kGcmTagSize bytes at `out`. The plaintext may already sit at
+/// out + kGcmNonceSize, to be sealed in place; it must not overlap the
+/// output anywhere else.
+struct GcmSealLane {
+  const Key128* key = nullptr;
+  BytesView plaintext;
+  BytesView aad;
+  uint8_t* out = nullptr;
+};
+
+/// Seals up to kCryptoLanes payloads, each under its own key, nonce and
+/// length, drawing the nonces in lane order: each lane's bytes are
+/// GcmSealAppend's for its nonce. With CpuHasLanes() two or more lanes run
+/// together: their AES blocks in the lanes of one zmm key schedule, their
+/// GHASH as four VPCLMULQDQ chains in one register, a lane that ends early
+/// masked out of the later blocks. One lane, or a CPU without VAES, seals
+/// each lane alone.
+void GcmSealLanes(std::span<const GcmSealLane> lanes);
+
 /// Decrypt + authenticate. DataLoss on any tampering/truncation. The native
 /// path checks the tag (in constant time) before it decrypts, so no
 /// unauthenticated plaintext is ever written.
@@ -60,5 +88,11 @@ Result<Bytes> GcmOpen(TC_SECRET const Key128& key, BytesView sealed,
 /// component-wise uint64 difference of the two 128-bit leaves (mod 2^64 per
 /// lane), hashed and truncated to 128 bits: one Sha256ChainWalk step.
 Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next);
+
+/// keys[j] = ChunkPayloadKey(leaves[j], leaves[j + 1]) for every j:
+/// `leaves` holds one more than `keys`. The hash steps run two at a time
+/// (Sha256ChainWalkPair).
+void ChunkPayloadKeys(TC_SECRET std::span<const Key128> leaves,
+                      std::span<Key128> keys);
 
 }  // namespace tc::crypto

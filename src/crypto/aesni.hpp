@@ -27,6 +27,20 @@ void AesNiExpand(TC_SECRET const Key128& parent, Key128& left, Key128& right);
 /// the later runs of eight. Requires CpuHas(kCpuAesNi).
 void AesNiFieldKeys(TC_SECRET const Key128& leaf, std::span<uint64_t> keys);
 
+/// AesNiFieldKeys(*leaves[l], {keys[l], num_fields}) for every l, for up to
+/// kCryptoLanes leaves at once: leaf l's schedule runs in lane l of one zmm
+/// register, and block f carries field f's counter in every lane. Runs of
+/// eight blocks are transposed so that each leaf's keys leave in one masked
+/// store. Requires CpuHasLanes().
+void VaesFieldKeys(std::span<const Key128* const> leaves,
+                   std::span<uint64_t* const> keys, size_t num_fields);
+
+/// AES-128 in counter mode: out = AES_key(0) || AES_key(1) || ..., block i
+/// holding i as a little-endian uint64, the last block cut to fit. The
+/// schedule is stored for the later runs of eight blocks and scrubbed.
+/// Requires CpuHas(kCpuAesNi).
+void AesNiKeystream(TC_SECRET const Key128& key, MutableBytesView out);
+
 /// One-block AES-128 on AES-NI over a stored key schedule: the reference
 /// the tests check the kernels' rounds and schedule against (FIPS-197 and
 /// the software AES). The schedule is scrubbed on destruction. Requires

@@ -1,9 +1,10 @@
 // Which crypto kernels run: one CPU feature table, filled by one CPUID probe
-// on first use. The AES-NI, PCLMULQDQ and SHA-NI kernels run where their bit
-// is set, the portable code (same bytes) where it is not.
+// on first use. The AES-NI, PCLMULQDQ, SHA-NI and VAES kernels run where
+// their bit is set, the portable code (same bytes) where it is not.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 // Where the native kernels compile. Each carries its own target attribute,
@@ -19,8 +20,17 @@ enum CpuFeature : uint32_t {
   kCpuAesNi = 1u << 0,   // AES-NI and SSSE3: the GGM step, field keys, GCM
   kCpuPclmul = 1u << 1,  // PCLMULQDQ and SSSE3: GCM's GHASH
   kCpuShaNi = 1u << 2,   // SHA-NI, SSSE3 and SSE4.1: SHA-256, chain kernels
+  // VAES, VPCLMULQDQ and AVX-512F/BW/VL, where the OS saves the opmask and
+  // zmm state (XGETBV): the four-lane field keys and GCM seal. The probe
+  // sets it only beside kCpuAesNi and kCpuPclmul (CpuHasLanes).
+  kCpuVaes = 1u << 3,
 };
-inline constexpr uint32_t kCpuAllFeatures = kCpuAesNi | kCpuPclmul | kCpuShaNi;
+inline constexpr uint32_t kCpuAllFeatures =
+    kCpuAesNi | kCpuPclmul | kCpuShaNi | kCpuVaes;
+
+/// The most keys a lane kernel takes at once: one per 128-bit lane of a zmm
+/// register.
+inline constexpr size_t kCryptoLanes = 4;
 
 namespace internal {
 
@@ -60,5 +70,9 @@ inline uint32_t CpuFeatures() {
 inline bool CpuHas(uint32_t features) {
   return (CpuFeatures() & features) == features;
 }
+
+/// The lane kernels run: VAES, and the AES-NI and PCLMULQDQ code they share
+/// with the one-lane kernels, so masking either of those masks the lanes.
+inline bool CpuHasLanes() { return CpuHas(kCpuVaes | kCpuAesNi | kCpuPclmul); }
 
 }  // namespace tc::crypto

@@ -30,6 +30,24 @@ void FieldKeys::Derive(const Key128& leaf) {
   SecureZero(block);
 }
 
+void FieldKeys::DeriveLanes(std::span<const Key128> leaves,
+                            std::span<FieldKeys> keys) {
+  assert(leaves.size() == keys.size() && leaves.size() <= kCryptoLanes);
+  if (leaves.size() > 1 && CpuHasLanes()) {
+    const Key128* leaf_lanes[kCryptoLanes];
+    uint64_t* key_lanes[kCryptoLanes];
+    for (size_t l = 0; l < leaves.size(); ++l) {
+      assert(keys[l].num_fields() == keys[0].num_fields());
+      leaf_lanes[l] = &leaves[l];
+      key_lanes[l] = keys[l].keys_.data();
+    }
+    VaesFieldKeys({leaf_lanes, leaves.size()}, {key_lanes, leaves.size()},
+                  keys[0].num_fields());
+    return;
+  }
+  for (size_t l = 0; l < leaves.size(); ++l) keys[l].Derive(leaves[l]);
+}
+
 Result<HeacCiphertext> HeacAdd(const HeacCiphertext& a,
                                const HeacCiphertext& b) {
   HeacCiphertext out = a;

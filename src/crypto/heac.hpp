@@ -45,6 +45,8 @@ inline uint64_t Fold64(const Key128& k) {
 class FieldKeys {
  public:
   FieldKeys(TC_SECRET const Key128& leaf, size_t num_fields);
+  /// Storage for `num_fields` keys, all zero until Derive.
+  explicit FieldKeys(size_t num_fields) : keys_(num_fields) {}
   FieldKeys(const FieldKeys&) = default;
   FieldKeys& operator=(const FieldKeys&) = default;
   FieldKeys(FieldKeys&&) noexcept = default;
@@ -56,6 +58,13 @@ class FieldKeys {
 
   /// Replace the keys with leaf `leaf`'s, reusing the storage.
   void Derive(TC_SECRET const Key128& leaf);
+
+  /// keys[l].Derive(leaves[l]) for every l, for up to kCryptoLanes leaves
+  /// of one field count. With CpuHasLanes(), two or more leaves derive at
+  /// once in the lanes of one zmm key schedule (VaesFieldKeys); one leaf,
+  /// or a CPU without VAES, derives each alone.
+  static void DeriveLanes(TC_SECRET std::span<const Key128> leaves,
+                          std::span<FieldKeys> keys);
 
   uint64_t key(size_t field) const { return keys_[field]; }
   size_t num_fields() const { return keys_.size(); }

@@ -445,14 +445,20 @@ TEST_P(OwnerSealPins, DigestBlobsArePinned) {
             "0087b57dfbdf18b4ab72566d6d3d307b114af8c815b9ab65ae63bd373f53c378");
 }
 
-TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
-  // The owner carries leaf i+1's HEAC field keys into the seal of chunk
-  // i+1. Every digest must still equal one encrypted under leaves derived
-  // afresh: across gap fillers, a failed one-chunk upload that is re-sent,
-  // and a producer that re-attaches mid-stream.
+class OwnerSealBatches : public OwnerSealTest,
+                         public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(OwnerSealBatches, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
+  // The owner seals chunks in groups of up to four and carries the last
+  // leaf's HEAC field keys into the next group. Every digest must still
+  // equal one encrypted under leaves derived afresh: across gap fillers, a
+  // failed upload that is re-sent, and a producer that re-attaches
+  // mid-stream, with one-chunk uploads, batches of three (groups cut short
+  // by every batch) and batches of sixteen.
+  const uint64_t batch = GetParam();
   constexpr uint64_t kChunks = 1000;
   constexpr uint64_t kAttachAt = 500;
-  recorder->fail_once_at = 123;
+  recorder->fail_once_at = 123 / batch * batch;  // a batch's first chunk
   auto is_gap = [](uint64_t c) { return c % 37 == 5 || c % 101 == 50; };
   std::map<uint64_t, std::vector<index::DataPoint>> points;
   auto ingest = [&](OwnerClient& owner, uint64_t uuid, uint64_t first,
@@ -470,15 +476,15 @@ TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
     }
   };
 
-  OwnerClient owner(transport);
+  OwnerOptions batched;
+  batched.upload_batch_chunks = batch;
+  OwnerClient owner(transport, batched);
   auto uuid = owner.CreateStream(config);
   ASSERT_TRUE(uuid.ok());
   ingest(owner, *uuid, 0, kAttachAt);
   ASSERT_TRUE(owner.Flush(*uuid).ok());
   crypto::Key128 master = (*owner.KeysFor(*uuid))->master_seed();
 
-  OwnerOptions batched;
-  batched.upload_batch_chunks = 16;
   OwnerClient resumed(transport, batched);
   ASSERT_TRUE(resumed.AttachStream(*uuid, master).ok());
   ingest(resumed, *uuid, kAttachAt, kChunks);
@@ -503,6 +509,59 @@ TEST_F(OwnerSealTest, CarriedFieldKeysMatchFreshLeavesOverALongStream) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Batches, OwnerSealBatches,
+                         ::testing::Values(1, 3, 16),
+                         [](const auto& info) {
+                           return "batch" + std::to_string(info.param);
+                         });
+
+TEST_F(OwnerSealTest, AttestAfterAPartialGroupCoversEverySealedChunk) {
+  // Integrity streams whose chunk counts (seeded) leave one to three chunks
+  // in the pending group: Attest seals and sends them first, so its head
+  // covers every chunk the owner closed, and the server holds exactly
+  // those. The root equals one rebuilt from the uploaded bytes, and a
+  // second round of chunks continues the same witness tree.
+  config.integrity = true;
+  OwnerOptions options;
+  options.upload_batch_chunks = 16;
+  OwnerClient owner(transport, options);
+  crypto::DeterministicRng rng(38);
+  for (int stream = 0; stream < 4; ++stream) {
+    auto uuid = owner.CreateStream(config);
+    ASSERT_TRUE(uuid.ok());
+    const size_t uploaded_before = recorder->chunks.size();
+    integrity::StreamAttestor rebuilt(*uuid, crypto::GenerateSigningKeyPair());
+    uint64_t closed = 0;
+    for (int round = 0; round < 2; ++round) {
+      // Chunks [closed, closed + n) close, n never a multiple of four, and
+      // chunk closed + n stays open (round 0 opens chunk 0 first).
+      const uint64_t n = 4 * rng.NextBelow(6) + 1 + rng.NextBelow(3);
+      for (uint64_t c = round == 0 ? 0 : closed + 1; c <= closed + n; ++c) {
+        const auto points = 1 + static_cast<int64_t>(rng.NextBelow(12));
+        for (int64_t i = 0; i < points; ++i) {
+          index::DataPoint p{static_cast<int64_t>(c) * 1000 + i * 50,
+                             static_cast<int64_t>(rng.NextBelow(200))};
+          ASSERT_TRUE(owner.InsertRecord(*uuid, p).ok());
+        }
+      }
+      closed += n;
+      auto att = owner.Attest(*uuid);
+      ASSERT_TRUE(att.ok()) << att.status().ToString();
+      ASSERT_EQ(att->size, closed) << "stream " << stream;
+      EXPECT_TRUE(att->Verify(owner.signing_public()).ok());
+      ASSERT_EQ(recorder->chunks.size() - uploaded_before, closed);
+      for (uint64_t i = rebuilt.size(); i < closed; ++i) {
+        const UploadedChunk& c = recorder->chunks[uploaded_before + i];
+        ASSERT_EQ(c.chunk_index, i);
+        ASSERT_TRUE(rebuilt.Add(i, c.digest_blob, c.payload).ok());
+      }
+      auto head = rebuilt.Attest();
+      ASSERT_TRUE(head.ok());
+      EXPECT_EQ(head->root, att->root) << "stream " << stream;
+    }
+  }
+}
+
 TEST_F(OwnerSealTest, SealRefusesChunksPastTheLastLeaf) {
   // A height-4 key tree has 16 leaves and chunk i needs leaves i and i+1:
   // chunks 0-14 seal, and chunk 15 is refused before any key is derived,
@@ -519,6 +578,30 @@ TEST_F(OwnerSealTest, SealRefusesChunksPastTheLastLeaf) {
   EXPECT_EQ(refused.code(), StatusCode::kOutOfRange) << refused.ToString();
   ASSERT_EQ(recorder->chunks.size(), 15u);
   EXPECT_EQ(recorder->chunks.back().chunk_index, 14u);
+}
+
+TEST_F(OwnerSealTest, RefusedSealStillSendsTheBatchBeforeIt) {
+  // The same refusal in a 16-chunk batch: chunks 0-14 wait in the open
+  // batch when chunk 15 is refused. Each Flush reports the refusal, and the
+  // chunks before it still reach the server, once.
+  OwnerOptions options;
+  options.keys.tree_height = 4;
+  options.upload_batch_chunks = 16;
+  OwnerClient owner(transport, options);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok());
+  for (int64_t c = 0; c <= 15; ++c) {
+    ASSERT_TRUE(owner.InsertRecord(*uuid, {c * 1000, c}).ok()) << c;
+  }
+  for (int flush = 0; flush < 2; ++flush) {
+    Status refused = owner.Flush(*uuid);
+    EXPECT_EQ(refused.code(), StatusCode::kOutOfRange)
+        << "flush " << flush << ": " << refused.ToString();
+  }
+  ASSERT_EQ(recorder->chunks.size(), 15u);
+  for (uint64_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(recorder->chunks[i].chunk_index, i);
+  }
 }
 
 /// Answers GetStatRange over chunks [0, 2^40), past the end of any key tree,

@@ -283,6 +283,60 @@ TEST_P(AesGcm, AgreesWithLegacyEvpPathBothWays) {
   }
 }
 
+// GcmSealLanes on one to four lanes at a time, of unequal lengths drawn
+// from the grid above, some sealed in place and some from a separate
+// buffer: each lane's bytes are the EVP reference's for the nonce it drew.
+TEST_P(AesGcm, LanesAgreeWithLegacyEvpPath) {
+  std::vector<size_t> aad_sizes;
+  for (size_t n = 0; n <= 48; ++n) aad_sizes.push_back(n);
+  aad_sizes.push_back(64);
+  aad_sizes.push_back(100);
+  std::vector<size_t> pt_sizes;
+  for (size_t n = 0; n <= 129; ++n) pt_sizes.push_back(n);
+  for (size_t n : {255, 256, 257, 1000, 4109}) pt_sizes.push_back(n);
+  DeterministicRng rng(4);
+  Bytes pt_pool(4109);
+  Bytes aad_pool(100);
+  rng.Fill(pt_pool);
+  rng.Fill(aad_pool);
+  std::set<Bytes> nonces;
+  for (size_t round = 0; round < 400; ++round) {
+    const size_t n = 1 + round % kCryptoLanes;
+    std::vector<Key128> keys(n);
+    std::vector<BytesView> pts(n), aads(n);
+    std::vector<Bytes> outs(n);
+    std::vector<GcmSealLane> lanes(n);
+    for (size_t l = 0; l < n; ++l) {
+      keys[l] = RandomKey128();
+      // A long lane now and then, so the others end passes before it.
+      const size_t pt_len = rng.NextBelow(8) == 0
+                                ? pt_sizes[pt_sizes.size() - 1 -
+                                           rng.NextBelow(5)]
+                                : pt_sizes[rng.NextBelow(130)];
+      pts[l] = BytesView(pt_pool.data(), pt_len);
+      aads[l] = BytesView(aad_pool.data(),
+                          aad_sizes[rng.NextBelow(aad_sizes.size())]);
+      outs[l].resize(kGcmNonceSize + pt_len + kGcmTagSize);
+      BytesView plaintext = pts[l];
+      if (rng.NextBelow(2) == 0 && pt_len > 0) {
+        std::copy(pts[l].begin(), pts[l].end(),
+                  outs[l].begin() + kGcmNonceSize);
+        plaintext = BytesView(outs[l].data() + kGcmNonceSize, pt_len);
+      }
+      lanes[l] = {&keys[l], plaintext, aads[l], outs[l].data()};
+    }
+    GcmSealLanes(lanes);
+    for (size_t l = 0; l < n; ++l) {
+      const BytesView nonce(outs[l].data(), kGcmNonceSize);
+      nonces.emplace(nonce.begin(), nonce.end());
+      ASSERT_EQ(outs[l], LegacyGcmSeal(keys[l], nonce, pts[l], aads[l]))
+          << "round " << round << ", lane " << l << " of " << n << ": aad "
+          << aads[l].size() << " plaintext " << pts[l].size();
+    }
+  }
+  EXPECT_EQ(nonces.size(), 1000u) << "every lane draws its own nonce";
+}
+
 struct GcmSpecCase {
   const char* key;
   const char* iv;
@@ -483,6 +537,20 @@ TEST_P(ChunkPayloadKeyTest, KnownAnswer) {
     b[i] = static_cast<uint8_t>(0x40 + i);
   }
   EXPECT_EQ(ToHex(ChunkPayloadKey(a, b)), "a2c02486feb59d5eaff5e2a43e2bc8ec");
+}
+
+TEST_P(ChunkPayloadKeyTest, LanesMatchOneAtATime) {
+  DeterministicRng rng(6);
+  for (size_t n = 0; n <= kCryptoLanes; ++n) {
+    std::vector<Key128> leaves(n + 1);
+    for (auto& leaf : leaves) rng.Fill(leaf);
+    std::vector<Key128> keys(n);
+    ChunkPayloadKeys(leaves, keys);
+    for (size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(keys[j], ChunkPayloadKey(leaves[j], leaves[j + 1]))
+          << n << " keys, key " << j;
+    }
+  }
 }
 
 TEST_P(ChunkPayloadKeyTest, DeterministicAndPositionDependent) {

@@ -208,6 +208,33 @@ TEST_P(FieldKeysTest, KnownAnswer) {
   for (size_t f = 0; f < 5; ++f) EXPECT_EQ(five.key(f), kExpected[f]);
 }
 
+// DeriveLanes on one to four leaves, at field counts across the lane
+// kernel's runs of eight (and none): each leaf's keys equal Derive's, and
+// storage that held another leaf's keys is fully overwritten.
+TEST_P(FieldKeysTest, LanesMatchDerive) {
+  DeterministicRng rng(17);
+  for (size_t num_fields : {0, 1, 5, 8, 9, 16, 19, 40}) {
+    for (size_t lanes = 1; lanes <= kCryptoLanes; ++lanes) {
+      std::vector<Key128> leaves(lanes);
+      std::vector<FieldKeys> derived;
+      for (auto& leaf : leaves) {
+        rng.Fill(leaf);
+        derived.emplace_back(RandomKey128(), num_fields);
+      }
+      FieldKeys::DeriveLanes(leaves, derived);
+      for (size_t l = 0; l < lanes; ++l) {
+        FieldKeys expected(num_fields);
+        expected.Derive(leaves[l]);
+        for (size_t f = 0; f < num_fields; ++f) {
+          ASSERT_EQ(derived[l].key(f), expected.key(f))
+              << num_fields << " fields, " << lanes << " lanes, leaf " << l
+              << ", field " << f;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(HeacTest, FieldKeysOverloadMatchesLeafOverload) {
   HeacCodec codec(5);
   DeterministicRng rng(11);

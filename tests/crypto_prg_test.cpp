@@ -153,14 +153,32 @@ TEST(CpuFeatures, MaskMovesEveryKernelAndLiftsWithItsScope) {
 class KernelDispatch : public test::KernelArmTest {};
 
 TEST_P(KernelDispatch, EveryKernelFollowsTheTable) {
-  std::printf("CPU feature table: AES-NI %d, PCLMULQDQ %d, SHA-NI %d\n",
-              CpuHas(kCpuAesNi), CpuHas(kCpuPclmul), CpuHas(kCpuShaNi));
+  std::printf(
+      "CPU feature table: AES-NI %d, PCLMULQDQ %d, SHA-NI %d, VAES %d\n",
+      CpuHas(kCpuAesNi), CpuHas(kCpuPclmul), CpuHas(kCpuShaNi),
+      CpuHas(kCpuVaes));
   if (portable()) EXPECT_EQ(CpuFeatures(), 0u);
+  if (GetParam() == test::KernelArm::kNoVaes) EXPECT_FALSE(CpuHasLanes());
   EXPECT_EQ(GcmIsNative(), CpuHas(kCpuAesNi | kCpuPclmul));
   EXPECT_EQ(IsSoftAesPrg(*MakePrg(PrgKind::kAesNi)), !CpuHas(kCpuAesNi));
 }
 
 TC_INSTANTIATE_KERNEL_ARMS(KernelDispatch);
+
+TEST(CpuFeatureTable, VaesComesOnlyWithAesNiAndPclmul) {
+  // The lane kernels run AES-NI and PCLMULQDQ code too: the probe sets
+  // kCpuVaes only beside both, and masking either one stops the lanes.
+  const uint32_t detected = CpuFeatures();
+  if ((detected & kCpuVaes) != 0) {
+    EXPECT_EQ(detected & (kCpuAesNi | kCpuPclmul), kCpuAesNi | kCpuPclmul);
+  }
+  EXPECT_EQ(CpuHasLanes(), (detected & kCpuVaes) != 0);
+  for (uint32_t cleared : {uint32_t{kCpuAesNi}, uint32_t{kCpuPclmul},
+                           uint32_t{kCpuVaes}}) {
+    internal::ScopedCpuFeatureMask mask(cleared);
+    EXPECT_FALSE(CpuHasLanes()) << "cleared " << cleared;
+  }
+}
 
 TEST(Sha256, KnownAnswer) {
   // SHA-256("abc") — NIST FIPS 180-2 test vector.

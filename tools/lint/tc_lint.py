@@ -46,11 +46,12 @@ Checks cross-file invariants the compiler cannot see:
       suppression must name only known rules and carry a justification;
       a typo'd or bare suppression is inert in the analyzer, so it is
       rejected here instead.
-  R11 one module decides which crypto kernels run: in src/, <cpuid.h> and
-      __get_cpuid appear only in src/crypto/cpu.cpp, the CPU feature
-      table's one probe, and nothing under src/crypto/ calls getenv — a
-      kernel choice is never made by a second probe or by the environment
-      (tests reach the portable side through ScopedCpuFeatureMask).
+  R11 one module decides which crypto kernels run: in src/, <cpuid.h>,
+      __get_cpuid and xgetbv/_xgetbv appear only in src/crypto/cpu.cpp,
+      the CPU feature table's one probe, and nothing under src/crypto/
+      calls getenv — a kernel choice is never made by a second probe or by
+      the environment (tests reach the portable side through
+      ScopedCpuFeatureMask).
 
 Run from anywhere: paths are resolved relative to the repo root (this
 file's grandparent directory). Exit code 0 = clean, 1 = violations (each
@@ -341,7 +342,7 @@ def check_blocking_annotations():
 
 
 # -------------------------------------------------------------------- R11
-R11_CPUID = re.compile(r"<cpuid\.h>|\b__get_cpuid")
+R11_CPUID = re.compile(r"<cpuid\.h>|\b__get_cpuid|\b_?xgetbv\b")
 R11_GETENV = re.compile(r"\bgetenv\s*\(")
 
 
@@ -353,9 +354,9 @@ def check_one_cpu_probe():
             code = line.split("//")[0]
             if path != probe and R11_CPUID.search(code):
                 fail(path, number,
-                     "CPUID outside src/crypto/cpu.cpp; extend the CPU "
-                     "feature table (crypto/cpu.hpp) instead of probing "
-                     "again")
+                     "CPUID or XGETBV outside src/crypto/cpu.cpp; extend "
+                     "the CPU feature table (crypto/cpu.hpp) instead of "
+                     "probing again")
             if in_crypto and R11_GETENV.search(code):
                 fail(path, number,
                      "getenv in src/crypto/; kernel dispatch reads only "
