@@ -1,10 +1,12 @@
 // Chunk building and sealing (§4.1): the client-side serialization pipeline.
 //
-// A ChunkBuilder accumulates points for one fixed Δ window; Seal() produces
-// the pair the client uploads:
-//   - the encrypted digest blob (HEAC, goes into the server's index), and
-//   - the sealed payload (compressed points under AES-GCM with the
-//     per-chunk key H(k_i - k_{i+1}), §4.3).
+// A ChunkBuilder accumulates points for one fixed Δ window and compresses
+// them. The payload is sealed under AES-GCM with the per-chunk key
+// H(k_i - k_{i+1}) (§4.3), bound to the chunk index by ChunkAad():
+// SealPayload() seals one chunk, the owner seals CompressedPoints() four
+// chunks at a time, and OpenPayload() reverses either. The owner encrypts
+// the window's digest (HEAC, for the server's index) separately and uploads
+// the two together.
 #pragma once
 
 #include <array>
@@ -15,13 +17,6 @@
 #include "index/digest.hpp"
 
 namespace tc::chunk {
-
-/// A sealed chunk ready for upload.
-struct SealedChunk {
-  uint64_t index = 0;          // chunk position in the stream
-  Bytes digest_blob;           // encrypted digest (index ingest)
-  Bytes payload;               // AES-GCM(compressed points)
-};
 
 /// Accumulates the points of one chunk window and enforces the window
 /// bounds. Reusable: Reset() starts the next window.

@@ -7,6 +7,7 @@
 #include "common/trace.hpp"
 #include "net/introspection.hpp"
 #include "net/messages.hpp"
+#include "replica/replicated_kv.hpp"
 
 namespace tc::cluster {
 
@@ -82,9 +83,7 @@ class LocalShardChannel final : public net::Transport {
   net::Executor* exec_;
 };
 
-constexpr const char kShardMetaKey[] = "meta/cluster/shard";
-
-/// The layout a store was bound to (kShardMetaKey).
+/// The layout a store was bound to (replica::kShardMetaKey).
 struct ShardMeta {
   uint32_t shard_id = 0;
   uint32_t num_shards = 0;
@@ -96,12 +95,12 @@ struct ShardMeta {
 
 Status BindShardMeta(store::KvStore& kv, uint32_t shard_id,
                      uint32_t num_shards) {
-  auto existing = kv.Get(kShardMetaKey);
+  auto existing = kv.Get(replica::kShardMetaKey);
   if (!existing.ok()) {
     if (existing.status().code() != StatusCode::kNotFound) {
       return existing.status();
     }
-    return kv.Put(kShardMetaKey,
+    return kv.Put(replica::kShardMetaKey,
                   net::codec::Encode(ShardMeta{shard_id, num_shards}));
   }
   TC_ASSIGN_OR_RETURN(auto stored, net::codec::Decode<ShardMeta>(*existing));

@@ -1,8 +1,9 @@
 // Fire-and-forget task executor: a fixed set of worker threads draining a
-// FIFO queue. Backs the TCP server's per-connection concurrent dispatch and
-// the shard router's local scatter channels — anywhere a completion is
-// produced asynchronously for a PendingCall. Deliberately minimal: no
-// priorities, no stealing; submitters provide their own backpressure.
+// FIFO queue. Backs the shard router's local scatter channels, where a
+// completion is produced asynchronously for a PendingCall (the TCP server
+// runs each request on its connection's reader thread instead). Deliberately
+// minimal: no priorities, no stealing; submitters provide their own
+// backpressure.
 #pragma once
 
 #include <chrono>

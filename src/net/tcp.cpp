@@ -93,6 +93,16 @@ Result<FrameHeader> ReadFrameHeader(int fd, size_t max_body) {
   return DecodeFrameHeader(header, max_body);
 }
 
+/// Write one response frame; false when the peer is gone or wedged shut.
+bool WriteResponse(int fd, uint64_t request_id, const Result<Bytes>& result) {
+  Bytes body = result.ok() ? EncodeResponseBody(Status::Ok(), *result)
+                           : EncodeResponseBody(result.status(), {});
+  Bytes frame = EncodeFrame(MessageType::kResponse, request_id, body);
+  ServerVolume().tx_frames.Inc();
+  ServerVolume().tx_bytes.Inc(frame.size());
+  return WriteAll(fd, frame).ok();
+}
+
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -133,47 +143,6 @@ Status WriteAll(int fd, BytesView data) {
 
 // ---------------------------------------------------------------- server
 
-struct TcpServer::Conn {
-  explicit Conn(int fd_in) : fd(fd_in), serial(NextConnSerial()) {}
-  ~Conn() { ::close(fd); }
-
-  const int fd;
-  const uint64_t serial;  // trace-id seed for requests on this connection
-  std::atomic<bool> alive{true};
-
-  // Serializes response frames: concurrent handlers interleave whole
-  // frames, never bytes (the per-connection "write queue" at frame
-  // granularity).
-  Mutex write_mu;
-
-  // Mutation FIFO: same-connection mutations run one at a time, in arrival
-  // order, on a single chained dispatch task.
-  Mutex q_mu;
-  std::deque<std::pair<FrameHeader, Bytes>> mutations GUARDED_BY(q_mu);
-  bool mutation_task_running GUARDED_BY(q_mu) = false;
-
-  // Requests queued or executing for this connection; the reader blocks at
-  // the cap so a fast pipeliner cannot queue unbounded work.
-  Mutex inflight_mu;
-  CondVar inflight_cv;
-  size_t inflight GUARDED_BY(inflight_mu) = 0;
-
-  void WriteResponse(uint64_t request_id, const Result<Bytes>& result) {
-    Bytes body = result.ok() ? EncodeResponseBody(Status::Ok(), *result)
-                             : EncodeResponseBody(result.status(), {});
-    Bytes frame = EncodeFrame(MessageType::kResponse, request_id, body);
-    ServerVolume().tx_frames.Inc();
-    ServerVolume().tx_bytes.Inc(frame.size());
-    MutexLock lock(write_mu);
-    // tc_analyze:allow(blocking-under-lock,blocking-in-executor) write_mu exists to serialize whole frames onto the socket — the write IS its critical section — and dispatch-pool handlers are the intended writers until the epoll rewrite (ROADMAP, gated on green B2)
-    if (!WriteAll(fd, frame).ok()) {
-      // Peer is gone or wedged shut: stop the reader too.
-      alive = false;
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-};
-
 TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
                      TcpServerOptions options)
     : handler_(std::move(handler)), port_(port), options_(options) {}
@@ -209,11 +178,6 @@ Status TcpServer::Start() {
     listen_fd_ = -1;
     return Unavailable("listen failed");
   }
-  size_t threads = options_.dispatch_threads;
-  if (threads == 0) {
-    threads = std::max<size_t>(2, std::thread::hardware_concurrency());
-  }
-  dispatch_ = std::make_unique<Executor>(threads, "dispatch");
   running_ = true;
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
@@ -225,30 +189,23 @@ void TcpServer::Stop() {
   ::close(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
 
-  // Connection readers block in read() or on the inflight cap; shut their
-  // sockets down and wake the cap waiters so the blocked readers return
-  // before we join. Each reader deregisters its connection on exit, so
-  // joining must happen outside the lock.
-  std::vector<std::shared_ptr<Conn>> conns;
+  // Wake every reader parked in read(); one inside a handler finishes it
+  // first. The shutdown happens under the lock because a reader closes its
+  // fd only after leaving readers_, so every fd seen here is still open.
+  // The joins happen outside it: an exiting reader takes the lock too.
   std::vector<std::thread> to_join;
   {
     MutexLock lock(threads_mu_);
-    conns = connections_;
-    to_join.swap(connection_threads_);
+    to_join.swap(finished_);
+    for (auto& [serial, reader] : readers_) {
+      ::shutdown(reader.fd, SHUT_RDWR);
+      to_join.push_back(std::move(reader.thread));
+    }
   }
-  for (auto& conn : conns) {
-    conn->alive = false;
-    ::shutdown(conn->fd, SHUT_RDWR);
-    conn->inflight_cv.NotifyAll();
-  }
-  for (auto& t : to_join) {
-    if (t.joinable()) t.join();
-  }
-  // Drain in-flight dispatch tasks; their Conn references drop as they
-  // finish, closing the fds.
-  dispatch_.reset();
+  for (auto& t : to_join) t.join();
+  // Readers that exited during the joins left empty handles behind.
   MutexLock lock(threads_mu_);
-  connections_.clear();
+  finished_.clear();
 }
 
 void TcpServer::AcceptLoop() {
@@ -260,121 +217,70 @@ void TcpServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(fd);
     ServerConnsGauge().Inc();
-    MutexLock lock(threads_mu_);
-    connections_.push_back(conn);
-    connection_threads_.emplace_back(
-        [this, conn = std::move(conn)] { ServeConnection(conn); });
-  }
-}
-
-void TcpServer::FinishRequest(const std::shared_ptr<Conn>& conn) {
-  ServerInflightGauge().Dec();
-  MutexLock lock(conn->inflight_mu);
-  --conn->inflight;
-  conn->inflight_cv.NotifyAll();
-}
-
-void TcpServer::HandleRequest(const std::shared_ptr<Conn>& conn,
-                              const FrameHeader& header, const Bytes& body) {
-  // Stamp the trace context on the dispatching thread: adopt the wire's
-  // trace id when the caller sent one (a routed/shipped hop inside a larger
-  // request), else derive the origin id (connection serial | request id).
-  // TraceSpans opened inside the handler inherit it and parent under the
-  // caller's span.
-  uint64_t trace_id =
-      header.trace_id != 0
-          ? header.trace_id
-          : (conn->serial << 32) | (header.request_id & 0xffffffff);
-  metrics::SetCurrentTraceContext({trace_id, header.parent_span_id});
-  conn->WriteResponse(header.request_id,
-                      handler_->Handle(header.type, body));
-  metrics::SetCurrentTraceContext({});
-}
-
-void TcpServer::DrainMutations(const std::shared_ptr<Conn>& conn) {
-  // One drain task exists per connection at a time, so mutations apply in
-  // exactly the order the client sent them even though they share the
-  // dispatch executor with everything else.
-  for (;;) {
-    FrameHeader header;
-    Bytes body;
+    uint64_t serial = NextConnSerial();
+    std::vector<std::thread> exited;
     {
-      MutexLock lock(conn->q_mu);
-      if (conn->mutations.empty()) {
-        conn->mutation_task_running = false;
-        return;
-      }
-      header = conn->mutations.front().first;
-      body = std::move(conn->mutations.front().second);
-      conn->mutations.pop_front();
+      // The reader's exit path takes this lock, so its entry is in place
+      // before it can look for it.
+      MutexLock lock(threads_mu_);
+      exited.swap(finished_);
+      readers_.emplace(
+          serial, Reader{fd, std::thread([this, fd, serial] {
+                           ServeConnection(fd, serial);
+                         })});
     }
-    HandleRequest(conn, header, body);
-    FinishRequest(conn);
+    // Reap readers of closed connections here, so a server that sees many
+    // short connections holds at most a few exited threads' stacks.
+    for (auto& t : exited) t.join();
   }
 }
 
-void TcpServer::ServeConnection(std::shared_ptr<Conn> conn) {
-  while (running_ && conn->alive) {
+void TcpServer::ServeConnection(int fd, uint64_t serial) {
+  while (running_) {
     // Bound enforcement is split so the offending request id is known: an
     // oversized claim gets a clean error response (no allocation), then the
     // connection drops — framing past an unread body cannot be trusted.
-    auto header = ReadFrameHeader(conn->fd, UINT32_MAX);
+    auto header = ReadFrameHeader(fd, UINT32_MAX);
     if (!header.ok()) break;  // peer closed or corrupt stream
     if (header->body_len > options_.max_frame_body) {
-      conn->WriteResponse(
-          header->request_id,
+      WriteResponse(
+          fd, header->request_id,
           InvalidArgument("frame body of " + std::to_string(header->body_len) +
                           " bytes exceeds this server's max of " +
                           std::to_string(options_.max_frame_body)));
       break;
     }
     Bytes body(header->body_len);
-    if (!ReadExact(conn->fd, body).ok()) break;
+    if (!ReadExact(fd, body).ok()) break;
     ServerVolume().rx_frames.Inc();
     // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
     ServerVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
 
-    {
-      MutexLock lock(conn->inflight_mu);
-      while (conn->inflight >= kMaxInflightPerConn && running_ &&
-             conn->alive) {
-        conn->inflight_cv.Wait(conn->inflight_mu);
-      }
-      if (!running_ || !conn->alive) break;
-      ++conn->inflight;
-    }
+    // Stamp the trace context around the handler: adopt the wire's trace
+    // id when the caller sent one (a routed/shipped hop inside a larger
+    // request), else derive the origin id (connection serial | request id).
+    // TraceSpans opened inside the handler inherit it and parent under the
+    // caller's span.
+    uint64_t trace_id =
+        header->trace_id != 0
+            ? header->trace_id
+            : (serial << 32) | (header->request_id & 0xffffffff);
     ServerInflightGauge().Inc();
-
-    if (IsMutation(header->type)) {
-      bool submit = false;
-      {
-        MutexLock lock(conn->q_mu);
-        conn->mutations.emplace_back(*header, std::move(body));
-        if (!conn->mutation_task_running) {
-          conn->mutation_task_running = true;
-          submit = true;
-        }
-      }
-      if (submit) {
-        dispatch_->Submit([this, conn] { DrainMutations(conn); });
-      }
-    } else {
-      dispatch_->Submit([this, conn, header = *header,
-                         body = std::move(body)] {
-        HandleRequest(conn, header, body);
-        FinishRequest(conn);
-      });
-    }
+    metrics::SetCurrentTraceContext({trace_id, header->parent_span_id});
+    Result<Bytes> result = handler_->Handle(header->type, body);
+    metrics::SetCurrentTraceContext({});
+    ServerInflightGauge().Dec();
+    // A failed write means the peer is gone or wedged shut: drop it.
+    if (!WriteResponse(fd, header->request_id, result)) break;
   }
-  // Stop reading; in-flight dispatch tasks may still write responses. The
-  // fd closes when the last Conn reference (a task or this reader) drops —
-  // never while a handler could write to a reused descriptor.
-  ::shutdown(conn->fd, SHUT_RD);
+  {
+    MutexLock lock(threads_mu_);
+    auto self = readers_.extract(serial);
+    finished_.push_back(std::move(self.mapped().thread));
+  }
+  ::close(fd);
   ServerConnsGauge().Dec();
-  MutexLock lock(threads_mu_);
-  std::erase(connections_, conn);
 }
 
 // ---------------------------------------------------------------- client

@@ -1,11 +1,13 @@
 // Multiplexed TCP transport.
 //
-// Server: listener with a reader thread per connection and a shared dispatch
-// executor. Requests from one connection are processed concurrently —
-// mutations in strict arrival order (a pipelined ingest stream must apply in
-// send order), non-mutating requests freely interleaved — and responses are
-// written back through a per-connection frame lock, so a slow query never
-// head-of-line-blocks a Ping on the same connection.
+// Server: listener with one reader thread per connection. The reader reads
+// a frame, runs the handler, writes the response and only then reads the
+// next frame, so a connection's requests are answered one at a time in
+// send order (as Netty runs a channel on its one event-loop thread, §5):
+// pipelined ingest batches apply in order, and a client that pipelines
+// faster than the handler drains is held back by TCP itself. A slow
+// request parks only its own connection; a caller that needs independent
+// latency opens a second connection.
 //
 // Client: framed request/response with request-id demultiplexing. One demux
 // reader thread matches responses to in-flight calls, so many AsyncCalls can
@@ -16,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "net/executor.hpp"
 #include "net/wire.hpp"
 
 namespace tc::net {
@@ -38,20 +38,11 @@ struct TcpServerOptions {
   /// error response (the header's body_len is attacker-controlled; it must
   /// never drive an allocation).
   size_t max_frame_body = kDefaultMaxFrameBody;
-  /// Dispatch executor width, shared by all connections. 0 = one thread
-  /// per hardware core, floored at 2 so same-connection concurrency exists
-  /// even on a single-core host.
-  size_t dispatch_threads = 0;
 };
 
-/// Per-connection cap on requests being processed or queued at once; the
-/// connection's reader stops reading further frames when it is hit (TCP
-/// backpressure), bounding server memory against a client that pipelines
-/// faster than handlers drain.
-inline constexpr size_t kMaxInflightPerConn = 32;
-
 /// TCP server owning an accept loop. Start() binds and spawns the acceptor;
-/// Stop() closes the listener and joins all threads.
+/// Stop() closes the listener, shuts every live connection down and joins
+/// every thread, waiting out handlers still running.
 class TcpServer {
  public:
   TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
@@ -68,17 +59,14 @@ class TcpServer {
   uint16_t port() const { return port_; }
 
  private:
-  /// Shared per-connection state. The fd closes when the last reference
-  /// (reader thread or in-flight dispatch task) drops, never while a
-  /// handler could still write to it.
-  struct Conn;
+  /// A live connection: its socket, owned (and closed) by its reader.
+  struct Reader {
+    int fd = -1;
+    std::thread thread;
+  };
 
   void AcceptLoop();
-  void ServeConnection(std::shared_ptr<Conn> conn);
-  void HandleRequest(const std::shared_ptr<Conn>& conn,
-                     const FrameHeader& header, const Bytes& body);
-  void DrainMutations(const std::shared_ptr<Conn>& conn);
-  static void FinishRequest(const std::shared_ptr<Conn>& conn);
+  void ServeConnection(int fd, uint64_t serial);
 
   std::shared_ptr<RequestHandler> handler_;
   uint16_t port_;
@@ -86,11 +74,12 @@ class TcpServer {
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
   std::thread acceptor_;
-  std::unique_ptr<Executor> dispatch_;
   Mutex threads_mu_;
-  std::vector<std::thread> connection_threads_ GUARDED_BY(threads_mu_);
-  // Live connections, shut down on Stop().
-  std::vector<std::shared_ptr<Conn>> connections_ GUARDED_BY(threads_mu_);
+  // Live connections by serial. A reader removes its own entry before it
+  // closes its fd, so Stop() never shuts down a reused descriptor.
+  std::unordered_map<uint64_t, Reader> readers_ GUARDED_BY(threads_mu_);
+  // Readers that have exited, joined at the next accept (or Stop).
+  std::vector<std::thread> finished_ GUARDED_BY(threads_mu_);
 };
 
 /// Client connection with request-id multiplexing: any number of AsyncCalls

@@ -16,19 +16,20 @@
 //
 // The transport API is asynchronous and request-id multiplexed: AsyncCall
 // returns a PendingCall immediately, many calls can be in flight on one
-// connection, and responses match back to their calls by request id in any
-// order (the pipelining the paper's Netty stack gets for free, §5).
+// connection, and responses match back to their calls by request id (the
+// pipelining the paper's Netty stack gets for free, §5). The TCP server
+// answers one connection's requests in send order; other transports (the
+// shard router's in-process channels) may complete them in any order.
 // Call() is a thin blocking wrapper over AsyncCall for call sites that
 // want one round trip.
 //
 // What each frame type is — its metric/span name, whether it mutates
-// (ordering on the connection), how a server routes it, whether a replica
-// may answer it — is one row of kFrameTypes below; servers read the row and
-// restate none of it. Adding a frame type takes one enum value, one row at
-// that value, one struct with a Visit field list in net/messages.hpp (which
-// derives its Encode and Decode), and one fuzz case in
-// tests/wire_fuzz_test.cpp; then an arm in the handler of each server that
-// answers it.
+// state, how a server routes it, whether a replica may answer it — is one
+// row of kFrameTypes below; servers read the row and restate none of it.
+// Adding a frame type takes one enum value, one row at that value, one
+// struct with a Visit field list in net/messages.hpp (which derives its
+// Encode and Decode), and one fuzz case in tests/wire_fuzz_test.cpp; then
+// an arm in the handler of each server that answers it.
 #pragma once
 
 #include <cstddef>
@@ -95,8 +96,8 @@ enum class MessageType : uint8_t {
   kMetricsInfo = 30,
   // Observability extension (src/common/trace): drain the process-wide
   // span ring (kTraceInfo, optionally filtered to one trace id) and the
-  // structured event journal (kEventsInfo). Both are reads — `tccli trace`
-  // must never queue behind a pipelined ingest stream.
+  // structured event journal (kEventsInfo). Both are reads: they change no
+  // server state.
   kTraceInfo = 31,
   kEventsInfo = 32,
 };
@@ -119,11 +120,9 @@ struct FrameTypeInfo {
   /// Stable snake_case name: the `type` label on per-request metrics and the
   /// op name on slow-op trace lines.
   const char* name;
-  /// Mutates server state. The TCP server keeps same-connection mutations in
-  /// arrival order (a pipelined ingest stream must apply batch N before
-  /// batch N+1; replica op shipments must apply in sequence) while other
-  /// requests dispatch concurrently — a slow query cannot head-of-line-block
-  /// a Ping on the same connection.
+  /// Mutates server state, so no replica may answer it: only a read can be
+  /// a replica read (checked below), and a request no row describes counts
+  /// as a mutation.
   bool mutation;
   Route route;
   /// A caught-up replica may answer it instead of the primary. Key-store
@@ -133,7 +132,7 @@ struct FrameTypeInfo {
 };
 
 /// The row of a byte with no frame type: reserved, or from a newer peer. It
-/// is conservatively a mutation — serialized, never interleaved.
+/// is conservatively a mutation.
 constexpr FrameTypeInfo UnknownFrameType(uint8_t byte) {
   return {static_cast<MessageType>(byte), "unknown", true, Route::kNone,
           false};
@@ -215,7 +214,8 @@ constexpr bool FrameTableIsWellFormed() {
 static_assert(detail::FrameTableIsWellFormed(),
               "kFrameTypes: row i must describe MessageType i, and only "
               "non-mutating requests may be replica reads");
-// A metrics scrape must pipeline past slow mutations, and it mutates nothing.
+// A metrics scrape only reads the process's registry: it must never be
+// classed with the requests that change server state.
 static_assert(!FrameType(MessageType::kMetricsInfo).mutation,
               "kMetricsInfo must be a read");
 
@@ -224,13 +224,10 @@ inline const char* MessageTypeName(MessageType type) {
   return FrameType(type).name;
 }
 
-/// FrameType(type).mutation; true for bytes with no frame type.
-inline bool IsMutation(MessageType type) { return FrameType(type).mutation; }
-
 /// Server-side dispatch: handle one decoded request, produce a response
-/// payload. Implementations must be thread-safe — the TCP server dispatches
-/// requests from many connections (and non-mutating requests from the same
-/// connection) concurrently.
+/// payload. Implementations must be thread-safe — the TCP server runs the
+/// requests of different connections concurrently, each on its
+/// connection's reader thread.
 class RequestHandler {
  public:
   virtual ~RequestHandler() = default;

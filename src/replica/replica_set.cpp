@@ -255,7 +255,7 @@ void ReplicaSet::MonitorLoop() {
     }
     // The probe is a store read: NotFound is a healthy store answering
     // honestly; only transport/IO-level failures count as misses.
-    auto probe = primary_kv->Get("meta/cluster/shard");
+    auto probe = primary_kv->Get(kShardMetaKey);
     if (probe.ok() || probe.status().code() == StatusCode::kNotFound) {
       misses = 0;
       continue;

@@ -44,9 +44,8 @@ std::string_view AckModeName(AckMode mode) {
 }
 
 uint64_t StoreFingerprint(const store::KvStore& kv) {
-  // Same key cluster::BindShardMeta persists the layout under; replica
-  // only needs the bytes, not the decoded (shard, count) pair.
-  auto meta = kv.Get("meta/cluster/shard");
+  // Only the bytes matter here, not the decoded (shard, count) pair.
+  auto meta = kv.Get(kShardMetaKey);
   if (!meta.ok()) return 0;
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
   for (uint8_t b : *meta) {

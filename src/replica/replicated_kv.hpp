@@ -56,7 +56,12 @@ std::string_view AckModeName(AckMode mode);
 /// ever being confused with replicated state.
 inline constexpr std::string_view kReplicaMetaPrefix = "meta/replica/";
 
-/// Fingerprint of a store's persisted shard layout (meta/cluster/shard):
+/// The key cluster::BindShardMeta persists a store's shard layout under
+/// (shard id and shard count). It is replicated state, unlike the keys
+/// under kReplicaMetaPrefix.
+inline constexpr char kShardMetaKey[] = "meta/cluster/shard";
+
+/// Fingerprint of a store's persisted shard layout (kShardMetaKey):
 /// 0 for a store that has never been bound. The hello handshake compares
 /// fingerprints so a follower formatted for a different cluster shape is
 /// rejected instead of silently reconciled into the wrong shard.

@@ -1,11 +1,12 @@
 // Tests for the common runtime: status/result, bytes/hex, varint, binary io,
-// time range <-> chunk index mapping.
+// time range <-> chunk index mapping, trace sampling.
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
 #include "common/io.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
+#include "common/trace.hpp"
 #include "common/varint.hpp"
 
 namespace tc {
@@ -227,6 +228,36 @@ TEST(ChunkClock, AlignmentCheck) {
 TEST(ChunkClock, RejectsRangeBeforeStart) {
   ChunkClock clock(1000, 10);
   EXPECT_FALSE(clock.IndexRange({0, 500}).ok());
+}
+
+// Head-based sampling hashes the trace id, so every process keeps or drops
+// the same traces; the rate follows the percentage.
+TEST(TraceSampling, KeepsTheConfiguredShareOfIdsTheSameWayEveryTime) {
+  struct RestoreFullSampling {
+    ~RestoreFullSampling() { trace::SetSamplePercent(100); }
+  } restore;
+  constexpr uint64_t kIds = 10'000;
+
+  trace::SetSamplePercent(0);
+  for (uint64_t id = 1; id <= kIds; ++id) {
+    ASSERT_FALSE(trace::Sampled(id)) << "id " << id;
+  }
+
+  trace::SetSamplePercent(100);
+  for (uint64_t id = 1; id <= kIds; ++id) {
+    ASSERT_TRUE(trace::Sampled(id)) << "id " << id;
+  }
+
+  trace::SetSamplePercent(37);
+  uint64_t kept = 0;
+  for (uint64_t id = 1; id <= kIds; ++id) {
+    bool sampled = trace::Sampled(id);
+    ASSERT_EQ(trace::Sampled(id), sampled) << "id " << id;
+    if (sampled) ++kept;
+  }
+  // Sequential ids must not cluster on one side of the cut.
+  EXPECT_GE(kept, kIds * 30 / 100);
+  EXPECT_LE(kept, kIds * 44 / 100);
 }
 
 }  // namespace

@@ -578,6 +578,53 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   daemon.Stop();
 }
 
+// A follower that stops answering heartbeats is journaled once, when it
+// goes dark: the coordinator backs its redials off and keeps failing them,
+// but the journal records the transition, not every failed round.
+TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
+  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
+                              replica::ReplicaSetOptions{});
+  std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
+  auto router = std::make_shared<cluster::ShardRouter>(sets);
+  replica::CoordinatorOptions coordinator_options;
+  coordinator_options.heartbeat_ms = 50;
+  auto coordinator = std::make_shared<PrimaryCoordinator>(
+      router, sets, coordinator_options);
+  net::TcpServer server(coordinator, 0);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Count only this test's events: earlier tests share the journal.
+  auto journaled = trace::EventJournal::Instance().Snapshot();
+  uint64_t first_seq = journaled.empty() ? 0 : journaled.back().seq + 1;
+
+  FollowerDaemon daemon({std::make_shared<store::MemKvStore>()},
+                        DaemonOptions(server.port()));
+  ASSERT_TRUE(daemon.Start(0).ok());
+  ASSERT_TRUE(PollUntil([&] { return set->num_remote_followers() == 1; },
+                        30'000));
+  const std::string endpoint = daemon.endpoint();
+  daemon.Stop();
+
+  auto unreachable = [&] {
+    size_t n = 0;
+    for (const auto& event :
+         trace::EventJournal::Instance().Snapshot(first_seq)) {
+      if (event.kind == "follower_unreachable" && event.detail == endpoint) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  ASSERT_TRUE(PollUntil([&] { return unreachable() >= 1; }, 30'000));
+  EXPECT_EQ(unreachable(), 1u);
+
+  // Twenty more rounds: the backed-off redials (after 2, then 4 more
+  // rounds) fail too, and none of them is journaled.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(20 * coordinator_options.heartbeat_ms));
+  EXPECT_EQ(unreachable(), 1u);
+}
+
 // The tentpole acceptance drill: one client trace id must stitch the
 // router's dispatch span, engine spans on two different shards, and the
 // follower daemon's apply span into a single tree — the propagation chain

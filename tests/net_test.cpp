@@ -1,7 +1,8 @@
 // Wire protocol tests: frame/response encoding, message codec round trips
 // for every request type, real TCP loopback exchanges, and the multiplexed
 // transport (many in-flight AsyncCalls on one socket, out-of-order
-// completion, mutation ordering, error fan-out, hostile framing).
+// completion at the client, in-order serving per connection at the server,
+// error fan-out, hostile framing, reader-thread reaping).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -42,12 +44,12 @@ TEST(Wire, ResponseBodyCarriesError) {
   EXPECT_EQ(decoded.status().message(), "missing");
 }
 
-// The full read/write classification the transport's ordering guarantees
-// rest on. Every frame type is listed: a new MessageType must be added to
-// one of these tables (and to the frame-type table in net/wire.hpp — a
-// static_assert and tools/lint/tc_lint.py both enforce that) or this test
-// fails, which is the point.
-TEST(Wire, IsMutationClassifiesEveryMessageType) {
+// The full read/write classification of the frame table's mutation column
+// (only reads may be replica reads). Every frame type is listed: a new
+// MessageType must be added to one of these tables (and to the frame-type
+// table in net/wire.hpp — a static_assert and tools/lint/tc_lint.py both
+// enforce that) or this test fails, which is the point.
+TEST(Wire, MutationColumnClassifiesEveryMessageType) {
   const MessageType mutations[] = {
       MessageType::kCreateStream,        MessageType::kDeleteStream,
       MessageType::kRollupStream,        MessageType::kDeleteRange,
@@ -66,27 +68,26 @@ TEST(Wire, IsMutationClassifiesEveryMessageType) {
       MessageType::kPing,           MessageType::kGetAttestation,
       MessageType::kGetChunkWitnessed, MessageType::kClusterInfo,
       MessageType::kMetricsInfo,
-      // Trace and event queries must pipeline as reads: `tccli trace` of a
-      // slow ingest would otherwise queue behind the very stream it is
-      // diagnosing.
+      // Trace and event queries only drain this process's span ring and
+      // event journal.
       MessageType::kTraceInfo,         MessageType::kEventsInfo,
   };
   for (MessageType type : mutations) {
-    EXPECT_TRUE(IsMutation(type))
-        << "type " << static_cast<int>(type) << " must order as a mutation";
+    EXPECT_TRUE(FrameType(type).mutation)
+        << "type " << static_cast<int>(type) << " must be a mutation";
   }
   for (MessageType type : reads) {
-    EXPECT_FALSE(IsMutation(type))
-        << "type " << static_cast<int>(type) << " must pipeline as a read";
+    EXPECT_FALSE(FrameType(type).mutation)
+        << "type " << static_cast<int>(type) << " must be a read";
   }
   // An out-of-enum byte (a frame from a newer peer) must classify as a
-  // mutation: ordering conservatively is safe, reordering is not.
-  EXPECT_TRUE(IsMutation(static_cast<MessageType>(0xEE)));
+  // mutation: treating an unknown request as a read is the unsafe guess.
+  EXPECT_TRUE(FrameType(static_cast<MessageType>(0xEE)).mutation);
 }
 
 // Row names label metrics and trace spans: one snake_case name per frame
 // type. Bytes with no frame type — the reserved ones and any past the
-// enum — share the "unknown" row and order as mutations.
+// enum — share the "unknown" row and classify as mutations.
 TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
   std::set<std::string> names;
   for (const FrameTypeInfo& row : kFrameTypes) {
@@ -109,7 +110,7 @@ TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
   for (int byte : {3, 22, 23, 0xEE}) {
     auto type = static_cast<MessageType>(byte);
     EXPECT_STREQ(MessageTypeName(type), "unknown") << "byte " << byte;
-    EXPECT_TRUE(IsMutation(type)) << "byte " << byte;
+    EXPECT_TRUE(FrameType(type).mutation) << "byte " << byte;
   }
 }
 
@@ -570,6 +571,7 @@ class GateHandler : public RequestHandler {
     uint8_t tag = body.empty() ? 0 : body[0];
     std::unique_lock lock(mu_);
     ++entered_;
+    entry_order_.push_back(tag);
     max_concurrent_ = std::max(max_concurrent_, entered_);
     entered_cv_.notify_all();
     release_cv_.wait(lock, [&] { return released_.count(tag) > 0; });
@@ -600,6 +602,12 @@ class GateHandler : public RequestHandler {
     return max_concurrent_;
   }
 
+  /// Tags of the gated requests, in the order they entered the handler.
+  std::vector<uint8_t> entry_order() {
+    std::lock_guard lock(mu_);
+    return entry_order_;
+  }
+
   std::vector<uint8_t> mutation_order() {
     std::lock_guard lock(mu_);
     return mutation_order_;
@@ -611,59 +619,102 @@ class GateHandler : public RequestHandler {
   std::set<uint8_t> released_;
   size_t entered_ = 0;
   size_t max_concurrent_ = 0;
+  std::vector<uint8_t> entry_order_;
   std::vector<uint8_t> mutation_order_;
 };
 
-TEST(Tcp, EightInFlightCallsCompleteOutOfOrder) {
+TEST(Tcp, PipelinedCallsOnOneConnectionAreServedOneAtATimeInSendOrder) {
+  // Completion callbacks run on the client's reader thread in the order the
+  // responses arrive. Declared first: the client outlives them otherwise.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<uint8_t> completion_order;
   auto gate = std::make_shared<GateHandler>();
-  TcpServerOptions options;
-  options.dispatch_threads = 8;  // all eight must run concurrently
-  TcpServer server(gate, 0, options);
+  TcpServer server(gate, 0);
   ASSERT_TRUE(server.Start().ok());
   auto client = TcpClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
 
-  // Eight pipelined requests on ONE socket, all parked inside the handler
-  // at once — the multiplexing acceptance bar.
+  // Eight calls pipelined on ONE socket.
   std::vector<PendingCall> calls;
   for (uint8_t tag = 0; tag < 8; ++tag) {
-    calls.push_back(
-        (*client)->AsyncCall(MessageType::kGetStatRange, Bytes{tag}));
+    calls.push_back((*client)->AsyncCall(
+        MessageType::kGetStatRange, Bytes{tag},
+        [&mu, &cv, &completion_order, tag](const Result<Bytes>&) {
+          std::lock_guard lock(mu);
+          completion_order.push_back(tag);
+          cv.notify_all();
+        }));
   }
-  gate->WaitEntered(8);
-  EXPECT_GE(gate->max_concurrent(), 8u);
-  for (const auto& call : calls) EXPECT_FALSE(call.done());
+  gate->WaitEntered(1);
+  EXPECT_EQ(gate->entry_order(), (std::vector<uint8_t>{0}));
 
-  // Release in reverse order: each response matches its own call by
-  // request id even though it arrives before every earlier request's.
-  for (int tag = 7; tag >= 0; --tag) {
-    gate->Release(static_cast<uint8_t>(tag));
+  // Release the later tags first: none can overtake the parked first call,
+  // because the connection's reader holds one frame at a time.
+  for (int tag = 7; tag >= 0; --tag) gate->Release(static_cast<uint8_t>(tag));
+  for (uint8_t tag = 0; tag < 8; ++tag) {
     auto result = calls[tag].Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->size(), 1u);
     EXPECT_EQ((*result)[0], tag);
-    if (tag > 0) EXPECT_FALSE(calls[tag - 1].done());
+  }
+  const std::vector<uint8_t> in_order = {0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(gate->entry_order(), in_order);
+  EXPECT_EQ(gate->max_concurrent(), 1u);
+  // A call's waiter can wake before its callback has run.
+  std::unique_lock lock(mu);
+  cv.wait(lock, [&] { return completion_order.size() == 8; });
+  EXPECT_EQ(completion_order, in_order);
+  server.Stop();
+}
+
+TEST(Tcp, EightConnectionsAreInsideTheHandlerAtOnce) {
+  auto gate = std::make_shared<GateHandler>();
+  TcpServer server(gate, 0);
+  ASSERT_TRUE(server.Start().ok());
+
+  // One parked call per connection: each connection's reader runs its own
+  // handler, so all eight are inside it at once.
+  std::vector<std::unique_ptr<TcpClient>> clients;
+  std::vector<PendingCall> calls;
+  for (uint8_t tag = 0; tag < 8; ++tag) {
+    auto client = TcpClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    calls.push_back(
+        (*client)->AsyncCall(MessageType::kGetStatRange, Bytes{tag}));
+    clients.push_back(std::move(*client));
+  }
+  gate->WaitEntered(8);
+  EXPECT_EQ(gate->max_concurrent(), 8u);
+  for (const auto& call : calls) EXPECT_FALSE(call.done());
+
+  gate->ReleaseAll();
+  for (uint8_t tag = 0; tag < 8; ++tag) {
+    auto result = calls[tag].Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ((*result)[0], tag);
   }
   server.Stop();
 }
 
 TEST(Tcp, SlowQueryDoesNotHeadOfLineBlockPing) {
   auto gate = std::make_shared<GateHandler>();
-  TcpServerOptions options;
-  options.dispatch_threads = 4;
-  TcpServer server(gate, 0, options);
+  TcpServer server(gate, 0);
   ASSERT_TRUE(server.Start().ok());
-  auto client = TcpClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
+  auto slow_client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(slow_client.ok());
+  auto ping_client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(ping_client.ok());
 
   // A deliberately slow query, parked server-side...
-  auto slow = (*client)->AsyncCall(MessageType::kGetStatRange, Bytes{9});
+  auto slow = (*slow_client)->AsyncCall(MessageType::kGetStatRange, Bytes{9});
   gate->WaitEntered(1);
 
-  // ...must not delay a Ping on the SAME connection: this blocking Call
+  // ...must not delay a Ping on a second connection: this blocking Call
   // completes while the query is still parked (no timing involved — the
   // query cannot finish until we release it below).
-  auto ping = (*client)->Call(MessageType::kPing, ToBytes("urgent"));
+  auto ping = (*ping_client)->Call(MessageType::kPing, ToBytes("urgent"));
   ASSERT_TRUE(ping.ok()) << ping.status().ToString();
   EXPECT_EQ(ToString(*ping), "urgent");
   EXPECT_FALSE(slow.done());
@@ -677,16 +728,14 @@ TEST(Tcp, SlowQueryDoesNotHeadOfLineBlockPing) {
 
 TEST(Tcp, PipelinedMutationsApplyInSendOrder) {
   auto gate = std::make_shared<GateHandler>();
-  TcpServerOptions options;
-  options.dispatch_threads = 4;
-  TcpServer server(gate, 0, options);
+  TcpServer server(gate, 0);
   ASSERT_TRUE(server.Start().ok());
   auto client = TcpClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
 
-  // Ten pipelined mutations; the concurrent dispatcher must still apply
-  // them in exactly the order they were sent (batch N+1 may not overtake
-  // batch N), even with reads interleaved.
+  // Ten pipelined mutations; the server must apply them in exactly the
+  // order they were sent (batch N+1 may not overtake batch N), even with
+  // reads interleaved.
   std::vector<PendingCall> calls;
   for (uint8_t i = 0; i < 10; ++i) {
     calls.push_back(
@@ -754,23 +803,25 @@ class RawServer {
 
   void Accept() { conn_fd_ = ::accept(listen_fd_, nullptr, nullptr); }
 
-  /// Read one request frame; returns its header (abort on malformed
-  /// input, which no test intends to send).
-  FrameHeader ReadRequest() {
-    auto header = TryReadRequest();
+  /// Read one request frame; returns its header and, into `body` when
+  /// given, its body (abort on malformed input, which no test intends to
+  /// send).
+  FrameHeader ReadRequest(Bytes* body = nullptr) {
+    auto header = TryReadRequest(body);
     if (!header) std::abort();
     return *header;
   }
 
   /// Like ReadRequest, but a closed/failed connection returns nullopt
   /// (tests that race the client's error paths use this).
-  std::optional<FrameHeader> TryReadRequest() {
+  std::optional<FrameHeader> TryReadRequest(Bytes* body = nullptr) {
     Bytes header(kFrameHeaderBytes);
     if (!ReadExact(conn_fd_, header).ok()) return std::nullopt;
     auto decoded = DecodeFrameHeader(header);
     if (!decoded.ok()) return std::nullopt;
-    Bytes body(decoded->body_len);
-    if (!ReadExact(conn_fd_, body).ok()) return std::nullopt;
+    Bytes read_body(decoded->body_len);
+    if (!ReadExact(conn_fd_, read_body).ok()) return std::nullopt;
+    if (body != nullptr) *body = std::move(read_body);
     return *decoded;
   }
 
@@ -794,6 +845,39 @@ class RawServer {
   int conn_fd_ = -1;
   uint16_t port_ = 0;
 };
+
+TEST(Tcp, EightInFlightCallsCompleteOutOfOrder) {
+  RawServer raw;
+  auto client = TcpClient::Connect("127.0.0.1", raw.port());
+  ASSERT_TRUE(client.ok());
+  raw.Accept();
+
+  // Eight pipelined requests on ONE socket, all read by the peer before it
+  // answers any — the client's multiplexing acceptance bar.
+  std::vector<PendingCall> calls;
+  for (uint8_t tag = 0; tag < 8; ++tag) {
+    calls.push_back(
+        (*client)->AsyncCall(MessageType::kGetStatRange, Bytes{tag}));
+  }
+  std::vector<std::pair<uint64_t, Bytes>> requests;
+  for (int i = 0; i < 8; ++i) {
+    Bytes body;
+    uint64_t id = raw.ReadRequest(&body).request_id;
+    requests.emplace_back(id, std::move(body));
+  }
+  for (const auto& call : calls) EXPECT_FALSE(call.done());
+
+  // Answer in reverse order, echoing each request's body: each response
+  // matches its own call by request id even though it arrives before every
+  // earlier request's.
+  for (int tag = 7; tag >= 0; --tag) {
+    raw.WriteResponse(requests[tag].first, requests[tag].second);
+    auto result = calls[tag].Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(*result, Bytes{static_cast<uint8_t>(tag)});
+    if (tag > 0) EXPECT_FALSE(calls[tag - 1].done());
+  }
+}
 
 TEST(Tcp, DisconnectFansErrorOutToAllPendingCalls) {
   RawServer raw;
@@ -999,6 +1083,50 @@ TEST(Tcp, ConcurrentCallersShareOneSocket) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok_count.load(), 200);
+  server.Stop();
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status), or -1.
+int64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("VmSize:")) {
+      return std::strtoll(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+// A closed connection's reader thread is joined at the next accept, not at
+// Stop(): an exited but unjoined thread keeps its stack (8 MiB by default)
+// mapped, so a server that sees many short connections would grow by one
+// stack per connection it ever served.
+TEST(Tcp, ClosedConnectionsDoNotLeakReaderThreads) {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto connect_ping_close = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      auto client = TcpClient::Connect("127.0.0.1", server.port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("x")).ok());
+    }
+  };
+  // Warm up first, so the allocator's per-thread arenas and the C
+  // library's cache of joined stacks are in place before the measurement.
+  connect_ping_close(100);
+  const int64_t before_kib = VmSizeKib();
+  ASSERT_GT(before_kib, 0);
+
+  constexpr int kConnections = 1000;
+  connect_ping_close(kConnections);
+
+  // Leaking every reader would add ~8 GiB here; the few exited stacks
+  // awaiting their join stay far below 1 GiB.
+  const int64_t grown_mib = (VmSizeKib() - before_kib) / 1024;
+  RecordProperty("vmsize_growth_mib", std::to_string(grown_mib));
+  EXPECT_LT(grown_mib, 1024) << "VmSize grew by " << grown_mib << " MiB over "
+                             << kConnections << " connections";
   server.Stop();
 }
 

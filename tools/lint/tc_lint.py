@@ -5,10 +5,10 @@ Checks cross-file invariants the compiler cannot see:
 
   R1  every net::MessageType enumerator has a row in net::kFrameTypes (the
       frame-type table in src/net/wire.hpp) — a frame type without a row
-      reads as "unknown" and loses its name, ordering and routing. A
-      static_assert beside the table keeps row i describing type i, so a
-      row deleted mid-table fails the build and one deleted at the end
-      fails here.
+      reads as "unknown" and loses its name, read/mutation class and
+      routing. A static_assert beside the table keeps row i describing
+      type i, so a row deleted mid-table fails the build and one deleted
+      at the end fails here.
   R2  every wire frame type has fuzz coverage: its enumerator (or a known
       alias) appears in tests/wire_fuzz_test.cpp.
   R3  every decode path goes through the bounded DecodeFrameHeader: a file
@@ -25,8 +25,10 @@ Checks cross-file invariants the compiler cannot see:
       and no name is registered as two different metric kinds — the
       registry keys (name, labels) per kind, so a collision would render
       one family under two TYPE lines.
-  R7  (kMetricsInfo is a read: a static_assert beside the frame-type table
-      in src/net/wire.hpp checks it at compile time.)
+  R7  (kMetricsInfo is a read — a scrape changes no server state — and a
+      static_assert beside the frame-type table in src/net/wire.hpp checks
+      it at compile time. The TCP server answers each connection in send
+      order whatever the class, so the column no longer orders anything.)
   R8  span-op and event-kind literals (TraceSpan constructions and
       RecordEvent calls) form one flat vocabulary: snake_case, globally
       unique, exactly one call site each — `tccli trace`/`tccli events`
