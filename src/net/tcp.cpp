@@ -78,12 +78,6 @@ uint64_t NextConnSerial() {
   return serial.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Read + decode one frame header. `max_body` bounds the claimed body size;
 /// pass UINT32_MAX to defer the bound to the caller (the server does, so it
 /// can answer the offending request id with a clean status).
@@ -101,11 +95,6 @@ bool WriteResponse(int fd, uint64_t request_id, const Result<Bytes>& result) {
   ServerVolume().tx_frames.Inc();
   ServerVolume().tx_bytes.Inc(frame.size());
   return WriteAll(fd, frame).ok();
-}
-
-void SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 }  // namespace
@@ -287,7 +276,7 @@ void TcpServer::ServeConnection(int fd, uint64_t serial) {
 
 Result<std::unique_ptr<TcpClient>> TcpClient::Connect(
     const std::string& host, uint16_t port, int64_t connect_timeout_ms,
-    size_t max_frame_body) {
+    int64_t op_timeout_ms, size_t max_frame_body) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Unavailable("socket() failed");
 
@@ -334,21 +323,27 @@ Result<std::unique_ptr<TcpClient>> TcpClient::Connect(
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::unique_ptr<TcpClient>(new TcpClient(fd, max_frame_body));
+  if (op_timeout_ms > 0) {
+    // Send side: a wedged peer must fail a write, not park it forever. The
+    // receive side is the reader's poll deadline over the oldest pending
+    // call; SO_RCVTIMEO backstops a peer that stalls mid-frame (the poll
+    // cannot fire while the reader is inside ReadExact).
+    timeval tv{};
+    tv.tv_sec = op_timeout_ms / 1000;
+    tv.tv_usec = (op_timeout_ms % 1000) * 1000;
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
+      ::close(fd);
+      return Unavailable(std::string("setting socket timeouts failed: ") +
+                         std::strerror(errno));
+    }
+  }
+  return std::unique_ptr<TcpClient>(
+      new TcpClient(fd, op_timeout_ms, max_frame_body));
 }
 
-TcpClient::TcpClient(int fd, size_t max_frame_body)
-    : max_frame_body_(max_frame_body), fd_(fd) {
-  // Self-pipe: AsyncCall nudges the reader out of an open-ended poll when
-  // the pending set (and thus the next deadline) changes. On the unlikely
-  // pipe() failure the client still works; op-timeout wakeups just lean on
-  // the poll granularity below.
-  if (::pipe(wake_fds_) == 0) {
-    SetNonBlocking(wake_fds_[0]);
-    SetNonBlocking(wake_fds_[1]);
-  } else {
-    wake_fds_[0] = wake_fds_[1] = -1;
-  }
+TcpClient::TcpClient(int fd, int64_t op_timeout_ms, size_t max_frame_body)
+    : op_timeout_ms_(op_timeout_ms), max_frame_body_(max_frame_body), fd_(fd) {
   reader_ = std::thread([this] { ReaderLoop(); });
 }
 
@@ -356,38 +351,6 @@ TcpClient::~TcpClient() {
   FailConnection(Unavailable("client connection destroyed"));
   if (reader_.joinable()) reader_.join();
   ::close(fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-}
-
-Status TcpClient::SetOpTimeout(int64_t timeout_ms) {
-  // Send side: a wedged peer must fail a write, not park it forever. The
-  // receive side is enforced by the reader's poll deadline over the oldest
-  // pending call; SO_RCVTIMEO additionally backstops a peer that stalls
-  // mid-frame (poll cannot fire while the reader is inside ReadExact).
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
-      ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return Unavailable("setting socket timeouts failed");
-  }
-  op_timeout_ms_.store(timeout_ms);
-  {
-    // "Bound every in-flight call" includes calls issued before this was
-    // configured: restart their clocks from now.
-    MutexLock lock(mu_);
-    int64_t deadline = timeout_ms > 0 ? SteadyNowMs() + timeout_ms : 0;
-    for (auto& [id, p] : pending_) p.deadline_ms = deadline;
-  }
-  WakeReader();
-  return Status::Ok();
-}
-
-void TcpClient::WakeReader() {
-  if (wake_fds_[1] < 0) return;
-  char byte = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
 void TcpClient::FailConnection(const Status& status) {
@@ -407,8 +370,7 @@ void TcpClient::FailConnection(const Status& status) {
   if (!victims.empty()) {
     ClientPendingGauge().Dec(static_cast<int64_t>(victims.size()));
   }
-  ::shutdown(fd_, SHUT_RDWR);
-  WakeReader();
+  ::shutdown(fd_, SHUT_RDWR);  // wakes the reader out of its poll
   // Error fan-out: every call still in flight fails with the connection's
   // terminal status. Completed outside the lock — callbacks may Wait().
   for (auto& v : victims) v.Complete(final_status);
@@ -427,9 +389,11 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
       closed_status = conn_status_;
     } else {
       id = next_request_id_++;
-      int64_t t = op_timeout_ms_.load();
-      pending_.emplace(id,
-                       Pending{completer, t > 0 ? SteadyNowMs() + t : 0});
+      // Stamped under mu_ with the id, so deadlines rise with the id.
+      pending_.emplace_hint(
+          pending_.end(), id,
+          Pending{completer, std::chrono::steady_clock::now() +
+                                 std::chrono::milliseconds(op_timeout_ms_)});
     }
   }
   if (id == 0) {
@@ -440,9 +404,10 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
   ClientPendingGauge().Inc();
 
   // Register-then-send: the reader may legally see the response before this
-  // thread regains the CPU. Nudge the reader so its poll deadline covers
-  // the new call.
-  WakeReader();
+  // thread regains the CPU. The reader needs no nudge: its poll already
+  // ends by the oldest pending deadline, which is never this call's, or,
+  // when idle, within one op timeout.
+  //
   // Stamp the caller's live trace context on the frame so the server's
   // spans land in the same trace, under the span issuing this call.
   metrics::TraceContext ctx = metrics::OutgoingTraceContext();
@@ -470,53 +435,40 @@ void TcpClient::ReaderLoop() {
     // when poll times out — so a stuck request still fails on schedule
     // while other responses keep the socket readable. (A peer trickling
     // one frame forever is backstopped by SO_RCVTIMEO inside ReadExact.)
+    // Idle, the reader polls in slices of the op timeout, so a call issued
+    // mid-slice is looked at before its deadline passes.
     int timeout = -1;
-    bool expired = false;
+    size_t stranded = 0;
     {
       MutexLock lock(mu_);
       if (closed_) return;
-      int64_t t = op_timeout_ms_.load();
-      if (t > 0 && !pending_.empty()) {
-        int64_t min_deadline = INT64_MAX;
-        for (const auto& [id, p] : pending_) {
-          if (p.deadline_ms > 0) {
-            min_deadline = std::min(min_deadline, p.deadline_ms);
-          }
+      if (op_timeout_ms_ > 0) {
+        auto remaining = std::chrono::milliseconds(op_timeout_ms_);
+        if (!pending_.empty()) {
+          remaining = std::chrono::ceil<std::chrono::milliseconds>(
+              pending_.begin()->second.deadline -
+              std::chrono::steady_clock::now());
+          if (remaining.count() <= 0) stranded = pending_.size();
         }
-        if (min_deadline != INT64_MAX) {
-          int64_t remaining = min_deadline - SteadyNowMs();
-          if (remaining <= 0) {
-            expired = true;
-          } else {
-            timeout = static_cast<int>(
-                std::clamp<int64_t>(remaining, 1, 3'600'000));
-          }
-        }
+        timeout = static_cast<int>(
+            std::clamp<int64_t>(remaining.count(), 1, 3'600'000));
       }
     }
-    if (expired) {
+    if (stranded > 0) {
       ClientOpTimeouts().Inc();
-      size_t stranded = 0;
-      {
-        MutexLock lock(mu_);
-        stranded = pending_.size();
-      }
       // One expiry strands every pending call on this connection (the
       // stream cannot be resynced) — journal the storm size, not just the
       // first victim.
       trace::RecordEvent("client_op_timeout", trace::kNoShard,
                          "pending=" + std::to_string(stranded) +
-                             " timeout_ms=" +
-                             std::to_string(op_timeout_ms_.load()));
+                             " timeout_ms=" + std::to_string(op_timeout_ms_));
       FailConnection(Unavailable("request timed out after " +
-                                 std::to_string(op_timeout_ms_.load()) +
-                                 " ms"));
+                                 std::to_string(op_timeout_ms_) + " ms"));
       return;
     }
 
-    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
-    nfds_t nfds = wake_fds_[0] >= 0 ? 2 : 1;
-    int rc = ::poll(fds, nfds, timeout);
+    pollfd fds{fd_, POLLIN, 0};
+    int rc = ::poll(&fds, 1, timeout);
     if (rc < 0) {
       if (errno == EINTR) continue;
       FailConnection(
@@ -524,12 +476,6 @@ void TcpClient::ReaderLoop() {
       return;
     }
     if (rc == 0) continue;  // re-enter the deadline pass above
-    if (nfds == 2 && (fds[1].revents & POLLIN)) {
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (!(fds[0].revents & (POLLIN | POLLHUP | POLLERR))) continue;
 
     auto header = ReadFrameHeader(fd_, max_frame_body_);
     if (!header.ok()) {

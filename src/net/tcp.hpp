@@ -12,12 +12,15 @@
 // Client: framed request/response with request-id demultiplexing. One demux
 // reader thread matches responses to in-flight calls, so many AsyncCalls can
 // overlap on one socket and complete out of order; a connection error fans
-// out to every pending call. Loopback-oriented (the E2E benchmarks and
-// examples run client and server on one host, like the paper's mhealth
-// setup).
+// out to every pending call. The reader polls the socket alone and wakes
+// only for a response, an op-timeout deadline or the connection closing.
+// Loopback-oriented (the E2E benchmarks and examples run client and server
+// on one host, like the paper's mhealth setup).
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,53 +91,52 @@ class TcpServer {
 class TcpClient final : public Transport {
  public:
   /// `connect_timeout_ms > 0` bounds the dial (non-blocking connect +
-  /// poll); 0 keeps the OS default (blocking). `max_frame_body` bounds
-  /// response frames — an oversized one fails the connection cleanly
-  /// instead of driving an allocation.
+  /// poll); 0 keeps the OS default (blocking). `op_timeout_ms > 0` bounds
+  /// every in-flight call for the connection's life: if the oldest pending
+  /// request has seen no response within it, the connection is failed and
+  /// every pending call returns Unavailable. A peer that accepts the
+  /// connection and then wedges must fail the calls, not hang the callers —
+  /// heartbeat fan-out and takeover probes depend on this. An idle
+  /// connection (no calls pending) never times out; 0 means no op timeout.
+  /// `max_frame_body` bounds response frames — an oversized one fails the
+  /// connection cleanly instead of driving an allocation.
   TC_BLOCKING static Result<std::unique_ptr<TcpClient>> Connect(
       const std::string& host, uint16_t port, int64_t connect_timeout_ms = 0,
+      int64_t op_timeout_ms = 0,
       size_t max_frame_body = kDefaultMaxFrameBody);
   ~TcpClient() override;
 
   TcpClient(const TcpClient&) = delete;
   TcpClient& operator=(const TcpClient&) = delete;
 
-  /// Bound every in-flight call: if the oldest pending request has seen no
-  /// response within `timeout_ms`, the connection is failed and every
-  /// pending call returns Unavailable. A peer that accepts the connection
-  /// and then wedges must fail the calls, not hang the callers — heartbeat
-  /// fan-out and takeover probes depend on this. An idle connection (no
-  /// calls pending) never times out.
-  Status SetOpTimeout(int64_t timeout_ms);
-
   PendingCall AsyncCall(MessageType type, BytesView body,
                         CallCallback on_done = nullptr) override;
 
  private:
-  TcpClient(int fd, size_t max_frame_body);
+  TcpClient(int fd, int64_t op_timeout_ms, size_t max_frame_body);
 
   void ReaderLoop();
   /// Fail every pending call (and all future ones) with `status`.
   void FailConnection(const Status& status);
-  void WakeReader();
 
   struct Pending {
     CallCompleter completer;
-    int64_t deadline_ms = 0;  // steady-clock ms; 0 = no op timeout
+    std::chrono::steady_clock::time_point deadline;  // unused without a timeout
   };
 
+  const int64_t op_timeout_ms_;
   const size_t max_frame_body_;
-  int fd_;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: AsyncCall nudges the reader
+  const int fd_;
 
   Mutex mu_;
-  std::unordered_map<uint64_t, Pending> pending_ GUARDED_BY(mu_);
+  // In request-id order. One fixed op timeout makes deadlines rise with the
+  // id, so the first entry is always the next to expire.
+  std::map<uint64_t, Pending> pending_ GUARDED_BY(mu_);
   uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
   bool closed_ GUARDED_BY(mu_) = false;
   Status conn_status_ GUARDED_BY(mu_);
 
   Mutex write_mu_;  // serializes request frames onto the socket
-  std::atomic<int64_t> op_timeout_ms_{0};
   std::thread reader_;
 };
 

@@ -185,15 +185,13 @@ void PrimaryCoordinator::HeartbeatLoop() {
       auto& client = clients[key];
       if (!client) {
         auto dialed = net::TcpClient::Connect(endpoint.host, endpoint.port,
-                                              timeout_ms);
+                                              timeout_ms, timeout_ms);
         if (!dialed.ok()) {  // follower down; its shipper handles catch-up
           undialable_this_round.insert(key);
           strike(key, endpoint.shard);
           continue;
         }
         client = std::move(*dialed);
-        // tc_analyze:allow(status-discard) advisory timeout; a heartbeat that hangs instead is caught by the Call failure below
-        (void)client->SetOpTimeout(timeout_ms);
       }
       auto sent = client->Call(net::MessageType::kReplicaHeartbeat,
                                beats[endpoint.shard].Encode());

@@ -287,10 +287,8 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
   // failure detector — a wedged candidate must cost one bounded probe,
   // not freeze the takeover state machine.
   int64_t timeout_ms = std::max<int64_t>(options_.tick_ms * 4, 500);
-  auto client = net::TcpClient::Connect(host, port, timeout_ms);
+  auto client = net::TcpClient::Connect(host, port, timeout_ms, timeout_ms);
   TC_RETURN_IF_ERROR(client.status());
-  // tc_analyze:allow(status-discard) advisory timeout; registration still works unbounded, the tick loop retries on silence
-  (void)(*client)->SetOpTimeout(timeout_ms);
   for (size_t i = 0; i < shards_.size(); ++i) {
     net::ReplicaHelloRequest hello;
     hello.shard = static_cast<uint32_t>(i);

@@ -76,13 +76,14 @@ Result<Bytes> RemoteFollower::Call(net::MessageType type, BytesView body) {
       // shipment (backoff + retry handles it), never park the shipper in
       // the kernel's minutes-long retry schedule — DropPrimary joins this
       // thread under the shard's exclusive lock, so an unbounded wait here
-      // would freeze every read and write on the shard. The op timeout is
-      // generous: it must cover a follower fsyncing a large snapshot chunk.
+      // would freeze every read and write on the shard. Both bounds are
+      // fixed at the dial, so a socket that refuses the op timeout fails
+      // the dial instead of shipping unbounded. The op timeout is generous:
+      // it must cover a follower fsyncing a large snapshot chunk.
       auto client = net::TcpClient::Connect(host_, port_,
-                                            /*connect_timeout_ms=*/5000);
+                                            /*connect_timeout_ms=*/5000,
+                                            /*op_timeout_ms=*/30'000);
       if (!client.ok()) return client.status();
-      // tc_analyze:allow(status-discard) advisory timeout; a client that rejects it still works, just unbounded
-      (void)(*client)->SetOpTimeout(30'000);
       transport_ = std::shared_ptr<net::Transport>(std::move(*client));
     }
     transport = transport_;

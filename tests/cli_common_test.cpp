@@ -61,6 +61,30 @@ TEST(Flags, Uint64FullRange) {
   EXPECT_EQ(flags.GetUint("uuid", 0), 17834164730926769409ull);
 }
 
+TEST(ParsePort, AcceptsOnlyDigitsInRange) {
+  EXPECT_EQ(*ParsePort("4433"), 4433);
+  EXPECT_EQ(*ParsePort("0"), 0);  // an ephemeral listen port
+  EXPECT_EQ(*ParsePort("65535"), 65535);
+  // 70000 must not wrap to 4464, and trailing junk must not be dropped.
+  for (const char* bad : {"70000", "65536", "4433x", "", "-1", " 80", "+80",
+                          "99999999999999999999"}) {
+    auto port = ParsePort(bad);
+    EXPECT_EQ(port.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(ParseHostPort, SplitsAtTheLastColonAndRejectsPortZero) {
+  auto target = ParseHostPort("127.0.0.1:4433");
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  EXPECT_EQ(target->host, "127.0.0.1");
+  EXPECT_EQ(target->port, 4433);
+  for (const char* bad : {"h:70000", "h:4433x", "h:", ":1", "h:0", "h",
+                          ""}) {
+    auto parsed = ParseHostPort(bad);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(StreamStateFile, RoundTripsSeedAndConfig) {
   std::string dir = ::testing::TempDir() + "/cli_state_rt";
   std::filesystem::remove_all(dir);

@@ -10,6 +10,7 @@
 #include "client/grants.hpp"
 #include "client/key_manager.hpp"
 #include "client/owner.hpp"
+#include "crypto/ec_elgamal.hpp"
 #include "crypto/sha256.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
@@ -602,6 +603,42 @@ TEST_F(OwnerSealTest, RefusedSealStillSendsTheBatchBeforeIt) {
   for (uint64_t i = 0; i < 15; ++i) {
     EXPECT_EQ(recorder->chunks[i].chunk_index, i);
   }
+}
+
+TEST_F(OwnerSealTest, EcElGamalIngestIsUnimplementedAndSendsNothing) {
+  // The server accepts an EC-ElGamal stream with a real public key, but the
+  // owner seals only HEAC and plaintext chunks: the record that closes the
+  // first chunk is refused, and no chunk reaches the server.
+  config.cipher = net::CipherKind::kEcElGamal;
+  config.cipher_public = crypto::EcElGamal::Generate()->ExportPublicKey();
+  OwnerClient owner(transport);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+  ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
+  Status refused = owner.InsertRecord(*uuid, {config.delta_ms, 2});
+  EXPECT_EQ(refused.code(), StatusCode::kUnimplemented) << refused.ToString();
+
+  net::StreamInfoRequest req{*uuid};
+  auto info_blob =
+      transport->Call(net::MessageType::kGetStreamInfo, req.Encode());
+  ASSERT_TRUE(info_blob.ok()) << info_blob.status().ToString();
+  auto info = net::StreamInfoResponse::Decode(*info_blob);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->num_chunks, 0u);
+  EXPECT_TRUE(recorder->chunks.empty());
+}
+
+TEST_F(OwnerSealTest, VerifiedStatRangeOnAPlainStreamIsUnimplemented) {
+  config.cipher = net::CipherKind::kPlain;
+  config.integrity = true;
+  OwnerClient owner(transport);
+  auto uuid = owner.CreateStream(config);
+  ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+  ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  auto verified = owner.GetVerifiedStatRange(*uuid, {0, config.delta_ms});
+  EXPECT_EQ(verified.status().code(), StatusCode::kUnimplemented)
+      << verified.status().ToString();
 }
 
 /// Answers GetStatRange over chunks [0, 2^40), past the end of any key tree,

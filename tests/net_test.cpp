@@ -13,6 +13,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -955,6 +956,7 @@ TEST(Tcp, OversizedResponseFrameRejectedByClient) {
   RawServer raw;
   auto client = TcpClient::Connect("127.0.0.1", raw.port(),
                                    /*connect_timeout_ms=*/0,
+                                   /*op_timeout_ms=*/0,
                                    /*max_frame_body=*/1 << 20);
   ASSERT_TRUE(client.ok());
   raw.Accept();
@@ -995,10 +997,11 @@ TEST(Tcp, OpTimeoutFailsPendingCallsButSparesIdleConnections) {
   {
     // A peer that accepts and then never answers must fail the call.
     RawServer raw;
-    auto client = TcpClient::Connect("127.0.0.1", raw.port());
+    auto client = TcpClient::Connect("127.0.0.1", raw.port(),
+                                     /*connect_timeout_ms=*/0,
+                                     /*op_timeout_ms=*/150);
     ASSERT_TRUE(client.ok());
     raw.Accept();
-    ASSERT_TRUE((*client)->SetOpTimeout(150).ok());
     auto call = (*client)->AsyncCall(MessageType::kPing, {});
     raw.ReadRequest();
     auto result = call.Wait();
@@ -1010,9 +1013,10 @@ TEST(Tcp, OpTimeoutFailsPendingCallsButSparesIdleConnections) {
     // clients sit quiet between beats far longer than the op timeout.
     TcpServer server(std::make_shared<EchoHandler>(), 0);
     ASSERT_TRUE(server.Start().ok());
-    auto client = TcpClient::Connect("127.0.0.1", server.port());
+    auto client = TcpClient::Connect("127.0.0.1", server.port(),
+                                     /*connect_timeout_ms=*/0,
+                                     /*op_timeout_ms=*/100);
     ASSERT_TRUE(client.ok());
-    ASSERT_TRUE((*client)->SetOpTimeout(100).ok());
     ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("a")).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     auto again = (*client)->Call(MessageType::kPing, ToBytes("b"));
@@ -1021,26 +1025,37 @@ TEST(Tcp, OpTimeoutFailsPendingCallsButSparesIdleConnections) {
   }
 }
 
-TEST(Tcp, OpTimeoutAppliesToCallsAlreadyInFlight) {
+TEST(Tcp, OpTimeoutFiresForACallIssuedAfterAnIdleStretch) {
+  // The reader is idle for 2.5 op timeouts, so the call below lands in the
+  // middle of one of its idle poll slices. Nothing nudges the reader, yet
+  // the call must still fail: no earlier than t, no later than 2t.
+  constexpr int64_t kTimeoutMs = 200;
   RawServer raw;
-  auto client = TcpClient::Connect("127.0.0.1", raw.port());
+  auto client = TcpClient::Connect("127.0.0.1", raw.port(),
+                                   /*connect_timeout_ms=*/0, kTimeoutMs);
   ASSERT_TRUE(client.ok());
   raw.Accept();
+  std::this_thread::sleep_for(std::chrono::milliseconds(kTimeoutMs * 5 / 2));
 
-  // The call is issued BEFORE the timeout is configured; SetOpTimeout
-  // must restart the clock on in-flight calls, not only future ones.
+  auto issued = std::chrono::steady_clock::now();
   auto call = (*client)->AsyncCall(MessageType::kPing, {});
-  raw.ReadRequest();
-  ASSERT_TRUE((*client)->SetOpTimeout(150).ok());
-  EXPECT_EQ(call.Wait().status().code(), StatusCode::kUnavailable);
+  raw.ReadRequest();  // the peer reads the request and never answers
+  auto result = call.Wait();
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - issued);
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_GE(elapsed.count(), kTimeoutMs);
+  // 2t plus slack for a loaded (or sanitized) host's scheduler.
+  EXPECT_LE(elapsed.count(), 2 * kTimeoutMs + 300);
 }
 
 TEST(Tcp, StuckCallTimesOutWhileOtherResponsesFlow) {
   RawServer raw;
-  auto client = TcpClient::Connect("127.0.0.1", raw.port());
+  auto client = TcpClient::Connect("127.0.0.1", raw.port(),
+                                   /*connect_timeout_ms=*/0,
+                                   /*op_timeout_ms=*/200);
   ASSERT_TRUE(client.ok());
   raw.Accept();
-  ASSERT_TRUE((*client)->SetOpTimeout(200).ok());
 
   // One request the peer never answers...
   auto stuck = (*client)->AsyncCall(MessageType::kGetStatRange, {});
@@ -1059,6 +1074,51 @@ TEST(Tcp, StuckCallTimesOutWhileOtherResponsesFlow) {
   auto result = stuck.Wait();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Tcp, ConnectedClientHoldsOneDescriptor) {
+  RawServer raw;
+  size_t before = OpenFdCount();
+  // The peer has not accepted yet, so the client's socket must be the only
+  // new descriptor in this process.
+  auto client = TcpClient::Connect("127.0.0.1", raw.port(),
+                                   /*connect_timeout_ms=*/0,
+                                   /*op_timeout_ms=*/1000);
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(OpenFdCount(), before + 1);
+  client->reset();
+  EXPECT_EQ(OpenFdCount(), before);
+}
+
+TEST(Tcp, ConnectPingDestroyCyclesLeakNoDescriptor) {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  size_t baseline = OpenFdCount();
+  for (int i = 0; i < 1000; ++i) {
+    auto client = TcpClient::Connect("127.0.0.1", server.port(),
+                                     /*connect_timeout_ms=*/1000,
+                                     /*op_timeout_ms=*/1000);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("x")).ok());
+  }
+  // The server closes its side of each connection on its reader thread
+  // once it sees the client's shutdown; give the last few time to exit.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (OpenFdCount() != baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
+  server.Stop();
 }
 
 TEST(Tcp, ConcurrentCallersShareOneSocket) {

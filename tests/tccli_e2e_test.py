@@ -8,8 +8,10 @@ consumer and operator commands against it: create --integrity, insert, info,
 stats (range and series), range, attest, verify, keygen, grant, consume,
 revoke, cluster-info, replica-info, metrics, traces, trace and events. Every
 printed sum, count and point is checked against the inserted data, and each
-operator command against one fact it must report. The server is stopped
-with SIGTERM and must exit cleanly; it is killed if the test fails first.
+operator command against one fact it must report. A --port or --peers value
+that is not a port is a usage error, never a dial of some other port. The
+server is stopped with SIGTERM and must exit cleanly; it is killed if the
+test fails first.
 
 Usage: tccli_e2e_test.py PATH/TO/tcserver PATH/TO/tccli
 """
@@ -148,6 +150,28 @@ def check_operator_commands(cli, state_dir, uuid, workdir):
           "event log kinds: %s" % sorted(kinds))
 
 
+def check_bad_ports(tccli, port, state_dir):
+    """Bad --port and --peers values exit non-zero with a usage error that
+    names the flag. 70000 would wrap to port 4464, and '4433junk' would dial
+    the live server."""
+    cases = [
+        (["--port", "70000", "info", "--uuid", "1"], "--port"),
+        (["--port", "%djunk" % port, "info", "--uuid", "1"], "--port"),
+        (["--port", str(port), "trace", "1", "--peers",
+          "127.0.0.1:%djunk" % port], "--peers"),
+        (["--port", str(port), "traces", "--peers", "127.0.0.1:70000"],
+         "--peers"),
+    ]
+    for args, flag in cases:
+        result = subprocess.run(
+            [tccli, "--state-dir", str(state_dir), *args],
+            capture_output=True, text=True, timeout=TIMEOUT_S)
+        check(result.returncode != 0 and flag in result.stderr and
+              "expected" in result.stderr,
+              "%s: exit %d, stderr %r" % (" ".join(args), result.returncode,
+                                          result.stderr))
+
+
 def run(tcserver, tccli):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -209,6 +233,7 @@ def run(tcserver, tccli):
                   "revoke: " + out)
 
             check_operator_commands(cli, owner_dir, uuid, workdir)
+            check_bad_ports(tccli, port, owner_dir)
 
             # A clean shutdown: SIGTERM runs the server's signal handler
             # and graceful stop, and the process exits 0.

@@ -98,6 +98,41 @@ inline int64_t RequireInt(const Flags& flags, const std::string& name,
   return parsed;
 }
 
+/// A port number: digits only, in [0, 65535]. 0 asks for an ephemeral
+/// listen port. (A cast of a wider integer would wrap 70000 to 4464.)
+inline Result<uint16_t> ParsePort(const std::string& text) {
+  auto bad = [&] {
+    return InvalidArgument("expected a port in [0, 65535], got '" + text +
+                           "'");
+  };
+  if (text.empty()) return bad();
+  uint32_t port = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return bad();
+    port = port * 10 + static_cast<uint32_t>(c - '0');
+    if (port > 65535) return bad();
+  }
+  return static_cast<uint16_t>(port);
+}
+
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// A dial target, HOST:PORT. Port 0 names no peer, so it is rejected.
+inline Result<HostPort> ParseHostPort(const std::string& text) {
+  auto colon = text.rfind(':');
+  if (colon != std::string::npos && colon > 0) {
+    auto port = ParsePort(text.substr(colon + 1));
+    if (port.ok() && *port != 0) {
+      return HostPort{text.substr(0, colon), *port};
+    }
+  }
+  return InvalidArgument("expected HOST:PORT with a port in [1, 65535], got '" +
+                         text + "'");
+}
+
 /// Reads a whole state file; NotFound when it does not exist.
 inline Result<Bytes> ReadStateFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);

@@ -82,11 +82,17 @@ void Usage() {
       "           fetch grants and run a stat query as that principal\n");
 }
 
+/// --port (default 4433). Exits with a usage error when it is not a port.
+uint16_t PortFlag(const Flags& flags) {
+  auto port = ParsePort(flags.Get("port", "4433"));
+  if (!port.ok()) Die(InvalidArgument("--port: " + port.status().message()));
+  return *port;
+}
+
 /// Connect to --host/--port. Exits on error.
 std::shared_ptr<net::Transport> Connect(const Flags& flags) {
-  auto client = net::TcpClient::Connect(
-      flags.Get("host", "127.0.0.1"),
-      static_cast<uint16_t>(flags.GetInt("port", 4433)));
+  auto client = net::TcpClient::Connect(flags.Get("host", "127.0.0.1"),
+                                        PortFlag(flags));
   if (!client.ok()) Die(client.status());
   return std::shared_ptr<net::Transport>(std::move(*client));
 }
@@ -410,28 +416,27 @@ struct TraceSource {
 };
 
 Result<std::vector<TraceSource>> ConnectSources(const Flags& flags) {
+  // Every peer is parsed before anything is dialed.
+  std::vector<HostPort> peers;
+  std::istringstream list(flags.Get("peers", ""));
+  std::string peer;
+  while (std::getline(list, peer, ',')) {
+    if (peer.empty()) continue;
+    auto parsed = ParseHostPort(peer);
+    if (!parsed.ok()) {
+      return InvalidArgument("--peers: " + parsed.status().message());
+    }
+    peers.push_back(std::move(*parsed));
+  }
   std::vector<TraceSource> sources;
   sources.push_back({flags.Get("host", "127.0.0.1") + ":" +
-                         std::to_string(flags.GetInt("port", 4433)),
+                         std::to_string(PortFlag(flags)),
                      Connect(flags)});
-  std::istringstream peers(flags.Get("peers", ""));
-  std::string peer;
-  while (std::getline(peers, peer, ',')) {
-    if (peer.empty()) continue;
-    auto colon = peer.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= peer.size()) {
-      return InvalidArgument("--peers expects HOST:PORT[,HOST:PORT...], got '" +
-                             peer + "'");
-    }
-    unsigned long port = std::strtoul(peer.c_str() + colon + 1, nullptr, 10);
-    if (port == 0 || port > 65535) {
-      return InvalidArgument("--peers port out of range in '" + peer + "'");
-    }
-    auto client = net::TcpClient::Connect(peer.substr(0, colon),
-                                          static_cast<uint16_t>(port));
+  for (const HostPort& p : peers) {
+    auto client = net::TcpClient::Connect(p.host, p.port);
     TC_RETURN_IF_ERROR(client.status());
-    sources.push_back({peer, std::shared_ptr<net::Transport>(
-                                 std::move(*client))});
+    sources.push_back({p.host + ":" + std::to_string(p.port),
+                       std::shared_ptr<net::Transport>(std::move(*client))});
   }
   return sources;
 }

@@ -287,17 +287,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--max-frame-mb must be in [1, 4095]\n");
     return 1;
   }
-  int64_t port_value = tools::RequireInt(flags, "port", 4433);
-  if (port_value < 0 || port_value > 65535) {
-    std::fprintf(stderr, "--port must be in [0, 65535]\n");
+  auto port_flag = tools::ParsePort(flags.Get("port", "4433"));
+  if (!port_flag.ok()) {
+    std::fprintf(stderr, "--port: %s\n",
+                 port_flag.status().message().c_str());
     return 1;
   }
-  uint16_t port = static_cast<uint16_t>(port_value);
+  uint16_t port = *port_flag;
 
   const bool metrics_enabled = flags.Has("metrics-port");
-  int64_t metrics_port_value = tools::RequireInt(flags, "metrics-port", 0);
-  if (metrics_port_value < 0 || metrics_port_value > 65535) {
-    std::fprintf(stderr, "--metrics-port must be in [0, 65535]\n");
+  auto metrics_port = tools::ParsePort(flags.Get("metrics-port", "0"));
+  if (!metrics_port.ok()) {
+    std::fprintf(stderr, "--metrics-port: %s\n",
+                 metrics_port.status().message().c_str());
     return 1;
   }
   int64_t slow_op_ms = tools::RequireInt(flags, "slow-op-ms", 0);
@@ -328,7 +330,7 @@ int main(int argc, char** argv) {
   auto start_metrics = [&](std::function<void()> pre_collect) -> bool {
     if (!metrics_enabled) return true;
     metrics_http = std::make_unique<net::MetricsHttpServer>(
-        static_cast<uint16_t>(metrics_port_value), std::move(pre_collect));
+        *metrics_port, std::move(pre_collect));
     if (auto started = metrics_http->Start(); !started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
       return false;
@@ -373,26 +375,15 @@ int main(int argc, char** argv) {
 
   if (follower_mode) {
     std::string target = flags.Get("follower-of");
-    auto colon = target.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= target.size()) {
-      std::fprintf(stderr, "--follower-of expects HOST:PORT, got '%s'\n",
-                   target.c_str());
+    auto primary = tools::ParseHostPort(target);
+    if (!primary.ok()) {
+      std::fprintf(stderr, "--follower-of: %s\n",
+                   primary.status().message().c_str());
       return 1;
     }
     replica::FollowerDaemonOptions daemon_options;
-    daemon_options.primary_host = target.substr(0, colon);
-    errno = 0;
-    char* end = nullptr;
-    unsigned long primary_port =
-        std::strtoul(target.c_str() + colon + 1, &end, 10);
-    if (errno == ERANGE || *end != '\0' || primary_port == 0 ||
-        primary_port > 65535) {
-      std::fprintf(stderr,
-                   "--follower-of port must be an integer in [1, 65535]\n");
-      return 1;
-    }
-    daemon_options.primary_port = static_cast<uint16_t>(primary_port);
+    daemon_options.primary_host = primary->host;
+    daemon_options.primary_port = primary->port;
     daemon_options.advertise_host = flags.Get("advertise", "127.0.0.1");
     daemon_options.takeover_timeout_ms = takeover_ms;
     daemon_options.auto_promote = !flags.Has("no-auto-promote");
