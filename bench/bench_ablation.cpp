@@ -115,7 +115,7 @@ void BM_DecryptNaiveKeystream(benchmark::State& state) {
     uint64_t key_sum = 0;
     crypto::SequentialLeafIterator it(crypto::RandomKey128(), 0, 0, 30, 0);
     for (uint64_t i = 0; i < n; ++i) {
-      key_sum += crypto::Fold64(it.Current());
+      key_sum += crypto::Fold64(it.Current().secret_bytes());
       it.Next();
     }
     uint64_t m = 12345 - key_sum;
@@ -549,7 +549,7 @@ void BM_HmacSha256(benchmark::State& state) {
   const crypto::Key128 key = crypto::RandomKey128();
   const Bytes msg(static_cast<size_t>(state.range(0)), 0xa5);
   for (auto _ : state) {
-    crypto::Sha256Digest d = crypto::HmacSha256(key, msg);
+    crypto::Sha256Digest d = crypto::HmacSha256(key.secret_bytes(), msg);
     benchmark::DoNotOptimize(d);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));

@@ -107,8 +107,7 @@ void BM_ResolutionGrantSetup(benchmark::State& state) {
     if (!view.ok() || !envelopes.ok()) std::abort();
     state.PauseTiming();
     auto key = view->DeriveKey(kUpperWindow);
-    if (!key.ok() ||
-        !client::StreamKeys::OpenEnvelope(*key, envelopes->back()).ok()) {
+    if (!key.ok() || !crypto::GcmOpenKey(*key, envelopes->back()).ok()) {
       std::abort();
     }
     state.ResumeTiming();

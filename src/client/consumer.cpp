@@ -74,7 +74,7 @@ Result<crypto::Key128> ConsumerClient::BoundaryLeaf(uint64_t uuid,
         transport_->Call(MessageType::kGetEnvelopes, req.Encode()));
     TC_ASSIGN_OR_RETURN(auto resp, net::GetEnvelopesResponse::Decode(payload));
     if (resp.envelopes.size() != 1) return DataLoss("missing envelope");
-    return StreamKeys::OpenEnvelope(res_key, resp.envelopes[0]);
+    return crypto::GcmOpenKey(res_key, resp.envelopes[0]);
   }
   return PermissionDenied(
       "no grant can derive the key for chunk boundary " +

@@ -19,6 +19,7 @@
 #include "crypto/ggm_tree.hpp"
 #include "crypto/key_regression.hpp"
 #include "crypto/sealed_box.hpp"
+#include "net/codec.hpp"
 
 namespace tc::client {
 
@@ -35,17 +36,6 @@ enum class GrantKind : uint8_t {
 };
 
 struct AccessGrant {
-  AccessGrant() = default;
-  AccessGrant(const AccessGrant&) = default;
-  AccessGrant& operator=(const AccessGrant&) = default;
-  AccessGrant(AccessGrant&&) noexcept = default;
-  AccessGrant& operator=(AccessGrant&&) noexcept = default;
-  ~AccessGrant() {
-    SecureZero(primary_state);
-    SecureZero(secondary_state);
-    // tokens scrub themselves (AccessToken zeroizes on destruction).
-  }
-
   uint64_t stream_uuid = 0;
   GrantKind kind = GrantKind::kFullResolution;
 
@@ -62,11 +52,19 @@ struct AccessGrant {
   uint64_t resolution_chunks = 0;
   uint64_t window_lower = 0;
   uint64_t window_upper = 0;
-  TC_SECRET crypto::Key128 primary_state{};
-  TC_SECRET crypto::Key128 secondary_state{};
+  Scrubbed<crypto::Key128> primary_state;
+  Scrubbed<crypto::Key128> secondary_state;
 
-  Bytes Encode() const;
-  static Result<AccessGrant> Decode(BytesView in);
+  // A decoded token must name a node of the tree: token sets walk from it.
+  // The codec bounds the token count by the remaining input first.
+  static void Visit(auto& g, auto& v) {
+    v(g.stream_uuid, g.kind, g.first_chunk, g.last_chunk, g.tree_height,
+      g.tokens);
+    v.Check(g.TokensInTree(), "token outside the key tree");
+    v(g.resolution_chunks, g.window_lower, g.window_upper, g.primary_state,
+      g.secondary_state);
+  }
+  TC_WIRE_MESSAGE(AccessGrant)
 
   /// Seal to / open with a principal key (X25519 + AES-GCM hybrid).
   Result<Bytes> SealTo(BytesView principal_public) const;
@@ -76,6 +74,9 @@ struct AccessGrant {
   /// Consumer-side views over the key material.
   Result<crypto::TokenSet> MakeTokenSet() const;
   Result<crypto::DualKeyRegressionView> MakeResolutionView() const;
+
+ private:
+  bool TokensInTree() const;
 };
 
 }  // namespace tc::client

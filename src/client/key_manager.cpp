@@ -16,11 +16,7 @@ crypto::Key128 Subseed(const crypto::Key128& master, std::string_view label,
   BinaryWriter w;
   w.PutString(label);
   w.PutU64(param);
-  auto h = crypto::HmacSha256(master, w.data());
-  crypto::Key128 k;
-  const auto first = h.begin() + half * k.size();
-  std::copy(first, first + k.size(), k.begin());
-  return k;
+  return crypto::HmacSubkey(master, w.data(), half);
 }
 }  // namespace
 
@@ -67,19 +63,10 @@ Result<std::vector<Bytes>> StreamKeys::MakeEnvelopes(
   std::vector<Bytes> envelopes;
   envelopes.reserve(res_keys.size());
   for (uint64_t j = lower; j <= upper; ++j) {
-    envelopes.push_back(crypto::GcmSeal(res_keys[j - lower],
-                                        Leaf(j * resolution_chunks)));
+    envelopes.push_back(crypto::GcmSealKey(res_keys[j - lower],
+                                           Leaf(j * resolution_chunks)));
   }
   return envelopes;
-}
-
-Result<crypto::Key128> StreamKeys::OpenEnvelope(const crypto::Key128& res_key,
-                                                BytesView envelope) {
-  TC_ASSIGN_OR_RETURN(Bytes plain, crypto::GcmOpen(res_key, envelope));
-  if (plain.size() != 16) return DataLoss("envelope payload is not a key");
-  crypto::Key128 leaf;
-  std::copy(plain.begin(), plain.end(), leaf.begin());
-  return leaf;
 }
 
 }  // namespace tc::client

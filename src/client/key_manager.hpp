@@ -23,11 +23,6 @@ struct StreamKeysConfig {
 class StreamKeys {
  public:
   StreamKeys(crypto::Key128 master_seed, StreamKeysConfig config = {});
-  ~StreamKeys() {
-    SecureZero(master_);
-    // tree_, path_ and resolutions_ scrub themselves: GgmTree, the
-    // iterator's path slots and HashChain all zeroize on destruction.
-  }
 
   const crypto::GgmTree& tree() const { return *tree_; }
   std::shared_ptr<const crypto::GgmTree> shared_tree() const { return tree_; }
@@ -50,14 +45,10 @@ class StreamKeys {
   Result<std::vector<Bytes>> MakeEnvelopes(uint64_t resolution_chunks,
                                            uint64_t lower, uint64_t upper);
 
-  /// Open an envelope with a derived resolution key (consumer side).
-  static Result<crypto::Key128> OpenEnvelope(const crypto::Key128& res_key,
-                                             BytesView envelope);
-
   const crypto::Key128& master_seed() const { return master_; }
 
  private:
-  TC_SECRET crypto::Key128 master_;
+  Scrubbed<crypto::Key128> master_;
   StreamKeysConfig config_;
   std::shared_ptr<crypto::GgmTree> tree_;
   crypto::SequentialLeafIterator path_;

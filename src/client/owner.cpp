@@ -260,7 +260,7 @@ Status OwnerClient::SealGroup(StreamState& s) {
   // Leaves first .. first + n key the group's digests (§4.2.2) and payloads
   // (§4.3). Sequential chunks seek the key path one leaf on, about one PRG
   // call each; deriving them from the GGM root costs the tree height.
-  TC_SECRET std::array<crypto::Key128, crypto::kCryptoLanes + 1> leaves;
+  std::array<crypto::Key128, crypto::kCryptoLanes + 1> leaves;
   for (size_t j = 0; j <= n; ++j) leaves[j] = s.keys->Leaf(first + j);
   uint8_t* body = s.open.data();
   const size_t num_fields = s.config.schema.num_fields();
@@ -290,7 +290,7 @@ Status OwnerClient::SealGroup(StreamState& s) {
   }
 
   // Payloads: AES-GCM under each chunk's key, sealed where they lie.
-  TC_SECRET std::array<crypto::Key128, crypto::kCryptoLanes> payload_keys;
+  std::array<crypto::Key128, crypto::kCryptoLanes> payload_keys;
   crypto::ChunkPayloadKeys(std::span<const crypto::Key128>(leaves).first(n + 1),
                            std::span(payload_keys).first(n));
   std::array<std::array<uint8_t, chunk::kChunkAadSize>, crypto::kCryptoLanes>

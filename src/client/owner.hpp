@@ -167,7 +167,7 @@ class OwnerClient {
     // once), and a group of n chunks derives the n leaves after it into
     // field_keys[1..n].
     std::vector<uint64_t> fields;
-    TC_SECRET std::vector<crypto::FieldKeys> field_keys;
+    std::vector<crypto::FieldKeys> field_keys;
     uint64_t carried_chunk = 0;
     // The closed chunks of the open batch not yet sealed, oldest first: at
     // most kCryptoLanes consecutive chunks, sealed together in lanes. Each

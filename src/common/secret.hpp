@@ -1,48 +1,32 @@
-// Secret-hygiene primitives: the TC_SECRET annotation consumed by
-// tools/analyze/tc_analyze.py, a zeroize-on-free allocator, and the
-// SecretBuffer RAII type for variable-length key material.
+// Secret-hygiene primitives: key material is a type, not a convention.
 //
-// TC_SECRET marks a declaration (field, parameter, variable) as key
-// material. Under clang it expands to [[clang::annotate("tc_secret")]],
-// which tc_analyze reads out of the AST to enforce:
-//   A1 secret-leak     — annotated values never flow into TC_LOG streams,
-//                        trace::RecordEvent details, metric names/labels,
-//                        or Status message construction;
-//   A2 zeroize         — a type with an annotated member SecureZeros it in
-//                        its destructor or holds it in a SecretBuffer;
-//   A3 constant-time   — ==/!=/memcmp on annotated operands routes through
-//                        ConstantTimeEqual.
-// Under GCC (and pre-annotate clang) the macro expands to nothing, exactly
-// like the thread-safety macros in thread_annotations.hpp: the default
-// local build is unaffected and the analysis runs in the clang CI job.
+//  - crypto::Key128 (crypto/rand.hpp) has no ==, no stream operator and
+//    no implicit byte view, and SecretBuffer no implicit byte view (its ==
+//    is constant-time, its << redacts), so a key cannot reach a TC_LOG
+//    stream, a Status message or an early-exit compare without a compile
+//    error. Each exposes its bytes through one explicit accessor,
+//    secret_bytes(), which tc_lint allows only in src/crypto/ and in the
+//    key serialisers (net/codec.hpp, client/grants.cpp, the CLI's key
+//    files). Compare keys with ConstantTimeEqual (crypto/constant_time.hpp).
+//  - Key material held in an object lives in a scrubbing holder:
+//    Scrubbed<T> for fixed-size values (keys, key schedules, GGM paths),
+//    SecretBytes/SecretBuffer or a ZeroizingAllocator vector for the rest.
+//    tc_lint R9 rejects a key member held any other way, so no owner
+//    writes a scrubbing destructor of its own.
 //
-// Fixed-size key material (crypto::Key128, AES round-key schedules) stays
-// in inline arrays scrubbed by their owner's destructor; SecretBuffer is
-// for the variable-length secrets (X25519/Ed25519 raw keys) that would
-// otherwise sit in a heap-backed Bytes the allocator frees without
-// scrubbing.
+// tests/compile_fail/ proves the missing operators are missing;
+// tests/secret_test.cpp proves the holders scrub.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
-
-#if defined(__clang__) && defined(__has_attribute)
-#define TC_SECRET_HAS(x) __has_attribute(x)
-#else
-#define TC_SECRET_HAS(x) 0
-#endif
-
-#if TC_SECRET_HAS(annotate)
-#define TC_SECRET [[clang::annotate("tc_secret")]]
-#else
-#define TC_SECRET  // no-op outside clang
-#endif
 
 namespace tc {
 
@@ -98,11 +82,33 @@ class ZeroizingAllocator {
 /// Bytes whose backing store is scrubbed whenever it is released.
 using SecretBytes = std::vector<uint8_t, ZeroizingAllocator<uint8_t>>;
 
-/// RAII buffer for variable-length key material. Behaves like a small
-/// Bytes (resize/data/size, implicit BytesView) but its storage is
-/// scrubbed on destruction, on reallocation, and on move-assignment over
-/// an existing value; equality is constant-time; streaming it prints a
-/// redaction, never the contents.
+/// A trivially copyable key value (Key128, an array of them, a key
+/// schedule) that SecureZeros its bytes when destroyed. It is-a T, so it
+/// reads, indexes and passes as one; copies and moves copy the value, and
+/// each copy scrubs itself.
+template <typename T>
+class Scrubbed : public T {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  Scrubbed() : T{} {}
+  Scrubbed(const T& value) : T(value) {}  // NOLINT(google-explicit-constructor)
+  Scrubbed(const Scrubbed&) = default;
+  Scrubbed& operator=(const Scrubbed&) = default;
+  Scrubbed& operator=(const T& value) {
+    T::operator=(value);
+    return *this;
+  }
+  ~Scrubbed() {
+    SecureZero(MutableBytesView(
+        reinterpret_cast<uint8_t*>(static_cast<T*>(this)), sizeof(T)));
+  }
+};
+
+/// RAII buffer for variable-length key material. Its storage is scrubbed on
+/// destruction, on reallocation, and on move-assignment over an existing
+/// value; equality is constant-time; streaming it prints a redaction, never
+/// the contents. The bytes are reached only through secret_bytes().
 class SecretBuffer {
  public:
   SecretBuffer() = default;
@@ -123,8 +129,6 @@ class SecretBuffer {
   SecretBuffer(SecretBuffer&&) noexcept = default;
   SecretBuffer& operator=(SecretBuffer&&) noexcept = default;
 
-  uint8_t* data() { return data_.data(); }
-  const uint8_t* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
   void resize(size_t n) { data_.resize(n, 0); }
@@ -135,16 +139,14 @@ class SecretBuffer {
     data_.clear();
   }
 
-  BytesView view() const { return BytesView(data_.data(), data_.size()); }
-  MutableBytesView mutable_view() {
-    return MutableBytesView(data_.data(), data_.size());
-  }
-  operator BytesView() const { return view(); }  // NOLINT(google-explicit-constructor)
+  /// The one way to the bytes (tc_lint restricts where it may be called).
+  BytesView secret_bytes() const { return BytesView(data_); }
+  MutableBytesView secret_bytes() { return MutableBytesView(data_); }
 
   /// Constant-time equality — comparing key material with an early-exit
   /// memcmp would leak matching-prefix length through timing.
   friend bool operator==(const SecretBuffer& a, const SecretBuffer& b) {
-    return ConstantTimeEqual(a.view(), b.view());
+    return ConstantTimeEqual(a.secret_bytes(), b.secret_bytes());
   }
   friend bool operator!=(const SecretBuffer& a, const SecretBuffer& b) {
     return !(a == b);
@@ -163,7 +165,7 @@ class SecretBuffer {
     b.clear();
   }
 
-  TC_SECRET SecretBytes data_;
+  SecretBytes data_;
 };
 
 }  // namespace tc

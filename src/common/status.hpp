@@ -34,9 +34,9 @@ std::string_view StatusCodeName(StatusCode code);
 
 /// A success-or-error value. Cheap to copy on success (no allocation).
 /// [[nodiscard]] (here and on Result) makes the compiler reject plainly
-/// ignored returns; tc_analyze rule "status-discard" (B3) catches the
-/// shapes the compiler can't — discards through references, comma
-/// operators, and unjustified casts to void.
+/// ignored returns, comma-operator discards included; tc_lint B3 requires a
+/// reason comment on every cast to void and [[nodiscard]] on every function
+/// returning a Status or Result by reference.
 class [[nodiscard]] Status {
  public:
   Status() = default;  // OK

@@ -1,5 +1,6 @@
-// Compile-time lock-discipline enforcement: Clang Thread Safety Analysis
-// attributes plus capability-annotated wrappers over the std primitives.
+// Lock discipline, checked twice: at compile time by Clang Thread Safety
+// Analysis over capability-annotated wrappers of the std primitives, and at
+// run time, in Debug builds, by the blocking checks below.
 //
 // Every mutex in src/ is a tc::Mutex or tc::SharedMutex (tc_lint enforces
 // this), every piece of guarded state carries GUARDED_BY, and every
@@ -7,8 +8,7 @@
 // -Wthread-safety (the TC_THREAD_SAFETY=ON CMake build, run in CI) an
 // unlocked read of guarded state, a lock held across a forbidden boundary,
 // or a missing REQUIRES is a hard compile error. Under GCC every attribute
-// expands to nothing and the wrappers are zero-cost forwarding shims, so
-// the default local build is unaffected.
+// expands to nothing and the wrappers are zero-cost forwarding shims.
 //
 // Annotation conventions for new code (see README "Static analysis"):
 //  - Name the guarded state:       Bytes buf_ GUARDED_BY(mu_);
@@ -24,21 +24,18 @@
 //  - TS_NO_ANALYSIS currently has zero uses in src/ (even CondVar's
 //    release/reacquire hides inside std::condition_variable_any, not
 //    behind an escape). A new use needs a comment explaining why the
-//    analysis cannot see the invariant. Note that tc_analyze's
-//    concurrency rules (B1/B2, see tools/analyze/tc_analyze.py) do NOT
-//    honor TS_NO_ANALYSIS — their only escape hatch is a justified
-//    `// tc_analyze:allow(...)` comment.
-//  - Mark functions that can park the calling thread (socket I/O, fsync,
-//    condvar/future waits, sleeps) with TC_BLOCKING on their declaration.
-//    tc_analyze seeds its may-block summaries from it and rejects blocking
-//    calls made while a tc::Mutex/SharedMutex is held (B1) or from inside
-//    an Executor/AsyncCall callback (B2).
+//    analysis cannot see the invariant.
+//  - A function that can park the calling thread (socket I/O, fsync,
+//    condvar and future waits) starts with AssertBlockingAllowed().
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
+#include <source_location>
 
 // ---------------------------------------------------------------------------
 // Attribute macros (clang's official thread-safety vocabulary, gated so GCC
@@ -77,25 +74,120 @@
 #define RETURN_CAPABILITY(x) TC_TSA(lock_returned(x))
 #define TS_NO_ANALYSIS TC_TSA(no_thread_safety_analysis)
 
+namespace tc {
+
 // ---------------------------------------------------------------------------
-// Blocking-call annotation (consumed by tools/analyze/tc_analyze.py, not by
-// the compiler). Place TC_BLOCKING at the very start of a declaration in a
-// header (tc_lint R10 enforces declaration placement):
-//
-//   TC_BLOCKING Status Sync() override;
-//   TC_BLOCKING static Result<std::unique_ptr<TcpClient>> Connect(...);
-//
-// Like TC_SECRET, it rides [[clang::annotate]] so it survives into the AST
-// that tc_analyze walks, and expands to nothing on GCC.
+// Blocking checks, after Chromium's base::ScopedAllowBlocking. In Debug
+// builds (no NDEBUG) AssertBlockingAllowed() aborts when its thread
+//   B1  holds a tc::Mutex or tc::SharedMutex: every thread that needs the
+//       lock would wait out the I/O too; or
+//   B2  runs an Executor task or a transport completion callback: one
+//       parked worker stalls every request queued behind it.
+// CondVar waits check B2 only (they release their mutex while parked). The
+// checks see through calls across files and through virtual calls. A site
+// where blocking is the point holds a ScopedAllowBlocking, with its reason
+// beside it: it excuses the locks held where it is made and the task it
+// runs on, not locks taken or tasks run inside it. Release builds compile
+// all of this to nothing.
 // ---------------------------------------------------------------------------
 
-#if TC_TSA_HAS(annotate)
-#define TC_BLOCKING [[clang::annotate("tc_blocking")]]
-#else
-#define TC_BLOCKING  // no-op outside clang
+namespace blocking_internal {
+#ifndef NDEBUG
+struct ThreadState {
+  int locks_held = 0;     // tc::Mutex and tc::SharedMutex holds, shared too
+  int locks_excused = 0;  // of those, the ones a ScopedAllowBlocking excuses
+  int disallowed = 0;     // Executor tasks and completion callbacks running
+};
+inline thread_local ThreadState state;
+
+[[noreturn]] inline void Fail(const char* why, const std::source_location& at) {
+  std::fprintf(stderr, "%s:%u: blocking call %s %s\n", at.file_name(),
+               static_cast<unsigned>(at.line()), at.function_name(), why);
+  std::abort();
+}
 #endif
 
-namespace tc {
+inline void CountLock([[maybe_unused]] int delta) {
+#ifndef NDEBUG
+  state.locks_held += delta;
+#endif
+}
+
+inline bool CountIfLocked(bool locked) {
+  if (locked) CountLock(1);
+  return locked;
+}
+}  // namespace blocking_internal
+
+/// First statement of every function that can park its thread (B1 and B2).
+inline void AssertBlockingAllowed([[maybe_unused]] const std::source_location&
+                                      at = std::source_location::current()) {
+#ifndef NDEBUG
+  const auto& s = blocking_internal::state;
+  if (s.locks_held > s.locks_excused) {
+    blocking_internal::Fail("while holding a lock", at);
+  }
+  if (s.disallowed > 0) {
+    blocking_internal::Fail("on an executor task or completion callback", at);
+  }
+#endif
+}
+
+/// A condvar wait: B2 only, since the wait releases the mutex it holds.
+inline void AssertWaitAllowed([[maybe_unused]] const std::source_location&
+                                  at = std::source_location::current()) {
+#ifndef NDEBUG
+  if (blocking_internal::state.disallowed > 0) {
+    blocking_internal::Fail("on an executor task or completion callback", at);
+  }
+#endif
+}
+
+/// Lets this thread block for the scope's life under the locks it holds
+/// now, and on the task or callback it runs now. Every use says why beside
+/// it.
+class ScopedAllowBlocking {
+ public:
+#ifndef NDEBUG
+  ScopedAllowBlocking()
+      : saved_excused_(blocking_internal::state.locks_excused),
+        saved_disallowed_(blocking_internal::state.disallowed) {
+    blocking_internal::state.locks_excused =
+        blocking_internal::state.locks_held;
+    blocking_internal::state.disallowed = 0;
+  }
+  ~ScopedAllowBlocking() {
+    blocking_internal::state.locks_excused = saved_excused_;
+    blocking_internal::state.disallowed = saved_disallowed_;
+  }
+#else
+  ScopedAllowBlocking() {}
+#endif
+  ScopedAllowBlocking(const ScopedAllowBlocking&) = delete;
+  ScopedAllowBlocking& operator=(const ScopedAllowBlocking&) = delete;
+
+#ifndef NDEBUG
+ private:
+  int saved_excused_;
+  int saved_disallowed_;
+#endif
+};
+
+/// Marks an Executor task or a completion callback running on this thread.
+class ScopedDisallowBlocking {
+ public:
+  ScopedDisallowBlocking() { Count(1); }
+  ~ScopedDisallowBlocking() { Count(-1); }
+  ScopedDisallowBlocking(const ScopedDisallowBlocking&) = delete;
+  ScopedDisallowBlocking& operator=(const ScopedDisallowBlocking&) = delete;
+
+ private:
+  static void Count([[maybe_unused]] int delta) {
+#ifndef NDEBUG
+    blocking_internal::state.disallowed += delta;
+#endif
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Capability-annotated mutexes. BasicLockable, so std::condition_variable_any
@@ -111,9 +203,11 @@ class CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void lock() ACQUIRE() { mu_.lock(); blocking_internal::CountLock(1); }
+  void unlock() RELEASE() { blocking_internal::CountLock(-1); mu_.unlock(); }
+  bool try_lock() TRY_ACQUIRE(true) {
+    return blocking_internal::CountIfLocked(mu_.try_lock());
+  }
 
   /// Tell the analysis the lock is held without acquiring it — for code
   /// reached only while a caller outside the analysis horizon (e.g. a std::
@@ -131,14 +225,22 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void lock() ACQUIRE() { mu_.lock(); blocking_internal::CountLock(1); }
+  void unlock() RELEASE() { blocking_internal::CountLock(-1); mu_.unlock(); }
+  bool try_lock() TRY_ACQUIRE(true) {
+    return blocking_internal::CountIfLocked(mu_.try_lock());
+  }
 
-  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
+  void lock_shared() ACQUIRE_SHARED() {
+    mu_.lock_shared();
+    blocking_internal::CountLock(1);
+  }
+  void unlock_shared() RELEASE_SHARED() {
+    blocking_internal::CountLock(-1);
+    mu_.unlock_shared();
+  }
   bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
+    return blocking_internal::CountIfLocked(mu_.try_lock_shared());
   }
 
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
@@ -212,26 +314,31 @@ class CondVar {
   void NotifyAll() { cv_.notify_all(); }
 
   /// Atomically release `mu`, wait, reacquire. Spurious wakeups possible —
-  /// always wrap in a predicate while-loop. Blocking, but exempt from
-  /// tc_analyze B1 (the wait releases the mutex by design); it still counts
-  /// for B2 — an executor task must never park its worker on a condvar.
-  TC_BLOCKING void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
+  /// always wrap in a predicate while-loop. Blocking, but exempt from B1
+  /// (the wait releases the mutex by design); it still counts for B2 — an
+  /// executor task must never park its worker on a condvar.
+  void Wait(Mutex& mu) REQUIRES(mu) {
+    AssertWaitAllowed();
+    cv_.wait(mu);
+  }
 
   /// Timed wait; returns std::cv_status::timeout when the duration elapsed
   /// without a notification.
   template <class Rep, class Period>
-  TC_BLOCKING std::cv_status WaitFor(
-      Mutex& mu, const std::chrono::duration<Rep, Period>& dur)
+  std::cv_status WaitFor(Mutex& mu,
+                         const std::chrono::duration<Rep, Period>& dur)
       REQUIRES(mu) {
+    AssertWaitAllowed();
     return cv_.wait_for(mu, dur);
   }
 
   /// Deadline wait, for predicate loops that must not extend their total
   /// timeout on spurious wakeups.
   template <class Clock, class Duration>
-  TC_BLOCKING std::cv_status WaitUntil(
+  std::cv_status WaitUntil(
       Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
       REQUIRES(mu) {
+    AssertWaitAllowed();
     return cv_.wait_until(mu, deadline);
   }
 

@@ -55,7 +55,7 @@ void OnForkChild() { ++fork_generation; }
 /// than the kernel's bytes, so getrandom fills all of it.
 void FillNonceReserve(MutableBytesView out) {
   if (!CpuHas(kCpuAesNi)) return RandomBytes(out);
-  TC_SECRET Key128 key = RandomKey128();
+  Key128 key = RandomKey128();
   AesNiKeystream(key, out);
   SecureZero(key);
 }
@@ -75,14 +75,13 @@ void NextNonce(uint8_t* out) {
   const uint64_t generation = fork_generation.load();
   if (reserve.used == reserve.bytes.size() ||
       reserve.generation != generation) {
-    static const bool registered = [] {
+    [[maybe_unused]] static const bool registered = [] {
       if (pthread_atfork(nullptr, nullptr, OnForkChild) != 0) {
         std::fprintf(stderr, "fatal: pthread_atfork failed\n");
         std::abort();
       }
       return true;
     }();
-    (void)registered;
     FillNonceReserve(reserve.bytes);
     reserve.used = 0;
     reserve.generation = generation;
@@ -261,11 +260,12 @@ TC_GCM_TARGET bool NativeGcm(const Key128& key, const uint8_t* nonce,
   for (size_t j = 1; j < kLanes; ++j) {
     b[j] = CounterBlock(nonce_block, static_cast<uint32_t>(j));
   }
-  TC_SECRET __m128i rk[11];
+  __m128i rk[11];
   const bool more = n > kFirstStream * 16;
   internal::AesEncryptScheduling(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data())), b,
-      more ? rk : nullptr);
+      _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(key.secret_bytes().data())),
+      b, more ? rk : nullptr);
   const auto scrub = [&] {
     if (more) {
       SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(rk), sizeof(rk)));
@@ -424,7 +424,7 @@ TC_VAES_TARGET void VaesGcmSeal(std::span<const GcmSealLane> lanes) {
   for (size_t j = 1; j < kLanes; ++j) {
     b[j] = CounterLanes(nonces, static_cast<uint32_t>(j));
   }
-  TC_SECRET __m512i rk[11];
+  __m512i rk[11];
   const bool more = blocks > kFirstStream;
   internal::Aes4EncryptScheduling(internal::LoadKeyLanes(keys, n), b,
                                   more ? rk : nullptr);
@@ -500,8 +500,8 @@ void SealOne(const Key128& key, BytesView plaintext, BytesView aad,
   }
 
   EVP_CIPHER_CTX* ctx = ThreadCtx();
-  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
-                          nullptr) != 1) {
+  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.secret_bytes().data(),
+                          nonce, nullptr) != 1) {
     FatalOpenSsl("EncryptInit(gcm)");
   }
   int out_len = 0;
@@ -528,12 +528,12 @@ void SealOne(const Key128& key, BytesView plaintext, BytesView aad,
 /// lane), the input of a payload key's hash step.
 Key128 LeafDifference(const Key128& leaf_i, const Key128& leaf_next) {
   uint64_t a[2], b[2];
-  std::memcpy(a, leaf_i.data(), 16);
-  std::memcpy(b, leaf_next.data(), 16);
+  std::memcpy(a, leaf_i.secret_bytes().data(), 16);
+  std::memcpy(b, leaf_next.secret_bytes().data(), 16);
   a[0] -= b[0];
   a[1] -= b[1];
   Key128 d;
-  std::memcpy(d.data(), a, 16);
+  std::memcpy(d.secret_bytes().data(), a, 16);
   return d;
 }
 
@@ -590,8 +590,8 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
 #endif
 
   EVP_CIPHER_CTX* ctx = ThreadCtx();
-  if (EVP_DecryptInit_ex2(ctx, GcmCipherFor(ctx), key.data(), nonce,
-                          nullptr) != 1) {
+  if (EVP_DecryptInit_ex2(ctx, GcmCipherFor(ctx), key.secret_bytes().data(),
+                          nonce, nullptr) != 1) {
     FatalOpenSsl("DecryptInit(gcm)");
   }
   int len = 0;
@@ -614,6 +614,20 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
     return DataLoss("GCM authentication failed (tampered or wrong key)");
   }
   return plaintext;
+}
+
+Bytes GcmSealKey(const Key128& key, const Key128& payload) {
+  return GcmSeal(key, payload.secret_bytes());
+}
+
+Result<Key128> GcmOpenKey(const Key128& key, BytesView sealed) {
+  TC_ASSIGN_OR_RETURN(Bytes plain, GcmOpen(key, sealed));
+  Key128 out;
+  const bool is_key = plain.size() == sizeof(out);
+  if (is_key) std::memcpy(out.secret_bytes().data(), plain.data(), sizeof(out));
+  SecureZero(plain);
+  if (!is_key) return DataLoss("envelope payload is not a key");
+  return out;
 }
 
 Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next) {

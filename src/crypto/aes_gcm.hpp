@@ -48,13 +48,13 @@ bool GcmIsNative();
 /// parent holds, without a getpid call per seal. A child made by a raw
 /// clone or fork system call runs no atfork handlers, so it must not seal
 /// before it execs. Nonces are public, so the reserve needs no scrubbing.
-Bytes GcmSeal(TC_SECRET const Key128& key, BytesView plaintext,
+Bytes GcmSeal(const Key128& key, BytesView plaintext,
               BytesView aad = {});
 
 /// GcmSeal's output, appended to `out` (kGcmNonceSize + plaintext.size() +
 /// kGcmTagSize bytes) instead of returned. `plaintext` must not point into
 /// `out`. GcmSeal is this into an empty buffer.
-void GcmSealAppend(TC_SECRET const Key128& key, BytesView plaintext,
+void GcmSealAppend(const Key128& key, BytesView plaintext,
                    BytesView aad, Bytes& out);
 
 /// One payload for GcmSealLanes: sealed as GcmSealAppend seals `plaintext`
@@ -81,8 +81,14 @@ void GcmSealLanes(std::span<const GcmSealLane> lanes);
 /// Decrypt + authenticate. DataLoss on any tampering/truncation. The native
 /// path checks the tag (in constant time) before it decrypts, so no
 /// unauthenticated plaintext is ever written.
-Result<Bytes> GcmOpen(TC_SECRET const Key128& key, BytesView sealed,
+Result<Bytes> GcmOpen(const Key128& key, BytesView sealed,
                       BytesView aad = {});
+
+/// An envelope (§4.4.2): GcmSeal of the 16 bytes of `payload`.
+Bytes GcmSealKey(const Key128& key, const Key128& payload);
+
+/// Opens a GcmSealKey envelope; DataLoss unless it holds exactly a key.
+Result<Key128> GcmOpenKey(const Key128& key, BytesView sealed);
 
 /// The chunk payload key of §4.3: H(k_i - k_{i+1}) where subtraction is the
 /// component-wise uint64 difference of the two 128-bit leaves (mod 2^64 per
@@ -92,7 +98,7 @@ Key128 ChunkPayloadKey(const Key128& leaf_i, const Key128& leaf_next);
 /// keys[j] = ChunkPayloadKey(leaves[j], leaves[j + 1]) for every j:
 /// `leaves` holds one more than `keys`. The hash steps run two at a time
 /// (Sha256ChainWalkPair).
-void ChunkPayloadKeys(TC_SECRET std::span<const Key128> leaves,
+void ChunkPayloadKeys(std::span<const Key128> leaves,
                       std::span<Key128> keys);
 
 }  // namespace tc::crypto

@@ -114,18 +114,19 @@ TC_AESNI_TARGET inline void StoreStream(const __m128i (&b)[kFieldRun],
 TC_AESNI_TARGET void AesNiExpand(const Key128& parent, Key128& left,
                                  Key128& right) {
   __m128i b[2] = {_mm_setzero_si128(), _mm_cvtsi32_si128(1)};
-  AesEncryptScheduling(Load(parent.data()), b, nullptr);
-  Store(b[0], left.data());
-  Store(b[1], right.data());
+  AesEncryptScheduling(Load(parent.secret_bytes().data()), b, nullptr);
+  Store(b[0], left.secret_bytes().data());
+  Store(b[1], right.secret_bytes().data());
 }
 
 TC_AESNI_TARGET void AesNiFieldKeys(const Key128& leaf,
                                     std::span<uint64_t> keys) {
-  TC_SECRET __m128i rk[11];
+  __m128i rk[11];
   const bool more = keys.size() > kFieldRun;
   __m128i b[kFieldRun];
   FieldCounters(0, b);
-  AesEncryptScheduling(Load(leaf.data()), b, more ? rk : nullptr);
+  AesEncryptScheduling(Load(leaf.secret_bytes().data()), b,
+                       more ? rk : nullptr);
   FoldInto(b, keys, 0);
   if (!more) return;
   for (size_t base = kFieldRun; base < keys.size(); base += kFieldRun) {
@@ -139,7 +140,7 @@ TC_AESNI_TARGET void AesNiFieldKeys(const Key128& leaf,
 TC_VAES_TARGET void VaesFieldKeys(std::span<const Key128* const> leaves,
                                   std::span<uint64_t* const> keys,
                                   size_t num_fields) {
-  TC_SECRET __m512i rk[11];
+  __m512i rk[11];
   const bool more = num_fields > kFieldRun;
   __m512i b[kFieldRun];
   FieldCounterLanes(0, b);
@@ -156,10 +157,10 @@ TC_VAES_TARGET void VaesFieldKeys(std::span<const Key128* const> leaves,
 }
 
 TC_AESNI_TARGET void AesNiKeystream(const Key128& key, MutableBytesView out) {
-  TC_SECRET __m128i rk[11];
+  __m128i rk[11];
   __m128i b[kFieldRun];
   FieldCounters(0, b);
-  AesEncryptScheduling(Load(key.data()), b, rk);
+  AesEncryptScheduling(Load(key.secret_bytes().data()), b, rk);
   StoreStream(b, out, 0);
   constexpr size_t kRunBytes = 16 * kFieldRun;
   for (size_t at = kRunBytes; at < out.size(); at += kRunBytes) {
@@ -172,7 +173,7 @@ TC_AESNI_TARGET void AesNiKeystream(const Key128& key, MutableBytesView out) {
 
 TC_AESNI_TARGET AesNiBlock::AesNiBlock(const Key128& key) {
   auto* rk = reinterpret_cast<__m128i*>(round_keys_.data());
-  __m128i k = Load(key.data());
+  __m128i k = Load(key.secret_bytes().data());
   _mm_store_si128(&rk[0], k);
 #pragma GCC unroll 10
   for (int i = 0; i < 10; ++i) {

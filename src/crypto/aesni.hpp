@@ -18,14 +18,14 @@ namespace tc::crypto {
 /// AES_parent(1), where block 1 is 1 in its first byte and zero elsewhere.
 /// The key schedule runs between the two blocks' rounds, in registers; only
 /// the children are written. Requires CpuHas(kCpuAesNi).
-void AesNiExpand(TC_SECRET const Key128& parent, Key128& left, Key128& right);
+void AesNiExpand(const Key128& parent, Key128& left, Key128& right);
 
 /// HEAC field keys: keys[f] = Fold64(AES_leaf(f)) for every f, where block
 /// f holds f as a little-endian uint64 and Fold64 XORs the block's two
 /// halves. The first eight blocks run with the key schedule; with more
 /// fields the schedule also goes to a stack array, scrubbed on return, for
 /// the later runs of eight. Requires CpuHas(kCpuAesNi).
-void AesNiFieldKeys(TC_SECRET const Key128& leaf, std::span<uint64_t> keys);
+void AesNiFieldKeys(const Key128& leaf, std::span<uint64_t> keys);
 
 /// AesNiFieldKeys(*leaves[l], {keys[l], num_fields}) for every l, for up to
 /// kCryptoLanes leaves at once: leaf l's schedule runs in lane l of one zmm
@@ -39,7 +39,7 @@ void VaesFieldKeys(std::span<const Key128* const> leaves,
 /// holding i as a little-endian uint64, the last block cut to fit. The
 /// schedule is stored for the later runs of eight blocks and scrubbed.
 /// Requires CpuHas(kCpuAesNi).
-void AesNiKeystream(TC_SECRET const Key128& key, MutableBytesView out);
+void AesNiKeystream(const Key128& key, MutableBytesView out);
 
 /// One-block AES-128 on AES-NI over a stored key schedule: the reference
 /// the tests check the kernels' rounds and schedule against (FIPS-197 and
@@ -47,15 +47,14 @@ void AesNiKeystream(TC_SECRET const Key128& key, MutableBytesView out);
 /// CpuHas(kCpuAesNi).
 class AesNiBlock {
  public:
-  explicit AesNiBlock(TC_SECRET const Key128& key);
-  ~AesNiBlock() { SecureZero(round_keys_); }
+  explicit AesNiBlock(const Key128& key);
 
   Block128 EncryptBlock(const Block128& plaintext) const;
 
  private:
   // Round keys stored as raw bytes; reinterpreted as __m128i internally to
   // keep SSE types out of this header.
-  TC_SECRET alignas(16) std::array<uint8_t, 176> round_keys_{};
+  alignas(16) Scrubbed<std::array<uint8_t, 176>> round_keys_;
 };
 
 }  // namespace tc::crypto

@@ -162,8 +162,8 @@ TC_VAES_TARGET inline __m512i LoadKeyLanes(const Key128* const* keys,
                                            size_t n) {
   __m128i k[kCryptoLanes];
   for (size_t l = 0; l < kCryptoLanes; ++l) {
-    k[l] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(keys[l < n ? l : 0]->data()));
+    k[l] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+        keys[l < n ? l : 0]->secret_bytes().data()));
   }
   return JoinLanes(k);
 }

@@ -5,8 +5,10 @@
 // that compares naively. Every comparison whose operands include secret
 // bytes must go through ConstantTimeEqual: it always touches every byte
 // and folds the differences into a single accumulator, so the running time
-// depends only on the length. tools/lint/tc_lint.py enforces this for
-// src/crypto/.
+// depends only on the length. Key128 and SecretBuffer offer no other
+// comparison (crypto::Key128 has no ==, so the compiler rejects one), and
+// tc_lint R5 rejects memcmp, std::equal and == on secret-named byte arrays
+// in src/crypto/.
 #pragma once
 
 #include <array>

@@ -44,19 +44,21 @@ SigningKeyPair GenerateSigningKeyPair() {
   size_t sec_len = pair.secret_key.size();
   if (EVP_PKEY_get_raw_public_key(pkey.get(), pair.public_key.data(),
                                   &pub_len) != 1 ||
-      EVP_PKEY_get_raw_private_key(pkey.get(), pair.secret_key.data(),
+      EVP_PKEY_get_raw_private_key(pkey.get(),
+                                   pair.secret_key.secret_bytes().data(),
                                    &sec_len) != 1) {
     FatalOpenSsl("Ed25519 key export");
   }
   return pair;
 }
 
-Result<Bytes> SignMessage(BytesView secret_key, BytesView message) {
-  if (secret_key.size() != kEd25519SecretKeySize) {
+Result<Bytes> SignMessage(const SecretBuffer& secret_key, BytesView message) {
+  BytesView secret = secret_key.secret_bytes();
+  if (secret.size() != kEd25519SecretKeySize) {
     return InvalidArgument("Ed25519 secret key must be 32 bytes");
   }
-  PkeyPtr pkey(EVP_PKEY_new_raw_private_key(
-      EVP_PKEY_ED25519, nullptr, secret_key.data(), secret_key.size()));
+  PkeyPtr pkey(EVP_PKEY_new_raw_private_key(EVP_PKEY_ED25519, nullptr,
+                                            secret.data(), secret.size()));
   if (!pkey) return InvalidArgument("malformed Ed25519 secret key");
 
   MdCtxPtr ctx(EVP_MD_CTX_new());

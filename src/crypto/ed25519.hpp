@@ -19,8 +19,8 @@ constexpr size_t kEd25519SignatureSize = 64;
 /// provider of the threat model maps owner ids to these public keys, just
 /// as it does for X25519 sealing keys.
 struct SigningKeyPair {
-  Bytes public_key;                  // 32 bytes
-  TC_SECRET SecretBuffer secret_key;  // 32 bytes (seed)
+  Bytes public_key;         // 32 bytes
+  SecretBuffer secret_key;  // 32 bytes (seed)
 };
 
 /// Generate a fresh Ed25519 keypair.
@@ -28,7 +28,7 @@ SigningKeyPair GenerateSigningKeyPair();
 
 /// Sign `message` with a raw 32-byte secret key. Returns a 64-byte
 /// signature.
-Result<Bytes> SignMessage(TC_SECRET BytesView secret_key, BytesView message);
+Result<Bytes> SignMessage(const SecretBuffer& secret_key, BytesView message);
 
 /// Verify a signature against a raw 32-byte public key.
 /// PermissionDenied on mismatch (forged/altered), InvalidArgument on

@@ -22,18 +22,11 @@ namespace tc::crypto {
 /// An inner (or leaf) node handed out to principals. Holding a token is
 /// equivalent to holding all leaves in [FirstLeaf(), LastLeaf()].
 struct AccessToken {
-  AccessToken() = default;
-  AccessToken(uint32_t depth, uint64_t index, const Key128& node_key)
-      : depth(depth), index(index), node_key(node_key) {}
-  AccessToken(const AccessToken&) = default;
-  AccessToken& operator=(const AccessToken&) = default;
-  AccessToken(AccessToken&&) noexcept = default;
-  AccessToken& operator=(AccessToken&&) noexcept = default;
-  ~AccessToken() { SecureZero(node_key); }
-
   uint32_t depth = 0;   // 0 = root
   uint64_t index = 0;   // node index within its level, left-to-right
-  TC_SECRET Key128 node_key{};
+  Scrubbed<Key128> node_key;
+
+  static void Visit(auto& t, auto& v) { v(t.depth, t.index, t.node_key); }
 
   friend bool operator==(const AccessToken& a, const AccessToken& b) {
     // node_key is secret material: compare it in constant time so token
@@ -51,7 +44,6 @@ class GgmTree {
   /// height in [1, 63]; the keystream has 2^height leaves.
   GgmTree(Key128 root_seed, uint32_t height,
           PrgKind prg_kind = PrgKind::kAesNi);
-  ~GgmTree() { SecureZero(root_); }
 
   uint32_t height() const { return height_; }
   uint64_t num_leaves() const { return uint64_t{1} << height_; }
@@ -68,7 +60,7 @@ class GgmTree {
   Result<Key128> DeriveNode(uint32_t depth, uint64_t index) const;
 
  private:
-  TC_SECRET Key128 root_;
+  Scrubbed<Key128> root_;
   uint32_t height_;
   std::unique_ptr<Prg> prg_;
 };
@@ -78,8 +70,8 @@ class GgmTree {
 /// only the path below the deepest ancestor the new leaf shares with the
 /// current one, so a sequential walk costs about one PRG call per leaf and a
 /// jump costs the height of the subtree the two leaves part in. The path
-/// lives in fixed per-depth slots overwritten in place; the destructor
-/// scrubs them.
+/// lives in fixed per-depth slots overwritten in place, held in Scrubbed
+/// storage.
 class SequentialLeafIterator {
  public:
   /// A path at start_leaf of the subtree rooted at root_key, where
@@ -90,12 +82,7 @@ class SequentialLeafIterator {
                          uint64_t root_index, uint32_t tree_height,
                          uint64_t start_leaf,
                          PrgKind prg_kind = PrgKind::kAesNi);
-  ~SequentialLeafIterator() {
-    SecureZero(MutableBytesView(nodes_[0].data(),
-                                (height_ + 1) * sizeof(Key128)));
-    SecureZero(MutableBytesView(rights_[0].data(), height_ * sizeof(Key128)));
-  }
-  // A move copies the slots; the source's destructor scrubs its own.
+  // A move copies the slots; the source scrubs its own when destroyed.
   SequentialLeafIterator(SequentialLeafIterator&&) noexcept = default;
   SequentialLeafIterator& operator=(SequentialLeafIterator&&) noexcept =
       default;
@@ -125,11 +112,11 @@ class SequentialLeafIterator {
   uint64_t end_ = 0;
   // nodes_[d] is the path's node d levels below the subtree root. At the
   // end of the subtree it still holds the last leaf's path.
-  TC_SECRET std::array<Key128, kMaxHeight + 1> nodes_{};
+  Scrubbed<std::array<Key128, kMaxHeight + 1>> nodes_;
   // rights_[d] is nodes_[d]'s right child while the path goes through its
   // left child (a step right takes it next). Stepping into one zeroes it;
   // where the path goes right the slot is not read.
-  TC_SECRET std::array<Key128, kMaxHeight> rights_{};
+  Scrubbed<std::array<Key128, kMaxHeight>> rights_;
 };
 
 /// Consumer-side view: a set of tokens received in a grant. Can derive

@@ -19,7 +19,7 @@ void FieldKeys::Derive(const Key128& leaf) {
     return;
   }
   const SoftAes128 cipher(leaf);
-  TC_SECRET Block128 block{};
+  Block128 block{};
   for (size_t f = 0; f < keys_.size(); ++f) {
     Block128 counter{};
     const uint64_t field = f;

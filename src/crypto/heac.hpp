@@ -32,9 +32,8 @@ namespace tc::crypto {
 
 /// Length-matching hash (§A.1.5): XOR-fold a 128-bit PRF output to 64 bits.
 /// Preserves uniformity; collision resistance is not required.
-inline uint64_t Fold64(const Key128& k) {
+inline uint64_t Fold64(std::span<const uint8_t, 16> k) {
   uint64_t lo, hi;
-  static_assert(sizeof(lo) + sizeof(hi) == sizeof(Key128));
   std::memcpy(&lo, k.data(), 8);
   std::memcpy(&hi, k.data() + 8, 8);
   return lo ^ hi;
@@ -44,33 +43,25 @@ inline uint64_t Fold64(const Key128& k) {
 /// fold64(AES_{leaf}(f)) — one AES block op per field.
 class FieldKeys {
  public:
-  FieldKeys(TC_SECRET const Key128& leaf, size_t num_fields);
+  FieldKeys(const Key128& leaf, size_t num_fields);
   /// Storage for `num_fields` keys, all zero until Derive.
   explicit FieldKeys(size_t num_fields) : keys_(num_fields) {}
-  FieldKeys(const FieldKeys&) = default;
-  FieldKeys& operator=(const FieldKeys&) = default;
-  FieldKeys(FieldKeys&&) noexcept = default;
-  FieldKeys& operator=(FieldKeys&&) noexcept = default;
-  ~FieldKeys() {
-    SecureZero(MutableBytesView(reinterpret_cast<uint8_t*>(keys_.data()),
-                                keys_.size() * sizeof(uint64_t)));
-  }
 
   /// Replace the keys with leaf `leaf`'s, reusing the storage.
-  void Derive(TC_SECRET const Key128& leaf);
+  void Derive(const Key128& leaf);
 
   /// keys[l].Derive(leaves[l]) for every l, for up to kCryptoLanes leaves
   /// of one field count. With CpuHasLanes(), two or more leaves derive at
   /// once in the lanes of one zmm key schedule (VaesFieldKeys); one leaf,
   /// or a CPU without VAES, derives each alone.
-  static void DeriveLanes(TC_SECRET std::span<const Key128> leaves,
+  static void DeriveLanes(std::span<const Key128> leaves,
                           std::span<FieldKeys> keys);
 
   uint64_t key(size_t field) const { return keys_[field]; }
   size_t num_fields() const { return keys_.size(); }
 
  private:
-  TC_SECRET std::vector<uint64_t> keys_;
+  std::vector<uint64_t, ZeroizingAllocator<uint64_t>> keys_;
 };
 
 /// An encrypted digest: one uint64 ciphertext per field, plus the chunk

@@ -7,6 +7,16 @@
 
 namespace tc::crypto {
 
+namespace {
+Key128 Xor(const Key128& a, const Key128& b) {
+  Key128 out;
+  for (size_t i = 0; i < sizeof(out); ++i) {
+    out.secret_bytes()[i] = a.secret_bytes()[i] ^ b.secret_bytes()[i];
+  }
+  return out;
+}
+}  // namespace
+
 Key128 HashChain::StepDown(const Key128& state) {
   Key128 next = state;
   Sha256ChainWalk(next, 1);
@@ -65,8 +75,7 @@ Result<Key128> DualKeyRegressionView::DeriveKey(uint64_t j) const {
   Key128 s1 = primary_.state;
   Key128 s2 = secondary_.state;
   Sha256ChainWalkPair(s1, primary_.index - j, s2, j - secondary_.index);
-  Key128 mixed;
-  for (size_t b = 0; b < mixed.size(); ++b) mixed[b] = s1[b] ^ s2[b];
+  Key128 mixed = Xor(s1, s2);
   Key128 out = HashChain::KeyOf(mixed);
   SecureZero(s1);
   SecureZero(s2);
@@ -104,7 +113,7 @@ Result<SecretKeys> DualKeyRegression::DeriveKeys(uint64_t lower,
   Key128 mixed;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0) s2 = HashChain::StepDown(s2);
-    for (size_t b = 0; b < mixed.size(); ++b) mixed[b] = keys[i][b] ^ s2[b];
+    mixed = Xor(keys[i], s2);
     keys[i] = HashChain::KeyOf(mixed);
   }
   SecureZero(s2);

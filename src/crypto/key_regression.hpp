@@ -31,18 +31,12 @@
 
 namespace tc::crypto {
 
+/// Derived keys; the storage is scrubbed when released.
+using SecretKeys = std::vector<Key128, ZeroizingAllocator<Key128>>;
+
 /// Forward direction of chain consumption relative to generation.
 struct KeyRegressionState {
-  KeyRegressionState() = default;
-  KeyRegressionState(const Key128& state, uint64_t index)
-      : state(state), index(index) {}
-  KeyRegressionState(const KeyRegressionState&) = default;
-  KeyRegressionState& operator=(const KeyRegressionState&) = default;
-  KeyRegressionState(KeyRegressionState&&) noexcept = default;
-  KeyRegressionState& operator=(KeyRegressionState&&) noexcept = default;
-  ~KeyRegressionState() { SecureZero(state); }
-
-  TC_SECRET Key128 state{};
+  Scrubbed<Key128> state;
   uint64_t index = 0;
 };
 
@@ -55,14 +49,6 @@ class HashChain {
   /// Hashes nothing: the checkpoints, spaced ~sqrt(length) apart, are
   /// built by StateAt as it needs them.
   HashChain(Key128 seed, uint64_t length);
-  HashChain(const HashChain&) = default;
-  HashChain& operator=(const HashChain&) = default;
-  HashChain(HashChain&&) noexcept = default;
-  HashChain& operator=(HashChain&&) noexcept = default;
-  ~HashChain() {
-    SecureZero(seed_);
-    for (auto& cp : checkpoints_) SecureZero(cp);
-  }
 
   uint64_t length() const { return length_; }
 
@@ -85,12 +71,12 @@ class HashChain {
 
  private:
   uint64_t length_;
-  TC_SECRET Key128 seed_;  // state at index length-1 (the top anchor)
+  Scrubbed<Key128> seed_;  // state at index length-1 (the top anchor)
   uint64_t stride_;
   // checkpoints_[j] = state at j*stride_ for j >= built_from_; the entries
   // below are not built yet. Every built entry is chain state, i.e. key
-  // material; the destructor scrubs the lot.
-  TC_SECRET std::vector<Key128> checkpoints_;
+  // material, scrubbed when released.
+  SecretKeys checkpoints_;
   size_t built_from_;
 };
 
@@ -118,9 +104,6 @@ class DualKeyRegressionView {
   KeyRegressionState primary_;    // discloses indices <= primary_.index
   KeyRegressionState secondary_;  // discloses indices >= secondary_.index
 };
-
-/// Derived keys; the storage is scrubbed when released.
-using SecretKeys = std::vector<Key128, ZeroizingAllocator<Key128>>;
 
 /// Owner side of a dual key regression (two chains + checkpoints).
 class DualKeyRegression {

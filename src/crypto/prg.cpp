@@ -35,8 +35,10 @@ class AesSoftPrg final : public Prg {
   void Expand(const Key128& parent, Key128& left,
               Key128& right) const override {
     SoftAes128 cipher(parent);
-    left = cipher.EncryptBlock(kZeroBlock);
-    right = cipher.EncryptBlock(kOneBlock);
+    std::ranges::copy(cipher.EncryptBlock(kZeroBlock),
+                      left.secret_bytes().begin());
+    std::ranges::copy(cipher.EncryptBlock(kOneBlock),
+                      right.secret_bytes().begin());
   }
 };
 
@@ -44,14 +46,16 @@ class Sha256Prg final : public Prg {
  public:
   void Expand(const Key128& parent, Key128& left,
               Key128& right) const override {
-    left = Truncate(Sha256Concat(BytesView(&kLeftTag, 1), parent));
-    right = Truncate(Sha256Concat(BytesView(&kRightTag, 1), parent));
+    left = Truncate(
+        Sha256Concat(BytesView(&kLeftTag, 1), parent.secret_bytes()));
+    right = Truncate(
+        Sha256Concat(BytesView(&kRightTag, 1), parent.secret_bytes()));
   }
 
  private:
   static Key128 Truncate(const Sha256Digest& d) {
     Key128 k;
-    std::memcpy(k.data(), d.data(), k.size());
+    std::memcpy(k.secret_bytes().data(), d.data(), sizeof(k));
     return k;
   }
 

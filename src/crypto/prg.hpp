@@ -33,12 +33,11 @@ class Prg {
   virtual ~Prg() = default;
 
   /// Expand a 128-bit node into its two 128-bit children.
-  virtual void Expand(TC_SECRET const Key128& parent, Key128& left,
+  virtual void Expand(const Key128& parent, Key128& left,
                       Key128& right) const = 0;
 
   /// Derive only one child (some callers walk a single path).
-  virtual Key128 ExpandOne(TC_SECRET const Key128& parent,
-                           bool right_child) const {
+  virtual Key128 ExpandOne(const Key128& parent, bool right_child) const {
     Key128 l, r;
     Expand(parent, l, r);
     SecureZero(right_child ? l : r);

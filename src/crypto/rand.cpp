@@ -28,7 +28,7 @@ void RandomBytes(MutableBytesView out) {
 
 Key128 RandomKey128() {
   Key128 k;
-  RandomBytes(k);
+  RandomBytes(k.secret_bytes());
   return k;
 }
 

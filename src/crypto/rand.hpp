@@ -4,13 +4,33 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 
 #include "common/bytes.hpp"
+#include "crypto/constant_time.hpp"
 
 namespace tc::crypto {
 
 /// 128-bit key/seed material — the node size of the GGM tree (λ = 128).
-using Key128 = std::array<uint8_t, 16>;
+/// A plain 16-byte value with no ==, no stream operator and no implicit
+/// byte view: compare with ConstantTimeEqual, reach the bytes only through
+/// secret_bytes() (common/secret.hpp says where that is allowed). Key128{}
+/// is all zeros; a default-initialized one is indeterminate.
+class Key128 {
+ public:
+  std::span<uint8_t, 16> secret_bytes() { return bytes_; }
+  std::span<const uint8_t, 16> secret_bytes() const { return bytes_; }
+
+  friend bool ConstantTimeEqual(const Key128& a, const Key128& b) {
+    return ConstantTimeEqual(a.secret_bytes(), b.secret_bytes());
+  }
+  friend void SecureZero(Key128& k) { tc::SecureZero(k.secret_bytes()); }
+
+ private:
+  std::array<uint8_t, 16> bytes_;
+};
+static_assert(std::is_trivially_copyable_v<Key128> && sizeof(Key128) == 16);
 
 /// Fill `out` with CSPRNG bytes. Aborts on entropy failure (unrecoverable).
 void RandomBytes(MutableBytesView out);

@@ -34,7 +34,8 @@ PkeyPtr LoadPublic(BytesView raw) {
                                              raw.data(), raw.size()));
 }
 
-PkeyPtr LoadSecret(BytesView raw) {
+PkeyPtr LoadSecret(const SecretBuffer& secret) {
+  BytesView raw = secret.secret_bytes();
   return PkeyPtr(EVP_PKEY_new_raw_private_key(EVP_PKEY_X25519, nullptr,
                                               raw.data(), raw.size()));
 }
@@ -66,7 +67,7 @@ Key128 DeriveBoxKey(BytesView shared, BytesView eph_pub, BytesView rcpt_pub) {
   Append(info, rcpt_pub);
   Bytes okm = HkdfSha256(shared, ToBytes("timecrypt-sealed-box-v1"), info, 16);
   Key128 key;
-  std::memcpy(key.data(), okm.data(), 16);
+  std::memcpy(key.secret_bytes().data(), okm.data(), 16);
   SecureZero(okm);
   return key;
 }
@@ -90,8 +91,8 @@ BoxKeyPair GenerateBoxKeyPair() {
   }
   len = kX25519KeySize;
   pair.secret_key.resize(len);
-  if (EVP_PKEY_get_raw_private_key(pkey.get(), pair.secret_key.data(), &len) !=
-      1) {
+  if (EVP_PKEY_get_raw_private_key(
+          pkey.get(), pair.secret_key.secret_bytes().data(), &len) != 1) {
     FatalOpenSsl("get_raw_private_key");
   }
   return pair;

@@ -19,8 +19,8 @@ constexpr size_t kX25519KeySize = 32;
 /// here the public half is passed around directly. The secret half lives in
 /// a SecretBuffer: scrubbed on destruction, redacted when streamed.
 struct BoxKeyPair {
-  Bytes public_key;                  // 32 bytes
-  TC_SECRET SecretBuffer secret_key;  // 32 bytes
+  Bytes public_key;         // 32 bytes
+  SecretBuffer secret_key;  // 32 bytes
 };
 
 /// Generate a fresh X25519 keypair.

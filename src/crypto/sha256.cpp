@@ -54,7 +54,7 @@ inline uint32_t LoadBe32(const uint8_t* p) {
 /// without SHA-NI. The message schedule can hold key material (HMAC's
 /// padded keys), so it is scrubbed.
 void PortableCompress(uint8_t* state, const uint8_t* p, size_t n) {
-  TC_SECRET uint32_t h[8] = {}, w[64] = {};
+  uint32_t h[8] = {}, w[64] = {};
   for (int i = 0; i < 8; ++i) h[i] = LoadBe32(state + 4 * i);
   for (; n > 0; --n, p += 64) {
     for (int i = 0; i < 16; ++i) w[i] = LoadBe32(p + 4 * i);
@@ -241,10 +241,10 @@ using CompressFn = void (*)(uint8_t* state, const uint8_t* blocks, size_t n);
 /// and the states after them): the buffer is scrubbed, and each state
 /// overwrites the last, up to the digest.
 Sha256Digest HashBlocks(CompressFn compress, BytesView a, BytesView b) {
-  TC_SECRET Sha256Digest state = kInitialState;
+  Sha256Digest state = kInitialState;
   // Left uninitialized on the one-block hot path: every byte a compression
   // reads is copied in or written by the padding first.
-  TC_SECRET std::array<uint8_t, 128> tail;
+  std::array<uint8_t, 128> tail;
   size_t fill = 0;
   for (BytesView part : {a, b}) {
     while (!part.empty()) {
@@ -292,13 +292,15 @@ Sha256Digest Sha256Concat(BytesView a, BytesView b) {
 
 void Sha256ChainWalk(Key128& state, uint64_t steps) {
 #if defined(TC_NATIVE_KERNELS)
-  if (CpuHas(kCpuShaNi)) return ShaNiChainWalk(state.data(), steps);
+  if (CpuHas(kCpuShaNi)) {
+    return ShaNiChainWalk(state.secret_bytes().data(), steps);
+  }
 #endif
   if (steps == 0) return;
   Sha256Digest d;
   for (; steps > 0; --steps) {
-    d = Sha256(state);
-    std::memcpy(state.data(), d.data(), state.size());
+    d = Sha256(state.secret_bytes());
+    std::memcpy(state.secret_bytes().data(), d.data(), sizeof(state));
   }
   SecureZero(d);
 }
@@ -307,7 +309,8 @@ void Sha256ChainWalkPair(Key128& a, uint64_t a_steps, Key128& b,
                          uint64_t b_steps) {
 #if defined(TC_NATIVE_KERNELS)
   if (CpuHas(kCpuShaNi)) {
-    return ShaNiChainWalkPair(a.data(), a_steps, b.data(), b_steps);
+    return ShaNiChainWalkPair(a.secret_bytes().data(), a_steps,
+                              b.secret_bytes().data(), b_steps);
   }
 #endif
   Sha256ChainWalk(a, a_steps);
@@ -318,12 +321,12 @@ Key128 Sha256ChainKey(const Key128& state) {
   Key128 key;
 #if defined(TC_NATIVE_KERNELS)
   if (CpuHas(kCpuShaNi)) {
-    ShaNiChainKey(state.data(), key.data());
+    ShaNiChainKey(state.secret_bytes().data(), key.secret_bytes().data());
     return key;
   }
 #endif
-  Sha256Digest d = Sha256(state);
-  std::memcpy(key.data(), d.data() + key.size(), key.size());
+  Sha256Digest d = Sha256(state.secret_bytes());
+  std::memcpy(key.secret_bytes().data(), d.data() + sizeof(key), sizeof(key));
   SecureZero(d);
   return key;
 }
@@ -331,21 +334,30 @@ Key128 Sha256ChainKey(const Key128& state) {
 Sha256Digest HmacSha256(BytesView key, BytesView data) {
   // The key, zero-padded to one block (hashed first if longer), XOR ipad
   // and then opad.
-  TC_SECRET std::array<uint8_t, 64> pad{};
+  std::array<uint8_t, 64> pad{};
   if (key.size() > pad.size()) {
-    TC_SECRET Sha256Digest hashed = Sha256(key);
+    Sha256Digest hashed = Sha256(key);
     std::memcpy(pad.data(), hashed.data(), hashed.size());
     SecureZero(hashed);
   } else if (!key.empty()) {
     std::memcpy(pad.data(), key.data(), key.size());
   }
   for (uint8_t& byte : pad) byte ^= 0x36;
-  TC_SECRET Sha256Digest inner = Sha256Concat(pad, data);
+  Sha256Digest inner = Sha256Concat(pad, data);
   for (uint8_t& byte : pad) byte ^= 0x36 ^ 0x5c;
   const Sha256Digest out = Sha256Concat(pad, inner);
   SecureZero(pad);
   SecureZero(inner);
   return out;
+}
+
+Key128 HmacSubkey(const Key128& key, BytesView data, size_t half) {
+  Sha256Digest h = HmacSha256(key.secret_bytes(), data);
+  Key128 subkey;
+  std::memcpy(subkey.secret_bytes().data(), h.data() + half * sizeof(subkey),
+              sizeof(subkey));
+  SecureZero(h);
+  return subkey;
 }
 
 Bytes HkdfSha256(BytesView ikm, BytesView salt, BytesView info, size_t length) {
@@ -355,7 +367,7 @@ Bytes HkdfSha256(BytesView ikm, BytesView salt, BytesView info, size_t length) {
                  length);
     std::abort();
   }
-  TC_SECRET Sha256Digest prk = HmacSha256(salt, ikm);  // Extract.
+  Sha256Digest prk = HmacSha256(salt, ikm);  // Extract.
   // Expand: block i is the HMAC under prk of block i-1 || info || i, and
   // every block but the last is whole, so block i-1 is the output's last
   // 32 bytes.

@@ -30,22 +30,26 @@ Sha256Digest Sha256Concat(BytesView a, BytesView b);
 
 /// The hash-chain step s <- MSB128(SHA-256(s)), applied `steps` times to
 /// `state` in place (none for steps = 0).
-void Sha256ChainWalk(TC_SECRET Key128& state, uint64_t steps);
+void Sha256ChainWalk(Key128& state, uint64_t steps);
 
 /// Sha256ChainWalk(a, a_steps) and Sha256ChainWalk(b, b_steps). On SHA-NI
 /// the two walks run in lockstep while both have steps left, so that one
 /// walk's rounds fill the other's latency.
-void Sha256ChainWalkPair(TC_SECRET Key128& a, uint64_t a_steps,
-                         TC_SECRET Key128& b, uint64_t b_steps);
+void Sha256ChainWalkPair(Key128& a, uint64_t a_steps,
+                         Key128& b, uint64_t b_steps);
 
 /// LSB128(SHA-256(state)): a chain state's key material.
-Key128 Sha256ChainKey(TC_SECRET const Key128& state);
+Key128 Sha256ChainKey(const Key128& state);
 
-Sha256Digest HmacSha256(TC_SECRET BytesView key, BytesView data);
+Sha256Digest HmacSha256(BytesView key, BytesView data);
+
+/// Half `half` (0 or 1) of HMAC-SHA256(key, data), as a key: a subkey
+/// derived from `key` under the label `data`.
+Key128 HmacSubkey(const Key128& key, BytesView data, size_t half = 0);
 
 /// HKDF (RFC 5869) extract-then-expand with SHA-256. Aborts when `length`
 /// exceeds 255 * 32 bytes, the most the one-byte block counter can number.
-Bytes HkdfSha256(TC_SECRET BytesView ikm, BytesView salt, BytesView info,
+Bytes HkdfSha256(BytesView ikm, BytesView salt, BytesView info,
                  size_t length);
 
 }  // namespace tc::crypto

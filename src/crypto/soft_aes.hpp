@@ -19,8 +19,7 @@ using Block128 = std::array<uint8_t, 16>;
 /// the PRG and CTR-style uses never need the inverse cipher.
 class SoftAes128 {
  public:
-  explicit SoftAes128(TC_SECRET const Key128& key) { ExpandKey(key); }
-  ~SoftAes128() { SecureZero(round_keys_); }
+  explicit SoftAes128(const Key128& key) { ExpandKey(key); }
 
   /// Encrypt one 16-byte block (ECB single block).
   Block128 EncryptBlock(const Block128& plaintext) const;
@@ -30,7 +29,7 @@ class SoftAes128 {
 
   // 11 round keys x 16 bytes — an expanded form of the key itself, scrubbed
   // on destruction (the PRG constructs one of these per expand call).
-  TC_SECRET std::array<uint8_t, 176> round_keys_{};
+  Scrubbed<std::array<uint8_t, 176>> round_keys_;
 };
 
 }  // namespace tc::crypto

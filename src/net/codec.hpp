@@ -6,8 +6,9 @@
 //
 //   uint8_t, uint32_t, uint64_t, int64_t   fixed width, little endian
 //   an enum                                its underlying integer
-//   std::array<uint8_t, N>                 the N bytes, raw (Key128, Hash)
-//   std::string, Bytes                     varint length, then the bytes
+//   std::array<uint8_t, N>                 the N bytes, raw (Hash)
+//   crypto::Key128, Scrubbed<Key128>       the 16 key bytes, raw
+//   std::string, Bytes, SecretBuffer       varint length, then the bytes
 //   BytesView                              the same bytes as Bytes; decodes
 //                                          as a view into the input, which
 //                                          must outlive the message
@@ -39,7 +40,9 @@
 #include <vector>
 
 #include "common/io.hpp"
+#include "common/secret.hpp"
 #include "common/time.hpp"
+#include "crypto/rand.hpp"
 
 namespace tc::index {
 struct DigestSchema;
@@ -141,9 +144,15 @@ class Writer {
   void Put(const std::string& x) { out_.PutString(x); }
   void Put(const Bytes& x) { out_.PutBytes(x); }
   void Put(BytesView x) { out_.PutBytes(x); }
+  void Put(const SecretBuffer& x) { out_.PutBytes(x.secret_bytes()); }
   template <size_t N>
   void Put(const std::array<uint8_t, N>& x) {
     out_.PutRaw(x);
+  }
+  void Put(const crypto::Key128& x) { out_.PutRaw(x.secret_bytes()); }
+  template <typename T>
+  void Put(const Scrubbed<T>& x) {
+    Put(static_cast<const T&>(x));
   }
   void Put(const TimeRange& x) { (*this)(x.start, x.end); }
   template <typename E>
@@ -206,7 +215,7 @@ class Reader {
     if (status_.ok() && !cond) status_ = InvalidArgument(msg);
   }
 
-  const Status& status() const { return status_; }
+  [[nodiscard]] const Status& status() const { return status_; }
 
  private:
   template <typename T>
@@ -229,11 +238,24 @@ class Reader {
     Take(in_.GetVar(), size);
     if (status_.ok()) Take(in_.GetRaw(size), x);
   }
+  void Get(SecretBuffer& x) {
+    BytesView raw;
+    Get(raw);
+    if (status_.ok()) x = SecretBuffer(raw);
+  }
   template <size_t N>
   void Get(std::array<uint8_t, N>& x) {
+    GetRaw(x);
+  }
+  void Get(crypto::Key128& x) { GetRaw(x.secret_bytes()); }
+  template <typename T>
+  void Get(Scrubbed<T>& x) {
+    Get(static_cast<T&>(x));
+  }
+  void GetRaw(std::span<uint8_t> out) {
     BytesView raw;
-    Take(in_.GetRaw(N), raw);
-    std::copy(raw.begin(), raw.end(), x.begin());
+    Take(in_.GetRaw(out.size()), raw);
+    std::copy(raw.begin(), raw.end(), out.begin());
   }
   void Get(TimeRange& x) { (*this)(x.start, x.end); }
   template <typename E>

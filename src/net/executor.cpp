@@ -44,6 +44,7 @@ void Executor::RunTask(Task& task) {
         waited.count() < 0 ? 0 : static_cast<uint64_t>(waited.count()));
   }
   if (queue_depth_ != nullptr) queue_depth_->Dec();
+  ScopedDisallowBlocking task_scope;
   task.fn();
 }
 
@@ -63,6 +64,7 @@ void Executor::WorkerLoop() {
 
 void Executor::Submit(std::function<void()> task) {
   if (threads_.empty()) {
+    ScopedDisallowBlocking task_scope;
     task();
     return;
   }

@@ -100,6 +100,7 @@ bool WriteResponse(int fd, uint64_t request_id, const Result<Bytes>& result) {
 }  // namespace
 
 Status ReadExact(int fd, MutableBytesView out) {
+  AssertBlockingAllowed();
   size_t done = 0;
   while (done < out.size()) {
     ssize_t n = ::read(fd, out.data() + done, out.size() - done);
@@ -114,6 +115,7 @@ Status ReadExact(int fd, MutableBytesView out) {
 }
 
 Status WriteAll(int fd, BytesView data) {
+  AssertBlockingAllowed();
   size_t done = 0;
   while (done < data.size()) {
     // MSG_NOSIGNAL: writing into a peer-closed socket must surface as EPIPE,
@@ -243,7 +245,7 @@ void TcpServer::ServeConnection(int fd, uint64_t serial) {
     Bytes body(header->body_len);
     if (!ReadExact(fd, body).ok()) break;
     ServerVolume().rx_frames.Inc();
-    // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
+    // Byte accounting, not header parsing.
     ServerVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
 
     // Stamp the trace context around the handler: adopt the wire's trace
@@ -277,6 +279,7 @@ void TcpServer::ServeConnection(int fd, uint64_t serial) {
 Result<std::unique_ptr<TcpClient>> TcpClient::Connect(
     const std::string& host, uint16_t port, int64_t connect_timeout_ms,
     int64_t op_timeout_ms, size_t max_frame_body) {
+  AssertBlockingAllowed();
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Unavailable("socket() failed");
 
@@ -418,7 +421,10 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
   Status write_status;
   {
     MutexLock lock(write_mu_);
-    // tc_analyze:allow(blocking-under-lock) write_mu_ exists to serialize request frames onto the socket — the write IS its critical section; mu_ (the bookkeeping lock) is never held here
+    // write_mu_ exists to serialize request frames onto the socket: the
+    // write IS its critical section. mu_ (the bookkeeping lock) is never
+    // held here.
+    ScopedAllowBlocking allow;
     write_status = WriteAll(fd_, frame);
   }
   if (!write_status.ok()) {
@@ -493,7 +499,7 @@ void TcpClient::ReaderLoop() {
       return;
     }
     ClientVolume().rx_frames.Inc();
-    // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
+    // Byte accounting, not header parsing.
     ClientVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
 
     std::optional<CallCompleter> completer;

@@ -100,7 +100,7 @@ class TcpClient final : public Transport {
   /// connection (no calls pending) never times out; 0 means no op timeout.
   /// `max_frame_body` bounds response frames — an oversized one fails the
   /// connection cleanly instead of driving an allocation.
-  TC_BLOCKING static Result<std::unique_ptr<TcpClient>> Connect(
+  static Result<std::unique_ptr<TcpClient>> Connect(
       const std::string& host, uint16_t port, int64_t connect_timeout_ms = 0,
       int64_t op_timeout_ms = 0,
       size_t max_frame_body = kDefaultMaxFrameBody);
@@ -143,7 +143,7 @@ class TcpClient final : public Transport {
 /// Read exactly n bytes / write all bytes on a socket fd (helpers shared by
 /// server and client; exposed for tests). Both can park the caller in the
 /// kernel until the peer drains or supplies bytes.
-TC_BLOCKING Status ReadExact(int fd, MutableBytesView out);
-TC_BLOCKING Status WriteAll(int fd, BytesView data);
+Status ReadExact(int fd, MutableBytesView out);
+Status WriteAll(int fd, BytesView data);
 
 }  // namespace tc::net

@@ -16,6 +16,7 @@ struct CallState {
 }  // namespace detail
 
 Result<Bytes> PendingCall::Wait() const {
+  AssertBlockingAllowed();
   if (!state_) return Internal("waiting on an empty PendingCall");
   MutexLock lock(state_->mu);
   while (!state_->done) state_->cv.Wait(state_->mu);
@@ -57,8 +58,12 @@ void CallCompleter::Complete(Result<Bytes> result) const {
     published = &state_->result;
   }
   state_->cv.NotifyAll();
-  // Outside the lock: the callback may Wait()/TryGet() the handle.
-  if (callback) callback(*published);
+  // Outside the lock: the callback may TryGet() the handle. It runs as a
+  // completion callback, so it must not block (B2).
+  if (callback) {
+    ScopedDisallowBlocking callback_scope;
+    callback(*published);
+  }
 }
 
 Result<FrameHeader> DecodeFrameHeader(BytesView header, size_t max_body) {

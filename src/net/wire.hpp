@@ -249,7 +249,7 @@ class PendingCall {
 
   /// Block until the response (or the transport error that replaced it)
   /// arrives. Idempotent — repeated waits return the same result.
-  TC_BLOCKING [[nodiscard]] Result<Bytes> Wait() const;
+  [[nodiscard]] Result<Bytes> Wait() const;
 
   /// Non-blocking probe: the result if the call has completed, nullopt
   /// while still in flight.
@@ -299,7 +299,8 @@ class Transport {
                                 CallCallback on_done = nullptr) = 0;
 
   /// Blocking convenience wrapper: one request, await its response.
-  TC_BLOCKING Result<Bytes> Call(MessageType type, BytesView body) {
+  Result<Bytes> Call(MessageType type, BytesView body) {
+    AssertBlockingAllowed();
     return AsyncCall(type, body).Wait();
   }
 };

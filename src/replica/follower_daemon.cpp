@@ -131,6 +131,11 @@ Result<Bytes> FollowerDaemon::Handle(net::MessageType type, BytesView body) {
   // stack is being recovered from, and a late frame from a still-alive old
   // primary can never slip a mutation in outside the new era's log.
   ReaderMutexLock lock(mode_mu_);
+  // Blocking under that shared hold (applying and flushing a frame, or
+  // serving one once promoted) is the point: it only makes a promotion
+  // wait for the frames in flight. Locks taken further in are still
+  // checked.
+  ScopedAllowBlocking allow;
   if (serving_) return serving_->Handle(type, body);
   // Sealed, the frames a primary sends its followers are refused; reads
   // keep serving through the promotion, and a Hello still learns that this

@@ -216,9 +216,15 @@ Status ReplicaSet::Promote() {
   // Settle the survivors before reads resume (we hold state_mu_ exclusive,
   // so nothing serves mid-promotion): wait out the snapshots. Each applier
   // refreshes its read engine on the first read after its re-seed.
-  // tc_analyze:allow(blocking-under-lock) the exclusive state_mu_ hold IS the promotion barrier; serving resumes only after the survivors settle
-  if (Status s = rkv->WaitCaughtUp(options_.kv.quorum_timeout_ms); !s.ok()) {
-    TC_LOG_WARN << "promotion: survivors still catching up: " << s.ToString();
+  // Blocking under the lock is the point: the exclusive state_mu_ hold IS
+  // the promotion barrier, and serving resumes only after the survivors
+  // settle.
+  {
+    ScopedAllowBlocking allow;
+    if (Status s = rkv->WaitCaughtUp(options_.kv.quorum_timeout_ms); !s.ok()) {
+      TC_LOG_WARN << "promotion: survivors still catching up: "
+                  << s.ToString();
+    }
   }
   primary_ = std::move(engine);
   rkv_ = std::move(rkv);
@@ -391,6 +397,7 @@ size_t ReplicaSet::promotions() const {
 }
 
 Status ReplicaSet::WaitCaughtUp(int64_t timeout_ms) {
+  AssertBlockingAllowed();
   // Snapshot the pipeline under the lock, drain it outside: holding
   // state_mu_ (even shared) across the catch-up wait would block Promote's
   // exclusive acquisition — and with it failover — for up to timeout_ms.

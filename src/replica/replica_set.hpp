@@ -149,7 +149,7 @@ class ReplicaSet final : public net::RequestHandler {
   uint64_t read_fallbacks() const { return read_fallbacks_.load(); }
 
   /// Drain the shipping pipeline (no-op without replicas).
-  TC_BLOCKING Status WaitCaughtUp(int64_t timeout_ms = 30'000);
+  Status WaitCaughtUp(int64_t timeout_ms = 30'000);
 
  private:
   ReplicaSet() = default;

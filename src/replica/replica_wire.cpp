@@ -64,26 +64,32 @@ Status ApplyShippedOp(store::KvStore& kv,
 }  // namespace
 
 Result<Bytes> RemoteFollower::Call(net::MessageType type, BytesView body) {
-  // The lock covers only the dial and the reference grab — never the
-  // request itself: the round trip runs on a local shared_ptr copy, so a
-  // slow follower stalls one shipment, not every caller behind the lock.
+  AssertBlockingAllowed();
+  // The lock covers only the reference grab and install — never the dial
+  // or the request: both run on a local shared_ptr, so a slow follower
+  // stalls one shipment, not every caller behind the lock.
   std::shared_ptr<net::Transport> transport;
   {
     MutexLock lock(mu_);
+    transport = transport_;
+  }
+  if (!transport) {
+    if (host_.empty()) return Unavailable("replica transport closed");
+    // Bounded dial + bounded I/O: a blackholed follower must fail the
+    // shipment (backoff + retry handles it), never park the shipper in the
+    // kernel's minutes-long retry schedule — DropPrimary joins this thread
+    // under the shard's exclusive lock, so an unbounded wait here would
+    // freeze every read and write on the shard. Both bounds are fixed at
+    // the dial, so a socket that refuses the op timeout fails the dial
+    // instead of shipping unbounded. The op timeout is generous: it must
+    // cover a follower fsyncing a large snapshot chunk.
+    auto client = net::TcpClient::Connect(host_, port_,
+                                          /*connect_timeout_ms=*/5000,
+                                          /*op_timeout_ms=*/30'000);
+    if (!client.ok()) return client.status();
+    MutexLock lock(mu_);
+    // Two racing dials: the first to install wins, the other's closes.
     if (!transport_) {
-      if (host_.empty()) return Unavailable("replica transport closed");
-      // Bounded dial + bounded I/O: a blackholed follower must fail the
-      // shipment (backoff + retry handles it), never park the shipper in
-      // the kernel's minutes-long retry schedule — DropPrimary joins this
-      // thread under the shard's exclusive lock, so an unbounded wait here
-      // would freeze every read and write on the shard. Both bounds are
-      // fixed at the dial, so a socket that refuses the op timeout fails
-      // the dial instead of shipping unbounded. The op timeout is generous:
-      // it must cover a follower fsyncing a large snapshot chunk.
-      auto client = net::TcpClient::Connect(host_, port_,
-                                            /*connect_timeout_ms=*/5000,
-                                            /*op_timeout_ms=*/30'000);
-      if (!client.ok()) return client.status();
       transport_ = std::shared_ptr<net::Transport>(std::move(*client));
     }
     transport = transport_;
@@ -102,6 +108,7 @@ Result<Bytes> RemoteFollower::Call(net::MessageType type, BytesView body) {
 }
 
 Status RemoteFollower::ApplyOps(std::span<const LoggedOp> ops) {
+  AssertBlockingAllowed();
   if (ops.empty()) return Status::Ok();
   net::ReplicaOpsRequest req;
   req.shard = shard_;
@@ -121,6 +128,7 @@ Status RemoteFollower::ApplyOps(std::span<const LoggedOp> ops) {
 }
 
 Result<uint64_t> RemoteFollower::BeginSnapshot(uint64_t origin, uint64_t seq) {
+  AssertBlockingAllowed();
   net::ReplicaSnapshotBeginRequest req{shard_, origin, seq};
   TC_ASSIGN_OR_RETURN(Bytes resp, Call(net::MessageType::kReplicaSnapshotBegin,
                                        req.Encode()));
@@ -131,6 +139,7 @@ Result<uint64_t> RemoteFollower::BeginSnapshot(uint64_t origin, uint64_t seq) {
 Status RemoteFollower::ApplySnapshotChunk(
     uint64_t seq, uint64_t first_index,
     std::span<const SnapshotEntry> entries) {
+  AssertBlockingAllowed();
   net::ReplicaSnapshotChunkRequest req;
   req.shard = shard_;
   req.seq = seq;
@@ -148,6 +157,7 @@ Status RemoteFollower::ApplySnapshotChunk(
 }
 
 Status RemoteFollower::EndSnapshot(uint64_t seq, uint64_t total_entries) {
+  AssertBlockingAllowed();
   net::ReplicaSnapshotEndRequest req{shard_, seq, total_entries};
   TC_ASSIGN_OR_RETURN(Bytes resp, Call(net::MessageType::kReplicaSnapshotEnd,
                                        req.Encode()));
@@ -182,7 +192,7 @@ ReplicaApplier::ReplicaApplier(std::shared_ptr<store::KvStore> kv,
 Status ReplicaApplier::PersistAppliedLocked() {
   // Append the marker under mu_ so it lands after the batch it describes;
   // the fsync that makes both durable happens in the caller AFTER mu_ is
-  // released (tc_analyze B1: no blocking while a tc::Mutex is held), and
+  // released (B1: no blocking while a tc::Mutex is held), and
   // the ack is only encoded after that flush returns.
   return kv_->Put(kAppliedSeqKey, net::codec::Encode(AppliedSeq{applied_seq_}));
 }

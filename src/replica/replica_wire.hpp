@@ -45,7 +45,7 @@ class RemoteFollower final : public Follower {
  private:
   /// One request over the (possibly redialed) transport. Blocking: dials
   /// and awaits the response with mu_ released (unlock-before-I/O).
-  TC_BLOCKING Result<Bytes> Call(net::MessageType type, BytesView body)
+  Result<Bytes> Call(net::MessageType type, BytesView body)
       EXCLUDES(mu_);
 
   Mutex mu_;

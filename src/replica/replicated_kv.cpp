@@ -207,6 +207,7 @@ bool ReplicatedKvStore::AllCaughtUpLocked(uint64_t target) const {
 }
 
 Status ReplicatedKvStore::WaitCaughtUp(int64_t timeout_ms) {
+  AssertBlockingAllowed();
   MutexLock lock(mu_);
   uint64_t target = head_seq_.load(std::memory_order_acquire);
   auto deadline = std::chrono::steady_clock::now() +

@@ -93,7 +93,7 @@ class Follower {
   /// kFailedPrecondition return means the follower cannot accept this run
   /// at all (a sequence gap or an append that does not fit: it restarted
   /// or diverged) and needs a fresh snapshot, not a retry.
-  TC_BLOCKING virtual Status ApplyOps(std::span<const LoggedOp> ops) = 0;
+  virtual Status ApplyOps(std::span<const LoggedOp> ops) = 0;
 
   /// Open a snapshot stream as of `seq`. `origin` identifies the shipping
   /// pipeline (random per ReplicatedKvStore): a stream is only resumable
@@ -102,19 +102,17 @@ class Follower {
   /// stream onto a half-received one from the dead primary. Returns the
   /// resume point: how many stream entries the follower already holds for
   /// this exact (origin, seq), 0 otherwise.
-  TC_BLOCKING virtual Result<uint64_t> BeginSnapshot(uint64_t origin,
-                                                     uint64_t seq) = 0;
+  virtual Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) = 0;
 
   /// One bounded batch of the stream; `first_index` positions it.
-  TC_BLOCKING virtual Status ApplySnapshotChunk(
+  virtual Status ApplySnapshotChunk(
       uint64_t seq, uint64_t first_index,
       std::span<const SnapshotEntry> entries) = 0;
 
   /// Close the stream: the follower deletes local keys the stream never
   /// named (reconverging diverged stores) and jumps its applied seq to
   /// `seq`. `total_entries` cross-checks that nothing was lost in transit.
-  TC_BLOCKING virtual Status EndSnapshot(uint64_t seq,
-                                         uint64_t total_entries) = 0;
+  virtual Status EndSnapshot(uint64_t seq, uint64_t total_entries) = 0;
 };
 
 struct ReplicatedKvOptions {
@@ -177,7 +175,7 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   /// Block until every follower has applied every op issued before the
   /// call (or `timeout_ms` passes → Unavailable). Promotion and tests use
   /// this to drain the async pipeline.
-  TC_BLOCKING Status WaitCaughtUp(int64_t timeout_ms = 30'000);
+  Status WaitCaughtUp(int64_t timeout_ms = 30'000);
 
   const std::shared_ptr<store::KvStore>& primary() const { return inner(); }
 

@@ -565,7 +565,7 @@ Result<Bytes> ServerEngine::DeleteStream(BytesView body) {
     if (it == streams_.end()) return NotFound("stream does not exist");
     stream = it->second;
     streams_.erase(it);
-    // tc_analyze:allow(status-discard) best-effort cleanup; the directory rewrite below is the commit point
+    // Best-effort cleanup; the directory rewrite below is the commit point.
     (void)kv_->Delete(ConfigKey(req.uuid));
     TC_RETURN_IF_ERROR(StoreDirectoryLocked());
   }
@@ -581,9 +581,9 @@ Result<Bytes> ServerEngine::DeleteStream(BytesView body) {
     Status s = kv_->Delete(PayloadKey(req.uuid, block));
     if (!s.ok() && block >= open_block) break;
   }
-  // tc_analyze:allow(status-discard) best-effort cleanup, as above
+  // Best-effort cleanup, as above.
   (void)stream->tree->Drop();
-  // tc_analyze:allow(status-discard) best-effort cleanup; most streams have no attestation
+  // Best-effort cleanup; most streams have no attestation.
   (void)kv_->Delete("att/" + std::to_string(req.uuid));
   return Bytes{};
 }
@@ -646,7 +646,8 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
   }
   TC_RETURN_IF_ERROR(status);
   // Durability flush outside the stream lock: fsync under stream->mu would
-  // stall every reader and the next insert behind the disk (tc_analyze B1).
+  // stall every reader and the next insert behind the disk (and abort a
+  // Debug build: B1 in common/thread_annotations.hpp).
   // The ack-after-flush contract is unchanged — we reply only after Sync —
   // and the group-committing Sync covers this batch's appends even when a
   // later insert slips in between unlock and flush.
@@ -904,7 +905,8 @@ Result<Bytes> ServerEngine::RevokeGrant(BytesView body) {
     bool match = entry->first == req.uuid &&
                  (req.grant_id == 0 || entry->second == req.grant_id);
     if (match) {
-      // tc_analyze:allow(status-discard) best-effort cleanup; the grant directory rewrite below is the commit point
+      // Best-effort cleanup; the grant directory rewrite below is the
+      // commit point.
       (void)kv_->Delete(GrantKey(req.principal_id, entry->first,
                                  entry->second));
       entry = list.erase(entry);

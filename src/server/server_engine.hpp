@@ -222,12 +222,10 @@ class ServerEngine final : public net::RequestHandler {
   // Key store: grants indexed per principal for FetchGrants. Values live in
   // kv_; this is the per-principal directory.
   //
-  // Secret-hygiene invariant (checked by tools/analyze/tc_analyze.py): the
-  // server never holds plaintext key material. Grant values are sealed to
-  // the principal's X25519 key before they arrive (§3.2 — the server
-  // "cannot open them"), so nothing here carries TC_SECRET; a change that
-  // lands a crypto::Key128 or SecretBuffer in engine state would put this
-  // file in the analyzer's A2 scope and fail CI unless it zeroizes.
+  // Secret-hygiene invariant: the server never holds plaintext key
+  // material. Grant values are sealed to the principal's X25519 key before
+  // they arrive (§3.2 — the server "cannot open them"), so no Key128 or
+  // SecretBuffer lives in engine state.
   mutable Mutex keystore_mu_;
   // principal -> [(uuid, grant_id)]
   std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>>

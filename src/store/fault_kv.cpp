@@ -73,6 +73,7 @@ Status FaultKvStore::Scan(
 }
 
 Status FaultKvStore::Sync() {
+  AssertBlockingAllowed();
   if (FailAll()) return Fault();
   return inner()->Sync();
 }

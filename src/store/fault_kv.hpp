@@ -50,7 +50,7 @@ class FaultKvStore final : public ForwardingKvStore {
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override;
   /// Like Scan: fails only under the hard outage, else forwards.
-  TC_BLOCKING Status Sync() override;
+  Status Sync() override;
 
   /// Flip the hard-outage switch (all operations fail until cleared).
   /// Atomic: tests flip it from their own thread while shipper / failover

@@ -32,7 +32,10 @@ class ForwardingKvStore : public KvStore {
   }
   size_t Size() const override { return inner_->Size(); }
   size_t ValueBytes() const override { return inner_->ValueBytes(); }
-  TC_BLOCKING Status Sync() override { return inner_->Sync(); }
+  Status Sync() override {
+    AssertBlockingAllowed();
+    return inner_->Sync();
+  }
   Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
       const override {
     return inner_->Scan(fn);

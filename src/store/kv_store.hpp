@@ -76,8 +76,11 @@ class KvStore {
   /// into the OS page cache, not an fsync: the records outlive a crash of
   /// the process, not of the machine (ROADMAP item 4 adds the fdatasync).
   /// Blocking: the flush is a write(2) — never call it with a tc::Mutex
-  /// held (tc_analyze B1).
-  TC_BLOCKING virtual Status Sync() { return Status::Ok(); }
+  /// held (B1 in common/thread_annotations.hpp).
+  virtual Status Sync() {
+    AssertBlockingAllowed();
+    return Status::Ok();
+  }
 
   /// Visit every (key, value) pair in unspecified order. The callback MUST
   /// NOT call back into this store (implementations iterate under their
@@ -87,9 +90,8 @@ class KvStore {
   /// compare stores byte-for-byte. Decorators without a natural iteration
   /// inherit the Unimplemented default.
   virtual Status Scan(
-      const std::function<void(const std::string& key, BytesView value)>& fn)
+      const std::function<void(const std::string& key, BytesView value)>&)
       const {
-    (void)fn;
     return Unimplemented("store does not support Scan");
   }
 

@@ -46,7 +46,8 @@ class LatencyKvStore final : public ForwardingKvStore {
     Delay();  // one round trip: a remote scan streams, it does not chat
     return inner()->Scan(fn);
   }
-  TC_BLOCKING Status Sync() override {
+  Status Sync() override {
+    AssertBlockingAllowed();
     Delay();
     return inner()->Sync();
   }

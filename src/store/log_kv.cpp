@@ -759,6 +759,7 @@ Result<size_t> LogKvStore::CompactLocked() {
 }
 
 Status LogKvStore::Sync() {
+  AssertBlockingAllowed();
   Ops().syncs.Inc();
   MutexLock lock(mu_);
   // Group commit: if a concurrent caller's flush already covered every

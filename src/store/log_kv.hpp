@@ -93,7 +93,7 @@ class LogKvStore final : public KvStore {
   /// appends were already covered by a concurrent caller's flush (or a Get
   /// that had to read them) returns without touching the file — N ingest
   /// threads share one flush per batch window.
-  TC_BLOCKING Status Sync() override;
+  Status Sync() override;
 
   /// Dead (overwritten/tombstoned) value bytes awaiting compaction.
   size_t DeadBytes() const;

@@ -13,6 +13,7 @@
 #include "chunk/chunk.hpp"
 #include "crypto/rand.hpp"
 #include "crypto/sha256.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc::chunk {
 namespace {
@@ -403,7 +404,9 @@ TEST(ChunkBuilder, OpensPinnedStoredPayload) {
   // A stored payload pinned as bytes (chunk 5, ten points, kZlib, sealed
   // under OpenSSL's GCM): every payload already stored must keep opening.
   crypto::Key128 key;
-  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(0x10 + i);
+  for (size_t i = 0; i < sizeof(key); ++i) {
+    key.secret_bytes()[i] = static_cast<uint8_t>(0x10 + i);
+  }
   const Bytes sealed =
       FromHex(
           "11b6e45f5884a7c2bfed0188db83e9c5d224662dd7deeebc267c613c8b1e7487"

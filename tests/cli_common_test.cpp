@@ -3,12 +3,16 @@
 // losing these means losing access to encrypted data, so they deserve the
 // same rigor as the wire codecs.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 
+#include "tests/key_testing.hpp"
 #include "tools/cli_common.hpp"
 
 namespace tc::tools {
@@ -168,8 +172,8 @@ TEST(StreamStateFile, BytesArePinned) {
   std::filesystem::remove_all(dir);
   StreamState s;
   s.uuid = 7;
-  for (size_t i = 0; i < s.master_seed.size(); ++i) {
-    s.master_seed[i] = static_cast<uint8_t>(i);
+  for (size_t i = 0; i < sizeof(s.master_seed); ++i) {
+    s.master_seed.secret_bytes()[i] = static_cast<uint8_t>(i);
   }
   s.config.name = "hr";
   ASSERT_TRUE(SaveStreamState(dir, s).ok());
@@ -200,14 +204,14 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
       {"identity.key",
        [&]() -> Result<std::pair<Bytes, Bytes>> {
          TC_ASSIGN_OR_RETURN(auto kp, LoadOrCreateIdentity(dir, true));
-         return std::pair(kp.public_key, Bytes(kp.secret_key.view().begin(),
-                                               kp.secret_key.view().end()));
+         BytesView secret = kp.secret_key.secret_bytes();
+         return std::pair(kp.public_key, Bytes(secret.begin(), secret.end()));
        }},
       {"signing.key",
        [&]() -> Result<std::pair<Bytes, Bytes>> {
          TC_ASSIGN_OR_RETURN(auto kp, LoadOrCreateSigning(dir));
-         return std::pair(kp.public_key, Bytes(kp.secret_key.view().begin(),
-                                               kp.secret_key.view().end()));
+         BytesView secret = kp.secret_key.secret_bytes();
+         return std::pair(kp.public_key, Bytes(secret.begin(), secret.end()));
        }},
   };
   for (const KeyFile& file : files) {
@@ -236,6 +240,77 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
           << file.name << " " << bad;
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------ key file writes
+// A state file holds a stream's master seed or a private key: only its
+// owner may read it, and a write replaces it whole or not at all.
+
+std::string FreshDir(const char* name) {
+  std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+mode_t ModeOf(const std::filesystem::path& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_mode & 0777;
+}
+
+TEST(StateFileWrite, KeyFilesAreOwnerOnlyUnderUmask022) {
+  const std::string dir = FreshDir("cli_state_mode");
+  const mode_t old_umask = ::umask(022);
+  StreamState s;
+  s.uuid = 9;
+  s.master_seed = crypto::RandomKey128();
+  const bool saved = SaveStreamState(dir, s).ok() &&
+                     LoadOrCreateIdentity(dir, true).ok() &&
+                     LoadOrCreateSigning(dir).ok();
+  ::umask(old_umask);
+  ASSERT_TRUE(saved);
+  for (const char* name : {"stream-9.key", "identity.key", "signing.key"}) {
+    EXPECT_EQ(ModeOf(std::filesystem::path(dir) / name), 0600u) << name;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StateFileWrite, ReplacesAnExistingFileWhole) {
+  // A reader that opened the file before the write keeps reading the old
+  // bytes whole: the new file arrives by rename, never by truncating and
+  // rewriting the old one in place.
+  const std::string dir = FreshDir("cli_state_replace");
+  const auto path = std::filesystem::path(dir) / "stream-1.key";
+  ASSERT_TRUE(WriteStateFile(path, Bytes(64, 0xAA)).ok());
+  const int old_fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(old_fd, 0);
+  ASSERT_TRUE(WriteStateFile(path, Bytes(3, 0xBB)).ok());
+  Bytes old_bytes(128);
+  const ssize_t n = ::read(old_fd, old_bytes.data(), old_bytes.size());
+  ::close(old_fd);
+  EXPECT_EQ(n, 64);
+  old_bytes.resize(n < 0 ? 0 : static_cast<size_t>(n));
+  EXPECT_EQ(old_bytes, Bytes(64, 0xAA));
+  EXPECT_EQ(ReadFileBytes(path), Bytes(3, 0xBB));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StateFileWrite, RewriteLeavesOnlyTheOwnerOnlyTarget) {
+  // Rewriting a file an older tool left world-readable leaves exactly one
+  // file behind, the target, and it is owner-only now.
+  const std::string dir = FreshDir("cli_state_rewrite");
+  const auto path = std::filesystem::path(dir) / "identity.key";
+  std::filesystem::create_directories(dir);
+  WriteFileBytes(path, "0102");
+  ASSERT_EQ(::chmod(path.c_str(), 0644), 0);
+  ASSERT_TRUE(WriteStateFile(path, Bytes(32, 0x11)).ok());
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"identity.key"});
+  EXPECT_EQ(ModeOf(path), 0600u);
   std::filesystem::remove_all(dir);
 }
 

@@ -15,6 +15,7 @@
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
 #include "tests/kernel_arms.hpp"
+#include "tests/key_testing.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc::client {
@@ -63,6 +64,49 @@ TEST(AccessGrantCodec, ResolutionGrantRoundTrip) {
   EXPECT_EQ(back->resolution_chunks, 6u);
   EXPECT_EQ(back->primary_state, g.primary_state);
   EXPECT_EQ(back->secondary_state, g.secondary_state);
+}
+
+// A key of 16 copies of one byte.
+crypto::Key128 FilledKey(uint8_t fill) {
+  crypto::Key128 key{};
+  std::memset(&key, fill, sizeof(key));
+  return key;
+}
+
+// The grant encoding is what owners seal to principals and servers store:
+// its bytes must not move. uuid, kind, chunk range, tree height, a varint
+// token count and each token (depth, index, node key), then the resolution
+// fields and the two regression states.
+TEST(AccessGrantCodec, FullGrantBytesArePinned) {
+  AccessGrant g;
+  g.stream_uuid = 42;
+  g.kind = GrantKind::kFullResolution;
+  g.first_chunk = 3;
+  g.last_chunk = 9;
+  g.tree_height = 30;
+  g.tokens = {crypto::AccessToken{5, 3, FilledKey(0x11)},
+              crypto::AccessToken{7, 99, FilledKey(0x22)}};
+  EXPECT_EQ(ToHex(g.Encode()),
+            "2a0000000000000001030000000000000009000000000000001e000000020500"
+            "0000030000000000000011111111111111111111111111111111070000006300"
+            "0000000000002222222222222222222222222222222200000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000");
+}
+
+TEST(AccessGrantCodec, ResolutionGrantBytesArePinned) {
+  AccessGrant g;
+  g.stream_uuid = 7;
+  g.kind = GrantKind::kResolution;
+  g.last_chunk = 600;
+  g.resolution_chunks = 6;
+  g.window_upper = 100;
+  g.primary_state = FilledKey(0x33);
+  g.secondary_state = FilledKey(0x44);
+  EXPECT_EQ(ToHex(g.Encode()),
+            "0700000000000000020000000000000000580200000000000000000000000600"
+            "0000000000000000000000000000640000000000000033333333333333333333"
+            "33333333333344444444444444444444444444444444");
 }
 
 TEST(AccessGrantCodec, TruncatedFails) {
@@ -141,13 +185,12 @@ TEST_P(StreamKeysEnvelopes, EachOpensOnlyUnderItsWindowKey) {
   for (uint64_t j = kLo; j <= kHi; ++j) {
     SCOPED_TRACE(::testing::Message() << "window " << j);
     const Bytes& envelope = (*envelopes)[j - kLo];
-    auto leaf = StreamKeys::OpenEnvelope(kr.DeriveKey(j).value(), envelope);
+    auto leaf = crypto::GcmOpenKey(kr.DeriveKey(j).value(), envelope);
     ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
     EXPECT_EQ(*leaf, keys.tree().DeriveLeaf(j * r).value());
     for (uint64_t neighbour : {j - 1, j + 1}) {
       EXPECT_FALSE(
-          StreamKeys::OpenEnvelope(kr.DeriveKey(neighbour).value(), envelope)
-              .ok());
+          crypto::GcmOpenKey(kr.DeriveKey(neighbour).value(), envelope).ok());
     }
   }
 }
@@ -362,8 +405,8 @@ TEST_F(OwnerSealTest, BatchedBodyIsTheCodecEncodingOfItsEntries) {
   auto uuid = creator.CreateStream(config);
   ASSERT_TRUE(uuid.ok());
   crypto::Key128 master;
-  for (size_t i = 0; i < master.size(); ++i) {
-    master[i] = static_cast<uint8_t>(0xa0 + i);
+  for (size_t i = 0; i < sizeof(master); ++i) {
+    master.secret_bytes()[i] = static_cast<uint8_t>(0xa0 + i);
   }
   OwnerOptions options;
   options.upload_batch_chunks = 3;
@@ -416,8 +459,8 @@ TEST_P(OwnerSealPins, DigestBlobsArePinned) {
   auto uuid = creator.CreateStream(config);
   ASSERT_TRUE(uuid.ok());
   crypto::Key128 master;
-  for (size_t i = 0; i < master.size(); ++i) {
-    master[i] = static_cast<uint8_t>(0x5a ^ (13 * i));
+  for (size_t i = 0; i < sizeof(master); ++i) {
+    master.secret_bytes()[i] = static_cast<uint8_t>(0x5a ^ (13 * i));
   }
   OwnerOptions options;
   options.upload_batch_chunks = 16;
@@ -440,7 +483,7 @@ TEST_P(OwnerSealPins, DigestBlobsArePinned) {
     ASSERT_EQ(uploaded.chunk_index, i);
     ASSERT_EQ(uploaded.digest_blob.size(), 19 * sizeof(uint64_t));
     Append(pinned, uploaded.digest_blob);
-    Append(pinned, keys.PayloadKey(i));
+    Append(pinned, keys.PayloadKey(i).secret_bytes());
   }
   EXPECT_EQ(ToHex(crypto::Sha256(pinned)),
             "0087b57dfbdf18b4ab72566d6d3d307b114af8c815b9ab65ae63bd373f53c378");

@@ -4,6 +4,8 @@
 // the crypto wrappers share algorithm handles fetched once per process.
 // These tests drive them from many threads and assert the results stay
 // exactly consistent (sums match oracles — no lost updates, no torn reads).
+// The BlockingChecks tests are death tests of the Debug-build blocking
+// checks (common/thread_annotations.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 #include "common/trace.hpp"
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sha256.hpp"
+#include "net/executor.hpp"
 #include "net/tcp.hpp"
 #include "server/server_engine.hpp"
 #include "store/lru_cache.hpp"
@@ -508,6 +511,138 @@ TEST(Concurrency, SpanRingParallelPushersAndSnapshotters) {
     EXPECT_EQ(rec.span_id, rec.trace_id * 3);
     EXPECT_EQ(rec.duration_us, rec.trace_id % 977);
   }
+}
+
+// ------------------------------------------------ blocking checks, B1/B2
+// A Debug build aborts a blocking call made while its thread holds a
+// tc::Mutex or tc::SharedMutex (B1), or from an Executor task or a
+// completion callback (B2). Release builds compile the checks out.
+
+class BlockingChecks : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#ifdef NDEBUG
+    GTEST_SKIP() << "the blocking checks are compiled out under NDEBUG";
+#endif
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+  }
+};
+
+constexpr const char* kUnderLock = "blocking call .*while holding a lock";
+constexpr const char* kOnTask =
+    "blocking call .*on an executor task or completion callback";
+
+// A blocking call that returns at once: its check runs first, then the
+// empty handle reports Internal.
+void Blocking() { EXPECT_FALSE(net::PendingCall().Wait().ok()); }
+
+// Blocking reached through another function and a virtual call.
+void SyncsAStore() {
+  std::unique_ptr<store::KvStore> kv = std::make_unique<store::MemKvStore>();
+  EXPECT_TRUE(kv->Sync().ok());
+}
+
+void BlocksWithItsOwnAllowance() {
+  // The lock this caller holds exists to serialize this very call.
+  ScopedAllowBlocking allow;
+  Blocking();
+}
+
+TEST_F(BlockingChecks, B1BlockingUnderALockAborts) {
+  Mutex mu;
+  SharedMutex smu;
+  EXPECT_DEATH(
+      {
+        MutexLock lock(mu);
+        Blocking();
+      },
+      kUnderLock);
+  EXPECT_DEATH(
+      {
+        MutexLock lock(mu);
+        SyncsAStore();
+      },
+      kUnderLock);
+  EXPECT_DEATH(
+      {
+        ReaderMutexLock lock(smu);
+        Blocking();
+      },
+      kUnderLock);
+}
+
+TEST_F(BlockingChecks, B1UnlockBeforeIoAndAllowancesPass) {
+  Mutex mu;
+  {
+    MutexLock lock(mu);
+  }
+  Blocking();
+  mu.lock();  // hand over hand: the hold ends before the call
+  mu.unlock();
+  SyncsAStore();
+  {
+    MutexLock lock(mu);
+    BlocksWithItsOwnAllowance();
+  }
+  // A condvar wait releases its mutex while parked.
+  CondVar cv;
+  MutexLock lock(mu);
+  cv.WaitFor(mu, std::chrono::milliseconds(1));
+}
+
+TEST_F(BlockingChecks, B2BlockingOnATaskOrCallbackAborts) {
+  EXPECT_DEATH(
+      {
+        net::Executor exec(1);
+        exec.Submit([] { Blocking(); });
+      },
+      kOnTask);
+  EXPECT_DEATH(
+      {
+        net::Executor exec(1);
+        exec.Submit([] { SyncsAStore(); });
+      },
+      kOnTask);
+  EXPECT_DEATH(
+      {
+        net::Executor exec(1);
+        exec.Submit([] {
+          Mutex mu;
+          CondVar cv;
+          MutexLock lock(mu);
+          cv.WaitFor(mu, std::chrono::milliseconds(1));
+        });
+      },
+      kOnTask);
+  EXPECT_DEATH(
+      {
+        net::Executor inline_exec(0);
+        inline_exec.Submit([] { Blocking(); });
+      },
+      kOnTask);
+  EXPECT_DEATH(
+      {
+        net::CallCompleter completer(
+            [](const Result<Bytes>&) { Blocking(); });
+        completer.Complete(Bytes{});
+      },
+      kOnTask);
+}
+
+TEST_F(BlockingChecks, B2NonBlockingTasksAndAllowancesPass) {
+  std::atomic<int> ran{0};
+  {
+    net::Executor exec(1);
+    exec.Submit([&] { ran.fetch_add(1); });
+    exec.Submit([&] {
+      // A pool sized for parked tasks would say so here.
+      ScopedAllowBlocking allow;
+      Blocking();
+      ran.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(ran.load(), 2);
+  Blocking();  // a plain thread may block
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "crypto/sealed_box.hpp"
 #include "crypto/sha256.hpp"
 #include "tests/kernel_arms.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -194,8 +195,8 @@ Bytes LegacyGcmSeal(const Key128& key, BytesView nonce, BytesView pt,
   uint8_t* ct = out.data() + kGcmNonceSize;
   int len = 0, final_len = 0;
   bool ok =
-      EVP_EncryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
-                         nonce.data()) == 1 &&
+      EVP_EncryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr,
+                         key.secret_bytes().data(), nonce.data()) == 1 &&
       (aad.empty() || EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
                                         static_cast<int>(aad.size())) == 1) &&
       (pt.empty() || EVP_EncryptUpdate(ctx, ct, &len, pt.data(),
@@ -217,8 +218,8 @@ std::optional<Bytes> LegacyGcmOpen(const Key128& key, BytesView sealed,
   EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
   int len = 0, final_len = 0;
   bool ok =
-      EVP_DecryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr, key.data(),
-                         sealed.data()) == 1 &&
+      EVP_DecryptInit_ex(ctx, EVP_aes_128_gcm(), nullptr,
+                         key.secret_bytes().data(), sealed.data()) == 1 &&
       (aad.empty() || EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
                                         static_cast<int>(aad.size())) == 1) &&
       (ct_len == 0 || EVP_DecryptUpdate(ctx, pt.data(), &len, ct,
@@ -375,7 +376,7 @@ TEST_P(AesGcm, OpensGcmSpecTestCases1To4) {
     const GcmSpecCase& c = kGcmSpecCases[i];
     Key128 key;
     const Bytes key_bytes = FromHex(c.key).value();
-    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+    std::copy(key_bytes.begin(), key_bytes.end(), key.secret_bytes().begin());
     const Bytes iv = FromHex(c.iv).value();
     const Bytes pt = FromHex(c.plaintext).value();
     const Bytes aad = FromHex(c.aad).value();
@@ -532,9 +533,9 @@ TEST_P(AesGcm, TruncatedBlobRejected) {
 TEST_P(ChunkPayloadKeyTest, KnownAnswer) {
   // The key of every stored chunk payload: its bytes must never change.
   Key128 a, b;
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<uint8_t>(0x30 + i);
-    b[i] = static_cast<uint8_t>(0x40 + i);
+  for (size_t i = 0; i < sizeof(a); ++i) {
+    a.secret_bytes()[i] = static_cast<uint8_t>(0x30 + i);
+    b.secret_bytes()[i] = static_cast<uint8_t>(0x40 + i);
   }
   EXPECT_EQ(ToHex(ChunkPayloadKey(a, b)), "a2c02486feb59d5eaff5e2a43e2bc8ec");
 }
@@ -543,7 +544,7 @@ TEST_P(ChunkPayloadKeyTest, LanesMatchOneAtATime) {
   DeterministicRng rng(6);
   for (size_t n = 0; n <= kCryptoLanes; ++n) {
     std::vector<Key128> leaves(n + 1);
-    for (auto& leaf : leaves) rng.Fill(leaf);
+    for (auto& leaf : leaves) rng.Fill(leaf.secret_bytes());
     std::vector<Key128> keys(n);
     ChunkPayloadKeys(leaves, keys);
     for (size_t j = 0; j < n; ++j) {

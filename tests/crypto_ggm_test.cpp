@@ -8,6 +8,7 @@
 
 #include "crypto/ggm_tree.hpp"
 #include "crypto/rand.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -23,10 +24,10 @@ TEST(GgmTree, LeavesAreDeterministic) {
 
 TEST(GgmTree, LeavesAreDistinct) {
   GgmTree tree(RandomKey128(), 8);
-  std::set<Bytes> seen;
+  std::set<std::string> seen;
   for (uint64_t i = 0; i < 256; ++i) {
     Key128 k = tree.DeriveLeaf(i).value();
-    seen.insert(Bytes(k.begin(), k.end()));
+    seen.insert(ToHex(k));
   }
   EXPECT_EQ(seen.size(), 256u);
 }
@@ -254,8 +255,8 @@ constexpr PinnedLeaf kPinnedLeaves[] = {
 
 Key128 PinRoot() {
   Key128 root;
-  for (size_t i = 0; i < root.size(); ++i) {
-    root[i] = static_cast<uint8_t>(0x11 * i + 7);
+  for (size_t i = 0; i < sizeof(root); ++i) {
+    root.secret_bytes()[i] = static_cast<uint8_t>(0x11 * i + 7);
   }
   return root;
 }

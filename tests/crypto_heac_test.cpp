@@ -9,6 +9,7 @@
 #include "crypto/heac.hpp"
 #include "crypto/rand.hpp"
 #include "tests/kernel_arms.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -167,11 +168,11 @@ TEST_P(HeacOuterKeySharing, ResolutionRestriction) {
 
 TEST(Fold64, MixesBothHalves) {
   Key128 a{};
-  a[0] = 1;  // low half
+  a.secret_bytes()[0] = 1;  // low half
   Key128 b{};
-  b[8] = 1;  // high half
-  EXPECT_NE(Fold64(a), Fold64(Key128{}));
-  EXPECT_NE(Fold64(b), Fold64(Key128{}));
+  b.secret_bytes()[8] = 1;  // high half
+  EXPECT_NE(Fold64(a.secret_bytes()), Fold64(Key128{}.secret_bytes()));
+  EXPECT_NE(Fold64(b.secret_bytes()), Fold64(Key128{}.secret_bytes()));
 }
 
 class FieldKeysTest : public test::KernelArmTest {};
@@ -189,7 +190,9 @@ TEST_P(FieldKeysTest, DeterministicPerLeafAndField) {
 // these keys, on either arm.
 TEST_P(FieldKeysTest, KnownAnswer) {
   Key128 leaf;
-  for (size_t i = 0; i < leaf.size(); ++i) leaf[i] = static_cast<uint8_t>(0x50 + i);
+  for (size_t i = 0; i < sizeof(leaf); ++i) {
+    leaf.secret_bytes()[i] = static_cast<uint8_t>(0x50 + i);
+  }
   constexpr uint64_t kExpected[19] = {
       0x390afdf4903b2fb3ULL, 0xebc7a1dc7d566c70ULL, 0xd115fa936f560981ULL,
       0xe6490527fe9c49f8ULL, 0xe4e3c61d889fc3abULL, 0x021025e94f4c66eeULL,
@@ -218,7 +221,7 @@ TEST_P(FieldKeysTest, LanesMatchDerive) {
       std::vector<Key128> leaves(lanes);
       std::vector<FieldKeys> derived;
       for (auto& leaf : leaves) {
-        rng.Fill(leaf);
+        rng.Fill(leaf.secret_bytes());
         derived.emplace_back(RandomKey128(), num_fields);
       }
       FieldKeys::DeriveLanes(leaves, derived);

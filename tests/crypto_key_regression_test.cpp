@@ -9,6 +9,7 @@
 #include "crypto/key_regression.hpp"
 #include "crypto/rand.hpp"
 #include "tests/kernel_arms.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc::crypto {
 namespace {
@@ -16,7 +17,9 @@ namespace {
 /// The 16 bytes start, start + 1, ..., start + 15.
 Key128 Sequence(uint8_t start) {
   Key128 k;
-  for (size_t i = 0; i < k.size(); ++i) k[i] = static_cast<uint8_t>(start + i);
+  for (size_t i = 0; i < sizeof(k); ++i) {
+    k.secret_bytes()[i] = static_cast<uint8_t>(start + i);
+  }
   return k;
 }
 
@@ -117,8 +120,9 @@ TEST(DualKeyRegression, ShareAndDeriveKeysAfterPartialBuild) {
   const std::vector<Key128> secondary = WalkByHand(secondary_seed, kLen);
   auto by_hand = [&](uint64_t j) {
     Key128 mixed;
-    for (size_t b = 0; b < mixed.size(); ++b) {
-      mixed[b] = primary[j][b] ^ secondary[kLen - 1 - j][b];
+    for (size_t b = 0; b < sizeof(mixed); ++b) {
+      mixed.secret_bytes()[b] = primary[j].secret_bytes()[b] ^
+                               secondary[kLen - 1 - j].secret_bytes()[b];
     }
     return HashChain::KeyOf(mixed);
   };
@@ -186,10 +190,10 @@ TEST(DualKeyRegression, OwnerDerivesAllKeysDeterministically) {
 
 TEST(DualKeyRegression, KeysAreDistinct) {
   DualKeyRegression kr(RandomKey128(), RandomKey128(), 32);
-  std::set<Bytes> seen;
+  std::set<std::string> seen;
   for (uint64_t j = 0; j < 32; ++j) {
     Key128 k = kr.DeriveKey(j).value();
-    seen.insert(Bytes(k.begin(), k.end()));
+    seen.insert(ToHex(k));
   }
   EXPECT_EQ(seen.size(), 32u);
 }
@@ -260,8 +264,9 @@ TEST(DualKeyRegression, DeriveKeysMatchesViewAndHandWalkedChains) {
     std::vector<Key128> secondary = walk(secondary_seed);
     auto by_hand = [&](uint64_t j) {
       Key128 mixed;
-      for (size_t b = 0; b < mixed.size(); ++b) {
-        mixed[b] = primary[j][b] ^ secondary[len - 1 - j][b];
+      for (size_t b = 0; b < sizeof(mixed); ++b) {
+        mixed.secret_bytes()[b] = primary[j].secret_bytes()[b] ^
+                                  secondary[len - 1 - j].secret_bytes()[b];
       }
       return HashChain::KeyOf(mixed);
     };

@@ -243,7 +243,7 @@ TEST(Ed25519, RejectsTamperedMessageSignatureAndKey) {
 TEST(Ed25519, RejectsMalformedInputSizes) {
   auto keys = crypto::GenerateSigningKeyPair();
   Bytes msg = ToBytes("m");
-  EXPECT_FALSE(crypto::SignMessage(ToBytes("short"), msg).ok());
+  EXPECT_FALSE(crypto::SignMessage(SecretBuffer(ToBytes("short")), msg).ok());
   auto sig = crypto::SignMessage(keys.secret_key, msg);
   ASSERT_TRUE(sig.ok());
   EXPECT_FALSE(

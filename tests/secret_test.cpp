@@ -1,7 +1,7 @@
 // Secret-hygiene primitives: ZeroizingAllocator scrubs freed blocks,
 // SecretBuffer scrubs on destruction/adoption/clear and redacts itself when
-// streamed, and the TC_SECRET-annotated crypto types really do zeroize
-// their key material in their destructors (the GGM iterator's path and
+// streamed, and the crypto types that hold keys in Scrubbed storage really
+// do zeroize their key material when destroyed (the GGM iterator's path and
 // kept siblings, and a token set's held path, included).
 //
 // Freed-memory inspection is done legally: the allocator tests run over an
@@ -23,6 +23,7 @@
 #include "crypto/ggm_tree.hpp"
 #include "crypto/key_regression.hpp"
 #include "crypto/soft_aes.hpp"
+#include "tests/key_testing.hpp"
 
 namespace tc {
 namespace {
@@ -149,7 +150,7 @@ TEST(SecretBufferTest, AdoptingBytesScrubsTheSource) {
 
   SecretBuffer secret(std::move(plain));
   ASSERT_EQ(secret.size(), n);
-  EXPECT_EQ(secret.view()[3], 0xCA);
+  EXPECT_EQ(secret.secret_bytes()[3], 0xCA);
   // Adopt() scrubbed the source in place before clear(); clear() keeps the
   // capacity, so the block is still owned and this read is defined.
   for (size_t i = 0; i < n; ++i) {
@@ -159,8 +160,8 @@ TEST(SecretBufferTest, AdoptingBytesScrubsTheSource) {
 
 TEST(SecretBufferTest, ClearScrubsInPlace) {
   SecretBuffer secret(size_t{8});
-  for (auto& b : secret.mutable_view()) b = 0xA5;
-  const uint8_t* block = secret.data();
+  for (auto& b : secret.secret_bytes()) b = 0xA5;
+  const uint8_t* block = secret.secret_bytes().data();
   secret.Clear();
   EXPECT_TRUE(secret.empty());
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(block[i], 0);
@@ -193,55 +194,56 @@ TEST(SecretBufferTest, MoveAssignLeavesNoCopyBehindInArenaVector) {
   // SecretBytes itself rides on ZeroizingAllocator<uint8_t>; the arena
   // variant above already proves the scrub-on-free path it uses.
   SecretBuffer a(size_t{4});
-  a.mutable_view()[0] = 0x42;
+  a.secret_bytes()[0] = 0x42;
   SecretBuffer b = std::move(a);
-  EXPECT_EQ(b.view()[0], 0x42);
+  EXPECT_EQ(b.secret_bytes()[0], 0x42);
 }
 
 // ---------------------------------------------------------------------------
-// Destructor zeroization of the annotated crypto types. Placement-new into
+// Destructor zeroization of the crypto types that hold keys. Placement-new into
 // a local buffer, destroy, then scan the buffer: the distinctive key
 // pattern must be gone.
 // ---------------------------------------------------------------------------
 
 TEST(SecretZeroizeTest, AccessTokenDestructorScrubsNodeKey) {
   crypto::Key128 key;
-  key.fill(0xB7);
+  std::ranges::fill(key.secret_bytes(), 0xB7);
   alignas(crypto::AccessToken) unsigned char raw[sizeof(crypto::AccessToken)];
   auto* token = new (raw) crypto::AccessToken(5, 9, key);
-  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0xB7, key.size()));
+  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0xB7, sizeof(key)));
   token->~AccessToken();
-  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0xB7, key.size()))
+  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0xB7, sizeof(key)))
       << "AccessToken::~AccessToken left node_key bytes behind";
 }
 
 TEST(SecretZeroizeTest, KeyRegressionStateDestructorScrubsState) {
   crypto::Key128 key;
-  key.fill(0xC9);
+  std::ranges::fill(key.secret_bytes(), 0xC9);
   alignas(crypto::KeyRegressionState) unsigned char
       raw[sizeof(crypto::KeyRegressionState)];
   auto* state = new (raw) crypto::KeyRegressionState(key, 17);
-  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0xC9, key.size()));
+  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0xC9, sizeof(key)));
   state->~KeyRegressionState();
-  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0xC9, key.size()))
+  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0xC9, sizeof(key)))
       << "KeyRegressionState::~KeyRegressionState left the seed behind";
 }
 
 TEST(SecretZeroizeTest, SoftAesDestructorScrubsRoundKeys) {
   crypto::Key128 key;
-  key.fill(0x6E);
+  std::ranges::fill(key.secret_bytes(), 0x6E);
   alignas(crypto::SoftAes128) unsigned char raw[sizeof(crypto::SoftAes128)];
   auto* cipher = new (raw) crypto::SoftAes128(key);
   // Round key 0 of the AES key schedule is the key itself.
-  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0x6E, key.size()));
+  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0x6E, sizeof(key)));
   cipher->~SoftAes128();
-  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0x6E, key.size()))
+  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0x6E, sizeof(key)))
       << "SoftAes128::~SoftAes128 left the round-key schedule behind";
 }
 
 /// True if the 16 bytes of `key` appear anywhere in data[0, size).
 bool HasKey(const unsigned char* data, size_t size, const crypto::Key128& key) {
-  return std::search(data, data + size, key.begin(), key.end()) != data + size;
+  return std::search(data, data + size, key.secret_bytes().begin(),
+                     key.secret_bytes().end()) != data + size;
 }
 
 TEST(SecretZeroizeTest, SequentialLeafIteratorScrubsPathAndKeptSiblings) {
@@ -250,7 +252,7 @@ TEST(SecretZeroizeTest, SequentialLeafIteratorScrubsPathAndKeptSiblings) {
   // The destructor must scrub the path slots and the siblings still kept.
   using crypto::SequentialLeafIterator;
   crypto::Key128 root;
-  root.fill(0xA5);
+  std::ranges::fill(root.secret_bytes(), 0xA5);
   constexpr uint32_t kHeight = 8;
   const crypto::GgmTree tree(root, kHeight);
   std::vector<crypto::Key128> path, siblings;
@@ -285,7 +287,7 @@ TEST(SecretZeroizeTest, TokenSetScrubsItsPathOnRerootAndDestruction) {
   // first path (token copy, path nodes and kept siblings). The destructor
   // must scrub the second.
   crypto::Key128 root;
-  root.fill(0x3C);
+  std::ranges::fill(root.secret_bytes(), 0x3C);
   constexpr uint32_t kHeight = 8;
   const crypto::GgmTree tree(root, kHeight);
   auto cover = *tree.CoverRange(0, 191);
@@ -330,12 +332,12 @@ TEST(SecretZeroizeTest, TokenSetScrubsItsPathOnRerootAndDestruction) {
 
 TEST(SecretZeroizeTest, AccessTokenEqualityComparesAllFields) {
   crypto::Key128 key;
-  key.fill(0x42);
+  std::ranges::fill(key.secret_bytes(), 0x42);
   crypto::AccessToken a(3, 7, key);
   EXPECT_TRUE(a == crypto::AccessToken(3, 7, key));
 
   crypto::Key128 flipped = key;
-  flipped[15] ^= 1;
+  flipped.secret_bytes()[15] ^= 1;
   EXPECT_FALSE(a == crypto::AccessToken(3, 7, flipped));
   EXPECT_FALSE(a == crypto::AccessToken(2, 7, key));
   EXPECT_FALSE(a == crypto::AccessToken(3, 8, key));

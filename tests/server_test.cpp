@@ -749,8 +749,8 @@ TEST(ServerHeap, SingleInsertChunkTakesAtMost40BytesOfHeap) {
 }
 
 // sync_each_insert flushes outside the stream lock (holding stream->mu
-// across an fsync would stall every reader behind the disk — tc_analyze
-// B1), so the ack-after-flush contract is asserted here directly: a
+// across an fsync would stall every reader behind the disk, and abort a
+// Debug build), so the ack-after-flush contract is asserted here directly: a
 // successful insert returns only after a Sync covered its Puts, and a
 // batch pays exactly one Sync.
 class SyncSpyKv final : public store::KvStore {

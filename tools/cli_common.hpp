@@ -3,11 +3,15 @@
 // so a usable CLI must persist it between invocations).
 #pragma once
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -133,29 +137,64 @@ inline Result<HostPort> ParseHostPort(const std::string& text) {
                          text + "'");
 }
 
+// State files hold key material, so they are read straight into scrubbed
+// storage (no stream buffer keeps a copy) and written only by their owner.
+
 /// Reads a whole state file; NotFound when it does not exist.
-inline Result<Bytes> ReadStateFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFound("no file " + path.string());
-  return Bytes((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
+inline Result<SecretBuffer> ReadStateFile(const std::filesystem::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return NotFound("no file " + path.string());
+  struct stat st {};
+  SecretBuffer data;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) data.resize(static_cast<size_t>(st.st_size));
+  for (size_t done = 0; ok && done < data.size();) {
+    const ssize_t n = ::read(fd, data.secret_bytes().data() + done,
+                             data.size() - done);
+    ok = n > 0 || (n < 0 && errno == EINTR);
+    if (n > 0) done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (!ok) return Unavailable("cannot read " + path.string());
+  return data;
 }
 
-/// Writes a state file whole, creating the state dir first.
+/// Replaces a state file whole, creating the state dir first. The bytes go
+/// to a temp file created 0600, which is fsync'd and renamed over `path`:
+/// no other user can read the keys, and a crash leaves the old file or the
+/// new one, never a torn one.
 inline Status WriteStateFile(const std::filesystem::path& path,
                              BytesView data) {
   std::error_code ec;
   std::filesystem::create_directories(path.parent_path(), ec);
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out ? Status::Ok() : Unavailable("cannot write " + path.string());
+  const std::string tmp = path.string() + ".tmp";
+  ::unlink(tmp.c_str());  // O_EXCL below: the mode is ours, not a leftover's
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
+  if (fd < 0) {
+    return Unavailable("cannot write " + tmp + ": " + std::strerror(errno));
+  }
+  bool ok = true;
+  for (size_t done = 0; ok && done < data.size();) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    ok = n > 0 || (n < 0 && errno == EINTR);
+    if (n > 0) done += static_cast<size_t>(n);
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    const std::string why = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    return Unavailable("cannot write " + path.string() + ": " + why);
+  }
+  return Status::Ok();
 }
 
 /// On-disk producer state for one stream: uuid + master seed + config.
 struct StreamState {
   uint64_t uuid = 0;
-  crypto::Key128 master_seed{};
+  Scrubbed<crypto::Key128> master_seed;
   net::StreamConfig config;
 
   static void Visit(auto& m, auto& v) { v(m.uuid, m.master_seed, m.config); }
@@ -169,8 +208,9 @@ inline std::filesystem::path StreamStatePath(const std::string& state_dir,
 
 inline Status SaveStreamState(const std::string& state_dir,
                               const StreamState& s) {
+  SecretBuffer encoded(net::codec::Encode(s));
   return WriteStateFile(StreamStatePath(state_dir, s.uuid),
-                        net::codec::Encode(s));
+                        encoded.secret_bytes());
 }
 
 inline Result<StreamState> LoadStreamState(const std::string& state_dir,
@@ -180,14 +220,14 @@ inline Result<StreamState> LoadStreamState(const std::string& state_dir,
     return NotFound("no local key state for stream " + std::to_string(uuid) +
                     " (created on another machine?)");
   }
-  return net::codec::Decode<StreamState>(*data);
+  return net::codec::Decode<StreamState>(data->secret_bytes());
 }
 
 /// The layout of the identity and signing-key files: the public key, then
 /// the secret key.
 struct KeyPairFile {
   Bytes public_key;
-  Bytes secret_key;
+  SecretBuffer secret_key;
 
   static void Visit(auto& m, auto& v) { v(m.public_key, m.secret_key); }
 };
@@ -201,20 +241,17 @@ Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
   auto data = ReadStateFile(path);
   KeyPair kp;
   if (data.ok()) {
-    TC_ASSIGN_OR_RETURN(auto file, net::codec::Decode<KeyPairFile>(*data));
+    TC_ASSIGN_OR_RETURN(auto file, net::codec::Decode<KeyPairFile>(
+                                       data->secret_bytes()));
     kp.public_key = std::move(file.public_key);
     kp.secret_key = std::move(file.secret_key);
     return kp;
   }
   if (generate == nullptr) return data.status();
   kp = generate();
-  KeyPairFile file{kp.public_key, Bytes(kp.secret_key.view().begin(),
-                                        kp.secret_key.view().end())};
-  Bytes encoded = net::codec::Encode(file);
-  Status written = WriteStateFile(path, encoded);
-  SecureZero(MutableBytesView(file.secret_key));
-  SecureZero(MutableBytesView(encoded));
-  TC_RETURN_IF_ERROR(written);
+  SecretBuffer encoded(
+      net::codec::Encode(KeyPairFile{kp.public_key, kp.secret_key}));
+  TC_RETURN_IF_ERROR(WriteStateFile(path, encoded.secret_bytes()));
   return kp;
 }
 

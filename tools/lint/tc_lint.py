@@ -16,7 +16,8 @@ Checks cross-file invariants the compiler cannot see:
       hand-rolled header parsing would bypass the body-length bound.
   R4  no naked std synchronization primitives in src/ outside
       common/thread_annotations.hpp: the annotated tc:: wrappers are the
-      only way Clang's thread-safety analysis sees the locking.
+      only way Clang's thread-safety analysis sees the locking, and the
+      Debug-build blocking checks count lock holds through them.
   R5  src/crypto/ never compares secret material with memcmp/std::equal,
       and secret-suffixed identifiers (key/digest/mac/tag/secret) are
       compared with ConstantTimeEqual, not ==.
@@ -35,25 +36,32 @@ Checks cross-file invariants the compiler cannot see:
       output stays grep-able back to its single origin, and a kind never
       means two different things. (New MessageTypes like kTraceInfo get
       fuzz coverage through R2 automatically.)
-  R9  key-material members in src/crypto/*.hpp carry TC_SECRET: a data
-      member whose name mentions key/seed/secret must be annotated so
-      tools/analyze/tc_analyze.py sees it as a taint source and holds its
-      record to the zeroize-on-destruction rule. Members named *public*
-      (the public half of a keypair) are exempt.
-  R10 TC_BLOCKING annotates declarations, not call sites: outside
-      common/thread_annotations.hpp it may only appear in a header,
-      leading its declaration line — tc_analyze seeds interprocedural
-      may-block summaries from declarations, and an annotation in a .cpp
-      is invisible to callers in other TUs. Every tc_analyze:allow
-      suppression must name only known rules and carry a justification;
-      a typo'd or bare suppression is inert in the analyzer, so it is
-      rejected here instead.
+  R9  key material held by an object lives in a scrubbing type: a data
+      member of a header in src/crypto/, src/client/ or tools/ whose name
+      mentions key/seed/secret/master/state (not *public*) is a
+      Scrubbed<T>, a SecretBuffer/SecretBytes/SecretKeys, a
+      ZeroizingAllocator vector, or a record that holds its own keys that
+      way — so no owner needs a scrubbing destructor of its own.
+  R10 (B3) a discarded value says why: every cast to void in src/ and the
+      CLI sources carries a reason comment on its line or the line above,
+      and a function returning a Status or Result by reference is
+      [[nodiscard]] (the class attribute does not reach references).
   R11 one module decides which crypto kernels run: in src/, <cpuid.h>,
       __get_cpuid and xgetbv/_xgetbv appear only in src/crypto/cpu.cpp,
       the CPU feature table's one probe, and nothing under src/crypto/
       calls getenv — a kernel choice is never made by a second probe or by
       the environment (tests reach the portable side through
       ScopedCpuFeatureMask).
+  R12 key bytes stay in the crypto layer: secret_bytes(), the one byte
+      accessor of crypto::Key128 and SecretBuffer, is called only in
+      src/crypto/, in common/secret.hpp and in the key serialisers
+      (net/codec.hpp, client/grants.cpp, tools/cli_common.hpp). Everywhere
+      else a key is an opaque value that no log line, Status message or
+      early-exit compare can reach.
+
+lint_file(path, text) runs the per-file rules on one file as if it lived
+at the repo-relative `path`; tools/lint/lint_fixture.py feeds it the
+negative fixtures in tools/lint/fixtures/.
 
 Run from anywhere: paths are resolved relative to the repo root (this
 file's grandparent directory). Exit code 0 = clean, 1 = violations (each
@@ -132,19 +140,15 @@ def check_fuzz_coverage(enumerators):
 
 
 # --------------------------------------------------------------------- R3
-def check_bounded_decode():
+def check_bounded_decode(rel, text):
     # The definers of the constant and the decoder are exempt.
-    exempt = {SRC / "net" / "wire.hpp", SRC / "net" / "wire.cpp"}
-    for path in sorted(SRC.rglob("*.[ch]pp")) + sorted(
-            TESTS.rglob("*.[ch]pp")):
-        if path in exempt:
-            continue
-        text = read(path)
-        if "kFrameHeaderBytes" in text and "DecodeFrameHeader(" not in text:
-            line = text[:text.index("kFrameHeaderBytes")].count("\n") + 1
-            fail(path, line,
-                 "reads a frame header without DecodeFrameHeader; "
-                 "hand-rolled parsing bypasses the body-length bound")
+    if not rel.startswith(("src/", "tests/")) or rel in (
+            "src/net/wire.hpp", "src/net/wire.cpp"):
+        return
+    if "kFrameHeaderBytes" in text and "DecodeFrameHeader(" not in text:
+        yield (text[:text.index("kFrameHeaderBytes")].count("\n") + 1,
+               "reads a frame header without DecodeFrameHeader; "
+               "hand-rolled parsing bypasses the body-length bound")
 
 
 # --------------------------------------------------------------------- R4
@@ -154,18 +158,14 @@ NAKED_SYNC = re.compile(
     r"scoped_lock)\b")
 
 
-def check_no_naked_mutexes():
-    allowed = SRC / "common" / "thread_annotations.hpp"
-    for path in sorted(SRC.rglob("*.[ch]pp")):
-        if path == allowed:
-            continue
-        for number, line in enumerate(read(path).splitlines(), 1):
-            code = line.split("//")[0]
-            match = NAKED_SYNC.search(code)
-            if match:
-                fail(path, number,
-                     f"naked std::{match.group(1)}; use the annotated "
-                     "tc:: wrappers from common/thread_annotations.hpp")
+def check_no_naked_mutexes(rel, text):
+    if not rel.startswith("src/") or rel == "src/common/thread_annotations.hpp":
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        match = NAKED_SYNC.search(line.split("//")[0])
+        if match:
+            yield number, (f"naked std::{match.group(1)}; use the annotated "
+                           "tc:: wrappers from common/thread_annotations.hpp")
 
 
 # --------------------------------------------------------------------- R5
@@ -183,24 +183,22 @@ def is_secret(expr):
                           leaf, re.IGNORECASE))
 
 
-def check_crypto_constant_time():
-    for path in sorted((SRC / "crypto").rglob("*.[ch]pp")):
-        text = read(path)
-        for number, line in enumerate(text.splitlines(), 1):
-            code = line.split("//")[0]
-            if re.search(r"\bmemcmp\s*\(|\bstd::equal\s*\(", code):
-                fail(path, number,
-                     "memcmp/std::equal in crypto code; use "
-                     "ConstantTimeEqual from crypto/constant_time.hpp")
-                continue
-            for match in EQ_COMPARE.finditer(code):
-                lhs, rhs = match.group(1), match.group(2)
-                if (is_secret(lhs) or is_secret(rhs)) and \
-                        "ConstantTimeEqual" not in code:
-                    fail(path, number,
-                         f"secret-material comparison '{lhs} == {rhs}' "
-                         "must use ConstantTimeEqual "
-                         "(crypto/constant_time.hpp)")
+def check_crypto_constant_time(rel, text):
+    if not rel.startswith("src/crypto/"):
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        code = line.split("//")[0]
+        if re.search(r"\bmemcmp\s*\(|\bstd::equal\s*\(", code):
+            yield number, ("memcmp/std::equal in crypto code; use "
+                           "ConstantTimeEqual from crypto/constant_time.hpp")
+            continue
+        for match in EQ_COMPARE.finditer(code):
+            lhs, rhs = match.group(1), match.group(2)
+            if (is_secret(lhs) or is_secret(rhs)) and \
+                    "ConstantTimeEqual" not in code:
+                yield number, (f"secret-material comparison '{lhs} == {rhs}' "
+                               "must use ConstantTimeEqual "
+                               "(crypto/constant_time.hpp)")
 
 
 # --------------------------------------------------------------------- R6
@@ -273,74 +271,72 @@ def check_trace_vocabulary():
 
 
 # --------------------------------------------------------------------- R9
-# A data-member declaration: optional TC_SECRET, a type, one identifier,
-# optional brace-init, semicolon. Initialized constants (`= 32;`) and
-# function declarations never match the identifier-before-semicolon shape.
+# A data-member declaration: a type, one identifier, optional brace-init,
+# semicolon. Initialized constants (`= 32;`) and function declarations never
+# match the identifier-before-semicolon shape.
 R9_MEMBER = re.compile(
-    r"^\s*(?:TC_SECRET\s+)?[\w:<>,*&\s\[\]]+?\s"
+    r"^\s*[\w:<>,*&\s\[\]]+?\s"
     r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\{[^{}]*\})?\s*;")
-R9_NAME = re.compile(r"(?:key|seed|secret)", re.IGNORECASE)
+R9_NAME = re.compile(r"(?:key|seed|secret|master|state)", re.IGNORECASE)
+R9_SCRUBBING = re.compile(
+    r"\b(?:Scrubbed|SecretBuffer|SecretBytes|SecretKeys|ZeroizingAllocator|"
+    # Records whose own key members this rule holds to the same standard.
+    r"FieldKeys|StreamKeys|AccessToken|KeyRegressionState|HashChain|"
+    r"SequentialLeafIterator|BoxKeyPair|SigningKeyPair)\b")
+# Settings that only name key material: configs, options, counters, flags.
+R9_NOT_KEYS = re.compile(
+    r"\b(?:\w*Config|\w*Options|std::string|u?int\d+_t|size_t|bool)\s+\w+"
+    r"\s*(?:=|\{|;)")
+R9_SCOPE = ("src/crypto/", "src/client/", "tools/")
 
 
-def check_crypto_secret_annotations():
-    for path in sorted((SRC / "crypto").glob("*.hpp")):
-        for number, line in enumerate(read(path).splitlines(), 1):
-            code = line.split("//")[0]
-            code = re.sub(r"\balignas\s*\([^)]*\)", "", code)
-            if "(" in code or "using " in code or "typedef " in code:
-                continue  # function/param/alias, not a data member
-            match = R9_MEMBER.match(code)
-            if not match:
-                continue
-            name = match.group(1)
-            if not R9_NAME.search(name) or "public" in name.lower():
-                continue
-            if "TC_SECRET" not in code:
-                fail(path, number,
-                     f"crypto member '{name}' looks like key material but "
-                     "is not annotated TC_SECRET (common/secret.hpp); "
-                     "tc_analyze cannot track or enforce zeroization "
-                     "without it")
-
-
-# -------------------------------------------------------------------- R10
-R10_KNOWN_RULES = {
-    "secret-leak", "zeroize", "constant-time", "bounded-decode",
-    "blocking-under-lock", "blocking-in-executor", "status-discard",
-}
-R10_ALLOW = re.compile(r"//\s*tc_analyze:allow\(([^)]*)\)\s*(.*)$")
-
-
-def check_blocking_annotations():
-    annotations_hpp = SRC / "common" / "thread_annotations.hpp"
-    for path in sorted(SRC.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp") or path == annotations_hpp:
+def check_key_members(rel, text):
+    if not rel.endswith(".hpp") or not rel.startswith(R9_SCOPE):
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        code = line.split("//")[0]
+        code = re.sub(r"\balignas\s*\([^)]*\)", "", code)
+        if "(" in code or "using " in code or "typedef " in code:
+            continue  # function/param/alias, not a data member
+        match = R9_MEMBER.match(code)
+        if not match:
             continue
-        for number, line in enumerate(read(path).splitlines(), 1):
-            code = line.split("//")[0]
-            if "TC_BLOCKING" in code:
-                if path.suffix != ".hpp":
-                    fail(path, number,
-                         "TC_BLOCKING belongs on the declaration in the "
-                         "header — an annotation in a .cpp is invisible to "
-                         "callers in other TUs")
-                elif not code.lstrip().startswith("TC_BLOCKING"):
-                    fail(path, number,
-                         "TC_BLOCKING must lead its declaration line "
-                         "(annotate declarations, not call sites)")
-            match = R10_ALLOW.search(line)
-            if match:
-                rules = [r.strip() for r in match.group(1).split(",")]
-                unknown = [r for r in rules if r not in R10_KNOWN_RULES]
-                if unknown:
-                    fail(path, number,
-                         "tc_analyze:allow names unknown rule(s) "
-                         f"{unknown}; the analyzer silently ignores such "
-                         "a suppression")
-                if not match.group(2).strip():
-                    fail(path, number,
-                         "tc_analyze:allow without a justification; say "
-                         "why this hazard is safe here")
+        name = match.group(1)
+        if not R9_NAME.search(name) or "public" in name.lower():
+            continue
+        if not R9_SCRUBBING.search(code) and not R9_NOT_KEYS.search(code):
+            yield number, (
+                f"member '{name}' looks like key material but is not held "
+                "in a scrubbing type (Scrubbed<T>, SecretBuffer, SecretKeys "
+                "or a ZeroizingAllocator vector, common/secret.hpp)")
+
+
+# --------------------------------------------------------------------- R10
+R10_VOID = re.compile(r"\(void\)\s*[A-Za-z_(]")
+R10_REF_RETURN = re.compile(
+    r"^\s*(?:static\s+|virtual\s+|inline\s+)*(?:const\s+)?"
+    r"(?:Status|Result<[^;{}]*>)\s*&\s*[A-Za-z_]\w*\s*\(")
+
+
+def check_discards(rel, text):
+    if not rel.startswith(("src/", "tools/")):
+        return
+    lines = text.splitlines()
+    for number, line in enumerate(lines, 1):
+        code, _, comment = line.partition("//")
+        if R10_VOID.search(code):
+            above = lines[number - 2].strip() if number > 1 else ""
+            if not comment.strip() and not above.startswith("//"):
+                yield number, (
+                    "cast to void without a reason comment; say why the "
+                    "value may be dropped, on this line or the one above")
+        if R10_REF_RETURN.search(code):
+            above = lines[number - 2] if number > 1 else ""
+            if "[[nodiscard]]" not in code + above:
+                yield number, (
+                    "a Status or Result returned by reference must be "
+                    "[[nodiscard]]: the class attribute does not reach "
+                    "references")
 
 
 # -------------------------------------------------------------------- R11
@@ -348,21 +344,54 @@ R11_CPUID = re.compile(r"<cpuid\.h>|\b__get_cpuid|\b_?xgetbv\b")
 R11_GETENV = re.compile(r"\bgetenv\s*\(")
 
 
-def check_one_cpu_probe():
-    probe = SRC / "crypto" / "cpu.cpp"
-    for path in sorted(SRC.rglob("*.[ch]pp")):
-        in_crypto = (SRC / "crypto") in path.parents
-        for number, line in enumerate(read(path).splitlines(), 1):
-            code = line.split("//")[0]
-            if path != probe and R11_CPUID.search(code):
-                fail(path, number,
-                     "CPUID or XGETBV outside src/crypto/cpu.cpp; extend "
-                     "the CPU feature table (crypto/cpu.hpp) instead of "
-                     "probing again")
-            if in_crypto and R11_GETENV.search(code):
-                fail(path, number,
-                     "getenv in src/crypto/; kernel dispatch reads only "
-                     "the CPU feature table (crypto/cpu.hpp)")
+def check_one_cpu_probe(rel, text):
+    if not rel.startswith("src/"):
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        code = line.split("//")[0]
+        if rel != "src/crypto/cpu.cpp" and R11_CPUID.search(code):
+            yield number, ("CPUID or XGETBV outside src/crypto/cpu.cpp; "
+                           "extend the CPU feature table (crypto/cpu.hpp) "
+                           "instead of probing again")
+        if rel.startswith("src/crypto/") and R11_GETENV.search(code):
+            yield number, ("getenv in src/crypto/; kernel dispatch reads "
+                           "only the CPU feature table (crypto/cpu.hpp)")
+
+
+# -------------------------------------------------------------------- R12
+R12_ACCESSOR = re.compile(r"\bsecret_bytes\s*\(")
+R12_ALLOWED = ("src/crypto/", "src/common/secret.hpp", "src/net/codec.hpp",
+               "src/client/grants.cpp", "tools/cli_common.hpp")
+
+
+def check_key_bytes(rel, text):
+    if not rel.startswith(("src/", "tools/")) or rel.startswith(R12_ALLOWED):
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        if R12_ACCESSOR.search(line.split("//")[0]):
+            yield number, ("secret_bytes() outside src/crypto/ and the key "
+                           "serialisers; keep keys opaque here (a crypto "
+                           "function can take the Key128 or SecretBuffer)")
+
+
+FILE_RULES = (check_bounded_decode, check_no_naked_mutexes,
+              check_crypto_constant_time, check_key_members, check_discards,
+              check_one_cpu_probe, check_key_bytes)
+
+
+def lint_file(rel, text):
+    """(line, message) for each per-file rule violation in `text`, read as
+    the repo-relative path `rel`."""
+    return [v for rule in FILE_RULES for v in rule(rel, text)]
+
+
+def lint_tree():
+    sources = [SRC.rglob("*.[ch]pp"), TESTS.rglob("*.[ch]pp"),
+               (REPO / "tools").glob("*.[ch]pp")]
+    for path in sorted(p for group in sources for p in group):
+        for line, message in lint_file(
+                path.relative_to(REPO).as_posix(), read(path)):
+            fail(path, line, message)
 
 
 def main():
@@ -372,21 +401,16 @@ def main():
         return 1
     check_frame_table(enumerators)
     check_fuzz_coverage(enumerators)
-    check_bounded_decode()
-    check_no_naked_mutexes()
-    check_crypto_constant_time()
     check_metric_names()
     check_trace_vocabulary()
-    check_crypto_secret_annotations()
-    check_blocking_annotations()
-    check_one_cpu_probe()
+    lint_tree()
     if failures:
         for failure in failures:
             print(failure)
         print(f"tc_lint: {len(failures)} violation(s)", file=sys.stderr)
         return 1
     print(f"tc_lint: clean ({len(enumerators)} frame types, "
-          "10 invariants)")
+          "11 invariants)")
     return 0
 
 

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -727,8 +728,7 @@ int CmdVerify(const Flags& flags, const std::string& state_dir) {
   return 0;
 }
 
-int CmdKeygen(const Flags& flags, const std::string& state_dir) {
-  (void)flags;
+int CmdKeygen(const Flags&, const std::string& state_dir) {
   auto identity = LoadOrCreateIdentity(state_dir, /*create=*/true);
   if (!identity.ok()) Die(identity.status());
   std::printf("public key: %s\n", ToHex(identity->public_key).c_str());
