@@ -603,5 +603,29 @@ TEST_P(SealedBox, KeypairsAreUnique) {
             GenerateBoxKeyPair().public_key);
 }
 
+// A recipient keypair, and a box sealed to it, made by OpenSSL's EVP
+// X25519. X25519 is deterministic, so any correct implementation derives
+// the same public key and opens the same box: stored grants and identity
+// key files stay valid.
+constexpr char kPinnedSecret[] =
+    "a8f3c1d27e4b9065f1e2d3c4b5a69788796a5b4c3d2e1f00112233445566778f";
+constexpr char kPinnedPublic[] =
+    "485af32f55b04b269b0af21487154362dd7da48ac39d4dc469059221db578a46";
+constexpr char kPinnedBox[] =
+    "da6d5b8070cbd4c1a992101ad66c3a98c6b1a3b118b26713fb93032c4f76da5e"
+    "4c711365dc6abf6697b334e03227f3fe182d781ce69d8407edca53bb1cca6a7f"
+    "bc521e8c2ed923a8efc9d574ec65d61e8225042e6a82f0080582bc8e0a8d9e73"
+    "71519ce35d09695a";
+constexpr char kPinnedPlaintext[] =
+    "grant sealed by the OpenSSL EVP X25519 build";
+
+TEST_P(SealedBox, OpensABoxSealedByOpenSslEvp) {
+  const BoxKeyPair pinned{FromHex(kPinnedPublic).value(),
+                          SecretBuffer(FromHex(kPinnedSecret).value())};
+  auto open = OpenSealed(pinned, FromHex(kPinnedBox).value());
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(ToString(*open), kPinnedPlaintext);
+}
+
 }  // namespace
 }  // namespace tc::crypto
