@@ -4,15 +4,20 @@
 //
 // Construction: X25519 ephemeral ECDH -> HKDF-SHA256 -> AES-128-GCM.
 // Output: ephemeral_pub(32) || gcm(nonce || ct || tag).
+//
+// X25519 is the native constant-time kernel of crypto/x25519.hpp, and the
+// HKDF and AES-GCM are the native ones where the CPU has AES-NI, so issuing
+// and opening grants never starts OpenSSL's libcrypto. X25519 is
+// deterministic: keys, boxes and key files made by OpenSSL's X25519 open
+// and verify unchanged.
 #pragma once
 
 #include "common/secret.hpp"
 #include "common/status.hpp"
 #include "crypto/rand.hpp"
+#include "crypto/x25519.hpp"
 
 namespace tc::crypto {
-
-constexpr size_t kX25519KeySize = 32;
 
 /// A principal's long-term identity keypair. The identity provider of the
 /// threat model (e.g. Keybase, §3.3) maps principal ids to public keys;
@@ -28,9 +33,13 @@ BoxKeyPair GenerateBoxKeyPair();
 
 /// Seal `plaintext` to the holder of `recipient_public`. Anyone can seal;
 /// only the secret-key holder can open (sender-anonymous, like NaCl boxes).
+/// InvalidArgument when the recipient key is not 32 bytes or has low order
+/// (its shared secret would be all zero).
 Result<Bytes> SealToPublicKey(BytesView recipient_public, BytesView plaintext);
 
-/// Open a sealed blob with the recipient keypair.
+/// Open a sealed blob with the recipient keypair. DataLoss when the blob is
+/// short, its ephemeral key has low order or it fails authentication;
+/// InvalidArgument when the recipient's secret key is not 32 bytes.
 Result<Bytes> OpenSealed(const BoxKeyPair& recipient, BytesView sealed);
 
 }  // namespace tc::crypto

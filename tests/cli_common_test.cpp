@@ -225,11 +225,17 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
               "20" + ToHex(created->first) + "20" + ToHex(created->second))
         << file.name;
 
+    // The signing file takes halves of any length; an identity must be two
+    // matching 32-byte X25519 keys (IdentityFile.RejectsAnInvalidKeyPair).
     WriteFileBytes(path, "03010203" "020405");
     auto loaded = file.load();
-    ASSERT_TRUE(loaded.ok()) << file.name;
-    EXPECT_EQ(loaded->first, (Bytes{1, 2, 3})) << file.name;
-    EXPECT_EQ(loaded->second, (Bytes{4, 5})) << file.name;
+    if (file.name == std::string_view("identity.key")) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    } else {
+      ASSERT_TRUE(loaded.ok()) << file.name;
+      EXPECT_EQ(loaded->first, (Bytes{1, 2, 3})) << file.name;
+      EXPECT_EQ(loaded->second, (Bytes{4, 5})) << file.name;
+    }
 
     for (const char* bad : {
              "03010203" "0204",        // truncated secret key
@@ -240,6 +246,37 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
           << file.name << " " << bad;
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A consumer whose identity file is damaged would register a key that its
+// grants' boxes cannot be opened with, and FetchGrants would skip every
+// one: the load fails instead, naming the file.
+TEST(IdentityFile, RejectsAnInvalidKeyPair) {
+  std::string dir = ::testing::TempDir() + "/cli_identity_invalid";
+  std::filesystem::remove_all(dir);
+  const auto path = std::filesystem::path(dir) / "identity.key";
+  auto created = LoadOrCreateIdentity(dir, /*create=*/true);
+  ASSERT_TRUE(created.ok());
+  const std::string pub = ToHex(created->public_key);
+  const std::string secret = ToHex(created->secret_key.secret_bytes());
+  const std::string other = ToHex(crypto::GenerateBoxKeyPair().public_key);
+
+  for (const std::string& bad : {
+           "1f" + pub.substr(2) + "20" + secret,       // truncated public
+           "20" + pub + "1f" + secret.substr(2),       // truncated secret
+           "20" + other + "20" + secret,               // another's public
+           "20" + secret + "20" + pub,                 // halves swapped
+       }) {
+    WriteFileBytes(path, bad);
+    auto loaded = LoadOrCreateIdentity(dir, /*create=*/false);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << bad;
+    EXPECT_NE(loaded.status().message().find(path.string()),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  WriteFileBytes(path, "20" + pub + "20" + secret);
+  EXPECT_TRUE(LoadOrCreateIdentity(dir, /*create=*/false).ok());
   std::filesystem::remove_all(dir);
 }
 

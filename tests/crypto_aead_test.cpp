@@ -3,7 +3,8 @@
 // payload encryption
 // (byte-for-byte agreement with OpenSSL's EVP path, tamper detection, cipher
 // context reuse, the per-thread nonce reserve, its thread and fork safety)
-// and X25519 sealed-box tests, on both kernel arms (tests/kernel_arms.hpp).
+// and sealed-box tests, on both kernel arms (tests/kernel_arms.hpp); and the
+// X25519 kernel against RFC 7748's vectors and OpenSSL's EVP X25519.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 #include <openssl/hmac.h>
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -20,6 +22,7 @@
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sealed_box.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/x25519.hpp"
 #include "tests/kernel_arms.hpp"
 #include "tests/key_testing.hpp"
 
@@ -625,6 +628,193 @@ TEST_P(SealedBox, OpensABoxSealedByOpenSslEvp) {
   auto open = OpenSealed(pinned, FromHex(kPinnedBox).value());
   ASSERT_TRUE(open.ok()) << open.status().ToString();
   EXPECT_EQ(ToString(*open), kPinnedPlaintext);
+  EXPECT_EQ(ToHex(BoxPublicKey(pinned.secret_key).value()), kPinnedPublic);
+}
+
+// ------------------------------------------------------------------ X25519
+
+using Key32 = std::array<uint8_t, kX25519KeySize>;
+
+Key32 Key32FromHex(std::string_view hex) {
+  const Bytes bytes = FromHex(hex).value();
+  Key32 key{};
+  EXPECT_EQ(bytes.size(), key.size()) << hex;
+  std::copy_n(bytes.begin(), std::min(bytes.size(), key.size()), key.begin());
+  return key;
+}
+
+std::string X25519Hex(const Key32& scalar, const Key32& u) {
+  Key32 out{};
+  X25519(out, scalar, u);
+  return ToHex(out);
+}
+
+// OpenSSL's EVP X25519, the reference: nullopt when it refuses, which it
+// does for an all-zero shared secret.
+std::optional<Key32> EvpX25519(const Key32& scalar, const Key32& u) {
+  EVP_PKEY* secret = EVP_PKEY_new_raw_private_key(EVP_PKEY_X25519, nullptr,
+                                                  scalar.data(), scalar.size());
+  EVP_PKEY* peer = EVP_PKEY_new_raw_public_key(EVP_PKEY_X25519, nullptr,
+                                               u.data(), u.size());
+  EVP_PKEY_CTX* ctx =
+      secret != nullptr ? EVP_PKEY_CTX_new(secret, nullptr) : nullptr;
+  Key32 shared{};
+  size_t len = shared.size();
+  const bool ok = ctx != nullptr && peer != nullptr &&
+                  EVP_PKEY_derive_init(ctx) == 1 &&
+                  EVP_PKEY_derive_set_peer(ctx, peer) == 1 &&
+                  EVP_PKEY_derive(ctx, shared.data(), &len) == 1 &&
+                  len == shared.size();
+  EVP_PKEY_CTX_free(ctx);
+  EVP_PKEY_free(peer);
+  EVP_PKEY_free(secret);
+  if (!ok) return std::nullopt;
+  return shared;
+}
+
+// RFC 7748 §5.2: two single scalar multiplications, the second with the
+// top bit of u set (it must be ignored).
+TEST(X25519, Rfc7748Section52Vectors) {
+  EXPECT_EQ(
+      X25519Hex(Key32FromHex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18"
+                             "506a2244ba449ac4"),
+                Key32FromHex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b"
+                             "10a903a6d0ab1c4c")),
+      "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+  EXPECT_EQ(
+      X25519Hex(Key32FromHex("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d4"
+                             "2ca4169e7918ba0d"),
+                Key32FromHex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3e"
+                             "fc4cd549c715a493")),
+      "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
+// RFC 7748 §5.2's iteration: k = u = 9, then k, u = X25519(k, u), k.
+TEST(X25519, Rfc7748IteratedVectors) {
+  Key32 k{9}, u{9};
+  auto step = [&] {
+    Key32 next{};
+    X25519(next, k, u);
+    u = k;
+    k = next;
+  };
+  step();
+  EXPECT_EQ(ToHex(k),
+            "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+  for (int i = 1; i < 1000; ++i) step();
+  EXPECT_EQ(ToHex(k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// RFC 7748 §6.1: Alice's and Bob's public keys and their shared secret.
+TEST(X25519, Rfc7748Section61DiffieHellman) {
+  const char* alice_secret =
+      "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a";
+  const char* bob_secret =
+      "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb";
+  const char* alice_public =
+      "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a";
+  const char* bob_public =
+      "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f";
+  const char* shared =
+      "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742";
+  EXPECT_EQ(ToHex(BoxPublicKey(SecretBuffer(FromHex(alice_secret).value()))
+                      .value()),
+            alice_public);
+  EXPECT_EQ(ToHex(BoxPublicKey(SecretBuffer(FromHex(bob_secret).value()))
+                      .value()),
+            bob_public);
+  EXPECT_EQ(X25519Hex(Key32FromHex(alice_secret), Key32FromHex(bob_public)),
+            shared);
+  EXPECT_EQ(X25519Hex(Key32FromHex(bob_secret), Key32FromHex(alice_public)),
+            shared);
+}
+
+TEST(X25519, BoxPublicKeyNeeds32Bytes) {
+  EXPECT_EQ(BoxPublicKey(SecretBuffer(31)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BoxPublicKey(SecretBuffer(33)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// 1,000 seeded (scalar, u) pairs against OpenSSL. A quarter of the u have
+// the top bit set, a quarter are non-canonical (p + 2 to p + 18, half of
+// them with the top bit set too), and the rest have it clear.
+TEST(X25519, MatchesEvpOnSeededPairs) {
+  const Key32 p = Key32FromHex(
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  DeterministicRng rng(0x25519);
+  for (int i = 0; i < 1000; ++i) {
+    Key32 scalar{}, u{};
+    rng.Fill(scalar);
+    rng.Fill(u);
+    switch (i % 4) {
+      case 0: u[31] |= 0x80; break;
+      case 1:
+        u = p;
+        u[0] = static_cast<uint8_t>(u[0] + 2 + rng.NextBelow(17));
+        if (i % 8 == 1) u[31] |= 0x80;
+        break;
+      default: u[31] &= 0x7f; break;
+    }
+    const auto expected = EvpX25519(scalar, u);
+    ASSERT_TRUE(expected.has_value()) << "pair " << i;
+    ASSERT_EQ(X25519Hex(scalar, u), ToHex(*expected))
+        << "pair " << i << ": scalar " << ToHex(scalar) << ", u " << ToHex(u);
+  }
+}
+
+// The points of order 1, 2, 4 and 8 (u = 0, 1, p - 1 and the two of order
+// 8), and the non-canonical encodings p and p + 1 of u = 0 and 1, each also
+// with the top bit set. Their product with any clamped scalar is the
+// identity, whose u-coordinate encodes as zero.
+std::vector<Key32> LowOrderKeys() {
+  std::vector<Key32> keys;
+  for (const char* hex : {
+           "0000000000000000000000000000000000000000000000000000000000000000",
+           "0100000000000000000000000000000000000000000000000000000000000000",
+           "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+           "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+           "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+           "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+           "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       }) {
+    keys.push_back(Key32FromHex(hex));
+    keys.push_back(keys.back());
+    keys.back()[31] |= 0x80;
+  }
+  return keys;
+}
+
+TEST(X25519, LowOrderPointsGiveAllZero) {
+  DeterministicRng rng(8);
+  for (const Key32& u : LowOrderKeys()) {
+    Key32 scalar{};
+    rng.Fill(scalar);
+    EXPECT_EQ(X25519Hex(scalar, u), ToHex(Key32{})) << ToHex(u);
+    EXPECT_FALSE(EvpX25519(scalar, u).has_value()) << ToHex(u);
+  }
+}
+
+TEST_P(SealedBox, LowOrderRecipientKeyIsInvalidArgument) {
+  for (const Key32& u : LowOrderKeys()) {
+    EXPECT_EQ(SealToPublicKey(u, ToBytes("m")).status().code(),
+              StatusCode::kInvalidArgument)
+        << ToHex(u);
+  }
+}
+
+TEST_P(SealedBox, LowOrderEphemeralKeyIsDataLoss) {
+  BoxKeyPair alice = GenerateBoxKeyPair();
+  auto sealed = SealToPublicKey(alice.public_key, ToBytes("secret"));
+  ASSERT_TRUE(sealed.ok());
+  for (const Key32& u : LowOrderKeys()) {
+    Bytes forged = *sealed;
+    std::copy(u.begin(), u.end(), forged.begin());
+    EXPECT_EQ(OpenSealed(alice, forged).status().code(),
+              StatusCode::kDataLoss)
+        << ToHex(u);
+  }
 }
 
 }  // namespace

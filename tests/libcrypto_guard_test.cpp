@@ -1,7 +1,10 @@
-// The owner's symmetric path never initializes OpenSSL's libcrypto: it
-// creates a HEAC stream, ingests, queries, reads raw points and rolls up
-// with native SHA-256, HMAC, HKDF, AES-GCM and getrandom(2). Public-key
-// operations (sealed grants, signatures, the strawman ciphers) still do.
+// An owner and a consumer never initialize OpenSSL's libcrypto: the owner
+// creates a HEAC stream, ingests, queries, reads raw points, rolls up and
+// issues a full-resolution and a resolution grant, and the consumer fetches
+// its grants and queries, with native SHA-256, HMAC, HKDF, AES-GCM, X25519
+// and getrandom(2). libcrypto serves only Ed25519 (stream attestations),
+// Paillier and EC-ElGamal (the strawman ciphers) and AES-GCM on CPUs
+// without AES-NI.
 //
 // The executable defines OPENSSL_init_crypto, which every libcrypto entry
 // point that needs its library context calls first. The dynamic linker
@@ -15,8 +18,10 @@
 #include <atomic>
 #include <memory>
 
+#include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "crypto/ed25519.hpp"
 #include "crypto/sealed_box.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
@@ -41,13 +46,14 @@ namespace {
 
 constexpr uint64_t kDelta = 1000;
 
-TEST(LibcryptoGuard, OwnerPathNeverInitializesLibcrypto) {
+TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
   if (!crypto::GcmIsNative()) {
     GTEST_SKIP() << "AES-GCM runs on OpenSSL's EVP path on this CPU";
   }
   auto server = std::make_shared<server::ServerEngine>(
       std::make_shared<store::MemKvStore>());
-  OwnerClient owner(std::make_shared<net::InProcTransport>(server));
+  auto transport = std::make_shared<net::InProcTransport>(server);
+  OwnerClient owner(transport);
 
   net::StreamConfig config;
   config.name = "guard/stream";
@@ -74,11 +80,33 @@ TEST(LibcryptoGuard, OwnerPathNeverInitializesLibcrypto) {
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   EXPECT_EQ(rolled->stats.Sum().value(), 39 * 40 / 2);
 
+  // Grants: sealed to each principal's X25519 key, opened by the consumer.
+  const Principal full{"guard/full", crypto::GenerateBoxKeyPair()};
+  const Principal coarse{"guard/coarse", crypto::GenerateBoxKeyPair()};
+  ASSERT_TRUE(owner
+                  .GrantAccess(*uuid, full.id, full.keys.public_key,
+                               {0, 10 * kDelta})
+                  .ok());
+  ASSERT_TRUE(owner
+                  .GrantAccess(*uuid, coarse.id, coarse.keys.public_key,
+                               {0, 10 * kDelta}, /*resolution_chunks=*/5)
+                  .ok());
+  for (const Principal* principal : {&full, &coarse}) {
+    ConsumerClient consumer(transport, *principal);
+    auto grants = consumer.FetchGrants();
+    ASSERT_TRUE(grants.ok()) << grants.status().ToString();
+    EXPECT_EQ(*grants, 1) << principal->id;
+    auto window = consumer.GetStatRange(*uuid, {5 * kDelta, 10 * kDelta});
+    ASSERT_TRUE(window.ok()) << principal->id << ": "
+                             << window.status().ToString();
+    EXPECT_EQ(window->stats.Sum().value(), (20 + 39) * 20 / 2);
+  }
+
   EXPECT_EQ(init_calls.load(), 0);
 
   // Positive control: a public-key operation must register, or the probe
   // itself has stopped working and the check above proves nothing.
-  const crypto::BoxKeyPair pair = crypto::GenerateBoxKeyPair();
+  const crypto::SigningKeyPair pair = crypto::GenerateSigningKeyPair();
   EXPECT_FALSE(pair.public_key.empty());
   EXPECT_GT(init_calls.load(), 0);
 }

@@ -255,13 +255,27 @@ Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
   return kp;
 }
 
-/// Consumer identity (X25519 keypair) persisted in the state dir.
+/// Consumer identity (X25519 keypair) persisted in the state dir. The file
+/// must hold a 32-byte public and a 32-byte secret key, the first derived
+/// from the second: a consumer registered under any other public key could
+/// open none of its grants. DataLoss, naming the file, otherwise.
 inline Result<crypto::BoxKeyPair> LoadOrCreateIdentity(
     const std::string& state_dir, bool create) {
-  auto kp = LoadOrCreateKeyPair(state_dir, "identity.key",
+  constexpr const char* kName = "identity.key";
+  auto kp = LoadOrCreateKeyPair(state_dir, kName,
                                 create ? &crypto::GenerateBoxKeyPair : nullptr);
   if (kp.status().code() == StatusCode::kNotFound) {
     return NotFound("no identity; run `tccli keygen` first");
+  }
+  if (!kp.ok()) return kp;
+  const auto path = (std::filesystem::path(state_dir) / kName).string();
+  if (kp->public_key.size() != crypto::kX25519KeySize ||
+      kp->secret_key.size() != crypto::kX25519KeySize) {
+    return DataLoss(path + ": an identity is a 32-byte public and a 32-byte "
+                           "secret X25519 key");
+  }
+  if (*crypto::BoxPublicKey(kp->secret_key) != kp->public_key) {
+    return DataLoss(path + ": the public key is not the secret key's");
   }
   return kp;
 }
