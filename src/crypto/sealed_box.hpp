@@ -5,11 +5,10 @@
 // Construction: X25519 ephemeral ECDH -> HKDF-SHA256 -> AES-128-GCM.
 // Output: ephemeral_pub(32) || gcm(nonce || ct || tag).
 //
-// X25519 is the native constant-time kernel of crypto/x25519.hpp, and the
-// HKDF and AES-GCM are the native ones where the CPU has AES-NI, so issuing
-// and opening grants never starts OpenSSL's libcrypto. X25519 is
-// deterministic: keys, boxes and key files made by OpenSSL's X25519 open
-// and verify unchanged.
+// X25519 is the native constant-time kernel of crypto/x25519.hpp, and HKDF
+// and AES-GCM are native where the CPU has AES-NI, so sealing and opening
+// never start OpenSSL's libcrypto. It serves only Ed25519, Paillier,
+// EC-ElGamal and AES-GCM without AES-NI.
 #pragma once
 
 #include "common/secret.hpp"

@@ -38,7 +38,7 @@ Fe FeFromBytes(std::span<const uint8_t, kX25519KeySize> s) {
 
 /// Writes the canonical encoding (the value reduced below p).
 void FeToBytes(std::span<uint8_t, kX25519KeySize> out, const Fe& f) {
-  Fe t = f;
+  Scrubbed<Fe> t = f;
   // Each pass leaves limbs of 51 bits, folding the carry out of the top
   // limb back in as 19 times itself (2^255 = 19 mod p).
   auto carry = [&t] {
