@@ -11,10 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "crypto/ec_elgamal.hpp"
 #include "crypto/ggm_tree.hpp"
-#include "crypto/paillier.hpp"
 #include "index/digest_cipher.hpp"
+#include "strawman/strawman_cipher.hpp"
 
 namespace tc::bench {
 namespace {
@@ -40,14 +39,14 @@ Fixture& GetFixture(const std::string& scheme) {
         1, std::make_shared<crypto::GgmTree>(crypto::RandomKey128(), 30));
     size = LargeRuns() ? (1u << 26) : (1u << 20);
   } else if (scheme == "Paillier") {
-    static std::shared_ptr<const crypto::Paillier> paillier =
-        crypto::Paillier::Generate(3072);
-    cipher = index::MakePaillierCipher(1, paillier);
+    static std::shared_ptr<const strawman::Paillier> paillier =
+        strawman::Paillier::Generate(3072);
+    cipher = strawman::MakePaillierCipher(1, paillier);
     size = 1u << 16;
   } else {
-    static std::shared_ptr<const crypto::EcElGamal> eg =
-        crypto::EcElGamal::Generate();
-    cipher = index::MakeEcElGamalCipher(1, eg);
+    static std::shared_ptr<const strawman::EcElGamal> eg =
+        strawman::EcElGamal::Generate();
+    cipher = strawman::MakeEcElGamalCipher(1, eg);
     size = 1u << 16;
   }
   Fixture f{scheme, std::make_unique<IndexFixture>(cipher, 64), size};

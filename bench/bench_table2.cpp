@@ -9,23 +9,22 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "crypto/ec_elgamal.hpp"
 #include "crypto/ggm_tree.hpp"
-#include "crypto/paillier.hpp"
 #include "index/digest_cipher.hpp"
+#include "strawman/strawman_cipher.hpp"
 
 namespace tc::bench {
 namespace {
 
-std::shared_ptr<const crypto::Paillier>& SharedPaillier() {
-  static std::shared_ptr<const crypto::Paillier> p =
-      crypto::Paillier::Generate(3072);
+std::shared_ptr<const strawman::Paillier>& SharedPaillier() {
+  static std::shared_ptr<const strawman::Paillier> p =
+      strawman::Paillier::Generate(3072);
   return p;
 }
 
-std::shared_ptr<const crypto::EcElGamal>& SharedEg() {
-  static std::shared_ptr<const crypto::EcElGamal> eg =
-      crypto::EcElGamal::Generate();
+std::shared_ptr<const strawman::EcElGamal>& SharedEg() {
+  static std::shared_ptr<const strawman::EcElGamal> eg =
+      strawman::EcElGamal::Generate();
   return eg;
 }
 
@@ -37,9 +36,9 @@ std::shared_ptr<const index::DigestCipher> MakeCipher(
         1, std::make_shared<crypto::GgmTree>(crypto::RandomKey128(), 30));
   }
   if (scheme == "Paillier") {
-    return index::MakePaillierCipher(1, SharedPaillier());
+    return strawman::MakePaillierCipher(1, SharedPaillier());
   }
-  return index::MakeEcElGamalCipher(1, SharedEg());
+  return strawman::MakeEcElGamalCipher(1, SharedEg());
 }
 
 // ---- Micro ADD: one homomorphic addition of two digest blobs -------------

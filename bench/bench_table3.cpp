@@ -10,10 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "crypto/ec_elgamal.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
-#include "crypto/paillier.hpp"
+#include "strawman/ec_elgamal.hpp"
+#include "strawman/paillier.hpp"
 
 namespace tc::bench {
 namespace {
@@ -70,9 +70,9 @@ BENCHMARK(BM_TimeCryptEncSequential)->Unit(benchmark::kMicrosecond);
 // Paillier at 2048-bit (>=112-bit security; the paper's table used >=80-bit
 // parameters for this comparison — pass --benchmark_filter and
 // TC_BENCH_LARGE=1 for the 3072-bit variant used elsewhere).
-std::unique_ptr<crypto::Paillier>& TablePaillier() {
-  static std::unique_ptr<crypto::Paillier> p =
-      crypto::Paillier::Generate(LargeRuns() ? 3072 : 2048);
+std::unique_ptr<strawman::Paillier>& TablePaillier() {
+  static std::unique_ptr<strawman::Paillier> p =
+      strawman::Paillier::Generate(LargeRuns() ? 3072 : 2048);
   return p;
 }
 
@@ -96,7 +96,7 @@ void BM_PaillierDec(benchmark::State& state) {
 BENCHMARK(BM_PaillierDec)->Unit(benchmark::kMicrosecond);
 
 void BM_EcElGamalEnc(benchmark::State& state) {
-  auto eg = crypto::EcElGamal::Generate();
+  auto eg = strawman::EcElGamal::Generate();
   for (auto _ : state) {
     auto c = eg->Encrypt(0xdeadbeef);
     benchmark::DoNotOptimize(c.data());
@@ -105,7 +105,7 @@ void BM_EcElGamalEnc(benchmark::State& state) {
 BENCHMARK(BM_EcElGamalEnc)->Unit(benchmark::kMicrosecond);
 
 void BM_EcElGamalDec(benchmark::State& state) {
-  auto eg = crypto::EcElGamal::Generate();
+  auto eg = strawman::EcElGamal::Generate();
   // 32-bit plaintext: BSGS with a 2^17 baby table (dlog is the cost driver
   // — this is why the paper lists N/A for EC-ElGamal decryption on IoT).
   auto c = eg->Encrypt(0xdeadbeef);

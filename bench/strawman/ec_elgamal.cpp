@@ -1,4 +1,4 @@
-#include "crypto/ec_elgamal.hpp"
+#include "strawman/ec_elgamal.hpp"
 
 #include <openssl/bn.h>
 #include <openssl/ec.h>
@@ -9,7 +9,7 @@
 #include <cstring>
 #include <unordered_map>
 
-namespace tc::crypto {
+namespace tc::strawman {
 
 namespace {
 [[noreturn]] void FatalEc(const char* what) {
@@ -125,24 +125,6 @@ std::unique_ptr<EcElGamal> EcElGamal::Generate() {
   return eg;
 }
 
-Bytes EcElGamal::ExportPublicKey() const {
-  return impl_->SerializePoint(impl_->q.get());
-}
-
-Result<std::unique_ptr<EcElGamal>> EcElGamal::FromPublicKey(
-    BytesView q_bytes) {
-  auto eg = std::unique_ptr<EcElGamal>(new EcElGamal());
-  Impl& im = *eg->impl_;
-  im.group = EC_GROUP_new_by_curve_name(NID_X9_62_prime256v1);
-  im.ctx = BN_CTX_new();
-  if (im.group == nullptr || im.ctx == nullptr) FatalEc("group init");
-  auto q = im.ParsePoint(q_bytes);
-  if (!q.ok()) return InvalidArgument("malformed EC-ElGamal public key");
-  im.q = std::move(*q);
-  // im.x stays null: decrypt is denied below.
-  return eg;
-}
-
 EcElGamalCiphertext EcElGamal::Encrypt(uint64_t m) const {
   Impl& im = *impl_;
   BnPtr order(BN_new());
@@ -204,9 +186,6 @@ EcElGamalCiphertext EcElGamal::Add(const EcElGamalCiphertext& a,
 Result<uint64_t> EcElGamal::Decrypt(const EcElGamalCiphertext& c,
                                     uint32_t table_bits) const {
   Impl& im = *impl_;
-  if (!im.x) {
-    return PermissionDenied("public-only EC-ElGamal instance cannot decrypt");
-  }
   if (c.size() != 66) return InvalidArgument("bad EC-ElGamal ciphertext size");
   TC_ASSIGN_OR_RETURN(PointPtr c1, im.ParsePoint(BytesView(c).subspan(0, 33)));
   TC_ASSIGN_OR_RETURN(PointPtr c2,
@@ -254,4 +233,4 @@ Result<uint64_t> EcElGamal::Decrypt(const EcElGamalCiphertext& c,
   return OutOfRange("EC-ElGamal plaintext exceeds BSGS range");
 }
 
-}  // namespace tc::crypto
+}  // namespace tc::strawman

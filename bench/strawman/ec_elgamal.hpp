@@ -14,7 +14,7 @@
 #include "common/status.hpp"
 #include "common/bytes.hpp"
 
-namespace tc::crypto {
+namespace tc::strawman {
 
 /// Serialized ciphertext: two compressed P-256 points (33 bytes each).
 using EcElGamalCiphertext = Bytes;
@@ -23,13 +23,6 @@ class EcElGamal {
  public:
   /// prime256v1 keypair (128-bit security, §6 setup).
   static std::unique_ptr<EcElGamal> Generate();
-
-  /// Public point Q (compressed). Enough for Encrypt/Add.
-  Bytes ExportPublicKey() const;
-
-  /// Public-only instance (server side): Encrypt/Add work, Decrypt is
-  /// PermissionDenied.
-  static Result<std::unique_ptr<EcElGamal>> FromPublicKey(BytesView q_bytes);
 
   ~EcElGamal();
   EcElGamal(const EcElGamal&) = delete;
@@ -54,4 +47,4 @@ class EcElGamal {
   std::unique_ptr<Impl> impl_;
 };
 
-}  // namespace tc::crypto
+}  // namespace tc::strawman

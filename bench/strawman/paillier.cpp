@@ -1,11 +1,11 @@
-#include "crypto/paillier.hpp"
+#include "strawman/paillier.hpp"
 
 #include <openssl/bn.h>
 
 #include <cstdio>
 #include <cstdlib>
 
-namespace tc::crypto {
+namespace tc::strawman {
 
 namespace {
 [[noreturn]] void FatalBn(const char* what) {
@@ -107,30 +107,6 @@ size_t Paillier::ciphertext_size() const {
   return static_cast<size_t>(impl_->bits) / 4;  // 2 * (bits/8)
 }
 
-Bytes Paillier::ExportPublicKey() const {
-  Bytes out(static_cast<size_t>(impl_->bits) / 8);
-  BN_bn2binpad(impl_->n.get(), out.data(), static_cast<int>(out.size()));
-  return out;
-}
-
-Result<std::unique_ptr<Paillier>> Paillier::FromPublicKey(BytesView n_bytes) {
-  if (n_bytes.empty()) return InvalidArgument("empty Paillier public key");
-  auto paillier = std::unique_ptr<Paillier>(new Paillier());
-  Impl& im = *paillier->impl_;
-  im.bits = static_cast<int>(n_bytes.size()) * 8;
-  im.ctx = BN_CTX_new();
-  if (im.ctx == nullptr) FatalBn("BN_CTX_new");
-  im.n = NewBn();
-  im.n2 = NewBn();
-  if (BN_bin2bn(n_bytes.data(), static_cast<int>(n_bytes.size()),
-                im.n.get()) == nullptr) {
-    return InvalidArgument("malformed Paillier public key");
-  }
-  BN_sqr(im.n2.get(), im.n.get(), im.ctx);
-  // lambda/mu/CRT members stay null: decrypt is denied below.
-  return paillier;
-}
-
 PaillierCiphertext Paillier::Encrypt(uint64_t m) const {
   Impl& im = *impl_;
   BnPtr bm = NewBn(), r = NewBn(), c = NewBn(), tmp = NewBn();
@@ -167,9 +143,6 @@ PaillierCiphertext Paillier::Add(const PaillierCiphertext& a,
 
 Result<uint64_t> Paillier::Decrypt(const PaillierCiphertext& c) const {
   Impl& im = *impl_;
-  if (!im.lambda) {
-    return PermissionDenied("public-only Paillier instance cannot decrypt");
-  }
   BnPtr bc = NewBn(), m = NewBn();
   BN_bin2bn(c.data(), static_cast<int>(c.size()), bc.get());
 
@@ -191,4 +164,4 @@ Result<uint64_t> Paillier::Decrypt(const PaillierCiphertext& c) const {
   return static_cast<uint64_t>(BN_get_word(m.get()));
 }
 
-}  // namespace tc::crypto
+}  // namespace tc::strawman

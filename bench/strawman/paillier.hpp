@@ -13,7 +13,7 @@
 #include "common/status.hpp"
 #include "common/bytes.hpp"
 
-namespace tc::crypto {
+namespace tc::strawman {
 
 /// Paillier ciphertext: big-endian bignum, 2*modulus_bits wide.
 using PaillierCiphertext = Bytes;
@@ -23,13 +23,6 @@ class Paillier {
   /// Generate a fresh keypair. 3072-bit n gives 128-bit security (§6 setup);
   /// 1024-bit corresponds to the 80-bit IoT row of Table 3.
   static std::unique_ptr<Paillier> Generate(int modulus_bits = 3072);
-
-  /// Public half (the modulus n, big-endian). Enough for Encrypt/Add.
-  Bytes ExportPublicKey() const;
-
-  /// Public-only instance (server side): Encrypt/Add work, Decrypt is
-  /// PermissionDenied.
-  static Result<std::unique_ptr<Paillier>> FromPublicKey(BytesView n_bytes);
 
   ~Paillier();
   Paillier(const Paillier&) = delete;
@@ -55,4 +48,4 @@ class Paillier {
   std::unique_ptr<Impl> impl_;
 };
 
-}  // namespace tc::crypto
+}  // namespace tc::strawman

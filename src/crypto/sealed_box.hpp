@@ -7,8 +7,9 @@
 //
 // X25519 is the native constant-time kernel of crypto/x25519.hpp, and HKDF
 // and AES-GCM are native where the CPU has AES-NI, so sealing and opening
-// never start OpenSSL's libcrypto. It serves only Ed25519, Paillier,
-// EC-ElGamal and AES-GCM without AES-NI.
+// never start OpenSSL's libcrypto. In the product it serves only Ed25519
+// and AES-GCM without AES-NI (the benchmarks' strawman ciphers use it too,
+// from their own library).
 #pragma once
 
 #include "common/secret.hpp"

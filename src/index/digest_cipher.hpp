@@ -1,11 +1,12 @@
 // Digest cipher backends: how digest fields are protected inside the index.
 //
-// The aggregation tree (agg_tree.hpp) is generic over this interface, which
-// lets the benchmarks run the identical index code over:
+// The aggregation tree (agg_tree.hpp) is generic over this interface. The
+// product serves two backends:
 //   - Plaintext   (the paper's insecure baseline)
 //   - HEAC        (TimeCrypt)
-//   - Paillier    (strawman #1)
-//   - EC-ElGamal  (strawman #2)
+// The paper's two public-key strawmen implement it too, in the bench-only
+// library under bench/strawman/, so the benchmarks run the identical index
+// code over all four.
 //
 // Server-side the index only needs Add() over opaque fixed-size blobs;
 // Encrypt/Decrypt live on the client side of the deployment but are exposed
@@ -16,10 +17,8 @@
 #include <memory>
 
 #include "common/status.hpp"
-#include "crypto/ec_elgamal.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
-#include "crypto/paillier.hpp"
 
 namespace tc::index {
 
@@ -61,14 +60,5 @@ std::unique_ptr<DigestCipher> MakePlainCipher(size_t num_fields);
 /// TokenSet-derived leaves via client::Consumer instead).
 std::unique_ptr<DigestCipher> MakeHeacCipher(
     size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree);
-
-/// Paillier strawman. Shares the keypair.
-std::unique_ptr<DigestCipher> MakePaillierCipher(
-    size_t num_fields, std::shared_ptr<const crypto::Paillier> paillier);
-
-/// EC-ElGamal strawman. Shares the keypair.
-std::unique_ptr<DigestCipher> MakeEcElGamalCipher(
-    size_t num_fields, std::shared_ptr<const crypto::EcElGamal> eg,
-    uint32_t dlog_table_bits = 21);
 
 }  // namespace tc::index

@@ -6,8 +6,6 @@ std::string_view CipherKindName(CipherKind kind) {
   switch (kind) {
     case CipherKind::kPlain: return "Plaintext";
     case CipherKind::kHeac: return "TimeCrypt";
-    case CipherKind::kPaillier: return "Paillier";
-    case CipherKind::kEcElGamal: return "EC-ElGamal";
   }
   return "?";
 }

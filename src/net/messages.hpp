@@ -22,12 +22,12 @@
 namespace tc::net {
 
 /// Which digest cipher a stream uses — the server needs this to pick the
-/// homomorphic Add for index maintenance (public parameters only).
+/// homomorphic Add for index maintenance (public parameters only). Values 2
+/// and 3 are reserved for the paper's Paillier and EC-ElGamal strawmen,
+/// which are bench-only: the server refuses a stream of either kind.
 enum class CipherKind : uint8_t {
   kPlain = 0,
   kHeac = 1,
-  kPaillier = 2,
-  kEcElGamal = 3,
 };
 
 std::string_view CipherKindName(CipherKind kind);
@@ -40,7 +40,7 @@ struct StreamConfig {
   DurationMs delta_ms = 10'000;     // chunk interval Δ
   index::DigestSchema schema;       // digest operators
   CipherKind cipher = CipherKind::kHeac;
-  Bytes cipher_public;              // strawman public params (empty otherwise)
+  Bytes cipher_public;              // reserved: empty, kept for the wire layout
   uint32_t fanout = 64;             // index tree k
   uint8_t compression = 1;          // chunk::Compression
   // Integrity extension: the server mirrors a Merkle witness tree over the

@@ -163,8 +163,10 @@ void ServerEngine::RecoverStream(uint64_t uuid, const char* phase) {
   if (!stream.ok()) {
     TC_LOG_WARN << phase << ": skipping stream " << uuid << " ("
                 << ConfigKey(uuid) << "): " << stream.status().ToString();
+    refused_.insert(uuid);
     return;
   }
+  refused_.erase(uuid);
   streams_.emplace(uuid, std::move(*stream));
 }
 
@@ -227,8 +229,10 @@ Status ServerEngine::CatchUpWithStore(uint64_t uuid, Stream& stream) {
 }
 
 Status ServerEngine::StoreDirectoryLocked() {
-  StreamDirectory dir;
-  for (const auto& [uuid, stream] : streams_) dir.uuids.push_back(uuid);
+  // Refused streams stay listed: the store still holds them.
+  std::set<uint64_t> uuids(refused_);
+  for (const auto& [uuid, stream] : streams_) uuids.insert(uuid);
+  const StreamDirectory dir{{uuids.begin(), uuids.end()}};
   return kv_->Put(kDirectoryKey, net::codec::Encode(dir));
 }
 
@@ -268,6 +272,8 @@ Status ServerEngine::Refresh() {
         it = streams_.erase(it);  // deleted on the primary
       }
     }
+    std::erase_if(refused_,
+                  [&](uint64_t uuid) { return !live.contains(uuid); });
     for (uint64_t uuid : live) {
       if (!streams_.contains(uuid)) RecoverStream(uuid, "refresh");
     }
@@ -348,33 +354,18 @@ Result<const index::AggTree*> ServerEngine::GetIndexForTesting(
 
 Result<std::shared_ptr<const index::DigestCipher>> ServerEngine::MakeAddCipher(
     const net::StreamConfig& config) {
+  if (config.cipher != net::CipherKind::kPlain &&
+      config.cipher != net::CipherKind::kHeac) {
+    return InvalidArgument(
+        "cipher kind " + std::to_string(static_cast<int>(config.cipher)) +
+        " is not served: streams are HEAC (1) or plaintext (0)");
+  }
   size_t fields = config.schema.num_fields();
   if (fields == 0) return InvalidArgument("stream schema has no fields");
-  switch (config.cipher) {
-    case net::CipherKind::kPlain:
-    case net::CipherKind::kHeac:
-      // HEAC addition is plaintext-ring addition over opaque words: the
-      // server runs the identical code for both (that is the design).
-      return std::shared_ptr<const index::DigestCipher>(
-          index::MakePlainCipher(fields));
-    case net::CipherKind::kPaillier: {
-      TC_ASSIGN_OR_RETURN(auto paillier,
-                          crypto::Paillier::FromPublicKey(config.cipher_public));
-      return std::shared_ptr<const index::DigestCipher>(
-          index::MakePaillierCipher(
-              fields, std::shared_ptr<const crypto::Paillier>(
-                          std::move(paillier))));
-    }
-    case net::CipherKind::kEcElGamal: {
-      TC_ASSIGN_OR_RETURN(auto eg,
-                          crypto::EcElGamal::FromPublicKey(config.cipher_public));
-      return std::shared_ptr<const index::DigestCipher>(
-          index::MakeEcElGamalCipher(
-              fields,
-              std::shared_ptr<const crypto::EcElGamal>(std::move(eg))));
-    }
-  }
-  return InvalidArgument("unknown cipher kind");
+  // HEAC addition is plaintext-ring addition over opaque words: the server
+  // runs the identical code for both (that is the design).
+  return std::shared_ptr<const index::DigestCipher>(
+      index::MakePlainCipher(fields));
 }
 
 Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::FindStream(
@@ -539,6 +530,10 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
   WriterMutexLock lock(streams_mu_);
   if (streams_.contains(req.uuid)) {
     return AlreadyExists("stream " + std::to_string(req.uuid));
+  }
+  if (refused_.contains(req.uuid)) {
+    return AlreadyExists("stream " + std::to_string(req.uuid) +
+                         " is stored but could not be opened at recovery");
   }
   TC_ASSIGN_OR_RETURN(auto stream,
                       OpenStream(req.uuid, req.config, /*recover=*/false));

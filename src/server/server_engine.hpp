@@ -3,9 +3,10 @@
 // Holds the per-stream encrypted aggregation indices and sealed chunk
 // payloads, answers statistical/range queries, maintains the key store of
 // sealed grants and resolution-key envelopes, performs rollups and range
-// deletes. Sees only ciphertext: for HEAC and plaintext the homomorphic add
-// is uint64 vector addition; for the strawman ciphers it uses the public
-// parameters carried in the stream config.
+// deletes. Sees only ciphertext: it hosts HEAC and plaintext streams, whose
+// homomorphic add is the same uint64 vector addition, and refuses a stream
+// of any other cipher kind. A stored stream it cannot open (an old layout,
+// a refused kind) is skipped at recovery and kept in the stream directory.
 //
 // The engine is exposed as a net::RequestHandler so it can sit behind the
 // in-process transport or the TCP server unchanged. TimeCrypt instances are
@@ -27,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 
 #include "common/thread_annotations.hpp"
@@ -94,9 +96,10 @@ class ServerEngine final : public net::RequestHandler {
   /// Direct handle to a stream's index (benchmarks peek at cache stats).
   Result<const index::AggTree*> GetIndexForTesting(uint64_t uuid) const;
 
-  /// Server-side add-only cipher from a stream's public config. Public so
-  /// the shard router can merge partial inter-stream aggregates with the
-  /// same cipher the shards used.
+  /// Server-side add-only cipher from a stream's public config: HEAC and
+  /// plaintext streams only, InvalidArgument for any other cipher kind.
+  /// Public so the shard router can merge partial inter-stream aggregates
+  /// with the same cipher the shards used.
   static Result<std::shared_ptr<const index::DigestCipher>> MakeAddCipher(
       const net::StreamConfig& config);
 
@@ -157,7 +160,8 @@ class ServerEngine final : public net::RequestHandler {
   Result<std::shared_ptr<Stream>> FindStream(uint64_t uuid) const;
 
   /// Rebuild the in-memory stream registry from the store's metadata
-  /// directory (constructor path). Logs and skips unrecoverable streams.
+  /// directory (constructor path). Logs and skips unrecoverable streams,
+  /// which stay in refused_.
   void RecoverStreams() REQUIRES(streams_mu_);
   /// Open a stream from its persisted config and register it; `phase`
   /// names the caller in the warning logged when that fails. A stream
@@ -169,7 +173,8 @@ class ServerEngine final : public net::RequestHandler {
   Result<std::shared_ptr<Stream>> OpenStream(uint64_t uuid,
                                              const net::StreamConfig& config,
                                              bool recover);
-  /// Persist the uuid directory under the metadata key.
+  /// Persist the uuid directory (served and refused streams) under the
+  /// metadata key.
   Status StoreDirectoryLocked() REQUIRES(streams_mu_);
   /// Persist / load the per-principal grant directory (key store state).
   Status StoreGrantDirectoryLocked() REQUIRES(keystore_mu_);
@@ -218,6 +223,10 @@ class ServerEngine final : public net::RequestHandler {
   mutable SharedMutex streams_mu_;
   std::map<uint64_t, std::shared_ptr<Stream>> streams_
       GUARDED_BY(streams_mu_);
+  // Streams the store holds but RecoverStream could not open (it logged
+  // why). They stay in the stream directory, their uuids stay taken, and
+  // Refresh retries them.
+  std::set<uint64_t> refused_ GUARDED_BY(streams_mu_);
 
   // Key store: grants indexed per principal for FetchGrants. Values live in
   // kv_; this is the per-principal directory.

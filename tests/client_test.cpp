@@ -10,7 +10,6 @@
 #include "client/grants.hpp"
 #include "client/key_manager.hpp"
 #include "client/owner.hpp"
-#include "crypto/ec_elgamal.hpp"
 #include "crypto/sha256.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
@@ -648,18 +647,51 @@ TEST_F(OwnerSealTest, RefusedSealStillSendsTheBatchBeforeIt) {
   }
 }
 
-TEST_F(OwnerSealTest, EcElGamalIngestIsUnimplementedAndSendsNothing) {
-  // The server accepts an EC-ElGamal stream with a real public key, but the
-  // owner seals only HEAC and plaintext chunks: the record that closes the
-  // first chunk is refused, and no chunk reaches the server.
-  config.cipher = net::CipherKind::kEcElGamal;
-  config.cipher_public = crypto::EcElGamal::Generate()->ExportPublicKey();
+TEST_F(OwnerSealTest, StrawmanCreateStreamSurfacesTheServersRefusal) {
+  // Cipher kind 2 (the paper's Paillier strawman) is reserved: the server
+  // hosts HEAC and plaintext streams only, whatever key bytes come along.
+  config.cipher = static_cast<net::CipherKind>(2);
+  config.cipher_public = ToBytes("modulus");
   OwnerClient owner(transport);
   auto uuid = owner.CreateStream(config);
+  EXPECT_EQ(uuid.status().code(), StatusCode::kInvalidArgument)
+      << uuid.status().ToString();
+  EXPECT_TRUE(recorder->bodies.empty());
+}
+
+/// Passes every request to the engine, but reports every stream's cipher
+/// as kind 3 (EC-ElGamal) in GetStreamInfo.
+class StrawmanInfoHandler final : public net::RequestHandler {
+ public:
+  explicit StrawmanInfoHandler(std::shared_ptr<net::RequestHandler> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
+    TC_ASSIGN_OR_RETURN(Bytes resp, inner_->Handle(type, body));
+    if (type != net::MessageType::kGetStreamInfo) return resp;
+    TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(resp));
+    info.config.cipher = static_cast<net::CipherKind>(3);
+    return info.Encode();
+  }
+
+ private:
+  std::shared_ptr<net::RequestHandler> inner_;
+};
+
+TEST_F(OwnerSealTest, EcElGamalIngestIsUnimplementedAndSendsNothing) {
+  // AttachStream trusts the server's config, so the owner refuses a
+  // strawman stream itself: the record that closes the first chunk is
+  // refused, and no chunk reaches the server.
+  OwnerClient creator(transport);
+  auto uuid = creator.CreateStream(config);
   ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
+  OwnerClient owner(std::make_shared<net::InProcTransport>(
+      std::make_shared<StrawmanInfoHandler>(recorder)));
+  ASSERT_TRUE(owner.AttachStream(*uuid, crypto::RandomKey128()).ok());
   ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
   Status refused = owner.InsertRecord(*uuid, {config.delta_ms, 2});
   EXPECT_EQ(refused.code(), StatusCode::kUnimplemented) << refused.ToString();
+  EXPECT_EQ(owner.Flush(*uuid).code(), StatusCode::kUnimplemented);
 
   net::StreamInfoRequest req{*uuid};
   auto info_blob =

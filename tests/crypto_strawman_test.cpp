@@ -1,13 +1,13 @@
 // Strawman cipher tests: Paillier and EC-ElGamal correctness and
 // homomorphic addition. Small key sizes where possible to keep tests fast;
-// the benchmarks use the paper's full 3072-bit / P-256 parameters.
+// the benchmarks use the paper's full 3072-bit / P-256 parameters. The
+// schemes live in the bench-only strawman library (bench/strawman/).
 #include <gtest/gtest.h>
 
-#include "crypto/ec_elgamal.hpp"
-#include "crypto/paillier.hpp"
-#include "crypto/rand.hpp"
+#include "strawman/ec_elgamal.hpp"
+#include "strawman/paillier.hpp"
 
-namespace tc::crypto {
+namespace tc::strawman {
 namespace {
 
 class PaillierTest : public ::testing::Test {
@@ -103,4 +103,4 @@ TEST_F(EcElGamalTest, MalformedCiphertextRejected) {
 }
 
 }  // namespace
-}  // namespace tc::crypto
+}  // namespace tc::strawman

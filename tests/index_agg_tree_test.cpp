@@ -8,6 +8,7 @@
 #include "crypto/rand.hpp"
 #include "index/agg_tree.hpp"
 #include "store/mem_kv.hpp"
+#include "strawman/strawman_cipher.hpp"
 
 namespace tc::index {
 namespace {
@@ -152,21 +153,48 @@ TEST(AggTree, HeacMultiFieldDigests) {
             StatusCode::kInvalidArgument);
 }
 
+// Eight chunks, chunk c holding c + 1, indexed as two AppendRuns of three
+// and five chunks (one InsertChunkBatch each on the server), then summed
+// over chunks [2, 7) and over all of them.
+void ExpectBatchedRunsSum(std::shared_ptr<const DigestCipher> cipher) {
+  auto kv = std::make_shared<store::MemKvStore>();
+  AggTree tree(kv, "s", cipher, AggTreeOptions{4, 1 << 20});
+  constexpr uint64_t kChunks = 8;
+  for (auto [first, last] : {std::pair<uint64_t, uint64_t>{0, 3}, {3, 8}}) {
+    Bytes run;
+    for (uint64_t c = first; c < last; ++c) {
+      Append(run, *cipher->Encrypt(std::vector<uint64_t>{c + 1}, c));
+    }
+    ASSERT_TRUE(tree.AppendRun(first, last - first, run).ok());
+  }
+  for (auto [first, last, sum] :
+       {std::tuple<uint64_t, uint64_t, uint64_t>{2, 7, 3 + 4 + 5 + 6 + 7},
+        {0, kChunks, kChunks * (kChunks + 1) / 2}}) {
+    auto blob = tree.Query(first, last);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    auto fields = cipher->Decrypt(*blob, first, last);
+    ASSERT_TRUE(fields.ok()) << fields.status().ToString();
+    EXPECT_EQ((*fields)[0], sum) << "[" << first << ", " << last << ")";
+  }
+}
+
 TEST(AggTree, PaillierBackendMatchesOracle) {
-  auto paillier = std::shared_ptr<const crypto::Paillier>(
-      crypto::Paillier::Generate(512));
-  TreeFixture f(4, 40, MakePaillierCipher(1, paillier));
+  std::shared_ptr<const DigestCipher> cipher =
+      strawman::MakePaillierCipher(1, strawman::Paillier::Generate(512));
+  TreeFixture f(4, 40, cipher);
   EXPECT_EQ(f.QuerySum(0, 40), f.ExpectedSum(0, 40));
   EXPECT_EQ(f.QuerySum(3, 17), f.ExpectedSum(3, 17));
   EXPECT_EQ(f.QuerySum(15, 16), f.ExpectedSum(15, 16));
+  ExpectBatchedRunsSum(cipher);
 }
 
 TEST(AggTree, EcElGamalBackendMatchesOracle) {
-  auto eg = std::shared_ptr<const crypto::EcElGamal>(
-      crypto::EcElGamal::Generate());
-  TreeFixture f(4, 30, MakeEcElGamalCipher(1, eg, /*dlog_table_bits=*/10));
+  std::shared_ptr<const DigestCipher> cipher = strawman::MakeEcElGamalCipher(
+      1, strawman::EcElGamal::Generate(), /*dlog_table_bits=*/10);
+  TreeFixture f(4, 30, cipher);
   EXPECT_EQ(f.QuerySum(0, 30), f.ExpectedSum(0, 30));
   EXPECT_EQ(f.QuerySum(5, 23), f.ExpectedSum(5, 23));
+  ExpectBatchedRunsSum(cipher);
 }
 
 TEST(AggTree, CiphertextExpansionMatchesTable2Shape) {
@@ -178,9 +206,8 @@ TEST(AggTree, CiphertextExpansionMatchesTable2Shape) {
   EXPECT_EQ(plain->blob_size(), 8u);
   EXPECT_EQ(heac->blob_size(), 8u);  // no expansion
 
-  auto eg = std::shared_ptr<const crypto::EcElGamal>(
-      crypto::EcElGamal::Generate());
-  auto eg_cipher = MakeEcElGamalCipher(1, eg);
+  auto eg_cipher =
+      strawman::MakeEcElGamalCipher(1, strawman::EcElGamal::Generate());
   EXPECT_EQ(eg_cipher->blob_size(), 66u);  // ~8x vs 8B (21x counts Java repr)
 }
 

@@ -2,9 +2,10 @@
 // creates a HEAC stream, ingests, queries, reads raw points, rolls up and
 // issues a full-resolution and a resolution grant, and the consumer fetches
 // its grants and queries, with native SHA-256, HMAC, HKDF, AES-GCM, X25519
-// and getrandom(2). libcrypto serves only Ed25519 (stream attestations),
-// Paillier and EC-ElGamal (the strawman ciphers) and AES-GCM on CPUs
-// without AES-NI.
+// and getrandom(2). Nor does the server when a client asks it for a stream
+// of a strawman cipher kind: it refuses before it reads the key bytes. In
+// the product, libcrypto serves only Ed25519 (stream attestations) and
+// AES-GCM on CPUs without AES-NI; the strawman ciphers are bench-only.
 //
 // The executable defines OPENSSL_init_crypto, which every libcrypto entry
 // point that needs its library context calls first. The dynamic linker
@@ -45,6 +46,33 @@ namespace tc::client {
 namespace {
 
 constexpr uint64_t kDelta = 1000;
+
+// Defined first, so it runs before the other test's positive control has
+// started libcrypto.
+TEST(LibcryptoGuard, ServerRefusesStrawmanStreamsWithoutLibcrypto) {
+  const int before = init_calls.load();
+  server::ServerEngine engine(std::make_shared<store::MemKvStore>());
+  // Kind 2 (Paillier) with arbitrary bytes, kind 3 (EC-ElGamal) with the
+  // compressed P-256 generator, a well-formed public point.
+  const std::pair<uint8_t, Bytes> requests[] = {
+      {2, ToBytes("arbitrary modulus bytes")},
+      {3, *FromHex("036b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945"
+                   "d898c296")}};
+  for (const auto& [kind, key] : requests) {
+    net::StreamConfig config;
+    config.name = "guard/strawman";
+    config.delta_ms = kDelta;
+    config.cipher = static_cast<net::CipherKind>(kind);
+    config.cipher_public = key;
+    net::CreateStreamRequest create{kind, config};
+    auto created = engine.Handle(net::MessageType::kCreateStream,
+                                 create.Encode());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << created.status().ToString();
+  }
+  EXPECT_EQ(engine.NumStreams(), 0u);
+  EXPECT_EQ(init_calls.load(), before);
+}
 
 TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
   if (!crypto::GcmIsNative()) {

@@ -311,9 +311,14 @@ TEST(Restart, ReattachRejectsTamperedWitnessHistory) {
       << attach.ToString();
 }
 
-TEST(Restart, StreamInTheOldPerChunkPayloadLayoutIsRefused) {
-  // Payloads used to live under one key per chunk, chunk/<uuid>/<index>. A
-  // store still holding one must not serve the stream without its payloads.
+/// Why recovery cannot open a stored stream: its payloads in the old
+/// layout, one key per chunk (chunk/<uuid>/<index>), or a stored config of
+/// cipher kind 2 (the Paillier strawman, no longer served).
+enum class Refusal { kOldPayloadLayout, kStrawmanCipher };
+
+class RefusedStream : public ::testing::TestWithParam<Refusal> {};
+
+TEST_P(RefusedStream, IsSkippedKeptInTheDirectoryAndServedOnceRepaired) {
   auto kv = std::make_shared<store::MemKvStore>();
   uint64_t uuid = 0;
   {
@@ -324,8 +329,19 @@ TEST(Restart, StreamInTheOldPerChunkPayloadLayoutIsRefused) {
     uuid = *created;
     ASSERT_TRUE(IngestChunks(owner, uuid, 0, 3).ok());
   }
-  ASSERT_TRUE(
-      kv->Put("chunk/" + std::to_string(uuid) + "/0", ToBytes("sealed")).ok());
+  const std::string layout_key = "chunk/" + std::to_string(uuid) + "/0";
+  const std::string config_key = "meta/cfg/" + std::to_string(uuid);
+  const auto stored_config = kv->Get(config_key);
+  ASSERT_TRUE(stored_config.ok());
+  if (GetParam() == Refusal::kOldPayloadLayout) {
+    ASSERT_TRUE(kv->Put(layout_key, ToBytes("sealed")).ok());
+  } else {
+    auto config = net::codec::Decode<net::StreamConfig>(*stored_config);
+    ASSERT_TRUE(config.ok());
+    config->cipher = static_cast<net::CipherKind>(2);
+    config->cipher_public = ToBytes("modulus");
+    ASSERT_TRUE(kv->Put(config_key, net::codec::Encode(*config)).ok());
+  }
 
   // Recovery skips the stream and logs why.
   SetLogLevel(LogLevel::kWarn);
@@ -333,11 +349,50 @@ TEST(Restart, StreamInTheOldPerChunkPayloadLayoutIsRefused) {
   auto server = std::make_shared<server::ServerEngine>(kv);
   const std::string log = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(server->NumStreams(), 0u);
-  EXPECT_NE(log.find("DATA_LOSS"), std::string::npos) << log;
-  EXPECT_NE(log.find("chunk/<uuid>/<index>"), std::string::npos) << log;
+  const std::vector<std::string> reasons =
+      GetParam() == Refusal::kOldPayloadLayout
+          ? std::vector<std::string>{"DATA_LOSS", "chunk/<uuid>/<index>"}
+          : std::vector<std::string>{"INVALID_ARGUMENT", "cipher kind 2"};
+  for (const auto& why : reasons) {
+    EXPECT_NE(log.find(why), std::string::npos) << log;
+  }
+  EXPECT_EQ(server->GetIndexForTesting(uuid).status().code(),
+            StatusCode::kNotFound);
+
+  // Creating another stream keeps the refused one in the stream directory,
+  // and its uuid stays taken: a new stream there would sit on its index.
   OwnerClient owner(std::make_shared<net::InProcTransport>(server));
-  EXPECT_EQ(owner.NumChunks(uuid).status().code(), StatusCode::kNotFound);
+  auto other = owner.CreateStream(RestartConfig());
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  net::CreateStreamRequest reuse{uuid, RestartConfig()};
+  EXPECT_EQ(server->Handle(net::MessageType::kCreateStream, reuse.Encode())
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+
+  // Repaired, the stream is served after a Refresh and after a restart.
+  if (GetParam() == Refusal::kOldPayloadLayout) {
+    ASSERT_TRUE(kv->Delete(layout_key).ok());
+  } else {
+    ASSERT_TRUE(kv->Put(config_key, *stored_config).ok());
+  }
+  ASSERT_TRUE(server->Refresh().ok());
+  EXPECT_EQ(server->NumStreams(), 2u);
+  auto restarted = std::make_shared<server::ServerEngine>(kv);
+  EXPECT_EQ(restarted->NumStreams(), 2u);
+  auto index = restarted->GetIndexForTesting(uuid);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->num_chunks(), 3u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Causes, RefusedStream,
+                         ::testing::Values(Refusal::kOldPayloadLayout,
+                                           Refusal::kStrawmanCipher),
+                         [](const auto& info) {
+                           return info.param == Refusal::kOldPayloadLayout
+                                      ? "OldPayloadLayout"
+                                      : "StrawmanCipher";
+                         });
 
 TEST(Restart, DeletedStreamsStayDeletedAfterRestart) {
   std::string path = ::testing::TempDir() + "/restart_deleted.log";

@@ -9,8 +9,6 @@
 #include <map>
 
 #include "common/metrics.hpp"
-#include "crypto/ec_elgamal.hpp"
-#include "crypto/paillier.hpp"
 #include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
@@ -252,77 +250,25 @@ TEST_F(ServerTest, RollupOverAnExplicitRange) {
   EXPECT_EQ(engine_->NumStreams(), 2u);
 }
 
-// The strawman schemes of Fig 7 through the engine, as bench_fig7's
-// strawman rows drive them: a stream whose digests are Paillier or
-// EC-ElGamal ciphertexts under a public key from its config, chunks
-// ingested by InsertChunkBatch, and a stat range whose aggregate decrypts
-// to the closed-form sum.
-class StrawmanStreamTest : public ServerTest,
-                           public ::testing::WithParamInterface<
-                               net::CipherKind> {
- protected:
-  /// A sum-only cipher of the kind, and its public key.
-  static std::pair<std::shared_ptr<const index::DigestCipher>, Bytes> Keys(
-      net::CipherKind kind) {
-    if (kind == net::CipherKind::kPaillier) {
-      std::shared_ptr<const crypto::Paillier> key =
-          crypto::Paillier::Generate(512);
-      return {index::MakePaillierCipher(1, key), key->ExportPublicKey()};
-    }
-    std::shared_ptr<const crypto::EcElGamal> key =
-        crypto::EcElGamal::Generate();
-    return {index::MakeEcElGamalCipher(1, key, 12), key->ExportPublicKey()};
+// Cipher kinds 2 and 3 (the paper's strawmen) are reserved: the engine
+// refuses them before it reads the config's key bytes, and stores nothing.
+TEST_F(ServerTest, StrawmanCipherKindsAreRefused) {
+  for (uint8_t kind : {2, 3}) {
+    auto config = PlainConfig();
+    config.cipher = static_cast<net::CipherKind>(kind);
+    config.cipher_public = ToBytes("arbitrary");
+    Status refused = Create(1, config);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    EXPECT_NE(refused.message().find("cipher kind " + std::to_string(kind)),
+              std::string::npos)
+        << refused.ToString();
   }
-};
-
-TEST_P(StrawmanStreamTest, StatRangeDecryptsToTheSum) {
-  const auto [cipher, public_key] = Keys(GetParam());
-  net::StreamConfig config = PlainConfig();
-  config.cipher = GetParam();
-  config.cipher_public = public_key;
-  ASSERT_TRUE(Create(1, config).ok());
-
-  // Chunk c holds c + 1; two batches, of three chunks and of five.
-  constexpr uint64_t kChunks = 8;
-  std::vector<Bytes> digests;
-  for (uint64_t c = 0; c < kChunks; ++c) {
-    digests.push_back(*cipher->Encrypt(std::vector<uint64_t>{c + 1}, c));
-  }
-  for (auto [first, last] : {std::pair<uint64_t, uint64_t>{0, 3}, {3, 8}}) {
-    net::InsertChunkBatchRequest batch;
-    batch.uuid = 1;
-    for (uint64_t c = first; c < last; ++c) {
-      batch.entries.push_back({c, digests[c], {}});
-    }
-    ASSERT_TRUE(
-        engine_->Handle(MessageType::kInsertChunkBatch, batch.Encode()).ok());
-  }
-
-  // Chunks [2, 7): 3 + 4 + 5 + 6 + 7.
-  auto resp = Query(1, {2000, 7000});
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp->first_chunk, 2u);
-  EXPECT_EQ(resp->last_chunk, 7u);
-  auto sum = cipher->Decrypt(resp->aggregate_blob, resp->first_chunk,
-                             resp->last_chunk);
-  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  EXPECT_EQ((*sum)[0], 25u);
-  // The whole stream: kChunks (kChunks + 1) / 2.
-  auto all = Query(1, {0, 8000});
-  ASSERT_TRUE(all.ok());
-  auto total = cipher->Decrypt(all->aggregate_blob, all->first_chunk,
-                               all->last_chunk);
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ((*total)[0], kChunks * (kChunks + 1) / 2);
+  EXPECT_EQ(engine_->NumStreams(), 0u);
+  EXPECT_EQ(kv_->Size(), 0u);
+  // The uuid stays free.
+  EXPECT_TRUE(Create(1, PlainConfig()).ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Schemes, StrawmanStreamTest,
-    ::testing::Values(net::CipherKind::kPaillier, net::CipherKind::kEcElGamal),
-    [](const auto& info) {
-      return info.param == net::CipherKind::kPaillier ? "Paillier"
-                                                      : "EcElGamal";
-    });
 
 TEST_F(ServerTest, MultiStatRequiresMatchingLayouts) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
