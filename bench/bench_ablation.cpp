@@ -23,7 +23,8 @@
 //   9. Seal kernels: the per-chunk key derivations of 8 one at a time —
 //      the GGM leaf pair, HEAC's field keys (also four leaves at once) and
 //      the payload key — and the hashes under the owner's other keys:
-//      SHA-256 and HMAC-SHA256.
+//      SHA-256 and HMAC-SHA256; and the AES and GCM rows again on the
+//      portable kernels (BM_Portable*).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -35,6 +36,7 @@
 #include "chunk/compress.hpp"
 #include "client/owner.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "crypto/cpu.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
 #include "crypto/sha256.hpp"
@@ -555,6 +557,25 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HmacSha256)->Arg(16)->Arg(1024);
+
+// The AES and GCM rows above on the portable kernels, as on a CPU without
+// AES-NI, PCLMULQDQ or SHA-NI: each runs with the CPU feature table masked
+// (crypto::internal::ScopedCpuFeatureMask), so its PRG, field keys and
+// AES-GCM are the software ones.
+template <void (*kRow)(benchmark::State&)>
+void Portable(benchmark::State& state) {
+  const crypto::internal::ScopedCpuFeatureMask mask(crypto::kCpuAllFeatures);
+  kRow(state);
+}
+BENCHMARK(Portable<BM_SequentialLeafPair>)
+    ->Name("BM_PortableSequentialLeafPair");
+BENCHMARK(Portable<BM_FieldKeysDerive>)
+    ->Name("BM_PortableFieldKeysDerive")
+    ->Arg(19);
+BENCHMARK(Portable<BM_FieldKeysDeriveLanes>)
+    ->Name("BM_PortableFieldKeysDeriveLanes")
+    ->Arg(19);
+BENCHMARK(Portable<BM_GcmSeal>)->Name("BM_PortableGcmSeal")->Arg(32);
 
 }  // namespace
 }  // namespace tc::bench

@@ -14,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "client/key_manager.hpp"
+#include "crypto/ed25519.hpp"
 #include "crypto/ggm_tree.hpp"
 #include "crypto/heac.hpp"
 #include "crypto/key_regression.hpp"
@@ -157,6 +158,34 @@ void BM_SealedBoxRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SealedBoxRoundTrip)->Unit(benchmark::kMicrosecond);
+
+// An owner signs a stream attestation (src/integrity): one Ed25519
+// signature over a 48-byte attestation body.
+void BM_Ed25519Sign(benchmark::State& state) {
+  const crypto::SigningKeyPair owner = crypto::GenerateSigningKeyPair();
+  Bytes body(48);
+  crypto::DeterministicRng(6).Fill(body);
+  for (auto _ : state) {
+    auto sig = crypto::SignMessage(owner.secret_key, body);
+    if (!sig.ok()) std::abort();
+    benchmark::DoNotOptimize(sig->data());
+  }
+}
+BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
+
+// A consumer checks that attestation's signature against the owner's key.
+void BM_Ed25519Verify(benchmark::State& state) {
+  const crypto::SigningKeyPair owner = crypto::GenerateSigningKeyPair();
+  Bytes body(48);
+  crypto::DeterministicRng(6).Fill(body);
+  const Bytes sig = crypto::SignMessage(owner.secret_key, body).value();
+  for (auto _ : state) {
+    if (!crypto::VerifySignature(owner.public_key, body, sig).ok()) {
+      std::abort();
+    }
+  }
+}
+BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tc::bench

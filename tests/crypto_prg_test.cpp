@@ -55,6 +55,34 @@ TEST(SoftAes, DistinctBlocksDistinctOutputs) {
   EXPECT_NE(aes.EncryptBlock(a), aes.EncryptBlock(b));
 }
 
+// FIPS-197's AES-128 known answers (Appendix B, and C.1) on each kernel
+// arm's one-block cipher: AES-NI where the arm has it, the software AES on
+// the Portable arm.
+struct AesVector {
+  const char* key;
+  const char* plaintext;
+  const char* ciphertext;
+};
+constexpr AesVector kFips197Vectors[] = {
+    {"2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+     "3925841d02dc09fbdc118597196a0b32"},
+    {"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+     "69c4e0d86a7b0430d8cdb78070b4c55a"},
+};
+
+class Fips197 : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(Fips197);
+
+TEST_P(Fips197, KnownAnswers) {
+  for (const AesVector& v : kFips197Vectors) {
+    const Key128 key = KeyFromHex(v.key);
+    const Block128 pt = BlockFromHex(v.plaintext);
+    const Block128 ct = CpuHas(kCpuAesNi) ? AesNiBlock(key).EncryptBlock(pt)
+                                          : SoftAes128(key).EncryptBlock(pt);
+    EXPECT_EQ(ToHex(ct), v.ciphertext) << v.key;
+  }
+}
+
 TEST(AesNi, Fips197Vector) {
   if (!CpuHas(kCpuAesNi)) GTEST_SKIP() << "no AES-NI on this CPU";
   AesNiBlock aes(KeyFromHex("000102030405060708090a0b0c0d0e0f"));
