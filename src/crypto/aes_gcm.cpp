@@ -1,6 +1,5 @@
 #include "crypto/aes_gcm.hpp"
 
-#include <openssl/evp.h>
 #include <pthread.h>
 
 #include <algorithm>
@@ -15,8 +14,8 @@
 #include "crypto/aesni.hpp"
 #include "crypto/aesni_rounds.hpp"
 #include "crypto/constant_time.hpp"
-#include "crypto/evp_ctx.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/soft_aes.hpp"
 
 // The native path needs AES-NI for the blocks and PCLMULQDQ and SSSE3 for
 // GHASH. Only its functions are compiled for those instructions, through a
@@ -28,21 +27,7 @@
 
 namespace tc::crypto {
 
-using internal::FatalOpenSsl;
-
 namespace {
-EVP_CIPHER_CTX* ThreadCtx() {
-  return internal::ThreadLocalCtx<EVP_CIPHER_CTX, EVP_CIPHER_CTX_new,
-                                  EVP_CIPHER_CTX_free>();
-}
-
-/// The cipher to pass to an EVP_*Init_ex2 call on `ctx`: null when the
-/// context already holds AES-128-GCM, which keeps its provider state
-/// instead of freeing and rebuilding it.
-const EVP_CIPHER* GcmCipherFor(EVP_CIPHER_CTX* ctx) {
-  const EVP_CIPHER* gcm = internal::Fetched().aes_128_gcm;
-  return EVP_CIPHER_CTX_get0_cipher(ctx) == gcm ? nullptr : gcm;
-}
 
 /// Bumped in a forked child, before fork() returns there. A reserve filled
 /// at an older generation was filled by an ancestor process.
@@ -478,6 +463,164 @@ TC_VAES_TARGET void VaesGcmSeal(std::span<const GcmSealLane> lanes) {
 
 #endif  // TC_NATIVE_KERNELS
 
+/// The carry-less product of x and y, truncated to 64 bits, with integer
+/// multiplies: each operand is split into four interleaved bit sets, one
+/// bit in every four, so the sums that the multiplies form in the gaps
+/// never carry into a bit that is kept (BearSSL's ghash_ctmul64). Integer
+/// multiplication runs in constant time on 64-bit CPUs.
+uint64_t ClMul64(uint64_t x, uint64_t y) {
+  constexpr uint64_t m0 = 0x1111111111111111, m1 = 0x2222222222222222,
+                     m2 = 0x4444444444444444, m3 = 0x8888888888888888;
+  const uint64_t x0 = x & m0, x1 = x & m1, x2 = x & m2, x3 = x & m3;
+  const uint64_t y0 = y & m0, y1 = y & m1, y2 = y & m2, y3 = y & m3;
+  const uint64_t z0 = (x0 * y0) ^ (x1 * y3) ^ (x2 * y2) ^ (x3 * y1);
+  const uint64_t z1 = (x0 * y1) ^ (x1 * y0) ^ (x2 * y3) ^ (x3 * y2);
+  const uint64_t z2 = (x0 * y2) ^ (x1 * y1) ^ (x2 * y0) ^ (x3 * y3);
+  const uint64_t z3 = (x0 * y3) ^ (x1 * y2) ^ (x2 * y1) ^ (x3 * y0);
+  return (z0 & m0) | (z1 & m1) | (z2 & m2) | (z3 & m3);
+}
+
+/// x with its bit order reversed.
+uint64_t Rev64(uint64_t x) {
+  const auto swap = [&x](uint64_t m, int s) {
+    x = ((x & m) << s) | ((x >> s) & m);
+  };
+  swap(0x5555555555555555, 1);
+  swap(0x3333333333333333, 2);
+  swap(0x0f0f0f0f0f0f0f0f, 4);
+  swap(0x00ff00ff00ff00ff, 8);
+  swap(0x0000ffff0000ffff, 16);
+  return (x << 32) | (x >> 32);
+}
+
+uint64_t LoadBe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+void StoreBe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+}
+
+/// GHASH in portable code, in constant time: the state Y and the hash key
+/// H as big-endian halves (y1 high), H's bit-reversed halves alongside, so
+/// that one 128-bit product is three Karatsuba products of the halves and
+/// three of their reversals, whose upper halves the reversal recovers.
+struct PortableGhash {
+  uint64_t h0, h1, h2, h0r, h1r, h2r;
+  uint64_t y0 = 0, y1 = 0;
+
+  explicit PortableGhash(const Block128& h)
+      : h0(LoadBe64(h.data() + 8)), h1(LoadBe64(h.data())), h2(h0 ^ h1),
+        h0r(Rev64(h0)), h1r(Rev64(h1)), h2r(h0r ^ h1r) {}
+
+  /// Y = (Y ^ block) * H, the block as its big-endian halves.
+  void Absorb(uint64_t hi, uint64_t lo) {
+    y1 ^= hi;
+    y0 ^= lo;
+    const uint64_t y0r = Rev64(y0), y1r = Rev64(y1);
+    const uint64_t y2 = y0 ^ y1, y2r = y0r ^ y1r;
+    const uint64_t z0 = ClMul64(y0, h0), z1 = ClMul64(y1, h1);
+    uint64_t z2 = ClMul64(y2, h2);
+    uint64_t z0h = ClMul64(y0r, h0r), z1h = ClMul64(y1r, h1r);
+    uint64_t z2h = ClMul64(y2r, h2r);
+    z2 ^= z0 ^ z1;
+    z2h ^= z0h ^ z1h;
+    z0h = Rev64(z0h) >> 1;
+    z1h = Rev64(z1h) >> 1;
+    z2h = Rev64(z2h) >> 1;
+    // The 256-bit product v3:v2:v1:v0, shifted left one bit for GHASH's
+    // reflected bit order, then reduced by x^128 + x^7 + x^2 + x + 1.
+    uint64_t v0 = z0, v1 = z0h ^ z2, v2 = z1 ^ z2h, v3 = z1h;
+    v3 = (v3 << 1) | (v2 >> 63);
+    v2 = (v2 << 1) | (v1 >> 63);
+    v1 = (v1 << 1) | (v0 >> 63);
+    v0 = v0 << 1;
+    v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+    v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+    v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+    v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+    y0 = v2;
+    y1 = v3;
+  }
+
+  /// p[0, n), the last partial block zero-padded.
+  void Update(const uint8_t* p, size_t n) {
+    for (; n >= 16; p += 16, n -= 16) Absorb(LoadBe64(p), LoadBe64(p + 8));
+    if (n > 0) {
+      uint8_t last[16] = {};
+      std::memcpy(last, p, n);
+      Absorb(LoadBe64(last), LoadBe64(last + 8));
+    }
+  }
+};
+
+/// The counter block nonce || counter, the counter big-endian.
+Block128 CounterBlock(const uint8_t* nonce, uint32_t counter) {
+  Block128 b;
+  std::memcpy(b.data(), nonce, kGcmNonceSize);
+  for (int i = 0; i < 4; ++i) {
+    b[kGcmNonceSize + i] = static_cast<uint8_t>(counter >> (24 - 8 * i));
+  }
+  return b;
+}
+
+/// NativeGcm's contract on the bitsliced AES and the portable GHASH: AES
+/// passes of four blocks, the first giving H = E(0), the tag mask E(J0) and
+/// the first two keystream blocks.
+template <bool kOpen>
+bool PortableGcm(const Key128& key, const uint8_t* nonce, BytesView aad,
+                 const uint8_t* in, size_t n, uint8_t* out,
+                 std::conditional_t<kOpen, const uint8_t*, uint8_t*> tag) {
+  struct State {
+    std::array<Block128, kCryptoLanes> b;
+    Block128 hash_key, mask, tag;
+  };
+  Scrubbed<State> s;
+  const SoftAes128 aes(key);
+  for (uint32_t j = 1; j < kCryptoLanes; ++j) s.b[j] = CounterBlock(nonce, j);
+  aes.EncryptLanes(s.b);
+  s.hash_key = s.b[0];
+  s.mask = s.b[1];
+  const auto compute_tag = [&](const uint8_t* ct) {
+    Scrubbed<PortableGhash> ghash{PortableGhash(s.hash_key)};
+    ghash.Update(aad.data(), aad.size());
+    ghash.Update(ct, n);
+    ghash.Absorb(uint64_t{aad.size()} * 8, uint64_t{n} * 8);
+    StoreBe64(s.tag.data(), ghash.y1);
+    StoreBe64(s.tag.data() + 8, ghash.y0);
+    for (size_t i = 0; i < s.tag.size(); ++i) s.tag[i] ^= s.mask[i];
+  };
+  if constexpr (kOpen) {
+    compute_tag(in);
+    if (!ConstantTimeEqual(BytesView(s.tag), BytesView(tag, kGcmTagSize))) {
+      return false;
+    }
+  }
+  const auto xor_block = [&](const Block128& stream, size_t& done) {
+    const size_t len = std::min<size_t>(16, n - done);
+    for (size_t i = 0; i < len; ++i) out[done + i] = in[done + i] ^ stream[i];
+    done += len;
+  };
+  size_t done = 0;
+  for (size_t j = 2; j < kCryptoLanes && done < n; ++j) xor_block(s.b[j], done);
+  for (uint32_t counter = kCryptoLanes; done < n; counter += kCryptoLanes) {
+    for (uint32_t j = 0; j < kCryptoLanes; ++j) {
+      s.b[j] = CounterBlock(nonce, counter + j);
+    }
+    aes.EncryptLanes(s.b);
+    for (size_t j = 0; j < kCryptoLanes && done < n; ++j) {
+      xor_block(s.b[j], done);
+    }
+  }
+  if constexpr (!kOpen) {
+    compute_tag(out);
+    std::memcpy(tag, s.tag.data(), kGcmTagSize);
+  }
+  return true;
+}
+
 /// Seals `plaintext` under a fresh nonce into out[0, kGcmNonceSize +
 /// plaintext.size() + kGcmTagSize): the plaintext may already sit at
 /// out + kGcmNonceSize.
@@ -495,33 +638,7 @@ void SealOne(const Key128& key, BytesView plaintext, BytesView aad,
     return;
   }
 #endif
-  if (len > 0 && plaintext.data() != data) {
-    std::memcpy(data, plaintext.data(), len);
-  }
-
-  EVP_CIPHER_CTX* ctx = ThreadCtx();
-  if (EVP_EncryptInit_ex2(ctx, GcmCipherFor(ctx), key.secret_bytes().data(),
-                          nonce, nullptr) != 1) {
-    FatalOpenSsl("EncryptInit(gcm)");
-  }
-  int out_len = 0;
-  if (!aad.empty() &&
-      EVP_EncryptUpdate(ctx, nullptr, &out_len, aad.data(),
-                        static_cast<int>(aad.size())) != 1) {
-    FatalOpenSsl("EncryptUpdate(aad)");
-  }
-  // GCM encrypts in place: the output may be the input.
-  if (len > 0 && EVP_EncryptUpdate(ctx, data, &out_len, data,
-                                   static_cast<int>(len)) != 1) {
-    FatalOpenSsl("EncryptUpdate");
-  }
-  int final_len = 0;
-  if (EVP_EncryptFinal_ex(ctx, data + out_len, &final_len) != 1) {
-    FatalOpenSsl("EncryptFinal");
-  }
-  if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG, kGcmTagSize, tag) != 1) {
-    FatalOpenSsl("GET_TAG");
-  }
+  PortableGcm<false>(key, nonce, aad, plaintext.data(), len, data, tag);
 }
 
 /// The component-wise uint64 difference leaf_i - leaf_next (mod 2^64 per
@@ -577,40 +694,20 @@ Result<Bytes> GcmOpen(const Key128& key, BytesView sealed, BytesView aad) {
   size_t ct_len = sealed.size() - kGcmNonceSize - kGcmTagSize;
   const uint8_t* tag = ct + ct_len;
 
+  // Authenticate first: no plaintext is written unless the tag matches.
+  Bytes plaintext(ct_len);
+  bool authentic = false;
 #if defined(TC_NATIVE_KERNELS)
   if (GcmIsNative()) {
-    // Authenticate first: no plaintext is written unless the tag matches.
-    Bytes plaintext(ct_len);
-    if (!NativeGcm<true>(key, nonce, aad, ct, ct_len, plaintext.data(),
-                         tag)) {
-      return DataLoss("GCM authentication failed (tampered or wrong key)");
-    }
-    return plaintext;
-  }
+    authentic =
+        NativeGcm<true>(key, nonce, aad, ct, ct_len, plaintext.data(), tag);
+  } else
 #endif
-
-  EVP_CIPHER_CTX* ctx = ThreadCtx();
-  if (EVP_DecryptInit_ex2(ctx, GcmCipherFor(ctx), key.secret_bytes().data(),
-                          nonce, nullptr) != 1) {
-    FatalOpenSsl("DecryptInit(gcm)");
+  {
+    authentic =
+        PortableGcm<true>(key, nonce, aad, ct, ct_len, plaintext.data(), tag);
   }
-  int len = 0;
-  if (!aad.empty() &&
-      EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
-                        static_cast<int>(aad.size())) != 1) {
-    FatalOpenSsl("DecryptUpdate(aad)");
-  }
-  Bytes plaintext(ct_len);
-  if (ct_len > 0 && EVP_DecryptUpdate(ctx, plaintext.data(), &len, ct,
-                                      static_cast<int>(ct_len)) != 1) {
-    return DataLoss("GCM decryption failed");
-  }
-  if (EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_SET_TAG, kGcmTagSize,
-                          const_cast<uint8_t*>(tag)) != 1) {
-    FatalOpenSsl("SET_TAG");
-  }
-  int final_len = 0;
-  if (EVP_DecryptFinal_ex(ctx, plaintext.data() + len, &final_len) != 1) {
+  if (!authentic) {
     return DataLoss("GCM authentication failed (tampered or wrong key)");
   }
   return plaintext;

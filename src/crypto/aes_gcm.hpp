@@ -22,19 +22,20 @@ constexpr size_t kGcmTagSize = 16;
 /// blocks; longer payloads continue in passes of eight keystream blocks
 /// under a stack copy of the schedule, scrubbed before it returns. GHASH is
 /// a PCLMULQDQ multiply and reduction over byte-reflected blocks. Elsewhere
-/// OpenSSL's EVP AES-128-GCM runs; nothing else selects it. Both give
-/// byte-identical ciphertexts and tags (OpenSSL's for the same key and
-/// nonce), so stored payloads, envelopes and sealed grants open on either.
+/// a portable kernel runs, in constant time: the bitsliced AES
+/// (soft_aes.hpp) in passes of four blocks, the first giving H, E(J0) and
+/// two keystream blocks, and a GHASH of integer multiplies on masked bits
+/// (BearSSL's ghash_ctmul64). Both give byte-identical ciphertexts and tags
+/// (OpenSSL's for the same key and nonce), so stored payloads, envelopes
+/// and sealed grants open on either, and neither needs libcrypto.
 
 /// True when this process seals and opens on the native path.
 bool GcmIsNative();
 
 /// Encrypt: output layout is nonce(12) || ciphertext || tag(16). A fresh
 /// random nonce is drawn per call; with per-chunk keys nonce reuse across
-/// chunks is impossible by construction. The native path encrypts the
-/// plaintext straight into the output, between the nonce and the tag; the
-/// EVP path copies it there and encrypts it in place (EVP GCM accepts
-/// out == in).
+/// chunks is impossible by construction. Both paths encrypt the plaintext
+/// straight into the output, between the nonce and the tag.
 ///
 /// Nonces come from a per-thread reserve of about 4 KiB (341 nonces),
 /// instead of one CSPRNG call per seal. On AES-NI a refill draws one

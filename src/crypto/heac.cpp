@@ -13,39 +13,63 @@ FieldKeys::FieldKeys(const Key128& leaf, size_t num_fields)
   Derive(leaf);
 }
 
+namespace {
+
+/// The counter block of field f: f as a little-endian uint64, then zeros.
+Block128 FieldCounter(uint64_t f) {
+  Block128 counter{};
+  std::memcpy(counter.data(), &f, sizeof(f));
+  return counter;
+}
+
+}  // namespace
+
 void FieldKeys::Derive(const Key128& leaf) {
   if (CpuHas(kCpuAesNi)) {
     AesNiFieldKeys(leaf, keys_);
     return;
   }
+  // Four fields per pass of the bitsliced AES.
   const SoftAes128 cipher(leaf);
-  Block128 block{};
-  for (size_t f = 0; f < keys_.size(); ++f) {
-    Block128 counter{};
-    const uint64_t field = f;
-    std::memcpy(counter.data(), &field, sizeof(field));
-    block = cipher.EncryptBlock(counter);
-    keys_[f] = Fold64(block);
+  Scrubbed<std::array<Block128, kCryptoLanes>> blocks;
+  for (size_t base = 0; base < keys_.size(); base += kCryptoLanes) {
+    const size_t n = std::min(kCryptoLanes, keys_.size() - base);
+    for (size_t j = 0; j < n; ++j) blocks[j] = FieldCounter(base + j);
+    cipher.EncryptLanes({blocks.data(), n});
+    for (size_t j = 0; j < n; ++j) keys_[base + j] = Fold64(blocks[j]);
   }
-  SecureZero(block);
 }
 
 void FieldKeys::DeriveLanes(std::span<const Key128> leaves,
                             std::span<FieldKeys> keys) {
   assert(leaves.size() == keys.size() && leaves.size() <= kCryptoLanes);
-  if (leaves.size() > 1 && CpuHasLanes()) {
-    const Key128* leaf_lanes[kCryptoLanes];
-    uint64_t* key_lanes[kCryptoLanes];
-    for (size_t l = 0; l < leaves.size(); ++l) {
-      assert(keys[l].num_fields() == keys[0].num_fields());
-      leaf_lanes[l] = &leaves[l];
-      key_lanes[l] = keys[l].keys_.data();
-    }
-    VaesFieldKeys({leaf_lanes, leaves.size()}, {key_lanes, leaves.size()},
-                  keys[0].num_fields());
+  const size_t n = leaves.size();
+  const bool vaes = CpuHasLanes();
+  if (n < 2 || (!vaes && CpuHas(kCpuAesNi))) {
+    for (size_t l = 0; l < n; ++l) keys[l].Derive(leaves[l]);
     return;
   }
-  for (size_t l = 0; l < leaves.size(); ++l) keys[l].Derive(leaves[l]);
+  const size_t num_fields = keys[0].num_fields();
+  const Key128* leaf_lanes[kCryptoLanes];
+  uint64_t* key_lanes[kCryptoLanes];
+  for (size_t l = 0; l < n; ++l) {
+    assert(keys[l].num_fields() == num_fields);
+    leaf_lanes[l] = &leaves[l];
+    key_lanes[l] = keys[l].keys_.data();
+  }
+  if (vaes) {
+    VaesFieldKeys({leaf_lanes, n}, {key_lanes, n}, num_fields);
+    return;
+  }
+  // Portable: leaf l's schedule in lane l of the bitsliced AES, and one
+  // pass per field.
+  const SoftAes128 cipher({leaf_lanes, n});
+  Scrubbed<std::array<Block128, kCryptoLanes>> blocks;
+  for (size_t f = 0; f < num_fields; ++f) {
+    for (size_t l = 0; l < n; ++l) blocks[l] = FieldCounter(f);
+    cipher.EncryptLanes({blocks.data(), n});
+    for (size_t l = 0; l < n; ++l) key_lanes[l][f] = Fold64(blocks[l]);
+  }
 }
 
 Result<HeacCiphertext> HeacAdd(const HeacCiphertext& a,

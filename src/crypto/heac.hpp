@@ -52,8 +52,9 @@ class FieldKeys {
 
   /// keys[l].Derive(leaves[l]) for every l, for up to kCryptoLanes leaves
   /// of one field count. With CpuHasLanes(), two or more leaves derive at
-  /// once in the lanes of one zmm key schedule (VaesFieldKeys); one leaf,
-  /// or a CPU without VAES, derives each alone.
+  /// once in the lanes of one zmm key schedule (VaesFieldKeys); without
+  /// AES-NI, in the lanes of the bitsliced software AES (SoftAes128). One
+  /// leaf, or AES-NI without VAES, derives each alone.
   static void DeriveLanes(std::span<const Key128> leaves,
                           std::span<FieldKeys> keys);
 

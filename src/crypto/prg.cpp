@@ -34,11 +34,12 @@ class AesSoftPrg final : public Prg {
  public:
   void Expand(const Key128& parent, Key128& left,
               Key128& right) const override {
-    SoftAes128 cipher(parent);
-    std::ranges::copy(cipher.EncryptBlock(kZeroBlock),
-                      left.secret_bytes().begin());
-    std::ranges::copy(cipher.EncryptBlock(kOneBlock),
-                      right.secret_bytes().begin());
+    Scrubbed<std::array<Block128, 2>> children;
+    children[0] = kZeroBlock;
+    children[1] = kOneBlock;
+    SoftAes128(parent).EncryptLanes(children);
+    std::ranges::copy(children[0], left.secret_bytes().begin());
+    std::ranges::copy(children[1], right.secret_bytes().begin());
   }
 };
 

@@ -6,10 +6,10 @@
 // Output: ephemeral_pub(32) || gcm(nonce || ct || tag).
 //
 // X25519 is the native constant-time kernel of crypto/x25519.hpp, and HKDF
-// and AES-GCM are native where the CPU has AES-NI, so sealing and opening
-// never start OpenSSL's libcrypto. In the product it serves only Ed25519
-// and AES-GCM without AES-NI (the benchmarks' strawman ciphers use it too,
-// from their own library).
+// and AES-GCM are native too, constant-time portable code where the CPU
+// lacks AES-NI, so sealing and opening need no OpenSSL: the product links
+// no libcrypto (only the benchmarks' strawman ciphers and the tests'
+// cross-checks do).
 #pragma once
 
 #include "common/secret.hpp"

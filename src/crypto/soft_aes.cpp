@@ -1,112 +1,345 @@
 #include "crypto/soft_aes.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <cassert>
 
 namespace tc::crypto {
 
 namespace {
 
-// FIPS-197 S-box.
-constexpr uint8_t kSbox[256] = {
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
-    0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
-    0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
-    0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2,
-    0xeb, 0x27, 0xb2, 0x75, 0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0,
-    0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84, 0x53, 0xd1, 0x00, 0xed,
-    0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f,
-    0x50, 0x3c, 0x9f, 0xa8, 0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5,
-    0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2, 0xcd, 0x0c, 0x13, 0xec,
-    0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14,
-    0xde, 0x5e, 0x0b, 0xdb, 0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c,
-    0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79, 0xe7, 0xc8, 0x37, 0x6d,
-    0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f,
-    0x4b, 0xbd, 0x8b, 0x8a, 0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e,
-    0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e, 0xe1, 0xf8, 0x98, 0x11,
-    0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
-    0xb0, 0x54, 0xbb, 0x16};
+// The bitsliced state: four 16-byte blocks as eight 64-bit words, word j
+// holding bit j of every byte. Within a word, bit 16r + 4c + l is row r,
+// column c of block l (Ortho and Interleave set this up), so ShiftRows
+// moves nibbles within 16-bit rows and MixColumns rotates whole rows.
+using Planes = std::array<uint64_t, 8>;
 
-constexpr uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
-                               0x20, 0x40, 0x80, 0x1b, 0x36};
+/// The AES S-box on all 64 bytes at once: Boyar and Peralta's circuit ("A
+/// depth-16 circuit for the AES S-box", 2011), as BearSSL's aes_ct64 has
+/// it. x0 is the most significant bit plane.
+void SubBytes(Planes& q) {
+  const uint64_t x0 = q[7], x1 = q[6], x2 = q[5], x3 = q[4], x4 = q[3],
+                 x5 = q[2], x6 = q[1], x7 = q[0];
 
-// Multiply by x in GF(2^8) with the AES reduction polynomial.
-inline uint8_t XTime(uint8_t a) {
-  return static_cast<uint8_t>((a << 1) ^ ((a >> 7) * 0x1b));
+  // Top linear transformation.
+  const uint64_t y14 = x3 ^ x5;
+  const uint64_t y13 = x0 ^ x6;
+  const uint64_t y9 = x0 ^ x3;
+  const uint64_t y8 = x0 ^ x5;
+  const uint64_t t0 = x1 ^ x2;
+  const uint64_t y1 = t0 ^ x7;
+  const uint64_t y4 = y1 ^ x3;
+  const uint64_t y12 = y13 ^ y14;
+  const uint64_t y2 = y1 ^ x0;
+  const uint64_t y5 = y1 ^ x6;
+  const uint64_t y3 = y5 ^ y8;
+  const uint64_t t1 = x4 ^ y12;
+  const uint64_t y15 = t1 ^ x5;
+  const uint64_t y20 = t1 ^ x1;
+  const uint64_t y6 = y15 ^ x7;
+  const uint64_t y10 = y15 ^ t0;
+  const uint64_t y11 = y20 ^ y9;
+  const uint64_t y7 = x7 ^ y11;
+  const uint64_t y17 = y10 ^ y11;
+  const uint64_t y19 = y10 ^ y8;
+  const uint64_t y16 = t0 ^ y11;
+  const uint64_t y21 = y13 ^ y16;
+  const uint64_t y18 = x0 ^ y16;
+
+  // Non-linear section: the inversion in GF(2^8).
+  const uint64_t t2 = y12 & y15;
+  const uint64_t t3 = y3 & y6;
+  const uint64_t t4 = t3 ^ t2;
+  const uint64_t t5 = y4 & x7;
+  const uint64_t t6 = t5 ^ t2;
+  const uint64_t t7 = y13 & y16;
+  const uint64_t t8 = y5 & y1;
+  const uint64_t t9 = t8 ^ t7;
+  const uint64_t t10 = y2 & y7;
+  const uint64_t t11 = t10 ^ t7;
+  const uint64_t t12 = y9 & y11;
+  const uint64_t t13 = y14 & y17;
+  const uint64_t t14 = t13 ^ t12;
+  const uint64_t t15 = y8 & y10;
+  const uint64_t t16 = t15 ^ t12;
+  const uint64_t t17 = t4 ^ t14;
+  const uint64_t t18 = t6 ^ t16;
+  const uint64_t t19 = t9 ^ t14;
+  const uint64_t t20 = t11 ^ t16;
+  const uint64_t t21 = t17 ^ y20;
+  const uint64_t t22 = t18 ^ y19;
+  const uint64_t t23 = t19 ^ y21;
+  const uint64_t t24 = t20 ^ y18;
+
+  const uint64_t t25 = t21 ^ t22;
+  const uint64_t t26 = t21 & t23;
+  const uint64_t t27 = t24 ^ t26;
+  const uint64_t t28 = t25 & t27;
+  const uint64_t t29 = t28 ^ t22;
+  const uint64_t t30 = t23 ^ t24;
+  const uint64_t t31 = t22 ^ t26;
+  const uint64_t t32 = t31 & t30;
+  const uint64_t t33 = t32 ^ t24;
+  const uint64_t t34 = t23 ^ t33;
+  const uint64_t t35 = t27 ^ t33;
+  const uint64_t t36 = t24 & t35;
+  const uint64_t t37 = t36 ^ t34;
+  const uint64_t t38 = t27 ^ t36;
+  const uint64_t t39 = t29 & t38;
+  const uint64_t t40 = t25 ^ t39;
+
+  const uint64_t t41 = t40 ^ t37;
+  const uint64_t t42 = t29 ^ t33;
+  const uint64_t t43 = t29 ^ t40;
+  const uint64_t t44 = t33 ^ t37;
+  const uint64_t t45 = t42 ^ t41;
+  const uint64_t z0 = t44 & y15;
+  const uint64_t z1 = t37 & y6;
+  const uint64_t z2 = t33 & x7;
+  const uint64_t z3 = t43 & y16;
+  const uint64_t z4 = t40 & y1;
+  const uint64_t z5 = t29 & y7;
+  const uint64_t z6 = t42 & y11;
+  const uint64_t z7 = t45 & y17;
+  const uint64_t z8 = t41 & y10;
+  const uint64_t z9 = t44 & y12;
+  const uint64_t z10 = t37 & y3;
+  const uint64_t z11 = t33 & y4;
+  const uint64_t z12 = t43 & y13;
+  const uint64_t z13 = t40 & y5;
+  const uint64_t z14 = t29 & y2;
+  const uint64_t z15 = t42 & y9;
+  const uint64_t z16 = t45 & y14;
+  const uint64_t z17 = t41 & y8;
+
+  // Bottom linear transformation, with the affine constant 0x63.
+  const uint64_t t46 = z15 ^ z16;
+  const uint64_t t47 = z10 ^ z11;
+  const uint64_t t48 = z5 ^ z13;
+  const uint64_t t49 = z9 ^ z10;
+  const uint64_t t50 = z2 ^ z12;
+  const uint64_t t51 = z2 ^ z5;
+  const uint64_t t52 = z7 ^ z8;
+  const uint64_t t53 = z0 ^ z3;
+  const uint64_t t54 = z6 ^ z7;
+  const uint64_t t55 = z16 ^ z17;
+  const uint64_t t56 = z12 ^ t48;
+  const uint64_t t57 = t50 ^ t53;
+  const uint64_t t58 = z4 ^ t46;
+  const uint64_t t59 = z3 ^ t54;
+  const uint64_t t60 = t46 ^ t57;
+  const uint64_t t61 = z14 ^ t57;
+  const uint64_t t62 = t52 ^ t58;
+  const uint64_t t63 = t49 ^ t58;
+  const uint64_t t64 = z4 ^ t59;
+  const uint64_t t65 = t61 ^ t62;
+  const uint64_t t66 = z1 ^ t63;
+  const uint64_t s0 = t59 ^ t63;
+  const uint64_t s6 = t56 ^ ~t62;
+  const uint64_t s7 = t48 ^ ~t60;
+  const uint64_t t67 = t64 ^ t65;
+  const uint64_t s3 = t53 ^ t66;
+  const uint64_t s4 = t51 ^ t66;
+  const uint64_t s5 = t47 ^ t65;
+  const uint64_t s1 = t64 ^ ~s3;
+  const uint64_t s2 = t55 ^ ~t67;
+
+  q = {s7, s6, s5, s4, s3, s2, s1, s0};
+}
+
+/// Exchanges the bits of x under `lo` with those of y under `lo << s`.
+template <uint64_t kLo, int kShift>
+void SwapBits(uint64_t& x, uint64_t& y) {
+  constexpr uint64_t kHi = kLo << kShift;
+  const uint64_t a = x, b = y;
+  x = (a & kLo) | ((b & kLo) << kShift);
+  y = ((a & kHi) >> kShift) | (b & kHi);
+}
+
+/// Transposes each 8x8 bit matrix made of byte m of the eight words, so
+/// bytes become bit planes and back (it is its own inverse).
+void Ortho(Planes& q) {
+  constexpr uint64_t k1 = 0x5555555555555555, k2 = 0x3333333333333333,
+                     k4 = 0x0f0f0f0f0f0f0f0f;
+  for (int i = 0; i < 8; i += 2) SwapBits<k1, 1>(q[i], q[i + 1]);
+  for (int i : {0, 1, 4, 5}) SwapBits<k2, 2>(q[i], q[i + 2]);
+  for (int i = 0; i < 4; ++i) SwapBits<k4, 4>(q[i], q[i + 4]);
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+
+void StoreLe32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/// A block's four columns (little-endian words) spread so that row r of
+/// columns 0 and 2 lands in bytes 2r and 2r + 1 of `even`, and of columns
+/// 1 and 3 in those of `odd`.
+void InterleaveIn(uint64_t& even, uint64_t& odd, const uint32_t (&w)[4]) {
+  uint64_t x[4];
+  for (int i = 0; i < 4; ++i) {
+    x[i] = w[i];
+    x[i] = (x[i] | (x[i] << 16)) & 0x0000ffff0000ffff;
+    x[i] = (x[i] | (x[i] << 8)) & 0x00ff00ff00ff00ff;
+  }
+  even = x[0] | (x[2] << 8);
+  odd = x[1] | (x[3] << 8);
+}
+
+/// InterleaveIn's inverse.
+void InterleaveOut(uint32_t (&w)[4], uint64_t even, uint64_t odd) {
+  uint64_t x[4] = {even & 0x00ff00ff00ff00ff, odd & 0x00ff00ff00ff00ff,
+                   (even >> 8) & 0x00ff00ff00ff00ff,
+                   (odd >> 8) & 0x00ff00ff00ff00ff};
+  for (int i = 0; i < 4; ++i) {
+    x[i] = (x[i] | (x[i] >> 8)) & 0x0000ffff0000ffff;
+    w[i] = static_cast<uint32_t>(x[i] | (x[i] >> 16));
+  }
+}
+
+/// Four blocks' columns into bit planes: block l in lane l.
+void Load(Planes& q, const uint32_t (&w)[kCryptoLanes][4]) {
+  for (size_t l = 0; l < kCryptoLanes; ++l) {
+    InterleaveIn(q[l], q[l + 4], w[l]);
+  }
+  Ortho(q);
+}
+
+/// Row r of every column rotates left by r places.
+void ShiftRows(Planes& q) {
+  for (uint64_t& x : q) {
+    x = (x & 0x000000000000ffff) | ((x & 0x00000000fff00000) >> 4) |
+        ((x & 0x00000000000f0000) << 12) | ((x & 0x0000ff0000000000) >> 8) |
+        ((x & 0x000000ff00000000) << 8) | ((x & 0xf000000000000000) >> 12) |
+        ((x & 0x0fff000000000000) << 4);
+  }
+}
+
+uint64_t Rotr(uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
+
+/// Each column times 2·x³ + x² + x + 3 (mod x⁴ + 1): row r becomes
+/// 2·a_r ^ 3·a_{r+1} ^ a_{r+2} ^ a_{r+3}. Rotating a plane by 16 bits moves
+/// row r + 1 onto row r; doubling maps bit plane j to j + 1 and folds
+/// plane 7 into planes 0, 1, 3 and 4 (the polynomial 0x11b).
+void MixColumns(Planes& q) {
+  Planes r;
+  for (int j = 0; j < 8; ++j) r[j] = Rotr(q[j], 16);
+  Planes s;  // a_r ^ a_{r+1}
+  for (int j = 0; j < 8; ++j) s[j] = q[j] ^ r[j];
+  q[0] = s[7] ^ r[0] ^ Rotr(s[0], 32);
+  q[1] = s[0] ^ s[7] ^ r[1] ^ Rotr(s[1], 32);
+  q[2] = s[1] ^ r[2] ^ Rotr(s[2], 32);
+  q[3] = s[2] ^ s[7] ^ r[3] ^ Rotr(s[3], 32);
+  q[4] = s[3] ^ s[7] ^ r[4] ^ Rotr(s[4], 32);
+  q[5] = s[4] ^ r[5] ^ Rotr(s[5], 32);
+  q[6] = s[5] ^ r[6] ^ Rotr(s[6], 32);
+  q[7] = s[6] ^ r[7] ^ Rotr(s[7], 32);
+}
+
+void AddRoundKey(Planes& q, const uint64_t* rk) {
+  for (int j = 0; j < 8; ++j) q[j] ^= rk[j];
+}
+
+/// SubWord on one word of each lane at once.
+void SubWords(uint32_t (&w)[kCryptoLanes]) {
+  Scrubbed<Planes> q;
+  q[0] = w[0] | (uint64_t{w[1]} << 32);
+  q[1] = w[2] | (uint64_t{w[3]} << 32);
+  Ortho(q);
+  SubBytes(q);
+  Ortho(q);
+  w[0] = static_cast<uint32_t>(q[0]);
+  w[1] = static_cast<uint32_t>(q[0] >> 32);
+  w[2] = static_cast<uint32_t>(q[1]);
+  w[3] = static_cast<uint32_t>(q[1] >> 32);
+}
+
+constexpr uint32_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                0x20, 0x40, 0x80, 0x1b, 0x36};
+
+// FIPS-197 §5.2's key expansion of every lane: 44 words each.
+struct Schedule {
+  uint32_t w[kCryptoLanes][44];
+  uint32_t t[kCryptoLanes];
+  uint32_t round[kCryptoLanes][4];
+  Planes q;
+};
+
+void ExpandKeys(std::span<const Key128* const> keys, uint64_t* round_keys) {
+  assert(!keys.empty() && keys.size() <= kCryptoLanes);
+  Scrubbed<Schedule> s;
+  for (size_t l = 0; l < kCryptoLanes; ++l) {
+    const uint8_t* key =
+        keys[l < keys.size() ? l : 0]->secret_bytes().data();
+    for (int i = 0; i < 4; ++i) s.w[l][i] = LoadLe32(key + 4 * i);
+  }
+  for (int i = 4; i < 44; ++i) {
+    for (size_t l = 0; l < kCryptoLanes; ++l) s.t[l] = s.w[l][i - 1];
+    if (i % 4 == 0) {
+      // RotWord, SubWord, Rcon.
+      for (uint32_t& t : s.t) t = (t >> 8) | (t << 24);
+      SubWords(s.t);
+      for (uint32_t& t : s.t) t ^= kRcon[i / 4 - 1];
+    }
+    for (size_t l = 0; l < kCryptoLanes; ++l) {
+      s.w[l][i] = s.w[l][i - 4] ^ s.t[l];
+    }
+  }
+  for (int r = 0; r < 11; ++r) {
+    for (size_t l = 0; l < kCryptoLanes; ++l) {
+      std::copy_n(&s.w[l][4 * r], 4, s.round[l]);
+    }
+    Load(s.q, s.round);
+    std::copy(s.q.begin(), s.q.end(), round_keys + 8 * r);
+  }
 }
 
 }  // namespace
 
-void SoftAes128::ExpandKey(const Key128& key) {
-  std::memcpy(round_keys_.data(), key.secret_bytes().data(), 16);
-  for (int i = 16, rcon = 0; i < 176; i += 4) {
-    uint8_t t[4];
-    std::memcpy(t, &round_keys_[i - 4], 4);
-    if (i % 16 == 0) {
-      // RotWord + SubWord + Rcon.
-      uint8_t tmp = t[0];
-      t[0] = static_cast<uint8_t>(kSbox[t[1]] ^ kRcon[rcon++]);
-      t[1] = kSbox[t[2]];
-      t[2] = kSbox[t[3]];
-      t[3] = kSbox[tmp];
-    }
-    for (int j = 0; j < 4; ++j) {
-      round_keys_[i + j] = round_keys_[i - 16 + j] ^ t[j];
-    }
+SoftAes128::SoftAes128(const Key128& key) {
+  const Key128* keys[] = {&key};
+  ExpandKeys(keys, round_keys_.data());
+}
+
+SoftAes128::SoftAes128(std::span<const Key128* const> keys) {
+  ExpandKeys(keys, round_keys_.data());
+}
+
+void SoftAes128::EncryptLanes(std::span<Block128> blocks) const {
+  assert(blocks.size() <= kCryptoLanes);
+  struct State {
+    uint32_t w[kCryptoLanes][4];
+    Planes q;
+  };
+  Scrubbed<State> s;
+  for (size_t l = 0; l < blocks.size(); ++l) {
+    for (int i = 0; i < 4; ++i) s.w[l][i] = LoadLe32(&blocks[l][4 * i]);
+  }
+  Load(s.q, s.w);
+  const uint64_t* rk = round_keys_.data();
+  AddRoundKey(s.q, rk);
+  for (int round = 1; round < 10; ++round) {
+    SubBytes(s.q);
+    ShiftRows(s.q);
+    MixColumns(s.q);
+    AddRoundKey(s.q, rk + 8 * round);
+  }
+  SubBytes(s.q);
+  ShiftRows(s.q);
+  AddRoundKey(s.q, rk + 80);
+  Ortho(s.q);
+  for (size_t l = 0; l < blocks.size(); ++l) {
+    InterleaveOut(s.w[l], s.q[l], s.q[l + 4]);
+    for (int i = 0; i < 4; ++i) StoreLe32(&blocks[l][4 * i], s.w[l][i]);
   }
 }
 
 Block128 SoftAes128::EncryptBlock(const Block128& plaintext) const {
-  uint8_t s[16];
-  std::memcpy(s, plaintext.data(), 16);
-
-  auto add_round_key = [&](int round) {
-    const uint8_t* rk = &round_keys_[round * 16];
-    for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
-  };
-  auto sub_bytes = [&] {
-    for (auto& b : s) b = kSbox[b];
-  };
-  auto shift_rows = [&] {
-    // Row r (bytes r, r+4, r+8, r+12) rotates left by r.
-    uint8_t t = s[1];
-    s[1] = s[5]; s[5] = s[9]; s[9] = s[13]; s[13] = t;
-    std::swap(s[2], s[10]);
-    std::swap(s[6], s[14]);
-    t = s[15];
-    s[15] = s[11]; s[11] = s[7]; s[7] = s[3]; s[3] = t;
-  };
-  auto mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      uint8_t* col = &s[4 * c];
-      uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      uint8_t all = a0 ^ a1 ^ a2 ^ a3;
-      uint8_t t0 = a0;
-      col[0] ^= all ^ XTime(a0 ^ a1);
-      col[1] ^= all ^ XTime(a1 ^ a2);
-      col[2] ^= all ^ XTime(a2 ^ a3);
-      col[3] ^= all ^ XTime(a3 ^ t0);
-    }
-  };
-
-  add_round_key(0);
-  for (int round = 1; round < 10; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
-  }
-  sub_bytes();
-  shift_rows();
-  add_round_key(10);
-
-  Block128 out;
-  std::memcpy(out.data(), s, 16);
-  return out;
+  Block128 block = plaintext;
+  EncryptLanes({&block, 1});
+  return block;
 }
 
 }  // namespace tc::crypto

@@ -1,7 +1,7 @@
 // X25519, the Diffie-Hellman function of RFC 7748 over Curve25519, in
-// portable C++ with no secret-dependent branch, index or table. Sealed
-// grants (crypto/sealed_box.hpp) generate their keys and run their ECDH
-// here, so issuing and opening a grant never starts OpenSSL.
+// portable C++ with no secret-dependent branch, index or table, on the
+// field arithmetic it shares with Ed25519 (field25519.hpp). Sealed grants
+// (crypto/sealed_box.hpp) generate their keys and run their ECDH here.
 #pragma once
 
 #include <span>

@@ -402,7 +402,8 @@ TEST(ChunkAad, BytesArePinned) {
 
 TEST(ChunkBuilder, OpensPinnedStoredPayload) {
   // A stored payload pinned as bytes (chunk 5, ten points, kZlib, sealed
-  // under OpenSSL's GCM): every payload already stored must keep opening.
+  // under OpenSSL's GCM when the portable side still ran it): every payload
+  // already stored must keep opening.
   crypto::Key128 key;
   for (size_t i = 0; i < sizeof(key); ++i) {
     key.secret_bytes()[i] = static_cast<uint8_t>(0x10 + i);

@@ -442,7 +442,8 @@ TEST_F(OwnerSealTest, BatchedBodyIsTheCodecEncodingOfItsEntries) {
 }
 
 // The pin holds on both kernel arms: the AES-NI, SHA-NI and native GCM
-// kernels, and the software AES, portable SHA-256 and OpenSSL's GCM.
+// kernels, and the bitsliced software AES, portable SHA-256 and portable
+// GCM.
 class OwnerSealPins : public test::KernelArms, public OwnerSealTest {};
 TC_INSTANTIATE_KERNEL_ARMS(OwnerSealPins);
 

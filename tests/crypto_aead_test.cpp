@@ -1,8 +1,8 @@
 // SHA-256, HMAC-SHA256, HKDF and AES-GCM known answers, SHA-256 and HMAC
 // against OpenSSL at every block boundary, HKDF's length bound, AES-GCM
 // payload encryption
-// (byte-for-byte agreement with OpenSSL's EVP path, tamper detection, cipher
-// context reuse, the per-thread nonce reserve, its thread and fork safety)
+// (byte-for-byte agreement with OpenSSL's EVP path, tamper detection, the
+// per-thread nonce reserve, its thread and fork safety)
 // and sealed-box tests, on both kernel arms (tests/kernel_arms.hpp); and the
 // X25519 kernel against RFC 7748's vectors and OpenSSL's EVP X25519.
 #include <gtest/gtest.h>
@@ -35,8 +35,9 @@ Bytes Repeat(uint8_t byte, size_t n) { return Bytes(n, byte); }
 
 // Every SHA-256, AES-GCM, payload-key and sealed-box test runs on both
 // kernel arms: on the kernels this CPU has (SHA-NI, AES-NI and PCLMULQDQ
-// where it has them) and on the portable compression and OpenSSL's EVP
-// AES-GCM, with the CPU feature table masked.
+// where it has them) and on the portable compression and the portable
+// AES-GCM (bitsliced AES, constant-time GHASH), with the CPU feature table
+// masked.
 class Sha256Test : public test::KernelArmTest {};
 class AesGcm : public test::KernelArmTest {};
 class ChunkPayloadKeyTest : public test::KernelArmTest {};
@@ -254,10 +255,8 @@ TEST_P(AesGcm, AgreesWithLegacyEvpPathBothWays) {
   Bytes aad_pool(100);
   rng.Fill(pt_pool);
   rng.Fill(aad_pool);
-  // GcmSeal and GcmOpen share this thread's cipher context on the EVP path
-  // and keep its AES-128-GCM state between calls. Each input is sealed
-  // right after an open of the previous one, under a fresh key, and every
-  // other one right after a failed open.
+  // Each input is sealed right after an open of the previous one, under a
+  // fresh key, and every other one right after a failed open.
   size_t round = 0;
   for (size_t aad_len : aad_sizes) {
     const BytesView aad(aad_pool.data(), aad_len);

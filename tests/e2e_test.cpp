@@ -84,8 +84,8 @@ TEST_F(E2eTest, OwnerIngestAndStatQuery) {
 
 // The owner's round trip on the Portable arm (the tests above are its
 // Native one): with the CPU feature table masked, HEAC's leaves and field
-// keys run on the software AES, payloads seal on OpenSSL's GCM and payload
-// keys on the portable SHA-256.
+// keys run on the bitsliced software AES, payloads seal on the portable GCM
+// and payload keys on the portable SHA-256.
 class E2eKernels : public test::KernelArms, public E2eTest {};
 INSTANTIATE_TEST_SUITE_P(Kernels, E2eKernels,
                          ::testing::Values(test::KernelArm::kPortable),

@@ -3,9 +3,9 @@
 // this CPU has; the NoVaes arm masks only kCpuVaes, so the one-chunk AES-NI
 // and PCLMULQDQ kernels run where the four-lane VAES ones would (on a CPU
 // without VAES it repeats Native); the Portable arm masks every feature for
-// the life of the test fixture, so the software AES, OpenSSL's EVP AES-GCM
-// and the portable SHA-256 run instead. Known answers must hold on all
-// three.
+// the life of the test fixture, so the bitsliced software AES, the portable
+// AES-GCM and the portable SHA-256 run instead. Known answers must hold on
+// all three.
 //
 //   class AesGcm : public tc::test::KernelArmTest {};
 //   TEST_P(AesGcm, RoundTrip) { ... }

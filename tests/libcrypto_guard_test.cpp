@@ -1,56 +1,59 @@
-// An owner and a consumer never initialize OpenSSL's libcrypto: the owner
-// creates a HEAC stream, ingests, queries, reads raw points, rolls up and
-// issues a full-resolution and a resolution grant, and the consumer fetches
-// its grants and queries, with native SHA-256, HMAC, HKDF, AES-GCM, X25519
-// and getrandom(2). Nor does the server when a client asks it for a stream
-// of a strawman cipher kind: it refuses before it reads the key bytes. In
-// the product, libcrypto serves only Ed25519 (stream attestations) and
-// AES-GCM on CPUs without AES-NI; the strawman ciphers are bench-only.
+// TimeCrypt runs without OpenSSL's libcrypto. This binary links only
+// timecrypt_core, and after an owner and a consumer have used every
+// primitive of the product it checks, by walking the loaded objects with
+// dl_iterate_phdr, that no libcrypto is in the process: nothing linked one
+// in and nothing loaded one since. The owner creates an integrity stream,
+// ingests, queries, reads raw points, rolls up, attests (Ed25519) and
+// issues a full-resolution and a resolution grant (X25519, HKDF, AES-GCM);
+// the consumer fetches its grants and runs plain and verified queries. The
+// walk runs on every kernel arm (tests/kernel_arms.hpp), so the portable
+// AES, GCM and SHA-256 are covered as well as the native ones. The server
+// refuses a stream of a strawman cipher kind before it reads the key bytes.
 //
-// The executable defines OPENSSL_init_crypto, which every libcrypto entry
-// point that needs its library context calls first. The dynamic linker
-// binds libcrypto's own calls to this definition, which counts the call and
-// forwards it to libcrypto's. The suite has its own binary so that no other
-// test can have started OpenSSL before this one looks.
-#include <dlfcn.h>
+// The `no_libcrypto_linked` CTest entry checks the same for tcserver and
+// tccli from the other side: their dynamic sections need no libcrypto.
 #include <gtest/gtest.h>
-#include <openssl/crypto.h>
+#include <link.h>
 
-#include <atomic>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
-#include "crypto/aes_gcm.hpp"
-#include "crypto/ed25519.hpp"
 #include "crypto/sealed_box.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
-
-namespace {
-
-std::atomic<int> init_calls{0};
-
-}  // namespace
-
-extern "C" int OPENSSL_init_crypto(uint64_t opts,
-                                   const OPENSSL_INIT_SETTINGS* settings) {
-  init_calls.fetch_add(1, std::memory_order_relaxed);
-  using InitFn = int (*)(uint64_t, const OPENSSL_INIT_SETTINGS*);
-  static const auto real =
-      reinterpret_cast<InitFn>(dlsym(RTLD_NEXT, "OPENSSL_init_crypto"));
-  return real != nullptr ? real(opts, settings) : 0;
-}
+#include "tests/kernel_arms.hpp"
 
 namespace tc::client {
 namespace {
 
 constexpr uint64_t kDelta = 1000;
 
-// Defined first, so it runs before the other test's positive control has
-// started libcrypto.
-TEST(LibcryptoGuard, ServerRefusesStrawmanStreamsWithoutLibcrypto) {
-  const int before = init_calls.load();
+/// The file names of the objects loaded into this process.
+std::vector<std::string> LoadedObjects() {
+  std::vector<std::string> names;
+  dl_iterate_phdr(
+      [](dl_phdr_info* info, size_t, void* out) {
+        if (info->dlpi_name != nullptr && info->dlpi_name[0] != '\0') {
+          static_cast<std::vector<std::string>*>(out)->push_back(
+              info->dlpi_name);
+        }
+        return 0;
+      },
+      &names);
+  return names;
+}
+
+bool Loaded(const std::string& library) {
+  for (const std::string& name : LoadedObjects()) {
+    if (name.find(library) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(LibcryptoGuard, ServerRefusesStrawmanStreams) {
   server::ServerEngine engine(std::make_shared<store::MemKvStore>());
   // Kind 2 (Paillier) with arbitrary bytes, kind 3 (EC-ElGamal) with the
   // compressed P-256 generator, a well-formed public point.
@@ -71,13 +74,16 @@ TEST(LibcryptoGuard, ServerRefusesStrawmanStreamsWithoutLibcrypto) {
         << created.status().ToString();
   }
   EXPECT_EQ(engine.NumStreams(), 0u);
-  EXPECT_EQ(init_calls.load(), before);
+  EXPECT_FALSE(Loaded("libcrypto"));
 }
 
-TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
-  if (!crypto::GcmIsNative()) {
-    GTEST_SKIP() << "AES-GCM runs on OpenSSL's EVP path on this CPU";
-  }
+class LibcryptoGuardPaths : public test::KernelArmTest {};
+TC_INSTANTIATE_KERNEL_ARMS(LibcryptoGuardPaths);
+
+TEST_P(LibcryptoGuardPaths, OwnerAndConsumerRunWithoutLibcrypto) {
+  // Positive control: the walk sees the objects the binary does link.
+  ASSERT_TRUE(Loaded("libz")) << "dl_iterate_phdr saw no libz";
+
   auto server = std::make_shared<server::ServerEngine>(
       std::make_shared<store::MemKvStore>());
   auto transport = std::make_shared<net::InProcTransport>(server);
@@ -87,6 +93,7 @@ TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
   config.name = "guard/stream";
   config.delta_ms = kDelta;
   config.cipher = net::CipherKind::kHeac;
+  config.integrity = true;
   auto uuid = owner.CreateStream(config);
   ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
   for (int i = 0; i < 40; ++i) {
@@ -107,6 +114,11 @@ TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
   auto rolled = owner.GetStatRange(*rollup, {0, 10 * kDelta});
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   EXPECT_EQ(rolled->stats.Sum().value(), 39 * 40 / 2);
+
+  // Attestation: an Ed25519 signature over the stream head.
+  auto attestation = owner.Attest(*uuid);
+  ASSERT_TRUE(attestation.ok()) << attestation.status().ToString();
+  EXPECT_TRUE(attestation->Verify(owner.signing_public()).ok());
 
   // Grants: sealed to each principal's X25519 key, opened by the consumer.
   const Principal full{"guard/full", crypto::GenerateBoxKeyPair()};
@@ -129,14 +141,16 @@ TEST(LibcryptoGuard, OwnerAndConsumerPathsNeverInitializeLibcrypto) {
                              << window.status().ToString();
     EXPECT_EQ(window->stats.Sum().value(), (20 + 39) * 20 / 2);
   }
+  ConsumerClient consumer(transport, full);
+  ASSERT_TRUE(consumer.FetchGrants().ok());
+  auto verified = consumer.GetVerifiedStatRange(*uuid, {0, 10 * kDelta},
+                                                owner.signing_public());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified->stats.Sum().value(), 39 * 40 / 2);
 
-  EXPECT_EQ(init_calls.load(), 0);
-
-  // Positive control: a public-key operation must register, or the probe
-  // itself has stopped working and the check above proves nothing.
-  const crypto::SigningKeyPair pair = crypto::GenerateSigningKeyPair();
-  EXPECT_FALSE(pair.public_key.empty());
-  EXPECT_GT(init_calls.load(), 0);
+  for (const std::string& name : LoadedObjects()) {
+    EXPECT_EQ(name.find("libcrypto"), std::string::npos) << name;
+  }
 }
 
 }  // namespace

@@ -233,10 +233,13 @@ TEST(SecretZeroizeTest, SoftAesDestructorScrubsRoundKeys) {
   std::ranges::fill(key.secret_bytes(), 0x6E);
   alignas(crypto::SoftAes128) unsigned char raw[sizeof(crypto::SoftAes128)];
   auto* cipher = new (raw) crypto::SoftAes128(key);
-  // Round key 0 of the AES key schedule is the key itself.
-  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0x6E, sizeof(key)));
+  // Round key 0 of the AES key schedule is the key itself, held as eight
+  // 64-bit bit planes: bits 1, 2 and 3 of 0x6E are set in every byte of
+  // every lane, so planes 1 to 3 are 24 bytes of ones.
+  constexpr size_t kPlanes1To3 = 24;
+  ASSERT_TRUE(HasByteRun(raw, sizeof(raw), 0xFF, kPlanes1To3));
   cipher->~SoftAes128();
-  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0x6E, sizeof(key)))
+  EXPECT_FALSE(HasByteRun(raw, sizeof(raw), 0xFF, kPlanes1To3))
       << "SoftAes128::~SoftAes128 left the round-key schedule behind";
 }
 
