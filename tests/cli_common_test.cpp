@@ -225,19 +225,10 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
               "20" + ToHex(created->first) + "20" + ToHex(created->second))
         << file.name;
 
-    // The signing file takes halves of any length; an identity must be two
-    // matching 32-byte X25519 keys (IdentityFile.RejectsAnInvalidKeyPair).
-    WriteFileBytes(path, "03010203" "020405");
-    auto loaded = file.load();
-    if (file.name == std::string_view("identity.key")) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-    } else {
-      ASSERT_TRUE(loaded.ok()) << file.name;
-      EXPECT_EQ(loaded->first, (Bytes{1, 2, 3})) << file.name;
-      EXPECT_EQ(loaded->second, (Bytes{4, 5})) << file.name;
-    }
-
+    // Each file must hold two matching 32-byte keys
+    // (KeyPairFiles.RejectAnInvalidKeyPair).
     for (const char* bad : {
+             "03010203" "020405",      // well-formed, but short halves
              "03010203" "0204",        // truncated secret key
              "ffffffff0f" "010203",    // length beyond the input
          }) {
@@ -251,32 +242,52 @@ TEST(KeyPairFiles, IdentityAndSigningKeyBytesArePinned) {
 
 // A consumer whose identity file is damaged would register a key that its
 // grants' boxes cannot be opened with, and FetchGrants would skip every
-// one: the load fails instead, naming the file.
-TEST(IdentityFile, RejectsAnInvalidKeyPair) {
-  std::string dir = ::testing::TempDir() + "/cli_identity_invalid";
-  std::filesystem::remove_all(dir);
-  const auto path = std::filesystem::path(dir) / "identity.key";
-  auto created = LoadOrCreateIdentity(dir, /*create=*/true);
-  ASSERT_TRUE(created.ok());
-  const std::string pub = ToHex(created->public_key);
-  const std::string secret = ToHex(created->secret_key.secret_bytes());
-  const std::string other = ToHex(crypto::GenerateBoxKeyPair().public_key);
-
+// one; an owner whose signing file is damaged would sign attestations that
+// all fail verification as tampering. The load fails instead, naming the
+// file.
+void ExpectInvalidKeyPairsRejected(
+    const std::string& dir, const char* name, const Bytes& public_key,
+    BytesView secret_key, const Bytes& other_public,
+    const std::function<Status()>& load) {
+  const auto path = std::filesystem::path(dir) / name;
+  const std::string pub = ToHex(public_key);
+  const std::string secret = ToHex(secret_key);
+  const std::string other = ToHex(other_public);
   for (const std::string& bad : {
            "1f" + pub.substr(2) + "20" + secret,       // truncated public
            "20" + pub + "1f" + secret.substr(2),       // truncated secret
+           "21" + pub + "00" + "20" + secret,          // 33-byte public
            "20" + other + "20" + secret,               // another's public
            "20" + secret + "20" + pub,                 // halves swapped
        }) {
     WriteFileBytes(path, bad);
-    auto loaded = LoadOrCreateIdentity(dir, /*create=*/false);
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << bad;
-    EXPECT_NE(loaded.status().message().find(path.string()),
-              std::string::npos)
-        << loaded.status().ToString();
+    const Status loaded = load();
+    EXPECT_EQ(loaded.code(), StatusCode::kDataLoss) << name << " " << bad;
+    EXPECT_NE(loaded.message().find(path.string()), std::string::npos)
+        << loaded.ToString();
   }
   WriteFileBytes(path, "20" + pub + "20" + secret);
-  EXPECT_TRUE(LoadOrCreateIdentity(dir, /*create=*/false).ok());
+  EXPECT_TRUE(load().ok()) << name;
+}
+
+TEST(KeyPairFiles, RejectAnInvalidKeyPair) {
+  std::string dir = ::testing::TempDir() + "/cli_keys_invalid";
+  std::filesystem::remove_all(dir);
+  auto identity = LoadOrCreateIdentity(dir, /*create=*/true);
+  ASSERT_TRUE(identity.ok());
+  ExpectInvalidKeyPairsRejected(
+      dir, "identity.key", identity->public_key,
+      identity->secret_key.secret_bytes(),
+      crypto::GenerateBoxKeyPair().public_key,
+      [&] { return LoadOrCreateIdentity(dir, /*create=*/false).status(); });
+
+  auto signing = LoadOrCreateSigning(dir);
+  ASSERT_TRUE(signing.ok());
+  ExpectInvalidKeyPairsRejected(
+      dir, "signing.key", signing->public_key,
+      signing->secret_key.secret_bytes(),
+      crypto::GenerateSigningKeyPair().public_key,
+      [&] { return LoadOrCreateSigning(dir).status(); });
   std::filesystem::remove_all(dir);
 }
 

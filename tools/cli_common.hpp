@@ -232,11 +232,20 @@ struct KeyPairFile {
   static void Visit(auto& m, auto& v) { v(m.public_key, m.secret_key); }
 };
 
+/// The public half of a keypair, derived from its secret half.
+using DerivePublicKey = Result<Bytes> (*)(const SecretBuffer&);
+
 /// Loads the keypair in `state_dir`/`name`, or, when there is none and
-/// `generate` is set, creates one with it and saves it.
+/// `generate` is set, creates one with it and saves it. A loaded file must
+/// hold a 32-byte public and a 32-byte secret key, the first the `derive`
+/// of the second; DataLoss, naming the file and saying `what` a pair is,
+/// otherwise.
 template <typename KeyPair>
 Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
-                                    const char* name, KeyPair (*generate)()) {
+                                    const char* name, const char* what,
+                                    KeyPair (*generate)(),
+                                    DerivePublicKey derive) {
+  constexpr size_t kKeySize = 32;
   const auto path = std::filesystem::path(state_dir) / name;
   auto data = ReadStateFile(path);
   KeyPair kp;
@@ -245,6 +254,13 @@ Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
                                        data->secret_bytes()));
     kp.public_key = std::move(file.public_key);
     kp.secret_key = std::move(file.secret_key);
+    if (kp.public_key.size() != kKeySize || kp.secret_key.size() != kKeySize) {
+      return DataLoss(path.string() + ": " + what);
+    }
+    if (*derive(kp.secret_key) != kp.public_key) {
+      return DataLoss(path.string() +
+                      ": the public key is not the secret key's");
+    }
     return kp;
   }
   if (generate == nullptr) return data.status();
@@ -255,37 +271,31 @@ Result<KeyPair> LoadOrCreateKeyPair(const std::string& state_dir,
   return kp;
 }
 
-/// Consumer identity (X25519 keypair) persisted in the state dir. The file
-/// must hold a 32-byte public and a 32-byte secret key, the first derived
-/// from the second: a consumer registered under any other public key could
-/// open none of its grants. DataLoss, naming the file, otherwise.
+/// Consumer identity (X25519 keypair) persisted in the state dir. A
+/// consumer registered under any public key but its secret key's could
+/// open none of its grants, so a mismatched file is DataLoss.
 inline Result<crypto::BoxKeyPair> LoadOrCreateIdentity(
     const std::string& state_dir, bool create) {
-  constexpr const char* kName = "identity.key";
-  auto kp = LoadOrCreateKeyPair(state_dir, kName,
-                                create ? &crypto::GenerateBoxKeyPair : nullptr);
+  auto kp = LoadOrCreateKeyPair(
+      state_dir, "identity.key",
+      "an identity is a 32-byte public and a 32-byte secret X25519 key",
+      create ? &crypto::GenerateBoxKeyPair : nullptr, &crypto::BoxPublicKey);
   if (kp.status().code() == StatusCode::kNotFound) {
     return NotFound("no identity; run `tccli keygen` first");
-  }
-  if (!kp.ok()) return kp;
-  const auto path = (std::filesystem::path(state_dir) / kName).string();
-  if (kp->public_key.size() != crypto::kX25519KeySize ||
-      kp->secret_key.size() != crypto::kX25519KeySize) {
-    return DataLoss(path + ": an identity is a 32-byte public and a 32-byte "
-                           "secret X25519 key");
-  }
-  if (*crypto::BoxPublicKey(kp->secret_key) != kp->public_key) {
-    return DataLoss(path + ": the public key is not the secret key's");
   }
   return kp;
 }
 
 /// Owner signing identity (Ed25519) persisted in the state dir — the same
 /// keypair must sign every attestation of a stream, across invocations.
+/// Every attestation signed under a mismatched pair would fail
+/// verification as tampering, so such a file is DataLoss.
 inline Result<crypto::SigningKeyPair> LoadOrCreateSigning(
     const std::string& state_dir) {
-  return LoadOrCreateKeyPair(state_dir, "signing.key",
-                             &crypto::GenerateSigningKeyPair);
+  return LoadOrCreateKeyPair(
+      state_dir, "signing.key",
+      "a signing key is a 32-byte public and a 32-byte secret Ed25519 key",
+      &crypto::GenerateSigningKeyPair, &crypto::SigningPublicKey);
 }
 
 [[noreturn]] inline void Die(const Status& status) {
