@@ -291,9 +291,13 @@ Point BaseMul(const Scalar& a) {
 
 /// The scalar's signed sliding-window form: digits odd and in [-15, 15],
 /// any two nonzero ones at least five places apart (ref10's slide).
-std::array<int8_t, 256> Slide(const Scalar& a) {
-  std::array<int8_t, 256> r;
-  for (int i = 0; i < 256; ++i) r[i] = static_cast<int8_t>(1 & (a[i >> 3] >> (i & 7)));
+using Digits = std::array<int8_t, 256>;
+
+Digits Slide(const Scalar& a) {
+  Digits r;
+  for (int i = 0; i < 256; ++i) {
+    r[i] = static_cast<int8_t>(1 & (a[i >> 3] >> (i & 7)));
+  }
   for (int i = 0; i < 256; ++i) {
     if (r[i] == 0) continue;
     for (int b = 1; b <= 6 && i + b < 256; ++b) {
@@ -334,7 +338,7 @@ std::array<Cached, 8> OddMultiples(const Point& p) {
 
 /// a·A + b·B in variable time, for public a, A and b (verification).
 Point DoubleScalarMul(const Scalar& a, const Point& A, const Scalar& b) {
-  const std::array<int8_t, 256> a_digits = Slide(a), b_digits = Slide(b);
+  const Digits a_digits = Slide(a), b_digits = Slide(b);
   const std::array<Cached, 8> a_odd = OddMultiples(A);
   const std::array<Cached, 8> b_odd =
       OddMultiples({kBaseX, kBaseY, kOne, Mul(kBaseX, kBaseY)});

@@ -58,6 +58,14 @@ Checks cross-file invariants the compiler cannot see:
       (net/codec.hpp, client/grants.cpp, tools/cli_common.hpp). Everywhere
       else a key is an opaque value that no log line, Status message or
       early-exit compare can reach.
+  R13 the product links no libcrypto: no file in src/ or tools/ includes
+      an <openssl/...> header. Only the benchmarks' strawman ciphers
+      (bench/strawman/) and the tests' cross-checks use OpenSSL.
+  R14 no secret-indexed table can come back into the crypto layer: no
+      256-entry byte table (an S-box's shape: static storage or a brace
+      initializer) in src/crypto/. Indexing one
+      with key or data bytes leaks them through the cache (Bernstein,
+      "Cache-timing attacks on AES", 2005); the portable AES is bitsliced.
 
 lint_file(path, text) runs the per-file rules on one file as if it lived
 at the repo-relative `path`; tools/lint/lint_fixture.py feeds it the
@@ -374,9 +382,71 @@ def check_key_bytes(rel, text):
                            "function can take the Key128 or SecretBuffer)")
 
 
+# -------------------------------------------------------------------- R13
+R13_OPENSSL = re.compile(r"#\s*include\s*<openssl/")
+
+
+def check_no_openssl(rel, text):
+    if not rel.startswith(("src/", "tools/")):
+        return
+    for number, line in enumerate(text.splitlines(), 1):
+        if R13_OPENSSL.search(line):
+            yield number, ("OpenSSL header in src/ or tools/; the product "
+                           "links no libcrypto (only bench/strawman/ and "
+                           "the tests' cross-checks may)")
+
+
+# -------------------------------------------------------------------- R14
+R14_BYTE = r"(?:std::)?(?:u?int8_t|(?:un)?signed\s+char|char|std::byte|byte)"
+R14_C_ARRAY = re.compile(R14_BYTE + r"\s+\w+\s*\[\s*(\w*)\s*\]")
+R14_STD_ARRAY = re.compile(r"std::array\s*<\s*" + R14_BYTE +
+                           r"\s*,\s*256\s*>")
+R14_MESSAGE = ("256-entry byte table in src/crypto/ (an S-box's shape); a "
+               "secret-indexed table load leaks through the cache, so "
+               "compute the function in constant time instead")
+
+
+def initializer_entries(text, start):
+    """The number of entries in the brace initializer after `start`, or 0
+    when a ';' comes first."""
+    brace = text.find("{", start)
+    semi = text.find(";", start)
+    if (brace < 0 or (0 <= semi < brace) or
+            not re.fullmatch(r"\s*\w*\s*=?\s*", text[start:brace])):
+        return 0
+    end = text.find("}", brace)
+    body = re.sub(r"//[^\n]*", "", text[brace + 1:end])
+    return len([e for e in body.split(",") if e.strip()])
+
+
+R14_TABLE = re.compile(r"\b(?:constexpr|static|extern)\b")
+
+
+def is_table(text, match):
+    """A table has static storage or a brace initializer; a local work
+    array of 256 digits filled by code is not one."""
+    line_start = text.rfind("\n", 0, match.start()) + 1
+    return (R14_TABLE.search(text[line_start:match.start()]) is not None
+            or initializer_entries(text, match.end()) > 0)
+
+
+def check_no_byte_tables(rel, text):
+    if not rel.startswith("src/crypto/"):
+        return
+    for match in R14_C_ARRAY.finditer(text):
+        size = match.group(1)
+        entries = initializer_entries(text, match.end())
+        if (size == "256" and is_table(text, match)) or entries >= 256:
+            yield text.count("\n", 0, match.start()) + 1, R14_MESSAGE
+    for match in R14_STD_ARRAY.finditer(text):
+        if is_table(text, match):
+            yield text.count("\n", 0, match.start()) + 1, R14_MESSAGE
+
+
 FILE_RULES = (check_bounded_decode, check_no_naked_mutexes,
               check_crypto_constant_time, check_key_members, check_discards,
-              check_one_cpu_probe, check_key_bytes)
+              check_one_cpu_probe, check_key_bytes, check_no_openssl,
+              check_no_byte_tables)
 
 
 def lint_file(rel, text):
@@ -410,7 +480,7 @@ def main():
         print(f"tc_lint: {len(failures)} violation(s)", file=sys.stderr)
         return 1
     print(f"tc_lint: clean ({len(enumerators)} frame types, "
-          "11 invariants)")
+          "13 invariants)")
     return 0
 
 
