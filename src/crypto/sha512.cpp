@@ -103,6 +103,7 @@ void Compress(State& s, const uint8_t* p) {
 }
 
 void Absorb(State& s, BytesView data) {
+  if (data.empty()) return;  // data() may be null
   const uint8_t* p = data.data();
   size_t n = data.size();
   if (s.used > 0) {
