@@ -242,57 +242,47 @@ void AddRoundKey(Planes& q, const uint64_t* rk) {
   for (int j = 0; j < 8; ++j) q[j] ^= rk[j];
 }
 
-/// SubWord on one word of each lane at once.
-void SubWords(uint32_t (&w)[kCryptoLanes]) {
-  Scrubbed<Planes> q;
-  q[0] = w[0] | (uint64_t{w[1]} << 32);
-  q[1] = w[2] | (uint64_t{w[3]} << 32);
-  Ortho(q);
-  SubBytes(q);
-  Ortho(q);
-  w[0] = static_cast<uint32_t>(q[0]);
-  w[1] = static_cast<uint32_t>(q[0] >> 32);
-  w[2] = static_cast<uint32_t>(q[1]);
-  w[3] = static_cast<uint32_t>(q[1] >> 32);
-}
+constexpr uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                               0x20, 0x40, 0x80, 0x1b, 0x36};
 
-constexpr uint32_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
-                                0x20, 0x40, 0x80, 0x1b, 0x36};
-
-// FIPS-197 §5.2's key expansion of every lane: 44 words each.
-struct Schedule {
-  uint32_t w[kCryptoLanes][44];
-  uint32_t t[kCryptoLanes];
-  uint32_t round[kCryptoLanes][4];
-  Planes q;
-};
-
+/// FIPS-197 §5.2's key expansion, run on the bit planes (Käsper and
+/// Schwabe §4.1): round key i + 1 comes from round key i without leaving
+/// the bitsliced form. Each round, SubBytes of the whole key gives
+/// SubWord(column 3); a 16-bit rotation moves row r + 1 of it onto row r
+/// (RotWord); Rcon goes into row 0; and column c becomes the XOR of
+/// columns 0..c of the old key and that word.
 void ExpandKeys(std::span<const Key128* const> keys, uint64_t* round_keys) {
   assert(!keys.empty() && keys.size() <= kCryptoLanes);
+  constexpr uint64_t kColumn3 = 0xf000f000f000f000;
+  constexpr uint64_t kRow0Column3 = 0x000000000000f000;
+  constexpr uint64_t kColumns123 = 0xfff0fff0fff0fff0;
+  constexpr uint64_t kColumns23 = 0xff00ff00ff00ff00;
+  struct Schedule {
+    uint32_t w[kCryptoLanes][4];
+    Planes key, sub;
+  };
   Scrubbed<Schedule> s;
   for (size_t l = 0; l < kCryptoLanes; ++l) {
-    const uint8_t* key =
-        keys[l < keys.size() ? l : 0]->secret_bytes().data();
+    const uint8_t* key = keys[l < keys.size() ? l : 0]->secret_bytes().data();
     for (int i = 0; i < 4; ++i) s.w[l][i] = LoadLe32(key + 4 * i);
   }
-  for (int i = 4; i < 44; ++i) {
-    for (size_t l = 0; l < kCryptoLanes; ++l) s.t[l] = s.w[l][i - 1];
-    if (i % 4 == 0) {
-      // RotWord, SubWord, Rcon.
-      for (uint32_t& t : s.t) t = (t >> 8) | (t << 24);
-      SubWords(s.t);
-      for (uint32_t& t : s.t) t ^= kRcon[i / 4 - 1];
+  Load(s.key, s.w);
+  std::copy(s.key.begin(), s.key.end(), round_keys);
+  for (int round = 1; round <= 10; ++round) {
+    s.sub = s.key;
+    SubBytes(s.sub);
+    for (int j = 0; j < 8; ++j) {
+      uint64_t t = Rotr(s.sub[j] & kColumn3, 16);
+      t ^= kRow0Column3 & (0 - static_cast<uint64_t>(
+                                   (kRcon[round - 1] >> j) & 1));
+      t |= t >> 4;  // column 3's word into every column
+      t |= t >> 8;
+      uint64_t x = s.key[j];
+      x ^= (x << 4) & kColumns123;
+      x ^= (x << 8) & kColumns23;
+      s.key[j] = x ^ t;
     }
-    for (size_t l = 0; l < kCryptoLanes; ++l) {
-      s.w[l][i] = s.w[l][i - 4] ^ s.t[l];
-    }
-  }
-  for (int r = 0; r < 11; ++r) {
-    for (size_t l = 0; l < kCryptoLanes; ++l) {
-      std::copy_n(&s.w[l][4 * r], 4, s.round[l]);
-    }
-    Load(s.q, s.round);
-    std::copy(s.q.begin(), s.q.end(), round_keys + 8 * r);
+    std::copy(s.key.begin(), s.key.end(), round_keys + 8 * round);
   }
 }
 
