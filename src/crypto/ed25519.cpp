@@ -55,6 +55,8 @@ struct Cached {
 };
 
 constexpr Point kIdentity = {{0}, {1}, {1}, {0}};
+
+Point BasePoint() { return {kBaseX, kBaseY, kOne, Mul(kBaseX, kBaseY)}; }
 constexpr Cached kCachedIdentity = {{1}, {1}, {1}, {0}};
 
 Cached ToCached(const Point& p) {
@@ -207,7 +209,7 @@ using BaseTable = std::array<BaseRow, 32>;
 
 BaseTable BuildBaseTable() {
   BaseTable table;
-  Point row_base = {kBaseX, kBaseY, kOne, Mul(kBaseX, kBaseY)};
+  Point row_base = BasePoint();
   for (BaseRow& row : table) {
     row[0] = ToCached(row_base);
     Point multiple = row_base;
@@ -289,10 +291,10 @@ Point BaseMul(const Scalar& a) {
   return s.acc;
 }
 
-/// The scalar's signed sliding-window form: digits odd and in [-15, 15],
-/// any two nonzero ones at least five places apart (ref10's slide).
 using Digits = std::array<int8_t, 256>;
 
+/// The scalar's signed sliding-window form: digits odd and in [-15, 15],
+/// any two nonzero ones at least five places apart (ref10's slide).
 Digits Slide(const Scalar& a) {
   Digits r;
   for (int i = 0; i < 256; ++i) {
@@ -340,8 +342,7 @@ std::array<Cached, 8> OddMultiples(const Point& p) {
 Point DoubleScalarMul(const Scalar& a, const Point& A, const Scalar& b) {
   const Digits a_digits = Slide(a), b_digits = Slide(b);
   const std::array<Cached, 8> a_odd = OddMultiples(A);
-  const std::array<Cached, 8> b_odd =
-      OddMultiples({kBaseX, kBaseY, kOne, Mul(kBaseX, kBaseY)});
+  const std::array<Cached, 8> b_odd = OddMultiples(BasePoint());
   int i = 255;
   while (i >= 0 && a_digits[i] == 0 && b_digits[i] == 0) --i;
   Point r = kIdentity;
