@@ -1,5 +1,5 @@
-// PRG/AES correctness: software AES against the FIPS-197 test vector, the
-// AES-NI block cipher and kernels (the GGM step and HEAC's field keys)
+// PRG/AES correctness: FIPS-197's vectors on every kernel arm and in every
+// lane of the bitsliced software AES, the AES-NI block cipher and kernels (the GGM step and HEAC's field keys)
 // against the software one, the CPU feature table's dispatch and test mask,
 // SHA-256 and its hash-chain kernels against OpenSSL on both kernel arms,
 // and PRG properties.
@@ -80,6 +80,25 @@ TEST_P(Fips197, KnownAnswers) {
     const Block128 ct = CpuHas(kCpuAesNi) ? AesNiBlock(key).EncryptBlock(pt)
                                           : SoftAes128(key).EncryptBlock(pt);
     EXPECT_EQ(ToHex(ct), v.ciphertext) << v.key;
+  }
+}
+
+// One pass of the software AES with a different key in each lane: the two
+// vectors alternate over the four lanes, and each block is its own key's.
+TEST(SoftAes, EachLaneUnderItsOwnKey) {
+  Key128 keys[kCryptoLanes];
+  const Key128* lanes[kCryptoLanes];
+  std::array<Block128, kCryptoLanes> blocks;
+  for (size_t l = 0; l < kCryptoLanes; ++l) {
+    const AesVector& v = kFips197Vectors[l % 2];
+    keys[l] = KeyFromHex(v.key);
+    lanes[l] = &keys[l];
+    blocks[l] = BlockFromHex(v.plaintext);
+  }
+  SoftAes128(lanes).EncryptLanes(blocks);
+  for (size_t l = 0; l < kCryptoLanes; ++l) {
+    EXPECT_EQ(ToHex(blocks[l]), kFips197Vectors[l % 2].ciphertext)
+        << "lane " << l;
   }
 }
 
