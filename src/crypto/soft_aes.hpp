@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/bytes.hpp"
 #include "common/secret.hpp"
 #include "crypto/cpu.hpp"
 #include "crypto/rand.hpp"

@@ -1,32 +1,18 @@
-# Fails unless `readelf -d` of every binary named after the script lists
-# its needed libraries and none of them is libcrypto.
+# Fails unless `readelf -d` of every binary in BINARIES lists its needed
+# libraries and none of them is libcrypto.
 #
-#   cmake -DREADELF=readelf -P tests/no_libcrypto.cmake BINARY...
-math(EXPR last "${CMAKE_ARGC} - 1")
-set(checked 0)
-foreach(i RANGE ${last})
-  if(NOT CMAKE_ARGV${i} STREQUAL "-P")
-    continue()
-  endif()
-  math(EXPR first "${i} + 2")
-  if(first GREATER last)
-    break()
-  endif()
-  foreach(j RANGE ${first} ${last})
-    set(binary "${CMAKE_ARGV${j}}")
-    execute_process(COMMAND ${READELF} -d ${binary}
-                    OUTPUT_VARIABLE dynamic RESULT_VARIABLE status)
-    if(NOT status EQUAL 0 OR NOT dynamic MATCHES "\\(NEEDED\\)")
-      message(FATAL_ERROR "readelf -d ${binary} listed no needed libraries")
-    endif()
-    if(dynamic MATCHES "libcrypto")
-      message(FATAL_ERROR "${binary} needs libcrypto:\n${dynamic}")
-    endif()
-    math(EXPR checked "${checked} + 1")
-  endforeach()
-  break()
-endforeach()
-if(checked EQUAL 0)
+#   cmake -DREADELF=readelf "-DBINARIES=build/tcserver;build/tccli" \
+#         -P tests/no_libcrypto.cmake
+if(NOT BINARIES)
   message(FATAL_ERROR "no binary to check")
 endif()
-message(STATUS "${checked} binaries need no libcrypto")
+foreach(binary IN LISTS BINARIES)
+  execute_process(COMMAND ${READELF} -d ${binary}
+                  OUTPUT_VARIABLE dynamic RESULT_VARIABLE status)
+  if(NOT status EQUAL 0 OR NOT dynamic MATCHES "\\(NEEDED\\)")
+    message(FATAL_ERROR "readelf -d ${binary} listed no needed libraries")
+  endif()
+  if(dynamic MATCHES "libcrypto")
+    message(FATAL_ERROR "${binary} needs libcrypto:\n${dynamic}")
+  endif()
+endforeach()
