@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <thread>
@@ -613,6 +614,26 @@ TEST_F(LogKvTest, SeedFormatLogStillReplays) {
   auto kv = LogKvStore::Open(path_.string());
   ASSERT_TRUE(kv.ok());
   EXPECT_EQ(ScanAll(**kv), (std::map<std::string, std::string>{{"a", "zq"}}));
+}
+
+TEST_F(LogKvTest, UnreplicatedLogBytesArePinned) {
+  // What a store writes, byte for byte: put a="xy", put b="1", append "z"
+  // to a (2 bytes before it), delete b. A store that no replication ever
+  // opened holds nothing else.
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("a", ToBytes("xy")).ok());
+    ASSERT_TRUE((*kv)->Put("b", ToBytes("1")).ok());
+    ASSERT_TRUE((*kv)->Append("a", 2, ToBytes("z")).ok());
+    ASSERT_TRUE((*kv)->Delete("b").ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  std::ifstream in(path_, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(ToHex(ToBytes(bytes)),
+            "0101610278790101620131030161017a020162");
 }
 
 TEST_F(LogKvTest, CompactThenReplayYieldsTheSameMap) {
