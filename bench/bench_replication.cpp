@@ -1,5 +1,6 @@
 // Replication rungs of the bench ladder: what do read replicas buy, what
-// does a quorum ack cost, and what does streaming snapshot catch-up save?
+// does a quorum ack cost, and what does catching up a follower hold in
+// memory?
 //
 //  - BM_ReplicaRead: a pool of row threads fires GetStatRange at a 2-shard
 //    router, replica-less vs 2 replicas per shard. Every replica engine owns
@@ -13,16 +14,16 @@
 //    trip per mutation, the price of "a majority holds it". The async row's
 //    last iteration waits until the followers caught up, so both rows pay
 //    for replicating every chunk.
-//  - BM_SnapshotCatchup: seeding an empty follower from a populated store,
-//    monolithic (one unbounded chunk, a full copy) vs streaming (bounded
-//    chunks). `peak_delta_MB` is the growth of the process's peak RSS
-//    during the catch-up, the number chunking exists to bound. Monolithic
-//    runs first: where the peak cannot be reset, its unbounded frame sets
-//    the high-water mark the streaming row must stay under.
+//  - BM_LogCatchup: copying a populated primary log to an empty follower
+//    log, in kReplicaLog frames of at most 1 MiB. `peak_delta_MB` is the
+//    growth of the process's peak RSS during the catch-up: one frame on
+//    each side, never a copy of the store.
 //
-// One iteration is one request or one catch-up; each row runs a fixed
-// number of them, named in its `iterations:` suffix. Rows with chunks:256,
-// chunks:128 and entries:4000 are the smoke sizes.
+// Every replicated store is a LogKvStore in a temporary directory, as in
+// `tcserver --store mem --replicas N`; the replica-less rows run on the
+// same logs. One iteration is one request or one catch-up; each row runs a
+// fixed number of them, named in its `iterations:` suffix. Rows with
+// chunks:256, chunks:128 and entries:4000 are the smoke sizes.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -35,8 +36,7 @@
 #include "replica/replica_set.hpp"
 #include "replica/replica_wire.hpp"
 #include "server/server_engine.hpp"
-#include "store/mem_kv.hpp"
-#include "store/prefix_kv.hpp"
+#include "store/log_kv.hpp"
 
 namespace tc::bench {
 namespace {
@@ -45,15 +45,29 @@ constexpr size_t kShards = 2;
 constexpr size_t kStreams = 8;
 constexpr int kThreads = 4;  // fixed so row names match across hosts
 
+/// A log in `dir`; aborts the run if it cannot open.
+std::shared_ptr<store::LogKvStore> OpenLog(const store::TempLogDir& dir,
+                                           const std::string& name) {
+  auto log = store::LogKvStore::Open(dir.Path(name));
+  if (!log.ok()) std::abort();
+  return std::move(*log);
+}
+
+std::unique_ptr<store::TempLogDir> MakeLogDir() {
+  auto dir = store::TempLogDir::Make();
+  if (!dir.ok()) std::abort();
+  return std::move(*dir);
+}
+
 struct Cluster {
+  std::unique_ptr<store::TempLogDir> dir = MakeLogDir();
   std::vector<std::shared_ptr<replica::ReplicaSet>> sets;
   std::shared_ptr<cluster::ShardRouter> router;
 
   Cluster(size_t replicas, replica::AckMode ack) {
-    auto backend = std::make_shared<store::MemKvStore>();
     for (size_t i = 0; i < kShards; ++i) {
-      auto primary = std::make_shared<store::PrefixKvStore>(
-          backend, "s" + std::to_string(i) + "/");
+      std::string shard = "s" + std::to_string(i);
+      auto primary = OpenLog(*dir, shard);
       server::ServerOptions engine_options;
       engine_options.shard_id = static_cast<uint32_t>(i);
       if (replicas == 0) {
@@ -61,16 +75,16 @@ struct Cluster {
             std::make_shared<server::ServerEngine>(primary, engine_options)));
         continue;
       }
-      std::vector<std::shared_ptr<store::KvStore>> followers;
+      std::vector<std::shared_ptr<store::LogKvStore>> followers;
       for (size_t j = 0; j < replicas; ++j) {
-        followers.push_back(std::make_shared<store::PrefixKvStore>(
-            backend,
-            "s" + std::to_string(i) + "r" + std::to_string(j) + "/"));
+        followers.push_back(OpenLog(*dir, shard + "r" + std::to_string(j)));
       }
       replica::ReplicaSetOptions options;
       options.kv.ack = ack;
-      sets.push_back(replica::ReplicaSet::Make(primary, std::move(followers),
-                                               engine_options, options));
+      auto set = replica::ReplicaSet::Make(primary, std::move(followers),
+                                           engine_options, options);
+      if (!set.ok()) std::abort();
+      sets.push_back(std::move(*set));
     }
     router = std::make_shared<cluster::ShardRouter>(sets);
   }
@@ -164,7 +178,7 @@ void BM_ReplicatedIngest(benchmark::State& state, replica::AckMode ack) {
       benchmark::Counter(static_cast<double>(i), benchmark::Counter::kIsRate);
 }
 
-// ----------------------------------------------------- snapshot catch-up
+// ---------------------------------------------------------- log catch-up
 
 /// Peak RSS (VmHWM) in KiB from /proc/self/status; 0 if unreadable.
 uint64_t PeakRssKb() {
@@ -186,40 +200,35 @@ void ResetPeakRss() {
   if (clear_refs) clear_refs << "5";
 }
 
-void BM_SnapshotCatchup(benchmark::State& state, size_t chunk_bytes,
-                        size_t chunk_entries) {
+void BM_LogCatchup(benchmark::State& state) {
   const auto entries = static_cast<size_t>(state.range(0));
   const auto value_bytes = static_cast<size_t>(state.range(1));
-  replica::ReplicatedKvOptions options;
-  options.snapshot_chunk_bytes = chunk_bytes;
-  options.snapshot_chunk_entries = chunk_entries;
-  options.max_log_ops = 16;  // keep the op-log window out of the RSS story
-  auto rkv = std::make_shared<replica::ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>(), options);
+  auto dir = MakeLogDir();
+  auto rkv = replica::ReplicatedKvStore::Open(OpenLog(*dir, "primary"));
+  if (!rkv.ok()) std::abort();
   Bytes value(value_bytes, 0xab);
   for (size_t i = 0; i < entries; ++i) {
     // Distinct suffixes so values are not trivially shareable.
     value[i % value_bytes] = static_cast<uint8_t>(i);
-    if (!rkv->Put("chunk/" + std::to_string(i), value).ok()) std::abort();
+    if (!(*rkv)->Put("chunk/" + std::to_string(i), value).ok()) std::abort();
   }
 
-  // A follower across the wire shape (encode + decode per frame), applying
-  // into its own store: the realistic memory profile of catch-up.
-  auto follower_kv = std::make_shared<store::MemKvStore>();
-  auto applier = std::make_shared<replica::ReplicaApplier>(follower_kv);
+  // A follower across the wire shape (encode + decode per frame), writing
+  // into its own log: the realistic memory profile of catch-up.
+  auto follower_log = OpenLog(*dir, "follower");
+  auto applier = std::make_shared<replica::ReplicaApplier>(follower_log);
   ResetPeakRss();
   const uint64_t peak_before = PeakRssKb();
   for (auto _ : state) {
-    rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
+    (*rkv)->AddFollower(std::make_shared<replica::RemoteFollower>(
         std::make_shared<net::InProcTransport>(applier)));
-    if (!rkv->WaitCaughtUp(120'000).ok()) std::abort();
-    if (follower_kv->Size() < entries) std::abort();
+    if (!(*rkv)->WaitCaughtUp(120'000).ok()) std::abort();
+    if (follower_log->Size() < entries) std::abort();
   }
   state.counters["entries"] = benchmark::Counter(
       static_cast<double>(entries * state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["snapshot_chunks"] =
-      static_cast<double>(rkv->snapshot_chunks_shipped());
+  state.counters["full_copies"] = static_cast<double>((*rkv)->full_copies());
   state.counters["peak_delta_MB"] =
       static_cast<double>(PeakRssKb() - peak_before) / 1024.0;
 }
@@ -253,23 +262,12 @@ void RegisterAll() {
     int64_t entries, value_bytes;
   };
   for (CatchupSize size : {CatchupSize{4000, 1024}, CatchupSize{30'000, 2048}}) {
-    for (bool streaming : {false, true}) {
-      benchmark::RegisterBenchmark(
-          streaming ? "BM_SnapshotCatchup/streaming"
-                    : "BM_SnapshotCatchup/monolithic",
-          [streaming](benchmark::State& st) {
-            if (streaming) {
-              BM_SnapshotCatchup(st, 256 << 10, 1024);
-            } else {
-              BM_SnapshotCatchup(st, SIZE_MAX, SIZE_MAX);
-            }
-          })
-          ->ArgNames({"entries", "value_bytes"})
-          ->Args({size.entries, size.value_bytes})
-          ->Iterations(1)
-          ->UseRealTime()
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark("BM_LogCatchup", BM_LogCatchup)
+        ->ArgNames({"entries", "value_bytes"})
+        ->Args({size.entries, size.value_bytes})
+        ->Iterations(1)
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

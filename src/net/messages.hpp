@@ -128,18 +128,20 @@ struct ClusterInfoResponse {
     uint64_t num_streams = 0;
     uint64_t index_bytes = 0;
     // Replication health: follower count, ack discipline, and the widest
-    // follower lag in ops (0 when replicas == 0 or all caught up).
+    // follower lag in bytes of the primary's log (0 when replicas == 0 or
+    // all caught up).
     uint32_t replicas = 0;
     uint8_t ack_mode = kAckAsync;
-    uint64_t max_lag_ops = 0;
+    uint64_t max_lag_bytes = 0;
     // Daemon topology + failover health: socket-registered follower
     // processes, whether heartbeat-driven failover is armed, how many
-    // promotions this shard has survived, and how many bounded snapshot
-    // chunks catch-up has shipped (the streaming-catch-up witness).
+    // promotions this shard has survived, and how many times a follower's
+    // log was copied from its start (a follower daemon counts the copies
+    // it received).
     uint32_t remote_followers = 0;
     uint8_t auto_failover = 0;
     uint32_t promotions = 0;
-    uint64_t snapshot_chunks = 0;
+    uint64_t full_copies = 0;
     // Backing-store compaction pressure (LogKvStore shards): dead value
     // bytes awaiting compaction and compaction passes run so far. Zeros
     // for volatile stores.
@@ -149,8 +151,8 @@ struct ClusterInfoResponse {
     static void Visit(auto& m, auto& v) {
       v(m.shard, m.num_streams, m.index_bytes, m.replicas, m.ack_mode);
       v.Check(m.ack_mode <= kAckQuorum, "unknown replica ack mode");
-      v(m.max_lag_ops, m.remote_followers, Flag(m.auto_failover),
-        m.promotions, m.snapshot_chunks, m.store_dead_bytes,
+      v(m.max_lag_bytes, m.remote_followers, Flag(m.auto_failover),
+        m.promotions, m.full_copies, m.store_dead_bytes,
         m.store_compactions);
     }
   };
@@ -517,135 +519,60 @@ struct GetChunkWitnessedResponse {
 // ciphertext and encrypted digests — the server is untrusted end-to-end, so
 // copying it to more untrusted nodes changes nothing about confidentiality.
 
-/// Mutation kinds carried by ReplicaOpsRequest entries.
-inline constexpr uint8_t kReplicaOpPut = 1;
-inline constexpr uint8_t kReplicaOpDelete = 2;
-/// KvStore::Append: the value is the suffix, applied only if the
-/// follower's value is exactly `expected_size` bytes long.
-inline constexpr uint8_t kReplicaOpAppend = 3;
-
-/// A contiguous run of sequence-numbered mutations: entry i carries
-/// sequence number first_seq + i. Followers apply strictly in order, so a
-/// follower's store is always a prefix of the primary's mutation history.
-/// `shard` routes the frame inside a follower daemon replicating several
-/// shards over one endpoint.
-struct ReplicaOpsRequest {
-  struct Op {
-    uint8_t kind = kReplicaOpPut;
-    std::string key;
-    Bytes value;  // empty for deletes; the suffix for appends
-    uint64_t expected_size = 0;  // appends only: value length before
-
-    static void Visit(auto& m, auto& v) {
-      v(m.kind);
-      v.Check(m.kind == kReplicaOpPut || m.kind == kReplicaOpDelete ||
-                  m.kind == kReplicaOpAppend,
-              "unknown replica op kind");
-      v(m.key);
-      if (m.kind == kReplicaOpAppend) v(m.expected_size);
-      v(m.value);
-      v.Check(m.kind != kReplicaOpDelete || m.value.empty(),
-              "replica delete carries a value");
-      v.Check(m.kind != kReplicaOpAppend || !m.value.empty(),
-              "replica append carries no bytes");
-    }
-    friend bool operator==(const Op&, const Op&) = default;
-  };
+/// Whole records of the primary's log, to be written at the follower's log
+/// position (generation, offset): at offset 0 the follower empties its log
+/// and is copied from the start; otherwise its log must stand exactly
+/// there. Empty `records` write nothing and ask where the follower's log
+/// stands. The records start and end on record boundaries and total at
+/// most replica::kLogFrameBytes, unless one record alone is larger.
+/// `records` views the body it was decoded from.
+struct ReplicaLogRequest {
   uint32_t shard = 0;
-  uint64_t first_seq = 0;
-  std::vector<Op> ops;
-
-  static void Visit(auto& m, auto& v) { v(m.shard, m.first_seq, m.ops); }
-  TC_WIRE_MESSAGE(ReplicaOpsRequest)
-};
-
-// Chunked snapshot catch-up: Begin pins the snapshot's sequence number,
-// Chunk frames carry bounded (key, value) batches, End reconciles (deletes
-// follower keys the stream never named, so diverged stores reconverge).
-// Neither side ever materializes the full store: the shipper walks the key
-// list batch by batch, the applier writes each chunk straight into its
-// store and only retains the key set for the End reconciliation. A Begin
-// that repeats the in-progress seq resumes after the last received chunk
-// (reconnect after a dropped transport), because an unchanged seq means an
-// unchanged store and therefore an unchanged, deterministic key order.
-
-struct ReplicaSnapshotBeginRequest {
-  uint32_t shard = 0;
-  /// Shipping-pipeline identity (random per primary incarnation): a stream
-  /// may only resume under the pipeline that started it — after failover
-  /// the new primary restarts sequence numbering, so seq alone could
-  /// collide with a half-received stream from the dead primary.
-  uint64_t origin = 0;
-  uint64_t seq = 0;
-
-  static void Visit(auto& m, auto& v) { v(m.shard, m.origin, m.seq); }
-  TC_WIRE_MESSAGE(ReplicaSnapshotBeginRequest)
-};
-
-struct ReplicaSnapshotChunkRequest {
-  uint32_t shard = 0;
-  uint64_t seq = 0;
-  /// Position of entries.front() in the overall snapshot stream.
-  uint64_t first_index = 0;
-  std::vector<std::pair<std::string, Bytes>> entries;
+  uint64_t generation = 0;
+  uint64_t offset = 0;
+  BytesView records;
 
   static void Visit(auto& m, auto& v) {
-    v(m.shard, m.seq, m.first_index, m.entries);
+    v(m.shard, m.generation, m.offset, m.records);
   }
-  TC_WIRE_MESSAGE(ReplicaSnapshotChunkRequest)
+  TC_WIRE_MESSAGE(ReplicaLogRequest)
 };
 
-struct ReplicaSnapshotEndRequest {
-  uint32_t shard = 0;
-  uint64_t seq = 0;
-  /// Total entries shipped; the applier cross-checks its received count.
-  uint64_t total_entries = 0;
+/// A follower's log position (store::LogPosition): its reply to kReplicaLog
+/// and kReplicaHeartbeat.
+struct ReplicaLogAck {
+  uint64_t generation = 0;
+  uint64_t length = 0;
 
-  static void Visit(auto& m, auto& v) { v(m.shard, m.seq, m.total_entries); }
-  TC_WIRE_MESSAGE(ReplicaSnapshotEndRequest)
-};
-
-/// Reply to SnapshotBegin (entries = resume point: how many stream entries
-/// the follower already holds for this seq) and SnapshotChunk (entries =
-/// cumulative entries received, which the shipper verifies).
-struct ReplicaSnapshotAckResponse {
-  uint64_t entries = 0;
-
-  static void Visit(auto& m, auto& v) { v(m.entries); }
-  TC_WIRE_MESSAGE(ReplicaSnapshotAckResponse)
-};
-
-/// Follower's reply to kReplicaOps / kReplicaSnapshotEnd / kReplicaHeartbeat.
-struct ReplicaAckResponse {
-  uint64_t applied_seq = 0;
-
-  static void Visit(auto& m, auto& v) { v(m.applied_seq); }
-  TC_WIRE_MESSAGE(ReplicaAckResponse)
+  static void Visit(auto& m, auto& v) { v(m.generation, m.length); }
+  TC_WIRE_MESSAGE(ReplicaLogAck)
 };
 
 /// Follower-daemon registration, sent by the follower to the primary's
-/// serving port. Carries where the primary should dial back (host/port of
-/// the follower's replication endpoint), which shard it replicates, how far
-/// it has applied, and a fingerprint of its persisted shard layout so a
-/// store formatted for a different cluster shape is rejected instead of
-/// silently reconciled (0 = empty store, always accepted).
+/// serving port: the protocol it speaks (kReplicaProtocolVersion, first so
+/// any later layout can be refused by name), which shard it replicates,
+/// where its log stands, a fingerprint of its persisted shard layout so a
+/// store formatted for a different cluster shape is rejected (0 = empty
+/// store, always accepted), and where the primary should dial back.
 struct ReplicaHelloRequest {
+  uint8_t version = kReplicaProtocolVersion;
   uint32_t shard = 0;
   /// The follower's total shard count. Placement is a pure hash of
   /// (uuid, N): a follower laid out for a different N would replicate and
   /// serve the wrong subset, so the primary rejects a mismatch outright —
   /// the fingerprint gate only covers non-empty stores.
   uint32_t num_shards = 1;
-  uint64_t applied_seq = 0;
+  uint64_t generation = 0;
+  uint64_t length = 0;
   uint64_t store_fingerprint = 0;
   std::string host;
   uint32_t port = 0;
 
   static void Visit(auto& m, auto& v) {
-    v(m.shard, m.num_shards);
+    v(m.version, m.shard, m.num_shards);
     v.Check(m.shard < m.num_shards,
             "replica hello shard id outside its shard count");
-    v(m.applied_seq, m.store_fingerprint, m.host, m.port);
+    v(m.generation, m.length, m.store_fingerprint, m.host, m.port);
     v.Check(m.port != 0 && m.port <= 65535,
             "replica hello carries an invalid port");
   }
@@ -653,33 +580,31 @@ struct ReplicaHelloRequest {
 };
 
 struct ReplicaHelloResponse {
-  uint64_t head_seq = 0;       // primary's current head for the shard
+  uint64_t log_end = 0;        // length of the shard's primary log
   uint32_t heartbeat_ms = 0;   // primary's heartbeat cadence
 
-  static void Visit(auto& m, auto& v) { v(m.head_seq, m.heartbeat_ms); }
+  static void Visit(auto& m, auto& v) { v(m.log_end, m.heartbeat_ms); }
   TC_WIRE_MESSAGE(ReplicaHelloResponse)
 };
 
 /// Primary → follower liveness beacon carrying the shard's group view:
-/// every registered follower endpoint and its applied seq. Followers use
-/// the last view to elect the most-caught-up survivor when the beacons
-/// stop (primary loss → automatic promotion).
+/// every registered follower endpoint and how many bytes of the primary's
+/// log it holds. Followers use the last view to elect the most caught-up
+/// survivor when the beacons stop (primary loss → automatic promotion).
 struct ReplicaHeartbeatRequest {
   struct Peer {
     std::string host;
     uint32_t port = 0;
-    uint64_t applied_seq = 0;
+    uint64_t log_bytes = 0;
 
-    static void Visit(auto& m, auto& v) {
-      v(m.host, m.port, m.applied_seq);
-    }
+    static void Visit(auto& m, auto& v) { v(m.host, m.port, m.log_bytes); }
     friend bool operator==(const Peer&, const Peer&) = default;
   };
   uint32_t shard = 0;
-  uint64_t head_seq = 0;
+  uint64_t log_end = 0;
   std::vector<Peer> peers;
 
-  static void Visit(auto& m, auto& v) { v(m.shard, m.head_seq, m.peers); }
+  static void Visit(auto& m, auto& v) { v(m.shard, m.log_end, m.peers); }
   TC_WIRE_MESSAGE(ReplicaHeartbeatRequest)
 };
 

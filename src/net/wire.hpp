@@ -76,21 +76,16 @@ enum class MessageType : uint8_t {
   kClusterInfo = 21,
   // Replication extension (src/replica): primary→follower log shipping.
   // These target a follower's ReplicaApplier endpoint, never the cluster
-  // router or a serving engine. Values 22 and 23 carried the retired
-  // PR 3-era frames (kReplicaOps before it grew a shard field, and the
-  // monolithic kReplicaSnapshot superseded by the chunked Begin/Chunk/End
-  // stream); both stay reserved so old captures cannot be misparsed as
-  // the new layouts.
+  // router or a serving engine. Values 22, 23 and 25–27 carried retired
+  // frames (op shipping before it grew a shard field, and snapshot
+  // streams), and 29 the op shipping kReplicaLog replaced; all stay
+  // reserved so old captures cannot be misparsed as new layouts.
   // Follower-daemon topology (src/replica): a follower process registers
   // with the primary (kReplicaHello, sent to the primary's serving port),
-  // the primary dials back and catches it up with a bounded-memory chunk
-  // stream, then keeps it alive with group-status heartbeats.
+  // the primary dials back and ships it its log (kReplicaLog), then keeps
+  // it alive with group-status heartbeats.
   kReplicaHello = 24,
-  kReplicaSnapshotBegin = 25,
-  kReplicaSnapshotChunk = 26,
-  kReplicaSnapshotEnd = 27,
   kReplicaHeartbeat = 28,
-  kReplicaOps = 29,
   // Observability extension (src/common/metrics): snapshot of the
   // process-wide metrics registry (counters, gauges, latency histograms).
   kMetricsInfo = 30,
@@ -100,6 +95,7 @@ enum class MessageType : uint8_t {
   // server state.
   kTraceInfo = 31,
   kEventsInfo = 32,
+  kReplicaLog = 33,
 };
 
 /// How a serving stack (engine, router, follower daemon) reaches the answer
@@ -172,18 +168,26 @@ inline constexpr FrameTypeInfo kRows[] = {
   UnknownFrameType(22),  // reserved: see the enum
   UnknownFrameType(23),  // reserved: see the enum
   {kReplicaHello,         "replica_hello",          true,  kReplication, false},
-  {kReplicaSnapshotBegin, "replica_snapshot_begin", true,  kReplication, false},
-  {kReplicaSnapshotChunk, "replica_snapshot_chunk", true,  kReplication, false},
-  {kReplicaSnapshotEnd,   "replica_snapshot_end",   true,  kReplication, false},
+  UnknownFrameType(25),  // reserved: see the enum
+  UnknownFrameType(26),  // reserved: see the enum
+  UnknownFrameType(27),  // reserved: see the enum
   {kReplicaHeartbeat,     "replica_heartbeat",      true,  kReplication, false},
-  {kReplicaOps,           "replica_ops",            true,  kReplication, false},
+  UnknownFrameType(29),  // reserved: see the enum
   {kMetricsInfo,          "metrics_info",           false, kProcess,     false},
   {kTraceInfo,            "trace_info",             false, kProcess,     false},
   {kEventsInfo,           "events_info",            false, kProcess,     false},
+  {kReplicaLog,           "replica_log",            true,  kReplication, false},
 };
 // clang-format on
 }  // namespace frame_table
 inline constexpr auto& kFrameTypes = frame_table::kRows;
+
+/// The replication protocol a follower daemon speaks, sent first in its
+/// kReplicaHello; a primary refuses any other. Version 1 was the
+/// unversioned hello of op shipping and snapshot streams; version 2 ships
+/// log bytes (kReplicaLog) and positions followers by log generation and
+/// length.
+inline constexpr uint8_t kReplicaProtocolVersion = 2;
 
 inline constexpr size_t kNumFrameTypes = std::size(kFrameTypes);
 inline constexpr FrameTypeInfo kUnknownFrameType =

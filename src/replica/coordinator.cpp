@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/trace.hpp"
 #include "net/messages.hpp"
@@ -38,6 +39,17 @@ Result<Bytes> PrimaryCoordinator::Handle(net::MessageType type,
 }
 
 Result<Bytes> PrimaryCoordinator::Hello(BytesView body) {
+  // The version leads every hello, so a follower speaking another layout
+  // is refused by name before the rest is decoded as this one.
+  BinaryReader version(body);
+  TC_ASSIGN_OR_RETURN(uint8_t speaks, version.GetU8());
+  if (speaks != net::kReplicaProtocolVersion) {
+    return FailedPrecondition(
+        "follower speaks replica protocol version " + std::to_string(speaks) +
+        ", this primary speaks version " +
+        std::to_string(net::kReplicaProtocolVersion) +
+        "; run the same tcserver build on both");
+  }
   TC_ASSIGN_OR_RETURN(auto req, net::ReplicaHelloRequest::Decode(body));
   if (req.shard >= sets_.size()) {
     return InvalidArgument("hello for shard " + std::to_string(req.shard) +
@@ -64,8 +76,8 @@ Result<Bytes> PrimaryCoordinator::Hello(BytesView body) {
         "--accept-followers)");
   }
   // Fingerprint gate: a follower whose store was laid out for a different
-  // cluster shape must not be reconciled into this shard. 0 = empty store,
-  // always accepted (the snapshot stream seeds it, layout key included).
+  // cluster shape must not be copied into this shard. 0 = empty store,
+  // always accepted (shipping copies the layout key with the log).
   uint64_t ours = StoreFingerprint(*primary_kv);
   if (req.store_fingerprint != 0 && ours != 0 &&
       req.store_fingerprint != ours) {
@@ -75,32 +87,30 @@ Result<Bytes> PrimaryCoordinator::Hello(BytesView body) {
   }
 
   std::string label = req.host + ":" + std::to_string(req.port);
+  const store::LogPosition at{req.generation, req.length};
+  const std::string where = label + " generation=" +
+                            std::to_string(at.generation) +
+                            " length=" + std::to_string(at.length);
   Status added = set->AddRemoteFollower(
       std::make_shared<RemoteFollower>(req.host,
                                        static_cast<uint16_t>(req.port),
                                        req.shard),
-      label);
+      label, at);
   if (added.ok()) {
-    TC_LOG_INFO << "replica follower " << label << " registered for shard "
-                << req.shard << " (applied " << req.applied_seq << ")";
-    trace::RecordEvent("follower_registered", req.shard,
-                       label + " applied=" +
-                           std::to_string(req.applied_seq));
+    TC_LOG_INFO << "replica follower " << where << " registered for shard "
+                << req.shard;
+    trace::RecordEvent("follower_registered", req.shard, where);
     MutexLock lock(mu_);
     endpoints_.push_back(
         {req.shard, req.host, static_cast<uint16_t>(req.port)});
   } else if (added.code() != StatusCode::kAlreadyExists) {
     return added;
   } else {
-    // A daemon restart re-announcing itself: its shipper is still attached
-    // and redials, but on a write-quiescent shard nothing would ever ship
-    // and expose a wiped store — reconcile the claimed progress now.
-    set->ReconcileRemoteFollower(label, req.applied_seq);
-    trace::RecordEvent("follower_reconciled", req.shard,
-                       label + " applied=" +
-                           std::to_string(req.applied_seq));
+    // A daemon restart announcing itself again: its shipper is still
+    // attached and redials, and took the reported position.
+    trace::RecordEvent("follower_reregistered", req.shard, where);
   }
-  return net::ReplicaHelloResponse{set->head_seq(), options_.heartbeat_ms}
+  return net::ReplicaHelloResponse{set->log_end(), options_.heartbeat_ms}
       .Encode();
 }
 
@@ -133,30 +143,30 @@ void PrimaryCoordinator::HeartbeatLoop() {
       MutexLock lock(mu_);
       endpoints = endpoints_;
     }
-    // Group views per shard from the typed registry; applied seqs come
-    // from the shipping pipeline keyed by the registration label.
+    // Group views per shard from the typed registry; each follower's held
+    // bytes come from the shipping pipeline keyed by the registration
+    // label.
     std::map<uint32_t, net::ReplicaHeartbeatRequest> beats;
     for (const auto& endpoint : endpoints) {
       auto [it, fresh] = beats.try_emplace(endpoint.shard);
       if (fresh) {
         it->second.shard = endpoint.shard;
-        it->second.head_seq = sets_[endpoint.shard]->head_seq();
+        it->second.log_end = sets_[endpoint.shard]->log_end();
       }
     }
     for (auto& [shard, beat] : beats) {
-      std::map<std::string, uint64_t> applied_by_label;
-      for (auto& [label, applied] : sets_[shard]->RemoteFollowerSeqs()) {
-        applied_by_label.emplace(label, applied);
+      std::map<std::string, uint64_t> bytes_by_label;
+      for (auto& [label, bytes] : sets_[shard]->RemoteFollowerBytes()) {
+        bytes_by_label.emplace(label, bytes);
       }
       for (const auto& endpoint : endpoints) {
         if (endpoint.shard != shard) continue;
         std::string label =
             endpoint.host + ":" + std::to_string(endpoint.port);
-        auto applied = applied_by_label.find(label);
-        beat.peers.push_back({endpoint.host, endpoint.port,
-                              applied == applied_by_label.end()
-                                  ? 0
-                                  : applied->second});
+        auto bytes = bytes_by_label.find(label);
+        beat.peers.push_back(
+            {endpoint.host, endpoint.port,
+             bytes == bytes_by_label.end() ? 0 : bytes->second});
       }
     }
     // Every dial and round trip is bounded, a dead endpoint is dialed at

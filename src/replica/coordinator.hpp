@@ -1,14 +1,15 @@
 // Primary-side endpoint registry for socket-backed follower daemons.
 //
 // A PrimaryCoordinator wraps the node's serving handler (engine or shard
-// router) and intercepts kReplicaHello: a follower daemon announces which
-// shard it replicates, how far it has applied, and where the primary
-// should dial back. The coordinator validates the handshake (shard range,
-// store-layout fingerprint), attaches a reconnecting RemoteFollower to
-// that shard's ReplicaSet, and from then on broadcasts kReplicaHeartbeat
-// beacons carrying the shard's group view (every registered endpoint and
-// its applied seq). Followers use the last view to elect the
-// most-caught-up survivor when the beacons stop — see FollowerDaemon.
+// router) and intercepts kReplicaHello: a follower daemon announces the
+// protocol version it speaks, which shard it replicates, where its log
+// stands, and where the primary should dial back. The coordinator
+// validates the handshake (version, shard range, store-layout
+// fingerprint), attaches a reconnecting RemoteFollower to that shard's
+// ReplicaSet, and from then on broadcasts kReplicaHeartbeat beacons
+// carrying the shard's group view (every registered endpoint and how much
+// of the primary's log it holds). Followers use the last view to elect the
+// most caught-up survivor when the beacons stop — see FollowerDaemon.
 #pragma once
 
 #include <memory>

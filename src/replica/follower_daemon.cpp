@@ -35,16 +35,16 @@ class Forwarder final : public net::RequestHandler {
 }  // namespace
 
 FollowerDaemon::FollowerDaemon(
-    std::vector<std::shared_ptr<store::KvStore>> shard_stores,
+    std::vector<std::shared_ptr<store::LogKvStore>> shard_logs,
     FollowerDaemonOptions options)
     : options_(std::move(options)),
       takeover_ms_(options_.takeover_timeout_ms) {
   if (options_.tick_ms < 10) options_.tick_ms = 10;
-  for (size_t i = 0; i < shard_stores.size(); ++i) {
+  for (size_t i = 0; i < shard_logs.size(); ++i) {
     server::ServerOptions engine_options = options_.engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
     shards_.push_back(std::make_unique<ReplicaApplier>(
-        std::move(shard_stores[i]), engine_options));
+        std::move(shard_logs[i]), engine_options));
   }
 }
 
@@ -80,19 +80,14 @@ void FollowerDaemon::Stop() {
   if (server_) server_->Stop();
 }
 
-uint64_t FollowerDaemon::applied_seq(uint32_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  return shards_[shard]->applied_seq();
+store::LogPosition FollowerDaemon::position(uint32_t shard) const {
+  if (shard >= shards_.size()) return {};
+  return shards_[shard]->position();
 }
 
-uint64_t FollowerDaemon::snapshot_chunks_received(uint32_t shard) const {
+uint64_t FollowerDaemon::full_copies(uint32_t shard) const {
   if (shard >= shards_.size()) return 0;
-  return shards_[shard]->snapshot_chunks_received();
-}
-
-bool FollowerDaemon::snapshot_in_progress(uint32_t shard) const {
-  if (shard >= shards_.size()) return false;
-  return shards_[shard]->snapshot_in_progress();
+  return shards_[shard]->full_copies();
 }
 
 size_t FollowerDaemon::num_remote_followers() const {
@@ -160,12 +155,9 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
   // under one trace id.
   if (info.route == net::Route::kProcess) return net::Introspect(type, body);
   switch (type) {
-    case MessageType::kReplicaOps:
-    case MessageType::kReplicaSnapshotBegin:
-    case MessageType::kReplicaSnapshotChunk:
-    case MessageType::kReplicaSnapshotEnd: {
-      // Every apply request leads with its shard; that shard's applier
-      // decodes the rest.
+    case MessageType::kReplicaLog: {
+      // The frame leads with its shard; that shard's applier decodes the
+      // rest.
       BinaryReader r(body);
       TC_ASSIGN_OR_RETURN(uint32_t shard, r.GetU32());
       if (shard >= shards_.size()) {
@@ -203,7 +195,8 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
                              "peers=" + std::to_string(peers));
         }
       }
-      return net::ReplicaAckResponse{applied_seq(req.shard)}.Encode();
+      store::LogPosition at = position(req.shard);
+      return net::ReplicaLogAck{at.generation, at.length}.Encode();
     }
     case MessageType::kReplicaHello:
       return FailedPrecondition("not a primary: this node is a follower");
@@ -238,7 +231,7 @@ Result<Bytes> FollowerDaemon::FollowerClusterInfo() const {
     const server::ServerEngine& engine = shards_[i]->engine();
     info.num_streams = engine.NumStreams();
     info.index_bytes = engine.TotalIndexBytes();
-    info.snapshot_chunks = shards_[i]->snapshot_chunks_received();
+    info.full_copies = shards_[i]->full_copies();
     auto compaction = engine.StoreCompaction();
     info.store_dead_bytes = compaction.dead_bytes;
     info.store_compactions = static_cast<uint32_t>(compaction.compactions);
@@ -298,8 +291,10 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
     net::ReplicaHelloRequest hello;
     hello.shard = static_cast<uint32_t>(i);
     hello.num_shards = static_cast<uint32_t>(shards_.size());
-    hello.applied_seq = shards_[i]->applied_seq();
-    hello.store_fingerprint = StoreFingerprint(*shards_[i]->kv());
+    store::LogPosition at = shards_[i]->position();
+    hello.generation = at.generation;
+    hello.length = at.length;
+    hello.store_fingerprint = StoreFingerprint(*shards_[i]->log());
     hello.host = options_.advertise_host;
     hello.port = this->port();
     TC_ASSIGN_OR_RETURN(
@@ -335,7 +330,7 @@ void FollowerDaemon::HandleSilence() {
     return;
   }
   struct Candidate {
-    uint64_t applied;
+    uint64_t log_bytes;
     std::string host;
     uint32_t port;
   };
@@ -346,7 +341,7 @@ void FollowerDaemon::HandleSilence() {
   {
     MutexLock lock(view_mu_);
     for (const auto& peer : view_) {
-      candidates.push_back({peer.applied_seq, peer.host, peer.port});
+      candidates.push_back({peer.log_bytes, peer.host, peer.port});
       if (peer.host == self_host && peer.port == self_port) {
         self_in_view = true;
       }
@@ -358,18 +353,18 @@ void FollowerDaemon::HandleSilence() {
                          std::to_string(candidates.size() +
                                         (self_in_view ? 0 : 1)));
   // Every elector must rank from the SAME numbers — the broadcast view,
-  // our own entry included. Substituting our live applied seq here would
-  // let two daemons each see themselves ahead (ops shipped to one of them
-  // after the final beacon) and both promote on a healthy network. The
-  // price is that a tail shipped after the last beacon may lose the
-  // election to a view-tied peer and be reconciled away on re-homing —
-  // the async-replication contract; see the header's election caveats.
+  // our own entry included. Substituting our live log length here would
+  // let two daemons each see themselves ahead (bytes shipped to one of
+  // them after the final beacon) and both promote on a healthy network.
+  // The price is that a tail shipped after the last beacon may lose the
+  // election to a view-tied peer and be copied away on re-homing — the
+  // async-replication contract; see the header's election caveats.
   if (!self_in_view) {
-    candidates.push_back({applied_seq(0), self_host, self_port});
+    candidates.push_back({position(0).length, self_host, self_port});
   }
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a,
                                                      const Candidate& b) {
-    if (a.applied != b.applied) return a.applied > b.applied;
+    if (a.log_bytes != b.log_bytes) return a.log_bytes > b.log_bytes;
     if (a.host != b.host) return a.host < b.host;
     return a.port < b.port;
   });
@@ -441,8 +436,17 @@ void FollowerDaemon::PromoteSelf() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     server::ServerOptions engine_options = options_.engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
-    sets.push_back(ReplicaSet::Make(shards_[i]->kv(), {}, engine_options,
-                                    options_.set_options));
+    auto set = ReplicaSet::Make(shards_[i]->log(), {}, engine_options,
+                                options_.set_options);
+    if (!set.ok()) {
+      // The log refused its new generation (a failed write): stay a
+      // follower, sealed, rather than serve a history that cannot fork
+      // safely.
+      TC_LOG_ERROR << "promotion of " << endpoint() << " failed: "
+                   << set.status().ToString();
+      return;
+    }
+    sets.push_back(std::move(*set));
   }
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator = std::make_shared<PrimaryCoordinator>(

@@ -3,32 +3,34 @@
 // It serves a ReplicaApplier per shard behind the ordinary TcpServer, and
 // a background thread drives a small state machine:
 //
-//   register  — send kReplicaHello to the primary (shard id, applied seq,
-//               store fingerprint, and this daemon's dial-back endpoint);
-//               retried until the primary answers. The primary then dials
-//               back and catches the store up with the chunked snapshot
-//               stream before switching to op shipping.
-//   follow    — apply replication frames; serve read-only queries from a
+//   register  — send kReplicaHello to the primary (protocol version, shard
+//               id, where its log stands, store fingerprint, and this
+//               daemon's dial-back endpoint); retried until the primary
+//               answers. The primary then dials back and ships its log from
+//               wherever this one matches it: a restart over a durable log
+//               resumes, an empty or diverged log is copied from offset 0.
+//   follow    — write shipped log bytes; serve read-only queries from a
 //               local engine refreshed on demand (replica reads without a
 //               second process hop); answer heartbeats and remember the
 //               group view they carry.
 //   take over — when the primary's beacons and shipments go silent past
 //               the takeover timeout, elect from the last group view: the
-//               most-caught-up follower (ties break toward the smallest
-//               endpoint) promotes itself — a full ServerEngine recovery
-//               over the replicated store (streams, grants, witness trees)
-//               wrapped in a fresh ReplicaSet + PrimaryCoordinator, so the
-//               survivors re-home under it and ingest resumes. Losers
-//               re-send kReplicaHello to the winner and keep following.
+//               most caught-up follower, holding the most of the primary's
+//               log (ties break toward the smallest endpoint), promotes
+//               itself — a full ServerEngine recovery over the replicated
+//               log (streams, grants, witness trees) wrapped in a fresh
+//               ReplicaSet + PrimaryCoordinator, so the survivors re-home
+//               under it and ingest resumes. Losers re-send kReplicaHello
+//               to the winner and keep following.
 //
 // Election is view-based, not consensus: every elector ranks the same
 // broadcast view (its own entry included), so an ordinary crash yields one
 // deterministic winner — but a tail shipped after the final beacon may
-// lose the election and be reconciled away on re-homing (the async
-// contract), and with the primary partitioned (rather than dead) both
-// sides could serve. These are the documented trade-offs of this
-// reproduction — the paper's deployment delegates the same problem to
-// Cassandra's coordinator.
+// lose the election and be copied away on re-homing (the async contract),
+// and with the primary partitioned (rather than dead) both sides could
+// serve. These are the documented trade-offs of this reproduction — the
+// paper's deployment delegates the same problem to Cassandra's
+// coordinator.
 #pragma once
 
 #include <atomic>
@@ -71,10 +73,10 @@ struct FollowerDaemonOptions {
 
 class FollowerDaemon {
  public:
-  /// One store per shard, laid out exactly like the primary's (same
-  /// --shards; the snapshot stream ships the layout key and the hello
-  /// fingerprint enforces agreement).
-  FollowerDaemon(std::vector<std::shared_ptr<store::KvStore>> shard_stores,
+  /// One log per shard, laid out exactly like the primary's (same
+  /// --shards; shipping copies the layout key and the hello fingerprint
+  /// enforces agreement).
+  FollowerDaemon(std::vector<std::shared_ptr<store::LogKvStore>> shard_logs,
                  FollowerDaemonOptions options);
   ~FollowerDaemon();
 
@@ -90,9 +92,10 @@ class FollowerDaemon {
 
   bool registered() const { return registered_.load(); }
   bool promoted() const { return promoted_.load(); }
-  uint64_t applied_seq(uint32_t shard) const;
-  uint64_t snapshot_chunks_received(uint32_t shard) const;
-  bool snapshot_in_progress(uint32_t shard) const;
+  /// Where shard `shard`'s log stands.
+  store::LogPosition position(uint32_t shard) const;
+  /// Frames that copied shard `shard`'s log from offset 0.
+  uint64_t full_copies(uint32_t shard) const;
   /// Post-promotion: how many surviving daemons re-homed under this one.
   size_t num_remote_followers() const;
   size_t NumStreams() const;
@@ -116,7 +119,7 @@ class FollowerDaemon {
   void HandleSilence() EXCLUDES(view_mu_, mode_mu_);
   void PromoteSelf() EXCLUDES(mode_mu_);
 
-  /// One per shard: its store, replication endpoint and read engine.
+  /// One per shard: its log, replication endpoint and read engine.
   std::vector<std::unique_ptr<ReplicaApplier>> shards_;
   FollowerDaemonOptions options_;
 

@@ -29,10 +29,12 @@ std::shared_ptr<ReplicaSet> ReplicaSet::Single(
   return set;
 }
 
-std::shared_ptr<ReplicaSet> ReplicaSet::Make(
-    std::shared_ptr<store::KvStore> primary_kv,
-    std::vector<std::shared_ptr<store::KvStore>> follower_kvs,
+Result<std::shared_ptr<ReplicaSet>> ReplicaSet::Make(
+    std::shared_ptr<store::LogKvStore> primary_log,
+    std::vector<std::shared_ptr<store::LogKvStore>> follower_logs,
     server::ServerOptions engine_options, ReplicaSetOptions options) {
+  TC_ASSIGN_OR_RETURN(
+      auto rkv, ReplicatedKvStore::Open(std::move(primary_log), options.kv));
   auto set = std::shared_ptr<ReplicaSet>(new ReplicaSet());
   set->engine_options_ = engine_options;
   set->options_ = options;
@@ -40,20 +42,20 @@ std::shared_ptr<ReplicaSet> ReplicaSet::Make(
     // The set has not escaped yet; the lock is uncontended but keeps the
     // topology writes under the same capability as every other access.
     WriterMutexLock lock(set->state_mu_);
-    set->rkv_ = std::make_shared<ReplicatedKvStore>(std::move(primary_kv),
-                                                    options.kv);
-    for (auto& kv : follower_kvs) {
-      // The read engine recovers whatever the follower store holds right
-      // now; the initial snapshot lands asynchronously and the first read
-      // past it triggers a Refresh.
+    set->rkv_ = std::move(rkv);
+    for (auto& log : follower_logs) {
+      // The read engine recovers whatever the follower log holds right
+      // now; shipping lands asynchronously and the first read past it
+      // triggers a Refresh.
       auto applier =
-          std::make_shared<ReplicaApplier>(std::move(kv), engine_options);
-      size_t rkv_index = set->rkv_->AddFollower(InProcFollower(applier));
+          std::make_shared<ReplicaApplier>(std::move(log), engine_options);
+      size_t rkv_index =
+          set->rkv_->AddFollower(InProcFollower(applier), applier->position());
       set->replicas_.push_back({std::move(applier), rkv_index});
     }
     set->ResetRotationLocked();
     // The primary engine recovers through the replicated store (reads pass
-    // straight to the primary KV).
+    // straight to the primary log).
     set->primary_ =
         std::make_shared<server::ServerEngine>(set->rkv_, engine_options);
   }
@@ -90,19 +92,19 @@ Result<Bytes> ReplicaSet::Handle(net::MessageType type, BytesView body) {
 Result<Bytes> ReplicaSet::HandleRead(net::MessageType type, BytesView body) {
   ReaderMutexLock lock(state_mu_);
   if (!replicas_.empty() && (rkv_ || dropped_)) {
-    // Primary down, promotion pending: follower stores are frozen at the
-    // seqs captured when it died. The lag bound still applies, measured
-    // against the most-caught-up survivor — in quorum mode that survivor
-    // holds every acknowledged write, so an uneven follower must not serve
-    // reads missing acked data.
-    uint64_t head = rkv_ ? rkv_->head_seq() : final_head_;
+    // Primary down, promotion pending: follower logs are frozen where they
+    // were when it died. The lag bound still applies, measured against the
+    // most caught-up survivor — in quorum mode that survivor holds every
+    // acknowledged write, so an uneven follower must not serve reads
+    // missing acked data.
+    uint64_t head = rkv_ ? rkv_->log()->Head().length : final_head_;
     size_t n = replicas_.size();
     size_t start = static_cast<size_t>(rr_.fetch_add(1) % n);
     for (size_t k = 0; k < n; ++k) {
       const Replica& replica = replicas_[(start + k) % n];
-      uint64_t applied =
-          rkv_ ? rkv_->follower_seq(replica.rkv_index) : replica.final_seq;
-      if (head - std::min(head, applied) > options_.max_read_lag_ops) {
+      uint64_t held = rkv_ ? rkv_->follower_bytes(replica.rkv_index)
+                           : replica.final_bytes;
+      if (head - std::min(head, held) > options_.max_read_lag_bytes) {
         continue;
       }
       auto result = replica.applier->Read(type, body);
@@ -124,7 +126,8 @@ Result<Bytes> ReplicaSet::HandleRead(net::MessageType type, BytesView body) {
 }
 
 Status ReplicaSet::AddRemoteFollower(std::shared_ptr<Follower> follower,
-                                     std::string label) {
+                                     std::string label,
+                                     store::LogPosition at) {
   WriterMutexLock lock(state_mu_);
   if (!rkv_) {
     if (dropped_) return Unavailable("shard primary is down");
@@ -132,30 +135,16 @@ Status ReplicaSet::AddRemoteFollower(std::shared_ptr<Follower> follower,
   }
   for (const auto& remote : remotes_) {
     if (remote.label == label) {
-      // Same endpoint re-registering (daemon restart): its shipper is
-      // already attached, redials on its own, and re-seeds on the first
-      // sequence-gap rejection. A second pipeline would double-ship.
+      // Same endpoint registering again (daemon restart): its shipper is
+      // already attached and redials on its own; a second pipeline would
+      // double-ship. Where its log stands now is news only if it moved.
+      rkv_->ReportPosition(remote.rkv_index, at);
       return AlreadyExists("follower " + label + " already registered");
     }
   }
-  size_t idx = rkv_->AddFollower(follower);
+  size_t idx = rkv_->AddFollower(follower, at);
   remotes_.push_back({std::move(follower), std::move(label), idx});
   return Status::Ok();
-}
-
-void ReplicaSet::ReconcileRemoteFollower(const std::string& label,
-                                         uint64_t applied_seq) {
-  ReaderMutexLock lock(state_mu_);
-  if (!rkv_) return;
-  for (const auto& remote : remotes_) {
-    if (remote.label != label) continue;
-    if (applied_seq < rkv_->follower_seq(remote.rkv_index)) {
-      TC_LOG_WARN << "remote follower " << label << " re-registered at seq "
-                  << applied_seq << " behind its recorded progress; re-seeding";
-      rkv_->MarkNeedsSnapshot(remote.rkv_index);
-    }
-    return;
-  }
 }
 
 Status ReplicaSet::DropPrimary() {
@@ -164,8 +153,8 @@ Status ReplicaSet::DropPrimary() {
   if (dropped_) return FailedPrecondition("primary already dropped");
   final_head_ = 0;
   for (auto& replica : replicas_) {
-    replica.final_seq = rkv_->follower_seq(replica.rkv_index);
-    final_head_ = std::max(final_head_, replica.final_seq);
+    replica.final_bytes = rkv_->follower_bytes(replica.rkv_index);
+    final_head_ = std::max(final_head_, replica.final_bytes);
   }
   // Severing both references tears down the shipping pipeline with the
   // engine; ops not yet shipped (async mode) are lost, exactly as they
@@ -185,28 +174,29 @@ Status ReplicaSet::Promote() {
   if (replicas_.empty()) {
     return FailedPrecondition("no follower left to promote");
   }
-  // Most-caught-up local follower wins. In quorum mode this follower
-  // provably holds every acknowledged write: a majority acked it, and
-  // followers apply strictly in order, so the max applied seq covers them
-  // all. (Remote followers promote in their own process — see
-  // FollowerDaemon — and re-home below either way.)
+  // Most caught-up local follower wins: the one holding the most of the
+  // dead primary's log. In quorum mode it provably holds every
+  // acknowledged write: a majority held it, and a follower's log is a
+  // prefix of its primary's, so the longest covers them all. (Remote
+  // followers promote in their own process — see FollowerDaemon — and
+  // re-home below either way.)
   size_t best = 0;
   for (size_t i = 1; i < replicas_.size(); ++i) {
-    if (replicas_[i].final_seq > replicas_[best].final_seq) best = i;
+    if (replicas_[i].final_bytes > replicas_[best].final_bytes) best = i;
   }
-  std::shared_ptr<store::KvStore> promoted_kv = replicas_[best].applier->kv();
+  TC_ASSIGN_OR_RETURN(
+      auto rkv,
+      ReplicatedKvStore::Open(replicas_[best].applier->log(), options_.kv));
   replicas_.erase(replicas_.begin() + best);
-
-  auto rkv = std::make_shared<ReplicatedKvStore>(promoted_kv, options_.kv);
   for (auto& replica : replicas_) {
-    // Sequence numbers restart under the new primary; the registration
-    // snapshot reconciles whatever the survivor holds (it may trail the
-    // promoted store, or even diverge if the dead primary shipped unevenly).
-    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier));
+    // A survivor whose log is a prefix of the promoted one resumes from
+    // its length; one that holds more (an async tail the promoted follower
+    // never got) is copied from the start.
+    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier),
+                                         replica.applier->position());
   }
   // Remote daemons keep following across the failover: attach their
-  // shippers to the new pipeline. Their appliers adopt the restarted
-  // sequence numbering through the registration snapshot.
+  // shippers to the new pipeline, which asks where their logs stand.
   for (auto& remote : remotes_) {
     remote.rkv_index = rkv->AddFollower(remote.follower);
   }
@@ -214,8 +204,8 @@ Status ReplicaSet::Promote() {
   // — the complete history the old primary had shipped.
   auto engine = std::make_shared<server::ServerEngine>(rkv, engine_options_);
   // Settle the survivors before reads resume (we hold state_mu_ exclusive,
-  // so nothing serves mid-promotion): wait out the snapshots. Each applier
-  // refreshes its read engine on the first read after its re-seed.
+  // so nothing serves mid-promotion): wait out their catch-up. Each applier
+  // refreshes its read engine on the first read after it.
   // Blocking under the lock is the point: the exclusive state_mu_ hold IS
   // the promotion barrier, and serving resumes only after the survivors
   // settle.
@@ -257,7 +247,7 @@ void ReplicaSet::MonitorLoop() {
       // A manually dropped shard is someone else's drill; only probe a
       // live pipeline.
       if (!rkv_ || dropped_) continue;
-      primary_kv = rkv_->primary();
+      primary_kv = rkv_->log();
     }
     // The probe is a store read: NotFound is a healthy store answering
     // honestly; only transport/IO-level failures count as misses.
@@ -293,7 +283,7 @@ std::shared_ptr<server::ServerEngine> ReplicaSet::primary() const {
 
 std::shared_ptr<store::KvStore> ReplicaSet::primary_kv() const {
   ReaderMutexLock lock(state_mu_);
-  return rkv_ ? rkv_->primary() : nullptr;
+  return rkv_ ? rkv_->log() : nullptr;
 }
 
 size_t ReplicaSet::num_replicas() const {
@@ -306,36 +296,31 @@ size_t ReplicaSet::num_remote_followers() const {
   return remotes_.size();
 }
 
-std::vector<std::pair<std::string, uint64_t>> ReplicaSet::RemoteFollowerSeqs()
+std::vector<std::pair<std::string, uint64_t>> ReplicaSet::RemoteFollowerBytes()
     const {
   ReaderMutexLock lock(state_mu_);
   std::vector<std::pair<std::string, uint64_t>> out;
   out.reserve(remotes_.size());
   for (const auto& remote : remotes_) {
     out.emplace_back(remote.label,
-                     rkv_ ? rkv_->follower_seq(remote.rkv_index) : 0);
+                     rkv_ ? rkv_->follower_bytes(remote.rkv_index) : 0);
   }
   return out;
 }
 
-uint64_t ReplicaSet::head_seq() const {
+uint64_t ReplicaSet::log_end() const {
   ReaderMutexLock lock(state_mu_);
-  return rkv_ ? rkv_->head_seq() : 0;
+  return rkv_ ? rkv_->log()->Head().length : 0;
 }
 
-uint64_t ReplicaSet::MaxLagOps() const {
+uint64_t ReplicaSet::MaxLagBytes() const {
   ReaderMutexLock lock(state_mu_);
-  return rkv_ ? rkv_->MaxLagOps() : 0;
+  return rkv_ ? rkv_->MaxLagBytes() : 0;
 }
 
-uint64_t ReplicaSet::snapshots_shipped() const {
+uint64_t ReplicaSet::full_copies() const {
   ReaderMutexLock lock(state_mu_);
-  return rkv_ ? rkv_->snapshots_shipped() : 0;
-}
-
-uint64_t ReplicaSet::snapshot_chunks_shipped() const {
-  ReaderMutexLock lock(state_mu_);
-  return rkv_ ? rkv_->snapshot_chunks_shipped() : 0;
+  return rkv_ ? rkv_->full_copies() : 0;
 }
 
 net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
@@ -348,11 +333,11 @@ net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
   info.ack_mode = ack_mode() == AckMode::kQuorum
                       ? net::ClusterInfoResponse::kAckQuorum
                       : net::ClusterInfoResponse::kAckAsync;
-  info.max_lag_ops = MaxLagOps();
+  info.max_lag_bytes = MaxLagBytes();
   info.remote_followers = static_cast<uint32_t>(num_remote_followers());
   info.auto_failover = auto_failover() ? 1 : 0;
   info.promotions = static_cast<uint32_t>(promotions());
-  info.snapshot_chunks = snapshot_chunks_shipped();
+  info.full_copies = full_copies();
   auto compaction = StoreCompaction();
   info.store_dead_bytes = compaction.dead_bytes;
   info.store_compactions = static_cast<uint32_t>(compaction.compactions);
@@ -368,8 +353,8 @@ net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
       .Set(static_cast<int64_t>(info.store_dead_bytes));
   metrics::GetGauge("tc_store_compactions", labels)
       .Set(static_cast<int64_t>(info.store_compactions));
-  metrics::GetGauge("tc_replica_lag_ops", labels)
-      .Set(static_cast<int64_t>(info.max_lag_ops));
+  metrics::GetGauge("tc_replica_lag_bytes", labels)
+      .Set(static_cast<int64_t>(info.max_lag_bytes));
   metrics::GetGauge("tc_replica_promotions", labels)
       .Set(static_cast<int64_t>(info.promotions));
   return info;

@@ -1,16 +1,16 @@
 // One shard's replica group: a primary ServerEngine over a
-// ReplicatedKvStore, plus a ReplicaApplier per follower store that applies
+// ReplicatedKvStore, plus a ReplicaApplier per follower log that writes
 // what ships and serves reads.
 //
-// Write-path messages go to the primary; its KV mutations ship to the
-// followers underneath. Read-only messages can be served by a follower:
-// the applier's read engine (stream registry, index append positions,
-// witness trees, node caches) is refreshed on demand when the applier has
-// applied ops the engine has not seen yet. A replica serves a read only
-// while its lag is within the configured bound; any replica-side failure
-// (e.g. a mid-mutation prefix the refresh landed on) falls back to the next
-// replica and finally the primary, so replica reads are an optimization,
-// never a correctness risk.
+// Write-path messages go to the primary; its log ships to the followers
+// underneath. Read-only messages can be served by a follower: the
+// applier's read engine (stream registry, index append positions, witness
+// trees, node caches) is refreshed on demand when the applier has written
+// records the engine has not seen yet. A replica serves a read only while
+// its lag, in bytes of the primary's log, is within the configured bound;
+// any replica-side failure (e.g. a mid-mutation prefix the refresh landed
+// on) falls back to the next replica and finally the primary, so replica
+// reads are an optimization, never a correctness risk.
 //
 // Every follower is shipped to through a RemoteFollower. A local replica's
 // transport is an InProcTransport to an applier in this process (serving
@@ -20,17 +20,18 @@
 // alongside the surviving local replicas.
 //
 // Failover: DropPrimary() severs the primary (the process-kill stand-in);
-// Promote() elects the most-caught-up local follower, rebuilds a full
-// engine over its store (streams, grants, witness trees all recover from
-// the replicated state), and re-homes the remaining followers under the
-// new primary via snapshot catch-up. With failover.auto_failover set, a
-// monitor thread probes the primary store every heartbeat interval and
-// runs the drop+promote sequence itself once the miss threshold is hit —
-// PR 3's manual drill become automatic recovery. In quorum mode every
-// acknowledged write survives this by construction; in async mode the
-// shipping pipeline must be drained (WaitCaughtUp) before the drop, or the
-// unshipped tail is lost with the primary — exactly the async-replication
-// contract.
+// Promote() elects the most caught-up local follower — the one holding
+// the most of the dead primary's log — starts a new generation in its log,
+// rebuilds a full engine over it (streams, grants, witness trees all
+// recover from the replicated state), and ships the rest of the followers
+// from it: each resumes from its own length if its log is a prefix of the
+// promoted one, and is copied from the start otherwise. With
+// failover.auto_failover set, a monitor thread probes the primary store
+// every heartbeat interval and runs the drop+promote sequence itself once
+// the miss threshold is hit. In quorum mode every acknowledged write
+// survives this by construction; in async mode the shipping pipeline must
+// be drained (WaitCaughtUp) before the drop, or the unshipped tail is lost
+// with the primary — exactly the async-replication contract.
 #pragma once
 
 #include <atomic>
@@ -57,11 +58,11 @@ struct FailoverOptions {
 };
 
 struct ReplicaSetOptions {
-  /// Replication transport knobs; `kv.ack` selects async vs quorum ingest.
+  /// Replication knobs; `kv.ack` selects async vs quorum ingest.
   ReplicatedKvOptions kv;
-  /// A replica may serve reads while (primary head - follower applied)
-  /// stays within this many ops. 0 = only fully caught-up replicas.
-  uint64_t max_read_lag_ops = 0;
+  /// A replica may serve reads while it lags the primary's log by at most
+  /// this many bytes. 0 = only fully caught-up replicas.
+  uint64_t max_read_lag_bytes = 0;
   FailoverOptions failover;
 };
 
@@ -72,14 +73,14 @@ class ReplicaSet final : public net::RequestHandler {
   static std::shared_ptr<ReplicaSet> Single(
       std::shared_ptr<server::ServerEngine> engine);
 
-  /// Replicated shard: the primary engine is built over `primary_kv`
-  /// wrapped in a ReplicatedKvStore shipping to one in-process
-  /// ReplicaApplier per follower store, which also serves its reads. An
+  /// Replicated shard: the primary engine is built over `primary_log`
+  /// opened by a ReplicatedKvStore shipping to one in-process
+  /// ReplicaApplier per follower log, which also serves its reads. An
   /// empty follower list is valid — the shard is then replication-capable but
   /// follower-less until remote daemons register.
-  static std::shared_ptr<ReplicaSet> Make(
-      std::shared_ptr<store::KvStore> primary_kv,
-      std::vector<std::shared_ptr<store::KvStore>> follower_kvs,
+  static Result<std::shared_ptr<ReplicaSet>> Make(
+      std::shared_ptr<store::LogKvStore> primary_log,
+      std::vector<std::shared_ptr<store::LogKvStore>> follower_logs,
       server::ServerOptions engine_options, ReplicaSetOptions options);
 
   ~ReplicaSet() override;
@@ -93,25 +94,20 @@ class ReplicaSet final : public net::RequestHandler {
       EXCLUDES(state_mu_);
 
   /// Register a socket-backed follower (a daemon's RemoteFollower) under
-  /// `label` (its "host:port" endpoint). Labels are unique: re-registration
-  /// of a known label returns AlreadyExists — the existing shipper redials
-  /// and re-seeds on its own. Fails on a replication-less shard.
+  /// `label` (its "host:port" endpoint), whose log stands at `at`. Labels
+  /// are unique: a known label returns AlreadyExists — its shipper redials
+  /// on its own — after comparing `at` with where the shipper last saw the
+  /// follower, and positioning it again if they differ (a daemon that
+  /// restarted over a wiped store). Fails on a replication-less shard.
   Status AddRemoteFollower(std::shared_ptr<Follower> follower,
-                           std::string label);
-
-  /// A known remote follower re-announced itself claiming `applied_seq`.
-  /// If that is less than the pipeline's bookkeeping (the daemon restarted
-  /// with less history than we recorded), force it back through snapshot
-  /// catch-up — on a quiescent shard no op shipment would ever expose the
-  /// gap. Unknown labels are ignored.
-  void ReconcileRemoteFollower(const std::string& label, uint64_t applied_seq);
+                           std::string label, store::LogPosition at);
 
   // ----------------------------------------------------------- failover
   /// Sever the primary (engine + replication pipeline) without killing the
   /// process — the testable stand-in for primary loss. Unshipped async ops
   /// are lost, as they would be with the real machine.
   Status DropPrimary() EXCLUDES(state_mu_);
-  /// Elect the most-caught-up local follower as the new primary. Blocks
+  /// Elect the most caught-up local follower as the new primary. Blocks
   /// reads for the duration; on return the shard serves the promoted
   /// history and remote followers are re-homed under it.
   Status Promote() EXCLUDES(state_mu_);
@@ -123,20 +119,21 @@ class ReplicaSet final : public net::RequestHandler {
   std::shared_ptr<store::KvStore> primary_kv() const;
   size_t num_replicas() const;
   size_t num_remote_followers() const;
-  /// (label, applied seq) of every remote follower — the heartbeat group
-  /// view the coordinator broadcasts.
-  std::vector<std::pair<std::string, uint64_t>> RemoteFollowerSeqs() const;
+  /// (label, bytes of the primary's log it holds) of every remote
+  /// follower — the heartbeat group view the coordinator broadcasts.
+  std::vector<std::pair<std::string, uint64_t>> RemoteFollowerBytes() const;
   AckMode ack_mode() const { return options_.kv.ack; }
   bool auto_failover() const { return options_.failover.auto_failover; }
-  uint64_t head_seq() const;
-  uint64_t MaxLagOps() const;
+  /// Length of the primary's log (0 for Single() or while dropped).
+  uint64_t log_end() const;
+  uint64_t MaxLagBytes() const;
   /// This set's kClusterInfo row, reported as shard `shard`. Also publishes
   /// the replication health values as shard-labeled gauges
-  /// (tc_replica_lag_ops, tc_replica_promotions, ...) so the wire response
-  /// and the Prometheus exposition share a single source.
+  /// (tc_replica_lag_bytes, tc_replica_promotions, ...) so the wire
+  /// response and the Prometheus exposition share a single source.
   net::ClusterInfoResponse::ShardInfo ShardInfoSnapshot(uint32_t shard) const;
-  uint64_t snapshots_shipped() const;
-  uint64_t snapshot_chunks_shipped() const;
+  /// Times a follower's log was copied from its start.
+  uint64_t full_copies() const;
   /// Compaction pressure of the primary's backing store (zeros while the
   /// primary is dropped or the store is not log-structured).
   store::KvStore::CompactionStats StoreCompaction() const;
@@ -161,9 +158,9 @@ class ReplicaSet final : public net::RequestHandler {
     /// whenever the shipping pipeline is rebuilt (promotion) — never assume
     /// it equals the replica's position in replicas_.
     size_t rkv_index = 0;
-    /// Frozen applied seq captured at DropPrimary (serves the headless
-    /// window); meaningless while rkv_ is live.
-    uint64_t final_seq = 0;
+    /// Bytes of the dropped primary's log it held at DropPrimary (serves
+    /// the headless window and elects); meaningless while rkv_ is live.
+    uint64_t final_bytes = 0;
   };
 
   struct RemoteEntry {
@@ -189,7 +186,7 @@ class ReplicaSet final : public net::RequestHandler {
   std::vector<Replica> replicas_ GUARDED_BY(state_mu_);
   std::vector<RemoteEntry> remotes_ GUARDED_BY(state_mu_);
   bool dropped_ GUARDED_BY(state_mu_) = false;
-  // max frozen seq at drop: all acked writes
+  // most final_bytes at drop: all acked writes
   uint64_t final_head_ GUARDED_BY(state_mu_) = 0;
   size_t promotions_ GUARDED_BY(state_mu_) = 0;
 

@@ -1,17 +1,17 @@
-// The follower side of log shipping. A RemoteFollower encodes shipped ops
-// into kReplicaOps frames and snapshot streams into
-// kReplicaSnapshotBegin/Chunk/End frames; a ReplicaApplier is the one
-// follower-side type: it owns the follower store, applies those frames to
-// it, and serves replica reads from an engine over it. In-process replicas
-// reach their applier through an InProcTransport, follower daemons
-// (`tcserver --follower-of`) through TCP — either way the
-// ReplicatedKvStore only ever sees the Follower interface.
+// The follower side of log shipping. A RemoteFollower encodes shipped log
+// bytes into kReplicaLog frames; a ReplicaApplier is the one follower-side
+// type: it owns the follower's LogKvStore, writes each frame's records at
+// its log end (LogKvStore::AppendLog, which indexes them with Replay's
+// parser), and serves replica reads from an engine over the same store,
+// which only reads it. In-process replicas reach their applier through an
+// InProcTransport, follower daemons (`tcserver --follower-of`) through
+// TCP — either way the ReplicatedKvStore only ever sees the Follower
+// interface.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_set>
 
 #include "common/thread_annotations.hpp"
 #include "net/messages.hpp"
@@ -34,11 +34,8 @@ class RemoteFollower final : public Follower {
   RemoteFollower(std::string host, uint16_t port, uint32_t shard)
       : shard_(shard), host_(std::move(host)), port_(port) {}
 
-  Status ApplyOps(std::span<const LoggedOp> ops) override;
-  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override;
-  Status ApplySnapshotChunk(uint64_t seq, uint64_t first_index,
-                            std::span<const SnapshotEntry> entries) override;
-  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override;
+  Result<store::LogPosition> ShipLog(store::LogPosition at,
+                                     BytesView records) override;
 
   uint32_t shard() const { return shard_; }
 
@@ -58,20 +55,18 @@ class RemoteFollower final : public Follower {
   uint16_t port_ = 0;
 };
 
-/// A follower store and everything that reads or writes it: applies
-/// replication frames in arrival order (checking for sequence gaps),
-/// answers kPing for liveness probes, rejects every other message on the
-/// replication path, and serves replica reads from a ServerEngine over the
-/// store. The applied sequence number is persisted in the store (under
-/// kReplicaMetaPrefix) so a restart over a durable store resumes from where
-/// it left off instead of claiming an empty history.
+/// A follower store and everything that reads or writes it: writes
+/// kReplicaLog frames, answers kPing for liveness probes, rejects every
+/// other message on the replication path, and serves replica reads from a
+/// ServerEngine over the store. Where the follower stands is its log's
+/// position, so a restart over a durable log resumes where it left off.
 class ReplicaApplier final : public net::RequestHandler {
  public:
-  explicit ReplicaApplier(std::shared_ptr<store::KvStore> kv,
+  explicit ReplicaApplier(std::shared_ptr<store::LogKvStore> log,
                           server::ServerOptions engine_options = {});
 
-  /// The one decoder of kReplicaOps and kReplicaSnapshot{Begin,Chunk,End}.
-  /// Each returns the encoded ack.
+  /// The one decoder of kReplicaLog; returns the encoded ReplicaLogAck
+  /// once the records are synced.
   Result<Bytes> Handle(net::MessageType type, BytesView body) override;
 
   /// Serve a read-only message from the engine over the follower store,
@@ -80,47 +75,19 @@ class ReplicaApplier final : public net::RequestHandler {
   Result<Bytes> Read(net::MessageType type, BytesView body)
       EXCLUDES(refresh_mu_);
 
-  const std::shared_ptr<store::KvStore>& kv() const { return kv_; }
+  const std::shared_ptr<store::LogKvStore>& log() const { return log_; }
   /// The read engine as of its last refresh (cluster-info counts).
   const server::ServerEngine& engine() const { return engine_; }
-
-  /// Highest sequence number applied (0 before any frame).
-  uint64_t applied_seq() const;
-  /// Snapshot chunks applied so far (catch-up drills assert streaming).
-  uint64_t snapshot_chunks_received() const;
-  /// True while a snapshot stream is open (kill-mid-snapshot drills).
-  bool snapshot_in_progress() const;
+  store::LogPosition position() const { return log_->Head().position(); }
+  /// Frames that copied the log from offset 0.
+  uint64_t full_copies() const { return full_copies_.load(); }
 
  private:
-  /// The open snapshot stream: applied chunk by chunk, so only the key set
-  /// is retained for End's reconciliation.
-  struct SnapshotStream {
-    bool active = false;
-    uint64_t origin = 0;
-    uint64_t seq = 0;
-    uint64_t received = 0;
-    std::unordered_set<std::string> keys;  // named by the stream so far
-  };
-
-  Result<Bytes> ApplyOps(const net::ReplicaOpsRequest& req) EXCLUDES(mu_);
-  Result<Bytes> SnapshotBegin(const net::ReplicaSnapshotBeginRequest& req)
-      EXCLUDES(mu_);
-  Result<Bytes> SnapshotChunk(const net::ReplicaSnapshotChunkRequest& req)
-      EXCLUDES(mu_);
-  Result<Bytes> SnapshotEnd(const net::ReplicaSnapshotEndRequest& req)
-      EXCLUDES(mu_);
-  Status PersistAppliedLocked() REQUIRES(mu_);
-
-  std::shared_ptr<store::KvStore> kv_;
+  std::shared_ptr<store::LogKvStore> log_;
   server::ServerEngine engine_;
-  mutable Mutex mu_;
-  uint64_t applied_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t snapshot_chunks_ GUARDED_BY(mu_) = 0;
-  SnapshotStream stream_ GUARDED_BY(mu_);
-  /// Bumped (under mu_) by every applied op and every completed snapshot.
-  /// The engine refreshes whenever this differs from the value it last
-  /// saw; a counter rather than the applied seq, because a re-seed sets the
-  /// seq to the new primary's numbering, which can equal the old value.
+  std::atomic<uint64_t> full_copies_{0};
+  /// Bumped by every frame that wrote records. The engine refreshes
+  /// whenever this differs from the value it last saw.
   std::atomic<uint64_t> version_{0};
   /// The version the engine last refreshed to; refreshes serialize on
   /// refresh_mu_, reads that find it current never take the mutex.

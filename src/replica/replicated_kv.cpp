@@ -1,37 +1,35 @@
 #include "replica/replicated_kv.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "crypto/rand.hpp"
-#include "net/messages.hpp"
 
 namespace tc::replica {
 
 namespace {
-/// Max ops per ApplyOps shipment (one wire frame for remote followers).
-constexpr size_t kShipBatchOps = 256;
-
 /// Shipping-path metrics, shared by every ReplicatedKvStore in the process
-/// (the per-instance atomics keep serving the wire accessors; these feed
+/// (the per-instance counters keep serving the wire accessors; these feed
 /// the Prometheus exposition).
 struct ShipMetrics {
-  metrics::LatencyHistogram& batch_ops;  // ops per ApplyOps shipment
-  metrics::LatencyHistogram& ack_us;     // ApplyOps round-trip latency
-  metrics::Counter& snapshots;
-  metrics::Counter& snapshot_chunks;
+  metrics::LatencyHistogram& frame_bytes;  // log bytes per kReplicaLog
+  metrics::LatencyHistogram& ack_us;       // kReplicaLog round trip
+  metrics::Counter& shipped_bytes;
+  metrics::Counter& full_copies;
 };
 
 ShipMetrics& Ship() {
-  static ShipMetrics m{
-      metrics::GetHistogram("tc_replica_ship_batch_ops"),
-      metrics::GetHistogram("tc_replica_ack_seconds"),
-      metrics::GetCounter("tc_replica_snapshots_total"),
-      metrics::GetCounter("tc_replica_snapshot_chunks_total")};
+  static ShipMetrics m{metrics::GetHistogram("tc_replica_frame_bytes"),
+                       metrics::GetHistogram("tc_replica_ack_seconds"),
+                       metrics::GetCounter("tc_replica_shipped_bytes_total"),
+                       metrics::GetCounter("tc_replica_full_copies_total")};
   return m;
+}
+
+std::string Describe(const store::LogPosition& at) {
+  return "generation " + std::to_string(at.generation) + " length " +
+         std::to_string(at.length);
 }
 }  // namespace
 
@@ -55,15 +53,19 @@ uint64_t StoreFingerprint(const store::KvStore& kv) {
   return h == 0 ? 1 : h;  // 0 is reserved for "no layout bound"
 }
 
-ReplicatedKvStore::ReplicatedKvStore(std::shared_ptr<store::KvStore> primary,
-                                     ReplicatedKvOptions options)
-    : ForwardingKvStore(std::move(primary)),
-      options_(options),
-      origin_(crypto::RandomU64() | 1) {
-  if (options_.max_log_ops == 0) options_.max_log_ops = 1;
-  if (options_.snapshot_chunk_entries == 0) options_.snapshot_chunk_entries = 1;
-  if (options_.snapshot_chunk_bytes == 0) options_.snapshot_chunk_bytes = 1;
+Result<std::shared_ptr<ReplicatedKvStore>> ReplicatedKvStore::Open(
+    std::shared_ptr<store::LogKvStore> log, ReplicatedKvOptions options) {
+  // Whatever this log held, its history may fork from here on: followers
+  // holding bytes past this point (a tail this writer lost) must not be
+  // resumed as if they matched.
+  TC_RETURN_IF_ERROR(log->StartGeneration());
+  return std::shared_ptr<ReplicatedKvStore>(
+      new ReplicatedKvStore(std::move(log), options));
 }
+
+ReplicatedKvStore::ReplicatedKvStore(std::shared_ptr<store::LogKvStore> log,
+                                     ReplicatedKvOptions options)
+    : ForwardingKvStore(log), log_(std::move(log)), options_(options) {}
 
 ReplicatedKvStore::~ReplicatedKvStore() {
   // Joining must happen with mu_ released (shippers take it to exit), so
@@ -82,95 +84,113 @@ ReplicatedKvStore::~ReplicatedKvStore() {
   }
 }
 
-size_t ReplicatedKvStore::AddFollower(std::shared_ptr<Follower> follower) {
+size_t ReplicatedKvStore::AddFollower(std::shared_ptr<Follower> follower,
+                                      std::optional<store::LogPosition> at) {
   MutexLock lock(mu_);
   auto state = std::make_unique<FollowerState>();
   state->follower = std::move(follower);
+  state->at = at;
   FollowerState* raw = state.get();
   followers_.push_back(std::move(state));
   raw->thread = std::thread([this, raw] { ShipperLoop(raw); });
-  work_cv_.NotifyAll();
   return followers_.size() - 1;
 }
 
+void ReplicatedKvStore::ReportPosition(size_t i, store::LogPosition at) {
+  MutexLock lock(mu_);
+  if (i >= followers_.size() || followers_[i]->at == at) return;
+  TC_LOG_WARN << "follower " << i << " reports its log at " << Describe(at)
+              << ", not where it was shipped to; positioning it again";
+  followers_[i]->at = at;
+  followers_[i]->prefix_of = 0;
+  work_cv_.NotifyAll();
+}
+
 Status ReplicatedKvStore::Put(const std::string& key, BytesView value) {
-  return Replicate(net::kReplicaOpPut, key, value);
+  return Shipped(log_->Put(key, value));
 }
 
 Status ReplicatedKvStore::Delete(const std::string& key) {
-  return Replicate(net::kReplicaOpDelete, key, {});
+  return Shipped(log_->Delete(key));
 }
 
 Result<size_t> ReplicatedKvStore::Append(const std::string& key,
                                          size_t expected_size,
                                          BytesView suffix) {
-  TC_RETURN_IF_ERROR(
-      Replicate(net::kReplicaOpAppend, key, suffix, expected_size));
-  return expected_size + suffix.size();
+  auto grown = log_->Append(key, expected_size, suffix);
+  TC_RETURN_IF_ERROR(Shipped(grown.status()));
+  return grown;
 }
 
-Status ReplicatedKvStore::Replicate(uint8_t kind, const std::string& key,
-                                    BytesView value, uint64_t expected_size) {
-  uint64_t seq;
-  {
-    // The primary mutation and its log position must be assigned under one
-    // lock: if two writers raced the same key with apply order and log
-    // order disagreeing, followers would converge to the wrong value.
-    MutexLock lock(mu_);
-    // A mutation the primary rejects (a delete of a missing key, an append
-    // that fails its length check) is not replicated.
-    switch (kind) {
-      case net::kReplicaOpPut:
-        TC_RETURN_IF_ERROR(primary()->Put(key, value));
-        break;
-      case net::kReplicaOpAppend:
-        TC_RETURN_IF_ERROR(
-            primary()->Append(key, expected_size, value).status());
-        break;
-      default:
-        TC_RETURN_IF_ERROR(primary()->Delete(key));
-    }
-    seq = head_seq_.load(std::memory_order_relaxed) + 1;
-    log_.push_back(
-        {seq, kind, key, Bytes(value.begin(), value.end()), expected_size});
-    head_seq_.store(seq, std::memory_order_release);
-    // Remember the writing request's trace context: the shipper thread
-    // re-stamps it when it ships this tail, so follower-side spans join the
-    // trace of the ingest that produced the ops (approximate for a batch
-    // mixing traces — the last writer wins — but exact for the common
-    // one-request burst).
-    metrics::TraceContext ctx = metrics::OutgoingTraceContext();
-    ship_trace_id_.store(ctx.trace_id, std::memory_order_relaxed);
-    ship_parent_span_.store(ctx.parent_span_id, std::memory_order_relaxed);
-    while (log_.size() > options_.max_log_ops) {
-      log_.pop_front();
-      ++log_first_seq_;
-    }
-    work_cv_.NotifyAll();
-  }
-  if (options_.ack == AckMode::kAsync) return Status::Ok();
-
+Status ReplicatedKvStore::Shipped(Status written) {
+  // A write the primary refused (a delete of a missing key, an append that
+  // fails its length check) wrote nothing to ship.
+  TC_RETURN_IF_ERROR(written);
+  // Remember the writing request's trace context: the shipper re-stamps it
+  // when it ships these bytes, so follower-side spans join the trace of
+  // the ingest that wrote them (the last writer wins for a frame mixing
+  // traces, exact for the common one-request burst).
+  metrics::TraceContext ctx = metrics::OutgoingTraceContext();
+  ship_trace_id_.store(ctx.trace_id, std::memory_order_relaxed);
+  ship_parent_span_.store(ctx.parent_span_id, std::memory_order_relaxed);
+  // The log as of this write's return covers its record.
+  const store::LogHead target = log_->Head();
   MutexLock lock(mu_);
-  size_t needed = QuorumFollowerAcksLocked();
-  if (needed == 0) return Status::Ok();
+  work_cv_.NotifyAll();
+  if (options_.ack == AckMode::kAsync) return Status::Ok();
+  // Majority of the replica group (primary + N followers), minus the
+  // primary's own copy: (N+1)/2 follower acks.
+  size_t needed = (followers_.size() + 1) / 2;
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(options_.quorum_timeout_ms);
-  while (!stop_ && AckCountLocked(seq) < needed) {
-    if (ack_cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
-  }
-  if (AckCountLocked(seq) < needed) {
+  if (!WaitHolding(target, needed, deadline)) {
     // The primary holds the write; the caller must treat it as failed
     // (standard semi-sync degradation under follower loss).
-    return Unavailable("quorum ack not reached for seq " +
-                       std::to_string(seq));
+    return Unavailable("quorum ack not reached for log offset " +
+                       std::to_string(target.length));
   }
   return Status::Ok();
 }
 
-uint64_t ReplicatedKvStore::follower_seq(size_t i) const {
+std::optional<uint64_t> ReplicatedKvStore::HeldBytes(
+    const std::optional<store::LogPosition>& at, uint64_t prefix_of,
+    const store::LogHead& head) {
+  if (!at) return std::nullopt;
+  const store::LogGeneration& g = head.generation;
+  // Raft's log-matching rule: a log in this generation, or in the one it
+  // replaced up to where this one began, is a prefix of this log.
+  bool prefix = prefix_of == g.id || at->generation == g.id ||
+                (g.parent != 0 && at->generation == g.parent &&
+                 at->length <= g.begin);
+  if (!prefix || at->length > head.length) return std::nullopt;
+  return at->length;
+}
+
+size_t ReplicatedKvStore::CountHolding(store::LogHead& target) const {
+  const store::LogHead head = log_->Head();
+  if (head.generation.id != target.generation.id) target = head;
+  return static_cast<size_t>(std::count_if(
+      followers_.begin(), followers_.end(), [&](const auto& state) {
+        auto held = HeldBytes(state->at, state->prefix_of, head);
+        return held && *held >= target.length;
+      }));
+}
+
+bool ReplicatedKvStore::WaitHolding(
+    store::LogHead target, size_t needed,
+    std::chrono::steady_clock::time_point deadline) {
+  while (!stop_ && CountHolding(target) < needed) {
+    if (ack_cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
+  }
+  return CountHolding(target) >= needed;
+}
+
+uint64_t ReplicatedKvStore::follower_bytes(size_t i) const {
+  const store::LogHead head = log_->Head();
   MutexLock lock(mu_);
   if (i >= followers_.size()) return 0;
-  return followers_[i]->applied_seq.load(std::memory_order_acquire);
+  return HeldBytes(followers_[i]->at, followers_[i]->prefix_of, head)
+      .value_or(0);
 }
 
 Status ReplicatedKvStore::follower_error(size_t i) const {
@@ -179,75 +199,42 @@ Status ReplicatedKvStore::follower_error(size_t i) const {
   return followers_[i]->last_error;
 }
 
-void ReplicatedKvStore::MarkNeedsSnapshot(size_t i) {
+uint64_t ReplicatedKvStore::MaxLagBytes() const {
+  const store::LogHead head = log_->Head();
   MutexLock lock(mu_);
-  if (i >= followers_.size()) return;
-  followers_[i]->needs_snapshot = true;
-  followers_[i]->applied_seq.store(0, std::memory_order_release);
-  work_cv_.NotifyAll();
-}
-
-uint64_t ReplicatedKvStore::MaxLagOps() const {
-  MutexLock lock(mu_);
-  uint64_t head = head_seq_.load(std::memory_order_acquire);
   uint64_t lag = 0;
   for (const auto& state : followers_) {
-    uint64_t applied = state->applied_seq.load(std::memory_order_acquire);
-    lag = std::max(lag, head - std::min(head, applied));
+    lag = std::max(lag, head.length - HeldBytes(state->at, state->prefix_of,
+                                                head)
+                                          .value_or(0));
   }
   return lag;
 }
 
-bool ReplicatedKvStore::AllCaughtUpLocked(uint64_t target) const {
-  return std::all_of(followers_.begin(), followers_.end(),
-                     [&](const auto& s) {
-                       return !s->needs_snapshot &&
-                              s->applied_seq.load() >= target;
-                     });
-}
-
 Status ReplicatedKvStore::WaitCaughtUp(int64_t timeout_ms) {
   AssertBlockingAllowed();
+  const store::LogHead target = log_->Head();
   MutexLock lock(mu_);
-  uint64_t target = head_seq_.load(std::memory_order_acquire);
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(timeout_ms);
-  while (!stop_ && !AllCaughtUpLocked(target)) {
-    if (ack_cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
-  }
-  if (!stop_ && !AllCaughtUpLocked(target)) {
+  if (!WaitHolding(target, followers_.size(), deadline) && !stop_) {
     return Unavailable("followers did not catch up in time");
   }
   return Status::Ok();
 }
 
-size_t ReplicatedKvStore::AckCountLocked(uint64_t seq) const {
-  size_t n = 0;
-  for (const auto& state : followers_) {
-    if (state->applied_seq.load(std::memory_order_acquire) >= seq) ++n;
-  }
-  return n;
-}
-
-size_t ReplicatedKvStore::QuorumFollowerAcksLocked() const {
-  // Majority of the replica group (primary + N followers), minus the
-  // primary's own copy: ceil((N+1+1)/2) - 1 == (N+1)/2 follower acks.
-  return (followers_.size() + 1) / 2;
-}
-
 void ReplicatedKvStore::BackoffAfterFailure(FollowerState* state,
-                                            const char* what, Status error) {
+                                            Status error) {
   state->last_error = error;
   ++state->consecutive_failures;
   if (state->consecutive_failures == 1 ||
       state->consecutive_failures % 64 == 0) {
-    TC_LOG_WARN << "replica " << what << " failed ("
+    TC_LOG_WARN << "replica log shipment failed ("
                 << state->consecutive_failures
                 << " consecutive): " << error.ToString();
   }
   // Exponential backoff, 10ms doubling to a 5s cap: a dead follower costs
-  // one retry (and on the snapshot path one key scan) every few seconds,
-  // not a hundred per second.
+  // one retry every few seconds, not a hundred per second.
   uint64_t shift = std::min<uint64_t>(state->consecutive_failures - 1, 9);
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(
@@ -259,158 +246,87 @@ void ReplicatedKvStore::BackoffAfterFailure(FollowerState* state,
   }
 }
 
-Status ReplicatedKvStore::StreamSnapshot(FollowerState* state,
-                                         uint64_t snap_seq) {
-  // Key list first, values fetched per chunk: peak shipper memory is the
-  // key list plus one bounded chunk, never the whole store. The sorted
-  // order is deterministic for a fixed key set, which is what lets an
-  // interrupted stream resume: the same snap_seq implies no mutations since
-  // it was pinned, hence the same keys in the same order.
-  std::vector<std::string> keys;
-  TC_RETURN_IF_ERROR(primary()->Scan([&](const std::string& key, BytesView) {
-    if (!std::string_view(key).starts_with(kReplicaMetaPrefix)) {
-      keys.push_back(key);
-    }
-  }));
-  std::sort(keys.begin(), keys.end());
-
-  TC_ASSIGN_OR_RETURN(uint64_t resume,
-                      state->follower->BeginSnapshot(origin_, snap_seq));
-  trace::RecordEvent("snapshot_stream_begin", trace::kNoShard,
-                     "snap_seq=" + std::to_string(snap_seq) +
-                         " resume=" + std::to_string(resume) +
-                         " keys=" + std::to_string(keys.size()));
-
-  std::vector<SnapshotEntry> chunk;
-  size_t chunk_bytes = 0;
-  uint64_t chunk_first = resume;
-  auto flush = [&]() -> Status {
-    if (chunk.empty()) return Status::Ok();
-    TC_RETURN_IF_ERROR(
-        state->follower->ApplySnapshotChunk(snap_seq, chunk_first, chunk));
-    snapshot_chunks_.fetch_add(1, std::memory_order_relaxed);
-    Ship().snapshot_chunks.Inc();
-    chunk_first += chunk.size();
-    chunk.clear();
-    chunk_bytes = 0;
-    return Status::Ok();
-  };
-
-  uint64_t stream_index = 0;  // position among entries that resolved
-  for (const auto& key : keys) {
-    auto value = primary()->Get(key);
-    if (!value.ok()) {
-      // Deleted while we walked the list: the op log replays the delete
-      // after the snapshot lands, and End reconciles diverged holders.
-      if (value.status().code() == StatusCode::kNotFound) continue;
-      return value.status();
-    }
-    if (stream_index++ < resume) continue;  // follower already holds it
-    chunk_bytes += key.size() + value->size();
-    chunk.emplace_back(key, std::move(*value));
-    if (chunk.size() >= options_.snapshot_chunk_entries ||
-        chunk_bytes >= options_.snapshot_chunk_bytes) {
-      TC_RETURN_IF_ERROR(flush());
-    }
+Result<std::pair<store::LogPosition, uint64_t>> ReplicatedKvStore::ShipOnce(
+    FollowerState* state, std::optional<store::LogPosition> at,
+    uint64_t prefix_of) {
+  if (!at) {
+    TC_ASSIGN_OR_RETURN(store::LogPosition now,
+                        state->follower->ShipLog({}, {}));
+    return std::pair{now, uint64_t{0}};
   }
-  TC_RETURN_IF_ERROR(flush());
-  TC_RETURN_IF_ERROR(state->follower->EndSnapshot(snap_seq, stream_index));
-  trace::RecordEvent("snapshot_stream_end", trace::kNoShard,
-                     "snap_seq=" + std::to_string(snap_seq) + " entries=" +
-                         std::to_string(stream_index));
-  return Status::Ok();
+  const store::LogHead head = log_->Head();
+  std::optional<uint64_t> from = HeldBytes(at, prefix_of, head);
+  // A log that is not a prefix of this one is copied from the start: the
+  // frame at length 0 empties it first.
+  const store::LogPosition write_at = from ? *at : store::LogPosition{};
+  TC_ASSIGN_OR_RETURN(
+      Bytes records,
+      log_->ReadLog(head.generation.id, from.value_or(0), kLogFrameBytes));
+  // Ship under the originating request's trace context so the follower's
+  // replica_apply span lands in the same trace as the ingest.
+  metrics::SetCurrentTraceContext(
+      {ship_trace_id_.load(std::memory_order_relaxed),
+       ship_parent_span_.load(std::memory_order_relaxed)});
+  auto ship_start = std::chrono::steady_clock::now();
+  auto landed = state->follower->ShipLog(write_at, records);
+  metrics::SetCurrentTraceContext({});
+  Ship().ack_us.Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - ship_start)
+          .count()));
+  TC_RETURN_IF_ERROR(landed.status());
+  // Trust nothing: a follower that acks another length did not take the
+  // frame as shipped, and its log cannot be counted as this one's prefix.
+  if (landed->length != write_at.length + records.size()) {
+    return Internal("follower acked " + Describe(*landed) + " after " +
+                    std::to_string(records.size()) + " bytes shipped at " +
+                    Describe(write_at));
+  }
+  Ship().frame_bytes.Record(records.size());
+  Ship().shipped_bytes.Inc(records.size());
+  if (!from) {
+    full_copies_.fetch_add(1, std::memory_order_relaxed);
+    Ship().full_copies.Inc();
+    trace::RecordEvent("log_copy", trace::kNoShard,
+                       "follower was at " + Describe(*at));
+  }
+  return std::pair{*landed, head.generation.id};
 }
 
 void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
   // Hand-over-hand locking: the loop holds mu_ except across the blocking
-  // follower calls (StreamSnapshot/ApplyOps), so it uses explicit
-  // lock()/unlock() on the annotated mutex — the one pattern the scoped
-  // lockers cannot express. Every back edge re-enters the loop with mu_
-  // held; every return releases it.
+  // follower call (ShipOnce), so it uses explicit lock()/unlock() on the
+  // annotated mutex — the one pattern the scoped lockers cannot express.
+  // Every back edge re-enters the loop with mu_ held; every return
+  // releases it.
   mu_.lock();
   for (;;) {
-    while (!stop_ && !state->needs_snapshot &&
-           state->applied_seq.load(std::memory_order_relaxed) >=
-               head_seq_.load(std::memory_order_relaxed)) {
-      work_cv_.Wait(mu_);
-    }
+    auto caught_up = [&]() REQUIRES(mu_) {
+      const store::LogHead head = log_->Head();
+      return HeldBytes(state->at, state->prefix_of, head) == head.length;
+    };
+    while (!stop_ && caught_up()) work_cv_.Wait(mu_);
     if (stop_) {
       mu_.unlock();
       return;
     }
-
-    uint64_t applied = state->applied_seq.load(std::memory_order_relaxed);
-    if (state->needs_snapshot || applied + 1 < log_first_seq_) {
-      // Behind the retained window (or fresh): snapshot catch-up. Pinning
-      // snap_seq under mu_ guarantees every op <= snap_seq is visible to
-      // the key scan; ops that race in during the stream are harmlessly
-      // re-applied afterwards (in-order replay converges: puts overwrite,
-      // and an append the snapshot already holds is recognised and
-      // skipped).
-      uint64_t snap_seq = head_seq_.load(std::memory_order_relaxed);
-      mu_.unlock();
-      Status s = StreamSnapshot(state, snap_seq);
-      mu_.lock();
-      if (!s.ok()) {
-        BackoffAfterFailure(state, "snapshot", s);
-        continue;
-      }
-      state->last_error = Status::Ok();
-      state->consecutive_failures = 0;
-      state->needs_snapshot = false;
-      if (state->applied_seq.load(std::memory_order_relaxed) < snap_seq) {
-        state->applied_seq.store(snap_seq, std::memory_order_release);
-      }
-      snapshots_.fetch_add(1, std::memory_order_relaxed);
-      Ship().snapshots.Inc();
-      ack_cv_.NotifyAll();
-      continue;
-    }
-
-    // Stream the next batch from the retained window.
-    size_t offset = static_cast<size_t>(applied + 1 - log_first_seq_);
-    size_t count = std::min(kShipBatchOps, log_.size() - offset);
-    std::vector<LoggedOp> batch(log_.begin() + offset,
-                                log_.begin() + offset + count);
+    std::optional<store::LogPosition> at = state->at;
+    uint64_t prefix_of = state->prefix_of;
     mu_.unlock();
-    // Ship under the originating request's trace context so the follower's
-    // replica_ops span lands in the same trace as the ingest.
-    metrics::SetCurrentTraceContext(
-        {ship_trace_id_.load(std::memory_order_relaxed),
-         ship_parent_span_.load(std::memory_order_relaxed)});
-    auto ship_start = std::chrono::steady_clock::now();
-    Status s = state->follower->ApplyOps(batch);
-    metrics::SetCurrentTraceContext({});
-    Ship().batch_ops.Record(batch.size());
-    Ship().ack_us.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - ship_start)
-            .count()));
+    auto shipped = ShipOnce(state, at, prefix_of);
     mu_.lock();
-    if (!s.ok()) {
-      if (s.code() == StatusCode::kFailedPrecondition) {
-        // The follower cannot take this run at all — it restarted or lost
-        // state since we last saw it (a sequence gap, not a transient
-        // fault). Re-seed it instead of retrying the same frame forever.
-        TC_LOG_WARN << "replica op shipment rejected, re-seeding follower: "
-                    << s.ToString();
-        trace::RecordEvent("follower_reseed", trace::kNoShard,
-                           s.ToString());
-        state->last_error = s;
-        state->needs_snapshot = true;
-        // Our view of its progress is wrong too; restart from the stream.
-        state->applied_seq.store(0, std::memory_order_release);
-        continue;
-      }
-      BackoffAfterFailure(state, "op shipment", s);
+    if (!shipped.ok()) {
+      // The frame may or may not have landed, and the follower may have
+      // restarted over another log: ask where it stands before shipping.
+      state->at.reset();
+      state->prefix_of = 0;
+      BackoffAfterFailure(state, shipped.status());
       continue;
     }
+    state->at = shipped->first;
+    if (shipped->second != 0) state->prefix_of = shipped->second;
     state->last_error = Status::Ok();
     state->consecutive_failures = 0;
-    uint64_t last = batch.back().seq;
-    if (state->applied_seq.load(std::memory_order_relaxed) < last) {
-      state->applied_seq.store(last, std::memory_order_release);
-    }
     ack_cv_.NotifyAll();
   }
 }

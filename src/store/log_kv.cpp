@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "common/varint.hpp"
+#include "crypto/rand.hpp"
 
 namespace tc::store {
 
@@ -48,6 +52,14 @@ struct StoreOps {
   metrics::Counter& syncs;
   metrics::Counter& compactions;
 };
+
+/// A kGenerationKey value: the generation's id, then its parent's.
+Bytes EncodeGeneration(uint64_t id, uint64_t parent) {
+  BinaryWriter w(16);
+  w.PutU64(id);
+  w.PutU64(parent);
+  return std::move(w).Take();
+}
 
 StoreOps& Ops() {
   static StoreOps ops{metrics::GetCounter("tc_store_puts_total"),
@@ -83,6 +95,32 @@ class LogKvStore::ReadFile {
     return static_cast<uint64_t>(st.st_size);
   }
 
+  /// The file's bytes [at, at + n), clipped at `end`, through a buffer of
+  /// kReplayBufferBytes refilled from `at` when they are not all in it;
+  /// only a key about the buffer's size grows it. A view stays valid until
+  /// the next call.
+  class Window {
+   public:
+    Window(const ReadFile& file, uint64_t end) : file_(file), end_(end) {}
+
+    Result<BytesView> operator()(uint64_t at, uint64_t n) {
+      n = std::min(n, end_ - at);
+      if (at < buf_at_ || at + n > buf_at_ + buf_.size()) {
+        buf_.resize(std::min(std::max<uint64_t>(n, kReplayBufferBytes),
+                             end_ - at));
+        TC_RETURN_IF_ERROR(file_.Read(buf_.data(), buf_.size(), at));
+        buf_at_ = at;
+      }
+      return BytesView(buf_).subspan(at - buf_at_, n);
+    }
+
+   private:
+    const ReadFile& file_;
+    const uint64_t end_;
+    Bytes buf_;
+    uint64_t buf_at_ = 0;  // file offset of buf_[0]
+  };
+
   /// Exactly `n` bytes at `offset`; DataLoss if the file ends first.
   Status Read(uint8_t* dst, size_t n, uint64_t offset) const {
     while (n > 0) {
@@ -101,6 +139,45 @@ class LogKvStore::ReadFile {
  private:
   int fd_;
 };
+
+/// One record's header: `type keylen key [vallen]`, then the value.
+struct LogKvStore::RecordHead {
+  uint8_t type = 0;
+  std::string_view key;  // a view into the window that parsed it
+  uint64_t value_at = 0;  // from the record's first byte
+  uint64_t value_len = 0;
+
+  uint64_t size() const { return value_at + value_len; }
+};
+
+template <typename Window>
+Result<std::optional<LogKvStore::RecordHead>> LogKvStore::ParseRecord(
+    Window&& window, uint64_t pos, uint64_t end) {
+  const uint64_t left = end - pos;
+  std::optional<RecordHead> none;
+  TC_ASSIGN_OR_RETURN(BytesView first, window(pos, 1 + kMaxVarintBytes));
+  RecordHead head;
+  head.type = first[0];
+  if (head.type != kRecordPut && head.type != kRecordTombstone &&
+      head.type != kRecordAppend) {
+    return none;
+  }
+  size_t key_at = 1;
+  auto key_len = GetVarint(first, key_at);
+  if (!key_len || *key_len > left - key_at) return none;
+  TC_ASSIGN_OR_RETURN(BytesView record,
+                      window(pos, key_at + *key_len + kMaxVarintBytes));
+  head.key = std::string_view(
+      reinterpret_cast<const char*>(record.data()) + key_at, *key_len);
+  size_t value_at = key_at + *key_len;
+  if (head.type != kRecordTombstone) {
+    auto len = GetVarint(record, value_at);
+    if (!len || *len > left - value_at) return none;
+    head.value_len = *len;
+  }
+  head.value_at = value_at;
+  return std::optional<RecordHead>(head);
+}
 
 /// A live key: where its bytes are in the arena, and its value's size and
 /// log extents. An empty value has no extents; otherwise the first starts
@@ -364,72 +441,55 @@ void LogKvStore::ApplyDelete(std::string_view key) {
   value_bytes_ -= *size;
 }
 
+Status LogKvStore::ApplyRecord(const RecordHead& head, uint64_t at) {
+  const uint64_t value_at = at + head.value_at;
+  if (head.type == kRecordPut) {
+    ApplyPut(head.key, value_at, head.value_len);
+  } else if (head.type == kRecordTombstone) {
+    ApplyDelete(head.key);
+  } else {
+    // Append() refuses absent keys, so a complete append record without
+    // its base value is corruption, not a torn tail: truncating here
+    // would silently drop every record after it.
+    Record* base = dir_->Find(head.key);
+    if (base == nullptr) {
+      return DataLoss("log " + path_ + ": append record at offset " +
+                      std::to_string(at) + " for absent key " +
+                      std::string(head.key));
+    }
+    ApplyAppend(*base, value_at, head.value_len);
+  }
+  return Status::Ok();
+}
+
+void LogKvStore::NoteGeneration(BytesView value, uint64_t at) {
+  BinaryReader r(value);
+  auto id = r.GetU64();
+  auto parent = r.GetU64();
+  if (id.ok() && parent.ok() && r.AtEnd()) generation_ = {*id, *parent, at};
+}
+
 Status LogKvStore::Replay() {
   auto file = ReadFile::Open(path_);
   if (file.status().code() == StatusCode::kNotFound) return Status::Ok();
   TC_RETURN_IF_ERROR(file.status());
   TC_ASSIGN_OR_RETURN(uint64_t file_size, (*file)->Size());
 
-  // The log's bytes [at, at + n), clipped at the end of the file. They come
-  // from a buffer of kReplayBufferBytes, refilled from `at` when they are
-  // not all in it; only a key about the buffer's size grows it.
-  Bytes buf;
-  uint64_t buf_at = 0;  // file offset of buf[0]
-  auto window = [&](uint64_t at, uint64_t n) -> Result<BytesView> {
-    n = std::min(n, file_size - at);
-    if (at < buf_at || at + n > buf_at + buf.size()) {
-      buf.resize(std::min(std::max<uint64_t>(n, kReplayBufferBytes),
-                          file_size - at));
-      TC_RETURN_IF_ERROR((*file)->Read(buf.data(), buf.size(), at));
-      buf_at = at;
-    }
-    return BytesView(buf).subspan(at - buf_at, n);
-  };
-
-  // Records are `type keylen key [vallen value]`. Replay reads each header
-  // and key and skips over the value, recording where it lies. A record
-  // that runs past the end of the file is a torn tail write.
+  // Replay reads each header and key and skips over the value, recording
+  // where it lies. A record that runs past the end of the file is a torn
+  // tail write.
+  ReadFile::Window window(**file, file_size);
   uint64_t pos = 0;  // offset just past the last complete record
   while (pos < file_size) {
-    uint64_t left = file_size - pos;
-    TC_ASSIGN_OR_RETURN(BytesView head, window(pos, 1 + kMaxVarintBytes));
-    uint8_t type = head[0];
-    if (type != kRecordPut && type != kRecordTombstone &&
-        type != kRecordAppend) {
-      break;  // garbage tail (crash mid-write): recover the valid prefix
+    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(window, pos, file_size));
+    if (!head) break;  // garbage tail (crash mid-write): recover the prefix
+    TC_RETURN_IF_ERROR(ApplyRecord(*head, pos));
+    if (head->type == kRecordPut && head->key == kGenerationKey) {
+      TC_ASSIGN_OR_RETURN(BytesView value,
+                          window(pos + head->value_at, head->value_len));
+      NoteGeneration(value, pos);
     }
-    size_t key_at = 1;
-    auto key_len = GetVarint(head, key_at);
-    if (!key_len || *key_len > left - key_at) break;
-    TC_ASSIGN_OR_RETURN(BytesView record,
-                        window(pos, key_at + *key_len + kMaxVarintBytes));
-    // A view into the buffer, used before the next window() call.
-    std::string_view key(reinterpret_cast<const char*>(record.data()) + key_at,
-                         *key_len);
-    size_t value_at = key_at + *key_len;
-    uint64_t value_len = 0;
-    if (type != kRecordTombstone) {
-      auto len = GetVarint(record, value_at);
-      if (!len || *len > left - value_at) break;
-      value_len = *len;
-    }
-    if (type == kRecordPut) {
-      ApplyPut(key, pos + value_at, value_len);
-    } else if (type == kRecordTombstone) {
-      ApplyDelete(key);
-    } else {
-      // Append() refuses absent keys, so a complete append record without
-      // its base value is corruption, not a torn tail: truncating here
-      // would silently drop every record after it.
-      Record* base = dir_->Find(key);
-      if (base == nullptr) {
-        return DataLoss("log " + path_ + ": append record at offset " +
-                        std::to_string(pos) + " for absent key " +
-                        std::string(key));
-      }
-      ApplyAppend(*base, pos + value_at, value_len);
-    }
-    pos += value_at + value_len;
+    pos += head->size();
   }
   if (pos < file_size) {
     // Drop the torn tail so future appends follow a well-formed record —
@@ -451,34 +511,39 @@ Status LogKvStore::TruncateTo(size_t size) {
 Result<uint64_t> LogKvStore::AppendRecord(uint8_t type,
                                           const std::string& key,
                                           BytesView value) {
+  BinaryWriter w(key.size() + value.size() + 16);
+  w.PutU8(type);
+  w.PutString(key);
+  if (type != kRecordTombstone) w.PutBytes(value);
+  uint64_t value_at = log_end_ + w.size() - value.size();
+  TC_RETURN_IF_ERROR(WriteLocked(w.data()));
+  return value_at;
+}
+
+Status LogKvStore::WriteLocked(BytesView bytes) {
   // A failed compaction or append can lose the append handle; refuse
   // writes instead of fwrite-ing into a null stream.
   if (log_ == nullptr) {
     return Unavailable("log append handle closed (failed compaction?): " +
                        path_);
   }
-  BinaryWriter w(key.size() + value.size() + 16);
-  w.PutU8(type);
-  w.PutString(key);
-  if (type != kRecordTombstone) w.PutBytes(value);
-  if (std::fwrite(w.data().data(), 1, w.size(), log_) != w.size()) {
-    // Part of the record may have reached the file, so the offset of the
-    // next one is unknown and the directory could not point at it. Refuse
-    // writes until a compaction rewrites the log or the store reopens.
-    // Earlier records still in the write buffer may have failed with this
-    // one, and stdio can drop a buffer whose write failed, so fclose's
-    // result alone does not show they reached the file. The file's size
-    // does: it holds them all only if it reaches log_end_. If it does not,
-    // Sync and any Get of their keys fail from here on.
+  if (std::fwrite(bytes.data(), 1, bytes.size(), log_) != bytes.size()) {
+    // Part of the bytes may have reached the file, so the offset of the
+    // next record is unknown and the directory could not point at it.
+    // Refuse writes until a compaction rewrites the log or the store
+    // reopens. Earlier records still in the write buffer may have failed
+    // with these, and stdio can drop a buffer whose write failed, so
+    // fclose's result alone does not show they reached the file. The
+    // file's size does: it holds them all only if it reaches log_end_. If
+    // it does not, Sync and any Get of their keys fail from here on.
     bool closed = std::fclose(log_) == 0;
     log_ = nullptr;
     auto size = reader_->Size();
     if (closed && size.ok() && *size >= log_end_) flushed_end_ = log_end_;
     return Unavailable("log append failed: " + path_);
   }
-  uint64_t value_at = log_end_ + w.size() - value.size();
-  log_end_ += w.size();
-  return value_at;
+  log_end_ += bytes.size();
+  return Status::Ok();
 }
 
 Status LogKvStore::FlushThrough(uint64_t end) const {
@@ -693,8 +758,10 @@ Result<size_t> LogKvStore::CompactLocked() {
 
   // The new log and, beside it, the directory that will describe it: each
   // key in dir_'s order, its value now one put. dir_ is replaced only once
-  // the new log has replaced the old one.
+  // the new log has replaced the old one. A log with a generation gets a
+  // new one with no parent: no copy of the old log is a prefix of this.
   auto dense = std::make_unique<Directory>();
+  LogGeneration generation;
   uint64_t tmp_end = 0;
   std::vector<Extent> extents;
   Bytes value;
@@ -702,10 +769,16 @@ Result<size_t> LogKvStore::CompactLocked() {
     const Record* record = dir_->Live(id);
     if (record == nullptr) continue;
     std::string_view key = dir_->Key(*record);
-    extents.resize(dir_->ExtentCount(*record));
-    dir_->CopyExtents(*record, extents);
-    value.resize(record->size);
-    Status read = ReadValue(*reader_, extents, value);
+    Status read = Status::Ok();
+    if (key == kGenerationKey) {
+      generation = {crypto::RandomU64() | 1, 0, tmp_end};
+      value = EncodeGeneration(generation.id, 0);
+    } else {
+      extents.resize(dir_->ExtentCount(*record));
+      dir_->CopyExtents(*record, extents);
+      value.resize(record->size);
+      read = ReadValue(*reader_, extents, value);
+    }
     BinaryWriter w(key.size() + 16);
     w.PutU8(kRecordPut);
     w.PutString(key);
@@ -727,25 +800,10 @@ Result<size_t> LogKvStore::CompactLocked() {
     std::remove(tmp_path.c_str());
     return Unavailable("compaction write failed");
   }
-  auto reader = ReadFile::Open(tmp_path);
-  if (!reader.ok()) {
-    std::remove(tmp_path.c_str());
-    return reader.status();
-  }
-  // The flush above put every record appended so far in the file, so
-  // closing the old handle loses nothing.
-  if (log_ != nullptr) std::fclose(log_);
-  log_ = nullptr;
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    // The old log is intact at path_; reopen it so appends keep working.
-    std::remove(tmp_path.c_str());
-    log_ = std::fopen(path_.c_str(), "ab");
-    return Unavailable("compaction rename failed");
-  }
+  TC_RETURN_IF_ERROR(SwapInLocked(tmp_path));
   dir_ = std::move(dense);
-  // A Get that copied the old descriptor finishes on the old file.
-  reader_ = std::move(*reader);
   log_end_ = flushed_end_ = tmp_end;
+  generation_ = generation;
   size_t reclaimed = dead_bytes_;
   dead_bytes_ = 0;
   ++compactions_;
@@ -753,9 +811,164 @@ Result<size_t> LogKvStore::CompactLocked() {
   trace::RecordEvent("store_compaction", trace::kNoShard,
                      path_ + " reclaimed=" + std::to_string(reclaimed));
   compact_backoff_dead_bytes_ = 0;  // a successful rewrite clears the backoff
-  log_ = std::fopen(path_.c_str(), "ab");
   if (log_ == nullptr) return Unavailable("cannot reopen log");
   return reclaimed;
+}
+
+Status LogKvStore::SwapInLocked(const std::string& tmp_path) {
+  auto reader = ReadFile::Open(tmp_path);
+  if (!reader.ok()) {
+    std::remove(tmp_path.c_str());
+    return reader.status();
+  }
+  // The caller flushed every record appended so far into the file, so
+  // closing the old handle loses nothing.
+  if (log_ != nullptr) std::fclose(log_);
+  log_ = nullptr;
+  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+    // The old log is intact at path_; reopen it so appends keep working.
+    std::remove(tmp_path.c_str());
+    log_ = std::fopen(path_.c_str(), "ab");
+    return Unavailable("cannot rename " + tmp_path + " over " + path_);
+  }
+  // A Get that copied the old descriptor finishes on the old file. If the
+  // append handle does not reopen, writes are refused (see WriteLocked).
+  reader_ = std::move(*reader);
+  log_ = std::fopen(path_.c_str(), "ab");
+  return Status::Ok();
+}
+
+Status LogKvStore::ResetLocked() {
+  std::string tmp_path = path_ + ".copy";
+  std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
+  if (tmp == nullptr) return Unavailable("cannot create " + tmp_path);
+  if (std::fclose(tmp) != 0) {
+    std::remove(tmp_path.c_str());
+    return Unavailable("cannot create " + tmp_path);
+  }
+  TC_RETURN_IF_ERROR(SwapInLocked(tmp_path));
+  dir_ = std::make_unique<Directory>();
+  value_bytes_ = dead_bytes_ = 0;
+  log_end_ = flushed_end_ = 0;
+  generation_ = {};
+  return Status::Ok();
+}
+
+LogHead LogKvStore::Head() const {
+  MutexLock lock(mu_);
+  return {generation_, log_end_};
+}
+
+Status LogKvStore::StartGeneration() {
+  MutexLock lock(mu_);
+  const uint64_t at = log_end_;
+  Bytes value = EncodeGeneration(crypto::RandomU64() | 1, generation_.id);
+  TC_ASSIGN_OR_RETURN(uint64_t offset,
+                      AppendRecord(kRecordPut, kGenerationKey, value));
+  ApplyPut(kGenerationKey, offset, value.size());
+  NoteGeneration(value, at);
+  return Status::Ok();
+}
+
+Result<Bytes> LogKvStore::ReadLog(uint64_t generation, uint64_t offset,
+                                  size_t max_bytes) const {
+  std::shared_ptr<const ReadFile> file;
+  uint64_t end = 0;
+  {
+    MutexLock lock(mu_);
+    if (generation_.id != generation) {
+      return FailedPrecondition("log " + path_ + " left generation " +
+                                std::to_string(generation));
+    }
+    if (offset > log_end_) {
+      return OutOfRange("log offset " + std::to_string(offset) +
+                        " is past the end of " + path_);
+    }
+    TC_RETURN_IF_ERROR(FlushThrough(log_end_));
+    file = reader_;
+    end = log_end_;
+  }
+  // Log bytes never change once written and Compact() writes a new file,
+  // so `file` holds this generation's bytes up to `end` without the lock.
+  // One read of up to max_bytes; the whole records at its front ship.
+  Bytes out(std::min<uint64_t>(end - offset, max_bytes));
+  TC_RETURN_IF_ERROR(file->Read(out.data(), out.size(), offset));
+  const uint64_t out_end = offset + out.size();
+  auto in_out = [&](uint64_t at, uint64_t n) -> Result<BytesView> {
+    return BytesView(out).subspan(at - offset, std::min(n, out_end - at));
+  };
+  uint64_t cut = offset;
+  while (cut < out_end) {
+    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(in_out, cut, out_end));
+    if (!head) break;
+    cut += head->size();
+  }
+  if (cut == offset && !out.empty()) {
+    // The first record alone is larger than max_bytes: it ships whole.
+    ReadFile::Window window(*file, end);
+    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(window, offset, end));
+    if (!head) {
+      return DataLoss("log " + path_ + ": no record at offset " +
+                      std::to_string(offset));
+    }
+    cut = offset + head->size();
+    out.resize(cut - offset);
+    TC_RETURN_IF_ERROR(file->Read(out.data(), out.size(), offset));
+  }
+  out.resize(cut - offset);
+  return out;
+}
+
+Result<LogPosition> LogKvStore::AppendLog(LogPosition at, BytesView records) {
+  MutexLock lock(mu_);
+  const LogPosition here{generation_.id, log_end_};
+  if (records.empty()) return here;
+  auto where = [](LogPosition p) {
+    return "generation " + std::to_string(p.generation) + " length " +
+           std::to_string(p.length);
+  };
+  if (at.length != 0 && at != here) {
+    return FailedPrecondition("log " + path_ + " is at " + where(here) +
+                              ", not at " + where(at));
+  }
+  // Every record parses, and every append extends a live key, before any
+  // byte is written: bytes that fail either change nothing.
+  auto view = [&](uint64_t pos, uint64_t n) -> Result<BytesView> {
+    return records.subspan(pos, std::min<uint64_t>(n, records.size() - pos));
+  };
+  std::unordered_map<std::string_view, bool> live;  // as the records leave it
+  for (uint64_t pos = 0; pos < records.size();) {
+    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(view, pos, records.size()));
+    if (!head) {
+      return DataLoss("shipped log bytes at offset " +
+                      std::to_string(at.length + pos) +
+                      " are not a whole record");
+    }
+    if (head->type != kRecordAppend) {
+      live[head->key] = head->type == kRecordPut;
+    } else if (auto it = live.find(head->key);
+               it != live.end() ? !it->second
+                                : at.length == 0 ||
+                                      dir_->Find(head->key) == nullptr) {
+      return DataLoss("shipped append record at offset " +
+                      std::to_string(at.length + pos) + " for absent key " +
+                      std::string(head->key));
+    }
+    pos += head->size();
+  }
+  if (at.length == 0) TC_RETURN_IF_ERROR(ResetLocked());
+  const uint64_t start = log_end_;
+  TC_RETURN_IF_ERROR(WriteLocked(records));
+  for (uint64_t pos = 0; pos < records.size();) {
+    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(view, pos, records.size()));
+    TC_RETURN_IF_ERROR(ApplyRecord(*head, start + pos));
+    if (head->type == kRecordPut && head->key == kGenerationKey) {
+      NoteGeneration(records.subspan(pos + head->value_at, head->value_len),
+                     start + pos);
+    }
+    pos += head->size();
+  }
+  return LogPosition{generation_.id, log_end_};
 }
 
 Status LogKvStore::Sync() {
@@ -780,6 +993,22 @@ uint64_t LogKvStore::CompactionCount() const {
 store::KvStore::CompactionStats LogKvStore::Compaction() const {
   MutexLock lock(mu_);
   return {compactions_, dead_bytes_};
+}
+
+Result<std::unique_ptr<TempLogDir>> TempLogDir::Make() {
+  std::error_code error;
+  std::string pattern =
+      (std::filesystem::temp_directory_path(error) / "timecrypt-XXXXXX")
+          .string();
+  if (error || ::mkdtemp(pattern.data()) == nullptr) {
+    return Unavailable("cannot create a temporary log directory");
+  }
+  return std::unique_ptr<TempLogDir>(new TempLogDir(std::move(pattern)));
+}
+
+TempLogDir::~TempLogDir() {
+  std::error_code ignored;
+  std::filesystem::remove_all(dir_, ignored);
 }
 
 }  // namespace tc::store

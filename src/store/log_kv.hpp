@@ -5,10 +5,18 @@
 // Because values are read back from the file, a server over this store
 // holds the key directory plus its index cache, which is the part the
 // cache budget bounds.
+//
+// The log is also what replication ships (src/replica): a primary's
+// ReadLog hands out whole records from any offset, and a follower's
+// AppendLog writes them at its own log end and indexes them with the
+// parser Replay uses, so a follower's log is a byte prefix of its
+// primary's. A generation, recorded as a put of kGenerationKey, tells two
+// logs with a common past from two that forked (see LogGeneration).
 #pragma once
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -27,6 +35,37 @@ struct LogKvOptions {
   /// Never auto-compact below this many dead bytes — rewriting a tiny log
   /// on every overwrite would trade one wasted byte for a full rewrite.
   size_t compact_min_dead_bytes = 1 << 20;
+};
+
+/// The key whose puts record a log's generation: a run of the log that one
+/// writer appended with no fork in its history. A replicated primary
+/// starts one whenever it opens the log as a writer, and Compact starts one
+/// in a log that has one. It is an ordinary put, so a log holding it
+/// replays in any build; a log no replication opened never holds it.
+inline constexpr char kGenerationKey[] = "meta/log/generation";
+
+/// A log's current generation.
+struct LogGeneration {
+  uint64_t id = 0;      // random and nonzero; 0 when the log has none
+  uint64_t parent = 0;  // the generation it replaced; 0 after Compact
+  uint64_t begin = 0;   // log offset of the record that started it
+};
+
+/// Where a log stands: its generation id and its length in bytes. Two logs
+/// at the same position in one generation hold the same bytes.
+struct LogPosition {
+  uint64_t generation = 0;
+  uint64_t length = 0;
+
+  friend bool operator==(const LogPosition&, const LogPosition&) = default;
+};
+
+/// A log's generation and length, read together.
+struct LogHead {
+  LogGeneration generation;
+  uint64_t length = 0;
+
+  LogPosition position() const { return {generation.id, length}; }
 };
 
 /// Log-structured store. Writes append `type keylen key vallen value`
@@ -95,6 +134,32 @@ class LogKvStore final : public KvStore {
   /// threads share one flush per batch window.
   Status Sync() override;
 
+  /// The log's generation and length.
+  LogHead Head() const;
+
+  /// Start a new generation: append a kGenerationKey put naming a fresh id
+  /// and the current generation as its parent. A replicated primary does
+  /// this whenever it opens the log as a writer.
+  Status StartGeneration();
+
+  /// Whole records of the log from `offset`, which must be a record
+  /// boundary: as many as fit in `max_bytes`, or the first alone if it is
+  /// larger. Empty at the log's end. FailedPrecondition once the log is no
+  /// longer in generation `generation` (a Compact rewrote it), so offsets
+  /// taken in one generation never read another's bytes.
+  Result<Bytes> ReadLog(uint64_t generation, uint64_t offset,
+                        size_t max_bytes) const;
+
+  /// Write `records`, whole records read from another log, at position
+  /// `at` of this one, and index them; returns the new position. At length
+  /// 0 the log is emptied first (a copy from the start). Otherwise the log
+  /// must be exactly at `at`, or nothing is written (FailedPrecondition).
+  /// Bytes that do not parse into whole records, or append to a key that
+  /// does not exist, are DataLoss and change nothing. Empty `records` only
+  /// read the position. A store written this way is a follower's: it never
+  /// compacts itself, as it never takes a Put or Delete.
+  Result<LogPosition> AppendLog(LogPosition at, BytesView records);
+
   /// Dead (overwritten/tombstoned) value bytes awaiting compaction.
   size_t DeadBytes() const;
   /// Number of compactions run (explicit + automatic) — observability for
@@ -116,8 +181,20 @@ class LogKvStore final : public KvStore {
   struct Record;
   /// A read-only descriptor on one log file, closed by its last holder.
   class ReadFile;
+  /// One record's header, parsed by ParseRecord in log_kv.cpp.
+  struct RecordHead;
 
   LogKvStore(std::string path, LogKvOptions options);
+
+  /// Parses the record at log offset `pos` of a log `end` bytes long,
+  /// reading through `window(at, n)`, which returns the bytes [at, at + n)
+  /// clipped at `end`. nullopt when the bytes there are no whole record:
+  /// garbage, or a record running past `end`. Replay, ReadLog and
+  /// AppendLog all read records through it.
+  template <typename Window>
+  static Result<std::optional<RecordHead>> ParseRecord(Window&& window,
+                                                       uint64_t pos,
+                                                       uint64_t end);
 
   /// Read `extents` (in log order, totalling the size of `out`) from
   /// `file` into `out`. Extents a small gap apart share one pread.
@@ -131,6 +208,11 @@ class LogKvStore final : public KvStore {
   void ApplyAppend(Record& record, uint64_t offset, uint64_t length)
       REQUIRES(mu_);
   void ApplyDelete(std::string_view key) REQUIRES(mu_);
+  /// All three, by the record's type, for a record at log offset `at`.
+  /// DataLoss for an append to an absent key.
+  Status ApplyRecord(const RecordHead& head, uint64_t at) REQUIRES(mu_);
+  /// Adopt the generation recorded by a kGenerationKey put at offset `at`.
+  void NoteGeneration(BytesView value, uint64_t at) REQUIRES(mu_);
 
   Status Replay() REQUIRES(mu_);
   /// Drop a torn tail discovered during replay (crash-recovery path).
@@ -139,6 +221,15 @@ class LogKvStore final : public KvStore {
   /// value. Returns the log offset at which the value's bytes start.
   Result<uint64_t> AppendRecord(uint8_t type, const std::string& key,
                                 BytesView value) REQUIRES(mu_);
+  /// Append `bytes` (whole records) at the log end. On a failed write the
+  /// append handle closes and writes are refused (see AppendRecord).
+  Status WriteLocked(BytesView bytes) REQUIRES(mu_);
+  /// Swap in an empty log file, as Compact swaps in a rewritten one, and
+  /// an empty directory.
+  Status ResetLocked() REQUIRES(mu_);
+  /// Replace `path_` with the file at `tmp_path` and reopen both handles
+  /// on it. A Get that copied the old descriptor finishes on the old file.
+  Status SwapInLocked(const std::string& tmp_path) REQUIRES(mu_);
   /// Make the log's bytes up to offset `end` readable through the file:
   /// flush the write buffer unless an earlier flush already covered them.
   /// Unavailable if they were lost with a failed append (see AppendRecord).
@@ -165,6 +256,27 @@ class LogKvStore final : public KvStore {
   // when another caller's already covered what they need (group commit).
   uint64_t log_end_ GUARDED_BY(mu_) = 0;
   mutable uint64_t flushed_end_ GUARDED_BY(mu_) = 0;
+  LogGeneration generation_ GUARDED_BY(mu_);
+};
+
+/// A private directory for logs that no restart reads: made under the
+/// system's temporary directory, and removed with every file in it when
+/// destroyed. Replicated stores are LogKvStores, so `tcserver --store mem`
+/// with replicas or as a follower keeps its logs in one.
+class TempLogDir {
+ public:
+  static Result<std::unique_ptr<TempLogDir>> Make();
+  ~TempLogDir();
+  TempLogDir(const TempLogDir&) = delete;
+  TempLogDir& operator=(const TempLogDir&) = delete;
+
+  /// The path of the file `name` in the directory.
+  std::string Path(const std::string& name) const { return dir_ + "/" + name; }
+
+ private:
+  explicit TempLogDir(std::string dir) : dir_(std::move(dir)) {}
+
+  std::string dir_;
 };
 
 }  // namespace tc::store

@@ -20,6 +20,7 @@
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
 #include "store/prefix_kv.hpp"
+#include "temp_logs.hpp"
 
 namespace tc {
 namespace {
@@ -615,7 +616,7 @@ TEST(ShardRouter, ClusterInfoReportsPerShardPlacement) {
     total_bytes += s.index_bytes;
     // Replica-less shards report empty replication health.
     EXPECT_EQ(s.replicas, 0u);
-    EXPECT_EQ(s.max_lag_ops, 0u);
+    EXPECT_EQ(s.max_lag_bytes, 0u);
   }
   EXPECT_EQ(total_streams, 5u);
   EXPECT_EQ(total_bytes, c.router->TotalIndexBytes());
@@ -772,9 +773,9 @@ bool ReplicaRead(MessageType type) {
 
 bool ReplicationFrame(MessageType type) {
   static const std::set<MessageType> types = {
-      MessageType::kReplicaHello,         MessageType::kReplicaSnapshotBegin,
-      MessageType::kReplicaSnapshotChunk, MessageType::kReplicaSnapshotEnd,
-      MessageType::kReplicaHeartbeat,     MessageType::kReplicaOps,
+      MessageType::kReplicaHello,
+      MessageType::kReplicaHeartbeat,
+      MessageType::kReplicaLog,
   };
   return types.contains(type);
 }
@@ -783,10 +784,11 @@ bool ReplicationFrame(MessageType type) {
 /// (a follower endpoint's business), reserved bytes and bytes outside the
 /// enum.
 bool NotARequest(MessageType type) {
+  static const std::set<uint8_t> reserved = {3, 22, 23, 25, 26, 27, 29};
   auto byte = static_cast<uint8_t>(type);
   return type == MessageType::kResponse || ReplicationFrame(type) ||
-         byte == 3 || byte == 22 || byte == 23 ||
-         byte > static_cast<uint8_t>(MessageType::kEventsInfo);
+         reserved.contains(byte) ||
+         byte > static_cast<uint8_t>(MessageType::kReplicaLog);
 }
 
 bool IsUnknownTypeError(const Result<Bytes>& result) {
@@ -828,10 +830,11 @@ net::StreamConfig WitnessedConfig(const std::string& name) {
 }
 
 TEST(FrameRouting, RouterSendsExactlyTheReplicaReadsToACaughtUpReplica) {
-  auto backend = std::make_shared<store::MemKvStore>();
-  auto set = replica::ReplicaSet::Make(
-      std::make_shared<store::PrefixKvStore>(backend, "p/"),
-      {std::make_shared<store::PrefixKvStore>(backend, "r/")}, {}, {});
+  testing::TempLogs logs;
+  auto made = replica::ReplicaSet::Make(logs.Open("p"), {logs.Open("r")},
+                                        {}, {});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto set = *made;
   auto router = std::make_shared<ShardRouter>(
       std::vector<std::shared_ptr<replica::ReplicaSet>>{set});
   OwnerClient owner(std::make_shared<net::InProcTransport>(router));
@@ -870,7 +873,8 @@ TEST(FrameRouting, EngineRejectsExactlyTheNonRequestTypes) {
 }
 
 TEST(FrameRouting, FollowingDaemonServesReplicaReadsAndDefersTheRest) {
-  auto kv = std::make_shared<store::MemKvStore>();
+  testing::TempLogs logs;
+  auto kv = logs.Open("f");
   uint64_t uuid = 0;
   {
     OwnerClient owner(std::make_shared<net::InProcTransport>(

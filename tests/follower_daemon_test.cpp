@@ -1,10 +1,12 @@
 // Follower-daemon topology tests: a primary process plus follower daemons
-// over loopback TCP. Registration must stream snapshot catch-up in bounded
-// chunks (never one full-store frame), op shipping must keep daemons
-// converged, killing a daemon mid-snapshot must heal by re-seeding, and
-// killing the primary must trigger the view-based takeover election: the
-// most-caught-up daemon promotes itself with streams, grants, and witness
-// state intact, and the survivors re-home under it.
+// over loopback TCP. An empty daemon's log must be copied from the
+// primary's first byte, shipping must keep daemons' logs byte prefixes of
+// the primary's, a daemon restarting over its own log must be shipped only
+// what it lacks (a wiped one is copied again), a version mismatch must be
+// refused by name, and killing the primary must trigger the view-based
+// takeover election: the most caught-up daemon promotes itself with
+// streams, grants, and witness state intact, and the survivors re-home
+// under it.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -28,8 +30,8 @@
 #include "replica/follower_daemon.hpp"
 #include "replica/replica_set.hpp"
 #include "net/tcp.hpp"
-#include "store/forwarding_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "temp_logs.hpp"
 
 namespace tc {
 namespace {
@@ -41,6 +43,7 @@ using replica::FollowerDaemon;
 using replica::FollowerDaemonOptions;
 using replica::PrimaryCoordinator;
 using replica::ReplicaSet;
+using testing::TempLogs;
 
 constexpr DurationMs kDelta = 10 * kSecond;
 
@@ -122,6 +125,19 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   return response;
 }
 
+std::shared_ptr<ReplicaSet> MakeSet(std::shared_ptr<store::LogKvStore> log,
+                                    server::ServerOptions engine = {}) {
+  auto set = ReplicaSet::Make(std::move(log), {}, engine,
+                              replica::ReplicaSetOptions{});
+  EXPECT_TRUE(set.ok()) << set.status().ToString();
+  return set.ok() ? *set : nullptr;
+}
+
+/// Bytes shipped by every primary in this process so far.
+uint64_t ShippedBytes() {
+  return metrics::GetCounter("tc_replica_shipped_bytes_total").value();
+}
+
 FollowerDaemonOptions DaemonOptions(uint16_t primary_port) {
   FollowerDaemonOptions options;
   options.primary_host = "127.0.0.1";
@@ -133,15 +149,12 @@ FollowerDaemonOptions DaemonOptions(uint16_t primary_port) {
 }
 
 // The acceptance drill: primary + two follower daemons over loopback TCP,
-// chunked snapshot catch-up, primary killed, automatic promotion, reads
+// copies of their empty logs, primary killed, automatic promotion, reads
 // (streams, grants, witnesses) intact, survivors re-homed.
 TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
-  // Primary: one replication-capable shard, snapshot chunks forced small so
-  // catch-up must stream many frames.
-  replica::ReplicaSetOptions set_options;
-  set_options.kv.snapshot_chunk_bytes = 512;
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
-                              set_options);
+  // Primary: one replication-capable shard.
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   replica::CoordinatorOptions coordinator_options;
@@ -169,36 +182,32 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   crypto::Key128 plain_seed = (*owner.KeysFor(*plain))->master_seed();
   crypto::Key128 witnessed_seed = (*owner.KeysFor(*witnessed))->master_seed();
 
-  // Two follower daemons register over TCP and get streamed the snapshot.
-  FollowerDaemon f1({std::make_shared<store::MemKvStore>()},
-                    DaemonOptions(server->port()));
-  FollowerDaemon f2({std::make_shared<store::MemKvStore>()},
-                    DaemonOptions(server->port()));
+  // Two follower daemons register over TCP; their empty logs are copied
+  // from the primary's first byte.
+  FollowerDaemon f1({logs.Open("f1")}, DaemonOptions(server->port()));
+  FollowerDaemon f2({logs.Open("f2")}, DaemonOptions(server->port()));
   ASSERT_TRUE(f1.Start(0).ok());
   ASSERT_TRUE(f2.Start(0).ok());
   ASSERT_TRUE(PollUntil(
       [&] {
-        return set->num_remote_followers() == 2 && set->MaxLagOps() == 0 &&
-               set->snapshots_shipped() >= 2;
+        return set->num_remote_followers() == 2 && set->MaxLagBytes() == 0 &&
+               set->full_copies() >= 2;
       },
       30'000))
       << "daemons did not register and catch up";
+  EXPECT_EQ(set->full_copies(), 2u);
+  EXPECT_EQ(f1.full_copies(0), 1u);
+  EXPECT_EQ(f2.full_copies(0), 1u);
 
-  // Catch-up was chunked: strictly more chunk frames than snapshots, and
-  // the daemons saw multiple chunks each — never one full-store frame.
-  EXPECT_GT(set->snapshot_chunks_shipped(), set->snapshots_shipped());
-  EXPECT_GT(f1.snapshot_chunks_received(0), 1u);
-  EXPECT_GT(f2.snapshot_chunks_received(0), 1u);
-
-  // Live op shipping after the snapshot.
+  // Live shipping after the copies.
   ASSERT_TRUE(IngestChunks(owner, *plain, 12, 2).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   int64_t plain_sum = OracleSum(0, 14);
   int64_t witnessed_sum = OracleSum(0, 12);
 
   // Follower daemons serve reads locally while following; writes are
-  // refused. (Chunk counters over the wire too: cluster-info on a daemon
-  // reports the streamed chunks.)
+  // refused. (Copies over the wire too: cluster-info on a daemon reports
+  // the copy it received.)
   {
     auto follower_transport = Dial(f1.port());
     ASSERT_TRUE(follower_transport.ok());
@@ -220,7 +229,7 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
     auto info = net::ClusterInfoResponse::Decode(*info_blob);
     ASSERT_TRUE(info.ok());
     ASSERT_EQ(info->shards.size(), 1u);
-    EXPECT_GT(info->shards[0].snapshot_chunks, 1u);
+    EXPECT_EQ(info->shards[0].full_copies, 1u);
   }
 
   // Capture a witnessed read for byte-identical comparison after failover.
@@ -292,6 +301,8 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   auto extended = promoted_owner.GetStatRange(*plain, {0, 16 * kDelta});
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ(extended->stats.Sum().value(), extended_sum);
+  const std::string winner_log = &winner == &f1 ? "f1" : "f2";
+  const std::string loser_log = &loser == &f1 ? "f1" : "f2";
   ASSERT_TRUE(PollUntil(
       [&] {
         auto survivor_transport = Dial(loser.port());
@@ -305,6 +316,11 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
       },
       30'000))
       << "survivor never converged on the post-failover writes";
+  // The survivor held all of the winner's log and resumed from its length:
+  // its log is a prefix of the winner's, as the winner's was of the dead
+  // primary's.
+  EXPECT_TRUE(logs.IsPrefix(loser_log, winner_log));
+  EXPECT_EQ(loser.full_copies(0), 1u);
 
   // The election left an audit trail: the promoted daemon's event journal
   // (kEventsInfo over the same port clients use) must show the takeover
@@ -343,116 +359,142 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   f2.Stop();
 }
 
-/// A store that fails every write after its first `allowed` ones until the
-/// test releases it: a snapshot stream into it stops, still open, at entry
-/// `allowed`, however fast the shipper runs.
-class WriteGateKvStore final : public store::ForwardingKvStore {
- public:
-  WriteGateKvStore(std::shared_ptr<store::KvStore> inner, uint64_t allowed)
-      : ForwardingKvStore(std::move(inner)), allowed_(allowed) {}
+/// A primary behind a coordinator on a loopback port, holding `chunks`
+/// chunks of one stream, and the daemons' logs beside its own.
+struct Primary {
+  TempLogs logs;
+  std::shared_ptr<store::LogKvStore> log = logs.Open("p");
+  std::shared_ptr<ReplicaSet> set;
+  std::shared_ptr<PrimaryCoordinator> coordinator;
+  std::unique_ptr<net::TcpServer> server;
+  std::shared_ptr<net::Transport> transport;
+  std::unique_ptr<OwnerClient> owner;
+  uint64_t uuid = 0;
 
-  Status Put(const std::string& key, BytesView value) override {
-    TC_RETURN_IF_ERROR(Gate());
-    return ForwardingKvStore::Put(key, value);
+  explicit Primary(uint64_t chunks) {
+    set = MakeSet(log);
+    std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
+    coordinator = std::make_shared<PrimaryCoordinator>(
+        std::make_shared<cluster::ShardRouter>(sets), sets,
+        replica::CoordinatorOptions{});
+    server = std::make_unique<net::TcpServer>(coordinator, 0);
+    EXPECT_TRUE(server->Start().ok());
+    transport = *Dial(server->port());
+    owner = std::make_unique<OwnerClient>(transport);
+    uuid = *owner->CreateStream(HeacConfig("restarts", false));
+    EXPECT_TRUE(IngestChunks(*owner, uuid, 0, chunks).ok());
   }
-  Status Delete(const std::string& key) override {
-    TC_RETURN_IF_ERROR(Gate());
-    return ForwardingKvStore::Delete(key);
-  }
-  Result<size_t> Append(const std::string& key, size_t expected_size,
-                        BytesView suffix) override {
-    TC_RETURN_IF_ERROR(Gate());
-    return ForwardingKvStore::Append(key, expected_size, suffix);
+  ~Primary() { server->Stop(); }
+
+  /// A passive daemon (it never takes over) over log `name`, on `port`.
+  std::unique_ptr<FollowerDaemon> StartDaemon(const std::string& name,
+                                              uint16_t port = 0) {
+    auto options = DaemonOptions(server->port());
+    options.auto_promote = false;
+    auto daemon = std::make_unique<FollowerDaemon>(
+        std::vector<std::shared_ptr<store::LogKvStore>>{logs.Open(name)},
+        options);
+    EXPECT_TRUE(daemon->Start(port).ok());
+    return daemon;
   }
 
-  void Release() { released_.store(true); }
-
- private:
-  Status Gate() {
-    if (released_.load() || writes_.fetch_add(1) < allowed_) {
-      return Status::Ok();
-    }
-    return Unavailable("write gate closed");
+  /// True once `daemon` holds the primary's whole log.
+  bool CaughtUp(const FollowerDaemon& daemon) const {
+    return set->num_remote_followers() == 1 && set->MaxLagBytes() == 0 &&
+           daemon.position(0) == log->Head().position();
   }
 
-  const uint64_t allowed_;
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<bool> released_{false};
+  /// Waits for `daemon` to catch up, then checks what replication keeps:
+  /// its log file is a prefix of the primary's, and a replica read on it
+  /// answers what the primary answers.
+  void ExpectConverged(const FollowerDaemon& daemon, const std::string& name,
+                       uint64_t chunks) {
+    ASSERT_TRUE(PollUntil([&] { return CaughtUp(daemon); }, 30'000))
+        << "daemon never caught up";
+    EXPECT_TRUE(logs.IsPrefix(name, "p"));
+    auto daemon_transport = Dial(daemon.port());
+    ASSERT_TRUE(daemon_transport.ok());
+    OwnerClient reader(*daemon_transport);
+    ASSERT_TRUE(
+        reader.AttachStream(uuid, (*owner->KeysFor(uuid))->master_seed())
+            .ok());
+    auto stats = reader.GetStatRange(uuid, {0, chunks * kDelta});
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, chunks));
+    net::StatRangeRequest req{uuid, {0, chunks * kDelta}};
+    auto on_daemon =
+        (*daemon_transport)->Call(net::MessageType::kGetStatRange, req.Encode());
+    auto on_primary =
+        transport->Call(net::MessageType::kGetStatRange, req.Encode());
+    ASSERT_TRUE(on_daemon.ok() && on_primary.ok());
+    EXPECT_EQ(*on_daemon, *on_primary);
+  }
 };
 
-// The satellite drill: kill a follower daemon mid-snapshot, restart it on
-// the same endpoint over the surviving store, and verify catch-up heals.
-TEST(FollowerDaemonE2E, DaemonKilledMidSnapshotHealsOnRestart) {
-  replica::ReplicaSetOptions set_options;
-  set_options.kv.snapshot_chunk_entries = 1;  // one entry per chunk frame
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
-                              set_options);
-  std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
-  auto router = std::make_shared<cluster::ShardRouter>(sets);
-  auto coordinator = std::make_shared<PrimaryCoordinator>(router, sets,
-                                                          replica::CoordinatorOptions{});
-  net::TcpServer server(coordinator, 0);
-  ASSERT_TRUE(server.Start().ok());
+// A daemon restarting over its own durable log resumes: it is shipped only
+// the bytes the primary wrote while it was down, and nothing is copied.
+TEST(FollowerDaemonE2E, RestartOverItsOwnLogResumesWithoutACopy) {
+  Primary primary(20);
+  auto daemon = primary.StartDaemon("d");
+  uint16_t port = daemon->port();
+  primary.ExpectConverged(*daemon, "d", 20);
+  EXPECT_EQ(primary.set->full_copies(), 1u);  // it started empty
+  const uint64_t held = daemon->position(0).length;
 
-  auto transport = Dial(server.port());
-  ASSERT_TRUE(transport.ok());
-  OwnerClient owner(*transport);
-  auto uuid = owner.CreateStream(HeacConfig("mid-snapshot", false));
-  ASSERT_TRUE(uuid.ok());
-  ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 30).ok());
-
-  // The daemon's store takes the first three snapshot entries, then fails
-  // every write: the one-entry chunk stream stays open, retried by the
-  // shipper, until the test releases the store.
-  auto follower_store = std::make_shared<WriteGateKvStore>(
-      std::make_shared<store::MemKvStore>(), 3);
-  auto options = DaemonOptions(server.port());
-  options.auto_promote = false;  // a passive replica: never takes over
-  auto daemon = std::make_unique<FollowerDaemon>(
-      std::vector<std::shared_ptr<store::KvStore>>{follower_store}, options);
-  ASSERT_TRUE(daemon->Start(0).ok());
-  uint16_t daemon_port = daemon->port();
-  ASSERT_TRUE(PollUntil(
-      [&] { return daemon->snapshot_chunks_received(0) >= 3; }, 30'000))
-      << "snapshot stream never started";
-  ASSERT_TRUE(daemon->snapshot_in_progress(0));
-
-  // Kill it mid-stream. The shipper's in-flight chunk fails; it backs off
-  // and retries against the same endpoint.
   daemon->Stop();
   daemon.reset();
-  follower_store->Release();
-
-  // Restart on the same endpoint over the surviving store. The fresh
-  // applier has no open session, so the re-seed streams from entry 0 and
-  // must converge (the persisted applied seq is still pre-snapshot).
-  auto restarted = std::make_unique<FollowerDaemon>(
-      std::vector<std::shared_ptr<store::KvStore>>{follower_store}, options);
-  ASSERT_TRUE(restarted->Start(daemon_port).ok());
-  ASSERT_TRUE(PollUntil(
-      [&] {
-        return set->MaxLagOps() == 0 && set->num_remote_followers() == 1 &&
-               restarted->applied_seq(0) == set->head_seq() &&
-               set->head_seq() > 0;
-      },
-      30'000))
-      << "restarted daemon never caught up";
-
-  // Converged for real: the daemon serves the same decrypted aggregate.
-  auto daemon_transport = Dial(restarted->port());
-  ASSERT_TRUE(daemon_transport.ok());
-  OwnerClient reader(*daemon_transport);
-  crypto::Key128 seed = (*owner.KeysFor(*uuid))->master_seed();
-  ASSERT_TRUE(reader.AttachStream(*uuid, seed).ok());
-  auto stats = reader.GetStatRange(*uuid, {0, 30 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 30));
-
+  ASSERT_TRUE(IngestChunks(*primary.owner, primary.uuid, 20, 10).ok());
+  const uint64_t shipped_before = ShippedBytes();
+  auto restarted = primary.StartDaemon("d", port);
+  primary.ExpectConverged(*restarted, "d", 30);
+  EXPECT_EQ(primary.set->full_copies(), 1u);
+  EXPECT_EQ(restarted->full_copies(0), 0u);
+  EXPECT_EQ(ShippedBytes() - shipped_before,
+            primary.log->Head().length - held);
   restarted->Stop();
-  server.Stop();
 }
 
+// A daemon restarting over an empty log (its disk was replaced) reports
+// length 0 and is copied from the primary's first byte.
+TEST(FollowerDaemonE2E, RestartOverAnEmptyLogIsCopiedFromTheStart) {
+  Primary primary(20);
+  auto daemon = primary.StartDaemon("d");
+  uint16_t port = daemon->port();
+  primary.ExpectConverged(*daemon, "d", 20);
+  daemon->Stop();
+  daemon.reset();
+
+  auto restarted = primary.StartDaemon("wiped", port);
+  primary.ExpectConverged(*restarted, "wiped", 20);
+  EXPECT_EQ(primary.set->full_copies(), 2u);
+  EXPECT_EQ(restarted->full_copies(0), 1u);
+  EXPECT_EQ(primary.logs.Bytes("wiped"), primary.logs.Bytes("d"));
+  restarted->Stop();
+}
+
+// A daemon killed partway through its first copy holds the frames that
+// landed, a prefix of the primary's log: restarted over it, the copy
+// resumes where it stopped.
+TEST(FollowerDaemonE2E, DaemonKilledMidCopyResumesOnRestart) {
+  Primary primary(30);
+  const store::LogHead head = primary.log->Head();
+  auto landed =
+      primary.log->ReadLog(head.generation.id, 0, head.length / 2);
+  ASSERT_TRUE(landed.ok());
+  ASSERT_GT(landed->size(), 0u);
+  ASSERT_LT(landed->size(), head.length);
+  ASSERT_TRUE(primary.logs.Open("d")->AppendLog({}, *landed).ok());
+
+  auto daemon = primary.StartDaemon("d");
+  primary.ExpectConverged(*daemon, "d", 30);
+  EXPECT_EQ(primary.set->full_copies(), 0u);
+  EXPECT_EQ(daemon->full_copies(0), 0u);
+  daemon->Stop();
+}
+
+
 TEST(FollowerDaemonE2E, HelloHandshakeValidation) {
+  TempLogs logs;
   // A replication-less shard refuses followers with a pointed message.
   auto single = ReplicaSet::Single(std::make_shared<server::ServerEngine>(
       std::make_shared<store::MemKvStore>()));
@@ -469,12 +511,23 @@ TEST(FollowerDaemonE2E, HelloHandshakeValidation) {
                 .code(),
             StatusCode::kFailedPrecondition);
 
-  // Out-of-range shard ids are rejected outright.
-  auto replicated = ReplicaSet::Make(std::make_shared<store::MemKvStore>(),
-                                     {}, {}, {});
+  // A follower speaking another protocol version is refused before the
+  // rest of its hello is read, and told both versions.
+  auto replicated = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> rsets = {replicated};
   auto rrouter = std::make_shared<cluster::ShardRouter>(rsets);
   PrimaryCoordinator rcoordinator(rrouter, rsets, {});
+  hello.version = net::kReplicaProtocolVersion + 1;
+  auto refused =
+      rcoordinator.Handle(net::MessageType::kReplicaHello, hello.Encode());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("version 3"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("version 2"), std::string::npos)
+      << refused.status().ToString();
+  hello.version = net::kReplicaProtocolVersion;
+
+  // Out-of-range shard ids are rejected outright.
   hello.shard = 7;
   EXPECT_EQ(rcoordinator
                 .Handle(net::MessageType::kReplicaHello, hello.Encode())
@@ -516,12 +569,12 @@ TEST(FollowerDaemonE2E, HelloHandshakeValidation) {
   EXPECT_EQ(replicated->num_remote_followers(), 1u);
 }
 
-// Satellite: the follower-daemon process exposes the same Prometheus
-// endpoint as a primary — scrape it after a real snapshot + op-ship cycle
-// and assert the replica apply-path counters actually moved.
+// The follower-daemon process exposes the same Prometheus endpoint as a
+// primary — scrape it after a real copy + shipping cycle and assert the
+// replica apply-path counters actually moved.
 TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
-                              replica::ReplicaSetOptions{});
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator =
@@ -530,8 +583,8 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   net::TcpServer server(coordinator, 0);
   ASSERT_TRUE(server.Start().ok());
 
-  // Real data exists before the daemon registers, so registration must
-  // ship an actual snapshot (not just start op shipping from seq 0).
+  // Real data exists before the daemon registers, so its empty log is
+  // copied with real bytes.
   auto transport = Dial(server.port());
   ASSERT_TRUE(transport.ok());
   OwnerClient owner(*transport);
@@ -539,12 +592,11 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   ASSERT_TRUE(uuid.ok());
   ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 4).ok());
 
-  FollowerDaemon daemon({std::make_shared<store::MemKvStore>()},
-                        DaemonOptions(server.port()));
+  FollowerDaemon daemon({logs.Open("d")}, DaemonOptions(server.port()));
   ASSERT_TRUE(daemon.Start(0).ok());
   ASSERT_TRUE(PollUntil(
       [&] {
-        return set->num_remote_followers() == 1 && set->MaxLagOps() == 0;
+        return set->num_remote_followers() == 1 && set->MaxLagBytes() == 0;
       },
       30'000));
 
@@ -559,21 +611,22 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   // One row per family the replica path must have touched, plus the build
   // stamp every process exports.
   for (const char* row :
-       {"tc_replica_snapshots_total", "tc_replica_ship_batch_ops",
-        "tc_replica_lag_ops", "tc_net_rx_frames_total",
+       {"tc_replica_full_copies_total", "tc_replica_shipped_bytes_total",
+        "tc_replica_frame_bytes", "tc_replica_lag_bytes",
+        "tc_net_rx_frames_total",
         "tc_build_info{version=\"8\",sanitizer=\""}) {
     EXPECT_NE(body.find(row), std::string::npos) << "missing row: " << row;
   }
 
-  // The snapshot counter is a real count, not a registered-but-zero row:
-  // the daemon's registration forced at least one snapshot ship. Anchor
-  // to line start so the match is the sample, not its # HELP line.
-  auto pos = body.find("\ntc_replica_snapshots_total ");
+  // The copy counter is a real count, not a registered-but-zero row: the
+  // daemon's registration forced at least one copy. Anchor to line start
+  // so the match is the sample, not its # HELP line.
+  auto pos = body.find("\ntc_replica_full_copies_total ");
   ASSERT_NE(pos, std::string::npos);
-  double shipped = std::strtod(
-      body.c_str() + pos + std::strlen("\ntc_replica_snapshots_total "),
+  double copies = std::strtod(
+      body.c_str() + pos + std::strlen("\ntc_replica_full_copies_total "),
       nullptr);
-  EXPECT_GE(shipped, 1.0);
+  EXPECT_GE(copies, 1.0);
 
   daemon.Stop();
 }
@@ -582,8 +635,8 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
 // goes dark: the coordinator backs its redials off and keeps failing them,
 // but the journal records the transition, not every failed round.
 TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
-                              replica::ReplicaSetOptions{});
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   replica::CoordinatorOptions coordinator_options;
@@ -597,8 +650,7 @@ TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
   auto journaled = trace::EventJournal::Instance().Snapshot();
   uint64_t first_seq = journaled.empty() ? 0 : journaled.back().seq + 1;
 
-  FollowerDaemon daemon({std::make_shared<store::MemKvStore>()},
-                        DaemonOptions(server.port()));
+  FollowerDaemon daemon({logs.Open("d")}, DaemonOptions(server.port()));
   ASSERT_TRUE(daemon.Start(0).ok());
   ASSERT_TRUE(PollUntil([&] { return set->num_remote_followers() == 1; },
                         30'000));
@@ -629,20 +681,19 @@ TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
 // router's dispatch span, engine spans on two different shards, and the
 // follower daemon's apply span into a single tree — the propagation chain
 // crosses the TCP frame header, the router's scatter executor hop, and the
-// async op-shipping hop.
+// async log-shipping hop.
 TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
   trace::SetSamplePercent(100);
 
   // Two replication-capable shards behind one router, one daemon
   // mirroring both.
+  TempLogs logs;
   server::ServerOptions engine0;
   engine0.shard_id = 0;
   server::ServerOptions engine1;
   engine1.shard_id = 1;
-  auto s0 = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {},
-                             engine0, replica::ReplicaSetOptions{});
-  auto s1 = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {},
-                             engine1, replica::ReplicaSetOptions{});
+  auto s0 = MakeSet(logs.Open("p0"), engine0);
+  auto s1 = MakeSet(logs.Open("p1"), engine1);
   std::vector<std::shared_ptr<ReplicaSet>> sets = {s0, s1};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator =
@@ -650,8 +701,7 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
                                            replica::CoordinatorOptions{});
   net::TcpServer server(coordinator, 0);
   ASSERT_TRUE(server.Start().ok());
-  FollowerDaemon daemon({std::make_shared<store::MemKvStore>(),
-                         std::make_shared<store::MemKvStore>()},
+  FollowerDaemon daemon({logs.Open("d0"), logs.Open("d1")},
                         DaemonOptions(server.port()));
   ASSERT_TRUE(daemon.Start(0).ok());
   ASSERT_TRUE(PollUntil(
@@ -751,7 +801,7 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
     }
   }
   EXPECT_TRUE(apply_shards.count(0) && apply_shards.count(1))
-      << "op shipping did not carry the trace to both follower shards";
+      << "log shipping did not carry the trace to both follower shards";
   EXPECT_GT(applies_with_live_parent, 0u)
       << "no follower apply stitched under a primary-side span";
 

@@ -57,9 +57,8 @@ TEST(Wire, MutationColumnClassifiesEveryMessageType) {
       MessageType::kPutGrant,            MessageType::kRevokeGrant,
       MessageType::kPutEnvelopes,        MessageType::kPutAttestation,
       MessageType::kInsertChunkBatch,
-      MessageType::kReplicaHello,        MessageType::kReplicaSnapshotBegin,
-      MessageType::kReplicaSnapshotChunk, MessageType::kReplicaSnapshotEnd,
-      MessageType::kReplicaHeartbeat,    MessageType::kReplicaOps,
+      MessageType::kReplicaHello,        MessageType::kReplicaHeartbeat,
+      MessageType::kReplicaLog,
   };
   const MessageType reads[] = {
       MessageType::kResponse,       MessageType::kGetRange,
@@ -90,11 +89,14 @@ TEST(Wire, MutationColumnClassifiesEveryMessageType) {
 // type. Bytes with no frame type — the reserved ones and any past the
 // enum — share the "unknown" row and classify as mutations.
 TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
+  // Retired frame types: ingest of one chunk, and replication by ops and
+  // snapshot streams.
+  const std::set<int> kReserved = {3, 22, 23, 25, 26, 27, 29};
   std::set<std::string> names;
   for (const FrameTypeInfo& row : kFrameTypes) {
     std::string name = row.name;
     auto byte = static_cast<int>(row.type);
-    if (byte == 3 || byte == 22 || byte == 23) {
+    if (kReserved.contains(byte)) {
       EXPECT_EQ(name, "unknown");
       continue;
     }
@@ -108,7 +110,7 @@ TEST(Wire, FrameTypeRowsHaveUniqueSnakeCaseNames) {
     }
     EXPECT_NE(name, "unknown") << "type " << byte;
   }
-  for (int byte : {3, 22, 23, 0xEE}) {
+  for (int byte : {3, 22, 23, 25, 26, 27, 29, 0xEE}) {
     auto type = static_cast<MessageType>(byte);
     EXPECT_STREQ(MessageTypeName(type), "unknown") << "byte " << byte;
     EXPECT_TRUE(FrameType(type).mutation) << "byte " << byte;
@@ -251,71 +253,80 @@ TEST(Messages, ReplicaHandshakeRoundTrip) {
   ReplicaHelloRequest hello;
   hello.shard = 3;
   hello.num_shards = 4;
-  hello.applied_seq = 512;
+  hello.generation = 0x1122334455667788ULL;
+  hello.length = 512;
   hello.store_fingerprint = 0xabcdef;
   hello.host = "10.0.0.7";
   hello.port = 4434;
+  // The protocol version leads, so a primary can refuse another layout by
+  // name; then shard, shard count, the log position (generation, length),
+  // the fingerprint, the dial-back host and port.
+  EXPECT_EQ(kReplicaProtocolVersion, 2u);
+  EXPECT_EQ(ToHex(hello.Encode()),
+            "02"
+            "03000000"
+            "04000000"
+            "8877665544332211"
+            "0002000000000000"
+            "efcdab0000000000"
+            "0831302e302e302e37"
+            "52110000");
   auto hback = ReplicaHelloRequest::Decode(hello.Encode());
   ASSERT_TRUE(hback.ok());
+  EXPECT_EQ(hback->version, kReplicaProtocolVersion);
   EXPECT_EQ(hback->shard, 3u);
   EXPECT_EQ(hback->num_shards, 4u);
+  EXPECT_EQ(hback->generation, 0x1122334455667788ULL);
+  EXPECT_EQ(hback->length, 512u);
+  EXPECT_EQ(hback->store_fingerprint, 0xabcdefu);
+  EXPECT_EQ(hback->host, "10.0.0.7");
+  EXPECT_EQ(hback->port, 4434u);
 
   // A shard id outside its own shard count is malformed on its face.
   hello.num_shards = 2;
   EXPECT_EQ(ReplicaHelloRequest::Decode(hello.Encode()).status().code(),
             StatusCode::kInvalidArgument);
-  hello.num_shards = 4;
-  EXPECT_EQ(hback->applied_seq, 512u);
-  EXPECT_EQ(hback->store_fingerprint, 0xabcdefu);
-  EXPECT_EQ(hback->host, "10.0.0.7");
-  EXPECT_EQ(hback->port, 4434u);
 
   ReplicaHelloResponse resp{99, 500};
   auto rback = ReplicaHelloResponse::Decode(resp.Encode());
   ASSERT_TRUE(rback.ok());
-  EXPECT_EQ(rback->head_seq, 99u);
+  EXPECT_EQ(rback->log_end, 99u);
   EXPECT_EQ(rback->heartbeat_ms, 500u);
 
   ReplicaHeartbeatRequest beat;
   beat.shard = 1;
-  beat.head_seq = 77;
+  beat.log_end = 77;
   beat.peers = {{"10.0.0.7", 4434, 70}, {"10.0.0.8", 4435, 77}};
   auto bback = ReplicaHeartbeatRequest::Decode(beat.Encode());
   ASSERT_TRUE(bback.ok());
-  EXPECT_EQ(bback->head_seq, 77u);
+  EXPECT_EQ(bback->log_end, 77u);
   ASSERT_EQ(bback->peers.size(), 2u);
   EXPECT_EQ(bback->peers[1], beat.peers[1]);
 }
 
-TEST(Messages, ReplicaSnapshotStreamRoundTrip) {
-  ReplicaSnapshotBeginRequest begin{2, 0x1d0cULL, 41};
-  auto bback = ReplicaSnapshotBeginRequest::Decode(begin.Encode());
-  ASSERT_TRUE(bback.ok());
-  EXPECT_EQ(bback->shard, 2u);
-  EXPECT_EQ(bback->origin, 0x1d0cULL);
-  EXPECT_EQ(bback->seq, 41u);
+TEST(Messages, ReplicaLogBytesArePinned) {
+  // Shard, the position to write at (generation, offset), then the log's
+  // own bytes, length-prefixed; the ack is the position after.
+  const Bytes records = {0x01, 0x01, 'a', 0x01, 'x'};
+  ReplicaLogRequest frame{2, 0x0102030405060708ULL, 40, records};
+  EXPECT_EQ(ToHex(frame.Encode()),
+            "02000000"
+            "0807060504030201"
+            "2800000000000000"
+            "050101610178");
+  Bytes body = frame.Encode();
+  auto back = ReplicaLogRequest::Decode(body);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->shard, 2u);
+  EXPECT_EQ(back->generation, 0x0102030405060708ULL);
+  EXPECT_EQ(back->offset, 40u);
+  EXPECT_EQ(Bytes(back->records.begin(), back->records.end()), records);
 
-  ReplicaSnapshotChunkRequest chunk;
-  chunk.shard = 2;
-  chunk.seq = 41;
-  chunk.first_index = 16;
-  chunk.entries = {{"chunk/7/0", Bytes{1, 2, 3}}, {"meta/streams", Bytes{9}}};
-  auto cback = ReplicaSnapshotChunkRequest::Decode(chunk.Encode());
-  ASSERT_TRUE(cback.ok());
-  EXPECT_EQ(cback->first_index, 16u);
-  ASSERT_EQ(cback->entries.size(), 2u);
-  EXPECT_EQ(cback->entries[0].first, "chunk/7/0");
-  EXPECT_EQ(cback->entries[0].second, (Bytes{1, 2, 3}));
-
-  ReplicaSnapshotEndRequest end{2, 41, 18};
-  auto eback = ReplicaSnapshotEndRequest::Decode(end.Encode());
-  ASSERT_TRUE(eback.ok());
-  EXPECT_EQ(eback->total_entries, 18u);
-
-  ReplicaSnapshotAckResponse ack{18};
-  auto aback = ReplicaSnapshotAckResponse::Decode(ack.Encode());
+  ReplicaLogAck ack{0x0102030405060708ULL, 45};
+  EXPECT_EQ(ToHex(ack.Encode()), "08070605040302012d00000000000000");
+  auto aback = ReplicaLogAck::Decode(ack.Encode());
   ASSERT_TRUE(aback.ok());
-  EXPECT_EQ(aback->entries, 18u);
+  EXPECT_EQ(aback->length, 45u);
 }
 
 TEST(Messages, ClusterInfoCarriesFailoverHealth) {
@@ -326,11 +337,11 @@ TEST(Messages, ClusterInfoCarriesFailoverHealth) {
   shard.index_bytes = 4096;
   shard.replicas = 2;
   shard.ack_mode = ClusterInfoResponse::kAckQuorum;
-  shard.max_lag_ops = 3;
+  shard.max_lag_bytes = 3;
   shard.remote_followers = 2;
   shard.auto_failover = 1;
   shard.promotions = 1;
-  shard.snapshot_chunks = 640;
+  shard.full_copies = 640;
   shard.store_dead_bytes = 123456;
   shard.store_compactions = 7;
   resp.shards.push_back(shard);
@@ -340,7 +351,7 @@ TEST(Messages, ClusterInfoCarriesFailoverHealth) {
   EXPECT_EQ(back->shards[0].remote_followers, 2u);
   EXPECT_EQ(back->shards[0].auto_failover, 1u);
   EXPECT_EQ(back->shards[0].promotions, 1u);
-  EXPECT_EQ(back->shards[0].snapshot_chunks, 640u);
+  EXPECT_EQ(back->shards[0].full_copies, 640u);
   EXPECT_EQ(back->shards[0].store_dead_bytes, 123456u);
   EXPECT_EQ(back->shards[0].store_compactions, 7u);
 }
@@ -355,7 +366,7 @@ TEST(Messages, MetricsInfoRoundTrip) {
   resp.entries.push_back(counter);
   MetricsInfoResponse::Entry gauge;
   gauge.kind = MetricsInfoResponse::kGauge;
-  gauge.name = "tc_replica_lag_ops";
+  gauge.name = "tc_replica_lag_bytes";
   gauge.labels = "shard=\"3\"";
   gauge.value = -7;  // gauges are signed; the codec must not round-trip
                      // through an unsigned narrowing

@@ -1,15 +1,20 @@
-// Replication layer tests: log shipping must converge followers onto the
-// primary's exact state, quorum acks must mean what they claim, snapshot
-// catch-up must reconverge empty/stale/diverged followers, replica read
-// routing must be invisible to clients, and failover promotion must serve
-// the complete pre-failure stream history in both ack modes.
+// Replication layer tests: a follower's log must stay a byte prefix of its
+// primary's, quorum acks must mean what they claim, a follower must resume
+// from its own length when its log matches the primary's and be copied from
+// the start when it does not, garbage frames must change nothing, replica
+// read routing must be invisible to clients, and failover promotion must
+// serve the complete pre-failure stream history in both ack modes. Every
+// store is a real LogKvStore.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
-#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
-#include <span>
+#include <random>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -20,9 +25,8 @@
 #include "replica/replica_wire.hpp"
 #include "replica/replicated_kv.hpp"
 #include "server/server_engine.hpp"
-#include "store/fault_kv.hpp"
 #include "store/mem_kv.hpp"
-#include "store/prefix_kv.hpp"
+#include "temp_logs.hpp"
 
 namespace tc {
 namespace {
@@ -36,18 +40,15 @@ using replica::ReplicatedKvOptions;
 using replica::ReplicatedKvStore;
 using replica::ReplicaSet;
 using replica::ReplicaSetOptions;
+using store::LogKvStore;
+using store::LogPosition;
+using testing::TempLogs;
 
 constexpr DurationMs kDelta = 10 * kSecond;
 
 std::map<std::string, Bytes> Contents(const store::KvStore& kv) {
   std::map<std::string, Bytes> out;
   EXPECT_TRUE(kv.Scan([&](const std::string& key, BytesView value) {
-                // Follower-local bookkeeping (persisted applied seq) is not
-                // replicated state; convergence compares everything else.
-                if (std::string_view(key).starts_with(
-                        replica::kReplicaMetaPrefix)) {
-                  return;
-                }
                 out.emplace(key, Bytes(value.begin(), value.end()));
               }).ok());
   return out;
@@ -89,89 +90,56 @@ int64_t OracleSum(uint64_t first, uint64_t last) {
   return sum;
 }
 
+/// Plain digests of `chunks` chunks of stream 42, inserted one per request.
+Status InsertPlainChunks(net::RequestHandler& handler, uint64_t first,
+                         uint64_t count) {
+  auto cipher = index::MakePlainCipher(2);
+  for (uint64_t ch = first; ch < first + count; ++ch) {
+    std::vector<uint64_t> fields{ch + 1, 1};
+    TC_ASSIGN_OR_RETURN(Bytes digest, cipher->Encrypt(fields, ch));
+    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
+    TC_RETURN_IF_ERROR(
+        handler.Handle(net::MessageType::kInsertChunkBatch, req.Encode())
+            .status());
+  }
+  return Status::Ok();
+}
+
+std::shared_ptr<ReplicatedKvStore> OpenReplicated(
+    std::shared_ptr<LogKvStore> log, ReplicatedKvOptions options = {}) {
+  auto rkv = ReplicatedKvStore::Open(std::move(log), options);
+  EXPECT_TRUE(rkv.ok()) << rkv.status().ToString();
+  return rkv.ok() ? *rkv : nullptr;
+}
+
+std::shared_ptr<ReplicaSet> MakeSet(
+    std::shared_ptr<LogKvStore> primary,
+    std::vector<std::shared_ptr<LogKvStore>> followers,
+    ReplicaSetOptions options = {}, server::ServerOptions engine = {}) {
+  auto set = ReplicaSet::Make(std::move(primary), std::move(followers),
+                              engine, options);
+  EXPECT_TRUE(set.ok()) << set.status().ToString();
+  return set.ok() ? *set : nullptr;
+}
+
 /// A follower in this process, built the way ReplicaSet builds one: the
-/// shipper reaches an applier over `kv` through the replication frames.
+/// shipper reaches an applier over `log` through kReplicaLog frames.
 std::shared_ptr<replica::Follower> InProcFollower(
-    std::shared_ptr<store::KvStore> kv) {
+    std::shared_ptr<LogKvStore> log) {
   return std::make_shared<replica::RemoteFollower>(
       std::make_shared<net::InProcTransport>(
-          std::make_shared<replica::ReplicaApplier>(std::move(kv))));
+          std::make_shared<replica::ReplicaApplier>(std::move(log))));
 }
 
-// --------------------------------------------------------- ReplicatedKvStore
-
-TEST(ReplicatedKv, ShipsPutsAndDeletesToFollowers) {
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  auto f0 = std::make_shared<store::MemKvStore>();
-  auto f1 = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(InProcFollower(f0));
-  rkv->AddFollower(InProcFollower(f1));
-
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        rkv->Put("k" + std::to_string(i), ToBytes("v" + std::to_string(i)))
-            .ok());
-  }
-  for (int i = 0; i < 50; i += 3) {
-    ASSERT_TRUE(rkv->Delete("k" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-
-  auto expected = Contents(*rkv);
-  EXPECT_FALSE(expected.contains("k0"));
-  EXPECT_TRUE(expected.contains("k1"));
-  EXPECT_EQ(Contents(*f0), expected);
-  EXPECT_EQ(Contents(*f1), expected);
-  EXPECT_EQ(rkv->MaxLagOps(), 0u);
-  EXPECT_EQ(rkv->follower_seq(0), rkv->head_seq());
-}
-
-TEST(ReplicatedKv, SnapshotSeedsEmptyAndReconvergesDivergedFollowers) {
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  ASSERT_TRUE(rkv->Put("a", ToBytes("1")).ok());
-  ASSERT_TRUE(rkv->Put("b", ToBytes("2")).ok());
-
-  // One empty follower, one holding stale garbage (a diverged ex-peer):
-  // registration snapshots both — extra keys go, missing keys arrive.
-  auto empty = std::make_shared<store::MemKvStore>();
-  auto stale = std::make_shared<store::MemKvStore>();
-  ASSERT_TRUE(stale->Put("zombie", ToBytes("boo")).ok());
-  ASSERT_TRUE(stale->Put("a", ToBytes("wrong")).ok());
-  rkv->AddFollower(InProcFollower(empty));
-  rkv->AddFollower(InProcFollower(stale));
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-
-  EXPECT_EQ(Contents(*empty), Contents(*rkv));
-  EXPECT_EQ(Contents(*stale), Contents(*rkv));
-  EXPECT_FALSE(stale->Contains("zombie"));
-  EXPECT_GE(rkv->snapshots_shipped(), 2u);
-}
-
-/// Follower whose application can be held shut (quorum/lag tests).
+/// Follower whose frames can be held shut (quorum and lag tests).
 class GatedFollower final : public replica::Follower {
  public:
-  explicit GatedFollower(std::shared_ptr<store::KvStore> kv)
-      : inner_(InProcFollower(std::move(kv))) {}
+  explicit GatedFollower(std::shared_ptr<LogKvStore> log)
+      : inner_(InProcFollower(std::move(log))) {}
 
-  Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
+  Result<LogPosition> ShipLog(LogPosition at, BytesView records) override {
     if (!open_.load()) return Unavailable("gate closed");
-    return inner_->ApplyOps(ops);
-  }
-  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
-    if (!open_.load()) return Unavailable("gate closed");
-    return inner_->BeginSnapshot(origin, seq);
-  }
-  Status ApplySnapshotChunk(
-      uint64_t seq, uint64_t first_index,
-      std::span<const replica::SnapshotEntry> entries) override {
-    if (!open_.load()) return Unavailable("gate closed");
-    return inner_->ApplySnapshotChunk(seq, first_index, entries);
-  }
-  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
-    if (!open_.load()) return Unavailable("gate closed");
-    return inner_->EndSnapshot(seq, total_entries);
+    return inner_->ShipLog(at, records);
   }
 
   void Open() { open_.store(true); }
@@ -182,32 +150,92 @@ class GatedFollower final : public replica::Follower {
   std::atomic<bool> open_{true};
 };
 
+// --------------------------------------------------------- ReplicatedKvStore
+
+TEST(ReplicatedKv, FollowerLogsAreBytePrefixesOfThePrimarys) {
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  auto f0 = logs.Open("f0");
+  auto f1 = logs.Open("f1");
+  rkv->AddFollower(InProcFollower(f0));
+  rkv->AddFollower(InProcFollower(f1));
+
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        rkv->Put("k" + std::to_string(i), ToBytes("v" + std::to_string(i)))
+            .ok());
+  }
+  ASSERT_TRUE(rkv->Append("k1", 2, ToBytes("+")).ok());
+  for (int i = 0; i < 50; i += 3) {
+    ASSERT_TRUE(rkv->Delete("k" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  ASSERT_TRUE(rkv->Sync().ok());
+
+  auto expected = Contents(*rkv);
+  EXPECT_FALSE(expected.contains("k0"));
+  EXPECT_EQ(ToString(expected.at("k1")), "v1+");
+  EXPECT_EQ(Contents(*f0), expected);
+  EXPECT_EQ(Contents(*f1), expected);
+  // Caught up, the logs are the same bytes; the generation record too.
+  EXPECT_EQ(logs.Bytes("f0"), logs.Bytes("p"));
+  EXPECT_EQ(logs.Bytes("f1"), logs.Bytes("p"));
+  EXPECT_EQ(f0->Head().position(), rkv->log()->Head().position());
+  EXPECT_EQ(rkv->MaxLagBytes(), 0u);
+  EXPECT_EQ(rkv->follower_bytes(0), rkv->log()->Head().length);
+}
+
+TEST(ReplicatedKv, EmptyAndDivergedFollowersAreCopiedFromTheStart) {
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  ASSERT_TRUE(rkv->Put("a", ToBytes("1")).ok());
+  ASSERT_TRUE(rkv->Put("b", ToBytes("2")).ok());
+
+  // One empty follower, one holding another primary's history (a diverged
+  // ex-peer in a generation this log never had): both are copied.
+  auto empty = logs.Open("empty");
+  auto stale = logs.Open("stale");
+  {
+    auto other = OpenReplicated(stale);
+    ASSERT_TRUE(other->Put("zombie", ToBytes("boo")).ok());
+    ASSERT_TRUE(other->Put("a", ToBytes("wrong")).ok());
+  }
+  rkv->AddFollower(InProcFollower(empty));
+  rkv->AddFollower(InProcFollower(stale), stale->Head().position());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+
+  EXPECT_EQ(Contents(*empty), Contents(*rkv));
+  EXPECT_EQ(Contents(*stale), Contents(*rkv));
+  EXPECT_FALSE(stale->Contains("zombie"));
+  EXPECT_TRUE(logs.IsPrefix("stale", "p"));
+  EXPECT_EQ(rkv->full_copies(), 2u);
+}
+
 TEST(ReplicatedKv, QuorumPutReturnsOnlyAfterFollowerHoldsIt) {
+  TempLogs logs;
   ReplicatedKvOptions options;
   options.ack = AckMode::kQuorum;
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>(), options);
-  auto fkv = std::make_shared<store::MemKvStore>();
-  auto gate = std::make_shared<GatedFollower>(fkv);
-  rkv->AddFollower(gate);
+  auto rkv = OpenReplicated(logs.Open("p"), options);
+  auto follower = logs.Open("f");
+  rkv->AddFollower(std::make_shared<GatedFollower>(follower));
 
-  // Gate open: the quorum (primary + 1 of 1 follower) means the follower
-  // must hold every acknowledged write by the time Put returns.
+  // The quorum (primary + 1 of 1 follower) means the follower holds every
+  // acknowledged write by the time Put returns.
   for (int i = 0; i < 10; ++i) {
     std::string key = "q" + std::to_string(i);
     ASSERT_TRUE(rkv->Put(key, ToBytes("v")).ok());
-    EXPECT_TRUE(fkv->Contains(key)) << key;
+    EXPECT_TRUE(follower->Contains(key)) << key;
   }
 }
 
 TEST(ReplicatedKv, QuorumBlocksWhileFollowerIsStuckAndTimesOut) {
+  TempLogs logs;
   ReplicatedKvOptions options;
   options.ack = AckMode::kQuorum;
   options.quorum_timeout_ms = 300;
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>(), options);
-  auto fkv = std::make_shared<store::MemKvStore>();
-  auto gate = std::make_shared<GatedFollower>(fkv);
+  auto rkv = OpenReplicated(logs.Open("p"), options);
+  auto follower = logs.Open("f");
+  auto gate = std::make_shared<GatedFollower>(follower);
   gate->Close();
   rkv->AddFollower(gate);
 
@@ -217,151 +245,394 @@ TEST(ReplicatedKv, QuorumBlocksWhileFollowerIsStuckAndTimesOut) {
   Status s = rkv->Put("k", ToBytes("v"));
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(rkv->Contains("k"));
-  EXPECT_FALSE(fkv->Contains("k"));
+  EXPECT_FALSE(follower->Contains("k"));
   EXPECT_EQ(rkv->follower_error(0).code(), StatusCode::kUnavailable);
 
   // Re-open the gate: the pipeline drains and quorum writes succeed again.
   gate->Open();
   ASSERT_TRUE(rkv->Put("k2", ToBytes("v2")).ok());
-  EXPECT_TRUE(fkv->Contains("k2"));
-  EXPECT_TRUE(fkv->Contains("k"));  // the stalled op shipped too
+  EXPECT_TRUE(follower->Contains("k2"));
+  EXPECT_TRUE(follower->Contains("k"));  // the stalled bytes shipped too
   EXPECT_TRUE(rkv->follower_error(0).ok());  // health cleared on recovery
 }
 
-TEST(ReplicatedKv, FollowerBehindTheLogWindowIsSnapshotFed) {
-  ReplicatedKvOptions options;
-  options.max_log_ops = 8;  // tiny retained window
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>(), options);
-  auto fkv = std::make_shared<store::MemKvStore>();
-  auto gate = std::make_shared<GatedFollower>(fkv);
+TEST(ReplicatedKv, StalledFollowerResumesFromItsLengthWithoutACopy) {
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  auto follower = logs.Open("f");
+  auto gate = std::make_shared<GatedFollower>(follower);
   rkv->AddFollower(gate);
+  ASSERT_TRUE(rkv->Put("seed", ToBytes("x")).ok());
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  uint64_t seeded = rkv->snapshots_shipped();
+  EXPECT_EQ(rkv->full_copies(), 1u);  // it started empty
 
-  // Stall the follower and write far past the window, overwriting the same
-  // keys so streaming the ops and applying the snapshot differ in work but
-  // not in outcome.
+  // However far a follower falls behind, its log is a prefix of the
+  // primary's: it is shipped the difference, never copied again.
   gate->Close();
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(
         rkv->Put("k" + std::to_string(i % 10), ToBytes(std::to_string(i)))
             .ok());
   }
+  EXPECT_GT(rkv->MaxLagBytes(), 0u);
   gate->Open();
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_GT(rkv->snapshots_shipped(), seeded);
-  EXPECT_EQ(Contents(*fkv), Contents(*rkv));
+  EXPECT_EQ(rkv->full_copies(), 1u);
+  EXPECT_EQ(rkv->MaxLagBytes(), 0u);
+  EXPECT_EQ(Contents(*follower), Contents(*rkv));
 }
 
-TEST(ReplicatedKv, SnapshotStreamsInBoundedChunks) {
-  ReplicatedKvOptions options;
-  options.snapshot_chunk_entries = 8;  // force many small chunks
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>(), options);
-  for (int i = 0; i < 100; ++i) {
+/// Records the size of every frame it passes on.
+class FrameRecorder final : public replica::Follower {
+ public:
+  explicit FrameRecorder(std::shared_ptr<LogKvStore> log)
+      : inner_(InProcFollower(std::move(log))) {}
+
+  Result<LogPosition> ShipLog(LogPosition at, BytesView records) override {
+    if (!records.empty()) sizes_.push_back(records.size());
+    return inner_->ShipLog(at, records);
+  }
+
+  /// Read only once the shipper is idle (after WaitCaughtUp).
+  const std::vector<size_t>& sizes() const { return sizes_; }
+
+ private:
+  std::shared_ptr<replica::Follower> inner_;
+  std::vector<size_t> sizes_;
+};
+
+TEST(ReplicatedKv, CatchUpShipsBoundedFramesAndAnOversizedRecordAlone) {
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(rkv->Put("k" + std::to_string(i),
-                         ToBytes("value-" + std::to_string(i)))
+                         Bytes(64 << 10, static_cast<uint8_t>(i)))
                     .ok());
   }
-  auto fkv = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(InProcFollower(fkv));
+  const size_t big = replica::kLogFrameBytes + (512 << 10);
+  ASSERT_TRUE(rkv->Put("big", Bytes(big, 0xb1)).ok());
+  ASSERT_TRUE(rkv->Put("after", ToBytes("tail")).ok());
+  auto follower = logs.Open("f");
+  auto recorder = std::make_shared<FrameRecorder>(follower);
+  rkv->AddFollower(recorder);
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
 
-  // 100 entries at ≤8 per chunk: the stream must have been split, never a
-  // single full-store shipment.
-  EXPECT_GE(rkv->snapshot_chunks_shipped(), 100u / 8u);
-  EXPECT_GE(rkv->snapshots_shipped(), 1u);
-  EXPECT_EQ(Contents(*fkv), Contents(*rkv));
+  // 2.5 MiB of small records in frames of at most 1 MiB, then the record
+  // that is larger than a frame, alone.
+  size_t oversized = 0;
+  for (size_t size : recorder->sizes()) {
+    if (size > replica::kLogFrameBytes) {
+      ++oversized;
+      EXPECT_LT(size, big + 64);  // the record and its header, no more
+    }
+  }
+  EXPECT_EQ(oversized, 1u);
+  EXPECT_GE(recorder->sizes().size(), 4u);
+  EXPECT_EQ(rkv->full_copies(), 1u);
+  EXPECT_EQ(Contents(*follower), Contents(*rkv));
+  EXPECT_TRUE(logs.IsPrefix("f", "p"));
 }
 
-TEST(ReplicaApplier, SnapshotStreamResumesReconvergesAndRejectsGaps) {
-  auto kv = std::make_shared<store::MemKvStore>();
-  ASSERT_TRUE(kv->Put("zombie", ToBytes("stale")).ok());
-  auto applier = std::make_shared<replica::ReplicaApplier>(kv);
-  // Drive the applier's snapshot frames the way a shipper does; the
-  // follower checks every chunk ack against the entries it sent.
-  replica::RemoteFollower stream(
-      std::make_shared<net::InProcTransport>(applier));
+/// Reports a frame as written without passing it on, once, after the
+/// first frame: a follower whose ack cannot be trusted.
+class LyingFollower final : public replica::Follower {
+ public:
+  explicit LyingFollower(std::shared_ptr<LogKvStore> log)
+      : inner_(InProcFollower(std::move(log))) {}
 
-  EXPECT_EQ(stream.BeginSnapshot(/*origin=*/1, 7).value(), 0u);
-  std::vector<replica::SnapshotEntry> first = {{"a", ToBytes("1")},
-                                               {"b", ToBytes("2")}};
-  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 0, first).ok());
+  Result<LogPosition> ShipLog(LogPosition at, BytesView records) override {
+    if (!records.empty() && at.length > 0 && !lied_) {
+      lied_ = true;
+      return LogPosition{at.generation, at.length + records.size()};
+    }
+    return inner_->ShipLog(at, records);
+  }
 
-  // Reconnect mid-stream: a Begin with the same (origin, seq) resumes
-  // where the stream left off instead of restarting.
-  EXPECT_EQ(stream.BeginSnapshot(1, 7).value(), 2u);
-  // A different origin with the same seq (a new primary whose restarted
-  // numbering happens to collide) must NOT resume the stale stream.
-  EXPECT_EQ(stream.BeginSnapshot(2, 7).value(), 0u);
-  EXPECT_EQ(stream.BeginSnapshot(1, 7).value(), 0u);  // ...and it is gone
-  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 0, first).ok());
-  std::vector<replica::SnapshotEntry> second = {{"c", ToBytes("3")}};
-  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 2, second).ok());
+ private:
+  std::shared_ptr<replica::Follower> inner_;
+  bool lied_ = false;  // touched only by the one shipper thread
+};
 
-  // Re-delivered overlap is idempotent (the ack still counts 3 entries);
-  // a gap is rejected.
-  std::vector<replica::SnapshotEntry> overlap = {{"b", ToBytes("2")},
-                                                 {"c", ToBytes("3")}};
-  ASSERT_TRUE(stream.ApplySnapshotChunk(7, 1, overlap).ok());
-  EXPECT_EQ(stream.ApplySnapshotChunk(7, 5, second).code(),
+TEST(ReplicatedKv, AFollowerWhoseLogIsNotWhereItAckedIsPositionedAgain) {
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  auto follower = logs.Open("f");
+  rkv->AddFollower(std::make_shared<LyingFollower>(follower));
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+
+  // One key per frame: the second frame "lands" without reaching the log,
+  // the third is refused at a position the log is not at, and the shipper
+  // asks where the log stands and resumes from there — no copy.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(rkv->Put("k" + std::to_string(i),
+                         ToBytes("v" + std::to_string(i)))
+                    .ok());
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  }
+  ASSERT_TRUE(rkv->Put("last", ToBytes("x")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(Contents(*follower), Contents(*rkv));
+  EXPECT_EQ(rkv->full_copies(), 1u);  // the first, of an empty log
+  EXPECT_TRUE(logs.IsPrefix("f", "p"));
+}
+
+/// Runs `hook` once, as the first frame ships (after the shipper read it).
+class FirstFrameHook final : public replica::Follower {
+ public:
+  FirstFrameHook(std::shared_ptr<LogKvStore> log, std::function<void()> hook)
+      : inner_(InProcFollower(std::move(log))), hook_(std::move(hook)) {}
+
+  Result<LogPosition> ShipLog(LogPosition at, BytesView records) override {
+    if (hook_ && !records.empty()) std::exchange(hook_, nullptr)();
+    return inner_->ShipLog(at, records);
+  }
+
+ private:
+  std::shared_ptr<replica::Follower> inner_;
+  std::function<void()> hook_;
+};
+
+TEST(ReplicatedKv, WritesRacingACopyConvergeAfterOneCopy) {
+  // Ingest keeps appending while a follower is copied: the bytes written
+  // after the copy's first frame was read ship after it, from where it
+  // ended.
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
+  auto follower = logs.Open("f");
+  ReplicatedKvStore* primary = rkv.get();
+  rkv->AddFollower(std::make_shared<FirstFrameHook>(follower, [primary] {
+    EXPECT_TRUE(primary->Append("node", 2, ToBytes("cd")).ok());
+    EXPECT_TRUE(primary->Append("node", 4, ToBytes("ef")).ok());
+  }));
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  ASSERT_TRUE(rkv->Append("node", 6, ToBytes("gh")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(rkv->full_copies(), 1u);
+  EXPECT_EQ(ToString(*follower->Get("node")), "abcdefgh");
+  EXPECT_EQ(Contents(*follower), Contents(*rkv));
+}
+
+TEST(ReplicatedKv, PrimaryRestartThatLostATailCopiesOnlyTheFollowerHoldingIt) {
+  TempLogs logs;
+  uint64_t kept = 0;
+  {
+    auto primary = logs.Open("p");
+    auto rkv = OpenReplicated(primary);
+    rkv->AddFollower(InProcFollower(logs.Open("ahead")));
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(rkv->Put("k" + std::to_string(i), ToBytes("v")).ok());
+    }
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+    ASSERT_TRUE(rkv->Sync().ok());
+    // A follower that stopped here holds a prefix of what survives.
+    kept = primary->Head().length;
+    std::filesystem::copy_file(logs.Path("p"), logs.Path("behind"));
+    for (int i = 10; i < 20; ++i) {
+      ASSERT_TRUE(rkv->Put("k" + std::to_string(i), ToBytes("lost")).ok());
+    }
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  }
+  // The primary comes back without the tail its follower already holds.
+  ASSERT_EQ(::truncate(logs.Path("p").c_str(), static_cast<off_t>(kept)), 0);
+  auto rkv = OpenReplicated(logs.Open("p"));
+  auto ahead = logs.Open("ahead");
+  auto behind = logs.Open("behind");
+  ASSERT_GT(ahead->Head().length, kept);
+  rkv->AddFollower(InProcFollower(ahead), ahead->Head().position());
+  rkv->AddFollower(InProcFollower(behind), behind->Head().position());
+  ASSERT_TRUE(rkv->Put("after", ToBytes("restart")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+
+  // The follower holding the lost tail is past where the new generation
+  // began: it is copied. The one behind resumes.
+  EXPECT_EQ(rkv->full_copies(), 1u);
+  EXPECT_FALSE(ahead->Contains("k15"));
+  EXPECT_EQ(Contents(*ahead), Contents(*rkv));
+  EXPECT_EQ(Contents(*behind), Contents(*rkv));
+  EXPECT_TRUE(logs.IsPrefix("ahead", "p"));
+  EXPECT_TRUE(logs.IsPrefix("behind", "p"));
+}
+
+TEST(ReplicatedKv, PromotionCopiesASurvivorHoldingAnAsyncTail) {
+  // The primary dies after shipping a tail to one follower but not the
+  // other, and the other is promoted (a daemon election can pick it from
+  // a stale view): the survivor's tail is not in the new primary's history.
+  TempLogs logs;
+  auto promoted = logs.Open("promoted");
+  auto survivor = logs.Open("survivor");
+  {
+    auto rkv = OpenReplicated(logs.Open("p"));
+    auto gate = std::make_shared<GatedFollower>(promoted);
+    rkv->AddFollower(gate);
+    rkv->AddFollower(InProcFollower(survivor));
+    ASSERT_TRUE(rkv->Put("k", ToBytes("v")).ok());
+    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+    gate->Close();
+    ASSERT_TRUE(rkv->Put("tail", ToBytes("async")).ok());
+    for (int i = 0; i < 200 && !survivor->Contains("tail"); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(survivor->Contains("tail"));
+  }
+  auto rkv = OpenReplicated(promoted);
+  rkv->AddFollower(InProcFollower(survivor), survivor->Head().position());
+  ASSERT_TRUE(rkv->Put("new", ToBytes("era")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(rkv->full_copies(), 1u);
+  EXPECT_FALSE(survivor->Contains("tail"));
+  EXPECT_EQ(Contents(*survivor), Contents(*rkv));
+  EXPECT_TRUE(logs.IsPrefix("survivor", "promoted"));
+}
+
+TEST(ReplicatedKv, PrimaryCompactionCopiesEveryFollower) {
+  TempLogs logs;
+  auto primary = logs.Open("p");
+  auto rkv = OpenReplicated(primary);
+  rkv->AddFollower(InProcFollower(logs.Open("f0")));
+  rkv->AddFollower(InProcFollower(logs.Open("f1")));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(rkv->Put("k" + std::to_string(i % 20),
+                         Bytes(256, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  EXPECT_EQ(rkv->full_copies(), 2u);
+
+  // A rewritten log starts a generation with no parent: no follower's log
+  // is a prefix of it, so each is copied again from its first byte.
+  ASSERT_TRUE(primary->Compact().ok());
+  EXPECT_EQ(primary->Head().generation.parent, 0u);
+  ASSERT_TRUE(rkv->Put("post", ToBytes("compaction")).ok());
+  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
+  ASSERT_TRUE(rkv->Sync().ok());
+  EXPECT_EQ(rkv->full_copies(), 4u);
+  EXPECT_EQ(logs.Bytes("f0"), logs.Bytes("p"));
+  EXPECT_EQ(logs.Bytes("f1"), logs.Bytes("p"));
+  EXPECT_EQ(Contents(*logs.Open("f0")), Contents(*rkv));
+}
+
+// ------------------------------------------------------------ wire follower
+
+TEST(ReplicaApplier, WritesOnlyAtItsOwnPositionOrFromTheStart) {
+  TempLogs logs;
+  auto source = logs.Open("source");
+  ASSERT_TRUE(source->StartGeneration().ok());
+  ASSERT_TRUE(source->Put("a", ToBytes("1")).ok());
+  const LogPosition first = source->Head().position();
+  ASSERT_TRUE(source->Put("b", ToBytes("2")).ok());
+  const uint64_t gen = source->Head().generation.id;
+  Bytes head = *source->ReadLog(gen, 0, first.length);
+  Bytes rest = *source->ReadLog(gen, first.length, 1 << 20);
+  ASSERT_EQ(head.size(), first.length);
+
+  auto log = logs.Open("f");
+  replica::RemoteFollower follower(std::make_shared<net::InProcTransport>(
+      std::make_shared<replica::ReplicaApplier>(log)));
+  // Empty records ask where the log stands.
+  EXPECT_EQ(*follower.ShipLog({}, {}), (LogPosition{0, 0}));
+  EXPECT_EQ(*follower.ShipLog({}, head), first);
+  // A frame for any other position is refused and writes nothing.
+  EXPECT_EQ(follower.ShipLog({gen, first.length + 1}, rest).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(applier->snapshot_in_progress());
-
-  // End reconciles: keys the stream never named are deleted, and the
-  // applied seq jumps to the snapshot's.
-  ASSERT_TRUE(stream.EndSnapshot(7, 3).ok());
-  EXPECT_FALSE(applier->snapshot_in_progress());
-  EXPECT_EQ(applier->applied_seq(), 7u);
-  EXPECT_FALSE(kv->Contains("zombie"));
-  EXPECT_TRUE(kv->Contains("a"));
-  EXPECT_TRUE(kv->Contains("c"));
-
-  // A different seq is a different stream: no resume.
-  EXPECT_EQ(stream.BeginSnapshot(1, 9).value(), 0u);
-  // And a count mismatch at End fails instead of passing a short stream.
-  ASSERT_TRUE(stream.ApplySnapshotChunk(9, 0, first).ok());
-  EXPECT_EQ(stream.EndSnapshot(9, 5).code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(applier->snapshot_in_progress());
-  EXPECT_EQ(applier->applied_seq(), 7u);
+  EXPECT_EQ(follower.ShipLog({gen + 1, first.length}, rest).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log->Head().position(), first);
+  EXPECT_EQ(*follower.ShipLog(first, rest), source->Head().position());
+  // A frame at length 0 copies from the start over whatever the log held.
+  EXPECT_EQ(*follower.ShipLog({}, head), first);
+  EXPECT_FALSE(log->Contains("b"));
+  EXPECT_EQ(ToString(*log->Get("a")), "1");
 }
 
-TEST(ReplicaApplier, ReadRefreshesAfterAReseedLandsOnTheSameSeq) {
-  // After failover the new primary numbers its ops from 1 again, so a
-  // re-seed can leave the applied seq exactly where it was while the store
-  // changed underneath. The read engine must still refresh.
-  auto applier = std::make_shared<replica::ReplicaApplier>(
-      std::make_shared<store::MemKvStore>());
+TEST(ReplicaApplier, GarbageAndTornFramesChangeNothing) {
+  TempLogs logs;
+  auto source = logs.Open("source");
+  ASSERT_TRUE(source->StartGeneration().ok());
+  std::set<uint64_t> boundaries = {source->Head().length};
+  ASSERT_TRUE(source->Put("node", ToBytes("abc")).ok());
+  boundaries.insert(source->Head().length);
+  ASSERT_TRUE(source->Append("node", 3, ToBytes("def")).ok());
+  const uint64_t gen = source->Head().generation.id;
+  Bytes all = *source->ReadLog(gen, 0, 1 << 20);
+
+  auto log = logs.Open("f");
+  auto applier = std::make_shared<replica::ReplicaApplier>(log);
+  auto ship = [&](uint64_t offset, BytesView records) {
+    return applier
+        ->Handle(net::MessageType::kReplicaLog,
+                 net::ReplicaLogRequest{0, offset == 0 ? 0 : gen, offset,
+                                        records}
+                     .Encode())
+        .status()
+        .code();
+  };
+  ASSERT_EQ(ship(0, BytesView(all).first(all.size() - 4)),
+            StatusCode::kDataLoss);  // stops mid-record
+  ASSERT_TRUE(log->Sync().ok());
+  EXPECT_EQ(logs.Bytes("f"), "");
+  ASSERT_EQ(ship(0, all), StatusCode::kOk);
+  const std::string written = logs.Bytes("f");
+  const LogPosition at = log->Head().position();
+
+  std::vector<uint64_t> whole(boundaries.begin(), boundaries.end());
+  whole.insert(whole.begin(), 0);
+  whole.push_back(all.size());
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 200; ++round) {
+    // Seeded garbage behind a run of whole records (perhaps none), and a
+    // frame cut inside a record: both refused, at the log's own position
+    // and from the start alike, however much of them parsed.
+    Bytes garbage(all.begin(), all.begin() + static_cast<ptrdiff_t>(
+                                                 whole[rng() % whole.size()]));
+    // Where a record's type byte belongs, a byte that is no type.
+    garbage.push_back(static_cast<uint8_t>(4 + rng() % 252));
+    for (size_t n = rng() % 64; n > 0; --n) {
+      garbage.push_back(static_cast<uint8_t>(rng()));
+    }
+    uint64_t cut = 1 + rng() % (all.size() - 1);
+    while (boundaries.contains(cut)) ++cut;  // a cut inside a record
+    Bytes torn(all.begin(), all.begin() + static_cast<ptrdiff_t>(cut));
+    for (uint64_t offset : {uint64_t{0}, at.length}) {
+      EXPECT_EQ(ship(offset, garbage), StatusCode::kDataLoss);
+      EXPECT_EQ(ship(offset, torn), StatusCode::kDataLoss);
+    }
+    ASSERT_TRUE(log->Sync().ok());
+    ASSERT_EQ(logs.Bytes("f"), written);
+  }
+  Bytes orphan;
+  orphan.push_back(3);  // an append record
+  orphan.push_back(4);
+  for (char c : std::string("gone")) orphan.push_back(static_cast<uint8_t>(c));
+  orphan.push_back(1);
+  orphan.push_back('x');
+  EXPECT_EQ(ship(at.length, orphan), StatusCode::kDataLoss);
+  EXPECT_EQ(ship(0, orphan), StatusCode::kDataLoss);
+  ASSERT_TRUE(log->Sync().ok());
+  EXPECT_EQ(logs.Bytes("f"), written);
+  EXPECT_EQ(ToString(*log->Get("node")), "abcdef");
+}
+
+TEST(ReplicaApplier, ReadRefreshesAfterACopyFromTheStart) {
+  // A follower copied from another primary's log in place of what it held:
+  // its read engine must serve the new history.
+  TempLogs logs;
+  auto applier = std::make_shared<replica::ReplicaApplier>(logs.Open("f"));
   replica::RemoteFollower follower(
       std::make_shared<net::InProcTransport>(applier));
-  auto seed = [&](uint64_t origin, uint64_t chunks) {
-    // A primary's store holding one stream of `chunks` chunks, streamed to
-    // the applier as one snapshot at seq 7.
-    auto primary_kv = std::make_shared<store::MemKvStore>();
-    server::ServerEngine primary(primary_kv);
-    net::CreateStreamRequest create{42, PlainConfig("reseeded")};
+  auto seed = [&](const std::string& name, uint64_t chunks) {
+    // A primary's log holding one stream of `chunks` chunks, copied to the
+    // applier from its first byte.
+    auto primary_log = logs.Open(name);
+    ASSERT_TRUE(primary_log->StartGeneration().ok());
+    server::ServerEngine primary(primary_log);
+    net::CreateStreamRequest create{42, PlainConfig("copied")};
     ASSERT_TRUE(
         primary.Handle(net::MessageType::kCreateStream, create.Encode()).ok());
-    auto cipher = index::MakePlainCipher(2);
-    for (uint64_t ch = 0; ch < chunks; ++ch) {
-      std::vector<uint64_t> fields{ch + 1, 1};
-      Bytes digest = *cipher->Encrypt(fields, ch);
-      net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
-      ASSERT_TRUE(
-          primary.Handle(net::MessageType::kInsertChunkBatch, req.Encode())
-              .ok());
-    }
-    std::vector<replica::SnapshotEntry> entries;
-    ASSERT_TRUE(primary_kv
-                    ->Scan([&](const std::string& key, BytesView value) {
-                      entries.emplace_back(key,
-                                           Bytes(value.begin(), value.end()));
-                    })
-                    .ok());
-    ASSERT_EQ(follower.BeginSnapshot(origin, 7).value(), 0u);
-    ASSERT_TRUE(follower.ApplySnapshotChunk(7, 0, entries).ok());
-    ASSERT_TRUE(follower.EndSnapshot(7, entries.size()).ok());
+    ASSERT_TRUE(InsertPlainChunks(primary, 0, chunks).ok());
+    Bytes all =
+        *primary_log->ReadLog(primary_log->Head().generation.id, 0, 1 << 20);
+    ASSERT_TRUE(follower.ShipLog({}, all).ok());
   };
   auto replica_chunks = [&] {
     net::StreamInfoRequest req{42};
@@ -370,52 +641,53 @@ TEST(ReplicaApplier, ReadRefreshesAfterAReseedLandsOnTheSameSeq) {
     return resp.ok() ? net::StreamInfoResponse::Decode(*resp)->num_chunks : 0;
   };
 
-  seed(/*origin=*/1, 4);
+  seed("p1", 4);
   EXPECT_EQ(replica_chunks(), 4u);
-  seed(/*origin=*/2, 6);
-  EXPECT_EQ(applier->applied_seq(), 7u);
+  seed("p2", 6);
   EXPECT_EQ(replica_chunks(), 6u);
+  EXPECT_EQ(applier->full_copies(), 2u);
 }
 
-// ------------------------------------------------------------ wire follower
-
 TEST(ReplicaWire, RemoteFollowerConvergesThroughApplier) {
-  // Follower node: an applier over its local store, reachable through a
+  // Follower node: an applier over its local log, reachable through a
   // transport — the multi-process deployment shape, in-proc here.
-  auto follower_kv = std::make_shared<store::MemKvStore>();
-  ASSERT_TRUE(follower_kv->Put("stale", ToBytes("x")).ok());
-  auto applier = std::make_shared<replica::ReplicaApplier>(follower_kv);
+  TempLogs logs;
+  auto follower_log = logs.Open("f");
+  ASSERT_TRUE(follower_log->Put("stale", ToBytes("x")).ok());
+  auto applier = std::make_shared<replica::ReplicaApplier>(follower_log);
   auto transport = std::make_shared<net::InProcTransport>(applier);
 
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
+  auto rkv = OpenReplicated(logs.Open("p"));
   ASSERT_TRUE(rkv->Put("pre", ToBytes("1")).ok());
-  rkv->AddFollower(std::make_shared<replica::RemoteFollower>(transport));
+  rkv->AddFollower(std::make_shared<replica::RemoteFollower>(transport),
+                   follower_log->Head().position());
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(rkv->Put("k" + std::to_string(i), ToBytes("v")).ok());
   }
   ASSERT_TRUE(rkv->Delete("k7").ok());
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
 
-  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
-  EXPECT_FALSE(follower_kv->Contains("stale"));
-  EXPECT_EQ(applier->applied_seq(), rkv->head_seq());
+  EXPECT_EQ(Contents(*follower_log), Contents(*rkv));
+  EXPECT_FALSE(follower_log->Contains("stale"));
+  EXPECT_EQ(applier->position(), rkv->log()->Head().position());
 
-  // Re-delivered prefixes are idempotent at the applier.
-  net::ReplicaOpsRequest replay;
-  replay.first_seq = 1;
-  replay.ops.push_back({net::kReplicaOpPut, "pre", ToBytes("1")});
-  auto ack = applier->Handle(net::MessageType::kReplicaOps, replay.Encode());
-  ASSERT_TRUE(ack.ok());
-  EXPECT_EQ(net::ReplicaAckResponse::Decode(*ack)->applied_seq,
-            rkv->head_seq());
+  // A frame shipped again (a retry after a lost ack) is at a position the
+  // log has left: refused, nothing written.
+  const uint64_t gen = rkv->log()->Head().generation.id;
+  Bytes again = *rkv->log()->ReadLog(gen, 0, 1 << 20);
+  net::ReplicaLogRequest replay{0, gen, 1, again};
+  EXPECT_EQ(applier->Handle(net::MessageType::kReplicaLog, replay.Encode())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(applier->position(), rkv->log()->Head().position());
 
   // A follower endpoint is not a serving engine.
   EXPECT_FALSE(applier->Handle(net::MessageType::kGetStatRange, {}).ok());
 }
 
 /// Transport handler whose target can be swapped — the in-proc stand-in
-/// for a follower daemon dying and coming back empty on the same endpoint.
+/// for a follower daemon restarting on the same endpoint.
 class SwappableHandler final : public net::RequestHandler {
  public:
   explicit SwappableHandler(std::shared_ptr<net::RequestHandler> inner)
@@ -440,281 +712,36 @@ class SwappableHandler final : public net::RequestHandler {
   std::shared_ptr<net::RequestHandler> inner_;
 };
 
-TEST(ReplicaWire, FollowerRestartGapTriggersReseed) {
-  auto kv1 = std::make_shared<store::MemKvStore>();
-  auto applier1 = std::make_shared<replica::ReplicaApplier>(kv1);
-  auto swap = std::make_shared<SwappableHandler>(applier1);
-
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
+TEST(ReplicaWire, FollowerRestartOverAnEmptyLogIsCopiedFromTheStart) {
+  TempLogs logs;
+  auto swap = std::make_shared<SwappableHandler>(
+      std::make_shared<replica::ReplicaApplier>(logs.Open("f1")));
+  auto rkv = OpenReplicated(logs.Open("p"));
   rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
       std::make_shared<net::InProcTransport>(swap)));
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(rkv->Put("k" + std::to_string(i), ToBytes("v")).ok());
   }
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_EQ(Contents(*kv1), Contents(*rkv));
-  uint64_t seeded = rkv->snapshots_shipped();
+  EXPECT_EQ(rkv->full_copies(), 1u);
 
-  // The follower process "restarts" with an empty store: shipping the next
-  // op run would silently graft a suffix onto missing history. The applier
-  // must reject the gap and the shipper must re-seed with a snapshot.
-  auto kv2 = std::make_shared<store::MemKvStore>();
-  swap->Swap(std::make_shared<replica::ReplicaApplier>(kv2));
+  // The follower process "restarts" over an empty log: the next frame is
+  // for a position it is not at, the shipper asks, and copies it.
+  auto f2 = logs.Open("f2");
+  swap->Swap(std::make_shared<replica::ReplicaApplier>(f2));
   for (int i = 10; i < 20; ++i) {
     ASSERT_TRUE(rkv->Put("k" + std::to_string(i), ToBytes("v")).ok());
   }
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_GT(rkv->snapshots_shipped(), seeded);
-  EXPECT_EQ(Contents(*kv2), Contents(*rkv));
-}
-
-/// Forwards to the applier and records the kind of every shipped op.
-class OpKindRecorder final : public net::RequestHandler {
- public:
-  explicit OpKindRecorder(std::shared_ptr<net::RequestHandler> inner)
-      : inner_(std::move(inner)) {}
-
-  Result<Bytes> Handle(net::MessageType type, BytesView body) override {
-    if (type == net::MessageType::kReplicaOps) {
-      auto req = net::ReplicaOpsRequest::Decode(body);
-      if (req.ok()) {
-        std::lock_guard lock(mu_);
-        for (const auto& op : req->ops) kinds_.push_back(op.kind);
-      }
-    }
-    return inner_->Handle(type, body);
-  }
-
-  std::vector<uint8_t> kinds() {
-    std::lock_guard lock(mu_);
-    return kinds_;
-  }
-
- private:
-  std::shared_ptr<net::RequestHandler> inner_;
-  std::mutex mu_;
-  std::vector<uint8_t> kinds_;
-};
-
-TEST(ReplicaWire, AppendsShipAsSuffixesAndDivergedFollowersReseed) {
-  auto follower_kv = std::make_shared<store::MemKvStore>();
-  auto applier = std::make_shared<replica::ReplicaApplier>(follower_kv);
-  auto recorder = std::make_shared<OpKindRecorder>(applier);
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
-      std::make_shared<net::InProcTransport>(recorder)));
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-
-  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
-  auto grown = rkv->Append("node", 2, ToBytes("cd"));
-  ASSERT_TRUE(grown.ok());
-  EXPECT_EQ(*grown, 4u);
-  // A mismatched append fails at the primary and is never shipped.
-  EXPECT_EQ(rkv->Append("node", 2, ToBytes("xx")).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
-  EXPECT_EQ(recorder->kinds(),
-            (std::vector<uint8_t>{net::kReplicaOpPut, net::kReplicaOpAppend}));
-
-  // The applier checks the prior length like the primary did: an append
-  // that does not fit the follower's value is refused, not grafted on.
-  net::ReplicaOpsRequest misfit;
-  misfit.first_seq = applier->applied_seq() + 1;
-  misfit.ops.push_back({net::kReplicaOpAppend, "node", ToBytes("zz"), 9});
-  EXPECT_EQ(applier->Handle(net::MessageType::kReplicaOps, misfit.Encode())
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcd");
-
-  // A follower whose copy diverged fails the next shipped append and is
-  // re-seeded to the primary's state.
-  uint64_t seeded = rkv->snapshots_shipped();
-  ASSERT_TRUE(follower_kv->Put("node", ToBytes("a")).ok());
-  ASSERT_TRUE(rkv->Append("node", 4, ToBytes("ef")).ok());
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_GT(rkv->snapshots_shipped(), seeded);
-  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdef");
-  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
-}
-
-TEST(ReplicatedKv, InProcFollowerAppliesAndReseedsOnAppendMismatch) {
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  auto follower = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(InProcFollower(follower));
-  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
-  ASSERT_TRUE(rkv->Append("node", 2, ToBytes("cd")).ok());
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_EQ(ToString(*follower->Get("node")), "abcd");
-
-  uint64_t seeded = rkv->snapshots_shipped();
-  ASSERT_TRUE(follower->Delete("node").ok());  // diverge: base value gone
-  ASSERT_TRUE(rkv->Append("node", 4, ToBytes("ef")).ok());
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_GT(rkv->snapshots_shipped(), seeded);
-  EXPECT_EQ(Contents(*follower), Contents(*rkv));
-}
-
-/// Acks the first op shipment after the initial snapshot without passing
-/// it on: a shipment lost after the follower acknowledged it.
-class LossyFollower final : public replica::Follower {
- public:
-  explicit LossyFollower(std::shared_ptr<replica::Follower> inner)
-      : inner_(std::move(inner)) {}
-
-  Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
-    if (seeded_ && !lost_) {
-      lost_ = true;
-      return Status::Ok();
-    }
-    return inner_->ApplyOps(ops);
-  }
-  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
-    return inner_->BeginSnapshot(origin, seq);
-  }
-  Status ApplySnapshotChunk(
-      uint64_t seq, uint64_t first_index,
-      std::span<const replica::SnapshotEntry> entries) override {
-    return inner_->ApplySnapshotChunk(seq, first_index, entries);
-  }
-  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
-    Status s = inner_->EndSnapshot(seq, total_entries);
-    if (s.ok()) seeded_ = true;
-    return s;
-  }
-
- private:
-  std::shared_ptr<replica::Follower> inner_;
-  // Touched only by the one shipper thread.
-  bool seeded_ = false;
-  bool lost_ = false;
-};
-
-TEST(ReplicatedKv, InProcFollowerCatchesAnAckedButLostShipment) {
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  auto fkv = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(std::make_shared<LossyFollower>(InProcFollower(fkv)));
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-
-  // One key per shipment: the first vanishes after its ack, and the next
-  // arrives past a sequence gap the applier must refuse.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(rkv->Put("k" + std::to_string(i),
-                         ToBytes("v" + std::to_string(i)))
-                    .ok());
-    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  }
-  EXPECT_EQ(Contents(*fkv), Contents(*rkv));
-  EXPECT_TRUE(fkv->Contains("k0"));
-  // The registration snapshot, then the re-seed the gap forced.
-  EXPECT_EQ(rkv->snapshots_shipped(), 2u);
-}
-
-TEST(ReplicaApplier, ReDeliveredAppendsAreSkippedAndMisfitsRejected) {
-  auto kv = std::make_shared<store::MemKvStore>();
-  ASSERT_TRUE(kv->Put("node", ToBytes("ab")).ok());
-  replica::ReplicaApplier applier(kv);
-  auto ship = [&](uint64_t first_seq,
-                  std::vector<net::ReplicaOpsRequest::Op> ops) {
-    net::ReplicaOpsRequest req;
-    req.first_seq = first_seq;
-    req.ops = std::move(ops);
-    return applier.Handle(net::MessageType::kReplicaOps, req.Encode())
-        .status()
-        .code();
-  };
-  auto append = [](std::string key, std::string_view suffix, uint64_t at) {
-    return net::ReplicaOpsRequest::Op{net::kReplicaOpAppend, std::move(key),
-                                      ToBytes(suffix), at};
-  };
-  // A batch that failed after its first op is shipped again whole.
-  EXPECT_EQ(ship(1, {append("node", "cd", 2)}), StatusCode::kOk);
-  EXPECT_EQ(ship(1, {append("node", "cd", 2), append("node", "ef", 4)}),
-            StatusCode::kOk);
-  EXPECT_EQ(ship(1, {append("node", "cd", 2), append("node", "ef", 4)}),
-            StatusCode::kOk);
-  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
-  EXPECT_EQ(applier.applied_seq(), 2u);
-
-  // An append the store already holds at its offset (a snapshot read the
-  // value after the append landed) is recognised by its bytes and skipped.
-  EXPECT_EQ(ship(3, {append("node", "ef", 4)}), StatusCode::kOk);
-  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
-
-  // An append that does not match the bytes at its offset is a divergence.
-  EXPECT_EQ(ship(4, {append("node", "cx", 2)}),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ship(4, {append("node", "efgh", 4)}),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ship(4, {append("node", "x", 9)}),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ship(4, {append("gone", "x", 0)}),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ToString(*kv->Get("node")), "abcdef");
-  EXPECT_EQ(applier.applied_seq(), 3u);
-}
-
-/// Runs `hook` once, as the first snapshot stream opens (after the shipper
-/// pinned its seq and listed the keys, before it reads any value).
-class SnapshotHookFollower final : public replica::Follower {
- public:
-  SnapshotHookFollower(std::shared_ptr<replica::Follower> inner,
-                       std::function<void()> hook)
-      : inner_(std::move(inner)), hook_(std::move(hook)) {}
-
-  Status ApplyOps(std::span<const replica::LoggedOp> ops) override {
-    return inner_->ApplyOps(ops);
-  }
-  Result<uint64_t> BeginSnapshot(uint64_t origin, uint64_t seq) override {
-    if (hook_) std::exchange(hook_, nullptr)();
-    return inner_->BeginSnapshot(origin, seq);
-  }
-  Status ApplySnapshotChunk(
-      uint64_t seq, uint64_t first_index,
-      std::span<const replica::SnapshotEntry> entries) override {
-    return inner_->ApplySnapshotChunk(seq, first_index, entries);
-  }
-  Status EndSnapshot(uint64_t seq, uint64_t total_entries) override {
-    return inner_->EndSnapshot(seq, total_entries);
-  }
-
- private:
-  std::shared_ptr<replica::Follower> inner_;
-  std::function<void()> hook_;
-};
-
-TEST(ReplicatedKv, AppendsRacingASnapshotConvergeAfterOneSnapshot) {
-  // Ingest keeps appending while a follower is seeded, so the snapshot can
-  // carry appends newer than its pinned seq, and those are shipped again
-  // afterwards. The follower must skip them, not fail their length check
-  // and re-seed (which under steady ingest would repeat forever).
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  ASSERT_TRUE(rkv->Put("node", ToBytes("ab")).ok());
-  auto follower_kv = std::make_shared<store::MemKvStore>();
-  ReplicatedKvStore* primary = rkv.get();
-  rkv->AddFollower(std::make_shared<SnapshotHookFollower>(
-      InProcFollower(follower_kv), [primary] {
-        EXPECT_TRUE(primary->Append("node", 2, ToBytes("cd")).ok());
-        EXPECT_TRUE(primary->Append("node", 4, ToBytes("ef")).ok());
-      }));
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  ASSERT_TRUE(rkv->Append("node", 6, ToBytes("gh")).ok());
-  ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_EQ(rkv->snapshots_shipped(), 1u);
-  EXPECT_EQ(ToString(*follower_kv->Get("node")), "abcdefgh");
-  EXPECT_EQ(Contents(*follower_kv), Contents(*rkv));
+  EXPECT_EQ(rkv->full_copies(), 2u);
+  EXPECT_EQ(Contents(*f2), Contents(*rkv));
+  EXPECT_TRUE(logs.IsPrefix("f2", "p"));
 }
 
 // --------------------------------------------------------------- ReplicaSet
 
 struct ReplicatedCluster {
-  std::shared_ptr<store::MemKvStore> backend;
+  TempLogs logs;
   std::vector<std::shared_ptr<ReplicaSet>> sets;
   std::shared_ptr<ShardRouter> router;
   std::shared_ptr<net::InProcTransport> transport;
@@ -725,39 +752,36 @@ struct ReplicatedCluster {
   }
 };
 
-ReplicatedCluster MakeReplicatedCluster(size_t shards, size_t replicas,
-                                        AckMode ack,
-                                        uint64_t max_read_lag_ops = 0) {
-  ReplicatedCluster c;
-  c.backend = std::make_shared<store::MemKvStore>();
+std::unique_ptr<ReplicatedCluster> MakeReplicatedCluster(
+    size_t shards, size_t replicas, AckMode ack,
+    uint64_t max_read_lag_bytes = 0) {
+  auto c = std::make_unique<ReplicatedCluster>();
   for (size_t i = 0; i < shards; ++i) {
-    auto primary = std::make_shared<store::PrefixKvStore>(
-        c.backend, "s" + std::to_string(i) + "/");
-    std::vector<std::shared_ptr<store::KvStore>> followers;
+    std::string shard = "s" + std::to_string(i);
+    std::vector<std::shared_ptr<LogKvStore>> followers;
     for (size_t j = 0; j < replicas; ++j) {
-      followers.push_back(std::make_shared<store::PrefixKvStore>(
-          c.backend, "s" + std::to_string(i) + "r" + std::to_string(j) + "/"));
+      followers.push_back(c->logs.Open(shard + "r" + std::to_string(j)));
     }
     server::ServerOptions engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
     ReplicaSetOptions options;
     options.kv.ack = ack;
-    options.max_read_lag_ops = max_read_lag_ops;
-    c.sets.push_back(ReplicaSet::Make(std::move(primary), std::move(followers),
-                                      engine_options, options));
+    options.max_read_lag_bytes = max_read_lag_bytes;
+    c->sets.push_back(MakeSet(c->logs.Open(shard), std::move(followers),
+                              options, engine_options));
   }
-  c.router = std::make_shared<ShardRouter>(c.sets);
-  c.transport = std::make_shared<net::InProcTransport>(c.router);
+  c->router = std::make_shared<ShardRouter>(c->sets);
+  c->transport = std::make_shared<net::InProcTransport>(c->router);
   return c;
 }
 
 TEST(ReplicaSet, ReadsAreServedByReplicasAndMatchThePrimary) {
   auto c = MakeReplicatedCluster(2, 2, AckMode::kAsync);
-  OwnerClient owner(c.transport);
+  OwnerClient owner(c->transport);
   auto uuid = owner.CreateStream(HeacConfig("replicated"));
   ASSERT_TRUE(uuid.ok());
   ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 12).ok());
-  ASSERT_TRUE(c.WaitCaughtUp().ok());
+  ASSERT_TRUE(c->WaitCaughtUp().ok());
 
   for (int round = 0; round < 6; ++round) {
     auto stats = owner.GetStatRange(*uuid, {0, 12 * kDelta});
@@ -767,7 +791,8 @@ TEST(ReplicaSet, ReadsAreServedByReplicasAndMatchThePrimary) {
     ASSERT_TRUE(points.ok()) << points.status().ToString();
     EXPECT_EQ(points->size(), 15u);
   }
-  auto& set = c.sets[c.router->ShardOf(*uuid)];
+  size_t shard = c->router->ShardOf(*uuid);
+  auto& set = c->sets[shard];
   EXPECT_GT(set->replica_reads(), 0u);
   // Caught-up replicas answer everything; the primary is never consulted.
   EXPECT_EQ(set->primary_reads(), 0u);
@@ -777,46 +802,46 @@ TEST(ReplicaSet, ReadsAreServedByReplicasAndMatchThePrimary) {
   auto fresh = owner.CreateStream(HeacConfig("late"));
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(IngestChunks(owner, *fresh, 0, 4).ok());
-  ASSERT_TRUE(c.WaitCaughtUp().ok());
+  ASSERT_TRUE(c->WaitCaughtUp().ok());
   auto stats = owner.GetStatRange(*fresh, {0, 4 * kDelta});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 4));
+  for (size_t i = 0; i < 2; ++i) {
+    std::string name = "s" + std::to_string(i);
+    EXPECT_TRUE(c->logs.IsPrefix(name + "r0", name));
+    EXPECT_TRUE(c->logs.IsPrefix(name + "r1", name));
+  }
 }
 
 TEST(ReplicaSet, LaggingReplicaIsSkippedUntilCaughtUp) {
-  // Followers over hard-failing stores cannot apply anything: every read
-  // must fall back to the primary rather than serve a stale replica.
-  auto backend = std::make_shared<store::MemKvStore>();
-  auto primary = std::make_shared<store::PrefixKvStore>(backend, "p/");
-  store::FaultOptions fault;
-  fault.fail_all = true;
-  auto fault_kv = std::make_shared<store::FaultKvStore>(
-      std::make_shared<store::PrefixKvStore>(backend, "r0/"), fault);
-  auto set = ReplicaSet::Make(primary, {fault_kv}, {}, {});
+  // A directory where the follower's copy file would go fails every copy,
+  // as a full disk would: the follower never catches up, and every read
+  // falls back to the primary rather than serve a stale replica.
+  TempLogs logs;
+  auto follower = logs.Open("r0");
+  std::filesystem::create_directory(logs.Path("r0") + ".copy");
+  auto set = MakeSet(logs.Open("p"), {follower});
 
   net::CreateStreamRequest create{42, PlainConfig("lagging")};
   ASSERT_TRUE(
       set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
-  auto cipher = index::MakePlainCipher(2);
-  for (uint64_t ch = 0; ch < 4; ++ch) {
-    std::vector<uint64_t> fields{ch + 1, 1};
-    Bytes digest = *cipher->Encrypt(fields, ch);
-    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
-    ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
-  }
+  ASSERT_TRUE(InsertPlainChunks(*set, 0, 4).ok());
   net::StatRangeRequest stat{42, {0, 4 * kDelta}};
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(set->replica_reads(), 0u);
   EXPECT_GT(set->primary_reads(), 0u);
+  EXPECT_GT(set->MaxLagBytes(), 0u);
 
-  // Heal the follower: once caught up, it serves.
-  fault_kv->SetFailAll(false);
+  // Heal the follower's disk: once caught up, it serves the same answer.
+  std::filesystem::remove(logs.Path("r0") + ".copy");
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  auto replica = set->HandleRead(net::MessageType::kGetStatRange,
+                                 stat.Encode());
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
   EXPECT_GT(set->replica_reads(), 0u);
+  EXPECT_EQ(*replica, *resp);
+  EXPECT_TRUE(logs.IsPrefix("r0", "p"));
 }
 
 TEST(ReplicaSet, WitnessedReadsServeFromReplicas) {
@@ -825,7 +850,8 @@ TEST(ReplicaSet, WitnessedReadsServeFromReplicas) {
   config.integrity = true;
   net::CreateStreamRequest create{7, config};
   ASSERT_TRUE(
-      c.transport->Call(net::MessageType::kCreateStream, create.Encode()).ok());
+      c->transport->Call(net::MessageType::kCreateStream, create.Encode())
+          .ok());
   auto cipher = index::MakePlainCipher(2);
   for (uint64_t ch = 0; ch < 6; ++ch) {
     std::vector<uint64_t> fields{ch, 1};
@@ -833,23 +859,23 @@ TEST(ReplicaSet, WitnessedReadsServeFromReplicas) {
     Bytes payload = ToBytes("sealed" + std::to_string(ch));
     net::InsertChunkBatchRequest req{7, {{ch, digest, payload}}};
     ASSERT_TRUE(
-        c.transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
+        c->transport->Call(net::MessageType::kInsertChunkBatch, req.Encode())
             .ok());
   }
-  ASSERT_TRUE(c.WaitCaughtUp().ok());
+  ASSERT_TRUE(c->WaitCaughtUp().ok());
 
   // Proof-less bulk witnessed read (at_size = 0) must come back identical
   // from the replica path and the primary engine directly.
   net::GetChunkWitnessedRequest req{7, 0, 6, 0};
   auto via_router =
-      c.transport->Call(net::MessageType::kGetChunkWitnessed, req.Encode());
+      c->transport->Call(net::MessageType::kGetChunkWitnessed, req.Encode());
   ASSERT_TRUE(via_router.ok()) << via_router.status().ToString();
   auto via_primary =
-      c.sets[0]->primary()->Handle(net::MessageType::kGetChunkWitnessed,
-                                   req.Encode());
+      c->sets[0]->primary()->Handle(net::MessageType::kGetChunkWitnessed,
+                                    req.Encode());
   ASSERT_TRUE(via_primary.ok());
   EXPECT_EQ(*via_router, *via_primary);
-  EXPECT_GT(c.sets[0]->replica_reads(), 0u);
+  EXPECT_GT(c->sets[0]->replica_reads(), 0u);
 }
 
 TEST(ReplicaSet, RejectedDuplicateInsertDoesNotClobberStoredPayload) {
@@ -892,7 +918,7 @@ TEST(ReplicaSet, RejectedDuplicateInsertDoesNotClobberStoredPayload) {
 
 void RunFailoverDrill(AckMode ack) {
   auto c = MakeReplicatedCluster(2, 2, ack);
-  OwnerClient owner(c.transport);
+  OwnerClient owner(c->transport);
   Principal alice{"alice", crypto::GenerateBoxKeyPair()};
 
   std::vector<uint64_t> uuids;
@@ -917,15 +943,15 @@ void RunFailoverDrill(AckMode ack) {
   // Async mode only guarantees what has shipped; drain before the "crash"
   // (quorum mode guarantees acked writes survive by construction, but the
   // drill drops BOTH shards' primaries, so drain regardless).
-  ASSERT_TRUE(c.WaitCaughtUp().ok());
+  ASSERT_TRUE(c->WaitCaughtUp().ok());
 
   // Drop every shard's primary. Writes must fail; replica reads survive.
   // (The failed write is probed at the wire so the owner's client-side
   // retry buffer stays empty for the post-promotion ingest below.)
-  for (auto& set : c.sets) ASSERT_TRUE(set->DropPrimary().ok());
+  for (auto& set : c->sets) ASSERT_TRUE(set->DropPrimary().ok());
   const Bytes probe_digest = ToBytes("digest");
   net::InsertChunkBatchRequest probe{uuids[0], {{10, probe_digest, {}}}};
-  EXPECT_EQ(c.transport
+  EXPECT_EQ(c->transport
                 ->Call(net::MessageType::kInsertChunkBatch, probe.Encode())
                 .status()
                 .code(),
@@ -939,15 +965,17 @@ void RunFailoverDrill(AckMode ack) {
 
   // Promote. The complete pre-failure history must be served: chunk
   // counts, raw range reads, and decrypted statistical sums identical.
-  for (auto& set : c.sets) {
+  for (auto& set : c->sets) {
     ASSERT_TRUE(set->Promote().ok());
     EXPECT_EQ(set->promotions(), 1u);
     EXPECT_EQ(set->num_replicas(), 1u);  // one follower became primary
+    // The survivor held all of the promoted log: it resumed, no copy.
+    EXPECT_EQ(set->full_copies(), 0u);
   }
   for (size_t s = 0; s < uuids.size(); ++s) {
     net::StreamInfoRequest info_req{uuids[s]};
-    auto info_blob = c.transport->Call(net::MessageType::kGetStreamInfo,
-                                       info_req.Encode());
+    auto info_blob = c->transport->Call(net::MessageType::kGetStreamInfo,
+                                        info_req.Encode());
     ASSERT_TRUE(info_blob.ok()) << info_blob.status().ToString();
     EXPECT_EQ(net::StreamInfoResponse::Decode(*info_blob)->num_chunks, 10u);
 
@@ -961,7 +989,7 @@ void RunFailoverDrill(AckMode ack) {
 
   // Grants survived too (the promoted engine recovered key-store state):
   // the consumer fetches and decrypts through the new primaries.
-  ConsumerClient consumer(c.transport, alice);
+  ConsumerClient consumer(c->transport, alice);
   auto n = consumer.FetchGrants();
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, 4);
@@ -969,12 +997,18 @@ void RunFailoverDrill(AckMode ack) {
   ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
   EXPECT_EQ(consumed->stats.Sum().value(), sums[1]);
 
-  // The promoted primaries accept new writes, replicated to the survivor.
+  // The promoted primaries accept new writes, replicated to the survivor,
+  // whose log is a prefix of the promoted one's.
   ASSERT_TRUE(IngestChunks(owner, uuids[0], 10, 2).ok());
-  ASSERT_TRUE(c.WaitCaughtUp().ok());
+  ASSERT_TRUE(c->WaitCaughtUp().ok());
   auto extended = owner.GetStatRange(uuids[0], {0, 12 * kDelta});
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ(extended->stats.Sum().value(), OracleSum(0, 12));
+  for (int s = 0; s < 2; ++s) {
+    std::string r0 = "s" + std::to_string(s) + "r0";
+    std::string r1 = "s" + std::to_string(s) + "r1";
+    EXPECT_TRUE(c->logs.IsPrefix(r0, r1) || c->logs.IsPrefix(r1, r0));
+  }
 }
 
 TEST(Failover, PromotedFollowerServesFullHistoryAsync) {
@@ -988,39 +1022,29 @@ TEST(Failover, PromotedFollowerServesFullHistoryQuorum) {
 TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   // Heartbeat probes against a primary store that starts failing must trip
   // the miss threshold and run the drop+promote sequence without any
-  // operator call — PR 3's manual drill, automated.
-  auto backend = std::make_shared<store::MemKvStore>();
-  store::FaultOptions fault;
-  auto fault_kv = std::make_shared<store::FaultKvStore>(
-      std::make_shared<store::PrefixKvStore>(backend, "p/"), fault);
-  std::vector<std::shared_ptr<store::KvStore>> followers = {
-      std::make_shared<store::PrefixKvStore>(backend, "r0/"),
-      std::make_shared<store::PrefixKvStore>(backend, "r1/")};
+  // operator call.
+  TempLogs logs;
+  auto primary = logs.Open("p");
+  ASSERT_TRUE(cluster::BindShardMeta(*primary, 0, 1).ok());
   ReplicaSetOptions options;
   options.failover.auto_failover = true;
   options.failover.heartbeat_interval_ms = 20;
   options.failover.miss_threshold = 2;
-  auto set = ReplicaSet::Make(fault_kv, followers, {}, options);
+  auto set = MakeSet(primary, {logs.Open("r0"), logs.Open("r1")}, options);
 
   net::CreateStreamRequest create{42, PlainConfig("auto")};
   ASSERT_TRUE(
       set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
-  auto cipher = index::MakePlainCipher(2);
-  for (uint64_t ch = 0; ch < 6; ++ch) {
-    std::vector<uint64_t> fields{ch + 1, 1};
-    Bytes digest = *cipher->Encrypt(fields, ch);
-    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
-    ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
-  }
+  ASSERT_TRUE(InsertPlainChunks(*set, 0, 6).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(set->promotions(), 0u);
   EXPECT_TRUE(set->auto_failover());
 
-  // Kill the primary's store. The monitor must notice and promote. Poll
-  // the auto_failovers counter — it is the last thing the monitor bumps,
-  // so promotions() is settled once it reads 1.
-  fault_kv->SetFailAll(true);
+  // The primary's disk loses its log: the probe's read of the shard layout
+  // fails. The monitor must notice and promote. Poll the auto_failovers
+  // counter — it is the last thing the monitor bumps, so promotions() is
+  // settled once it reads 1.
+  ASSERT_EQ(::truncate(logs.Path("p").c_str(), 0), 0);
   for (int i = 0; i < 200 && set->auto_failovers() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
@@ -1032,102 +1056,87 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   net::StatRangeRequest stat{42, {0, 6 * kDelta}};
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  std::vector<uint64_t> next{7, 1};
-  const Bytes next_digest = *cipher->Encrypt(next, 6);
-  net::InsertChunkBatchRequest more{42, {{6, next_digest, {}}}};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kInsertChunkBatch, more.Encode()).ok());
+  ASSERT_TRUE(InsertPlainChunks(*set, 6, 1).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
+  EXPECT_TRUE(logs.IsPrefix("r0", "r1") || logs.IsPrefix("r1", "r0"));
 }
 
 TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
-  auto backend = std::make_shared<store::MemKvStore>();
-  auto primary = std::make_shared<store::PrefixKvStore>(backend, "p/");
-  auto local = std::make_shared<store::PrefixKvStore>(backend, "l/");
-  auto set = ReplicaSet::Make(primary, {local}, {}, {});
+  TempLogs logs;
+  auto local = logs.Open("l");
+  auto set = MakeSet(logs.Open("p"), {local});
 
   // A socket follower, in-proc: applier behind a transport.
-  auto remote_kv = std::make_shared<store::MemKvStore>();
-  auto applier = std::make_shared<replica::ReplicaApplier>(remote_kv);
-  ASSERT_TRUE(set->AddRemoteFollower(
-                     std::make_shared<replica::RemoteFollower>(
-                         std::make_shared<net::InProcTransport>(applier)),
-                     "127.0.0.1:7001")
-                  .ok());
+  auto remote_log = logs.Open("remote");
+  auto applier = std::make_shared<replica::ReplicaApplier>(remote_log);
+  auto remote = [&] {
+    return std::make_shared<replica::RemoteFollower>(
+        std::make_shared<net::InProcTransport>(applier));
+  };
+  ASSERT_TRUE(
+      set->AddRemoteFollower(remote(), "127.0.0.1:7001", applier->position())
+          .ok());
   // Duplicate registration (daemon restart) must not double-ship.
-  EXPECT_EQ(set->AddRemoteFollower(
-                   std::make_shared<replica::RemoteFollower>(
-                       std::make_shared<net::InProcTransport>(applier)),
-                   "127.0.0.1:7001")
-                .code(),
-            StatusCode::kAlreadyExists);
+  EXPECT_EQ(
+      set->AddRemoteFollower(remote(), "127.0.0.1:7001", applier->position())
+          .code(),
+      StatusCode::kAlreadyExists);
   EXPECT_EQ(set->num_remote_followers(), 1u);
 
   net::CreateStreamRequest create{42, PlainConfig("rehome")};
   ASSERT_TRUE(
       set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
-  auto cipher = index::MakePlainCipher(2);
-  for (uint64_t ch = 0; ch < 4; ++ch) {
-    std::vector<uint64_t> fields{ch + 1, 1};
-    Bytes digest = *cipher->Encrypt(fields, ch);
-    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
-    ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
-  }
+  ASSERT_TRUE(InsertPlainChunks(*set, 0, 4).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  EXPECT_GT(applier->applied_seq(), 0u);
+  EXPECT_GT(applier->position().length, 0u);
 
-  // Failover: the remote follower must keep following the promoted
-  // primary (fresh sequence numbering adopted through the re-seed).
+  // Failover: the remote follower keeps following the promoted primary,
+  // resuming from its own length.
   ASSERT_TRUE(set->DropPrimary().ok());
   ASSERT_TRUE(set->Promote().ok());
   EXPECT_EQ(set->num_remote_followers(), 1u);
-  for (uint64_t ch = 4; ch < 8; ++ch) {
-    std::vector<uint64_t> fields{ch + 1, 1};
-    Bytes digest = *cipher->Encrypt(fields, ch);
-    net::InsertChunkBatchRequest req{42, {{ch, digest, {}}}};
-    ASSERT_TRUE(
-        set->Handle(net::MessageType::kInsertChunkBatch, req.Encode()).ok());
-  }
+  ASSERT_TRUE(InsertPlainChunks(*set, 4, 4).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  EXPECT_EQ(Contents(*remote_kv), Contents(*local));
+  EXPECT_EQ(set->full_copies(), 0u);
+  EXPECT_EQ(Contents(*remote_log), Contents(*local));
+  EXPECT_TRUE(logs.IsPrefix("remote", "l"));
 }
 
-TEST(Failover, QuiescentReHelloForcesReseed) {
-  // A wiped follower re-registering on a shard with no write traffic: the
-  // gap detector never fires (nothing ships), so the reconcile path must
-  // force the snapshot itself or the primary would count an empty store
-  // as fully caught up forever.
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(), {}, {},
-                              {});
-  auto kv1 = std::make_shared<store::MemKvStore>();
-  auto applier1 = std::make_shared<replica::ReplicaApplier>(kv1);
-  auto swap = std::make_shared<SwappableHandler>(applier1);
-  ASSERT_TRUE(set->AddRemoteFollower(
-                     std::make_shared<replica::RemoteFollower>(
-                         std::make_shared<net::InProcTransport>(swap)),
-                     "127.0.0.1:7002")
-                  .ok());
+TEST(Failover, QuiescentReRegistrationOverAWipedLogCopiesIt) {
+  // A wiped follower registering again on a shard with no write traffic:
+  // nothing ships to show the shipper its log is gone, so the position the
+  // follower reports must.
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"), {});
+  auto f1 = logs.Open("f1");
+  auto swap = std::make_shared<SwappableHandler>(
+      std::make_shared<replica::ReplicaApplier>(f1));
+  auto remote = std::make_shared<replica::RemoteFollower>(
+      std::make_shared<net::InProcTransport>(swap));
+  ASSERT_TRUE(set->AddRemoteFollower(remote, "127.0.0.1:7002", {}).ok());
   net::CreateStreamRequest create{42, PlainConfig("quiescent")};
   ASSERT_TRUE(
       set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  EXPECT_GT(kv1->Size(), 0u);
-  uint64_t seeded = set->snapshots_shipped();
+  EXPECT_GT(f1->Size(), 0u);
+  EXPECT_EQ(set->full_copies(), 1u);
 
-  // "Restart" the follower with an empty store; it re-hellos claiming
-  // applied_seq 0. No writes follow — reconciliation alone must re-seed.
-  auto kv2 = std::make_shared<store::MemKvStore>();
-  swap->Swap(std::make_shared<replica::ReplicaApplier>(kv2));
-  set->ReconcileRemoteFollower("127.0.0.1:7002", 0);
+  // "Restart" the follower over an empty log; it registers again at (0, 0).
+  // No writes follow — the reported position alone must bring the copy.
+  auto f2 = logs.Open("f2");
+  swap->Swap(std::make_shared<replica::ReplicaApplier>(f2));
+  EXPECT_EQ(set->AddRemoteFollower(remote, "127.0.0.1:7002", {}).code(),
+            StatusCode::kAlreadyExists);
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  EXPECT_GT(set->snapshots_shipped(), seeded);
-  EXPECT_EQ(Contents(*kv2), Contents(*kv1));
-  // An honest claim (already at the recorded seq) must NOT churn.
-  uint64_t settled = set->snapshots_shipped();
-  set->ReconcileRemoteFollower("127.0.0.1:7002", set->head_seq());
+  EXPECT_EQ(set->full_copies(), 2u);
+  EXPECT_EQ(Contents(*f2), Contents(*f1));
+  // An honest report (where the shipper left it) must not churn.
+  EXPECT_EQ(set->AddRemoteFollower(remote, "127.0.0.1:7002",
+                                   f2->Head().position())
+                .code(),
+            StatusCode::kAlreadyExists);
   ASSERT_TRUE(set->WaitCaughtUp().ok());
-  EXPECT_EQ(set->snapshots_shipped(), settled);
+  EXPECT_EQ(set->full_copies(), 2u);
 }
 
 TEST(Failover, DropAndPromoteGuardrails) {
@@ -1136,8 +1145,8 @@ TEST(Failover, DropAndPromoteGuardrails) {
   EXPECT_EQ(single->DropPrimary().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(single->Promote().code(), StatusCode::kFailedPrecondition);
 
-  auto set = ReplicaSet::Make(std::make_shared<store::MemKvStore>(),
-                              {std::make_shared<store::MemKvStore>()}, {}, {});
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"), {logs.Open("r")});
   EXPECT_EQ(set->Promote().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(set->DropPrimary().ok());
   EXPECT_EQ(set->DropPrimary().code(), StatusCode::kFailedPrecondition);
@@ -1166,14 +1175,14 @@ TEST(ShardMeta, BindPersistsAndRejectsLayoutChanges) {
 TEST(ShardMeta, MetaKeyReplicatesWithTheShard) {
   // Binding through the replicated store ships the layout to followers, so
   // a promoted follower refuses a wrong --shards just like the original.
-  auto rkv = std::make_shared<ReplicatedKvStore>(
-      std::make_shared<store::MemKvStore>());
-  auto fkv = std::make_shared<store::MemKvStore>();
-  rkv->AddFollower(InProcFollower(fkv));
+  TempLogs logs;
+  auto rkv = OpenReplicated(logs.Open("p"));
+  auto follower = logs.Open("f");
+  rkv->AddFollower(InProcFollower(follower));
   ASSERT_TRUE(cluster::BindShardMeta(*rkv, 0, 2).ok());
   ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-  EXPECT_TRUE(cluster::BindShardMeta(*fkv, 0, 2).ok());
-  EXPECT_EQ(cluster::BindShardMeta(*fkv, 0, 3).code(),
+  EXPECT_TRUE(cluster::BindShardMeta(*follower, 0, 2).ok());
+  EXPECT_EQ(cluster::BindShardMeta(*follower, 0, 3).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -1189,27 +1198,6 @@ TEST(ShardMeta, BytesArePinned) {
           .ok());
   EXPECT_EQ(cluster::BindShardMeta(truncated, 2, 4).code(),
             StatusCode::kDataLoss);
-}
-
-// ---------------------------------------------------- applied-seq marker
-
-TEST(AppliedSeqMarker, BytesArePinnedAndABadMarkerStartsOver) {
-  // The follower's applied seq, a little-endian u64 under the replica-meta
-  // prefix, read back when an applier opens the store.
-  const std::string key = std::string(replica::kReplicaMetaPrefix) + "applied";
-  auto kv = std::make_shared<store::MemKvStore>();
-  replica::ReplicaApplier applier(kv);
-  net::ReplicaOpsRequest ops;
-  ops.first_seq = 1;
-  ops.ops.push_back({net::kReplicaOpPut, "k1", ToBytes("v1")});
-  ops.ops.push_back({net::kReplicaOpPut, "k2", ToBytes("v2")});
-  ASSERT_TRUE(
-      applier.Handle(net::MessageType::kReplicaOps, ops.Encode()).ok());
-  EXPECT_EQ(ToHex(kv->Get(key).value()), "0200000000000000");
-  EXPECT_EQ(replica::ReplicaApplier(kv).applied_seq(), 2u);
-
-  ASSERT_TRUE(kv->Put(key, FromHex("020000").value()).ok());  // truncated
-  EXPECT_EQ(replica::ReplicaApplier(kv).applied_seq(), 0u);
 }
 
 }  // namespace

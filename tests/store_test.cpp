@@ -1,8 +1,9 @@
 // Storage substrate tests: sharded in-memory KV, file-backed log KV with
 // restart/compaction, the Append contract across stores, decorators and
-// the cache, prefix views, byte-budget LRU cache, latency decorator,
-// Scan interactions with replication catch-up, a differential test of the
-// log store against the in-memory one, and the log store's heap per key.
+// the cache, prefix views, byte-budget LRU cache, latency decorator, the
+// log's generations and record shipping under compaction, a differential
+// test of the log store against the in-memory one, and the log store's
+// heap per key.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -377,64 +378,129 @@ TEST(PrefixKvTest, ScanExcludesLexicalNeighborsOfThePrefix) {
                                {"", "empty-key"}, {"inside", "yes"}}));
 }
 
-TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
+TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
   // A primary log full of dead bytes compacts while a follower is being
-  // seeded and streamed to: the snapshot Scan and Compact serialize on the
-  // store's mutex, so the follower must converge to the exact live set no
-  // matter how the two interleave — and survive its own reopen.
+  // copied and shipped to: each compaction starts a generation the
+  // follower's log is no prefix of, so it is copied again, and it ends with
+  // the primary's exact bytes — and replays to the same state.
   auto follower_path = path_.string() + ".follower";
   std::filesystem::remove(follower_path);
-  // The follower's applier keeps its applied seq under this key; the rest
-  // of its store is the primary's, byte for byte.
-  auto replicated = [](const KvStore& kv) {
-    auto contents = ScanAll(kv);
-    EXPECT_EQ(contents.erase(std::string(replica::kReplicaMetaPrefix) +
-                             "applied"),
-              1u);
-    return contents;
-  };
   {
-    auto primary = LogKvStore::Open(path_.string());
-    ASSERT_TRUE(primary.ok());
-    LogKvStore* primary_raw = primary->get();
-    auto rkv = std::make_shared<replica::ReplicatedKvStore>(
-        std::shared_ptr<KvStore>(std::move(*primary)));
+    auto opened = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(opened.ok());
+    std::shared_ptr<LogKvStore> primary = std::move(*opened);
+    auto rkv = replica::ReplicatedKvStore::Open(primary);
+    ASSERT_TRUE(rkv.ok());
     // Churn: overwrites and deletes accumulate dead bytes pre-attach.
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(rkv->Put("k" + std::to_string(i % 20),
-                           Bytes(256, static_cast<uint8_t>(i)))
+      ASSERT_TRUE((*rkv)->Put("k" + std::to_string(i % 20),
+                              Bytes(256, static_cast<uint8_t>(i)))
                       .ok());
     }
-    ASSERT_TRUE(rkv->Delete("k0").ok());
-    EXPECT_GT(primary_raw->DeadBytes(), 0u);
+    ASSERT_TRUE((*rkv)->Delete("k0").ok());
+    EXPECT_GT(primary->DeadBytes(), 0u);
 
     auto follower = LogKvStore::Open(follower_path);
     ASSERT_TRUE(follower.ok());
-    std::shared_ptr<KvStore> follower_kv = std::move(*follower);
-    rkv->AddFollower(std::make_shared<replica::RemoteFollower>(
+    std::shared_ptr<LogKvStore> follower_log = std::move(*follower);
+    (*rkv)->AddFollower(std::make_shared<replica::RemoteFollower>(
         std::make_shared<net::InProcTransport>(
-            std::make_shared<replica::ReplicaApplier>(follower_kv))));
-    // Compact mid-catch-up, then keep churning so streaming continues past
-    // the snapshot.
-    ASSERT_TRUE(primary_raw->Compact().ok());
+            std::make_shared<replica::ReplicaApplier>(follower_log))));
+    // Compact mid-catch-up, then keep churning so shipping continues past
+    // it.
+    ASSERT_TRUE(primary->Compact().ok());
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(rkv->Put("post" + std::to_string(i % 5),
-                           Bytes(64, static_cast<uint8_t>(i)))
+      ASSERT_TRUE((*rkv)->Put("post" + std::to_string(i % 5),
+                              Bytes(64, static_cast<uint8_t>(i)))
                       .ok());
     }
-    ASSERT_TRUE(primary_raw->Compact().ok());
-    ASSERT_TRUE(rkv->WaitCaughtUp().ok());
-    EXPECT_EQ(replicated(*follower_kv), ScanAll(*rkv));
+    ASSERT_TRUE(primary->Compact().ok());
+    ASSERT_TRUE((*rkv)->Put("last", ToBytes("x")).ok());
+    ASSERT_TRUE((*rkv)->WaitCaughtUp().ok());
+    ASSERT_TRUE(primary->Sync().ok());
+    EXPECT_EQ(ScanAll(*follower_log), ScanAll(**rkv));
+    EXPECT_EQ(follower_log->Head().position(), primary->Head().position());
   }
+  auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(bytes(follower_path), bytes(path_.string()));
   // The follower's own log replays to the same state.
   {
     auto reopened = LogKvStore::Open(follower_path);
     ASSERT_TRUE(reopened.ok());
     auto primary = LogKvStore::Open(path_.string());
     ASSERT_TRUE(primary.ok());
-    EXPECT_EQ(replicated(**reopened), ScanAll(**primary));
+    EXPECT_EQ(ScanAll(**reopened), ScanAll(**primary));
+    EXPECT_EQ((*reopened)->Head().position(), (*primary)->Head().position());
   }
   std::filesystem::remove(follower_path);
+}
+
+TEST_F(LogKvTest, GenerationRecordIsAnOrdinaryPut) {
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->Put("a", ToBytes("xy")).ok());
+  EXPECT_EQ((*kv)->Head().generation.id, 0u);  // no replication opened it
+  const uint64_t begin = (*kv)->Head().length;
+  ASSERT_TRUE((*kv)->StartGeneration().ok());
+  const LogGeneration first = (*kv)->Head().generation;
+  EXPECT_NE(first.id, 0u);
+  EXPECT_EQ(first.parent, 0u);
+  EXPECT_EQ(first.begin, begin);
+  ASSERT_TRUE((*kv)->Sync().ok());
+  {
+    // A put of kGenerationKey: the id, then the parent, as little-endian
+    // u64s. Any build replays it.
+    std::ifstream in(path_, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    BinaryWriter id;
+    id.PutU64(first.id);
+    EXPECT_EQ(ToHex(ToBytes(bytes.substr(begin))),
+              "0113" + ToHex(ToBytes("meta/log/generation")) + "10" +
+                  ToHex(id.data()) + "0000000000000000");
+  }
+  // The next generation names this one as its parent, and a reopen finds
+  // the last one.
+  ASSERT_TRUE((*kv)->StartGeneration().ok());
+  const LogGeneration second = (*kv)->Head().generation;
+  EXPECT_EQ(second.parent, first.id);
+  ASSERT_TRUE((*kv)->Sync().ok());
+  kv->reset();
+  kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ((*kv)->Head().generation.id, second.id);
+  EXPECT_EQ((*kv)->Head().generation.parent, first.id);
+  EXPECT_EQ((*kv)->Head().generation.begin, second.begin);
+  // A compaction rewrites the history: a new generation with no parent.
+  ASSERT_TRUE((*kv)->Compact().ok());
+  EXPECT_NE((*kv)->Head().generation.id, second.id);
+  EXPECT_EQ((*kv)->Head().generation.parent, 0u);
+  EXPECT_EQ(ToString(*(*kv)->Get("a")), "xy");
+}
+
+TEST_F(LogKvTest, ReadLogHandsOutWholeRecordsOfOneGeneration) {
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->StartGeneration().ok());
+  const uint64_t start = (*kv)->Head().length;
+  ASSERT_TRUE((*kv)->Put("a", Bytes(100, 1)).ok());
+  const uint64_t second = (*kv)->Head().length;
+  ASSERT_TRUE((*kv)->Put("b", Bytes(100, 2)).ok());
+  const LogHead head = (*kv)->Head();
+  const uint64_t gen = head.generation.id;
+  // Records that fit; the first alone when it does not; none at the end.
+  EXPECT_EQ((*kv)->ReadLog(gen, start, 150)->size(), second - start);
+  EXPECT_EQ((*kv)->ReadLog(gen, start, 10)->size(), second - start);
+  EXPECT_EQ((*kv)->ReadLog(gen, start, 1 << 20)->size(), head.length - start);
+  EXPECT_TRUE((*kv)->ReadLog(gen, head.length, 1 << 20)->empty());
+  EXPECT_EQ((*kv)->ReadLog(gen, head.length + 1, 10).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*kv)->ReadLog(gen + 1, start, 10).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(LatencyKvTest, DelegatesAndCounts) {
@@ -1185,10 +1251,6 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
        [](auto inner) {
          return std::make_shared<LatencyKvStore>(inner,
                                                  std::chrono::microseconds(0));
-       }},
-      {"replicated",
-       [](auto inner) {
-         return std::make_shared<replica::ReplicatedKvStore>(inner);
        }},
   };
   for (const auto& d : decorators) {

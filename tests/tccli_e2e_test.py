@@ -121,14 +121,17 @@ def check_operator_commands(cli, state_dir, uuid, workdir):
 
     # Replica acks are asynchronous: the follower may still be applying
     # the tail of the ingest.
-    caught_up = "1 of 1 shard(s) replicated, worst lag 0 op(s)"
+    caught_up = "1 of 1 shard(s) replicated, worst lag 0 byte(s)"
     out = poll(lambda: cli.run(state_dir, "replica-info"),
                lambda out: caught_up in out)
     check(caught_up in out, "replica-info: " + out)
 
-    # The replica was seeded by a snapshot stream when it registered.
+    # The replica started empty, so its log was copied from the primary's
+    # first byte: one full copy, also in replica-info's row.
+    check(re.search(r"^ +0 +1 +0  async +0 +1 ", out, re.M),
+          "replica-info: " + out)
     out = cli.run(state_dir, "metrics")
-    match = re.search(r"^tc_replica_snapshots_total +(\d+)$", out, re.M)
+    match = re.search(r"^tc_replica_full_copies_total +(\d+)$", out, re.M)
     check(match and int(match.group(1)) >= 1, "metrics: " + out)
 
     out = cli.run(state_dir, "traces")
@@ -143,11 +146,10 @@ def check_operator_commands(cli, state_dir, uuid, workdir):
           "no trace holds a replica_apply span")
 
     out = cli.run(state_dir, "events")
-    check(re.search(r" snapshot_stream_begin ", out), "events: " + out)
+    check(re.search(r" log_copy ", out), "events: " + out)
     with open(workdir / "events.jsonl") as log:
         kinds = {json.loads(line)["kind"] for line in log}
-    check({"snapshot_stream_begin", "snapshot_stream_end"} <= kinds,
-          "event log kinds: %s" % sorted(kinds))
+    check("log_copy" in kinds, "event log kinds: %s" % sorted(kinds))
 
 
 def check_bad_ports(tccli, port, state_dir):

@@ -9,6 +9,8 @@
 #include <string_view>
 
 #include "client/grants.hpp"
+#include "common/io.hpp"
+#include "common/varint.hpp"
 #include "crypto/rand.hpp"
 #include "net/messages.hpp"
 #include "net/wire.hpp"
@@ -88,24 +90,10 @@ std::vector<NamedDecoder> AllDecoders() {
        [](BytesView in) { return InsertChunkBatchRequest::Decode(in).ok(); }},
       {"ClusterInfoResponse",
        [](BytesView in) { return ClusterInfoResponse::Decode(in).ok(); }},
-      {"ReplicaOps",
-       [](BytesView in) { return ReplicaOpsRequest::Decode(in).ok(); }},
-      {"ReplicaSnapshotBegin",
-       [](BytesView in) {
-         return ReplicaSnapshotBeginRequest::Decode(in).ok();
-       }},
-      {"ReplicaSnapshotChunk",
-       [](BytesView in) {
-         return ReplicaSnapshotChunkRequest::Decode(in).ok();
-       }},
-      {"ReplicaSnapshotEnd",
-       [](BytesView in) { return ReplicaSnapshotEndRequest::Decode(in).ok(); }},
-      {"ReplicaSnapshotAck",
-       [](BytesView in) {
-         return ReplicaSnapshotAckResponse::Decode(in).ok();
-       }},
-      {"ReplicaAck",
-       [](BytesView in) { return ReplicaAckResponse::Decode(in).ok(); }},
+      {"ReplicaLog",
+       [](BytesView in) { return ReplicaLogRequest::Decode(in).ok(); }},
+      {"ReplicaLogAck",
+       [](BytesView in) { return ReplicaLogAck::Decode(in).ok(); }},
       {"ReplicaHello",
        [](BytesView in) { return ReplicaHelloRequest::Decode(in).ok(); }},
       {"ReplicaHelloResponse",
@@ -230,31 +218,17 @@ std::vector<Sample> ValidEncodings() {
   cluster.shards.push_back({0, 3, 4096, 2, ClusterInfoResponse::kAckQuorum, 5});
   cluster.shards.push_back({1, 2, 2048});
   out.push_back(Of("ClusterInfoResponse", kResponse, cluster));
-  ReplicaOpsRequest rops;
-  rops.shard = 2;
-  rops.first_seq = 12;
-  rops.ops.push_back({kReplicaOpPut, "chunk/7/0", ToBytes("sealed")});
-  rops.ops.push_back({kReplicaOpDelete, "chunk/7/1", {}});
-  rops.ops.push_back({kReplicaOpAppend, "s/L0/3", ToBytes("entry"), 40});
-  out.push_back(Of("ReplicaOps", kReplicaOps, rops));
-  out.push_back(Of("ReplicaSnapshotBegin", kReplicaSnapshotBegin,
-                   ReplicaSnapshotBeginRequest{2, 0x0effULL, 13}));
-  ReplicaSnapshotChunkRequest chunk;
-  chunk.shard = 2;
-  chunk.seq = 13;
-  chunk.first_index = 5;
-  chunk.entries.emplace_back("meta/streams", ToBytes("dir"));
-  chunk.entries.emplace_back("chunk/7/0", ToBytes("sealed"));
-  out.push_back(Of("ReplicaSnapshotChunk", kReplicaSnapshotChunk, chunk));
-  out.push_back(Of("ReplicaSnapshotEnd", kReplicaSnapshotEnd,
-                   ReplicaSnapshotEndRequest{2, 13, 7}));
-  out.push_back(
-      Of("ReplicaSnapshotAck", kResponse, ReplicaSnapshotAckResponse{7}));
-  out.push_back(Of("ReplicaAck", kResponse, ReplicaAckResponse{13}));
+  // The frame's records view this buffer, which outlives every sample.
+  static const Bytes kLogRecords = {0x01, 0x01, 'k', 0x02, 'v', '1',
+                                    0x03, 0x01, 'k', 0x01, '2'};
+  out.push_back(Of("ReplicaLog", kReplicaLog,
+                   ReplicaLogRequest{2, 0x0effULL, 13, kLogRecords}));
+  out.push_back(Of("ReplicaLogAck", kResponse, ReplicaLogAck{0x0effULL, 24}));
   ReplicaHelloRequest hello;
   hello.shard = 2;
   hello.num_shards = 4;
-  hello.applied_seq = 13;
+  hello.generation = 0x0effULL;
+  hello.length = 13;
   hello.store_fingerprint = 0xfeedULL;
   hello.host = "127.0.0.1";
   hello.port = 4434;
@@ -263,7 +237,7 @@ std::vector<Sample> ValidEncodings() {
                    ReplicaHelloResponse{21, 500}));
   ReplicaHeartbeatRequest beat;
   beat.shard = 2;
-  beat.head_seq = 21;
+  beat.log_end = 21;
   beat.peers.push_back({"127.0.0.1", 4434, 13});
   beat.peers.push_back({"127.0.0.1", 4435, 21});
   out.push_back(Of("ReplicaHeartbeat", kReplicaHeartbeat, beat));
@@ -460,24 +434,13 @@ constexpr PinnedBytes kPinnedBytes[] = {
    "0000000000000000000000000000000000000000000000000000000000000001"
    "0000000200000000000000000800000000000000000000000000000000000000"
    "0000000000000000000000000000000000000000000000000000000000"},
-  {"ReplicaOps",
-   "020000000c000000000000000301096368756e6b2f372f30067365616c656402"
-   "096368756e6b2f372f31000306732f4c302f33280000000000000005656e7472"
-   "79"},
-  {"ReplicaSnapshotBegin",
-   "02000000ff0e0000000000000d00000000000000"},
-  {"ReplicaSnapshotChunk",
-   "020000000d000000000000000500000000000000020c6d6574612f7374726561"
-   "6d7303646972096368756e6b2f372f30067365616c6564"},
-  {"ReplicaSnapshotEnd",
-   "020000000d000000000000000700000000000000"},
-  {"ReplicaSnapshotAck",
-   "0700000000000000"},
-  {"ReplicaAck",
-   "0d00000000000000"},
+  {"ReplicaLog",
+   "02000000ff0e0000000000000d000000000000000b01016b02763103016b0132"},
+  {"ReplicaLogAck",
+   "ff0e0000000000001800000000000000"},
   {"ReplicaHello",
-   "02000000040000000d00000000000000edfe000000000000093132372e302e30"
-   "2e3152110000"},
+   "020200000004000000ff0e0000000000000d00000000000000edfe0000000000"
+   "00093132372e302e302e3152110000"},
   {"ReplicaHelloResponse",
    "1500000000000000f4010000"},
   {"ReplicaHeartbeat",
@@ -586,11 +549,10 @@ TEST(WireFuzz, LengthPrefixedVectorsRejectAbsurdCounts) {
   EXPECT_FALSE(ClusterInfoResponse::Decode(hostile_at(0)).ok());
   // MetricsInfoResponse: entry count is the first field.
   EXPECT_FALSE(MetricsInfoResponse::Decode(hostile_at(0)).ok());
-  // Replica ops: count follows a 4-byte shard + 8-byte sequence number.
-  EXPECT_FALSE(ReplicaOpsRequest::Decode(hostile_at(12)).ok());
-  // Snapshot chunk: count follows shard + seq + first_index (20 bytes).
-  EXPECT_FALSE(ReplicaSnapshotChunkRequest::Decode(hostile_at(20)).ok());
-  // Heartbeat: peer count follows shard + head_seq (12 bytes).
+  // Replica log: the records' length follows shard + generation + offset
+  // (20 bytes).
+  EXPECT_FALSE(ReplicaLogRequest::Decode(hostile_at(20)).ok());
+  // Heartbeat: peer count follows shard + log_end (12 bytes).
   EXPECT_FALSE(ReplicaHeartbeatRequest::Decode(hostile_at(12)).ok());
   // Trace and event journal responses: count is the first field.
   EXPECT_FALSE(TraceInfoResponse::Decode(hostile_at(0)).ok());
@@ -611,76 +573,37 @@ TEST(WireFuzz, VectorCountsAreBoundedByTheMinimumElementSize) {
   ASSERT_TRUE(GetRangeResponse::Decode(body).ok());
 }
 
-TEST(WireFuzz, ReplicaOpsRejectsMalformedOps) {
-  // Valid baseline round-trips.
-  ReplicaOpsRequest good;
-  good.shard = 3;
-  good.first_seq = 5;
-  good.ops = {{kReplicaOpPut, "k", ToBytes("v")},
-              {kReplicaOpAppend, "k", ToBytes("w"), 1},
-              {kReplicaOpDelete, "k", {}}};
-  auto decoded = ReplicaOpsRequest::Decode(good.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->shard, 3u);
-  EXPECT_EQ(decoded->first_seq, 5u);
-  EXPECT_EQ(decoded->ops, good.ops);
-
-  // Put and delete frames carry no prior length, byte for byte as before
-  // appends existed: kind, key, value.
-  ReplicaOpsRequest put_only;
-  put_only.ops = {{kReplicaOpPut, "k", ToBytes("v")}};
-  BinaryWriter put_frame;
-  put_frame.PutU32(0);
-  put_frame.PutU64(0);
-  put_frame.PutVar(1);
-  put_frame.PutU8(kReplicaOpPut);
-  put_frame.PutString("k");
-  put_frame.PutBytes(ToBytes("v"));
-  EXPECT_EQ(put_only.Encode(), put_frame.data());
-
-  // An append whose prior length is cut off is truncated, not a put.
-  BinaryWriter short_append;
-  short_append.PutU32(3);
-  short_append.PutU64(5);
-  short_append.PutVar(1);
-  short_append.PutU8(kReplicaOpAppend);
-  short_append.PutString("k");
-  short_append.PutU32(1);  // half of the u64 prior length
-  EXPECT_FALSE(ReplicaOpsRequest::Decode(short_append.data()).ok());
-
-  // An append carrying no bytes is a malformed frame.
-  BinaryWriter empty_append;
-  empty_append.PutU32(3);
-  empty_append.PutU64(5);
-  empty_append.PutVar(1);
-  empty_append.PutU8(kReplicaOpAppend);
-  empty_append.PutString("k");
-  empty_append.PutU64(1);
-  empty_append.PutBytes({});
-  EXPECT_EQ(ReplicaOpsRequest::Decode(empty_append.data()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Unknown op kind: rejected at decode, not trusted into the store.
-  BinaryWriter bad_kind;
-  bad_kind.PutU32(3);
-  bad_kind.PutU64(5);
-  bad_kind.PutVar(1);
-  bad_kind.PutU8(9);
-  bad_kind.PutString("k");
-  bad_kind.PutBytes(ToBytes("v"));
-  EXPECT_EQ(ReplicaOpsRequest::Decode(bad_kind.data()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // A delete smuggling a value is a malformed frame.
-  BinaryWriter del_val;
-  del_val.PutU32(3);
-  del_val.PutU64(5);
-  del_val.PutVar(1);
-  del_val.PutU8(kReplicaOpDelete);
-  del_val.PutString("k");
-  del_val.PutBytes(ToBytes("v"));
-  EXPECT_EQ(ReplicaOpsRequest::Decode(del_val.data()).status().code(),
-            StatusCode::kInvalidArgument);
+TEST(WireFuzz, ReplicaLogBodiesOfGarbageOrCutShortAreErrors) {
+  // A kReplicaLog body is shard, generation and offset, then the records
+  // behind their varint length: it decodes only when the rest holds that
+  // many bytes. Every strict prefix of a valid body is an error.
+  const Bytes records(300, 0x01);
+  Bytes valid = ReplicaLogRequest{1, 9, 40, records}.Encode();
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_FALSE(ReplicaLogRequest::Decode(BytesView(valid).first(cut)).ok())
+        << "cut at " << cut;
+  }
+  crypto::DeterministicRng rng(0x106);
+  for (int round = 0; round < 500; ++round) {
+    // Seeded garbage: an error unless it happens to be well formed, which
+    // the rule above decides without the decoder.
+    Bytes garbage(rng.NextBelow(64));
+    rng.Fill(garbage);
+    size_t at = 20;
+    auto length = garbage.size() > at ? GetVarint(garbage, at) : std::nullopt;
+    bool well_formed = length && *length <= garbage.size() - at;
+    EXPECT_EQ(ReplicaLogRequest::Decode(garbage).ok(), well_formed)
+        << ToHex(garbage);
+    // A header claiming more records than the body holds: an error, and
+    // nothing is allocated for the claim.
+    BinaryWriter lying;
+    lying.PutU32(static_cast<uint32_t>(rng.NextU64()));
+    lying.PutU64(rng.NextU64());
+    lying.PutU64(rng.NextU64());
+    lying.PutVar(garbage.size() + 1 + rng.NextBelow(uint64_t{1} << 40));
+    lying.PutRaw(garbage);
+    EXPECT_FALSE(ReplicaLogRequest::Decode(lying.data()).ok());
+  }
 }
 
 TEST(WireFuzz, ReplicaHandshakeFramesRejectHostileFields) {
@@ -692,8 +615,10 @@ TEST(WireFuzz, ReplicaHandshakeFramesRejectHostileFields) {
   EXPECT_EQ(ReplicaHelloRequest::Decode(hello.Encode()).status().code(),
             StatusCode::kInvalidArgument);
   BinaryWriter big_port;
+  big_port.PutU8(kReplicaProtocolVersion);
   big_port.PutU32(0);
   big_port.PutU32(1);
+  big_port.PutU64(0);
   big_port.PutU64(0);
   big_port.PutU64(0);
   big_port.PutString("127.0.0.1");
@@ -704,17 +629,10 @@ TEST(WireFuzz, ReplicaHandshakeFramesRejectHostileFields) {
   // Every new frame fails cleanly when truncated at any byte: all fields
   // are mandatory, so no strict prefix parses (targeted sweep on top of
   // the global cross-decoder one, with non-trivial field values).
-  ReplicaSnapshotChunkRequest chunk;
-  chunk.shard = 1;
-  chunk.seq = 9;
-  chunk.first_index = 4;
-  chunk.entries.emplace_back("key", ToBytes("value"));
-  Bytes chunk_frame = chunk.Encode();
-  for (size_t cut = 0; cut < chunk_frame.size(); ++cut) {
-    EXPECT_FALSE(
-        ReplicaSnapshotChunkRequest::Decode(BytesView(chunk_frame.data(), cut))
-            .ok())
-        << "chunk cut at " << cut;
+  Bytes ack_frame = ReplicaLogAck{9, 40}.Encode();
+  for (size_t cut = 0; cut < ack_frame.size(); ++cut) {
+    EXPECT_FALSE(ReplicaLogAck::Decode(BytesView(ack_frame.data(), cut)).ok())
+        << "ack cut at " << cut;
   }
   hello.port = 4444;
   Bytes hello_frame = hello.Encode();

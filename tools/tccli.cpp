@@ -56,8 +56,9 @@ void Usage() {
       "bytes,\n"
       "                                  and replication health\n"
       "  replica-info                    per-shard replica count, ack mode, "
-      "and\n"
-      "                                  max replica lag\n"
+      "max\n"
+      "                                  replica lag in log bytes, and full\n"
+      "                                  log copies\n"
       "  metrics  [--watch SEC]          server metrics registry (counters,\n"
       "                                  gauges, latency quantiles);\n"
       "                                  --watch re-polls every SEC seconds\n"
@@ -70,7 +71,7 @@ void Usage() {
       "                                  --slow lists only slow-op traces\n"
       "  events   [--min-seq N] [--peers H:P,...]\n"
       "                                  cluster lifecycle event journal\n"
-      "                                  (elections, snapshots, view "
+      "                                  (elections, log copies, view "
       "changes)\n"
       "  attest   --uuid U               sign + publish the stream head\n"
       "  verify   --uuid U --start MS --end MS    verified stat query\n"
@@ -285,20 +286,20 @@ int CmdClusterInfo(const Flags& flags) {
   uint64_t total_streams = 0, total_bytes = 0, total_dead = 0;
   uint64_t total_compactions = 0;
   std::puts(
-      "shard   streams   index-bytes  replicas  ack     max-lag   "
+      "shard   streams   index-bytes  replicas  ack     lag-bytes   "
       "dead-bytes  compactions");
   for (const auto& s : info->shards) {
-    std::printf("%5u %9" PRIu64 " %13" PRIu64 " %9u  %-6s %8" PRIu64
+    std::printf("%5u %9" PRIu64 " %13" PRIu64 " %9u  %-6s %10" PRIu64
                 " %12" PRIu64 " %12u\n",
                 s.shard, s.num_streams, s.index_bytes, s.replicas,
-                AckName(s.ack_mode, s.replicas), s.max_lag_ops,
+                AckName(s.ack_mode, s.replicas), s.max_lag_bytes,
                 s.store_dead_bytes, s.store_compactions);
     total_streams += s.num_streams;
     total_bytes += s.index_bytes;
     total_dead += s.store_dead_bytes;
     total_compactions += s.store_compactions;
   }
-  std::printf("total %9" PRIu64 " %13" PRIu64 " %26" PRIu64 " %12" PRIu64
+  std::printf("total %9" PRIu64 " %13" PRIu64 " %28" PRIu64 " %12" PRIu64
               "  (%zu shard(s))\n",
               total_streams, total_bytes, total_dead, total_compactions,
               info->shards.size());
@@ -323,16 +324,17 @@ int CmdReplicaInfo(const Flags& flags) {
   uint32_t replicated_shards = 0;
   uint64_t worst_lag = 0;
   std::puts(
-      "shard  replicas  remote  ack     max-lag-ops  promotions  "
-      "auto-failover");
+      "shard  replicas  remote  ack     max-lag-bytes  full-copies  "
+      "promotions  auto-failover");
   for (const auto& s : info->shards) {
     uint32_t followers = s.replicas + s.remote_followers;
-    std::printf("%5u %9u %7u  %-6s %12" PRIu64 " %11u  %13s\n", s.shard,
-                s.replicas, s.remote_followers,
-                AckName(s.ack_mode, followers), s.max_lag_ops, s.promotions,
-                s.auto_failover ? "on" : "off");
+    std::printf("%5u %9u %7u  %-6s %14" PRIu64 " %12" PRIu64
+                " %11u  %13s\n",
+                s.shard, s.replicas, s.remote_followers,
+                AckName(s.ack_mode, followers), s.max_lag_bytes,
+                s.full_copies, s.promotions, s.auto_failover ? "on" : "off");
     if (followers > 0) ++replicated_shards;
-    if (s.max_lag_ops > worst_lag) worst_lag = s.max_lag_ops;
+    if (s.max_lag_bytes > worst_lag) worst_lag = s.max_lag_bytes;
   }
   if (replicated_shards == 0) {
     std::puts(
@@ -341,7 +343,8 @@ int CmdReplicaInfo(const Flags& flags) {
         "with --accept-followers plus `tcserver --follower-of` peers)");
     return 0;
   }
-  std::printf("%u of %zu shard(s) replicated, worst lag %" PRIu64 " op(s)\n",
+  std::printf("%u of %zu shard(s) replicated, worst lag %" PRIu64
+              " byte(s)\n",
               replicated_shards, info->shards.size(), worst_lag);
   return 0;
 }

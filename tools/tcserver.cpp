@@ -22,9 +22,11 @@
 // Two daemons make a replicated pair across processes: a primary started
 // with --accept-followers, and follower daemons started with
 // --follower-of HOST:PORT. A follower registers over the wire, the
-// primary streams it a bounded-chunk snapshot and then ships the op log,
-// and when the primary's heartbeats go silent the most-caught-up follower
-// promotes itself and the survivors re-home under it.
+// primary ships it its log from wherever the follower's log matches it
+// (from the start for an empty one), and when the primary's heartbeats go
+// silent the most caught-up follower promotes itself and the survivors
+// re-home under it. Replicated stores are always logs: with --store mem
+// they live in a private temporary directory removed on exit.
 //
 //   tcserver --port 4433 --store log --path /var/lib/timecrypt.log
 //   tcserver --shards 4 --store log --path /var/lib/timecrypt.log --sync
@@ -64,7 +66,10 @@ void Usage() {
       "  --store KIND    mem | log (default mem); mem holds every value in\n"
       "                  memory, log keeps values in the log file, so the\n"
       "                  server's memory is the log's key directory plus\n"
-      "                  the index cache (--cache-mb)\n"
+      "                  the index cache (--cache-mb). Replication ships\n"
+      "                  logs: mem with --replicas, --accept-followers or\n"
+      "                  --follower-of keeps them in a private temporary\n"
+      "                  directory removed on exit\n"
       "  --path FILE     log-store path (default ./timecrypt.log); with\n"
       "                  --shards N > 1, shard i logs to FILE.shard<i>;\n"
       "                  replica j of shard i logs to FILE.shard<i>.r<j>\n"
@@ -77,14 +82,17 @@ void Usage() {
       "  --ack MODE      async | quorum (default async): return from a\n"
       "                  write when the primary applied it, or only after\n"
       "                  a majority of the replica group holds it\n"
-      "  --read-lag N    serve a read from a replica lagging at most N ops\n"
-      "                  behind the primary (default 0 = fully caught up;\n"
-      "                  requires --replicas)\n"
+      "  --read-lag N    serve a read from a replica lagging at most N bytes\n"
+      "                  of log behind the primary (default 0 = fully\n"
+      "                  caught up; requires --replicas)\n"
       "  --sync          flush the log store after every ingest message\n"
       "                  (batches group-commit into one flush)\n"
       "  --compact-pct P auto-compact a shard's log when dead bytes exceed\n"
-      "                  P%% of it (default 50; 0 disables)\n"
-      "  --cache-mb N    index cache budget per stream in MiB (default 256)\n"
+      "                  P%% of it (0-100, default 50; 0 disables). A\n"
+      "                  primary's compaction copies its whole log to every\n"
+      "                  follower again\n"
+      "  --cache-mb N    index cache budget per stream in MiB (0-1048576,\n"
+      "                  default 256)\n"
       "  --max-frame-mb N  reject request frames whose body exceeds N MiB\n"
       "                  with a clean error (default 512; the frame length\n"
       "                  is attacker-controlled and must not drive "
@@ -103,8 +111,8 @@ void Usage() {
       "\n"
       "daemon replication topology:\n"
       "  --accept-followers   accept kReplicaHello registrations: follower\n"
-      "                       daemons attach over TCP, get streamed a\n"
-      "                       bounded-chunk snapshot, then follow the op log\n"
+      "                       daemons attach over TCP and are shipped the\n"
+      "                       log from wherever theirs matches it\n"
       "  --follower-of H:P    run as a follower daemon of the primary at\n"
       "                       host H port P (same --shards and --store\n"
       "                       family; --path must not collide with the\n"
@@ -119,7 +127,6 @@ void Usage() {
       "  --miss-threshold N   probes missed before auto-failover (default 3)\n"
       "  --takeover-ms N      follower mode: silence window before the\n"
       "                       takeover election (default 3000)\n"
-      "  --snapshot-chunk-kb N  snapshot stream chunk bound (default 1024)\n"
       "  --no-auto-promote    follower mode: never self-promote (passive\n"
       "                       replica)\n");
 }
@@ -131,8 +138,8 @@ bool FlagKnown(const std::string& name) {
       "sync",          "compact-pct",  "cache-mb",       "max-frame-mb",
       "accept-followers",
       "follower-of",   "advertise",    "auto-failover",  "heartbeat-ms",
-      "miss-threshold", "takeover-ms", "snapshot-chunk-kb",
-      "no-auto-promote", "metrics-port", "slow-op-ms",
+      "miss-threshold", "takeover-ms",   "no-auto-promote",
+      "metrics-port",  "slow-op-ms",
       "trace-sample",  "event-log"};
   for (const char* known : kKnown) {
     if (name == known) return true;
@@ -224,24 +231,33 @@ int main(int argc, char** argv) {
                  store_kind.c_str());
     return 1;
   }
+  int64_t compact_pct = tools::RequireInt(flags, "compact-pct", 50);
+  if (compact_pct < 0 || compact_pct > 100) {
+    // Above 100 the threshold is never crossed; below 0 it would silently
+    // read as "disabled".
+    std::fprintf(stderr, "--compact-pct must be in [0, 100]\n");
+    return 1;
+  }
   store::LogKvOptions log_options;
-  log_options.compact_dead_fraction =
-      static_cast<double>(tools::RequireInt(flags, "compact-pct", 50)) / 100.0;
+  log_options.compact_dead_fraction = static_cast<double>(compact_pct) / 100.0;
 
+  int64_t cache_mb = tools::RequireInt(flags, "cache-mb", 256);
+  if (cache_mb < 0 || cache_mb > (int64_t{1} << 20)) {
+    // A negative budget would wrap through size_t to an unbounded cache.
+    std::fprintf(stderr, "--cache-mb must be in [0, 1048576]\n");
+    return 1;
+  }
   server::ServerOptions options;
-  options.index_cache_bytes =
-      static_cast<size_t>(tools::RequireInt(flags, "cache-mb", 256)) << 20;
+  options.index_cache_bytes = static_cast<size_t>(cache_mb) << 20;
   options.sync_each_insert = flags.Has("sync");
 
   int64_t heartbeat_ms = tools::RequireInt(flags, "heartbeat-ms", 500);
   int64_t miss_threshold = tools::RequireInt(flags, "miss-threshold", 3);
   int64_t takeover_ms = tools::RequireInt(flags, "takeover-ms", 3000);
-  int64_t chunk_kb = tools::RequireInt(flags, "snapshot-chunk-kb", 1024);
-  if (heartbeat_ms < 1 || miss_threshold < 1 || takeover_ms < 1 ||
-      chunk_kb < 1) {
+  if (heartbeat_ms < 1 || miss_threshold < 1 || takeover_ms < 1) {
     std::fprintf(stderr,
-                 "--heartbeat-ms/--miss-threshold/--takeover-ms/"
-                 "--snapshot-chunk-kb must be positive\n");
+                 "--heartbeat-ms/--miss-threshold/--takeover-ms must be "
+                 "positive\n");
     return 1;
   }
   if (!follower_mode && flags.Has("auto-failover") && replicas == 0) {
@@ -264,14 +280,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--heartbeat-ms without --auto-failover, "
                  "--accept-followers, or --follower-of does nothing\n");
-    return 1;
-  }
-  if (flags.Has("snapshot-chunk-kb") && replicas == 0 && !accept_followers &&
-      !follower_mode) {
-    std::fprintf(stderr,
-                 "--snapshot-chunk-kb without --replicas, "
-                 "--accept-followers, or --follower-of does nothing: no "
-                 "snapshot ever streams\n");
     return 1;
   }
   if (flags.Has("advertise") && !follower_mode) {
@@ -342,30 +350,38 @@ int main(int argc, char** argv) {
 
   // One KV namespace per shard: prefix views over a shared memory store,
   // or one log file per shard for durable mode (independent append paths —
-  // the cluster's ingest scaling lever). Follower stores get their own
-  // namespaces/files next to their shard's.
+  // the cluster's ingest scaling lever). Replication ships logs, so a
+  // replicated shard and each of its followers always get a log file of
+  // their own: next to their shard's, or with --store mem in a temporary
+  // directory that outlives every store (it is declared before them).
+  const bool replicated = replicas > 0 || accept_followers || follower_mode;
+  std::unique_ptr<store::TempLogDir> mem_logs;
+  if (store_kind == "mem" && replicated) {
+    auto made = store::TempLogDir::Make();
+    if (!made.ok()) tools::Die(made.status());
+    mem_logs = std::move(*made);
+  }
+  auto make_log = [&](const std::string& file_suffix)
+      -> std::shared_ptr<store::LogKvStore> {
+    std::string path = mem_logs ? mem_logs->Path("timecrypt.log")
+                                : flags.Get("path", "timecrypt.log");
+    auto log = store::LogKvStore::Open(path + file_suffix, log_options);
+    if (!log.ok()) tools::Die(log.status());
+    return std::move(*log);
+  };
   std::shared_ptr<store::MemKvStore> mem_backend;
   auto make_store = [&](const std::string& ns,
                         const std::string& file_suffix)
       -> std::shared_ptr<store::KvStore> {
-    if (store_kind == "mem") {
-      if (shards == 1 && replicas == 0 && !accept_followers &&
-          !follower_mode) {
-        return std::make_shared<store::MemKvStore>();
-      }
-      if (!mem_backend) mem_backend = std::make_shared<store::MemKvStore>();
-      return std::make_shared<store::PrefixKvStore>(mem_backend, ns);
-    }
-    std::string path = flags.Get("path", "timecrypt.log") + file_suffix;
-    auto log = store::LogKvStore::Open(path, log_options);
-    if (!log.ok()) tools::Die(log.status());
-    return std::move(*log);
+    if (store_kind == "log") return make_log(file_suffix);
+    if (shards == 1) return std::make_shared<store::MemKvStore>();
+    if (!mem_backend) mem_backend = std::make_shared<store::MemKvStore>();
+    return std::make_shared<store::PrefixKvStore>(mem_backend, ns);
   };
 
   replica::ReplicaSetOptions set_options;
   set_options.kv.ack = ack;
-  set_options.kv.snapshot_chunk_bytes = static_cast<size_t>(chunk_kb) << 10;
-  set_options.max_read_lag_ops = static_cast<uint64_t>(read_lag);
+  set_options.max_read_lag_bytes = static_cast<uint64_t>(read_lag);
   set_options.failover.auto_failover = flags.Has("auto-failover");
   set_options.failover.heartbeat_interval_ms = heartbeat_ms;
   set_options.failover.miss_threshold = static_cast<uint32_t>(miss_threshold);
@@ -392,13 +408,12 @@ int main(int argc, char** argv) {
     daemon_options.coordinator.heartbeat_ms =
         static_cast<uint32_t>(heartbeat_ms);
 
-    std::vector<std::shared_ptr<store::KvStore>> stores;
+    std::vector<std::shared_ptr<store::LogKvStore>> logs;
     for (int64_t i = 0; i < shards; ++i) {
-      stores.push_back(make_store(
-          "s" + std::to_string(i) + "/",
-          shards > 1 ? ".shard" + std::to_string(i) : std::string{}));
+      logs.push_back(
+          make_log(shards > 1 ? ".shard" + std::to_string(i) : std::string{}));
     }
-    replica::FollowerDaemon daemon(std::move(stores), daemon_options);
+    replica::FollowerDaemon daemon(std::move(logs), daemon_options);
     if (auto started = daemon.Start(port); !started.ok()) {
       tools::Die(started);
     }
@@ -435,8 +450,13 @@ int main(int argc, char** argv) {
   for (int64_t i = 0; i < shards; ++i) {
     std::string shard_suffix =
         shards > 1 ? ".shard" + std::to_string(i) : std::string{};
-    auto primary_kv =
-        make_store("s" + std::to_string(i) + "/", shard_suffix);
+    std::shared_ptr<store::LogKvStore> primary_log;
+    std::shared_ptr<store::KvStore> primary_kv;
+    if (replicated) {
+      primary_kv = primary_log = make_log(shard_suffix);
+    } else {
+      primary_kv = make_store("s" + std::to_string(i) + "/", shard_suffix);
+    }
     // Fail fast on a reused store laid out for a different shard count —
     // silent re-homing would serve none of the recovered streams.
     if (auto bound = cluster::BindShardMeta(*primary_kv,
@@ -448,21 +468,21 @@ int main(int argc, char** argv) {
 
     server::ServerOptions shard_options = options;
     shard_options.shard_id = static_cast<uint32_t>(i);
-    if (replicas == 0 && !accept_followers) {
+    if (!replicated) {
       sets.push_back(replica::ReplicaSet::Single(
           std::make_shared<server::ServerEngine>(std::move(primary_kv),
                                                  shard_options)));
       continue;
     }
-    std::vector<std::shared_ptr<store::KvStore>> follower_kvs;
+    std::vector<std::shared_ptr<store::LogKvStore>> follower_logs;
     for (int64_t j = 0; j < replicas; ++j) {
-      follower_kvs.push_back(
-          make_store("s" + std::to_string(i) + "r" + std::to_string(j) + "/",
-                     shard_suffix + ".r" + std::to_string(j)));
+      follower_logs.push_back(make_log(shard_suffix + ".r" + std::to_string(j)));
     }
-    sets.push_back(replica::ReplicaSet::Make(std::move(primary_kv),
-                                             std::move(follower_kvs),
-                                             shard_options, set_options));
+    auto set = replica::ReplicaSet::Make(std::move(primary_log),
+                                         std::move(follower_logs),
+                                         shard_options, set_options);
+    if (!set.ok()) tools::Die(set.status());
+    sets.push_back(std::move(*set));
   }
 
   size_t recovered = 0;
