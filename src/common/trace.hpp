@@ -13,7 +13,7 @@
 //    overflow is visible, not silent.
 //
 //  - EventJournal: a bounded deque of cluster lifecycle events (follower
-//    hello/drop, view changes, elections, promotions, snapshot streams,
+//    hello/drop, view changes, elections, promotions, full log copies,
 //    compactions, op-timeout storms) with a monotonically increasing seq,
 //    queryable over kEventsInfo and optionally mirrored to a JSONL file
 //    (`tcserver --event-log`). Events are rare, so a mutex is fine here;

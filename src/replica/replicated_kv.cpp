@@ -98,12 +98,23 @@ size_t ReplicatedKvStore::AddFollower(std::shared_ptr<Follower> follower,
 
 void ReplicatedKvStore::ReportPosition(size_t i, store::LogPosition at) {
   MutexLock lock(mu_);
-  if (i >= followers_.size() || followers_[i]->at == at) return;
-  TC_LOG_WARN << "follower " << i << " reports its log at " << Describe(at)
-              << ", not where it was shipped to; positioning it again";
-  followers_[i]->at = at;
-  followers_[i]->prefix_of = 0;
+  if (i >= followers_.size()) return;
+  FollowerState& state = *followers_[i];
+  if (state.at != at) {
+    TC_LOG_WARN << "follower " << i << " reports its log at "
+                << Describe(at) << ", not where it was shipped to";
+  }
+  Reposition(state, at);
+  state.stale = false;
   work_cv_.NotifyAll();
+}
+
+void ReplicatedKvStore::Reposition(FollowerState& state,
+                                   store::LogPosition at) {
+  // A log that is not where it was may not be the same log: only the
+  // log-matching rule says whether it is a prefix of this one.
+  if (state.at != at) state.prefix_of = 0;
+  state.at = at;
 }
 
 Status ReplicatedKvStore::Put(const std::string& key, BytesView value) {
@@ -133,13 +144,13 @@ Status ReplicatedKvStore::Shipped(Status written) {
   metrics::TraceContext ctx = metrics::OutgoingTraceContext();
   ship_trace_id_.store(ctx.trace_id, std::memory_order_relaxed);
   ship_parent_span_.store(ctx.parent_span_id, std::memory_order_relaxed);
-  // The log as of this write's return covers its record.
-  const store::LogHead target = log_->Head();
   MutexLock lock(mu_);
   work_cv_.NotifyAll();
   if (options_.ack == AckMode::kAsync) return Status::Ok();
-  // Majority of the replica group (primary + N followers), minus the
-  // primary's own copy: (N+1)/2 follower acks.
+  // The log as it stands now covers this write's record; a majority of
+  // the replica group (primary + N followers) holds it once (N+1)/2
+  // followers do.
+  const store::LogHead target = log_->Head();
   size_t needed = (followers_.size() + 1) / 2;
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(options_.quorum_timeout_ms);
@@ -305,12 +316,13 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
       const store::LogHead head = log_->Head();
       return HeldBytes(state->at, state->prefix_of, head) == head.length;
     };
-    while (!stop_ && caught_up()) work_cv_.Wait(mu_);
+    while (!stop_ && !state->stale && caught_up()) work_cv_.Wait(mu_);
     if (stop_) {
       mu_.unlock();
       return;
     }
-    std::optional<store::LogPosition> at = state->at;
+    std::optional<store::LogPosition> at =
+        state->stale ? std::nullopt : state->at;
     uint64_t prefix_of = state->prefix_of;
     mu_.unlock();
     auto shipped = ShipOnce(state, at, prefix_of);
@@ -318,13 +330,18 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
     if (!shipped.ok()) {
       // The frame may or may not have landed, and the follower may have
       // restarted over another log: ask where it stands before shipping.
-      state->at.reset();
-      state->prefix_of = 0;
+      state->stale = true;
       BackoffAfterFailure(state, shipped.status());
       continue;
     }
-    state->at = shipped->first;
-    if (shipped->second != 0) state->prefix_of = shipped->second;
+    auto [now, generation] = *shipped;
+    if (generation != 0) {
+      state->at = now;
+      state->prefix_of = generation;
+    } else {
+      Reposition(*state, now);
+    }
+    state->stale = false;
     state->last_error = Status::Ok();
     state->consecutive_failures = 0;
     ack_cv_.NotifyAll();

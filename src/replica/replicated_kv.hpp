@@ -131,7 +131,6 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   /// Follower i's most recent shipping failure; OK while healthy (and again
   /// once a retry succeeds). The "why is this follower lagging" signal.
   Status follower_error(size_t i) const;
-  AckMode ack_mode() const { return options_.ack; }
 
   /// Block until every follower holds the whole log as of the call (or
   /// `timeout_ms` passes → Unavailable). Promotion and tests use this to
@@ -145,12 +144,16 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   struct FollowerState {
     std::shared_ptr<Follower> follower;  // set before the thread starts
     std::thread thread;
-    /// The follower's log position; nullopt until known, and again after
-    /// a failed shipment, which may or may not have landed.
+    /// Where the follower last said its log stands (nullopt until it
+    /// says). Its acked bytes count toward quorums and elections even
+    /// while `stale`: they were synced.
     std::optional<store::LogPosition> at;
     /// The primary generation whose log the follower's is a byte prefix
     /// of, once a shipment from it landed (0 = not known).
     uint64_t prefix_of = 0;
+    /// A shipment failed and may or may not have landed, or the follower
+    /// restarted: ask where its log stands before shipping again.
+    bool stale = false;
     Status last_error;
     uint64_t consecutive_failures = 0;  // drives backoff
   };
@@ -162,12 +165,16 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   /// mode wait until a majority holds the log as of its return.
   Status Shipped(Status written) EXCLUDES(mu_);
   void ShipperLoop(FollowerState* state) EXCLUDES(mu_);
-  /// One frame to the follower at `at` (or a position query when unknown)
-  /// with mu_ released; returns where the follower's log stands after it
-  /// and the generation the shipped bytes came from (0 for a query).
+  /// One frame to the follower at `at`, or a position query when `at` is
+  /// nullopt, with mu_ released; returns where the follower's log stands
+  /// after it and the generation the shipped bytes came from (0 for a
+  /// query).
   Result<std::pair<store::LogPosition, uint64_t>> ShipOnce(
       FollowerState* state, std::optional<store::LogPosition> at,
       uint64_t prefix_of) EXCLUDES(mu_);
+  /// Take `at` as the follower's position, forgetting what its log was a
+  /// prefix of unless it is where it was.
+  static void Reposition(FollowerState& state, store::LogPosition at);
   /// Record a shipping failure and sleep out its backoff (under mu_, which
   /// the wait releases). Logs the first failure, then every 64th — a dead
   /// follower must not flood the log at retry frequency.

@@ -85,10 +85,10 @@ class KvStore {
   /// Visit every (key, value) pair in unspecified order. The callback MUST
   /// NOT call back into this store (implementations iterate under their
   /// internal locks). Normal data paths never need this — identifiers are
-  /// computed, not discovered — it exists for whole-store operations:
-  /// replication snapshots ship a follower the complete state, and tests
-  /// compare stores byte-for-byte. Decorators without a natural iteration
-  /// inherit the Unimplemented default.
+  /// computed, not discovered — it exists for whole-store checks: tests
+  /// compare stores value for value (replication ships log bytes, not
+  /// scans). Decorators without a natural iteration inherit the
+  /// Unimplemented default.
   virtual Status Scan(
       const std::function<void(const std::string& key, BytesView value)>&)
       const {

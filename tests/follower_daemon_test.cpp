@@ -418,10 +418,11 @@ struct Primary {
     ASSERT_TRUE(
         reader.AttachStream(uuid, (*owner->KeysFor(uuid))->master_seed())
             .ok());
-    auto stats = reader.GetStatRange(uuid, {0, chunks * kDelta});
+    const TimeRange all{0, static_cast<Timestamp>(chunks) * kDelta};
+    auto stats = reader.GetStatRange(uuid, all);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, chunks));
-    net::StatRangeRequest req{uuid, {0, chunks * kDelta}};
+    net::StatRangeRequest req{uuid, all};
     auto on_daemon =
         (*daemon_transport)->Call(net::MessageType::kGetStatRange, req.Encode());
     auto on_primary =

@@ -226,6 +226,7 @@ TEST(ReplicatedKv, QuorumPutReturnsOnlyAfterFollowerHoldsIt) {
     ASSERT_TRUE(rkv->Put(key, ToBytes("v")).ok());
     EXPECT_TRUE(follower->Contains(key)) << key;
   }
+  EXPECT_TRUE(logs.IsPrefix("f", "p"));
 }
 
 TEST(ReplicatedKv, QuorumBlocksWhileFollowerIsStuckAndTimesOut) {
@@ -254,6 +255,7 @@ TEST(ReplicatedKv, QuorumBlocksWhileFollowerIsStuckAndTimesOut) {
   EXPECT_TRUE(follower->Contains("k2"));
   EXPECT_TRUE(follower->Contains("k"));  // the stalled bytes shipped too
   EXPECT_TRUE(rkv->follower_error(0).ok());  // health cleared on recovery
+  EXPECT_TRUE(logs.IsPrefix("f", "p"));
 }
 
 TEST(ReplicatedKv, StalledFollowerResumesFromItsLengthWithoutACopy) {

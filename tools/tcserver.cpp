@@ -88,7 +88,7 @@ void Usage() {
       "  --sync          flush the log store after every ingest message\n"
       "                  (batches group-commit into one flush)\n"
       "  --compact-pct P auto-compact a shard's log when dead bytes exceed\n"
-      "                  P%% of it (0-100, default 50; 0 disables). A\n"
+      "                  P% of it (0-100, default 50; 0 disables). A\n"
       "                  primary's compaction copies its whole log to every\n"
       "                  follower again\n"
       "  --cache-mb N    index cache budget per stream in MiB (0-1048576,\n"
@@ -102,7 +102,7 @@ void Usage() {
       "  --slow-op-ms N  log a structured slow-op line (trace id + stage\n"
       "                  breakdown) for any request slower than N ms\n"
       "                  (default 0 = disabled)\n"
-      "  --trace-sample P  head-based span sampling: record spans for P%% of\n"
+      "  --trace-sample P  head-based span sampling: record spans for P% of\n"
       "                  traces (default 100; the hash of the trace id\n"
       "                  decides, so every process keeps or drops the same\n"
       "                  traces; slow ops are always retained)\n"
