@@ -472,7 +472,7 @@ TEST(ReplicatedKv, PromotionCopiesASurvivorHoldingAnAsyncTail) {
     ASSERT_TRUE(rkv->WaitCaughtUp().ok());
     gate->Close();
     ASSERT_TRUE(rkv->Put("tail", ToBytes("async")).ok());
-    for (int i = 0; i < 200 && !survivor->Contains("tail"); ++i) {
+    for (int i = 0; i < 2000 && !survivor->Contains("tail"); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ASSERT_TRUE(survivor->Contains("tail"));
