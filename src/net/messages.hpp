@@ -588,9 +588,10 @@ struct ReplicaHelloResponse {
 };
 
 /// Primary → follower liveness beacon carrying the shard's group view:
-/// every registered follower endpoint and how many bytes of the primary's
-/// log it holds. Followers use the last view to elect the most caught-up
-/// survivor when the beacons stop (primary loss → automatic promotion).
+/// every registered follower endpoint and its progress along the primary's
+/// log (store::LogHead::progress). Followers use the last view to elect
+/// the most caught-up survivor when the beacons stop (primary loss →
+/// automatic promotion).
 struct ReplicaHeartbeatRequest {
   struct Peer {
     std::string host;

@@ -143,8 +143,8 @@ void PrimaryCoordinator::HeartbeatLoop() {
       MutexLock lock(mu_);
       endpoints = endpoints_;
     }
-    // Group views per shard from the typed registry; each follower's held
-    // bytes come from the shipping pipeline keyed by the registration
+    // Group views per shard from the typed registry; each follower's
+    // progress comes from the shipping pipeline keyed by the registration
     // label.
     std::map<uint32_t, net::ReplicaHeartbeatRequest> beats;
     for (const auto& endpoint : endpoints) {

@@ -8,20 +8,22 @@
 //               daemon's dial-back endpoint); retried until the primary
 //               answers. The primary then dials back and ships its log from
 //               wherever this one matches it: a restart over a durable log
-//               resumes, an empty or diverged log is copied from offset 0.
+//               resumes, an empty or diverged log is copied from offset 0
+//               (into a file beside it, dropped if the daemon restarts
+//               before the copy is whole).
 //   follow    — write shipped log bytes; serve read-only queries from a
 //               local engine refreshed on demand (replica reads without a
 //               second process hop); answer heartbeats and remember the
 //               group view they carry.
 //   take over — when the primary's beacons and shipments go silent past
 //               the takeover timeout, elect from the last group view: the
-//               most caught-up follower, holding the most of the primary's
-//               log (ties break toward the smallest endpoint), promotes
-//               itself — a full ServerEngine recovery over the replicated
-//               log (streams, grants, witness trees) wrapped in a fresh
-//               ReplicaSet + PrimaryCoordinator, so the survivors re-home
-//               under it and ingest resumes. Losers re-send kReplicaHello
-//               to the winner and keep following.
+//               most caught-up follower, with the most progress along the
+//               primary's log (ties break toward the smallest endpoint),
+//               promotes itself — a full ServerEngine recovery over the
+//               replicated log (streams, grants, witness trees) wrapped in
+//               a fresh ReplicaSet + PrimaryCoordinator, so the survivors
+//               re-home under it and ingest resumes. Losers re-send
+//               kReplicaHello to the winner and keep following.
 //
 // Election is view-based, not consensus: every elector ranks the same
 // broadcast view (its own entry included), so an ordinary crash yields one

@@ -97,7 +97,7 @@ Result<Bytes> ReplicaSet::HandleRead(net::MessageType type, BytesView body) {
     // most caught-up survivor — in quorum mode that survivor holds every
     // acknowledged write, so an uneven follower must not serve reads
     // missing acked data.
-    uint64_t head = rkv_ ? rkv_->log()->Head().length : final_head_;
+    uint64_t head = rkv_ ? rkv_->log()->Head().progress() : final_head_;
     size_t n = replicas_.size();
     size_t start = static_cast<size_t>(rr_.fetch_add(1) % n);
     for (size_t k = 0; k < n; ++k) {
@@ -174,12 +174,13 @@ Status ReplicaSet::Promote() {
   if (replicas_.empty()) {
     return FailedPrecondition("no follower left to promote");
   }
-  // Most caught-up local follower wins: the one holding the most of the
-  // dead primary's log. In quorum mode it provably holds every
-  // acknowledged write: a majority held it, and a follower's log is a
-  // prefix of its primary's, so the longest covers them all. (Remote
-  // followers promote in their own process — see FollowerDaemon — and
-  // re-home below either way.)
+  // Most caught-up local follower wins: the one with the most progress
+  // along the dead primary's log. In quorum mode it provably holds every
+  // acknowledged write: a majority held it, a follower's log is a prefix
+  // of its primary's history, and a copy replaces a follower's log only
+  // once whole, so the furthest covers them all. (Remote followers
+  // promote in their own process — see FollowerDaemon — and re-home below
+  // either way.)
   size_t best = 0;
   for (size_t i = 1; i < replicas_.size(); ++i) {
     if (replicas_[i].final_bytes > replicas_[best].final_bytes) best = i;

@@ -119,8 +119,8 @@ class ReplicaSet final : public net::RequestHandler {
   std::shared_ptr<store::KvStore> primary_kv() const;
   size_t num_replicas() const;
   size_t num_remote_followers() const;
-  /// (label, bytes of the primary's log it holds) of every remote
-  /// follower — the heartbeat group view the coordinator broadcasts.
+  /// (label, progress along the primary's log) of every remote follower —
+  /// the heartbeat group view the coordinator broadcasts.
   std::vector<std::pair<std::string, uint64_t>> RemoteFollowerBytes() const;
   AckMode ack_mode() const { return options_.kv.ack; }
   bool auto_failover() const { return options_.failover.auto_failover; }

@@ -78,10 +78,12 @@ Result<Bytes> ReplicaApplier::Handle(net::MessageType type, BytesView body) {
       if (!req.records.empty()) {
         if (req.offset == 0) full_copies_.fetch_add(1);
         version_.fetch_add(1, std::memory_order_release);
-        // Ack only what is durable: a SIGKILL before this flush would drop
-        // the records, so the ack is encoded after Sync returns.
-        TC_RETURN_IF_ERROR(log_->Sync());
       }
+      // Ack only what is durable: a SIGKILL before this flush would drop
+      // the records, so the ack is encoded after Sync returns. A position
+      // query syncs too: a frame whose Sync failed left bytes in the log
+      // that must not be reported until they are in the file.
+      TC_RETURN_IF_ERROR(log_->Sync());
       return net::ReplicaLogAck{at.generation, at.length}.Encode();
     }
     case net::MessageType::kPing:

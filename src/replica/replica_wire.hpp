@@ -1,9 +1,9 @@
 // The follower side of log shipping. A RemoteFollower encodes shipped log
 // bytes into kReplicaLog frames; a ReplicaApplier is the one follower-side
 // type: it owns the follower's LogKvStore, writes each frame's records at
-// its log end (LogKvStore::AppendLog, which indexes them with Replay's
-// parser), and serves replica reads from an engine over the same store,
-// which only reads it. In-process replicas reach their applier through an
+// its log end, or into a copy beside it (LogKvStore::AppendLog, which
+// indexes them with Replay's parser), and serves replica reads from an
+// engine over the same store, which only reads it. In-process replicas reach their applier through an
 // InProcTransport, follower daemons (`tcserver --follower-of`) through
 // TCP — either way the ReplicatedKvStore only ever sees the Follower
 // interface.

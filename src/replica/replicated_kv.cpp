@@ -104,17 +104,10 @@ void ReplicatedKvStore::ReportPosition(size_t i, store::LogPosition at) {
     TC_LOG_WARN << "follower " << i << " reports its log at "
                 << Describe(at) << ", not where it was shipped to";
   }
-  Reposition(state, at);
+  state.at = at;
+  state.copy.reset();
   state.stale = false;
   work_cv_.NotifyAll();
-}
-
-void ReplicatedKvStore::Reposition(FollowerState& state,
-                                   store::LogPosition at) {
-  // A log that is not where it was may not be the same log: only the
-  // log-matching rule says whether it is a prefix of this one.
-  if (state.at != at) state.prefix_of = 0;
-  state.at = at;
 }
 
 Status ReplicatedKvStore::Put(const std::string& key, BytesView value) {
@@ -164,26 +157,38 @@ Status ReplicatedKvStore::Shipped(Status written) {
 }
 
 std::optional<uint64_t> ReplicatedKvStore::HeldBytes(
-    const std::optional<store::LogPosition>& at, uint64_t prefix_of,
-    const store::LogHead& head) {
+    const std::optional<store::LogPosition>& at, const store::LogHead& head) {
   if (!at) return std::nullopt;
   const store::LogGeneration& g = head.generation;
   // Raft's log-matching rule: a log in this generation, or in the one it
-  // replaced up to where this one began, is a prefix of this log.
-  bool prefix = prefix_of == g.id || at->generation == g.id ||
-                (g.parent != 0 && at->generation == g.parent &&
-                 at->length <= g.begin);
+  // forked from up to where this one began, is a prefix of this log.
+  bool prefix = at->generation == g.id ||
+                (g.parent != 0 && g.replaced == 0 &&
+                 at->generation == g.parent && at->length <= g.begin);
   if (!prefix || at->length > head.length) return std::nullopt;
   return at->length;
 }
 
-size_t ReplicatedKvStore::CountHolding(store::LogHead& target) const {
+uint64_t ReplicatedKvStore::Progress(
+    const std::optional<store::LogPosition>& at, const store::LogHead& head) {
+  const store::LogGeneration& g = head.generation;
+  if (auto held = HeldBytes(at, head)) return g.replaced + *held;
+  if (!at || g.parent == 0 || at->generation != g.parent) return 0;
+  // The parent's log is history up to where this generation took over:
+  // all of it when a Compact rewrote it, its prefix when this one forked.
+  return std::min(at->length, g.replaced != 0 ? g.replaced : g.begin);
+}
+
+size_t ReplicatedKvStore::CountHolding(const store::LogHead& target) const {
   const store::LogHead head = log_->Head();
-  if (head.generation.id != target.generation.id) target = head;
+  const uint64_t id = target.generation.id;
+  const uint64_t needed =
+      id == head.generation.id || id == head.generation.parent
+          ? Progress(target.position(), head)
+          : head.progress();
   return static_cast<size_t>(std::count_if(
       followers_.begin(), followers_.end(), [&](const auto& state) {
-        auto held = HeldBytes(state->at, state->prefix_of, head);
-        return held && *held >= target.length;
+        return Progress(state->at, head) >= needed;
       }));
 }
 
@@ -200,8 +205,7 @@ uint64_t ReplicatedKvStore::follower_bytes(size_t i) const {
   const store::LogHead head = log_->Head();
   MutexLock lock(mu_);
   if (i >= followers_.size()) return 0;
-  return HeldBytes(followers_[i]->at, followers_[i]->prefix_of, head)
-      .value_or(0);
+  return Progress(followers_[i]->at, head);
 }
 
 Status ReplicatedKvStore::follower_error(size_t i) const {
@@ -215,9 +219,7 @@ uint64_t ReplicatedKvStore::MaxLagBytes() const {
   MutexLock lock(mu_);
   uint64_t lag = 0;
   for (const auto& state : followers_) {
-    lag = std::max(lag, head.length - HeldBytes(state->at, state->prefix_of,
-                                                head)
-                                          .value_or(0));
+    lag = std::max(lag, head.progress() - Progress(state->at, head));
   }
   return lag;
 }
@@ -257,22 +259,27 @@ void ReplicatedKvStore::BackoffAfterFailure(FollowerState* state,
   }
 }
 
-Result<std::pair<store::LogPosition, uint64_t>> ReplicatedKvStore::ShipOnce(
+Result<ReplicatedKvStore::Shipment> ReplicatedKvStore::ShipOnce(
     FollowerState* state, std::optional<store::LogPosition> at,
-    uint64_t prefix_of) {
+    std::optional<store::LogPosition> copy) {
   if (!at) {
     TC_ASSIGN_OR_RETURN(store::LogPosition now,
                         state->follower->ShipLog({}, {}));
-    return std::pair{now, uint64_t{0}};
+    return Shipment{now};
   }
   const store::LogHead head = log_->Head();
-  std::optional<uint64_t> from = HeldBytes(at, prefix_of, head);
-  // A log that is not a prefix of this one is copied from the start: the
-  // frame at length 0 empties it first.
-  const store::LogPosition write_at = from ? *at : store::LogPosition{};
+  std::optional<uint64_t> from = HeldBytes(at, head);
+  // A log that is not a prefix of this one gets a copy of this one, from
+  // offset 0 or from where a copy of this generation stands.
+  store::LogPosition write_at{head.generation.id, 0};
+  if (from) {
+    write_at = *at;
+  } else if (copy && copy->generation == head.generation.id) {
+    write_at = *copy;
+  }
   TC_ASSIGN_OR_RETURN(
       Bytes records,
-      log_->ReadLog(head.generation.id, from.value_or(0), kLogFrameBytes));
+      log_->ReadLog(head.generation.id, write_at.length, kLogFrameBytes));
   // Ship under the originating request's trace context so the follower's
   // replica_apply span lands in the same trace as the ingest.
   metrics::SetCurrentTraceContext(
@@ -295,13 +302,15 @@ Result<std::pair<store::LogPosition, uint64_t>> ReplicatedKvStore::ShipOnce(
   }
   Ship().frame_bytes.Record(records.size());
   Ship().shipped_bytes.Inc(records.size());
-  if (!from) {
+  if (!from && write_at.length == 0) {
     full_copies_.fetch_add(1, std::memory_order_relaxed);
     Ship().full_copies.Inc();
     trace::RecordEvent("log_copy", trace::kNoShard,
                        "follower was at " + Describe(*at));
   }
-  return std::pair{*landed, head.generation.id};
+  // The copy replaced the follower's log once it took the record that
+  // started this generation, at head.generation.begin.
+  return Shipment{*landed, !from && landed->length <= head.generation.begin};
 }
 
 void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
@@ -314,7 +323,7 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
   for (;;) {
     auto caught_up = [&]() REQUIRES(mu_) {
       const store::LogHead head = log_->Head();
-      return HeldBytes(state->at, state->prefix_of, head) == head.length;
+      return HeldBytes(state->at, head) == head.length;
     };
     while (!stop_ && !state->stale && caught_up()) work_cv_.Wait(mu_);
     if (stop_) {
@@ -323,23 +332,24 @@ void ReplicatedKvStore::ShipperLoop(FollowerState* state) {
     }
     std::optional<store::LogPosition> at =
         state->stale ? std::nullopt : state->at;
-    uint64_t prefix_of = state->prefix_of;
+    std::optional<store::LogPosition> copy = state->copy;
     mu_.unlock();
-    auto shipped = ShipOnce(state, at, prefix_of);
+    auto shipped = ShipOnce(state, at, copy);
     mu_.lock();
     if (!shipped.ok()) {
       // The frame may or may not have landed, and the follower may have
-      // restarted over another log: ask where it stands before shipping.
+      // restarted over another log: ask where it stands before shipping,
+      // and start any copy over.
       state->stale = true;
+      state->copy.reset();
       BackoffAfterFailure(state, shipped.status());
       continue;
     }
-    auto [now, generation] = *shipped;
-    if (generation != 0) {
-      state->at = now;
-      state->prefix_of = generation;
+    if (shipped->copying) {
+      state->copy = shipped->at;
     } else {
-      Reposition(*state, now);
+      state->at = shipped->at;
+      state->copy.reset();
     }
     state->stale = false;
     state->last_error = Status::Ok();

@@ -18,9 +18,17 @@
 // its log is in the primary's generation and no longer than the primary's
 // log, or in the generation that one replaced and no longer than the
 // offset where it began (Raft's log-matching rule). Any other follower is
-// copied from offset 0 by the same frames. The shipper holds one frame of
-// at most kLogFrameBytes at a time, so neither side ever holds a copy of
-// the store in memory.
+// copied from offset 0 by the same frames, into a file beside its log that
+// replaces the log only once it holds the record that started the
+// primary's generation (a compacted log's last): until then the follower
+// keeps its log, and what it acked still counts. The shipper holds one
+// frame of at most kLogFrameBytes at a time, so neither side ever holds a
+// copy of the store in memory.
+//
+// Quorums, lag and elections compare followers by progress
+// (store::LogHead::progress): bytes of the primary's log, where a log
+// still in the generation a Compact replaced ranks below every log that
+// holds the compacted one.
 //
 // Ack modes:
 //   kAsync  — a write returns once the primary's log holds it; followers
@@ -107,9 +115,9 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   size_t AddFollower(std::shared_ptr<Follower> follower,
                      std::optional<store::LogPosition> at = std::nullopt);
   /// Follower i says its log stands at `at` (a daemon registering again
-  /// after a restart). If that is not where the shipper last saw it, the
-  /// shipper takes the follower's word and positions it again: on a shard
-  /// with no writes nothing else would show a wiped store.
+  /// after a restart, which dropped any copy it was writing). The shipper
+  /// takes its word: on a shard with no writes nothing else would show a
+  /// wiped store.
   void ReportPosition(size_t i, store::LogPosition at);
 
   // KvStore writes; every other call is ForwardingKvStore's.
@@ -120,11 +128,11 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
 
   /// The primary's log.
   const std::shared_ptr<store::LogKvStore>& log() const { return log_; }
-  /// How many bytes of the primary's log follower i holds: 0 until it
-  /// acks, and while its log must be copied from the start.
+  /// Follower i's progress (see the file comment): 0 until it acks, and
+  /// for a log outside the primary's history.
   uint64_t follower_bytes(size_t i) const;
-  /// Widest lag across followers, in bytes of the primary's log (0 with no
-  /// followers).
+  /// Widest lag across followers, in bytes of progress behind the
+  /// primary's (0 with no followers).
   uint64_t MaxLagBytes() const;
   /// Times a follower's log was copied from offset 0.
   uint64_t full_copies() const { return full_copies_.load(); }
@@ -146,11 +154,11 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
     std::thread thread;
     /// Where the follower last said its log stands (nullopt until it
     /// says). Its acked bytes count toward quorums and elections even
-    /// while `stale`: they were synced.
+    /// while `stale` or copying: they were synced.
     std::optional<store::LogPosition> at;
-    /// The primary generation whose log the follower's is a byte prefix
-    /// of, once a shipment from it landed (0 = not known).
-    uint64_t prefix_of = 0;
+    /// Where the copy of the primary's log beside the follower's stands,
+    /// while one is being written.
+    std::optional<store::LogPosition> copy;
     /// A shipment failed and may or may not have landed, or the follower
     /// restarted: ask where its log stands before shipping again.
     bool stale = false;
@@ -165,30 +173,37 @@ class ReplicatedKvStore final : public store::ForwardingKvStore {
   /// mode wait until a majority holds the log as of its return.
   Status Shipped(Status written) EXCLUDES(mu_);
   void ShipperLoop(FollowerState* state) EXCLUDES(mu_);
-  /// One frame to the follower at `at`, or a position query when `at` is
-  /// nullopt, with mu_ released; returns where the follower's log stands
-  /// after it and the generation the shipped bytes came from (0 for a
-  /// query).
-  Result<std::pair<store::LogPosition, uint64_t>> ShipOnce(
-      FollowerState* state, std::optional<store::LogPosition> at,
-      uint64_t prefix_of) EXCLUDES(mu_);
-  /// Take `at` as the follower's position, forgetting what its log was a
-  /// prefix of unless it is where it was.
-  static void Reposition(FollowerState& state, store::LogPosition at);
+  /// What one frame did: the follower's position after it, and whether
+  /// that is a copy's (the follower's log has not changed).
+  struct Shipment {
+    store::LogPosition at;
+    bool copying = false;
+  };
+  /// One frame to the follower at `at` (with a copy at `copy`), or a
+  /// position query when `at` is nullopt, with mu_ released.
+  Result<Shipment> ShipOnce(FollowerState* state,
+                            std::optional<store::LogPosition> at,
+                            std::optional<store::LogPosition> copy)
+      EXCLUDES(mu_);
   /// Record a shipping failure and sleep out its backoff (under mu_, which
   /// the wait releases). Logs the first failure, then every 64th — a dead
   /// follower must not flood the log at retry frequency.
   void BackoffAfterFailure(FollowerState* state, Status error) REQUIRES(mu_);
   /// Bytes of `head`'s log a follower at `at` holds, or nullopt when its
-  /// log is not known to be a prefix of it and must be copied from the
-  /// start. `prefix_of` is FollowerState's.
+  /// log is not a prefix of it and must be copied from the start.
   static std::optional<uint64_t> HeldBytes(
-      const std::optional<store::LogPosition>& at, uint64_t prefix_of,
+      const std::optional<store::LogPosition>& at,
       const store::LogHead& head);
-  /// Followers holding `target`'s log up to its length. A compaction since
-  /// `target` was taken moves it to the new head: the rewritten log holds
-  /// every write made before it.
-  size_t CountHolding(store::LogHead& target) const REQUIRES(mu_);
+  /// The progress of a log at `at`, measured against `head`: the bytes of
+  /// `head`'s log it holds plus what `head`'s generation replaced, or for
+  /// a log in the parent generation, the bytes of it `head`'s history
+  /// shares. 0 for any other log.
+  static uint64_t Progress(const std::optional<store::LogPosition>& at,
+                           const store::LogHead& head);
+  /// Followers holding the primary's log as of `target`. A follower
+  /// holds it if its progress reaches `target`'s, or, when `target` is
+  /// older than the primary's last two generations, the primary's head.
+  size_t CountHolding(const store::LogHead& target) const REQUIRES(mu_);
   /// Wait until `needed` followers hold `target` or `deadline` passes.
   bool WaitHolding(store::LogHead target, size_t needed,
                    std::chrono::steady_clock::time_point deadline)

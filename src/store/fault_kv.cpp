@@ -66,12 +66,6 @@ bool FaultKvStore::Contains(const std::string& key) const {
   return inner()->Contains(key);
 }
 
-Status FaultKvStore::Scan(
-    const std::function<void(const std::string&, BytesView)>& fn) const {
-  if (FailAll()) return Fault();
-  return inner()->Scan(fn);
-}
-
 Status FaultKvStore::Sync() {
   AssertBlockingAllowed();
   if (FailAll()) return Fault();

@@ -45,11 +45,8 @@ class FaultKvStore final : public ForwardingKvStore {
   /// A write: shares the put schedule and the puts_failed counter.
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override;
-  /// Scans fail only under the hard outage (no per-nth schedule: one scan
-  /// is one logical operation, not a countable stream of faults).
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override;
-  /// Like Scan: fails only under the hard outage, else forwards.
+  /// Fails only under the hard outage (no per-nth schedule: one sync is
+  /// one logical operation, not a countable stream of faults).
   Status Sync() override;
 
   /// Flip the hard-outage switch (all operations fail until cleared).

@@ -36,10 +36,6 @@ class ForwardingKvStore : public KvStore {
     AssertBlockingAllowed();
     return inner_->Sync();
   }
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override {
-    return inner_->Scan(fn);
-  }
   CompactionStats Compaction() const override { return inner_->Compaction(); }
 
   /// The wrapped store.

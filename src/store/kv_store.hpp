@@ -82,13 +82,10 @@ class KvStore {
     return Status::Ok();
   }
 
-  /// Visit every (key, value) pair in unspecified order. The callback MUST
-  /// NOT call back into this store (implementations iterate under their
-  /// internal locks). Normal data paths never need this — identifiers are
-  /// computed, not discovered — it exists for whole-store checks: tests
-  /// compare stores value for value (replication ships log bytes, not
-  /// scans). Decorators without a natural iteration inherit the
-  /// Unimplemented default.
+  /// Visit every (key, value) pair. No store implements it: identifiers
+  /// are computed, not discovered, and replication ships log bytes. It
+  /// stays only because bench/tcbench's timing decorator overrides it; it
+  /// goes when that decorator next changes (ROADMAP).
   virtual Status Scan(
       const std::function<void(const std::string& key, BytesView value)>&)
       const {

@@ -41,11 +41,6 @@ class LatencyKvStore final : public ForwardingKvStore {
     Delay();
     return inner()->Append(key, expected_size, suffix);
   }
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override {
-    Delay();  // one round trip: a remote scan streams, it does not chat
-    return inner()->Scan(fn);
-  }
   Status Sync() override {
     AssertBlockingAllowed();
     Delay();

@@ -53,12 +53,26 @@ struct StoreOps {
   metrics::Counter& compactions;
 };
 
-/// A kGenerationKey value: the generation's id, then its parent's.
-Bytes EncodeGeneration(uint64_t id, uint64_t parent) {
-  BinaryWriter w(16);
+/// A kGenerationKey value: the generation's id, its parent's, and
+/// LogGeneration::replaced.
+Bytes EncodeGeneration(uint64_t id, uint64_t parent, uint64_t replaced) {
+  BinaryWriter w(24);
   w.PutU64(id);
   w.PutU64(parent);
+  w.PutU64(replaced);
   return std::move(w).Take();
+}
+
+/// Opens `path` for appending; null when it cannot be opened.
+std::shared_ptr<std::FILE> OpenAppend(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "ab");
+  if (file == nullptr) return nullptr;
+  return std::shared_ptr<std::FILE>(file, [](std::FILE* f) { std::fclose(f); });
+}
+
+std::string Describe(const LogPosition& at) {
+  return "generation " + std::to_string(at.generation) + " length " +
+         std::to_string(at.length);
 }
 
 StoreOps& Ops() {
@@ -396,10 +410,7 @@ LogKvStore::LogKvStore(std::string path, LogKvOptions options)
     : path_(std::move(path)), options_(options),
       dir_(std::make_unique<Directory>()) {}
 
-LogKvStore::~LogKvStore() {
-  MutexLock lock(mu_);
-  if (log_ != nullptr) std::fclose(log_);
-}
+LogKvStore::~LogKvStore() = default;
 
 Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path,
                                                      LogKvOptions options) {
@@ -408,8 +419,11 @@ Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path,
   // uncontended; taking it anyway keeps Replay under the same capability
   // as every other dir_/log_ access.
   MutexLock lock(store->mu_);
+  // A copy a follower had not finished when it stopped is of no use: the
+  // shipper starts any copy over.
+  std::remove(store->CopyPath().c_str());
   TC_RETURN_IF_ERROR(store->Replay());
-  store->log_ = std::fopen(path.c_str(), "ab");
+  store->log_ = OpenAppend(path);
   if (store->log_ == nullptr) {
     return Unavailable("cannot open log file: " + path);
   }
@@ -466,7 +480,10 @@ void LogKvStore::NoteGeneration(BytesView value, uint64_t at) {
   BinaryReader r(value);
   auto id = r.GetU64();
   auto parent = r.GetU64();
-  if (id.ok() && parent.ok() && r.AtEnd()) generation_ = {*id, *parent, at};
+  auto replaced = r.GetU64();
+  if (id.ok() && parent.ok() && replaced.ok() && r.AtEnd()) {
+    generation_ = {*id, *parent, at, *replaced};
+  }
 }
 
 Status LogKvStore::Replay() {
@@ -527,23 +544,27 @@ Status LogKvStore::WriteLocked(BytesView bytes) {
     return Unavailable("log append handle closed (failed compaction?): " +
                        path_);
   }
-  if (std::fwrite(bytes.data(), 1, bytes.size(), log_) != bytes.size()) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), log_.get()) !=
+      bytes.size()) {
     // Part of the bytes may have reached the file, so the offset of the
     // next record is unknown and the directory could not point at it.
-    // Refuse writes until a compaction rewrites the log or the store
-    // reopens. Earlier records still in the write buffer may have failed
-    // with these, and stdio can drop a buffer whose write failed, so
-    // fclose's result alone does not show they reached the file. The
-    // file's size does: it holds them all only if it reaches log_end_. If
-    // it does not, Sync and any Get of their keys fail from here on.
-    bool closed = std::fclose(log_) == 0;
-    log_ = nullptr;
-    auto size = reader_->Size();
-    if (closed && size.ok() && *size >= log_end_) flushed_end_ = log_end_;
+    DropAppendHandleLocked();
     return Unavailable("log append failed: " + path_);
   }
   log_end_ += bytes.size();
   return Status::Ok();
+}
+
+void LogKvStore::DropAppendHandleLocked() const {
+  // Earlier records still in the write buffer may have failed with the
+  // write, and stdio drops a buffer whose write failed, so a flush's
+  // result alone does not show they reached the file. The file's size
+  // does: it holds them all only if it reaches log_end_. If it does not,
+  // Sync and any Get of their keys fail from here on.
+  bool flushed = std::fflush(log_.get()) == 0;
+  log_.reset();
+  auto size = reader_->Size();
+  if (flushed && size.ok() && *size >= log_end_) flushed_end_ = log_end_;
 }
 
 Status LogKvStore::FlushThrough(uint64_t end) const {
@@ -551,7 +572,10 @@ Status LogKvStore::FlushThrough(uint64_t end) const {
   if (log_ == nullptr) {
     return Unavailable("log records lost with a failed write: " + path_);
   }
-  if (std::fflush(log_) != 0) return Unavailable("fflush failed: " + path_);
+  if (std::fflush(log_.get()) != 0) {
+    DropAppendHandleLocked();
+    return Unavailable("fflush failed: " + path_);
+  }
   flushed_end_ = log_end_;
   return Status::Ok();
 }
@@ -695,55 +719,6 @@ size_t LogKvStore::ValueBytes() const {
   return value_bytes_;
 }
 
-Status LogKvStore::Scan(
-    const std::function<void(const std::string&, BytesView)>& fn) const {
-  // The directory and descriptor as of one instant, the keys and extents
-  // of all values in one array each; as in Get, the values are read without
-  // the lock.
-  struct Item {
-    size_t key_end;      // items[i]'s key ends where items[i + 1]'s starts
-    uint64_t size;
-    size_t extents_end;  // and likewise its extents
-  };
-  std::vector<Item> items;
-  std::string keys;
-  std::vector<Extent> extents;
-  std::shared_ptr<const ReadFile> file;
-  {
-    MutexLock lock(mu_);
-    TC_RETURN_IF_ERROR(FlushThrough(log_end_));
-    items.reserve(dir_->size());
-    extents.reserve(dir_->size());
-    for (uint32_t id = 0; id < dir_->records(); ++id) {
-      const Record* record = dir_->Live(id);
-      if (record == nullptr) continue;
-      keys += dir_->Key(*record);
-      size_t count = dir_->ExtentCount(*record);
-      extents.resize(extents.size() + count);
-      dir_->CopyExtents(*record, std::span(extents).last(count));
-      items.push_back({keys.size(), record->size, extents.size()});
-    }
-    file = reader_;
-  }
-  std::string key;
-  Bytes value;
-  size_t key_begin = 0;
-  size_t extents_begin = 0;
-  for (const auto& item : items) {
-    key.assign(keys, key_begin, item.key_end - key_begin);
-    value.resize(item.size);
-    TC_RETURN_IF_ERROR(ReadValue(
-        *file,
-        std::span(extents).subspan(extents_begin,
-                                   item.extents_end - extents_begin),
-        value));
-    key_begin = item.key_end;
-    extents_begin = item.extents_end;
-    fn(key, value);
-  }
-  return Status::Ok();
-}
-
 Result<size_t> LogKvStore::Compact() {
   MutexLock lock(mu_);
   return CompactLocked();
@@ -759,21 +734,30 @@ Result<size_t> LogKvStore::CompactLocked() {
   // The new log and, beside it, the directory that will describe it: each
   // key in dir_'s order, its value now one put. dir_ is replaced only once
   // the new log has replaced the old one. A log with a generation gets a
-  // new one with no parent: no copy of the old log is a prefix of this.
+  // new one, whose record comes last: a follower's copy of the new log
+  // takes its place once it holds that record, so only once it holds
+  // every value the old log did.
   auto dense = std::make_unique<Directory>();
+  const bool has_generation = generation_.id != 0;
   LogGeneration generation;
   uint64_t tmp_end = 0;
   std::vector<Extent> extents;
   Bytes value;
-  for (uint32_t id = 0; id < dir_->records(); ++id) {
-    const Record* record = dir_->Live(id);
-    if (record == nullptr) continue;
-    std::string_view key = dir_->Key(*record);
+  for (uint32_t id = 0; id <= dir_->records(); ++id) {
+    std::string_view key;
     Status read = Status::Ok();
-    if (key == kGenerationKey) {
-      generation = {crypto::RandomU64() | 1, 0, tmp_end};
-      value = EncodeGeneration(generation.id, 0);
+    if (id == dir_->records()) {
+      if (!has_generation) break;
+      key = kGenerationKey;
+      generation = {crypto::RandomU64() | 1, generation_.id, tmp_end,
+                    log_end_};
+      value = EncodeGeneration(generation.id, generation.parent,
+                               generation.replaced);
     } else {
+      const Record* record = dir_->Live(id);
+      if (record == nullptr) continue;
+      key = dir_->Key(*record);
+      if (key == kGenerationKey) continue;
       extents.resize(dir_->ExtentCount(*record));
       dir_->CopyExtents(*record, extents);
       value.resize(record->size);
@@ -822,35 +806,19 @@ Status LogKvStore::SwapInLocked(const std::string& tmp_path) {
     return reader.status();
   }
   // The caller flushed every record appended so far into the file, so
-  // closing the old handle loses nothing.
-  if (log_ != nullptr) std::fclose(log_);
-  log_ = nullptr;
+  // closing the old handle loses nothing (a ReadLog flushing it closes it
+  // when done).
+  log_.reset();
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     // The old log is intact at path_; reopen it so appends keep working.
     std::remove(tmp_path.c_str());
-    log_ = std::fopen(path_.c_str(), "ab");
+    log_ = OpenAppend(path_);
     return Unavailable("cannot rename " + tmp_path + " over " + path_);
   }
   // A Get that copied the old descriptor finishes on the old file. If the
   // append handle does not reopen, writes are refused (see WriteLocked).
   reader_ = std::move(*reader);
-  log_ = std::fopen(path_.c_str(), "ab");
-  return Status::Ok();
-}
-
-Status LogKvStore::ResetLocked() {
-  std::string tmp_path = path_ + ".copy";
-  std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
-  if (tmp == nullptr) return Unavailable("cannot create " + tmp_path);
-  if (std::fclose(tmp) != 0) {
-    std::remove(tmp_path.c_str());
-    return Unavailable("cannot create " + tmp_path);
-  }
-  TC_RETURN_IF_ERROR(SwapInLocked(tmp_path));
-  dir_ = std::make_unique<Directory>();
-  value_bytes_ = dead_bytes_ = 0;
-  log_end_ = flushed_end_ = 0;
-  generation_ = {};
+  log_ = OpenAppend(path_);
   return Status::Ok();
 }
 
@@ -861,8 +829,13 @@ LogHead LogKvStore::Head() const {
 
 Status LogKvStore::StartGeneration() {
   MutexLock lock(mu_);
+  // A writer's log takes no copies: drop one a follower left unfinished.
+  if (copy_ != nullptr) {
+    copy_.reset();
+    std::remove(CopyPath().c_str());
+  }
   const uint64_t at = log_end_;
-  Bytes value = EncodeGeneration(crypto::RandomU64() | 1, generation_.id);
+  Bytes value = EncodeGeneration(crypto::RandomU64() | 1, generation_.id, 0);
   TC_ASSIGN_OR_RETURN(uint64_t offset,
                       AppendRecord(kRecordPut, kGenerationKey, value));
   ApplyPut(kGenerationKey, offset, value.size());
@@ -873,6 +846,7 @@ Status LogKvStore::StartGeneration() {
 Result<Bytes> LogKvStore::ReadLog(uint64_t generation, uint64_t offset,
                                   size_t max_bytes) const {
   std::shared_ptr<const ReadFile> file;
+  std::shared_ptr<std::FILE> unflushed;
   uint64_t end = 0;
   {
     MutexLock lock(mu_);
@@ -884,9 +858,27 @@ Result<Bytes> LogKvStore::ReadLog(uint64_t generation, uint64_t offset,
       return OutOfRange("log offset " + std::to_string(offset) +
                         " is past the end of " + path_);
     }
-    TC_RETURN_IF_ERROR(FlushThrough(log_end_));
     file = reader_;
     end = log_end_;
+    if (end > flushed_end_) {
+      if (log_ == nullptr) {
+        return Unavailable("log records lost with a failed write: " + path_);
+      }
+      unflushed = log_;
+    }
+  }
+  if (unflushed != nullptr) {
+    // Flushed without the lock, so writers never wait on it: stdio orders
+    // the flush with their appends, and the handle stays open while held
+    // here even if a Compact swaps in another.
+    const bool flushed = std::fflush(unflushed.get()) == 0;
+    MutexLock lock(mu_);
+    if (log_ == unflushed && flushed) {
+      flushed_end_ = std::max(flushed_end_, end);
+    } else if (log_ == unflushed) {
+      DropAppendHandleLocked();
+    }
+    if (!flushed) return Unavailable("fflush failed: " + path_);
   }
   // Log bytes never change once written and Compact() writes a new file,
   // so `file` holds this generation's bytes up to `end` without the lock.
@@ -923,14 +915,39 @@ Result<LogPosition> LogKvStore::AppendLog(LogPosition at, BytesView records) {
   MutexLock lock(mu_);
   const LogPosition here{generation_.id, log_end_};
   if (records.empty()) return here;
-  auto where = [](LogPosition p) {
-    return "generation " + std::to_string(p.generation) + " length " +
-           std::to_string(p.length);
-  };
-  if (at.length != 0 && at != here) {
-    return FailedPrecondition("log " + path_ + " is at " + where(here) +
-                              ", not at " + where(at));
+  if (at == here) {
+    TC_RETURN_IF_ERROR(AppendRecordsLocked(records));
+    return LogPosition{generation_.id, log_end_};
   }
+  // Anywhere else, the records are part of a copy of generation
+  // at.generation's log, written beside this one. The copy takes this
+  // log's place once it holds the record that started that generation;
+  // until then this log, and the position it reports, stay as they were.
+  if (at.length == 0) {
+    copy_.reset();
+    std::remove(CopyPath().c_str());
+    TC_ASSIGN_OR_RETURN(copy_, Open(CopyPath()));
+    copy_generation_ = at.generation;
+  } else if (copy_ == nullptr ||
+             at != LogPosition{copy_generation_, copy_->Head().length}) {
+    return FailedPrecondition("log " + path_ + " is at " + Describe(here) +
+                              ", not at " + Describe(at));
+  }
+  TC_ASSIGN_OR_RETURN(LogPosition copied,
+                      copy_->AppendLog(copy_->Head().position(), records));
+  if (copied.generation != copy_generation_) {
+    return LogPosition{copy_generation_, copied.length};
+  }
+  copy_.reset();  // closing the copy flushes it
+  TC_RETURN_IF_ERROR(SwapInLocked(CopyPath()));
+  dir_ = std::make_unique<Directory>();
+  value_bytes_ = dead_bytes_ = 0;
+  generation_ = {};
+  TC_RETURN_IF_ERROR(Replay());
+  return LogPosition{generation_.id, log_end_};
+}
+
+Status LogKvStore::AppendRecordsLocked(BytesView records) {
   // Every record parses, and every append extends a live key, before any
   // byte is written: bytes that fail either change nothing.
   auto view = [&](uint64_t pos, uint64_t n) -> Result<BytesView> {
@@ -941,22 +958,20 @@ Result<LogPosition> LogKvStore::AppendLog(LogPosition at, BytesView records) {
     TC_ASSIGN_OR_RETURN(auto head, ParseRecord(view, pos, records.size()));
     if (!head) {
       return DataLoss("shipped log bytes at offset " +
-                      std::to_string(at.length + pos) +
+                      std::to_string(log_end_ + pos) +
                       " are not a whole record");
     }
     if (head->type != kRecordAppend) {
       live[head->key] = head->type == kRecordPut;
     } else if (auto it = live.find(head->key);
                it != live.end() ? !it->second
-                                : at.length == 0 ||
-                                      dir_->Find(head->key) == nullptr) {
+                                : dir_->Find(head->key) == nullptr) {
       return DataLoss("shipped append record at offset " +
-                      std::to_string(at.length + pos) + " for absent key " +
+                      std::to_string(log_end_ + pos) + " for absent key " +
                       std::string(head->key));
     }
     pos += head->size();
   }
-  if (at.length == 0) TC_RETURN_IF_ERROR(ResetLocked());
   const uint64_t start = log_end_;
   TC_RETURN_IF_ERROR(WriteLocked(records));
   for (uint64_t pos = 0; pos < records.size();) {
@@ -968,13 +983,17 @@ Result<LogPosition> LogKvStore::AppendLog(LogPosition at, BytesView records) {
     }
     pos += head->size();
   }
-  return LogPosition{generation_.id, log_end_};
+  return Status::Ok();
 }
 
 Status LogKvStore::Sync() {
   AssertBlockingAllowed();
   Ops().syncs.Inc();
   MutexLock lock(mu_);
+  if (LogKvStore* copy = copy_.get(); copy != nullptr) {
+    MutexLock copy_lock(copy->mu_);
+    TC_RETURN_IF_ERROR(copy->FlushThrough(copy->log_end_));
+  }
   // Group commit: if a concurrent caller's flush already covered every
   // record appended before this Sync, skip the (expensive) flush entirely.
   return FlushThrough(log_end_);

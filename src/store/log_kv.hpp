@@ -10,8 +10,10 @@
 // ReadLog hands out whole records from any offset, and a follower's
 // AppendLog writes them at its own log end and indexes them with the
 // parser Replay uses, so a follower's log is a byte prefix of its
-// primary's. A generation, recorded as a put of kGenerationKey, tells two
-// logs with a common past from two that forked (see LogGeneration).
+// primary's. A copy from offset 0 is written beside the follower's log
+// and replaces it only once whole. A generation, recorded as a put of
+// kGenerationKey, tells two logs with a common past from two that forked
+// (see LogGeneration).
 #pragma once
 
 #include <cstdio>
@@ -40,15 +42,20 @@ struct LogKvOptions {
 /// The key whose puts record a log's generation: a run of the log that one
 /// writer appended with no fork in its history. A replicated primary
 /// starts one whenever it opens the log as a writer, and Compact starts one
-/// in a log that has one. It is an ordinary put, so a log holding it
-/// replays in any build; a log no replication opened never holds it.
+/// in a log that has one, as the rewritten log's last record. It is an
+/// ordinary put, so a log holding it replays in any build; a log no
+/// replication opened never holds it.
 inline constexpr char kGenerationKey[] = "meta/log/generation";
 
 /// A log's current generation.
 struct LogGeneration {
   uint64_t id = 0;      // random and nonzero; 0 when the log has none
-  uint64_t parent = 0;  // the generation it replaced; 0 after Compact
+  uint64_t parent = 0;  // the generation it replaced; 0 for a log's first
   uint64_t begin = 0;   // log offset of the record that started it
+  /// 0 when it forked from its parent at `begin`, sharing the parent's
+  /// bytes before that; after a Compact, the length of the parent's log
+  /// it rewrote, none of whose bytes it shares.
+  uint64_t replaced = 0;
 };
 
 /// Where a log stands: its generation id and its length in bytes. Two logs
@@ -66,6 +73,10 @@ struct LogHead {
   uint64_t length = 0;
 
   LogPosition position() const { return {generation.id, length}; }
+  /// How far the log's history has come, in bytes: its length, plus the
+  /// length of the log a Compact rewrote into this generation. A log in
+  /// the parent generation ranks below every log past this one's start.
+  uint64_t progress() const { return generation.replaced + length; }
 };
 
 /// Log-structured store. Writes append `type keylen key vallen value`
@@ -119,11 +130,6 @@ class LogKvStore final : public KvStore {
                         BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
-  /// Copies the key directory under the store's lock, then reads the
-  /// values from the log without it, so a scan is an atomic snapshot that
-  /// blocks writes only for the copy.
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override;
 
   /// Rewrite the log keeping only live records. Returns bytes reclaimed.
   Result<size_t> Compact();
@@ -151,13 +157,19 @@ class LogKvStore final : public KvStore {
                         size_t max_bytes) const;
 
   /// Write `records`, whole records read from another log, at position
-  /// `at` of this one, and index them; returns the new position. At length
-  /// 0 the log is emptied first (a copy from the start). Otherwise the log
-  /// must be exactly at `at`, or nothing is written (FailedPrecondition).
-  /// Bytes that do not parse into whole records, or append to a key that
-  /// does not exist, are DataLoss and change nothing. Empty `records` only
-  /// read the position. A store written this way is a follower's: it never
-  /// compacts itself, as it never takes a Put or Delete.
+  /// `at` of this one, and index them; returns the new position. Empty
+  /// `records` only read the position. At this log's own position they
+  /// are appended to it. At length 0 of generation G they start a copy of
+  /// G's log from its start, in a file beside this log, and at the copy's
+  /// position (G, copied length) they extend it: the reply is the copy's
+  /// position, while Head() and position queries still report this log.
+  /// Once the copy holds the record that started G, it replaces this log,
+  /// so a log is only ever a whole copy, never part of one. Anywhere else
+  /// nothing is written (FailedPrecondition). Bytes that do not parse
+  /// into whole records, or append to a key that does not exist, are
+  /// DataLoss and change nothing. A store written this way is a
+  /// follower's: it never compacts itself, as it never takes a Put or
+  /// Delete.
   Result<LogPosition> AppendLog(LogPosition at, BytesView records);
 
   /// Dead (overwritten/tombstoned) value bytes awaiting compaction.
@@ -224,9 +236,15 @@ class LogKvStore final : public KvStore {
   /// Append `bytes` (whole records) at the log end. On a failed write the
   /// append handle closes and writes are refused (see AppendRecord).
   Status WriteLocked(BytesView bytes) REQUIRES(mu_);
-  /// Swap in an empty log file, as Compact swaps in a rewritten one, and
-  /// an empty directory.
-  Status ResetLocked() REQUIRES(mu_);
+  /// After a failed write or flush: close the append handle, so writes
+  /// are refused until a Compact or a reopen, and count as flushed only
+  /// the records the file is seen to hold.
+  void DropAppendHandleLocked() const REQUIRES(mu_);
+  /// AppendLog's write at this log's end: `records` parse into whole
+  /// records, each append extends a live key, or nothing is written.
+  Status AppendRecordsLocked(BytesView records) REQUIRES(mu_);
+  /// Where AppendLog writes a copy of another log.
+  std::string CopyPath() const { return path_ + ".copy"; }
   /// Replace `path_` with the file at `tmp_path` and reopen both handles
   /// on it. A Get that copied the old descriptor finishes on the old file.
   Status SwapInLocked(const std::string& tmp_path) REQUIRES(mu_);
@@ -242,7 +260,8 @@ class LogKvStore final : public KvStore {
   std::string path_;
   LogKvOptions options_;
   mutable Mutex mu_;
-  std::FILE* log_ GUARDED_BY(mu_) = nullptr;
+  // The append handle. ReadLog flushes a copy of it without the lock.
+  mutable std::shared_ptr<std::FILE> log_ GUARDED_BY(mu_);
   std::shared_ptr<const ReadFile> reader_ GUARDED_BY(mu_);
   std::unique_ptr<Directory> dir_ GUARDED_BY(mu_);
   size_t value_bytes_ GUARDED_BY(mu_) = 0;
@@ -257,6 +276,10 @@ class LogKvStore final : public KvStore {
   uint64_t log_end_ GUARDED_BY(mu_) = 0;
   mutable uint64_t flushed_end_ GUARDED_BY(mu_) = 0;
   LogGeneration generation_ GUARDED_BY(mu_);
+  // A copy of generation copy_generation_'s log that AppendLog is writing
+  // beside this one; null when there is none.
+  std::unique_ptr<LogKvStore> copy_ GUARDED_BY(mu_);
+  uint64_t copy_generation_ GUARDED_BY(mu_) = 0;
 };
 
 /// A private directory for logs that no restart reads: made under the

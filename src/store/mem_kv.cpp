@@ -66,17 +66,6 @@ size_t MemKvStore::Size() const {
   return total;
 }
 
-Status MemKvStore::Scan(
-    const std::function<void(const std::string&, BytesView)>& fn) const {
-  // One shard lock at a time: the visit is not an atomic snapshot across
-  // shards (same contract as Size under concurrency).
-  for (size_t i = 0; i < num_shards_; ++i) {
-    MutexLock lock(shards_[i].mu);
-    for (const auto& [key, value] : shards_[i].map) fn(key, value);
-  }
-  return Status::Ok();
-}
-
 size_t MemKvStore::ValueBytes() const {
   size_t total = 0;
   for (size_t i = 0; i < num_shards_; ++i) {

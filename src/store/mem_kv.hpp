@@ -27,8 +27,6 @@ class MemKvStore final : public KvStore {
                         BytesView suffix) override;
   size_t Size() const override;
   size_t ValueBytes() const override;
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override;
 
  private:
   struct Shard {

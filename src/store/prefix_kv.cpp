@@ -27,13 +27,4 @@ Result<size_t> PrefixKvStore::Append(const std::string& key,
   return inner()->Append(Namespaced(key), expected_size, suffix);
 }
 
-Status PrefixKvStore::Scan(
-    const std::function<void(const std::string&, BytesView)>& fn) const {
-  return inner()->Scan([&](const std::string& key, BytesView value) {
-    if (key.size() < prefix_.size()) return;
-    if (key.compare(0, prefix_.size(), prefix_) != 0) return;
-    fn(key.substr(prefix_.size()), value);
-  });
-}
-
 }  // namespace tc::store

@@ -27,12 +27,6 @@ class PrefixKvStore final : public ForwardingKvStore {
   bool Contains(const std::string& key) const override;
   Result<size_t> Append(const std::string& key, size_t expected_size,
                         BytesView suffix) override;
-  /// Visits only this view's slice: backend keys carrying the prefix, with
-  /// the prefix stripped — so a scan of a view round-trips through Put
-  /// unchanged, and sibling views' keys never leak in.
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override;
-
   const std::string& prefix() const { return prefix_; }
 
  private:

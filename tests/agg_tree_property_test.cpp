@@ -159,15 +159,56 @@ TEST(AggTreeLeafDigest, ReturnsExactStoredBlob) {
   EXPECT_FALSE(tree.LeafDigest(10).ok());
 }
 
-/// Every key and value of a store, for byte-for-byte comparison.
-std::map<std::string, Bytes> Contents(const store::KvStore& kv) {
-  std::map<std::string, Bytes> all;
-  Status s = kv.Scan([&](const std::string& key, BytesView value) {
-    all.emplace(key, Bytes(value.begin(), value.end()));
-  });
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return all;
-}
+/// Counts the reads and writes that reach the store, and the writes to
+/// level-0 nodes; logs the key of every write.
+class CountingKv final : public store::KvStore {
+ public:
+  explicit CountingKv(std::shared_ptr<store::KvStore> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Put(const std::string& key, BytesView value) override {
+    Count(key);
+    return inner_->Put(key, value);
+  }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    Count(key);
+    return inner_->Append(key, expected_size, suffix);
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    ++gets;
+    return inner_->Get(key);
+  }
+  Status Delete(const std::string& key) override { return inner_->Delete(key); }
+  bool Contains(const std::string& key) const override {
+    return inner_->Contains(key);
+  }
+  size_t Size() const override { return inner_->Size(); }
+  size_t ValueBytes() const override { return inner_->ValueBytes(); }
+  /// Every live key written through this store, with its value: stores
+  /// have no iteration, so whole-store checks read back what was written.
+  std::map<std::string, Bytes> Contents() const {
+    std::map<std::string, Bytes> all;
+    for (const auto& key : written) {
+      if (auto value = inner_->Get(key); value.ok()) all.emplace(key, *value);
+    }
+    return all;
+  }
+
+  mutable uint64_t gets = 0;
+  uint64_t writes = 0;
+  uint64_t level0_writes = 0;
+  std::vector<std::string> written;
+
+ private:
+  void Count(const std::string& key) {
+    ++writes;
+    if (key.find("/L0/") != std::string::npos) ++level0_writes;
+    written.push_back(key);
+  }
+
+  std::shared_ptr<store::KvStore> inner_;
+};
 
 class AggTreeRuns : public ::testing::TestWithParam<uint32_t> {};
 
@@ -182,8 +223,10 @@ TEST_P(AggTreeRuns, RunsStoreTheSameNodesAsSingleAppends) {
     crypto::DeterministicRng rng(k * 7919 + seed);
     const uint64_t chunks =
         seed == 1 ? 3ull * k * k : 1 + rng.NextBelow(3ull * k * k);
-    auto single_kv = std::make_shared<store::MemKvStore>();
-    auto run_kv = std::make_shared<store::MemKvStore>();
+    auto single_kv =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+    auto run_kv =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
     AggTree single(single_kv, "t", cipher, options);
     AggTree runs(run_kv, "t", cipher, options);
 
@@ -217,7 +260,7 @@ TEST_P(AggTreeRuns, RunsStoreTheSameNodesAsSingleAppends) {
     }
 
     EXPECT_EQ(runs.num_chunks(), single.num_chunks());
-    EXPECT_EQ(Contents(*run_kv), Contents(*single_kv))
+    EXPECT_EQ(run_kv->Contents(), single_kv->Contents())
         << "k=" << k << " chunks=" << chunks;
     AggTree recovered(run_kv, "t", cipher, options);
     ASSERT_TRUE(recovered.Recover().ok());
@@ -240,51 +283,6 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, AggTreeRuns,
                            return "k" + std::to_string(info.param);
                          });
 
-/// Counts the reads and writes that reach the store, and the writes to
-/// level-0 nodes; logs the key of every write.
-class CountingKv final : public store::KvStore {
- public:
-  explicit CountingKv(std::shared_ptr<store::KvStore> inner)
-      : inner_(std::move(inner)) {}
-
-  Status Put(const std::string& key, BytesView value) override {
-    Count(key);
-    return inner_->Put(key, value);
-  }
-  Result<size_t> Append(const std::string& key, size_t expected_size,
-                        BytesView suffix) override {
-    Count(key);
-    return inner_->Append(key, expected_size, suffix);
-  }
-  Result<Bytes> Get(const std::string& key) const override {
-    ++gets;
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override { return inner_->Delete(key); }
-  bool Contains(const std::string& key) const override {
-    return inner_->Contains(key);
-  }
-  size_t Size() const override { return inner_->Size(); }
-  size_t ValueBytes() const override { return inner_->ValueBytes(); }
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override {
-    return inner_->Scan(fn);
-  }
-
-  mutable uint64_t gets = 0;
-  uint64_t writes = 0;
-  uint64_t level0_writes = 0;
-  std::vector<std::string> written;
-
- private:
-  void Count(const std::string& key) {
-    ++writes;
-    if (key.find("/L0/") != std::string::npos) ++level0_writes;
-    written.push_back(key);
-  }
-
-  std::shared_ptr<store::KvStore> inner_;
-};
 
 TEST(AggTreeRunWrites, AlignedRunWritesEachLevel0NodeOnce) {
   constexpr uint32_t kFanout = 64;
@@ -459,7 +457,8 @@ TEST_P(AggTreeSpine, RestartAnywhereContinuesTheSameStore) {
         heac ? MakeHeacCipher(1, ggm) : MakePlainCipher(1);
     const size_t bs = cipher->blob_size();
     const Bytes digests = EncryptAll(*cipher, SeededValues(k, chunks));
-    auto ref_kv = std::make_shared<store::MemKvStore>();
+    auto ref_kv =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
     AggTree ref(ref_kv, "r", cipher, options);
     for (uint64_t i = 0; i < chunks; ++i) {
       ASSERT_TRUE(ref.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
@@ -491,7 +490,7 @@ TEST_P(AggTreeSpine, RestartAnywhereContinuesTheSameStore) {
       ASSERT_TRUE(AppendRuns(after, digests, bs,
                              SeededRuns(stop, k, stop, chunks))
                       .ok());
-      EXPECT_EQ(Contents(*kv), Contents(*ref_kv));
+      EXPECT_EQ(kv->Contents(), ref_kv->Contents());
     }
     EXPECT_TRUE(open_levels_seen.contains(1) && open_levels_seen.contains(2) &&
                 open_levels_seen.contains(3));
@@ -522,11 +521,13 @@ TEST(AggTreeSpineRefresh, RefreshedHandleAppendsWhereTheStoreIs) {
                            uint64_t{0});
   };
 
-  auto ref_kv = std::make_shared<store::MemKvStore>();
+  auto ref_kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
   AggTree ref(ref_kv, "f", cipher, options);
   ASSERT_TRUE(AppendRuns(ref, digests, bs, {{0, kChunks}}).ok());
 
-  auto kv = std::make_shared<store::MemKvStore>();
+  auto kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
   AggTree primary(kv, "f", cipher, options);
   AggTree replica(kv, "f", cipher, options);
   constexpr uint64_t kFirst = kFanout * kFanout + 1;
@@ -545,7 +546,7 @@ TEST(AggTreeSpineRefresh, RefreshedHandleAppendsWhereTheStoreIs) {
   ASSERT_TRUE(AppendRuns(replica, digests, bs,
                          SeededRuns(kFanout, kFanout, kSecond, kChunks))
                   .ok());
-  EXPECT_EQ(Contents(*kv), Contents(*ref_kv));
+  EXPECT_EQ(kv->Contents(), ref_kv->Contents());
   EXPECT_TRUE(sum_of(replica, 1, kChunks));
   EXPECT_TRUE(sum_of(replica, kFirst - 1, kSecond + 1));
 }
@@ -562,7 +563,8 @@ TEST(AggTreeSpineFault, FailedLevel1WriteCommitsNoSpine) {
   const Bytes digests = EncryptAll(*cipher, SeededValues(23, kChunks));
   const Runs runs = SeededRuns(29, kFanout, 0, kChunks);
 
-  auto ref_kv = std::make_shared<store::MemKvStore>();
+  auto ref_kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
   AggTree ref(ref_kv, "x", cipher, options);
   for (uint64_t i = 0; i < kChunks; ++i) {
     ASSERT_TRUE(ref.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
@@ -583,7 +585,8 @@ TEST(AggTreeSpineFault, FailedLevel1WriteCommitsNoSpine) {
     SCOPED_TRACE("write " + std::to_string(nth) + " fails");
     store::FaultOptions fault_options;
     fault_options.fail_every_nth_put = nth;
-    auto mem = std::make_shared<store::MemKvStore>();
+    auto mem =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
     auto fault = std::make_shared<store::FaultKvStore>(mem, fault_options);
     AggTree tree(fault, "x", cipher, options);
     for (auto [first, len] : runs) {
@@ -596,7 +599,7 @@ TEST(AggTreeSpineFault, FailedLevel1WriteCommitsNoSpine) {
       }
     }
     EXPECT_EQ(fault->puts_failed(), 1u);
-    EXPECT_EQ(Contents(*mem), Contents(*ref_kv));
+    EXPECT_EQ(mem->Contents(), ref_kv->Contents());
     ++tried;
   }
   EXPECT_GE(tried, 3);

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <thread>
 
@@ -476,7 +477,10 @@ TEST(FollowerDaemonE2E, RestartOverAnEmptyLogIsCopiedFromTheStart) {
 // A daemon killed partway through its first copy holds the frames that
 // landed, a prefix of the primary's log: restarted over it, the copy
 // resumes where it stopped.
-TEST(FollowerDaemonE2E, DaemonKilledMidCopyResumesOnRestart) {
+TEST(FollowerDaemonE2E, DaemonKilledMidCopyCopiesAgainOnRestart) {
+  // A daemon killed mid-copy leaves the copy's file beside its log, which
+  // the copy had not replaced yet. On restart its log is what it was
+  // (empty here) and the unfinished copy is dropped: it is copied again.
   Primary primary(30);
   const store::LogHead head = primary.log->Head();
   auto landed =
@@ -484,15 +488,18 @@ TEST(FollowerDaemonE2E, DaemonKilledMidCopyResumesOnRestart) {
   ASSERT_TRUE(landed.ok());
   ASSERT_GT(landed->size(), 0u);
   ASSERT_LT(landed->size(), head.length);
-  ASSERT_TRUE(primary.logs.Open("d")->AppendLog({}, *landed).ok());
+  {
+    std::ofstream copy(primary.logs.Path("d") + ".copy", std::ios::binary);
+    copy.write(reinterpret_cast<const char*>(landed->data()),
+               static_cast<std::streamsize>(landed->size()));
+  }
 
   auto daemon = primary.StartDaemon("d");
   primary.ExpectConverged(*daemon, "d", 30);
-  EXPECT_EQ(primary.set->full_copies(), 0u);
-  EXPECT_EQ(daemon->full_copies(0), 0u);
+  EXPECT_EQ(primary.set->full_copies(), 1u);
+  EXPECT_EQ(daemon->full_copies(0), 1u);
   daemon->Stop();
 }
-
 
 TEST(FollowerDaemonE2E, HelloHandshakeValidation) {
   TempLogs logs;

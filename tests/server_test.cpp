@@ -725,10 +725,6 @@ class SyncSpyKv final : public store::KvStore {
     unsynced_writes_ = 0;
     return inner_->Sync();
   }
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override {
-    return inner_->Scan(fn);
-  }
 
   int syncs() const { return syncs_; }
   int unsynced_writes() const { return unsynced_writes_; }

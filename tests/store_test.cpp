@@ -305,34 +305,23 @@ TEST(LruCacheTest, EraseAndClear) {
   EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
-std::map<std::string, std::string> ScanAll(const KvStore& kv) {
+/// The values of those of `keys` the store holds. Stores have no
+/// iteration, so whole-store checks name the keys they wrote.
+std::map<std::string, std::string> Values(
+    const KvStore& kv, const std::vector<std::string>& keys) {
   std::map<std::string, std::string> out;
-  EXPECT_TRUE(kv.Scan([&](const std::string& key, BytesView value) {
-                out.emplace(key, ToString(value));
-              }).ok());
+  for (const auto& key : keys) {
+    auto value = kv.Get(key);
+    if (value.ok()) out.emplace(key, ToString(*value));
+  }
   return out;
 }
 
-TEST(ScanTest, MemAndLogStoresVisitEveryPair) {
-  MemKvStore mem(4);
-  ASSERT_TRUE(mem.Put("a", ToBytes("1")).ok());
-  ASSERT_TRUE(mem.Put("b", ToBytes("2")).ok());
-  ASSERT_TRUE(mem.Delete("a").ok());
-  EXPECT_EQ(ScanAll(mem),
-            (std::map<std::string, std::string>{{"b", "2"}}));
-
-  auto path = std::filesystem::temp_directory_path() /
-              ("tc_scan_test_" + std::to_string(::getpid()));
-  std::filesystem::remove(path);
-  {
-    auto log = LogKvStore::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Put("x", ToBytes("9")).ok());
-    ASSERT_TRUE((*log)->Put("y", ToBytes("8")).ok());
-    EXPECT_EQ(ScanAll(**log), (std::map<std::string, std::string>{
-                                  {"x", "9"}, {"y", "8"}}));
-  }
-  std::filesystem::remove(path);
+/// "<prefix>0" .. "<prefix><n - 1>".
+std::vector<std::string> Numbered(const std::string& prefix, int n) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < n; ++i) keys.push_back(prefix + std::to_string(i));
+  return keys;
 }
 
 TEST(PrefixKvTest, EmptyPrefixIsATransparentView) {
@@ -340,7 +329,7 @@ TEST(PrefixKvTest, EmptyPrefixIsATransparentView) {
   PrefixKvStore view(backend, "");
   ASSERT_TRUE(view.Put("k", ToBytes("v")).ok());
   EXPECT_EQ(ToString(*backend->Get("k")), "v");
-  EXPECT_EQ(ScanAll(view), ScanAll(*backend));
+  EXPECT_EQ(ToString(*view.Get("k")), "v");
   ASSERT_TRUE(view.Delete("k").ok());
   EXPECT_EQ(backend->Size(), 0u);
 }
@@ -352,20 +341,18 @@ TEST(PrefixKvTest, NestedViewsComposePrefixes) {
   ASSERT_TRUE(inner.Put("k", ToBytes("v")).ok());
   EXPECT_TRUE(backend->Contains("a/b/k"));
   EXPECT_EQ(ToString(*inner.Get("k")), "v");
-  // Each layer's Scan strips its own prefix: the inner view round-trips
-  // bare keys, the outer view sees the inner namespace.
-  EXPECT_EQ(ScanAll(inner),
-            (std::map<std::string, std::string>{{"k", "v"}}));
-  EXPECT_EQ(ScanAll(*outer),
+  // Each layer adds its own prefix: the inner view takes bare keys, the
+  // outer view sees the inner namespace.
+  EXPECT_EQ(Values(*outer, {"k", "b/k"}),
             (std::map<std::string, std::string>{{"b/k", "v"}}));
   ASSERT_TRUE(inner.Delete("k").ok());
   EXPECT_EQ(backend->Size(), 0u);
 }
 
-TEST(PrefixKvTest, ScanExcludesLexicalNeighborsOfThePrefix) {
-  // "s1/" must not capture "s10/..." or the bare "s1" key, and a key that
+TEST(PrefixKvTest, ViewReachesOnlyKeysUnderItsPrefix) {
+  // "s1/" must not reach "s10/..." or the bare "s1" key, and a key that
   // merely starts with the prefix's first bytes ("s1" alone, "s1.") stays
-  // out — the boundary is an exact prefix match, not a range guess.
+  // out — the boundary is an exact prefix, not a range guess.
   auto backend = std::make_shared<MemKvStore>();
   ASSERT_TRUE(backend->Put("s1/inside", ToBytes("yes")).ok());
   ASSERT_TRUE(backend->Put("s1/", ToBytes("empty-key")).ok());
@@ -374,8 +361,13 @@ TEST(PrefixKvTest, ScanExcludesLexicalNeighborsOfThePrefix) {
   ASSERT_TRUE(backend->Put("s1.z", ToBytes("no")).ok());
   ASSERT_TRUE(backend->Put("s2/other", ToBytes("no")).ok());
   PrefixKvStore view(backend, "s1/");
-  EXPECT_EQ(ScanAll(view), (std::map<std::string, std::string>{
-                               {"", "empty-key"}, {"inside", "yes"}}));
+  EXPECT_EQ(Values(view, {"", "inside", "0/outside", "s10/outside", "s1",
+                          ".z", "s1.z", "s2/other", "../s2/other"}),
+            (std::map<std::string, std::string>{{"", "empty-key"},
+                                                {"inside", "yes"}}));
+  ASSERT_TRUE(view.Put("s10/outside", ToBytes("mine")).ok());
+  EXPECT_EQ(ToString(*backend->Get("s10/outside")), "no");
+  EXPECT_EQ(ToString(*backend->Get("s1/s10/outside")), "mine");
 }
 
 TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
@@ -418,7 +410,11 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
     ASSERT_TRUE((*rkv)->Put("last", ToBytes("x")).ok());
     ASSERT_TRUE((*rkv)->WaitCaughtUp().ok());
     ASSERT_TRUE(primary->Sync().ok());
-    EXPECT_EQ(ScanAll(*follower_log), ScanAll(**rkv));
+    std::vector<std::string> keys = Numbered("k", 20);
+    for (const auto& key : Numbered("post", 5)) keys.push_back(key);
+    keys.push_back("last");
+    EXPECT_EQ(Values(*follower_log, keys), Values(**rkv, keys));
+    EXPECT_EQ(Values(*follower_log, keys).size(), keys.size() - 1);
     EXPECT_EQ(follower_log->Head().position(), primary->Head().position());
   }
   auto bytes = [](const std::string& path) {
@@ -433,7 +429,10 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
     ASSERT_TRUE(reopened.ok());
     auto primary = LogKvStore::Open(path_.string());
     ASSERT_TRUE(primary.ok());
-    EXPECT_EQ(ScanAll(**reopened), ScanAll(**primary));
+    std::vector<std::string> keys = Numbered("k", 20);
+    for (const auto& key : Numbered("post", 5)) keys.push_back(key);
+    keys.push_back("last");
+    EXPECT_EQ(Values(**reopened, keys), Values(**primary, keys));
     EXPECT_EQ((*reopened)->Head().position(), (*primary)->Head().position());
   }
   std::filesystem::remove(follower_path);
@@ -452,16 +451,17 @@ TEST_F(LogKvTest, GenerationRecordIsAnOrdinaryPut) {
   EXPECT_EQ(first.begin, begin);
   ASSERT_TRUE((*kv)->Sync().ok());
   {
-    // A put of kGenerationKey: the id, then the parent, as little-endian
-    // u64s. Any build replays it.
+    // A put of kGenerationKey: the id, the parent and what it replaced
+    // (0 for a fork), as little-endian u64s. Any build replays it.
     std::ifstream in(path_, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     BinaryWriter id;
     id.PutU64(first.id);
     EXPECT_EQ(ToHex(ToBytes(bytes.substr(begin))),
-              "0113" + ToHex(ToBytes("meta/log/generation")) + "10" +
-                  ToHex(id.data()) + "0000000000000000");
+              "0113" + ToHex(ToBytes("meta/log/generation")) + "18" +
+                  ToHex(id.data()) + "0000000000000000" +
+                  "0000000000000000");
   }
   // The next generation names this one as its parent, and a reopen finds
   // the last one.
@@ -475,11 +475,24 @@ TEST_F(LogKvTest, GenerationRecordIsAnOrdinaryPut) {
   EXPECT_EQ((*kv)->Head().generation.id, second.id);
   EXPECT_EQ((*kv)->Head().generation.parent, first.id);
   EXPECT_EQ((*kv)->Head().generation.begin, second.begin);
-  // A compaction rewrites the history: a new generation with no parent.
+  // A compaction rewrites the history: a new generation that replaced
+  // the whole old log, recorded last, after every value it kept.
+  const uint64_t old_length = (*kv)->Head().length;
   ASSERT_TRUE((*kv)->Compact().ok());
-  EXPECT_NE((*kv)->Head().generation.id, second.id);
-  EXPECT_EQ((*kv)->Head().generation.parent, 0u);
+  const LogHead compacted = (*kv)->Head();
+  EXPECT_NE(compacted.generation.id, second.id);
+  EXPECT_EQ(compacted.generation.parent, second.id);
+  EXPECT_EQ(compacted.generation.replaced, old_length);
+  EXPECT_EQ(compacted.generation.begin, 6u);  // after put a="xy"
+  EXPECT_GT(compacted.length, compacted.generation.begin);
+  EXPECT_EQ(compacted.progress(), old_length + compacted.length);
   EXPECT_EQ(ToString(*(*kv)->Get("a")), "xy");
+  ASSERT_TRUE((*kv)->Sync().ok());
+  kv->reset();
+  kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ((*kv)->Head().generation.id, compacted.generation.id);
+  EXPECT_EQ((*kv)->Head().generation.replaced, old_length);
 }
 
 TEST_F(LogKvTest, ReadLogHandsOutWholeRecordsOfOneGeneration) {
@@ -672,14 +685,16 @@ TEST_F(LogKvTest, SeedFormatLogStillReplays) {
   {
     auto kv = LogKvStore::Open(path_.string());
     ASSERT_TRUE(kv.ok());
-    EXPECT_EQ(ScanAll(**kv), (std::map<std::string, std::string>{{"a", "z"}}));
+    EXPECT_EQ(Values(**kv, {"a", "b"}),
+              (std::map<std::string, std::string>{{"a", "z"}}));
     EXPECT_EQ((*kv)->DeadBytes(), 3u);
     ASSERT_TRUE((*kv)->Append("a", 1, ToBytes("q")).ok());
     ASSERT_TRUE((*kv)->Sync().ok());
   }
   auto kv = LogKvStore::Open(path_.string());
   ASSERT_TRUE(kv.ok());
-  EXPECT_EQ(ScanAll(**kv), (std::map<std::string, std::string>{{"a", "zq"}}));
+  EXPECT_EQ(Values(**kv, {"a", "b"}),
+            (std::map<std::string, std::string>{{"a", "zq"}}));
 }
 
 TEST_F(LogKvTest, UnreplicatedLogBytesArePinned) {
@@ -715,10 +730,13 @@ TEST_F(LogKvTest, CompactThenReplayYieldsTheSameMap) {
   }
   ASSERT_TRUE((*kv)->Put("n3", ToBytes("overwritten")).ok());
   ASSERT_TRUE((*kv)->Delete("n5").ok());
-  auto before = ScanAll(**kv);
+  const std::vector<std::string> keys = Numbered("n", 8);
+  auto before = Values(**kv, keys);
+  EXPECT_EQ(before.size(), 7u);
 
   ASSERT_TRUE((*kv)->Compact().ok());
-  EXPECT_EQ(ScanAll(**kv), before);
+  EXPECT_EQ(Values(**kv, keys), before);
+  EXPECT_EQ((*kv)->Size(), before.size());
   // Get reads the rewritten log through the descriptor Compact swapped in.
   for (const auto& [key, value] : before) {
     EXPECT_EQ(ToString(*(*kv)->Get(key)), value) << key;
@@ -732,7 +750,8 @@ TEST_F(LogKvTest, CompactThenReplayYieldsTheSameMap) {
 
   auto reopened = LogKvStore::Open(path_.string());
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(ScanAll(**reopened), before);
+  EXPECT_EQ(Values(**reopened, keys), before);
+  EXPECT_EQ((*reopened)->Size(), before.size());
 }
 
 TEST_F(LogKvTest, GetSeesPutsAndAppendsBeforeAnySync) {
@@ -863,7 +882,7 @@ TEST_F(LogKvTest, LogWrittenByTheDirectoryFreeStoreReplays) {
       {"node", "n0n1n2n3"},     {"over", "new!"}};
   auto kv = LogKvStore::Open(path_.string());
   ASSERT_TRUE(kv.ok());
-  EXPECT_EQ(ScanAll(**kv), expected);
+  EXPECT_EQ((*kv)->Size(), expected.size());
   for (const auto& [key, value] : expected) {
     EXPECT_EQ(ToString(*(*kv)->Get(key)), value) << key;
   }
@@ -997,34 +1016,10 @@ TEST_F(LogKvTest, FailedWriteKeepsRecordsThatReachedTheFile) {
   ASSERT_TRUE(reopened.ok());
   const std::map<std::string, std::string> expected = {
       {"after", "a"}, {"buffered", "b"}, {"synced", "s"}};
-  EXPECT_EQ(ScanAll(**reopened), expected);
-}
-
-TEST_F(LogKvTest, ScanCallbackMayWriteToTheStore) {
-  // Scan reads values without the store's lock, from the directory as it
-  // was when the scan began: writes made by the callback neither deadlock
-  // nor show up in the scan.
-  auto kv = LogKvStore::Open(path_.string());
-  ASSERT_TRUE(kv.ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*kv)
-                    ->Put("k" + std::to_string(i),
-                          Bytes(100, static_cast<uint8_t>(i)))
-                    .ok());
-  }
-  size_t seen = 0;
-  ASSERT_TRUE((*kv)
-                  ->Scan([&](const std::string& key, BytesView value) {
-                    EXPECT_EQ(value.size(), 100u);
-                    ++seen;
-                    ASSERT_TRUE((*kv)->Put(key, Bytes(7, 0)).ok());
-                    ASSERT_TRUE((*kv)->Put("new/" + key, {}).ok());
-                    ASSERT_TRUE((*kv)->Compact().ok());
-                  })
-                  .ok());
-  EXPECT_EQ(seen, 20u);
-  EXPECT_EQ((*kv)->Size(), 40u);
-  EXPECT_EQ(*(*kv)->Get("k3"), Bytes(7, 0));
+  EXPECT_EQ(Values(**reopened, {"after", "big", "buffered", "refused",
+                                 "synced"}),
+            expected);
+  EXPECT_EQ((*reopened)->Size(), expected.size());
 }
 
 // Seeded random Put, Append, Delete, Get and Contains against MemKvStore
@@ -1052,7 +1047,6 @@ class LogKvDifferentialTest : public LogKvTest,
     SCOPED_TRACE(when);
     EXPECT_EQ(log.Size(), mem.Size());
     EXPECT_EQ(log.ValueBytes(), mem.ValueBytes());
-    EXPECT_EQ(ScanAll(log), ScanAll(mem));
     for (size_t i = 0; i < kKeys; ++i) {
       std::string key = KeyOf(i);
       ASSERT_EQ(log.Contains(key), mem.Contains(key)) << i;
@@ -1218,11 +1212,6 @@ class SpyKv final : public KvStore {
     ++calls["Sync"];
     return Status::Ok();
   }
-  Status Scan(const std::function<void(const std::string&, BytesView)>& fn)
-      const override {
-    ++calls["Scan"];
-    return inner_.Scan(fn);
-  }
   CompactionStats Compaction() const override {
     ++calls["Compaction"];
     return {7, 42};
@@ -1236,7 +1225,7 @@ class SpyKv final : public KvStore {
 
 // Every decorator passes each KvStore call to the store it wraps exactly
 // once: none falls back to a KvStore default (Append as Get + Put, a no-op
-// Sync, an Unimplemented Scan, zero Compaction).
+// Sync, zero Compaction).
 TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
   struct Decorator {
     const char* name;
@@ -1264,11 +1253,6 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
     EXPECT_EQ(kv->Size(), 1u);
     EXPECT_EQ(kv->ValueBytes(), 3u);
     EXPECT_TRUE(kv->Sync().ok());
-    std::map<std::string, std::string> seen;
-    ASSERT_TRUE(kv->Scan([&](const std::string& key, BytesView value) {
-                    seen[key] = ToString(value);
-                  }).ok());
-    EXPECT_EQ(seen, (std::map<std::string, std::string>{{"k", "abc"}}));
     const KvStore::CompactionStats compaction = kv->Compaction();
     EXPECT_EQ(compaction.compactions, 7u);
     EXPECT_EQ(compaction.dead_bytes, 42u);
@@ -1279,7 +1263,6 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
                                                       {"Delete", 1},
                                                       {"Get", 1},
                                                       {"Put", 1},
-                                                      {"Scan", 1},
                                                       {"Size", 1},
                                                       {"Sync", 1},
                                                       {"ValueBytes", 1}}));
@@ -1294,7 +1277,7 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
   EXPECT_EQ(slow.ops(), 3u);
 
   // A Fault store's Append is a write: it takes its turn on the put
-  // schedule. Under the hard outage a Sync fails, like a Scan, and stops.
+  // schedule. Under the hard outage a Sync fails and stops.
   FaultOptions options;
   options.fail_every_nth_put = 2;
   FaultKvStore faulty(spy, options);
@@ -1307,8 +1290,6 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
   faulty.SetFailAll(true);
   const int syncs = spy->calls["Sync"];
   EXPECT_EQ(faulty.Sync().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(faulty.Scan([](const std::string&, BytesView) {}).code(),
-            StatusCode::kUnavailable);
   EXPECT_EQ(spy->calls["Sync"], syncs);
 }
 

@@ -38,6 +38,13 @@ class TempLogs {
             std::istreambuf_iterator<char>()};
   }
 
+  /// True when logs `a` and `b` hold the same bytes in their files: a
+  /// follower caught up with its primary, which then answers every read
+  /// the same.
+  bool Same(const std::string& a, const std::string& b) const {
+    return Bytes(a) == Bytes(b);
+  }
+
   /// True when log `follower`'s file is a byte prefix of log `primary`'s.
   bool IsPrefix(const std::string& follower, const std::string& primary) const {
     std::string f = Bytes(follower);

@@ -90,7 +90,7 @@ void Usage() {
       "  --compact-pct P auto-compact a shard's log when dead bytes exceed\n"
       "                  P% of it (0-100, default 50; 0 disables). A\n"
       "                  primary's compaction copies its whole log to every\n"
-      "                  follower again\n"
+      "                  follower again, and quorum writes wait for it\n"
       "  --cache-mb N    index cache budget per stream in MiB (0-1048576,\n"
       "                  default 256)\n"
       "  --max-frame-mb N  reject request frames whose body exceeds N MiB\n"
