@@ -18,6 +18,17 @@
 //    log, in kReplicaLog frames of at most 1 MiB. `peak_delta_MB` is the
 //    growth of the process's peak RSS during the catch-up: one frame on
 //    each side, never a copy of the store.
+//  - BM_ReplicatedCompaction: one-chunk ingest with 700-byte sealed
+//    payloads (tcbench's producer shape) into a primary that
+//    auto-compacts at tcserver's default --compact-pct 50, with 2
+//    followers; with `retain` > 0 each stream keeps only its last `retain`
+//    chunks' payloads (a DeleteRange per 64-chunk block that ages out).
+//    Each primary compaction copies its whole log to every follower.
+//    `compactions`, `copy_ratio` (bytes copied to one follower per byte
+//    the workload wrote, its first copy from empty included) and
+//    `copied_MB` price that; `max_write_ms` is the slowest request, in
+//    quorum mode the wait for a majority to finish copying after a
+//    compaction.
 //
 // Every replicated store is a LogKvStore in a temporary directory, as in
 // `tcserver --store mem --replicas N`; the replica-less rows run on the
@@ -25,6 +36,8 @@
 // fixed number of them, named in its `iterations:` suffix. Rows with
 // chunks:256, chunks:128 and entries:4000 are the smoke sizes.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -233,6 +246,122 @@ void BM_LogCatchup(benchmark::State& state) {
       static_cast<double>(PeakRssKb() - peak_before) / 1024.0;
 }
 
+// ------------------------------------------------------ compaction traffic
+
+/// A follower over an applier that counts the bytes of copies: frames for
+/// a position other than the follower log's own.
+class CopyCounter final : public replica::Follower {
+ public:
+  explicit CopyCounter(std::shared_ptr<store::LogKvStore> log)
+      : log_(log),
+        inner_(std::make_shared<net::InProcTransport>(
+            std::make_shared<replica::ReplicaApplier>(std::move(log)))) {}
+
+  Result<store::LogPosition> ShipLog(store::LogPosition at,
+                                     BytesView records) override {
+    // One shipper thread calls this; the row reads it after WaitCaughtUp.
+    if (at != log_->Head().position()) copied_ += records.size();
+    return inner_.ShipLog(at, records);
+  }
+
+  uint64_t copied() const { return copied_; }
+
+ private:
+  std::shared_ptr<store::LogKvStore> log_;
+  replica::RemoteFollower inner_;
+  std::atomic<uint64_t> copied_{0};
+};
+
+/// A one-chunk batch carrying a sealed payload of tcbench's size.
+Bytes PayloadChunkBody(uint64_t uuid, uint64_t c) {
+  static const auto cipher = index::MakePlainCipher(2);
+  static const Bytes payload(700, 0x5a);
+  std::vector<uint64_t> fields{c + 1, 1};
+  const Bytes digest = *cipher->Encrypt(fields, c);
+  return net::InsertChunkBatchRequest{uuid, {{c, digest, payload}}}.Encode();
+}
+
+void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
+  const auto chunks = static_cast<uint64_t>(state.range(0));
+  const auto retain = static_cast<uint64_t>(state.range(1));
+  IngestLoad load(kStreams, 0);
+  // Each stream's requests in order: its chunks, and once a 64-chunk
+  // block falls out of the last `retain` chunks, a delete of it.
+  std::vector<std::pair<net::MessageType, Bytes>> requests;
+  for (size_t s = 0; s < kStreams; ++s) {
+    for (uint64_t c = 0; c < chunks; ++c) {
+      requests.emplace_back(net::MessageType::kInsertChunkBatch,
+                            PayloadChunkBody(load.uuids[s], c));
+      const uint64_t written = c + 1;
+      if (retain > 0 && written % 64 == 0 && written >= retain + 64) {
+        const uint64_t last = written - retain;
+        const TimeRange aged{static_cast<Timestamp>((last - 64) * kPlainDelta),
+                             static_cast<Timestamp>(last * kPlainDelta)};
+        requests.emplace_back(
+            net::MessageType::kDeleteRange,
+            net::DeleteRangeRequest{load.uuids[s], aged}.Encode());
+      }
+    }
+  }
+  auto run = [&](net::RequestHandler& handler, int64_t* max_us) {
+    load.CreateStreams(handler);
+    for (const auto& [type, body] : requests) {
+      auto start = std::chrono::steady_clock::now();
+      if (!handler.Handle(type, body).ok()) std::abort();
+      *max_us = std::max<int64_t>(
+          *max_us, std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    }
+  };
+  // What the workload writes: its log's length when nothing compacts.
+  uint64_t ingest_bytes = 0;
+  {
+    auto dir = MakeLogDir();
+    auto log = OpenLog(*dir, "plain");
+    server::ServerEngine engine(log);
+    int64_t ignored = 0;
+    run(engine, &ignored);
+    ingest_bytes = log->Head().length;
+  }
+  uint64_t compactions = 0;
+  uint64_t copied = 0;
+  uint64_t dead = 0;
+  int64_t max_write_us = 0;
+  for (auto _ : state) {
+    auto dir = MakeLogDir();
+    store::LogKvOptions log_options;
+    log_options.compact_dead_fraction = 0.5;
+    auto primary = store::LogKvStore::Open(dir->Path("p"), log_options);
+    if (!primary.ok()) std::abort();
+    std::shared_ptr<store::LogKvStore> log = std::move(*primary);
+    replica::ReplicatedKvOptions options;
+    options.ack = ack;
+    auto rkv = replica::ReplicatedKvStore::Open(log, options);
+    if (!rkv.ok()) std::abort();
+    std::vector<std::shared_ptr<CopyCounter>> followers;
+    for (const char* name : {"f0", "f1"}) {
+      followers.push_back(std::make_shared<CopyCounter>(OpenLog(*dir, name)));
+      (*rkv)->AddFollower(followers.back());
+    }
+    server::ServerEngine engine(*rkv);
+    run(engine, &max_write_us);
+    if (!(*rkv)->WaitCaughtUp(120'000).ok()) std::abort();
+    compactions += log->CompactionCount();
+    dead += log->DeadBytes();
+    for (const auto& follower : followers) copied += follower->copied();
+  }
+  const double runs = static_cast<double>(state.iterations());
+  const double per_follower = static_cast<double>(copied) / runs / 2;
+  state.counters["compactions"] = static_cast<double>(compactions) / runs;
+  state.counters["ingest_MB"] = static_cast<double>(ingest_bytes) / (1 << 20);
+  state.counters["copied_MB"] = per_follower / (1 << 20);
+  state.counters["dead_MB"] = static_cast<double>(dead) / runs / (1 << 20);
+  state.counters["copy_ratio"] =
+      per_follower / static_cast<double>(ingest_bytes);
+  state.counters["max_write_ms"] = static_cast<double>(max_write_us) / 1000;
+}
+
 void RegisterAll() {
   struct ReadSize {
     int64_t chunks, queries;
@@ -268,6 +397,19 @@ void RegisterAll() {
         ->Iterations(1)
         ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
+  }
+  for (int64_t chunks : {256, 8192}) {
+    for (auto ack : {replica::AckMode::kAsync, replica::AckMode::kQuorum}) {
+      benchmark::RegisterBenchmark(
+          ("BM_ReplicatedCompaction/" + std::string(replica::AckModeName(ack)))
+              .c_str(),
+          [ack](benchmark::State& st) { BM_ReplicatedCompaction(st, ack); })
+          ->ArgNames({"chunks", "retain"})
+          ->ArgsProduct({{chunks}, {0, chunks / 4}})
+          ->Iterations(1)
+          ->UseRealTime()
+          ->Unit(benchmark::kMillisecond);
+    }
   }
 }
 
