@@ -28,7 +28,9 @@
 //    the workload wrote, its first copy from empty included) and
 //    `copied_MB` price that; `max_write_ms` is the slowest request, in
 //    quorum mode the wait for a majority to finish copying after a
-//    compaction.
+//    compaction. Of the `compaction_copies`, `at_offset` found their
+//    follower holding exactly the log the compaction rewrote, so a
+//    follower compacting at the same offset could have rebuilt it.
 //
 // Every replicated store is a LogKvStore in a temporary directory, as in
 // `tcserver --store mem --replicas N`; the replica-less rows run on the
@@ -248,28 +250,44 @@ void BM_LogCatchup(benchmark::State& state) {
 
 // ------------------------------------------------------ compaction traffic
 
-/// A follower over an applier that counts the bytes of copies: frames for
-/// a position other than the follower log's own.
+/// A follower over an applier that counts the bytes of copies (frames for
+/// a position other than the follower log's own), and of the copies that
+/// follow a compaction, those whose follower held exactly the log the
+/// compaction rewrote: ones a follower compacting at the same offset
+/// would not need.
 class CopyCounter final : public replica::Follower {
  public:
-  explicit CopyCounter(std::shared_ptr<store::LogKvStore> log)
-      : log_(log),
+  CopyCounter(std::shared_ptr<store::LogKvStore> primary,
+              std::shared_ptr<store::LogKvStore> log)
+      : primary_(std::move(primary)),
+        log_(log),
         inner_(std::make_shared<net::InProcTransport>(
             std::make_shared<replica::ReplicaApplier>(std::move(log)))) {}
 
   Result<store::LogPosition> ShipLog(store::LogPosition at,
                                      BytesView records) override {
     // One shipper thread calls this; the row reads it after WaitCaughtUp.
-    if (at != log_->Head().position()) copied_ += records.size();
+    const store::LogPosition here = log_->Head().position();
+    if (at != here) copied_ += records.size();
+    const store::LogGeneration g = primary_->Head().generation;
+    if (at != here && at.length == 0 && g.replaced != 0) {
+      ++compaction_copies_;
+      if (here == store::LogPosition{g.parent, g.replaced}) ++at_offset_;
+    }
     return inner_.ShipLog(at, records);
   }
 
   uint64_t copied() const { return copied_; }
+  uint64_t compaction_copies() const { return compaction_copies_; }
+  uint64_t at_offset() const { return at_offset_; }
 
  private:
+  std::shared_ptr<store::LogKvStore> primary_;
   std::shared_ptr<store::LogKvStore> log_;
   replica::RemoteFollower inner_;
   std::atomic<uint64_t> copied_{0};
+  std::atomic<uint64_t> compaction_copies_{0};
+  std::atomic<uint64_t> at_offset_{0};
 };
 
 /// A one-chunk batch carrying a sealed payload of tcbench's size.
@@ -326,6 +344,8 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
   }
   uint64_t compactions = 0;
   uint64_t copied = 0;
+  uint64_t compaction_copies = 0;
+  uint64_t at_offset = 0;
   uint64_t dead = 0;
   int64_t max_write_us = 0;
   for (auto _ : state) {
@@ -341,7 +361,8 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
     if (!rkv.ok()) std::abort();
     std::vector<std::shared_ptr<CopyCounter>> followers;
     for (const char* name : {"f0", "f1"}) {
-      followers.push_back(std::make_shared<CopyCounter>(OpenLog(*dir, name)));
+      followers.push_back(
+          std::make_shared<CopyCounter>(log, OpenLog(*dir, name)));
       (*rkv)->AddFollower(followers.back());
     }
     server::ServerEngine engine(*rkv);
@@ -349,7 +370,11 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
     if (!(*rkv)->WaitCaughtUp(120'000).ok()) std::abort();
     compactions += log->CompactionCount();
     dead += log->DeadBytes();
-    for (const auto& follower : followers) copied += follower->copied();
+    for (const auto& follower : followers) {
+      copied += follower->copied();
+      compaction_copies += follower->compaction_copies();
+      at_offset += follower->at_offset();
+    }
   }
   const double runs = static_cast<double>(state.iterations());
   const double per_follower = static_cast<double>(copied) / runs / 2;
@@ -360,6 +385,9 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
   state.counters["copy_ratio"] =
       per_follower / static_cast<double>(ingest_bytes);
   state.counters["max_write_ms"] = static_cast<double>(max_write_us) / 1000;
+  state.counters["compaction_copies"] =
+      static_cast<double>(compaction_copies) / runs;
+  state.counters["at_offset"] = static_cast<double>(at_offset) / runs;
 }
 
 void RegisterAll() {
