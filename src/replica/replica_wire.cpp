@@ -75,8 +75,10 @@ Result<Bytes> ReplicaApplier::Handle(net::MessageType type, BytesView body) {
       TC_ASSIGN_OR_RETURN(
           store::LogPosition at,
           log_->AppendLog({req.generation, req.offset}, req.records));
-      if (!req.records.empty()) {
-        if (req.offset == 0) full_copies_.fetch_add(1);
+      if (!req.records.empty() && req.offset == 0) full_copies_.fetch_add(1);
+      // A frame of an unfinished copy leaves the log the engine reads as
+      // it was.
+      if (!req.records.empty() && at == log_->Head().position()) {
         version_.fetch_add(1, std::memory_order_release);
       }
       // Ack only what is durable: a SIGKILL before this flush would drop

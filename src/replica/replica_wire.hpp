@@ -86,7 +86,7 @@ class ReplicaApplier final : public net::RequestHandler {
   std::shared_ptr<store::LogKvStore> log_;
   server::ServerEngine engine_;
   std::atomic<uint64_t> full_copies_{0};
-  /// Bumped by every frame that wrote records. The engine refreshes
+  /// Bumped by every frame that changed the log. The engine refreshes
   /// whenever this differs from the value it last saw.
   std::atomic<uint64_t> version_{0};
   /// The version the engine last refreshed to; refreshes serialize on
