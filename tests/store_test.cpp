@@ -377,6 +377,13 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
   // the primary's exact bytes — and replays to the same state.
   auto follower_path = path_.string() + ".follower";
   std::filesystem::remove(follower_path);
+  // What the follower's store reports after its last copy took over.
+  struct State {
+    size_t size = 0;
+    size_t value_bytes = 0;
+    size_t dead_bytes = 0;
+    LogHead head;
+  } live_follower;
   {
     auto opened = LogKvStore::Open(path_.string());
     ASSERT_TRUE(opened.ok());
@@ -416,6 +423,9 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
     EXPECT_EQ(Values(*follower_log, keys), Values(**rkv, keys));
     EXPECT_EQ(Values(*follower_log, keys).size(), keys.size() - 1);
     EXPECT_EQ(follower_log->Head().position(), primary->Head().position());
+    live_follower = {follower_log->Size(), follower_log->ValueBytes(),
+                     follower_log->Compaction().dead_bytes,
+                     follower_log->Head()};
   }
   auto bytes = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -434,6 +444,17 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
     keys.push_back("last");
     EXPECT_EQ(Values(**reopened, keys), Values(**primary, keys));
     EXPECT_EQ((*reopened)->Head().position(), (*primary)->Head().position());
+    // The installed copy's store equals the store its replay builds.
+    EXPECT_EQ((*reopened)->Size(), live_follower.size);
+    EXPECT_EQ((*reopened)->ValueBytes(), live_follower.value_bytes);
+    EXPECT_EQ((*reopened)->Compaction().dead_bytes, live_follower.dead_bytes);
+    const LogHead head = (*reopened)->Head();
+    EXPECT_EQ(head.generation.id, live_follower.head.generation.id);
+    EXPECT_EQ(head.generation.parent, live_follower.head.generation.parent);
+    EXPECT_EQ(head.generation.begin, live_follower.head.generation.begin);
+    EXPECT_EQ(head.generation.replaced,
+              live_follower.head.generation.replaced);
+    EXPECT_EQ(head.length, live_follower.head.length);
   }
   std::filesystem::remove(follower_path);
 }
@@ -1020,6 +1041,72 @@ TEST_F(LogKvTest, FailedWriteKeepsRecordsThatReachedTheFile) {
                                  "synced"}),
             expected);
   EXPECT_EQ((*reopened)->Size(), expected.size());
+}
+
+TEST_F(LogKvTest, FailedCompactionChangesNothing) {
+  // A directory where a compaction writes its new log makes every Compact
+  // fail. The store keeps serving and writing its old log, and counts no
+  // compaction.
+  const std::filesystem::path blocker = path_.string() + ".compact";
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  {
+    auto kv = LogKvStore::Open(path_.string());
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("a", ToBytes("1")).ok());
+    ASSERT_TRUE((*kv)->Put("a", ToBytes("2")).ok());
+    ASSERT_TRUE((*kv)->Put("node", ToBytes("n0")).ok());
+    EXPECT_EQ((*kv)->Compact().status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(ToString(*(*kv)->Get("a")), "2");
+    ASSERT_TRUE((*kv)->Put("b", ToBytes("3")).ok());
+    ASSERT_EQ(*(*kv)->Append("node", 2, ToBytes("n1")), 4u);
+    ASSERT_TRUE((*kv)->Sync().ok());
+    EXPECT_EQ(ToString(*(*kv)->Get("node")), "n0n1");
+    EXPECT_EQ((*kv)->Compaction().compactions, 0u);
+    EXPECT_EQ((*kv)->Compaction().dead_bytes, 1u);
+  }
+  auto reopened = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(Values(**reopened, {"a", "b", "node"}),
+            (std::map<std::string, std::string>{
+                {"a", "2"}, {"b", "3"}, {"node", "n0n1"}}));
+  EXPECT_EQ((*reopened)->Compaction().dead_bytes, 1u);
+  std::filesystem::remove(blocker);
+}
+
+TEST_F(LogKvTest, FailedAutoCompactionBacksOff) {
+  // The put that crosses the threshold succeeds although its compaction
+  // fails. The store then waits for max(compact_min_dead_bytes, 1 MiB)
+  // more dead bytes before it tries again.
+  const std::filesystem::path blocker = path_.string() + ".compact";
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  LogKvOptions options;
+  options.compact_dead_fraction = 0.5;
+  options.compact_min_dead_bytes = 4096;
+  auto kv = LogKvStore::Open(path_.string(), options);
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE((*kv)->Put("live", Bytes(2048, 0x11)).ok());
+  // The fourth overwrite leaves 6 KiB dead of 10 KiB: past both bounds.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*kv)->Put("churn", Bytes(2048, uint8_t(i))).ok());
+  }
+  EXPECT_EQ((*kv)->Compaction().dead_bytes, 3u * 2048u);
+  EXPECT_EQ((*kv)->Compaction().compactions, 0u);
+  std::filesystem::remove(blocker);
+
+  ASSERT_TRUE((*kv)->Put("churn", Bytes(2048, 4)).ok());
+  EXPECT_EQ((*kv)->Compaction().compactions, 0u);
+  // The retry waits for 1 MiB more dead bytes than the failure saw.
+  constexpr int kBackoffPuts = (1 << 20) / 2048;
+  for (int i = 0; i < kBackoffPuts - 2; ++i) {
+    ASSERT_TRUE((*kv)->Put("churn", Bytes(2048, uint8_t(i))).ok());
+  }
+  EXPECT_EQ((*kv)->Compaction().compactions, 0u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE((*kv)->Put("churn", Bytes(2048, 0x77)).ok());
+  }
+  EXPECT_EQ((*kv)->Compaction().compactions, 1u);
+  EXPECT_EQ((*kv)->Get("live")->size(), 2048u);
+  EXPECT_EQ((*(*kv)->Get("churn"))[0], 0x77);
 }
 
 // Seeded random Put, Append, Delete, Get and Contains against MemKvStore
