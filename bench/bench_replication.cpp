@@ -368,8 +368,9 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
     server::ServerEngine engine(*rkv);
     run(engine, &max_write_us);
     if (!(*rkv)->WaitCaughtUp(120'000).ok()) std::abort();
-    compactions += log->CompactionCount();
-    dead += log->DeadBytes();
+    const store::KvStore::CompactionStats stats = log->Compaction();
+    compactions += stats.compactions;
+    dead += stats.dead_bytes;
     for (const auto& follower : followers) {
       copied += follower->copied();
       compaction_copies += follower->compaction_copies();

@@ -1,13 +1,9 @@
 #include "store/log_kv.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include <stdlib.h>
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -19,24 +15,12 @@
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "common/varint.hpp"
 #include "crypto/rand.hpp"
+#include "store/log_file.hpp"
 
 namespace tc::store {
 
 namespace {
-constexpr uint8_t kRecordPut = 1;
-constexpr uint8_t kRecordTombstone = 2;
-constexpr uint8_t kRecordAppend = 3;  // value = suffix of the key's value
-
-/// A Get reads two extents with one pread when at most this many bytes of
-/// other records lie between them, about where copying the gap out of the
-/// page cache costs as much as one more pread. The gaps between an index
-/// node's entries, appended one per chunk, are the records every stream
-/// of the shard wrote meanwhile: with one stream ingesting they are the
-/// chunk records alone and a node is one read; with a dozen or more
-/// streams interleaving, a node costs up to one read per entry.
-constexpr uint64_t kMaxReadGap = 4096;
 /// Get copies a value's extents out of the directory onto its stack when
 /// there are at most this many: an index node has one per entry, and 64 is
 /// the default fanout.
@@ -63,13 +47,6 @@ Bytes EncodeGeneration(uint64_t id, uint64_t parent, uint64_t replaced) {
   return std::move(w).Take();
 }
 
-/// Opens `path` for appending; null when it cannot be opened.
-std::shared_ptr<std::FILE> OpenAppend(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) return nullptr;
-  return std::shared_ptr<std::FILE>(file, [](std::FILE* f) { std::fclose(f); });
-}
-
 std::string Describe(const LogPosition& at) {
   return "generation " + std::to_string(at.generation) + " length " +
          std::to_string(at.length);
@@ -85,113 +62,6 @@ StoreOps& Ops() {
   return ops;
 }
 }  // namespace
-
-class LogKvStore::ReadFile {
- public:
-  /// NotFound when `path` does not exist.
-  static Result<std::shared_ptr<const ReadFile>> Open(const std::string& path) {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      if (errno == ENOENT) return NotFound("no log file: " + path);
-      return Unavailable("cannot open log for reading: " + path);
-    }
-    return std::make_shared<const ReadFile>(fd);
-  }
-
-  explicit ReadFile(int fd) : fd_(fd) {}
-  ~ReadFile() { ::close(fd_); }
-  ReadFile(const ReadFile&) = delete;
-  ReadFile& operator=(const ReadFile&) = delete;
-
-  Result<uint64_t> Size() const {
-    struct stat st {};
-    if (::fstat(fd_, &st) != 0) return Unavailable("cannot stat log file");
-    return static_cast<uint64_t>(st.st_size);
-  }
-
-  /// The file's bytes [at, at + n), clipped at `end`, through a buffer of
-  /// kReplayBufferBytes refilled from `at` when they are not all in it;
-  /// only a key about the buffer's size grows it. A view stays valid until
-  /// the next call.
-  class Window {
-   public:
-    Window(const ReadFile& file, uint64_t end) : file_(file), end_(end) {}
-
-    Result<BytesView> operator()(uint64_t at, uint64_t n) {
-      n = std::min(n, end_ - at);
-      if (at < buf_at_ || at + n > buf_at_ + buf_.size()) {
-        buf_.resize(std::min(std::max<uint64_t>(n, kReplayBufferBytes),
-                             end_ - at));
-        TC_RETURN_IF_ERROR(file_.Read(buf_.data(), buf_.size(), at));
-        buf_at_ = at;
-      }
-      return BytesView(buf_).subspan(at - buf_at_, n);
-    }
-
-   private:
-    const ReadFile& file_;
-    const uint64_t end_;
-    Bytes buf_;
-    uint64_t buf_at_ = 0;  // file offset of buf_[0]
-  };
-
-  /// Exactly `n` bytes at `offset`; DataLoss if the file ends first.
-  Status Read(uint8_t* dst, size_t n, uint64_t offset) const {
-    while (n > 0) {
-      ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) {
-        return DataLoss("short read at log offset " + std::to_string(offset));
-      }
-      dst += got;
-      n -= static_cast<size_t>(got);
-      offset += static_cast<uint64_t>(got);
-    }
-    return Status::Ok();
-  }
-
- private:
-  int fd_;
-};
-
-/// One record's header: `type keylen key [vallen]`, then the value.
-struct LogKvStore::RecordHead {
-  uint8_t type = 0;
-  std::string_view key;  // a view into the window that parsed it
-  uint64_t value_at = 0;  // from the record's first byte
-  uint64_t value_len = 0;
-
-  uint64_t size() const { return value_at + value_len; }
-};
-
-template <typename Window>
-Result<std::optional<LogKvStore::RecordHead>> LogKvStore::ParseRecord(
-    Window&& window, uint64_t pos, uint64_t end) {
-  const uint64_t left = end - pos;
-  std::optional<RecordHead> none;
-  TC_ASSIGN_OR_RETURN(BytesView first, window(pos, 1 + kMaxVarintBytes));
-  RecordHead head;
-  head.type = first[0];
-  if (head.type != kRecordPut && head.type != kRecordTombstone &&
-      head.type != kRecordAppend) {
-    return none;
-  }
-  size_t key_at = 1;
-  auto key_len = GetVarint(first, key_at);
-  if (!key_len || *key_len > left - key_at) return none;
-  TC_ASSIGN_OR_RETURN(BytesView record,
-                      window(pos, key_at + *key_len + kMaxVarintBytes));
-  head.key = std::string_view(
-      reinterpret_cast<const char*>(record.data()) + key_at, *key_len);
-  size_t value_at = key_at + *key_len;
-  if (head.type != kRecordTombstone) {
-    auto len = GetVarint(record, value_at);
-    if (!len || *len > left - value_at) return none;
-    head.value_len = *len;
-  }
-  head.value_at = value_at;
-  return std::optional<RecordHead>(head);
-}
 
 /// A live key: where its bytes are in the arena, and its value's size and
 /// log extents. An empty value has no extents; otherwise the first starts
@@ -406,220 +276,140 @@ class LogKvStore::Directory {
   std::vector<uint32_t> free_more_;
 };
 
-LogKvStore::LogKvStore(std::string path, LogKvOptions options)
-    : path_(std::move(path)), options_(options),
-      dir_(std::make_unique<Directory>()) {}
+struct LogKvStore::Log {
+  /// The log at `path`, indexed as Replay reads its records. A `staged`
+  /// log starts empty, as LogFile::Open says.
+  static Result<std::unique_ptr<Log>> Open(const std::string& path,
+                                           bool staged = false) {
+    auto log = std::make_unique<Log>();
+    TC_ASSIGN_OR_RETURN(log->file, LogFile::Open(path, staged));
+    if (staged) return log;
+    TC_RETURN_IF_ERROR(log->file->Replay(
+        [&](const RecordHead& head, uint64_t at, auto& window) -> Status {
+          BytesView value;
+          if (head.type == kRecordPut && head.key == kGenerationKey) {
+            TC_ASSIGN_OR_RETURN(value,
+                                window(at + head.value_at, head.value_len));
+          }
+          return log->Index(head, at, value);
+        }));
+    return log;
+  }
+
+  LogPosition position() const { return {generation.id, file->end()}; }
+
+  /// Appends one record and indexes it.
+  Status Write(uint8_t type, std::string_view key, BytesView value) {
+    const uint64_t at = file->end();
+    TC_ASSIGN_OR_RETURN(RecordHead head, file->Append(type, key, value));
+    return Index(head, at, value);
+  }
+
+  /// Appends `records`, whole records read from another log, and indexes
+  /// them. Every record parses, and every append extends a live key,
+  /// before any byte is written: bytes that fail either change nothing.
+  Status WriteRecords(BytesView records) {
+    const uint64_t start = file->end();
+    std::unordered_map<std::string_view, bool> live;  // as the records leave it
+    TC_ASSIGN_OR_RETURN(
+        uint64_t whole,
+        ForEachRecord(InMemory(records), records.size(),
+                      [&](const RecordHead& head, uint64_t pos) -> Status {
+          if (head.type != kRecordAppend) {
+            live[head.key] = head.type == kRecordPut;
+          } else if (auto it = live.find(head.key);
+                     it != live.end() ? !it->second
+                                      : dir.Find(head.key) == nullptr) {
+            return DataLoss("shipped append record at offset " +
+                            std::to_string(start + pos) + " for absent key " +
+                            std::string(head.key));
+          }
+          return Status::Ok();
+        }));
+    if (whole < records.size()) {
+      return DataLoss("shipped log bytes at offset " +
+                      std::to_string(start + whole) +
+                      " are not a whole record");
+    }
+    TC_RETURN_IF_ERROR(file->Write(records));
+    return ForEachRecord(InMemory(records), records.size(),
+                         [&](const RecordHead& head, uint64_t pos) {
+                           return Index(head, start + pos,
+                                        records.subspan(pos + head.value_at,
+                                                        head.value_len));
+                         })
+        .status();
+  }
+
+  /// Directory and byte accounting for the record at log offset `at`,
+  /// whose value is `value` when it is a generation put (other records
+  /// need not pass theirs). DataLoss for an append to an absent key.
+  Status Index(const RecordHead& head, uint64_t at, BytesView value) {
+    const uint64_t value_at = at + head.value_at;
+    uint64_t dead = 0;  // the bytes of the value the record replaces
+    if (head.type == kRecordAppend) {
+      // Append() refuses absent keys, so a complete append record without
+      // its base value is corruption, not a torn tail: truncating here
+      // would silently drop every record after it.
+      Record* base = dir.Find(head.key);
+      if (base == nullptr) {
+        return DataLoss("log " + file->path() + ": append record at offset " +
+                        std::to_string(at) + " for absent key " +
+                        std::string(head.key));
+      }
+      dir.AddExtent(*base, value_at, head.value_len);
+    } else if (head.type == kRecordTombstone) {
+      dead = dir.Erase(head.key).value_or(0);
+    } else {
+      Record& record = *dir.FindOrInsert(head.key).first;
+      dead = record.size;  // 0 for a key it inserted
+      dir.SetValue(record, value_at, head.value_len);
+    }
+    dead_bytes += dead;
+    value_bytes = value_bytes + head.value_len - dead;
+    if (head.type == kRecordPut && head.key == kGenerationKey) {
+      // The generation's id, its parent's and what it replaced.
+      BinaryReader r(value);
+      auto id = r.GetU64();
+      auto parent = r.GetU64();
+      auto replaced = r.GetU64();
+      if (id.ok() && parent.ok() && replaced.ok() && r.AtEnd()) {
+        generation = {*id, *parent, at, *replaced};
+      }
+    }
+    return Status::Ok();
+  }
+
+  std::shared_ptr<LogFile> file;
+  Directory dir;
+  size_t value_bytes = 0;
+  size_t dead_bytes = 0;
+  LogGeneration generation;
+};
+
+LogKvStore::LogKvStore(std::string path, LogKvOptions options,
+                       std::unique_ptr<Log> live)
+    : path_(std::move(path)), options_(options), live_(std::move(live)) {}
 
 LogKvStore::~LogKvStore() = default;
 
 Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path,
                                                      LogKvOptions options) {
-  auto store = std::unique_ptr<LogKvStore>(new LogKvStore(path, options));
-  // The store has not escaped this function yet, so the lock is
-  // uncontended; taking it anyway keeps Replay under the same capability
-  // as every other dir_/log_ access.
-  MutexLock lock(store->mu_);
   // A copy a follower had not finished when it stopped is of no use: the
   // shipper starts any copy over.
-  std::remove(store->CopyPath().c_str());
-  TC_RETURN_IF_ERROR(store->Replay());
-  store->log_ = OpenAppend(path);
-  if (store->log_ == nullptr) {
-    return Unavailable("cannot open log file: " + path);
-  }
-  TC_ASSIGN_OR_RETURN(store->reader_, ReadFile::Open(path));
-  return store;
-}
-
-void LogKvStore::ApplyPut(std::string_view key, uint64_t offset,
-                          uint64_t size) {
-  auto [record, inserted] = dir_->FindOrInsert(key);
-  if (!inserted) {
-    dead_bytes_ += record->size;
-    value_bytes_ -= record->size;
-  }
-  dir_->SetValue(*record, offset, size);
-  value_bytes_ += size;
-}
-
-void LogKvStore::ApplyAppend(Record& record, uint64_t offset,
-                             uint64_t length) {
-  dir_->AddExtent(record, offset, length);
-  value_bytes_ += length;
-}
-
-void LogKvStore::ApplyDelete(std::string_view key) {
-  std::optional<uint64_t> size = dir_->Erase(key);
-  if (!size) return;
-  dead_bytes_ += *size;
-  value_bytes_ -= *size;
-}
-
-Status LogKvStore::ApplyRecord(const RecordHead& head, uint64_t at) {
-  const uint64_t value_at = at + head.value_at;
-  if (head.type == kRecordPut) {
-    ApplyPut(head.key, value_at, head.value_len);
-  } else if (head.type == kRecordTombstone) {
-    ApplyDelete(head.key);
-  } else {
-    // Append() refuses absent keys, so a complete append record without
-    // its base value is corruption, not a torn tail: truncating here
-    // would silently drop every record after it.
-    Record* base = dir_->Find(head.key);
-    if (base == nullptr) {
-      return DataLoss("log " + path_ + ": append record at offset " +
-                      std::to_string(at) + " for absent key " +
-                      std::string(head.key));
-    }
-    ApplyAppend(*base, value_at, head.value_len);
-  }
-  return Status::Ok();
-}
-
-void LogKvStore::NoteGeneration(BytesView value, uint64_t at) {
-  BinaryReader r(value);
-  auto id = r.GetU64();
-  auto parent = r.GetU64();
-  auto replaced = r.GetU64();
-  if (id.ok() && parent.ok() && replaced.ok() && r.AtEnd()) {
-    generation_ = {*id, *parent, at, *replaced};
-  }
-}
-
-Status LogKvStore::Replay() {
-  auto file = ReadFile::Open(path_);
-  if (file.status().code() == StatusCode::kNotFound) return Status::Ok();
-  TC_RETURN_IF_ERROR(file.status());
-  TC_ASSIGN_OR_RETURN(uint64_t file_size, (*file)->Size());
-
-  // Replay reads each header and key and skips over the value, recording
-  // where it lies. A record that runs past the end of the file is a torn
-  // tail write.
-  ReadFile::Window window(**file, file_size);
-  uint64_t pos = 0;  // offset just past the last complete record
-  while (pos < file_size) {
-    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(window, pos, file_size));
-    if (!head) break;  // garbage tail (crash mid-write): recover the prefix
-    TC_RETURN_IF_ERROR(ApplyRecord(*head, pos));
-    if (head->type == kRecordPut && head->key == kGenerationKey) {
-      TC_ASSIGN_OR_RETURN(BytesView value,
-                          window(pos + head->value_at, head->value_len));
-      NoteGeneration(value, pos);
-    }
-    pos += head->size();
-  }
-  if (pos < file_size) {
-    // Drop the torn tail so future appends follow a well-formed record —
-    // otherwise the next Replay would stop at the garbage and lose them.
-    TC_RETURN_IF_ERROR(TruncateTo(pos));
-  }
-  log_end_ = flushed_end_ = pos;
-  return Status::Ok();
-}
-
-Status LogKvStore::TruncateTo(size_t size) {
-  // POSIX truncate by path: Replay runs before the append handle opens.
-  if (::truncate(path_.c_str(), static_cast<off_t>(size)) != 0) {
-    return Unavailable("cannot truncate torn log tail: " + path_);
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> LogKvStore::AppendRecord(uint8_t type,
-                                          const std::string& key,
-                                          BytesView value) {
-  BinaryWriter w(key.size() + value.size() + 16);
-  w.PutU8(type);
-  w.PutString(key);
-  if (type != kRecordTombstone) w.PutBytes(value);
-  uint64_t value_at = log_end_ + w.size() - value.size();
-  TC_RETURN_IF_ERROR(WriteLocked(w.data()));
-  return value_at;
-}
-
-Status LogKvStore::WriteLocked(BytesView bytes) {
-  // A failed compaction or append can lose the append handle; refuse
-  // writes instead of fwrite-ing into a null stream.
-  if (log_ == nullptr) {
-    return Unavailable("log append handle closed (failed compaction?): " +
-                       path_);
-  }
-  if (std::fwrite(bytes.data(), 1, bytes.size(), log_.get()) !=
-      bytes.size()) {
-    // Part of the bytes may have reached the file, so the offset of the
-    // next record is unknown and the directory could not point at it.
-    DropAppendHandleLocked();
-    return Unavailable("log append failed: " + path_);
-  }
-  log_end_ += bytes.size();
-  return Status::Ok();
-}
-
-void LogKvStore::DropAppendHandleLocked() const {
-  // Earlier records still in the write buffer may have failed with the
-  // write, and stdio drops a buffer whose write failed, so a flush's
-  // result alone does not show they reached the file. The file's size
-  // does: it holds them all only if it reaches log_end_. If it does not,
-  // Sync and any Get of their keys fail from here on.
-  bool flushed = std::fflush(log_.get()) == 0;
-  log_.reset();
-  auto size = reader_->Size();
-  if (flushed && size.ok() && *size >= log_end_) flushed_end_ = log_end_;
-}
-
-Status LogKvStore::FlushThrough(uint64_t end) const {
-  if (end <= flushed_end_) return Status::Ok();
-  if (log_ == nullptr) {
-    return Unavailable("log records lost with a failed write: " + path_);
-  }
-  if (std::fflush(log_.get()) != 0) {
-    DropAppendHandleLocked();
-    return Unavailable("fflush failed: " + path_);
-  }
-  flushed_end_ = log_end_;
-  return Status::Ok();
-}
-
-Status LogKvStore::ReadValue(const ReadFile& file,
-                             std::span<const Extent> extents, Bytes& out) {
-  uint8_t* dst = out.data();
-  for (size_t i = 0; i < extents.size();) {
-    // One read covers a run of extents that each start at most kMaxReadGap
-    // bytes after the previous one ends.
-    uint64_t start = extents[i].offset;
-    uint64_t end = start + extents[i].length;
-    size_t j = i + 1;
-    while (j < extents.size() && extents[j].offset >= end &&
-           extents[j].offset - end <= kMaxReadGap) {
-      end = extents[j].offset + extents[j].length;
-      ++j;
-    }
-    if (j == i + 1) {
-      TC_RETURN_IF_ERROR(file.Read(dst, extents[i].length, start));
-      dst += extents[i].length;
-    } else {
-      // Into a buffer, the records between the extents too: a preadv that
-      // scattered the extents and dropped the rest costs the kernel more
-      // per piece than copying the run out again does.
-      auto run = std::make_unique_for_overwrite<uint8_t[]>(end - start);
-      TC_RETURN_IF_ERROR(file.Read(run.get(), end - start, start));
-      for (; i < j; ++i) {
-        std::memcpy(dst, run.get() + (extents[i].offset - start),
-                    extents[i].length);
-        dst += extents[i].length;
-      }
-    }
-    i = j;
-  }
-  return Status::Ok();
+  LogFile::Remove(path + ".copy");
+  TC_ASSIGN_OR_RETURN(auto live, Log::Open(path));
+  return std::unique_ptr<LogKvStore>(
+      new LogKvStore(path, options, std::move(live)));
 }
 
 void LogKvStore::MaybeAutoCompactLocked() {
+  const size_t dead_bytes = live_->dead_bytes;
   if (options_.compact_dead_fraction <= 0.0) return;
-  if (dead_bytes_ < options_.compact_min_dead_bytes) return;
-  if (dead_bytes_ < compact_backoff_dead_bytes_) return;
-  size_t total = value_bytes_ + dead_bytes_;
-  if (static_cast<double>(dead_bytes_) <=
+  if (dead_bytes < options_.compact_min_dead_bytes) return;
+  if (dead_bytes < compact_backoff_dead_bytes_) return;
+  size_t total = live_->value_bytes + dead_bytes;
+  if (static_cast<double>(dead_bytes) <=
       options_.compact_dead_fraction * static_cast<double>(total)) {
     return;
   }
@@ -633,16 +423,15 @@ void LogKvStore::MaybeAutoCompactLocked() {
     TC_LOG_WARN << "auto-compaction of " << path_
                 << " failed: " << compacted.status().ToString();
     compact_backoff_dead_bytes_ =
-        dead_bytes_ + std::max(options_.compact_min_dead_bytes,
-                               size_t{1} << 20);
+        dead_bytes + std::max(options_.compact_min_dead_bytes,
+                              size_t{1} << 20);
   }
 }
 
 Status LogKvStore::Put(const std::string& key, BytesView value) {
   Ops().puts.Inc();
   MutexLock lock(mu_);
-  TC_ASSIGN_OR_RETURN(uint64_t offset, AppendRecord(kRecordPut, key, value));
-  ApplyPut(key, offset, value.size());
+  TC_RETURN_IF_ERROR(live_->Write(kRecordPut, key, value));
   MaybeAutoCompactLocked();
   return Status::Ok();
 }
@@ -654,39 +443,39 @@ Result<Bytes> LogKvStore::Get(const std::string& key) const {
   std::array<Extent, kInlineExtents> inline_extents;
   std::vector<Extent> many_extents;
   std::span<Extent> extents;
-  std::shared_ptr<const ReadFile> file;
+  std::shared_ptr<const LogFile> file;
   {
     MutexLock lock(mu_);
-    const Record* record = dir_->Find(key);
+    const Directory& dir = live_->dir;
+    const Record* record = dir.Find(key);
     if (record == nullptr) return NotFound("key not found: " + key);
     size = record->size;
-    size_t count = dir_->ExtentCount(*record);
+    size_t count = dir.ExtentCount(*record);
     if (count <= kInlineExtents) {
       extents = std::span(inline_extents).first(count);
     } else {
       many_extents.resize(count);
       extents = many_extents;
     }
-    dir_->CopyExtents(*record, extents);
+    dir.CopyExtents(*record, extents);
     if (!extents.empty()) {
-      TC_RETURN_IF_ERROR(
-          FlushThrough(extents.back().offset + extents.back().length));
+      TC_RETURN_IF_ERROR(live_->file->FlushThrough(extents.back().offset +
+                                                   extents.back().length));
     }
-    file = reader_;
+    file = live_->file;
   }
-  // Log bytes never change once written and Compact() writes a new file,
-  // so the extents stay valid in `file` without the lock.
+  // Log bytes never change once written and a new log replaces this one
+  // only by a rename, so the extents stay valid in `file` without the lock.
   Bytes value(size);
-  TC_RETURN_IF_ERROR(ReadValue(*file, extents, value));
+  TC_RETURN_IF_ERROR(file->ReadValue(extents, value));
   return value;
 }
 
 Status LogKvStore::Delete(const std::string& key) {
   Ops().deletes.Inc();
   MutexLock lock(mu_);
-  if (dir_->Find(key) == nullptr) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}).status());
-  ApplyDelete(key);
+  if (live_->dir.Find(key) == nullptr) return NotFound("key not found: " + key);
+  TC_RETURN_IF_ERROR(live_->Write(kRecordTombstone, key, {}));
   MaybeAutoCompactLocked();
   return Status::Ok();
 }
@@ -695,28 +484,26 @@ Result<size_t> LogKvStore::Append(const std::string& key,
                                   size_t expected_size, BytesView suffix) {
   Ops().appends.Inc();
   MutexLock lock(mu_);
-  Record* record = dir_->Find(key);
+  const Record* record = live_->dir.Find(key);
   if (record == nullptr) return NotFound("key not found: " + key);
   TC_RETURN_IF_ERROR(CheckAppendSize(key, record->size, expected_size));
-  TC_ASSIGN_OR_RETURN(uint64_t offset,
-                      AppendRecord(kRecordAppend, key, suffix));
-  ApplyAppend(*record, offset, suffix.size());
-  return record->size;
+  TC_RETURN_IF_ERROR(live_->Write(kRecordAppend, key, suffix));
+  return expected_size + suffix.size();
 }
 
 bool LogKvStore::Contains(const std::string& key) const {
   MutexLock lock(mu_);
-  return dir_->Find(key) != nullptr;
+  return live_->dir.Find(key) != nullptr;
 }
 
 size_t LogKvStore::Size() const {
   MutexLock lock(mu_);
-  return dir_->size();
+  return live_->dir.size();
 }
 
 size_t LogKvStore::ValueBytes() const {
   MutexLock lock(mu_);
-  return value_bytes_;
+  return live_->value_bytes;
 }
 
 Result<size_t> LogKvStore::Compact() {
@@ -726,292 +513,132 @@ Result<size_t> LogKvStore::Compact() {
 
 Result<size_t> LogKvStore::CompactLocked() {
   // Values are copied out of the log, so all of it must be in the file.
-  TC_RETURN_IF_ERROR(FlushThrough(log_end_));
-  std::string tmp_path = path_ + ".compact";
-  std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
-  if (tmp == nullptr) return Unavailable("cannot open compaction file");
-
-  // The new log and, beside it, the directory that will describe it: each
-  // key in dir_'s order, its value now one put. dir_ is replaced only once
-  // the new log has replaced the old one. A log with a generation gets a
-  // new one, whose record comes last: a follower's copy of the new log
-  // takes its place once it holds that record, so only once it holds
-  // every value the old log did.
-  auto dense = std::make_unique<Directory>();
-  const bool has_generation = generation_.id != 0;
-  LogGeneration generation;
-  uint64_t tmp_end = 0;
+  TC_RETURN_IF_ERROR(live_->file->Sync());
+  TC_ASSIGN_OR_RETURN(auto compacted, Log::Open(path_ + ".compact", true));
+  // Each key in the directory's order, its value now one put. A log with a
+  // generation gets a new one, whose record comes last: a follower's copy
+  // of the new log takes its place once it holds that record, so only once
+  // it holds every value the old log did.
+  const Directory& dir = live_->dir;
   std::vector<Extent> extents;
   Bytes value;
-  for (uint32_t id = 0; id <= dir_->records(); ++id) {
-    std::string_view key;
-    Status read = Status::Ok();
-    if (id == dir_->records()) {
-      if (!has_generation) break;
-      key = kGenerationKey;
-      generation = {crypto::RandomU64() | 1, generation_.id, tmp_end,
-                    log_end_};
-      value = EncodeGeneration(generation.id, generation.parent,
-                               generation.replaced);
-    } else {
-      const Record* record = dir_->Live(id);
-      if (record == nullptr) continue;
-      key = dir_->Key(*record);
-      if (key == kGenerationKey) continue;
-      extents.resize(dir_->ExtentCount(*record));
-      dir_->CopyExtents(*record, extents);
-      value.resize(record->size);
-      read = ReadValue(*reader_, extents, value);
-    }
-    BinaryWriter w(key.size() + 16);
-    w.PutU8(kRecordPut);
-    w.PutString(key);
-    w.PutVar(value.size());
-    dense->SetValue(*dense->FindOrInsert(key).first, tmp_end + w.size(),
-                    value.size());
-    tmp_end += w.size() + value.size();
-    // An empty value's data() may be null, which fwrite must not get.
-    if (!read.ok() ||
-        std::fwrite(w.data().data(), 1, w.size(), tmp) != w.size() ||
-        (!value.empty() &&
-         std::fwrite(value.data(), 1, value.size(), tmp) != value.size())) {
-      std::fclose(tmp);
-      std::remove(tmp_path.c_str());
-      return read.ok() ? Unavailable("compaction write failed") : read;
-    }
+  for (uint32_t id = 0; id < dir.records(); ++id) {
+    const Record* record = dir.Live(id);
+    if (record == nullptr) continue;
+    std::string_view key = dir.Key(*record);
+    if (key == kGenerationKey) continue;
+    extents.resize(dir.ExtentCount(*record));
+    dir.CopyExtents(*record, extents);
+    value.resize(record->size);
+    TC_RETURN_IF_ERROR(live_->file->ReadValue(extents, value));
+    TC_RETURN_IF_ERROR(compacted->Write(kRecordPut, key, value));
   }
-  if (std::fclose(tmp) != 0) {
-    std::remove(tmp_path.c_str());
-    return Unavailable("compaction write failed");
+  if (live_->generation.id != 0) {
+    TC_RETURN_IF_ERROR(compacted->Write(
+        kRecordPut, kGenerationKey,
+        EncodeGeneration(crypto::RandomU64() | 1, live_->generation.id,
+                         live_->file->end())));
   }
-  TC_RETURN_IF_ERROR(SwapInLocked(tmp_path));
-  dir_ = std::move(dense);
-  log_end_ = flushed_end_ = tmp_end;
-  generation_ = generation;
-  size_t reclaimed = dead_bytes_;
-  dead_bytes_ = 0;
+  const size_t reclaimed = live_->dead_bytes;
+  TC_RETURN_IF_ERROR(InstallLocked(std::move(compacted)));
   ++compactions_;
   Ops().compactions.Inc();
   trace::RecordEvent("store_compaction", trace::kNoShard,
                      path_ + " reclaimed=" + std::to_string(reclaimed));
   compact_backoff_dead_bytes_ = 0;  // a successful rewrite clears the backoff
-  if (log_ == nullptr) return Unavailable("cannot reopen log");
   return reclaimed;
 }
 
-Status LogKvStore::SwapInLocked(const std::string& tmp_path) {
-  auto reader = ReadFile::Open(tmp_path);
-  if (!reader.ok()) {
-    std::remove(tmp_path.c_str());
-    return reader.status();
-  }
-  // The caller flushed every record appended so far into the file, so
-  // closing the old handle loses nothing (a ReadLog flushing it closes it
-  // when done).
-  log_.reset();
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    // The old log is intact at path_; reopen it so appends keep working.
-    std::remove(tmp_path.c_str());
-    log_ = OpenAppend(path_);
-    return Unavailable("cannot rename " + tmp_path + " over " + path_);
-  }
-  // A Get that copied the old descriptor finishes on the old file. If the
-  // append handle does not reopen, writes are refused (see WriteLocked).
-  reader_ = std::move(*reader);
-  log_ = OpenAppend(path_);
+Status LogKvStore::InstallLocked(std::unique_ptr<Log> log) {
+  // On failure `log` is dropped with its file, and the live log stays.
+  TC_RETURN_IF_ERROR(log->file->RenameTo(path_));
+  live_ = std::move(log);
   return Status::Ok();
 }
 
 LogHead LogKvStore::Head() const {
   MutexLock lock(mu_);
-  return {generation_, log_end_};
+  return {live_->generation, live_->file->end()};
 }
 
 Status LogKvStore::StartGeneration() {
   MutexLock lock(mu_);
   // A writer's log takes no copies: drop one a follower left unfinished.
-  if (copy_ != nullptr) {
-    copy_.reset();
-    std::remove(CopyPath().c_str());
-  }
-  const uint64_t at = log_end_;
-  Bytes value = EncodeGeneration(crypto::RandomU64() | 1, generation_.id, 0);
-  TC_ASSIGN_OR_RETURN(uint64_t offset,
-                      AppendRecord(kRecordPut, kGenerationKey, value));
-  ApplyPut(kGenerationKey, offset, value.size());
-  NoteGeneration(value, at);
-  return Status::Ok();
+  copy_.reset();
+  return live_->Write(
+      kRecordPut, kGenerationKey,
+      EncodeGeneration(crypto::RandomU64() | 1, live_->generation.id, 0));
 }
 
 Result<Bytes> LogKvStore::ReadLog(uint64_t generation, uint64_t offset,
                                   size_t max_bytes) const {
-  std::shared_ptr<const ReadFile> file;
-  std::shared_ptr<std::FILE> unflushed;
+  std::shared_ptr<const LogFile> file;
+  LogFile::PendingFlush flush;
   uint64_t end = 0;
   {
     MutexLock lock(mu_);
-    if (generation_.id != generation) {
+    if (live_->generation.id != generation) {
       return FailedPrecondition("log " + path_ + " left generation " +
                                 std::to_string(generation));
     }
-    if (offset > log_end_) {
+    end = live_->file->end();
+    if (offset > end) {
       return OutOfRange("log offset " + std::to_string(offset) +
                         " is past the end of " + path_);
     }
-    file = reader_;
-    end = log_end_;
-    if (end > flushed_end_) {
-      if (log_ == nullptr) {
-        return Unavailable("log records lost with a failed write: " + path_);
-      }
-      unflushed = log_;
-    }
+    file = live_->file;
+    TC_ASSIGN_OR_RETURN(flush, live_->file->StartFlush());
   }
-  if (unflushed != nullptr) {
-    // Flushed without the lock, so writers never wait on it: stdio orders
-    // the flush with their appends, and the handle stays open while held
-    // here even if a Compact swaps in another.
-    const bool flushed = std::fflush(unflushed.get()) == 0;
+  if (flush.handle != nullptr) {
+    // Flushed without the lock, so writers never wait on it.
+    flush.Run();
     MutexLock lock(mu_);
-    if (log_ == unflushed && flushed) {
-      flushed_end_ = std::max(flushed_end_, end);
-    } else if (log_ == unflushed) {
-      DropAppendHandleLocked();
-    }
-    if (!flushed) return Unavailable("fflush failed: " + path_);
+    TC_RETURN_IF_ERROR(live_->file->FinishFlush(flush));
   }
-  // Log bytes never change once written and Compact() writes a new file,
-  // so `file` holds this generation's bytes up to `end` without the lock.
-  // One read of up to max_bytes; the whole records at its front ship.
-  Bytes out(std::min<uint64_t>(end - offset, max_bytes));
-  TC_RETURN_IF_ERROR(file->Read(out.data(), out.size(), offset));
-  const uint64_t out_end = offset + out.size();
-  auto in_out = [&](uint64_t at, uint64_t n) -> Result<BytesView> {
-    return BytesView(out).subspan(at - offset, std::min(n, out_end - at));
-  };
-  uint64_t cut = offset;
-  while (cut < out_end) {
-    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(in_out, cut, out_end));
-    if (!head) break;
-    cut += head->size();
-  }
-  if (cut == offset && !out.empty()) {
-    // The first record alone is larger than max_bytes: it ships whole.
-    ReadFile::Window window(*file, end);
-    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(window, offset, end));
-    if (!head) {
-      return DataLoss("log " + path_ + ": no record at offset " +
-                      std::to_string(offset));
-    }
-    cut = offset + head->size();
-    out.resize(cut - offset);
-    TC_RETURN_IF_ERROR(file->Read(out.data(), out.size(), offset));
-  }
-  out.resize(cut - offset);
-  return out;
+  // `file` holds this generation's bytes up to `end` without the lock.
+  return file->ReadRecords(offset, end, max_bytes);
 }
 
 Result<LogPosition> LogKvStore::AppendLog(LogPosition at, BytesView records) {
   MutexLock lock(mu_);
-  const LogPosition here{generation_.id, log_end_};
+  const LogPosition here = live_->position();
   if (records.empty()) return here;
   if (at == here) {
-    TC_RETURN_IF_ERROR(AppendRecordsLocked(records));
-    return LogPosition{generation_.id, log_end_};
+    TC_RETURN_IF_ERROR(live_->WriteRecords(records));
+    return live_->position();
   }
   // Anywhere else, the records are part of a copy of generation
   // at.generation's log, written beside this one. The copy takes this
   // log's place once it holds the record that started that generation;
   // until then this log, and the position it reports, stay as they were.
   if (at.length == 0) {
-    copy_.reset();
-    std::remove(CopyPath().c_str());
-    TC_ASSIGN_OR_RETURN(copy_, Open(CopyPath()));
+    copy_.reset();  // removes its file before another is made there
+    TC_ASSIGN_OR_RETURN(copy_, Log::Open(CopyPath(), true));
     copy_generation_ = at.generation;
   } else if (copy_ == nullptr ||
-             at != LogPosition{copy_generation_, copy_->Head().length}) {
+             at != LogPosition{copy_generation_, copy_->file->end()}) {
     return FailedPrecondition("log " + path_ + " is at " + Describe(here) +
                               ", not at " + Describe(at));
   }
-  TC_ASSIGN_OR_RETURN(LogPosition copied,
-                      copy_->AppendLog(copy_->Head().position(), records));
-  if (copied.generation != copy_generation_) {
-    return LogPosition{copy_generation_, copied.length};
+  TC_RETURN_IF_ERROR(copy_->WriteRecords(records));
+  if (copy_->generation.id != copy_generation_) {
+    return LogPosition{copy_generation_, copy_->file->end()};
   }
-  copy_.reset();  // closing the copy flushes it
-  TC_RETURN_IF_ERROR(SwapInLocked(CopyPath()));
-  dir_ = std::make_unique<Directory>();
-  value_bytes_ = dead_bytes_ = 0;
-  generation_ = {};
-  TC_RETURN_IF_ERROR(Replay());
-  return LogPosition{generation_.id, log_end_};
-}
-
-Status LogKvStore::AppendRecordsLocked(BytesView records) {
-  // Every record parses, and every append extends a live key, before any
-  // byte is written: bytes that fail either change nothing.
-  auto view = [&](uint64_t pos, uint64_t n) -> Result<BytesView> {
-    return records.subspan(pos, std::min<uint64_t>(n, records.size() - pos));
-  };
-  std::unordered_map<std::string_view, bool> live;  // as the records leave it
-  for (uint64_t pos = 0; pos < records.size();) {
-    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(view, pos, records.size()));
-    if (!head) {
-      return DataLoss("shipped log bytes at offset " +
-                      std::to_string(log_end_ + pos) +
-                      " are not a whole record");
-    }
-    if (head->type != kRecordAppend) {
-      live[head->key] = head->type == kRecordPut;
-    } else if (auto it = live.find(head->key);
-               it != live.end() ? !it->second
-                                : dir_->Find(head->key) == nullptr) {
-      return DataLoss("shipped append record at offset " +
-                      std::to_string(log_end_ + pos) + " for absent key " +
-                      std::string(head->key));
-    }
-    pos += head->size();
-  }
-  const uint64_t start = log_end_;
-  TC_RETURN_IF_ERROR(WriteLocked(records));
-  for (uint64_t pos = 0; pos < records.size();) {
-    TC_ASSIGN_OR_RETURN(auto head, ParseRecord(view, pos, records.size()));
-    TC_RETURN_IF_ERROR(ApplyRecord(*head, start + pos));
-    if (head->type == kRecordPut && head->key == kGenerationKey) {
-      NoteGeneration(records.subspan(pos + head->value_at, head->value_len),
-                     start + pos);
-    }
-    pos += head->size();
-  }
-  return Status::Ok();
+  TC_RETURN_IF_ERROR(InstallLocked(std::move(copy_)));
+  return live_->position();
 }
 
 Status LogKvStore::Sync() {
   AssertBlockingAllowed();
   Ops().syncs.Inc();
   MutexLock lock(mu_);
-  if (LogKvStore* copy = copy_.get(); copy != nullptr) {
-    MutexLock copy_lock(copy->mu_);
-    TC_RETURN_IF_ERROR(copy->FlushThrough(copy->log_end_));
-  }
-  // Group commit: if a concurrent caller's flush already covered every
-  // record appended before this Sync, skip the (expensive) flush entirely.
-  return FlushThrough(log_end_);
-}
-
-size_t LogKvStore::DeadBytes() const {
-  MutexLock lock(mu_);
-  return dead_bytes_;
-}
-
-uint64_t LogKvStore::CompactionCount() const {
-  MutexLock lock(mu_);
-  return compactions_;
+  if (copy_ != nullptr) TC_RETURN_IF_ERROR(copy_->file->Sync());
+  return live_->file->Sync();
 }
 
 store::KvStore::CompactionStats LogKvStore::Compaction() const {
   MutexLock lock(mu_);
-  return {compactions_, dead_bytes_};
+  return {compactions_, live_->dead_bytes};
 }
 
 Result<std::unique_ptr<TempLogDir>> TempLogDir::Make() {

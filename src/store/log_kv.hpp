@@ -16,12 +16,8 @@
 // (see LogGeneration).
 #pragma once
 
-#include <cstdio>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 
 #include "common/thread_annotations.hpp"
 #include "store/kv_store.hpp"
@@ -79,15 +75,18 @@ struct LogHead {
   uint64_t progress() const { return generation.replaced + length; }
 };
 
-/// Log-structured store. Writes append `type keylen key vallen value`
-/// records to a single log file. Deletes append a tombstone. Get reads a
-/// value's log extents (offset, length) with pread on a read-only
-/// descriptor, outside the store's lock; it flushes the write buffer first
-/// only when the value's bytes are not yet in the file. Compact() rewrites
-/// the log dropping dead records (each value becomes one put) and swaps in
-/// a descriptor on the new file; a Get racing it finishes on the old,
-/// renamed-over file. With LogKvOptions::compact_dead_fraction set,
-/// compaction also triggers automatically once dead bytes dominate.
+/// Log-structured store: what a log's records mean. Its LogFile
+/// (log_file.hpp) alone knows their bytes; this class owns the key
+/// directory, the live and dead value bytes, the generation, a follower's
+/// copy in progress, and compaction with its trigger. Get reads a value's
+/// log extents with pread outside the store's lock, after flushing the
+/// write buffer only if the value's bytes are not yet in the file. The
+/// live log, a compaction's output and a follower's copy are each a
+/// LogFile and the directory of its records, indexed as they are written:
+/// Compact() writes each live value as one put to a new file, and it and a
+/// finished copy replace the log by a rename, so a Get racing either
+/// finishes on the old file. LogKvOptions::compact_dead_fraction also
+/// triggers compaction automatically once dead bytes dominate.
 ///
 /// Memory holds only the key directory, which is flat. Each key has a
 /// 32-byte record holding where its bytes sit in an arena of fixed-size
@@ -111,10 +110,6 @@ struct LogHead {
 /// the directory densely.
 class LogKvStore final : public KvStore {
  public:
-  /// Replay reads the log through a buffer of this size, so opening a
-  /// store holds this much of the log in memory, not all of it.
-  static constexpr size_t kReplayBufferBytes = size_t{1} << 20;
-
   /// Opens (or creates) the log at `path` and replays it into the key
   /// directory.
   static Result<std::unique_ptr<LogKvStore>> Open(const std::string& path,
@@ -172,114 +167,41 @@ class LogKvStore final : public KvStore {
   /// Delete.
   Result<LogPosition> AppendLog(LogPosition at, BytesView records);
 
-  /// Dead (overwritten/tombstoned) value bytes awaiting compaction.
-  size_t DeadBytes() const;
-  /// Number of compactions run (explicit + automatic) — observability for
-  /// the auto-compaction trigger.
-  uint64_t CompactionCount() const;
-  /// Both of the above in one locked read (kClusterInfo reporting).
+  /// Compactions run (explicit + automatic) and dead value bytes, in one
+  /// locked read (kClusterInfo reporting).
   CompactionStats Compaction() const override;
 
  private:
-  /// `length` bytes of a value at log offset `offset`.
-  struct Extent {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  /// The key directory (see the class comment) and its per-key record,
-  /// both defined in log_kv.cpp.
+  /// The key directory (see the class comment), its per-key record, and a
+  /// LogFile with the directory of its records; all in log_kv.cpp.
   class Directory;
   struct Record;
-  /// A read-only descriptor on one log file, closed by its last holder.
-  class ReadFile;
-  /// One record's header, parsed by ParseRecord in log_kv.cpp.
-  struct RecordHead;
+  struct Log;
 
-  LogKvStore(std::string path, LogKvOptions options);
+  LogKvStore(std::string path, LogKvOptions options,
+             std::unique_ptr<Log> live);
 
-  /// Parses the record at log offset `pos` of a log `end` bytes long,
-  /// reading through `window(at, n)`, which returns the bytes [at, at + n)
-  /// clipped at `end`. nullopt when the bytes there are no whole record:
-  /// garbage, or a record running past `end`. Replay, ReadLog and
-  /// AppendLog all read records through it.
-  template <typename Window>
-  static Result<std::optional<RecordHead>> ParseRecord(Window&& window,
-                                                       uint64_t pos,
-                                                       uint64_t end);
-
-  /// Read `extents` (in log order, totalling the size of `out`) from
-  /// `file` into `out`. Extents a small gap apart share one pread.
-  static Status ReadValue(const ReadFile& file,
-                          std::span<const Extent> extents, Bytes& out);
-
-  /// Directory and byte accounting for a put, an append and a delete
-  /// whose records are in the log; shared by the write paths and Replay.
-  void ApplyPut(std::string_view key, uint64_t offset, uint64_t size)
-      REQUIRES(mu_);
-  void ApplyAppend(Record& record, uint64_t offset, uint64_t length)
-      REQUIRES(mu_);
-  void ApplyDelete(std::string_view key) REQUIRES(mu_);
-  /// All three, by the record's type, for a record at log offset `at`.
-  /// DataLoss for an append to an absent key.
-  Status ApplyRecord(const RecordHead& head, uint64_t at) REQUIRES(mu_);
-  /// Adopt the generation recorded by a kGenerationKey put at offset `at`.
-  void NoteGeneration(BytesView value, uint64_t at) REQUIRES(mu_);
-
-  Status Replay() REQUIRES(mu_);
-  /// Drop a torn tail discovered during replay (crash-recovery path).
-  Status TruncateTo(size_t size);
-  /// `type` is one of the record types in log_kv.cpp; tombstones carry no
-  /// value. Returns the log offset at which the value's bytes start.
-  Result<uint64_t> AppendRecord(uint8_t type, const std::string& key,
-                                BytesView value) REQUIRES(mu_);
-  /// Append `bytes` (whole records) at the log end. On a failed write the
-  /// append handle closes and writes are refused (see AppendRecord).
-  Status WriteLocked(BytesView bytes) REQUIRES(mu_);
-  /// After a failed write or flush: close the append handle, so writes
-  /// are refused until a Compact or a reopen, and count as flushed only
-  /// the records the file is seen to hold.
-  void DropAppendHandleLocked() const REQUIRES(mu_);
-  /// AppendLog's write at this log's end: `records` parse into whole
-  /// records, each append extends a live key, or nothing is written.
-  Status AppendRecordsLocked(BytesView records) REQUIRES(mu_);
   /// Where AppendLog writes a copy of another log.
   std::string CopyPath() const { return path_ + ".copy"; }
-  /// Replace `path_` with the file at `tmp_path` and reopen both handles
-  /// on it. A Get that copied the old descriptor finishes on the old file.
-  Status SwapInLocked(const std::string& tmp_path) REQUIRES(mu_);
-  /// Make the log's bytes up to offset `end` readable through the file:
-  /// flush the write buffer unless an earlier flush already covered them.
-  /// Unavailable if they were lost with a failed append (see AppendRecord).
-  Status FlushThrough(uint64_t end) const REQUIRES(mu_);
+  /// Rename `log`'s file over path_ and make it the live log.
+  Status InstallLocked(std::unique_ptr<Log> log) REQUIRES(mu_);
   /// Compact() body.
   Result<size_t> CompactLocked() REQUIRES(mu_);
   /// Run CompactLocked() if the dead-byte threshold is crossed.
   void MaybeAutoCompactLocked() REQUIRES(mu_);
 
-  std::string path_;
-  LogKvOptions options_;
+  const std::string path_;
+  const LogKvOptions options_;
   mutable Mutex mu_;
-  // The append handle. ReadLog flushes a copy of it without the lock.
-  mutable std::shared_ptr<std::FILE> log_ GUARDED_BY(mu_);
-  std::shared_ptr<const ReadFile> reader_ GUARDED_BY(mu_);
-  std::unique_ptr<Directory> dir_ GUARDED_BY(mu_);
-  size_t value_bytes_ GUARDED_BY(mu_) = 0;
-  size_t dead_bytes_ GUARDED_BY(mu_) = 0;
+  std::unique_ptr<Log> live_ GUARDED_BY(mu_);
+  // A copy of generation copy_generation_'s log that AppendLog is writing
+  // beside the live one; null when there is none.
+  std::unique_ptr<Log> copy_ GUARDED_BY(mu_);
+  uint64_t copy_generation_ GUARDED_BY(mu_) = 0;
   uint64_t compactions_ GUARDED_BY(mu_) = 0;
   // After a failed auto-compaction, don't retry until dead bytes reach
   // this level (0 = no backoff; reset by any successful compaction).
   size_t compact_backoff_dead_bytes_ GUARDED_BY(mu_) = 0;
-  // Log size counting records still in the write buffer, and the prefix of
-  // it known to be in the file. Sync() and FlushThrough() skip the flush
-  // when another caller's already covered what they need (group commit).
-  uint64_t log_end_ GUARDED_BY(mu_) = 0;
-  mutable uint64_t flushed_end_ GUARDED_BY(mu_) = 0;
-  LogGeneration generation_ GUARDED_BY(mu_);
-  // A copy of generation copy_generation_'s log that AppendLog is writing
-  // beside this one; null when there is none.
-  std::unique_ptr<LogKvStore> copy_ GUARDED_BY(mu_);
-  uint64_t copy_generation_ GUARDED_BY(mu_) = 0;
 };
 
 /// A private directory for logs that no restart reads: made under the

@@ -613,7 +613,7 @@ TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
       }
     }
     // Entries after a node's first one are appended, never rewritten.
-    EXPECT_EQ(kv->DeadBytes(), 0u);
+    EXPECT_EQ(kv->Compaction().dead_bytes, 0u);
     ASSERT_TRUE(kv->Sync().ok());
   }
   auto log = store::LogKvStore::Open(path);

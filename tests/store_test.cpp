@@ -23,6 +23,7 @@
 #include "replica/replicated_kv.hpp"
 #include "store/fault_kv.hpp"
 #include "store/latency.hpp"
+#include "store/log_file.hpp"
 #include "store/log_kv.hpp"
 #include "store/lru_cache.hpp"
 #include "store/mem_kv.hpp"
@@ -147,13 +148,13 @@ TEST_F(LogKvTest, AutoCompactionTriggersAtDeadFraction) {
   // Live data plus repeated overwrites of one key: dead bytes accumulate
   // until they exceed half the total, then the store compacts itself.
   ASSERT_TRUE((*kv)->Put("live", Bytes(2048, 0x11)).ok());
-  EXPECT_EQ((*kv)->CompactionCount(), 0u);
+  EXPECT_EQ((*kv)->Compaction().compactions, 0u);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE((*kv)->Put("churn", Bytes(2048, uint8_t(i))).ok());
   }
-  EXPECT_GE((*kv)->CompactionCount(), 1u);
+  EXPECT_GE((*kv)->Compaction().compactions, 1u);
   // Post-compaction the log holds only live records.
-  EXPECT_LT((*kv)->DeadBytes(), options.compact_min_dead_bytes);
+  EXPECT_LT((*kv)->Compaction().dead_bytes, options.compact_min_dead_bytes);
   ASSERT_TRUE((*kv)->Sync().ok());
   // Far below the ~18 KiB the 9 appended records total (the live pair plus
   // at most a couple of post-compaction appends remain).
@@ -176,8 +177,8 @@ TEST_F(LogKvTest, AutoCompactionDisabledByDefault) {
     ASSERT_TRUE((*kv)->Put("churn", Bytes(64 * 1024, uint8_t(i))).ok());
   }
   // Dead bytes pile up far past any threshold; no compaction runs.
-  EXPECT_EQ((*kv)->CompactionCount(), 0u);
-  EXPECT_GT((*kv)->DeadBytes(), 60u * 64u * 1024u);
+  EXPECT_EQ((*kv)->Compaction().compactions, 0u);
+  EXPECT_GT((*kv)->Compaction().dead_bytes, 60u * 64u * 1024u);
 }
 
 TEST_F(LogKvTest, TombstonesCountTowardAutoCompaction) {
@@ -193,7 +194,7 @@ TEST_F(LogKvTest, TombstonesCountTowardAutoCompaction) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE((*kv)->Delete("dead" + std::to_string(i)).ok());
   }
-  EXPECT_GE((*kv)->CompactionCount(), 1u);
+  EXPECT_GE((*kv)->Compaction().compactions, 1u);
   EXPECT_TRUE((*kv)->Contains("live"));
   EXPECT_EQ((*kv)->Size(), 1u);
 }
@@ -397,7 +398,7 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
                       .ok());
     }
     ASSERT_TRUE((*rkv)->Delete("k0").ok());
-    EXPECT_GT(primary->DeadBytes(), 0u);
+    EXPECT_GT(primary->Compaction().dead_bytes, 0u);
 
     auto follower = LogKvStore::Open(follower_path);
     ASSERT_TRUE(follower.ok());
@@ -641,7 +642,7 @@ TEST_F(LogKvTest, AppendedValuesSurviveReopenWithoutDeadBytes) {
       ASSERT_TRUE((*kv)->Append("node", e * 8u, Bytes(8, e)).ok());
     }
     // Growing a value by appends leaves nothing for compaction to reclaim.
-    EXPECT_EQ((*kv)->DeadBytes(), 0u);
+    EXPECT_EQ((*kv)->Compaction().dead_bytes, 0u);
     ASSERT_TRUE((*kv)->Sync().ok());
   }
   auto kv = LogKvStore::Open(path_.string());
@@ -650,7 +651,7 @@ TEST_F(LogKvTest, AppendedValuesSurviveReopenWithoutDeadBytes) {
   for (uint8_t e = 0; e < 16; ++e) Append(expected, Bytes(8, e));
   EXPECT_EQ(*(*kv)->Get("node"), expected);
   EXPECT_EQ((*kv)->ValueBytes(), 128u);
-  EXPECT_EQ((*kv)->DeadBytes(), 0u);
+  EXPECT_EQ((*kv)->Compaction().dead_bytes, 0u);
 }
 
 TEST_F(LogKvTest, TornTailInsideAnAppendRecordIsTruncated) {
@@ -708,7 +709,7 @@ TEST_F(LogKvTest, SeedFormatLogStillReplays) {
     ASSERT_TRUE(kv.ok());
     EXPECT_EQ(Values(**kv, {"a", "b"}),
               (std::map<std::string, std::string>{{"a", "z"}}));
-    EXPECT_EQ((*kv)->DeadBytes(), 3u);
+    EXPECT_EQ((*kv)->Compaction().dead_bytes, 3u);
     ASSERT_TRUE((*kv)->Append("a", 1, ToBytes("q")).ok());
     ASSERT_TRUE((*kv)->Sync().ok());
   }
@@ -874,7 +875,7 @@ TEST_F(LogKvTest, GetsRacingPutsAndCompactionsSeeWholeValues) {
   done = true;
   for (auto& th : readers) th.join();
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_GE(store.CompactionCount(), 15u);
+  EXPECT_GE(store.Compaction().compactions, 15u);
 }
 
 TEST_F(LogKvTest, LogWrittenByTheDirectoryFreeStoreReplays) {
@@ -910,14 +911,14 @@ TEST_F(LogKvTest, LogWrittenByTheDirectoryFreeStoreReplays) {
   EXPECT_FALSE((*kv)->Contains("gone"));
   EXPECT_EQ((*kv)->Size(), 5u);
   EXPECT_EQ((*kv)->ValueBytes(), 30u);
-  EXPECT_EQ((*kv)->DeadBytes(), 17u);
+  EXPECT_EQ((*kv)->Compaction().dead_bytes, 17u);
 }
 
-// Replay reads the log through a buffer of LogKvStore::kReplayBufferBytes.
+// Replay reads the log through a buffer of LogFile::kReplayBufferBytes.
 // These logs hold 60-byte puts ("k" + 6 digits, 50 value bytes), so record
 // kStraddler starts 16 bytes before the buffer's end and ends past it.
 constexpr size_t kRecordBytes = 60;
-constexpr size_t kStraddler = LogKvStore::kReplayBufferBytes / kRecordBytes;
+constexpr size_t kStraddler = LogFile::kReplayBufferBytes / kRecordBytes;
 
 std::string RecordKey(size_t i) {
   char key[16];
@@ -939,7 +940,7 @@ TEST_F(LogKvTest, RecordsAcrossReplayBufferBoundariesReplay) {
     ASSERT_EQ(std::filesystem::file_size(path_), kRecords * kRecordBytes);
     // A value longer than the buffer, then more small records after it.
     ASSERT_TRUE(
-        (*kv)->Put("big", Bytes(LogKvStore::kReplayBufferBytes + 7, 0xb1))
+        (*kv)->Put("big", Bytes(LogFile::kReplayBufferBytes + 7, 0xb1))
             .ok());
     ASSERT_TRUE((*kv)->Put("after", ToBytes("tail")).ok());
     ASSERT_TRUE((*kv)->Sync().ok());
@@ -951,7 +952,7 @@ TEST_F(LogKvTest, RecordsAcrossReplayBufferBoundariesReplay) {
     EXPECT_EQ(*(*kv)->Get(RecordKey(i)), RecordValue(i)) << i;
   }
   EXPECT_EQ(*(*kv)->Get("big"),
-            Bytes(LogKvStore::kReplayBufferBytes + 7, 0xb1));
+            Bytes(LogFile::kReplayBufferBytes + 7, 0xb1));
   EXPECT_EQ(ToString(*(*kv)->Get("after")), "tail");
 }
 
@@ -965,7 +966,7 @@ TEST_F(LogKvTest, TornTailJustPastTheReplayBufferIsTruncated) {
     ASSERT_TRUE((*kv)->Sync().ok());
   }
   // Crash 3 bytes into the second buffer: the straddling record is torn.
-  std::filesystem::resize_file(path_, LogKvStore::kReplayBufferBytes + 3);
+  std::filesystem::resize_file(path_, LogFile::kReplayBufferBytes + 3);
   {
     auto kv = LogKvStore::Open(path_.string());
     ASSERT_TRUE(kv.ok());
