@@ -42,30 +42,27 @@ LogFile::~LogFile() {
 
 Result<RecordHead> LogFile::Append(uint8_t type, std::string_view key,
                                    BytesView value) {
-  BinaryWriter w(1 + 2 * kMaxVarintBytes + key.size());
+  BinaryWriter w(1 + 2 * kMaxVarintBytes + key.size() + value.size());
   w.PutU8(type);
   w.PutString(key);
   if (type != kRecordTombstone) w.PutVar(value.size());
   RecordHead head{type, key, w.size(), value.size()};
-  TC_RETURN_IF_ERROR(Write(w.data(), value));
+  w.PutRaw(value);
+  TC_RETURN_IF_ERROR(Write(w.data()));
   return head;
 }
 
-Status LogFile::Write(BytesView bytes, BytesView more) {
+Status LogFile::Write(BytesView records) {
   if (append_ == nullptr) {
     return Unavailable("log append handle closed after a failed write: " +
                        path_);
   }
-  // An empty part's data() may be null, which fwrite must not get.
-  for (BytesView part : {bytes, more}) {
-    if (!part.empty() &&
-        std::fwrite(part.data(), 1, part.size(), append_.get()) !=
-            part.size()) {
-      DropAppendHandle();
-      return Unavailable("log append failed: " + path_);
-    }
+  if (std::fwrite(records.data(), 1, records.size(), append_.get()) !=
+      records.size()) {
+    DropAppendHandle();
+    return Unavailable("log append failed: " + path_);
   }
-  end_ += bytes.size() + more.size();
+  end_ += records.size();
   return Status::Ok();
 }
 

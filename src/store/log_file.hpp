@@ -158,8 +158,8 @@ class LogFile {
   /// Appends one record; its head's key views `key`.
   Result<RecordHead> Append(uint8_t type, std::string_view key,
                             BytesView value);
-  /// Appends `bytes`, then `more`, as one write: whole records.
-  Status Write(BytesView bytes, BytesView more = {});
+  /// Appends `records`: whole records.
+  Status Write(BytesView records);
 
   /// Makes the log's bytes up to offset `end` readable through the file:
   /// flushes the write buffer unless an earlier flush already covered

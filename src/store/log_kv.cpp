@@ -298,11 +298,12 @@ struct LogKvStore::Log {
 
   LogPosition position() const { return {generation.id, file->end()}; }
 
-  /// Appends one record and indexes it.
-  Status Write(uint8_t type, std::string_view key, BytesView value) {
+  /// Appends one record and indexes it; `record` is its key's, if known.
+  Status Write(uint8_t type, std::string_view key, BytesView value,
+               Record* record = nullptr) {
     const uint64_t at = file->end();
     TC_ASSIGN_OR_RETURN(RecordHead head, file->Append(type, key, value));
-    return Index(head, at, value);
+    return Index(head, at, value, record);
   }
 
   /// Appends `records`, whole records read from another log, and indexes
@@ -343,15 +344,17 @@ struct LogKvStore::Log {
 
   /// Directory and byte accounting for the record at log offset `at`,
   /// whose value is `value` when it is a generation put (other records
-  /// need not pass theirs). DataLoss for an append to an absent key.
-  Status Index(const RecordHead& head, uint64_t at, BytesView value) {
+  /// need not pass theirs), and an append's `base` record if known.
+  /// DataLoss for an append to an absent key.
+  Status Index(const RecordHead& head, uint64_t at, BytesView value,
+               Record* base = nullptr) {
     const uint64_t value_at = at + head.value_at;
     uint64_t dead = 0;  // the bytes of the value the record replaces
     if (head.type == kRecordAppend) {
       // Append() refuses absent keys, so a complete append record without
       // its base value is corruption, not a torn tail: truncating here
       // would silently drop every record after it.
-      Record* base = dir.Find(head.key);
+      if (base == nullptr) base = dir.Find(head.key);
       if (base == nullptr) {
         return DataLoss("log " + file->path() + ": append record at offset " +
                         std::to_string(at) + " for absent key " +
@@ -484,11 +487,11 @@ Result<size_t> LogKvStore::Append(const std::string& key,
                                   size_t expected_size, BytesView suffix) {
   Ops().appends.Inc();
   MutexLock lock(mu_);
-  const Record* record = live_->dir.Find(key);
+  Record* record = live_->dir.Find(key);
   if (record == nullptr) return NotFound("key not found: " + key);
   TC_RETURN_IF_ERROR(CheckAppendSize(key, record->size, expected_size));
-  TC_RETURN_IF_ERROR(live_->Write(kRecordAppend, key, suffix));
-  return expected_size + suffix.size();
+  TC_RETURN_IF_ERROR(live_->Write(kRecordAppend, key, suffix, record));
+  return record->size;
 }
 
 bool LogKvStore::Contains(const std::string& key) const {
