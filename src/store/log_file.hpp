@@ -197,6 +197,10 @@ class LogFile {
   Result<Bytes> ReadRecords(uint64_t offset, uint64_t end,
                             size_t max_bytes) const;
 
+ private:
+  LogFile(std::string path, bool staged)
+      : path_(std::move(path)), staged_(staged) {}
+
   /// A window (see ParseRecord) on the file's bytes before `end`, through
   /// a buffer of kReplayBufferBytes refilled from `at` when the bytes asked
   /// for are not all in it; only a key about the buffer's size grows it. A
@@ -214,10 +218,6 @@ class LogFile {
       return BytesView(buf).subspan(at - buf_at, n);
     };
   }
-
- private:
-  LogFile(std::string path, bool staged)
-      : path_(std::move(path)), staged_(staged) {}
 
   /// Exactly `n` bytes at `offset`; DataLoss if the file ends first.
   Status Read(uint8_t* dst, size_t n, uint64_t offset) const;
