@@ -80,15 +80,9 @@ void LogFile::DropAppendHandle() {
 
 Status LogFile::FlushThrough(uint64_t end) {
   if (end <= flushed_end_) return Status::Ok();
-  if (append_ == nullptr) {
-    return Unavailable("log records lost with a failed write: " + path_);
-  }
-  if (std::fflush(append_.get()) != 0) {
-    DropAppendHandle();
-    return Unavailable("fflush failed: " + path_);
-  }
-  flushed_end_ = end_;
-  return Status::Ok();
+  TC_ASSIGN_OR_RETURN(PendingFlush flush, StartFlush());
+  flush.Run();
+  return FinishFlush(flush);
 }
 
 Result<LogFile::PendingFlush> LogFile::StartFlush() const {
