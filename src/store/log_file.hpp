@@ -139,8 +139,9 @@ class LogFile {
 
   /// Calls `visit(head, at, window)` for each whole record of the file, in
   /// order, with `at` its offset and `window` a Window that reads its
-  /// value. Replay reads each header and key and skips over the value. A
-  /// torn tail after the last whole record is truncated away, so appends
+  /// value. Replay reads each header and key and skips over the value.
+  /// `head.key` views the window's buffer, so a call to `window` may
+  /// overwrite it. A torn tail after the last whole record is truncated away, so appends
   /// follow a well-formed record.
   template <typename Visit>
   Status Replay(Visit&& visit) {

@@ -286,12 +286,15 @@ struct LogKvStore::Log {
     if (staged) return log;
     TC_RETURN_IF_ERROR(log->file->Replay(
         [&](const RecordHead& head, uint64_t at, auto& window) -> Status {
-          BytesView value;
-          if (head.type == kRecordPut && head.key == kGenerationKey) {
-            TC_ASSIGN_OR_RETURN(value,
-                                window(at + head.value_at, head.value_len));
+          if (head.type != kRecordPut || head.key != kGenerationKey) {
+            return log->Index(head, at, {});
           }
-          return log->Index(head, at, value);
+          // Reading the value may refill the window under head.key.
+          RecordHead generation = head;
+          generation.key = kGenerationKey;
+          TC_ASSIGN_OR_RETURN(BytesView value,
+                              window(at + head.value_at, head.value_len));
+          return log->Index(generation, at, value);
         }));
     return log;
   }

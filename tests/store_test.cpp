@@ -517,6 +517,39 @@ TEST_F(LogKvTest, GenerationRecordIsAnOrdinaryPut) {
   EXPECT_EQ((*kv)->Head().generation.replaced, old_length);
 }
 
+TEST_F(LogKvTest, GenerationRecordAcrossAReplayBufferBoundaryReplays) {
+  // Replay reads the log a buffer at a time. A generation record placed
+  // so that its header and key lie in one buffer and its value runs into
+  // the next: reading the value refills the buffer the key was read from.
+  constexpr uint64_t kBuffer = LogFile::kReplayBufferBytes;
+  constexpr uint64_t kGenerationStart = kBuffer - 35;
+  auto kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  // "filler": 1 type byte, 1 + 6 key bytes and a 3-byte value length.
+  ASSERT_TRUE((*kv)->Put("filler", Bytes(kGenerationStart - 11, 'f')).ok());
+  ASSERT_EQ((*kv)->Head().length, kGenerationStart);
+  ASSERT_TRUE((*kv)->StartGeneration().ok());
+  // A whole buffer of other bytes after it, so the refill overwrites all
+  // of the buffer.
+  ASSERT_TRUE((*kv)->Put("after", Bytes(kBuffer, 'x')).ok());
+  ASSERT_TRUE((*kv)->Sync().ok());
+  const LogHead head = (*kv)->Head();
+  const size_t size = (*kv)->Size();
+  const size_t value_bytes = (*kv)->ValueBytes();
+  kv->reset();
+
+  kv = LogKvStore::Open(path_.string());
+  ASSERT_TRUE(kv.ok());
+  const LogHead reopened = (*kv)->Head();
+  EXPECT_EQ(reopened.generation.id, head.generation.id);
+  EXPECT_EQ(reopened.generation.begin, kGenerationStart);
+  EXPECT_EQ(reopened.length, head.length);
+  EXPECT_EQ((*kv)->Size(), size);
+  EXPECT_EQ((*kv)->ValueBytes(), value_bytes);
+  EXPECT_EQ((*kv)->Compaction().dead_bytes, 0u);
+  EXPECT_EQ((*kv)->Get("after")->size(), kBuffer);
+}
+
 TEST_F(LogKvTest, ReadLogHandsOutWholeRecordsOfOneGeneration) {
   auto kv = LogKvStore::Open(path_.string());
   ASSERT_TRUE(kv.ok());
