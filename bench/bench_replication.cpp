@@ -31,12 +31,19 @@
 //    compaction. Of the `compaction_copies`, `at_offset` found their
 //    follower holding exactly the log the compaction rewrote, so a
 //    follower compacting at the same offset could have rebuilt it.
+//  - BM_Failover/inproc: a quorum-acked shard with 2 local replicas whose
+//    primary log holds `log_mb` MiB of 700-byte payload chunks loses its
+//    primary. `promote_ms` times DropPrimary and Promote: the election, the
+//    new generation, the engine's recovery over the promoted log and the
+//    survivor's catch-up. `first_write_ms` times the first write after it,
+//    acked by the survivor.
 //
 // Every replicated store is a LogKvStore in a temporary directory, as in
 // `tcserver --store mem --replicas N`; the replica-less rows run on the
-// same logs. One iteration is one request or one catch-up; each row runs a
-// fixed number of them, named in its `iterations:` suffix. Rows with
-// chunks:256, chunks:128 and entries:4000 are the smoke sizes.
+// same logs. One iteration is one request, one catch-up or one failover;
+// each row runs a fixed number of them, named in its `iterations:` suffix.
+// Rows with chunks:256, chunks:128, entries:4000 and log_mb:5 are the smoke
+// sizes.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -290,13 +297,21 @@ class CopyCounter final : public replica::Follower {
   std::atomic<uint64_t> at_offset_{0};
 };
 
-/// A one-chunk batch carrying a sealed payload of tcbench's size.
-Bytes PayloadChunkBody(uint64_t uuid, uint64_t c) {
+/// A batch of chunks `first`.. `first + count - 1`, each carrying a sealed
+/// payload of tcbench's size.
+Bytes PayloadChunkBody(uint64_t uuid, uint64_t first, uint64_t count = 1) {
   static const auto cipher = index::MakePlainCipher(2);
   static const Bytes payload(700, 0x5a);
-  std::vector<uint64_t> fields{c + 1, 1};
-  const Bytes digest = *cipher->Encrypt(fields, c);
-  return net::InsertChunkBatchRequest{uuid, {{c, digest, payload}}}.Encode();
+  std::vector<Bytes> digests;
+  for (uint64_t c = first; c < first + count; ++c) {
+    std::vector<uint64_t> fields{c + 1, 1};
+    digests.push_back(*cipher->Encrypt(fields, c));
+  }
+  net::InsertChunkBatchRequest req{uuid, {}};
+  for (uint64_t i = 0; i < count; ++i) {
+    req.entries.push_back({first + i, digests[i], payload});
+  }
+  return req.Encode();
 }
 
 void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
@@ -391,6 +406,58 @@ void BM_ReplicatedCompaction(benchmark::State& state, replica::AckMode ack) {
   state.counters["at_offset"] = static_cast<double>(at_offset) / runs;
 }
 
+// --------------------------------------------------------------- failover
+
+void BM_Failover(benchmark::State& state) {
+  const uint64_t log_bytes = static_cast<uint64_t>(state.range(0)) << 20;
+  constexpr uint64_t kBatch = 64;
+  double promote_ms = 0;
+  double first_write_ms = 0;
+  for (auto _ : state) {
+    auto dir = MakeLogDir();
+    auto primary = OpenLog(*dir, "p");
+    replica::ReplicaSetOptions options;
+    options.kv.ack = replica::AckMode::kQuorum;
+    auto made = replica::ReplicaSet::Make(
+        primary, {OpenLog(*dir, "r0"), OpenLog(*dir, "r1")}, {}, options);
+    if (!made.ok()) std::abort();
+    replica::ReplicaSet& set = **made;
+    // Fill the log in 64-chunk batches, stream by stream in turn.
+    IngestLoad load(kStreams, 0);
+    load.CreateStreams(set);
+    uint64_t chunks = 0;  // per stream
+    while (primary->Head().length < log_bytes) {
+      for (uint64_t uuid : load.uuids) {
+        if (!set.Handle(net::MessageType::kInsertChunkBatch,
+                        PayloadChunkBody(uuid, chunks, kBatch))
+                 .ok()) {
+          std::abort();
+        }
+      }
+      chunks += kBatch;
+    }
+    if (!set.WaitCaughtUp().ok()) std::abort();
+    const Bytes next = PayloadChunkBody(load.uuids[0], chunks);
+
+    const auto start = std::chrono::steady_clock::now();
+    if (!set.DropPrimary().ok() || !set.Promote().ok()) std::abort();
+    const auto promoted = std::chrono::steady_clock::now();
+    if (!set.Handle(net::MessageType::kInsertChunkBatch, next).ok()) {
+      std::abort();
+    }
+    const auto written = std::chrono::steady_clock::now();
+    const std::chrono::duration<double, std::milli> promote =
+        promoted - start;
+    const std::chrono::duration<double, std::milli> write = written - promoted;
+    promote_ms += promote.count();
+    first_write_ms += write.count();
+    state.SetIterationTime((written - start) / std::chrono::duration<double>(1));
+  }
+  const double runs = static_cast<double>(state.iterations());
+  state.counters["promote_ms"] = promote_ms / runs;
+  state.counters["first_write_ms"] = first_write_ms / runs;
+}
+
 void RegisterAll() {
   struct ReadSize {
     int64_t chunks, queries;
@@ -440,6 +507,13 @@ void RegisterAll() {
           ->Unit(benchmark::kMillisecond);
     }
   }
+  benchmark::RegisterBenchmark("BM_Failover/inproc", BM_Failover)
+      ->ArgNames({"log_mb"})
+      ->Arg(5)
+      ->Arg(50)
+      ->Iterations(1)
+      ->UseManualTime()
+      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace

@@ -1318,6 +1318,44 @@ TEST(Failover, QuiescentReRegistrationOverAWipedLogCopiesIt) {
   EXPECT_EQ(set->full_copies(), 2u);
 }
 
+TEST(Failover, PromoteElectsTheMostCaughtUpReplica) {
+  // A directory where r0's copy file would go fails every copy, so r0
+  // holds nothing while r1 acks every quorum write: the election must pick
+  // r1, although r0 comes first.
+  TempLogs logs;
+  std::filesystem::create_directory(logs.Path("r0") + ".copy");
+  ReplicaSetOptions options;
+  options.kv.ack = AckMode::kQuorum;
+  // Also Promote's wait for the survivors, which r0 cannot meet.
+  options.kv.quorum_timeout_ms = 1000;
+  auto set =
+      MakeSet(logs.Open("p"), {logs.Open("r0"), logs.Open("r1")}, options);
+
+  net::CreateStreamRequest create{42, PlainConfig("elected")};
+  ASSERT_TRUE(
+      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(InsertPlainChunks(*set, 0, 6).ok());
+  ASSERT_TRUE(set->DropPrimary().ok());
+  ASSERT_TRUE(set->Promote().ok());
+  EXPECT_EQ(set->num_replicas(), 1u);
+
+  // r1 serves every chunk the dead primary held.
+  net::StreamInfoRequest info{42};
+  auto blob = set->Handle(net::MessageType::kGetStreamInfo, info.Encode());
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_EQ(net::StreamInfoResponse::Decode(*blob)->num_chunks, 6u);
+  net::StatRangeRequest stat{42, {0, 6 * kDelta}};
+  auto resp = set->Handle(net::MessageType::kGetStatRange, stat.Encode());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+
+  // Heal r0's disk: the promoted r1 copies its log to r0.
+  std::filesystem::remove(logs.Path("r0") + ".copy");
+  ASSERT_TRUE(InsertPlainChunks(*set, 6, 1).ok());
+  ASSERT_TRUE(set->WaitCaughtUp().ok());
+  EXPECT_GT(logs.Bytes("r0").size(), 0u);
+  EXPECT_TRUE(logs.IsPrefix("r0", "r1"));
+}
+
 TEST(Failover, DropAndPromoteGuardrails) {
   auto single = ReplicaSet::Single(std::make_shared<server::ServerEngine>(
       std::make_shared<store::MemKvStore>()));
