@@ -17,20 +17,14 @@ namespace tc::replica {
 
 PrimaryCoordinator::PrimaryCoordinator(
     std::shared_ptr<net::RequestHandler> inner,
-    std::vector<std::shared_ptr<ReplicaSet>> sets, CoordinatorOptions options)
-    : inner_(std::move(inner)), sets_(std::move(sets)), options_(options) {
-  if (options_.heartbeat_ms == 0) options_.heartbeat_ms = 1;
-  beater_ = std::thread([this] { HeartbeatLoop(); });
-}
+    std::vector<std::shared_ptr<ReplicaSet>> sets, FailoverOptions failover)
+    : inner_(std::move(inner)),
+      sets_(std::move(sets)),
+      heartbeat_ms_(static_cast<uint32_t>(
+          std::max<int64_t>(failover.heartbeat_ms, 1))),
+      beacons_(std::chrono::milliseconds(heartbeat_ms_), [this] { Beat(); }) {}
 
-PrimaryCoordinator::~PrimaryCoordinator() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  if (beater_.joinable()) beater_.join();
-}
+PrimaryCoordinator::~PrimaryCoordinator() { beacons_.Stop(); }
 
 Result<Bytes> PrimaryCoordinator::Handle(net::MessageType type,
                                          BytesView body) {
@@ -110,109 +104,92 @@ Result<Bytes> PrimaryCoordinator::Hello(BytesView body) {
     // attached and redials, and took the reported position.
     trace::RecordEvent("follower_reregistered", req.shard, where);
   }
-  return net::ReplicaHelloResponse{set->log_end(), options_.heartbeat_ms}
-      .Encode();
+  return net::ReplicaHelloResponse{set->log_end(), heartbeat_ms_}.Encode();
 }
 
-void PrimaryCoordinator::HeartbeatLoop() {
-  // Heartbeat connections are owned by this thread (dialed lazily, dropped
-  // on failure) so a wedged follower can never block request handling.
-  std::map<std::string, std::unique_ptr<net::TcpClient>> clients;
-  // Dead-endpoint dial backoff, in rounds (exponential to a cap): beacons
-  // to live followers must stay on cadence no matter how many corpses
-  // have accumulated in the registry — a late beacon reads as a dead
-  // primary and triggers a takeover election.
-  std::map<std::string, uint32_t> skip_rounds;
-  std::map<std::string, uint32_t> failures;
-  for (;;) {
-    {
-      // One beacon cadence per iteration; stop cuts the sleep short.
-      MutexLock lock(mu_);
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(options_.heartbeat_ms);
-      while (!stop_) {
-        if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
-      }
-      if (stop_) return;
+void PrimaryCoordinator::Beat() {
+  // Heartbeat connections are owned by the beacon thread so a wedged
+  // follower can never block request handling. Dead endpoints back off
+  // their dials, in rounds (exponential to a cap): beacons to live
+  // followers must stay on cadence no matter how many corpses have
+  // accumulated in the registry — a late beacon reads as a dead primary
+  // and triggers a takeover election.
+  for (auto& [key, rounds] : skip_rounds_) {
+    if (rounds > 0) --rounds;
+  }
+  std::vector<Endpoint> endpoints;
+  {
+    MutexLock lock(mu_);
+    endpoints = endpoints_;
+  }
+  // Group views per shard from the typed registry; each follower's
+  // progress comes from the shipping pipeline keyed by the registration
+  // label.
+  std::map<uint32_t, net::ReplicaHeartbeatRequest> beats;
+  for (const auto& endpoint : endpoints) {
+    auto [it, fresh] = beats.try_emplace(endpoint.shard);
+    if (fresh) {
+      it->second.shard = endpoint.shard;
+      it->second.log_end = sets_[endpoint.shard]->log_end();
     }
-    for (auto& [key, rounds] : skip_rounds) {
-      if (rounds > 0) --rounds;
+  }
+  for (auto& [shard, beat] : beats) {
+    std::map<std::string, uint64_t> bytes_by_label;
+    for (auto& [label, bytes] : sets_[shard]->RemoteFollowerBytes()) {
+      bytes_by_label.emplace(label, bytes);
     }
-    std::vector<Endpoint> endpoints;
-    {
-      MutexLock lock(mu_);
-      endpoints = endpoints_;
-    }
-    // Group views per shard from the typed registry; each follower's
-    // progress comes from the shipping pipeline keyed by the registration
-    // label.
-    std::map<uint32_t, net::ReplicaHeartbeatRequest> beats;
     for (const auto& endpoint : endpoints) {
-      auto [it, fresh] = beats.try_emplace(endpoint.shard);
-      if (fresh) {
-        it->second.shard = endpoint.shard;
-        it->second.log_end = sets_[endpoint.shard]->log_end();
-      }
-    }
-    for (auto& [shard, beat] : beats) {
-      std::map<std::string, uint64_t> bytes_by_label;
-      for (auto& [label, bytes] : sets_[shard]->RemoteFollowerBytes()) {
-        bytes_by_label.emplace(label, bytes);
-      }
-      for (const auto& endpoint : endpoints) {
-        if (endpoint.shard != shard) continue;
-        std::string label =
-            endpoint.host + ":" + std::to_string(endpoint.port);
-        auto bytes = bytes_by_label.find(label);
-        beat.peers.push_back(
-            {endpoint.host, endpoint.port,
-             bytes == bytes_by_label.end() ? 0 : bytes->second});
-      }
-    }
-    // Every dial and round trip is bounded, a dead endpoint is dialed at
-    // most once per round (even across several shards), and repeat
-    // offenders back off across rounds.
-    int64_t timeout_ms = std::max<int64_t>(options_.heartbeat_ms, 250);
-    std::set<std::string> undialable_this_round;
-    // First strike only: one journal event when a follower goes dark, not
-    // one per backoff round (the journal records transitions, not state).
-    auto strike = [&failures, &skip_rounds](const std::string& key,
-                                            uint32_t shard) {
-      uint32_t strikes = std::min<uint32_t>(++failures[key], 5);
-      skip_rounds[key] = 1u << strikes;  // 2..32 rounds
-      if (strikes == 1) {
-        trace::RecordEvent("follower_unreachable", shard, key);
-      }
-    };
-    for (const auto& endpoint : endpoints) {
-      std::string key =
+      if (endpoint.shard != shard) continue;
+      std::string label =
           endpoint.host + ":" + std::to_string(endpoint.port);
-      if (undialable_this_round.contains(key)) continue;
-      if (auto skip = skip_rounds.find(key);
-          skip != skip_rounds.end() && skip->second > 0) {
-        continue;
-      }
-      auto& client = clients[key];
-      if (!client) {
-        auto dialed = net::TcpClient::Connect(endpoint.host, endpoint.port,
-                                              timeout_ms, timeout_ms);
-        if (!dialed.ok()) {  // follower down; its shipper handles catch-up
-          undialable_this_round.insert(key);
-          strike(key, endpoint.shard);
-          continue;
-        }
-        client = std::move(*dialed);
-      }
-      auto sent = client->Call(net::MessageType::kReplicaHeartbeat,
-                               beats[endpoint.shard].Encode());
-      if (!sent.ok()) {  // redial next round
-        client.reset();
+      auto bytes = bytes_by_label.find(label);
+      beat.peers.push_back(
+          {endpoint.host, endpoint.port,
+           bytes == bytes_by_label.end() ? 0 : bytes->second});
+    }
+  }
+  // Every dial and round trip is bounded, a dead endpoint is dialed at
+  // most once per round (even across several shards), and repeat
+  // offenders back off across rounds.
+  int64_t timeout_ms = std::max<int64_t>(heartbeat_ms_, 250);
+  std::set<std::string> undialable_this_round;
+  // First strike only: one journal event when a follower goes dark, not
+  // one per backoff round (the journal records transitions, not state).
+  auto strike = [this](const std::string& key, uint32_t shard) {
+    uint32_t strikes = std::min<uint32_t>(++failures_[key], 5);
+    skip_rounds_[key] = 1u << strikes;  // 2..32 rounds
+    if (strikes == 1) {
+      trace::RecordEvent("follower_unreachable", shard, key);
+    }
+  };
+  for (const auto& endpoint : endpoints) {
+    std::string key =
+        endpoint.host + ":" + std::to_string(endpoint.port);
+    if (undialable_this_round.contains(key)) continue;
+    if (auto skip = skip_rounds_.find(key);
+        skip != skip_rounds_.end() && skip->second > 0) {
+      continue;
+    }
+    auto& client = clients_[key];
+    if (!client) {
+      auto dialed = net::TcpClient::Connect(endpoint.host, endpoint.port,
+                                            timeout_ms, timeout_ms);
+      if (!dialed.ok()) {  // follower down; its shipper handles catch-up
         undialable_this_round.insert(key);
         strike(key, endpoint.shard);
-      } else {
-        failures.erase(key);
-        skip_rounds.erase(key);
+        continue;
       }
+      client = std::move(*dialed);
+    }
+    auto sent = client->Call(net::MessageType::kReplicaHeartbeat,
+                             beats[endpoint.shard].Encode());
+    if (!sent.ok()) {  // redial next round
+      client.reset();
+      undialable_this_round.insert(key);
+      strike(key, endpoint.shard);
+    } else {
+      failures_.erase(key);
+      skip_rounds_.erase(key);
     }
   }
 }

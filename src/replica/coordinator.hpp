@@ -6,34 +6,31 @@
 // stands, and where the primary should dial back. The coordinator
 // validates the handshake (version, shard range, store-layout
 // fingerprint), attaches a reconnecting RemoteFollower to that shard's
-// ReplicaSet, and from then on broadcasts kReplicaHeartbeat beacons
-// carrying the shard's group view (every registered endpoint and how much
-// of the primary's log it holds). Followers use the last view to elect the
-// most caught-up survivor when the beacons stop — see FollowerDaemon.
+// ReplicaSet, and from then on broadcasts kReplicaHeartbeat beacons every
+// failover.heartbeat_ms, carrying the shard's group view (every registered
+// endpoint and how much of the primary's log it holds). Followers rank the
+// last view (RankCandidates) to elect the most caught-up survivor once the
+// beacons have been silent for failover.takeover_ms — see FollowerDaemon.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/periodic.hpp"
 #include "common/thread_annotations.hpp"
+#include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "replica/replica_set.hpp"
 
 namespace tc::replica {
 
-struct CoordinatorOptions {
-  /// Heartbeat cadence. Followers take over after missing several of
-  /// these; keep it well under the daemons' takeover timeout.
-  uint32_t heartbeat_ms = 500;
-};
-
 class PrimaryCoordinator final : public net::RequestHandler {
  public:
   PrimaryCoordinator(std::shared_ptr<net::RequestHandler> inner,
                      std::vector<std::shared_ptr<ReplicaSet>> sets,
-                     CoordinatorOptions options = {});
+                     FailoverOptions failover = {});
   ~PrimaryCoordinator() override;
 
   Result<Bytes> Handle(net::MessageType type, BytesView body) override;
@@ -46,17 +43,23 @@ class PrimaryCoordinator final : public net::RequestHandler {
   };
 
   Result<Bytes> Hello(BytesView body) EXCLUDES(mu_);
-  void HeartbeatLoop() EXCLUDES(mu_);
+  /// One round of beacons, every heartbeat_ms_.
+  void Beat() EXCLUDES(mu_);
 
   std::shared_ptr<net::RequestHandler> inner_;
   std::vector<std::shared_ptr<ReplicaSet>> sets_;
-  CoordinatorOptions options_;
+  const uint32_t heartbeat_ms_;
 
   mutable Mutex mu_;
   std::vector<Endpoint> endpoints_ GUARDED_BY(mu_);
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread beater_;
+
+  // The beacon thread's alone: its connections by endpoint (dialed lazily,
+  // dropped on failure) and each dead endpoint's dial backoff.
+  std::map<std::string, std::unique_ptr<net::TcpClient>> clients_;
+  std::map<std::string, uint32_t> skip_rounds_;
+  std::map<std::string, uint32_t> failures_;
+  // Declared last: stopped before the state Beat reads goes away.
+  PeriodicThread beacons_;
 };
 
 }  // namespace tc::replica

@@ -38,8 +38,7 @@ FollowerDaemon::FollowerDaemon(
     std::vector<std::shared_ptr<store::LogKvStore>> shard_logs,
     FollowerDaemonOptions options)
     : options_(std::move(options)),
-      takeover_ms_(options_.takeover_timeout_ms) {
-  if (options_.tick_ms < 10) options_.tick_ms = 10;
+      takeover_ms_(options_.set_options.failover.takeover_ms) {
   for (size_t i = 0; i < shard_logs.size(); ++i) {
     server::ServerOptions engine_options = options_.engine_options;
     engine_options.shard_id = static_cast<uint32_t>(i);
@@ -65,18 +64,15 @@ Status FollowerDaemon::Start(uint16_t port) {
     primary_host_ = options_.primary_host;
     primary_port_ = options_.primary_port;
   }
-  ticker_ = std::thread([this] { TickLoop(); });
+  ticker_ = std::make_unique<PeriodicThread>(
+      std::chrono::milliseconds(std::clamp<int64_t>(
+          options_.set_options.failover.takeover_ms / 20, 10, 100)),
+      [this] { Tick(); });
   return Status::Ok();
 }
 
 void FollowerDaemon::Stop() {
-  {
-    MutexLock lock(tick_mu_);
-    if (stop_) return;
-    stop_ = true;
-    tick_cv_.NotifyAll();
-  }
-  if (ticker_.joinable()) ticker_.join();
+  ticker_.reset();
   if (server_) server_->Stop();
 }
 
@@ -240,43 +236,27 @@ Result<Bytes> FollowerDaemon::FollowerClusterInfo() const {
   return resp.Encode();
 }
 
-void FollowerDaemon::TickLoop() {
-  for (;;) {
+void FollowerDaemon::Tick() {
+  if (promoted_.load()) return;  // the serving stack runs itself now
+  if (!registered_.load()) {
+    std::string host;
+    uint16_t port;
     {
-      // One tick cadence per iteration; stop cuts the sleep short.
-      MutexLock lock(tick_mu_);
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(options_.tick_ms);
-      while (!stop_) {
-        if (tick_cv_.WaitUntil(tick_mu_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (stop_) return;
+      MutexLock lock(view_mu_);
+      host = primary_host_;
+      port = primary_port_;
     }
-    if (promoted_.load()) return;  // the serving stack runs itself now
-
-    if (!registered_.load()) {
-      std::string host;
-      uint16_t port;
-      {
-        MutexLock lock(view_mu_);
-        host = primary_host_;
-        port = primary_port_;
-      }
-      if (Status s = RegisterTo(host, port); s.ok()) {
-        registered_.store(true);
-        Touch();
-        MutexLock lock(view_mu_);
-        suspected_dead_.clear();
-        not_ready_counts_.clear();
-      }
-      continue;
+    if (Status s = RegisterTo(host, port); s.ok()) {
+      registered_.store(true);
+      Touch();
+      MutexLock lock(view_mu_);
+      suspected_dead_.clear();
+      not_ready_counts_.clear();
     }
-    if (MillisSinceContact() >= takeover_ms_.load(std::memory_order_relaxed)) {
-      HandleSilence();
-    }
+    return;
+  }
+  if (MillisSinceContact() >= takeover_ms_.load(std::memory_order_relaxed)) {
+    HandleSilence();
   }
 }
 
@@ -284,7 +264,7 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
   // Bounded: registration runs on the tick thread, which is also the
   // failure detector — a wedged candidate must cost one bounded probe,
   // not freeze the takeover state machine.
-  int64_t timeout_ms = std::max<int64_t>(options_.tick_ms * 4, 500);
+  constexpr int64_t timeout_ms = 500;
   auto client = net::TcpClient::Connect(host, port, timeout_ms, timeout_ms);
   TC_RETURN_IF_ERROR(client.status());
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -306,7 +286,7 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
       // primary beating slower than the configured takeover window would
       // otherwise be declared dead between two healthy beacons.
       takeover_ms_.store(
-          std::max<int64_t>(options_.takeover_timeout_ms,
+          std::max<int64_t>(options_.set_options.failover.takeover_ms,
                             static_cast<int64_t>(response->heartbeat_ms) * 4),
           std::memory_order_relaxed);
     }
@@ -322,36 +302,17 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
 }
 
 void FollowerDaemon::HandleSilence() {
-  if (!options_.auto_promote) {
-    // Passive replica: keep the window from re-firing every tick, and let
-    // the registrar re-announce in case the primary comes back.
-    Touch();
-    registered_.store(false);
-    return;
-  }
-  struct Candidate {
-    uint64_t log_bytes;
-    std::string host;
-    uint32_t port;
-  };
-  std::string self_host = options_.advertise_host;
-  uint32_t self_port = port();
+  const std::string self = endpoint();
   std::vector<Candidate> candidates;
-  bool self_in_view = false;
+  std::vector<std::pair<std::string, uint16_t>> addresses;  // by candidate
   {
     MutexLock lock(view_mu_);
     for (const auto& peer : view_) {
-      candidates.push_back({peer.log_bytes, peer.host, peer.port});
-      if (peer.host == self_host && peer.port == self_port) {
-        self_in_view = true;
-      }
+      candidates.push_back(
+          {peer.host + ":" + std::to_string(peer.port), peer.log_bytes});
+      addresses.emplace_back(peer.host, static_cast<uint16_t>(peer.port));
     }
   }
-  trace::RecordEvent("takeover_election", trace::kNoShard,
-                     "silent_ms=" + std::to_string(MillisSinceContact()) +
-                         " candidates=" +
-                         std::to_string(candidates.size() +
-                                        (self_in_view ? 0 : 1)));
   // Every elector must rank from the SAME numbers — the broadcast view,
   // our own entry included. Substituting our live log length here would
   // let two daemons each see themselves ahead (bytes shipped to one of
@@ -359,31 +320,28 @@ void FollowerDaemon::HandleSilence() {
   // The price is that a tail shipped after the last beacon may lose the
   // election to a view-tied peer and be copied away on re-homing — the
   // async-replication contract; see the header's election caveats.
-  if (!self_in_view) {
-    candidates.push_back({position(0).length, self_host, self_port});
+  if (std::none_of(candidates.begin(), candidates.end(),
+                   [&](const Candidate& c) { return c.label == self; })) {
+    candidates.push_back({self, position(0).length});
+    addresses.emplace_back(options_.advertise_host, port());
   }
-  std::sort(candidates.begin(), candidates.end(), [](const Candidate& a,
-                                                     const Candidate& b) {
-    if (a.log_bytes != b.log_bytes) return a.log_bytes > b.log_bytes;
-    if (a.host != b.host) return a.host < b.host;
-    return a.port < b.port;
-  });
-  for (const auto& candidate : candidates) {
-    std::string endpoint =
-        candidate.host + ":" + std::to_string(candidate.port);
+  trace::RecordEvent("takeover_election", trace::kNoShard,
+                     "silent_ms=" + std::to_string(MillisSinceContact()) +
+                         " candidates=" + std::to_string(candidates.size()));
+  for (size_t i : RankCandidates(candidates)) {
+    const std::string& endpoint = candidates[i].label;
+    if (endpoint == self) {
+      if (!options_.auto_promote) continue;  // a passive daemon only follows
+      PromoteSelf();
+      return;
+    }
     {
       MutexLock lock(view_mu_);
       if (suspected_dead_.contains(endpoint)) continue;
     }
-    if (candidate.host == self_host && candidate.port == self_port) {
-      PromoteSelf();
-      return;
-    }
-    Status s = RegisterTo(candidate.host,
-                          static_cast<uint16_t>(candidate.port));
+    Status s = RegisterTo(addresses[i].first, addresses[i].second);
     if (s.ok()) {
-      TC_LOG_INFO << "follower " << this->endpoint() << " re-homed under "
-                  << endpoint;
+      TC_LOG_INFO << "follower " << self << " re-homed under " << endpoint;
       trace::RecordEvent("follower_rehomed", trace::kNoShard, endpoint);
       registered_.store(true);
       Touch();
@@ -412,7 +370,12 @@ void FollowerDaemon::HandleSilence() {
     MutexLock lock(view_mu_);
     suspected_dead_.insert(endpoint);
   }
-  // Unreachable: we are always our own candidate and never suspected dead.
+  // Only a passive daemon gets here (a daemon that promotes is its own
+  // candidate and never suspected): no peer took it in, so keep the window
+  // from re-firing every tick and let the registrar retry the last
+  // primary, in case it comes back.
+  Touch();
+  registered_.store(false);
 }
 
 void FollowerDaemon::PromoteSelf() {
@@ -450,7 +413,7 @@ void FollowerDaemon::PromoteSelf() {
   }
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator = std::make_shared<PrimaryCoordinator>(
-      router, sets, options_.coordinator);
+      router, sets, options_.set_options.failover);
   {
     WriterMutexLock lock(mode_mu_);
     promoted_sets_ = std::move(sets);

@@ -15,15 +15,17 @@
 //               local engine refreshed on demand (replica reads without a
 //               second process hop); answer heartbeats and remember the
 //               group view they carry.
-//   take over — when the primary's beacons and shipments go silent past
-//               the takeover timeout, elect from the last group view: the
-//               most caught-up follower, with the most progress along the
-//               primary's log (ties break toward the smallest endpoint),
-//               promotes itself — a full ServerEngine recovery over the
-//               replicated log (streams, grants, witness trees) wrapped in
-//               a fresh ReplicaSet + PrimaryCoordinator, so the survivors
-//               re-home under it and ingest resumes. Losers re-send
-//               kReplicaHello to the winner and keep following.
+//   take over — when the primary's beacons and shipments have been silent
+//               for failover.takeover_ms, rank the last group view with
+//               RankCandidates: the most caught-up follower, with the most
+//               progress along the primary's log (ties break toward the
+//               smallest "host:port"), promotes itself — a full
+//               ServerEngine recovery over the replicated log (streams,
+//               grants, witness trees) wrapped in a fresh ReplicaSet +
+//               PrimaryCoordinator, so the survivors re-home under it and
+//               ingest resumes. The others walk the same ranking and
+//               re-send kReplicaHello to the first candidate that accepts
+//               it; a passive daemon (auto_promote off) skips itself.
 //
 // Election is view-based, not consensus: every elector ranks the same
 // broadcast view (its own entry included), so an ordinary crash yields one
@@ -40,9 +42,9 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/periodic.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/tcp.hpp"
 #include "replica/coordinator.hpp"
@@ -58,19 +60,15 @@ struct FollowerDaemonOptions {
   /// Endpoint the primary dials back (and peers re-home to): must be
   /// reachable from the other nodes.
   std::string advertise_host = "127.0.0.1";
-  /// Registrar/monitor cadence.
-  int64_t tick_ms = 100;
-  /// Silence window (no heartbeat, no shipment) before takeover logic
-  /// runs. Keep it a few multiples of the primary's heartbeat interval.
-  int64_t takeover_timeout_ms = 3000;
-  /// Allow self-promotion. Off = the daemon only ever follows (and keeps
-  /// retrying registration), for drills that want a passive replica.
+  /// Allow self-promotion. Off = the daemon only ever follows: after a
+  /// failover it re-homes under the winner, for drills that want a passive
+  /// replica.
   bool auto_promote = true;
   server::ServerOptions engine_options;
-  /// Serving stack after promotion (ack mode, read lag, failover knobs
-  /// carry over to the daemon's second life as a primary).
+  /// Serving stack after promotion (ack mode, read lag). Its failover
+  /// knobs apply in both lives: the silence window is takeover_ms, and a
+  /// promoted daemon beacons every heartbeat_ms.
   ReplicaSetOptions set_options;
-  CoordinatorOptions coordinator;
 };
 
 class FollowerDaemon {
@@ -113,7 +111,9 @@ class FollowerDaemon {
   void Touch();
   int64_t MillisSinceContact() const;
 
-  void TickLoop() EXCLUDES(tick_mu_, view_mu_);
+  /// The state machine's step, every twentieth of the silence window
+  /// (10 to 100 ms).
+  void Tick() EXCLUDES(view_mu_);
   /// Send kReplicaHello for every shard to `host:port`. All-or-nothing.
   Status RegisterTo(const std::string& host, uint16_t port)
       EXCLUDES(view_mu_);
@@ -142,7 +142,7 @@ class FollowerDaemon {
   std::atomic<bool> registered_{false};
   std::atomic<bool> promoted_{false};
   std::atomic<int64_t> last_contact_ms_{0};  // steady-clock ms; 0 = never
-  /// Effective silence window: the configured takeover timeout, widened to
+  /// Effective silence window: the configured takeover_ms, widened to
   /// ≥ 4 heartbeat intervals once the hello response reveals the primary's
   /// actual beacon cadence.
   std::atomic<int64_t> takeover_ms_;
@@ -159,10 +159,8 @@ class FollowerDaemon {
   /// livelock on a peer that refuses to promote.
   std::map<std::string, uint32_t> not_ready_counts_ GUARDED_BY(view_mu_);
 
-  Mutex tick_mu_;
-  CondVar tick_cv_;
-  bool stop_ GUARDED_BY(tick_mu_) = false;
-  std::thread ticker_;
+  // Runs Tick from Start to Stop.
+  std::unique_ptr<PeriodicThread> ticker_;
 };
 
 }  // namespace tc::replica

@@ -1,13 +1,25 @@
 #include "replica/replica_set.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <numeric>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 
 namespace tc::replica {
+
+std::vector<size_t> RankCandidates(const std::vector<Candidate>& candidates) {
+  std::vector<size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const Candidate& x = candidates[a];
+    const Candidate& y = candidates[b];
+    if (x.progress != y.progress) return x.progress > y.progress;
+    return x.label < y.label;
+  });
+  return order;
+}
 
 namespace {
 /// A follower in this process: the shipper reaches its applier through the
@@ -33,8 +45,6 @@ Result<std::shared_ptr<ReplicaSet>> ReplicaSet::Make(
     std::shared_ptr<store::LogKvStore> primary_log,
     std::vector<std::shared_ptr<store::LogKvStore>> follower_logs,
     server::ServerOptions engine_options, ReplicaSetOptions options) {
-  TC_ASSIGN_OR_RETURN(
-      auto rkv, ReplicatedKvStore::Open(std::move(primary_log), options.kv));
   auto set = std::shared_ptr<ReplicaSet>(new ReplicaSet());
   set->engine_options_ = engine_options;
   set->options_ = options;
@@ -42,37 +52,24 @@ Result<std::shared_ptr<ReplicaSet>> ReplicaSet::Make(
     // The set has not escaped yet; the lock is uncontended but keeps the
     // topology writes under the same capability as every other access.
     WriterMutexLock lock(set->state_mu_);
-    set->rkv_ = std::move(rkv);
     for (auto& log : follower_logs) {
       // The read engine recovers whatever the follower log holds right
       // now; shipping lands asynchronously and the first read past it
       // triggers a Refresh.
-      auto applier =
-          std::make_shared<ReplicaApplier>(std::move(log), engine_options);
-      size_t rkv_index =
-          set->rkv_->AddFollower(InProcFollower(applier), applier->position());
-      set->replicas_.push_back({std::move(applier), rkv_index});
+      set->replicas_.push_back(
+          {std::make_shared<ReplicaApplier>(std::move(log), engine_options)});
     }
-    set->ResetRotationLocked();
-    // The primary engine recovers through the replicated store (reads pass
-    // straight to the primary log).
-    set->primary_ =
-        std::make_shared<server::ServerEngine>(set->rkv_, engine_options);
+    TC_RETURN_IF_ERROR(set->LeadLocked(std::move(primary_log)));
   }
-  if (options.failover.auto_failover) {
-    set->monitor_ = std::thread([raw = set.get()] { raw->MonitorLoop(); });
+  if (!follower_logs.empty()) {
+    set->monitor_ = std::make_unique<PeriodicThread>(
+        std::chrono::milliseconds(options.failover.heartbeat_ms),
+        [raw = set.get()] { raw->ProbePrimary(); });
   }
   return set;
 }
 
-ReplicaSet::~ReplicaSet() {
-  {
-    MutexLock lock(monitor_mu_);
-    monitor_stop_ = true;
-    monitor_cv_.NotifyAll();
-  }
-  if (monitor_.joinable()) monitor_.join();
-}
+ReplicaSet::~ReplicaSet() { monitor_.reset(); }
 
 void ReplicaSet::ResetRotationLocked() {
   // Restart the cursor with the membership: a stale cursor over a changed
@@ -166,6 +163,31 @@ Status ReplicaSet::DropPrimary() {
   return Status::Ok();
 }
 
+Status ReplicaSet::LeadLocked(std::shared_ptr<store::LogKvStore> log) {
+  const store::LogKvStore* leader = log.get();
+  TC_ASSIGN_OR_RETURN(auto rkv,
+                      ReplicatedKvStore::Open(std::move(log), options_.kv));
+  for (auto& replica : replicas_) {
+    if (replica.applier->log().get() == leader) continue;  // promoted
+    // A follower whose log is a prefix of the leader's resumes from its
+    // length; one that holds more (an async tail a promoted follower never
+    // got) is copied from the start.
+    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier),
+                                         replica.applier->position());
+  }
+  // Remote daemons keep following across a failover: attach their
+  // shippers to the new pipeline, which asks where their logs stand.
+  for (auto& remote : remotes_) {
+    remote.rkv_index = rkv->AddFollower(remote.follower);
+  }
+  // Full recovery through the replicated store (reads pass straight to the
+  // log): streams, grants, witness trees — the complete history it holds.
+  primary_ = std::make_shared<server::ServerEngine>(rkv, engine_options_);
+  rkv_ = std::move(rkv);
+  ResetRotationLocked();
+  return Status::Ok();
+}
+
 Status ReplicaSet::Promote() {
   WriterMutexLock lock(state_mu_);
   if (!dropped_) {
@@ -181,29 +203,13 @@ Status ReplicaSet::Promote() {
   // once whole, so the furthest covers them all. (Remote followers
   // promote in their own process — see FollowerDaemon — and re-home below
   // either way.)
-  size_t best = 0;
-  for (size_t i = 1; i < replicas_.size(); ++i) {
-    if (replicas_[i].final_bytes > replicas_[best].final_bytes) best = i;
+  std::vector<Candidate> candidates;
+  for (const auto& replica : replicas_) {
+    candidates.push_back({replica.applier->log()->path(), replica.final_bytes});
   }
-  TC_ASSIGN_OR_RETURN(
-      auto rkv,
-      ReplicatedKvStore::Open(replicas_[best].applier->log(), options_.kv));
+  const size_t best = RankCandidates(candidates).front();
+  TC_RETURN_IF_ERROR(LeadLocked(replicas_[best].applier->log()));
   replicas_.erase(replicas_.begin() + best);
-  for (auto& replica : replicas_) {
-    // A survivor whose log is a prefix of the promoted one resumes from
-    // its length; one that holds more (an async tail the promoted follower
-    // never got) is copied from the start.
-    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier),
-                                         replica.applier->position());
-  }
-  // Remote daemons keep following across the failover: attach their
-  // shippers to the new pipeline, which asks where their logs stand.
-  for (auto& remote : remotes_) {
-    remote.rkv_index = rkv->AddFollower(remote.follower);
-  }
-  // Full recovery over the promoted store: streams, grants, witness trees
-  // — the complete history the old primary had shipped.
-  auto engine = std::make_shared<server::ServerEngine>(rkv, engine_options_);
   // Settle the survivors before reads resume (we hold state_mu_ exclusive,
   // so nothing serves mid-promotion): wait out their catch-up. Each applier
   // refreshes its read engine on the first read after it.
@@ -212,68 +218,54 @@ Status ReplicaSet::Promote() {
   // settle.
   {
     ScopedAllowBlocking allow;
-    if (Status s = rkv->WaitCaughtUp(options_.kv.quorum_timeout_ms); !s.ok()) {
+    if (Status s = rkv_->WaitCaughtUp(options_.kv.quorum_timeout_ms);
+        !s.ok()) {
       TC_LOG_WARN << "promotion: survivors still catching up: "
                   << s.ToString();
     }
   }
-  primary_ = std::move(engine);
-  rkv_ = std::move(rkv);
   dropped_ = false;
   ++promotions_;
-  ResetRotationLocked();
   return Status::Ok();
 }
 
-void ReplicaSet::MonitorLoop() {
-  uint32_t misses = 0;
-  auto interval =
-      std::chrono::milliseconds(options_.failover.heartbeat_interval_ms);
-  for (;;) {
-    {
-      // One probe cadence per iteration; stop cuts the sleep short.
-      MutexLock lock(monitor_mu_);
-      auto deadline = std::chrono::steady_clock::now() + interval;
-      while (!monitor_stop_) {
-        if (monitor_cv_.WaitUntil(monitor_mu_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (monitor_stop_) return;
+void ReplicaSet::ProbePrimary() {
+  std::shared_ptr<store::KvStore> primary_kv;
+  {
+    ReaderMutexLock lock(state_mu_);
+    // A dropped primary is someone else's drill, and a set without a local
+    // replica left has nothing to promote: only probe a live pipeline that
+    // one could take over.
+    if (!rkv_ || replicas_.empty()) {
+      failing_since_.reset();
+      return;
     }
-    std::shared_ptr<store::KvStore> primary_kv;
-    {
-      ReaderMutexLock lock(state_mu_);
-      // A manually dropped shard is someone else's drill; only probe a
-      // live pipeline.
-      if (!rkv_ || dropped_) continue;
-      primary_kv = rkv_->log();
-    }
-    // The probe is a store read: NotFound is a healthy store answering
-    // honestly; only transport/IO-level failures count as misses.
-    auto probe = primary_kv->Get(kShardMetaKey);
-    if (probe.ok() || probe.status().code() == StatusCode::kNotFound) {
-      misses = 0;
-      continue;
-    }
-    if (++misses < options_.failover.miss_threshold) continue;
-    misses = 0;
-    TC_LOG_WARN << "auto-failover: primary store failed "
-                << options_.failover.miss_threshold
-                << " consecutive probes (" << probe.status().ToString()
-                << "); dropping and promoting";
-    if (Status s = DropPrimary(); !s.ok()) {
-      TC_LOG_WARN << "auto-failover: drop failed: " << s.ToString();
-      continue;
-    }
-    if (Status s = Promote(); s.ok()) {
-      auto_failovers_.fetch_add(1, std::memory_order_relaxed);
-      TC_LOG_INFO << "auto-failover: promoted a follower; shard serving again";
-    } else {
-      TC_LOG_ERROR << "auto-failover: promotion failed, shard is headless: "
-                   << s.ToString();
-    }
+    primary_kv = rkv_->log();
+  }
+  // The probe is a store read: NotFound is a healthy store answering
+  // honestly; only transport/IO-level failures count.
+  auto probe = primary_kv->Get(kShardMetaKey);
+  if (probe.ok() || probe.status().code() == StatusCode::kNotFound) {
+    failing_since_.reset();
+    return;
+  }
+  const auto now = std::chrono::steady_clock::now();
+  if (!failing_since_) failing_since_ = now;
+  const std::chrono::milliseconds takeover(options_.failover.takeover_ms);
+  if (now - *failing_since_ < takeover) return;
+  failing_since_.reset();
+  TC_LOG_WARN << "failover: primary store failed every probe for "
+              << takeover.count() << " ms (" << probe.status().ToString()
+              << "); dropping and promoting";
+  if (Status s = DropPrimary(); !s.ok()) {
+    TC_LOG_WARN << "failover: drop failed: " << s.ToString();
+    return;
+  }
+  if (Status s = Promote(); s.ok()) {
+    TC_LOG_INFO << "failover: promoted a follower; shard serving again";
+  } else {
+    TC_LOG_ERROR << "failover: promotion failed, shard is headless: "
+                 << s.ToString();
   }
 }
 
@@ -336,7 +328,8 @@ net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
                       : net::ClusterInfoResponse::kAckAsync;
   info.max_lag_bytes = MaxLagBytes();
   info.remote_followers = static_cast<uint32_t>(num_remote_followers());
-  info.auto_failover = auto_failover() ? 1 : 0;
+  // The monitor promotes a local replica; without one it has none to.
+  info.auto_failover = info.replicas > 0 ? 1 : 0;
   info.promotions = static_cast<uint32_t>(promotions());
   info.full_copies = full_copies();
   auto compaction = StoreCompaction();

@@ -20,26 +20,29 @@
 // alongside the surviving local replicas.
 //
 // Failover: DropPrimary() severs the primary (the process-kill stand-in);
-// Promote() elects the most caught-up local follower — the one holding
-// the most of the dead primary's log — starts a new generation in its log,
-// rebuilds a full engine over it (streams, grants, witness trees all
-// recover from the replicated state), and ships the rest of the followers
-// from it: each resumes from its own length if its log is a prefix of the
-// promoted one, and is copied from the start otherwise. With
-// failover.auto_failover set, a monitor thread probes the primary store
-// every heartbeat interval and runs the drop+promote sequence itself once
-// the miss threshold is hit. In quorum mode every acknowledged write
-// survives this by construction; in async mode the shipping pipeline must
-// be drained (WaitCaughtUp) before the drop, or the unshipped tail is lost
-// with the primary — exactly the async-replication contract.
+// Promote() elects the most caught-up local follower (RankCandidates: the
+// most progress along the dead primary's log), starts a new generation in
+// its log, rebuilds a full engine over it (streams, grants, witness trees
+// all recover from the replicated state), and ships the rest of the
+// followers from it: each resumes from its own length if its log is a
+// prefix of the promoted one, and is copied from the start otherwise.
+// Whenever the set has local replicas, a monitor probes the primary store
+// every failover.heartbeat_ms and runs the drop+promote sequence itself
+// once every probe for failover.takeover_ms has failed. In quorum mode
+// every acknowledged write survives this by construction; in async mode
+// the shipping pipeline must be drained (WaitCaughtUp) before the drop, or
+// the unshipped tail is lost with the primary — exactly the
+// async-replication contract.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/periodic.hpp"
 #include "common/thread_annotations.hpp"
 #include "replica/replica_wire.hpp"
 #include "replica/replicated_kv.hpp"
@@ -47,15 +50,28 @@
 
 namespace tc::replica {
 
-/// Heartbeat-driven failure detection. The probe is a read against the
-/// primary's backing store — the thing whose loss replication exists to
-/// survive. miss_threshold consecutive probe failures trigger automatic
-/// DropPrimary + Promote.
+/// The two failover knobs every party reads. A primary's coordinator
+/// beacons to its follower daemons every heartbeat_ms, and a daemon elects
+/// once it has heard nothing for takeover_ms. A ReplicaSet with local
+/// replicas probes its primary store every heartbeat_ms and promotes once
+/// the probes have failed for takeover_ms.
 struct FailoverOptions {
-  bool auto_failover = false;
-  int64_t heartbeat_interval_ms = 500;
-  uint32_t miss_threshold = 3;
+  int64_t heartbeat_ms = 500;
+  int64_t takeover_ms = 3000;
 };
+
+/// A failover candidate: a local replica, labeled by its log's path, or a
+/// follower daemon, labeled by its "host:port"; and its progress along the
+/// dead primary's log.
+struct Candidate {
+  std::string label;
+  uint64_t progress = 0;
+};
+
+/// The order an election tries `candidates` in, as indices into it: the
+/// most progress first, ties toward the smallest label. Electors ranking
+/// the same list pick the same winner.
+std::vector<size_t> RankCandidates(const std::vector<Candidate>& candidates);
 
 struct ReplicaSetOptions {
   /// Replication knobs; `kv.ack` selects async vs quorum ingest.
@@ -107,9 +123,9 @@ class ReplicaSet final : public net::RequestHandler {
   /// process — the testable stand-in for primary loss. Unshipped async ops
   /// are lost, as they would be with the real machine.
   Status DropPrimary() EXCLUDES(state_mu_);
-  /// Elect the most caught-up local follower as the new primary. Blocks
-  /// reads for the duration; on return the shard serves the promoted
-  /// history and remote followers are re-homed under it.
+  /// Elect the first local follower by RankCandidates as the new primary.
+  /// Blocks reads for the duration; on return the shard serves the
+  /// promoted history and remote followers are re-homed under it.
   Status Promote() EXCLUDES(state_mu_);
 
   // ------------------------------------------------------ introspection
@@ -123,7 +139,6 @@ class ReplicaSet final : public net::RequestHandler {
   /// the heartbeat group view the coordinator broadcasts.
   std::vector<std::pair<std::string, uint64_t>> RemoteFollowerBytes() const;
   AckMode ack_mode() const { return options_.kv.ack; }
-  bool auto_failover() const { return options_.failover.auto_failover; }
   /// Length of the primary's log (0 for Single() or while dropped).
   uint64_t log_end() const;
   uint64_t MaxLagBytes() const;
@@ -140,7 +155,6 @@ class ReplicaSet final : public net::RequestHandler {
   size_t NumStreams() const;
   uint64_t TotalIndexBytes() const;
   size_t promotions() const;
-  size_t auto_failovers() const { return auto_failovers_.load(); }
   uint64_t replica_reads() const { return replica_reads_.load(); }
   uint64_t primary_reads() const { return primary_reads_.load(); }
   uint64_t read_fallbacks() const { return read_fallbacks_.load(); }
@@ -175,7 +189,14 @@ class ReplicaSet final : public net::RequestHandler {
   /// here together with the replicas_/rkv_index updates, so no reader
   /// ever rotates over a departed or promoted node.
   void ResetRotationLocked() REQUIRES(state_mu_);
-  void MonitorLoop() EXCLUDES(state_mu_, monitor_mu_);
+  /// Make `log` the primary's: open it as the replicated writer (a new
+  /// generation), ship it to every local replica holding another log and
+  /// to every remote follower, and recover the primary engine over it.
+  Status LeadLocked(std::shared_ptr<store::LogKvStore> log)
+      REQUIRES(state_mu_);
+  /// The monitor's body: one probe of the primary store, and the
+  /// drop+promote sequence once the probes have failed for takeover_ms.
+  void ProbePrimary() EXCLUDES(state_mu_);
 
   // Guards the topology (primary_/rkv_/replicas_/remotes_). Request
   // handling holds it shared; DropPrimary/Promote hold it exclusive, so
@@ -193,17 +214,16 @@ class ReplicaSet final : public net::RequestHandler {
   server::ServerOptions engine_options_;
   ReplicaSetOptions options_;
 
-  // Auto-failover monitor.
-  std::thread monitor_;
-  Mutex monitor_mu_;
-  CondVar monitor_cv_;
-  bool monitor_stop_ GUARDED_BY(monitor_mu_) = false;
-  std::atomic<size_t> auto_failovers_{0};
-
   std::atomic<uint64_t> rr_{0};
   std::atomic<uint64_t> replica_reads_{0};
   std::atomic<uint64_t> primary_reads_{0};
   std::atomic<uint64_t> read_fallbacks_{0};
+
+  // When the primary store's current run of failed probes began; the
+  // monitor thread's alone.
+  std::optional<std::chrono::steady_clock::time_point> failing_since_;
+  // Runs ProbePrimary; null without local replicas.
+  std::unique_ptr<PeriodicThread> monitor_;
 };
 
 }  // namespace tc::replica

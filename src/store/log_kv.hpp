@@ -138,6 +138,9 @@ class LogKvStore final : public KvStore {
   /// The log's generation and length.
   LogHead Head() const;
 
+  /// Where the log lives; a local replica's label in a failover election.
+  const std::string& path() const { return path_; }
+
   /// Start a new generation: append a kGenerationKey put naming a fresh id
   /// and the current generation as its parent. A replicated primary does
   /// this whenever it opens the log as a writer.

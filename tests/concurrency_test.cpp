@@ -4,16 +4,19 @@
 // the crypto wrappers share algorithm handles fetched once per process.
 // These tests drive them from many threads and assert the results stay
 // exactly consistent (sums match oracles — no lost updates, no torn reads).
-// The BlockingChecks tests are death tests of the Debug-build blocking
-// checks (common/thread_annotations.hpp).
+// The PeriodicThread tests pin the stop contract the failure detectors
+// rely on. The BlockingChecks tests are death tests of the Debug-build
+// blocking checks (common/thread_annotations.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "client/owner.hpp"
 #include "common/metrics.hpp"
+#include "common/periodic.hpp"
 #include "common/trace.hpp"
 #include "crypto/aes_gcm.hpp"
 #include "crypto/sha256.hpp"
@@ -511,6 +514,41 @@ TEST(Concurrency, SpanRingParallelPushersAndSnapshotters) {
     EXPECT_EQ(rec.span_id, rec.trace_id * 3);
     EXPECT_EQ(rec.duration_us, rec.trace_id % 977);
   }
+}
+
+// ----------------------------------------------------------- PeriodicThread
+
+TEST(PeriodicThread, StopCutsALongIntervalShort) {
+  std::atomic<int> runs{0};
+  PeriodicThread periodic(std::chrono::hours(1), [&] { ++runs; });
+  const auto start = std::chrono::steady_clock::now();
+  periodic.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(runs.load(), 0);
+}
+
+TEST(PeriodicThread, StopReturnsOnlyAfterARunningBodyFinishes) {
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  PeriodicThread periodic(std::chrono::milliseconds(1), [&] {
+    if (started.exchange(true)) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  periodic.Stop();
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(PeriodicThread, BodyNeverRunsAfterStop) {
+  std::atomic<int> runs{0};
+  PeriodicThread periodic(std::chrono::milliseconds(1), [&] { ++runs; });
+  while (runs.load() < 3) std::this_thread::yield();
+  periodic.Stop();
+  const int stopped_at = runs.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(runs.load(), stopped_at);
+  periodic.Stop();  // a second Stop, as a destructor after Stop, is a no-op
 }
 
 // ------------------------------------------------ blocking checks, B1/B2

@@ -143,9 +143,8 @@ FollowerDaemonOptions DaemonOptions(uint16_t primary_port) {
   FollowerDaemonOptions options;
   options.primary_host = "127.0.0.1";
   options.primary_port = primary_port;
-  options.tick_ms = 25;
-  options.takeover_timeout_ms = 1500;  // ~10 primary heartbeats
-  options.coordinator.heartbeat_ms = 150;
+  options.set_options.failover.heartbeat_ms = 150;
+  options.set_options.failover.takeover_ms = 1500;  // ~10 primary heartbeats
   return options;
 }
 
@@ -158,10 +157,10 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   auto set = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
-  replica::CoordinatorOptions coordinator_options;
-  coordinator_options.heartbeat_ms = 150;
-  auto coordinator = std::make_shared<PrimaryCoordinator>(router, sets,
-                                                          coordinator_options);
+  replica::FailoverOptions failover;
+  failover.heartbeat_ms = 150;
+  auto coordinator =
+      std::make_shared<PrimaryCoordinator>(router, sets, failover);
   auto server = std::make_unique<net::TcpServer>(coordinator, 0);
   ASSERT_TRUE(server->Start().ok());
 
@@ -360,6 +359,101 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   f2.Stop();
 }
 
+/// A loopback port nobody listens on right now.
+uint16_t FreePort() {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  uint16_t port = 0;
+  if (fd >= 0 &&
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    port = ntohs(addr.sin_port);
+  }
+  if (fd >= 0) ::close(fd);
+  return port;
+}
+
+// A passive daemon (auto_promote off) is not orphaned by a failover: it
+// walks the same ranking as the daemon that promotes, skips itself, and
+// re-homes under the winner, which then ships it its new generation.
+TEST(FollowerDaemonE2E, PassiveDaemonReHomesUnderTheWinner) {
+  TempLogs logs;
+  auto set = MakeSet(logs.Open("p"));
+  std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
+  replica::FailoverOptions failover;
+  failover.heartbeat_ms = 150;
+  auto coordinator = std::make_shared<PrimaryCoordinator>(
+      std::make_shared<cluster::ShardRouter>(sets), sets, failover);
+  auto server = std::make_unique<net::TcpServer>(coordinator, 0);
+  ASSERT_TRUE(server->Start().ok());
+  auto transport = Dial(server->port());
+  ASSERT_TRUE(transport.ok());
+  OwnerClient owner(*transport);
+  auto uuid = owner.CreateStream(HeacConfig("passive", false));
+  ASSERT_TRUE(uuid.ok());
+  ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 8).ok());
+  crypto::Key128 seed = (*owner.KeysFor(*uuid))->master_seed();
+
+  // Both daemons end equally caught up, so the smaller endpoint ranks
+  // first: give it to the daemon that promotes.
+  std::string endpoints[2];
+  uint16_t ports[2];
+  for (int i = 0; i < 2; ++i) {
+    ports[i] = FreePort();
+    ASSERT_NE(ports[i], 0);
+    endpoints[i] = "127.0.0.1:" + std::to_string(ports[i]);
+  }
+  if (endpoints[1] < endpoints[0]) std::swap(ports[0], ports[1]);
+  ASSERT_NE(ports[0], ports[1]);
+  FollowerDaemon active({logs.Open("active")}, DaemonOptions(server->port()));
+  auto passive_options = DaemonOptions(server->port());
+  passive_options.auto_promote = false;
+  FollowerDaemon passive({logs.Open("passive")}, passive_options);
+  ASSERT_TRUE(active.Start(ports[0]).ok());
+  ASSERT_TRUE(passive.Start(ports[1]).ok());
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        return set->num_remote_followers() == 2 && set->MaxLagBytes() == 0;
+      },
+      30'000))
+      << "daemons did not register and catch up";
+  // Let a couple of heartbeats broadcast the settled group view.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  coordinator.reset();
+  server.reset();
+  sets.clear();
+  set.reset();
+
+  ASSERT_TRUE(PollUntil([&] { return active.promoted(); }, 30'000))
+      << "the active daemon did not promote";
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        return active.num_remote_followers() == 1 && passive.registered();
+      },
+      30'000))
+      << "the passive daemon never re-homed under the winner";
+  EXPECT_FALSE(passive.promoted());
+
+  // A write on the winner ships to the passive daemon, whose log reaches
+  // the winner's new generation.
+  auto promoted_transport = Dial(active.port());
+  ASSERT_TRUE(promoted_transport.ok());
+  OwnerClient promoted_owner(*promoted_transport);
+  ASSERT_TRUE(promoted_owner.AttachStream(*uuid, seed).ok());
+  ASSERT_TRUE(IngestChunks(promoted_owner, *uuid, 8, 2).ok());
+  ASSERT_TRUE(PollUntil(
+      [&] { return passive.position(0) == active.position(0); }, 30'000))
+      << "the passive daemon never caught up with the winner";
+  EXPECT_TRUE(logs.IsPrefix("passive", "active"));
+
+  active.Stop();
+  passive.Stop();
+}
+
 /// A primary behind a coordinator on a loopback port, holding `chunks`
 /// chunks of one stream, and the daemons' logs beside its own.
 struct Primary {
@@ -377,7 +471,7 @@ struct Primary {
     std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
     coordinator = std::make_shared<PrimaryCoordinator>(
         std::make_shared<cluster::ShardRouter>(sets), sets,
-        replica::CoordinatorOptions{});
+        replica::FailoverOptions{});
     server = std::make_unique<net::TcpServer>(coordinator, 0);
     EXPECT_TRUE(server->Start().ok());
     transport = *Dial(server->port());
@@ -587,7 +681,7 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator =
       std::make_shared<PrimaryCoordinator>(router, sets,
-                                           replica::CoordinatorOptions{});
+                                           replica::FailoverOptions{});
   net::TcpServer server(coordinator, 0);
   ASSERT_TRUE(server.Start().ok());
 
@@ -647,10 +741,10 @@ TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
   auto set = MakeSet(logs.Open("p"));
   std::vector<std::shared_ptr<ReplicaSet>> sets = {set};
   auto router = std::make_shared<cluster::ShardRouter>(sets);
-  replica::CoordinatorOptions coordinator_options;
-  coordinator_options.heartbeat_ms = 50;
-  auto coordinator = std::make_shared<PrimaryCoordinator>(
-      router, sets, coordinator_options);
+  replica::FailoverOptions failover;
+  failover.heartbeat_ms = 50;
+  auto coordinator =
+      std::make_shared<PrimaryCoordinator>(router, sets, failover);
   net::TcpServer server(coordinator, 0);
   ASSERT_TRUE(server.Start().ok());
 
@@ -681,7 +775,7 @@ TEST(FollowerDaemonE2E, UnreachableFollowerIsJournaledOnce) {
   // Twenty more rounds: the backed-off redials (after 2, then 4 more
   // rounds) fail too, and none of them is journaled.
   std::this_thread::sleep_for(
-      std::chrono::milliseconds(20 * coordinator_options.heartbeat_ms));
+      std::chrono::milliseconds(20 * failover.heartbeat_ms));
   EXPECT_EQ(unreachable(), 1u);
 }
 
@@ -706,7 +800,7 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
   auto router = std::make_shared<cluster::ShardRouter>(sets);
   auto coordinator =
       std::make_shared<PrimaryCoordinator>(router, sets,
-                                           replica::CoordinatorOptions{});
+                                           replica::FailoverOptions{});
   net::TcpServer server(coordinator, 0);
   ASSERT_TRUE(server.Start().ok());
   FollowerDaemon daemon({logs.Open("d0"), logs.Open("d1")},

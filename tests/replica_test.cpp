@@ -1199,16 +1199,15 @@ TEST(Failover, PromotedFollowerServesFullHistoryQuorum) {
 }
 
 TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
-  // Heartbeat probes against a primary store that starts failing must trip
-  // the miss threshold and run the drop+promote sequence without any
-  // operator call.
+  // Heartbeat probes against a primary store that starts failing must,
+  // once they have failed for the takeover window, run the drop+promote
+  // sequence without any operator call.
   TempLogs logs;
   auto primary = logs.Open("p");
   ASSERT_TRUE(cluster::BindShardMeta(*primary, 0, 1).ok());
   ReplicaSetOptions options;
-  options.failover.auto_failover = true;
-  options.failover.heartbeat_interval_ms = 20;
-  options.failover.miss_threshold = 2;
+  options.failover.heartbeat_ms = 20;
+  options.failover.takeover_ms = 40;
   auto set = MakeSet(primary, {logs.Open("r0"), logs.Open("r1")}, options);
 
   net::CreateStreamRequest create{42, PlainConfig("auto")};
@@ -1217,18 +1216,16 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   ASSERT_TRUE(InsertPlainChunks(*set, 0, 6).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(set->promotions(), 0u);
-  EXPECT_TRUE(set->auto_failover());
+  EXPECT_EQ(set->ShardInfoSnapshot(0).auto_failover, 1u);
 
   // The primary's disk loses its log: the probe's read of the shard layout
-  // fails. The monitor must notice and promote. Poll the auto_failovers
-  // counter — it is the last thing the monitor bumps, so promotions() is
-  // settled once it reads 1.
+  // fails. The monitor must notice and promote; Promote counts the
+  // promotion last, once the survivor is attached.
   ASSERT_EQ(::truncate(logs.Path("p").c_str(), 0), 0);
-  for (int i = 0; i < 200 && set->auto_failovers() == 0; ++i) {
+  for (int i = 0; i < 200 && set->promotions() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_EQ(set->auto_failovers(), 1u) << "auto-failover did not fire";
-  EXPECT_EQ(set->promotions(), 1u);
+  ASSERT_EQ(set->promotions(), 1u) << "auto-failover did not fire";
   EXPECT_EQ(set->num_replicas(), 1u);
 
   // The shard serves the full history again — reads and new writes.
@@ -1316,6 +1313,15 @@ TEST(Failover, QuiescentReRegistrationOverAWipedLogCopiesIt) {
             StatusCode::kAlreadyExists);
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(set->full_copies(), 2u);
+}
+
+TEST(Failover, RankCandidatesOrdersByProgressThenLabel) {
+  // The most progress first; ties toward the smallest label.
+  const std::vector<replica::Candidate> candidates = {
+      {"b", 10}, {"c", 30}, {"a", 10}, {"d", 30}, {"e", 0}};
+  EXPECT_EQ(replica::RankCandidates(candidates),
+            (std::vector<size_t>{1, 3, 2, 0, 4}));
+  EXPECT_TRUE(replica::RankCandidates({}).empty());
 }
 
 TEST(Failover, PromoteElectsTheMostCaughtUpReplica) {

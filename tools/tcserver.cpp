@@ -15,22 +15,23 @@
 //
 // With --replicas R every shard ships its mutations to R follower stores
 // (src/replica): read-only queries round-robin across caught-up replicas,
-// and a lost primary fails over to a promoted follower — automatically
-// with --auto-failover. --ack picks the ingest ack discipline (async
+// and a lost primary fails over to a promoted follower — automatically,
+// once the primary store has failed every probe (one per --heartbeat-ms)
+// for --takeover-ms. --ack picks the ingest ack discipline (async
 // fire-and-forget vs semi-sync quorum).
 //
 // Two daemons make a replicated pair across processes: a primary started
 // with --accept-followers, and follower daemons started with
 // --follower-of HOST:PORT. A follower registers over the wire, the
 // primary ships it its log from wherever the follower's log matches it
-// (from the start for an empty one), and when the primary's heartbeats go
-// silent the most caught-up follower promotes itself and the survivors
-// re-home under it. Replicated stores are always logs: with --store mem
+// (from the start for an empty one), and when the primary's heartbeats
+// (one per --heartbeat-ms) have been silent for --takeover-ms the most
+// caught-up follower promotes itself and the survivors re-home under it. Replicated stores are always logs: with --store mem
 // they live in a private temporary directory removed on exit.
 //
 //   tcserver --port 4433 --store log --path /var/lib/timecrypt.log
 //   tcserver --shards 4 --store log --path /var/lib/timecrypt.log --sync
-//   tcserver --shards 4 --replicas 2 --ack quorum --auto-failover
+//   tcserver --shards 4 --replicas 2 --ack quorum
 //   tcserver --port 4433 --accept-followers
 //   tcserver --port 4434 --follower-of 127.0.0.1:4433 --path follower.log
 #include <csignal>
@@ -120,15 +121,16 @@ void Usage() {
       "                       promotes itself if the primary goes silent\n"
       "  --advertise HOST     address the primary dials back (default\n"
       "                       127.0.0.1)\n"
-      "  --auto-failover      primary mode: probe the primary store every\n"
-      "                       heartbeat and auto-promote a local replica\n"
-      "                       after --miss-threshold failed probes\n"
-      "  --heartbeat-ms N     heartbeat / probe cadence (default 500)\n"
-      "  --miss-threshold N   probes missed before auto-failover (default 3)\n"
-      "  --takeover-ms N      follower mode: silence window before the\n"
-      "                       takeover election (default 3000)\n"
       "  --no-auto-promote    follower mode: never self-promote (passive\n"
-      "                       replica)\n");
+      "                       replica; it re-homes under the winner)\n"
+      "\n"
+      "failover (with --replicas, --accept-followers or --follower-of):\n"
+      "  --heartbeat-ms N     a primary beacons to its follower daemons, and\n"
+      "                       probes its store when it has --replicas, every\n"
+      "                       N ms (default 500)\n"
+      "  --takeover-ms N      fail over once the store has failed every\n"
+      "                       probe, or a follower daemon has heard nothing,\n"
+      "                       for N ms (default 3000)\n");
 }
 
 bool FlagKnown(const std::string& name) {
@@ -137,8 +139,8 @@ bool FlagKnown(const std::string& name) {
       "shards",        "replicas",     "ack",            "read-lag",
       "sync",          "compact-pct",  "cache-mb",       "max-frame-mb",
       "accept-followers",
-      "follower-of",   "advertise",    "auto-failover",  "heartbeat-ms",
-      "miss-threshold", "takeover-ms",   "no-auto-promote",
+      "follower-of",   "advertise",    "heartbeat-ms",   "takeover-ms",
+      "no-auto-promote",
       "metrics-port",  "slow-op-ms",
       "trace-sample",  "event-log"};
   for (const char* known : kKnown) {
@@ -152,8 +154,7 @@ bool FlagKnown(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace tc;
   tools::Flags flags(argc, argv,
-                     {"help", "sync", "accept-followers", "auto-failover",
-                      "no-auto-promote"});
+                     {"help", "sync", "accept-followers", "no-auto-promote"});
   if (flags.Has("help")) {
     Usage();
     return 0;
@@ -210,21 +211,22 @@ int main(int argc, char** argv) {
                    "nothing: there is no follower to ack\n");
       return 1;
     }
-    if (flags.Has("takeover-ms") || flags.Has("no-auto-promote")) {
+    if (flags.Has("no-auto-promote")) {
       std::fprintf(stderr,
-                   "--takeover-ms/--no-auto-promote are follower-daemon "
-                   "flags (--follower-of)\n");
+                   "--no-auto-promote is a follower-daemon flag "
+                   "(--follower-of)\n");
       return 1;
     }
   } else {
-    if (replicas != 0 || accept_followers || flags.Has("auto-failover")) {
+    if (replicas != 0 || accept_followers) {
       std::fprintf(stderr,
                    "--follower-of is exclusive with --replicas/"
-                   "--accept-followers/--auto-failover: a follower daemon "
-                   "replicates, it is not replicated\n");
+                   "--accept-followers: a follower daemon replicates, it is "
+                   "not replicated\n");
       return 1;
     }
   }
+  const bool replicated = replicas > 0 || accept_followers || follower_mode;
   std::string store_kind = flags.Get("store", "mem");
   if (store_kind != "mem" && store_kind != "log") {
     std::fprintf(stderr, "--store must be mem or log (got '%s')\n",
@@ -251,35 +253,19 @@ int main(int argc, char** argv) {
   options.index_cache_bytes = static_cast<size_t>(cache_mb) << 20;
   options.sync_each_insert = flags.Has("sync");
 
-  int64_t heartbeat_ms = tools::RequireInt(flags, "heartbeat-ms", 500);
-  int64_t miss_threshold = tools::RequireInt(flags, "miss-threshold", 3);
-  int64_t takeover_ms = tools::RequireInt(flags, "takeover-ms", 3000);
-  if (heartbeat_ms < 1 || miss_threshold < 1 || takeover_ms < 1) {
-    std::fprintf(stderr,
-                 "--heartbeat-ms/--miss-threshold/--takeover-ms must be "
-                 "positive\n");
+  replica::FailoverOptions failover;
+  failover.heartbeat_ms = tools::RequireInt(flags, "heartbeat-ms", 500);
+  failover.takeover_ms = tools::RequireInt(flags, "takeover-ms", 3000);
+  if (failover.heartbeat_ms < 1 || failover.takeover_ms < 1) {
+    std::fprintf(stderr, "--heartbeat-ms/--takeover-ms must be positive\n");
     return 1;
   }
-  if (!follower_mode && flags.Has("auto-failover") && replicas == 0) {
-    // Auto-failover promotes a LOCAL replica; with none configured the
-    // monitor would have nothing to promote onto — refuse instead of
-    // letting the operator believe failure detection is armed.
+  if ((flags.Has("heartbeat-ms") || flags.Has("takeover-ms")) &&
+      !replicated) {
     std::fprintf(stderr,
-                 "--auto-failover needs --replicas >= 1: automatic "
-                 "promotion elects a local replica (follower daemons run "
-                 "their own takeover election)\n");
-    return 1;
-  }
-  if (flags.Has("miss-threshold") && !flags.Has("auto-failover")) {
-    std::fprintf(stderr,
-                 "--miss-threshold without --auto-failover does nothing\n");
-    return 1;
-  }
-  if (flags.Has("heartbeat-ms") && !flags.Has("auto-failover") &&
-      !accept_followers && !follower_mode) {
-    std::fprintf(stderr,
-                 "--heartbeat-ms without --auto-failover, "
-                 "--accept-followers, or --follower-of does nothing\n");
+                 "--heartbeat-ms/--takeover-ms without --replicas, "
+                 "--accept-followers or --follower-of do nothing: there is "
+                 "no replica to fail over to\n");
     return 1;
   }
   if (flags.Has("advertise") && !follower_mode) {
@@ -354,7 +340,6 @@ int main(int argc, char** argv) {
   // replicated shard and each of its followers always get a log file of
   // their own: next to their shard's, or with --store mem in a temporary
   // directory that outlives every store (it is declared before them).
-  const bool replicated = replicas > 0 || accept_followers || follower_mode;
   std::unique_ptr<store::TempLogDir> mem_logs;
   if (store_kind == "mem" && replicated) {
     auto made = store::TempLogDir::Make();
@@ -382,9 +367,7 @@ int main(int argc, char** argv) {
   replica::ReplicaSetOptions set_options;
   set_options.kv.ack = ack;
   set_options.max_read_lag_bytes = static_cast<uint64_t>(read_lag);
-  set_options.failover.auto_failover = flags.Has("auto-failover");
-  set_options.failover.heartbeat_interval_ms = heartbeat_ms;
-  set_options.failover.miss_threshold = static_cast<uint32_t>(miss_threshold);
+  set_options.failover = failover;
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
@@ -401,12 +384,9 @@ int main(int argc, char** argv) {
     daemon_options.primary_host = primary->host;
     daemon_options.primary_port = primary->port;
     daemon_options.advertise_host = flags.Get("advertise", "127.0.0.1");
-    daemon_options.takeover_timeout_ms = takeover_ms;
     daemon_options.auto_promote = !flags.Has("no-auto-promote");
     daemon_options.engine_options = options;
     daemon_options.set_options = set_options;
-    daemon_options.coordinator.heartbeat_ms =
-        static_cast<uint32_t>(heartbeat_ms);
 
     std::vector<std::shared_ptr<store::LogKvStore>> logs;
     for (int64_t i = 0; i < shards; ++i) {
@@ -501,10 +481,8 @@ int main(int argc, char** argv) {
   }
   std::shared_ptr<replica::PrimaryCoordinator> coordinator;
   if (accept_followers) {
-    replica::CoordinatorOptions coordinator_options;
-    coordinator_options.heartbeat_ms = static_cast<uint32_t>(heartbeat_ms);
     coordinator = std::make_shared<replica::PrimaryCoordinator>(
-        handler, sets, coordinator_options);
+        handler, sets, failover);
     handler = coordinator;
   }
 
@@ -528,7 +506,6 @@ int main(int argc, char** argv) {
   std::string notes;
   if (replicas > 0 || accept_followers) notes += ", ack: " + ack_name;
   if (accept_followers) notes += ", accepting followers";
-  if (set_options.failover.auto_failover) notes += ", auto-failover";
   std::printf(
       "tcserver listening on %s:%u (store: %s, shards: %lld, "
       "replicas: %lld%s)\n",
