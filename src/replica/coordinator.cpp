@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <set>
 
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/trace.hpp"
 #include "net/messages.hpp"
-#include "net/tcp.hpp"
 #include "replica/replica_wire.hpp"
 
 namespace tc::replica {

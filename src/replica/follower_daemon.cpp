@@ -246,13 +246,8 @@ void FollowerDaemon::Tick() {
       host = primary_host_;
       port = primary_port_;
     }
-    if (Status s = RegisterTo(host, port); s.ok()) {
-      registered_.store(true);
-      Touch();
-      MutexLock lock(view_mu_);
-      suspected_dead_.clear();
-      not_ready_counts_.clear();
-    }
+    // A refused hello is sent again next tick.
+    (void)RegisterTo(host, port);
     return;
   }
   if (MillisSinceContact() >= takeover_ms_.load(std::memory_order_relaxed)) {
@@ -295,7 +290,11 @@ Status FollowerDaemon::RegisterTo(const std::string& host, uint16_t port) {
     MutexLock lock(view_mu_);
     primary_host_ = host;
     primary_port_ = port;
+    suspected_dead_.clear();
+    not_ready_counts_.clear();
   }
+  registered_.store(true);
+  Touch();
   trace::RecordEvent("registered_to_primary", trace::kNoShard,
                      host + ":" + std::to_string(port));
   return Status::Ok();
@@ -343,11 +342,6 @@ void FollowerDaemon::HandleSilence() {
     if (s.ok()) {
       TC_LOG_INFO << "follower " << self << " re-homed under " << endpoint;
       trace::RecordEvent("follower_rehomed", trace::kNoShard, endpoint);
-      registered_.store(true);
-      Touch();
-      MutexLock lock(view_mu_);
-      suspected_dead_.clear();
-      not_ready_counts_.clear();
       return;
     }
     if (s.code() == StatusCode::kFailedPrecondition) {

@@ -114,7 +114,8 @@ class FollowerDaemon {
   /// The state machine's step, every twentieth of the silence window
   /// (10 to 100 ms).
   void Tick() EXCLUDES(view_mu_);
-  /// Send kReplicaHello for every shard to `host:port`. All-or-nothing.
+  /// Send kReplicaHello for every shard to `host:port`. All-or-nothing: on
+  /// success it is this daemon's primary.
   Status RegisterTo(const std::string& host, uint16_t port)
       EXCLUDES(view_mu_);
   /// The silence-window election described above.

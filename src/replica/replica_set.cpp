@@ -21,16 +21,6 @@ std::vector<size_t> RankCandidates(const std::vector<Candidate>& candidates) {
   return order;
 }
 
-namespace {
-/// A follower in this process: the shipper reaches its applier through the
-/// same frames a follower daemon receives.
-std::shared_ptr<Follower> InProcFollower(
-    std::shared_ptr<ReplicaApplier> applier) {
-  return std::make_shared<RemoteFollower>(
-      std::make_shared<net::InProcTransport>(std::move(applier)));
-}
-}  // namespace
-
 std::shared_ptr<ReplicaSet> ReplicaSet::Single(
     std::shared_ptr<server::ServerEngine> engine) {
   auto set = std::shared_ptr<ReplicaSet>(new ReplicaSet());
@@ -169,11 +159,14 @@ Status ReplicaSet::LeadLocked(std::shared_ptr<store::LogKvStore> log) {
                       ReplicatedKvStore::Open(std::move(log), options_.kv));
   for (auto& replica : replicas_) {
     if (replica.applier->log().get() == leader) continue;  // promoted
-    // A follower whose log is a prefix of the leader's resumes from its
-    // length; one that holds more (an async tail a promoted follower never
-    // got) is copied from the start.
-    replica.rkv_index = rkv->AddFollower(InProcFollower(replica.applier),
-                                         replica.applier->position());
+    // The shipper reaches the applier through the frames a follower daemon
+    // receives. A follower whose log is a prefix of the leader's resumes
+    // from its length; one that holds more (an async tail a promoted
+    // follower never got) is copied from the start.
+    replica.rkv_index = rkv->AddFollower(
+        std::make_shared<RemoteFollower>(
+            std::make_shared<net::InProcTransport>(replica.applier)),
+        replica.applier->position());
   }
   // Remote daemons keep following across a failover: attach their
   // shippers to the new pipeline, which asks where their logs stand.
