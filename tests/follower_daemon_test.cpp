@@ -359,21 +359,32 @@ TEST(FollowerDaemonE2E, AutoPromotionServesFullStateAfterPrimaryDeath) {
   f2.Stop();
 }
 
-/// A loopback port nobody listens on right now.
-uint16_t FreePort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  socklen_t len = sizeof(addr);
-  uint16_t port = 0;
-  if (fd >= 0 &&
-      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port = ntohs(addr.sin_port);
+/// Two loopback ports nobody listens on right now, the smaller endpoint
+/// ("127.0.0.1:port", as elections compare them) first.
+std::pair<uint16_t, uint16_t> FreePorts() {
+  int fds[2];
+  uint16_t ports[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    fds[i] = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fds[i] >= 0 &&
+        ::bind(fds[i], reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+            0 &&
+        ::getsockname(fds[i], reinterpret_cast<sockaddr*>(&addr), &len) ==
+            0) {
+      ports[i] = ntohs(addr.sin_port);
+    }
   }
-  if (fd >= 0) ::close(fd);
-  return port;
+  for (int fd : fds) {
+    if (fd >= 0) ::close(fd);
+  }
+  if (std::to_string(ports[1]) < std::to_string(ports[0])) {
+    std::swap(ports[0], ports[1]);
+  }
+  return {ports[0], ports[1]};
 }
 
 // A passive daemon (auto_promote off) is not orphaned by a failover: it
@@ -399,21 +410,15 @@ TEST(FollowerDaemonE2E, PassiveDaemonReHomesUnderTheWinner) {
 
   // Both daemons end equally caught up, so the smaller endpoint ranks
   // first: give it to the daemon that promotes.
-  std::string endpoints[2];
-  uint16_t ports[2];
-  for (int i = 0; i < 2; ++i) {
-    ports[i] = FreePort();
-    ASSERT_NE(ports[i], 0);
-    endpoints[i] = "127.0.0.1:" + std::to_string(ports[i]);
-  }
-  if (endpoints[1] < endpoints[0]) std::swap(ports[0], ports[1]);
-  ASSERT_NE(ports[0], ports[1]);
+  auto [first, second] = FreePorts();
+  ASSERT_NE(first, 0);
+  ASSERT_NE(second, 0);
   FollowerDaemon active({logs.Open("active")}, DaemonOptions(server->port()));
   auto passive_options = DaemonOptions(server->port());
   passive_options.auto_promote = false;
   FollowerDaemon passive({logs.Open("passive")}, passive_options);
-  ASSERT_TRUE(active.Start(ports[0]).ok());
-  ASSERT_TRUE(passive.Start(ports[1]).ok());
+  ASSERT_TRUE(active.Start(first).ok());
+  ASSERT_TRUE(passive.Start(second).ok());
   ASSERT_TRUE(PollUntil(
       [&] {
         return set->num_remote_followers() == 2 && set->MaxLagBytes() == 0;
