@@ -207,25 +207,6 @@ void SetCurrentTraceContext(TraceContext ctx);
 /// span links under the span that issued the call.
 TraceContext OutgoingTraceContext();
 
-/// Times one scope into a histogram (for sites that need no stage split).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram& hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    hist_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyHistogram& hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Times one logical operation with named stage splits. The span registers
 /// itself on the thread (spans nest as a stack) so deep call sites can mark
 /// stage boundaries via TraceSpan::StageMark without plumbing the span

@@ -1,5 +1,7 @@
 #include "net/introspection.hpp"
 
+#include <cstdio>
+
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "net/messages.hpp"
@@ -88,6 +90,20 @@ Result<Bytes> Introspect(MessageType type, BytesView body,
       return InvalidArgument(std::string("not an introspection frame: ") +
                              MessageTypeName(type));
   }
+}
+
+std::string PublishShardGauges(const ClusterInfoResponse::ShardInfo& info) {
+  char labels[32];
+  std::snprintf(labels, sizeof(labels), "shard=\"%u\"", info.shard);
+  metrics::GetGauge("tc_cluster_streams", labels)
+      .Set(static_cast<int64_t>(info.num_streams));
+  metrics::GetGauge("tc_cluster_index_bytes", labels)
+      .Set(static_cast<int64_t>(info.index_bytes));
+  metrics::GetGauge("tc_store_dead_bytes", labels)
+      .Set(static_cast<int64_t>(info.store_dead_bytes));
+  metrics::GetGauge("tc_store_compactions", labels)
+      .Set(static_cast<int64_t>(info.store_compactions));
+  return labels;
 }
 
 }  // namespace tc::net

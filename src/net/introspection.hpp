@@ -6,9 +6,11 @@
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "net/messages.hpp"
 #include "net/wire.hpp"
 
 namespace tc::net {
@@ -19,5 +21,11 @@ namespace tc::net {
 /// state. Any other frame type is InvalidArgument.
 Result<Bytes> Introspect(MessageType type, BytesView body,
                          const std::function<void()>& refresh_gauges = {});
+
+/// Publish one kClusterInfo row as shard-labeled gauges (tc_cluster_streams,
+/// tc_cluster_index_bytes, tc_store_dead_bytes, tc_store_compactions), so
+/// the wire response and the Prometheus exposition share a single source.
+/// Returns the label set, `shard="<info.shard>"`, for further gauges.
+std::string PublishShardGauges(const ClusterInfoResponse::ShardInfo& info);
 
 }  // namespace tc::net

@@ -1,11 +1,11 @@
 #include "replica/replica_set.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "net/introspection.hpp"
 
 namespace tc::replica {
 
@@ -330,16 +330,7 @@ net::ClusterInfoResponse::ShardInfo ReplicaSet::ShardInfoSnapshot(
   info.store_compactions = static_cast<uint32_t>(compaction.compactions);
   // Same values, shard-labeled, for the Prometheus exposition — one
   // source for both surfaces.
-  char labels[32];
-  std::snprintf(labels, sizeof(labels), "shard=\"%u\"", shard);
-  metrics::GetGauge("tc_cluster_streams", labels)
-      .Set(static_cast<int64_t>(info.num_streams));
-  metrics::GetGauge("tc_cluster_index_bytes", labels)
-      .Set(static_cast<int64_t>(info.index_bytes));
-  metrics::GetGauge("tc_store_dead_bytes", labels)
-      .Set(static_cast<int64_t>(info.store_dead_bytes));
-  metrics::GetGauge("tc_store_compactions", labels)
-      .Set(static_cast<int64_t>(info.store_compactions));
+  const std::string labels = net::PublishShardGauges(info);
   metrics::GetGauge("tc_replica_lag_bytes", labels)
       .Set(static_cast<int64_t>(info.max_lag_bytes));
   metrics::GetGauge("tc_replica_promotions", labels)

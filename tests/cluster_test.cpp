@@ -1,7 +1,8 @@
 // Sharded cluster layer tests: stream-partitioned routing must be
-// transparent — every client workflow (ingest, queries, grants, rollup,
-// batched upload) behaves over an N-shard router exactly as it does over a
-// single engine, while cluster-wide operations scatter-gather correctly.
+// transparent — batched uploads and their retries behave over an N-shard
+// router as over a single engine, while cluster-wide operations
+// scatter-gather correctly. The whole client workflow (ingest, queries,
+// grants, rollup) over routers is tests/scenario_test.cpp.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,10 +11,8 @@
 #include <functional>
 #include <set>
 
-#include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "cluster/shard_router.hpp"
-#include "net/tcp.hpp"
 #include "replica/follower_daemon.hpp"
 #include "replica/replica_set.hpp"
 #include "server/server_engine.hpp"
@@ -21,16 +20,18 @@
 #include "store/mem_kv.hpp"
 #include "store/prefix_kv.hpp"
 #include "temp_logs.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
 
-using client::ConsumerClient;
 using client::OwnerClient;
-using client::Principal;
 using cluster::ShardRouter;
-
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::HeacConfig;
+using testing::IngestChunks;
+using testing::kDelta;
+using testing::OracleSum;
+using testing::PlainConfig;
 
 /// An N-shard in-process cluster over prefix views of one shared memory
 /// backend (the shared-backend deployment shape).
@@ -55,42 +56,6 @@ Cluster MakeCluster(size_t shards) {
   c.router = std::make_shared<ShardRouter>(c.engines);
   c.transport = std::make_shared<net::InProcTransport>(c.router);
   return c;
-}
-
-net::StreamConfig HeacConfig(const std::string& name) {
-  net::StreamConfig c;
-  c.name = name;
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  return c;
-}
-
-net::StreamConfig PlainConfig(const std::string& name) {
-  auto c = HeacConfig(name);
-  c.cipher = net::CipherKind::kPlain;
-  return c;
-}
-
-Status IngestChunks(OwnerClient& owner, uint64_t uuid, uint64_t first,
-                    uint64_t count) {
-  for (uint64_t c = first; c < first + count; ++c) {
-    for (int i = 0; i < 5; ++i) {
-      TC_RETURN_IF_ERROR(owner.InsertRecord(
-          uuid, {static_cast<Timestamp>(c * kDelta + i * 1000),
-                 static_cast<int64_t>(c + 1)}));
-    }
-  }
-  return owner.Flush(uuid);
-}
-
-int64_t OracleSum(uint64_t first, uint64_t last) {
-  int64_t sum = 0;
-  for (uint64_t c = first; c < last; ++c) sum += 5 * (c + 1);
-  return sum;
 }
 
 /// Find a uuid that the router places on `shard` (deterministic probe).
@@ -136,38 +101,6 @@ TEST(ShardRouter, PlacementIsDeterministicAndCoversAllShards) {
   }
   // SplitMix64 dispersion: 1000 sequential uuids must reach every shard.
   EXPECT_EQ(hit.size(), 4u);
-}
-
-TEST(ShardRouter, OwnerWorkflowIsTransparentAcrossShards) {
-  auto c = MakeCluster(4);
-  OwnerClient owner(c.transport);
-
-  std::vector<uint64_t> uuids;
-  for (int s = 0; s < 6; ++s) {
-    auto created = owner.CreateStream(HeacConfig("st" + std::to_string(s)));
-    ASSERT_TRUE(created.ok());
-    uuids.push_back(*created);
-    ASSERT_TRUE(IngestChunks(owner, *created, 0, 8).ok());
-  }
-  EXPECT_EQ(c.router->NumStreams(), 6u);
-  EXPECT_GT(c.router->TotalIndexBytes(), 0u);
-
-  for (uint64_t uuid : uuids) {
-    auto stats = owner.GetStatRange(uuid, {0, 8 * kDelta});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 8));
-    auto points = owner.GetRange(uuid, {0, 2 * kDelta});
-    ASSERT_TRUE(points.ok());
-    EXPECT_EQ(points->size(), 10u);
-  }
-
-  // Each stream's state lives only on its owning shard.
-  for (uint64_t uuid : uuids) {
-    size_t shard = c.router->ShardOf(uuid);
-    for (size_t i = 0; i < c.engines.size(); ++i) {
-      EXPECT_EQ(c.engines[i]->GetIndexForTesting(uuid).ok(), i == shard);
-    }
-  }
 }
 
 TEST(ShardRouter, BatchedIngestMatchesUnbatched) {
@@ -414,85 +347,6 @@ TEST(ShardRouter, InsertChunkBatchValidation) {
             StatusCode::kNotFound);
 }
 
-TEST(ShardRouter, MultiStatRangeGathersAcrossShards) {
-  auto c = MakeCluster(4);
-  // Three plaintext streams pinned to three distinct shards.
-  std::vector<uint64_t> uuids = {UuidOnShard(*c.router, 0),
-                                 UuidOnShard(*c.router, 1),
-                                 UuidOnShard(*c.router, 2)};
-  for (size_t s = 0; s < uuids.size(); ++s) {
-    MakePlainStream(*c.transport, uuids[s], 6,
-                    [s](uint64_t chunk) { return (s + 1) * 100 + chunk; });
-  }
-
-  net::MultiStatRangeRequest req{uuids, {0, 6 * kDelta}};
-  auto resp_blob =
-      c.transport->Call(net::MessageType::kMultiStatRange, req.Encode());
-  ASSERT_TRUE(resp_blob.ok()) << resp_blob.status().ToString();
-  auto resp = net::StatRangeResponse::Decode(*resp_blob);
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->first_chunk, 0u);
-  EXPECT_EQ(resp->last_chunk, 6u);
-
-  uint64_t expected_sum = 0;
-  for (size_t s = 0; s < uuids.size(); ++s) {
-    for (uint64_t chunk = 0; chunk < 6; ++chunk) {
-      expected_sum += (s + 1) * 100 + chunk;
-    }
-  }
-  auto fields = PlainFields(resp->aggregate_blob);
-  ASSERT_EQ(fields.size(), 2u);
-  EXPECT_EQ(fields[0], expected_sum);
-  EXPECT_EQ(fields[1], 3u * 6u);  // count: one point per chunk per stream
-
-  // Equivalence: the same streams on a single-shard cluster produce the
-  // identical aggregate.
-  auto single = MakeCluster(1);
-  for (size_t s = 0; s < uuids.size(); ++s) {
-    MakePlainStream(*single.transport, uuids[s], 6,
-                    [s](uint64_t chunk) { return (s + 1) * 100 + chunk; });
-  }
-  auto single_blob =
-      single.transport->Call(net::MessageType::kMultiStatRange, req.Encode());
-  ASSERT_TRUE(single_blob.ok());
-  EXPECT_EQ(*single_blob, *resp_blob);
-}
-
-TEST(ShardRouter, FetchGrantsScatterGathersAndConsumersDecrypt) {
-  auto c = MakeCluster(4);
-  Principal alice{"alice", crypto::GenerateBoxKeyPair()};
-  OwnerClient owner(c.transport);
-
-  std::vector<uint64_t> uuids;
-  for (int s = 0; s < 3; ++s) {
-    auto created = owner.CreateStream(HeacConfig("grant" + std::to_string(s)));
-    ASSERT_TRUE(created.ok());
-    uuids.push_back(*created);
-    ASSERT_TRUE(IngestChunks(owner, *created, 0, 8).ok());
-    ASSERT_TRUE(owner
-                    .GrantAccess(*created, alice.id, alice.keys.public_key,
-                                 {0, 8 * kDelta}, 1)
-                    .ok());
-  }
-
-  ConsumerClient consumer(c.transport, alice);
-  auto n = consumer.FetchGrants();
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 3);
-  for (uint64_t uuid : uuids) {
-    auto stats = consumer.GetStatRange(uuid, {0, 8 * kDelta});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 8));
-  }
-
-  // Revocation reaches the owning shard; the survivors still resolve.
-  ASSERT_TRUE(owner.RevokeAccess(uuids[1], alice.id, 0).ok());
-  ConsumerClient fresh(c.transport, alice);
-  auto after = fresh.FetchGrants();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, 2);
-}
-
 TEST(ShardRouter, RollupAcrossShardsMatchesEngineNative) {
   auto c = MakeCluster(4);
   size_t source_shard = 1;
@@ -577,20 +431,6 @@ TEST(ShardRouter, RollupDropsIntegrityFlagOnBothPaths) {
     EXPECT_FALSE(info->config.integrity);
     EXPECT_EQ(info->num_chunks, 2u);
   }
-}
-
-TEST(ShardRouter, OwnerRollupDecryptsThroughRouter) {
-  auto c = MakeCluster(4);
-  OwnerClient owner(c.transport);
-  auto source = owner.CreateStream(HeacConfig("rollup-src"));
-  ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(IngestChunks(owner, *source, 0, 12).ok());
-
-  auto derived = owner.RollupStream(*source, 4);
-  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
-  auto stats = owner.GetStatRange(*derived, {0, 12 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 12));
 }
 
 TEST(ShardRouter, ClusterInfoReportsPerShardPlacement) {
@@ -701,31 +541,6 @@ TEST(ShardRouter, ShardChannelsServeAsyncCalls) {
   }
 }
 
-TEST(ShardRouter, PipelinedBatchedIngestOverTcpMatchesOracle) {
-  // End to end across the whole new transport stack: OwnerClient pipelines
-  // InsertChunkBatch frames (several in flight) through a real TcpClient
-  // into a TcpServer-hosted router; mutation ordering on the server keeps
-  // the append-only streams contiguous.
-  auto c = MakeCluster(2);
-  net::TcpServer server(c.router, 0);
-  ASSERT_TRUE(server.Start().ok());
-  auto tcp = net::TcpClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(tcp.ok());
-
-  client::OwnerOptions options;
-  options.upload_batch_chunks = 4;
-  OwnerClient owner(std::shared_ptr<net::Transport>(std::move(*tcp)),
-                    options);
-  auto uuid = owner.CreateStream(HeacConfig("pipelined"));
-  ASSERT_TRUE(uuid.ok());
-  ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 30).ok());
-
-  auto stats = owner.GetStatRange(*uuid, {0, 30 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 30));
-  server.Stop();
-}
-
 TEST(ShardRouter, PrefixViewsIsolateShardNamespaces) {
   auto backend = std::make_shared<store::MemKvStore>();
   store::PrefixKvStore a(backend, "a/");
@@ -823,12 +638,6 @@ Bytes RequestBody(MessageType type, uint64_t uuid) {
   return std::move(w).Take();
 }
 
-net::StreamConfig WitnessedConfig(const std::string& name) {
-  auto c = HeacConfig(name);
-  c.integrity = true;
-  return c;
-}
-
 TEST(FrameRouting, RouterSendsExactlyTheReplicaReadsToACaughtUpReplica) {
   testing::TempLogs logs;
   auto made = replica::ReplicaSet::Make(logs.Open("p"), {logs.Open("r")},
@@ -838,7 +647,7 @@ TEST(FrameRouting, RouterSendsExactlyTheReplicaReadsToACaughtUpReplica) {
   auto router = std::make_shared<ShardRouter>(
       std::vector<std::shared_ptr<replica::ReplicaSet>>{set});
   OwnerClient owner(std::make_shared<net::InProcTransport>(router));
-  auto uuid = owner.CreateStream(WitnessedConfig("routed"));
+  auto uuid = owner.CreateStream(HeacConfig("routed", /*integrity=*/true));
   ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
   ASSERT_TRUE(IngestChunks(owner, *uuid, 0, 4).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
@@ -879,7 +688,7 @@ TEST(FrameRouting, FollowingDaemonServesReplicaReadsAndDefersTheRest) {
   {
     OwnerClient owner(std::make_shared<net::InProcTransport>(
         std::make_shared<server::ServerEngine>(kv)));
-    auto created = owner.CreateStream(WitnessedConfig("followed"));
+    auto created = owner.CreateStream(HeacConfig("followed", /*integrity=*/true));
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     uuid = *created;
     ASSERT_TRUE(IngestChunks(owner, uuid, 0, 4).ok());

@@ -25,25 +25,14 @@
 #include "server/server_engine.hpp"
 #include "store/lru_cache.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
 
 using client::OwnerClient;
-
-constexpr DurationMs kDelta = 10 * kSecond;
-
-net::StreamConfig ConfigNamed(const std::string& name) {
-  net::StreamConfig c;
-  c.name = name;
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  return c;
-}
+using testing::kDelta;
+using testing::HeacConfig;
 
 // Must stay the first test in this file: nothing in the process has hashed
 // or sealed yet, so the four threads race the one-time fetch of the
@@ -95,7 +84,7 @@ TEST(Concurrency, ParallelStreamsIngestIndependently) {
     threads.emplace_back([&, t] {
       OwnerClient owner(transport);
       auto uuid = owner.CreateStream(
-          ConfigNamed("concurrent/" + std::to_string(t)));
+          HeacConfig("concurrent/" + std::to_string(t)));
       if (!uuid.ok()) {
         ++failures;
         return;
@@ -128,11 +117,9 @@ TEST(Concurrency, ParallelStreamsIngestIndependently) {
 }
 
 TEST(Concurrency, ReadersSeeConsistentPrefixDuringIngest) {
-  auto kv = std::make_shared<store::MemKvStore>();
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  auto transport = std::make_shared<net::InProcTransport>(server);
+  auto transport = testing::ServeInProc();
   OwnerClient writer(transport);
-  auto uuid = writer.CreateStream(ConfigNamed("prefix/stream"));
+  auto uuid = writer.CreateStream(HeacConfig("prefix/stream"));
   ASSERT_TRUE(uuid.ok());
 
   constexpr uint64_t kChunks = 200;
@@ -194,7 +181,7 @@ TEST(Concurrency, TcpServerHandlesParallelClients) {
       std::shared_ptr<net::Transport> transport = std::move(*client);
       OwnerClient owner(transport);
       auto uuid =
-          owner.CreateStream(ConfigNamed("tcp/" + std::to_string(t)));
+          owner.CreateStream(HeacConfig("tcp/" + std::to_string(t)));
       if (!uuid.ok()) {
         ++failures;
         return;

@@ -1,27 +1,30 @@
 // End-to-end integration tests: owner ingest -> server index -> statistical
 // queries -> grants -> consumer decryption, covering the paper's access
 // control semantics (time-range grants, resolution restriction, revocation
-// with forward secrecy, inter-stream queries, rollup, data decay) over both
-// the in-process and TCP transports.
+// with forward secrecy, inter-stream queries) on one in-process engine. The
+// owner's ingest, queries, rollups and deletes, on every serving stack, are
+// tests/scenario_test.cpp.
 #include <gtest/gtest.h>
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
-#include "net/tcp.hpp"
-#include "server/server_engine.hpp"
-#include "store/mem_kv.hpp"
-#include "tests/kernel_arms.hpp"
+#include "tests/support/helpers.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc {
 namespace {
 
-using client::AccessGrant;
 using client::ConsumerClient;
 using client::OwnerClient;
 using client::Principal;
 
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::IngestChunks;
+using testing::kDelta;
+
+/// The mhealth vitals digest (with a histogram), 10 points per chunk.
+int64_t OracleSum(uint64_t first, uint64_t last) {
+  return testing::OracleSum(first, last, 10);
+}
 
 net::StreamConfig HeartRateConfig() {
   net::StreamConfig c;
@@ -38,102 +41,20 @@ net::StreamConfig HeartRateConfig() {
 class E2eTest : public ::testing::Test {
  protected:
   E2eTest()
-      : kv_(std::make_shared<store::MemKvStore>()),
-        server_(std::make_shared<server::ServerEngine>(kv_)),
-        transport_(std::make_shared<net::InProcTransport>(server_)),
+      : transport_(testing::ServeInProc()),
         owner_(transport_) {}
 
   /// Ingest `chunks` full chunks of deterministic data; returns uuid.
   uint64_t IngestStream(uint64_t chunks, const net::StreamConfig& config) {
     auto uuid = owner_.CreateStream(config);
     EXPECT_TRUE(uuid.ok()) << uuid.status().ToString();
-    // 10 points per chunk, value = chunk index + 1 (easy oracle sums).
-    for (uint64_t c = 0; c < chunks; ++c) {
-      for (int i = 0; i < 10; ++i) {
-        index::DataPoint p{static_cast<Timestamp>(c * kDelta + i * 1000),
-                           static_cast<int64_t>(c + 1)};
-        EXPECT_TRUE(owner_.InsertRecord(*uuid, p).ok());
-      }
-    }
-    EXPECT_TRUE(owner_.Flush(*uuid).ok());
+    EXPECT_TRUE(IngestChunks(owner_, *uuid, 0, chunks, 10).ok());
     return *uuid;
   }
 
-  static int64_t OracleSum(uint64_t first_chunk, uint64_t last_chunk) {
-    int64_t sum = 0;
-    for (uint64_t c = first_chunk; c < last_chunk; ++c) {
-      sum += 10 * static_cast<int64_t>(c + 1);
-    }
-    return sum;
-  }
-
-  std::shared_ptr<store::MemKvStore> kv_;
-  std::shared_ptr<server::ServerEngine> server_;
   std::shared_ptr<net::Transport> transport_;
   OwnerClient owner_;
 };
-
-TEST_F(E2eTest, OwnerIngestAndStatQuery) {
-  uint64_t uuid = IngestStream(20, HeartRateConfig());
-  auto result = owner_.GetStatRange(uuid, {0, 20 * kDelta});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.Sum().value(), OracleSum(0, 20));
-  EXPECT_EQ(result->stats.Count().value(), 200u);
-  EXPECT_NEAR(result->stats.Mean().value(), OracleSum(0, 20) / 200.0, 1e-9);
-}
-
-// The owner's round trip on the Portable arm (the tests above are its
-// Native one): with the CPU feature table masked, HEAC's leaves and field
-// keys run on the bitsliced software AES, payloads seal on the portable GCM
-// and payload keys on the portable SHA-256.
-class E2eKernels : public test::KernelArms, public E2eTest {};
-INSTANTIATE_TEST_SUITE_P(Kernels, E2eKernels,
-                         ::testing::Values(test::KernelArm::kPortable),
-                         test::KernelArmName);
-
-TEST_P(E2eKernels, HeacIngestThenStatRangeThenRawRange) {
-  uint64_t uuid = IngestStream(20, HeartRateConfig());
-  auto stats = owner_.GetStatRange(uuid, {0, 20 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 20));
-  EXPECT_EQ(stats->stats.Count().value(), 200u);
-  auto points = owner_.GetRange(uuid, {0, 20 * kDelta});
-  ASSERT_TRUE(points.ok()) << points.status().ToString();
-  ASSERT_EQ(points->size(), 200u);
-  for (size_t i = 0; i < points->size(); ++i) {
-    EXPECT_EQ((*points)[i].value, static_cast<int64_t>(i / 10 + 1)) << i;
-  }
-}
-
-TEST_F(E2eTest, UnalignedRangeClipsToChunks) {
-  uint64_t uuid = IngestStream(10, HeartRateConfig());
-  // [15s, 35s) overlaps chunks 1..3 — Δ-granularity is the server-side
-  // minimum (§4.3).
-  auto result = owner_.GetStatRange(uuid, {15 * kSecond, 35 * kSecond});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->first_chunk, 1u);
-  EXPECT_EQ(result->last_chunk, 4u);
-  EXPECT_EQ(result->stats.Sum().value(), OracleSum(1, 4));
-}
-
-TEST_F(E2eTest, OwnerRangeRetrievalDecryptsPayloads) {
-  uint64_t uuid = IngestStream(5, HeartRateConfig());
-  auto points = owner_.GetRange(uuid, {0, 5 * kDelta});
-  ASSERT_TRUE(points.ok()) << points.status().ToString();
-  EXPECT_EQ(points->size(), 50u);
-  EXPECT_EQ((*points)[0].value, 1);
-  EXPECT_EQ(points->back().value, 5);
-}
-
-TEST_F(E2eTest, StatSeriesDecodesPerWindow) {
-  uint64_t uuid = IngestStream(12, HeartRateConfig());
-  auto series = owner_.GetStatSeries(uuid, {0, 12 * kDelta}, 4);
-  ASSERT_TRUE(series.ok());
-  ASSERT_EQ(series->size(), 3u);
-  EXPECT_EQ((*series)[0].stats.Sum().value(), OracleSum(0, 4));
-  EXPECT_EQ((*series)[1].stats.Sum().value(), OracleSum(4, 8));
-  EXPECT_EQ((*series)[2].stats.Sum().value(), OracleSum(8, 12));
-}
 
 TEST_F(E2eTest, FullResolutionGrantConsumerFlow) {
   uint64_t uuid = IngestStream(30, HeartRateConfig());
@@ -282,16 +203,7 @@ TEST_F(E2eTest, OpenGrantExtendsAndRevocationStops) {
 
   // Ingest 2 epochs worth? Epoch default 360 chunks is large; instead rely
   // on ExtendOpenGrants returning 0 until enough data, then grant manually.
-  for (uint64_t c = 0; c < 5; ++c) {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(owner_
-                      .InsertRecord(*uuid, {static_cast<Timestamp>(
-                                                c * kDelta + i * 1000),
-                                            1})
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(owner_.Flush(*uuid).ok());
+  ASSERT_TRUE(IngestChunks(owner_, *uuid, 0, 5, 10).ok());
   auto issued = owner_.ExtendOpenGrants();
   ASSERT_TRUE(issued.ok());
   EXPECT_EQ(*issued, 0);  // epoch not reached yet
@@ -302,37 +214,6 @@ TEST_F(E2eTest, OpenGrantExtendsAndRevocationStops) {
   auto n = consumer.FetchGrants();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0);
-}
-
-TEST_F(E2eTest, MultiStreamAggregate) {
-  auto config_a = HeartRateConfig();
-  config_a.name = "hr/user-a";
-  auto config_b = HeartRateConfig();
-  config_b.name = "hr/user-b";
-  uint64_t a = IngestStream(10, config_a);
-  uint64_t b = IngestStream(10, config_b);
-
-  Principal analyst{"analyst", crypto::GenerateBoxKeyPair()};
-  ASSERT_TRUE(owner_
-                  .GrantAccess(a, analyst.id, analyst.keys.public_key,
-                               {0, 10 * kDelta}, 1)
-                  .ok());
-  ConsumerClient consumer(transport_, analyst);
-  ASSERT_TRUE(consumer.FetchGrants().ok());
-
-  // With only one stream granted, the inter-stream result is undecryptable.
-  auto partial = consumer.GetMultiStatRange({a, b}, {0, 10 * kDelta});
-  EXPECT_EQ(partial.status().code(), StatusCode::kPermissionDenied);
-
-  // Grant the second stream: the combined aggregate decrypts.
-  ASSERT_TRUE(owner_
-                  .GrantAccess(b, analyst.id, analyst.keys.public_key,
-                               {0, 10 * kDelta}, 1)
-                  .ok());
-  ASSERT_TRUE(consumer.FetchGrants().ok());
-  auto combined = consumer.GetMultiStatRange({a, b}, {0, 10 * kDelta});
-  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
-  EXPECT_EQ(combined->stats.Sum().value(), 2 * OracleSum(0, 10));
 }
 
 // Plaintext streams take the consumer's read path too: aggregates open
@@ -391,49 +272,6 @@ TEST_F(E2eTest, ConsumerReadsPlainStreamLikeTheOwner) {
   EXPECT_EQ(consumed_points->back().value, owned_points->back().value);
 }
 
-TEST_F(E2eTest, RollupProducesDecryptableDerivedStream) {
-  uint64_t uuid = IngestStream(24, HeartRateConfig());
-  auto rollup = owner_.RollupStream(uuid, /*granularity_chunks=*/6);
-  ASSERT_TRUE(rollup.ok()) << rollup.status().ToString();
-
-  // The derived stream has 4 chunks of 6x the source Δ; stats match.
-  auto result = owner_.GetStatRange(*rollup, {0, 24 * kDelta});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.Sum().value(), OracleSum(0, 24));
-
-  auto window = owner_.GetStatRange(*rollup, {0, 6 * kDelta});
-  ASSERT_TRUE(window.ok());
-  EXPECT_EQ(window->stats.Sum().value(), OracleSum(0, 6));
-}
-
-TEST_F(E2eTest, DeleteRangeKeepsDigests) {
-  uint64_t uuid = IngestStream(10, HeartRateConfig());
-  ASSERT_TRUE(owner_.DeleteRange(uuid, {0, 5 * kDelta}).ok());
-
-  // Raw data over the deleted range is gone...
-  auto points = owner_.GetRange(uuid, {0, 5 * kDelta});
-  ASSERT_TRUE(points.ok());
-  EXPECT_TRUE(points->empty());
-  // ...but statistics still answer (Table 1 row 7).
-  auto stats = owner_.GetStatRange(uuid, {0, 10 * kDelta});
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 10));
-}
-
-TEST_F(E2eTest, GapsProduceEmptyChunks) {
-  auto uuid = owner_.CreateStream(HeartRateConfig());
-  ASSERT_TRUE(uuid.ok());
-  ASSERT_TRUE(owner_.InsertRecord(*uuid, {1000, 5}).ok());
-  // Jump over 3 chunk windows.
-  ASSERT_TRUE(owner_.InsertRecord(*uuid, {4 * kDelta + 500, 7}).ok());
-  ASSERT_TRUE(owner_.Flush(*uuid).ok());
-
-  auto result = owner_.GetStatRange(*uuid, {0, 5 * kDelta});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.Sum().value(), 12);
-  EXPECT_EQ(result->stats.Count().value(), 2u);
-}
-
 TEST_F(E2eTest, ServerRejectsBadRequests) {
   EXPECT_FALSE(owner_.GetStatRange(999, {0, 100}).ok());  // unknown stream
   uint64_t uuid = IngestStream(3, HeartRateConfig());
@@ -454,50 +292,6 @@ TEST_F(E2eTest, HistogramStatsFlowEndToEnd) {
   EXPECT_EQ(result->stats.MinBinLow().value(), 0);
   EXPECT_EQ(result->stats.MaxBinHigh().value(), 100);
   EXPECT_GE(result->stats.Variance().value(), 0.0);
-}
-
-// The same end-to-end flow over real TCP sockets.
-TEST(E2eTcp, FullFlowOverTcp) {
-  auto kv = std::make_shared<store::MemKvStore>();
-  auto engine = std::make_shared<server::ServerEngine>(kv);
-  net::TcpServer server(engine, 0);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto client = net::TcpClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  std::shared_ptr<net::Transport> transport = std::move(*client);
-  OwnerClient owner(transport);
-
-  auto uuid = owner.CreateStream(HeartRateConfig());
-  ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
-  for (uint64_t c = 0; c < 6; ++c) {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(owner
-                      .InsertRecord(*uuid, {static_cast<Timestamp>(
-                                                c * kDelta + i * 1000),
-                                            static_cast<int64_t>(c + 1)})
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(owner.Flush(*uuid).ok());
-
-  auto stats = owner.GetStatRange(*uuid, {0, 6 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Count().value(), 60u);
-
-  Principal alice{"alice", crypto::GenerateBoxKeyPair()};
-  ASSERT_TRUE(owner
-                  .GrantAccess(*uuid, alice.id, alice.keys.public_key,
-                               {0, 6 * kDelta}, 2)
-                  .ok());
-  ConsumerClient consumer(transport, alice);
-  ASSERT_TRUE(consumer.FetchGrants().ok());
-  auto agg = consumer.GetStatRange(*uuid, {0, 6 * kDelta});
-  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-  EXPECT_EQ(agg->stats.Count().value(), 60u);
-  EXPECT_FALSE(consumer.GetStatRange(*uuid, {0, kDelta}).ok());
-
-  server.Stop();
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include "store/fault_kv.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
+#include "tests/temp_logs.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc {
@@ -26,19 +28,10 @@ using client::Principal;
 using store::FaultKvStore;
 using store::FaultOptions;
 
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::kDelta;
 
 net::StreamConfig SmallConfig() {
-  net::StreamConfig c;
-  c.name = "fault/stream";
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  c.compression = 1;
-  return c;
+  return testing::HeacConfig("fault/stream");
 }
 
 /// Owner + server wired through a FaultKvStore.
@@ -51,14 +44,7 @@ struct FaultRig {
         owner(transport, std::move(owner_opts)) {}
 
   Status IngestChunks(uint64_t uuid, uint64_t first, uint64_t count) {
-    for (uint64_t c = first; c < first + count; ++c) {
-      for (int i = 0; i < 5; ++i) {
-        TC_RETURN_IF_ERROR(owner.InsertRecord(
-            uuid, {static_cast<Timestamp>(c * kDelta + i * 1000),
-                   static_cast<int64_t>(c + 1)}));
-      }
-    }
-    return owner.Flush(uuid);
+    return testing::IngestChunks(owner, uuid, first, count);
   }
 
   std::shared_ptr<store::MemKvStore> mem;
@@ -160,8 +146,7 @@ TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
   // until its first fault a run makes the fault-free run's writes, so
   // every write of the upload fails once on the way.
   constexpr uint64_t kChunks = 40;
-  int64_t sum = 0;
-  for (uint64_t c = 0; c < kChunks; ++c) sum += 5 * static_cast<int64_t>(c + 1);
+  const int64_t sum = testing::OracleSum(0, kChunks);
 
   for (uint64_t nth = 5;; ++nth) {
     SCOPED_TRACE("every " + std::to_string(nth) + "th write fails");
@@ -305,14 +290,13 @@ TEST(FaultInjection, CorruptedDigestDecryptsToWrongValueSilently) {
 }
 
 TEST(FaultInjection, LogStoreSurvivesReopenAfterPartialWrite) {
-  std::string path = ::testing::TempDir() + "/fault_log_kv.bin";
-  std::remove(path.c_str());
+  testing::TempLogs logs;
+  const std::string path = logs.Path("log");
   {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Put("a", ToBytes("alpha")).ok());
-    ASSERT_TRUE((*log)->Put("b", ToBytes("bravo")).ok());
-    ASSERT_TRUE((*log)->Sync().ok());
+    auto log = logs.Open("log");
+    ASSERT_TRUE(log->Put("a", ToBytes("alpha")).ok());
+    ASSERT_TRUE(log->Put("b", ToBytes("bravo")).ok());
+    ASSERT_TRUE(log->Sync().ok());
   }
   // Truncate mid-record: append garbage that looks like a cut-off record.
   {
@@ -328,7 +312,6 @@ TEST(FaultInjection, LogStoreSurvivesReopenAfterPartialWrite) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(ToString(*a), "alpha");
   EXPECT_TRUE((*reopened)->Contains("b"));
-  std::remove(path.c_str());
 }
 
 TEST(FaultInjection, GrantFetchDuringOutageFailsCleanly) {

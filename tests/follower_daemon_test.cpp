@@ -26,6 +26,7 @@
 #include "cluster/shard_router.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "crypto/rand.hpp"
 #include "net/metrics_http.hpp"
 #include "replica/coordinator.hpp"
 #include "replica/follower_daemon.hpp"
@@ -33,6 +34,7 @@
 #include "net/tcp.hpp"
 #include "store/mem_kv.hpp"
 #include "temp_logs.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
@@ -44,40 +46,12 @@ using replica::FollowerDaemon;
 using replica::FollowerDaemonOptions;
 using replica::PrimaryCoordinator;
 using replica::ReplicaSet;
+using testing::HeacConfig;
+using testing::HttpGet;
+using testing::IngestChunks;
+using testing::kDelta;
+using testing::OracleSum;
 using testing::TempLogs;
-
-constexpr DurationMs kDelta = 10 * kSecond;
-
-net::StreamConfig HeacConfig(const std::string& name, bool integrity) {
-  net::StreamConfig c;
-  c.name = name;
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  c.integrity = integrity;
-  return c;
-}
-
-Status IngestChunks(OwnerClient& owner, uint64_t uuid, uint64_t first,
-                    uint64_t count) {
-  for (uint64_t c = first; c < first + count; ++c) {
-    for (int i = 0; i < 5; ++i) {
-      TC_RETURN_IF_ERROR(owner.InsertRecord(
-          uuid, {static_cast<Timestamp>(c * kDelta + i * 1000),
-                 static_cast<int64_t>(c + 1)}));
-    }
-  }
-  return owner.Flush(uuid);
-}
-
-int64_t OracleSum(uint64_t first, uint64_t last) {
-  int64_t sum = 0;
-  for (uint64_t c = first; c < last; ++c) sum += 5 * (c + 1);
-  return sum;
-}
 
 Result<std::shared_ptr<net::Transport>> Dial(uint16_t port) {
   auto client = net::TcpClient::Connect("127.0.0.1", port);
@@ -93,37 +67,6 @@ bool PollUntil(const std::function<bool()>& done, int64_t timeout_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
   return done();
-}
-
-std::string HttpGet(uint16_t port, const std::string& path) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      return {};
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
 }
 
 std::shared_ptr<ReplicaSet> MakeSet(std::shared_ptr<store::LogKvStore> log,
@@ -824,9 +767,13 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
 
   // Everything the client does below carries this trace id in the frame
   // header; high bits far outside the (conn_serial << 32) | request_id
-  // space derived traces live in.
-  constexpr uint64_t kIngestTrace = 0xfeed0001dead0001ull;
-  metrics::SetCurrentTraceContext({kIngestTrace, 0});
+  // space derived traces live in. Both ids are drawn fresh, so a repeated
+  // run does not collect the spans of an earlier one.
+  const auto fresh_trace_id = [] {
+    return 0xfeed000000000000ull | (crypto::RandomU64() >> 16);
+  };
+  const uint64_t ingest_trace = fresh_trace_id();
+  metrics::SetCurrentTraceContext({ingest_trace, 0});
 
   // One stream pinned (by creation retry) to each shard.
   uint64_t on_shard[2] = {0, 0};
@@ -847,8 +794,8 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
 
   // A genuinely scattered read under a second trace id: MultiStatRange
   // over streams on different shards fans out through the shard channels.
-  constexpr uint64_t kQueryTrace = 0xfeed0002dead0002ull;
-  metrics::SetCurrentTraceContext({kQueryTrace, 0});
+  const uint64_t query_trace = fresh_trace_id();
+  metrics::SetCurrentTraceContext({query_trace, 0});
   net::MultiStatRangeRequest multi{{on_shard[0], on_shard[1]},
                                    {0, 4 * kDelta}};
   auto scattered =
@@ -868,11 +815,11 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
 
   // The scatter trace: exactly one root (the router dispatch the client's
   // frame header parented at 0), with direct children on both shards.
-  auto query_spans = fetch(kQueryTrace);
+  auto query_spans = fetch(query_trace);
   ASSERT_FALSE(query_spans.empty());
   std::set<uint64_t> ids;
   for (const auto& s : query_spans) {
-    EXPECT_EQ(s.trace_id, kQueryTrace);
+    EXPECT_EQ(s.trace_id, query_trace);
     ids.insert(s.span_id);
   }
   const net::TraceInfoResponse::Span* root = nullptr;
@@ -895,7 +842,7 @@ TEST(FollowerDaemonE2E, TraceStitchesRouterShardsAndFollowerUnderOneId) {
   // The ingest trace: the daemon's replica_apply spans adopted the shipped
   // context — same trace id as the client's inserts, parented under a
   // primary-side span that is itself in the trace.
-  auto ingest_spans = fetch(kIngestTrace);
+  auto ingest_spans = fetch(ingest_trace);
   std::set<uint64_t> ingest_ids;
   for (const auto& s : ingest_spans) ingest_ids.insert(s.span_id);
   std::set<uint32_t> apply_shards;

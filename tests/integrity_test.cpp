@@ -12,6 +12,7 @@
 #include "server/server_engine.hpp"
 #include "store/fault_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
@@ -25,7 +26,13 @@ using integrity::Hash;
 using integrity::LeafHash;
 using integrity::MerkleTree;
 
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::IngestChunks;
+using testing::kDelta;
+using testing::OracleSum;
+
+net::StreamConfig IntegrityConfig() {
+  return testing::HeacConfig("vitals/verified", /*integrity=*/true);
+}
 
 // ------------------------------------------------------------ Merkle tree
 
@@ -370,51 +377,21 @@ TEST(Attestation, VerifyChunkBindsAllWitnessFields) {
 
 // ------------------------------------------------------------ end to end
 
-net::StreamConfig IntegrityConfig() {
-  net::StreamConfig c;
-  c.name = "vitals/verified";
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  c.integrity = true;
-  return c;
-}
-
 class IntegrityE2eTest : public ::testing::Test {
  protected:
   IntegrityE2eTest()
       : kv_(std::make_shared<store::MemKvStore>()),
-        server_(std::make_shared<server::ServerEngine>(kv_)),
-        transport_(std::make_shared<net::InProcTransport>(server_)),
+        transport_(testing::ServeInProc(kv_)),
         owner_(transport_) {}
 
   uint64_t Ingest(uint64_t chunks) {
     auto uuid = owner_.CreateStream(IntegrityConfig());
     EXPECT_TRUE(uuid.ok());
-    for (uint64_t c = 0; c < chunks; ++c) {
-      for (int i = 0; i < 5; ++i) {
-        EXPECT_TRUE(owner_
-                        .InsertRecord(*uuid, {static_cast<Timestamp>(
-                                                  c * kDelta + i * 1000),
-                                              static_cast<int64_t>(c + 1)})
-                        .ok());
-      }
-    }
-    EXPECT_TRUE(owner_.Flush(*uuid).ok());
+    EXPECT_TRUE(IngestChunks(owner_, *uuid, 0, chunks).ok());
     return *uuid;
   }
 
-  static int64_t OracleSum(uint64_t first, uint64_t last) {
-    int64_t sum = 0;
-    for (uint64_t c = first; c < last; ++c) sum += 5 * (c + 1);
-    return sum;
-  }
-
   std::shared_ptr<store::MemKvStore> kv_;
-  std::shared_ptr<server::ServerEngine> server_;
   std::shared_ptr<net::Transport> transport_;
   OwnerClient owner_;
 };
@@ -532,16 +509,7 @@ TEST_F(IntegrityE2eTest, OlderAttestationStillVerifiesItsPrefix) {
   EXPECT_EQ(old_att->size, 8u);
 
   // Keep ingesting past the attestation.
-  for (uint64_t c = 8; c < 14; ++c) {
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(owner_
-                      .InsertRecord(uuid, {static_cast<Timestamp>(
-                                               c * kDelta + i * 1000),
-                                           static_cast<int64_t>(c + 1)})
-                      .ok());
-    }
-  }
-  ASSERT_TRUE(owner_.Flush(uuid).ok());
+  ASSERT_TRUE(IngestChunks(owner_, uuid, 8, 6).ok());
 
   // A verified read against the *old* attestation's prefix still succeeds
   // (RootAt/Proof-at-size machinery): server proves against size 8.

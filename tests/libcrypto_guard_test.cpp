@@ -25,11 +25,12 @@
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
 #include "tests/kernel_arms.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc::client {
 namespace {
 
-constexpr uint64_t kDelta = 1000;
+using testing::kDelta;
 
 /// The file names of the objects loaded into this process.
 std::vector<std::string> LoadedObjects() {
@@ -84,17 +85,11 @@ TEST_P(LibcryptoGuardPaths, OwnerAndConsumerRunWithoutLibcrypto) {
   // Positive control: the walk sees the objects the binary does link.
   ASSERT_TRUE(Loaded("libz")) << "dl_iterate_phdr saw no libz";
 
-  auto server = std::make_shared<server::ServerEngine>(
-      std::make_shared<store::MemKvStore>());
-  auto transport = std::make_shared<net::InProcTransport>(server);
+  auto transport = testing::ServeInProc();
   OwnerClient owner(transport);
 
-  net::StreamConfig config;
-  config.name = "guard/stream";
-  config.delta_ms = kDelta;
-  config.cipher = net::CipherKind::kHeac;
-  config.integrity = true;
-  auto uuid = owner.CreateStream(config);
+  auto uuid = owner.CreateStream(
+      testing::HeacConfig("guard/stream", /*integrity=*/true));
   ASSERT_TRUE(uuid.ok()) << uuid.status().ToString();
   for (int i = 0; i < 40; ++i) {
     const auto ts = static_cast<Timestamp>(i * kDelta / 4);

@@ -25,9 +25,12 @@
 #include "net/metrics_http.hpp"
 #include "net/tcp.hpp"
 #include "net/wire.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc::net {
 namespace {
+
+using testing::HttpGet;
 
 TEST(Wire, ResponseBodyRoundTripOk) {
   Bytes payload = ToBytes("result");
@@ -1248,39 +1251,6 @@ TEST(Tcp, TraceContextPropagatesAcrossLoopback) {
   EXPECT_NE(seen[1].trace_id, 0xabc123u);
   EXPECT_EQ(seen[1].parent_span_id, 0u);
   server.Stop();
-}
-
-/// Raw HTTP/1.0 GET against a loopback port; returns the full response
-/// (headers + body) or empty on any socket failure.
-std::string HttpGet(uint16_t port, const std::string& path) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      return {};
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
 }
 
 TEST(MetricsHttp, ScrapeServesValidPrometheusExposition) {

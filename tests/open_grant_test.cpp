@@ -6,8 +6,7 @@
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
-#include "server/server_engine.hpp"
-#include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
@@ -16,43 +15,28 @@ using client::ConsumerClient;
 using client::OwnerClient;
 using client::Principal;
 
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::kDelta;
 constexpr uint64_t kEpoch = 4;  // chunks per epoch (small for the tests)
 
 net::StreamConfig Config() {
-  net::StreamConfig c;
-  c.name = "subscription/stream";
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  return c;
+  return testing::HeacConfig("subscription/stream");
 }
 
 class OpenGrantTest : public ::testing::Test {
  protected:
   OpenGrantTest()
-      : kv_(std::make_shared<store::MemKvStore>()),
-        server_(std::make_shared<server::ServerEngine>(kv_)),
-        transport_(std::make_shared<net::InProcTransport>(server_)),
+      : transport_(testing::ServeInProc()),
         owner_(transport_, [] {
           client::OwnerOptions o;
           o.open_grant_epoch_chunks = kEpoch;
           return o;
         }()) {}
 
+  /// Chunks [first, first + count), one point each.
   Status IngestChunks(uint64_t uuid, uint64_t first, uint64_t count) {
-    for (uint64_t c = first; c < first + count; ++c) {
-      TC_RETURN_IF_ERROR(owner_.InsertRecord(
-          uuid, {static_cast<Timestamp>(c * kDelta), 1}));
-    }
-    return owner_.Flush(uuid);
+    return testing::IngestChunks(owner_, uuid, first, count, /*points=*/1);
   }
 
-  std::shared_ptr<store::MemKvStore> kv_;
-  std::shared_ptr<server::ServerEngine> server_;
   std::shared_ptr<net::Transport> transport_;
   OwnerClient owner_;
 };

@@ -29,6 +29,7 @@
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
 #include "temp_logs.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
@@ -45,44 +46,18 @@ using replica::ReplicaSetOptions;
 using store::LogHead;
 using store::LogKvStore;
 using store::LogPosition;
+using testing::HeacConfig;
+using testing::IngestChunks;
+using testing::kDelta;
+using testing::OracleSum;
+using testing::PlainConfig;
 using testing::TempLogs;
 
-constexpr DurationMs kDelta = 10 * kSecond;
-
-net::StreamConfig HeacConfig(const std::string& name) {
-  net::StreamConfig c;
-  c.name = name;
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  return c;
-}
-
-net::StreamConfig PlainConfig(const std::string& name) {
-  auto c = HeacConfig(name);
-  c.cipher = net::CipherKind::kPlain;
-  return c;
-}
-
-Status IngestChunks(OwnerClient& owner, uint64_t uuid, uint64_t first,
-                    uint64_t count) {
-  for (uint64_t c = first; c < first + count; ++c) {
-    for (int i = 0; i < 5; ++i) {
-      TC_RETURN_IF_ERROR(owner.InsertRecord(
-          uuid, {static_cast<Timestamp>(c * kDelta + i * 1000),
-                 static_cast<int64_t>(c + 1)}));
-    }
-  }
-  return owner.Flush(uuid);
-}
-
-int64_t OracleSum(uint64_t first, uint64_t last) {
-  int64_t sum = 0;
-  for (uint64_t c = first; c < last; ++c) sum += 5 * (c + 1);
-  return sum;
+/// Creates the plaintext stream 42.
+Status CreatePlainStream(net::RequestHandler& handler, const std::string& name) {
+  net::CreateStreamRequest create{42, PlainConfig(name)};
+  return handler.Handle(net::MessageType::kCreateStream, create.Encode())
+      .status();
 }
 
 /// Plain digests of `chunks` chunks of stream 42, inserted one per request.
@@ -804,9 +779,7 @@ TEST(ReplicaApplier, ReadRefreshesAfterACopyFromTheStart) {
     auto primary_log = logs.Open(name);
     ASSERT_TRUE(primary_log->StartGeneration().ok());
     server::ServerEngine primary(primary_log);
-    net::CreateStreamRequest create{42, PlainConfig("copied")};
-    ASSERT_TRUE(
-        primary.Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+    ASSERT_TRUE(CreatePlainStream(primary, "copied").ok());
     ASSERT_TRUE(InsertPlainChunks(primary, 0, chunks).ok());
     const uint64_t gen = primary_log->Head().generation.id;
     Bytes all = *primary_log->ReadLog(gen, 0, 1 << 20);
@@ -1001,9 +974,7 @@ TEST(ReplicaSet, LaggingReplicaIsSkippedUntilCaughtUp) {
   std::filesystem::create_directory(logs.Path("r0") + ".copy");
   auto set = MakeSet(logs.Open("p"), {follower});
 
-  net::CreateStreamRequest create{42, PlainConfig("lagging")};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(CreatePlainStream(*set, "lagging").ok());
   ASSERT_TRUE(InsertPlainChunks(*set, 0, 4).ok());
   net::StatRangeRequest stat{42, {0, 4 * kDelta}};
   auto resp = set->HandleRead(net::MessageType::kGetStatRange, stat.Encode());
@@ -1210,9 +1181,7 @@ TEST(Failover, AutoFailoverPromotesWhenPrimaryStoreDies) {
   options.failover.takeover_ms = 40;
   auto set = MakeSet(primary, {logs.Open("r0"), logs.Open("r1")}, options);
 
-  net::CreateStreamRequest create{42, PlainConfig("auto")};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(CreatePlainStream(*set, "auto").ok());
   ASSERT_TRUE(InsertPlainChunks(*set, 0, 6).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_EQ(set->promotions(), 0u);
@@ -1259,9 +1228,7 @@ TEST(Failover, RemoteFollowersAreReHomedByPromotion) {
       StatusCode::kAlreadyExists);
   EXPECT_EQ(set->num_remote_followers(), 1u);
 
-  net::CreateStreamRequest create{42, PlainConfig("rehome")};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(CreatePlainStream(*set, "rehome").ok());
   ASSERT_TRUE(InsertPlainChunks(*set, 0, 4).ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_GT(applier->position().length, 0u);
@@ -1290,9 +1257,7 @@ TEST(Failover, QuiescentReRegistrationOverAWipedLogCopiesIt) {
   auto remote = std::make_shared<replica::RemoteFollower>(
       std::make_shared<net::InProcTransport>(swap));
   ASSERT_TRUE(set->AddRemoteFollower(remote, "127.0.0.1:7002", {}).ok());
-  net::CreateStreamRequest create{42, PlainConfig("quiescent")};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(CreatePlainStream(*set, "quiescent").ok());
   ASSERT_TRUE(set->WaitCaughtUp().ok());
   EXPECT_GT(f1->Size(), 0u);
   EXPECT_EQ(set->full_copies(), 1u);
@@ -1337,9 +1302,7 @@ TEST(Failover, PromoteElectsTheMostCaughtUpReplica) {
   auto set =
       MakeSet(logs.Open("p"), {logs.Open("r0"), logs.Open("r1")}, options);
 
-  net::CreateStreamRequest create{42, PlainConfig("elected")};
-  ASSERT_TRUE(
-      set->Handle(net::MessageType::kCreateStream, create.Encode()).ok());
+  ASSERT_TRUE(CreatePlainStream(*set, "elected").ok());
   ASSERT_TRUE(InsertPlainChunks(*set, 0, 6).ok());
   ASSERT_TRUE(set->DropPrimary().ok());
   ASSERT_TRUE(set->Promote().ok());

@@ -3,167 +3,43 @@
 // its stream registry, index positions, and witness trees from the KV; the
 // producer re-attaches with its exported master seed and keeps ingesting
 // the *same* keystream (decryption across the restart boundary must
-// telescope seamlessly).
+// telescope seamlessly). Recovery of streams, grants and witnesses under a
+// seeded workload, sharded too, is tests/scenario_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 
-#include "client/consumer.hpp"
 #include "client/owner.hpp"
-#include "cluster/shard_router.hpp"
 #include "common/logging.hpp"
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
+#include "tests/temp_logs.hpp"
 
 namespace tc {
 namespace {
 
-using client::ConsumerClient;
 using client::OwnerClient;
-using client::Principal;
-
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::IngestChunks;
+using testing::kDelta;
+using testing::OracleSum;
 
 net::StreamConfig RestartConfig() {
-  net::StreamConfig c;
-  c.name = "restart/stream";
-  c.t0 = 0;
-  c.delta_ms = kDelta;
-  c.schema.with_sum = true;
-  c.schema.with_count = true;
-  c.cipher = net::CipherKind::kHeac;
-  c.fanout = 4;
-  return c;
-}
-
-Status IngestChunks(OwnerClient& owner, uint64_t uuid, uint64_t first,
-                    uint64_t count) {
-  for (uint64_t c = first; c < first + count; ++c) {
-    for (int i = 0; i < 5; ++i) {
-      TC_RETURN_IF_ERROR(owner.InsertRecord(
-          uuid, {static_cast<Timestamp>(c * kDelta + i * 1000),
-                 static_cast<int64_t>(c + 1)}));
-    }
-  }
-  return owner.Flush(uuid);
-}
-
-int64_t OracleSum(uint64_t first, uint64_t last) {
-  int64_t sum = 0;
-  for (uint64_t c = first; c < last; ++c) sum += 5 * (c + 1);
-  return sum;
-}
-
-TEST(Restart, ServerRecoversStreamsFromDurableStore) {
-  std::string path = ::testing::TempDir() + "/restart_server.log";
-  std::remove(path.c_str());
-  uint64_t uuid = 0;
-  crypto::Key128 seed{};
-
-  {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::KvStore> kv = std::move(*log);
-    auto server = std::make_shared<server::ServerEngine>(kv);
-    auto transport = std::make_shared<net::InProcTransport>(server);
-    OwnerClient owner(transport);
-    auto created = owner.CreateStream(RestartConfig());
-    ASSERT_TRUE(created.ok());
-    uuid = *created;
-    ASSERT_TRUE(IngestChunks(owner, uuid, 0, 10).ok());
-    seed = owner.KeysFor(uuid).value()->master_seed();
-  }  // server + store torn down
-
-  // Second life: a fresh engine over the same log must see the stream.
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  EXPECT_EQ(server->NumStreams(), 1u);
-
-  auto transport = std::make_shared<net::InProcTransport>(server);
-  OwnerClient owner(transport);
-  ASSERT_TRUE(owner.AttachStream(uuid, seed).ok());
-  EXPECT_EQ(owner.NumChunks(uuid).value(), 10u);
-
-  // Queries over pre-restart data decrypt.
-  auto stats = owner.GetStatRange(uuid, {0, 10 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 10));
-
-  // Ingest continues where it left off; a range spanning the restart
-  // boundary telescopes across old and new chunks.
-  ASSERT_TRUE(IngestChunks(owner, uuid, 10, 6).ok());
-  auto spanning = owner.GetStatRange(uuid, {5 * kDelta, 16 * kDelta});
-  ASSERT_TRUE(spanning.ok()) << spanning.status().ToString();
-  EXPECT_EQ(spanning->stats.Sum().value(), OracleSum(5, 16));
-
-  std::remove(path.c_str());
-}
-
-TEST(Restart, RecoveredServerServesConsumersAndRawReads) {
-  std::string path = ::testing::TempDir() + "/restart_consumer.log";
-  std::remove(path.c_str());
-  uint64_t uuid = 0;
-  Principal alice{"alice", crypto::GenerateBoxKeyPair()};
-
-  {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::KvStore> kv = std::move(*log);
-    auto server = std::make_shared<server::ServerEngine>(kv);
-    auto transport = std::make_shared<net::InProcTransport>(server);
-    OwnerClient owner(transport);
-    auto created = owner.CreateStream(RestartConfig());
-    ASSERT_TRUE(created.ok());
-    uuid = *created;
-    ASSERT_TRUE(IngestChunks(owner, uuid, 0, 8).ok());
-    // The grant (sealed key material in the key store) must also survive.
-    ASSERT_TRUE(owner
-                    .GrantAccess(uuid, alice.id, alice.keys.public_key,
-                                 {0, 8 * kDelta}, 1)
-                    .ok());
-  }
-
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  auto transport = std::make_shared<net::InProcTransport>(server);
-
-  ConsumerClient consumer(transport, alice);
-  auto n = consumer.FetchGrants();
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  ASSERT_EQ(*n, 1);
-  auto stats = consumer.GetStatRange(uuid, {0, 8 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 8));
-  auto points = consumer.GetRange(uuid, {0, 3 * kDelta});
-  ASSERT_TRUE(points.ok());
-  EXPECT_EQ(points->size(), 15u);
-
-  std::remove(path.c_str());
+  return testing::HeacConfig("restart/stream");
 }
 
 TEST(Restart, WitnessTreeRebuiltForIntegrityStreams) {
-  std::string path = ::testing::TempDir() + "/restart_integrity.log";
-  std::remove(path.c_str());
+  testing::TempLogs logs;
   uint64_t uuid = 0;
   Bytes signing_public;
   Bytes attestation_blob;
 
   {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::KvStore> kv = std::move(*log);
-    auto server = std::make_shared<server::ServerEngine>(kv);
-    auto transport = std::make_shared<net::InProcTransport>(server);
+    auto transport = testing::ServeInProc(logs.Open("log"));
     OwnerClient owner(transport);
-    auto config = RestartConfig();
-    config.integrity = true;
-    auto created = owner.CreateStream(config);
+    auto created = owner.CreateStream(
+        testing::HeacConfig("restart/stream", /*integrity=*/true));
     ASSERT_TRUE(created.ok());
     uuid = *created;
     ASSERT_TRUE(IngestChunks(owner, uuid, 0, 9).ok());
@@ -175,11 +51,7 @@ TEST(Restart, WitnessTreeRebuiltForIntegrityStreams) {
 
   // The recovered engine recomputes the witness tree from stored
   // ciphertexts; proofs against the pre-restart attestation must verify.
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  auto transport = std::make_shared<net::InProcTransport>(server);
+  auto transport = testing::ServeInProc(logs.Open("log"));
 
   auto attestation = integrity::Attestation::Decode(attestation_blob);
   ASSERT_TRUE(attestation.ok());
@@ -200,32 +72,24 @@ TEST(Restart, WitnessTreeRebuiltForIntegrityStreams) {
                     .ok())
         << "chunk " << e.chunk_index;
   }
-
-  std::remove(path.c_str());
 }
 
 TEST(Restart, ReattachedProducerCanStillAttest) {
   // A producer restarting must rebuild its witness history (proof-less
   // bulk read, cross-checked against its previous attestation) so that
   // new attestations keep covering the whole stream.
-  std::string path = ::testing::TempDir() + "/restart_attest.log";
-  std::remove(path.c_str());
+  testing::TempLogs logs;
   uint64_t uuid = 0;
   crypto::Key128 seed{};
   crypto::SigningKeyPair signing = crypto::GenerateSigningKeyPair();
 
   {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::KvStore> kv = std::move(*log);
-    auto server = std::make_shared<server::ServerEngine>(kv);
-    auto transport = std::make_shared<net::InProcTransport>(server);
+    auto transport = testing::ServeInProc(logs.Open("log"));
     client::OwnerOptions options;
     options.signing = signing;
     OwnerClient owner(transport, options);
-    auto config = RestartConfig();
-    config.integrity = true;
-    auto created = owner.CreateStream(config);
+    auto created = owner.CreateStream(
+        testing::HeacConfig("restart/stream", /*integrity=*/true));
     ASSERT_TRUE(created.ok());
     uuid = *created;
     ASSERT_TRUE(IngestChunks(owner, uuid, 0, 7).ok());
@@ -233,11 +97,7 @@ TEST(Restart, ReattachedProducerCanStillAttest) {
     seed = owner.KeysFor(uuid).value()->master_seed();
   }
 
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  auto transport = std::make_shared<net::InProcTransport>(server);
+  auto transport = testing::ServeInProc(logs.Open("log"));
   client::OwnerOptions options;
   options.signing = signing;  // the SAME long-term identity
   OwnerClient owner(transport, options);
@@ -253,8 +113,6 @@ TEST(Restart, ReattachedProducerCanStillAttest) {
   auto verified = owner.GetVerifiedStatRange(uuid, {0, 12 * kDelta});
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   EXPECT_EQ(verified->stats.Sum().value(), OracleSum(0, 12));
-
-  std::remove(path.c_str());
 }
 
 TEST(Restart, ReattachRejectsTamperedWitnessHistory) {
@@ -271,9 +129,8 @@ TEST(Restart, ReattachRejectsTamperedWitnessHistory) {
   crypto::Key128 seed{};
   {
     OwnerClient owner(transport, options);
-    auto config = RestartConfig();
-    config.integrity = true;
-    auto created = owner.CreateStream(config);
+    auto created = owner.CreateStream(
+        testing::HeacConfig("restart/stream", /*integrity=*/true));
     ASSERT_TRUE(created.ok());
     uuid = *created;
     ASSERT_TRUE(IngestChunks(owner, uuid, 0, 4).ok());
@@ -395,15 +252,10 @@ INSTANTIATE_TEST_SUITE_P(Causes, RefusedStream,
                          });
 
 TEST(Restart, DeletedStreamsStayDeletedAfterRestart) {
-  std::string path = ::testing::TempDir() + "/restart_deleted.log";
-  std::remove(path.c_str());
+  testing::TempLogs logs;
   uint64_t kept = 0, dropped = 0;
   {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::KvStore> kv = std::move(*log);
-    auto server = std::make_shared<server::ServerEngine>(kv);
-    auto transport = std::make_shared<net::InProcTransport>(server);
+    auto transport = testing::ServeInProc(logs.Open("log"));
     OwnerClient owner(transport);
     auto a = owner.CreateStream(RestartConfig());
     auto config_b = RestartConfig();
@@ -417,147 +269,11 @@ TEST(Restart, DeletedStreamsStayDeletedAfterRestart) {
     ASSERT_TRUE(owner.DeleteStream(dropped).ok());
   }
 
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
+  std::shared_ptr<store::KvStore> kv = logs.Open("log");
   auto server = std::make_shared<server::ServerEngine>(kv);
   EXPECT_EQ(server->NumStreams(), 1u);
   EXPECT_TRUE(server->GetIndexForTesting(kept).ok());
   EXPECT_FALSE(server->GetIndexForTesting(dropped).ok());
-
-  std::remove(path.c_str());
-}
-
-/// Build an N-shard log-backed cluster over per-shard log files (the
-/// tcserver --shards --store log deployment).
-Result<std::shared_ptr<cluster::ShardRouter>> OpenShardedCluster(
-    const std::string& base_path, size_t shards) {
-  std::vector<std::shared_ptr<server::ServerEngine>> engines;
-  for (size_t i = 0; i < shards; ++i) {
-    auto log = store::LogKvStore::Open(base_path + ".shard" +
-                                       std::to_string(i));
-    TC_RETURN_IF_ERROR(log.status());
-    server::ServerOptions options;
-    options.shard_id = static_cast<uint32_t>(i);
-    engines.push_back(std::make_shared<server::ServerEngine>(
-        std::shared_ptr<store::KvStore>(std::move(*log)), options));
-  }
-  return std::make_shared<cluster::ShardRouter>(engines);
-}
-
-TEST(Restart, ShardedClusterRecoversStreamsGrantsAndWitnesses) {
-  // Kill and reopen a multi-shard log-backed deployment: every stream must
-  // land on the same shard (placement is a pure uuid hash), with grants,
-  // witness trees, and query results identical across the restart.
-  constexpr size_t kShards = 3;
-  std::string base = ::testing::TempDir() + "/restart_sharded.log";
-  for (size_t i = 0; i < kShards; ++i) {
-    std::remove((base + ".shard" + std::to_string(i)).c_str());
-  }
-
-  Principal alice{"alice", crypto::GenerateBoxKeyPair()};
-  crypto::SigningKeyPair signing = crypto::GenerateSigningKeyPair();
-  std::vector<uint64_t> uuids;
-  std::vector<size_t> placement;
-  crypto::Key128 seed{};
-  uint64_t attested_uuid = 0;
-  Bytes attestation_blob;
-
-  {
-    auto router = OpenShardedCluster(base, kShards);
-    ASSERT_TRUE(router.ok());
-    auto transport = std::make_shared<net::InProcTransport>(*router);
-    client::OwnerOptions options;
-    options.signing = signing;
-    // Batched uploads through the router must survive restart like any
-    // other ingest path.
-    options.upload_batch_chunks = 4;
-    OwnerClient owner(transport, options);
-
-    for (int s = 0; s < 5; ++s) {
-      auto config = RestartConfig();
-      config.name = "restart/shard" + std::to_string(s);
-      config.integrity = (s == 0);
-      auto created = owner.CreateStream(config);
-      ASSERT_TRUE(created.ok());
-      uuids.push_back(*created);
-      placement.push_back((*router)->ShardOf(*created));
-      ASSERT_TRUE(IngestChunks(owner, *created, 0, 8).ok());
-      ASSERT_TRUE(owner
-                      .GrantAccess(*created, alice.id, alice.keys.public_key,
-                                   {0, 8 * kDelta}, 1)
-                      .ok());
-    }
-    attested_uuid = uuids[0];
-    auto att = owner.Attest(attested_uuid);
-    ASSERT_TRUE(att.ok());
-    attestation_blob = att->Encode();
-    seed = owner.KeysFor(uuids[1]).value()->master_seed();
-  }  // router + engines + log files torn down
-
-  auto router = OpenShardedCluster(base, kShards);
-  ASSERT_TRUE(router.ok());
-  EXPECT_EQ((*router)->NumStreams(), 5u);
-  auto transport = std::make_shared<net::InProcTransport>(*router);
-
-  // Every stream recovered on the shard its uuid hashes to — and only
-  // there.
-  for (size_t s = 0; s < uuids.size(); ++s) {
-    EXPECT_EQ((*router)->ShardOf(uuids[s]), placement[s]);
-    for (size_t i = 0; i < kShards; ++i) {
-      EXPECT_EQ((*router)->shard(i)->GetIndexForTesting(uuids[s]).ok(),
-                i == placement[s])
-          << "stream " << s << " shard " << i;
-    }
-  }
-
-  // A re-attached producer resumes ingest across the restart boundary.
-  OwnerClient owner(transport);
-  ASSERT_TRUE(owner.AttachStream(uuids[1], seed).ok());
-  auto stats = owner.GetStatRange(uuids[1], {0, 8 * kDelta});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->stats.Sum().value(), OracleSum(0, 8));
-  ASSERT_TRUE(IngestChunks(owner, uuids[1], 8, 4).ok());
-  auto spanning = owner.GetStatRange(uuids[1], {4 * kDelta, 12 * kDelta});
-  ASSERT_TRUE(spanning.ok());
-  EXPECT_EQ(spanning->stats.Sum().value(), OracleSum(4, 12));
-
-  // Grants scatter-gather across recovered shards and still decrypt.
-  ConsumerClient consumer(transport, alice);
-  auto n = consumer.FetchGrants();
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 5);
-  for (uint64_t uuid : uuids) {
-    auto consumed = consumer.GetStatRange(uuid, {0, 8 * kDelta});
-    ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
-    EXPECT_EQ(consumed->stats.Sum().value(), OracleSum(0, 8));
-  }
-
-  // The witness tree rebuilt on the owning shard still proves chunks
-  // against the pre-restart attestation.
-  auto attestation = integrity::Attestation::Decode(attestation_blob);
-  ASSERT_TRUE(attestation.ok());
-  net::GetChunkWitnessedRequest req{attested_uuid, 0, 8, attestation->size};
-  auto resp_blob = transport->Call(net::MessageType::kGetChunkWitnessed,
-                                   req.Encode());
-  ASSERT_TRUE(resp_blob.ok()) << resp_blob.status().ToString();
-  auto resp = net::GetChunkWitnessedResponse::Decode(*resp_blob);
-  ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp->entries.size(), 8u);
-  for (const auto& e : resp->entries) {
-    BinaryReader pr(e.proof);
-    auto proof = integrity::DecodeAuditPath(pr);
-    ASSERT_TRUE(proof.ok());
-    EXPECT_TRUE(integrity::VerifyChunk(*attestation, signing.public_key,
-                                       e.chunk_index, e.digest_blob,
-                                       e.payload, *proof)
-                    .ok())
-        << "chunk " << e.chunk_index;
-  }
-
-  for (size_t i = 0; i < kShards; ++i) {
-    std::remove((base + ".shard" + std::to_string(i)).c_str());
-  }
 }
 
 TEST(Restart, AggTreeRecoverFindsExactAppendPosition) {
@@ -589,8 +305,7 @@ TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
   // Fanout 64, 100 chunks: one complete level-0 node, a second node grown
   // to 36 entries by in-place appends, and a level-1 node holding the first
   // node's aggregate. The reopened tree must see exactly what was appended.
-  std::string path = ::testing::TempDir() + "/restart_agg_tree.log";
-  std::remove(path.c_str());
+  testing::TempLogs logs;
   constexpr uint64_t kChunks = 100;
   auto cipher = std::shared_ptr<const index::DigestCipher>(
       index::MakePlainCipher(1));
@@ -600,9 +315,7 @@ TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
   };
   std::map<std::pair<uint64_t, uint64_t>, Bytes> answers;
   {
-    auto log = store::LogKvStore::Open(path);
-    ASSERT_TRUE(log.ok());
-    std::shared_ptr<store::LogKvStore> kv = std::move(*log);
+    auto kv = logs.Open("log");
     index::AggTree tree(kv, "t", cipher, opts);
     for (uint64_t i = 0; i < kChunks; ++i) {
       ASSERT_TRUE(tree.Append(i, blob_of(i)).ok()) << i;
@@ -616,9 +329,7 @@ TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
     EXPECT_EQ(kv->Compaction().dead_bytes, 0u);
     ASSERT_TRUE(kv->Sync().ok());
   }
-  auto log = store::LogKvStore::Open(path);
-  ASSERT_TRUE(log.ok());
-  std::shared_ptr<store::KvStore> kv = std::move(*log);
+  std::shared_ptr<store::KvStore> kv = logs.Open("log");
   index::AggTree recovered(kv, "t", cipher, opts);
   ASSERT_TRUE(recovered.Recover().ok());
   EXPECT_EQ(recovered.num_chunks(), kChunks);
@@ -633,7 +344,6 @@ TEST(Restart, AggTreeOverLogStoreRecoversAppendedNodes) {
   EXPECT_EQ((*cipher->Decrypt(*recovered.Query(0, kChunks + 1), 0,
                               kChunks + 1))[0],
             total);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,38 +4,37 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 
-#include <filesystem>
 #include <functional>
 #include <map>
 
 #include "common/metrics.hpp"
 #include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
-#include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "tests/temp_logs.hpp"
 
 namespace tc::server {
 namespace {
 
 using net::MessageType;
 
+/// A plaintext stream of 1 s chunks whose digest is its sum alone.
+net::StreamConfig PlainConfig(uint32_t fanout = 4) {
+  net::StreamConfig c;
+  c.name = "s";
+  c.delta_ms = 1000;
+  c.schema.with_sum = true;
+  c.schema.with_count = false;
+  c.cipher = net::CipherKind::kPlain;
+  c.fanout = fanout;
+  return c;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest()
       : kv_(std::make_shared<store::MemKvStore>()),
         engine_(std::make_shared<ServerEngine>(kv_)) {}
-
-  net::StreamConfig PlainConfig() {
-    net::StreamConfig c;
-    c.name = "s";
-    c.t0 = 0;
-    c.delta_ms = 1000;
-    c.schema.with_sum = true;
-    c.schema.with_count = false;
-    c.cipher = net::CipherKind::kPlain;
-    c.fanout = 4;
-    return c;
-  }
 
   Status Create(uint64_t uuid, const net::StreamConfig& config) {
     net::CreateStreamRequest req{uuid, config};
@@ -563,58 +562,6 @@ TEST_F(ServerTest, PayloadBlockThatDoesNotDecodeIsRejected) {
   }
 }
 
-TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
-#endif
-  // Over a log store with the index cache off, the heap holds the engine's
-  // stream state and the store's key directory: a chunk key per chunk, an
-  // index node key per 64 chunks, and a side-table extent per appended
-  // record. Allocations too big for the heap are mapped and counted in
-  // hblkhd, not uordblks.
-  constexpr uint64_t kBatch = 256;
-  constexpr uint64_t kChunks = 65'536;
-  auto path = std::filesystem::path(::testing::TempDir()) /
-              ("server_heap_" + std::to_string(::getpid()) + ".log");
-  std::filesystem::remove(path);
-  {
-    auto log = store::LogKvStore::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    ServerOptions options;
-    options.index_cache_bytes = 0;
-    ServerEngine engine(std::shared_ptr<store::KvStore>(std::move(*log)),
-                        options);
-    net::StreamConfig config;
-    config.name = "s";
-    config.t0 = 0;
-    config.delta_ms = 1000;
-    config.schema.with_sum = true;
-    config.schema.with_count = false;
-    config.cipher = net::CipherKind::kPlain;
-    config.fanout = 64;
-    // A random-looking 64-bit uuid, so keys are as long as in production.
-    constexpr uint64_t kUuid = 18446744073709551557u;
-    net::CreateStreamRequest create{kUuid, config};
-    ASSERT_TRUE(
-        engine.Handle(MessageType::kCreateStream, create.Encode()).ok());
-
-    auto heap_bytes = [] {
-      struct mallinfo2 info = ::mallinfo2();
-      return info.uordblks + info.hblkhd;
-    };
-    size_t before = heap_bytes();
-    for (uint64_t first = 0; first < kChunks; first += kBatch) {
-      ASSERT_TRUE(engine
-                      .Handle(MessageType::kInsertChunkBatch,
-                              PlainBatch(kUuid, first, kBatch))
-                      .ok());
-    }
-    size_t per_chunk = (heap_bytes() - before) / kChunks;
-    EXPECT_LE(per_chunk, 80u) << "heap bytes per batched chunk";
-  }
-  std::filesystem::remove(path);
-}
-
 /// Heap bytes per chunk that an engine over a log store, with the index
 /// cache off, takes to ingest 65,536 chunks of a one-field plaintext stream
 /// with 8-byte payloads: in batches of 256 chunks, or of one chunk each.
@@ -625,28 +572,15 @@ TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
 size_t HeapBytesPerChunk(bool batched) {
   constexpr uint64_t kBatch = 256;
   constexpr uint64_t kChunks = 65'536;
-  auto path = std::filesystem::path(::testing::TempDir()) /
-              ("server_heap_" + std::to_string(::getpid()) + ".log");
-  std::filesystem::remove(path);
+  testing::TempLogs logs;
   size_t per_chunk = 0;
   {
-    auto log = store::LogKvStore::Open(path.string());
-    EXPECT_TRUE(log.ok());
     ServerOptions options;
     options.index_cache_bytes = 0;
-    ServerEngine engine(std::shared_ptr<store::KvStore>(std::move(*log)),
-                        options);
-    net::StreamConfig config;
-    config.name = "s";
-    config.t0 = 0;
-    config.delta_ms = 1000;
-    config.schema.with_sum = true;
-    config.schema.with_count = false;
-    config.cipher = net::CipherKind::kPlain;
-    config.fanout = 64;
+    ServerEngine engine(logs.Open("heap"), options);
     // A random-looking 64-bit uuid, so keys are as long as in production.
     constexpr uint64_t kUuid = 18446744073709551557u;
-    net::CreateStreamRequest create{kUuid, config};
+    net::CreateStreamRequest create{kUuid, PlainConfig(/*fanout=*/64)};
     EXPECT_TRUE(
         engine.Handle(MessageType::kCreateStream, create.Encode()).ok());
 
@@ -672,8 +606,15 @@ size_t HeapBytesPerChunk(bool batched) {
     }
     per_chunk = (heap_bytes() - before) / kChunks;
   }
-  std::filesystem::remove(path);
   return per_chunk;
+}
+
+TEST(ServerHeap, BatchedChunkTakesAtMost80BytesOfHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer replaces malloc, which mallinfo2 measures";
+#endif
+  EXPECT_LE(HeapBytesPerChunk(/*batched=*/true), 80u)
+      << "heap bytes per batched chunk";
 }
 
 TEST(ServerHeap, BatchedChunkTakesAtMost8BytesOfHeap) {
@@ -742,15 +683,7 @@ TEST(ServerSyncEachInsert, AckImpliesFlushedAndBatchPaysOneSync) {
   opts.sync_each_insert = true;
   ServerEngine engine(spy, opts);
 
-  net::StreamConfig config;
-  config.name = "s";
-  config.t0 = 0;
-  config.delta_ms = 1000;
-  config.schema.with_sum = true;
-  config.schema.with_count = false;
-  config.cipher = net::CipherKind::kPlain;
-  config.fanout = 4;
-  net::CreateStreamRequest create{1, config};
+  net::CreateStreamRequest create{1, PlainConfig()};
   ASSERT_TRUE(
       engine.Handle(MessageType::kCreateStream, create.Encode()).ok());
 

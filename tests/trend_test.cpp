@@ -8,15 +8,14 @@
 
 #include "client/owner.hpp"
 #include "index/digest.hpp"
-#include "server/server_engine.hpp"
-#include "store/mem_kv.hpp"
+#include "tests/support/helpers.hpp"
 
 namespace tc {
 namespace {
 
 using client::OwnerClient;
 
-constexpr DurationMs kDelta = 10 * kSecond;
+using testing::kDelta;
 
 index::DigestSchema TrendSchema() {
   index::DigestSchema s;
@@ -108,18 +107,11 @@ TEST(TrendE2e, EncryptedTrendQueryAcrossChunks) {
   // The moments ride in the encrypted digest through ingest, server-side
   // aggregation, and outer-key decryption — end to end, v = 4t + 50 over
   // 12 chunks must come back as slope 4 (per second).
-  auto kv = std::make_shared<store::MemKvStore>();
-  auto server = std::make_shared<server::ServerEngine>(kv);
-  auto transport = std::make_shared<net::InProcTransport>(server);
+  auto transport = testing::ServeInProc();
   OwnerClient owner(transport);
 
-  net::StreamConfig config;
-  config.name = "trend/stream";
-  config.t0 = 0;
-  config.delta_ms = kDelta;
+  net::StreamConfig config = testing::HeacConfig("trend/stream");
   config.schema = TrendSchema();
-  config.cipher = net::CipherKind::kHeac;
-  config.fanout = 4;
   auto uuid = owner.CreateStream(config);
   ASSERT_TRUE(uuid.ok());
 
