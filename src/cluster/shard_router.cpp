@@ -5,6 +5,7 @@
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "index/digest_cipher.hpp"
 #include "net/introspection.hpp"
 #include "net/messages.hpp"
 #include "replica/replicated_kv.hpp"
@@ -283,18 +284,9 @@ Result<Bytes> ShardRouter::MultiStatRange(BytesView body) {
                                              body);
   }
 
-  // The merge needs the homomorphic Add; build it from the first stream's
-  // public config, exactly as each shard does server-side.
-  net::StreamInfoRequest info_req{req.uuids[0]};
-  TC_ASSIGN_OR_RETURN(Bytes info_blob,
-                      sets_[ShardOf(req.uuids[0])]->HandleRead(
-                          MessageType::kGetStreamInfo, info_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto info, net::StreamInfoResponse::Decode(info_blob));
-  TC_ASSIGN_OR_RETURN(auto cipher,
-                      server::ServerEngine::MakeAddCipher(info.config));
-
   // One pipelined sub-query per involved shard; the cross-shard merge
-  // (homomorphic adds) runs on this thread once all partials land.
+  // runs on this thread once all partials land. HEAC and plaintext
+  // aggregates both add as wrapping uint64 words, as the shards add them.
   std::vector<net::PendingCall> calls;
   calls.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -319,8 +311,9 @@ Result<Bytes> ShardRouter::MultiStatRange(BytesView body) {
         return FailedPrecondition(
             "inter-stream query requires matching digest layouts");
       }
-      TC_RETURN_IF_ERROR(
-          cipher->Add(std::span<uint8_t>(acc), partial.aggregate_blob));
+      TC_RETURN_IF_ERROR(index::MakePlainCipher(acc.size() / 8)
+                             ->Add(std::span<uint8_t>(acc),
+                                   partial.aggregate_blob));
     }
   }
   merged.aggregate_blob = std::move(acc);

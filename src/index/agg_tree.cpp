@@ -56,9 +56,9 @@ Status AggTree::WriteEntries(uint32_t level, uint64_t node_index,
   if (entry == 0) return StoreNode(key, blobs);
   const size_t expected = entry * cipher_->blob_size();
   if (level < ahead_levels_) {
-    // A failed run may have left entries past the position in this node:
-    // rewrite it whole rather than append behind them. This retry is the
-    // only write that reads a node back.
+    // A lost cascade left an entry past the position in this node: rewrite
+    // it whole rather than append behind it. This retry is the only write
+    // that reads a node back.
     TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(key));
     if (node.size() < expected) {
       return Internal("index node has unexpected entry count");
@@ -97,55 +97,45 @@ Status AggTree::AppendRun(uint64_t first, size_t count, BytesView digests) {
   if (count == 0 || digests.size() != count * bs) {
     return InvalidArgument("digest blob size mismatch");
   }
-  // One level-0 node at a time, the position advancing only past nodes
-  // whose write and cascade both landed.
+  // One level-0 node at a time, the position advancing past each node
+  // whose write and cascade both landed (rewriting every ahead level).
   while (!digests.empty()) {
     const size_t take =
         std::min<size_t>(k - next_index_ % k, digests.size() / bs);
-    uint32_t landed = 0;
-    Status s = WriteNode(next_index_, digests.first(take * bs), landed);
-    if (!s.ok()) {
-      // The writes that landed hold entries past the position.
-      ahead_levels_ = std::max(ahead_levels_, landed);
+    if (Status s = WriteNode(next_index_, digests.first(take * bs));
+        !s.ok()) {
+      // The store holds a prefix of the node's writes and says where the
+      // tree stands; a failed Recover is the caller's to repeat.
+      (void)Recover(next_index_);
       return s;
     }
-    if (landed >= ahead_levels_) ahead_levels_ = 0;
+    ahead_levels_ = 0;
     next_index_ += take;
     digests = digests.subspan(take * bs);
   }
   return Status::Ok();
 }
 
-Status AggTree::WriteNode(uint64_t position, BytesView entries,
-                          uint32_t& landed) {
+Status AggTree::WriteNode(uint64_t position, BytesView entries) {
   const uint32_t k = options_.fanout;
   const size_t bs = cipher_->blob_size();
   for (uint32_t level = 0;; ++level) {
     const uint64_t node_index = position / k;
     const size_t entry = position % k;
-    if (entry != 0 && (level >= spine_.size() || spine_[level].empty())) {
+    // Growing the spine moves its blobs, whose buffers (and the view
+    // `entries` holds of one) stay put.
+    if (spine_.size() <= level) spine_.resize(level + 1);
+    Bytes& acc = spine_[level];
+    if (entry != 0 && acc.empty()) {
       return Internal("index spine has no aggregate for an open node");
     }
     TC_RETURN_IF_ERROR(WriteEntries(level, node_index, entry, entries));
-    landed = level + 1;
-    // Fold into a scratch blob, so that a failed write above leaves the
-    // spine as it was. `entries` views the other one.
-    Bytes& acc = fold_[level % 2];
-    if (entry == 0) {
-      acc.clear();
-    } else {
-      acc.assign(spine_[level].begin(), spine_[level].end());
-    }
+    if (entry == 0) acc.clear();
     const size_t count = entries.size() / bs;
     TC_RETURN_IF_ERROR(FoldEntries(entries, 0, count, acc, nullptr));
-    if (entry + count != k) {
-      // Every write landed. The levels below completed: their blobs go
-      // unread until a write starts their next node afresh.
-      if (spine_.size() <= level) spine_.resize(level + 1);
-      std::swap(spine_[level], acc);
-      return Status::Ok();
-    }
-    // Complete: its aggregate is the parent's next entry.
+    // Open: done. Complete: its aggregate is the parent's next entry, and
+    // its blob goes unread until a write starts the level's next node.
+    if (entry + count != k) return Status::Ok();
     entries = acc;
     position = node_index;
   }
@@ -237,65 +227,85 @@ Result<Bytes> AggTree::Query(uint64_t first, uint64_t last,
   return left_acc;
 }
 
-Status AggTree::Recover() {
-  if (!kv_->Contains(NodeKey(0, 0))) {
-    next_index_ = 0;
-    spine_.clear();
-    return Status::Ok();
-  }
-  // Exponential then binary search for the last existing level-0 node.
-  uint64_t lo = 0, hi = 1;
-  while (kv_->Contains(NodeKey(0, hi))) {
-    lo = hi;
-    hi *= 2;
-  }
-  while (lo + 1 < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    if (kv_->Contains(NodeKey(0, mid))) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
+Status AggTree::Recover(uint64_t at_least) {
+  // Appends grow cached nodes in place and a failed write may rewrite
+  // one: any of them may be stale.
+  cache_.Clear();
   const uint32_t k = options_.fanout;
   const size_t bs = cipher_->blob_size();
-  TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(NodeKey(0, lo)));
-  if (node.empty() || node.size() % bs != 0) {
-    return DataLoss("recovered index node has torn size");
+  // Level-0 nodes hold the first `at_least` chunks. Find the first missing
+  // one past them: exponential, then binary search.
+  uint64_t have = (at_least + k - 1) / k, missing = have;
+  for (uint64_t step = 1; kv_->Contains(NodeKey(0, missing)); step *= 2) {
+    have = missing + 1;
+    missing += step;
   }
-  const uint64_t position = lo * k + node.size() / bs;
+  while (have < missing) {
+    const uint64_t mid = have + (missing - have) / 2;
+    if (kv_->Contains(NodeKey(0, mid))) {
+      have = mid + 1;
+    } else {
+      missing = mid;
+    }
+  }
+  // A node; an upper one is absent until its level gets a first entry.
+  auto read = [&](uint64_t level, uint64_t index) -> Result<Bytes> {
+    auto node = kv_->Get(NodeKey(static_cast<uint32_t>(level), index));
+    if (level > 0 && node.status().code() == StatusCode::kNotFound) {
+      return Bytes{};
+    }
+    TC_RETURN_IF_ERROR(node.status());
+    if (node->empty() || node->size() % bs != 0) {
+      return DataLoss("recovered index node has torn size");
+    }
+    return node;
+  };
+  Bytes node;
+  uint64_t c0 = 0;
+  if (have > 0) {
+    TC_ASSIGN_OR_RETURN(node, read(0, have - 1));
+    c0 = (have - 1) * k + node.size() / bs;
+  }
 
-  // Fold each open node's entries: one read per open level above 0 (the
-  // level-0 node is the one just read).
+  // The first level above 0 with a non-empty open node at c0 holds its
+  // entries, or one fewer when the cascade of the full level-0 node was
+  // lost. Then the position is c0 - 1 and the levels below it are ahead.
+  uint64_t position = c0;
+  uint32_t top = 1, ahead = 0;
+  uint64_t entries = c0 / k;
+  for (; entries > 0 && entries % k == 0; entries /= k) ++top;
+  Bytes parent;
+  if (entries > 0) {
+    TC_ASSIGN_OR_RETURN(parent, read(top, entries / k));
+    if (c0 % k == 0 && parent.size() / bs + 1 == entries % k) {
+      position = c0 - 1;
+      ahead = top;
+    }
+  }
+  if (position < at_least) return DataLoss("index store lost chunks");
+
+  // Fold each open node's entries: one read per open level, the two above
+  // already done, plus one per ahead level above 0.
   std::vector<Bytes> spine;
-  for (uint64_t entries = position, level = 0; entries > 0;
-       entries /= k, ++level) {
-    const size_t open = entries % k;
+  for (uint64_t e = position, level = 0; e > 0; e /= k, ++level) {
+    const size_t open = e % k;
     spine.emplace_back();
     if (open == 0) continue;
-    if (level > 0) {
-      auto read = kv_->Get(NodeKey(static_cast<uint32_t>(level), entries / k));
-      if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
-        return read.status();
-      }
-      node = read.ok() ? std::move(*read) : Bytes{};
+    if (level == top) {
+      node = std::move(parent);
+    } else if (level > 0) {
+      TC_ASSIGN_OR_RETURN(node, read(level, e / k));
     }
-    // A cascade that failed before a restart, or that a replica has not
-    // received yet, leaves an upper node short. Fold what it holds: the
-    // next write there fails on the entry count, as it would anyway.
-    TC_RETURN_IF_ERROR(FoldEntries(node, 0, std::min(open, node.size() / bs),
-                                   spine.back(), nullptr));
+    const size_t held = node.size() / bs;
+    if (level < ahead ? held < open : held != open) {
+      return DataLoss("recovered index node has unexpected entry count");
+    }
+    TC_RETURN_IF_ERROR(FoldEntries(node, 0, open, spine.back(), nullptr));
   }
   next_index_ = position;
   spine_ = std::move(spine);
+  ahead_levels_ = ahead;
   return Status::Ok();
-}
-
-Status AggTree::Refresh() {
-  // Recover leaves the position and spine as they were if it fails; the
-  // cache drop alone is harmless.
-  cache_.Clear();
-  return Recover();
 }
 
 Result<Bytes> AggTree::LeafDigest(uint64_t index) const {

@@ -16,9 +16,14 @@
 // The tree keeps the running aggregate of each open spine node in memory:
 // one blob per level, folded left in entry order as a query's fold would.
 // A node that completes hands its aggregate to the parent from that blob,
-// so ingest reads no node back; only a retry after a failed run reads the
-// node it rewrites. Recover() rebuilds the blobs with one read per open
-// level.
+// so ingest reads no node back. Recover() is the one way from the store to
+// the tree's position, spine and ahead levels: at open, on a replica's
+// refresh, and after a failed write. Writes land level by level, so the
+// store can hold a level-0 node whose cascade was lost (a failed write, a
+// crash, a replica's prefix). The first level above 0 whose open node is
+// non-empty then holds one entry fewer than the level-0 count implies: the
+// position is one chunk back, and the levels below hold the entry past
+// it, which the next write rewrites. Normally each level holds its count.
 //
 // Range queries drill down both ends of the range and use whole higher-level
 // entries in the middle: O(2(k-1) log_k n) digest additions worst case.
@@ -60,26 +65,22 @@ class AggTree {
 
   /// Append the encrypted digests of chunks [first, first + count), given
   /// as `count` blobs back to back. Runs must arrive in order starting at
-  /// chunk 0 (in-order append-only workload, §4.5). On a store error, the
-  /// chunks whose node write and cascade completed stay appended:
-  /// num_chunks() tells how far the run got.
+  /// chunk 0 (in-order append-only workload, §4.5). On a store error the
+  /// tree recovers from what the store holds, and num_chunks() tells how
+  /// far the run got. If that recovery fails too, the store may hold
+  /// chunks past num_chunks(): the caller must Recover before the next run.
   Status AppendRun(uint64_t first, size_t count, BytesView digests);
 
   /// AppendRun of one chunk's digest.
   Status Append(uint64_t index, BytesView digest_blob);
 
-  /// Rediscover the append position from the backing store (server restart
-  /// over a durable KV). Probes level-0 node keys — O(log n) Contains calls
-  /// plus one node read; no scan API needed — then rebuilds the open spine
-  /// nodes' aggregates with one read per open level. Reads bypass the
-  /// cache. On error the tree is left as it was.
-  Status Recover();
-
-  /// Re-sync with a store that advanced underneath this handle (a replica
-  /// store receiving shipped mutations): drop every cached node — appends
-  /// grow rightmost-spine nodes in place, so any of them may be stale —
-  /// and re-run Recover for the new append position and spine.
-  Status Refresh();
+  /// Derive the position, the open nodes' aggregates and the ahead levels
+  /// from the store by the rule above, dropping the node cache: O(log n)
+  /// Contains probes, one read per open level and one per ahead level
+  /// above 0. Any other shape, or fewer chunks than `at_least` (a writer's
+  /// own count; a replica's store can move back), is DataLoss, and leaves
+  /// the position as is.
+  Status Recover(uint64_t at_least = 0);
 
   /// Aggregate over chunk range [first, last). Returns the encrypted
   /// aggregate blob; the caller decrypts with the outer keys.
@@ -120,9 +121,8 @@ class AggTree {
                       BytesView blobs);
   /// Write `entries`, which start at level-0 position `position` and end
   /// in its node, then cascade each node they complete upward with its
-  /// aggregate from the spine. `landed` counts the levels written, also
-  /// when a later write fails. The spine changes only when all landed.
-  Status WriteNode(uint64_t position, BytesView entries, uint32_t& landed);
+  /// aggregate, folded into the spine as it goes (Recover re-derives it).
+  Status WriteNode(uint64_t position, BytesView entries);
 
   /// Aggregate entries [from, to) of a loaded node into `acc` (or move the
   /// first entry into acc when empty).
@@ -139,11 +139,8 @@ class AggTree {
   // (next_index_ / k^L) % k. When e is 0 it is unread: the next write to
   // the level starts a node.
   std::vector<Bytes> spine_;
-  // WriteNode's scratch aggregates, alternating by level; kept to reuse
-  // their buffers.
-  Bytes fold_[2];
-  // Levels [0, ahead_levels_) of the spine may hold entries past
-  // next_index_: a failed run wrote them but not the rest of its cascade.
+  // Levels [0, ahead_levels_) hold an entry past next_index_: Recover
+  // found a lost cascade, and the next write rewrites their nodes.
   uint32_t ahead_levels_ = 0;
 };
 

@@ -1,16 +1,13 @@
 #include "net/metrics_http.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <string>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "net/tcp.hpp"
 
 namespace tc::net {
 
@@ -21,32 +18,9 @@ MetricsHttpServer::MetricsHttpServer(uint16_t port,
 MetricsHttpServer::~MetricsHttpServer() { Stop(); }
 
 Status MetricsHttpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Unavailable("metrics: socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Unavailable(std::string("metrics: bind failed: ") +
-                       std::strerror(errno));
-  }
-  if (port_ == 0) {
-    socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Unavailable("metrics: listen failed");
-  }
+  auto fd = Listen(port_, /*bind_any=*/false, 16);
+  if (!fd.ok()) return Unavailable("metrics: " + fd.status().message());
+  listen_fd_ = *fd;
   running_ = true;
   server_ = std::thread([this] { ServeLoop(); });
   return Status::Ok();

@@ -140,35 +140,38 @@ TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
 
 TcpServer::~TcpServer() { Stop(); }
 
-Status TcpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Unavailable("socket() failed");
+Result<int> Listen(uint16_t& port, bool bind_any, int backlog) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Unavailable("socket() failed");
   int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(options_.bind_any ? INADDR_ANY
-                                                 : INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    // Close before returning: Stop() never runs for a server that failed
-    // to start, so a leaked listener would outlive every retry.
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Unavailable(std::string("bind failed: ") + std::strerror(errno));
+  addr.sin_addr.s_addr = htonl(bind_any ? INADDR_ANY : INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  // Close before returning: a server that failed to start never stops, so
+  // a leaked listener would outlive every retry.
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    Status failed =
+        Unavailable(std::string("bind failed: ") + std::strerror(errno));
+    ::close(fd);
+    return failed;
   }
-  if (port_ == 0) {
+  if (port == 0) {
     socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    port = ntohs(addr.sin_port);
   }
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (::listen(fd, backlog) != 0) {
+    ::close(fd);
     return Unavailable("listen failed");
   }
+  return fd;
+}
+
+Status TcpServer::Start() {
+  TC_ASSIGN_OR_RETURN(listen_fd_, Listen(port_, options_.bind_any, 64));
   running_ = true;
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();

@@ -146,4 +146,10 @@ class TcpClient final : public Transport {
 Status ReadExact(int fd, MutableBytesView out);
 Status WriteAll(int fd, BytesView data);
 
+/// A listening socket with SO_REUSEADDR on `port` of the loopback or, with
+/// `bind_any`, every address; port 0 binds an ephemeral port, which is
+/// written back to `port`. Nothing stays open on an error (Unavailable,
+/// naming the step that failed).
+Result<int> Listen(uint16_t& port, bool bind_any, int backlog);
+
 }  // namespace tc::net

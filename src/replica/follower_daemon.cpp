@@ -145,11 +145,15 @@ Result<Bytes> FollowerDaemon::HandleFollowing(net::MessageType type,
   // Replica reads are served from the refreshed local engine, without a
   // second network hop.
   if (info.replica_read) return ServeRead(type, body);
-  // A follower answers from its own registry (net + apply-path metrics;
-  // engine-derived gauges refresh through the serving path), span ring and
-  // event journal — `tccli trace --peers` stitches them with the primary's
-  // under one trace id.
-  if (info.route == net::Route::kProcess) return net::Introspect(type, body);
+  // A follower answers from its own registry (net and apply-path metrics,
+  // and its shards' gauges, refreshed first), span ring and event journal
+  // — `tccli trace --peers` stitches them with the primary's under one
+  // trace id.
+  if (info.route == net::Route::kProcess) {
+    return net::Introspect(type, body, [this] {
+      (void)FollowerClusterInfo();  // for the gauges it publishes
+    });
+  }
   switch (type) {
     case MessageType::kReplicaLog: {
       // The frame leads with its shard; that shard's applier decodes the
@@ -221,17 +225,10 @@ Result<Bytes> FollowerDaemon::ServeRead(net::MessageType type, BytesView body) {
 
 Result<Bytes> FollowerDaemon::FollowerClusterInfo() const {
   net::ClusterInfoResponse resp;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    net::ClusterInfoResponse::ShardInfo info;
-    info.shard = static_cast<uint32_t>(i);
-    const server::ServerEngine& engine = shards_[i]->engine();
-    info.num_streams = engine.NumStreams();
-    info.index_bytes = engine.TotalIndexBytes();
-    info.full_copies = shards_[i]->full_copies();
-    auto compaction = engine.StoreCompaction();
-    info.store_dead_bytes = compaction.dead_bytes;
-    info.store_compactions = static_cast<uint32_t>(compaction.compactions);
-    resp.shards.push_back(info);
+  for (const auto& shard : shards_) {
+    // The snapshot publishes the shard's gauges too.
+    resp.shards.push_back(shard->engine().ShardInfoSnapshot());
+    resp.shards.back().full_copies = shard->full_copies();
   }
   return resp.Encode();
 }

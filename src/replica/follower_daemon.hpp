@@ -107,6 +107,8 @@ class FollowerDaemon {
       EXCLUDES(view_mu_);
   /// Serve a replica read from its shard's applier.
   Result<Bytes> ServeRead(net::MessageType type, BytesView body);
+  /// One kClusterInfo row per shard, from its read engine's snapshot
+  /// (which publishes the shard's gauges) and its full copies.
   Result<Bytes> FollowerClusterInfo() const;
   void Touch();
   int64_t MillisSinceContact() const;

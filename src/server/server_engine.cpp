@@ -127,30 +127,16 @@ metrics::LatencyHistogram& StageHist(Stage stage) {
 ServerEngine::ServerEngine(std::shared_ptr<store::KvStore> kv,
                            ServerOptions options)
     : kv_(std::move(kv)), options_(options) {
-  // The engine has not escaped the constructor yet; the locks are
-  // uncontended but keep recovery under the same capabilities as every
-  // other registry access.
-  {
-    WriterMutexLock lock(streams_mu_);
-    RecoverStreams();
-  }
-  {
-    MutexLock lock(keystore_mu_);
-    RecoverGrantDirectory();
-  }
-}
-
-void ServerEngine::RecoverStreams() {
-  auto dir = ReadRecord<StreamDirectory>(*kv_, kDirectoryKey);
-  if (!dir.ok()) {
+  // Recovery is a refresh of the empty registry.
+  if (Status s = Refresh(); !s.ok()) {
     TC_LOG_WARN << "recovery: skipping every stream: " << kDirectoryKey
-                << ": " << dir.status().ToString();
-    return;
+                << ": " << s.ToString();
   }
-  for (uint64_t uuid : dir->uuids) RecoverStream(uuid, "recovery");
+  MutexLock lock(keystore_mu_);
+  RecoverGrantDirectory();
 }
 
-void ServerEngine::RecoverStream(uint64_t uuid, const char* phase) {
+void ServerEngine::RecoverStream(uint64_t uuid) {
   auto blob = kv_->Get(ConfigKey(uuid));
   if (blob.status().code() == StatusCode::kNotFound) return;
   auto stream = [&]() -> Result<std::shared_ptr<Stream>> {
@@ -160,7 +146,7 @@ void ServerEngine::RecoverStream(uint64_t uuid, const char* phase) {
     return OpenStream(uuid, config, /*recover=*/true);
   }();
   if (!stream.ok()) {
-    TC_LOG_WARN << phase << ": skipping stream " << uuid << " ("
+    TC_LOG_WARN << "recovery: skipping stream " << uuid << " ("
                 << ConfigKey(uuid) << "): " << stream.status().ToString();
     refused_.insert(uuid);
     return;
@@ -175,26 +161,26 @@ Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
   auto tree = std::make_unique<index::AggTree>(
       kv_, "idx/" + std::to_string(uuid), cipher,
       index::AggTreeOptions{config.fanout, options_.index_cache_bytes});
-  if (recover) {
-    TC_RETURN_IF_ERROR(tree->Recover());
-  }
   auto stream = std::make_shared<Stream>(config, cipher, std::move(tree));
   if (!recover) return stream;
-  // The stream has not escaped this function yet, so its lock is
-  // uncontended; taking it keeps the recovery under mu's capability.
-  WriterMutexLock stream_lock(stream->mu);
-  if (stream->tree->num_chunks() > 0 &&
-      kv_->Contains("chunk/" + std::to_string(uuid) + "/0")) {
+  if (kv_->Contains("chunk/" + std::to_string(uuid) + "/0")) {
     return DataLoss("stream " + std::to_string(uuid) +
                     " keeps its payloads under per-chunk keys "
                     "(chunk/<uuid>/<index>), a layout this server no longer "
                     "reads; it reads 64-chunk blocks (pay/<uuid>/<block>)");
   }
+  // The stream has not escaped this function yet, so its lock is
+  // uncontended; taking it keeps the recovery under mu's capability.
+  WriterMutexLock stream_lock(stream->mu);
   TC_RETURN_IF_ERROR(CatchUpWithStore(uuid, *stream));
   return stream;
 }
 
 Status ServerEngine::CatchUpWithStore(uint64_t uuid, Stream& stream) {
+  // After a failed write the store holds at least the tree's chunks; a
+  // replica follows its store, which a full copy can move back.
+  const uint64_t held = stream.stale ? stream.tree->num_chunks() : 0;
+  TC_RETURN_IF_ERROR(stream.tree->Recover(held));
   const uint64_t n = stream.tree->num_chunks();
   stream.open_block_bytes = 0;
   stream.open_block_ahead = false;
@@ -214,17 +200,20 @@ Status ServerEngine::CatchUpWithStore(uint64_t uuid, Stream& stream) {
     stream.open_block_bytes = r.position();
     stream.open_block_ahead = !r.AtEnd();
   }
-  if (!stream.witnesses) return Status::Ok();
-  // Extend the witness tree from the stored ciphertexts — the witnesses
-  // hash exactly what the store holds, so this is a pure recomputation.
-  return ReadPayloads(
-      uuid, stream.witnesses->size(), n,
-      [&](uint64_t i, BytesView payload) -> Status {
-        TC_ASSIGN_OR_RETURN(Bytes digest, stream.tree->LeafDigest(i));
-        stream.witnesses->Append(
-            integrity::ChunkWitness(uuid, i, digest, payload));
-        return Status::Ok();
-      });
+  if (stream.witnesses) {
+    // Extend the witness tree from the stored ciphertexts — the witnesses
+    // hash exactly what the store holds, so this is a pure recomputation.
+    TC_RETURN_IF_ERROR(ReadPayloads(
+        uuid, stream.witnesses->size(), n,
+        [&](uint64_t i, BytesView payload) -> Status {
+          TC_ASSIGN_OR_RETURN(Bytes digest, stream.tree->LeafDigest(i));
+          stream.witnesses->Append(
+              integrity::ChunkWitness(uuid, i, digest, payload));
+          return Status::Ok();
+        }));
+  }
+  stream.stale = false;
+  return Status::Ok();
 }
 
 Status ServerEngine::StoreDirectoryLocked() {
@@ -274,7 +263,7 @@ Status ServerEngine::Refresh() {
     std::erase_if(refused_,
                   [&](uint64_t uuid) { return !live.contains(uuid); });
     for (uint64_t uuid : live) {
-      if (!streams_.contains(uuid)) RecoverStream(uuid, "refresh");
+      if (!streams_.contains(uuid)) RecoverStream(uuid);
     }
   }
 
@@ -282,7 +271,6 @@ Status ServerEngine::Refresh() {
   // index position and (for integrity streams) grew the witness history.
   for (auto& [uuid, stream] : existing) {
     WriterMutexLock stream_lock(stream->mu);
-    TC_RETURN_IF_ERROR(stream->tree->Refresh());
     TC_RETURN_IF_ERROR(CatchUpWithStore(uuid, *stream));
   }
   return Status::Ok();
@@ -594,6 +582,7 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
   Status status;
   {
     WriterMutexLock lock(stream->mu);
+    if (stream->stale) TC_RETURN_IF_ERROR(CatchUpWithStore(req.uuid, *stream));
     const uint64_t first = stream->tree->num_chunks();
     const size_t blob_size = stream->add_cipher->blob_size();
     // The valid prefix ends at the first entry whose position or digest
@@ -622,6 +611,7 @@ Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
     }
     if (n > 0) {
       Status applied = AppendChunks(req.uuid, *stream, payloads, digests);
+      stream->stale = !applied.ok();
       if (!applied.ok()) status = std::move(applied);
     }
     if (stream->witnesses) {
@@ -740,7 +730,6 @@ Result<Bytes> ServerEngine::MultiStatRange(BytesView body) const {
   // and cipher kind; the chunk range is resolved per-stream (streams may
   // differ in Δ but the time window is common).
   Bytes acc;
-  std::shared_ptr<const index::DigestCipher> cipher;
   uint64_t first = 0, last = 0;
   for (size_t s = 0; s < req.uuids.size(); ++s) {
     TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuids[s]));
@@ -750,15 +739,15 @@ Result<Bytes> ServerEngine::MultiStatRange(BytesView body) const {
                         stream->tree->Query(range.first, range.second));
     if (s == 0) {
       acc = std::move(blob);
-      cipher = stream->add_cipher;
       first = range.first;
       last = range.second;
     } else {
-      if (stream->add_cipher->blob_size() != cipher->blob_size()) {
+      if (blob.size() != acc.size()) {
         return FailedPrecondition(
             "inter-stream query requires matching digest layouts");
       }
-      TC_RETURN_IF_ERROR(cipher->Add(std::span<uint8_t>(acc), blob));
+      TC_RETURN_IF_ERROR(
+          stream->add_cipher->Add(std::span<uint8_t>(acc), blob));
     }
   }
   net::StatRangeResponse resp;
@@ -773,6 +762,7 @@ Result<Bytes> ServerEngine::DeleteRange(BytesView body) {
   TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
 
   WriterMutexLock lock(stream->mu);
+  if (stream->stale) TC_RETURN_IF_ERROR(CatchUpWithStore(req.uuid, *stream));
   TC_ASSIGN_OR_RETURN(auto range, ResolveRange(*stream, req.range));
   // Drop raw payloads; per-chunk digests are retained (Table 1 row 7:
   // "Delete specified segment of the stream, while maintaining per-chunk

@@ -22,7 +22,9 @@
 // length 0 for a chunk without a payload. Ingest writes each block's share
 // of a run of chunks as one record, a put when the run starts the block and
 // an append otherwise, so a stream costs the store one key per 64 chunks.
-// A chunk's payload lands before its index entry.
+// A chunk's payload lands before its index entry. Recovery (at open, on
+// Refresh, before the write after a failed one) is AggTree::Recover plus
+// the catch-up of the open payload block and the witness tree.
 #pragma once
 
 #include <functional>
@@ -54,9 +56,9 @@ struct ServerOptions {
 
 class ServerEngine final : public net::RequestHandler {
  public:
-  /// Opens the engine over `kv`. Streams previously created against the
-  /// same store (its metadata directory) are recovered automatically —
-  /// restart durability when kv is a persistent store (LogKvStore).
+  /// Opens the engine over `kv` and runs Refresh: streams previously
+  /// created against the same store (its metadata directory) are recovered
+  /// — restart durability when kv is a persistent store (LogKvStore).
   explicit ServerEngine(std::shared_ptr<store::KvStore> kv,
                         ServerOptions options = {});
 
@@ -67,12 +69,13 @@ class ServerEngine final : public net::RequestHandler {
   /// underneath this engine — the replica read path (src/replica): follower
   /// stores receive shipped KV mutations, and the engine over them must
   /// pick up new streams, new appends, and new witnesses before serving.
-  /// Diffs the stream directory (opening/closing streams), re-recovers each
-  /// index's append position and open-node aggregates with its node cache
-  /// dropped, and extends witness trees to the new chunk count. Key-store
-  /// state (grants) is NOT refreshed: replicas serve data reads only;
-  /// grants are read on the primary, and failover promotion rebuilds a
-  /// full engine instead.
+  /// Diffs the stream directory (opening/closing streams), runs each
+  /// index's AggTree::Recover (the one derivation of its position, spine
+  /// and ahead levels from the store, also run after a failed write), and
+  /// extends witness trees to the new chunk count. Key-store state
+  /// (grants) is NOT refreshed: replicas serve data reads only; grants are
+  /// read on the primary, and failover promotion rebuilds a full engine
+  /// instead.
   Status Refresh();
 
   /// Number of live streams.
@@ -96,13 +99,6 @@ class ServerEngine final : public net::RequestHandler {
   /// Direct handle to a stream's index (benchmarks peek at cache stats).
   Result<const index::AggTree*> GetIndexForTesting(uint64_t uuid) const;
 
-  /// Server-side add-only cipher from a stream's public config: HEAC and
-  /// plaintext streams only, InvalidArgument for any other cipher kind.
-  /// Public so the shard router can merge partial inter-stream aggregates
-  /// with the same cipher the shards used.
-  static Result<std::shared_ptr<const index::DigestCipher>> MakeAddCipher(
-      const net::StreamConfig& config);
-
  private:
   struct Stream {
     net::StreamConfig config;
@@ -120,6 +116,10 @@ class ServerEngine final : public net::RequestHandler {
     // landed without their index entries; the next write rewrites it.
     size_t open_block_bytes GUARDED_BY(mu) = 0;
     bool open_block_ahead GUARDED_BY(mu) = false;
+    // A write failed and no catch-up has completed since: the store may
+    // hold chunks past num_chunks(), and the open block and witnesses may
+    // not match it. The next write catches up first.
+    bool stale GUARDED_BY(mu) = false;
     // Reader/writer lock over tree + witnesses: Append grows internal
     // vectors, so even "append-only prefix" reads can hit a reallocation;
     // ingest takes it exclusive, query paths take it shared.
@@ -159,15 +159,15 @@ class ServerEngine final : public net::RequestHandler {
 
   Result<std::shared_ptr<Stream>> FindStream(uint64_t uuid) const;
 
-  /// Rebuild the in-memory stream registry from the store's metadata
-  /// directory (constructor path). Logs and skips unrecoverable streams,
-  /// which stay in refused_.
-  void RecoverStreams() REQUIRES(streams_mu_);
-  /// Open a stream from its persisted config and register it; `phase`
-  /// names the caller in the warning logged when that fails. A stream
-  /// without a config (deleted, or not yet shipped to a replica) is skipped
-  /// silently.
-  void RecoverStream(uint64_t uuid, const char* phase) REQUIRES(streams_mu_);
+  /// Server-side add-only cipher from a stream's public config: HEAC and
+  /// plaintext streams only, InvalidArgument for any other cipher kind.
+  static Result<std::shared_ptr<const index::DigestCipher>> MakeAddCipher(
+      const net::StreamConfig& config);
+
+  /// Open a stream from its persisted config and register it, or log why
+  /// it cannot be and keep it in refused_. A stream without a config
+  /// (deleted, or not yet shipped to a replica) is skipped silently.
+  void RecoverStream(uint64_t uuid) REQUIRES(streams_mu_);
   /// Build a Stream (index handle + recovered append position + witness
   /// tree) from a persisted config.
   Result<std::shared_ptr<Stream>> OpenStream(uint64_t uuid,
@@ -208,8 +208,11 @@ class ServerEngine final : public net::RequestHandler {
   /// the range covers whole, rewrite the others with empty entries.
   Status DropPayloads(uint64_t uuid, Stream& stream, uint64_t first,
                       uint64_t last) REQUIRES(stream.mu);
-  /// Bring the stream's open payload block and witness tree up to its
-  /// index position from the store (open and refresh paths).
+  /// Derive the stream's index position (AggTree::Recover), open payload
+  /// block and witness tree from the store, and clear `stale` once all of
+  /// it succeeded: at open, on refresh, and before a write to a stale
+  /// stream, whose position may lag the store's (a write that lands behind
+  /// the store's index would cut its payloads).
   Status CatchUpWithStore(uint64_t uuid, Stream& stream) REQUIRES(stream.mu);
 
   std::string GrantKey(const std::string& principal, uint64_t uuid,

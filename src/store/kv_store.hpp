@@ -33,9 +33,7 @@ class KvStore {
  public:
   /// Compaction pressure of a log-structured store (cluster-info
   /// observability). Stores without a compaction cycle report zeros;
-  /// decorators forward to the store they wrap — a prefix view over a
-  /// shared log reports the whole log's pressure, which is what an
-  /// operator watching disk usage wants.
+  /// decorators forward to the store they wrap.
   struct CompactionStats {
     uint64_t compactions = 0;  // compaction passes run (explicit + auto)
     uint64_t dead_bytes = 0;   // dead value bytes awaiting compaction

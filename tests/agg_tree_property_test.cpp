@@ -533,14 +533,14 @@ TEST(AggTreeSpineRefresh, RefreshedHandleAppendsWhereTheStoreIs) {
   constexpr uint64_t kFirst = kFanout * kFanout + 1;
   constexpr uint64_t kSecond = 2 * kFanout * kFanout + kFanout + 2;
   ASSERT_TRUE(AppendRuns(primary, digests, bs, {{0, kFirst}}).ok());
-  ASSERT_TRUE(replica.Refresh().ok());
+  ASSERT_TRUE(replica.Recover().ok());
   ASSERT_EQ(replica.num_chunks(), kFirst);
   EXPECT_TRUE(sum_of(replica, 1, kFirst));  // caches the spine's nodes
 
   for (uint64_t i = kFirst; i < kSecond; ++i) {
     ASSERT_TRUE(primary.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
   }
-  ASSERT_TRUE(replica.Refresh().ok());
+  ASSERT_TRUE(replica.Recover().ok());
   EXPECT_EQ(replica.cache().entry_count(), 0u);
   ASSERT_EQ(replica.num_chunks(), kSecond);
   ASSERT_TRUE(AppendRuns(replica, digests, bs,
@@ -605,41 +605,73 @@ TEST(AggTreeSpineFault, FailedLevel1WriteCommitsNoSpine) {
   EXPECT_GE(tried, 3);
 }
 
-TEST(AggTreeSpineFault, RecoverToleratesACascadeLostBeforeARestart) {
-  // Level-0 node 1 lands, its entry in level-1 node 0 does not, and the
-  // server restarts. Recovery still finds the position; the next write
-  // that needs the lost entry fails as it did before the spine.
-  constexpr uint32_t kFanout = 4;
-  const AggTreeOptions options{kFanout, 1 << 20};
+class AggTreeLostCascade : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(AggTreeLostCascade, RestartResumesOneChunkBeforeLevel0) {
+  // Fail each write above level 0 of a seeded upload once, then open a
+  // fresh tree over what the store holds: a full level-0 node whose
+  // cascade was lost. The tree stands one chunk before level 0's count, as
+  // the failed tree's own recovery does, answers every query below it, and
+  // takes the rest of the upload to the fault-free store.
+  const uint32_t k = GetParam();
+  const AggTreeOptions options{k, 1 << 20};
+  const uint64_t chunks = uint64_t{k} * k * k + k + 1;
   std::shared_ptr<const DigestCipher> cipher = MakePlainCipher(1);
   const size_t bs = cipher->blob_size();
-  const Bytes digests = EncryptAll(*cipher, SeededValues(37, 16));
-  store::FaultOptions fault_options;
-  // Chunks 0-3 take five writes and chunks 4-7 four, then the level-1
-  // append of node 1's aggregate.
-  fault_options.fail_every_nth_put = 10;
-  auto mem = std::make_shared<store::MemKvStore>();
-  auto fault = std::make_shared<store::FaultKvStore>(mem, fault_options);
-  {
-    AggTree tree(fault, "z", cipher, options);
-    for (uint64_t i = 0; i < 7; ++i) {
-      ASSERT_TRUE(tree.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+  const std::vector<uint64_t> values = SeededValues(41 * k, chunks);
+  const Bytes digests = EncryptAll(*cipher, values);
+  const Runs runs = SeededRuns(43 * k, k, 0, chunks);
+
+  auto ref_kv =
+      std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+  AggTree ref(ref_kv, "y", cipher, options);
+  ASSERT_TRUE(AppendRuns(ref, digests, bs, runs).ok());
+
+  int tried = 0;
+  for (uint64_t nth = 1; nth <= ref_kv->writes; ++nth) {
+    if (ref_kv->written[nth - 1].find("/L0/") != std::string::npos) continue;
+    SCOPED_TRACE("write " + std::to_string(nth) + " fails");
+    store::FaultOptions fault_options;
+    fault_options.fail_every_nth_put = nth;
+    auto mem =
+        std::make_shared<CountingKv>(std::make_shared<store::MemKvStore>());
+    AggTree failed(std::make_shared<store::FaultKvStore>(mem, fault_options),
+                   "y", cipher, options);
+    ASSERT_FALSE(AppendRuns(failed, digests, bs, runs).ok());
+    uint64_t level0 = 0;
+    for (const auto& [key, node] : mem->Contents()) {
+      if (key.find("/L0/") != std::string::npos) level0 += node.size() / bs;
     }
-    EXPECT_FALSE(tree.Append(7, BytesView(digests).subspan(7 * bs, bs)).ok());
-  }
-  AggTree recovered(fault, "z", cipher, options);
-  ASSERT_TRUE(recovered.Recover().ok());
-  EXPECT_EQ(recovered.num_chunks(), 8u);
-  EXPECT_TRUE(recovered.Query(0, 7).ok());  // ranges without the lost entry
-  EXPECT_TRUE(recovered.Query(4, 8).ok());
-  for (uint64_t i = 8; i < 11; ++i) {
+
+    AggTree tree(mem, "y", cipher, options);
+    ASSERT_TRUE(tree.Recover().ok());
+    const uint64_t n = tree.num_chunks();
+    ASSERT_EQ(n + 1, level0);
+    EXPECT_EQ(failed.num_chunks(), n);
+    for (uint64_t first = 0; first < n; ++first) {
+      for (uint64_t last = first + 1; last <= n; ++last) {
+        auto blob = tree.Query(first, last);
+        ASSERT_TRUE(blob.ok()) << "[" << first << ", " << last << "): "
+                               << blob.status().ToString();
+        EXPECT_EQ((*cipher->Decrypt(*blob, first, last))[0],
+                  std::accumulate(values.begin() + first,
+                                  values.begin() + last, uint64_t{0}))
+            << "[" << first << ", " << last << ")";
+      }
+    }
     ASSERT_TRUE(
-        recovered.Append(i, BytesView(digests).subspan(i * bs, bs)).ok());
+        AppendRuns(tree, digests, bs, SeededRuns(nth, k, n, chunks)).ok());
+    EXPECT_EQ(mem->Contents(), ref_kv->Contents());
+    ++tried;
   }
-  EXPECT_EQ(
-      recovered.Append(11, BytesView(digests).subspan(11 * bs, bs)).code(),
-      StatusCode::kInternal);
+  EXPECT_GE(tried, 3);
 }
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, AggTreeLostCascade,
+                         ::testing::Values(2u, 3u, 4u),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
+                         });
 
 TEST(AggTreeConcurrentReads, ReadersFillTheCacheBetweenAppends) {
   // The server's shape: queries fill the cache together under a stream's

@@ -18,7 +18,6 @@
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
-#include "store/prefix_kv.hpp"
 #include "temp_logs.hpp"
 #include "tests/support/helpers.hpp"
 
@@ -33,10 +32,8 @@ using testing::kDelta;
 using testing::OracleSum;
 using testing::PlainConfig;
 
-/// An N-shard in-process cluster over prefix views of one shared memory
-/// backend (the shared-backend deployment shape).
+/// An N-shard in-process cluster, each shard over its own memory store.
 struct Cluster {
-  std::shared_ptr<store::MemKvStore> backend;
   std::vector<std::shared_ptr<server::ServerEngine>> engines;
   std::shared_ptr<ShardRouter> router;
   std::shared_ptr<net::InProcTransport> transport;
@@ -44,14 +41,11 @@ struct Cluster {
 
 Cluster MakeCluster(size_t shards) {
   Cluster c;
-  c.backend = std::make_shared<store::MemKvStore>();
   for (size_t i = 0; i < shards; ++i) {
-    std::shared_ptr<store::KvStore> kv = std::make_shared<store::PrefixKvStore>(
-        c.backend, "s" + std::to_string(i) + "/");
     server::ServerOptions options;
     options.shard_id = static_cast<uint32_t>(i);
-    c.engines.push_back(
-        std::make_shared<server::ServerEngine>(std::move(kv), options));
+    c.engines.push_back(std::make_shared<server::ServerEngine>(
+        std::make_shared<store::MemKvStore>(), options));
   }
   c.router = std::make_shared<ShardRouter>(c.engines);
   c.transport = std::make_shared<net::InProcTransport>(c.router);
@@ -541,21 +535,31 @@ TEST(ShardRouter, ShardChannelsServeAsyncCalls) {
   }
 }
 
-TEST(ShardRouter, PrefixViewsIsolateShardNamespaces) {
-  auto backend = std::make_shared<store::MemKvStore>();
-  store::PrefixKvStore a(backend, "a/");
-  store::PrefixKvStore b(backend, "b/");
-  ASSERT_TRUE(a.Put("k", ToBytes("va")).ok());
-  ASSERT_TRUE(b.Put("k", ToBytes("vb")).ok());
-  EXPECT_EQ(ToString(*a.Get("k")), "va");
-  EXPECT_EQ(ToString(*b.Get("k")), "vb");
-  ASSERT_TRUE(a.Delete("k").ok());
-  EXPECT_FALSE(a.Contains("k"));
-  EXPECT_TRUE(b.Contains("k"));
-  EXPECT_EQ(backend->Size(), 1u);
-  EXPECT_TRUE(a.Sync().ok());
-}
+TEST(ShardRouter, CrossShardMultiStatRangeNeedsMatchingLayouts) {
+  // A one-field stream on shard 0 and a two-field stream on shard 1: the
+  // router's merge of their partial aggregates refuses the pair.
+  auto c = MakeCluster(2);
+  const uint64_t narrow = UuidOnShard(*c.router, 0);
+  const uint64_t wide = UuidOnShard(*c.router, 1);
+  net::StreamConfig config = PlainConfig("narrow");
+  config.schema.with_count = false;
+  net::CreateStreamRequest create{narrow, config};
+  ASSERT_TRUE(
+      c.transport->Call(net::MessageType::kCreateStream, create.Encode()).ok());
+  Bytes blob = *index::MakePlainCipher(1)->Encrypt(std::vector<uint64_t>{7}, 0);
+  net::InsertChunkBatchRequest insert{narrow, {{0, blob, {}}}};
+  ASSERT_TRUE(
+      c.transport->Call(net::MessageType::kInsertChunkBatch, insert.Encode())
+          .ok());
+  MakePlainStream(*c.transport, wide, 1, [](uint64_t) { return 7; });
 
+  net::MultiStatRangeRequest req{{narrow, wide}, {0, kDelta}};
+  auto merged =
+      c.transport->Call(net::MessageType::kMultiStatRange, req.Encode());
+  ASSERT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(merged.status().message().find("matching digest layouts"),
+            std::string::npos);
+}
 
 // ----------------------------------------------------------------------
 // Per-frame-type routing, pinned for every row of the frame-type table (the

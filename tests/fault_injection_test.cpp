@@ -14,6 +14,7 @@
 #include "index/digest_cipher.hpp"
 #include "server/server_engine.hpp"
 #include "store/fault_kv.hpp"
+#include "store/forwarding_kv.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
 #include "tests/support/helpers.hpp"
@@ -215,6 +216,155 @@ TEST(FaultInjection, BatchedUploadSurvivesAFailedWriteAnywhere) {
       break;
     }
   }
+}
+
+client::OwnerOptions Batched() {
+  client::OwnerOptions options;
+  options.upload_batch_chunks = 64;
+  return options;
+}
+
+/// Notes which key each write touches, in order, and whether it appended.
+/// With `down_at` set, the store goes down at that write: it and every call
+/// after it fail until `down` is cleared.
+class WriteLog final : public store::ForwardingKvStore {
+ public:
+  using ForwardingKvStore::ForwardingKvStore;
+  Status Put(const std::string& key, BytesView value) override {
+    if (Write(key, false)) return Unavailable("store down");
+    return ForwardingKvStore::Put(key, value);
+  }
+  Result<size_t> Append(const std::string& key, size_t expected_size,
+                        BytesView suffix) override {
+    if (Write(key, true)) return Unavailable("store down");
+    return ForwardingKvStore::Append(key, expected_size, suffix);
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    if (down) return Unavailable("store down");
+    if (key == fail_get_once) {
+      fail_get_once.clear();
+      return Unavailable("injected fault");
+    }
+    return ForwardingKvStore::Get(key);
+  }
+  bool Contains(const std::string& key) const override {
+    return !down && ForwardingKvStore::Contains(key);
+  }
+
+  /// The number of the first write that appended to a level-1 node.
+  uint64_t FirstLevel1Append() const {
+    for (size_t i = 0; i < writes.size(); ++i) {
+      const auto& [key, appended] = writes[i];
+      if (appended && key.find("/L1/") != std::string::npos) return i + 1;
+    }
+    return 0;
+  }
+
+  std::vector<std::pair<std::string, bool>> writes;
+  uint64_t down_at = 0;
+  bool down = false;
+  /// The next Get of this key fails.
+  mutable std::string fail_get_once;
+
+ private:
+  bool Write(const std::string& key, bool appended) {
+    writes.emplace_back(key, appended);
+    down = down || writes.size() == down_at;
+    return down;
+  }
+};
+
+constexpr uint64_t kLostChunks = 40;
+
+/// A fault on the first append to a level-1 node of a batched upload of
+/// kLostChunks to an integrity stream: the entry of level-0 node 1.
+FaultOptions FailFirstLevel1Append() {
+  auto log = std::make_shared<WriteLog>(std::make_shared<store::MemKvStore>());
+  OwnerClient owner(testing::ServeInProc(log), Batched());
+  auto uuid = owner.CreateStream(testing::HeacConfig("fault/lost", true));
+  EXPECT_TRUE(uuid.ok() && testing::IngestChunks(owner, *uuid, 0, kLostChunks)
+                               .ok());
+  FaultOptions options;
+  options.fail_every_nth_put = log->FirstLevel1Append();
+  EXPECT_GT(options.fail_every_nth_put, 0u);
+  return options;
+}
+
+/// That upload, failed: level-0 node 1 (chunks 4-7) landed, and its entry
+/// in level-1 node 0 did not. `replica` was opened over the store before
+/// the upload.
+struct LostCascadeRig : FaultRig {
+  LostCascadeRig() : FaultRig(FailFirstLevel1Append(), Batched()) {
+    uuid = *owner.CreateStream(testing::HeacConfig("fault/lost", true));
+    replica = std::make_shared<server::ServerEngine>(mem);
+    upload = IngestChunks(uuid, 0, kLostChunks);
+  }
+
+  uint64_t uuid = 0;
+  std::shared_ptr<server::ServerEngine> replica;
+  Status upload;
+};
+
+/// Every range of chunks [first, last) within [0, chunks) decrypts to the
+/// closed-form sum and count.
+void ExpectEveryRangeSums(OwnerClient& owner, uint64_t uuid,
+                          uint64_t chunks) {
+  for (uint64_t first = 0; first < chunks; ++first) {
+    for (uint64_t last = first + 1; last <= chunks; ++last) {
+      const TimeRange range{static_cast<Timestamp>(first) * kDelta,
+                            static_cast<Timestamp>(last) * kDelta};
+      auto stats = owner.GetStatRange(uuid, range);
+      ASSERT_TRUE(stats.ok()) << "[" << first << ", " << last
+                              << "): " << stats.status().ToString();
+      EXPECT_EQ(stats->stats.Sum().value(), testing::OracleSum(first, last));
+      EXPECT_EQ(stats->stats.Count().value(), 5 * (last - first));
+    }
+  }
+}
+
+TEST(FaultInjection, ReplicaRefreshServesUpToALostCascade) {
+  // The replica stands one chunk before what level 0 holds, where a range
+  // over the lost entry would need the level-1 entry that never landed.
+  LostCascadeRig rig;
+  ASSERT_FALSE(rig.upload.ok());
+  ASSERT_EQ(rig.fault->puts_failed(), 1u);
+  ASSERT_TRUE(rig.replica->Refresh().ok());
+  auto transport = std::make_shared<net::InProcTransport>(rig.replica);
+  const uint64_t served = *ServerChunks(*transport, rig.uuid);
+  EXPECT_EQ(served, 7u);
+  OwnerClient reader(transport);
+  ASSERT_TRUE(reader
+                  .AttachStream(rig.uuid,
+                                (*rig.owner.KeysFor(rig.uuid))->master_seed())
+                  .ok());
+  ExpectEveryRangeSums(reader, rig.uuid, served);
+}
+
+TEST(FaultInjection, RestartAfterALostCascadeResumesIngest) {
+  // The failed engine recovers to chunk 7, and so does an engine restarted
+  // over the store. The owner resumes there, past the end of level-1 node
+  // 0 (chunk 16), and every range and the verified read come out right.
+  LostCascadeRig rig;
+  ASSERT_FALSE(rig.upload.ok());
+  ASSERT_EQ(rig.fault->puts_failed(), 1u);
+  EXPECT_EQ(*ServerChunks(*rig.transport, rig.uuid), 7u);
+  auto transport = testing::ServeInProc(rig.mem);
+  OwnerClient owner(transport, Batched());
+  ASSERT_TRUE(owner
+                  .AttachStream(rig.uuid,
+                                (*rig.owner.KeysFor(rig.uuid))->master_seed())
+                  .ok());
+  const uint64_t resumed = *ServerChunks(*transport, rig.uuid);
+  EXPECT_EQ(resumed, 7u);
+  Status ingested =
+      testing::IngestChunks(owner, rig.uuid, resumed, kLostChunks - resumed);
+  ASSERT_TRUE(ingested.ok()) << ingested.ToString();
+  ExpectEveryRangeSums(owner, rig.uuid, kLostChunks);
+  ASSERT_TRUE(owner.Attest(rig.uuid).ok());
+  auto verified =
+      owner.GetVerifiedStatRange(rig.uuid, {0, kLostChunks * kDelta});
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified->stats.Sum().value(), testing::OracleSum(0, kLostChunks));
 }
 
 TEST(FaultInjection, CorruptedPayloadReadFailsAuthentication) {
@@ -518,6 +668,78 @@ TEST(FaultInjection, FailedPayloadReadFailsWitnessRefresh) {
   }
   EXPECT_GT(failed, 0);
   EXPECT_GT(refreshed, 0);
+}
+
+/// An engine over `log` whose upload of the raw stream failed at the first
+/// append to a level-1 node, the store staying down, so the failed write's
+/// recovery failed too: the engine stays at chunk 64, the end of level-0
+/// node 0, while the store's index stands at 127.
+std::unique_ptr<server::ServerEngine> FailUploadAtLevel1(
+    const std::shared_ptr<WriteLog>& log) {
+  auto dry = std::make_shared<WriteLog>(std::make_shared<store::MemKvStore>());
+  {
+    server::ServerEngine engine(dry);
+    EXPECT_TRUE(CreateRaw(engine).ok());
+    EXPECT_TRUE(UploadRaw(engine, 0, kReadChunks).ok());
+  }
+  log->down_at = dry->FirstLevel1Append();
+  auto engine = std::make_unique<server::ServerEngine>(log);
+  EXPECT_TRUE(CreateRaw(*engine).ok());
+  EXPECT_EQ(UploadRaw(*engine, 0, kReadChunks).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ((*engine->GetIndexForTesting(kReadUuid))->num_chunks(), 64u);
+  return engine;
+}
+
+/// `engine`, and an engine restarted over `mem`, serve the fault-free
+/// stream: its raw range, a proven read and its stat range.
+void ExpectTheCleanRawStream(server::ServerEngine& engine,
+                             const std::shared_ptr<store::MemKvStore>& mem) {
+  auto clean = CleanRawStream(std::make_shared<store::MemKvStore>());
+  net::StatRangeRequest stats{kReadUuid, {0, kReadChunks * kDelta}};
+  server::ServerEngine restarted(mem);
+  for (server::ServerEngine* served : {&engine, &restarted}) {
+    EXPECT_EQ(*RawRange(*served), *RawRange(*clean));
+    EXPECT_EQ(*ProvenRead(*served), *ProvenRead(*clean));
+    EXPECT_EQ(*served->Handle(net::MessageType::kGetStatRange, stats.Encode()),
+              *clean->Handle(net::MessageType::kGetStatRange, stats.Encode()));
+  }
+}
+
+TEST(FaultInjection, WriteAfterAFailedRecoveryRecoversFirst) {
+  // A write from 64 must learn where the store's index stands before its
+  // payloads land behind it: refused while the store is down, refused by
+  // position once it is up. Writes from 127 then complete the fault-free
+  // stream.
+  auto mem = std::make_shared<store::MemKvStore>();
+  auto log = std::make_shared<WriteLog>(mem);
+  auto engine = FailUploadAtLevel1(log);
+  const index::AggTree* tree = *engine->GetIndexForTesting(kReadUuid);
+  EXPECT_EQ(UploadRaw(*engine, 64, 1).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(tree->num_chunks(), 64u);
+
+  log->down = false;
+  EXPECT_EQ(UploadRaw(*engine, 64, 1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(tree->num_chunks(), 127u);
+  ASSERT_TRUE(UploadRaw(*engine, 127, kReadChunks - 127).ok());
+  ExpectTheCleanRawStream(*engine, mem);
+}
+
+TEST(FaultInjection, WriteAfterAFailedCatchUpCatchesUpFirst) {
+  // The store comes back and the index recovers to 127, but the read of
+  // the open payload block (chunks 64-127) fails. The stream stays behind
+  // its store: the next write reads the block again before it appends,
+  // rather than start the block afresh over chunks 64-126's payloads.
+  auto mem = std::make_shared<store::MemKvStore>();
+  auto log = std::make_shared<WriteLog>(mem);
+  auto engine = FailUploadAtLevel1(log);
+  log->down = false;
+  log->fail_get_once = "pay/" + std::to_string(kReadUuid) + "/1";
+  EXPECT_EQ(UploadRaw(*engine, 127, 1).code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(log->fail_get_once.empty());
+
+  ASSERT_TRUE(UploadRaw(*engine, 127, kReadChunks - 127).ok());
+  ExpectTheCleanRawStream(*engine, mem);
 }
 
 TEST(FaultInjection, FaultCountersTrackInjectedFaults) {

@@ -681,6 +681,24 @@ TEST(FollowerDaemonE2E, MetricsScrapeExposesReplicaCounters) {
   daemon.Stop();
 }
 
+// A follower refreshes its shards' gauges before it answers kMetricsInfo.
+// This process shares one registry with the primary, so the stream gauge
+// first reads a value neither side publishes.
+TEST(FollowerDaemonE2E, MetricsInfoPublishesTheFollowersShardGauges) {
+  Primary primary(4);
+  auto daemon = primary.StartDaemon("d");
+  primary.ExpectConverged(*daemon, "d", 4);
+  metrics::Gauge& streams =
+      metrics::GetGauge("tc_cluster_streams", "shard=\"0\"");
+  streams.Set(-1);
+  auto transport = Dial(daemon->port());
+  ASSERT_TRUE(transport.ok());
+  ASSERT_TRUE((*transport)->Call(net::MessageType::kMetricsInfo, {}).ok());
+  EXPECT_EQ(daemon->NumStreams(), 1u);
+  EXPECT_EQ(streams.value(), static_cast<int64_t>(daemon->NumStreams()));
+  daemon->Stop();
+}
+
 // A follower that stops answering heartbeats is journaled once, when it
 // goes dark: the coordinator backs its redials off and keeps failing them,
 // but the journal records the transition, not every failed round.

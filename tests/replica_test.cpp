@@ -799,6 +799,41 @@ TEST(ReplicaApplier, ReadRefreshesAfterACopyFromTheStart) {
   EXPECT_EQ(applier->full_copies(), 2u);
 }
 
+TEST(ReplicaApplier, ReadFollowsACopyWithFewerChunks) {
+  // A follower that was ahead of the primary it re-homes under is copied
+  // back to a shorter history: its read engine follows the store down.
+  TempLogs logs;
+  auto applier = std::make_shared<replica::ReplicaApplier>(logs.Open("f"));
+  replica::RemoteFollower follower(
+      std::make_shared<net::InProcTransport>(applier));
+  auto stats = [&](const std::string& name, uint64_t chunks) {
+    // Copy a log holding `chunks` chunks of stream 42 to the applier, then
+    // read the stream's whole range from it.
+    auto primary_log = logs.Open(name);
+    EXPECT_TRUE(primary_log->StartGeneration().ok());
+    server::ServerEngine primary(primary_log);
+    EXPECT_TRUE(CreatePlainStream(primary, "copied").ok());
+    EXPECT_TRUE(InsertPlainChunks(primary, 0, chunks).ok());
+    const uint64_t gen = primary_log->Head().generation.id;
+    EXPECT_TRUE(
+        follower.ShipLog({gen, 0}, *primary_log->ReadLog(gen, 0, 1 << 20))
+            .ok());
+    net::StatRangeRequest req{42, {0, static_cast<Timestamp>(chunks) * kDelta}};
+    return applier->Read(net::MessageType::kGetStatRange, req.Encode());
+  };
+
+  ASSERT_TRUE(stats("p1", 21).ok());
+  auto resp = stats("p2", 6);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  auto range = net::StatRangeResponse::Decode(*resp);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->last_chunk, 6u);
+  auto fields = index::MakePlainCipher(2)->Decrypt(range->aggregate_blob, 0, 6);
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(*fields, (std::vector<uint64_t>{21, 6}));
+  EXPECT_EQ(applier->full_copies(), 2u);
+}
+
 TEST(ReplicaWire, RemoteFollowerConvergesThroughApplier) {
   // Follower node: an applier over its local log, reachable through a
   // transport — the multi-process deployment shape, in-proc here.

@@ -1,6 +1,6 @@
 // Storage substrate tests: sharded in-memory KV, file-backed log KV with
 // restart/compaction, the Append contract across stores, decorators and
-// the cache, prefix views, byte-budget LRU cache, latency decorator, the
+// the cache, byte-budget LRU cache, latency decorator, the
 // log's generations and record shipping under compaction, a differential
 // test of the log store against the in-memory one, and the log store's
 // heap per key.
@@ -27,7 +27,6 @@
 #include "store/log_kv.hpp"
 #include "store/lru_cache.hpp"
 #include "store/mem_kv.hpp"
-#include "store/prefix_kv.hpp"
 
 namespace tc::store {
 namespace {
@@ -323,52 +322,6 @@ std::vector<std::string> Numbered(const std::string& prefix, int n) {
   std::vector<std::string> keys;
   for (int i = 0; i < n; ++i) keys.push_back(prefix + std::to_string(i));
   return keys;
-}
-
-TEST(PrefixKvTest, EmptyPrefixIsATransparentView) {
-  auto backend = std::make_shared<MemKvStore>();
-  PrefixKvStore view(backend, "");
-  ASSERT_TRUE(view.Put("k", ToBytes("v")).ok());
-  EXPECT_EQ(ToString(*backend->Get("k")), "v");
-  EXPECT_EQ(ToString(*view.Get("k")), "v");
-  ASSERT_TRUE(view.Delete("k").ok());
-  EXPECT_EQ(backend->Size(), 0u);
-}
-
-TEST(PrefixKvTest, NestedViewsComposePrefixes) {
-  auto backend = std::make_shared<MemKvStore>();
-  auto outer = std::make_shared<PrefixKvStore>(backend, "a/");
-  PrefixKvStore inner(outer, "b/");
-  ASSERT_TRUE(inner.Put("k", ToBytes("v")).ok());
-  EXPECT_TRUE(backend->Contains("a/b/k"));
-  EXPECT_EQ(ToString(*inner.Get("k")), "v");
-  // Each layer adds its own prefix: the inner view takes bare keys, the
-  // outer view sees the inner namespace.
-  EXPECT_EQ(Values(*outer, {"k", "b/k"}),
-            (std::map<std::string, std::string>{{"b/k", "v"}}));
-  ASSERT_TRUE(inner.Delete("k").ok());
-  EXPECT_EQ(backend->Size(), 0u);
-}
-
-TEST(PrefixKvTest, ViewReachesOnlyKeysUnderItsPrefix) {
-  // "s1/" must not reach "s10/..." or the bare "s1" key, and a key that
-  // merely starts with the prefix's first bytes ("s1" alone, "s1.") stays
-  // out — the boundary is an exact prefix, not a range guess.
-  auto backend = std::make_shared<MemKvStore>();
-  ASSERT_TRUE(backend->Put("s1/inside", ToBytes("yes")).ok());
-  ASSERT_TRUE(backend->Put("s1/", ToBytes("empty-key")).ok());
-  ASSERT_TRUE(backend->Put("s10/outside", ToBytes("no")).ok());
-  ASSERT_TRUE(backend->Put("s1", ToBytes("no")).ok());
-  ASSERT_TRUE(backend->Put("s1.z", ToBytes("no")).ok());
-  ASSERT_TRUE(backend->Put("s2/other", ToBytes("no")).ok());
-  PrefixKvStore view(backend, "s1/");
-  EXPECT_EQ(Values(view, {"", "inside", "0/outside", "s10/outside", "s1",
-                          ".z", "s1.z", "s2/other", "../s2/other"}),
-            (std::map<std::string, std::string>{{"", "empty-key"},
-                                                {"inside", "yes"}}));
-  ASSERT_TRUE(view.Put("s10/outside", ToBytes("mine")).ok());
-  EXPECT_EQ(ToString(*backend->Get("s10/outside")), "no");
-  EXPECT_EQ(ToString(*backend->Get("s1/s10/outside")), "mine");
 }
 
 TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsLogsIdentical) {
@@ -1353,8 +1306,6 @@ TEST(DecoratorTest, EveryDecoratorForwardsEveryKvStoreCall) {
     std::function<std::shared_ptr<KvStore>(std::shared_ptr<KvStore>)> wrap;
   };
   const std::vector<Decorator> decorators = {
-      {"prefix",
-       [](auto inner) { return std::make_shared<PrefixKvStore>(inner, "p/"); }},
       {"fault",
        [](auto inner) { return std::make_shared<FaultKvStore>(inner); }},
       {"latency",

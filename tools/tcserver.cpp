@@ -49,7 +49,6 @@
 #include "server/server_engine.hpp"
 #include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
-#include "store/prefix_kv.hpp"
 #include "tools/cli_common.hpp"
 
 namespace {
@@ -334,12 +333,12 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  // One KV namespace per shard: prefix views over a shared memory store,
-  // or one log file per shard for durable mode (independent append paths —
-  // the cluster's ingest scaling lever). Replication ships logs, so a
-  // replicated shard and each of its followers always get a log file of
-  // their own: next to their shard's, or with --store mem in a temporary
-  // directory that outlives every store (it is declared before them).
+  // One store per shard: a memory store each, or one log file each for
+  // durable mode (independent append paths — the cluster's ingest scaling
+  // lever). Replication ships logs, so a replicated shard and each of its
+  // followers always get a log file of their own: next to their shard's,
+  // or with --store mem in a temporary directory that outlives every store
+  // (it is declared before them).
   std::unique_ptr<store::TempLogDir> mem_logs;
   if (store_kind == "mem" && replicated) {
     auto made = store::TempLogDir::Make();
@@ -353,15 +352,6 @@ int main(int argc, char** argv) {
     auto log = store::LogKvStore::Open(path + file_suffix, log_options);
     if (!log.ok()) tools::Die(log.status());
     return std::move(*log);
-  };
-  std::shared_ptr<store::MemKvStore> mem_backend;
-  auto make_store = [&](const std::string& ns,
-                        const std::string& file_suffix)
-      -> std::shared_ptr<store::KvStore> {
-    if (store_kind == "log") return make_log(file_suffix);
-    if (shards == 1) return std::make_shared<store::MemKvStore>();
-    if (!mem_backend) mem_backend = std::make_shared<store::MemKvStore>();
-    return std::make_shared<store::PrefixKvStore>(mem_backend, ns);
   };
 
   replica::ReplicaSetOptions set_options;
@@ -397,9 +387,12 @@ int main(int argc, char** argv) {
     if (auto started = daemon.Start(port); !started.ok()) {
       tools::Die(started);
     }
-    // Follower scrapes expose the net/apply-path registry; engine gauges
-    // refresh through the read path, so no pre-collect hook is needed.
-    if (!start_metrics(nullptr)) {
+    // A scrape refreshes the shard gauges as kClusterInfo does: from the
+    // follower's read engines, or from the serving stack once promoted.
+    if (!start_metrics([&daemon] {
+          // The answer is dropped: the call is for the gauges it publishes.
+          (void)daemon.Handle(net::MessageType::kClusterInfo, {});
+        })) {
       daemon.Stop();
       return 1;
     }
@@ -422,6 +415,7 @@ int main(int argc, char** argv) {
       }
     }
     std::puts("shutting down");
+    metrics_http.reset();  // its scrape hook calls into the daemon
     daemon.Stop();
     return 0;
   }
@@ -432,10 +426,10 @@ int main(int argc, char** argv) {
         shards > 1 ? ".shard" + std::to_string(i) : std::string{};
     std::shared_ptr<store::LogKvStore> primary_log;
     std::shared_ptr<store::KvStore> primary_kv;
-    if (replicated) {
+    if (replicated || store_kind == "log") {
       primary_kv = primary_log = make_log(shard_suffix);
     } else {
-      primary_kv = make_store("s" + std::to_string(i) + "/", shard_suffix);
+      primary_kv = std::make_shared<store::MemKvStore>();
     }
     // Fail fast on a reused store laid out for a different shard count —
     // silent re-homing would serve none of the recovered streams.
